@@ -171,7 +171,7 @@ type Session struct {
 	pusher Pusher
 
 	mu        sync.Mutex
-	downloads map[protocol.NodeID][]byte // staged content for GetPart (TCP mode)
+	downloads map[protocol.NodeID][]byte // stored objects being served by GetPart (TCP mode); read-only
 }
 
 // nextSessionID allocates globally unique session ids across all API servers
@@ -256,9 +256,8 @@ type pendingUpload struct {
 	session   protocol.SessionID
 	multipart bool
 	mpID      string
-	received  uint64
+	received  uint64 // bytes of the parts the multipart upload has taken
 	wire      uint64 // client-declared post-compression bytes (§3.3)
-	buf       []byte // assembled parts (InlineData mode only)
 	ext       string
 	plainSize uint64
 }

@@ -170,6 +170,31 @@ func TestUploadSmallFileSkipsMultipart(t *testing.T) {
 	}
 }
 
+// TestPutPartBoundedByDeclaredSize is the metered-mode half of the bound (the
+// inline half runs over both transports in internal/server): size-only parts
+// are held to the size PutContent declared, exactly like parts with bytes.
+func TestPutPartBoundedByDeclaredSize(t *testing.T) {
+	f := newFixture(t)
+	sess := f.session(t, 6)
+	root := f.rootOf(t, sess)
+	mk, _ := f.srv.Handle(sess, &protocol.Request{Op: protocol.OpMakeFile, Volume: root, Name: "big.iso"}, t0)
+	put, _ := f.srv.Handle(sess, &protocol.Request{
+		Op: protocol.OpPutContent, Volume: root, Node: mk.Node.ID, Name: "big.iso",
+		Hash: protocol.HashBytes([]byte("hostile")), Size: 12 << 20,
+	}, t0)
+	for i, want := range []protocol.Status{protocol.StatusOK, protocol.StatusOK, protocol.StatusBadRequest, protocol.StatusNotFound} {
+		resp, _ := f.srv.Handle(sess, &protocol.Request{
+			Op: protocol.OpPutPart, Upload: put.Upload, Part: uint32(i), Size: 5 << 20,
+		}, t0)
+		if resp.Status != want {
+			t.Errorf("part %d: %v, want %v", i, resp.Status, want)
+		}
+	}
+	if bs := f.blob.Stats(); bs.BytesHeld != 0 || bs.MultipartAborted != 1 {
+		t.Errorf("blob stats after the refused stream = %+v", bs)
+	}
+}
+
 func TestPutPartWrongSession(t *testing.T) {
 	f := newFixture(t)
 	sess1 := f.session(t, 3)

@@ -253,6 +253,13 @@ func (s *Server) opPutContent(c *OpContext) (*protocol.Response, error) {
 // content: the blob is completed at the data store, the metadata entry is
 // written (dal.make_content), the uploadjob is garbage-collected
 // (dal.delete_uploadjob) and watchers are notified.
+//
+// The size declared in PutContent bounds what the server accepts: a part that
+// takes the running total past it, or a non-final part of a content that fits
+// one part, is refused with StatusBadRequest and ends the upload. The part's
+// bytes are never copied here: a content of one part goes to the store
+// straight from the decoded request (PutObject makes the only copy), and a
+// multipart part is handed over to the store as it is.
 func (s *Server) opPutPart(c *OpContext) (*protocol.Response, error) {
 	// Part streaming never reports as a separate API event — the per-part
 	// load still shows up as RPC spans.
@@ -266,15 +273,20 @@ func (s *Server) opPutPart(c *OpContext) (*protocol.Response, error) {
 		return nil, protocol.ErrNotFound
 	}
 
+	inline := s.cfg.InlineData && req.Data != nil
 	partBytes := uint64(len(req.Data))
 	if partBytes == 0 {
 		partBytes = req.Size // metered mode: size only
+	}
+	if partBytes > up.plainSize-up.received || (!up.multipart && !req.Final) {
+		s.dropUpload(req.Upload, up)
+		return nil, protocol.ErrBadRequest
 	}
 
 	if up.multipart {
 		partNum := int(req.Part) + 1
 		var err error
-		if s.cfg.InlineData && req.Data != nil {
+		if inline {
 			err = s.deps.Blob.UploadPart(up.mpID, partNum, req.Data)
 		} else {
 			err = s.deps.Blob.UploadPartSized(up.mpID, partNum, partBytes)
@@ -282,10 +294,8 @@ func (s *Server) opPutPart(c *OpContext) (*protocol.Response, error) {
 		if err != nil {
 			return nil, protocol.ErrBadRequest
 		}
-	} else if s.cfg.InlineData && req.Data != nil {
-		up.buf = append(up.buf, req.Data...)
+		up.received += partBytes
 	}
-	up.received += partBytes
 
 	if _, err := s.deps.RPC.AddPartToUploadJob(c.User, req.Upload, partBytes, c.Now, &c.Cost); err != nil {
 		return nil, err
@@ -304,8 +314,8 @@ func (s *Server) opPutPart(c *OpContext) (*protocol.Response, error) {
 		}
 	} else {
 		key := up.job.Hash.Hex()
-		if s.cfg.InlineData && up.buf != nil {
-			s.deps.Blob.PutObject(key, up.buf)
+		if inline {
+			s.deps.Blob.PutObject(key, req.Data)
 		} else {
 			s.deps.Blob.PutObjectSized(key, up.plainSize)
 		}
@@ -346,9 +356,22 @@ func (s *Server) opPutPart(c *OpContext) (*protocol.Response, error) {
 	}, nil
 }
 
+// dropUpload ends a refused upload: the pending state and any multipart at
+// the data store go; the uploadjob row stays behind for the weekly GC, as
+// after a dropped session.
+func (s *Server) dropUpload(id protocol.UploadID, up *pendingUpload) {
+	s.uploadsMu.Lock()
+	delete(s.uploads, id)
+	s.uploadsMu.Unlock()
+	if up.multipart {
+		s.deps.Blob.AbortMultipartUpload(up.mpID) //nolint:errcheck
+	}
+}
+
 // opGetContent serves a download: get_node for the metadata, then the
 // data-store read. Small contents return inline; larger ones are staged and
-// fetched with GetPart.
+// fetched with GetPart. The store's bytes are shared and read-only, so the
+// response and the staged parts are slices of the one stored object.
 func (s *Server) opGetContent(c *OpContext) (*protocol.Response, error) {
 	req := c.Req
 	node, err := s.deps.RPC.GetNode(c.User, req.Volume, req.Node, c.Now, &c.Cost)

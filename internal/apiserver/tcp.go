@@ -57,15 +57,15 @@ func (s *Server) RunNotifier(done <-chan struct{}) {
 // in-flight requests for a disconnected client are dropped mid-pipeline
 // instead of doing back-end work nobody will read.
 type connWriter struct {
-	mu   sync.Mutex
-	conn net.Conn
-	dead atomic.Bool
+	mu     sync.Mutex
+	frames *wire.FrameWriter // guarded by mu
+	dead   atomic.Bool
 }
 
-func (w *connWriter) writeFrame(msgType byte, payload []byte) error {
+func (w *connWriter) writeMessage(msgType byte, m wire.Message) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	err := wire.WriteFrame(w.conn, msgType, payload)
+	err := w.frames.WriteMessage(msgType, m)
 	if err != nil {
 		w.dead.Store(true)
 	}
@@ -76,7 +76,7 @@ func (w *connWriter) writeFrame(msgType byte, payload []byte) error {
 // connection lazily: the read loop notices, and the dead flag aborts any
 // request still in the pipeline.
 func (w *connWriter) Push(p *protocol.Push) {
-	_ = w.writeFrame(protocol.FramePush, p.Marshal())
+	_ = w.writeMessage(protocol.FramePush, p)
 }
 
 // aborted reports whether the connection is known dead.
@@ -84,7 +84,7 @@ func (w *connWriter) aborted() bool { return w.dead.Load() }
 
 func (s *Server) handleConn(conn net.Conn) {
 	defer conn.Close()
-	w := &connWriter{conn: conn}
+	w := &connWriter{frames: wire.NewFrameWriter(conn)}
 
 	var sess *Session
 	defer func() {
@@ -133,7 +133,7 @@ func (s *Server) handleConn(conn net.Conn) {
 		default:
 			resp, _ = s.HandleWithCancel(sess, req, now, time.Time{}, w.aborted)
 		}
-		if err := w.writeFrame(protocol.FrameResponse, resp.Marshal()); err != nil {
+		if err := w.writeMessage(protocol.FrameResponse, resp); err != nil {
 			return
 		}
 		if req.Op == protocol.OpCloseSession {

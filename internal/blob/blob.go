@@ -10,9 +10,20 @@
 // simulated month of U1 traffic (hundreds of TB logical) fits in memory while
 // exercising identical code paths; reads then return deterministic
 // pseudo-content of the right size.
+//
+// Buffer ownership. Stored bytes are immutable: an object's slice is written
+// once, before it becomes visible, and an overwrite or delete replaces the
+// map entry without touching the old bytes. PutObject copies its argument —
+// the store's copy is the only one — so the caller may reuse the buffer.
+// UploadPart keeps the slice it is given until the upload completes or
+// aborts: the caller hands it over and must not modify it afterwards;
+// CompleteMultipartUpload joins the parts once into an object of exactly
+// their size. GetObject returns the stored bytes themselves, shared by every
+// reader and read-only: a caller that wants to modify them copies first.
 package blob
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sort"
@@ -160,7 +171,7 @@ type multipartUpload struct {
 	key     string
 	size    uint64
 	parts   int
-	data    []byte // nil unless KeepData
+	chunks  [][]byte // the parts as handed over; empty unless KeepData
 	started time.Time
 }
 
@@ -184,13 +195,17 @@ func New(cfg Config) *Store {
 	}
 }
 
-// PutObject stores data under key in one shot (used for contents at or below
-// one part).
+// PutObject stores a copy of data under key in one shot (used for contents at
+// or below one part).
 func (s *Store) PutObject(key string, data []byte) error {
 	//u1:allow wallclock measures real blob-path execution time; observability only, never simulation state
 	start := time.Now()
+	var kept []byte
+	if s.cfg.KeepData {
+		kept = append(kept, data...)
+	}
 	s.mu.Lock()
-	s.putLocked(key, uint64(len(data)), data)
+	s.putLocked(key, uint64(len(data)), kept)
 	s.mu.Unlock()
 	s.recordPut(uint64(len(data)), start)
 	return nil
@@ -215,26 +230,31 @@ func (s *Store) recordPut(size uint64, start time.Time) {
 	s.m.putSeconds.Observe(time.Since(start).Seconds())
 }
 
+// putLocked stores an object whose data (nil for size-only) the store already
+// owns.
 func (s *Store) putLocked(key string, size uint64, data []byte) {
+	s.commitLocked(key, object{size: size, data: data})
+	s.counters.Puts++
+	s.counters.BytesIn += size
+}
+
+// commitLocked makes obj the content of key and settles the held-object
+// accounting.
+func (s *Store) commitLocked(key string, obj object) {
 	if old, ok := s.loadObject(key); ok {
 		// Content-addressed keys make overwrites idempotent; adjust held
 		// bytes in case sizes differ (they cannot for honest SHA-1 keys).
 		s.counters.BytesHeld -= old.size
 		s.counters.Objects--
 	}
-	obj := object{size: size}
-	if s.cfg.KeepData && data != nil {
-		obj.data = append([]byte(nil), data...)
-	}
 	s.storeObject(key, obj)
-	s.counters.Puts++
-	s.counters.BytesIn += size
-	s.counters.BytesHeld += size
+	s.counters.BytesHeld += obj.size
 	s.counters.Objects++
 	s.m.objectsHeld.Set(int64(s.counters.Objects))
 }
 
-// GetObject returns the object's bytes. In metered mode it synthesizes
+// GetObject returns the object's bytes: the stored slice itself, shared with
+// every other reader and read-only. In metered mode it synthesizes
 // deterministic pseudo-content of the recorded size.
 func (s *Store) GetObject(key string) ([]byte, error) {
 	//u1:allow wallclock measures real blob-path execution time; observability only, never simulation state
@@ -247,10 +267,8 @@ func (s *Store) GetObject(key string) ([]byte, error) {
 	}
 	s.counters.Gets++
 	s.counters.BytesOut += obj.size
-	var out []byte
-	if obj.data != nil {
-		out = append([]byte(nil), obj.data...)
-	} else {
+	out := obj.data
+	if out == nil {
 		out = synthesize(key, obj.size)
 	}
 	s.mu.Unlock()
@@ -300,7 +318,8 @@ func (s *Store) CreateMultipartUpload(key string, now time.Time) string {
 }
 
 // UploadPart appends one part. Parts must arrive in order (1-based,
-// contiguous), which is how the U1 API server streams them.
+// contiguous), which is how the U1 API server streams them. The store keeps
+// data itself, not a copy, until the upload completes or aborts.
 func (s *Store) UploadPart(id string, partNum int, data []byte) error {
 	return s.uploadPart(id, partNum, uint64(len(data)), data)
 }
@@ -322,8 +341,8 @@ func (s *Store) uploadPart(id string, partNum int, size uint64, data []byte) err
 	}
 	up.parts++
 	up.size += size
-	if s.cfg.KeepData && data != nil {
-		up.data = append(up.data, data...)
+	if s.cfg.KeepData && len(data) > 0 {
+		up.chunks = append(up.chunks, data)
 	}
 	s.counters.PartsUploaded++
 	s.counters.BytesIn += size
@@ -331,29 +350,26 @@ func (s *Store) uploadPart(id string, partNum int, size uint64, data []byte) err
 	return nil
 }
 
-// CompleteMultipartUpload commits the accumulated parts as the object.
+// CompleteMultipartUpload commits the accumulated parts as the object: they
+// are joined once, outside the store lock, into a buffer of exactly their
+// total size.
 func (s *Store) CompleteMultipartUpload(id string) error {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	up, ok := s.uploads[id]
+	delete(s.uploads, id)
+	s.mu.Unlock()
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrNoSuchUpload, id)
 	}
-	delete(s.uploads, id)
-	// BytesIn was already counted per part; commit without recounting.
-	if old, exists := s.loadObject(up.key); exists {
-		s.counters.BytesHeld -= old.size
-		s.counters.Objects--
-	}
 	obj := object{size: up.size}
-	if s.cfg.KeepData {
-		obj.data = up.data
+	if len(up.chunks) > 0 {
+		obj.data = bytes.Join(up.chunks, nil)
 	}
-	s.storeObject(up.key, obj)
-	s.counters.BytesHeld += up.size
-	s.counters.Objects++
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	// BytesIn was already counted per part; commit without recounting.
+	s.commitLocked(up.key, obj)
 	s.counters.MultipartCompleted++
-	s.m.objectsHeld.Set(int64(s.counters.Objects))
 	s.m.objectBytes.Observe(float64(up.size))
 	return nil
 }

@@ -188,3 +188,67 @@ func TestTransferModel(t *testing.T) {
 		t.Error("default model should have bandwidth")
 	}
 }
+
+// The ownership rule of the package comment: PutObject copies its argument
+// (a caller may refill one buffer between puts), GetObject hands out the one
+// stored slice to every reader, and an overwrite leaves the bytes an earlier
+// reader holds untouched.
+func TestPutCopiesGetShares(t *testing.T) {
+	s := New(Config{KeepData: true})
+	buf := bytes.Repeat([]byte{1}, 4096)
+	if err := s.PutObject("one", buf); err != nil {
+		t.Fatal(err)
+	}
+	for i := range buf {
+		buf[i] = 2
+	}
+	if err := s.PutObject("two", buf); err != nil {
+		t.Fatal(err)
+	}
+	for i := range buf {
+		buf[i] = 3
+	}
+	one, _ := s.GetObject("one")
+	two, _ := s.GetObject("two")
+	if !bytes.Equal(one, bytes.Repeat([]byte{1}, 4096)) || !bytes.Equal(two, bytes.Repeat([]byte{2}, 4096)) {
+		t.Fatal("a stored object changed with the buffer it was put from")
+	}
+	again, _ := s.GetObject("one")
+	if &again[0] != &one[0] {
+		t.Error("two reads of one key should share the stored bytes")
+	}
+	if err := s.PutObject("one", buf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(one, bytes.Repeat([]byte{1}, 4096)) {
+		t.Error("an overwrite modified bytes a reader already held")
+	}
+	if fresh, _ := s.GetObject("one"); !bytes.Equal(fresh, buf) {
+		t.Error("overwrite not visible to a new reader")
+	}
+}
+
+// A multipart object is joined once into a buffer of exactly its size: no
+// append slack is held for the life of the object.
+func TestMultipartJoinsExactSize(t *testing.T) {
+	s := New(Config{KeepData: true})
+	id := s.CreateMultipartUpload("big", now)
+	var want []byte
+	for i, n := range []int{PartSize, PartSize, 1234} {
+		part := bytes.Repeat([]byte{byte(i + 1)}, n)
+		want = append(want, part...)
+		if err := s.UploadPart(id, i+1, part); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.CompleteMultipartUpload(id); err != nil {
+		t.Fatal(err)
+	}
+	got, err := s.GetObject("big")
+	if err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("multipart content mismatch (err %v)", err)
+	}
+	if cap(got) != len(got) {
+		t.Errorf("object of %d bytes holds %d", len(got), cap(got))
+	}
+}

@@ -393,11 +393,17 @@ func (c *Client) Download(vol protocol.VolumeID, node protocol.NodeID) ([]byte, 
 	}
 	data := resp.Data
 	if resp.Parts > 0 {
-		data = data[:0]
+		data = nil
 		for i := uint32(0); i < resp.Parts; i++ {
 			part, err := c.do(&protocol.Request{Op: protocol.OpGetPart, Volume: vol, Node: node, Part: i})
 			if err != nil {
 				return nil, err
+			}
+			if data == nil && len(part.Data) > 0 {
+				// One allocation for the whole body. The announced part
+				// count caps it, so Size alone cannot force an allocation; a
+				// metered server sends no bytes and none is made.
+				data = make([]byte, 0, min(resp.Size, uint64(resp.Parts)*blob.PartSize))
 			}
 			data = append(data, part.Data...)
 		}

@@ -1,6 +1,7 @@
 package client
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"testing"
@@ -487,4 +488,74 @@ func TestTransportClosedBehavior(t *testing.T) {
 	if err := cli.Ping(); err == nil {
 		t.Error("ping after close should fail")
 	}
+}
+
+// partServer answers GetContent with an announced size and part count and
+// GetPart with the scripted parts.
+type partServer struct {
+	size  uint64
+	parts [][]byte
+}
+
+func (s *partServer) Do(req *protocol.Request) (*protocol.Response, error) {
+	resp := &protocol.Response{ID: req.ID, Status: protocol.StatusOK}
+	switch req.Op {
+	case protocol.OpGetContent:
+		resp.Size, resp.Parts = s.size, uint32(len(s.parts))
+		resp.Hash = protocol.HashBytes(bytes.Join(s.parts, nil))
+	case protocol.OpGetPart:
+		resp.Data = s.parts[req.Part]
+	}
+	return resp, nil
+}
+func (s *partServer) Pushes() <-chan *protocol.Push { return nil }
+func (s *partServer) Close() error                  { return nil }
+
+// TestDownloadAssemblesPartsInOneAllocation pins the multipart download: the
+// body is allocated once at its announced size, a hostile Size is capped by
+// the announced part count, a metered server's empty parts allocate nothing,
+// and the hash check still guards the result.
+func TestDownloadAssemblesPartsInOneAllocation(t *testing.T) {
+	first := bytes.Repeat([]byte{7}, blob.PartSize)
+	last := []byte("tail of the file")
+	body := append(append([]byte(nil), first...), last...)
+
+	honest := &partServer{size: uint64(len(body)), parts: [][]byte{first, last}}
+	got, err := New(honest).Download(1, 2)
+	if err != nil || !bytes.Equal(got, body) {
+		t.Fatalf("download: %d bytes, err %v", len(got), err)
+	}
+	if cap(got) != len(body) {
+		t.Errorf("body of %d bytes assembled in a buffer of %d", len(body), cap(got))
+	}
+
+	hostile := &partServer{size: 1 << 60, parts: [][]byte{first, last}}
+	got, err = New(hostile).Download(1, 2)
+	if err != nil || !bytes.Equal(got, body) {
+		t.Fatalf("download with a lying Size: %d bytes, err %v", len(got), err)
+	}
+	if cap(got) > 2*blob.PartSize {
+		t.Errorf("a lying Size forced a %d-byte allocation for 2 parts", cap(got))
+	}
+
+	metered := &partServer{size: 12 << 20, parts: [][]byte{nil, nil, nil}}
+	if got, err := New(metered).Download(1, 2); err != nil || got != nil {
+		t.Errorf("metered download = %d bytes (cap %d), err %v; want nil", len(got), cap(got), err)
+	}
+
+	if _, err := New(&tamperingTransport{Transport: honest}).Download(1, 2); err == nil {
+		t.Error("a corrupted part passed the hash check")
+	}
+}
+
+// tamperingTransport flips a byte of the second part it relays.
+type tamperingTransport struct{ Transport }
+
+func (t *tamperingTransport) Do(req *protocol.Request) (*protocol.Response, error) {
+	resp, err := t.Transport.Do(req)
+	if err == nil && req.Op == protocol.OpGetPart && req.Part == 1 {
+		resp.Data = append([]byte(nil), resp.Data...)
+		resp.Data[0] ^= 1
+	}
+	return resp, err
 }

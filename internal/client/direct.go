@@ -1,6 +1,7 @@
 package client
 
 import (
+	"bytes"
 	"sync"
 	"time"
 
@@ -17,6 +18,12 @@ import (
 // asks the place function for a server — typically Cluster.LeastLoaded — and
 // stays on it until the session ends. The transport is reusable across
 // sessions, like a desktop client reconnecting after a drop.
+//
+// It stands in for the wire, and the wire is where a payload changes owner:
+// Do copies req.Data on the way in and resp.Data on the way out, the one
+// place the in-process path does, so that a caller shares no memory with the
+// server or the object store on this transport any more than over TCP.
+// Metered traffic carries no Data and pays nothing.
 type DirectTransport struct {
 	place func() *apiserver.Server
 	clock func() time.Time
@@ -102,7 +109,15 @@ func (t *DirectTransport) Do(req *protocol.Request) (*protocol.Response, error) 
 		if req.Delay > 0 {
 			now = now.Add(req.Delay)
 		}
+		if len(req.Data) > 0 {
+			sent := *req
+			sent.Data = bytes.Clone(req.Data)
+			req = &sent
+		}
 		resp, d := server.Handle(sess, req, now)
+		if len(resp.Data) > 0 {
+			resp.Data = bytes.Clone(resp.Data)
+		}
 		t.mu.Lock()
 		t.service += d
 		t.mu.Unlock()

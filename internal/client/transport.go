@@ -24,6 +24,11 @@ import (
 )
 
 // Transport moves requests to an API server and delivers pushes back.
+//
+// Buffer ownership: a transport may read req.Data only until Do returns and
+// may not retain it, so the caller is free to reuse the buffer afterwards;
+// the response's Data belongs to the caller and aliases nothing the server
+// or the transport still uses.
 type Transport interface {
 	// Do performs one request/response exchange.
 	Do(*protocol.Request) (*protocol.Response, error)
@@ -43,6 +48,7 @@ type TCPTransport struct {
 	conn net.Conn
 
 	writeMu sync.Mutex
+	frames  *wire.FrameWriter // guarded by writeMu
 
 	mu      sync.Mutex
 	pending map[uint64]chan *protocol.Response
@@ -67,6 +73,7 @@ func DialTCP(addr string) (*TCPTransport, error) {
 	}
 	t := &TCPTransport{
 		conn:    conn,
+		frames:  wire.NewFrameWriter(conn),
 		pending: make(map[uint64]chan *protocol.Response),
 		pushes:  make(chan *protocol.Push, 64),
 		done:    make(chan struct{}),
@@ -148,7 +155,7 @@ func (t *TCPTransport) Do(req *protocol.Request) (*protocol.Response, error) {
 	t.mu.Unlock()
 
 	t.writeMu.Lock()
-	err := wire.WriteFrame(t.conn, protocol.FrameRequest, req.Marshal())
+	err := t.frames.WriteMessage(protocol.FrameRequest, req)
 	t.writeMu.Unlock()
 	if err != nil {
 		t.mu.Lock()

@@ -2,6 +2,14 @@
 // identifiers (§3.1.1), the client-facing API operations of Table 2, the DAL
 // RPC operations of Tables 2 and 4, status codes, and the binary message
 // encodings exchanged between desktop clients and API servers.
+//
+// Buffer ownership. UnmarshalRequest and UnmarshalResponse do not copy Data
+// out of the buffer they decode: the message's Data aliases its input, so the
+// caller gives that buffer (in practice the one wire.ReadFrame just
+// allocated) to the message and must not reuse it. Strings and every other
+// field are copied. Encoding is symmetric: Encode records Data by reference
+// and a wire.FrameWriter sends it from where it lies, so Data must stay
+// unmodified until the write returns; Marshal copies it.
 package protocol
 
 import (

@@ -51,9 +51,17 @@ type Request struct {
 	Delay time.Duration
 }
 
-// Marshal encodes the request body (without the frame header).
+// Marshal encodes the request body (without the frame header) into a fresh
+// buffer; Data is copied into it.
 func (q *Request) Marshal() []byte {
-	w := wire.NewWriter(64 + len(q.Data) + len(q.Name) + len(q.Token))
+	w := wire.NewWriter(64 + len(q.Name) + len(q.Token))
+	q.Encode(w)
+	return w.Bytes()
+}
+
+// Encode implements wire.Message: the one place the request's field order is
+// written down. Data is recorded by reference (wire.Writer.Payload).
+func (q *Request) Encode(w *wire.Writer) {
 	w.Uvarint(q.ID)
 	w.Byte(byte(q.Op))
 	w.String(q.Token)
@@ -66,7 +74,7 @@ func (q *Request) Marshal() []byte {
 	w.Uvarint(q.CompressedSize)
 	w.Uvarint(uint64(q.Upload))
 	w.Uvarint(uint64(q.Part))
-	w.Bytes_(q.Data)
+	w.Payload(q.Data)
 	w.Bool(q.Final)
 	w.Uvarint(uint64(q.FromGen))
 	w.Uvarint(uint64(q.ToUser))
@@ -74,10 +82,10 @@ func (q *Request) Marshal() []byte {
 	w.Uvarint(uint64(q.Share))
 	w.Byte(q.Attempt)
 	w.Uvarint(uint64(q.Delay))
-	return w.Bytes()
 }
 
-// UnmarshalRequest decodes a request body.
+// UnmarshalRequest decodes a request body. The request's Data aliases buf:
+// ownership of buf passes to the returned message.
 func UnmarshalRequest(buf []byte) (*Request, error) {
 	r := wire.NewReader(buf)
 	q := &Request{}
@@ -94,7 +102,7 @@ func UnmarshalRequest(buf []byte) (*Request, error) {
 	q.Upload = UploadID(r.Uvarint())
 	q.Part = uint32(r.Uvarint())
 	if d := r.Bytes(); len(d) > 0 {
-		q.Data = append([]byte(nil), d...) // decouple from the frame buffer
+		q.Data = d
 	}
 	q.Final = r.Bool()
 	q.FromGen = Generation(r.Uvarint())
@@ -195,9 +203,17 @@ func unmarshalNodeInfo(r *wire.Reader) NodeInfo {
 	return n
 }
 
-// Marshal encodes the response body (without the frame header).
+// Marshal encodes the response body (without the frame header) into a fresh
+// buffer; Data is copied into it.
 func (p *Response) Marshal() []byte {
-	w := wire.NewWriter(128 + len(p.Data))
+	w := wire.NewWriter(128)
+	p.Encode(w)
+	return w.Bytes()
+}
+
+// Encode implements wire.Message: the one place the response's field order
+// is written down. Data is recorded by reference (wire.Writer.Payload).
+func (p *Response) Encode(w *wire.Writer) {
 	w.Uvarint(p.ID)
 	w.Byte(byte(p.Status))
 	w.Uvarint(uint64(p.Session))
@@ -223,8 +239,7 @@ func (p *Response) Marshal() []byte {
 	w.Uvarint(uint64(p.Parts))
 	w.Bytes_(p.Hash[:])
 	w.Uvarint(p.Size)
-	w.Bytes_(p.Data)
-	return w.Bytes()
+	w.Payload(p.Data)
 }
 
 // maxRepeated bounds decoded slice lengths; a hostile length prefix cannot
@@ -232,7 +247,8 @@ func (p *Response) Marshal() []byte {
 // messages stay far below this).
 const maxRepeated = 1 << 20
 
-// UnmarshalResponse decodes a response body.
+// UnmarshalResponse decodes a response body. The response's Data aliases buf:
+// ownership of buf passes to the returned message.
 func UnmarshalResponse(buf []byte) (*Response, error) {
 	r := wire.NewReader(buf)
 	p := &Response{}
@@ -273,7 +289,7 @@ func UnmarshalResponse(buf []byte) (*Response, error) {
 	copy(p.Hash[:], r.Bytes())
 	p.Size = r.Uvarint()
 	if d := r.Bytes(); len(d) > 0 {
-		p.Data = append([]byte(nil), d...)
+		p.Data = d
 	}
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("protocol: decoding response: %w", err)
@@ -321,11 +337,16 @@ type Push struct {
 // Marshal encodes the push body.
 func (n *Push) Marshal() []byte {
 	w := wire.NewWriter(64)
+	n.Encode(w)
+	return w.Bytes()
+}
+
+// Encode implements wire.Message.
+func (n *Push) Encode(w *wire.Writer) {
 	w.Byte(byte(n.Event))
 	w.Uvarint(uint64(n.Volume))
 	w.Uvarint(uint64(n.Generation))
 	marshalShareInfo(w, n.Share)
-	return w.Bytes()
 }
 
 // UnmarshalPush decodes a push body.

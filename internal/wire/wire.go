@@ -10,14 +10,26 @@
 // Messages are fixed field sequences (no tags); the message type byte in the
 // frame header selects the decoder, exactly like a protobuf oneof envelope
 // but simpler to audit.
+//
+// Buffer ownership. ReadFrame allocates a fresh buffer per frame and hands it
+// to the caller; wire keeps no reference, and whatever the caller decodes out
+// of it (Reader.Bytes, protocol.Unmarshal*) aliases that buffer and lives as
+// long as it does. On the way out nothing is retained either: WriteFrame and
+// FrameWriter.WriteMessage have put every byte on the writer by the time they
+// return, so the caller may reuse its payload. A byte slice recorded with
+// Writer.Payload is written from where it lies, never copied and never
+// modified.
 package wire
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math"
+	"net"
+	"sync"
 )
 
 // Frame layout: 4-byte big-endian payload length, 1-byte message type,
@@ -37,29 +49,108 @@ var (
 	ErrOverflow      = errors.New("wire: varint overflows 64 bits")
 )
 
-// WriteFrame writes one frame with the given message type and payload.
-func WriteFrame(w io.Writer, msgType byte, payload []byte) error {
-	if len(payload) > MaxFrameSize {
-		return ErrFrameTooLarge
+// segments is the write vector of one frame. It lives inside a value that is
+// already on the heap (a FrameWriter, or WriteFrame's pooled state) so that
+// handing &vec to net.Buffers.WriteTo allocates nothing.
+type segments struct {
+	arr [3][]byte
+	vec net.Buffers
+}
+
+// write puts head, payload and tail on w as one frame: a single Write when
+// head is all there is, otherwise one vectored write, which is one writev on
+// a TCP connection and one Write per segment on any other writer.
+func (s *segments) write(w io.Writer, head, payload, tail []byte) error {
+	var err error
+	if len(payload) == 0 && len(tail) == 0 {
+		_, err = w.Write(head)
+	} else {
+		n := 0
+		for _, seg := range [...][]byte{head, payload, tail} {
+			if len(seg) > 0 {
+				s.arr[n] = seg
+				n++
+			}
+		}
+		s.vec = s.arr[:n]
+		_, err = s.vec.WriteTo(w)
+		s.arr, s.vec = [3][]byte{}, nil // do not pin the payload
 	}
-	var hdr [frameHeaderSize]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(len(payload)))
-	hdr[4] = msgType
-	if _, err := w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("wire: writing frame header: %w", err)
-	}
-	if len(payload) == 0 {
-		return nil
-	}
-	if _, err := w.Write(payload); err != nil {
-		return fmt.Errorf("wire: writing frame payload: %w", err)
+	if err != nil {
+		return fmt.Errorf("wire: writing frame: %w", err)
 	}
 	return nil
 }
 
-// ReadFrame reads one frame from r. It returns the message type and payload.
-// Oversized frames are rejected before allocation so a malicious peer cannot
-// force large allocations (DDoS hygiene, §5.4).
+// WriteFrame writes one frame with the given message type and an already
+// encoded payload. The payload is written from where it lies.
+func WriteFrame(w io.Writer, msgType byte, payload []byte) error {
+	if len(payload) > MaxFrameSize {
+		return ErrFrameTooLarge
+	}
+	f := rawFrames.Get().(*rawFrame)
+	binary.BigEndian.PutUint32(f.hdr[:4], uint32(len(payload)))
+	f.hdr[4] = msgType
+	err := f.write(w, f.hdr[:], payload, nil)
+	rawFrames.Put(f)
+	return err
+}
+
+// rawFrame is the header and write vector of one WriteFrame call, pooled so
+// that a frame costs no allocation of its own.
+type rawFrame struct {
+	hdr [frameHeaderSize]byte
+	segments
+}
+
+var rawFrames = sync.Pool{New: func() any { return new(rawFrame) }}
+
+// Message is a protocol message that encodes its fixed field sequence.
+type Message interface {
+	Encode(w *Writer)
+}
+
+// FrameWriter encodes messages straight into frames on one connection: the
+// header and the fields share one buffer the FrameWriter owns and reuses, and
+// a field recorded with Writer.Payload goes out as its own segment of the
+// same vectored write. Not safe for concurrent use; the connection's write
+// lock guards it.
+type FrameWriter struct {
+	w   io.Writer
+	enc Writer
+	segments
+}
+
+// NewFrameWriter returns a FrameWriter on w.
+func NewFrameWriter(w io.Writer) *FrameWriter { return &FrameWriter{w: w} }
+
+// maxKeptEncodeBuffer bounds the encode buffer a FrameWriter keeps between
+// frames, so one large listing does not stay allocated for the life of the
+// connection.
+const maxKeptEncodeBuffer = 64 << 10
+
+// WriteMessage encodes m and writes it as one frame of the given type.
+func (f *FrameWriter) WriteMessage(msgType byte, m Message) error {
+	e := &f.enc
+	e.buf = append(e.buf[:0], 0, 0, 0, 0, msgType) // length patched in below
+	m.Encode(e)
+	head, payload, tail := e.split()
+	e.payload = nil // written below from the locals; the writer keeps no reference
+	if cap(e.buf) > maxKeptEncodeBuffer {
+		e.buf = nil
+	}
+	n := len(head) + len(payload) + len(tail) - frameHeaderSize
+	if n > MaxFrameSize {
+		return ErrFrameTooLarge
+	}
+	binary.BigEndian.PutUint32(head, uint32(n))
+	return f.write(f.w, head, payload, tail)
+}
+
+// ReadFrame reads one frame from r. It returns the message type and payload;
+// the payload is a fresh buffer the caller owns. Oversized frames are
+// rejected before allocation so a malicious peer cannot force large
+// allocations (DDoS hygiene, §5.4).
 func ReadFrame(r io.Reader) (msgType byte, payload []byte, err error) {
 	var hdr [frameHeaderSize]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -87,20 +178,39 @@ func ReadFrame(r io.Reader) (msgType byte, payload []byte, err error) {
 // use. Writer never fails; the buffer grows as needed.
 type Writer struct {
 	buf []byte
+	// payload is the one field recorded by reference (Payload); its bytes
+	// belong between buf[:payloadAt] and buf[payloadAt:].
+	payload   []byte
+	payloadAt int
 }
 
 // NewWriter returns a Writer with capacity preallocated for n bytes.
 func NewWriter(n int) *Writer { return &Writer{buf: make([]byte, 0, n)} }
 
-// Bytes returns the encoded buffer. The slice aliases internal storage and is
-// invalidated by further writes.
-func (w *Writer) Bytes() []byte { return w.buf }
+// Bytes returns the encoded message. Without a Payload the slice aliases
+// internal storage and is invalidated by further writes; with one it is a
+// fresh buffer of exactly the encoded size with the payload copied in place.
+func (w *Writer) Bytes() []byte {
+	head, payload, tail := w.split()
+	if payload == nil {
+		return head
+	}
+	return bytes.Join([][]byte{head, payload, tail}, nil)
+}
+
+// split returns the encoded message as the segments around its Payload.
+func (w *Writer) split() (head, payload, tail []byte) {
+	if w.payload == nil {
+		return w.buf, nil, nil
+	}
+	return w.buf[:w.payloadAt], w.payload, w.buf[w.payloadAt:]
+}
 
 // Len returns the number of encoded bytes.
-func (w *Writer) Len() int { return len(w.buf) }
+func (w *Writer) Len() int { return len(w.buf) + len(w.payload) }
 
 // Reset clears the buffer for reuse.
-func (w *Writer) Reset() { w.buf = w.buf[:0] }
+func (w *Writer) Reset() { w.buf, w.payload = w.buf[:0], nil }
 
 // Uvarint appends an unsigned varint.
 func (w *Writer) Uvarint(v uint64) { w.buf = binary.AppendUvarint(w.buf, v) }
@@ -124,6 +234,21 @@ func (w *Writer) Bool(b bool) {
 func (w *Writer) Bytes_(b []byte) {
 	w.Uvarint(uint64(len(b)))
 	w.buf = append(w.buf, b...)
+}
+
+// Payload appends a length-prefixed byte slice by reference: the encoding is
+// that of Bytes_, but b is not copied until Bytes joins the message, and a
+// FrameWriter never copies it at all. A message has at most one such field
+// (its Data); b must stay unmodified until the message has been written.
+func (w *Writer) Payload(b []byte) {
+	w.Uvarint(uint64(len(b)))
+	if len(b) == 0 {
+		return
+	}
+	if w.payload != nil {
+		panic("wire: second Payload in one message")
+	}
+	w.payload, w.payloadAt = b, len(w.buf)
 }
 
 // String appends a length-prefixed string.

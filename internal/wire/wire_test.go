@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math"
@@ -256,5 +257,116 @@ func TestQuickFrameRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// countingReader reports how many bytes ReadFrame consumed.
+type countingReader struct {
+	r io.Reader
+	n int
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += n
+	return n, err
+}
+
+// FuzzReadFrame feeds arbitrary bytes to ReadFrame: it must never panic, must
+// refuse an oversized frame having read the header and nothing else, and a
+// frame it accepts must re-encode to exactly the bytes it consumed.
+func FuzzReadFrame(f *testing.F) {
+	var golden bytes.Buffer
+	WriteFrame(&golden, 1, []byte("storage_done")) //nolint:errcheck
+	f.Add(golden.Bytes())
+	f.Add([]byte{0, 0, 0, 0, 2})
+	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 1, 0})
+	f.Add([]byte{0, 0, 0, 9, 1, 'x'})
+	f.Fuzz(func(t *testing.T, in []byte) {
+		src := &countingReader{r: bytes.NewReader(in)}
+		msgType, payload, err := ReadFrame(src)
+		if len(in) >= frameHeaderSize && binary.BigEndian.Uint32(in) > MaxFrameSize {
+			if !errors.Is(err, ErrFrameTooLarge) || src.n != frameHeaderSize {
+				t.Fatalf("oversized frame: err %v after %d bytes", err, src.n)
+			}
+		}
+		if err != nil {
+			return
+		}
+		var out bytes.Buffer
+		if err := WriteFrame(&out, msgType, payload); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(out.Bytes(), in[:src.n]) {
+			t.Fatalf("re-encoded %x, consumed %x", out.Bytes(), in[:src.n])
+		}
+	})
+}
+
+// fields is a Message of two plain fields around an optional Payload.
+type fields struct {
+	before, after string
+	payload       []byte
+}
+
+func (m fields) Encode(w *Writer) {
+	w.String(m.before)
+	w.Payload(m.payload)
+	w.String(m.after)
+}
+
+// A Payload is encoded exactly like Bytes_, whether the message is joined
+// (Writer.Bytes) or framed (FrameWriter), and empty payloads need no segment.
+func TestPayloadEncodesLikeBytes(t *testing.T) {
+	for _, payload := range [][]byte{nil, {}, []byte("5 MB of file content")} {
+		plain := NewWriter(16)
+		plain.String("head")
+		plain.Bytes_(payload)
+		plain.String("tail")
+
+		m := fields{before: "head", after: "tail", payload: payload}
+		var joined Writer
+		m.Encode(&joined)
+		if !bytes.Equal(joined.Bytes(), plain.Bytes()) || joined.Len() != plain.Len() {
+			t.Errorf("payload %q: joined %x (len %d), want %x", payload, joined.Bytes(), joined.Len(), plain.Bytes())
+		}
+
+		var framed, want bytes.Buffer
+		if err := NewFrameWriter(&framed).WriteMessage(9, m); err != nil {
+			t.Fatal(err)
+		}
+		if err := WriteFrame(&want, 9, plain.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(framed.Bytes(), want.Bytes()) {
+			t.Errorf("payload %q: framed %x, want %x", payload, framed.Bytes(), want.Bytes())
+		}
+	}
+}
+
+func TestFrameWriterRefusesOversizedMessage(t *testing.T) {
+	var out bytes.Buffer
+	err := NewFrameWriter(&out).WriteMessage(1, fields{payload: make([]byte, MaxFrameSize)})
+	if !errors.Is(err, ErrFrameTooLarge) || out.Len() != 0 {
+		t.Errorf("err = %v with %d bytes written", err, out.Len())
+	}
+}
+
+// The encode buffer is the connection's, kept between frames — but one huge
+// listing must not stay allocated for the life of the connection, and a
+// written payload must not stay referenced.
+func TestFrameWriterKeepsNoLargeBuffer(t *testing.T) {
+	fw := NewFrameWriter(io.Discard)
+	if err := fw.WriteMessage(1, fields{before: string(make([]byte, 4*maxKeptEncodeBuffer))}); err != nil {
+		t.Fatal(err)
+	}
+	if c := cap(fw.enc.buf); c > maxKeptEncodeBuffer {
+		t.Errorf("kept a %d-byte encode buffer", c)
+	}
+	if err := fw.WriteMessage(1, fields{payload: []byte("data")}); err != nil {
+		t.Fatal(err)
+	}
+	if fw.enc.payload != nil || fw.vec != nil || fw.arr[0] != nil || fw.arr[1] != nil || fw.arr[2] != nil {
+		t.Error("frame writer still references the payload it wrote")
 	}
 }
