@@ -1,8 +1,8 @@
 // Command u1bench runs the full experiment suite: it generates the default
-// 30-day trace, runs every analysis, and prints a paper-vs-measured report —
-// the data recorded in EXPERIMENTS.md. It also snapshots the cluster's live
-// metrics registry and writes the machine-readable benchmark record
-// (BENCH_*.json) that CI archives as the repo's perf trajectory.
+// 30-day trace, runs every analysis, and prints a paper-vs-measured report.
+// It also snapshots the cluster's live metrics registry and writes the
+// machine-readable benchmark record (BENCH_*.json) that CI archives as the
+// repo's perf trajectory.
 //
 // Usage:
 //

@@ -2,7 +2,7 @@
 // (§5 storage workload, §6 user behavior, §7 back-end performance) over a
 // collected trace. Each figure/table has one Analyze function returning a
 // result struct that renders as terminal text and exports gnuplot-ready data
-// series; EXPERIMENTS.md records each result against the paper's numbers.
+// series; cmd/u1bench prints each result against the paper's numbers.
 package analysis
 
 import (
@@ -27,7 +27,7 @@ type Trace struct {
 
 // FromCollector builds the analyzable view from a live collector.
 func FromCollector(col *trace.Collector, start time.Time, days int) *Trace {
-	recs := append([]trace.Record(nil), col.Records()...)
+	recs := col.Records() // already a copy the caller owns
 	sort.SliceStable(recs, func(i, j int) bool { return recs[i].Time < recs[j].Time })
 	return &Trace{
 		Records:    recs,

@@ -34,10 +34,11 @@
 package apiserver
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"path"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -170,8 +171,10 @@ type Session struct {
 
 	pusher Pusher
 
-	mu        sync.Mutex
-	downloads map[protocol.NodeID][]byte // stored objects being served by GetPart (TCP mode); read-only
+	mu sync.Mutex
+	// downloads are the stored objects being served by GetPart (TCP mode),
+	// read-only; nil until the session stages its first one.
+	downloads map[protocol.NodeID][]byte
 }
 
 // nextSessionID allocates globally unique session ids across all API servers
@@ -386,7 +389,7 @@ func (s *Server) emit(e Event) {
 // successful authentication, which keeps simulation setup out of the trace
 // window.
 func (s *Server) OpenSession(token string, pusher Pusher, now time.Time) (*Session, *protocol.Response, time.Duration) {
-	c := s.newOpContext(nil, &protocol.Request{Op: protocol.OpAuthenticate, Token: token}, now)
+	c := s.ownOpContext(nil, protocol.Request{Op: protocol.OpAuthenticate, Token: token}, now)
 	c.Pusher = pusher
 	c.openSession = true
 	resp := s.dispatch(c)
@@ -401,7 +404,7 @@ func (s *Server) CloseSession(sess *Session, now time.Time) {
 	if sess == nil {
 		return
 	}
-	c := s.newOpContext(sess, &protocol.Request{Op: protocol.OpCloseSession}, now)
+	c := s.ownOpContext(sess, protocol.Request{Op: protocol.OpCloseSession}, now)
 	s.dispatch(c)
 	releaseOpContext(c)
 }
@@ -414,7 +417,7 @@ func (s *Server) notifyVolume(origin *Session, vol protocol.VolumeID, gen protoc
 	if err != nil {
 		return
 	}
-	push := &protocol.Push{Event: protocol.PushVolumeChanged, Volume: vol, Generation: gen}
+	push := protocol.Push{Event: protocol.PushVolumeChanged, Volume: vol, Generation: gen}
 	for _, user := range watchers {
 		s.pushLocal(user, origin.ID, push)
 		if s.deps.Broker != nil {
@@ -432,7 +435,7 @@ func (s *Server) notifyVolume(origin *Session, vol protocol.VolumeID, gen protoc
 
 // notifyShare pushes a share event to the grantee's sessions everywhere.
 func (s *Server) notifyShare(origin *Session, kind protocol.PushEvent, share protocol.ShareInfo) {
-	push := &protocol.Push{Event: kind, Share: share, Volume: share.Volume}
+	push := protocol.Push{Event: kind, Share: share, Volume: share.Volume}
 	s.pushLocal(share.SharedTo, origin.ID, push)
 	if s.deps.Broker != nil {
 		s.deps.Broker.Publish(notify.Event{
@@ -447,8 +450,10 @@ func (s *Server) notifyShare(origin *Session, kind protocol.PushEvent, share pro
 }
 
 // pushLocal delivers a push to this server's sessions of a user, except the
-// excluded session.
-func (s *Server) pushLocal(user protocol.UserID, exclude protocol.SessionID, push *protocol.Push) {
+// excluded session. The push goes on the heap only once a session to deliver
+// it to is found: a user with one connected device, which made the change
+// itself, has none.
+func (s *Server) pushLocal(user protocol.UserID, exclude protocol.SessionID, push protocol.Push) {
 	s.mu.RLock()
 	var targets []*Session
 	for id, sess := range s.byUser[user] {
@@ -457,12 +462,17 @@ func (s *Server) pushLocal(user protocol.UserID, exclude protocol.SessionID, pus
 		}
 	}
 	s.mu.RUnlock()
+	if len(targets) == 0 {
+		return
+	}
 	// Deliver in ascending session order: push arrival order is observable
 	// client state and must not depend on map iteration.
-	sort.Slice(targets, func(i, j int) bool { return targets[i].ID < targets[j].ID })
+	slices.SortFunc(targets, func(a, b *Session) int { return cmp.Compare(a.ID, b.ID) })
+	shared := new(protocol.Push)
+	*shared = push
 	for _, sess := range targets {
 		if sess.pusher != nil {
-			sess.pusher.Push(push)
+			sess.pusher.Push(shared)
 		}
 	}
 }
@@ -478,18 +488,22 @@ func (s *Server) DeliverQueued() int {
 			if !ok {
 				return n
 			}
-			push := &protocol.Push{
-				Event:      e.Kind,
-				Volume:     e.Volume,
-				Generation: e.Generation,
-				Share:      e.Share,
-			}
-			s.pushLocal(e.User, e.ExcludeSession, push)
+			s.deliver(e)
 			n++
 		default:
 			return n
 		}
 	}
+}
+
+// deliver pushes one broker event to the local sessions it addresses.
+func (s *Server) deliver(e notify.Event) {
+	s.pushLocal(e.User, e.ExcludeSession, protocol.Push{
+		Event:      e.Kind,
+		Volume:     e.Volume,
+		Generation: e.Generation,
+		Share:      e.Share,
+	})
 }
 
 // extOf extracts the lower-cased file extension of a client-declared name;

@@ -79,6 +79,11 @@ type OpContext struct {
 	// pending holds notifications queued by the handler; the notify
 	// interceptor delivers them only after the handler succeeds.
 	pending []pendingPush
+
+	// own is the request of an operation the server issues on a connection's
+	// behalf (OpenSession, CloseSession): it lives in the pooled context, so
+	// such an operation allocates no request. Req points at it then.
+	own protocol.Request
 }
 
 // pendingPush is one queued notification: a volume change or a share event.
@@ -141,8 +146,23 @@ var opCtxPool = sync.Pool{New: func() any { return new(OpContext) }}
 // entered through OpenSession.
 func (s *Server) newOpContext(sess *Session, req *protocol.Request, now time.Time) *OpContext {
 	c := opCtxPool.Get().(*OpContext)
-	pending := c.pending[:0]
-	*c = OpContext{Session: sess, Now: now, Req: req, pending: pending}
+	s.initOpContext(c, sess, req, now)
+	return c
+}
+
+// ownOpContext is newOpContext for a request the server issues itself; see
+// OpContext.own.
+func (s *Server) ownOpContext(sess *Session, req protocol.Request, now time.Time) *OpContext {
+	c := opCtxPool.Get().(*OpContext)
+	c.own = req
+	s.initOpContext(c, sess, &c.own, now)
+	return c
+}
+
+// initOpContext resets every field of c for one request, keeping only the
+// pending slice's backing array and the own request.
+func (s *Server) initOpContext(c *OpContext, sess *Session, req *protocol.Request, now time.Time) {
+	*c = OpContext{Session: sess, Now: now, Req: req, pending: c.pending[:0], own: c.own}
 	c.Event = Event{
 		Server: s.cfg.Name,
 		Op:     req.Op,
@@ -157,7 +177,6 @@ func (s *Server) newOpContext(sess *Session, req *protocol.Request, now time.Tim
 		c.Event.Session = sess.ID
 		c.Event.User = sess.User
 	}
-	return c
 }
 
 // releaseOpContext returns a context to the pool. Callers must have read

@@ -104,7 +104,7 @@ func (s *Server) opUnlink(c *OpContext) (*protocol.Response, error) {
 	// Delete orphaned blobs from the data store (§3.2: "the API server
 	// finishes by deleting the file also from Amazon S3").
 	for _, h := range freed {
-		s.deps.Blob.DeleteObject(h.Hex())
+		s.deps.Blob.DeleteHash(h)
 	}
 	c.NotifyVolume(c.Req.Volume, gen)
 	if len(removed) > 0 {
@@ -140,7 +140,7 @@ func (s *Server) opDeleteVolume(c *OpContext) (*protocol.Response, error) {
 		return nil, err
 	}
 	for _, h := range freed {
-		s.deps.Blob.DeleteObject(h.Hex())
+		s.deps.Blob.DeleteHash(h)
 	}
 	c.Event.Size = uint64(len(removed))
 	return &protocol.Response{Status: protocol.StatusOK}, nil
@@ -157,13 +157,9 @@ func (s *Server) opGetDelta(c *OpContext) (*protocol.Response, error) {
 	if !isTruncatedDelta(err) {
 		return nil, err
 	}
-	nodes, gen, err := s.deps.RPC.GetFromScratch(c.User, c.Req.Volume, c.Now, &c.Cost)
+	full, gen, err := s.deps.RPC.GetFromScratch(c.User, c.Req.Volume, c.Now, &c.Cost)
 	if err != nil {
 		return nil, err
-	}
-	full := make([]protocol.DeltaEntry, len(nodes))
-	for i, n := range nodes {
-		full[i] = protocol.DeltaEntry{Node: n}
 	}
 	return &protocol.Response{Status: protocol.StatusOK, Deltas: full, Generation: gen, Rescan: true}, nil
 }
@@ -234,7 +230,7 @@ func (s *Server) opPutContent(c *OpContext) (*protocol.Response, error) {
 	}
 	if req.Size > blob.PartSize {
 		up.multipart = true
-		up.mpID = s.deps.Blob.CreateMultipartUpload(req.Hash.Hex(), c.Now)
+		up.mpID = s.deps.Blob.CreateMultipartHash(req.Hash, c.Now)
 		if err := s.deps.RPC.SetUploadJobMultipartID(c.User, job.ID, up.mpID, c.Now, &c.Cost); err != nil {
 			return nil, err
 		}
@@ -313,11 +309,10 @@ func (s *Server) opPutPart(c *OpContext) (*protocol.Response, error) {
 			return nil, protocol.ErrUnavailable
 		}
 	} else {
-		key := up.job.Hash.Hex()
 		if inline {
-			s.deps.Blob.PutObject(key, req.Data)
+			s.deps.Blob.PutHash(up.job.Hash, req.Data)
 		} else {
-			s.deps.Blob.PutObjectSized(key, up.plainSize)
+			s.deps.Blob.PutHashSized(up.job.Hash, up.plainSize)
 		}
 	}
 	node, _, wasUpdate, err := s.deps.RPC.MakeContent(c.User, up.job.Volume, up.job.Node, up.job.Hash, up.plainSize, c.Now, &c.Cost)
@@ -389,7 +384,7 @@ func (s *Server) opGetContent(c *OpContext) (*protocol.Response, error) {
 		Node:   node, Hash: node.Hash, Size: node.Size,
 	}
 	if s.cfg.InlineData {
-		data, err := s.deps.Blob.GetObject(node.Hash.Hex())
+		data, err := s.deps.Blob.GetHash(node.Hash)
 		if err != nil {
 			return nil, protocol.ErrUnavailable
 		}
@@ -399,12 +394,15 @@ func (s *Server) opGetContent(c *OpContext) (*protocol.Response, error) {
 			resp.Parts = uint32((len(data) + blob.PartSize - 1) / blob.PartSize)
 			sess := c.Session
 			sess.mu.Lock()
+			if sess.downloads == nil {
+				sess.downloads = make(map[protocol.NodeID][]byte)
+			}
 			sess.downloads[node.ID] = data
 			sess.mu.Unlock()
 		}
 	} else {
 		// Metered mode: account the data-store read without materializing.
-		if _, err := s.deps.Blob.HeadObject(node.Hash.Hex()); err != nil {
+		if _, err := s.deps.Blob.HeadHash(node.Hash); err != nil {
 			return nil, protocol.ErrUnavailable
 		}
 		if node.Size > blob.PartSize {
@@ -500,12 +498,11 @@ func (s *Server) opAuthenticate(c *OpContext) (*protocol.Response, error) {
 	}
 
 	sess := &Session{
-		ID:        sessionID,
-		User:      user,
-		Proc:      proc,
-		Started:   c.Now,
-		pusher:    c.Pusher,
-		downloads: make(map[protocol.NodeID][]byte),
+		ID:      sessionID,
+		User:    user,
+		Proc:    proc,
+		Started: c.Now,
+		pusher:  c.Pusher,
 	}
 	s.mu.Lock()
 	s.sessions[sess.ID] = sess

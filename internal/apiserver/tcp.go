@@ -39,12 +39,7 @@ func (s *Server) RunNotifier(done <-chan struct{}) {
 			if !ok {
 				return
 			}
-			s.pushLocal(e.User, e.ExcludeSession, &protocol.Push{
-				Event:      e.Kind,
-				Volume:     e.Volume,
-				Generation: e.Generation,
-				Share:      e.Share,
-			})
+			s.deliver(e)
 		case <-done:
 			return
 		}

@@ -3,7 +3,9 @@
 // only metadata (§3.2). The store is content-addressed (keys are SHA-1 hex
 // strings), supports single-shot puts for small contents and the multipart
 // upload API that the U1 uploadjob machinery drives (appendix A): initiate,
-// upload part, complete, abort.
+// upload part, complete, abort. Callers that hold the 20-byte hash itself
+// use the *Hash entry points and skip the round trip through its hex form;
+// PutHash(h, …) and PutObject(hex(h), …) name the same object.
 //
 // Two storage modes exist. With KeepData the store retains real bytes — what
 // the TCP server and examples use. Without it only sizes are retained, so a
@@ -24,6 +26,7 @@ package blob
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"sort"
@@ -104,22 +107,41 @@ type object struct {
 	data []byte // nil unless KeepData
 }
 
-// decodeKey returns the decoded form of a canonical (lowercase) SHA-1 hex
-// key. Uppercase hex is rejected so that distinct string keys can never
-// collide after decoding.
-func decodeKey(key string) (h [20]byte, ok bool) {
+// objectKey is a key in one of the two layouts: a content hash (canonical
+// 40-char lowercase SHA-1 hex on the string-keyed API, the raw hash on the
+// hash-keyed one) or any other string.
+type objectKey struct {
+	hash   [20]byte
+	str    string
+	hashed bool
+}
+
+// keyOf classifies a string key. Uppercase hex is not canonical, so that
+// distinct string keys can never collide after decoding.
+func keyOf(key string) objectKey {
 	if len(key) != 40 {
-		return h, false
+		return objectKey{str: key}
 	}
+	k := objectKey{hashed: true}
 	for i := 0; i < 40; i += 2 {
 		hi, ok1 := hexNibble(key[i])
 		lo, ok2 := hexNibble(key[i+1])
 		if !ok1 || !ok2 {
-			return h, false
+			return objectKey{str: key}
 		}
-		h[i/2] = hi<<4 | lo
+		k.hash[i/2] = hi<<4 | lo
 	}
-	return h, true
+	return k
+}
+
+func hashKey(h [20]byte) objectKey { return objectKey{hash: h, hashed: true} }
+
+// String returns the key as the string-keyed API spells it.
+func (k objectKey) String() string {
+	if k.hashed {
+		return hex.EncodeToString(k.hash[:])
+	}
+	return k.str
 }
 
 func hexNibble(c byte) (byte, bool) {
@@ -132,43 +154,43 @@ func hexNibble(c byte) (byte, bool) {
 	return 0, false
 }
 
-func (s *Store) loadObject(key string) (object, bool) {
-	if h, ok := decodeKey(key); ok {
-		size, ok := s.hashSizes[h]
+func (s *Store) loadObject(k objectKey) (object, bool) {
+	if k.hashed {
+		size, ok := s.hashSizes[k.hash]
 		if !ok {
 			return object{}, false
 		}
-		return object{size: size, data: s.hashData[h]}, true
+		return object{size: size, data: s.hashData[k.hash]}, true
 	}
-	obj, ok := s.objects[key]
+	obj, ok := s.objects[k.str]
 	return obj, ok
 }
 
-func (s *Store) storeObject(key string, obj object) {
-	if h, ok := decodeKey(key); ok {
-		s.hashSizes[h] = obj.size
+func (s *Store) storeObject(k objectKey, obj object) {
+	if k.hashed {
+		s.hashSizes[k.hash] = obj.size
 		if obj.data != nil {
-			s.hashData[h] = obj.data
+			s.hashData[k.hash] = obj.data
 		} else {
-			delete(s.hashData, h) // overwrite may flip a kept object to size-only
+			delete(s.hashData, k.hash) // overwrite may flip a kept object to size-only
 		}
 		return
 	}
-	s.objects[key] = obj
+	s.objects[k.str] = obj
 }
 
-func (s *Store) removeObject(key string) {
-	if h, ok := decodeKey(key); ok {
-		delete(s.hashSizes, h)
-		delete(s.hashData, h)
+func (s *Store) removeObject(k objectKey) {
+	if k.hashed {
+		delete(s.hashSizes, k.hash)
+		delete(s.hashData, k.hash)
 		return
 	}
-	delete(s.objects, key)
+	delete(s.objects, k.str)
 }
 
 type multipartUpload struct {
 	id      string
-	key     string
+	key     objectKey
 	size    uint64
 	parts   int
 	chunks  [][]byte // the parts as handed over; empty unless KeepData
@@ -197,7 +219,12 @@ func New(cfg Config) *Store {
 
 // PutObject stores a copy of data under key in one shot (used for contents at
 // or below one part).
-func (s *Store) PutObject(key string, data []byte) error {
+func (s *Store) PutObject(key string, data []byte) error { return s.put(keyOf(key), data) }
+
+// PutHash is PutObject for the content with hash h.
+func (s *Store) PutHash(h [20]byte, data []byte) error { return s.put(hashKey(h), data) }
+
+func (s *Store) put(k objectKey, data []byte) error {
 	//u1:allow wallclock measures real blob-path execution time; observability only, never simulation state
 	start := time.Now()
 	var kept []byte
@@ -205,7 +232,7 @@ func (s *Store) PutObject(key string, data []byte) error {
 		kept = append(kept, data...)
 	}
 	s.mu.Lock()
-	s.putLocked(key, uint64(len(data)), kept)
+	s.putLocked(k, uint64(len(data)), kept)
 	s.mu.Unlock()
 	s.recordPut(uint64(len(data)), start)
 	return nil
@@ -213,11 +240,16 @@ func (s *Store) PutObject(key string, data []byte) error {
 
 // PutObjectSized stores a size-only object (metered mode helper for the
 // simulator, which never materializes contents).
-func (s *Store) PutObjectSized(key string, size uint64) error {
+func (s *Store) PutObjectSized(key string, size uint64) error { return s.putSized(keyOf(key), size) }
+
+// PutHashSized is PutObjectSized for the content with hash h.
+func (s *Store) PutHashSized(h [20]byte, size uint64) error { return s.putSized(hashKey(h), size) }
+
+func (s *Store) putSized(k objectKey, size uint64) error {
 	//u1:allow wallclock measures real blob-path execution time; observability only, never simulation state
 	start := time.Now()
 	s.mu.Lock()
-	s.putLocked(key, size, nil)
+	s.putLocked(k, size, nil)
 	s.mu.Unlock()
 	s.recordPut(size, start)
 	return nil
@@ -232,22 +264,22 @@ func (s *Store) recordPut(size uint64, start time.Time) {
 
 // putLocked stores an object whose data (nil for size-only) the store already
 // owns.
-func (s *Store) putLocked(key string, size uint64, data []byte) {
-	s.commitLocked(key, object{size: size, data: data})
+func (s *Store) putLocked(k objectKey, size uint64, data []byte) {
+	s.commitLocked(k, object{size: size, data: data})
 	s.counters.Puts++
 	s.counters.BytesIn += size
 }
 
 // commitLocked makes obj the content of key and settles the held-object
 // accounting.
-func (s *Store) commitLocked(key string, obj object) {
-	if old, ok := s.loadObject(key); ok {
+func (s *Store) commitLocked(k objectKey, obj object) {
+	if old, ok := s.loadObject(k); ok {
 		// Content-addressed keys make overwrites idempotent; adjust held
 		// bytes in case sizes differ (they cannot for honest SHA-1 keys).
 		s.counters.BytesHeld -= old.size
 		s.counters.Objects--
 	}
-	s.storeObject(key, obj)
+	s.storeObject(k, obj)
 	s.counters.BytesHeld += obj.size
 	s.counters.Objects++
 	s.m.objectsHeld.Set(int64(s.counters.Objects))
@@ -256,20 +288,25 @@ func (s *Store) commitLocked(key string, obj object) {
 // GetObject returns the object's bytes: the stored slice itself, shared with
 // every other reader and read-only. In metered mode it synthesizes
 // deterministic pseudo-content of the recorded size.
-func (s *Store) GetObject(key string) ([]byte, error) {
+func (s *Store) GetObject(key string) ([]byte, error) { return s.get(keyOf(key)) }
+
+// GetHash is GetObject for the content with hash h.
+func (s *Store) GetHash(h [20]byte) ([]byte, error) { return s.get(hashKey(h)) }
+
+func (s *Store) get(k objectKey) ([]byte, error) {
 	//u1:allow wallclock measures real blob-path execution time; observability only, never simulation state
 	start := time.Now()
 	s.mu.Lock()
-	obj, ok := s.loadObject(key)
+	obj, ok := s.loadObject(k)
 	if !ok {
 		s.mu.Unlock()
-		return nil, fmt.Errorf("%w: %s", ErrNoSuchKey, key)
+		return nil, fmt.Errorf("%w: %s", ErrNoSuchKey, k)
 	}
 	s.counters.Gets++
 	s.counters.BytesOut += obj.size
 	out := obj.data
 	if out == nil {
-		out = synthesize(key, obj.size)
+		out = synthesize(k.String(), obj.size)
 	}
 	s.mu.Unlock()
 	s.m.getBytes.Add(obj.size)
@@ -279,25 +316,35 @@ func (s *Store) GetObject(key string) ([]byte, error) {
 }
 
 // HeadObject returns the object's size without transferring it.
-func (s *Store) HeadObject(key string) (uint64, error) {
+func (s *Store) HeadObject(key string) (uint64, error) { return s.head(keyOf(key)) }
+
+// HeadHash is HeadObject for the content with hash h.
+func (s *Store) HeadHash(h [20]byte) (uint64, error) { return s.head(hashKey(h)) }
+
+func (s *Store) head(k objectKey) (uint64, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	obj, ok := s.loadObject(key)
+	obj, ok := s.loadObject(k)
 	if !ok {
-		return 0, fmt.Errorf("%w: %s", ErrNoSuchKey, key)
+		return 0, fmt.Errorf("%w: %s", ErrNoSuchKey, k)
 	}
 	return obj.size, nil
 }
 
 // DeleteObject removes an object; deleting a missing key is a no-op, as in
 // S3.
-func (s *Store) DeleteObject(key string) {
+func (s *Store) DeleteObject(key string) { s.remove(keyOf(key)) }
+
+// DeleteHash is DeleteObject for the content with hash h.
+func (s *Store) DeleteHash(h [20]byte) { s.remove(hashKey(h)) }
+
+func (s *Store) remove(k objectKey) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if obj, ok := s.loadObject(key); ok {
+	if obj, ok := s.loadObject(k); ok {
 		s.counters.BytesHeld -= obj.size
 		s.counters.Objects--
-		s.removeObject(key)
+		s.removeObject(k)
 		s.m.objectsHeld.Set(int64(s.counters.Objects))
 	}
 	s.counters.Deletes++
@@ -308,11 +355,21 @@ func (s *Store) DeleteObject(key string) {
 // multipart id that the metadata store records on the uploadjob
 // (dal.set_uploadjob_multipart_id).
 func (s *Store) CreateMultipartUpload(key string, now time.Time) string {
+	return s.createMultipart(keyOf(key), now)
+}
+
+// CreateMultipartHash is CreateMultipartUpload towards the content with
+// hash h.
+func (s *Store) CreateMultipartHash(h [20]byte, now time.Time) string {
+	return s.createMultipart(hashKey(h), now)
+}
+
+func (s *Store) createMultipart(k objectKey, now time.Time) string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.nextID++
 	id := fmt.Sprintf("mp-%d", s.nextID)
-	s.uploads[id] = &multipartUpload{id: id, key: key, started: now}
+	s.uploads[id] = &multipartUpload{id: id, key: k, started: now}
 	s.counters.MultipartCreated++
 	return id
 }

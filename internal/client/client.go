@@ -82,7 +82,7 @@ func New(t Transport) *Client {
 // on the listing leg (the session was revoked underneath us): then there is
 // no live session to keep and Connect reports the failure.
 func (c *Client) Connect(token string) error {
-	resp, err := c.t.Do(&protocol.Request{Op: protocol.OpAuthenticate, Token: token})
+	resp, err := c.exchange(protocol.Request{Op: protocol.OpAuthenticate, Token: token})
 	if err != nil {
 		return err
 	}
@@ -93,7 +93,7 @@ func (c *Client) Connect(token string) error {
 	c.user, c.session = resp.User, resp.Session
 	c.mu.Unlock()
 
-	resp, err = c.do(&protocol.Request{Op: protocol.OpListVolumes})
+	resp, err = c.do(protocol.Request{Op: protocol.OpListVolumes})
 	switch {
 	case err == nil:
 		c.mu.Lock()
@@ -108,7 +108,7 @@ func (c *Client) Connect(token string) error {
 		// gone: there is nothing to keep, the connection really failed.
 		return err
 	}
-	resp, err = c.do(&protocol.Request{Op: protocol.OpListShares})
+	resp, err = c.do(protocol.Request{Op: protocol.OpListShares})
 	switch {
 	case err == nil:
 		c.mu.Lock()
@@ -146,7 +146,7 @@ func (c *Client) Pushes() <-chan *protocol.Push { return c.t.Pushes() }
 
 // Close ends the session and the transport.
 func (c *Client) Close() error {
-	c.t.Do(&protocol.Request{Op: protocol.OpCloseSession}) //nolint:errcheck
+	c.exchange(protocol.Request{Op: protocol.OpCloseSession}) //nolint:errcheck
 	return c.t.Close()
 }
 
@@ -155,8 +155,24 @@ func (c *Client) Close() error {
 // connection and reconnects later. Local mirrors persist, so the next
 // connection synchronizes from the last known generation (§3.4.2).
 func (c *Client) Disconnect() error {
-	_, err := c.t.Do(&protocol.Request{Op: protocol.OpCloseSession})
+	_, err := c.exchange(protocol.Request{Op: protocol.OpCloseSession})
 	return err
+}
+
+// reqPool recycles the request slots exchange lends to transports.
+var reqPool = sync.Pool{New: func() any { return new(protocol.Request) }}
+
+// exchange performs one request/response exchange. The transport borrows a
+// pooled slot holding req until Do returns (the Transport.Do contract); the
+// slot is wiped before it goes back to the pool, and nothing here reads it
+// after handing it over, so a request costs the client no allocation.
+func (c *Client) exchange(req protocol.Request) (*protocol.Response, error) {
+	slot := reqPool.Get().(*protocol.Request)
+	*slot = req
+	resp, err := c.t.Do(slot)
+	*slot = protocol.Request{}
+	reqPool.Put(slot)
+	return resp, err
 }
 
 // do sends a request, retrying transient failures within the Retry budget,
@@ -166,12 +182,12 @@ func (c *Client) Disconnect() error {
 // clock instead of sleeping. Only classRetryable statuses retry: a permanent
 // failure (missing node, quota) cannot be fixed by resending, and a
 // session-level failure needs a reconnect, not a per-op retry.
-func (c *Client) do(req *protocol.Request) (*protocol.Response, error) {
+func (c *Client) do(req protocol.Request) (*protocol.Response, error) {
 	var delay time.Duration
 	for attempt := 0; ; attempt++ {
 		req.Attempt = uint8(attempt)
 		req.Delay = delay
-		resp, err := c.t.Do(req)
+		resp, err := c.exchange(req)
 		if err != nil {
 			return nil, err
 		}
@@ -201,7 +217,7 @@ func (c *Client) do(req *protocol.Request) (*protocol.Response, error) {
 
 // ListVolumes lists the user's volumes.
 func (c *Client) ListVolumes() ([]protocol.VolumeInfo, error) {
-	resp, err := c.do(&protocol.Request{Op: protocol.OpListVolumes})
+	resp, err := c.do(protocol.Request{Op: protocol.OpListVolumes})
 	if err != nil {
 		return nil, err
 	}
@@ -210,7 +226,7 @@ func (c *Client) ListVolumes() ([]protocol.VolumeInfo, error) {
 
 // ListShares lists sharing grants involving the user.
 func (c *Client) ListShares() ([]protocol.ShareInfo, error) {
-	resp, err := c.do(&protocol.Request{Op: protocol.OpListShares})
+	resp, err := c.do(protocol.Request{Op: protocol.OpListShares})
 	if err != nil {
 		return nil, err
 	}
@@ -264,7 +280,7 @@ func (c *Client) applyLocal(vol protocol.VolumeID, node protocol.NodeInfo, gen p
 
 // Mkdir creates a directory.
 func (c *Client) Mkdir(vol protocol.VolumeID, parent protocol.NodeID, name string) (protocol.NodeInfo, error) {
-	resp, err := c.do(&protocol.Request{Op: protocol.OpMakeDir, Volume: vol, Parent: parent, Name: name})
+	resp, err := c.do(protocol.Request{Op: protocol.OpMakeDir, Volume: vol, Parent: parent, Name: name})
 	if err != nil {
 		return protocol.NodeInfo{}, err
 	}
@@ -301,14 +317,14 @@ func (c *Client) UploadSized(vol protocol.VolumeID, parent protocol.NodeID, name
 }
 
 func (c *Client) upload(vol protocol.VolumeID, parent protocol.NodeID, name string, h protocol.Hash, size, compressed uint64, content []byte) (protocol.NodeInfo, bool, error) {
-	mk, err := c.do(&protocol.Request{Op: protocol.OpMakeFile, Volume: vol, Parent: parent, Name: name})
+	mk, err := c.do(protocol.Request{Op: protocol.OpMakeFile, Volume: vol, Parent: parent, Name: name})
 	if err != nil {
 		return protocol.NodeInfo{}, false, err
 	}
 	c.applyLocal(vol, mk.Node, mk.Generation, false)
 	node := mk.Node
 
-	put, err := c.do(&protocol.Request{
+	put, err := c.do(protocol.Request{
 		Op: protocol.OpPutContent, Volume: vol, Node: node.ID, Name: name,
 		Hash: h, Size: size, CompressedSize: compressed,
 	})
@@ -332,7 +348,7 @@ func (c *Client) upload(vol protocol.VolumeID, parent protocol.NodeID, name stri
 		nParts = 1
 	}
 	for i := 0; i < nParts; i++ {
-		req := &protocol.Request{
+		req := protocol.Request{
 			Op: protocol.OpPutPart, Upload: put.Upload,
 			Part: uint32(i), Final: i == nParts-1,
 		}
@@ -369,12 +385,12 @@ func (c *Client) upload(vol protocol.VolumeID, parent protocol.NodeID, name stri
 // until the weekly garbage collection (appendix A). It returns the upload id
 // (zero if the content deduplicated and no transfer was needed).
 func (c *Client) BeginUpload(vol protocol.VolumeID, parent protocol.NodeID, name string, h protocol.Hash, size uint64) (protocol.UploadID, bool, error) {
-	mk, err := c.do(&protocol.Request{Op: protocol.OpMakeFile, Volume: vol, Parent: parent, Name: name})
+	mk, err := c.do(protocol.Request{Op: protocol.OpMakeFile, Volume: vol, Parent: parent, Name: name})
 	if err != nil {
 		return 0, false, err
 	}
 	c.applyLocal(vol, mk.Node, mk.Generation, false)
-	put, err := c.do(&protocol.Request{
+	put, err := c.do(protocol.Request{
 		Op: protocol.OpPutContent, Volume: vol, Node: mk.Node.ID, Name: name,
 		Hash: h, Size: size,
 	})
@@ -387,7 +403,7 @@ func (c *Client) BeginUpload(vol protocol.VolumeID, parent protocol.NodeID, name
 // Download fetches a file's content. Large files are fetched in parts. With
 // a metered server the returned slice is nil but sizes are accounted.
 func (c *Client) Download(vol protocol.VolumeID, node protocol.NodeID) ([]byte, error) {
-	resp, err := c.do(&protocol.Request{Op: protocol.OpGetContent, Volume: vol, Node: node})
+	resp, err := c.do(protocol.Request{Op: protocol.OpGetContent, Volume: vol, Node: node})
 	if err != nil {
 		return nil, err
 	}
@@ -395,7 +411,7 @@ func (c *Client) Download(vol protocol.VolumeID, node protocol.NodeID) ([]byte, 
 	if resp.Parts > 0 {
 		data = nil
 		for i := uint32(0); i < resp.Parts; i++ {
-			part, err := c.do(&protocol.Request{Op: protocol.OpGetPart, Volume: vol, Node: node, Part: i})
+			part, err := c.do(protocol.Request{Op: protocol.OpGetPart, Volume: vol, Node: node, Part: i})
 			if err != nil {
 				return nil, err
 			}
@@ -422,7 +438,7 @@ func (c *Client) Download(vol protocol.VolumeID, node protocol.NodeID) ([]byte, 
 
 // Unlink deletes a node (cascading server-side for directories).
 func (c *Client) Unlink(vol protocol.VolumeID, node protocol.NodeID) error {
-	resp, err := c.do(&protocol.Request{Op: protocol.OpUnlink, Volume: vol, Node: node})
+	resp, err := c.do(protocol.Request{Op: protocol.OpUnlink, Volume: vol, Node: node})
 	if err != nil {
 		return err
 	}
@@ -434,7 +450,7 @@ func (c *Client) Unlink(vol protocol.VolumeID, node protocol.NodeID) error {
 
 // Move renames/re-parents a node.
 func (c *Client) Move(vol protocol.VolumeID, node, newParent protocol.NodeID, newName string) (protocol.NodeInfo, error) {
-	resp, err := c.do(&protocol.Request{Op: protocol.OpMove, Volume: vol, Node: node, Parent: newParent, Name: newName})
+	resp, err := c.do(protocol.Request{Op: protocol.OpMove, Volume: vol, Node: node, Parent: newParent, Name: newName})
 	if err != nil {
 		return protocol.NodeInfo{}, err
 	}
@@ -444,7 +460,7 @@ func (c *Client) Move(vol protocol.VolumeID, node, newParent protocol.NodeID, ne
 
 // CreateUDF creates a user-defined folder volume and mirrors it.
 func (c *Client) CreateUDF(path string) (protocol.VolumeInfo, error) {
-	resp, err := c.do(&protocol.Request{Op: protocol.OpCreateUDF, Name: path})
+	resp, err := c.do(protocol.Request{Op: protocol.OpCreateUDF, Name: path})
 	if err != nil {
 		return protocol.VolumeInfo{}, err
 	}
@@ -457,7 +473,7 @@ func (c *Client) CreateUDF(path string) (protocol.VolumeInfo, error) {
 
 // DeleteVolume removes a volume and its mirror.
 func (c *Client) DeleteVolume(vol protocol.VolumeID) error {
-	if _, err := c.do(&protocol.Request{Op: protocol.OpDeleteVolume, Volume: vol}); err != nil {
+	if _, err := c.do(protocol.Request{Op: protocol.OpDeleteVolume, Volume: vol}); err != nil {
 		return err
 	}
 	c.mu.Lock()
@@ -468,7 +484,7 @@ func (c *Client) DeleteVolume(vol protocol.VolumeID) error {
 
 // CreateShare offers a volume to another user.
 func (c *Client) CreateShare(vol protocol.VolumeID, to protocol.UserID, name string, readOnly bool) (protocol.ShareInfo, error) {
-	resp, err := c.do(&protocol.Request{Op: protocol.OpCreateShare, Volume: vol, ToUser: to, Name: name, ReadOnly: readOnly})
+	resp, err := c.do(protocol.Request{Op: protocol.OpCreateShare, Volume: vol, ToUser: to, Name: name, ReadOnly: readOnly})
 	if err != nil {
 		return protocol.ShareInfo{}, err
 	}
@@ -477,7 +493,7 @@ func (c *Client) CreateShare(vol protocol.VolumeID, to protocol.UserID, name str
 
 // AcceptShare accepts a received share and mirrors the shared volume.
 func (c *Client) AcceptShare(id protocol.ShareID) (protocol.ShareInfo, error) {
-	resp, err := c.do(&protocol.Request{Op: protocol.OpAcceptShare, Share: id})
+	resp, err := c.do(protocol.Request{Op: protocol.OpAcceptShare, Share: id})
 	if err != nil {
 		return protocol.ShareInfo{}, err
 	}
@@ -495,7 +511,7 @@ func (c *Client) AcceptShare(id protocol.ShareID) (protocol.ShareInfo, error) {
 
 // Ping exercises the keepalive.
 func (c *Client) Ping() error {
-	_, err := c.do(&protocol.Request{Op: protocol.OpPing})
+	_, err := c.do(protocol.Request{Op: protocol.OpPing})
 	return err
 }
 
@@ -513,29 +529,40 @@ func (c *Client) Sync(vol protocol.VolumeID) ([]protocol.NodeInfo, error) {
 	fromGen := m.Gen
 	c.mu.Unlock()
 
-	resp, err := c.do(&protocol.Request{Op: protocol.OpGetDelta, Volume: vol, FromGen: fromGen})
+	resp, err := c.do(protocol.Request{Op: protocol.OpGetDelta, Volume: vol, FromGen: fromGen})
 	if err != nil {
 		return nil, err
 	}
 
 	var changedFiles []protocol.NodeInfo
 	c.mu.Lock()
+	// A rescan lists the whole volume, one entry per node: the mirror is
+	// rebuilt at exactly that size, and what changed is judged against the
+	// mirror it replaces.
+	known, nodes := m.Nodes, m.Nodes
 	if resp.Rescan {
-		m.Nodes = make(map[protocol.NodeID]protocol.NodeInfo)
+		nodes = make(map[protocol.NodeID]protocol.NodeInfo, len(resp.Deltas))
 		c.stats.Rescans++
 	}
-	for _, d := range resp.Deltas {
+	for i, d := range resp.Deltas {
 		if d.Deleted {
-			delete(m.Nodes, d.Node.ID)
+			delete(nodes, d.Node.ID)
 			continue
 		}
-		prev, existed := m.Nodes[d.Node.ID]
-		m.Nodes[d.Node.ID] = d.Node
+		prev, existed := known[d.Node.ID]
+		nodes[d.Node.ID] = d.Node
 		if d.Node.Kind == protocol.KindFile && !d.Node.Hash.IsZero() &&
 			(!existed || prev.Hash != d.Node.Hash) {
+			if changedFiles == nil && !(resp.Rescan && len(known) > 0) {
+				// A delta names what changed and a first listing is all
+				// new, so the rest of the list is a close bound; a rescan
+				// over a filled mirror mostly re-reads what it holds.
+				changedFiles = make([]protocol.NodeInfo, 0, len(resp.Deltas)-i)
+			}
 			changedFiles = append(changedFiles, d.Node)
 		}
 	}
+	m.Nodes = nodes
 	m.Gen = resp.Generation
 	m.dirty = false
 	c.stats.SyncsRun++

@@ -195,6 +195,60 @@ func TestSyncAppliesRemoteChanges(t *testing.T) {
 	}
 }
 
+// TestRescanReportsOnlyWhatChanged pins the rescan comparison: after the
+// delta log is truncated under a mirror that already holds the volume, Sync
+// judges the full listing against that mirror, so an AutoFetch client
+// downloads the one file that changed and not the whole volume again.
+func TestRescanReportsOnlyWhatChanged(t *testing.T) {
+	store := metadata.New(metadata.Config{Shards: 4, DeltaLogLimit: 2})
+	authSvc := auth.New(auth.Config{Seed: 1})
+	srv := apiserver.New(apiserver.Config{Name: "t", Procs: 2}, apiserver.Deps{
+		RPC:      rpc.NewServer(store, rpc.Config{Seed: 1}),
+		Auth:     authSvc,
+		Blob:     blob.New(blob.Config{}),
+		Broker:   notify.NewBroker(),
+		Transfer: blob.DefaultTransferModel(),
+	})
+	dev1 := connected(t, srv, authSvc, 41)
+	dev2 := connected(t, srv, authSvc, 41)
+	dev2.AutoFetch = true
+	root, _ := dev1.RootVolume()
+	upload := func(name, content string) {
+		t.Helper()
+		if _, _, err := dev1.UploadSized(root, 0, name, protocol.HashBytes([]byte(content)), 10, 8); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 10; i++ {
+		upload(fmt.Sprintf("f%d", i), fmt.Sprintf("v0-%d", i))
+	}
+	if changed, err := dev2.Sync(root); err != nil || len(changed) != 10 {
+		t.Fatalf("first sync: %d changed, err %v; want all 10", len(changed), err)
+	}
+
+	for v := 1; v <= 3; v++ { // three edits push the log past its two entries
+		upload("f4", fmt.Sprintf("v%d-4", v))
+	}
+	before := dev2.Stats()
+	changed, err := dev2.Sync(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := dev2.Stats()
+	if after.Rescans != before.Rescans+1 {
+		t.Fatalf("rescans went %d → %d: the sync was not served from scratch", before.Rescans, after.Rescans)
+	}
+	if len(changed) != 1 || changed[0].Name != "f4" {
+		t.Errorf("rescan reported %d changed files (%v), want only f4", len(changed), changed)
+	}
+	if got := after.Downloads - before.Downloads; got != 1 {
+		t.Errorf("rescan downloaded %d files, want 1", got)
+	}
+	if m, _ := dev2.Mirror(root); len(m.Nodes) != 11 { // a full listing names the root directory too
+		t.Errorf("mirror holds %d nodes after the rescan, want 11", len(m.Nodes))
+	}
+}
+
 func TestHandlePushTriggersSync(t *testing.T) {
 	srv, authSvc := newServer(t)
 	dev1 := connected(t, srv, authSvc, 50)

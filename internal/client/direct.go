@@ -23,7 +23,9 @@ import (
 // Do copies req.Data on the way in and resp.Data on the way out, the one
 // place the in-process path does, so that a caller shares no memory with the
 // server or the object store on this transport any more than over TCP.
-// Metered traffic carries no Data and pays nothing.
+// Metered traffic carries no Data and pays nothing. The request itself is
+// only borrowed (the Transport.Do contract): the server reads it while
+// Handle runs and keeps none of it.
 type DirectTransport struct {
 	place func() *apiserver.Server
 	clock func() time.Time
@@ -32,8 +34,33 @@ type DirectTransport struct {
 	server  *apiserver.Server
 	sess    *apiserver.Session
 	service time.Duration
-
+	// pushes materializes on the first delivered push or the first Pushes
+	// call, whichever comes first (see queue): the simulator builds one
+	// transport per connection and almost none of them ever sees a push.
 	pushes chan *protocol.Push
+}
+
+// pushQueueDepth bounds the pushes buffered for a reader that lags; past it
+// pushes are dropped, as on a TCP connection whose client does not drain.
+const pushQueueDepth = 256
+
+// queue returns the push channel, creating it on first use.
+func (t *DirectTransport) queue() chan *protocol.Push {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.pushes == nil {
+		t.pushes = make(chan *protocol.Push, pushQueueDepth)
+	}
+	return t.pushes
+}
+
+// Push implements apiserver.Pusher: the session's server-side end delivers
+// into the transport's queue, dropping when the reader is not draining.
+func (t *DirectTransport) Push(p *protocol.Push) {
+	select {
+	case t.queue() <- p:
+	default:
+	}
 }
 
 // FixedServer returns a placement function pinning every session to srv.
@@ -47,11 +74,7 @@ func NewDirectTransport(place func() *apiserver.Server, clock func() time.Time) 
 	if clock == nil {
 		clock = time.Now
 	}
-	return &DirectTransport{
-		place:  place,
-		clock:  clock,
-		pushes: make(chan *protocol.Push, 256),
-	}
+	return &DirectTransport{place: place, clock: clock}
 }
 
 // Do implements Transport.
@@ -70,13 +93,7 @@ func (t *DirectTransport) Do(req *protocol.Request) (*protocol.Response, error) 
 			oldServer.CloseSession(oldSess, now)
 		}
 		server := t.place()
-		pusher := apiserver.PusherFunc(func(p *protocol.Push) {
-			select {
-			case t.pushes <- p:
-			default: // not draining; drop
-			}
-		})
-		newSess, resp, d := server.OpenSession(req.Token, pusher, now)
+		newSess, resp, d := server.OpenSession(req.Token, t, now)
 		t.mu.Lock()
 		t.server = server
 		t.sess = newSess
@@ -126,7 +143,7 @@ func (t *DirectTransport) Do(req *protocol.Request) (*protocol.Response, error) 
 }
 
 // Pushes implements Transport.
-func (t *DirectTransport) Pushes() <-chan *protocol.Push { return t.pushes }
+func (t *DirectTransport) Pushes() <-chan *protocol.Push { return t.queue() }
 
 // Close implements Transport: it ends the current session (a TCP disconnect)
 // but the transport stays reusable — the next Authenticate starts a fresh

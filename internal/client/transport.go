@@ -24,13 +24,15 @@ import (
 )
 
 // Transport moves requests to an API server and delivers pushes back.
-//
-// Buffer ownership: a transport may read req.Data only until Do returns and
-// may not retain it, so the caller is free to reuse the buffer afterwards;
-// the response's Data belongs to the caller and aliases nothing the server
-// or the transport still uses.
 type Transport interface {
 	// Do performs one request/response exchange.
+	//
+	// The request is borrowed until Do returns: an implementation may read
+	// and stamp it (a correlation id, say) while the call lasts, and must not
+	// retain it or its Data afterwards — the Client wipes and reuses the
+	// request the moment Do returns, and callers reuse the Data buffer. The
+	// response belongs to the caller, and its Data aliases nothing the
+	// server or the transport still uses.
 	Do(*protocol.Request) (*protocol.Response, error)
 	// Pushes returns the channel of unsolicited server notifications.
 	Pushes() <-chan *protocol.Push

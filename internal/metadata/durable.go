@@ -221,12 +221,19 @@ func (s *Store) loadShard(i int) error {
 // on disk (per the fsync policy) before the operation acknowledges. Journal
 // failures are counted, not fatal: the simulated store prefers availability,
 // and the wal.errors counter makes the breach visible.
-func (s *Store) journal(sh *shard, rec *journalRecord) {
+//
+// The record arrives by value and neither sink takes its address: with
+// replication and durability both off, a mutation leaves no record on the
+// heap.
+func (s *Store) journal(sh *shard, rec journalRecord) {
 	// The replication tier consumes the same record stream: publication under
 	// the apply lock is what makes replica replay order match owner apply
 	// order (and what guarantees acknowledged writes are already published
 	// when their region dies).
-	s.replicate(sh, rec)
+	if s.repl != nil {
+		s.repl.outbox[sh.id] = append(s.repl.outbox[sh.id], rec)
+		s.repl.m.published.Inc()
+	}
 	if s.dur == nil {
 		return
 	}
@@ -501,7 +508,7 @@ func applyRecord(s *Store, sh *shard, rec *journalRecord) {
 			pr.addChild(rec.Node.Name, rec.Node.ID)
 		}
 		vr.info.Generation = rec.Node.Generation
-		appendLogReplay(sh, vr, rec.Node, false)
+		vr.appendLog(sh.deltaLogLimit, rec.Node, false)
 
 	case recMakeContent, recMove:
 		vr, ok := sh.volumes[rec.Node.Volume]
@@ -522,7 +529,7 @@ func applyRecord(s *Store, sh *shard, rec *journalRecord) {
 		}
 		nr.setInfo(rec.Node)
 		vr.info.Generation = rec.Node.Generation
-		appendLogReplay(sh, vr, rec.Node, false)
+		vr.appendLog(sh.deltaLogLimit, rec.Node, false)
 
 	case recUnlink:
 		vr, ok := sh.volumes[rec.VolID]
@@ -538,7 +545,7 @@ func applyRecord(s *Store, sh *shard, rec *journalRecord) {
 		vr.info.Generation = rec.Gen
 		for _, n := range rec.Removed {
 			delete(sh.nodes, n.ID)
-			appendLogReplay(sh, vr, n, true)
+			vr.appendLog(sh.deltaLogLimit, n, true)
 		}
 
 	case recDeleteVolume:
@@ -600,26 +607,6 @@ func applyNewVolume(sh *shard, info protocol.VolumeInfo, rootID protocol.NodeID)
 	sh.volumes[info.ID] = &volumeRow{
 		info: info,
 		root: rootID,
-	}
-}
-
-// appendLogReplay mirrors Store.appendLog for replay, including the
-// oldest-half trim, without touching the store-level trim counter twice per
-// recovery... it does bump it: recovery re-trims exactly where the original
-// run trimmed, so the counter stays an honest activity measure.
-func appendLogReplay(sh *shard, v *volumeRow, n protocol.NodeInfo, deleted bool) {
-	if sh.deltaLogLimit < 0 {
-		v.droppedThrough = v.info.Generation
-		return
-	}
-	v.log = append(v.log, logEntry{gen: v.info.Generation, node: n, deleted: deleted})
-	if len(v.log) > sh.deltaLogLimit {
-		drop := sh.deltaLogLimit / 2
-		if drop < 1 {
-			drop = 1
-		}
-		v.droppedThrough = v.log[drop-1].gen
-		v.log = append(v.log[:0:0], v.log[drop:]...)
 	}
 }
 

@@ -695,8 +695,8 @@ func TestDeltaReplayMatchesScratch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, n := range nodes {
-		local[n.ID] = n
+	for _, e := range nodes {
+		local[e.Node.ID] = e.Node
 	}
 
 	// Server-side churn.
@@ -738,7 +738,8 @@ func TestDeltaReplayMatchesScratch(t *testing.T) {
 	if len(local) != len(want) {
 		t.Fatalf("replayed %d nodes, scratch has %d", len(local), len(want))
 	}
-	for _, n := range want {
+	for _, e := range want {
+		n := e.Node
 		got, ok := local[n.ID]
 		if !ok {
 			t.Fatalf("node %v missing after replay", n.ID)
@@ -780,5 +781,29 @@ func TestLookupContentZeroHash(t *testing.T) {
 	mustUser(t, s, 1)
 	if _, _, err := s.LookupContent(protocol.Hash{}); !errors.Is(err, protocol.ErrBadRequest) {
 		t.Errorf("zero-hash probe: err = %v, want ErrBadRequest", err)
+	}
+}
+
+// TestInMemoryMutationLeavesNoJournalRecord is the allocation guard of the
+// journal call: with no durable tier and a single region there is no sink for
+// a mutation's record, so a MakeFile allocates the node row it keeps and
+// nothing else (map and log growth amortize below AllocsPerRun's integer
+// average).
+func TestInMemoryMutationLeavesNoJournalRecord(t *testing.T) {
+	s := newTestStore()
+	root := mustUser(t, s, 1)
+	names := make([]string, 2001)
+	for i := range names {
+		names[i] = fmt.Sprintf("f%d", i)
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(len(names)-1, func() {
+		if _, err := s.MakeFile(1, root.ID, 0, names[next]); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	})
+	if allocs > 1 {
+		t.Errorf("MakeFile allocates %.0f times, want 1 (the node row)", allocs)
 	}
 }

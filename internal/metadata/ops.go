@@ -1,7 +1,9 @@
 package metadata
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -39,7 +41,7 @@ func (s *Store) CreateUser(user protocol.UserID) (protocol.VolumeInfo, error) {
 		root:    vol.info.ID,
 		volumes: []protocol.VolumeID{vol.info.ID},
 	}
-	s.journal(sh, &journalRecord{Kind: recCreateUser, User: user, Volume: vol.info, Root: vol.root})
+	s.journal(sh, journalRecord{Kind: recCreateUser, User: user, Volume: vol.info, Root: vol.root})
 	return vol.info, nil
 }
 
@@ -130,7 +132,7 @@ func (s *Store) ListVolumes(user protocol.UserID) ([]protocol.VolumeInfo, error)
 	for _, volID := range u.volumes {
 		out = append(out, sh.volumes[volID].info)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	slices.SortFunc(out, func(a, b protocol.VolumeInfo) int { return cmp.Compare(a.ID, b.ID) })
 	// Collect accepted incoming shares; their volumes may live in other
 	// shards, so resolve them after releasing this shard's lock.
 	var sharedVols []protocol.VolumeID
@@ -140,7 +142,7 @@ func (s *Store) ListVolumes(user protocol.UserID) ([]protocol.VolumeInfo, error)
 		}
 	}
 	sh.runlock(lockedAt)
-	sort.Slice(sharedVols, func(i, j int) bool { return sharedVols[i] < sharedVols[j] })
+	slices.Sort(sharedVols)
 
 	for _, volID := range sharedVols {
 		owner, err := s.ownerOf(volID)
@@ -179,7 +181,7 @@ func (s *Store) ListShares(user protocol.UserID) ([]protocol.ShareInfo, error) {
 			out = append(out, *share)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	slices.SortFunc(out, func(a, b protocol.ShareInfo) int { return cmp.Compare(a.ID, b.ID) })
 	return out, nil
 }
 
@@ -204,7 +206,7 @@ func (s *Store) CreateUDF(user protocol.UserID, path string) (protocol.VolumeInf
 	}
 	vol := s.newVolumeLocked(sh, user, protocol.VolumeUDF, path)
 	u.addVolume(vol.info.ID)
-	s.journal(sh, &journalRecord{Kind: recCreateUDF, User: user, Volume: vol.info, Root: vol.root})
+	s.journal(sh, journalRecord{Kind: recCreateUDF, User: user, Volume: vol.info, Root: vol.root})
 	return vol.info, nil
 }
 
@@ -275,7 +277,7 @@ func (s *Store) DeleteVolume(user protocol.UserID, vol protocol.VolumeID) (remov
 			delete(gu.sharesIn, shareID) // grantee happens to share this shard
 		}
 	}
-	s.journal(sh, &journalRecord{Kind: recDeleteVolume, User: user, VolID: vol})
+	s.journal(sh, journalRecord{Kind: recDeleteVolume, User: user, VolID: vol})
 	sh.wunlock(lockedAt)
 	s.volumeDir.delete(vol)
 
@@ -312,7 +314,7 @@ func (s *Store) DeleteVolume(user protocol.UserID, vol protocol.VolumeID) (remov
 		if gu := gsh.users[grantee]; gu != nil {
 			delete(gu.sharesIn, shareID)
 		}
-		s.journal(gsh, &journalRecord{Kind: recDropShare, Share: protocol.ShareInfo{ID: shareID, SharedTo: grantee}})
+		s.journal(gsh, journalRecord{Kind: recDropShare, Share: protocol.ShareInfo{ID: shareID, SharedTo: grantee}})
 		gsh.wunlock(gLockedAt)
 	}
 
@@ -375,7 +377,7 @@ func (s *Store) makeNode(user protocol.UserID, vol protocol.VolumeID, parent pro
 	pr.addChild(name, id)
 	info := nr.info(id)
 	s.appendLog(sh, vr, info, false)
-	s.journal(sh, &journalRecord{Kind: recMakeNode, Node: info})
+	s.journal(sh, journalRecord{Kind: recMakeNode, Node: info})
 	return info, nil
 }
 
@@ -433,7 +435,7 @@ func (s *Store) MakeContent(user protocol.UserID, vol protocol.VolumeID, node pr
 	nr.gen = vr.bumpGen()
 	info = nr.info(node)
 	s.appendLog(sh, vr, info, false)
-	s.journal(sh, &journalRecord{Kind: recMakeContent, Node: info})
+	s.journal(sh, journalRecord{Kind: recMakeContent, Node: info})
 	sh.wunlock(lockedAt)
 
 	s.contents.addRef(h, size)
@@ -459,13 +461,14 @@ func (s *Store) VolumeWatchers(vol protocol.VolumeID) ([]protocol.UserID, error)
 	if !ok {
 		return nil, protocol.ErrNotFound
 	}
-	out := []protocol.UserID{owner}
+	out := make([]protocol.UserID, 1, 1+len(vr.grants))
+	out[0] = owner
 	for grantee, shareID := range vr.grants {
 		if share, ok := sh.shares[shareID]; ok && share.Accepted {
 			out = append(out, grantee)
 		}
 	}
-	sort.Slice(out[1:], func(i, j int) bool { return out[i+1] < out[j+1] })
+	slices.Sort(out[1:])
 	return out, nil
 }
 
@@ -544,12 +547,12 @@ func (s *Store) Unlink(user protocol.UserID, vol protocol.VolumeID, node protoco
 		id := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		cur := sh.nodes[id]
-		kids := make([]protocol.NodeID, 0, len(cur.children))
+		// The children go straight onto the stack, sorted in place there.
+		base := len(stack)
 		for _, child := range cur.children {
-			kids = append(kids, child)
+			stack = append(stack, child)
 		}
-		sort.Slice(kids, func(i, j int) bool { return kids[i] < kids[j] })
-		stack = append(stack, kids...)
+		slices.Sort(stack[base:])
 		removed = append(removed, cur.info(id))
 		delete(sh.nodes, id)
 	}
@@ -562,7 +565,7 @@ func (s *Store) Unlink(user protocol.UserID, vol protocol.VolumeID, node protoco
 		removed[i].Generation = gen
 		s.appendLog(sh, vr, removed[i], true)
 	}
-	s.journal(sh, &journalRecord{Kind: recUnlink, VolID: vol, Gen: gen, Removed: removed})
+	s.journal(sh, journalRecord{Kind: recUnlink, VolID: vol, Gen: gen, Removed: removed})
 	sh.wunlock(lockedAt)
 
 	for _, n := range removed {
@@ -635,7 +638,7 @@ func (s *Store) Move(user protocol.UserID, vol protocol.VolumeID, node, newParen
 	pr.addChild(newName, node)
 	info := nr.info(node)
 	s.appendLog(sh, vr, info, false)
-	s.journal(sh, &journalRecord{Kind: recMove, Node: info})
+	s.journal(sh, journalRecord{Kind: recMove, Node: info})
 	return info, nil
 }
 
@@ -666,9 +669,15 @@ func (s *Store) GetDelta(user protocol.UserID, vol protocol.VolumeID, fromGen pr
 		s.m.deltaTruncated.Inc()
 		return nil, vr.info.Generation, ErrDeltaTruncated
 	}
-	var out []protocol.DeltaEntry
-	for _, e := range vr.log {
-		if e.gen > fromGen {
+	n := 0
+	for i := range vr.log {
+		if vr.log[i].gen > fromGen {
+			n++
+		}
+	}
+	out := make([]protocol.DeltaEntry, 0, n)
+	for i := range vr.log {
+		if e := &vr.log[i]; e.gen > fromGen {
 			out = append(out, protocol.DeltaEntry{Node: e.node, Deleted: e.deleted})
 		}
 	}
@@ -678,7 +687,10 @@ func (s *Store) GetDelta(user protocol.UserID, vol protocol.VolumeID, fromGen pr
 
 // GetFromScratch lists the full contents of a volume — the expensive cascade
 // read clients fall back to when deltas are unavailable (dal.get_from_scratch).
-func (s *Store) GetFromScratch(user protocol.UserID, vol protocol.VolumeID) ([]protocol.NodeInfo, protocol.Generation, error) {
+// The listing comes as delta entries in ascending node id, none deleted: it is
+// the rescan answer to a GetDelta the log could not serve, built once in the
+// form that answer travels in.
+func (s *Store) GetFromScratch(user protocol.UserID, vol protocol.VolumeID) ([]protocol.DeltaEntry, protocol.Generation, error) {
 	owner, err := s.ownerOf(vol)
 	if err != nil {
 		return nil, 0, err
@@ -696,11 +708,11 @@ func (s *Store) GetFromScratch(user protocol.UserID, vol protocol.VolumeID) ([]p
 	// cascade cost register, mirroring deltaServed/deltaTruncated.
 	s.m.fromScratch.Inc()
 	ids := volumeNodeIDs(sh, vr)
-	out := make([]protocol.NodeInfo, 0, len(ids))
-	for _, id := range ids {
-		out = append(out, sh.nodes[id].info(id))
+	slices.Sort(ids)
+	out := make([]protocol.DeltaEntry, len(ids))
+	for i, id := range ids {
+		out[i].Node = sh.nodes[id].info(id)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out, vr.info.Generation, nil
 }
 
@@ -761,9 +773,9 @@ func (s *Store) CreateShare(owner protocol.UserID, vol protocol.VolumeID, to pro
 	vr.addGrant(to, share.ID)
 	ou.addShareOut(share.ID)
 	gu.addShareIn(share.ID)
-	s.journal(osh, &journalRecord{Kind: recCreateShare, Share: share})
+	s.journal(osh, journalRecord{Kind: recCreateShare, Share: share})
 	if osh != gsh {
-		s.journal(gsh, &journalRecord{Kind: recCreateShare, Share: share})
+		s.journal(gsh, journalRecord{Kind: recCreateShare, Share: share})
 	}
 	return share, nil
 }
@@ -790,7 +802,7 @@ func (s *Store) AcceptShare(user protocol.UserID, id protocol.ShareID) (protocol
 	}
 	share.Accepted = true
 	out := *share
-	s.journal(gsh, &journalRecord{Kind: recAcceptShare, Share: out})
+	s.journal(gsh, journalRecord{Kind: recAcceptShare, Share: out})
 	gsh.wunlock(gLockedAt)
 
 	// Mirror the accepted flag in the owner's shard copy.
@@ -800,7 +812,7 @@ func (s *Store) AcceptShare(user protocol.UserID, id protocol.ShareID) (protocol
 		if ownerCopy, ok := osh.shares[id]; ok {
 			ownerCopy.Accepted = true
 		}
-		s.journal(osh, &journalRecord{Kind: recAcceptShare, Share: out})
+		s.journal(osh, journalRecord{Kind: recAcceptShare, Share: out})
 		osh.wunlock(oLockedAt)
 	}
 	return out, nil

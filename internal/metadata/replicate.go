@@ -115,7 +115,7 @@ type replication struct {
 	m        replMetrics
 
 	// outbox is per owner shard, appended under that shard's write lock by
-	// replicate() and drained by CollectReplication under the same lock.
+	// Store.journal and drained by CollectReplication under the same lock.
 	outbox [][]journalRecord
 
 	// mu guards epoch, state backlogs/pending/revoked/down. Mutations happen
@@ -204,17 +204,6 @@ func (s *Store) RegionOf(i int) int {
 // RegionOfUser returns the region owning the user's metadata.
 func (s *Store) RegionOfUser(user protocol.UserID) int {
 	return s.RegionOf(s.ShardFor(user))
-}
-
-// replicate appends rec to sh's replication outbox. Runs under sh's write
-// lock — the same critical section that applied the mutation and journaled it
-// — so outbox order is apply order. No-op with a single region.
-func (s *Store) replicate(sh *shard, rec *journalRecord) {
-	if s.repl == nil {
-		return
-	}
-	s.repl.outbox[sh.id] = append(s.repl.outbox[sh.id], *rec)
-	s.repl.m.published.Inc()
 }
 
 // BeginReplicationEpoch opens a new replication tick and returns its index.

@@ -20,7 +20,7 @@ package metadata
 import (
 	"fmt"
 	"hash/fnv"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -462,12 +462,12 @@ func volumeNodeIDs(sh *shard, v *volumeRow) []protocol.NodeID {
 	ids := append(make([]protocol.NodeID, 0, 8), v.root)
 	for i := 0; i < len(ids); i++ {
 		if nr, ok := sh.nodes[ids[i]]; ok {
-			kids := make([]protocol.NodeID, 0, len(nr.children))
+			// The children go straight onto the list, sorted in place there.
+			base := len(ids)
 			for _, child := range nr.children {
-				kids = append(kids, child)
+				ids = append(ids, child)
 			}
-			sort.Slice(kids, func(a, b int) bool { return kids[a] < kids[b] })
-			ids = append(ids, kids...)
+			slices.Sort(ids[base:])
 		}
 	}
 	return ids
@@ -482,29 +482,43 @@ func (v *volumeRow) bumpGen() protocol.Generation {
 // when the log exceeds the shard's retention limit. It runs under the
 // shard's write lock.
 func (s *Store) appendLog(sh *shard, v *volumeRow, n protocol.NodeInfo, deleted bool) {
-	if sh.deltaLogLimit < 0 {
+	if v.appendLog(sh.deltaLogLimit, n, deleted) {
+		s.m.logTrimmed.Inc()
+	}
+}
+
+// appendLog is the log step live mutations and journal replay share; it
+// reports whether the append trimmed the log.
+func (v *volumeRow) appendLog(limit int, n protocol.NodeInfo, deleted bool) (trimmed bool) {
+	if limit < 0 {
 		// Log disabled: record only the horizon so GetDelta reports
 		// truncation and clients rescan. No entry is retained.
 		v.droppedThrough = v.info.Generation
-		return
+		return false
 	}
 	v.log = append(v.log, logEntry{gen: v.info.Generation, node: n, deleted: deleted})
-	if len(v.log) > sh.deltaLogLimit {
-		// Drop the oldest half rather than one entry at a time; amortizes
-		// the copy and keeps a meaningful horizon. Entries sharing the
-		// boundary generation may survive the cut, but droppedThrough makes
-		// any delta spanning that generation fall back to a full rescan, so
-		// clients never observe a partial cascade.
-		drop := sh.deltaLogLimit / 2
-		if drop < 1 {
-			// DeltaLogLimit 1 halves to zero; always trim at least one entry
-			// so the slice index below stays legal and the log stays bounded.
-			drop = 1
-		}
-		v.droppedThrough = v.log[drop-1].gen
-		v.log = append(v.log[:0:0], v.log[drop:]...)
-		s.m.logTrimmed.Inc()
+	if len(v.log) <= limit {
+		return false
 	}
+	// Drop the oldest half rather than one entry at a time; amortizes the
+	// copy and keeps a meaningful horizon. Entries sharing the boundary
+	// generation may survive the cut, but droppedThrough makes any delta
+	// spanning that generation fall back to a full rescan, so clients never
+	// observe a partial cascade.
+	drop := limit / 2
+	if drop < 1 {
+		// DeltaLogLimit 1 halves to zero; always trim at least one entry so
+		// the slice index below stays legal and the log stays bounded.
+		drop = 1
+	}
+	v.droppedThrough = v.log[drop-1].gen
+	// Trim in place: the survivors move down and the vacated tail is
+	// cleared (it holds name strings), so a volume's log is allocated once
+	// and refilled, not re-allocated at every trim.
+	kept := copy(v.log, v.log[drop:])
+	clear(v.log[kept:])
+	v.log = v.log[:kept]
+	return true
 }
 
 func (s *shard) readOp()  { s.m.reads.Inc() }

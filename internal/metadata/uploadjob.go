@@ -82,18 +82,19 @@ func (s *Store) SetUploadJobMultipartID(user protocol.UserID, id protocol.Upload
 }
 
 // AddPartToUploadJob accumulates one uploaded part
-// (dal.add_part_to_uploadjob).
-func (s *Store) AddPartToUploadJob(user protocol.UserID, id protocol.UploadID, partBytes uint64, now time.Time) (*UploadJob, error) {
+// (dal.add_part_to_uploadjob) and returns the job's new state — by value:
+// it is called once per streamed part, and its callers only look.
+func (s *Store) AddPartToUploadJob(user protocol.UserID, id protocol.UploadID, partBytes uint64, now time.Time) (UploadJob, error) {
 	sh := s.shardOf(user)
 	defer sh.wunlock(sh.wlock())
 	job, ok := sh.uploadjobs[id]
 	if !ok || job.User != user {
-		return nil, protocol.ErrNotFound
+		return UploadJob{}, protocol.ErrNotFound
 	}
 	job.Parts++
 	job.BytesDone += partBytes
 	job.TouchedAt = now
-	return cloneJob(job), nil
+	return *job, nil
 }
 
 // TouchUploadJob refreshes the job's liveness stamp and reports whether the

@@ -382,7 +382,7 @@ func (s *Server) SetUploadJobMultipartID(user protocol.UserID, id protocol.Uploa
 }
 
 // AddPartToUploadJob executes dal.add_part_to_uploadjob.
-func (s *Server) AddPartToUploadJob(user protocol.UserID, id protocol.UploadID, partBytes uint64, now time.Time, cost *protocol.Cost) (*metadata.UploadJob, error) {
+func (s *Server) AddPartToUploadJob(user protocol.UserID, id protocol.UploadID, partBytes uint64, now time.Time, cost *protocol.Cost) (metadata.UploadJob, error) {
 	job, err := s.store.AddPartToUploadJob(user, id, partBytes, now)
 	s.call(protocol.RPCAddPartToUploadJob, user, now, cost, err)
 	return job, err
@@ -405,7 +405,7 @@ func (s *Server) DeleteUploadJob(user protocol.UserID, id protocol.UploadID, now
 // --- Other read-only RPCs (Fig. 12c) ---
 
 // GetFromScratch executes dal.get_from_scratch, the cascade full-volume read.
-func (s *Server) GetFromScratch(user protocol.UserID, vol protocol.VolumeID, now time.Time, cost *protocol.Cost) ([]protocol.NodeInfo, protocol.Generation, error) {
+func (s *Server) GetFromScratch(user protocol.UserID, vol protocol.VolumeID, now time.Time, cost *protocol.Cost) ([]protocol.DeltaEntry, protocol.Generation, error) {
 	nodes, gen, err := s.store.GetFromScratch(user, vol)
 	s.call(protocol.RPCGetFromScratch, user, now, cost, err)
 	return nodes, gen, err

@@ -6,7 +6,6 @@
 package sim
 
 import (
-	"container/heap"
 	"sync/atomic"
 	"time"
 )
@@ -21,7 +20,7 @@ type Engine struct {
 	base   time.Time
 	now    time.Time
 	nowOff atomic.Int64 // now == base.Add(nowOff); the lock-free clock mirror
-	events eventHeap
+	events []event      // binary min-heap on (at, seq)
 	seq    uint64
 	ran    uint64
 }
@@ -34,10 +33,10 @@ func New(start time.Time) *Engine {
 // Now returns the current virtual time.
 func (e *Engine) Now() time.Time { return e.now }
 
-// setNow advances the clock and its atomic mirror together.
-func (e *Engine) setNow(t time.Time) {
-	e.now = t
-	e.nowOff.Store(int64(t.Sub(e.base)))
+// setNow advances the clock and its atomic mirror together to off past base.
+func (e *Engine) setNow(off int64) {
+	e.now = e.base.Add(time.Duration(off))
+	e.nowOff.Store(off)
 }
 
 // Clock returns a closure suitable for client.DirectTransport. The closure
@@ -55,7 +54,8 @@ func (e *Engine) At(t time.Time, fn func()) {
 		t = e.now
 	}
 	e.seq++
-	heap.Push(&e.events, &event{at: t, seq: e.seq, fn: fn})
+	e.events = append(e.events, event{at: int64(t.Sub(e.base)), seq: e.seq, fn: fn})
+	e.siftUp(len(e.events) - 1)
 }
 
 // After schedules fn d after the current virtual time.
@@ -69,10 +69,15 @@ func (e *Engine) After(d time.Duration, fn func()) {
 // Step runs the earliest pending event, advancing the clock to it. It
 // returns false when no events remain.
 func (e *Engine) Step() bool {
-	if e.events.Len() == 0 {
+	n := len(e.events)
+	if n == 0 {
 		return false
 	}
-	ev := heap.Pop(&e.events).(*event)
+	ev := e.events[0]
+	e.events[0] = e.events[n-1]
+	e.events[n-1] = event{} // drop the closure reference
+	e.events = e.events[:n-1]
+	e.siftDown(0)
 	e.setNow(ev.at)
 	e.ran++
 	ev.fn()
@@ -83,21 +88,22 @@ func (e *Engine) Step() bool {
 // queued. It returns the number of events run.
 func (e *Engine) RunUntil(horizon time.Time) uint64 {
 	start := e.ran
-	for e.events.Len() > 0 && !e.events[0].at.After(horizon) {
+	limit := int64(horizon.Sub(e.base))
+	for len(e.events) > 0 && e.events[0].at <= limit {
 		e.Step()
 	}
-	if e.now.Before(horizon) {
-		e.setNow(horizon)
+	if e.nowOff.Load() < limit {
+		e.setNow(limit)
 	}
 	return e.ran - start
 }
 
 // NextEventAt peeks at the earliest queued event time.
 func (e *Engine) NextEventAt() (time.Time, bool) {
-	if e.events.Len() == 0 {
+	if len(e.events) == 0 {
 		return time.Time{}, false
 	}
-	return e.events[0].at, true
+	return e.base.Add(time.Duration(e.events[0].at)), true
 }
 
 // Run drains the queue completely and returns the number of events run.
@@ -109,35 +115,53 @@ func (e *Engine) Run() uint64 {
 }
 
 // Pending returns the number of queued events.
-func (e *Engine) Pending() int { return e.events.Len() }
+func (e *Engine) Pending() int { return len(e.events) }
 
 // Executed returns the number of events run so far.
 func (e *Engine) Executed() uint64 { return e.ran }
 
+// event is one scheduled callback, stored by value in the heap: at is the
+// offset from the engine's base time in nanoseconds, seq the insertion number
+// that breaks ties, so execution order is exactly (time, insertion).
 type event struct {
-	at  time.Time
+	at  int64
 	seq uint64
 	fn  func()
 }
 
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if !h[i].at.Equal(h[j].at) {
-		return h[i].at.Before(h[j].at)
+func (a *event) before(b *event) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return h[i].seq < h[j].seq
+	return a.seq < b.seq
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
 
-func (h *eventHeap) Push(x any) { *h = append(*h, x.(*event)) }
+func (e *Engine) siftUp(i int) {
+	h := e.events
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !h[i].before(&h[parent]) {
+			return
+		}
+		h[i], h[parent] = h[parent], h[i]
+		i = parent
+	}
+}
 
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return ev
+func (e *Engine) siftDown(i int) {
+	h := e.events
+	for {
+		least := 2*i + 1
+		if least >= len(h) {
+			return
+		}
+		if right := least + 1; right < len(h) && h[right].before(&h[least]) {
+			least = right
+		}
+		if !h[least].before(&h[i]) {
+			return
+		}
+		h[i], h[least] = h[least], h[i]
+		i = least
+	}
 }

@@ -83,66 +83,53 @@ func (c *Collector) appendLine(buf []byte, r *Record) []byte {
 func (c *Collector) WriteCSV(dir string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("trace: creating %s: %w", dir, err)
+	s, err := openStream(dir)
+	if err != nil {
+		return err
 	}
-	files := make(map[string]*bufio.Writer)
-	handles := make(map[string]*os.File)
-	defer func() {
-		for _, w := range files {
-			w.Flush() //nolint:errcheck
-		}
-		for _, f := range handles {
-			f.Close() //nolint:errcheck
-		}
-	}()
-	var buf []byte
-	write := func(r *Record) error {
-		day := time.Unix(0, r.Time).UTC()
-		name := Logname(c.srvTab[r.Server], int(r.Proc), day)
-		w, ok := files[name]
-		if !ok {
-			f, err := os.Create(filepath.Join(dir, name))
-			if err != nil {
-				return fmt.Errorf("trace: creating logfile: %w", err)
-			}
-			handles[name] = f
-			w = bufio.NewWriterSize(f, 1<<16)
-			files[name] = w
-		}
-		buf = c.appendLine(buf[:0], r)
-		buf = append(buf, '\n')
-		if _, err := w.Write(buf); err != nil {
-			return fmt.Errorf("trace: writing logfile: %w", err)
-		}
-		return nil
+	err = c.writeBuffered(s)
+	if cerr := s.close(); err == nil {
+		err = cerr
 	}
-	for i := range c.records {
-		if err := write(&c.records[i]); err != nil {
-			return err
-		}
-	}
-	for i := range c.rpcRecs {
-		if err := write(&c.rpcRecs[i]); err != nil {
-			return err
-		}
-	}
-	for name, w := range files {
-		if err := w.Flush(); err != nil {
-			return fmt.Errorf("trace: flushing %s: %w", name, err)
-		}
-	}
-	return nil
+	return err
 }
 
-// streamState holds the open logfiles of a streaming emission session.
-// Writers stay open across flushes so each (server, proc, day) logfile grows
-// in place, exactly as WriteCSV would have produced it in one shot.
+// streamState holds the open logfiles of one emission: a WriteCSV call, or a
+// streaming session, whose writers stay open across flushes so each (server,
+// proc, day) logfile grows in place, exactly as WriteCSV would have produced
+// it in one shot.
 type streamState struct {
 	dir     string
 	files   map[string]*bufio.Writer
 	handles map[string]*os.File
 	buf     []byte
+}
+
+func openStream(dir string) (*streamState, error) {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, fmt.Errorf("trace: creating %s: %w", dir, err)
+	}
+	return &streamState{
+		dir:     dir,
+		files:   make(map[string]*bufio.Writer),
+		handles: make(map[string]*os.File),
+	}, nil
+}
+
+// close flushes and closes every logfile, reporting the first failure.
+func (s *streamState) close() error {
+	var err error
+	for name, w := range s.files {
+		if ferr := w.Flush(); ferr != nil && err == nil {
+			err = fmt.Errorf("trace: flushing %s: %w", name, ferr)
+		}
+	}
+	for name, f := range s.handles {
+		if cerr := f.Close(); cerr != nil && err == nil {
+			err = fmt.Errorf("trace: closing %s: %w", name, cerr)
+		}
+	}
+	return err
 }
 
 // StartStream switches the collector to streaming emission: records
@@ -159,19 +146,17 @@ func (c *Collector) StartStream(dir string) error {
 	if c.stream != nil {
 		return fmt.Errorf("trace: stream to %s already open", c.stream.dir)
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("trace: creating %s: %w", dir, err)
+	s, err := openStream(dir)
+	if err != nil {
+		return err
 	}
-	c.stream = &streamState{
-		dir:     dir,
-		files:   make(map[string]*bufio.Writer),
-		handles: make(map[string]*os.File),
-	}
+	c.stream = s
 	return nil
 }
 
 // Flush appends all buffered records to their logfiles and empties the
-// buffers. It is a no-op when no stream is open.
+// buffers, releasing all but one chunk of each. It is a no-op when no stream
+// is open.
 func (c *Collector) Flush() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -179,24 +164,26 @@ func (c *Collector) Flush() error {
 }
 
 func (c *Collector) flushLocked() error {
-	s := c.stream
-	if s == nil {
+	if c.stream == nil {
 		return nil
 	}
-	for i := range c.records {
-		if err := c.streamWrite(s, &c.records[i]); err != nil {
-			return err
-		}
+	if err := c.writeBuffered(c.stream); err != nil {
+		return err
 	}
-	for i := range c.rpcRecs {
-		if err := c.streamWrite(s, &c.rpcRecs[i]); err != nil {
-			return err
-		}
-	}
-	c.flushed += uint64(len(c.records))
-	c.records = c.records[:0]
-	c.rpcRecs = c.rpcRecs[:0]
+	c.flushed += uint64(c.records.n)
+	c.records.reset()
+	c.rpcRecs.reset()
 	return nil
+}
+
+// writeBuffered appends every buffered record to its logfile in s:
+// storage/session records first, then retained RPC spans.
+func (c *Collector) writeBuffered(s *streamState) error {
+	write := func(r *Record) error { return c.streamWrite(s, r) }
+	if err := c.records.each(write); err != nil {
+		return err
+	}
+	return c.rpcRecs.each(write)
 }
 
 func (c *Collector) streamWrite(s *streamState, r *Record) error {
@@ -230,15 +217,8 @@ func (c *Collector) CloseStream() error {
 		return nil
 	}
 	err := c.flushLocked()
-	for name, w := range s.files {
-		if ferr := w.Flush(); ferr != nil && err == nil {
-			err = fmt.Errorf("trace: flushing %s: %w", name, ferr)
-		}
-	}
-	for name, f := range s.handles {
-		if cerr := f.Close(); cerr != nil && err == nil {
-			err = fmt.Errorf("trace: closing %s: %w", name, cerr)
-		}
+	if cerr := s.close(); err == nil {
+		err = cerr
 	}
 	c.stream = nil
 	return err

@@ -85,6 +85,66 @@ func hashLo(h protocol.Hash) uint64 {
 	return v
 }
 
+// chunkRecords is the capacity of one recordStore chunk: 4096 records of 88
+// bytes are 352 KB, small enough that the unfilled tail of the last chunk is
+// noise and large enough that the chunk index stays a few hundred entries
+// for a month of trace.
+const chunkRecords = 4096
+
+// recordStore keeps records in arrival order in fixed-size chunks. A chunk
+// is allocated once and never copied, so collecting n records allocates
+// n/chunkRecords chunks and nothing else — a single slice grown by append
+// re-copies itself about five times over on the way to a month of trace.
+// Every chunk but the last is full.
+type recordStore struct {
+	chunks [][]Record
+	n      int
+}
+
+func (s *recordStore) add(r Record) {
+	if k := len(s.chunks); k == 0 || len(s.chunks[k-1]) == chunkRecords {
+		s.chunks = append(s.chunks, make([]Record, 0, chunkRecords))
+	}
+	last := &s.chunks[len(s.chunks)-1]
+	*last = append(*last, r)
+	s.n++
+}
+
+// each calls fn on every record in arrival order, stopping at the first
+// error.
+func (s *recordStore) each(fn func(*Record) error) error {
+	for _, chunk := range s.chunks {
+		for i := range chunk {
+			if err := fn(&chunk[i]); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// slice materializes the records as one slice of exactly their number.
+func (s *recordStore) slice() []Record {
+	if s.n == 0 {
+		return nil
+	}
+	out := make([]Record, 0, s.n)
+	for _, chunk := range s.chunks {
+		out = append(out, chunk...)
+	}
+	return out
+}
+
+// reset empties the store, keeping one chunk for the records to come.
+func (s *recordStore) reset() {
+	if len(s.chunks) > 0 {
+		clear(s.chunks[1:])
+		s.chunks = s.chunks[:1]
+		s.chunks[0] = s.chunks[0][:0]
+	}
+	s.n = 0
+}
+
 // RPCAggregate is the streaming reduction of RPC spans.
 type RPCAggregate struct {
 	Start   time.Time
@@ -164,11 +224,11 @@ type Collector struct {
 	cfg Config
 
 	mu      sync.Mutex
-	records []Record
-	rpcRecs []Record
+	records recordStore
+	rpcRecs recordStore
 	rpcAgg  *RPCAggregate
 
-	// stream, when non-nil, turns the record slices into per-epoch buffers:
+	// stream, when non-nil, turns the record stores into per-epoch buffers:
 	// Flush appends them to open logfiles and releases the memory. flushed
 	// counts records already written so Len stays meaningful.
 	stream  *streamState
@@ -282,7 +342,7 @@ func (c *Collector) APIObserver() apiserver.Observer {
 		}
 		c.mu.Lock()
 		defer c.mu.Unlock()
-		c.records = append(c.records, Record{
+		c.records.add(Record{
 			Time:    e.Start.UnixNano(),
 			Dur:     int64(e.Duration),
 			Session: uint64(e.Session),
@@ -315,7 +375,7 @@ func (c *Collector) RPCObserver() rpc.Observer {
 			if sp.Err != nil {
 				status = uint8(protocol.StatusOf(sp.Err))
 			}
-			c.rpcRecs = append(c.rpcRecs, Record{
+			c.rpcRecs.add(Record{
 				Time:   sp.Start.UnixNano(),
 				Dur:    int64(sp.Service),
 				User:   uint64(sp.User),
@@ -330,19 +390,20 @@ func (c *Collector) RPCObserver() rpc.Observer {
 	}
 }
 
-// Records returns the storage/session records, in arrival order. The slice
-// is shared; callers must not mutate it.
+// Records returns a copy of the storage/session records, in arrival order.
+// The slice is the caller's.
 func (c *Collector) Records() []Record {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.records
+	return c.records.slice()
 }
 
-// RPCRecords returns retained RPC spans (empty unless KeepRPCRecords).
+// RPCRecords returns a copy of the retained RPC spans (empty unless
+// KeepRPCRecords).
 func (c *Collector) RPCRecords() []Record {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.rpcRecs
+	return c.rpcRecs.slice()
 }
 
 // RPC returns the streaming RPC aggregate.
@@ -357,5 +418,5 @@ func (c *Collector) RPC() *RPCAggregate {
 func (c *Collector) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.records) + int(c.flushed)
+	return c.records.n + int(c.flushed)
 }

@@ -292,19 +292,30 @@ func TestDynamicCollectorAttach(t *testing.T) {
 	}
 }
 
+// Streaming emission with arbitrary flush points must produce the same
+// per-file bytes as one post-hoc WriteCSV: this is the contract that lets the
+// scale campaign stream instead of accumulating a month of records in memory.
 func TestStreamMatchesWriteCSVByteForByte(t *testing.T) {
-	// Streaming emission with arbitrary flush points must produce the same
-	// per-file bytes as one post-hoc WriteCSV: this is the contract that
-	// lets the scale campaign stream instead of accumulating a month of
-	// records in memory.
+	t.Run("uneven epochs", func(t *testing.T) { streamMatchesWriteCSV(t, 50, 40*time.Minute, 7) })
+	// The record store is chunked: cross three chunk boundaries, with every
+	// flush landing inside a chunk.
+	t.Run("across chunks", func(t *testing.T) {
+		streamMatchesWriteCSV(t, 3*chunkRecords+1000, 10*time.Second, chunkRecords+333)
+	})
+}
+
+// streamMatchesWriteCSV feeds n API events and RPC spans, step apart, to a
+// batch collector and to a streaming one flushed every flushEvery events,
+// and compares the two logfile trees.
+func streamMatchesWriteCSV(t *testing.T, n int, step time.Duration, flushEvery int) {
 	span := func(at time.Time, user protocol.UserID) rpc.Span {
 		return rpc.Span{RPC: protocol.RPCGetDelta, User: user, Shard: 3, Proc: 2,
 			Start: at, Service: 4 * time.Millisecond}
 	}
 	feed := func(c *Collector, flush func(i int)) {
 		api, rpcObs := c.APIObserver(), c.RPCObserver()
-		for i := 0; i < 50; i++ {
-			at := t0.Add(time.Duration(i) * 40 * time.Minute) // crosses day files
+		for i := 0; i < n; i++ {
+			at := t0.Add(time.Duration(i) * step) // crosses day files
 			ev := sampleEvent(protocol.OpPutContent, at)
 			ev.Session = protocol.SessionID(1000 + i)
 			if i%3 == 0 {
@@ -323,13 +334,22 @@ func TestStreamMatchesWriteCSVByteForByte(t *testing.T) {
 	if err := batch.WriteCSV(batchDir); err != nil {
 		t.Fatal(err)
 	}
+	recs := batch.Records()
+	if len(recs) != n || cap(recs) != n {
+		t.Fatalf("Records() len %d cap %d, want exactly %d", len(recs), cap(recs), n)
+	}
+	for i := range recs {
+		if recs[i].Session != uint64(1000+i) {
+			t.Fatalf("Records()[%d] is session %d: not in arrival order", i, recs[i].Session)
+		}
+	}
 
 	stream := NewCollector(Config{Start: t0, Days: 30, KeepRPCRecords: true})
 	if err := stream.StartStream(streamDir); err != nil {
 		t.Fatal(err)
 	}
 	feed(stream, func(i int) {
-		if i%7 == 0 { // uneven epochs, including mid-day boundaries
+		if i%flushEvery == 0 { // uneven epochs, including mid-day boundaries
 			if err := stream.Flush(); err != nil {
 				t.Fatal(err)
 			}
@@ -366,5 +386,29 @@ func TestStreamMatchesWriteCSVByteForByte(t *testing.T) {
 		if string(wb) != string(gb) {
 			t.Errorf("%s differs between batch and stream emission", name)
 		}
+	}
+}
+
+// TestCollectingAllocatesOneChunkAtATime is the allocation guard of the
+// record store: observing a chunk's worth of API events allocates that chunk
+// and nothing per record (the interned server and extension were seen
+// before).
+func TestCollectingAllocatesOneChunkAtATime(t *testing.T) {
+	c := NewCollector(Config{Start: t0, Days: 30})
+	obs := c.APIObserver()
+	ev := sampleEvent(protocol.OpPutContent, t0)
+	obs(ev)
+	perChunk := testing.AllocsPerRun(8, func() {
+		for i := 0; i < chunkRecords; i++ {
+			obs(ev)
+		}
+	})
+	// One chunk; the doubling of the chunk index amortizes to less than one
+	// more, which AllocsPerRun's integer average drops.
+	if perChunk > 1 {
+		t.Errorf("%d records cost %.0f allocations, want one chunk", chunkRecords, perChunk)
+	}
+	if got, want := c.Len(), 1+9*chunkRecords; got != want {
+		t.Errorf("Len = %d, want %d", got, want)
 	}
 }

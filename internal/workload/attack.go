@@ -162,7 +162,6 @@ func (g *Generator) scheduleAttack(a Attack) {
 // credentials, download the payload over and over, disconnect.
 func (g *Generator) attackSession(token string, vol protocol.VolumeID, node protocol.NodeID, ops int, seed int64) {
 	sh := g.shard0()
-	rng := rand.New(rand.NewSource(seed))
 	tr := client.NewDirectTransport(g.c.LeastLoaded, sh.eng.Clock())
 	cli := client.New(tr)
 	cli.Retry = g.cfg.Retry
@@ -173,17 +172,35 @@ func (g *Generator) attackSession(token string, vol protocol.VolumeID, node prot
 	sh.totals.Sessions++
 	sh.totals.AttackSessions++
 
+	// A session owns its source until it disconnects (its steps interleave
+	// with other sessions', so they cannot share one). A math/rand source is
+	// 5 KB and a storm is thousands of sessions of which a fraction overlap,
+	// so a finished session's source serves the next one: re-seeding yields
+	// the stream a fresh source of that seed would.
+	var rng *rand.Rand
+	if n := len(g.idleAttackRngs); n > 0 {
+		rng = g.idleAttackRngs[n-1]
+		g.idleAttackRngs = g.idleAttackRngs[:n-1]
+		rng.Seed(seed)
+	} else {
+		rng = rand.New(rand.NewSource(seed))
+	}
+	leave := func() {
+		cli.Disconnect() //nolint:errcheck
+		g.idleAttackRngs = append(g.idleAttackRngs, rng)
+	}
+
 	var left = ops
 	var step func()
 	step = func() {
 		if left <= 0 {
-			cli.Disconnect() //nolint:errcheck
+			leave()
 			return
 		}
 		left--
 		if _, err := cli.Download(vol, node); err != nil {
 			// Content deleted by operators: the leech gives up.
-			cli.Disconnect() //nolint:errcheck
+			leave()
 			return
 		}
 		sh.eng.After(time.Duration(rng.ExpFloat64()*2*float64(time.Second)), step)

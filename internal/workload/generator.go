@@ -119,6 +119,24 @@ type genShard struct {
 	// tables keep interning lock-free under parallel generation.
 	names   []string
 	nameIdx map[string]uint32
+	// popular memoizes popularContent, filled on first draw of a rank. A
+	// shard-local table stays lock-free under parallel generation, and a
+	// Zipf stream revisits few ranks often, so nearly every draw is a hit.
+	popular map[popKey]popContent
+}
+
+// popKey names one popular content: its Zipf rank in the large-file universe
+// or the general one.
+type popKey struct {
+	rank uint64
+	big  bool
+}
+
+// popContent is what every upload of one popular content shares.
+type popContent struct {
+	ext  *ExtProfile
+	size uint64
+	hash protocol.Hash
 }
 
 // internName returns name's index in the shard's intern table, adding it on
@@ -157,6 +175,11 @@ type Generator struct {
 	// shard-0 events, preserving the serial stream).
 	nextPump time.Time
 	nextGC   time.Time
+
+	// idleAttackRngs are the random sources of attack sessions that have
+	// ended, kept for the sessions to come (see attackSession). Attack events
+	// all run on shard 0, so the list needs no lock.
+	idleAttackRngs []*rand.Rand
 }
 
 // user is the per-account simulation state.
@@ -520,7 +543,7 @@ func (g *Generator) preseed(u *user) {
 		if _, _, _, err := store.MakeContent(u.id, root.ID, node.ID, h, size); err != nil {
 			continue
 		}
-		g.c.Blob.PutObjectSized(h.Hex(), size)
+		g.c.Blob.PutHashSized(h, size)
 	}
 }
 
@@ -532,21 +555,50 @@ func (g *Generator) preseed(u *user) {
 // sources, so concurrent shards never contend (or race) on one stream.
 func (g *Generator) pickHash(u *user, ext **ExtProfile, size *uint64) protocol.Hash {
 	if *size > 5<<20 && u.rng.Float64() < 0.35 {
-		rank := u.sh.bigZipf.Rank()
-		popRng := rand.New(g.userSource(int64(rank) * 31))
-		*ext = g.prof.ExtByName(bigContentExts[popRng.Intn(len(bigContentExts))])
-		*size = uint64(dist.LognormalFromMedian(25<<20, 3).Sample(popRng))
-		return protocol.HashBytes([]byte(fmt.Sprintf("popbig-%d", rank)))
+		c := g.popularContent(u.sh, popKey{rank: u.sh.bigZipf.Rank(), big: true})
+		*ext, *size = c.ext, c.size
+		return c.hash
 	}
 	if u.rng.Float64() < g.prof.PopularContentP {
-		rank := u.sh.zipf.Rank()
-		popRng := rand.New(g.userSource(int64(rank)))
-		*ext = g.prof.PickPopularExtension(popRng)
-		*size = sampleSize(*ext, popRng)
-		return protocol.HashBytes([]byte(fmt.Sprintf("pop-%d", rank)))
+		c := g.popularContent(u.sh, popKey{rank: u.sh.zipf.Rank()})
+		*ext, *size = c.ext, c.size
+		return c.hash
 	}
 	u.seq++
 	return protocol.HashBytes([]byte(fmt.Sprintf("u%d-c%d", u.id, u.seq)))
+}
+
+// popularContent returns the extension, size and hash of a popular content
+// from the shard's table, deriving it on the first draw of its rank.
+func (g *Generator) popularContent(sh *genShard, k popKey) popContent {
+	c, ok := sh.popular[k]
+	if !ok {
+		c = g.derivePopular(k)
+		if sh.popular == nil {
+			sh.popular = make(map[popKey]popContent)
+		}
+		sh.popular[k] = c
+	}
+	return c
+}
+
+// derivePopular computes a popular content from its rank alone: a random
+// source seeded by the rank draws the extension and the size, so every
+// uploader of the content, on any shard, agrees on them.
+func (g *Generator) derivePopular(k popKey) popContent {
+	var c popContent
+	if k.big {
+		popRng := rand.New(g.userSource(int64(k.rank) * 31))
+		c.ext = g.prof.ExtByName(bigContentExts[popRng.Intn(len(bigContentExts))])
+		c.size = uint64(dist.LognormalFromMedian(25<<20, 3).Sample(popRng))
+		c.hash = protocol.HashBytes([]byte(fmt.Sprintf("popbig-%d", k.rank)))
+	} else {
+		popRng := rand.New(g.userSource(int64(k.rank)))
+		c.ext = g.prof.PickPopularExtension(popRng)
+		c.size = sampleSize(c.ext, popRng)
+		c.hash = protocol.HashBytes([]byte(fmt.Sprintf("pop-%d", k.rank)))
+	}
+	return c
 }
 
 // bigContentExts are the types of widely duplicated large contents.
@@ -746,7 +798,8 @@ func (g *Generator) startSession(u *user) {
 			sessionEnd = now.Add(need)
 		}
 		run := &sessionRun{g: g, u: u, end: sessionEnd, opsLeft: ops}
-		eng.After(g.intraGap(u), run.step)
+		run.next = run.step
+		eng.After(g.intraGap(u), run.next)
 	}
 	eng.At(sessionEnd, func() { g.endSession(u) })
 }

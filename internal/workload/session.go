@@ -33,6 +33,9 @@ type sessionRun struct {
 	u       *user
 	end     time.Time
 	opsLeft int
+	// next is step as a func value, bound once: binding it anew at each
+	// reschedule would allocate a closure per operation.
+	next func()
 
 	burstLeft int
 	burstAct  action
@@ -60,7 +63,7 @@ func (s *sessionRun) step() {
 	if s.burstLeft <= 0 {
 		gap = g.interGap(u)
 	}
-	u.sh.eng.After(gap, s.step)
+	u.sh.eng.After(gap, s.next)
 }
 
 // newBurst picks the next burst's action, volume and directory.

@@ -456,3 +456,37 @@ func TestRecentWindowCappedForWhales(t *testing.T) {
 		t.Fatal("no user ever filled its recent window; the cap was never exercised")
 	}
 }
+
+// TestPopularContentMemoMatchesDerivation checks the per-shard table of
+// popular content against a fresh derivation for ranks 1…10,000 of both
+// universes, in both generator modes, on the filling draw and on a hit — and
+// that a hit allocates nothing.
+func TestPopularContentMemoMatchesDerivation(t *testing.T) {
+	for _, lowMem := range []bool{false, true} {
+		g := New(Config{Users: 100, Days: 1, Seed: 5, Workers: 1, LowMem: lowMem},
+			server.NewCluster(server.Config{Seed: 5}))
+		sh := g.shards[0]
+		for rank := uint64(1); rank <= 10000; rank++ {
+			for _, big := range []bool{false, true} {
+				k := popKey{rank: rank, big: big}
+				want := g.derivePopular(k)
+				if want.ext == nil || want.size == 0 || want.hash.IsZero() {
+					t.Fatalf("lowMem=%v %+v derives an empty content %+v", lowMem, k, want)
+				}
+				if got := g.popularContent(sh, k); got != want {
+					t.Fatalf("lowMem=%v %+v: first draw %+v, fresh derivation %+v", lowMem, k, got, want)
+				}
+				if got := g.popularContent(sh, k); got != want {
+					t.Fatalf("lowMem=%v %+v: memo hit %+v, fresh derivation %+v", lowMem, k, got, want)
+				}
+			}
+		}
+		if len(sh.popular) != 20000 {
+			t.Errorf("lowMem=%v: table holds %d contents, want 20000", lowMem, len(sh.popular))
+		}
+		k := popKey{rank: 17}
+		if allocs := testing.AllocsPerRun(1000, func() { g.popularContent(sh, k) }); allocs != 0 {
+			t.Errorf("lowMem=%v: a memo hit allocates %.0f times, want 0", lowMem, allocs)
+		}
+	}
+}
