@@ -384,10 +384,10 @@ func (s *Server) emit(e Event) {
 
 // OpenSession authenticates a token and establishes a session (the
 // Authenticate API call), dispatching through the same pipeline as every
-// other operation. The returned response mirrors what goes on the wire; the
-// duration covers the auth RPC. Accounts are provisioned lazily on first
-// successful authentication, which keeps simulation setup out of the trace
-// window.
+// other operation. The returned response mirrors what goes on the wire and
+// is handed over to the caller like Handle's; the duration covers the auth
+// RPC. Accounts are provisioned lazily on first successful authentication,
+// which keeps simulation setup out of the trace window.
 func (s *Server) OpenSession(token string, pusher Pusher, now time.Time) (*Session, *protocol.Response, time.Duration) {
 	c := s.ownOpContext(nil, protocol.Request{Op: protocol.OpAuthenticate, Token: token}, now)
 	c.Pusher = pusher
@@ -405,7 +405,7 @@ func (s *Server) CloseSession(sess *Session, now time.Time) {
 		return
 	}
 	c := s.ownOpContext(sess, protocol.Request{Op: protocol.OpCloseSession}, now)
-	s.dispatch(c)
+	protocol.ReleaseResponse(s.dispatch(c))
 	releaseOpContext(c)
 }
 
@@ -519,9 +519,35 @@ func extOf(name string) string {
 // errSessionRequired guards ops issued without authentication.
 var errSessionRequired = fmt.Errorf("%w: no session", protocol.ErrAuthFailed)
 
-// fail builds an error response.
+// okResponse acquires a success response for a handler to fill in. Every
+// response the server builds comes from the protocol recycler; whoever
+// Handle hands it to may give it back (see protocol.ReleaseResponse).
+func okResponse() *protocol.Response {
+	resp := protocol.AcquireResponse()
+	resp.Status = protocol.StatusOK
+	return resp
+}
+
+// okNode is okResponse for the operations that answer with the node they
+// wrote and the volume generation the write produced.
+func okNode(node protocol.NodeInfo) *protocol.Response {
+	resp := okResponse()
+	resp.Node, resp.Generation = node, node.Generation
+	return resp
+}
+
+// okShare is okResponse for the operations that answer with one share.
+func okShare(share protocol.ShareInfo) *protocol.Response {
+	resp := okResponse()
+	resp.Shares = []protocol.ShareInfo{share}
+	return resp
+}
+
+// fail acquires an error response.
 func fail(id uint64, err error) *protocol.Response {
-	return &protocol.Response{ID: id, Status: protocol.StatusOf(err)}
+	resp := protocol.AcquireResponse()
+	resp.ID, resp.Status = id, protocol.StatusOf(err)
+	return resp
 }
 
 // isTruncatedDelta reports the delta-log truncation condition.

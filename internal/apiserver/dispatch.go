@@ -19,7 +19,12 @@ import (
 // it through the interceptor chain and the registered handler, reads the
 // accumulated cost, and returns it to the pool. A context therefore never
 // outlives its request — handlers and interceptors must not retain it (copy
-// Event or individual fields instead).
+// Event or individual fields instead). The same holds for Req: the request
+// is borrowed from the caller, and the TCP connection loop decodes the next
+// frame into the very same struct, so nothing may keep c.Req or a pointer
+// into it past the call. Handlers copy the fields they store (the pending
+// upload, the trace Event); a part's Data is the one thing handed on, to the
+// object store, and it aliases the frame's own buffer, never the struct.
 //
 // Handlers communicate with the cross-cutting interceptors exclusively
 // through the context: they mutate Event to enrich the trace record, charge
@@ -111,7 +116,10 @@ func (c *OpContext) NotifyShare(kind protocol.PushEvent, share protocol.ShareInf
 // it returns the response (the pipeline stamps the correlation ID); on
 // failure it returns a nil response and the error, which the status-map
 // interceptor converts to the uniform wire status — handlers never build
-// error responses themselves.
+// error responses themselves. Responses come from the protocol recycler
+// (okResponse and its variants), so a handler acquires one only past its
+// last failing step; whoever drops a response it was handed for another must
+// release it.
 type Handler func(*OpContext) (*protocol.Response, error)
 
 // Interceptor wraps a Handler with a cross-cutting concern. The interceptor
@@ -427,6 +435,7 @@ func (s *Server) statusInterceptor(next Handler) Handler {
 	return func(c *OpContext) (*protocol.Response, error) {
 		resp, err := next(c)
 		if err != nil || resp == nil {
+			protocol.ReleaseResponse(resp) // replaced, so given back here
 			resp = fail(c.Req.ID, err)
 		} else {
 			resp.ID = c.Req.ID

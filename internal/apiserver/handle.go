@@ -14,6 +14,11 @@ import (
 // accumulated RPC service times plus data-store transfer estimates for data
 // operations). The caller supplies now — wall clock on the TCP path, virtual
 // clock in the simulator.
+//
+// The request is borrowed while the call lasts (the server keeps none of
+// it). The response is handed over: the server keeps no reference to it, and
+// the caller may give it back once with protocol.ReleaseResponse when it has
+// copied out or encoded what it needs — or never, and the collector has it.
 func (s *Server) Handle(sess *Session, req *protocol.Request, now time.Time) (*protocol.Response, time.Duration) {
 	return s.HandleWithCancel(sess, req, now, time.Time{}, nil)
 }
@@ -67,7 +72,9 @@ func (s *Server) opListVolumes(c *OpContext) (*protocol.Response, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &protocol.Response{Status: protocol.StatusOK, Volumes: vols}, nil
+	resp := okResponse()
+	resp.Volumes = vols
+	return resp, nil
 }
 
 func (s *Server) opListShares(c *OpContext) (*protocol.Response, error) {
@@ -75,7 +82,9 @@ func (s *Server) opListShares(c *OpContext) (*protocol.Response, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &protocol.Response{Status: protocol.StatusOK, Shares: shares}, nil
+	resp := okResponse()
+	resp.Shares = shares
+	return resp, nil
 }
 
 // opMakeNode serves both MakeFile and MakeDir: the two differ only in the
@@ -93,7 +102,7 @@ func (s *Server) opMakeNode(c *OpContext) (*protocol.Response, error) {
 		return nil, err
 	}
 	c.NotifyVolume(c.Req.Volume, node.Generation)
-	return &protocol.Response{Status: protocol.StatusOK, Node: node, Generation: node.Generation}, nil
+	return okNode(node), nil
 }
 
 func (s *Server) opUnlink(c *OpContext) (*protocol.Response, error) {
@@ -113,7 +122,9 @@ func (s *Server) opUnlink(c *OpContext) (*protocol.Response, error) {
 		c.Event.Hash = removed[0].Hash
 		c.Event.IsDir = removed[0].Kind == protocol.KindDir
 	}
-	return &protocol.Response{Status: protocol.StatusOK, Generation: gen}, nil
+	resp := okResponse()
+	resp.Generation = gen
+	return resp, nil
 }
 
 func (s *Server) opMove(c *OpContext) (*protocol.Response, error) {
@@ -122,7 +133,7 @@ func (s *Server) opMove(c *OpContext) (*protocol.Response, error) {
 		return nil, err
 	}
 	c.NotifyVolume(c.Req.Volume, node.Generation)
-	return &protocol.Response{Status: protocol.StatusOK, Node: node, Generation: node.Generation}, nil
+	return okNode(node), nil
 }
 
 func (s *Server) opCreateUDF(c *OpContext) (*protocol.Response, error) {
@@ -131,7 +142,9 @@ func (s *Server) opCreateUDF(c *OpContext) (*protocol.Response, error) {
 		return nil, err
 	}
 	c.Event.Volume = vol.ID
-	return &protocol.Response{Status: protocol.StatusOK, Volumes: []protocol.VolumeInfo{vol}}, nil
+	resp := okResponse()
+	resp.Volumes = []protocol.VolumeInfo{vol}
+	return resp, nil
 }
 
 func (s *Server) opDeleteVolume(c *OpContext) (*protocol.Response, error) {
@@ -143,7 +156,7 @@ func (s *Server) opDeleteVolume(c *OpContext) (*protocol.Response, error) {
 		s.deps.Blob.DeleteHash(h)
 	}
 	c.Event.Size = uint64(len(removed))
-	return &protocol.Response{Status: protocol.StatusOK}, nil
+	return okResponse(), nil
 }
 
 // opGetDelta serves synchronization deltas, transparently falling back to
@@ -151,17 +164,16 @@ func (s *Server) opDeleteVolume(c *OpContext) (*protocol.Response, error) {
 // the delta log (the RescanFromScratch flow of Fig. 8).
 func (s *Server) opGetDelta(c *OpContext) (*protocol.Response, error) {
 	deltas, gen, err := s.deps.RPC.GetDelta(c.User, c.Req.Volume, c.Req.FromGen, c.Now, &c.Cost)
-	if err == nil {
-		return &protocol.Response{Status: protocol.StatusOK, Deltas: deltas, Generation: gen}, nil
+	rescan := isTruncatedDelta(err)
+	if rescan {
+		deltas, gen, err = s.deps.RPC.GetFromScratch(c.User, c.Req.Volume, c.Now, &c.Cost)
 	}
-	if !isTruncatedDelta(err) {
-		return nil, err
-	}
-	full, gen, err := s.deps.RPC.GetFromScratch(c.User, c.Req.Volume, c.Now, &c.Cost)
 	if err != nil {
 		return nil, err
 	}
-	return &protocol.Response{Status: protocol.StatusOK, Deltas: full, Generation: gen, Rescan: true}, nil
+	resp := okResponse()
+	resp.Deltas, resp.Generation, resp.Rescan = deltas, gen, rescan
+	return resp, nil
 }
 
 func (s *Server) opCreateShare(c *OpContext) (*protocol.Response, error) {
@@ -170,7 +182,7 @@ func (s *Server) opCreateShare(c *OpContext) (*protocol.Response, error) {
 		return nil, err
 	}
 	c.NotifyShare(protocol.PushShareOffered, share)
-	return &protocol.Response{Status: protocol.StatusOK, Shares: []protocol.ShareInfo{share}}, nil
+	return okShare(share), nil
 }
 
 func (s *Server) opAcceptShare(c *OpContext) (*protocol.Response, error) {
@@ -178,11 +190,11 @@ func (s *Server) opAcceptShare(c *OpContext) (*protocol.Response, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &protocol.Response{Status: protocol.StatusOK, Shares: []protocol.ShareInfo{share}}, nil
+	return okShare(share), nil
 }
 
 func (s *Server) opPing(*OpContext) (*protocol.Response, error) {
-	return &protocol.Response{Status: protocol.StatusOK}, nil
+	return okResponse(), nil
 }
 
 // --- Data operations (Fig. 17) ---
@@ -208,10 +220,9 @@ func (s *Server) opPutContent(c *OpContext) (*protocol.Response, error) {
 		c.Event.IsUpdate = wasUpdate
 		c.Event.Wire = 0 // dedup hit: no bytes cross the wire
 		c.NotifyVolume(req.Volume, node.Generation)
-		return &protocol.Response{
-			Status: protocol.StatusOK,
-			Reused: true, Node: node, Generation: node.Generation,
-		}, nil
+		resp := okNode(node)
+		resp.Reused = true
+		return resp, nil
 	}
 
 	job, err := s.deps.RPC.MakeUploadJob(c.User, req.Volume, req.Node, req.Hash, req.Size, c.Now, &c.Cost)
@@ -242,7 +253,9 @@ func (s *Server) opPutContent(c *OpContext) (*protocol.Response, error) {
 	// opened the job, so the completed-upload event is emitted by the final
 	// PutPart instead.
 	c.suppressEvent = true
-	return &protocol.Response{Status: protocol.StatusOK, Upload: job.ID}, nil
+	resp := okResponse()
+	resp.Upload = job.ID
+	return resp, nil
 }
 
 // opPutPart streams one part of an upload. The final part commits the
@@ -300,7 +313,7 @@ func (s *Server) opPutPart(c *OpContext) (*protocol.Response, error) {
 	c.Cost.Add(s.deps.Transfer.Time(partBytes))
 
 	if !req.Final {
-		return &protocol.Response{Status: protocol.StatusOK}, nil
+		return okResponse(), nil
 	}
 
 	// Final part: commit.
@@ -345,10 +358,7 @@ func (s *Server) opPutPart(c *OpContext) (*protocol.Response, error) {
 		Status:   protocol.StatusOK,
 		IsUpdate: wasUpdate,
 	})
-	return &protocol.Response{
-		Status: protocol.StatusOK,
-		Node:   node, Generation: node.Generation,
-	}, nil
+	return okNode(node), nil
 }
 
 // dropUpload ends a refused upload: the pending state and any multipart at
@@ -379,19 +389,19 @@ func (s *Server) opGetContent(c *OpContext) (*protocol.Response, error) {
 	c.Event.Hash, c.Event.Size, c.Event.Wire, c.Event.Ext = node.Hash, node.Size, node.Size, extOf(node.Name)
 	c.Cost.Add(s.deps.Transfer.Time(node.Size))
 
-	resp := &protocol.Response{
-		Status: protocol.StatusOK,
-		Node:   node, Hash: node.Hash, Size: node.Size,
-	}
+	// The response is built once every read that can fail has happened, so
+	// no error path strands an acquired response.
+	var inline []byte
+	var parts uint32
 	if s.cfg.InlineData {
 		data, err := s.deps.Blob.GetHash(node.Hash)
 		if err != nil {
 			return nil, protocol.ErrUnavailable
 		}
 		if len(data) <= blob.PartSize {
-			resp.Data = data
+			inline = data
 		} else {
-			resp.Parts = uint32((len(data) + blob.PartSize - 1) / blob.PartSize)
+			parts = uint32((len(data) + blob.PartSize - 1) / blob.PartSize)
 			sess := c.Session
 			sess.mu.Lock()
 			if sess.downloads == nil {
@@ -406,9 +416,12 @@ func (s *Server) opGetContent(c *OpContext) (*protocol.Response, error) {
 			return nil, protocol.ErrUnavailable
 		}
 		if node.Size > blob.PartSize {
-			resp.Parts = uint32((node.Size + blob.PartSize - 1) / blob.PartSize)
+			parts = uint32((node.Size + blob.PartSize - 1) / blob.PartSize)
 		}
 	}
+	resp := okResponse()
+	resp.Node, resp.Hash, resp.Size = node, node.Hash, node.Size
+	resp.Data, resp.Parts = inline, parts
 	return resp, nil
 }
 
@@ -424,7 +437,7 @@ func (s *Server) opGetPart(c *OpContext) (*protocol.Response, error) {
 	if !ok {
 		// Metered mode has nothing staged: acknowledge the part so clients
 		// can pace themselves identically in both modes.
-		return &protocol.Response{Status: protocol.StatusOK}, nil
+		return okResponse(), nil
 	}
 	lo := int(req.Part) * blob.PartSize
 	if lo >= len(data) {
@@ -439,7 +452,9 @@ func (s *Server) opGetPart(c *OpContext) (*protocol.Response, error) {
 		delete(sess.downloads, req.Node)
 		sess.mu.Unlock()
 	}
-	return &protocol.Response{Status: protocol.StatusOK, Data: data[lo:hi]}, nil
+	resp := okResponse()
+	resp.Data = data[lo:hi]
+	return resp, nil
 }
 
 // --- Session lifecycle operations ---
@@ -516,7 +531,9 @@ func (s *Server) opAuthenticate(c *OpContext) (*protocol.Response, error) {
 
 	s.activeSessions.Inc()
 	c.newSession = sess
-	return &protocol.Response{Status: protocol.StatusOK, Session: sess.ID, User: user}, nil
+	resp := okResponse()
+	resp.Session, resp.User = sess.ID, user
+	return resp, nil
 }
 
 // opCloseSession terminates the request's session and abandons its in-flight
@@ -550,5 +567,5 @@ func (s *Server) opCloseSession(c *OpContext) (*protocol.Response, error) {
 	} else {
 		c.skipMetrics = true
 	}
-	return &protocol.Response{Status: protocol.StatusOK}, nil
+	return okResponse(), nil
 }

@@ -89,6 +89,9 @@ func (s *Server) handleConn(conn net.Conn) {
 		}
 	}()
 
+	// Every frame of the connection decodes into this one request: requests
+	// are served in order and no handler keeps c.Req (see OpContext).
+	req := new(protocol.Request)
 	for {
 		msgType, payload, err := wire.ReadFrame(conn)
 		if err != nil {
@@ -97,8 +100,7 @@ func (s *Server) handleConn(conn net.Conn) {
 		if msgType != protocol.FrameRequest {
 			return // protocol violation
 		}
-		req, err := protocol.UnmarshalRequest(payload)
-		if err != nil {
+		if err := req.Decode(payload); err != nil {
 			return
 		}
 		//u1:allow wallclock real TCP transport stamps requests with host time
@@ -115,20 +117,23 @@ func (s *Server) handleConn(conn net.Conn) {
 				resp = fail(req.ID, protocol.ErrBadRequest)
 				break
 			}
-			var r *protocol.Response
-			sess, r, _ = s.OpenSession(req.Token, w, now)
-			r.ID = req.ID
-			resp = r
+			sess, resp, _ = s.OpenSession(req.Token, w, now)
+			resp.ID = req.ID
 		case req.Op == protocol.OpCloseSession:
 			if sess != nil {
 				s.CloseSession(sess, now)
 				sess = nil
 			}
-			resp = &protocol.Response{ID: req.ID, Status: protocol.StatusOK}
+			resp = okResponse()
+			resp.ID = req.ID
 		default:
 			resp, _ = s.HandleWithCancel(sess, req, now, time.Time{}, w.aborted)
 		}
-		if err := w.writeMessage(protocol.FrameResponse, resp); err != nil {
+		err = w.writeMessage(protocol.FrameResponse, resp)
+		// The frame is encoded and written (or lost with the connection):
+		// the one place this loop gives its response back.
+		protocol.ReleaseResponse(resp)
+		if err != nil {
 			return
 		}
 		if req.Op == protocol.OpCloseSession {

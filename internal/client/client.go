@@ -93,7 +93,7 @@ func (c *Client) Connect(token string) error {
 	c.user, c.session = resp.User, resp.Session
 	c.mu.Unlock()
 
-	resp, err = c.do(protocol.Request{Op: protocol.OpListVolumes})
+	resp, answered, err := c.doAnswered(protocol.Request{Op: protocol.OpListVolumes})
 	switch {
 	case err == nil:
 		c.mu.Lock()
@@ -103,18 +103,18 @@ func (c *Client) Connect(token string) error {
 			}
 		}
 		c.mu.Unlock()
-	case resp == nil || classifyStatus(resp.Status) == classSessionFatal:
+	case !answered || classifyStatus(resp.Status) == classSessionFatal:
 		// No response at all (transport died) or the session is already
 		// gone: there is nothing to keep, the connection really failed.
 		return err
 	}
-	resp, err = c.do(protocol.Request{Op: protocol.OpListShares})
+	resp, answered, err = c.doAnswered(protocol.Request{Op: protocol.OpListShares})
 	switch {
 	case err == nil:
 		c.mu.Lock()
 		c.shares = resp.Shares
 		c.mu.Unlock()
-	case resp == nil || classifyStatus(resp.Status) == classSessionFatal:
+	case !answered || classifyStatus(resp.Status) == classSessionFatal:
 		return err
 	}
 	return nil
@@ -166,30 +166,50 @@ var reqPool = sync.Pool{New: func() any { return new(protocol.Request) }}
 // pooled slot holding req until Do returns (the Transport.Do contract); the
 // slot is wiped before it goes back to the pool, and nothing here reads it
 // after handing it over, so a request costs the client no allocation.
-func (c *Client) exchange(req protocol.Request) (*protocol.Response, error) {
+//
+// The response goes the other way: Do hands it over, and this is the one
+// place the client gives it back. The envelope is copied out by value and
+// released before exchange returns, so every caller works on its own copy
+// and none can touch a released response; the copy's Volumes, Shares, Deltas
+// and Data stay valid, the release wipes the slot and not what it pointed at.
+func (c *Client) exchange(req protocol.Request) (protocol.Response, error) {
 	slot := reqPool.Get().(*protocol.Request)
 	*slot = req
 	resp, err := c.t.Do(slot)
 	*slot = protocol.Request{}
 	reqPool.Put(slot)
+	if err != nil {
+		return protocol.Response{}, err
+	}
+	answer := *resp
+	protocol.ReleaseResponse(resp)
+	return answer, nil
+}
+
+// do is doAnswered for the callers that treat every failure alike.
+func (c *Client) do(req protocol.Request) (protocol.Response, error) {
+	resp, _, err := c.doAnswered(req)
 	return resp, err
 }
 
-// do sends a request, retrying transient failures within the Retry budget,
-// and converts non-OK statuses into errors. Retries carry their attempt
-// number and accumulated backoff on the request, so the server can tell
-// retried traffic apart and the simulator transport can advance the virtual
-// clock instead of sleeping. Only classRetryable statuses retry: a permanent
-// failure (missing node, quota) cannot be fixed by resending, and a
+// doAnswered sends a request, retrying transient failures within the Retry
+// budget, and converts non-OK statuses into errors. Retries carry their
+// attempt number and accumulated backoff on the request, so the server can
+// tell retried traffic apart and the simulator transport can advance the
+// virtual clock instead of sleeping. Only classRetryable statuses retry: a
+// permanent failure (missing node, quota) cannot be fixed by resending, and a
 // session-level failure needs a reconnect, not a per-op retry.
-func (c *Client) do(req protocol.Request) (*protocol.Response, error) {
+//
+// answered tells the two kinds of failure apart: true and resp holds what the
+// server said, or false — the transport gave no answer — and resp is zero.
+func (c *Client) doAnswered(req protocol.Request) (resp protocol.Response, answered bool, err error) {
 	var delay time.Duration
 	for attempt := 0; ; attempt++ {
 		req.Attempt = uint8(attempt)
 		req.Delay = delay
-		resp, err := c.exchange(req)
+		resp, err = c.exchange(req)
 		if err != nil {
-			return nil, err
+			return protocol.Response{}, false, err
 		}
 		switch classifyStatus(resp.Status) {
 		case classSuccess:
@@ -198,7 +218,7 @@ func (c *Client) do(req protocol.Request) (*protocol.Response, error) {
 				c.stats.RetrySuccesses++
 				c.mu.Unlock()
 			}
-			return resp, nil
+			return resp, true, nil
 		case classRetryable:
 			if attempt < c.Retry.Max && attempt < 255 {
 				delay += c.Retry.step(attempt)
@@ -211,7 +231,7 @@ func (c *Client) do(req protocol.Request) (*protocol.Response, error) {
 		c.mu.Lock()
 		c.stats.OpErrors++
 		c.mu.Unlock()
-		return resp, fmt.Errorf("client: %v: %w", req.Op, resp.Status.Err())
+		return resp, true, fmt.Errorf("client: %v: %w", req.Op, resp.Status.Err())
 	}
 }
 
@@ -342,7 +362,7 @@ func (c *Client) upload(vol protocol.VolumeID, parent protocol.NodeID, name stri
 
 	// Stream parts. With real content the parts carry bytes; metered
 	// uploads declare sizes only.
-	var final *protocol.Response
+	var final protocol.Response
 	nParts := int((size + blob.PartSize - 1) / blob.PartSize)
 	if nParts == 0 {
 		nParts = 1

@@ -19,12 +19,16 @@ import (
 // newServer builds a single API server with its dependencies for direct use.
 func newServer(t *testing.T) (*apiserver.Server, *auth.Service) {
 	t.Helper()
+	return newServerWith(apiserver.Config{Name: "t", Procs: 2})
+}
+
+func newServerWith(cfg apiserver.Config) (*apiserver.Server, *auth.Service) {
 	store := metadata.New(metadata.Config{Shards: 4})
 	authSvc := auth.New(auth.Config{Seed: 1})
-	srv := apiserver.New(apiserver.Config{Name: "t", Procs: 2}, apiserver.Deps{
+	srv := apiserver.New(cfg, apiserver.Deps{
 		RPC:      rpc.NewServer(store, rpc.Config{Seed: 1}),
 		Auth:     authSvc,
-		Blob:     blob.New(blob.Config{}),
+		Blob:     blob.New(blob.Config{KeepData: cfg.InlineData}),
 		Broker:   notify.NewBroker(),
 		Transfer: blob.DefaultTransferModel(),
 	})

@@ -25,7 +25,8 @@ import (
 // server or the object store on this transport any more than over TCP.
 // Metered traffic carries no Data and pays nothing. The request itself is
 // only borrowed (the Transport.Do contract): the server reads it while
-// Handle runs and keeps none of it.
+// Handle runs and keeps none of it. The response is the server's own, passed
+// straight through: the server handed it over and so does Do.
 type DirectTransport struct {
 	place func() *apiserver.Server
 	clock func() time.Time
@@ -110,14 +111,14 @@ func (t *DirectTransport) Do(req *protocol.Request) (*protocol.Response, error) 
 		if sess != nil && server != nil {
 			server.CloseSession(sess, now)
 		}
-		return &protocol.Response{ID: req.ID, Status: protocol.StatusOK}, nil
+		return answer(req.ID, protocol.StatusOK), nil
 
 	default:
 		t.mu.Lock()
 		sess, server := t.sess, t.server
 		t.mu.Unlock()
 		if server == nil {
-			return &protocol.Response{ID: req.ID, Status: protocol.StatusAuthFailed}, nil
+			return answer(req.ID, protocol.StatusAuthFailed), nil
 		}
 		// Retry backoff in virtual time: the client cannot sleep inside a
 		// simulator event, so a retried request instead arrives Delay after
@@ -140,6 +141,14 @@ func (t *DirectTransport) Do(req *protocol.Request) (*protocol.Response, error) 
 		t.mu.Unlock()
 		return resp, nil
 	}
+}
+
+// answer acquires the bare response the transport gives in the server's
+// stead.
+func answer(id uint64, st protocol.Status) *protocol.Response {
+	resp := protocol.AcquireResponse()
+	resp.ID, resp.Status = id, st
+	return resp
 }
 
 // Pushes implements Transport.

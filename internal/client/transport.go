@@ -30,9 +30,15 @@ type Transport interface {
 	// The request is borrowed until Do returns: an implementation may read
 	// and stamp it (a correlation id, say) while the call lasts, and must not
 	// retain it or its Data afterwards — the Client wipes and reuses the
-	// request the moment Do returns, and callers reuse the Data buffer. The
-	// response belongs to the caller, and its Data aliases nothing the
-	// server or the transport still uses.
+	// request the moment Do returns, and callers reuse the Data buffer.
+	//
+	// The response is handed over: the transport keeps no reference to it,
+	// its Data aliases nothing the server or the transport still uses, and
+	// the caller may release it once (protocol.ReleaseResponse) — the Client
+	// does, right after copying the envelope out, so a transport that kept
+	// the pointer would find it wiped or answering someone else. A transport
+	// takes its responses from protocol.AcquireResponse to have them
+	// recycled; any other response is simply left to the collector.
 	Do(*protocol.Request) (*protocol.Response, error)
 	// Pushes returns the channel of unsolicited server notifications.
 	Pushes() <-chan *protocol.Push
@@ -54,7 +60,11 @@ type TCPTransport struct {
 
 	mu      sync.Mutex
 	pending map[uint64]chan *protocol.Response
-	err     error
+	// idle holds reply channels whose one response was received, or that
+	// never were exposed to the read loop's send: open and empty, ready for
+	// the next request. A channel fail closed never comes back here.
+	idle []chan *protocol.Response
+	err  error
 
 	nextID uint64
 	pushes chan *protocol.Push
@@ -94,8 +104,9 @@ func (t *TCPTransport) readLoop() {
 		}
 		switch msgType {
 		case protocol.FrameResponse:
-			resp, err := protocol.UnmarshalResponse(payload)
-			if err != nil {
+			resp := protocol.AcquireResponse()
+			if err := resp.Decode(payload); err != nil {
+				protocol.ReleaseResponse(resp)
 				t.fail(err)
 				return
 			}
@@ -105,6 +116,8 @@ func (t *TCPTransport) readLoop() {
 			t.mu.Unlock()
 			if ok {
 				ch <- resp
+			} else {
+				protocol.ReleaseResponse(resp) // nobody waits for this id
 			}
 		case protocol.FramePush:
 			push, err := protocol.UnmarshalPush(payload)
@@ -145,13 +158,17 @@ func (t *TCPTransport) Do(req *protocol.Request) (*protocol.Response, error) {
 		t.sleep(req.Delay)
 	}
 	req.ID = atomic.AddUint64(&t.nextID, 1)
-	ch := make(chan *protocol.Response, 1)
 
 	t.mu.Lock()
 	if t.err != nil {
-		err := t.err
 		t.mu.Unlock()
-		return nil, fmt.Errorf("%w: %v", ErrClosed, err)
+		return nil, t.closedErr()
+	}
+	var ch chan *protocol.Response
+	if n := len(t.idle); n > 0 {
+		ch, t.idle = t.idle[n-1], t.idle[:n-1]
+	} else {
+		ch = make(chan *protocol.Response, 1)
 	}
 	t.pending[req.ID] = ch
 	t.mu.Unlock()
@@ -161,24 +178,42 @@ func (t *TCPTransport) Do(req *protocol.Request) (*protocol.Response, error) {
 	t.writeMu.Unlock()
 	if err != nil {
 		t.mu.Lock()
-		delete(t.pending, req.ID)
+		if _, waiting := t.pending[req.ID]; waiting {
+			// Still ours alone: neither the read loop nor fail took it.
+			delete(t.pending, req.ID)
+			t.idle = append(t.idle, ch)
+		}
 		t.mu.Unlock()
 		return nil, fmt.Errorf("client: sending request: %w", err)
 	}
 
 	resp, ok := <-ch
 	if !ok {
-		return nil, ErrClosed
+		return nil, t.closedErr()
 	}
+	t.mu.Lock()
+	t.idle = append(t.idle, ch)
+	t.mu.Unlock()
 	return resp, nil
+}
+
+// closedErr reports a dead transport as ErrClosed carrying the cause fail
+// recorded (a plain Close has none to add).
+func (t *TCPTransport) closedErr() error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if errors.Is(t.err, ErrClosed) {
+		return ErrClosed
+	}
+	return fmt.Errorf("%w: %v", ErrClosed, t.err)
 }
 
 // Pushes implements Transport.
 func (t *TCPTransport) Pushes() <-chan *protocol.Push { return t.pushes }
 
-// Close implements Transport.
+// Close implements Transport. The cause is recorded before the connection
+// goes, so the read loop's "use of closed connection" never stands in for it.
 func (t *TCPTransport) Close() error {
-	err := t.conn.Close()
 	t.fail(ErrClosed)
-	return err
+	return t.conn.Close()
 }

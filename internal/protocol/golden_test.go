@@ -276,8 +276,17 @@ func FuzzUnmarshalRequest(f *testing.F) {
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, in []byte) {
 		q, err := UnmarshalRequest(in)
+		// A slot that held another frame decodes to what a fresh one does,
+		// and refuses what a fresh one refuses.
+		dirty := sampleRequest()
+		if dirtyErr := dirty.Decode(in); (dirtyErr == nil) != (err == nil) {
+			t.Fatalf("fresh decode: %v, decode over a used slot: %v", err, dirtyErr)
+		}
 		if err != nil {
 			return
+		}
+		if !reflect.DeepEqual(dirty, q) {
+			t.Fatalf("a used slot kept part of its last frame:\n%+v\nfresh decode:\n%+v", dirty, q)
 		}
 		out := q.Marshal()
 		q2, err := UnmarshalRequest(out)
@@ -300,8 +309,17 @@ func FuzzUnmarshalResponse(f *testing.F) {
 	f.Add([]byte{1, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0x7f})
 	f.Fuzz(func(t *testing.T, in []byte) {
 		p, err := UnmarshalResponse(in)
+		// A slot that held another frame decodes to what a fresh one does,
+		// and refuses what a fresh one refuses.
+		dirty := sampleResponse()
+		if dirtyErr := dirty.Decode(in); (dirtyErr == nil) != (err == nil) {
+			t.Fatalf("fresh decode: %v, decode over a used slot: %v", err, dirtyErr)
+		}
 		if err != nil {
 			return
+		}
+		if !reflect.DeepEqual(dirty, p) {
+			t.Fatalf("a used slot kept part of its last frame:\n%+v\nfresh decode:\n%+v", dirty, p)
 		}
 		// Every decoded element consumed at least a byte of input: a length
 		// prefix cannot make the lists larger than the message.

@@ -84,11 +84,23 @@ func (q *Request) Encode(w *wire.Writer) {
 	w.Uvarint(uint64(q.Delay))
 }
 
-// UnmarshalRequest decodes a request body. The request's Data aliases buf:
-// ownership of buf passes to the returned message.
+// UnmarshalRequest decodes a request body into a fresh request. The
+// request's Data aliases buf: ownership of buf passes to the returned message.
 func UnmarshalRequest(buf []byte) (*Request, error) {
-	r := wire.NewReader(buf)
 	q := &Request{}
+	if err := q.Decode(buf); err != nil {
+		return nil, err
+	}
+	return q, nil
+}
+
+// Decode is the decode-into form of UnmarshalRequest: it wipes q, whatever
+// an earlier frame left in it, and fills it from buf, so a connection can
+// decode every frame into one slot. After an error q holds a partial decode
+// and is good only for another Decode.
+func (q *Request) Decode(buf []byte) error {
+	*q = Request{}
+	r := wire.NewReader(buf)
 	q.ID = r.Uvarint()
 	q.Op = Op(r.Byte())
 	q.Token = r.String()
@@ -112,9 +124,9 @@ func UnmarshalRequest(buf []byte) (*Request, error) {
 	q.Attempt = r.Byte()
 	q.Delay = time.Duration(r.Uvarint())
 	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("protocol: decoding request: %w", err)
+		return fmt.Errorf("protocol: decoding request: %w", err)
 	}
-	return q, nil
+	return nil
 }
 
 // Response is the server-to-client envelope, correlated to a request by ID.
@@ -136,6 +148,11 @@ type Response struct {
 	Hash       Hash         // GetContent metadata
 	Size       uint64       // GetContent metadata
 	Data       []byte       // GetPart payload
+
+	// home points at the response itself while it is on loan from the
+	// recycler (AcquireResponse); a literal's is nil and a copy's points
+	// elsewhere, so ReleaseResponse takes back only what it handed out.
+	home *Response
 }
 
 func marshalVolumeInfo(w *wire.Writer, v VolumeInfo) {
@@ -247,25 +264,38 @@ func (p *Response) Encode(w *wire.Writer) {
 // messages stay far below this).
 const maxRepeated = 1 << 20
 
-// UnmarshalResponse decodes a response body. The response's Data aliases buf:
-// ownership of buf passes to the returned message.
+// UnmarshalResponse decodes a response body into a fresh response. The
+// response's Data aliases buf: ownership of buf passes to the returned
+// message.
 func UnmarshalResponse(buf []byte) (*Response, error) {
-	r := wire.NewReader(buf)
 	p := &Response{}
+	if err := p.Decode(buf); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// Decode is the decode-into form of UnmarshalResponse: it wipes p — no
+// Volumes, Deltas or Data of an earlier frame survive — and fills it from
+// buf; a response on loan from the recycler stays releasable. After an error
+// p holds a partial decode and is good only for another Decode or a release.
+func (p *Response) Decode(buf []byte) error {
+	*p = Response{home: p.home} // all but its place in the recycler
+	r := wire.NewReader(buf)
 	p.ID = r.Uvarint()
 	p.Status = Status(r.Byte())
 	p.Session = SessionID(r.Uvarint())
 	p.User = UserID(r.Uvarint())
 	nv := r.Uvarint()
 	if nv > maxRepeated {
-		return nil, fmt.Errorf("protocol: volume list of %d entries", nv)
+		return fmt.Errorf("protocol: volume list of %d entries", nv)
 	}
 	for i := uint64(0); i < nv && r.Err() == nil; i++ {
 		p.Volumes = append(p.Volumes, unmarshalVolumeInfo(r))
 	}
 	ns := r.Uvarint()
 	if ns > maxRepeated {
-		return nil, fmt.Errorf("protocol: share list of %d entries", ns)
+		return fmt.Errorf("protocol: share list of %d entries", ns)
 	}
 	for i := uint64(0); i < ns && r.Err() == nil; i++ {
 		p.Shares = append(p.Shares, unmarshalShareInfo(r))
@@ -273,7 +303,7 @@ func UnmarshalResponse(buf []byte) (*Response, error) {
 	p.Node = unmarshalNodeInfo(r)
 	nd := r.Uvarint()
 	if nd > maxRepeated {
-		return nil, fmt.Errorf("protocol: delta list of %d entries", nd)
+		return fmt.Errorf("protocol: delta list of %d entries", nd)
 	}
 	for i := uint64(0); i < nd && r.Err() == nil; i++ {
 		var d DeltaEntry
@@ -292,9 +322,9 @@ func UnmarshalResponse(buf []byte) (*Response, error) {
 		p.Data = d
 	}
 	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("protocol: decoding response: %w", err)
+		return fmt.Errorf("protocol: decoding response: %w", err)
 	}
-	return p, nil
+	return nil
 }
 
 // PushEvent enumerates unsolicited server notifications (§3.4.2).

@@ -123,6 +123,11 @@ type genShard struct {
 	// shard-local table stays lock-free under parallel generation, and a
 	// Zipf stream revisits few ranks often, so nearly every draw is a hit.
 	popular map[popKey]popContent
+	// popRng is the scratch source popularContent re-seeds for every first
+	// draw of a rank (Seed(s) leaves a source as a fresh one of seed s, and
+	// the derivation is synchronous, so nothing interleaves on it): one
+	// source per shard instead of 5 KB of math/rand state per rank.
+	popRng *rand.Rand
 }
 
 // popKey names one popular content: its Zipf rank in the large-file universe
@@ -573,27 +578,36 @@ func (g *Generator) pickHash(u *user, ext **ExtProfile, size *uint64) protocol.H
 func (g *Generator) popularContent(sh *genShard, k popKey) popContent {
 	c, ok := sh.popular[k]
 	if !ok {
-		c = g.derivePopular(k)
 		if sh.popular == nil {
 			sh.popular = make(map[popKey]popContent)
+			sh.popRng = rand.New(g.userSource(0))
 		}
+		sh.popRng.Seed(popSeed(k))
+		c = g.drawPopular(sh.popRng, k)
 		sh.popular[k] = c
 	}
 	return c
 }
 
-// derivePopular computes a popular content from its rank alone: a random
-// source seeded by the rank draws the extension and the size, so every
-// uploader of the content, on any shard, agrees on them.
-func (g *Generator) derivePopular(k popKey) popContent {
+// popSeed is the seed of the random source a popular content is drawn from:
+// a function of its rank alone, so every uploader of the content, on any
+// shard, agrees on its extension and size.
+func popSeed(k popKey) int64 {
+	if k.big {
+		return int64(k.rank) * 31
+	}
+	return int64(k.rank)
+}
+
+// drawPopular computes a popular content from a source seeded with
+// popSeed(k).
+func (g *Generator) drawPopular(popRng *rand.Rand, k popKey) popContent {
 	var c popContent
 	if k.big {
-		popRng := rand.New(g.userSource(int64(k.rank) * 31))
 		c.ext = g.prof.ExtByName(bigContentExts[popRng.Intn(len(bigContentExts))])
 		c.size = uint64(dist.LognormalFromMedian(25<<20, 3).Sample(popRng))
 		c.hash = protocol.HashBytes([]byte(fmt.Sprintf("popbig-%d", k.rank)))
 	} else {
-		popRng := rand.New(g.userSource(int64(k.rank)))
 		c.ext = g.prof.PickPopularExtension(popRng)
 		c.size = sampleSize(c.ext, popRng)
 		c.hash = protocol.HashBytes([]byte(fmt.Sprintf("pop-%d", k.rank)))

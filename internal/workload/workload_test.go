@@ -457,6 +457,12 @@ func TestRecentWindowCappedForWhales(t *testing.T) {
 	}
 }
 
+// derivePopular is the reference the shard tables are checked against: the
+// content drawn from a source made fresh for its rank, never a re-seeded one.
+func (g *Generator) derivePopular(k popKey) popContent {
+	return g.drawPopular(rand.New(g.userSource(popSeed(k))), k)
+}
+
 // TestPopularContentMemoMatchesDerivation checks the per-shard table of
 // popular content against a fresh derivation for ranks 1…10,000 of both
 // universes, in both generator modes, on the filling draw and on a hit — and
