@@ -20,9 +20,7 @@ import (
 	"u1/internal/blob"
 	"u1/internal/client"
 	"u1/internal/gateway"
-	"u1/internal/hotpath"
 	"u1/internal/metadata"
-	"u1/internal/metrics"
 	"u1/internal/notify"
 	"u1/internal/protocol"
 	"u1/internal/rpc"
@@ -34,13 +32,9 @@ import (
 )
 
 var (
-	benchOnce    sync.Once
-	benchRaw     *analysis.Trace
-	benchClean   *analysis.Trace
-	benchCluster *server.Cluster
-	benchUsers   int
-	benchDays    int
-	benchGenWall time.Duration
+	benchOnce  sync.Once
+	benchRaw   *analysis.Trace
+	benchClean *analysis.Trace
 )
 
 func envInt(name string, def int) int {
@@ -60,11 +54,6 @@ func benchTrace(b *testing.B) (*analysis.Trace, *analysis.Trace) {
 		days := envInt("U1_BENCH_DAYS", 10)
 		cluster := server.NewCluster(server.Config{
 			Seed: 2, AuthFailureRate: 0.0276, DeltaLogLimit: 96,
-			// Two regions with read-your-writes routing: replication runs as
-			// pure background at the epoch barriers, so the trace stream is
-			// bit-identical to the single-region one while the report gains
-			// the replication section.
-			Regions: 2, ReplicationDelay: 1,
 		})
 		col := trace.NewCollector(trace.Config{
 			Start: workload.PaperStart, Days: days,
@@ -72,16 +61,12 @@ func benchTrace(b *testing.B) (*analysis.Trace, *analysis.Trace) {
 		})
 		cluster.AddAPIObserver(col.APIObserver())
 		cluster.AddRPCObserver(col.RPCObserver())
-		genStart := time.Now()
 		workload.New(workload.Config{
 			Users: users, Days: days, Seed: 2,
 			Attacks: []workload.Attack{
 				{Day: 2, Hour: 13, Duration: 2 * time.Hour, APIFactor: 60, AuthFactor: 10},
 			},
 		}, cluster).Run()
-		benchGenWall = time.Since(genStart)
-		benchCluster = cluster
-		benchUsers, benchDays = users, days
 		benchRaw = analysis.FromCollector(col, workload.PaperStart, days)
 		benchClean = benchRaw.Sanitize()
 	})
@@ -379,90 +364,13 @@ func benchGeneration(b *testing.B, workers int) {
 
 // BenchmarkTraceGeneration runs one generator shard per core (so it honors
 // -cpu: `go test -bench TraceGeneration -cpu 1,4` is the serial-vs-parallel
-// comparison CI smokes). On ≥4 cores the per-core rate must beat
+// comparison). On ≥4 cores the per-core rate must beat
 // BenchmarkTraceGenerationSerial.
 func BenchmarkTraceGeneration(b *testing.B) { benchGeneration(b, 0) }
 
 // BenchmarkTraceGenerationSerial pins Workers=1: the bit-for-bit serial
-// stream, the baseline the generator section of BENCH_9.json records.
+// stream.
 func BenchmarkTraceGenerationSerial(b *testing.B) { benchGeneration(b, 1) }
-
-// BenchmarkObservability snapshots the live metrics registry of the shared
-// bench cluster, derives the machine-readable benchmark report (ops/sec,
-// per-op p50/p95/p99 latency, shard balance, contended hot-path throughput,
-// durability pricing, cross-region replication) and writes it to
-// BENCH_9.json (override with
-// U1_BENCH_OUT, empty disables) — the artifact the CI bench-smoke job
-// archives as the repo's perf trajectory and diffs against the committed
-// previous report.
-func BenchmarkObservability(b *testing.B) {
-	benchTrace(b)
-	out := "BENCH_9.json"
-	if v, ok := os.LookupEnv("U1_BENCH_OUT"); ok {
-		out = v
-	}
-	b.ResetTimer()
-	var rep metrics.BenchReport
-	for i := 0; i < b.N; i++ {
-		rep = metrics.BuildBenchReport(benchCluster.Metrics.Snapshot(), benchGenWall.Seconds(), benchUsers, benchDays)
-	}
-	b.StopTimer()
-	rep.HotPaths = hotpath.Measure(0)
-	for name, st := range rep.HotPaths {
-		b.ReportMetric(st.ParallelOpsPerSec, name+"_par_ops/s")
-	}
-	gen := hotpath.MeasureGenerator(0, 0)
-	rep.Generator = &gen
-	b.ReportMetric(gen.SerialEventsPerSec, "gen_serial_events/s")
-	b.ReportMetric(gen.ParallelEventsPerSec, "gen_par_events/s")
-	if rep.TotalOps == 0 {
-		b.Fatal("metrics registry recorded no operations")
-	}
-	if len(rep.Shards.Reads) == 0 {
-		b.Fatal("no shard counters in report")
-	}
-	for _, op := range []string{"Upload", "Download", "GetDelta"} {
-		st, ok := rep.Ops[op]
-		if !ok || st.Count == 0 {
-			b.Fatalf("op %s missing from report", op)
-		}
-		if st.P50Ms <= 0 || st.P99Ms < st.P50Ms {
-			b.Fatalf("op %s has degenerate quantiles: %+v", op, st)
-		}
-	}
-	for _, path := range []string{hotpath.RPCCall, hotpath.NotifyPublish, hotpath.GatewayPlace, hotpath.GatewayPlaceSharded} {
-		st, ok := rep.HotPaths[path]
-		if !ok || st.ParallelOpsPerSec <= 0 {
-			b.Fatalf("hot path %s missing from report: %+v", path, st)
-		}
-	}
-	if rep.Generator == nil || rep.Generator.SerialEventsPerSec <= 0 || rep.Generator.ParallelEventsPerSec <= 0 {
-		b.Fatalf("generator section missing from report: %+v", rep.Generator)
-	}
-	if rep.Replication == nil || rep.Replication.Published == 0 || rep.Replication.Applied == 0 {
-		b.Fatalf("replication section missing from report: %+v", rep.Replication)
-	}
-	ds, err := hotpath.MeasureDurability(b.TempDir(), 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rep.Durability = &ds
-	for _, policy := range wal.Policies() {
-		st, ok := ds.Policies[policy.String()]
-		if !ok || st.AppendsPerSec <= 0 {
-			b.Fatalf("durability policy %s missing from report: %+v", policy, st)
-		}
-		b.ReportMetric(st.AppendsPerSec, "wal_"+policy.String()+"_appends/s")
-	}
-	b.ReportMetric(rep.OpsPerSec, "ops/s")
-	b.ReportMetric(float64(rep.TotalOps), "total_ops")
-	b.ReportMetric(rep.Shards.CV, "shard_cv")
-	if out != "" {
-		if err := metrics.WriteBenchReport(out, rep); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
 
 // --- Substrate micro-benchmarks ---
 
@@ -595,8 +503,7 @@ func BenchmarkDurableMakeFile(b *testing.B) {
 // gets a serial baseline and a b.RunParallel variant; after the
 // de-serialization refactor the parallel ops/sec at GOMAXPROCS ≥ 4 must
 // exceed the serial rate (scaling), where a globally locked path would sit
-// at or below it (serialization). The BENCH_N.json reports record the same
-// comparison via internal/hotpath.
+// at or below it (serialization).
 
 var hotBenchStart = time.Unix(1390000000, 0)
 
@@ -661,11 +568,17 @@ func BenchmarkHotPathParallelBalancer(b *testing.B) {
 }
 
 // BenchmarkHotPathParallelShardedBalancer contends the power-of-two-choices
-// balancer in exactly the configuration hotpath.Measure records into the
-// BENCH_*.json hot-path section (shared fixture, so the two numbers stay
-// comparable).
+// balancer: 4 shards, enough that two random choices rarely collide, over a
+// 24-backend fleet (the paper's six machines in four banks), wide enough to
+// populate every shard.
 func BenchmarkHotPathParallelShardedBalancer(b *testing.B) {
-	bal := gateway.NewShardedBalancer(hotpath.ShardedBalancerShards, hotpath.ShardedBalancerFleet()...)
+	fleet := make([]string, 0, 4*len(server.DefaultMachines))
+	for i := 0; i < 4; i++ {
+		for _, name := range server.DefaultMachines {
+			fleet = append(fleet, fmt.Sprintf("%s-%d", name, i))
+		}
+	}
+	bal := gateway.NewShardedBalancer(4, fleet...)
 	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {

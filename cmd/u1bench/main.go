@@ -1,13 +1,12 @@
 // Command u1bench runs the full experiment suite: it generates the default
-// 30-day trace, runs every analysis, and prints a paper-vs-measured report.
-// It also snapshots the cluster's live metrics registry and writes the
-// machine-readable benchmark record (BENCH_*.json) that CI archives as the
-// repo's perf trajectory.
+// 30-day trace, runs every analysis, and prints a paper-vs-measured report,
+// then the per-op latency table read live from the cluster's metrics
+// registry. Performance is measured by benchmark/, not here.
 //
 // Usage:
 //
 //	u1bench [-users 2000] [-days 30] [-seed 1] [-workers 0]
-//	        [-fault-rate 0] [-admit-watermark 0] [-bench-out BENCH_9.json]
+//	        [-fault-rate 0] [-admit-watermark 0]
 //	        [-durability DIR] [-fsync per-op|group|async] [-snapshot-every 0]
 //	        [-regions 0] [-repl-delay 0] [-eventual]
 package main
@@ -18,12 +17,12 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"sort"
 	"time"
 
 	"u1/internal/analysis"
 	"u1/internal/client"
 	"u1/internal/faults"
-	"u1/internal/hotpath"
 	"u1/internal/metrics"
 	"u1/internal/server"
 	"u1/internal/trace"
@@ -38,7 +37,6 @@ func main() {
 	workers := flag.Int("workers", 0, "parallel generator shards (0 = GOMAXPROCS, 1 = serial stream)")
 	faultRate := flag.Float64("fault-rate", 0, "deterministic per-op injected failure fraction (0 disables)")
 	admitWatermark := flag.Int("admit-watermark", 0, "per-proc admitted-requests-per-minute watermark for load shedding (0 disables)")
-	benchOut := flag.String("bench-out", "BENCH_9.json", "benchmark report path (empty to skip)")
 	durability := flag.String("durability", "", "directory for the metadata store's per-shard WAL + snapshots (empty = in-memory)")
 	fsync := flag.String("fsync", "per-op", "journal fsync policy: per-op, group, or async")
 	snapshotEvery := flag.Int("snapshot-every", 0, "journal records between per-shard snapshots (0 = metadata default)")
@@ -104,8 +102,8 @@ func main() {
 	})
 	cluster.AddAPIObserver(col.APIObserver())
 	cluster.AddRPCObserver(col.RPCObserver())
-	// Stamp generation time around Run only, matching bench_test.go so the
-	// two producers of the u1-bench/1 schema report commensurable ops/sec.
+	// Stamp generation time around Run only, so the live table's ops/s is
+	// the back-end's rate, not the analyses'.
 	wcfg := workload.Config{Users: *users, Days: *days, Seed: *seed, Workers: *workers}
 	if *faultRate > 0 || *admitWatermark > 0 {
 		// Failures are only interesting if clients react to them: give the
@@ -246,87 +244,47 @@ func main() {
 	fmt.Println(strings78)
 
 	// Observability section: the same numbers, but read live from the
-	// metrics registry instead of the offline trace — and archived as the
-	// machine-readable perf record.
-	rep := metrics.BuildBenchReport(cluster.Metrics.Snapshot(), genWall.Seconds(), *users, *days)
-	fmt.Printf("\n== live metrics (%d ops, %.0f ops/s of generation) ==\n", rep.TotalOps, rep.OpsPerSec)
+	// metrics registry instead of the offline trace.
+	snap := cluster.Metrics.Snapshot()
+	ops := metrics.OpStatsOf(snap, genWall.Seconds())
+	names := make([]string, 0, len(ops))
+	var total uint64
+	var rate float64
+	for name, st := range ops {
+		names = append(names, name)
+		total += st.Count
+		rate += st.OpsPerSec
+	}
+	sort.Strings(names)
+	fmt.Printf("\n== live metrics (%d ops, %.0f ops/s of generation) ==\n", total, rate)
 	fmt.Printf("%-14s %10s %8s %10s %10s %10s\n", "op", "count", "errors", "p50_ms", "p95_ms", "p99_ms")
-	for _, name := range rep.SortedOpNames() {
-		st := rep.Ops[name]
+	for _, name := range names {
+		st := ops[name]
 		fmt.Printf("%-14s %10d %8d %10.2f %10.2f %10.2f\n",
 			name, st.Count, st.Errors, st.P50Ms, st.P95Ms, st.P99Ms)
 	}
-	fmt.Printf("shard balance: reads %v writes %v (CV %.3f)\n", rep.Shards.Reads, rep.Shards.Writes, rep.Shards.CV)
-	if rep.Faults != nil {
+	c := snap.Counters
+	if *faultRate > 0 || *admitWatermark > 0 {
 		fmt.Printf("faults: injected %d, shed %d, retried %d (succeeded %d)\n",
-			rep.Faults.Injected, rep.Faults.Shed, rep.Faults.Retried, rep.Faults.RetrySucceeded)
+			c[metrics.FaultsPrefix+"injected"], c[metrics.FaultsPrefix+"shed"],
+			c[metrics.FaultsPrefix+"retried"], c[metrics.FaultsPrefix+"retry_succeeded"])
 	}
-	if rep.Replication != nil {
-		fmt.Printf("replication: published %d, applied %d, LWW-skipped %d, backlog %d, lag mean/max %.1f/%.0f epochs, reads local/remote/stale %d/%d/%d\n",
-			rep.Replication.Published, rep.Replication.Applied, rep.Replication.LWWSkipped,
-			rep.Replication.BacklogDepth, rep.Replication.LagMeanEp, rep.Replication.LagMaxEp,
-			rep.Replication.ReadsLocal, rep.Replication.ReadsRemote, rep.Replication.ReadsStale)
-	}
-
-	// Contended hot-path calibration: serial vs parallel ops/sec on the
-	// per-request structures. Speedup > 1 at multiple cores is the
-	// de-serialization win this report exists to track.
-	rep.HotPaths = hotpath.Measure(0)
-	fmt.Printf("\n== hot paths (parallel workers: %d) ==\n", rep.HotPaths[hotpath.RPCCall].Workers)
-	fmt.Printf("%-34s %14s %14s %8s\n", "path", "serial_ops/s", "parallel_ops/s", "speedup")
-	for _, path := range []string{hotpath.RPCCall, hotpath.NotifyPublish, hotpath.GatewayPlace, hotpath.GatewayPlaceSharded} {
-		st := rep.HotPaths[path]
-		fmt.Printf("%-34s %14.0f %14.0f %7.2fx\n", path, st.SerialOpsPerSec, st.ParallelOpsPerSec, st.Speedup)
-	}
-
-	// Generator scaling: end-to-end trace generation with one shard vs one
-	// shard per core — the throughput unlock of the sharded simulation
-	// substrate, recorded in the report's generator section.
-	gen := hotpath.MeasureGenerator(0, 0)
-	rep.Generator = &gen
-	fmt.Printf("\n== generator (sharded simulation, %d workers, %d users x %d days) ==\n",
-		gen.Workers, gen.Users, gen.Days)
-	fmt.Printf("serial %0.f events/s, parallel %0.f events/s, speedup %.2fx\n",
-		gen.SerialEventsPerSec, gen.ParallelEventsPerSec, gen.Speedup)
-
-	// Durability pricing: journal append throughput and modeled sync cost
-	// under each fsync policy, against a throwaway WAL — recorded whether or
-	// not this run itself journaled, so every report prices the same menu.
-	durDir, err := os.MkdirTemp("", "u1bench-wal-")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	ds, err := hotpath.MeasureDurability(durDir, 0)
-	os.RemoveAll(durDir)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	rep.Durability = &ds
-	fmt.Printf("\n== durability (WAL fsync policies) ==\n")
-	fmt.Printf("%-10s %14s %16s %12s\n", "policy", "appends/s", "syncs/append", "sync_cost_ms")
-	for _, p := range wal.Policies() {
-		st := ds.Policies[p.String()]
-		fmt.Printf("%-10s %14.0f %16.3f %12.3f\n", p, st.AppendsPerSec, st.SyncsPerAppend, st.SyncCostMs)
+	if *regions > 1 {
+		fmt.Printf("replication (%d regions, delay %d): %d published, %d applied, %d LWW-skipped, reads local/remote/stale %d/%d/%d\n",
+			*regions, *replDelay,
+			c[metrics.ReplicationPrefix+"published"], c[metrics.ReplicationPrefix+"applied"],
+			c[metrics.ReplicationPrefix+"lww_skipped"], c[metrics.ReplicationPrefix+"reads.local"],
+			c[metrics.ReplicationPrefix+"reads.remote"], c[metrics.ReplicationPrefix+"reads.stale"])
 	}
 	if *durability != "" {
 		if err := cluster.Close(); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		c := cluster.Metrics.Snapshot().Counters
+		c = cluster.Metrics.Snapshot().Counters
 		fmt.Printf("journaled run (%s): %d journaled ops, %d WAL appends, %d snapshots\n",
 			policy, c[metrics.WALPrefix+"journaled"], c[metrics.WALPrefix+"appends"],
 			c[metrics.WALPrefix+"snapshots"])
-	}
-
-	if *benchOut != "" {
-		if err := metrics.WriteBenchReport(*benchOut, rep); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("benchmark report written to %s\n", *benchOut)
 	}
 	fmt.Printf("total runtime %v\n", time.Since(start).Round(time.Millisecond))
 }

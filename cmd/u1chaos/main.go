@@ -1,10 +1,10 @@
 // Command u1chaos is the config-driven chaos runner: it executes a matrix of
 // named catalog scenarios (internal/scenario) — SSO login storms, regional
 // outages, slow disks, thundering herds, flash crowds — each a pure function
-// of its config, and writes the per-scenario results as the scenarios
-// section of a u1-bench/1 report. Every scenario carries its own invariant;
-// any violation is printed and exits non-zero, which is what the CI chaos
-// job gates on.
+// of its config, and writes the per-scenario results as a u1-chaos/1 report
+// ({"schema": "u1-chaos/1", "scenarios": {…}}). Every scenario carries its
+// own invariant; any violation is printed and exits non-zero, which is what
+// the CI chaos job gates on.
 //
 // Usage:
 //
@@ -30,7 +30,6 @@ import (
 	"os"
 	"strings"
 
-	"u1/internal/metrics"
 	"u1/internal/scenario"
 )
 
@@ -104,13 +103,7 @@ func main() {
 	}
 
 	if *out != "" {
-		rep := metrics.BenchReport{
-			Schema:     metrics.BenchSchema,
-			Ops:        map[string]metrics.OpStats{},
-			RPCClasses: map[string]metrics.OpStats{},
-			Scenarios:  stats,
-		}
-		if err := metrics.WriteBenchReport(*out, rep); err != nil {
+		if err := scenario.WriteReport(*out, stats); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("wrote %d scenario reports to %s\n", len(stats), *out)

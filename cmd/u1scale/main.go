@@ -1,10 +1,9 @@
 // Command u1scale runs the million-user scale campaign: a generator-only
 // run (no trace collector — the point is the back-end and the population,
-// not the logfiles) at populations far past the default simulation scale,
-// recording sustained event throughput, steady-state resident bytes per
-// user, peak process RSS, and power-of-two-choices placement quality versus
-// balancer shard count. The results merge into the committed BENCH_*.json
-// report as its "scale" section.
+// not the logfiles) at populations far past the default simulation scale.
+// It prints sustained event throughput, steady-state resident bytes per
+// user and peak process RSS, then exits. benchmark/'s sim-scale-day workload
+// is the measured, gated 25k-user leg of the same configuration.
 //
 // The campaign configuration deliberately trades golden-comparability for
 // footprint: -compact turns on workload.Config.LowMem (8-byte per-user RNG
@@ -12,19 +11,18 @@
 // per-volume delta logs entirely — volumes carry no delta history and every
 // delta read from a stale generation falls back to a full rescan (correct,
 // just slower for delta readers). Both knobs change the generated stream or
-// server behaviour relative to the golden configuration and are recorded in
-// the report.
+// server behaviour relative to the golden configuration, so the run prints
+// them.
 //
 // Usage:
 //
 //	u1scale -users 1000000 -days 1 [-workers 0] [-seed 7]
 //	        [-compact=true] [-deltalog -1] [-adapt-epoch]
-//	        [-out BENCH_9.json] [-cpuprofile FILE] [-memprofile FILE]
+//	        [-cpuprofile FILE] [-memprofile FILE]
 package main
 
 import (
 	"bufio"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -34,8 +32,6 @@ import (
 	"strings"
 	"time"
 
-	"u1/internal/hotpath"
-	"u1/internal/metrics"
 	"u1/internal/server"
 	"u1/internal/sim"
 	"u1/internal/workload"
@@ -49,8 +45,6 @@ func main() {
 	compact := flag.Bool("compact", true, "run the generator in low-memory mode (workload.Config.LowMem)")
 	deltalog := flag.Int("deltalog", -1, "per-volume delta-log cap (0 = metadata default, negative disables the logs)")
 	adaptEpoch := flag.Bool("adapt-epoch", false, "let the engine resize epochs to event density (deterministic, but a different trajectory than the pinned default)")
-	out := flag.String("out", "BENCH_9.json", "bench report to merge the scale section into (created if missing; empty to skip)")
-	sessions := flag.Int("placement-sessions", 1<<16, "sessions to place per balancer shard count")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the generation run to this file")
 	memprofile := flag.String("memprofile", "", "write a post-GC heap profile to this file")
 	flag.Parse()
@@ -79,16 +73,7 @@ func main() {
 	start := time.Now()
 	totals := g.Run()
 	wall := time.Since(start)
-
-	st := metrics.ScaleStats{
-		Users: *users, Days: *days, Workers: g.Engine().NumShards(), Seed: *seed,
-		Compact: *compact, DeltaLogLimit: *deltalog,
-		Events:      g.Engine().Executed(),
-		WallSeconds: wall.Seconds(),
-	}
-	if wall > 0 {
-		st.EventsPerSec = float64(st.Events) / wall.Seconds()
-	}
+	events := g.Engine().Executed()
 
 	// Steady-state footprint: everything still reachable after the run is
 	// the population's resident state (users, volumes, nodes, content, blob
@@ -98,9 +83,6 @@ func main() {
 	runtime.GC()
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
-	st.HeapBytes = ms.HeapAlloc
-	st.BytesPerUser = float64(ms.HeapAlloc) / float64(*users)
-	st.PeakRSSBytes = peakRSS()
 
 	if *memprofile != "" {
 		f, err := os.Create(*memprofile)
@@ -116,43 +98,12 @@ func main() {
 	runtime.KeepAlive(g)
 
 	fmt.Printf("scale campaign: %d users x %d days, %d workers (compact=%v, deltalog=%d)\n",
-		st.Users, st.Days, st.Workers, st.Compact, st.DeltaLogLimit)
+		*users, *days, g.Engine().NumShards(), *compact, *deltalog)
 	fmt.Printf("events: %d in %v (%.0f events/s); sessions %d, uploads %d, downloads %d\n",
-		st.Events, wall.Round(time.Millisecond), st.EventsPerSec,
+		events, wall.Round(time.Millisecond), float64(events)/wall.Seconds(),
 		totals.Sessions, totals.Uploads, totals.Downloads)
 	fmt.Printf("steady state: %.1f MB heap, %.1f bytes/user, peak RSS %.1f MB\n",
-		float64(st.HeapBytes)/1e6, st.BytesPerUser, float64(st.PeakRSSBytes)/1e6)
-
-	// Placement quality: the balancer fixture is independent of the
-	// generation run, so the section is comparable across campaigns of any
-	// population size.
-	st.Placement = hotpath.MeasurePlacement(*sessions, []int{1, 2, 4, 8, 16})
-	fmt.Printf("\n%-8s %10s %10s %10s %12s\n", "shards", "backends", "max_load", "mean_load", "max/mean")
-	for _, p := range st.Placement {
-		fmt.Printf("%-8d %10d %10d %10.1f %12.4f\n", p.Shards, p.Backends, p.MaxLoad, p.MeanLoad, p.MaxOverMean)
-	}
-
-	if *out != "" {
-		if err := mergeScale(*out, st); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("\nscale section merged into %s\n", *out)
-	}
-}
-
-// mergeScale sets the scale section of the report at path, creating a
-// minimal report when none exists so the campaign can run before the bench.
-func mergeScale(path string, st metrics.ScaleStats) error {
-	rep, err := metrics.ReadBenchReport(path)
-	if errors.Is(err, os.ErrNotExist) {
-		rep = metrics.BenchReport{Schema: metrics.BenchSchema}
-		err = nil
-	}
-	if err != nil {
-		return err
-	}
-	rep.Scale = &st
-	return metrics.WriteBenchReport(path, rep)
+		float64(ms.HeapAlloc)/1e6, float64(ms.HeapAlloc)/float64(*users), float64(peakRSS())/1e6)
 }
 
 // peakRSS reads the process's high-water resident set (VmHWM) from

@@ -29,7 +29,7 @@ func main() {
 	start := time.Now()
 	totals := workload.New(workload.Config{
 		Users: users, Days: days, Seed: 3,
-		Attacks: []workload.Attack{}, // a clean week; see examples/ddosdrill
+		Attacks: []workload.Attack{}, // a clean week; `u1chaos -scenarios flash-crowd` runs the storm
 	}, cluster).Run()
 	fmt.Printf("simulated %d users for %d days in %v: %d sessions, %d uploads, %d downloads\n\n",
 		users, days, time.Since(start).Round(time.Millisecond),

@@ -98,8 +98,8 @@ type RegionRouter interface {
 	// WriteUnavailable reports whether a mutation on vol would be refused
 	// because its owning region is down.
 	WriteUnavailable(vol protocol.VolumeID) bool
-	// NumRegions returns the configured region count (1 disables routing).
-	NumRegions() int
+	// Regions returns the configured region count (1 disables routing).
+	Regions() int
 }
 
 // Deps are the shared back-end services an API server talks to.
@@ -305,7 +305,7 @@ func New(cfg Config, deps Deps) *Server {
 	if cfg.AdmitWatermark > 0 {
 		s.admission = faults.NewAdmission(cfg.Procs, cfg.AdmitWatermark)
 	}
-	if deps.Regions != nil && deps.Regions.NumRegions() > 1 {
+	if deps.Regions != nil && deps.Regions.Regions() > 1 {
 		s.regions = deps.Regions
 		s.regionRefused = deps.Metrics.Counter("api.region.refused")
 	}

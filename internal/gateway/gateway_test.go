@@ -382,38 +382,68 @@ func shardedNames(n int) []string {
 }
 
 func TestShardedBalancerPlacesEverywhere(t *testing.T) {
-	b := NewShardedBalancer(4, shardedNames(16)...)
-	if b.NumShards() != 4 {
-		t.Fatalf("shards = %d", b.NumShards())
-	}
-	leases := make([]Lease, 0, 1600)
-	for i := 0; i < 1600; i++ {
-		lease, err := b.Acquire()
-		if err != nil {
-			t.Fatal(err)
-		}
-		leases = append(leases, lease)
-	}
-	act := b.Active()
-	if len(act) != 16 {
-		t.Fatalf("active set %v", act)
-	}
-	// Power-of-two-choices keeps the load within a small factor of the
-	// mean (100 sessions per backend here); a single random choice would
-	// show √n-scale outliers, a broken heap far worse.
-	for name, n := range act {
-		if n < 50 || n > 200 {
-			t.Errorf("backend %s holds %d sessions, want ≈100", name, n)
+	// The cluster's 24-backend fleet: the six paper machines
+	// (server.DefaultMachines, which this package cannot import) in four
+	// banks.
+	var fleet []string
+	for i := 0; i < 4; i++ {
+		for _, m := range []string{"whitecurrant", "blackcurrant", "gooseberry", "cranberry", "elderberry", "boysenberry"} {
+			fleet = append(fleet, fmt.Sprintf("%s-%d", m, i))
 		}
 	}
-	// Leases release back to the owning shard: everything drains to zero.
-	for _, l := range leases {
-		b.Release(l)
-	}
-	for name, n := range b.Active() {
-		if n != 0 {
-			t.Errorf("backend %s leaked %d sessions after release", name, n)
-		}
+	// Power-of-two-choices keeps every backend's load within a small factor
+	// of the mean; a single random choice would show √n-scale outliers, a
+	// broken heap far worse. On the fleet, placement quality as the shard
+	// count grows: one shard is the exact least-loaded rule, each doubling
+	// trades a little balance for less lock contention. Serial placement is
+	// deterministic, so the fleet cases read exactly 1.0001 up to 8 shards
+	// and 1.228 at 16.
+	for _, tc := range []struct {
+		shards, sessions int
+		backends         []string
+		maxOverMean      float64
+	}{
+		{4, 1600, shardedNames(16), 2},
+		{1, 1 << 16, fleet, 1.01},
+		{2, 1 << 16, fleet, 1.01},
+		{4, 1 << 16, fleet, 1.01},
+		{8, 1 << 16, fleet, 1.01},
+		{16, 1 << 16, fleet, 1.25},
+	} {
+		t.Run(fmt.Sprintf("%d_shards_%d_backends", tc.shards, len(tc.backends)), func(t *testing.T) {
+			b := NewShardedBalancer(tc.shards, tc.backends...)
+			if b.NumShards() != tc.shards {
+				t.Fatalf("shards = %d", b.NumShards())
+			}
+			leases := make([]Lease, 0, tc.sessions)
+			for i := 0; i < tc.sessions; i++ {
+				lease, err := b.Acquire()
+				if err != nil {
+					t.Fatal(err)
+				}
+				leases = append(leases, lease)
+			}
+			act := b.Active()
+			if len(act) != len(tc.backends) {
+				t.Fatalf("active set %v", act)
+			}
+			mean := float64(tc.sessions) / float64(len(tc.backends))
+			for name, n := range act {
+				if float64(n) < mean/2 || float64(n) > tc.maxOverMean*mean {
+					t.Errorf("backend %s holds %d sessions (%.4f of the mean), want within [0.5, %g]",
+						name, n, float64(n)/mean, tc.maxOverMean)
+				}
+			}
+			// Leases release back to the owning shard: everything drains to zero.
+			for _, l := range leases {
+				b.Release(l)
+			}
+			for name, n := range b.Active() {
+				if n != 0 {
+					t.Errorf("backend %s leaked %d sessions after release", name, n)
+				}
+			}
+		})
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 // are bit-for-bit reproducible. Wall-clock reads and global math/rand draws
 // are the two ways a run silently picks up entropy from the host, so both are
 // findings in every internal package. Legitimate measurement sites — lock-hold
-// histograms, real-transport timing, hotpath benchmarking — stay expressible
+// histograms, real-transport timing, placement latency — stay expressible
 // behind `//u1:allow wallclock <reason>`, which makes every exemption
 // self-documenting and auditable.
 

@@ -1,8 +1,8 @@
 // Package lint is the repo's contract-enforcing static analysis framework.
 // The properties the simulation is built on — bit-for-bit determinism for a
 // fixed (Seed, Workers, …), journal-under-lock durability, canonical mailbox
-// drain order, and the stable metric naming scheme the BENCH_N.json pipeline
-// keys on — are invariants of the *source*, not of any one test run. This
+// drain order, and the stable metric naming scheme benchmark/ and the
+// reports key on — are invariants of the *source*, not of any one test run. This
 // package loads and type-checks every package in the module with nothing but
 // the standard library (go/parser, go/types, go/importer) and runs a registry
 // of named passes over the typed syntax trees; cmd/u1lint is the CLI that
@@ -16,9 +16,9 @@
 // a diagnostic, so stale exemptions cannot accumulate.
 //
 // The pass catalog is returned by Passes (determinism, maporder,
-// lockdiscipline, metricname, each in its own file); ROADMAP.md documents each
-// pass's contract and the follow-up passes still open (interceptor-ordering,
-// journal-under-lock flow analysis).
+// lockdiscipline, metricname, each in its own file); docs/REFERENCE.md
+// documents each pass's contract and ROADMAP.md the follow-up passes still
+// open (interceptor-ordering, journal-under-lock flow analysis).
 package lint
 
 import (

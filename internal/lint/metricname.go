@@ -8,12 +8,12 @@ import (
 	"strings"
 )
 
-// The metricname pass guards the metric namespace the whole BENCH_N.json
-// pipeline keys on: u1benchdiff compares runs series-by-series, so a typo'd
-// name does not fail anything — it silently mints a new series that is never
-// compared against baseline. Every name passed to a *metrics.Registry
+// The metricname pass guards the metric namespace its readers key on:
+// benchmark/, the scenario reports and the cmds look series up by name, so a
+// typo'd name does not fail anything — it silently mints a new series that
+// no reader ever looks at. Every name passed to a *metrics.Registry
 // Counter/Gauge/Histogram constructor must therefore parse against the
-// documented grammar below (ROADMAP.md "Metric naming scheme").
+// documented grammar below (docs/REFERENCE.md "Metric naming scheme").
 //
 // Names are resolved statically: string constants (including the exported
 // metrics.*Prefix constants), `+` concatenation, and single-assignment local
@@ -32,7 +32,7 @@ var metricnamePass = &Pass{
 // metricProductions is the grammar: one production per documented series
 // shape, `*` matching exactly one dynamic segment (an Op name, a shard index,
 // a backend name). Extending the metric namespace means extending this table
-// and the ROADMAP section in the same change — that is the point.
+// and the docs/REFERENCE.md section in the same change — that is the point.
 var metricProductions = []string{
 	"api.op.*.seconds", "api.op.*.count", "api.op.*.errors",
 	"api.sessions.active", "api.server.*.ops", "api.region.refused",
@@ -93,7 +93,7 @@ func runMetricname(p *Package, report reportFunc) {
 					return true
 				}
 				if !matchesGrammar(name) {
-					report(call.Args[0], "metric name %q does not match the documented naming grammar (ROADMAP.md); a mistyped name mints a silent new series that u1benchdiff never compares", strings.ReplaceAll(name, dynSegment, "<dyn>"))
+					report(call.Args[0], "metric name %q does not match the documented naming grammar (docs/REFERENCE.md); a mistyped name mints a silent new series no reader ever looks up", strings.ReplaceAll(name, dynSegment, "<dyn>"))
 				}
 				return true
 			})

@@ -1,5 +1,5 @@
 // Package namebad mints metric names outside the documented grammar — each
-// one would silently create a series u1benchdiff never compares.
+// one would silently create a series no reader ever looks up.
 package namebad
 
 import "u1/internal/metrics"

@@ -562,9 +562,6 @@ func (s *Store) WriteUnavailable(vol protocol.VolumeID) bool {
 	return s.writeGuard(owner) != nil
 }
 
-// NumRegions implements apiserver.RegionRouter.
-func (s *Store) NumRegions() int { return s.Regions() }
-
 // readShardFor routes a read of owner's metadata on behalf of user: reads
 // whose owner lives in the reader's region always hit the owner shard;
 // cross-region reads hit the owner under read-your-writes or the reader

@@ -10,9 +10,9 @@
 // and error counts, the RPC/DAL tier per-class service times, the metadata
 // store per-shard lock hold times and cascade counters, the data store
 // transfer volume, and the notification broker its fan-out. The benchmark
-// harness (cmd/u1bench, bench_test.go) turns Registry snapshots into the
-// BENCH_*.json perf trajectory that future optimisation PRs are judged
-// against.
+// (benchmark/) reads its per-layer counters from Registry snapshots;
+// cmd/u1bench and the chaos scenario reports fold them into per-op latency
+// tables (OpStatsOf).
 package metrics
 
 import (
@@ -20,10 +20,82 @@ import (
 	"io"
 	"math"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"unsafe"
 )
+
+// The registry naming scheme the instrumented tiers follow. benchmark/,
+// u1sim and the scenario reports key off these prefixes, so they are part of
+// the metrics API.
+const (
+	// APIOpPrefix + <OpName> + {".seconds"|".count"|".errors"} — per API
+	// operation latency histogram and outcome counters (apiserver).
+	APIOpPrefix = "api.op."
+	// RPCPrefix + <dal.name> + ".seconds" — per-RPC service-time histograms;
+	// RPCClassPrefix + <class> + ".seconds" aggregates them by paper class.
+	RPCPrefix      = "rpc."
+	RPCClassPrefix = "rpc.class."
+	// ShardPrefix + <i> + {".reads"|".writes"} — per-shard op counters;
+	// + {".read_hold.seconds"|".write_hold.seconds"} — lock hold times.
+	ShardPrefix = "meta.shard."
+	// FaultsPrefix + {"injected"|"shed"|"sso_shed"|"retried"|
+	// "retry_succeeded"} — the apiserver's fault-injection /
+	// admission-control / SSO-bucket / client-retry counters.
+	FaultsPrefix = "faults."
+	// WALPrefix + {"appends"|"snapshots"|"replayed"|"torn_bytes_dropped"|
+	// "errors"|"journaled"} — the durable metadata tier's journal activity.
+	WALPrefix = "wal."
+	// ReplicationPrefix + {"published"|"applied"|"lww_skipped"|
+	// "revoked_blocked"|"reads.local"|"reads.remote"|"reads.stale"} counters,
+	// + "backlog.depth" gauge, + "lag.epochs" histogram — the cross-region
+	// metadata replication tier.
+	ReplicationPrefix = "repl."
+)
+
+// OpStats is one API operation's outcome counts and latency profile.
+// Latencies are the simulated service times of the calibrated model, so they
+// track the paper's Figs. 12–13 rather than host speed.
+type OpStats struct {
+	Count     uint64  `json:"count"`
+	Errors    uint64  `json:"errors,omitempty"`
+	OpsPerSec float64 `json:"ops_per_sec"`
+	MeanMs    float64 `json:"mean_ms"`
+	P50Ms     float64 `json:"p50_ms"`
+	P95Ms     float64 `json:"p95_ms"`
+	P99Ms     float64 `json:"p99_ms"`
+}
+
+// OpStatsOf folds the snapshot's APIOpPrefix series into per-op stats keyed
+// by op name. OpsPerSec is the op's count per wallSeconds; it stays zero when
+// wallSeconds is not positive, for reports that must carry no wall-clock.
+func OpStatsOf(snap Snapshot, wallSeconds float64) map[string]OpStats {
+	ops := make(map[string]OpStats)
+	for name, hist := range snap.Histograms {
+		if !strings.HasPrefix(name, APIOpPrefix) || !strings.HasSuffix(name, ".seconds") {
+			continue
+		}
+		op := strings.TrimSuffix(strings.TrimPrefix(name, APIOpPrefix), ".seconds")
+		count := snap.Counters[APIOpPrefix+op+".count"]
+		if count == 0 {
+			count = hist.Count
+		}
+		st := OpStats{
+			Count:  count,
+			Errors: snap.Counters[APIOpPrefix+op+".errors"],
+			MeanMs: hist.Mean * 1e3,
+			P50Ms:  hist.P50 * 1e3,
+			P95Ms:  hist.P95 * 1e3,
+			P99Ms:  hist.P99 * 1e3,
+		}
+		if wallSeconds > 0 {
+			st.OpsPerSec = float64(count) / wallSeconds
+		}
+		ops[op] = st
+	}
+	return ops
+}
 
 // Counter is a monotonically increasing atomic counter.
 type Counter struct {

@@ -266,7 +266,7 @@ func TestNilRegistry(t *testing.T) {
 	}
 }
 
-func TestBuildBenchReport(t *testing.T) {
+func TestOpStatsOf(t *testing.T) {
 	r := NewRegistry()
 	up := r.Histogram(APIOpPrefix + "Upload.seconds")
 	for i := 0; i < 1000; i++ {
@@ -275,16 +275,12 @@ func TestBuildBenchReport(t *testing.T) {
 	r.Counter(APIOpPrefix + "Upload.count").Add(1000)
 	r.Counter(APIOpPrefix + "Upload.errors").Add(25)
 	r.Histogram(RPCClassPrefix + "read.seconds").Observe(0.003)
-	r.Counter(ShardPrefix + "0.reads").Add(100)
-	r.Counter(ShardPrefix + "0.writes").Add(100)
-	r.Counter(ShardPrefix + "1.reads").Add(100)
-	r.Counter(ShardPrefix + "1.writes").Add(100)
 
-	rep := BuildBenchReport(r.Snapshot(), 2.0, 800, 10)
-	st, ok := rep.Ops["Upload"]
-	if !ok {
-		t.Fatalf("Upload missing from report ops: %v", rep.SortedOpNames())
+	ops := OpStatsOf(r.Snapshot(), 2.0)
+	if len(ops) != 1 {
+		t.Fatalf("ops = %v, want only Upload (non-API series must not fold in)", ops)
 	}
+	st := ops["Upload"]
 	if st.Count != 1000 || st.Errors != 25 {
 		t.Errorf("Upload count/errors = %d/%d, want 1000/25", st.Count, st.Errors)
 	}
@@ -294,24 +290,8 @@ func TestBuildBenchReport(t *testing.T) {
 	if st.P50Ms < 11 || st.P50Ms > 13 {
 		t.Errorf("p50 = %gms, want ≈12ms", st.P50Ms)
 	}
-	if _, ok := rep.RPCClasses["read"]; !ok {
-		t.Error("rpc class read missing")
-	}
-	if len(rep.Shards.Reads) != 2 || rep.Shards.CV != 0 {
-		t.Errorf("shard balance = %+v, want 2 perfectly balanced shards", rep.Shards)
-	}
-
-	// The report must round-trip as JSON (what CI archives).
-	data, err := json.Marshal(rep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back BenchReport
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back.Schema != BenchSchema || back.TotalOps != 1000 {
-		t.Errorf("round trip lost fields: %+v", back)
+	if st := OpStatsOf(r.Snapshot(), 0)["Upload"]; st.OpsPerSec != 0 {
+		t.Errorf("ops/sec without a wall clock = %g, want 0", st.OpsPerSec)
 	}
 }
 

@@ -45,7 +45,7 @@ func ssoStormSetup(p Params, mitigated bool) Setup {
 	return Setup{Cluster: cl, Workload: wl}
 }
 
-// flashCrowdSetup composes the ddosdrill storm: one leaked credential,
+// flashCrowdSetup composes the §5.4 leech storm: one leaked credential,
 // leeching sessions two orders of magnitude above baseline API activity on
 // one shared file, and the per-op-class admission controller standing in for
 // the provider-side load shedding U1 operators applied by hand.

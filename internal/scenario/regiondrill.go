@@ -16,8 +16,8 @@ import (
 // failover replays the entire backlog (publication outboxes included) so the
 // surviving replicas reproduce the dead owners' fingerprints bit-for-bit,
 // and recovery rebuilds the dead region from its peer and serves fresh
-// writes through the full client path. Ported from examples/regiondrill,
-// which now wraps this entry; CI's region gate rides on the same body.
+// writes through the full client path. CI's chaos job runs it through
+// u1chaos (`-scenarios regional-outage` runs it alone).
 func regionalOutageDrill(d *Drill) error {
 	st := d.Cluster.Store
 	if st.Regions() != 2 {

@@ -106,8 +106,8 @@ func runSetup(s Setup, p Params, logf func(string, ...any)) (*Result, error) {
 	return res, nil
 }
 
-// Stats folds the outcome into the bench schema's per-scenario section.
-func (o *Outcome) Stats() metrics.ScenarioStats {
+// Stats folds the outcome into its chaos-report entry.
+func (o *Outcome) Stats() Stats {
 	st := statsOf(o.Result)
 	st.Description = o.Spec.Description
 	st.Invariant = "pass"
@@ -122,14 +122,13 @@ func (o *Outcome) Stats() metrics.ScenarioStats {
 	return st
 }
 
-// statsOf derives one leg's ScenarioStats from its Result. Only
-// deterministic quantities are published: counter-derived totals and error
-// rates always, latency percentiles only for serial legs (sampled RPC
-// durations are not reproducible under a parallel driver), and never a
-// wall-clock rate.
-func statsOf(r *Result) metrics.ScenarioStats {
-	rep := metrics.BuildBenchReport(r.Snapshot, 0, r.Params.Users, r.Params.Days)
-	st := metrics.ScenarioStats{
+// statsOf derives one leg's Stats from its Result. Only deterministic
+// quantities are published: counter-derived totals and error rates always,
+// latency percentiles only for serial legs (sampled RPC durations are not
+// reproducible under a parallel driver), and never a wall-clock rate.
+func statsOf(r *Result) Stats {
+	opStats := metrics.OpStatsOf(r.Snapshot, 0)
+	st := Stats{
 		Users:   r.Params.Users,
 		Days:    r.Params.Days,
 		Seed:    r.Params.Seed,
@@ -137,7 +136,6 @@ func statsOf(r *Result) metrics.ScenarioStats {
 
 		Sessions:    r.Totals.Sessions,
 		FailedAuths: r.Totals.FailedAuths,
-		TotalOps:    rep.TotalOps,
 
 		Injected:       r.Counter(metrics.FaultsPrefix + "injected"),
 		Shed:           r.Counter(metrics.FaultsPrefix + "shed"),
@@ -146,13 +144,16 @@ func statsOf(r *Result) metrics.ScenarioStats {
 		RetrySucceeded: r.Counter(metrics.FaultsPrefix + "retry_succeeded"),
 		AuthOverloaded: r.Auth.Overloaded,
 
-		ErrorRates:   make(map[string]metrics.ScenarioClassErrors, 3),
+		ErrorRates:   make(map[string]ClassStats, 3),
 		WALJournaled: r.Counter(metrics.WALPrefix + "journaled"),
-		Replication:  rep.Replication,
+		Replication:  replicationOf(r.Snapshot),
+	}
+	for _, op := range opStats {
+		st.TotalOps += op.Count
 	}
 	for _, class := range []faults.Class{faults.ClassData, faults.ClassMetadata, faults.ClassSession} {
 		ops, errs := r.ClassErrors(class)
-		ce := metrics.ScenarioClassErrors{Ops: ops, Errors: errs}
+		ce := ClassStats{Ops: ops, Errors: errs}
 		if ops > 0 {
 			ce.Rate = float64(errs) / float64(ops)
 		}
@@ -160,7 +161,7 @@ func statsOf(r *Result) metrics.ScenarioStats {
 		st.TotalErrors += errs
 	}
 	if r.Params.Workers == 1 {
-		st.Ops = rep.Ops
+		st.Ops = opStats
 	}
 	return st
 }
@@ -168,11 +169,11 @@ func statsOf(r *Result) metrics.ScenarioStats {
 // RunMatrix executes a parsed matrix in config order and returns the
 // per-scenario stats keyed by catalog name, plus the list of invariant
 // violations ("name: description"). Infrastructure failures abort the matrix.
-func RunMatrix(m Matrix, logf func(string, ...any)) (map[string]metrics.ScenarioStats, []string, error) {
+func RunMatrix(m Matrix, logf func(string, ...any)) (map[string]Stats, []string, error) {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	out := make(map[string]metrics.ScenarioStats, len(m.Scenarios))
+	out := make(map[string]Stats, len(m.Scenarios))
 	var violations []string
 	for _, e := range m.Scenarios {
 		spec, err := Lookup(e.Name)

@@ -5,8 +5,8 @@
 // watermarks, the SSO token bucket, region drills, attack overlays, client
 // retry policies). Each catalog entry's Setup is a pure function of its
 // Params, so a fixed (Seed, Workers, config) reproduces the same scenario
-// report; cmd/u1chaos runs a config-driven matrix of entries and emits the
-// per-scenario reports as the bench schema's scenarios section.
+// report; cmd/u1chaos runs a config-driven matrix of entries and writes the
+// per-scenario reports as one u1-chaos/1 report (WriteReport).
 //
 // # Determinism contract
 //

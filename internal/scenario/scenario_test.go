@@ -2,6 +2,8 @@ package scenario
 
 import (
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -98,6 +100,42 @@ func TestScenarioReportShape(t *testing.T) {
 	}
 	if st := parallel.Stats(); st.Ops != nil {
 		t.Errorf("parallel report published per-op latencies: %v", st.Ops)
+	}
+}
+
+// TestWriteReportRoundTrip pins the chaos report's envelope: the u1-chaos/1
+// schema tag and the per-scenario stats, keyed by catalog name, decoding back
+// to what was written.
+func TestWriteReportRoundTrip(t *testing.T) {
+	in := map[string]Stats{
+		"sso-storm": {
+			Users: 160, Days: 2, Seed: 7, Workers: 1, TotalOps: 1000, SSOShed: 40,
+			ErrorRates:  map[string]ClassStats{"session": {Ops: 200, Errors: 10, Rate: 0.05}},
+			Replication: &ReplicationStats{Published: 3, Applied: 3},
+			Invariant:   "pass",
+			Baseline:    &Stats{Description: "unmitigated baseline", TotalOps: 900},
+		},
+	}
+	path := filepath.Join(t.TempDir(), "chaos-report.json")
+	if err := WriteReport(path, in); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got struct {
+		Schema    string           `json:"schema"`
+		Scenarios map[string]Stats `json:"scenarios"`
+	}
+	if err := json.Unmarshal(data, &got); err != nil {
+		t.Fatal(err)
+	}
+	if got.Schema != "u1-chaos/1" {
+		t.Errorf("schema = %q, want u1-chaos/1", got.Schema)
+	}
+	if !reflect.DeepEqual(got.Scenarios, in) {
+		t.Errorf("round trip mismatch:\n  in:  %+v\n  out: %+v", in, got.Scenarios)
 	}
 }
 

@@ -123,8 +123,8 @@ type Cluster struct {
 	RPC     *rpc.Server
 	Servers []*apiserver.Server
 	// Metrics aggregates the whole deployment's observability; snapshot it
-	// (or feed it to metrics.BuildBenchReport) to see per-op latency, shard
-	// balance and traffic mix live.
+	// (metrics.OpStatsOf folds the per-op latency table) to see per-op
+	// latency, shard balance and traffic mix live.
 	Metrics *metrics.Registry
 
 	byName        map[string]*apiserver.Server
