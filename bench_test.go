@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"u1/internal/analysis"
+	"u1/internal/auth"
 	"u1/internal/blob"
 	"u1/internal/client"
 	"u1/internal/gateway"
@@ -53,7 +54,7 @@ func benchTrace(b *testing.B) (*analysis.Trace, *analysis.Trace) {
 		users := envInt("U1_BENCH_USERS", 800)
 		days := envInt("U1_BENCH_DAYS", 10)
 		cluster := server.NewCluster(server.Config{
-			Seed: 2, AuthFailureRate: 0.0276, DeltaLogLimit: 96,
+			Seed: 2, AuthFailureRate: auth.PaperFailureRate, DeltaLogLimit: 96,
 		})
 		col := trace.NewCollector(trace.Config{
 			Start: workload.PaperStart, Days: days,

@@ -1,20 +1,10 @@
-// Command u1cli is an interactive U1 desktop client: it connects to a u1d
-// gateway, authenticates with a token, and exposes the storage protocol as
-// shell-like commands.
-//
-// Usage:
-//
-//	u1cli -addr 127.0.0.1:7001 -token <token from u1d>
-//
-// Commands: ls, mkdir NAME, put NAME CONTENT, get ID, rm ID, mv ID NAME,
-// volumes, shares, sync, udf PATH, share VOL USER, quit.
 package main
 
 import (
 	"bufio"
-	"flag"
+	"errors"
 	"fmt"
-	"log"
+	"io"
 	"os"
 	"sort"
 	"strconv"
@@ -24,56 +14,62 @@ import (
 	"u1/internal/protocol"
 )
 
-func main() {
-	log.SetFlags(0)
-	log.SetPrefix("u1cli: ")
-
-	addr := flag.String("addr", "127.0.0.1:7001", "gateway address")
-	token := flag.String("token", "", "OAuth token (from u1d -issue)")
-	flag.Parse()
+// runCLI is `u1 cli`, an interactive desktop client: it connects to a
+// `u1 serve` gateway, authenticates with a token, and exposes the storage
+// protocol as shell-like commands read from standard input: ls, mkdir NAME,
+// put NAME CONTENT, get ID, rm ID, mv ID NAME, volumes, shares, sync,
+// udf PATH, share VOL USER, quit.
+func runCLI(args []string, stdout io.Writer) error {
+	fs := newFlagSet("cli")
+	addr := fs.String("addr", "127.0.0.1:7001", "gateway address")
+	token := fs.String("token", "", "OAuth token (from u1 serve -issue)")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	if *token == "" {
-		log.Fatal("a -token is required (start u1d and copy one)")
+		return errors.New("a -token is required (start `u1 serve` and copy one)")
 	}
 
 	tr, err := client.DialTCP(*addr)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	cli := client.New(tr)
 	cli.AutoFetch = false
 	if err := cli.Connect(*token); err != nil {
-		log.Fatalf("connect: %v", err)
+		return fmt.Errorf("connect: %w", err)
 	}
 	defer cli.Close()
 	root, _ := cli.RootVolume()
-	fmt.Printf("connected as %v (session %d), root volume %d\n", cli.User(), cli.Session(), root)
+	fmt.Fprintf(stdout, "connected as %v (session %d), root volume %d\n", cli.User(), cli.Session(), root)
 
 	// Surface pushes as they arrive.
 	go func() {
 		for p := range cli.Pushes() {
-			fmt.Printf("\n[push] %v volume=%d gen=%d\n> ", p.Event, p.Volume, p.Generation)
+			fmt.Fprintf(stdout, "\n[push] %v volume=%d gen=%d\n> ", p.Event, p.Volume, p.Generation)
 		}
 	}()
 
 	sc := bufio.NewScanner(os.Stdin)
-	fmt.Print("> ")
+	fmt.Fprint(stdout, "> ")
 	for sc.Scan() {
 		line := strings.Fields(sc.Text())
 		if len(line) == 0 {
-			fmt.Print("> ")
+			fmt.Fprint(stdout, "> ")
 			continue
 		}
-		if err := run(cli, root, line); err != nil {
-			fmt.Println("error:", err)
+		if err := cliCommand(stdout, cli, root, line); err != nil {
+			fmt.Fprintln(stdout, "error:", err)
 		}
 		if line[0] == "quit" {
-			return
+			return nil
 		}
-		fmt.Print("> ")
+		fmt.Fprint(stdout, "> ")
 	}
+	return sc.Err()
 }
 
-func run(cli *client.Client, root protocol.VolumeID, args []string) error {
+func cliCommand(w io.Writer, cli *client.Client, root protocol.VolumeID, args []string) error {
 	switch args[0] {
 	case "ls":
 		m, ok := cli.Mirror(root)
@@ -87,7 +83,7 @@ func run(cli *client.Client, root protocol.VolumeID, args []string) error {
 		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 		for _, id := range ids {
 			n := m.Nodes[id]
-			fmt.Printf("  %6d %-4s %8d %s\n", n.ID, n.Kind, n.Size, n.Name)
+			fmt.Fprintf(w, "  %6d %-4s %8d %s\n", n.ID, n.Kind, n.Size, n.Name)
 		}
 	case "mkdir":
 		if len(args) < 2 {
@@ -97,7 +93,7 @@ func run(cli *client.Client, root protocol.VolumeID, args []string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("  dir %d created\n", n.ID)
+		fmt.Fprintf(w, "  dir %d created\n", n.ID)
 	case "put":
 		if len(args) < 3 {
 			return fmt.Errorf("put NAME CONTENT...")
@@ -107,7 +103,7 @@ func run(cli *client.Client, root protocol.VolumeID, args []string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("  node %d stored (%d bytes, dedup=%v)\n", n.ID, len(content), reused)
+		fmt.Fprintf(w, "  node %d stored (%d bytes, dedup=%v)\n", n.ID, len(content), reused)
 	case "get":
 		id, err := nodeArg(args)
 		if err != nil {
@@ -117,7 +113,7 @@ func run(cli *client.Client, root protocol.VolumeID, args []string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("  %q\n", data)
+		fmt.Fprintf(w, "  %q\n", data)
 	case "rm":
 		id, err := nodeArg(args)
 		if err != nil {
@@ -140,7 +136,7 @@ func run(cli *client.Client, root protocol.VolumeID, args []string) error {
 			return err
 		}
 		for _, v := range vols {
-			fmt.Printf("  %6d %-6s gen=%d %s\n", v.ID, v.Type, v.Generation, v.Path)
+			fmt.Fprintf(w, "  %6d %-6s gen=%d %s\n", v.ID, v.Type, v.Generation, v.Path)
 		}
 	case "shares":
 		shares, err := cli.ListShares()
@@ -148,7 +144,7 @@ func run(cli *client.Client, root protocol.VolumeID, args []string) error {
 			return err
 		}
 		for _, s := range shares {
-			fmt.Printf("  %6d vol=%d by=%v to=%v accepted=%v %q\n",
+			fmt.Fprintf(w, "  %6d vol=%d by=%v to=%v accepted=%v %q\n",
 				s.ID, s.Volume, s.SharedBy, s.SharedTo, s.Accepted, s.Name)
 		}
 	case "sync":
@@ -156,7 +152,7 @@ func run(cli *client.Client, root protocol.VolumeID, args []string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("  %d files changed\n", len(changed))
+		fmt.Fprintf(w, "  %d files changed\n", len(changed))
 	case "udf":
 		if len(args) < 2 {
 			return fmt.Errorf("udf PATH")
@@ -165,7 +161,7 @@ func run(cli *client.Client, root protocol.VolumeID, args []string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("  volume %d created at %s\n", v.ID, v.Path)
+		fmt.Fprintf(w, "  volume %d created at %s\n", v.ID, v.Path)
 	case "share":
 		if len(args) < 3 {
 			return fmt.Errorf("share VOLID USERID")
@@ -182,10 +178,10 @@ func run(cli *client.Client, root protocol.VolumeID, args []string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("  share %d offered to %v\n", s.ID, s.SharedTo)
+		fmt.Fprintf(w, "  share %d offered to %v\n", s.ID, s.SharedTo)
 	case "quit":
 	default:
-		fmt.Println("  commands: ls mkdir put get rm mv volumes shares sync udf share quit")
+		fmt.Fprintln(w, "  commands: ls mkdir put get rm mv volumes shares sync udf share quit")
 	}
 	return nil
 }

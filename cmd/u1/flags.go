@@ -1,0 +1,101 @@
+package main
+
+import (
+	"flag"
+	"fmt"
+	"time"
+
+	"u1/internal/auth"
+	"u1/internal/client"
+	"u1/internal/faults"
+	"u1/internal/server"
+	"u1/internal/sim"
+	"u1/internal/wal"
+	"u1/internal/workload"
+)
+
+// clusterFlags is the server.Config flag group of sim, analyze and serve.
+type clusterFlags struct {
+	seed                                                        int64
+	faultRate                                                   float64
+	admitWatermark, snapshotEvery, regions, replDelay, deltaLog int
+	durability, fsync                                           string
+	eventual                                                    bool
+}
+
+func addClusterFlags(fs *flag.FlagSet) *clusterFlags {
+	c := &clusterFlags{}
+	fs.Int64Var(&c.seed, "seed", 1, "random seed")
+	fs.Float64Var(&c.faultRate, "fault-rate", 0, "deterministic per-op injected failure fraction (0 disables)")
+	fs.IntVar(&c.admitWatermark, "admit-watermark", 0, "per-proc admitted-requests-per-minute watermark for load shedding (0 disables)")
+	fs.StringVar(&c.durability, "durability", "", "directory for the metadata store's per-shard WAL + snapshots (empty = in-memory)")
+	fs.StringVar(&c.fsync, "fsync", "per-op", "journal fsync policy: per-op, group, or async (needs -durability)")
+	fs.IntVar(&c.snapshotEvery, "snapshot-every", 0, "journal records between per-shard snapshots (0 = metadata default; needs -durability)")
+	fs.IntVar(&c.regions, "regions", 0, "metadata regions with asynchronous cross-region replication (<= 1 disables)")
+	fs.IntVar(&c.replDelay, "repl-delay", 0, "cross-region replication delay in epochs (needs -regions > 1)")
+	fs.BoolVar(&c.eventual, "eventual", false, "serve cross-region reads from the local replica instead of the owner shard (needs -regions > 1)")
+	fs.IntVar(&c.deltaLog, "deltalog", 0, "per-volume delta-log cap (0 = metadata default, negative disables the logs)")
+	return c
+}
+
+// config is the server.Config the flags describe; server.Config.Validate
+// refuses the combinations a cluster would ignore when it opens.
+func (c *clusterFlags) config() (server.Config, error) {
+	policy, err := wal.ParsePolicy(c.fsync)
+	if err != nil {
+		return server.Config{}, err
+	}
+	if c.faultRate < 0 || c.faultRate > 1 {
+		return server.Config{}, fmt.Errorf("-fault-rate %v outside [0, 1]", c.faultRate)
+	}
+	return server.Config{
+		Seed: c.seed, FaultPlan: faults.Uniform(c.seed, c.faultRate), AdmitWatermark: c.admitWatermark,
+		Durability: c.durability, FsyncPolicy: policy, SnapshotEvery: c.snapshotEvery,
+		Regions: c.regions, ReplicationDelay: c.replDelay, EventualReads: c.eventual,
+		DeltaLogLimit: c.deltaLog,
+	}, nil
+}
+
+// faulted reports whether requests can fail by injection or shedding.
+func (c *clusterFlags) faulted() bool { return c.faultRate > 0 || c.admitWatermark > 0 }
+
+// populationFlags is the workload flag group of sim and analyze.
+type populationFlags struct {
+	users, days, workers           int
+	noAttacks, compact, adaptEpoch bool
+	authFailRate                   float64
+}
+
+func addPopulationFlags(fs *flag.FlagSet) *populationFlags {
+	p := &populationFlags{}
+	fs.IntVar(&p.users, "users", 2000, "population size (paper: 1.29M)")
+	fs.IntVar(&p.days, "days", 30, "trace window in days (paper: 30)")
+	fs.IntVar(&p.workers, "workers", 0, "parallel generator shards (0 = GOMAXPROCS, 1 = serial stream)")
+	fs.BoolVar(&p.noAttacks, "no-attacks", false, "disable the three DDoS events")
+	fs.BoolVar(&p.compact, "compact", false, "low-memory generator (workload.Config.LowMem; a different stream than the goldens)")
+	fs.BoolVar(&p.adaptEpoch, "adapt-epoch", false, "let the engine resize epochs to event density (deterministic, but a different trajectory than the pinned default)")
+	fs.Float64Var(&p.authFailRate, "auth-fail-rate", auth.PaperFailureRate, "injected SSO failure share (paper §7.3; 0 disables)")
+	return p
+}
+
+// configs resolves both groups for a generator run. Clients get the bounded
+// virtual-time retry policy when requests can fail: failures are only
+// interesting if clients react to them.
+func (p *populationFlags) configs(c *clusterFlags) (server.Config, workload.Config, error) {
+	scfg, err := c.config()
+	if err != nil {
+		return scfg, workload.Config{}, err
+	}
+	scfg.AuthFailureRate = p.authFailRate
+	wcfg := workload.Config{Users: p.users, Days: p.days, Seed: c.seed, Workers: p.workers, LowMem: p.compact}
+	if p.noAttacks {
+		wcfg.Attacks = []workload.Attack{}
+	}
+	if p.adaptEpoch {
+		wcfg.EpochAdapt = &sim.EpochAdaptation{LowEvents: 1 << 10, HighEvents: 1 << 18}
+	}
+	if c.faulted() {
+		wcfg.Retry = client.Retry{Max: 2, Backoff: 2 * time.Second}
+	}
+	return scfg, wcfg, nil
+}

@@ -1,128 +1,30 @@
-// Command u1bench runs the full experiment suite: it generates the default
-// 30-day trace, runs every analysis, and prints a paper-vs-measured report,
-// then the per-op latency table read live from the cluster's metrics
-// registry. Performance is measured by benchmark/, not here.
-//
-// Usage:
-//
-//	u1bench [-users 2000] [-days 30] [-seed 1] [-workers 0]
-//	        [-fault-rate 0] [-admit-watermark 0]
-//	        [-durability DIR] [-fsync per-op|group|async] [-snapshot-every 0]
-//	        [-regions 0] [-repl-delay 0] [-eventual]
 package main
 
 import (
-	"flag"
 	"fmt"
-	"os"
-	"runtime"
-	"runtime/pprof"
+	"io"
 	"sort"
 	"time"
 
 	"u1/internal/analysis"
-	"u1/internal/client"
-	"u1/internal/faults"
 	"u1/internal/metrics"
-	"u1/internal/server"
-	"u1/internal/trace"
-	"u1/internal/wal"
 	"u1/internal/workload"
 )
 
-func main() {
-	users := flag.Int("users", 2000, "population size (paper: 1.29M)")
-	days := flag.Int("days", 30, "trace window in days (paper: 30)")
-	seed := flag.Int64("seed", 1, "random seed")
-	workers := flag.Int("workers", 0, "parallel generator shards (0 = GOMAXPROCS, 1 = serial stream)")
-	faultRate := flag.Float64("fault-rate", 0, "deterministic per-op injected failure fraction (0 disables)")
-	admitWatermark := flag.Int("admit-watermark", 0, "per-proc admitted-requests-per-minute watermark for load shedding (0 disables)")
-	durability := flag.String("durability", "", "directory for the metadata store's per-shard WAL + snapshots (empty = in-memory)")
-	fsync := flag.String("fsync", "per-op", "journal fsync policy: per-op, group, or async")
-	snapshotEvery := flag.Int("snapshot-every", 0, "journal records between per-shard snapshots (0 = metadata default)")
-	regions := flag.Int("regions", 0, "metadata regions with asynchronous cross-region replication (<= 1 disables)")
-	replDelay := flag.Int("repl-delay", 0, "cross-region replication delay in epochs")
-	eventual := flag.Bool("eventual", false, "serve cross-region reads from the local replica instead of the owner shard")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
-	memprofile := flag.String("memprofile", "", "write a post-GC heap profile to this file at exit")
-	flag.Parse()
-
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		defer pprof.StopCPUProfile()
-	}
-	if *memprofile != "" {
-		defer func() {
-			f, err := os.Create(*memprofile)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				return
-			}
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-			}
-			f.Close() //nolint:errcheck
-		}()
-	}
-
-	policy, err := wal.ParsePolicy(*fsync)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	start := time.Now()
-	cluster, err := server.OpenCluster(server.Config{
-		Seed: *seed, AuthFailureRate: 0.0276,
-		FaultPlan:      faults.Uniform(*seed, *faultRate),
-		AdmitWatermark: *admitWatermark,
-		Durability:     *durability,
-		FsyncPolicy:    policy,
-		SnapshotEvery:  *snapshotEvery,
-
-		Regions:          *regions,
-		ReplicationDelay: *replDelay,
-		EventualReads:    *eventual,
-	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	col := trace.NewCollector(trace.Config{
-		Start: workload.PaperStart, Days: *days,
-		Shards: cluster.Store.NumShards(), Seed: *seed,
-	})
-	cluster.AddAPIObserver(col.APIObserver())
-	cluster.AddRPCObserver(col.RPCObserver())
-	// Stamp generation time around Run only, so the live table's ops/s is
-	// the back-end's rate, not the analyses'.
-	wcfg := workload.Config{Users: *users, Days: *days, Seed: *seed, Workers: *workers}
-	if *faultRate > 0 || *admitWatermark > 0 {
-		// Failures are only interesting if clients react to them: give the
-		// population the bounded virtual-time retry policy.
-		wcfg.Retry = client.Retry{Max: 2, Backoff: 2 * time.Second}
-	}
-	genStart := time.Now()
-	workload.New(wcfg, cluster).Run()
-	genWall := time.Since(genStart)
-	t := analysis.FromCollector(col, workload.PaperStart, *days)
+// printReport is `u1 sim -report`: every analysis of the run's records
+// against the paper's number, then the per-op latency table read live from
+// the cluster's metrics registry.
+func printReport(w io.Writer, s *simulation, users, days int) {
+	t := analysis.FromCollector(s.col, workload.PaperStart, days)
 	clean := t.Sanitize()
-	fmt.Printf("== U1 reproduction: %d users, %d days, %d records (generated in %v) ==\n\n",
-		*users, *days, len(t.Records), time.Since(start).Round(time.Millisecond))
+	fmt.Fprintf(w, "== U1 reproduction: %d users, %d days, %d records (generated in %v) ==\n\n",
+		users, days, len(t.Records), time.Since(s.start).Round(time.Millisecond))
 
 	row := func(id, metric, paper, measured string) {
-		fmt.Printf("%-5s %-46s %-22s %s\n", id, metric, paper, measured)
+		fmt.Fprintf(w, "%-5s %-46s %-22s %s\n", id, metric, paper, measured)
 	}
-	fmt.Printf("%-5s %-46s %-22s %s\n", "exp", "metric", "paper", "measured")
-	fmt.Println(strings78)
+	fmt.Fprintf(w, "%-5s %-46s %-22s %s\n", "exp", "metric", "paper", "measured")
+	fmt.Fprintln(w, strings78)
 
 	sum := analysis.AnalyzeSummary(clean)
 	row("T3", "unique users", "1,294,794", fmt.Sprint(sum.UniqueUsers))
@@ -241,12 +143,12 @@ func main() {
 	row("§7.3", "cold sessions (no data management)", "94.4%", fmt.Sprintf("%.1f%%", 100*float64(wi.ColdSessions)/float64(wi.TotalSessions)))
 	row("§9", "downloads served by a 24h cache", "RAR-heavy", fmt.Sprintf("%.1f%%", 100*wi.CacheHitRate))
 
-	fmt.Println(strings78)
+	fmt.Fprintln(w, strings78)
 
 	// Observability section: the same numbers, but read live from the
 	// metrics registry instead of the offline trace.
-	snap := cluster.Metrics.Snapshot()
-	ops := metrics.OpStatsOf(snap, genWall.Seconds())
+	snap := s.cluster.Metrics.Snapshot()
+	ops := metrics.OpStatsOf(snap, s.wall.Seconds())
 	names := make([]string, 0, len(ops))
 	var total uint64
 	var rate float64
@@ -256,37 +158,13 @@ func main() {
 		rate += st.OpsPerSec
 	}
 	sort.Strings(names)
-	fmt.Printf("\n== live metrics (%d ops, %.0f ops/s of generation) ==\n", total, rate)
-	fmt.Printf("%-14s %10s %8s %10s %10s %10s\n", "op", "count", "errors", "p50_ms", "p95_ms", "p99_ms")
+	fmt.Fprintf(w, "\n== live metrics (%d ops, %.0f ops/s of generation) ==\n", total, rate)
+	fmt.Fprintf(w, "%-14s %10s %8s %10s %10s %10s\n", "op", "count", "errors", "p50_ms", "p95_ms", "p99_ms")
 	for _, name := range names {
 		st := ops[name]
-		fmt.Printf("%-14s %10d %8d %10.2f %10.2f %10.2f\n",
+		fmt.Fprintf(w, "%-14s %10d %8d %10.2f %10.2f %10.2f\n",
 			name, st.Count, st.Errors, st.P50Ms, st.P95Ms, st.P99Ms)
 	}
-	c := snap.Counters
-	if *faultRate > 0 || *admitWatermark > 0 {
-		fmt.Printf("faults: injected %d, shed %d, retried %d (succeeded %d)\n",
-			c[metrics.FaultsPrefix+"injected"], c[metrics.FaultsPrefix+"shed"],
-			c[metrics.FaultsPrefix+"retried"], c[metrics.FaultsPrefix+"retry_succeeded"])
-	}
-	if *regions > 1 {
-		fmt.Printf("replication (%d regions, delay %d): %d published, %d applied, %d LWW-skipped, reads local/remote/stale %d/%d/%d\n",
-			*regions, *replDelay,
-			c[metrics.ReplicationPrefix+"published"], c[metrics.ReplicationPrefix+"applied"],
-			c[metrics.ReplicationPrefix+"lww_skipped"], c[metrics.ReplicationPrefix+"reads.local"],
-			c[metrics.ReplicationPrefix+"reads.remote"], c[metrics.ReplicationPrefix+"reads.stale"])
-	}
-	if *durability != "" {
-		if err := cluster.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		c = cluster.Metrics.Snapshot().Counters
-		fmt.Printf("journaled run (%s): %d journaled ops, %d WAL appends, %d snapshots\n",
-			policy, c[metrics.WALPrefix+"journaled"], c[metrics.WALPrefix+"appends"],
-			c[metrics.WALPrefix+"snapshots"])
-	}
-	fmt.Printf("total runtime %v\n", time.Since(start).Round(time.Millisecond))
 }
 
 const strings78 = "------------------------------------------------------------------------------"

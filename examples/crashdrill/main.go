@@ -21,6 +21,7 @@ import (
 	"path/filepath"
 	"time"
 
+	"u1/internal/auth"
 	"u1/internal/client"
 	"u1/internal/metadata"
 	"u1/internal/metrics"
@@ -53,7 +54,7 @@ func main() {
 	// --- Leg 1: crash every shard under per-op fsync; nothing may be lost ---
 
 	cluster, err := server.OpenCluster(server.Config{
-		Seed: *seed, AuthFailureRate: 0.0276,
+		Seed: *seed, AuthFailureRate: auth.PaperFailureRate,
 		Durability:  filepath.Join(root, "durable"),
 		FsyncPolicy: wal.FsyncPerOp,
 	})

@@ -2,7 +2,7 @@
 // (§5 storage workload, §6 user behavior, §7 back-end performance) over a
 // collected trace. Each figure/table has one Analyze function returning a
 // result struct that renders as terminal text and exports gnuplot-ready data
-// series; cmd/u1bench prints each result against the paper's numbers.
+// series; `u1 sim -report` prints each result against the paper's numbers.
 package analysis
 
 import (

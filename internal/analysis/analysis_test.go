@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"u1/internal/auth"
 	"u1/internal/server"
 	"u1/internal/trace"
 	"u1/internal/workload"
@@ -23,7 +24,7 @@ func testTrace(t *testing.T) *Trace {
 	onceTrace.Do(func() {
 		const users, days = 400, 7
 		cluster := server.NewCluster(server.Config{
-			Seed: 7, AuthFailureRate: 0.0276,
+			Seed: 7, AuthFailureRate: auth.PaperFailureRate,
 			// A small delta log makes clients fall back to rescans at test
 			// scale, exercising the cascade get_from_scratch path.
 			DeltaLogLimit: 48,

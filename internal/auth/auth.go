@@ -20,10 +20,14 @@ import (
 	"u1/internal/protocol"
 )
 
+// PaperFailureRate is the share of SSO requests that failed in the paper's
+// trace (§7.3): the FailureRate a paper-calibrated run injects.
+const PaperFailureRate = 0.0276
+
 // Config parameterizes the service.
 type Config struct {
 	// FailureRate injects random validation failures with this probability
-	// (the paper measured 0.0276). Zero disables injection.
+	// (the paper measured PaperFailureRate). Zero disables injection.
 	FailureRate float64
 	// Seed makes failure injection reproducible. Zero uses a fixed default.
 	Seed int64

@@ -59,7 +59,7 @@ func TestRevokeUser(t *testing.T) {
 
 func TestFailureInjection(t *testing.T) {
 	// The paper's measured rate: 2.76% of auth requests fail.
-	s := New(Config{FailureRate: 0.0276, Seed: 5})
+	s := New(Config{FailureRate: PaperFailureRate, Seed: 5})
 	tok, _ := s.Issue(1)
 	start := time.Unix(1390000000, 0)
 	var failed int
@@ -71,7 +71,7 @@ func TestFailureInjection(t *testing.T) {
 	}
 	rate := float64(failed) / float64(n)
 	if rate < 0.02 || rate > 0.036 {
-		t.Errorf("failure rate = %v, want ≈ 0.0276", rate)
+		t.Errorf("failure rate = %v, want ≈ %v", rate, PaperFailureRate)
 	}
 	if got := s.Stats().Failed; got != uint64(failed) {
 		t.Errorf("failed counter = %d, want %d", got, failed)
@@ -89,8 +89,8 @@ func TestFailureInjection(t *testing.T) {
 // validation replayed at the same virtual instant fails the same way no
 // matter which goroutine gets there first, and different seeds decorrelate.
 func TestFailureInjectionDeterministic(t *testing.T) {
-	s1 := New(Config{FailureRate: 0.0276, Seed: 5})
-	s2 := New(Config{FailureRate: 0.0276, Seed: 5})
+	s1 := New(Config{FailureRate: PaperFailureRate, Seed: 5})
+	s2 := New(Config{FailureRate: PaperFailureRate, Seed: 5})
 	tok, _ := s1.Issue(1)
 	raw, _ := decodeToken(tok)
 	s2.tokens[raw] = 1 // mirror the token table

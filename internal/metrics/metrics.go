@@ -11,8 +11,8 @@
 // store per-shard lock hold times and cascade counters, the data store
 // transfer volume, and the notification broker its fan-out. The benchmark
 // (benchmark/) reads its per-layer counters from Registry snapshots;
-// cmd/u1bench and the chaos scenario reports fold them into per-op latency
-// tables (OpStatsOf).
+// `u1 sim -report` and the chaos scenario reports fold them into per-op
+// latency tables (OpStatsOf).
 package metrics
 
 import (
@@ -27,8 +27,8 @@ import (
 )
 
 // The registry naming scheme the instrumented tiers follow. benchmark/,
-// u1sim and the scenario reports key off these prefixes, so they are part of
-// the metrics API.
+// `u1 sim` and the scenario reports key off these prefixes, so they are part
+// of the metrics API.
 const (
 	// APIOpPrefix + <OpName> + {".seconds"|".count"|".errors"} — per API
 	// operation latency histogram and outcome counters (apiserver).

@@ -6,7 +6,7 @@ import (
 	"fmt"
 )
 
-// Matrix is the u1chaos configuration: global scale defaults plus the
+// Matrix is the `u1 chaos` configuration: global scale defaults plus the
 // scenario list. Every field an Entry leaves zero falls back to the matrix,
 // then the spec's Defaults, then DefaultParams — so one config line per
 // scenario is the common case.
@@ -53,7 +53,7 @@ func (e *Entry) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// ParseMatrix decodes and validates a u1chaos config: top-level fields are
+// ParseMatrix decodes and validates a `u1 chaos` config: top-level fields are
 // strict (a typo fails loudly, not silently), the scenario list must be
 // non-empty, and every name must resolve against the catalog.
 func ParseMatrix(data []byte) (Matrix, error) {

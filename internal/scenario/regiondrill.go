@@ -17,7 +17,7 @@ import (
 // surviving replicas reproduce the dead owners' fingerprints bit-for-bit,
 // and recovery rebuilds the dead region from its peer and serves fresh
 // writes through the full client path. CI's chaos job runs it through
-// u1chaos (`-scenarios regional-outage` runs it alone).
+// `u1 chaos` (`-scenarios regional-outage` runs it alone).
 func regionalOutageDrill(d *Drill) error {
 	st := d.Cluster.Store
 	if st.Regions() != 2 {

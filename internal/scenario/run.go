@@ -67,7 +67,7 @@ func RunSpec(spec *Spec, p Params, logf func(string, ...any)) (*Outcome, error) 
 func runSetup(s Setup, p Params, logf func(string, ...any)) (*Result, error) {
 	cfg := s.Cluster
 	if s.Durable {
-		dir, err := os.MkdirTemp("", "u1chaos-")
+		dir, err := os.MkdirTemp("", "u1-chaos-")
 		if err != nil {
 			return nil, fmt.Errorf("creating durable dir: %w", err)
 		}

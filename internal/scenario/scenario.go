@@ -5,7 +5,7 @@
 // watermarks, the SSO token bucket, region drills, attack overlays, client
 // retry policies). Each catalog entry's Setup is a pure function of its
 // Params, so a fixed (Seed, Workers, config) reproduces the same scenario
-// report; cmd/u1chaos runs a config-driven matrix of entries and writes the
+// report; `u1 chaos` runs a config-driven matrix of entries and writes the
 // per-scenario reports as one u1-chaos/1 report (WriteReport).
 //
 // # Determinism contract
@@ -167,7 +167,7 @@ type Spec struct {
 	Baseline func(Params) Setup
 	// Check evaluates the scenario's invariant; base is nil when the spec
 	// has no Baseline. A returned error is the violation published in the
-	// report (and a non-zero u1chaos exit), not an infrastructure failure.
+	// report (and a non-zero `u1 chaos` exit), not an infrastructure failure.
 	Check func(res, base *Result) error
 }
 
@@ -218,7 +218,7 @@ func Lookup(name string) (*Spec, error) {
 // baseCluster is the shared cluster configuration every entry starts from:
 // paper-calibrated auth failure injection, everything else default.
 func baseCluster(p Params) server.Config {
-	return server.Config{Seed: p.Seed, AuthFailureRate: 0.0276}
+	return server.Config{Seed: p.Seed, AuthFailureRate: auth.PaperFailureRate}
 }
 
 // baseWorkload is the shared workload every entry starts from: the resolved

@@ -10,7 +10,7 @@ import (
 )
 
 // statsJSON runs one catalog entry and returns its marshaled scenario report.
-// The JSON form is the reproducibility contract: it is what u1chaos emits and
+// The JSON form is the reproducibility contract: it is what `u1 chaos` emits and
 // what two identically configured runs must reproduce byte-for-byte.
 func statsJSON(t *testing.T, spec *Spec, p Params) string {
 	t.Helper()
@@ -28,7 +28,7 @@ func statsJSON(t *testing.T, spec *Spec, p Params) string {
 	return string(data)
 }
 
-// smokeParams mirrors the u1chaos -smoke clamps so the suite runs at CI
+// smokeParams mirrors the `u1 chaos -smoke` clamps so the suite runs at CI
 // scale.
 func smokeParams(spec *Spec, workers int) Params {
 	p := spec.effective(Params{Workers: workers})

@@ -52,7 +52,7 @@ type Config struct {
 	DeltaLogLimit int
 	// RPCProcs is the DAL worker count (default 48).
 	RPCProcs int
-	// AuthFailureRate injects SSO failures (paper: 0.0276).
+	// AuthFailureRate injects SSO failures (paper: auth.PaperFailureRate).
 	AuthFailureRate float64
 	// FaultPlan injects deterministic per-op failures on every API server
 	// (nil disables; see faults.Plan for the (Seed, user, op, now) contract).
@@ -93,21 +93,21 @@ type Config struct {
 	Durability string
 	// FsyncPolicy selects when journal appends reach stable storage (and the
 	// deterministic sync cost charged to mutating requests). The zero value
-	// is wal.FsyncPerOp. Ignored unless Durability is set.
+	// is wal.FsyncPerOp. Validate refuses it without Durability.
 	FsyncPolicy wal.Policy
 	// SnapshotEvery is the per-shard journal record count between snapshots
-	// (0 → metadata.DefaultSnapshotEvery). Ignored unless Durability is set.
+	// (0 → metadata.DefaultSnapshotEvery). Validate refuses it without Durability.
 	SnapshotEvery int
 	// SyncCostScale multiplies the fsync policy's modeled sync cost on every
 	// API server — the slow-disk degradation knob (0 means 1, unscaled).
-	// Ignored unless Durability is set.
+	// Validate refuses it without Durability.
 	SyncCostScale float64
 	// Regions partitions the metadata shards into contiguous groups with
 	// asynchronous cross-region replication (≤ 1 disables; see
 	// metadata.Config.Regions).
 	Regions int
 	// ReplicationDelay is the cross-region replication delay in epochs
-	// (metadata.Config.ReplicationDelay). Ignored unless Regions > 1.
+	// (metadata.Config.ReplicationDelay). Validate refuses it unless Regions > 1.
 	ReplicationDelay int
 	// EventualReads serves cross-region reads from the reader region's
 	// replica instead of the owner shard (metadata.Config.EventualReads).
@@ -141,9 +141,54 @@ func NewCluster(cfg Config) *Cluster {
 	return c
 }
 
+// Validate rejects a config whose knobs lie outside their domain or only
+// mean something beside a knob that is off: combinations a cluster would
+// otherwise ignore silently. Each error names the offending field.
+func (cfg Config) Validate() error {
+	switch {
+	case cfg.AuthFailureRate < 0 || cfg.AuthFailureRate > 1:
+		return fmt.Errorf("server: AuthFailureRate %v outside [0, 1]", cfg.AuthFailureRate)
+	case cfg.AdmitWatermark < 0:
+		return fmt.Errorf("server: negative AdmitWatermark %d", cfg.AdmitWatermark)
+	case cfg.SSOAdmitRate < 0:
+		return fmt.Errorf("server: negative SSOAdmitRate %v", cfg.SSOAdmitRate)
+	case cfg.SSOAdmitBurst < 0:
+		return fmt.Errorf("server: negative SSOAdmitBurst %v", cfg.SSOAdmitBurst)
+	case cfg.AuthCapacity < 0:
+		return fmt.Errorf("server: negative AuthCapacity %v", cfg.AuthCapacity)
+	case cfg.SyncCostScale < 0:
+		return fmt.Errorf("server: negative SyncCostScale %v", cfg.SyncCostScale)
+	case cfg.SSOAdmitBurst != 0 && cfg.SSOAdmitRate == 0:
+		return fmt.Errorf("server: SSOAdmitBurst %v set without SSOAdmitRate", cfg.SSOAdmitBurst)
+	}
+	if cfg.Durability == "" {
+		switch {
+		case cfg.FsyncPolicy != wal.FsyncPerOp:
+			return fmt.Errorf("server: FsyncPolicy %v set without Durability", cfg.FsyncPolicy)
+		case cfg.SnapshotEvery != 0:
+			return fmt.Errorf("server: SnapshotEvery %d set without Durability", cfg.SnapshotEvery)
+		case cfg.SyncCostScale != 0:
+			return fmt.Errorf("server: SyncCostScale %v set without Durability", cfg.SyncCostScale)
+		}
+	}
+	if cfg.Regions <= 1 {
+		switch {
+		case cfg.ReplicationDelay != 0:
+			return fmt.Errorf("server: ReplicationDelay %d set with Regions %d (needs > 1)", cfg.ReplicationDelay, cfg.Regions)
+		case cfg.EventualReads:
+			return fmt.Errorf("server: EventualReads set with Regions %d (needs > 1)", cfg.Regions)
+		}
+	}
+	return nil
+}
+
 // OpenCluster wires a cluster from cfg, surfacing metadata recovery errors
-// when cfg.Durability names a directory with unreadable state.
+// when cfg.Durability names a directory with unreadable state, and rejecting
+// a cfg that fails Validate.
 func OpenCluster(cfg Config) (*Cluster, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	if len(cfg.Machines) == 0 {
 		cfg.Machines = DefaultMachines
 	}

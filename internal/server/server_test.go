@@ -3,12 +3,15 @@ package server
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
 	"u1/internal/apiserver"
+	"u1/internal/auth"
 	"u1/internal/client"
 	"u1/internal/protocol"
+	"u1/internal/wal"
 )
 
 // newTCPCluster boots a 3-machine cluster on loopback sockets.
@@ -558,5 +561,53 @@ func TestSweepUploadJobs(t *testing.T) {
 	}
 	if blobs != 1 {
 		t.Errorf("aborted %d multipart uploads, want 1", blobs)
+	}
+}
+
+// TestConfigValidate pins the combinations OpenCluster refuses instead of
+// ignoring: each bad config must fail, naming its field, and every config the
+// repo's callers build must still open.
+func TestConfigValidate(t *testing.T) {
+	bad := []struct {
+		field string
+		cfg   Config
+	}{
+		{"AuthFailureRate", Config{AuthFailureRate: -0.1}},
+		{"AuthFailureRate", Config{AuthFailureRate: 1.5}},
+		{"AdmitWatermark", Config{AdmitWatermark: -1}},
+		{"SSOAdmitRate", Config{SSOAdmitRate: -1}},
+		{"SSOAdmitBurst", Config{SSOAdmitRate: 1, SSOAdmitBurst: -1}},
+		{"SSOAdmitBurst", Config{SSOAdmitBurst: 6}},
+		{"AuthCapacity", Config{AuthCapacity: -2}},
+		{"SyncCostScale", Config{Durability: "d", SyncCostScale: -1}},
+		{"FsyncPolicy", Config{FsyncPolicy: wal.FsyncAsync}},
+		{"SnapshotEvery", Config{SnapshotEvery: 64}},
+		{"SyncCostScale", Config{SyncCostScale: 16}},
+		{"ReplicationDelay", Config{ReplicationDelay: 1}},
+		{"ReplicationDelay", Config{Regions: 1, ReplicationDelay: 2}},
+		{"EventualReads", Config{EventualReads: true}},
+	}
+	for _, c := range bad {
+		err := c.cfg.Validate()
+		if err == nil || !strings.Contains(err.Error(), c.field) {
+			t.Errorf("Validate(%+v) = %v, want an error naming %s", c.cfg, err, c.field)
+		}
+		if _, err := OpenCluster(c.cfg); err == nil {
+			t.Errorf("OpenCluster(%+v) opened a config Validate refuses", c.cfg)
+		}
+	}
+
+	good := []Config{
+		{},
+		{Seed: 3, AuthFailureRate: auth.PaperFailureRate, DeltaLogLimit: -1},
+		{AuthCapacity: 0.5, SSOAdmitRate: 0.3, SSOAdmitBurst: 6},
+		{Durability: "d", FsyncPolicy: wal.FsyncGroupCommit, SnapshotEvery: 64, SyncCostScale: 16},
+		{Regions: 2, ReplicationDelay: 2, EventualReads: true},
+		{Regions: 20, Shards: 4}, // clamped to the shard count by metadata
+	}
+	for _, cfg := range good {
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("Validate(%+v) = %v, want nil", cfg, err)
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"u1/internal/auth"
 	"u1/internal/dist"
 	"u1/internal/protocol"
 	"u1/internal/server"
@@ -145,7 +146,7 @@ func TestParallelGeneratorDeterministic(t *testing.T) {
 // (Seed, Workers) must still agree exactly.
 func TestParallelDeterministicWithFailuresAndAttacks(t *testing.T) {
 	run := func() (Totals, int) {
-		cluster := server.NewCluster(server.Config{Seed: 3, AuthFailureRate: 0.0276})
+		cluster := server.NewCluster(server.Config{Seed: 3, AuthFailureRate: auth.PaperFailureRate})
 		col := trace.NewCollector(trace.Config{Start: PaperStart, Days: 2, Shards: cluster.Store.NumShards(), Seed: 3})
 		cluster.AddAPIObserver(col.APIObserver())
 		cluster.AddRPCObserver(col.RPCObserver())
