@@ -17,8 +17,9 @@
 //
 // The pass catalog is returned by Passes (determinism, maporder,
 // lockdiscipline, metricname, each in its own file); docs/REFERENCE.md
-// documents each pass's contract and ROADMAP.md the follow-up passes still
-// open (interceptor-ordering, journal-under-lock flow analysis).
+// documents each pass's contract and ROADMAP.md the follow-up pass still
+// open (interceptor-ordering). Journal-under-lock needs no pass: the metadata
+// store journals only from commit, which runs under the shard write lock.
 package lint
 
 import (

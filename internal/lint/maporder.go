@@ -188,7 +188,7 @@ func orderedSink(p *Package, sel *ast.SelectorExpr) string {
 	switch name {
 	case "Post":
 		return "posts messages in map iteration order (canonical drain-order contract)"
-	case "journal", "DeliverReplication":
+	case "commit", "journal", "DeliverReplication":
 		return "emits journal/replication records in map iteration order (journal-under-lock contract)"
 	case "Write", "Sum":
 		// Duck-check for hash.Hash: iteration order would change the digest.

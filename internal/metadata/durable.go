@@ -15,12 +15,15 @@ import (
 )
 
 // The durable metadata tier: per-shard write-ahead journaling plus
-// snapshot-and-replay recovery. Every mutation appends one logical record —
-// carrying the *resulting* state, assigned identifiers included — to the
-// owning shard's journal before the operation returns, so a crashed shard is
-// rebuilt by loading its latest snapshot and replaying the journal suffix.
-// The recovery invariant this file exists to uphold (and the crash drill and
-// CI recovery job enforce):
+// snapshot-and-replay recovery. The journal record is the mutation: every op
+// decides its outcome under the shard write lock, fills a journalRecord with
+// the *resulting* state — assigned identifiers, generations, removed
+// subtrees — and hands it to commit, which runs the shard's one apply and
+// then journals and publishes the same record. Replay and replica
+// application run that apply too, so a crashed shard rebuilt from its latest
+// snapshot plus the journal suffix is the shard live traffic built, by
+// construction. The recovery invariant this file exists to uphold (and the
+// crash drill and CI recovery job enforce):
 //
 //   - every acknowledged write survives a crash-restart, and
 //   - no unacknowledged write is double-applied: a record torn by the crash
@@ -31,9 +34,10 @@ import (
 // bookkeeping, garbage-collected weekly in production, and an upload whose
 // final part has not committed was never acknowledged as a write. Content
 // reference counts, the volume directory, and the ID allocators are derived
-// state, recomputed from the replayed shards rather than journaled — which
-// keeps cross-shard records out of the per-shard journals entirely (share
-// operations write one record to each involved shard instead).
+// state: the op maintains them next to its commit, and recovery recomputes
+// them from the replayed shards rather than journaling them — which keeps
+// cross-shard records out of the per-shard journals entirely (share
+// operations commit one record to each involved shard instead).
 
 // DefaultSnapshotEvery is the per-shard journal record count between
 // snapshots when the configuration does not specify one.
@@ -200,7 +204,7 @@ func (s *Store) loadShard(i int) error {
 		if err := json.Unmarshal(payload, &rec); err != nil {
 			return fmt.Errorf("metadata: decoding journal record %d: %w", lsn, err)
 		}
-		applyRecord(s, sh, &rec)
+		sh.apply(&rec)
 		s.dur.m.replayed.Inc()
 		return nil
 	})
@@ -215,21 +219,31 @@ func (s *Store) loadShard(i int) error {
 	return nil
 }
 
-// journal appends one record to sh's journal; a no-op for in-memory stores.
-// It runs under sh's write lock — the same critical section that applied the
-// mutation — so journal order always matches apply order, and the record is
-// on disk (per the fsync policy) before the operation acknowledges. Journal
-// failures are counted, not fatal: the simulated store prefers availability,
-// and the wal.errors counter makes the breach visible.
+// commit is the last step of every mutating op: it applies rec to sh, counts
+// any delta-log trim, and journals and publishes the same record. It runs
+// under sh's write lock and is journal's only caller, so every record is
+// journaled under the lock that applied it and journal order, publish order
+// and apply order are one order.
+func (s *Store) commit(sh *shard, rec journalRecord) {
+	if trims := sh.apply(&rec); trims > 0 {
+		s.m.logTrimmed.Add(uint64(trims))
+	}
+	s.journal(sh, rec)
+}
+
+// journal appends one committed record to sh's journal and replication
+// outbox; a no-op for in-memory single-region stores. The record is on disk
+// (per the fsync policy) before the operation acknowledges. Journal failures
+// are counted, not fatal: the simulated store prefers availability, and the
+// wal.errors counter makes the breach visible.
 //
 // The record arrives by value and neither sink takes its address: with
 // replication and durability both off, a mutation leaves no record on the
 // heap.
 func (s *Store) journal(sh *shard, rec journalRecord) {
 	// The replication tier consumes the same record stream: publication under
-	// the apply lock is what makes replica replay order match owner apply
-	// order (and what guarantees acknowledged writes are already published
-	// when their region dies).
+	// the apply lock is what guarantees acknowledged writes are already
+	// published when their region dies.
 	if s.repl != nil {
 		s.repl.outbox[sh.id] = append(s.repl.outbox[sh.id], rec)
 		s.repl.m.published.Inc()
@@ -327,11 +341,7 @@ func (s *Store) CrashShard(i int) {
 	sh := s.shards[i]
 	//u1:allow lockdiscipline crash drill wipes shard state outside the DAL path
 	sh.mu.Lock()
-	sh.users = make(map[protocol.UserID]*userRow)
-	sh.volumes = make(map[protocol.VolumeID]*volumeRow)
-	sh.nodes = make(map[protocol.NodeID]*nodeRow)
-	sh.shares = make(map[protocol.ShareID]*protocol.ShareInfo)
-	sh.uploadjobs = make(map[protocol.UploadID]*UploadJob)
+	sh.reset()
 	if s.dur != nil {
 		s.dur.shards[i].journal.Crash()
 	}
@@ -363,8 +373,10 @@ func (s *Store) RecoverShard(i int) error {
 // crash drill compares fingerprints before the crash and after recovery:
 // equality is the no-divergence half of the recovery gate. Uploadjobs are
 // excluded (transient, never journaled).
-func (s *Store) ShardFingerprint(i int) string {
-	sh := s.shards[i]
+func (s *Store) ShardFingerprint(i int) string { return fingerprint(s.shards[i]) }
+
+// fingerprint is the hex SHA-1 of sh's snapshot form, owner or replica alike.
+func fingerprint(sh *shard) string {
 	//u1:allow lockdiscipline fingerprinting is a drill probe, not client load
 	sh.mu.RLock()
 	snap := snapshotState(sh)
@@ -477,24 +489,32 @@ func restoreSnapshot(sh *shard, snap *shardSnapshot) {
 	}
 }
 
-// applyRecord replays one journal record onto sh. The journal was written in
-// apply order under the shard write lock, so sequential application
-// reconstructs the exact pre-crash state. Derived store-level state (volume
-// directory, content refcounts, allocators) is rebuilt afterwards by
-// rebuildDerived, never here.
-func applyRecord(s *Store, sh *shard, rec *journalRecord) {
-	switch rec.Kind {
-	case recCreateUser:
-		applyNewVolume(sh, rec.Volume, rec.Root)
-		sh.users[rec.User] = &userRow{
-			id:      rec.User,
-			root:    rec.Volume.ID,
-			volumes: []protocol.VolumeID{rec.Volume.ID},
+// apply is the shard's one mutation path: live ops (through commit), journal
+// replay and replica application change users, volumes, nodes, shares and
+// delta logs only here. The record already carries the resulting state, so
+// apply decides nothing — the op that built it validated it under the same
+// write lock, and replay and replication meet records in the order they were
+// applied. Store-level derived state (volume directory, content refcounts,
+// allocators) stays with the op, or with rebuildDerived after recovery. It
+// returns how many times the delta log trimmed; only commit counts them, so
+// replay and replica application leave meta.deltalog.trimmed alone.
+func (sh *shard) apply(rec *journalRecord) (trims int) {
+	appendLog := func(vr *volumeRow, n protocol.NodeInfo, deleted bool) {
+		if vr.appendLog(sh.deltaLogLimit, n, deleted) {
+			trims++
 		}
-
-	case recCreateUDF:
-		applyNewVolume(sh, rec.Volume, rec.Root)
-		if u, ok := sh.users[rec.User]; ok {
+	}
+	switch rec.Kind {
+	case recCreateUser, recCreateUDF:
+		sh.nodes[rec.Root] = &nodeRow{vol: rec.Volume.ID, kind: protocol.KindDir, name: "/"}
+		sh.volumes[rec.Volume.ID] = &volumeRow{info: rec.Volume, root: rec.Root}
+		if rec.Kind == recCreateUser {
+			sh.users[rec.User] = &userRow{
+				id:      rec.User,
+				root:    rec.Volume.ID,
+				volumes: []protocol.VolumeID{rec.Volume.ID},
+			}
+		} else if u, ok := sh.users[rec.User]; ok {
 			u.addVolume(rec.Volume.ID)
 		}
 
@@ -508,7 +528,7 @@ func applyRecord(s *Store, sh *shard, rec *journalRecord) {
 			pr.addChild(rec.Node.Name, rec.Node.ID)
 		}
 		vr.info.Generation = rec.Node.Generation
-		vr.appendLog(sh.deltaLogLimit, rec.Node, false)
+		appendLog(vr, rec.Node, false)
 
 	case recMakeContent, recMove:
 		vr, ok := sh.volumes[rec.Node.Volume]
@@ -529,13 +549,14 @@ func applyRecord(s *Store, sh *shard, rec *journalRecord) {
 		}
 		nr.setInfo(rec.Node)
 		vr.info.Generation = rec.Node.Generation
-		vr.appendLog(sh.deltaLogLimit, rec.Node, false)
+		appendLog(vr, rec.Node, false)
 
 	case recUnlink:
 		vr, ok := sh.volumes[rec.VolID]
 		if !ok {
 			return
 		}
+		// Removed[0] is the unlinked node itself; the rest is its subtree.
 		if len(rec.Removed) > 0 {
 			target := rec.Removed[0]
 			if pr, ok := sh.nodes[target.Parent]; ok && pr.children != nil {
@@ -545,7 +566,7 @@ func applyRecord(s *Store, sh *shard, rec *journalRecord) {
 		vr.info.Generation = rec.Gen
 		for _, n := range rec.Removed {
 			delete(sh.nodes, n.ID)
-			vr.appendLog(sh.deltaLogLimit, n, true)
+			appendLog(vr, n, true)
 		}
 
 	case recDeleteVolume:
@@ -557,16 +578,17 @@ func applyRecord(s *Store, sh *shard, rec *journalRecord) {
 			delete(sh.nodes, nodeID)
 		}
 		delete(sh.volumes, rec.VolID)
-		if u := sh.users[rec.User]; u != nil {
+		u := sh.users[rec.User]
+		if u != nil {
 			u.removeVolume(rec.VolID)
 		}
 		for grantee, shareID := range vr.grants {
 			delete(sh.shares, shareID)
-			if u := sh.users[rec.User]; u != nil {
+			if u != nil {
 				delete(u.sharesOut, shareID)
 			}
-			// Same-shard grantees were cleaned under this lock in the live
-			// path; different-shard grantees have their own drop_share record.
+			// A grantee on this shard loses the share here; a grantee on
+			// another shard gets its own drop_share record.
 			if gu, ok := sh.users[grantee]; ok {
 				delete(gu.sharesIn, shareID)
 			}
@@ -598,16 +620,7 @@ func applyRecord(s *Store, sh *shard, rec *journalRecord) {
 			delete(gu.sharesIn, rec.Share.ID)
 		}
 	}
-}
-
-// applyNewVolume reconstructs a volume row plus its root directory with the
-// recorded identifiers (the replay twin of newVolumeLocked).
-func applyNewVolume(sh *shard, info protocol.VolumeInfo, rootID protocol.NodeID) {
-	sh.nodes[rootID] = &nodeRow{vol: info.ID, kind: protocol.KindDir, name: "/"}
-	sh.volumes[info.ID] = &volumeRow{
-		info: info,
-		root: rootID,
-	}
+	return trims
 }
 
 // rebuildDerived recomputes every piece of store-level state that is a pure

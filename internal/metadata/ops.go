@@ -3,6 +3,7 @@ package metadata
 import (
 	"cmp"
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 	"time"
@@ -35,35 +36,17 @@ func (s *Store) CreateUser(user protocol.UserID) (protocol.VolumeInfo, error) {
 	if err := s.writeGuard(user); err != nil {
 		return protocol.VolumeInfo{}, err
 	}
-	vol := s.newVolumeLocked(sh, user, protocol.VolumeRoot, "~/Ubuntu One")
-	sh.users[user] = &userRow{
-		id:      user,
-		root:    vol.info.ID,
-		volumes: []protocol.VolumeID{vol.info.ID},
-	}
-	s.journal(sh, journalRecord{Kind: recCreateUser, User: user, Volume: vol.info, Root: vol.root})
-	return vol.info, nil
+	return s.createVolume(sh, recCreateUser, user, protocol.VolumeRoot, "~/Ubuntu One"), nil
 }
 
-// newVolumeLocked allocates a volume plus its root directory inside sh, which
-// must be write-locked.
-func (s *Store) newVolumeLocked(sh *shard, owner protocol.UserID, typ protocol.VolumeType, path string) *volumeRow {
-	volID := s.allocVolume()
-	rootID := s.allocNode()
-	root := &nodeRow{vol: volID, kind: protocol.KindDir, name: "/"}
-	vol := &volumeRow{
-		info: protocol.VolumeInfo{
-			ID:    volID,
-			Type:  typ,
-			Path:  path,
-			Owner: owner,
-		},
-		root: rootID,
-	}
-	sh.nodes[rootID] = root
-	sh.volumes[volID] = vol
-	s.volumeDir.store(volID, owner)
-	return vol
+// createVolume commits a new volume plus its root directory — a user's root
+// volume (recCreateUser, which also creates the user row) or a UDF — in sh,
+// which must be write-locked.
+func (s *Store) createVolume(sh *shard, kind string, owner protocol.UserID, typ protocol.VolumeType, path string) protocol.VolumeInfo {
+	info := protocol.VolumeInfo{ID: s.allocVolume(), Type: typ, Path: path, Owner: owner}
+	s.commit(sh, journalRecord{Kind: kind, User: owner, Volume: info, Root: s.allocNode()})
+	s.volumeDir.store(info.ID, owner)
+	return info
 }
 
 // GetUserData returns the account summary (dal.get_user_data).
@@ -204,10 +187,7 @@ func (s *Store) CreateUDF(user protocol.UserID, path string) (protocol.VolumeInf
 			return protocol.VolumeInfo{}, fmt.Errorf("%w: UDF %q", protocol.ErrExists, path)
 		}
 	}
-	vol := s.newVolumeLocked(sh, user, protocol.VolumeUDF, path)
-	u.addVolume(vol.info.ID)
-	s.journal(sh, journalRecord{Kind: recCreateUDF, User: user, Volume: vol.info, Root: vol.root})
-	return vol.info, nil
+	return s.createVolume(sh, recCreateUDF, user, protocol.VolumeUDF, path), nil
 }
 
 // GetVolume returns a volume's metadata (dal.get_volume_id).
@@ -254,30 +234,13 @@ func (s *Store) DeleteVolume(user protocol.UserID, vol protocol.VolumeID) (remov
 		sh.wunlock(lockedAt)
 		return nil, nil, fmt.Errorf("%w: cannot delete the root volume", protocol.ErrBadRequest)
 	}
-	// Collect and remove all nodes.
+	// Read what the record is about to remove: the nodes go back to the
+	// caller, and grantees on other shards get their own drop_share below.
 	for _, nodeID := range volumeNodeIDs(sh, vr) {
-		nr := sh.nodes[nodeID]
-		removed = append(removed, nr.info(nodeID))
-		delete(sh.nodes, nodeID)
+		removed = append(removed, sh.nodes[nodeID].info(nodeID))
 	}
-	delete(sh.volumes, vol)
-	if u := sh.users[user]; u != nil {
-		u.removeVolume(vol)
-	}
-	// Tear down grants; the share rows of grantees live in their shards and
-	// are cleaned up after this lock is released.
-	grantees := make(map[protocol.UserID]protocol.ShareID, len(vr.grants))
-	for grantee, shareID := range vr.grants {
-		grantees[grantee] = shareID
-		delete(sh.shares, shareID)
-		if u := sh.users[user]; u != nil {
-			delete(u.sharesOut, shareID)
-		}
-		if gu, ok := sh.users[grantee]; ok {
-			delete(gu.sharesIn, shareID) // grantee happens to share this shard
-		}
-	}
-	s.journal(sh, journalRecord{Kind: recDeleteVolume, User: user, VolID: vol})
+	grantees := maps.Clone(vr.grants)
+	s.commit(sh, journalRecord{Kind: recDeleteVolume, User: user, VolID: vol})
 	sh.wunlock(lockedAt)
 	s.volumeDir.delete(vol)
 
@@ -307,14 +270,10 @@ func (s *Store) DeleteVolume(user protocol.UserID, vol protocol.VolumeID) (remov
 		shareID := grantees[grantee]
 		gsh := s.shardOf(grantee)
 		if gsh == sh {
-			continue // already cleaned while holding sh
+			continue // the delete_volume record already dropped it
 		}
 		gLockedAt := gsh.wlock()
-		delete(gsh.shares, shareID)
-		if gu := gsh.users[grantee]; gu != nil {
-			delete(gu.sharesIn, shareID)
-		}
-		s.journal(gsh, journalRecord{Kind: recDropShare, Share: protocol.ShareInfo{ID: shareID, SharedTo: grantee}})
+		s.commit(gsh, journalRecord{Kind: recDropShare, Share: protocol.ShareInfo{ID: shareID, SharedTo: grantee}})
 		gsh.wunlock(gLockedAt)
 	}
 
@@ -370,14 +329,11 @@ func (s *Store) makeNode(user protocol.UserID, vol protocol.VolumeID, parent pro
 		}
 		return protocol.NodeInfo{}, fmt.Errorf("%w: %q exists with different kind", protocol.ErrExists, name)
 	}
-	id := s.allocNode()
-	nr := &nodeRow{vol: vol, parent: parent, kind: kind, name: name}
-	nr.gen = vr.bumpGen()
-	sh.nodes[id] = nr
-	pr.addChild(name, id)
-	info := nr.info(id)
-	s.appendLog(sh, vr, info, false)
-	s.journal(sh, journalRecord{Kind: recMakeNode, Node: info})
+	info := protocol.NodeInfo{
+		ID: s.allocNode(), Volume: vol, Parent: parent, Kind: kind, Name: name,
+		Generation: vr.info.Generation + 1,
+	}
+	s.commit(sh, journalRecord{Kind: recMakeNode, Node: info})
 	return info, nil
 }
 
@@ -430,12 +386,9 @@ func (s *Store) MakeContent(user protocol.UserID, vol protocol.VolumeID, node pr
 	}
 	oldHash := nr.hash
 	wasUpdate = !oldHash.IsZero() && (oldHash != h || nr.size != size)
-	nr.hash = h
-	nr.size = size
-	nr.gen = vr.bumpGen()
 	info = nr.info(node)
-	s.appendLog(sh, vr, info, false)
-	s.journal(sh, journalRecord{Kind: recMakeContent, Node: info})
+	info.Hash, info.Size, info.Generation = h, size, vr.info.Generation+1
+	s.commit(sh, journalRecord{Kind: recMakeContent, Node: info})
 	sh.wunlock(lockedAt)
 
 	s.contents.addRef(h, size)
@@ -539,9 +492,11 @@ func (s *Store) Unlink(user protocol.UserID, vol protocol.VolumeID, node protoco
 		sh.wunlock(lockedAt)
 		return nil, 0, nil, fmt.Errorf("%w: cannot unlink the volume root", protocol.ErrBadRequest)
 	}
-	// Depth-first collection of the subtree, children in ascending-ID order:
-	// the removed list lands in the delta log and the unlink journal record,
-	// so the traversal order is replay- and replication-observable.
+	// Depth-first collection of the subtree, children in ascending-ID order,
+	// each stamped with the new generation: the removed list is the unlink
+	// record and lands in the delta log in this order, so the traversal order
+	// is replay- and replication-observable.
+	gen = vr.info.Generation + 1
 	stack := []protocol.NodeID{node}
 	for len(stack) > 0 {
 		id := stack[len(stack)-1]
@@ -553,19 +508,11 @@ func (s *Store) Unlink(user protocol.UserID, vol protocol.VolumeID, node protoco
 			stack = append(stack, child)
 		}
 		slices.Sort(stack[base:])
-		removed = append(removed, cur.info(id))
-		delete(sh.nodes, id)
+		info := cur.info(id)
+		info.Generation = gen
+		removed = append(removed, info)
 	}
-	// Detach from the parent's name index.
-	if pr, ok := sh.nodes[nr.parent]; ok && pr.children != nil {
-		delete(pr.children, nr.name)
-	}
-	gen = vr.bumpGen()
-	for i := range removed {
-		removed[i].Generation = gen
-		s.appendLog(sh, vr, removed[i], true)
-	}
-	s.journal(sh, journalRecord{Kind: recUnlink, VolID: vol, Gen: gen, Removed: removed})
+	s.commit(sh, journalRecord{Kind: recUnlink, VolID: vol, Gen: gen, Removed: removed})
 	sh.wunlock(lockedAt)
 
 	for _, n := range removed {
@@ -629,16 +576,9 @@ func (s *Store) Move(user protocol.UserID, vol protocol.VolumeID, node, newParen
 			cur = parentRow.parent
 		}
 	}
-	if old, ok := sh.nodes[nr.parent]; ok && old.children != nil {
-		delete(old.children, nr.name)
-	}
-	nr.parent = newParent
-	nr.name = newName
-	nr.gen = vr.bumpGen()
-	pr.addChild(newName, node)
 	info := nr.info(node)
-	s.appendLog(sh, vr, info, false)
-	s.journal(sh, journalRecord{Kind: recMove, Node: info})
+	info.Parent, info.Name, info.Generation = newParent, newName, vr.info.Generation+1
+	s.commit(sh, journalRecord{Kind: recMove, Node: info})
 	return info, nil
 }
 
@@ -756,26 +696,18 @@ func (s *Store) CreateShare(owner protocol.UserID, vol protocol.VolumeID, to pro
 	if !ok {
 		return protocol.ShareInfo{}, protocol.ErrNotFound
 	}
-	gu, ok := gsh.users[to]
-	if !ok {
+	if _, ok := gsh.users[to]; !ok {
 		return protocol.ShareInfo{}, fmt.Errorf("%w: grantee", protocol.ErrNotFound)
 	}
 	if _, dup := vr.grants[to]; dup {
 		return protocol.ShareInfo{}, fmt.Errorf("%w: already shared to %v", protocol.ErrExists, to)
 	}
-	ou := osh.users[owner]
-	shareCopy := share
-	osh.shares[share.ID] = &shareCopy
+	// One record per shard: the owner's shard takes the grant, the grantee's
+	// the incoming share; when both users live on one shard, its one record
+	// does both.
+	s.commit(osh, journalRecord{Kind: recCreateShare, Share: share})
 	if osh != gsh {
-		shareCopy2 := share
-		gsh.shares[share.ID] = &shareCopy2
-	}
-	vr.addGrant(to, share.ID)
-	ou.addShareOut(share.ID)
-	gu.addShareIn(share.ID)
-	s.journal(osh, journalRecord{Kind: recCreateShare, Share: share})
-	if osh != gsh {
-		s.journal(gsh, journalRecord{Kind: recCreateShare, Share: share})
+		s.commit(gsh, journalRecord{Kind: recCreateShare, Share: share})
 	}
 	return share, nil
 }
@@ -800,19 +732,16 @@ func (s *Store) AcceptShare(user protocol.UserID, id protocol.ShareID) (protocol
 		gsh.wunlock(gLockedAt)
 		return protocol.ShareInfo{}, err
 	}
-	share.Accepted = true
 	out := *share
-	s.journal(gsh, journalRecord{Kind: recAcceptShare, Share: out})
+	out.Accepted = true
+	s.commit(gsh, journalRecord{Kind: recAcceptShare, Share: out})
 	gsh.wunlock(gLockedAt)
 
 	// Mirror the accepted flag in the owner's shard copy.
 	osh := s.shardOf(owner)
 	if osh != gsh {
 		oLockedAt := osh.wlock()
-		if ownerCopy, ok := osh.shares[id]; ok {
-			ownerCopy.Accepted = true
-		}
-		s.journal(osh, journalRecord{Kind: recAcceptShare, Share: out})
+		s.commit(osh, journalRecord{Kind: recAcceptShare, Share: out})
 		osh.wunlock(oLockedAt)
 	}
 	return out, nil

@@ -1,9 +1,6 @@
 package metadata
 
 import (
-	"crypto/sha1"
-	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"sync"
 
@@ -12,13 +9,12 @@ import (
 )
 
 // Asynchronous cross-region metadata replication. Shards partition into
-// contiguous regions; every mutation applies at the owning region (exactly as
-// before) and additionally appends its journal record — the same
-// journal-by-resulting-state encoding the WAL uses (durable.go) — to the
-// owning shard's replication outbox, under the same write lock that applied
-// the mutation. Outbox order is therefore apply order, and replaying a
-// shard's record stream in order reconstructs the owner bit-for-bit, which is
-// the invariant the region drill's fingerprint comparison enforces.
+// contiguous regions. Every mutation commits at the owning region as one
+// journal record (durable.go), and commit appends that record to the owning
+// shard's replication outbox under the write lock that applied it. A replica
+// applies the record through the same shard.apply the owner ran, in outbox
+// order, which is apply order, so a drained replica equals its owner — the
+// invariant the region drill's fingerprint comparison enforces.
 //
 // Shipping is epoch-batched: each replication tick (driven by the sharded
 // engine's mailbox barrier in simulation, or TickReplication from a harness)
@@ -115,7 +111,7 @@ type replication struct {
 	m        replMetrics
 
 	// outbox is per owner shard, appended under that shard's write lock by
-	// Store.journal and drained by CollectReplication under the same lock.
+	// Store.commit and drained by CollectReplication under the same lock.
 	outbox [][]journalRecord
 
 	// mu guards epoch, state backlogs/pending/revoked/down. Mutations happen
@@ -334,7 +330,7 @@ func (r *replication) applyLocked(st *regionState, rr replRecord) {
 		r.m.lwwSkipped.Inc()
 		return
 	}
-	applyRecord(nil, sh, &rec)
+	sh.apply(&rec)
 	switch rec.Kind {
 	case recMakeNode, recMakeContent, recMove:
 		st.lastOrigin[rec.Node.Volume] = origin
@@ -493,11 +489,7 @@ func (s *Store) RegionRecover(region, from int) {
 		replica.mu.RUnlock()
 		//u1:allow lockdiscipline region drill restores owner state wholesale, not client load
 		sh.mu.Lock()
-		sh.users = make(map[protocol.UserID]*userRow)
-		sh.volumes = make(map[protocol.VolumeID]*volumeRow)
-		sh.nodes = make(map[protocol.NodeID]*nodeRow)
-		sh.shares = make(map[protocol.ShareID]*protocol.ShareInfo)
-		sh.uploadjobs = make(map[protocol.UploadID]*UploadJob)
+		sh.reset()
 		restoreSnapshot(sh, snap)
 		sh.mu.Unlock()
 	}
@@ -519,16 +511,7 @@ func (s *Store) ReplicaFingerprint(region, i int) string {
 	r.mu.RLock()
 	sh := r.state[region].replicas[i]
 	r.mu.RUnlock()
-	//u1:allow lockdiscipline fingerprinting is a drill probe, not client load
-	sh.mu.RLock()
-	snap := snapshotState(sh)
-	sh.mu.RUnlock()
-	data, err := json.Marshal(snap)
-	if err != nil {
-		return "unfingerprintable: " + err.Error()
-	}
-	sum := sha1.Sum(data)
-	return hex.EncodeToString(sum[:])
+	return fingerprint(sh)
 }
 
 // writeGuard refuses mutations owned by a downed region. Nil without

@@ -261,7 +261,7 @@ type shard struct {
 
 func newShard(id, deltaLogLimit int, reg *metrics.Registry) *shard {
 	prefix := metrics.ShardPrefix + strconv.Itoa(id)
-	return &shard{
+	sh := &shard{
 		id:            id,
 		deltaLogLimit: deltaLogLimit,
 		m: shardMetrics{
@@ -270,12 +270,19 @@ func newShard(id, deltaLogLimit int, reg *metrics.Registry) *shard {
 			readHold:  reg.Histogram(prefix + ".read_hold.seconds"),
 			writeHold: reg.Histogram(prefix + ".write_hold.seconds"),
 		},
-		users:      make(map[protocol.UserID]*userRow),
-		volumes:    make(map[protocol.VolumeID]*volumeRow),
-		nodes:      make(map[protocol.NodeID]*nodeRow),
-		shares:     make(map[protocol.ShareID]*protocol.ShareInfo),
-		uploadjobs: make(map[protocol.UploadID]*UploadJob),
 	}
+	sh.reset()
+	return sh
+}
+
+// reset empties the shard: construction, a crash and a region restore all
+// start from here.
+func (sh *shard) reset() {
+	sh.users = make(map[protocol.UserID]*userRow)
+	sh.volumes = make(map[protocol.VolumeID]*volumeRow)
+	sh.nodes = make(map[protocol.NodeID]*nodeRow)
+	sh.shares = make(map[protocol.ShareID]*protocol.ShareInfo)
+	sh.uploadjobs = make(map[protocol.UploadID]*UploadJob)
 }
 
 // volumeDirectory is the volume→owner routing table: plain maps behind
@@ -473,22 +480,9 @@ func volumeNodeIDs(sh *shard, v *volumeRow) []protocol.NodeID {
 	return ids
 }
 
-func (v *volumeRow) bumpGen() protocol.Generation {
-	v.info.Generation++
-	return v.info.Generation
-}
-
 // appendLog records a mutation in v's delta log, trimming the oldest half
-// when the log exceeds the shard's retention limit. It runs under the
-// shard's write lock.
-func (s *Store) appendLog(sh *shard, v *volumeRow, n protocol.NodeInfo, deleted bool) {
-	if v.appendLog(sh.deltaLogLimit, n, deleted) {
-		s.m.logTrimmed.Inc()
-	}
-}
-
-// appendLog is the log step live mutations and journal replay share; it
-// reports whether the append trimmed the log.
+// when the log exceeds limit, and reports whether it trimmed. Only
+// shard.apply calls it, under the shard's write lock.
 func (v *volumeRow) appendLog(limit int, n protocol.NodeInfo, deleted bool) (trimmed bool) {
 	if limit < 0 {
 		// Log disabled: record only the horizon so GetDelta reports
