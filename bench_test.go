@@ -9,6 +9,7 @@ package u1
 
 import (
 	"bytes"
+	"crypto/sha1"
 	"fmt"
 	"os"
 	"strconv"
@@ -439,7 +440,7 @@ func BenchmarkBlobMultipart(b *testing.B) {
 	now := time.Unix(0, 0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		id := s.CreateMultipartUpload(fmt.Sprintf("k%d", i), now)
+		id := s.CreateMultipartHash(sha1.Sum(fmt.Appendf(nil, "k%d", i)), now)
 		for p := 1; p <= 4; p++ {
 			if err := s.UploadPartSized(id, p, 5<<20); err != nil {
 				b.Fatal(err)

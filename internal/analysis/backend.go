@@ -51,7 +51,8 @@ func AnalyzeRPCPerf(t *Trace) RPCPerf {
 			continue
 		}
 		sample := t.RPC.Samples[r].Sample()
-		med := stats.Median(sample)
+		q := stats.Quantiles(sample, 0.5, 0.95, 0.99)
+		med := q[0]
 		var far int
 		for _, x := range sample {
 			if x > 4*med {
@@ -65,8 +66,8 @@ func AnalyzeRPCPerf(t *Trace) RPCPerf {
 			Count:  count,
 			Errs:   t.RPC.Errs[r],
 			Median: med,
-			P95:    stats.Quantile(sample, 0.95),
-			P99:    stats.Quantile(sample, 0.99),
+			P95:    q[1],
+			P99:    q[2],
 		}
 		if len(sample) > 0 {
 			row.Tail = float64(far) / float64(len(sample))

@@ -1,10 +1,6 @@
 package analysis
 
 import (
-	"fmt"
-	"sort"
-	"strings"
-
 	"u1/internal/faults"
 	"u1/internal/protocol"
 	"u1/internal/trace"
@@ -69,26 +65,4 @@ func AnalyzeErrors(t *Trace) ErrorRates {
 		res.Classes = append(res.Classes, *byClass[cl])
 	}
 	return res
-}
-
-// Render produces the per-class error-rate block.
-func (e ErrorRates) Render() string {
-	var b strings.Builder
-	b.WriteString("error rate by operation class:\n")
-	fmt.Fprintf(&b, "  %-9s %10s %8s %8s  %s\n", "class", "ops", "errors", "rate", "by status")
-	rows := append(append([]ErrorClass(nil), e.Classes...), e.Total)
-	for _, c := range rows {
-		statuses := make([]protocol.Status, 0, len(c.ByStatus))
-		for st := range c.ByStatus {
-			statuses = append(statuses, st)
-		}
-		sort.Slice(statuses, func(i, j int) bool { return statuses[i] < statuses[j] })
-		parts := make([]string, 0, len(statuses))
-		for _, st := range statuses {
-			parts = append(parts, fmt.Sprintf("%v:%d", st, c.ByStatus[st]))
-		}
-		fmt.Fprintf(&b, "  %-9s %10d %8d %7.2f%%  %s\n",
-			c.Class, c.Ops, c.Errors, 100*c.Rate(), strings.Join(parts, " "))
-	}
-	return b.String()
 }

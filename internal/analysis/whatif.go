@@ -7,7 +7,6 @@ import (
 
 	"u1/internal/plot"
 	"u1/internal/protocol"
-	"u1/internal/stats"
 	"u1/internal/trace"
 )
 
@@ -157,10 +156,4 @@ func (w WhatIf) Render() string {
 	fmt.Fprintf(&b, "  sync deferment (%v): %d intermediate versions (%sB) were transferred\n",
 		w.DefermentWindow, w.IntermediateVersions, plot.SI(float64(w.IntermediateBytes)))
 	return b.String()
-}
-
-// HourlyStats is a convenience summary used by ablation studies: the
-// dispersion of a per-hour series.
-func HourlyStats(ts *stats.TimeSeries) stats.BoxPlot {
-	return stats.NewBoxPlot(ts.NonZero())
 }

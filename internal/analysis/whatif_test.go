@@ -36,10 +36,12 @@ func TestWhatIf(t *testing.T) {
 	}
 }
 
+// TestHourlyStats pins how ablation studies summarise a per-hour series:
+// the box plot of its non-empty bins.
 func TestHourlyStats(t *testing.T) {
 	ts := stats.NewTimeSeries(time.Unix(0, 0), time.Hour, 4)
 	ts.Vals = []float64{0, 2, 4, 6}
-	b := HourlyStats(ts)
+	b := stats.NewBoxPlot(ts.NonZero())
 	if b.N != 3 || b.Median != 4 {
 		t.Errorf("box = %+v", b)
 	}

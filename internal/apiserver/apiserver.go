@@ -13,19 +13,19 @@
 // through an ordered interceptor chain into a per-op handler table built at
 // server construction:
 //
-//	proc-load → metrics → events → status-map → inject → durability →
+//	metrics → events → status-map → inject → region → durability →
 //	notify → session-guard → admit → cancel → handler
 //
 // Handlers (one registered Handler per protocol.Op) contain only the
 // operation's business logic: they issue DAL RPCs that charge their sampled
 // service times to the context's cost accumulator, enrich the trace Event,
-// and queue watcher notifications. Everything cross-cutting — per-process
-// load counting, per-op latency/error metrics, trace-event emission, the
-// uniform error→Status mapping, deterministic per-op fault injection
-// (Config.Faults), notification delivery on success, and per-op-class load
-// shedding under overload (Config.AdmitWatermark) — lives in one interceptor
-// each and wraps every operation identically, so a new operation is one
-// registration, not a new switch arm. See dispatch.go for the interceptor
+// and queue watcher notifications. Everything cross-cutting — per-op
+// latency/error metrics, trace-event emission, the uniform error→Status
+// mapping, deterministic per-op fault injection (Config.Faults),
+// notification delivery on success, and per-op-class load shedding under
+// overload (Config.AdmitWatermark) — lives in one interceptor each and wraps
+// every operation identically, so a new operation is one registration, not a
+// new switch arm. See dispatch.go for the interceptor
 // contract and the OpContext lifecycle.
 //
 // The server runs in two harnesses: in-process (the discrete-event simulator
@@ -84,12 +84,6 @@ type Observer func(Event)
 type Pusher interface {
 	Push(*protocol.Push)
 }
-
-// PusherFunc adapts a function to the Pusher interface.
-type PusherFunc func(*protocol.Push)
-
-// Push implements Pusher.
-func (f PusherFunc) Push(p *protocol.Push) { f(p) }
 
 // RegionRouter is the metadata tier's region-topology probe: the region
 // interceptor consults it to refuse mutations whose owning metadata region is
@@ -214,8 +208,6 @@ type Server struct {
 	pipeline         Handler
 	interceptorNames []string
 
-	procOps []uint64 // per-process API op counters (atomic)
-
 	// admission is the per-process load-shedding state behind the admit
 	// interceptor; nil when Config.AdmitWatermark is zero.
 	admission *faults.Admission
@@ -282,7 +274,6 @@ func New(cfg Config, deps Deps) *Server {
 		tokens:   auth.NewCache(cfg.TokenCacheTTL),
 		sessions: make(map[protocol.SessionID]*Session),
 		byUser:   make(map[protocol.UserID]map[protocol.SessionID]*Session),
-		procOps:  make([]uint64, cfg.Procs),
 		uploads:  make(map[protocol.UploadID]*pendingUpload),
 
 		activeSessions: deps.Metrics.Gauge("api.sessions.active"),
@@ -359,15 +350,6 @@ func (s *Server) DropToken(token string) { s.tokens.Drop(token) }
 // emits keep iterating their immutable snapshot and pick up the new observer
 // on their next event.
 func (s *Server) AddObserver(o Observer) { s.observers.Add(o) }
-
-// ProcOps returns cumulative API operations per server process.
-func (s *Server) ProcOps() []uint64 {
-	out := make([]uint64, len(s.procOps))
-	for i := range out {
-		out[i] = atomic.LoadUint64(&s.procOps[i])
-	}
-	return out
-}
 
 // SessionCount returns the number of live sessions.
 func (s *Server) SessionCount() int {
@@ -484,10 +466,7 @@ func (s *Server) DeliverQueued() int {
 	var n int
 	for {
 		select {
-		case e, ok := <-s.queue:
-			if !ok {
-				return n
-			}
+		case e := <-s.queue:
 			s.deliver(e)
 			n++
 		default:

@@ -1,6 +1,7 @@
 package apiserver
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -13,6 +14,11 @@ import (
 )
 
 var t0 = time.Date(2014, 1, 11, 0, 0, 0, 0, time.UTC)
+
+// pusherFunc adapts a function to the Pusher interface.
+type pusherFunc func(*protocol.Push)
+
+func (f pusherFunc) Push(p *protocol.Push) { f(p) }
 
 type fixture struct {
 	srv    *Server
@@ -115,10 +121,9 @@ func TestUploadStateMachine(t *testing.T) {
 	if put.Status != protocol.StatusOK || put.Reused || put.Upload == 0 {
 		t.Fatalf("put = %+v", put)
 	}
-	// The uploadjob exists with the multipart id set.
-	job, err := f.store.GetUploadJob(1, put.Upload)
-	if err != nil || job.MultipartID == "" {
-		t.Fatalf("job = %+v err=%v", job, err)
+	// The uploadjob opened its multipart upload.
+	if bs := f.blob.Stats(); bs.MultipartCreated != 1 {
+		t.Fatalf("blob stats = %+v, want one multipart upload", bs)
 	}
 
 	for i := 0; i < 3; i++ {
@@ -139,10 +144,10 @@ func TestUploadStateMachine(t *testing.T) {
 	}
 
 	// Job gone (dal.delete_uploadjob on commit), blob committed.
-	if _, err := f.store.GetUploadJob(1, put.Upload); err == nil {
-		t.Error("uploadjob should be deleted after commit")
+	if err := f.store.DeleteUploadJob(1, put.Upload); !errors.Is(err, protocol.ErrNotFound) {
+		t.Errorf("uploadjob should be deleted after commit (delete again: %v)", err)
 	}
-	if got, err := f.blob.HeadObject(h.Hex()); err != nil || got != size {
+	if got, err := f.blob.HeadHash(h); err != nil || got != size {
 		t.Errorf("blob = %d, %v", got, err)
 	}
 	if bs := f.blob.Stats(); bs.MultipartCompleted != 1 || bs.PartsUploaded != 3 {
@@ -236,8 +241,8 @@ func TestCloseSessionAbandonsUploads(t *testing.T) {
 	if resp.Status != protocol.StatusNotFound {
 		t.Errorf("resumed part status = %v", resp.Status)
 	}
-	if _, err := f.store.GetUploadJob(5, put.Upload); err != nil {
-		t.Error("uploadjob row should await GC")
+	if n := f.store.SweepUploadJobs(t0.Add(metadata.UploadJobMaxAge + time.Hour)); n != 1 {
+		t.Errorf("GC swept %d uploadjob rows, want the abandoned one", n)
 	}
 }
 
@@ -275,7 +280,7 @@ func TestNotificationFanOut(t *testing.T) {
 	var got []*protocol.Push
 	token, _ := f.auth.Issue(7)
 	sess1, _, _ := f.srv.OpenSession(token, nil, t0)
-	sess2, _, _ := f.srv.OpenSession(token, PusherFunc(func(p *protocol.Push) { got = append(got, p) }), t0)
+	sess2, _, _ := f.srv.OpenSession(token, pusherFunc(func(p *protocol.Push) { got = append(got, p) }), t0)
 	_ = sess2
 	root := f.rootOf(t, sess1)
 	f.srv.Handle(sess1, &protocol.Request{Op: protocol.OpMakeDir, Volume: root, Name: "d"}, t0)
@@ -313,15 +318,21 @@ func TestUnknownOpRejected(t *testing.T) {
 	}
 }
 
+// TestProcOpsAccounting checks that every operation reaches the observers
+// attributed to one of the server's processes, the per-process load Fig. 14
+// is drawn from.
 func TestProcOpsAccounting(t *testing.T) {
 	f := newFixture(t)
+	var total int
+	f.srv.AddObserver(func(e Event) {
+		if e.Proc < 0 || e.Proc >= 2 {
+			t.Errorf("op %v on proc %d, want one of 2", e.Op, e.Proc)
+		}
+		total++
+	})
 	sess := f.session(t, 9)
 	for i := 0; i < 10; i++ {
 		f.srv.Handle(sess, &protocol.Request{Op: protocol.OpPing}, t0)
-	}
-	var total uint64
-	for _, n := range f.srv.ProcOps() {
-		total += n
 	}
 	if total < 11 { // auth + pings
 		t.Errorf("proc ops = %d", total)

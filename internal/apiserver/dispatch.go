@@ -3,7 +3,6 @@ package apiserver
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"u1/internal/protocol"
@@ -62,7 +61,7 @@ type OpContext struct {
 	// would leak an uncloseable session.
 	openSession bool
 
-	// hasProc marks Event.Proc as valid for per-process load accounting.
+	// hasProc marks Event.Proc as valid for per-process admission.
 	// Set at context creation when a session exists, and by the Authenticate
 	// handler once it has placed the new session on a process.
 	hasProc bool
@@ -130,7 +129,7 @@ type Handler func(*OpContext) (*protocol.Response, error)
 //     error and the downstream handler never runs.
 //   - Work before the next call sees the request untouched; work after it
 //     sees the handler's response/error and the fully charged Cost.
-//   - Interceptors run in the fixed order of InterceptorOrder for every
+//   - Interceptors run in the fixed order of buildPipeline for every
 //     operation; per-op behavior differences are expressed through OpContext
 //     flags, never by reordering.
 //   - An interceptor that maps errors (status-map) must leave interceptors
@@ -205,7 +204,6 @@ func (s *Server) buildPipeline() {
 		name string
 		ic   Interceptor
 	}{
-		{"proc-load", s.procLoadInterceptor},    // per-process op counters
 		{"metrics", s.metricsInterceptor},       // per-op latency histogram + outcome counters
 		{"events", s.eventInterceptor},          // uniform trace-event emission to observers
 		{"status-map", s.statusInterceptor},     // uniform error→Status mapping + correlation ID
@@ -223,12 +221,6 @@ func (s *Server) buildPipeline() {
 		wraps[i] = x.ic
 	}
 	s.pipeline = chain(s.invoke, wraps...)
-}
-
-// InterceptorOrder reports the interceptor chain from outermost to
-// innermost, for diagnostics and tests of ordering determinism.
-func (s *Server) InterceptorOrder() []string {
-	return append([]string(nil), s.interceptorNames...)
 }
 
 // invoke is the innermost stage: the handler-table lookup. Unregistered or
@@ -468,18 +460,6 @@ func (s *Server) metricsInterceptor(next Handler) Handler {
 		resp, err := next(c)
 		if !c.skipMetrics {
 			s.record(c.Req.Op, c.Cost.Total(), resp.Status, c.preempted)
-		}
-		return resp, err
-	}
-}
-
-// procLoadInterceptor counts the request against its API process, once the
-// process is known (sessions carry it; Authenticate assigns it).
-func (s *Server) procLoadInterceptor(next Handler) Handler {
-	return func(c *OpContext) (*protocol.Response, error) {
-		resp, err := next(c)
-		if c.hasProc {
-			atomic.AddUint64(&s.procOps[c.Event.Proc], 1)
 		}
 		return resp, err
 	}

@@ -52,12 +52,12 @@ func TestUnknownOpTableDefault(t *testing.T) {
 // matches the documented order and that construction is reproducible: two
 // servers built from the same config report identical chains.
 func TestInterceptorOrderDeterministic(t *testing.T) {
-	want := []string{"proc-load", "metrics", "events", "status-map", "inject", "region", "durability", "notify", "session-guard", "admit", "cancel"}
+	want := []string{"metrics", "events", "status-map", "inject", "region", "durability", "notify", "session-guard", "admit", "cancel"}
 	a, b := newFixture(t), newFixture(t)
-	if got := a.srv.InterceptorOrder(); !reflect.DeepEqual(got, want) {
+	if got := a.srv.interceptorNames; !reflect.DeepEqual(got, want) {
 		t.Errorf("interceptor order = %v, want %v", got, want)
 	}
-	if !reflect.DeepEqual(a.srv.InterceptorOrder(), b.srv.InterceptorOrder()) {
+	if !reflect.DeepEqual(a.srv.interceptorNames, b.srv.interceptorNames) {
 		t.Error("two identically configured servers report different chains")
 	}
 }

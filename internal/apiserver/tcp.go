@@ -35,10 +35,7 @@ func (s *Server) Serve(ln net.Listener) error {
 func (s *Server) RunNotifier(done <-chan struct{}) {
 	for {
 		select {
-		case e, ok := <-s.queue:
-			if !ok {
-				return
-			}
+		case e := <-s.queue:
 			s.deliver(e)
 		case <-done:
 			return
@@ -77,6 +74,13 @@ func (w *connWriter) Push(p *protocol.Push) {
 // aborted reports whether the connection is known dead.
 func (w *connWriter) aborted() bool { return w.dead.Load() }
 
+// hostNow stamps the requests and session closes of the real TCP transport:
+// over sockets there is no virtual clock.
+func hostNow() time.Time {
+	//u1:allow wallclock real TCP transport stamps requests and session close with host time
+	return time.Now()
+}
+
 func (s *Server) handleConn(conn net.Conn) {
 	defer conn.Close()
 	w := &connWriter{frames: wire.NewFrameWriter(conn)}
@@ -84,8 +88,7 @@ func (s *Server) handleConn(conn net.Conn) {
 	var sess *Session
 	defer func() {
 		if sess != nil {
-			//u1:allow wallclock real TCP transport stamps session close with host time
-			s.CloseSession(sess, time.Now())
+			s.CloseSession(sess, hostNow())
 		}
 	}()
 
@@ -103,8 +106,7 @@ func (s *Server) handleConn(conn net.Conn) {
 		if err := req.Decode(payload); err != nil {
 			return
 		}
-		//u1:allow wallclock real TCP transport stamps requests with host time
-		now := time.Now()
+		now := hostNow()
 
 		var resp *protocol.Response
 		switch {
@@ -140,18 +142,4 @@ func (s *Server) handleConn(conn net.Conn) {
 			return
 		}
 	}
-}
-
-// ListenAndServe listens on addr and serves until the process ends. It
-// reports the bound address through the optional ready channel, which helps
-// tests bind port 0.
-func (s *Server) ListenAndServe(addr string, ready chan<- net.Addr) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return fmt.Errorf("apiserver: listen %s: %w", addr, err)
-	}
-	if ready != nil {
-		ready <- ln.Addr()
-	}
-	return s.Serve(ln)
 }

@@ -243,21 +243,6 @@ func (s *Service) Overloaded(token string, now time.Time) bool {
 	return true
 }
 
-// Load reports the windowed authentication arrival rate (requests/sec) at
-// time now (diagnostics and tests).
-func (s *Service) Load(now time.Time) float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	cutoff := now.Add(-CapacityWindow)
-	var n int
-	for _, t := range s.load {
-		if t.After(cutoff) {
-			n++
-		}
-	}
-	return float64(n) / CapacityWindow.Seconds()
-}
-
 // Validate resolves a token to its user (auth.get_user_id_from_token).
 // Unknown tokens yield protocol.ErrAuthFailed; the transient-failure
 // injection of InjectedFailure happens at the request level, before any
@@ -272,17 +257,6 @@ func (s *Service) Validate(token string) (protocol.UserID, error) {
 	}
 	s.counters.Validated++
 	return user, nil
-}
-
-// Revoke invalidates a token (used when dismantling the fraudulent accounts
-// behind the §5.4 attacks).
-func (s *Service) Revoke(token string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if raw, ok := decodeToken(token); ok {
-		delete(s.tokens, raw)
-	}
-	s.counters.Revoked++
 }
 
 // RevokeUser invalidates every token of a user and returns how many were
@@ -317,8 +291,6 @@ type Cache struct {
 	mu      sync.Mutex
 	entries map[[tokenRawLen]byte]cacheEntry
 	puts    uint64
-	hits    uint64
-	misses  uint64
 }
 
 // cacheEntry is 16 bytes: the expiry is kept as Unix nanoseconds rather
@@ -343,7 +315,6 @@ func (c *Cache) Get(token string, now time.Time) (protocol.UserID, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if !canonical {
-		c.misses++
 		return 0, false
 	}
 	e, ok := c.entries[raw]
@@ -351,10 +322,8 @@ func (c *Cache) Get(token string, now time.Time) (protocol.UserID, bool) {
 		if ok {
 			delete(c.entries, raw)
 		}
-		c.misses++
 		return 0, false
 	}
-	c.hits++
 	return e.user, true
 }
 
@@ -389,15 +358,4 @@ func (c *Cache) Drop(token string) {
 		defer c.mu.Unlock()
 		delete(c.entries, raw)
 	}
-}
-
-// HitRate returns the cache hit fraction observed so far (0 when unused).
-func (c *Cache) HitRate() float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	total := c.hits + c.misses
-	if total == 0 {
-		return 0
-	}
-	return float64(c.hits) / float64(total)
 }

@@ -189,7 +189,6 @@ func (s *Store) removeObject(k objectKey) {
 }
 
 type multipartUpload struct {
-	id      string
 	key     objectKey
 	size    uint64
 	parts   int
@@ -225,8 +224,7 @@ func (s *Store) PutObject(key string, data []byte) error { return s.put(keyOf(ke
 func (s *Store) PutHash(h [20]byte, data []byte) error { return s.put(hashKey(h), data) }
 
 func (s *Store) put(k objectKey, data []byte) error {
-	//u1:allow wallclock measures real blob-path execution time; observability only, never simulation state
-	start := time.Now()
+	took := metrics.StartStopwatch()
 	var kept []byte
 	if s.cfg.KeepData {
 		kept = append(kept, data...)
@@ -234,7 +232,7 @@ func (s *Store) put(k objectKey, data []byte) error {
 	s.mu.Lock()
 	s.putLocked(k, uint64(len(data)), kept)
 	s.mu.Unlock()
-	s.recordPut(uint64(len(data)), start)
+	s.recordPut(uint64(len(data)), took)
 	return nil
 }
 
@@ -246,20 +244,18 @@ func (s *Store) PutObjectSized(key string, size uint64) error { return s.putSize
 func (s *Store) PutHashSized(h [20]byte, size uint64) error { return s.putSized(hashKey(h), size) }
 
 func (s *Store) putSized(k objectKey, size uint64) error {
-	//u1:allow wallclock measures real blob-path execution time; observability only, never simulation state
-	start := time.Now()
+	took := metrics.StartStopwatch()
 	s.mu.Lock()
 	s.putLocked(k, size, nil)
 	s.mu.Unlock()
-	s.recordPut(size, start)
+	s.recordPut(size, took)
 	return nil
 }
 
-func (s *Store) recordPut(size uint64, start time.Time) {
+func (s *Store) recordPut(size uint64, took metrics.Stopwatch) {
 	s.m.putBytes.Add(size)
 	s.m.objectBytes.Observe(float64(size))
-	//u1:allow wallclock measures real blob-path execution time; observability only, never simulation state
-	s.m.putSeconds.Observe(time.Since(start).Seconds())
+	took.Observe(s.m.putSeconds)
 }
 
 // putLocked stores an object whose data (nil for size-only) the store already
@@ -294,8 +290,7 @@ func (s *Store) GetObject(key string) ([]byte, error) { return s.get(keyOf(key))
 func (s *Store) GetHash(h [20]byte) ([]byte, error) { return s.get(hashKey(h)) }
 
 func (s *Store) get(k objectKey) ([]byte, error) {
-	//u1:allow wallclock measures real blob-path execution time; observability only, never simulation state
-	start := time.Now()
+	took := metrics.StartStopwatch()
 	s.mu.Lock()
 	obj, ok := s.loadObject(k)
 	if !ok {
@@ -310,15 +305,12 @@ func (s *Store) get(k objectKey) ([]byte, error) {
 	}
 	s.mu.Unlock()
 	s.m.getBytes.Add(obj.size)
-	//u1:allow wallclock measures real blob-path execution time; observability only, never simulation state
-	s.m.getSeconds.Observe(time.Since(start).Seconds())
+	took.Observe(s.m.getSeconds)
 	return out, nil
 }
 
-// HeadObject returns the object's size without transferring it.
-func (s *Store) HeadObject(key string) (uint64, error) { return s.head(keyOf(key)) }
-
-// HeadHash is HeadObject for the content with hash h.
+// HeadHash returns the size of the content with hash h without transferring
+// it.
 func (s *Store) HeadHash(h [20]byte) (uint64, error) { return s.head(hashKey(h)) }
 
 func (s *Store) head(k objectKey) (uint64, error) {
@@ -331,11 +323,8 @@ func (s *Store) head(k objectKey) (uint64, error) {
 	return obj.size, nil
 }
 
-// DeleteObject removes an object; deleting a missing key is a no-op, as in
-// S3.
-func (s *Store) DeleteObject(key string) { s.remove(keyOf(key)) }
-
-// DeleteHash is DeleteObject for the content with hash h.
+// DeleteHash removes the content with hash h; deleting a missing object is a
+// no-op, as in S3.
 func (s *Store) DeleteHash(h [20]byte) { s.remove(hashKey(h)) }
 
 func (s *Store) remove(k objectKey) {
@@ -351,15 +340,9 @@ func (s *Store) remove(k objectKey) {
 	s.m.deletes.Inc()
 }
 
-// CreateMultipartUpload starts a multipart upload towards key and returns the
-// multipart id that the metadata store records on the uploadjob
-// (dal.set_uploadjob_multipart_id).
-func (s *Store) CreateMultipartUpload(key string, now time.Time) string {
-	return s.createMultipart(keyOf(key), now)
-}
-
-// CreateMultipartHash is CreateMultipartUpload towards the content with
-// hash h.
+// CreateMultipartHash starts a multipart upload towards the content with
+// hash h and returns the multipart id that the metadata store records on the
+// uploadjob (dal.set_uploadjob_multipart_id).
 func (s *Store) CreateMultipartHash(h [20]byte, now time.Time) string {
 	return s.createMultipart(hashKey(h), now)
 }
@@ -369,7 +352,7 @@ func (s *Store) createMultipart(k objectKey, now time.Time) string {
 	defer s.mu.Unlock()
 	s.nextID++
 	id := fmt.Sprintf("mp-%d", s.nextID)
-	s.uploads[id] = &multipartUpload{id: id, key: k, started: now}
+	s.uploads[id] = &multipartUpload{key: k, started: now}
 	s.counters.MultipartCreated++
 	return id
 }

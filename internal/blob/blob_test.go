@@ -2,6 +2,7 @@ package blob
 
 import (
 	"bytes"
+	"crypto/sha1"
 	"errors"
 	"testing"
 	"time"
@@ -9,29 +10,33 @@ import (
 
 var now = time.Unix(1390000000, 0)
 
+// hashOf names a test object by the hash of a label.
+func hashOf(label string) [20]byte { return sha1.Sum([]byte(label)) }
+
 func TestPutGetDelete(t *testing.T) {
 	s := New(Config{KeepData: true})
 	data := []byte("hello s3")
-	if err := s.PutObject("k1", data); err != nil {
+	k1 := hashOf("k1")
+	if err := s.PutHash(k1, data); err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.GetObject("k1")
+	got, err := s.GetHash(k1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, data) {
 		t.Errorf("got %q", got)
 	}
-	size, err := s.HeadObject("k1")
+	size, err := s.HeadHash(k1)
 	if err != nil || size != uint64(len(data)) {
 		t.Errorf("head = %d, %v", size, err)
 	}
-	s.DeleteObject("k1")
-	if _, err := s.GetObject("k1"); !errors.Is(err, ErrNoSuchKey) {
+	s.DeleteHash(k1)
+	if _, err := s.GetHash(k1); !errors.Is(err, ErrNoSuchKey) {
 		t.Errorf("get after delete = %v", err)
 	}
 	// Deleting a missing key is a no-op (S3 semantics).
-	s.DeleteObject("k1")
+	s.DeleteHash(k1)
 	st := s.Stats()
 	if st.Puts != 1 || st.Gets != 1 || st.Deletes != 2 || st.Objects != 0 || st.BytesHeld != 0 {
 		t.Errorf("stats = %+v", st)
@@ -73,7 +78,7 @@ func TestIdempotentOverwrite(t *testing.T) {
 
 func TestMultipartHappyPath(t *testing.T) {
 	s := New(Config{KeepData: true})
-	id := s.CreateMultipartUpload("big", now)
+	id := s.CreateMultipartHash(hashOf("big"), now)
 	p1 := bytes.Repeat([]byte{1}, 10)
 	p2 := bytes.Repeat([]byte{2}, 5)
 	if err := s.UploadPart(id, 1, p1); err != nil {
@@ -85,7 +90,7 @@ func TestMultipartHappyPath(t *testing.T) {
 	if err := s.CompleteMultipartUpload(id); err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.GetObject("big")
+	got, err := s.GetHash(hashOf("big"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +112,7 @@ func TestMultipartHappyPath(t *testing.T) {
 
 func TestMultipartPartOrdering(t *testing.T) {
 	s := New(Config{})
-	id := s.CreateMultipartUpload("k", now)
+	id := s.CreateMultipartHash(hashOf("k"), now)
 	if err := s.UploadPartSized(id, 2, 10); !errors.Is(err, ErrPartGap) {
 		t.Errorf("gap err = %v", err)
 	}
@@ -124,8 +129,8 @@ func TestMultipartPartOrdering(t *testing.T) {
 
 func TestMultipartAbortAndGC(t *testing.T) {
 	s := New(Config{})
-	id1 := s.CreateMultipartUpload("a", now)
-	id2 := s.CreateMultipartUpload("b", now.Add(48*time.Hour))
+	id1 := s.CreateMultipartHash(hashOf("a"), now)
+	id2 := s.CreateMultipartHash(hashOf("b"), now.Add(48*time.Hour))
 	if err := s.AbortMultipartUpload(id1); err != nil {
 		t.Fatal(err)
 	}
@@ -148,8 +153,8 @@ func TestMultipartAbortAndGC(t *testing.T) {
 
 func TestCompleteOverwritesExisting(t *testing.T) {
 	s := New(Config{})
-	s.PutObjectSized("k", 100)
-	id := s.CreateMultipartUpload("k", now)
+	s.PutHashSized(hashOf("k"), 100)
+	id := s.CreateMultipartHash(hashOf("k"), now)
 	s.UploadPartSized(id, 1, 200)
 	if err := s.CompleteMultipartUpload(id); err != nil {
 		t.Fatal(err)
@@ -232,7 +237,7 @@ func TestPutCopiesGetShares(t *testing.T) {
 // append slack is held for the life of the object.
 func TestMultipartJoinsExactSize(t *testing.T) {
 	s := New(Config{KeepData: true})
-	id := s.CreateMultipartUpload("big", now)
+	id := s.CreateMultipartHash(hashOf("big"), now)
 	var want []byte
 	for i, n := range []int{PartSize, PartSize, 1234} {
 		part := bytes.Repeat([]byte{byte(i + 1)}, n)
@@ -244,7 +249,7 @@ func TestMultipartJoinsExactSize(t *testing.T) {
 	if err := s.CompleteMultipartUpload(id); err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.GetObject("big")
+	got, err := s.GetHash(hashOf("big"))
 	if err != nil || !bytes.Equal(got, want) {
 		t.Fatalf("multipart content mismatch (err %v)", err)
 	}

@@ -246,7 +246,7 @@ func serving(t *testing.T) (map[string]func() Transport, *auth.Service) {
 	t.Cleanup(func() { ln.Close() })
 	go srv.Serve(ln) //nolint:errcheck // ends when the listener closes
 	return map[string]func() Transport{
-		"direct": func() Transport { return NewDirectTransport(FixedServer(srv), nil) },
+		"direct": func() Transport { return NewDirectTransport(fixedServer(srv), nil) },
 		"tcp": func() Transport {
 			tr, err := DialTCP(ln.Addr().String())
 			if err != nil {
@@ -286,7 +286,7 @@ func TestRetainedResponseIsWipedAfterCall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := &keepingTransport{Transport: NewDirectTransport(FixedServer(srv), nil)}
+	tr := &keepingTransport{Transport: NewDirectTransport(fixedServer(srv), nil)}
 	cli := New(tr)
 	if err := cli.Connect(token); err != nil {
 		t.Fatal(err)

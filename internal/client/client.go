@@ -400,26 +400,6 @@ func (c *Client) upload(vol protocol.VolumeID, parent protocol.NodeID, name stri
 	return final.Node, false, nil
 }
 
-// BeginUpload runs Make + PutContent and stops: the parts never follow, as
-// when a laptop lid closes mid-upload. The server-side uploadjob lingers
-// until the weekly garbage collection (appendix A). It returns the upload id
-// (zero if the content deduplicated and no transfer was needed).
-func (c *Client) BeginUpload(vol protocol.VolumeID, parent protocol.NodeID, name string, h protocol.Hash, size uint64) (protocol.UploadID, bool, error) {
-	mk, err := c.do(protocol.Request{Op: protocol.OpMakeFile, Volume: vol, Parent: parent, Name: name})
-	if err != nil {
-		return 0, false, err
-	}
-	c.applyLocal(vol, mk.Node, mk.Generation, false)
-	put, err := c.do(protocol.Request{
-		Op: protocol.OpPutContent, Volume: vol, Node: mk.Node.ID, Name: name,
-		Hash: h, Size: size,
-	})
-	if err != nil {
-		return 0, false, err
-	}
-	return put.Upload, put.Reused, nil
-}
-
 // Download fetches a file's content. Large files are fetched in parts. With
 // a metered server the returned slice is nil but sizes are accounted.
 func (c *Client) Download(vol protocol.VolumeID, node protocol.NodeID) ([]byte, error) {
@@ -527,12 +507,6 @@ func (c *Client) AcceptShare(id protocol.ShareID) (protocol.ShareInfo, error) {
 	}
 	c.mu.Unlock()
 	return share, nil
-}
-
-// Ping exercises the keepalive.
-func (c *Client) Ping() error {
-	_, err := c.do(protocol.Request{Op: protocol.OpPing})
-	return err
 }
 
 // Sync reconciles a mirror with the server via GetDelta (falling back to a

@@ -35,13 +35,24 @@ func newServerWith(cfg apiserver.Config) (*apiserver.Server, *auth.Service) {
 	return srv, authSvc
 }
 
+// fixedServer is a placement function pinning every session to srv.
+func fixedServer(srv *apiserver.Server) func() *apiserver.Server {
+	return func() *apiserver.Server { return srv }
+}
+
+// Ping exercises the keepalive.
+func (c *Client) Ping() error {
+	_, err := c.do(protocol.Request{Op: protocol.OpPing})
+	return err
+}
+
 func connected(t *testing.T, srv *apiserver.Server, authSvc *auth.Service, user protocol.UserID) *Client {
 	t.Helper()
 	token, err := authSvc.Issue(user)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cli := New(NewDirectTransport(FixedServer(srv), nil))
+	cli := New(NewDirectTransport(fixedServer(srv), nil))
 	if err := cli.Connect(token); err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +77,7 @@ func TestConnectInitFlow(t *testing.T) {
 
 func TestConnectBadToken(t *testing.T) {
 	srv, _ := newServer(t)
-	cli := New(NewDirectTransport(FixedServer(srv), nil))
+	cli := New(NewDirectTransport(fixedServer(srv), nil))
 	err := cli.Connect("bogus")
 	if !errors.Is(err, protocol.ErrAuthFailed) {
 		t.Errorf("err = %v", err)
@@ -76,7 +87,7 @@ func TestConnectBadToken(t *testing.T) {
 func TestDisconnectReconnectKeepsMirror(t *testing.T) {
 	srv, authSvc := newServer(t)
 	token, _ := authSvc.Issue(5)
-	cli := New(NewDirectTransport(FixedServer(srv), nil))
+	cli := New(NewDirectTransport(fixedServer(srv), nil))
 	if err := cli.Connect(token); err != nil {
 		t.Fatal(err)
 	}
@@ -135,11 +146,23 @@ func TestBeginUploadLeavesJob(t *testing.T) {
 	srv, authSvc := newServer(t)
 	cli := connected(t, srv, authSvc, 20)
 	root, _ := cli.RootVolume()
-	up, reused, err := cli.BeginUpload(root, 0, "partial.iso", protocol.HashBytes([]byte("p")), 30<<20)
-	if err != nil || reused || up == 0 {
-		t.Fatalf("begin: up=%v reused=%v err=%v", up, reused, err)
+	// Make + PutContent and stop: the parts never follow, as when a laptop
+	// lid closes mid-upload.
+	mk, err := cli.do(protocol.Request{Op: protocol.OpMakeFile, Volume: root, Name: "partial.iso"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	put, err := cli.do(protocol.Request{
+		Op: protocol.OpPutContent, Volume: root, Node: mk.Node.ID, Name: "partial.iso",
+		Hash: protocol.HashBytes([]byte("p")), Size: 30 << 20,
+	})
+	if err != nil || put.Reused || put.Upload == 0 {
+		t.Fatalf("begin: up=%v reused=%v err=%v", put.Upload, put.Reused, err)
 	}
 	// Nothing committed: the file node exists but has no content.
+	if _, err := cli.Sync(root); err != nil {
+		t.Fatal(err)
+	}
 	m, _ := cli.Mirror(root)
 	for _, n := range m.Nodes {
 		if n.Kind == protocol.KindFile && !n.Hash.IsZero() {
@@ -300,10 +323,14 @@ func TestFlateSize(t *testing.T) {
 	}
 }
 
+// TestServiceTimeAccumulates checks that requests through the transport are
+// charged simulated back-end service time.
 func TestServiceTimeAccumulates(t *testing.T) {
 	srv, authSvc := newServer(t)
+	var service time.Duration
+	srv.AddObserver(func(e apiserver.Event) { service += e.Duration })
 	token, _ := authSvc.Issue(60)
-	tr := NewDirectTransport(FixedServer(srv), nil)
+	tr := NewDirectTransport(fixedServer(srv), nil)
 	cli := New(tr)
 	if err := cli.Connect(token); err != nil {
 		t.Fatal(err)
@@ -313,10 +340,10 @@ func TestServiceTimeAccumulates(t *testing.T) {
 	if _, _, err := cli.UploadSized(root, 0, "s.txt", h, 10, 8); err != nil {
 		t.Fatal(err)
 	}
-	if tr.ServiceTime() <= 0 {
+	if service <= 0 {
 		t.Error("service time should accumulate")
 	}
-	if tr.Session() == nil {
+	if tr.sess == nil {
 		t.Error("session should be live")
 	}
 }
@@ -521,7 +548,7 @@ func TestDirectTransportAppliesVirtualBackoff(t *testing.T) {
 	var events []apiserver.Event
 	srv.AddObserver(func(e apiserver.Event) { events = append(events, e) })
 	t0 := time.Date(2014, 1, 11, 0, 0, 0, 0, time.UTC)
-	tr := NewDirectTransport(FixedServer(srv), func() time.Time { return t0 })
+	tr := NewDirectTransport(fixedServer(srv), func() time.Time { return t0 })
 	cli := New(tr)
 	token, _ := authSvc.Issue(80)
 	if err := cli.Connect(token); err != nil {

@@ -11,8 +11,7 @@ import (
 
 // DirectTransport drives in-process API servers without sockets. The
 // simulator uses it to run very large client populations on a virtual clock:
-// Clock supplies the timestamp for every request, and the accumulated
-// simulated service time is available through ServiceTime.
+// Clock supplies the timestamp for every request.
 //
 // Placement follows the gateway rule of §4: every new session (Authenticate)
 // asks the place function for a server — typically Cluster.LeastLoaded — and
@@ -31,10 +30,9 @@ type DirectTransport struct {
 	place func() *apiserver.Server
 	clock func() time.Time
 
-	mu      sync.Mutex
-	server  *apiserver.Server
-	sess    *apiserver.Session
-	service time.Duration
+	mu     sync.Mutex
+	server *apiserver.Server
+	sess   *apiserver.Session
 	// pushes materializes on the first delivered push or the first Pushes
 	// call, whichever comes first (see queue): the simulator builds one
 	// transport per connection and almost none of them ever sees a push.
@@ -64,11 +62,6 @@ func (t *DirectTransport) Push(p *protocol.Push) {
 	}
 }
 
-// FixedServer returns a placement function pinning every session to srv.
-func FixedServer(srv *apiserver.Server) func() *apiserver.Server {
-	return func() *apiserver.Server { return srv }
-}
-
 // NewDirectTransport creates a transport. place chooses the API server for
 // each new session; clock provides request timestamps (nil → time.Now).
 func NewDirectTransport(place func() *apiserver.Server, clock func() time.Time) *DirectTransport {
@@ -94,11 +87,10 @@ func (t *DirectTransport) Do(req *protocol.Request) (*protocol.Response, error) 
 			oldServer.CloseSession(oldSess, now)
 		}
 		server := t.place()
-		newSess, resp, d := server.OpenSession(req.Token, t, now)
+		newSess, resp, _ := server.OpenSession(req.Token, t, now)
 		t.mu.Lock()
 		t.server = server
 		t.sess = newSess
-		t.service += d
 		t.mu.Unlock()
 		resp.ID = req.ID
 		return resp, nil
@@ -132,13 +124,10 @@ func (t *DirectTransport) Do(req *protocol.Request) (*protocol.Response, error) 
 			sent.Data = bytes.Clone(req.Data)
 			req = &sent
 		}
-		resp, d := server.Handle(sess, req, now)
+		resp, _ := server.Handle(sess, req, now)
 		if len(resp.Data) > 0 {
 			resp.Data = bytes.Clone(resp.Data)
 		}
-		t.mu.Lock()
-		t.service += d
-		t.mu.Unlock()
 		return resp, nil
 	}
 }
@@ -166,19 +155,4 @@ func (t *DirectTransport) Close() error {
 		server.CloseSession(sess, t.clock())
 	}
 	return nil
-}
-
-// ServiceTime returns the cumulative simulated back-end service time
-// consumed through this transport.
-func (t *DirectTransport) ServiceTime() time.Duration {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.service
-}
-
-// Session returns the live session, if any (diagnostics and tests).
-func (t *DirectTransport) Session() *apiserver.Session {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.sess
 }

@@ -40,7 +40,7 @@ func echoServer(t *testing.T) string {
 				return
 			}
 			resp := &protocol.Response{ID: req.ID, Status: protocol.StatusOK}
-			if err := wire.WriteFrame(conn, protocol.FrameResponse, resp.Marshal()); err != nil {
+			if err := wire.NewFrameWriter(conn).WriteMessage(protocol.FrameResponse, resp); err != nil {
 				return
 			}
 		}
@@ -144,9 +144,9 @@ func TestTCPTransportReportsWhyItClosed(t *testing.T) {
 func TestTCPTransportSkipsAnswersNobodyWaitsFor(t *testing.T) {
 	tr, err := DialTCP(scriptedPeer(t, func(conn net.Conn, req *protocol.Request) {
 		stray := &protocol.Response{ID: req.ID + 1000, Status: protocol.StatusNotFound, Generation: 7}
-		wire.WriteFrame(conn, protocol.FrameResponse, stray.Marshal()) //nolint:errcheck
+		wire.NewFrameWriter(conn).WriteMessage(protocol.FrameResponse, stray) //nolint:errcheck
 		own := &protocol.Response{ID: req.ID, Status: protocol.StatusOK, Generation: 8}
-		wire.WriteFrame(conn, protocol.FrameResponse, own.Marshal()) //nolint:errcheck
+		wire.NewFrameWriter(conn).WriteMessage(protocol.FrameResponse, own) //nolint:errcheck
 	}))
 	if err != nil {
 		t.Fatal(err)

@@ -160,7 +160,6 @@ func (c *Categorical) Draw(r Rand) int {
 // skew of deduplicated content (§5.3: a few files account for very many
 // duplicates). It owns its rand.Rand so callers get a reproducible stream.
 type Zipf struct {
-	r *rand.Rand
 	z *rand.Zipf
 }
 
@@ -172,7 +171,7 @@ func NewZipf(r *rand.Rand, s float64, n uint64) *Zipf {
 	if s <= 1 {
 		s = 1.0001
 	}
-	return &Zipf{r: r, z: rand.NewZipf(r, s, 1, n-1)}
+	return &Zipf{z: rand.NewZipf(r, s, 1, n-1)}
 }
 
 // Rank draws a 1-based rank.

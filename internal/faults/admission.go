@@ -118,22 +118,3 @@ func (a *Admission) Admit(proc int, op protocol.Op, now time.Time) bool {
 	p.entries = append(p.entries, now)
 	return true
 }
-
-// Load returns proc's current windowed in-flight load at time now
-// (diagnostics and tests).
-func (a *Admission) Load(proc int, now time.Time) int {
-	if a == nil || proc < 0 || proc >= len(a.procs) {
-		return 0
-	}
-	p := &a.procs[proc]
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	cutoff := now.Add(-AdmissionWindow)
-	var n int
-	for _, t := range p.entries {
-		if t.After(cutoff) {
-			n++
-		}
-	}
-	return n
-}

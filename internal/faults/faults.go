@@ -102,22 +102,6 @@ func Uniform(seed int64, rate float64) *Plan {
 	return p
 }
 
-// Enabled reports whether the plan can inject anything.
-func (p *Plan) Enabled() bool {
-	if p == nil {
-		return false
-	}
-	if len(p.Rules) > 0 {
-		return true
-	}
-	for i := range p.Phases {
-		if len(p.Phases[i].Rules) > 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // draw derives the injection uniform for one request as a pure function of
 // (Seed, user, op, now). Chaining two splitmix rounds keeps the op index —
 // a small integer — from aliasing with nearby seeds or user ids.

@@ -94,12 +94,14 @@ func TestPhaseFirstMatchWins(t *testing.T) {
 }
 
 func TestPhaseEnablesPlan(t *testing.T) {
-	p := &Plan{Phases: []Phase{{Rules: map[protocol.Op]Rule{protocol.OpPing: {Fraction: 1}}}}}
-	if !p.Enabled() {
-		t.Error("plan with only phase rules reports disabled")
+	window := Phase{From: t0, Until: t0.Add(time.Hour)}
+	ping := window
+	ping.Rules = map[protocol.Op]Rule{protocol.OpPing: {Fraction: 1}}
+	if _, ok := (&Plan{Phases: []Phase{ping}}).Decide(1, protocol.OpPing, t0); !ok {
+		t.Error("plan with only phase rules injects nothing")
 	}
-	if (&Plan{Phases: []Phase{{}}}).Enabled() {
-		t.Error("plan with an empty phase reports enabled")
+	if _, ok := (&Plan{Phases: []Phase{window}}).Decide(1, protocol.OpPing, t0); ok {
+		t.Error("plan with an empty phase injects")
 	}
 }
 

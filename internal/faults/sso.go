@@ -68,23 +68,3 @@ func (b *SSOAdmission) Admit(now time.Time) bool {
 	b.tokens--
 	return true
 }
-
-// Tokens reports the current token balance at time now (diagnostics and
-// tests); it refills like Admit but drains nothing.
-func (b *SSOAdmission) Tokens(now time.Time) float64 {
-	if b == nil {
-		return 0
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	t := b.tokens
-	if b.primed {
-		if dt := now.Sub(b.last).Seconds(); dt > 0 {
-			t += dt * b.rate
-			if t > b.burst {
-				t = b.burst
-			}
-		}
-	}
-	return t
-}

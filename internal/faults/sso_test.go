@@ -97,7 +97,7 @@ func TestSSOAdmissionMinimumBurst(t *testing.T) {
 	if !b.Admit(t0) {
 		t.Error("burst-clamped bucket shed its first request")
 	}
-	if got := NewSSOAdmission(1, 0.2).Tokens(t0); got != 1 {
+	if got := NewSSOAdmission(1, 0.2).tokens; got != 1 {
 		t.Errorf("initial tokens = %v, want clamped burst 1", got)
 	}
 }

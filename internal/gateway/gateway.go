@@ -23,7 +23,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"u1/internal/dist"
 	"u1/internal/metrics"
@@ -50,8 +49,8 @@ type balancerMetrics struct {
 }
 
 // backendSlot is one backend's entry in its shard's min-heap. pos tracks the
-// slot's index in the heap array so Release and RemoveBackend can sift from
-// the middle without searching.
+// slot's index in the heap array so Release can sift from the middle without
+// searching.
 type backendSlot struct {
 	name   string
 	load   int
@@ -65,7 +64,6 @@ type balancerShard struct {
 	mu     sync.Mutex
 	heap   []*backendSlot
 	byName map[string]*backendSlot
-	total  map[string]uint64
 }
 
 func (s *balancerShard) less(i, j int) bool {
@@ -137,10 +135,7 @@ func NewShardedBalancer(shards int, backends ...string) *Balancer {
 	}
 	b := &Balancer{shards: make([]*balancerShard, shards)}
 	for i := range b.shards {
-		b.shards[i] = &balancerShard{
-			byName: make(map[string]*backendSlot),
-			total:  make(map[string]uint64),
-		}
+		b.shards[i] = &balancerShard{byName: make(map[string]*backendSlot)}
 	}
 	b.Instrument(nil)
 	for _, name := range backends {
@@ -148,9 +143,6 @@ func NewShardedBalancer(shards int, backends ...string) *Balancer {
 	}
 	return b
 }
-
-// NumShards returns the balancer's shard count.
-func (b *Balancer) NumShards() int { return len(b.shards) }
 
 // shardOf maps a backend name to its owning shard: FNV over the name,
 // scrambled through the splitmix64 mix so shard counts with small factors
@@ -203,39 +195,12 @@ func (b *Balancer) AddBackend(name string) {
 	sh.siftUp(s.pos)
 }
 
-// RemoveBackend deregisters a backend; its sessions are assumed terminated.
-func (b *Balancer) RemoveBackend(name string) {
-	sh := b.shards[b.shardOf(name)]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	s, ok := sh.byName[name]
-	if !ok {
-		return
-	}
-	delete(sh.byName, name)
-	// Capture the hole's index before swapping: swap() rewrites s.pos to
-	// last, so sifting at s.pos afterwards would skip the swapped-in slot
-	// and break the heap invariant.
-	i := s.pos
-	last := len(sh.heap) - 1
-	if i != last {
-		sh.swap(i, last)
-	}
-	sh.heap[last] = nil
-	sh.heap = sh.heap[:last]
-	if i < last {
-		sh.siftDown(i)
-		sh.siftUp(i)
-	}
-}
-
 // acquireFrom takes the root of shard idx. Caller holds the shard lock.
 func (b *Balancer) acquireFrom(idx int) Lease {
 	sh := b.shards[idx]
 	s := sh.heap[0]
 	s.load++
 	sh.siftDown(0)
-	sh.total[s.name]++
 	s.placed.Inc()
 	return Lease{Backend: s.name, shard: idx}
 }
@@ -264,8 +229,7 @@ func rootLess(a, b *backendSlot) bool {
 // broken deterministically by name, so tests are stable); with several it is
 // the less-loaded of two randomly sampled shard roots.
 func (b *Balancer) Acquire() (Lease, error) {
-	//u1:allow wallclock placement latency measured in host time; observability only
-	start := time.Now()
+	took := metrics.StartStopwatch()
 	var lease Lease
 	if len(b.shards) == 1 {
 		sh := b.shards[0]
@@ -286,15 +250,14 @@ func (b *Balancer) Acquire() (Lease, error) {
 	m := b.m.Load()
 	m.placed.Inc()
 	m.activeConns.Inc()
-	//u1:allow wallclock placement latency measured in host time; observability only
-	m.placeSeconds.Observe(time.Since(start).Seconds())
+	took.Observe(m.placeSeconds)
 	return lease, nil
 }
 
 // acquireTwoChoices implements power-of-two-choices across shards: sample
 // two distinct shards, lock both in index order (no deadlock), take the
-// less-loaded root. If both samples are empty (name-hash imbalance or
-// backend removal), fall back to a linear probe for any non-empty shard.
+// less-loaded root. If both samples are empty (name-hash imbalance), fall
+// back to a linear probe for any non-empty shard.
 func (b *Balancer) acquireTwoChoices() (Lease, bool) {
 	i, j := b.pickTwo()
 	if i > j {
@@ -359,52 +322,12 @@ func (b *Balancer) Release(l Lease) {
 	sh.mu.Unlock()
 }
 
-// ReleaseBackend ends a session on the named backend, resolving the owning
-// shard by name hash — for callers that track backends rather than leases.
-func (b *Balancer) ReleaseBackend(name string) {
-	b.Release(Lease{Backend: name, shard: b.shardOf(name)})
-}
-
-// Active returns a snapshot of active sessions per backend.
-func (b *Balancer) Active() map[string]int {
-	out := make(map[string]int)
-	for _, sh := range b.shards {
-		sh.mu.Lock()
-		for name, s := range sh.byName {
-			out[name] = s.load
-		}
-		sh.mu.Unlock()
-	}
-	return out
-}
-
-// Totals returns cumulative sessions placed per backend.
-func (b *Balancer) Totals() map[string]uint64 {
-	out := make(map[string]uint64)
-	for _, sh := range b.shards {
-		sh.mu.Lock()
-		for k, v := range sh.total {
-			out[k] = v
-		}
-		sh.mu.Unlock()
-	}
-	return out
-}
-
 // Proxy is a TCP pass-through applying the Balancer's placement to real
 // connections: each accepted client connection is pinned to one backend
 // address for its lifetime.
 type Proxy struct {
 	balancer *Balancer
 	backends map[string]string // name → dial address
-
-	mu sync.Mutex
-	ln net.Listener
-}
-
-// NewProxy creates a single-shard proxy over named backend addresses.
-func NewProxy(backends map[string]string) *Proxy {
-	return NewShardedProxy(1, backends)
 }
 
 // NewShardedProxy creates a proxy whose balancer spreads the named backends
@@ -429,9 +352,6 @@ func (p *Proxy) Balancer() *Balancer { return p.balancer }
 // Serve accepts connections on ln until it is closed. Each connection is
 // placed by the balancer and copied bidirectionally.
 func (p *Proxy) Serve(ln net.Listener) error {
-	p.mu.Lock()
-	p.ln = ln
-	p.mu.Unlock()
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
@@ -442,16 +362,6 @@ func (p *Proxy) Serve(ln net.Listener) error {
 		}
 		go p.handle(conn)
 	}
-}
-
-// Close stops the listener.
-func (p *Proxy) Close() error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.ln != nil {
-		return p.ln.Close()
-	}
-	return nil
 }
 
 func (p *Proxy) handle(client net.Conn) {

@@ -9,10 +9,67 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"u1/internal/metrics"
 )
+
+// The gateway never removes a backend, releases by name or lists loads; the
+// tests below need to, to drive the heap through churn and to read it back.
+
+// RemoveBackend deregisters a backend; its sessions are assumed terminated.
+func (b *Balancer) RemoveBackend(name string) {
+	sh := b.shards[b.shardOf(name)]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	s, ok := sh.byName[name]
+	if !ok {
+		return
+	}
+	delete(sh.byName, name)
+	// Capture the hole's index before swapping: swap() rewrites s.pos to
+	// last, so sifting at s.pos afterwards would skip the swapped-in slot
+	// and break the heap invariant.
+	i := s.pos
+	last := len(sh.heap) - 1
+	if i != last {
+		sh.swap(i, last)
+	}
+	sh.heap[last] = nil
+	sh.heap = sh.heap[:last]
+	if i < last {
+		sh.siftDown(i)
+		sh.siftUp(i)
+	}
+}
+
+// ReleaseBackend ends a session on the named backend, resolving the owning
+// shard by name hash.
+func (b *Balancer) ReleaseBackend(name string) {
+	b.Release(Lease{Backend: name, shard: b.shardOf(name)})
+}
+
+// Active returns a snapshot of active sessions per backend.
+func (b *Balancer) Active() map[string]int {
+	out := make(map[string]int)
+	for _, sh := range b.shards {
+		sh.mu.Lock()
+		for name, s := range sh.byName {
+			out[name] = s.load
+		}
+		sh.mu.Unlock()
+	}
+	return out
+}
+
+// placed reads a backend's cumulative placement counter from reg.
+func placed(reg *metrics.Registry, backend string) uint64 {
+	return reg.Counter("gateway.backend." + backend + ".placed").Value()
+}
 
 func TestBalancerLeastLoaded(t *testing.T) {
 	b := NewBalancer("a", "b", "c")
+	reg := metrics.NewRegistry()
+	b.Instrument(reg)
 	got := make(map[string]int)
 	for i := 0; i < 6; i++ {
 		lease, err := b.Acquire()
@@ -36,8 +93,8 @@ func TestBalancerLeastLoaded(t *testing.T) {
 			t.Errorf("placement %d went to %s, want b", i, lease.Backend)
 		}
 	}
-	if tot := b.Totals(); tot["b"] != 4 {
-		t.Errorf("totals = %v", tot)
+	if tot := placed(reg, "b"); tot != 4 {
+		t.Errorf("placements on b = %d, want 4", tot)
 	}
 }
 
@@ -131,12 +188,15 @@ func TestProxyEndToEnd(t *testing.T) {
 	// Two shards over two backends exercises the sharded placement path on
 	// real connections.
 	p := NewShardedProxy(2, map[string]string{"a": addrA, "b": addrB})
+	if got := len(p.Balancer().shards); got != 2 {
+		t.Fatalf("proxy balancer shards = %d, want 2", got)
+	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	go p.Serve(ln)
-	defer p.Close()
+	defer ln.Close()
 
 	seen := make(map[string]bool)
 	for i := 0; i < 4; i++ {
@@ -412,8 +472,8 @@ func TestShardedBalancerPlacesEverywhere(t *testing.T) {
 	} {
 		t.Run(fmt.Sprintf("%d_shards_%d_backends", tc.shards, len(tc.backends)), func(t *testing.T) {
 			b := NewShardedBalancer(tc.shards, tc.backends...)
-			if b.NumShards() != tc.shards {
-				t.Fatalf("shards = %d", b.NumShards())
+			if len(b.shards) != tc.shards {
+				t.Fatalf("shards = %d", len(b.shards))
 			}
 			leases := make([]Lease, 0, tc.sessions)
 			for i := 0; i < tc.sessions; i++ {
@@ -534,6 +594,8 @@ func TestShardedBalancerConcurrent(t *testing.T) {
 func TestFallThroughLeaseShardMatchesHashShard(t *testing.T) {
 	names := shardedNames(12)
 	b := NewShardedBalancer(8, names...)
+	reg := metrics.NewRegistry()
+	b.Instrument(reg)
 	survivor := names[0]
 	for _, name := range names[1:] {
 		b.RemoveBackend(name)
@@ -559,7 +621,7 @@ func TestFallThroughLeaseShardMatchesHashShard(t *testing.T) {
 	if n := b.Active()[survivor]; n != 0 {
 		t.Errorf("survivor load = %d after releasing every lease, want 0", n)
 	}
-	if got := b.Totals()[survivor]; got != 400 {
+	if got := placed(reg, survivor); got != 400 {
 		t.Errorf("survivor placements = %d, want 400", got)
 	}
 }

@@ -10,10 +10,11 @@ import (
 // (Seed, Workers, …) the simulation's event stream, metrics, and fingerprints
 // are bit-for-bit reproducible. Wall-clock reads and global math/rand draws
 // are the two ways a run silently picks up entropy from the host, so both are
-// findings in every internal package. Legitimate measurement sites — lock-hold
-// histograms, real-transport timing, placement latency — stay expressible
-// behind `//u1:allow wallclock <reason>`, which makes every exemption
-// self-documenting and auditable.
+// findings in every internal package. Host-time measurement — lock holds,
+// blob transfers, placement latency — goes through metrics.Stopwatch, whose
+// two clock reads are annotated; the few other legitimate sites (real-transport
+// timestamps) stay expressible behind `//u1:allow wallclock <reason>`, which
+// makes every exemption self-documenting and auditable.
 
 // simDeterministic is the set of packages under the bit-for-bit replay
 // contract (golden event streams, shard fingerprints). Findings there get the

@@ -16,10 +16,13 @@
 // a diagnostic, so stale exemptions cannot accumulate.
 //
 // The pass catalog is returned by Passes (determinism, maporder,
-// lockdiscipline, metricname, each in its own file); docs/REFERENCE.md
-// documents each pass's contract and ROADMAP.md the follow-up pass still
-// open (interceptor-ordering). Journal-under-lock needs no pass: the metadata
-// store journals only from commit, which runs under the shard write lock.
+// lockdiscipline, metricname, unused, each in its own file);
+// docs/REFERENCE.md documents each pass's contract. Four passes look at one
+// package at a time. The fifth, unused, resolves references across the whole
+// module — LoadPatterns always loads every package, so linting a subset
+// reports exactly what linting the module reports there. Journal-under-lock
+// needs no pass: the metadata store journals only from commit, which runs
+// under the shard write lock.
 package lint
 
 import (
@@ -64,7 +67,7 @@ type Pass struct {
 
 // Passes returns the registered pass catalog in registration order.
 func Passes() []*Pass {
-	return []*Pass{determinismPass, maporderPass, lockdisciplinePass, metricnamePass}
+	return []*Pass{determinismPass, maporderPass, lockdisciplinePass, metricnamePass, unusedPass}
 }
 
 // passByAllow maps an annotation rule token to its pass, for validating
@@ -80,7 +83,7 @@ func passByAllow(rule string) *Pass {
 
 // Run executes every registered pass over pkgs and returns the surviving
 // diagnostics — findings not covered by a matching annotation, plus one
-// diagnostic per malformed, unknown, or unused annotation — sorted by
+// diagnostic per malformed, unknown, or stale annotation — sorted by
 // position. It is the single entry point the CLI and the tests share.
 func Run(pkgs []*Package) []Diagnostic {
 	var diags []Diagnostic

@@ -1,7 +1,10 @@
 package lint
 
 import (
+	"fmt"
+	"go/ast"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -64,7 +67,8 @@ func parseWants(t *testing.T, pkg *Package) map[wantKey][]want {
 
 // checkFixture loads dir under importPath and requires Run's diagnostics to
 // match the fixture's want comments exactly — every diagnostic expected,
-// every expectation produced.
+// every expectation produced. Fixtures of the other passes declare functions
+// nothing calls, so only the unused_* fixtures are held to the unused pass.
 func checkFixture(t *testing.T, dir, importPath string) {
 	t.Helper()
 	l := sharedLoader(t)
@@ -72,8 +76,12 @@ func checkFixture(t *testing.T, dir, importPath string) {
 	if err != nil {
 		t.Fatalf("loading %s as %s: %v", dir, importPath, err)
 	}
+	unusedFixture := strings.HasPrefix(filepath.Base(dir), "unused_")
 	wants := parseWants(t, pkg)
 	for _, d := range Run([]*Package{pkg}) {
+		if d.Pass == "unused" && !unusedFixture {
+			continue
+		}
 		k := wantKey{d.Pos.Filename, d.Pos.Line}
 		ws := wants[k]
 		found := -1
@@ -111,6 +119,8 @@ func TestGoldenFixtures(t *testing.T) {
 		{"metricname_bad", "testdata/metricname_bad", "u1/internal/namebad"},
 		{"metricname_clean", "testdata/metricname_clean", "u1/internal/nameclean"},
 		{"allow_bad", "testdata/allow_bad", "u1/internal/allowbad"},
+		{"unused_bad", "testdata/unused_bad", "u1/internal/unusedbad"},
+		{"unused_clean", "testdata/unused_clean", "u1/internal/unusedclean"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) { checkFixture(t, tc.dir, tc.path) })
@@ -125,7 +135,7 @@ func TestViolationFixturesFindSomething(t *testing.T) {
 	for _, dir := range []string{
 		"testdata/determinism_bad", "testdata/maporder_bad",
 		"testdata/lockdiscipline_bad", "testdata/metricname_bad",
-		"testdata/allow_bad",
+		"testdata/allow_bad", "testdata/unused_bad",
 	} {
 		pkg, err := l.LoadDirAs(dir, "u1/internal/"+filepath.Base(dir))
 		if err != nil {
@@ -191,7 +201,10 @@ func TestPassCatalog(t *testing.T) {
 			t.Errorf("passByAllow(%q) does not round-trip", p.Allow)
 		}
 	}
-	for _, want := range []string{"determinism", "maporder", "lockdiscipline", "metricname"} {
+	if n := len(Passes()); n != 5 {
+		t.Errorf("catalog has %d passes, want 5", n)
+	}
+	for _, want := range []string{"determinism", "maporder", "lockdiscipline", "metricname", "unused"} {
 		if !names[want] {
 			t.Errorf("pass %q missing from catalog", want)
 		}
@@ -223,5 +236,60 @@ func TestRealTreeClean(t *testing.T) {
 	}
 	if len(diags) > 0 {
 		t.Errorf("real tree has %d lint findings; fix them or annotate with //u1:allow", len(diags))
+	}
+}
+
+// rawUnused runs the unused pass over pkg with no annotation applied.
+func rawUnused(pkg *Package) []string {
+	var out []string
+	unusedPass.Run(pkg, func(n ast.Node, format string, args ...any) {
+		pos := pkg.Fset.Position(n.Pos())
+		out = append(out, fmt.Sprintf("%s:%d: %s", pos.Filename, pos.Line, fmt.Sprintf(format, args...)))
+	})
+	return out
+}
+
+// TestUnusedSubsetMatchesModule pins the pass's reference rule: linting one
+// package reports exactly what linting the whole module reports there,
+// because LoadPatterns loads every caller, cmd/ and benchmark/ included. The
+// pass runs without annotations, so the declarations the tree keeps on
+// purpose give both sides something to agree on; a package loaded alone,
+// with only its own imports as callers, must report more.
+func TestUnusedSubsetMatchesModule(t *testing.T) {
+	if testing.Short() {
+		t.Skip("type-checks the entire module twice")
+	}
+	whole := sharedLoader(t)
+	if _, err := whole.LoadPatterns(whole.ModuleRoot + "/..."); err != nil {
+		t.Fatalf("loading module: %v", err)
+	}
+	subset, err := NewLoader(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	alone, err := NewLoader(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rel := range []string{"internal/trace", "internal/protocol"} {
+		dir := filepath.Join(subset.ModuleRoot, rel)
+		pkgs, err := subset.LoadPatterns(dir)
+		if err != nil || len(pkgs) != 1 {
+			t.Fatalf("loading %s: %d packages, %v", rel, len(pkgs), err)
+		}
+		want := rawUnused(whole.pkgs["u1/"+rel])
+		if len(want) == 0 {
+			t.Errorf("%s: no unannotated finding to compare; pick a package that keeps one", rel)
+		}
+		if got := rawUnused(pkgs[0]); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s linted as a subset:\n  %s\nwhole module:\n  %s", rel, strings.Join(got, "\n  "), strings.Join(want, "\n  "))
+		}
+		pkg, err := alone.LoadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := rawUnused(pkg); len(got) <= len(want) {
+			t.Errorf("%s loaded alone reports %d findings, want more than the module's %d", rel, len(got), len(want))
+		}
 	}
 }

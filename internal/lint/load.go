@@ -38,7 +38,8 @@ type Package struct {
 	Pkg  *types.Package
 	Info *types.Info
 
-	src map[string][]byte // file name -> raw source, for annotation layout
+	src    map[string][]byte // file name -> raw source, for annotation layout
+	loader *Loader           // the loader whose package set module-wide passes see
 }
 
 // commentStandsAlone reports whether c is the first token on its source line
@@ -70,6 +71,11 @@ type Loader struct {
 	fset *token.FileSet
 	std  types.Importer
 	pkgs map[string]*Package // by import path
+
+	// used memoizes usedObjects over the package set it was computed from;
+	// usedOver is that set's size (loading only ever adds packages).
+	used     map[types.Object]bool
+	usedOver int
 }
 
 // NewLoader discovers the module root upward from dir ("." for the working
@@ -185,10 +191,11 @@ func (l *Loader) LoadDirAs(dir, importPath string) (*Package, error) {
 	sort.Strings(names)
 
 	pkg := &Package{
-		Path: importPath,
-		Dir:  dir,
-		Fset: l.fset,
-		src:  make(map[string][]byte, len(names)),
+		Path:   importPath,
+		Dir:    dir,
+		Fset:   l.fset,
+		src:    make(map[string][]byte, len(names)),
+		loader: l,
 		Info: &types.Info{
 			Types:      make(map[ast.Expr]types.TypeAndValue),
 			Defs:       make(map[*ast.Ident]types.Object),
@@ -259,8 +266,23 @@ func (l *Loader) Expand(pattern string) ([]string, error) {
 }
 
 // LoadPatterns expands and loads every pattern, returning packages sorted by
-// import path.
+// import path. It also loads the rest of the module without returning it:
+// module-wide passes (unused) resolve references against every package, so
+// linting a subset reports exactly what linting the module reports there.
 func (l *Loader) LoadPatterns(patterns ...string) ([]*Package, error) {
+	if _, err := l.loadAll(l.ModuleRoot + "/..."); err != nil {
+		return nil, err
+	}
+	pkgs, err := l.loadAll(patterns...)
+	if err != nil {
+		return nil, err
+	}
+	sort.Slice(pkgs, func(i, j int) bool { return pkgs[i].Path < pkgs[j].Path })
+	return pkgs, nil
+}
+
+// loadAll expands and loads every pattern, each package once.
+func (l *Loader) loadAll(patterns ...string) ([]*Package, error) {
 	seen := make(map[string]bool)
 	var pkgs []*Package
 	for _, pat := range patterns {
@@ -279,6 +301,5 @@ func (l *Loader) LoadPatterns(patterns ...string) ([]*Package, error) {
 			}
 		}
 	}
-	sort.Slice(pkgs, func(i, j int) bool { return pkgs[i].Path < pkgs[j].Path })
 	return pkgs, nil
 }

@@ -1,0 +1,9 @@
+package unusedbad
+
+import "testing"
+
+func TestOnlyTests(t *testing.T) {
+	if OnlyTests() != 1 {
+		t.Fail()
+	}
+}

@@ -320,9 +320,6 @@ func (s *Store) Close() error {
 	return firstErr
 }
 
-// DurabilityEnabled reports whether the store journals mutations.
-func (s *Store) DurabilityEnabled() bool { return s.dur != nil }
-
 // ShardWALDir returns the journal directory of shard i, for harnesses that
 // damage the tail to exercise torn-record recovery. Empty without durability.
 func (s *Store) ShardWALDir(i int) string {

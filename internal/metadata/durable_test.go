@@ -234,7 +234,7 @@ func TestRecoverTornJournalTail(t *testing.T) {
 // tier: Close is a no-op, recovery APIs refuse, and ops never journal.
 func TestInMemoryStoreUnchanged(t *testing.T) {
 	s := New(Config{Shards: 2})
-	if s.DurabilityEnabled() {
+	if s.dur != nil {
 		t.Fatal("in-memory store reports durability")
 	}
 	if _, err := s.CreateUser(1); err != nil {

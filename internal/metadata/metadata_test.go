@@ -210,9 +210,8 @@ func TestUnlinkCascade(t *testing.T) {
 			t.Errorf("node %v still reachable", id)
 		}
 	}
-	// Unlinking the volume root is rejected.
-	rootNode, _ := s.GetRoot(1)
-	if _, _, _, err := s.Unlink(1, root.ID, rootNode.ID); !errors.Is(err, protocol.ErrBadRequest) {
+	// Unlinking the volume root (the parent of a top-level node) is rejected.
+	if _, _, _, err := s.Unlink(1, root.ID, dir.Parent); !errors.Is(err, protocol.ErrBadRequest) {
 		t.Errorf("unlink root err = %v", err)
 	}
 	// Unlinking a missing node.
@@ -248,9 +247,8 @@ func TestMove(t *testing.T) {
 	if _, err := s.Move(1, root.ID, a.ID, c.ID, "a"); !errors.Is(err, protocol.ErrBadRequest) {
 		t.Errorf("cycle err = %v", err)
 	}
-	// Moving the volume root is rejected.
-	rootNode, _ := s.GetRoot(1)
-	if _, err := s.Move(1, root.ID, rootNode.ID, b.ID, "r"); !errors.Is(err, protocol.ErrBadRequest) {
+	// Moving the volume root (the parent of a top-level node) is rejected.
+	if _, err := s.Move(1, root.ID, a.Parent, b.ID, "r"); !errors.Is(err, protocol.ErrBadRequest) {
 		t.Errorf("move root err = %v", err)
 	}
 	// Empty target name.

@@ -6,19 +6,10 @@ import (
 	"maps"
 	"slices"
 	"sort"
-	"time"
 
+	"u1/internal/metrics"
 	"u1/internal/protocol"
 )
-
-// UserData summarizes a user's account state (dal.get_user_data).
-type UserData struct {
-	ID         protocol.UserID
-	RootVolume protocol.VolumeID
-	Volumes    int
-	SharesIn   int
-	SharesOut  int
-}
 
 // CreateUser provisions an account: the user row, the root volume (id
 // reported to clients as their volume 0 equivalent) and its root directory.
@@ -47,23 +38,6 @@ func (s *Store) createVolume(sh *shard, kind string, owner protocol.UserID, typ 
 	s.commit(sh, journalRecord{Kind: kind, User: owner, Volume: info, Root: s.allocNode()})
 	s.volumeDir.store(info.ID, owner)
 	return info
-}
-
-// GetUserData returns the account summary (dal.get_user_data).
-func (s *Store) GetUserData(user protocol.UserID) (UserData, error) {
-	sh := s.shardOf(user)
-	defer sh.runlock(sh.rlock())
-	u, ok := sh.users[user]
-	if !ok {
-		return UserData{}, protocol.ErrNotFound
-	}
-	return UserData{
-		ID:         user,
-		RootVolume: u.root,
-		Volumes:    len(u.volumes),
-		SharesIn:   len(u.sharesIn),
-		SharesOut:  len(u.sharesOut),
-	}, nil
 }
 
 // ownerOf resolves the owner of a volume through the volume directory.
@@ -447,19 +421,6 @@ func (s *Store) GetNode(user protocol.UserID, vol protocol.VolumeID, node protoc
 	return nr.info(node), nil
 }
 
-// GetRoot returns the root directory of the user's root volume
-// (dal.get_root).
-func (s *Store) GetRoot(user protocol.UserID) (protocol.NodeInfo, error) {
-	sh := s.shardOf(user)
-	defer sh.runlock(sh.rlock())
-	u, ok := sh.users[user]
-	if !ok {
-		return protocol.NodeInfo{}, protocol.ErrNotFound
-	}
-	vr := sh.volumes[u.root]
-	return sh.nodes[vr.root].info(vr.root), nil
-}
-
 // Unlink deletes a node; deleting a directory cascades to its whole subtree
 // (dal.unlink_node; §5.2 observes that directory deletion explains matching
 // file/dir lifetime distributions). It returns every removed node, the new
@@ -752,12 +713,11 @@ func (s *Store) AcceptShare(user protocol.UserID, id protocol.ShareID) (protocol
 // single lock. unlockPair releases both and charges the hold time to each
 // shard's master, since both masters were pinned for the whole cross-shard
 // transaction.
-func lockPair(a, b *shard) time.Time {
+func lockPair(a, b *shard) metrics.Stopwatch {
 	if a == b {
 		//u1:allow lockdiscipline cross-shard accessor locks in id order to avoid deadlock; hold is charged in unlockPair
 		a.mu.Lock()
-		//u1:allow wallclock lock-hold measurement; virtual time cannot observe contention
-		return time.Now()
+		return metrics.StartStopwatch()
 	}
 	if a.id > b.id {
 		a, b = b, a
@@ -766,16 +726,13 @@ func lockPair(a, b *shard) time.Time {
 	a.mu.Lock()
 	//u1:allow lockdiscipline cross-shard accessor locks in id order to avoid deadlock; hold is charged in unlockPair
 	b.mu.Lock()
-	//u1:allow wallclock lock-hold measurement; virtual time cannot observe contention
-	return time.Now()
+	return metrics.StartStopwatch()
 }
 
-func unlockPair(a, b *shard, start time.Time) {
-	//u1:allow wallclock lock-hold measurement; virtual time cannot observe contention
-	hold := time.Since(start)
+func unlockPair(a, b *shard, hold metrics.Stopwatch) {
 	if a == b {
 		a.mu.Unlock()
-		a.m.writeHold.Observe(hold.Seconds())
+		hold.Observe(a.m.writeHold)
 		return
 	}
 	if a.id > b.id {
@@ -783,8 +740,8 @@ func unlockPair(a, b *shard, start time.Time) {
 	}
 	b.mu.Unlock()
 	a.mu.Unlock()
-	a.m.writeHold.Observe(hold.Seconds())
-	b.m.writeHold.Observe(hold.Seconds())
+	hold.Observe(a.m.writeHold)
+	hold.Observe(b.m.writeHold)
 }
 
 // LookupContent reports whether content with hash h is already stored and

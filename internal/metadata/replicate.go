@@ -408,21 +408,6 @@ func (s *Store) DrainReplication() {
 	}
 }
 
-// ReplicationBacklog returns the total records awaiting application across
-// all regions.
-func (s *Store) ReplicationBacklog() int {
-	if s.repl == nil {
-		return 0
-	}
-	s.repl.mu.RLock()
-	defer s.repl.mu.RUnlock()
-	var n int
-	for _, st := range s.repl.state {
-		n += len(st.backlog)
-	}
-	return n
-}
-
 // RegionDown marks a region failed: mutations owned by it are refused with
 // ErrUnavailable and cross-region reads of its shards fail over to the
 // reader region's replicas. Idempotent.

@@ -2,6 +2,7 @@ package metadata
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"u1/internal/protocol"
@@ -58,7 +59,7 @@ func seedTwoRegions(t *testing.T, s *Store) []protocol.UserID {
 // owner shard.
 func requireConverged(t *testing.T, s *Store) {
 	t.Helper()
-	if n := s.ReplicationBacklog(); n != 0 {
+	if n := replicationBacklog(s); n != 0 {
 		t.Fatalf("backlog not drained: %d records pending", n)
 	}
 	for region := 0; region < s.Regions(); region++ {
@@ -360,13 +361,30 @@ func TestCrossRegionShareRevocationFlushesGranteeRegion(t *testing.T) {
 }
 
 // TestRegionsClampAndDisable pins the config edges: Regions ≤ 1 disables
-// replication entirely, and Regions > Shards clamps.
+// replication entirely, and Regions > Shards is refused rather than clamped.
 func TestRegionsClampAndDisable(t *testing.T) {
 	if s := New(Config{Shards: 4, Regions: 1}); s.ReplicationEnabled() {
 		t.Fatal("Regions=1 must not enable replication")
 	}
-	s := New(Config{Shards: 2, Regions: 8})
-	if got := s.Regions(); got != 2 {
-		t.Fatalf("Regions clamped to %d, want 2 (the shard count)", got)
+	if _, err := Open(Config{Shards: 2, Regions: 8}); err == nil || !strings.Contains(err.Error(), "Regions") {
+		t.Fatalf("Open(Regions 8 over 2 shards) = %v, want an error naming Regions", err)
 	}
+	if s := New(Config{Shards: 2, Regions: 2}); s.Regions() != 2 {
+		t.Fatalf("Regions = %d, want 2", s.Regions())
+	}
+}
+
+// replicationBacklog returns the total records awaiting application across
+// all regions.
+func replicationBacklog(s *Store) int {
+	if s.repl == nil {
+		return 0
+	}
+	s.repl.mu.RLock()
+	defer s.repl.mu.RUnlock()
+	var n int
+	for _, st := range s.repl.state {
+		n += len(st.backlog)
+	}
+	return n
 }

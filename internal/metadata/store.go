@@ -24,7 +24,6 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"u1/internal/metrics"
 	"u1/internal/protocol"
@@ -59,17 +58,52 @@ type Config struct {
 	SnapshotEvery int
 	// Regions partitions the shards into contiguous groups with asynchronous
 	// cross-region replication between them (see replicate.go). Values ≤ 1
-	// disable replication; values above Shards are clamped to Shards.
+	// disable replication; Validate refuses values above Shards.
 	Regions int
 	// ReplicationDelay is how many replication epochs a published record waits
 	// in a peer region's backlog before applying. 0 applies records on the
-	// tick that ships them.
+	// tick that ships them. Validate refuses it unless Regions > 1.
 	ReplicationDelay int
 	// EventualReads serves cross-region reads from the reader region's
 	// replica (possibly stale) instead of the owner shard. The default is
 	// read-your-writes: cross-region reads go to the owner unless its region
-	// is down.
+	// is down. Validate refuses it unless Regions > 1.
 	EventualReads bool
+}
+
+// defaultShards is the shard count of a config that sets none (the paper's
+// deployment).
+const defaultShards = 10
+
+// Validate rejects a config with a knob that only means something beside a
+// knob that is off, or with more regions than shards to hold them: settings
+// Open would otherwise ignore or clamp silently. Each error names the
+// offending field. Open calls it first.
+func (cfg Config) Validate() error {
+	shards := cfg.Shards
+	if shards <= 0 {
+		shards = defaultShards
+	}
+	if cfg.Durability == "" {
+		switch {
+		case cfg.FsyncPolicy != wal.FsyncPerOp:
+			return fmt.Errorf("metadata: FsyncPolicy %v set without Durability", cfg.FsyncPolicy)
+		case cfg.SnapshotEvery != 0:
+			return fmt.Errorf("metadata: SnapshotEvery %d set without Durability", cfg.SnapshotEvery)
+		}
+	}
+	if cfg.Regions <= 1 {
+		switch {
+		case cfg.ReplicationDelay != 0:
+			return fmt.Errorf("metadata: ReplicationDelay %d set with Regions %d (needs > 1)", cfg.ReplicationDelay, cfg.Regions)
+		case cfg.EventualReads:
+			return fmt.Errorf("metadata: EventualReads set with Regions %d (needs > 1)", cfg.Regions)
+		}
+	}
+	if cfg.Regions > shards {
+		return fmt.Errorf("metadata: Regions %d exceeds the %d shards", cfg.Regions, shards)
+	}
+	return nil
 }
 
 // DefaultDeltaLogLimit is the per-volume delta log bound used when the
@@ -129,11 +163,14 @@ func New(cfg Config) *Store {
 
 // Open creates a store with cfg and, when cfg.Durability names a directory,
 // recovers every shard from its snapshot plus journal before returning. The
-// error is non-nil only for durable stores whose on-disk state cannot be
-// opened.
+// error is non-nil for a config Validate refuses and for durable stores
+// whose on-disk state cannot be opened.
 func Open(cfg Config) (*Store, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	if cfg.Shards <= 0 {
-		cfg.Shards = 10
+		cfg.Shards = defaultShards
 	}
 	if cfg.DeltaLogLimit == 0 {
 		cfg.DeltaLogLimit = DefaultDeltaLogLimit
@@ -150,9 +187,6 @@ func Open(cfg Config) (*Store, error) {
 	}
 	for i := range s.shards {
 		s.shards[i] = newShard(i, cfg.DeltaLogLimit, cfg.Metrics)
-	}
-	if cfg.Regions > cfg.Shards {
-		cfg.Regions = cfg.Shards
 	}
 	if cfg.Regions > 1 {
 		s.repl = newReplication(cfg, cfg.Metrics)
@@ -519,7 +553,7 @@ func (s *shard) readOp()  { s.m.reads.Inc() }
 func (s *shard) writeOp() { s.m.writes.Inc() }
 
 // rlock counts a read op, takes the shard's read lock (the slave replica of
-// the pair) and returns the acquisition time; runlock releases the lock and
+// the pair) and starts a stopwatch on the hold; runlock releases the lock and
 // records the hold. The pair instruments every read without allocating:
 //
 //	defer sh.runlock(sh.rlock())   // defer evaluates rlock() immediately
@@ -529,34 +563,27 @@ func (s *shard) writeOp() { s.m.writes.Inc() }
 //	start := sh.rlock()
 //	...
 //	sh.runlock(start)
-func (sh *shard) rlock() time.Time {
+func (sh *shard) rlock() metrics.Stopwatch {
 	sh.readOp()
 	sh.mu.RLock()
 	// Virtual time is frozen while a goroutine holds a lock, so only the host
-	// clock can measure contention; the hold histograms are observability
-	// only and never feed simulation state.
-	//u1:allow wallclock lock-hold measurement; virtual time cannot observe contention
-	return time.Now()
+	// clock can measure contention.
+	return metrics.StartStopwatch()
 }
 
-func (sh *shard) runlock(start time.Time) {
-	//u1:allow wallclock lock-hold measurement; virtual time cannot observe contention
-	hold := time.Since(start)
+func (sh *shard) runlock(hold metrics.Stopwatch) {
 	sh.mu.RUnlock()
-	sh.m.readHold.Observe(hold.Seconds())
+	hold.Observe(sh.m.readHold)
 }
 
 // wlock/wunlock are the master-side counterparts for mutations.
-func (sh *shard) wlock() time.Time {
+func (sh *shard) wlock() metrics.Stopwatch {
 	sh.writeOp()
 	sh.mu.Lock()
-	//u1:allow wallclock lock-hold measurement; virtual time cannot observe contention
-	return time.Now()
+	return metrics.StartStopwatch()
 }
 
-func (sh *shard) wunlock(start time.Time) {
-	//u1:allow wallclock lock-hold measurement; virtual time cannot observe contention
-	hold := time.Since(start)
+func (sh *shard) wunlock(hold metrics.Stopwatch) {
 	sh.mu.Unlock()
-	sh.m.writeHold.Observe(hold.Seconds())
+	hold.Observe(sh.m.writeHold)
 }

@@ -57,17 +57,6 @@ func (s *Store) MakeUploadJob(user protocol.UserID, vol protocol.VolumeID, node 
 	return cloneJob(job), nil
 }
 
-// GetUploadJob returns the job state (dal.get_uploadjob).
-func (s *Store) GetUploadJob(user protocol.UserID, id protocol.UploadID) (*UploadJob, error) {
-	sh := s.shardOf(user)
-	defer sh.runlock(sh.rlock())
-	job, ok := sh.uploadjobs[id]
-	if !ok || job.User != user {
-		return nil, protocol.ErrNotFound
-	}
-	return cloneJob(job), nil
-}
-
 // SetUploadJobMultipartID records the data-store multipart identifier
 // (dal.set_uploadjob_multipart_id).
 func (s *Store) SetUploadJobMultipartID(user protocol.UserID, id protocol.UploadID, multipartID string) error {
@@ -95,24 +84,6 @@ func (s *Store) AddPartToUploadJob(user protocol.UserID, id protocol.UploadID, p
 	job.BytesDone += partBytes
 	job.TouchedAt = now
 	return *job, nil
-}
-
-// TouchUploadJob refreshes the job's liveness stamp and reports whether the
-// job had already exceeded the garbage-collection horizon
-// (dal.touch_uploadjob). An expired job is removed and reported.
-func (s *Store) TouchUploadJob(user protocol.UserID, id protocol.UploadID, now time.Time) (expired bool, err error) {
-	sh := s.shardOf(user)
-	defer sh.wunlock(sh.wlock())
-	job, ok := sh.uploadjobs[id]
-	if !ok || job.User != user {
-		return false, protocol.ErrNotFound
-	}
-	if now.Sub(job.TouchedAt) > UploadJobMaxAge {
-		delete(sh.uploadjobs, id)
-		return true, nil
-	}
-	job.TouchedAt = now
-	return false, nil
 }
 
 // DeleteUploadJob garbage-collects the job state on commit or cancellation

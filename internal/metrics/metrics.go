@@ -16,13 +16,11 @@
 package metrics
 
 import (
-	"encoding/json"
-	"io"
 	"math"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 	"unsafe"
 )
 
@@ -120,9 +118,6 @@ type Gauge struct {
 // Set replaces the value.
 func (g *Gauge) Set(n int64) { g.v.Store(n) }
 
-// Add moves the value by delta (negative to decrease).
-func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
-
 // Inc adds one.
 func (g *Gauge) Inc() { g.v.Add(1) }
 
@@ -140,8 +135,7 @@ func (g *Gauge) Value() int64 { return g.v.Load() }
 // bytes up to ~2 GB; values outside land in the first/last bucket, still
 // counted exactly in Count and Sum.
 const (
-	histStripes    = 8 // power of two
-	bucketsPerOct  = 8
+	histStripes    = 8   // power of two
 	numBuckets     = 488 // 61 octaves ≈ 18.4 decades above bucketMin
 	bucketMin      = 1e-9
 	bucketLogRatio = 0.08664339756999316 // ln(2)/8
@@ -242,6 +236,27 @@ func (h *Histogram) updateExtremes(v float64) {
 	}
 }
 
+// Stopwatch times one host-clock interval for a histogram: start it, then
+// Observe the elapsed seconds. It hands out no time.Time and no duration, so
+// a wall-clock reading can only ever land in a metric, never in simulation
+// state: "wall-clock is observability only" holds by type. Lock holds, blob
+// transfers and gateway placement are timed with it.
+type Stopwatch struct{ start time.Time }
+
+// StartStopwatch starts timing.
+func StartStopwatch() Stopwatch {
+	//u1:allow wallclock a Stopwatch reading can only reach a Histogram, never simulation state
+	return Stopwatch{start: time.Now()}
+}
+
+// Observe records the seconds elapsed since the stopwatch started in h.
+// time.Since reads only the monotonic clock, half the cost of a second
+// time.Now on the shard-lock path.
+func (w Stopwatch) Observe(h *Histogram) {
+	//u1:allow wallclock a Stopwatch reading can only reach a Histogram, never simulation state
+	h.Observe(time.Since(w.start).Seconds())
+}
+
 // HistogramSnapshot is a frozen view of a histogram with derived statistics.
 type HistogramSnapshot struct {
 	Count uint64  `json:"count"`
@@ -291,9 +306,7 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	return s
 }
 
-// Quantile estimates the q-quantile (0 ≤ q ≤ 1) from the snapshot's buckets.
-func (s HistogramSnapshot) Quantile(q float64) float64 { return s.quantile(q) }
-
+// quantile estimates the q-quantile (0 ≤ q ≤ 1) from the snapshot's buckets.
 func (s HistogramSnapshot) quantile(q float64) float64 {
 	if s.Count == 0 || s.buckets == nil {
 		return 0
@@ -457,32 +470,4 @@ func (r *Registry) Snapshot() Snapshot {
 		s.Histograms[k] = v.Snapshot()
 	}
 	return s
-}
-
-// WriteJSON writes the registry snapshot as indented JSON.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r.Snapshot())
-}
-
-// Names returns the sorted names of all registered metrics, for diagnostics.
-func (r *Registry) Names() []string {
-	if r == nil {
-		return nil
-	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	names := make([]string, 0, len(r.counters)+len(r.gauges)+len(r.histograms))
-	for k := range r.counters {
-		names = append(names, k)
-	}
-	for k := range r.gauges {
-		names = append(names, k)
-	}
-	for k := range r.histograms {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
 }

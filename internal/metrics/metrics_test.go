@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"bytes"
 	"encoding/json"
 	"math"
 	"math/rand"
@@ -40,7 +39,9 @@ func TestGaugeConcurrent(t *testing.T) {
 				g.Inc()
 				g.Dec()
 			}
-			g.Add(3)
+			g.Inc()
+			g.Inc()
+			g.Inc()
 		}()
 	}
 	wg.Wait()
@@ -171,7 +172,7 @@ func TestQuantileAccuracy(t *testing.T) {
 		}
 		s := h.Snapshot()
 		for _, q := range []float64{0.5, 0.95, 0.99} {
-			got, want := s.Quantile(q), tc.quantile(q)
+			got, want := s.quantile(q), tc.quantile(q)
 			if relErr := math.Abs(got-want) / want; relErr > 0.10 {
 				t.Errorf("%s: q%.0f = %g, want %g (rel err %.1f%%)", tc.name, q*100, got, want, 100*relErr)
 			}
@@ -209,12 +210,12 @@ func TestRegistrySnapshotJSON(t *testing.T) {
 		t.Fatal("counter identity not stable")
 	}
 
-	var buf bytes.Buffer
-	if err := r.WriteJSON(&buf); err != nil {
+	buf, err := json.Marshal(r.Snapshot())
+	if err != nil {
 		t.Fatal(err)
 	}
 	var snap Snapshot
-	if err := json.Unmarshal(buf.Bytes(), &snap); err != nil {
+	if err := json.Unmarshal(buf, &snap); err != nil {
 		t.Fatalf("invalid JSON: %v", err)
 	}
 	if snap.Counters["api.op.Upload.count"] != 7 {

@@ -9,10 +9,8 @@
 package notify
 
 import (
-	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"u1/internal/metrics"
 	"u1/internal/protocol"
@@ -37,13 +35,6 @@ type Event struct {
 	ExcludeSession protocol.SessionID
 }
 
-// Counters tracks bus activity.
-type Counters struct {
-	Published uint64
-	Delivered uint64
-	Dropped   uint64
-}
-
 // brokerMetrics holds the broker's registered handles: bus traffic counters
 // and the per-publish fan-out width histogram.
 type brokerMetrics struct {
@@ -60,51 +51,25 @@ type subscriber struct {
 }
 
 // Broker is the fan-out exchange. One instance serves the whole back-end
-// (the U1 deployment ran a single RabbitMQ server). Publish snapshots the
-// subscriber array under the read lock and performs every queue send outside
-// it, so the broker-wide critical section is a single slice copy no matter
-// how wide the fan-out, and sends themselves are plain non-blocking channel
-// operations with no per-queue locking.
-//
-// Close safety without per-send locks: every fan-out registers in the
-// in-flight gate selected by the current epoch parity (read and incremented
-// under the read lock) and leaves it after its last send. A topology change
-// that must close a channel flips the epoch under the write lock — so every
-// later fan-out uses the other gate and a rebuilt snapshot that no longer
-// contains the queue — and then waits for the old gate to drain to zero
-// before closing. Flips are serialized by topoMu, so the gate being waited
-// on can only decrease; once it reaches zero, no fan-out that could still
-// see the removed queue is running, and the close can never race a send.
+// (the U1 deployment ran a single RabbitMQ server), and every API server
+// registers its queue once, when it is built; no queue is ever removed or
+// closed. Publish snapshots the subscriber list under the read lock and
+// performs every queue send outside it, so the broker-wide critical section
+// is one slice-header copy no matter how wide the fan-out, and sends are
+// plain non-blocking channel operations with no per-queue locking.
 type Broker struct {
-	published atomic.Uint64
-	delivered atomic.Uint64
-	dropped   atomic.Uint64
-
-	// epoch's parity selects the gate in-flight fan-outs register in; gates
-	// count fan-outs per parity.
-	epoch atomic.Uint32
-	gates [2]atomic.Int64
-	// topoMu serializes epoch flips, so a drain never competes with another
-	// flip reusing its parity.
-	topoMu sync.Mutex
-
-	mu   sync.RWMutex
-	m    brokerMetrics
-	subs map[string]*subscriber
-	// list is the immutable fan-out snapshot, rebuilt on every topology
-	// change; Publish copies the slice header under RLock and iterates it
-	// lock-free.
+	mu sync.RWMutex
+	m  brokerMetrics
+	// list is the immutable fan-out snapshot, ordered by subscriber name so
+	// every fan-out visits servers in the same order — delivery interleaving
+	// is part of the deterministic-replay surface. Register replaces it, so a
+	// Publish iterating an older snapshot never sees it change.
 	list []*subscriber
 }
 
-// publishFanoutHook, when non-nil, runs once per Publish after the read lock
-// is released and before any queue send. Tests use it to prove that sends
-// happen outside the broker lock; it must stay nil in production.
-var publishFanoutHook func()
-
 // NewBroker creates an empty broker.
 func NewBroker() *Broker {
-	b := &Broker{subs: make(map[string]*subscriber)}
+	b := &Broker{}
 	b.Instrument(nil)
 	return b
 }
@@ -122,103 +87,40 @@ func (b *Broker) Instrument(reg *metrics.Registry) {
 	}
 }
 
-// Register creates (or replaces) the queue of an API server and returns its
-// receive channel. buffer bounds the queue depth; overflow drops events.
+// Register creates the queue of an API server and returns its receive
+// channel. buffer bounds the queue depth; overflow drops events. A server
+// registers once: registering a name already taken panics, because two
+// servers sharing a name would hide each other's events behind Publish's
+// origin skip (server.Config.Validate refuses duplicate machine names).
 func (b *Broker) Register(server string, buffer int) <-chan Event {
 	if buffer <= 0 {
 		buffer = 1024
 	}
 	q := &subscriber{name: server, ch: make(chan Event, buffer)}
-	b.topoMu.Lock()
-	defer b.topoMu.Unlock()
 	b.mu.Lock()
-	old := b.subs[server]
-	b.subs[server] = q
-	b.rebuildLocked()
-	oldParity := b.flipLocked(old != nil)
-	b.mu.Unlock()
-	if old != nil {
-		b.drainThenClose(old, oldParity)
+	defer b.mu.Unlock()
+	i := sort.Search(len(b.list), func(i int) bool { return b.list[i].name >= server })
+	if i < len(b.list) && b.list[i].name == server {
+		panic("notify: queue " + server + " registered twice")
 	}
+	list := make([]*subscriber, 0, len(b.list)+1)
+	list = append(list, b.list[:i]...)
+	list = append(list, q)
+	b.list = append(list, b.list[i:]...)
 	return q.ch
-}
-
-// Unregister removes a server's queue and closes its channel.
-func (b *Broker) Unregister(server string) {
-	b.topoMu.Lock()
-	defer b.topoMu.Unlock()
-	b.mu.Lock()
-	q := b.subs[server]
-	delete(b.subs, server)
-	b.rebuildLocked()
-	oldParity := b.flipLocked(q != nil)
-	b.mu.Unlock()
-	if q != nil {
-		b.drainThenClose(q, oldParity)
-	}
-}
-
-// rebuildLocked refreshes the immutable fan-out snapshot; callers hold the
-// write lock. The snapshot is ordered by subscriber name so every fan-out
-// visits servers in the same order — delivery interleaving is part of the
-// deterministic-replay surface.
-func (b *Broker) rebuildLocked() {
-	names := make([]string, 0, len(b.subs))
-	for name := range b.subs {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	list := make([]*subscriber, 0, len(names))
-	for _, name := range names {
-		list = append(list, b.subs[name])
-	}
-	b.list = list
-}
-
-// flipLocked advances the epoch when a queue must be closed and returns the
-// retiring parity. Callers hold both topoMu and the write lock, so every
-// fan-out after this point registers in the other gate.
-func (b *Broker) flipLocked(closing bool) uint32 {
-	parity := b.epoch.Load() & 1
-	if closing {
-		b.epoch.Add(1)
-	}
-	return parity
-}
-
-// drainThenClose closes a queue that was just removed from the snapshot,
-// after the retiring gate drains: every fan-out registered there took its
-// snapshot before the removal, and no new fan-out can join it (the epoch
-// moved on and topoMu keeps the parity from being reused mid-wait), so gate
-// zero means no sender can still see q. Fan-outs are non-blocking and finish
-// in nanoseconds; topology changes are rare, so the brief spin is confined
-// to this cold path.
-func (b *Broker) drainThenClose(q *subscriber, parity uint32) {
-	for b.gates[parity].Load() != 0 {
-		runtime.Gosched()
-	}
-	close(q.ch)
 }
 
 // Publish fans the event out to every registered queue except the origin's
 // (the origin served its local sessions synchronously before publishing, the
 // same-process shortcut the paper's footnote 4 describes). Queue sends never
 // block: a full queue drops the event. The read lock is held only to
-// snapshot the subscriber array and register in the epoch's in-flight gate;
-// every send happens outside it, so a wide fan-out never extends the
-// broker's critical section. The gate lets Register/Unregister wait out
-// in-flight snapshots before closing a removed queue's channel.
+// snapshot the subscriber list, so a wide fan-out never extends the broker's
+// critical section.
 func (b *Broker) Publish(e Event) {
 	b.mu.RLock()
-	m := b.m
-	list := b.list
-	gate := &b.gates[b.epoch.Load()&1]
-	gate.Add(1)
+	m, list := b.m, b.list
 	b.mu.RUnlock()
 
-	if publishFanoutHook != nil {
-		publishFanoutHook()
-	}
 	var delivered, dropped uint64
 	for _, q := range list {
 		if q.name == e.Origin {
@@ -231,35 +133,8 @@ func (b *Broker) Publish(e Event) {
 			dropped++
 		}
 	}
-	gate.Add(-1)
-
-	b.published.Add(1)
-	b.delivered.Add(delivered)
-	b.dropped.Add(dropped)
 	m.published.Inc()
 	m.delivered.Add(delivered)
 	m.dropped.Add(dropped)
 	m.fanout.Observe(float64(delivered))
-}
-
-// Stats returns a snapshot of the counters.
-func (b *Broker) Stats() Counters {
-	return Counters{
-		Published: b.published.Load(),
-		Delivered: b.delivered.Load(),
-		Dropped:   b.dropped.Load(),
-	}
-}
-
-// Subscribers returns the sorted names of registered servers, for
-// diagnostics.
-func (b *Broker) Subscribers() []string {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	out := make([]string, 0, len(b.subs))
-	for name := range b.subs {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
 }

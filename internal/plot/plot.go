@@ -1,7 +1,7 @@
 // Package plot renders the study's figures as terminal text: line charts for
 // time series, CDF curves, horizontal bar charts and scatter tables. The Go
 // ecosystem has no canonical plotting stack, so figures are reproduced as
-// ASCII plus gnuplot-ready .dat blocks (see stats.Dat).
+// ASCII.
 package plot
 
 import (

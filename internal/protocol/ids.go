@@ -3,8 +3,8 @@
 // RPC operations of Tables 2 and 4, status codes, and the binary message
 // encodings exchanged between desktop clients and API servers.
 //
-// Buffer ownership. UnmarshalRequest and UnmarshalResponse do not copy Data
-// out of the buffer they decode: the message's Data aliases its input, so the
+// Buffer ownership. Request.Decode and Response.Decode do not copy Data out
+// of the buffer they decode: the message's Data aliases its input, so the
 // caller gives that buffer (in practice the one wire.ReadFrame just
 // allocated) to the message and must not reuse it. Strings and every other
 // field are copied. Encoding is symmetric: Encode records Data by reference
@@ -67,20 +67,6 @@ func (h Hash) String() string { return "sha1:" + h.Hex() }
 
 // IsZero reports whether the hash is the zero value (no content).
 func (h Hash) IsZero() bool { return h == Hash{} }
-
-// ParseHash decodes a 40-char hex string into a Hash.
-func ParseHash(s string) (Hash, error) {
-	var h Hash
-	b, err := hex.DecodeString(s)
-	if err != nil {
-		return h, fmt.Errorf("protocol: bad hash %q: %w", s, err)
-	}
-	if len(b) != sha1.Size {
-		return h, fmt.Errorf("protocol: hash %q has %d bytes, want %d", s, len(b), sha1.Size)
-	}
-	copy(h[:], b)
-	return h, nil
-}
 
 // VolumeType distinguishes the three volume flavors of §3.1.1.
 type VolumeType uint8

@@ -220,14 +220,6 @@ func unmarshalNodeInfo(r *wire.Reader) NodeInfo {
 	return n
 }
 
-// Marshal encodes the response body (without the frame header) into a fresh
-// buffer; Data is copied into it.
-func (p *Response) Marshal() []byte {
-	w := wire.NewWriter(128)
-	p.Encode(w)
-	return w.Bytes()
-}
-
 // Encode implements wire.Message: the one place the response's field order
 // is written down. Data is recorded by reference (wire.Writer.Payload).
 func (p *Response) Encode(w *wire.Writer) {
@@ -264,19 +256,8 @@ func (p *Response) Encode(w *wire.Writer) {
 // messages stay far below this).
 const maxRepeated = 1 << 20
 
-// UnmarshalResponse decodes a response body into a fresh response. The
-// response's Data aliases buf: ownership of buf passes to the returned
-// message.
-func UnmarshalResponse(buf []byte) (*Response, error) {
-	p := &Response{}
-	if err := p.Decode(buf); err != nil {
-		return nil, err
-	}
-	return p, nil
-}
-
-// Decode is the decode-into form of UnmarshalResponse: it wipes p — no
-// Volumes, Deltas or Data of an earlier frame survive — and fills it from
+// Decode decodes a response body into p. It wipes p — no Volumes, Deltas or
+// Data of an earlier frame survive — and fills it from buf, Data aliasing
 // buf; a response on loan from the recycler stays releasable. After an error
 // p holds a partial decode and is good only for another Decode or a release.
 func (p *Response) Decode(buf []byte) error {
@@ -362,13 +343,6 @@ type Push struct {
 	Volume     VolumeID
 	Generation Generation
 	Share      ShareInfo
-}
-
-// Marshal encodes the push body.
-func (n *Push) Marshal() []byte {
-	w := wire.NewWriter(64)
-	n.Encode(w)
-	return w.Bytes()
 }
 
 // Encode implements wire.Message.

@@ -28,6 +28,8 @@ const (
 // Statuses returns every defined status code in declaration order, for
 // classification tables that must cover the whole vocabulary (a new status
 // shows up here and forces every such table to take a position on it).
+//
+//u1:allow unused the status vocabulary the classification tables are audited against
 func Statuses() []Status {
 	out := make([]Status, numStatuses)
 	for i := range out {

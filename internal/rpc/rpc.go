@@ -144,7 +144,6 @@ type Server struct {
 	observers cow.List[Observer]
 
 	nextProc uint64
-	procOps  []uint64 // per-process op counters (atomic)
 
 	// Instrumentation handles indexed by protocol.RPC / protocol.RPCClass,
 	// resolved once so the hot call path records through plain pointers.
@@ -170,7 +169,6 @@ func NewServer(store *metadata.Store, cfg Config) *Server {
 		store:     store,
 		cfg:       cfg,
 		procRNG:   make([]*rand.Rand, cfg.Procs),
-		procOps:   make([]uint64, cfg.Procs),
 		rpcErrors: cfg.Metrics.Counter("rpc.errors"),
 	}
 	for i := range s.procRNG {
@@ -205,15 +203,6 @@ func (s *Server) Store() *metadata.Store { return s.store }
 // their next span.
 func (s *Server) AddObserver(o Observer) { s.observers.Add(o) }
 
-// ProcLoads returns cumulative operations per RPC worker process.
-func (s *Server) ProcLoads() []uint64 {
-	out := make([]uint64, len(s.procOps))
-	for i := range out {
-		out[i] = atomic.LoadUint64(&s.procOps[i])
-	}
-	return out
-}
-
 // call wraps one store access with worker selection, latency sampling, span
 // emission and optional real sleeping. The sampled service time is charged to
 // the request's cost accumulator (nil discards it) instead of being returned:
@@ -221,8 +210,7 @@ func (s *Server) ProcLoads() []uint64 {
 func (s *Server) call(op protocol.RPC, user protocol.UserID, now time.Time, cost *protocol.Cost, err error) {
 	// Modulo before the int conversion: the raw uint64 tick would convert to
 	// a negative int on 32-bit platforms (and after wraparound on 64-bit).
-	proc := int(atomic.AddUint64(&s.nextProc, 1) % uint64(len(s.procOps)))
-	atomic.AddUint64(&s.procOps[proc], 1)
+	proc := int(atomic.AddUint64(&s.nextProc, 1) % uint64(len(s.procRNG)))
 
 	service := s.cfg.Latency.Sample(s.procRNG[proc], op.Class())
 	cost.Add(service)
@@ -323,13 +311,6 @@ func (s *Server) GetDelta(user protocol.UserID, vol protocol.VolumeID, from prot
 	return deltas, gen, err
 }
 
-// GetVolume executes dal.get_volume_id.
-func (s *Server) GetVolume(user protocol.UserID, vol protocol.VolumeID, now time.Time, cost *protocol.Cost) (protocol.VolumeInfo, error) {
-	out, err := s.store.GetVolume(user, vol)
-	s.call(protocol.RPCGetVolumeID, user, now, cost, err)
-	return out, err
-}
-
 // CreateShare executes dal.create_share.
 func (s *Server) CreateShare(owner protocol.UserID, vol protocol.VolumeID, to protocol.UserID, name string, readOnly bool, now time.Time, cost *protocol.Cost) (protocol.ShareInfo, error) {
 	out, err := s.store.CreateShare(owner, vol, to, name, readOnly)
@@ -367,13 +348,6 @@ func (s *Server) MakeUploadJob(user protocol.UserID, vol protocol.VolumeID, node
 	return job, err
 }
 
-// GetUploadJob executes dal.get_uploadjob.
-func (s *Server) GetUploadJob(user protocol.UserID, id protocol.UploadID, now time.Time, cost *protocol.Cost) (*metadata.UploadJob, error) {
-	job, err := s.store.GetUploadJob(user, id)
-	s.call(protocol.RPCGetUploadJob, user, now, cost, err)
-	return job, err
-}
-
 // SetUploadJobMultipartID executes dal.set_uploadjob_multipart_id.
 func (s *Server) SetUploadJobMultipartID(user protocol.UserID, id protocol.UploadID, multipartID string, now time.Time, cost *protocol.Cost) error {
 	err := s.store.SetUploadJobMultipartID(user, id, multipartID)
@@ -386,13 +360,6 @@ func (s *Server) AddPartToUploadJob(user protocol.UserID, id protocol.UploadID, 
 	job, err := s.store.AddPartToUploadJob(user, id, partBytes, now)
 	s.call(protocol.RPCAddPartToUploadJob, user, now, cost, err)
 	return job, err
-}
-
-// TouchUploadJob executes dal.touch_uploadjob.
-func (s *Server) TouchUploadJob(user protocol.UserID, id protocol.UploadID, now time.Time, cost *protocol.Cost) (expired bool, err error) {
-	expired, err = s.store.TouchUploadJob(user, id, now)
-	s.call(protocol.RPCTouchUploadJob, user, now, cost, err)
-	return expired, err
 }
 
 // DeleteUploadJob executes dal.delete_uploadjob.
@@ -415,20 +382,6 @@ func (s *Server) GetFromScratch(user protocol.UserID, vol protocol.VolumeID, now
 func (s *Server) GetNode(user protocol.UserID, vol protocol.VolumeID, node protocol.NodeID, now time.Time, cost *protocol.Cost) (protocol.NodeInfo, error) {
 	out, err := s.store.GetNode(user, vol, node)
 	s.call(protocol.RPCGetNode, user, now, cost, err)
-	return out, err
-}
-
-// GetRoot executes dal.get_root.
-func (s *Server) GetRoot(user protocol.UserID, now time.Time, cost *protocol.Cost) (protocol.NodeInfo, error) {
-	out, err := s.store.GetRoot(user)
-	s.call(protocol.RPCGetRoot, user, now, cost, err)
-	return out, err
-}
-
-// GetUserData executes dal.get_user_data.
-func (s *Server) GetUserData(user protocol.UserID, now time.Time, cost *protocol.Cost) (metadata.UserData, error) {
-	out, err := s.store.GetUserData(user)
-	s.call(protocol.RPCGetUserData, user, now, cost, err)
 	return out, err
 }
 

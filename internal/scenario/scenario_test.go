@@ -152,14 +152,27 @@ func TestLookupUnknownName(t *testing.T) {
 	}
 }
 
-func TestParseMatrixRoundTrip(t *testing.T) {
-	m := Matrix{
+// roundTripMatrix, bareNamesMatrix and rejectedMatrices are the parser's
+// pinned inputs; FuzzParseMatrix starts from them too.
+var (
+	roundTripMatrix = Matrix{
 		Users: 200, Days: 3, Seed: 13, Workers: 2,
 		Scenarios: []Entry{
 			{Name: "sso-storm"},
 			{Name: "flash-crowd", Users: 300, Seed: 11},
 		},
 	}
+	bareNamesMatrix  = `{"scenarios": ["sso-storm", {"name": "slow-disk", "users": 80}]}`
+	rejectedMatrices = map[string]string{
+		"unknown scenario": `{"scenarios": ["no-such-scenario"]}`,
+		"empty matrix":     `{"scenarios": []}`,
+		"top-level typo":   `{"senarios": ["sso-storm"]}`,
+		"malformed":        `{"scenarios": [`,
+	}
+)
+
+func TestParseMatrixRoundTrip(t *testing.T) {
+	m := roundTripMatrix
 	data, err := json.Marshal(m)
 	if err != nil {
 		t.Fatal(err)
@@ -174,7 +187,7 @@ func TestParseMatrixRoundTrip(t *testing.T) {
 }
 
 func TestParseMatrixBareNames(t *testing.T) {
-	got, err := ParseMatrix([]byte(`{"scenarios": ["sso-storm", {"name": "slow-disk", "users": 80}]}`))
+	got, err := ParseMatrix([]byte(bareNamesMatrix))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,17 +198,48 @@ func TestParseMatrixBareNames(t *testing.T) {
 }
 
 func TestParseMatrixRejects(t *testing.T) {
-	cases := map[string]string{
-		"unknown scenario": `{"scenarios": ["no-such-scenario"]}`,
-		"empty matrix":     `{"scenarios": []}`,
-		"top-level typo":   `{"senarios": ["sso-storm"]}`,
-		"malformed":        `{"scenarios": [`,
-	}
-	for name, cfg := range cases {
+	for name, cfg := range rejectedMatrices {
 		if _, err := ParseMatrix([]byte(cfg)); err == nil {
 			t.Errorf("%s: config %s parsed without error", name, cfg)
 		}
 	}
+}
+
+// FuzzParseMatrix feeds arbitrary bytes to the chaos config parser: it must
+// never panic, and a matrix it accepts must re-marshal to JSON that parses
+// back to an equal Matrix.
+func FuzzParseMatrix(f *testing.F) {
+	chaos, err := os.ReadFile(filepath.Join("..", "..", "chaos.json"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(chaos)
+	pinned, err := json.Marshal(roundTripMatrix)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(pinned)
+	f.Add([]byte(bareNamesMatrix))
+	for _, cfg := range rejectedMatrices {
+		f.Add([]byte(cfg))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := ParseMatrix(data)
+		if err != nil {
+			return
+		}
+		out, err := json.Marshal(m)
+		if err != nil {
+			t.Fatalf("re-marshaling an accepted matrix: %v", err)
+		}
+		again, err := ParseMatrix(out)
+		if err != nil {
+			t.Fatalf("re-marshaled matrix %s refused: %v", out, err)
+		}
+		if !reflect.DeepEqual(again, m) {
+			t.Fatalf("round trip changed the matrix:\n  in:  %+v\n  out: %+v", m, again)
+		}
+	})
 }
 
 // TestParamResolution pins the precedence chain: entry override → matrix

@@ -253,7 +253,7 @@ func TestOversizePartStreamRefused(t *testing.T) {
 				t.Errorf("%d multipart uploads aborted, want 1", got)
 			}
 			for _, h := range []protocol.Hash{big, small} {
-				if _, err := c.Blob.HeadObject(h.Hex()); err == nil {
+				if _, err := c.Blob.HeadHash(h); err == nil {
 					t.Errorf("refused content %v reached the store", h)
 				}
 			}

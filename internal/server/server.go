@@ -127,7 +127,6 @@ type Cluster struct {
 	// latency, shard balance and traffic mix live.
 	Metrics *metrics.Registry
 
-	byName        map[string]*apiserver.Server
 	gatewayShards int
 }
 
@@ -160,26 +159,35 @@ func (cfg Config) Validate() error {
 		return fmt.Errorf("server: negative SyncCostScale %v", cfg.SyncCostScale)
 	case cfg.SSOAdmitBurst != 0 && cfg.SSOAdmitRate == 0:
 		return fmt.Errorf("server: SSOAdmitBurst %v set without SSOAdmitRate", cfg.SSOAdmitBurst)
+	case cfg.SyncCostScale != 0 && cfg.Durability == "":
+		return fmt.Errorf("server: SyncCostScale %v set without Durability", cfg.SyncCostScale)
 	}
-	if cfg.Durability == "" {
-		switch {
-		case cfg.FsyncPolicy != wal.FsyncPerOp:
-			return fmt.Errorf("server: FsyncPolicy %v set without Durability", cfg.FsyncPolicy)
-		case cfg.SnapshotEvery != 0:
-			return fmt.Errorf("server: SnapshotEvery %d set without Durability", cfg.SnapshotEvery)
-		case cfg.SyncCostScale != 0:
-			return fmt.Errorf("server: SyncCostScale %v set without Durability", cfg.SyncCostScale)
+	seen := make(map[string]bool, len(cfg.Machines))
+	for _, name := range cfg.Machines {
+		if seen[name] {
+			// A second server under one name would share the first one's
+			// broker identity: Publish's origin skip would hide each from
+			// the other's events.
+			return fmt.Errorf("server: Machines names %q twice", name)
 		}
+		seen[name] = true
 	}
-	if cfg.Regions <= 1 {
-		switch {
-		case cfg.ReplicationDelay != 0:
-			return fmt.Errorf("server: ReplicationDelay %d set with Regions %d (needs > 1)", cfg.ReplicationDelay, cfg.Regions)
-		case cfg.EventualReads:
-			return fmt.Errorf("server: EventualReads set with Regions %d (needs > 1)", cfg.Regions)
-		}
+	return cfg.metadataConfig(nil).Validate()
+}
+
+// metadataConfig is the metadata tier's share of cfg.
+func (cfg Config) metadataConfig(reg *metrics.Registry) metadata.Config {
+	return metadata.Config{
+		Shards:           cfg.Shards,
+		DeltaLogLimit:    cfg.DeltaLogLimit,
+		Metrics:          reg,
+		Durability:       cfg.Durability,
+		FsyncPolicy:      cfg.FsyncPolicy,
+		SnapshotEvery:    cfg.SnapshotEvery,
+		Regions:          cfg.Regions,
+		ReplicationDelay: cfg.ReplicationDelay,
+		EventualReads:    cfg.EventualReads,
 	}
-	return nil
 }
 
 // OpenCluster wires a cluster from cfg, surfacing metadata recovery errors
@@ -195,9 +203,6 @@ func OpenCluster(cfg Config) (*Cluster, error) {
 	if cfg.ProcsPerMachine <= 0 {
 		cfg.ProcsPerMachine = 12
 	}
-	if cfg.Shards <= 0 {
-		cfg.Shards = 10
-	}
 	seed := cfg.Seed
 	if seed == 0 {
 		seed = 1
@@ -208,17 +213,7 @@ func OpenCluster(cfg Config) (*Cluster, error) {
 		reg = metrics.NewRegistry()
 	}
 
-	store, err := metadata.Open(metadata.Config{
-		Shards:           cfg.Shards,
-		DeltaLogLimit:    cfg.DeltaLogLimit,
-		Metrics:          reg,
-		Durability:       cfg.Durability,
-		FsyncPolicy:      cfg.FsyncPolicy,
-		SnapshotEvery:    cfg.SnapshotEvery,
-		Regions:          cfg.Regions,
-		ReplicationDelay: cfg.ReplicationDelay,
-		EventualReads:    cfg.EventualReads,
-	})
+	store, err := metadata.Open(cfg.metadataConfig(reg))
 	if err != nil {
 		return nil, err
 	}
@@ -255,7 +250,6 @@ func OpenCluster(cfg Config) (*Cluster, error) {
 		Broker:        broker,
 		RPC:           rpcTier,
 		Metrics:       reg,
-		byName:        make(map[string]*apiserver.Server),
 		gatewayShards: cfg.GatewayShards,
 	}
 	deps := apiserver.Deps{
@@ -280,7 +274,6 @@ func OpenCluster(cfg Config) (*Cluster, error) {
 			SyncCostScale:  cfg.SyncCostScale,
 		}, deps)
 		c.Servers = append(c.Servers, srv)
-		c.byName[name] = srv
 	}
 	return c, nil
 }
@@ -289,12 +282,6 @@ func OpenCluster(cfg Config) (*Cluster, error) {
 // every shard and closes its journals. In-memory clusters return nil.
 func (c *Cluster) Close() error {
 	return c.Store.Close()
-}
-
-// Server returns an API server by machine name.
-func (c *Cluster) Server(name string) (*apiserver.Server, bool) {
-	s, ok := c.byName[name]
-	return s, ok
 }
 
 // LeastLoaded returns the API server with the fewest live sessions — the

@@ -307,8 +307,11 @@ func TestTCPShardedGateway(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(tc.Close)
-	if got := tc.Proxy.Balancer().NumShards(); got != 2 {
-		t.Fatalf("proxy balancer shards = %d, want 2", got)
+	// ListenAndServe hands this count to gateway.NewShardedProxy, and
+	// TestProxyEndToEnd pins that the proxy's balancer gets that many shards.
+	// Two shards always sample both roots, so placement here cannot reveal it.
+	if c.gatewayShards != 2 {
+		t.Fatalf("cluster gateway shards = %d, want 2", c.gatewayShards)
 	}
 	for u := protocol.UserID(300); u < 308; u++ {
 		cl := dialClient(t, tc, u)
@@ -320,11 +323,7 @@ func TestTCPShardedGateway(t *testing.T) {
 			t.Fatalf("upload through sharded gateway: %v", err)
 		}
 	}
-	var active int
-	for _, n := range tc.Proxy.Balancer().Active() {
-		active += n
-	}
-	if active != 8 {
+	if active := c.Metrics.Gauge("gateway.sessions.active").Value(); active != 8 {
 		t.Errorf("balancer tracks %d active sessions, want 8", active)
 	}
 }
@@ -407,12 +406,12 @@ func TestDirectNotificationsViaPump(t *testing.T) {
 
 	// Force the two devices onto different servers so the broker path runs.
 	token, _ := c.Auth.Issue(5)
-	tr1 := client.NewDirectTransport(client.FixedServer(c.Servers[0]), clock)
+	tr1 := client.NewDirectTransport(func() *apiserver.Server { return c.Servers[0] }, clock)
 	dev1 := client.New(tr1)
 	if err := dev1.Connect(token); err != nil {
 		t.Fatal(err)
 	}
-	tr2 := client.NewDirectTransport(client.FixedServer(c.Servers[1]), clock)
+	tr2 := client.NewDirectTransport(func() *apiserver.Server { return c.Servers[1] }, clock)
 	dev2 := client.New(tr2)
 	if err := dev2.Connect(token); err != nil {
 		t.Fatal(err)
@@ -546,14 +545,22 @@ func TestDirectRescanAfterLogTruncation(t *testing.T) {
 func TestSweepUploadJobs(t *testing.T) {
 	c := newDirectCluster(t)
 	now := time.Unix(1390000000, 0)
-	cl := directClient(t, c, 40, func() time.Time { return now })
+	token, _ := c.Auth.Issue(40)
+	tr := client.NewDirectTransport(c.LeastLoaded, func() time.Time { return now })
+	cl := client.New(tr)
+	if err := cl.Connect(token); err != nil {
+		t.Fatal(err)
+	}
 	root, _ := cl.RootVolume()
 
 	// Start a large upload but never stream the parts: laptop lid closed.
-	h := protocol.HashBytes([]byte("abandoned"))
-	up, reused, err := cl.BeginUpload(root, 0, "partial.bin", h, 20<<20)
-	if err != nil || reused || up == 0 {
-		t.Fatalf("begin: up=%v reused=%v err=%v", up, reused, err)
+	mk, _ := tr.Do(&protocol.Request{Op: protocol.OpMakeFile, Volume: root, Name: "partial.bin"})
+	put, _ := tr.Do(&protocol.Request{
+		Op: protocol.OpPutContent, Volume: root, Node: mk.Node.ID, Name: "partial.bin",
+		Hash: protocol.HashBytes([]byte("abandoned")), Size: 20 << 20,
+	})
+	if put.Status != protocol.StatusOK || put.Reused || put.Upload == 0 {
+		t.Fatalf("begin: status=%v up=%v reused=%v", put.Status, put.Upload, put.Reused)
 	}
 	jobs, blobs := c.SweepUploadJobs(now.Add(10 * 24 * time.Hour))
 	if jobs != 1 {
@@ -586,6 +593,8 @@ func TestConfigValidate(t *testing.T) {
 		{"ReplicationDelay", Config{ReplicationDelay: 1}},
 		{"ReplicationDelay", Config{Regions: 1, ReplicationDelay: 2}},
 		{"EventualReads", Config{EventualReads: true}},
+		{"Regions", Config{Regions: 20, Shards: 4}},
+		{"Machines", Config{Machines: []string{"alpha", "beta", "alpha"}}},
 	}
 	for _, c := range bad {
 		err := c.cfg.Validate()
@@ -603,7 +612,8 @@ func TestConfigValidate(t *testing.T) {
 		{AuthCapacity: 0.5, SSOAdmitRate: 0.3, SSOAdmitBurst: 6},
 		{Durability: "d", FsyncPolicy: wal.FsyncGroupCommit, SnapshotEvery: 64, SyncCostScale: 16},
 		{Regions: 2, ReplicationDelay: 2, EventualReads: true},
-		{Regions: 20, Shards: 4}, // clamped to the shard count by metadata
+		{Regions: 4, Shards: 4},
+		{Machines: []string{"alpha", "beta"}},
 	}
 	for _, cfg := range good {
 		if err := cfg.Validate(); err != nil {

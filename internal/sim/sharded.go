@@ -28,10 +28,9 @@ import (
 // merge by (mailbox id, sender, sequence), never by arrival time.
 //
 // With one shard the engine degenerates to the serial case: the single shard
-// runs every epoch on the caller's goroutine in exactly the order a bare
-// Engine.Run would use, and an empty mailbox set makes the barrier free.
+// runs every epoch on the caller's goroutine in exactly the order stepping a
+// bare Engine would use, and an empty mailbox set makes the barrier free.
 type ShardedEngine struct {
-	start  time.Time
 	epoch  time.Duration
 	now    time.Time
 	shards []*Engine
@@ -90,10 +89,6 @@ func (s *ShardedEngine) AdaptEpoch(cfg EpochAdaptation) {
 	s.adapt = &cfg
 }
 
-// Epoch returns the current epoch length. Under adaptation it moves inside
-// [Min, Max]; otherwise it is the constructor's value for the whole run.
-func (s *ShardedEngine) Epoch() time.Duration { return s.epoch }
-
 // resize applies one adaptation step after a barrier that ran `ran` events.
 func (s *ShardedEngine) resize(ran uint64) {
 	a := s.adapt
@@ -131,7 +126,7 @@ func NewSharded(start time.Time, shards int, epoch time.Duration) *ShardedEngine
 	if epoch <= 0 {
 		epoch = DefaultEpoch
 	}
-	s := &ShardedEngine{start: start, epoch: epoch, now: start}
+	s := &ShardedEngine{epoch: epoch, now: start}
 	s.shards = make([]*Engine, shards)
 	for i := range s.shards {
 		s.shards[i] = New(start)
@@ -156,11 +151,6 @@ func (s *ShardedEngine) ShardFor(key uint64) int {
 	return int(dist.Splitmix64(key+dist.Splitmix64Gamma) % uint64(len(s.shards)))
 }
 
-// Now returns the last closed epoch boundary (the time every shard has
-// reached). Individual shards may sit anywhere inside [Now, Now+epoch) while
-// an epoch is open.
-func (s *ShardedEngine) Now() time.Time { return s.now }
-
 // AtEpochEnd registers fn to run serially after every epoch barrier with the
 // epoch-end time. Hooks run on the Run goroutine while no shard executes, so
 // they may touch cross-shard state safely; they must not schedule events
@@ -169,15 +159,6 @@ func (s *ShardedEngine) Now() time.Time { return s.now }
 // first drain round, in registration order with every other mailbox.
 func (s *ShardedEngine) AtEpochEnd(fn func(now time.Time)) {
 	s.RegisterMailbox(func(now time.Time, _ []Message) { fn(now) })
-}
-
-// Pending returns the number of queued events across all shards.
-func (s *ShardedEngine) Pending() int {
-	var n int
-	for _, e := range s.shards {
-		n += e.Pending()
-	}
-	return n
 }
 
 // Executed returns the number of events run so far across all shards.

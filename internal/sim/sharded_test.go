@@ -60,8 +60,10 @@ func TestShardedRunsAllShards(t *testing.T) {
 	if total != 40 || ran.Load() != 40 {
 		t.Errorf("ran %d events (counted %d), want 40", total, ran.Load())
 	}
-	if se.Pending() != 0 {
-		t.Errorf("pending = %d after drain", se.Pending())
+	for i, e := range se.shards {
+		if e.Pending() != 0 {
+			t.Errorf("shard %d: pending = %d after drain", i, e.Pending())
+		}
 	}
 	if se.Executed() != 40 {
 		t.Errorf("executed = %d", se.Executed())
@@ -126,8 +128,8 @@ func TestShardedEpochHooksRunBetweenEpochs(t *testing.T) {
 			t.Errorf("hook %d at %v, want epoch boundary %v", i, at, want)
 		}
 	}
-	if !se.Now().Equal(t0.Add(events * time.Hour)) {
-		t.Errorf("engine parked at %v", se.Now())
+	if !se.now.Equal(t0.Add(events * time.Hour)) {
+		t.Errorf("engine parked at %v", se.now)
 	}
 }
 
@@ -207,7 +209,7 @@ func TestEpochPinnedByDefault(t *testing.T) {
 	// under.
 	se := NewSharded(t0, 2, time.Hour)
 	var observed []time.Duration
-	se.AtEpochEnd(func(time.Time) { observed = append(observed, se.Epoch()) })
+	se.AtEpochEnd(func(time.Time) { observed = append(observed, se.epoch) })
 	for i := 0; i < se.NumShards(); i++ {
 		eng := se.Shard(i)
 		for h := 0; h < 6; h++ {
@@ -231,7 +233,7 @@ func TestAdaptiveEpochGrowsWhenSparse(t *testing.T) {
 	se := NewSharded(t0, 1, 10*time.Minute)
 	se.AdaptEpoch(EpochAdaptation{Min: 10 * time.Minute, Max: 4 * time.Hour, LowEvents: 4})
 	var sizes []time.Duration
-	se.AtEpochEnd(func(time.Time) { sizes = append(sizes, se.Epoch()) })
+	se.AtEpochEnd(func(time.Time) { sizes = append(sizes, se.epoch) })
 	eng := se.Shard(0)
 	var chain func()
 	left := 60
@@ -262,7 +264,7 @@ func TestAdaptiveEpochShrinksWhenDense(t *testing.T) {
 	se := NewSharded(t0, 1, 4*time.Hour)
 	se.AdaptEpoch(EpochAdaptation{Min: 15 * time.Minute, Max: 4 * time.Hour, HighEvents: 5})
 	var sizes []time.Duration
-	se.AtEpochEnd(func(time.Time) { sizes = append(sizes, se.Epoch()) })
+	se.AtEpochEnd(func(time.Time) { sizes = append(sizes, se.epoch) })
 	eng := se.Shard(0)
 	var chain func()
 	left := 2000
@@ -295,7 +297,7 @@ func TestAdaptiveEpochClampsAndStaysDeterministic(t *testing.T) {
 		se := NewSharded(t0, 2, time.Hour)
 		se.AdaptEpoch(EpochAdaptation{Min: 30 * time.Minute, Max: 2 * time.Hour, LowEvents: 3, HighEvents: 20})
 		var sizes []time.Duration
-		se.AtEpochEnd(func(time.Time) { sizes = append(sizes, se.Epoch()) })
+		se.AtEpochEnd(func(time.Time) { sizes = append(sizes, se.epoch) })
 		for i := 0; i < se.NumShards(); i++ {
 			eng := se.Shard(i)
 			// Dense burst in hours 0-3, sparse tail through hour 40.

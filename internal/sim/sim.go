@@ -106,17 +106,6 @@ func (e *Engine) NextEventAt() (time.Time, bool) {
 	return e.base.Add(time.Duration(e.events[0].at)), true
 }
 
-// Run drains the queue completely and returns the number of events run.
-func (e *Engine) Run() uint64 {
-	start := e.ran
-	for e.Step() {
-	}
-	return e.ran - start
-}
-
-// Pending returns the number of queued events.
-func (e *Engine) Pending() int { return len(e.events) }
-
 // Executed returns the number of events run so far.
 func (e *Engine) Executed() uint64 { return e.ran }
 

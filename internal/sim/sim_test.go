@@ -232,3 +232,14 @@ func TestSchedulingAllocatesNothingAtSteadySize(t *testing.T) {
 		t.Errorf("pending = %d, want the steady 1024", e.Pending())
 	}
 }
+
+// Run drains the queue completely and returns the number of events run.
+func (e *Engine) Run() uint64 {
+	start := e.ran
+	for e.Step() {
+	}
+	return e.ran - start
+}
+
+// Pending returns the number of queued events.
+func (e *Engine) Pending() int { return len(e.events) }

@@ -1,10 +1,7 @@
 package stats
 
 import (
-	"fmt"
-	"math"
 	"sort"
-	"strings"
 )
 
 // CDF is an empirical cumulative distribution function built from a sample.
@@ -35,20 +32,8 @@ func (c *CDF) At(x float64) float64 {
 	return float64(i) / float64(len(c.sorted))
 }
 
-// CCDF returns P(X > x), the complementary CDF at x. Power-law figures
-// (Fig. 9b) plot this on log-log axes.
-func (c *CDF) CCDF(x float64) float64 { return 1 - c.At(x) }
-
 // Quantile returns the q-quantile of the underlying sample.
 func (c *CDF) Quantile(q float64) float64 { return quantileSorted(c.sorted, q) }
-
-// Min returns the smallest sample value (0 when empty).
-func (c *CDF) Min() float64 {
-	if len(c.sorted) == 0 {
-		return 0
-	}
-	return c.sorted[0]
-}
 
 // Max returns the largest sample value (0 when empty).
 func (c *CDF) Max() float64 {
@@ -56,68 +41,4 @@ func (c *CDF) Max() float64 {
 		return 0
 	}
 	return c.sorted[len(c.sorted)-1]
-}
-
-// Point is one (x, y) pair of a sampled curve.
-type Point struct {
-	X, Y float64
-}
-
-// Points samples the CDF at n evenly spaced quantiles (plus the extremes) so
-// it can be plotted or written to a .dat file. For n < 2 it returns the two
-// extreme points.
-func (c *CDF) Points(n int) []Point {
-	if len(c.sorted) == 0 {
-		return nil
-	}
-	if n < 2 {
-		n = 2
-	}
-	pts := make([]Point, 0, n)
-	for i := 0; i < n; i++ {
-		q := float64(i) / float64(n-1)
-		pts = append(pts, Point{X: quantileSorted(c.sorted, q), Y: q})
-	}
-	return pts
-}
-
-// LogPoints samples the CDF at n points spaced logarithmically in x between
-// the smallest positive sample value and the maximum. Figures with x on a log
-// axis (file sizes, inter-operation times, service times) use this sampling.
-func (c *CDF) LogPoints(n int) []Point {
-	if len(c.sorted) == 0 {
-		return nil
-	}
-	lo := math.NaN()
-	for _, v := range c.sorted {
-		if v > 0 {
-			lo = v
-			break
-		}
-	}
-	hi := c.Max()
-	if math.IsNaN(lo) || hi <= lo {
-		return c.Points(n)
-	}
-	if n < 2 {
-		n = 2
-	}
-	llo, lhi := math.Log10(lo), math.Log10(hi)
-	pts := make([]Point, 0, n)
-	for i := 0; i < n; i++ {
-		x := math.Pow(10, llo+(lhi-llo)*float64(i)/float64(n-1))
-		pts = append(pts, Point{X: x, Y: c.At(x)})
-	}
-	return pts
-}
-
-// Dat renders points as a two-column gnuplot-compatible data block with a
-// header comment naming the series.
-func Dat(name string, pts []Point) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "# %s\n", name)
-	for _, p := range pts {
-		fmt.Fprintf(&b, "%g\t%g\n", p.X, p.Y)
-	}
-	return b.String()
 }

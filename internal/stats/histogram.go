@@ -7,58 +7,6 @@ import (
 	"time"
 )
 
-// Histogram counts observations into fixed-width bins over [Lo, Hi).
-// Out-of-range observations are tallied in Under/Over rather than dropped,
-// so totals remain auditable.
-type Histogram struct {
-	Lo, Hi      float64
-	Counts      []uint64
-	Under, Over uint64
-}
-
-// NewHistogram creates a histogram with n bins covering [lo, hi).
-// It panics if n < 1 or hi <= lo, which are programming errors.
-func NewHistogram(lo, hi float64, n int) *Histogram {
-	if n < 1 {
-		panic("stats: histogram needs at least one bin")
-	}
-	if hi <= lo {
-		panic("stats: histogram range is empty")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]uint64, n)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	switch {
-	case x < h.Lo:
-		h.Under++
-	case x >= h.Hi:
-		h.Over++
-	default:
-		i := int(float64(len(h.Counts)) * (x - h.Lo) / (h.Hi - h.Lo))
-		if i == len(h.Counts) { // guard against float rounding at the edge
-			i--
-		}
-		h.Counts[i]++
-	}
-}
-
-// Total returns the number of observations recorded, including out-of-range.
-func (h *Histogram) Total() uint64 {
-	t := h.Under + h.Over
-	for _, c := range h.Counts {
-		t += c
-	}
-	return t
-}
-
-// BinCenter returns the midpoint of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	w := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return h.Lo + w*(float64(i)+0.5)
-}
-
 // Buckets partitions observations using explicit boundaries, as in the
 // paper's file-size categories of Fig. 2b ({0.5, 1, 5, 25} MB produces the
 // five classes x<0.5, 0.5≤x<1, 1≤x<5, 5≤x<25, 25≤x). Each bucket tracks both
@@ -195,22 +143,6 @@ func (ts *TimeSeries) HourOfDay() [24]float64 {
 	for h := range out {
 		if counts[h] > 0 {
 			out[h] = sums[h] / counts[h]
-		}
-	}
-	return out
-}
-
-// Ratio returns a new series of a.Vals[i]/b.Vals[i], skipping (leaving zero)
-// bins where b is zero. The two series must share their grid; it panics
-// otherwise, as that is a programming error.
-func Ratio(a, b *TimeSeries) *TimeSeries {
-	if !a.Start.Equal(b.Start) || a.Bin != b.Bin || len(a.Vals) != len(b.Vals) {
-		panic("stats: ratio of incompatible time series")
-	}
-	out := NewTimeSeries(a.Start, a.Bin, len(a.Vals))
-	for i := range a.Vals {
-		if b.Vals[i] != 0 {
-			out.Vals[i] = a.Vals[i] / b.Vals[i]
 		}
 	}
 	return out

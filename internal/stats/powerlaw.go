@@ -105,25 +105,6 @@ func ksDistance(tail []float64, alpha, theta float64) float64 {
 	return maxDist
 }
 
-// CCDFPoints returns the empirical complementary CDF of xs sampled at
-// logarithmically spaced x values, suitable for the log-log plots of Fig. 9b.
-func CCDFPoints(xs []float64, n int) []Point {
-	c := NewCDF(xs)
-	pts := c.LogPoints(n)
-	for i := range pts {
-		pts[i].Y = 1 - pts[i].Y
-	}
-	return pts
-}
-
-// ModelCCDF evaluates the fitted Pareto CCDF at x.
-func (f PowerLawFit) ModelCCDF(x float64) float64 {
-	if x < f.Theta || f.Theta <= 0 || f.Alpha <= 1 {
-		return 1
-	}
-	return math.Pow(x/f.Theta, -(f.Alpha - 1))
-}
-
 // Bursty reports whether the fit indicates bursty non-Poisson behavior in the
 // paper's sense: a tail exponent 1 < α < 2 over a non-trivial tail.
 func (f PowerLawFit) Bursty() bool {

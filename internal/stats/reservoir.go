@@ -34,9 +34,6 @@ func (r *Reservoir) Add(x float64) {
 	}
 }
 
-// Seen returns the number of observations offered.
-func (r *Reservoir) Seen() uint64 { return r.seen }
-
 // Sample returns a copy of the retained sample.
 func (r *Reservoir) Sample() []float64 {
 	return append([]float64(nil), r.items...)

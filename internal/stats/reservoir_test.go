@@ -10,8 +10,8 @@ func TestReservoirUnderCapacity(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		r.Add(float64(i))
 	}
-	if r.Seen() != 5 || len(r.Sample()) != 5 {
-		t.Errorf("seen=%d sample=%d", r.Seen(), len(r.Sample()))
+	if r.seen != 5 || len(r.Sample()) != 5 {
+		t.Errorf("seen=%d sample=%d", r.seen, len(r.Sample()))
 	}
 }
 
@@ -20,8 +20,8 @@ func TestReservoirBounded(t *testing.T) {
 	for i := 0; i < 100000; i++ {
 		r.Add(float64(i))
 	}
-	if r.Seen() != 100000 {
-		t.Errorf("seen = %d", r.Seen())
+	if r.seen != 100000 {
+		t.Errorf("seen = %d", r.seen)
 	}
 	if len(r.Sample()) != 100 {
 		t.Errorf("sample size = %d", len(r.Sample()))

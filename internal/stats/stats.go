@@ -161,9 +161,6 @@ func NewBoxPlot(xs []float64) BoxPlot {
 	}
 }
 
-// IQR returns the inter-quartile range of the summary.
-func (b BoxPlot) IQR() float64 { return b.Q3 - b.Q1 }
-
 // String renders the summary on one line, in the spirit of the paper's
 // box-plot annotations.
 func (b BoxPlot) String() string {

@@ -238,8 +238,6 @@ type Collector struct {
 	srvTab  []string
 	exts    map[string]uint8
 	extTab  []string
-
-	dropped uint64 // records outside the trace window
 }
 
 // NewCollector creates a collector for the given window.
@@ -290,26 +288,6 @@ func (c *Collector) extIdx(ext string) uint8 {
 	c.exts[ext] = i
 	c.extTab = append(c.extTab, ext)
 	return i
-}
-
-// ServerName resolves a server table index.
-func (c *Collector) ServerName(i uint8) string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if int(i) < len(c.srvTab) {
-		return c.srvTab[i]
-	}
-	return ""
-}
-
-// ExtName resolves an extension table index.
-func (c *Collector) ExtName(i uint8) string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if int(i) < len(c.extTab) {
-		return c.extTab[i]
-	}
-	return ""
 }
 
 // Servers returns the server name table.
@@ -396,14 +374,6 @@ func (c *Collector) Records() []Record {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.records.slice()
-}
-
-// RPCRecords returns a copy of the retained RPC spans (empty unless
-// KeepRPCRecords).
-func (c *Collector) RPCRecords() []Record {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.rpcRecs.slice()
 }
 
 // RPC returns the streaming RPC aggregate.

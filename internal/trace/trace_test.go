@@ -59,7 +59,7 @@ func TestCollectorAPIEvents(t *testing.T) {
 	if !r.IsUpdate() {
 		t.Error("update flag lost")
 	}
-	if c.ExtName(r.Ext) != "mp3" || c.ServerName(r.Server) != "whitecurrant" {
+	if c.extTab[r.Ext] != "mp3" || c.srvTab[r.Server] != "whitecurrant" {
 		t.Error("interning broken")
 	}
 	if !r.When().Equal(t0.Add(time.Minute)) || r.Duration() != 15*time.Millisecond {
@@ -93,8 +93,8 @@ func TestCollectorRPCAggregation(t *testing.T) {
 	if agg.Errs[protocol.RPCGetNode] != 1 {
 		t.Errorf("errs = %d", agg.Errs[protocol.RPCGetNode])
 	}
-	if agg.Samples[protocol.RPCMakeFile].Seen() != 100 {
-		t.Error("reservoir did not see all samples")
+	if n := len(agg.Samples[protocol.RPCMakeFile].Sample()); n != 100 {
+		t.Errorf("reservoir holds %d of 100 samples, want all", n)
 	}
 	// 100 spans spread over 4 shards at one per minute, plus the error span
 	// (shard 0, minute 0).
@@ -287,7 +287,7 @@ func TestDynamicCollectorAttach(t *testing.T) {
 	if col.Len() == 0 {
 		t.Error("collector attached mid-traffic recorded no API events")
 	}
-	if len(col.RPCRecords()) == 0 {
+	if len(col.rpcRecs.slice()) == 0 {
 		t.Error("collector attached mid-traffic recorded no RPC spans")
 	}
 }

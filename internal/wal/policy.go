@@ -62,11 +62,6 @@ func ParsePolicy(s string) (Policy, error) {
 	}
 }
 
-// Policies lists every policy, for pricing sweeps.
-func Policies() []Policy {
-	return []Policy{FsyncPerOp, FsyncGroupCommit, FsyncAsync}
-}
-
 // SyncCost is the deterministic per-mutation service time the durability
 // interceptor charges to protocol.Cost: the full flush under per-op sync,
 // the flush amortized over the batch under group commit, and nothing under

@@ -186,13 +186,6 @@ func (l *Log) rollLocked() error {
 	return nil
 }
 
-// Sync forces pending appends to stable storage regardless of policy.
-func (l *Log) Sync() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.syncLocked()
-}
-
 func (l *Log) syncLocked() error {
 	if l.f == nil || l.pending == 0 {
 		return nil
@@ -203,13 +196,6 @@ func (l *Log) syncLocked() error {
 	l.pending = 0
 	l.syncs++
 	return nil
-}
-
-// NextLSN returns the LSN the next append will receive.
-func (l *Log) NextLSN() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.nextLSN
 }
 
 // Stats returns cumulative appends and syncs, for the wal.* counters.

@@ -71,7 +71,7 @@ func TestReopenContinuesLSNSequence(t *testing.T) {
 		t.Fatal(err)
 	}
 	l = mustOpen(t, dir, Options{})
-	if got := l.NextLSN(); got != 8 {
+	if got := l.nextLSN; got != 8 {
 		t.Fatalf("NextLSN after reopen = %d, want 8", got)
 	}
 	appendN(t, l, 3, "b")
@@ -143,7 +143,7 @@ func TestTornTailTruncatedRecord(t *testing.T) {
 	}
 	// Reopen appends after the intact prefix; the torn frame never resurfaces.
 	l = mustOpen(t, dir, Options{})
-	if got := l.NextLSN(); got != 10 {
+	if got := l.nextLSN; got != 10 {
 		t.Fatalf("NextLSN after torn-tail reopen = %d, want 10", got)
 	}
 	appendN(t, l, 1, "fresh")
@@ -236,7 +236,7 @@ func TestGroupCommitSyncCadence(t *testing.T) {
 }
 
 func TestPolicyParseAndCost(t *testing.T) {
-	for _, p := range Policies() {
+	for _, p := range []Policy{FsyncPerOp, FsyncGroupCommit, FsyncAsync} {
 		got, err := ParsePolicy(p.String())
 		if err != nil || got != p {
 			t.Errorf("ParsePolicy(%q) = %v, %v", p.String(), got, err)

@@ -27,7 +27,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net"
 	"sync"
 )
@@ -206,17 +205,8 @@ func (w *Writer) split() (head, payload, tail []byte) {
 	return w.buf[:w.payloadAt], w.payload, w.buf[w.payloadAt:]
 }
 
-// Len returns the number of encoded bytes.
-func (w *Writer) Len() int { return len(w.buf) + len(w.payload) }
-
-// Reset clears the buffer for reuse.
-func (w *Writer) Reset() { w.buf, w.payload = w.buf[:0], nil }
-
 // Uvarint appends an unsigned varint.
 func (w *Writer) Uvarint(v uint64) { w.buf = binary.AppendUvarint(w.buf, v) }
-
-// Varint appends a signed zig-zag varint.
-func (w *Writer) Varint(v int64) { w.buf = binary.AppendVarint(w.buf, v) }
 
 // Byte appends a raw byte.
 func (w *Writer) Byte(b byte) { w.buf = append(w.buf, b) }
@@ -257,15 +247,6 @@ func (w *Writer) String(s string) {
 	w.buf = append(w.buf, s...)
 }
 
-// Fixed64 appends an 8-byte big-endian integer (used for hashes and times
-// where varint width variance is undesirable).
-func (w *Writer) Fixed64(v uint64) {
-	w.buf = binary.BigEndian.AppendUint64(w.buf, v)
-}
-
-// Float64 appends an IEEE-754 double.
-func (w *Writer) Float64(f float64) { w.Fixed64(math.Float64bits(f)) }
-
 // Reader decodes fields from a buffer produced by Writer. Decoding errors are
 // sticky: after the first failure every Get returns a zero value and Err
 // reports the cause, so message decoders can be written as straight-line code
@@ -297,24 +278,6 @@ func (r *Reader) Uvarint() uint64 {
 		return 0
 	}
 	v, n := binary.Uvarint(r.buf[r.off:])
-	switch {
-	case n > 0:
-		r.off += n
-		return v
-	case n == 0:
-		r.fail(ErrTruncated)
-	default:
-		r.fail(ErrOverflow)
-	}
-	return 0
-}
-
-// Varint reads a signed zig-zag varint.
-func (r *Reader) Varint() int64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(r.buf[r.off:])
 	switch {
 	case n > 0:
 		r.off += n
@@ -362,20 +325,3 @@ func (r *Reader) Bytes() []byte {
 
 // String reads a length-prefixed string.
 func (r *Reader) String() string { return string(r.Bytes()) }
-
-// Fixed64 reads an 8-byte big-endian integer.
-func (r *Reader) Fixed64() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	if r.Remaining() < 8 {
-		r.fail(ErrTruncated)
-		return 0
-	}
-	v := binary.BigEndian.Uint64(r.buf[r.off:])
-	r.off += 8
-	return v
-}
-
-// Float64 reads an IEEE-754 double.
-func (r *Reader) Float64() float64 { return math.Float64frombits(r.Fixed64()) }

@@ -46,7 +46,7 @@ func TestDurableWorkersOneMatchesGolden(t *testing.T) {
 		g := New(Config{Users: c.users, Days: c.days, Start: PaperStart, Seed: c.seed,
 			Workers: 1, Attacks: []Attack{}}, cluster)
 		g.Run()
-		if got := g.Totals(); got != c.want {
+		if got := g.totals; got != c.want {
 			t.Errorf("users=%d seed=%d: durable totals = %+v, want golden %+v", c.users, c.seed, got, c.want)
 		}
 		if col.Len() != c.records {
@@ -90,7 +90,7 @@ func durableFaultRun(t *testing.T, workers int, plan *faults.Plan, retry client.
 	if err := cluster.Close(); err != nil {
 		t.Errorf("closing durable cluster: %v", err)
 	}
-	return g.Totals(), col.Len(), streams, snap
+	return g.totals, col.Len(), streams, snap
 }
 
 // TestDurableFaultRunMatchesInMemory pins the full determinism contract with

@@ -31,7 +31,7 @@ func faultRun(t *testing.T, workers int, plan *faults.Plan, retry client.Retry) 
 		streams[r.User] = append(streams[r.User],
 			fmt.Sprintf("%d/%d/%d", r.Kind, r.Op, r.Status))
 	}
-	return g.Totals(), col.Len(), streams, cluster.Metrics.Snapshot()
+	return g.totals, col.Len(), streams, cluster.Metrics.Snapshot()
 }
 
 // TestFaultPlanDeterministicAcrossRuns pins the injection contract at both
@@ -97,7 +97,7 @@ func TestZeroValueFaultPlanPreservesGolden(t *testing.T) {
 		g := New(Config{Users: c.users, Days: c.days, Start: PaperStart, Seed: c.seed,
 			Workers: 1, Attacks: []Attack{}}, cluster)
 		g.Run()
-		if got := g.Totals(); got != c.want {
+		if got := g.totals; got != c.want {
 			t.Errorf("users=%d seed=%d: totals = %+v, want golden %+v", c.users, c.seed, got, c.want)
 		}
 		if col.Len() != c.records {

@@ -432,9 +432,6 @@ func (g *Generator) userSource(seed int64) rand.Source {
 // epoch-boundary hooks).
 func (g *Generator) Engine() *sim.ShardedEngine { return g.se }
 
-// Totals returns the run summary.
-func (g *Generator) Totals() Totals { return g.totals }
-
 // Run builds the population, schedules everything and drains the engine. It
 // returns the run totals.
 //

@@ -3,6 +3,7 @@ package workload
 import (
 	"testing"
 
+	"u1/internal/metrics"
 	"u1/internal/server"
 	"u1/internal/trace"
 )
@@ -45,7 +46,7 @@ func requireReplicasConverged(t *testing.T, c *server.Cluster) {
 	t.Helper()
 	st := c.Store
 	st.DrainReplication()
-	if bl := st.ReplicationBacklog(); bl != 0 {
+	if bl := c.Metrics.Gauge(metrics.ReplicationPrefix + "backlog.depth").Value(); bl != 0 {
 		t.Fatalf("backlog %d after drain", bl)
 	}
 	for r := 0; r < st.Regions(); r++ {
@@ -67,7 +68,7 @@ func requireReplicasConverged(t *testing.T, c *server.Cluster) {
 func TestRegionsReadYourWritesMatchesGolden(t *testing.T) {
 	g, col, cluster := runRegions(t, 80, 2, 42, 1, false)
 	want := Totals{Users: 80, Sessions: 145, Uploads: 28, Deletes: 9}
-	if got := g.Totals(); got != want {
+	if got := g.totals; got != want {
 		t.Errorf("totals = %+v, want pre-shard golden %+v", got, want)
 	}
 	if col.Len() != 1045 {
@@ -87,8 +88,8 @@ func TestReplicationDeterministic(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		g1, col1, c1 := runRegions(t, 100, 2, 7, workers, true)
 		g2, col2, c2 := runRegions(t, 100, 2, 7, workers, true)
-		if g1.Totals() != g2.Totals() {
-			t.Errorf("workers=%d: totals differ:\n%+v\n%+v", workers, g1.Totals(), g2.Totals())
+		if g1.totals != g2.totals {
+			t.Errorf("workers=%d: totals differ:\n%+v\n%+v", workers, g1.totals, g2.totals)
 		}
 		if col1.Len() != col2.Len() {
 			t.Errorf("workers=%d: record counts differ: %d vs %d", workers, col1.Len(), col2.Len())

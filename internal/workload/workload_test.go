@@ -34,7 +34,7 @@ func runSmallWorkers(t *testing.T, users, days int, attacks []Attack, seed int64
 
 func TestGeneratorProducesWorkload(t *testing.T) {
 	g, col, cluster := runSmall(t, 150, 3, []Attack{}, 11)
-	tot := g.Totals()
+	tot := g.totals
 	if tot.Sessions == 0 {
 		t.Fatal("no sessions generated")
 	}
@@ -83,8 +83,8 @@ func TestGeneratorProducesWorkload(t *testing.T) {
 func TestGeneratorDeterministic(t *testing.T) {
 	g1, col1, _ := runSmall(t, 80, 2, []Attack{}, 42)
 	g2, col2, _ := runSmall(t, 80, 2, []Attack{}, 42)
-	if g1.Totals() != g2.Totals() {
-		t.Errorf("totals differ:\n%+v\n%+v", g1.Totals(), g2.Totals())
+	if g1.totals != g2.totals {
+		t.Errorf("totals differ:\n%+v\n%+v", g1.totals, g2.totals)
 	}
 	if col1.Len() != col2.Len() {
 		t.Errorf("record counts differ: %d vs %d", col1.Len(), col2.Len())
@@ -108,7 +108,7 @@ func TestWorkersOneMatchesPreShardGolden(t *testing.T) {
 	}
 	for _, c := range golden {
 		g, col, _ := runSmallWorkers(t, c.users, c.days, []Attack{}, c.seed, 1)
-		if got := g.Totals(); got != c.want {
+		if got := g.totals; got != c.want {
 			t.Errorf("users=%d days=%d seed=%d: totals = %+v, want pre-shard golden %+v",
 				c.users, c.days, c.seed, got, c.want)
 		}
@@ -126,13 +126,13 @@ func TestParallelGeneratorDeterministic(t *testing.T) {
 	for _, workers := range []int{2, 4} {
 		g1, col1, _ := runSmallWorkers(t, 120, 2, []Attack{}, 77, workers)
 		g2, col2, _ := runSmallWorkers(t, 120, 2, []Attack{}, 77, workers)
-		if g1.Totals() != g2.Totals() {
-			t.Errorf("workers=%d: totals differ across runs:\n%+v\n%+v", workers, g1.Totals(), g2.Totals())
+		if g1.totals != g2.totals {
+			t.Errorf("workers=%d: totals differ across runs:\n%+v\n%+v", workers, g1.totals, g2.totals)
 		}
 		if col1.Len() != col2.Len() {
 			t.Errorf("workers=%d: record counts differ: %d vs %d", workers, col1.Len(), col2.Len())
 		}
-		if g1.Totals().Sessions == 0 {
+		if g1.totals.Sessions == 0 {
 			t.Errorf("workers=%d: degenerate run, no sessions", workers)
 		}
 	}
@@ -155,7 +155,7 @@ func TestParallelDeterministicWithFailuresAndAttacks(t *testing.T) {
 			Attacks: []Attack{{Day: 0, Hour: 6, Duration: time.Hour, APIFactor: 30, AuthFactor: 8}},
 		}, cluster)
 		g.Run()
-		return g.Totals(), col.Len()
+		return g.totals, col.Len()
 	}
 	t1, n1 := run()
 	t2, n2 := run()
@@ -235,10 +235,10 @@ func TestThinningAcceptsFinalAttempt(t *testing.T) {
 		rateBoost: 5_000_000,
 	}
 	g.scheduleNextSession(u, g.cfg.Start)
-	if g.shards[0].eng.Pending() == 0 {
+	at, ok := g.shards[0].eng.NextEventAt()
+	if !ok {
 		t.Fatal("thinning dropped the user: no session scheduled inside the window")
 	}
-	at, _ := g.shards[0].eng.NextEventAt()
 	if at.Before(g.cfg.Start) || at.After(g.end) {
 		t.Errorf("accepted session at %v, outside the window [%v, %v]", at, g.cfg.Start, g.end)
 	}
@@ -247,7 +247,7 @@ func TestThinningAcceptsFinalAttempt(t *testing.T) {
 func TestAttackInjection(t *testing.T) {
 	attacks := []Attack{{Day: 0, Hour: 6, Duration: time.Hour, APIFactor: 50, AuthFactor: 10}}
 	g, col, _ := runSmall(t, 100, 1, attacks, 5)
-	if g.Totals().AttackSessions == 0 {
+	if g.totals.AttackSessions == 0 {
 		t.Fatal("no attack sessions ran")
 	}
 	// The attack hour must dominate the day's request counts.
