@@ -9,7 +9,6 @@ import (
 	"u1/internal/client"
 	"u1/internal/faults"
 	"u1/internal/server"
-	"u1/internal/sim"
 	"u1/internal/wal"
 	"u1/internal/workload"
 )
@@ -61,9 +60,9 @@ func (c *clusterFlags) faulted() bool { return c.faultRate > 0 || c.admitWaterma
 
 // populationFlags is the workload flag group of sim and analyze.
 type populationFlags struct {
-	users, days, workers           int
-	noAttacks, compact, adaptEpoch bool
-	authFailRate                   float64
+	users, days, workers int
+	noAttacks, compact   bool
+	authFailRate         float64
 }
 
 func addPopulationFlags(fs *flag.FlagSet) *populationFlags {
@@ -73,7 +72,6 @@ func addPopulationFlags(fs *flag.FlagSet) *populationFlags {
 	fs.IntVar(&p.workers, "workers", 0, "parallel generator shards (0 = GOMAXPROCS, 1 = serial stream)")
 	fs.BoolVar(&p.noAttacks, "no-attacks", false, "disable the three DDoS events")
 	fs.BoolVar(&p.compact, "compact", false, "low-memory generator (workload.Config.LowMem; a different stream than the goldens)")
-	fs.BoolVar(&p.adaptEpoch, "adapt-epoch", false, "let the engine resize epochs to event density (deterministic, but a different trajectory than the pinned default)")
 	fs.Float64Var(&p.authFailRate, "auth-fail-rate", auth.PaperFailureRate, "injected SSO failure share (paper §7.3; 0 disables)")
 	return p
 }
@@ -90,9 +88,6 @@ func (p *populationFlags) configs(c *clusterFlags) (server.Config, workload.Conf
 	wcfg := workload.Config{Users: p.users, Days: p.days, Seed: c.seed, Workers: p.workers, LowMem: p.compact}
 	if p.noAttacks {
 		wcfg.Attacks = []workload.Attack{}
-	}
-	if p.adaptEpoch {
-		wcfg.EpochAdapt = &sim.EpochAdaptation{LowEvents: 1 << 10, HighEvents: 1 << 18}
 	}
 	if c.faulted() {
 		wcfg.Retry = client.Retry{Max: 2, Backoff: 2 * time.Second}

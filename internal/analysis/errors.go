@@ -9,7 +9,7 @@ import (
 // ErrorRates is the error-rate-by-operation-class report. The provider-side
 // failure literature (PAPERS.md: Characterizing User and Provider Reported
 // Cloud Failures) finds that provider-visible failures cluster by operation
-// class, which is exactly the granularity the dispatch pipeline's fault
+// class, which is exactly the granularity the API server's fault
 // injection and admission control act on; this analysis closes the loop by
 // measuring the per-class rates out of the collected trace.
 type ErrorRates struct {

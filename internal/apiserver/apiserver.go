@@ -5,32 +5,30 @@
 // to simultaneously connected clients — directly for sessions they host, and
 // through the notification broker for sessions on other API servers.
 //
-// # Request pipeline
+// # Request path
 //
-// Every one of Table 2's operations flows through the same dispatch
-// pipeline. A request is wrapped in a pooled OpContext (session, user,
-// virtual timestamp, cost accumulator, in-flight trace Event) and pushed
-// through an ordered interceptor chain into a per-op handler table built at
-// server construction:
-//
-//	metrics → events → status-map → inject → region → durability →
-//	notify → session-guard → admit → cancel → handler
+// Every one of Table 2's operations takes the same path. A request is
+// wrapped in a pooled OpContext (session, user, virtual timestamp, cost
+// accumulator, in-flight trace Event) and run by one function, dispatch,
+// which applies the bookkeeping all operations share around a per-op handler
+// table built at server construction: deterministic fault injection
+// (Config.Faults), the down-region refusal, the session guard, SSO and
+// per-process load shedding (Deps.SSO, Config.AdmitWatermark) and the abort
+// probe before the handler; notification delivery and the journal sync
+// charge after a successful one; then the uniform error→Status mapping,
+// trace-event emission and per-op latency/error metrics for every answer.
+// dispatch.go writes the order down once, as code, with the reason for each
+// position on dispatch itself.
 //
 // Handlers (one registered Handler per protocol.Op) contain only the
 // operation's business logic: they issue DAL RPCs that charge their sampled
 // service times to the context's cost accumulator, enrich the trace Event,
-// and queue watcher notifications. Everything cross-cutting — per-op
-// latency/error metrics, trace-event emission, the uniform error→Status
-// mapping, deterministic per-op fault injection (Config.Faults),
-// notification delivery on success, and per-op-class load shedding under
-// overload (Config.AdmitWatermark) — lives in one interceptor each and wraps
-// every operation identically, so a new operation is one registration, not a
-// new switch arm. See dispatch.go for the interceptor
-// contract and the OpContext lifecycle.
+// and queue watcher notifications, so a new operation is one registration,
+// not a new switch arm.
 //
 // The server runs in two harnesses: in-process (the discrete-event simulator
 // calls OpenSession/Handle directly, with virtual timestamps) and over real
-// TCP (see tcp.go), both driving exactly the same pipeline.
+// TCP (see tcp.go), both driving exactly the same dispatch.
 package apiserver
 
 import (
@@ -85,8 +83,8 @@ type Pusher interface {
 	Push(*protocol.Push)
 }
 
-// RegionRouter is the metadata tier's region-topology probe: the region
-// interceptor consults it to refuse mutations whose owning metadata region is
+// RegionRouter is the metadata tier's region-topology probe: dispatch
+// consults it to refuse mutations whose owning metadata region is
 // down before any back-end work is spent. The metadata store implements it.
 type RegionRouter interface {
 	// WriteUnavailable reports whether a mutation on vol would be refused
@@ -108,13 +106,13 @@ type Deps struct {
 	// nil keeps the server fully functional but unobserved.
 	Metrics *metrics.Registry
 	// Regions, when non-nil and reporting more than one region, enables the
-	// region interceptor: mutations owned by a down metadata region are
+	// down-region refusal: mutations owned by a down metadata region are
 	// refused with StatusUnavailable at the API edge.
 	Regions RegionRouter
-	// SSO, when non-nil, is the fleet-shared SSO-tier token bucket: the
-	// admit interceptor sheds Authenticate requests with StatusOverloaded
-	// when the bucket is dry, closing the gap that admission's op classes
-	// never covered login storms. Shared across the fleet because there is
+	// SSO, when non-nil, is the fleet-shared SSO-tier token bucket: dispatch
+	// sheds Authenticate requests with StatusOverloaded when the bucket is
+	// dry, closing the gap that admission's op classes never covered login
+	// storms. Shared across the fleet because there is
 	// one SSO tier, not one per API machine.
 	SSO *faults.SSOAdmission
 }
@@ -126,27 +124,23 @@ type Config struct {
 	// Procs is the number of API processes on the machine (8–16 in
 	// production); sessions are spread across them.
 	Procs int
-	// TokenCacheTTL bounds the per-server token cache (§3.4.1).
-	TokenCacheTTL time.Duration
 	// InlineData makes transfers carry real bytes (TCP mode). When false,
 	// transfers are metered by size only — the simulator's mode.
 	InlineData bool
-	// QueueDepth bounds the notification queue on the broker.
-	QueueDepth int
-	// Faults is the deterministic per-op fault plan the inject interceptor
-	// applies (nil or zero-value injects nothing; see faults.Plan).
+	// Faults is the deterministic per-op fault plan dispatch applies (nil or
+	// zero-value injects nothing; see faults.Plan).
 	Faults *faults.Plan
 	// AdmitWatermark enables per-op-class load shedding: when a process has
 	// admitted this many requests over the trailing faults.AdmissionWindow,
 	// further data operations are refused with StatusOverloaded (metadata at
 	// 2x, session management at 4x). Zero disables shedding.
 	AdmitWatermark int
-	// Durability marks the metadata store as journaled: the durability
-	// interceptor charges FsyncPolicy's sync cost to every successful
-	// mutating operation, pricing the write-ahead log into the request path.
+	// Durability marks the metadata store as journaled: dispatch charges
+	// FsyncPolicy's sync cost to every successful mutating operation,
+	// pricing the write-ahead log into the request path.
 	Durability bool
-	// FsyncPolicy is the journal sync policy whose deterministic cost the
-	// durability interceptor charges; ignored unless Durability is set.
+	// FsyncPolicy is the journal sync policy whose deterministic cost
+	// dispatch charges; ignored unless Durability is set.
 	FsyncPolicy wal.Policy
 	// SyncCostScale multiplies the fsync policy's modeled sync cost — the
 	// slow-disk degradation knob (a failing array syncs slower; the data
@@ -200,21 +194,16 @@ type Server struct {
 	// trace collector can attach mid-traffic.
 	observers cow.List[Observer]
 
-	// handlers is the per-op dispatch table and pipeline the interceptor
-	// chain wrapped around its lookup; both are built once by buildPipeline
-	// and immutable afterwards. interceptorNames documents the chain order,
-	// outermost first.
-	handlers         []Handler
-	pipeline         Handler
-	interceptorNames []string
+	// handlers is the per-op dispatch table, built once by registerHandlers
+	// and immutable afterwards.
+	handlers []Handler
 
-	// admission is the per-process load-shedding state behind the admit
-	// interceptor; nil when Config.AdmitWatermark is zero.
+	// admission is the per-process load-shedding state; nil when
+	// Config.AdmitWatermark is zero.
 	admission *faults.Admission
 
-	// regions is the metadata region-topology probe behind the region
-	// interceptor; nil for single-region deployments (the common case), so
-	// the interceptor is a passthrough.
+	// regions is the metadata region-topology probe behind the down-region
+	// refusal; nil for single-region deployments (the common case).
 	regions       RegionRouter
 	regionRefused *metrics.Counter
 
@@ -257,6 +246,10 @@ type pendingUpload struct {
 	plainSize uint64
 }
 
+// tokenCacheTTL bounds how long this server's token cache (§3.4.1) trusts
+// a validated token.
+const tokenCacheTTL = 8 * time.Hour
+
 // New creates an API server and registers it on the broker.
 func New(cfg Config, deps Deps) *Server {
 	if cfg.Name == "" {
@@ -265,13 +258,10 @@ func New(cfg Config, deps Deps) *Server {
 	if cfg.Procs <= 0 {
 		cfg.Procs = 8
 	}
-	if cfg.TokenCacheTTL <= 0 {
-		cfg.TokenCacheTTL = 8 * time.Hour
-	}
 	s := &Server{
 		cfg:      cfg,
 		deps:     deps,
-		tokens:   auth.NewCache(cfg.TokenCacheTTL),
+		tokens:   auth.NewCache(tokenCacheTTL),
 		sessions: make(map[protocol.SessionID]*Session),
 		byUser:   make(map[protocol.UserID]map[protocol.SessionID]*Session),
 		uploads:  make(map[protocol.UploadID]*pendingUpload),
@@ -311,9 +301,9 @@ func New(cfg Config, deps Deps) *Server {
 		s.opErrors[op] = deps.Metrics.Counter(name + ".errors")
 	}
 	if deps.Broker != nil {
-		s.queue = deps.Broker.Register(cfg.Name, cfg.QueueDepth)
+		s.queue = deps.Broker.Register(cfg.Name, 0)
 	}
-	s.buildPipeline()
+	s.registerHandlers()
 	return s
 }
 
@@ -365,11 +355,11 @@ func (s *Server) emit(e Event) {
 }
 
 // OpenSession authenticates a token and establishes a session (the
-// Authenticate API call), dispatching through the same pipeline as every
-// other operation. The returned response mirrors what goes on the wire and
-// is handed over to the caller like Handle's; the duration covers the auth
-// RPC. Accounts are provisioned lazily on first successful authentication,
-// which keeps simulation setup out of the trace window.
+// Authenticate API call), dispatching it like every other operation. The
+// returned response mirrors what goes on the wire and is handed over to the
+// caller like Handle's; the duration covers the auth RPC. Accounts are
+// provisioned lazily on first successful authentication, which keeps
+// simulation setup out of the trace window.
 func (s *Server) OpenSession(token string, pusher Pusher, now time.Time) (*Session, *protocol.Response, time.Duration) {
 	c := s.ownOpContext(nil, protocol.Request{Op: protocol.OpAuthenticate, Token: token}, now)
 	c.Pusher = pusher
@@ -380,7 +370,7 @@ func (s *Server) OpenSession(token string, pusher Pusher, now time.Time) (*Sessi
 	return sess, resp, d
 }
 
-// CloseSession terminates a session through the pipeline, which emits its
+// CloseSession terminates a session through dispatch, which emits its
 // session-end event and charges the close to the session's process.
 func (s *Server) CloseSession(sess *Session, now time.Time) {
 	if sess == nil {

@@ -1,7 +1,6 @@
 package apiserver
 
 import (
-	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -48,51 +47,8 @@ func TestUnknownOpTableDefault(t *testing.T) {
 	}
 }
 
-// TestInterceptorOrderDeterministic asserts both that the configured chain
-// matches the documented order and that construction is reproducible: two
-// servers built from the same config report identical chains.
-func TestInterceptorOrderDeterministic(t *testing.T) {
-	want := []string{"metrics", "events", "status-map", "inject", "region", "durability", "notify", "session-guard", "admit", "cancel"}
-	a, b := newFixture(t), newFixture(t)
-	if got := a.srv.interceptorNames; !reflect.DeepEqual(got, want) {
-		t.Errorf("interceptor order = %v, want %v", got, want)
-	}
-	if !reflect.DeepEqual(a.srv.interceptorNames, b.srv.interceptorNames) {
-		t.Error("two identically configured servers report different chains")
-	}
-}
-
-// TestChainInvocationOrder drives a synthetic chain and checks the wrap
-// semantics interceptors rely on: the first interceptor passed to chain is
-// outermost — first on the way in, last on the way out.
-func TestChainInvocationOrder(t *testing.T) {
-	var trace []string
-	mk := func(name string) Interceptor {
-		return func(next Handler) Handler {
-			return func(c *OpContext) (*protocol.Response, error) {
-				trace = append(trace, "in:"+name)
-				resp, err := next(c)
-				trace = append(trace, "out:"+name)
-				return resp, err
-			}
-		}
-	}
-	base := func(*OpContext) (*protocol.Response, error) {
-		trace = append(trace, "handler")
-		return &protocol.Response{Status: protocol.StatusOK}, nil
-	}
-	h := chain(base, mk("a"), mk("b"), mk("c"))
-	if _, err := h(&OpContext{Req: &protocol.Request{}}); err != nil {
-		t.Fatal(err)
-	}
-	want := []string{"in:a", "in:b", "in:c", "handler", "out:c", "out:b", "out:a"}
-	if !reflect.DeepEqual(trace, want) {
-		t.Errorf("invocation order = %v, want %v", trace, want)
-	}
-}
-
 // TestUniformErrorStatusMapping substitutes a failing stub for every
-// registered op and checks that the status-map interceptor translates each
+// registered op and checks that dispatch translates each
 // sentinel error identically regardless of which operation raised it — the
 // property the old per-arm StatusOf calls only upheld by convention.
 func TestUniformErrorStatusMapping(t *testing.T) {
@@ -231,9 +187,9 @@ func TestDynamicAPIObserverAttach(t *testing.T) {
 }
 
 // TestSuppressedEventsStillRecordMetrics pins the flag split: PutPart/GetPart
-// suppress their trace events but still count in the per-op metrics — the
-// event and metrics interceptors honor different opt-outs, so merging the
-// two flags would silently drop part ops from the bench report.
+// suppress their trace events but still count in the per-op metrics — event
+// emission and metrics honor different opt-outs, so merging the two flags
+// would silently drop part ops from the bench report.
 func TestSuppressedEventsStillRecordMetrics(t *testing.T) {
 	reg := metrics.NewRegistry()
 	f := &fixture{
@@ -266,7 +222,13 @@ func TestSuppressedEventsStillRecordMetrics(t *testing.T) {
 	}
 }
 
-// TestCancelDropsAbandonedWork pins the cancel interceptor's contract: a
+// handleWithProbe dispatches req with an abort probe, the way the TCP loop
+// does.
+func handleWithProbe(s *Server, sess *Session, req *protocol.Request, aborted func() bool) (*protocol.Response, time.Duration) {
+	return s.handle(sess, req, t0, aborted)
+}
+
+// TestCancelDropsAbandonedWork pins the abort probe's contract: a
 // request whose abort probe reports a dead client is dropped with
 // StatusCancelled before the handler runs, charges no RPC cost, and keeps
 // its correlation ID.
@@ -278,8 +240,7 @@ func TestCancelDropsAbandonedWork(t *testing.T) {
 		ran = true
 		return &protocol.Response{Status: protocol.StatusOK}, nil
 	}
-	resp, d := f.srv.HandleWithCancel(sess, &protocol.Request{ID: 9, Op: protocol.OpListVolumes}, t0,
-		time.Time{}, func() bool { return true })
+	resp, d := f.srv.handle(sess, &protocol.Request{ID: 9, Op: protocol.OpListVolumes}, t0, func() bool { return true })
 	if resp.Status != protocol.StatusCancelled {
 		t.Errorf("status = %v, want cancelled", resp.Status)
 	}
@@ -294,32 +255,9 @@ func TestCancelDropsAbandonedWork(t *testing.T) {
 	}
 }
 
-// TestCancelDeadlineExceeded covers the deadline leg: a request stamped
-// later than its deadline never reaches the handler.
-func TestCancelDeadlineExceeded(t *testing.T) {
-	f := newFixture(t)
-	sess := f.session(t, 61)
-	var ran bool
-	f.srv.handlers[protocol.OpListVolumes] = func(*OpContext) (*protocol.Response, error) {
-		ran = true
-		return &protocol.Response{Status: protocol.StatusOK}, nil
-	}
-	resp, _ := f.srv.HandleWithCancel(sess, &protocol.Request{Op: protocol.OpListVolumes}, t0,
-		t0.Add(-time.Second), nil)
-	if resp.Status != protocol.StatusCancelled || ran {
-		t.Errorf("deadline-expired request: status = %v, handler ran = %v", resp.Status, ran)
-	}
-	// A live deadline admits the request.
-	resp, _ = f.srv.HandleWithCancel(sess, &protocol.Request{Op: protocol.OpListVolumes}, t0,
-		t0.Add(time.Hour), func() bool { return false })
-	if resp.Status != protocol.StatusOK || !ran {
-		t.Errorf("within-deadline request: status = %v, handler ran = %v", resp.Status, ran)
-	}
-}
-
 // TestCancelledRequestStillObservable ensures dropped work is not invisible:
-// the cancel happens inside the metrics and events interceptors, so the
-// trace event and the per-op error counter both record the StatusCancelled
+// the cancel happens before dispatch emits the event and records metrics, so
+// the trace event and the per-op error counter both record the StatusCancelled
 // outcome.
 func TestCancelledRequestStillObservable(t *testing.T) {
 	reg := metrics.NewRegistry()
@@ -343,8 +281,7 @@ func TestCancelledRequestStillObservable(t *testing.T) {
 	}
 	var events []Event
 	srv.AddObserver(func(e Event) { events = append(events, e) })
-	srv.HandleWithCancel(sess, &protocol.Request{Op: protocol.OpListVolumes}, t0,
-		time.Time{}, func() bool { return true })
+	srv.handle(sess, &protocol.Request{Op: protocol.OpListVolumes}, t0, func() bool { return true })
 	if len(events) == 0 {
 		t.Fatal("cancelled request emitted no trace event")
 	}
@@ -358,9 +295,9 @@ func TestCancelledRequestStillObservable(t *testing.T) {
 	}
 }
 
-// TestCancelViaCancelingInterceptor drives cancellation the way an
-// interceptor-shaped client would: a probe that flips to aborted only after
-// the first request, proving the decision is re-evaluated per dispatch.
+// TestCancelViaCancelingInterceptor drives cancellation with a probe that
+// flips to aborted only after the first request, proving the decision is
+// re-evaluated per dispatch.
 func TestCancelViaCancelingInterceptor(t *testing.T) {
 	f := newFixture(t)
 	sess := f.session(t, 63)
@@ -369,11 +306,11 @@ func TestCancelViaCancelingInterceptor(t *testing.T) {
 		calls++
 		return calls > 1 // first request admitted, second aborted
 	}
-	resp, _ := f.srv.HandleWithCancel(sess, &protocol.Request{Op: protocol.OpListVolumes}, t0, time.Time{}, probe)
+	resp, _ := f.srv.handle(sess, &protocol.Request{Op: protocol.OpListVolumes}, t0, probe)
 	if resp.Status != protocol.StatusOK {
 		t.Fatalf("first request: status = %v", resp.Status)
 	}
-	resp, _ = f.srv.HandleWithCancel(sess, &protocol.Request{Op: protocol.OpListVolumes}, t0, time.Time{}, probe)
+	resp, _ = f.srv.handle(sess, &protocol.Request{Op: protocol.OpListVolumes}, t0, probe)
 	if resp.Status != protocol.StatusCancelled {
 		t.Fatalf("second request: status = %v, want cancelled", resp.Status)
 	}

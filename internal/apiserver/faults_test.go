@@ -36,7 +36,7 @@ func newFaultFixture(t *testing.T, plan *faults.Plan, watermark int) (*fixture, 
 	return f, reg
 }
 
-// TestInjectFailsConfiguredOpOnly pins the inject interceptor: an op with
+// TestInjectFailsConfiguredOpOnly pins the fault injector: an op with
 // Fraction 1 always fails with the configured status, other ops are
 // untouched, and the failure is observable — error counter up, trace event
 // carrying the status — without contaminating the latency histogram.
@@ -234,8 +234,7 @@ func TestRetryCountersObserveAttempts(t *testing.T) {
 func TestCancelledExcludedFromLatencyHistogram(t *testing.T) {
 	f, reg := newFaultFixture(t, nil, 0)
 	sess := f.session(t, 8)
-	f.srv.HandleWithCancel(sess, &protocol.Request{Op: protocol.OpListVolumes}, t0,
-		time.Time{}, func() bool { return true })
+	f.srv.handle(sess, &protocol.Request{Op: protocol.OpListVolumes}, t0, func() bool { return true })
 	snap := reg.Snapshot()
 	if got := snap.Counters["api.op.ListVolumes.errors"]; got != 1 {
 		t.Errorf("api.op.ListVolumes.errors = %d, want 1", got)

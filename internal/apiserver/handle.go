@@ -9,29 +9,25 @@ import (
 	"u1/internal/protocol"
 )
 
-// Handle dispatches one authenticated request through the pipeline. It
-// returns the response and the simulated service time of the operation (the
-// accumulated RPC service times plus data-store transfer estimates for data
-// operations). The caller supplies now — wall clock on the TCP path, virtual
-// clock in the simulator.
+// Handle dispatches one authenticated request. It returns the response and
+// the simulated service time of the operation (the accumulated RPC service
+// times plus data-store transfer estimates for data operations). The caller
+// supplies now — wall clock on the TCP path, virtual clock in the simulator.
 //
 // The request is borrowed while the call lasts (the server keeps none of
 // it). The response is handed over: the server keeps no reference to it, and
 // the caller may give it back once with protocol.ReleaseResponse when it has
 // copied out or encoded what it needs — or never, and the collector has it.
 func (s *Server) Handle(sess *Session, req *protocol.Request, now time.Time) (*protocol.Response, time.Duration) {
-	return s.HandleWithCancel(sess, req, now, time.Time{}, nil)
+	return s.handle(sess, req, now, nil)
 }
 
-// HandleWithCancel is Handle with cancellation: a non-zero deadline already
-// in the past, or an aborted probe returning true, makes the cancel
-// interceptor drop the request with StatusCancelled before the handler runs
-// — the TCP harness uses the probe to stop doing work for disconnected
-// clients mid-pipeline.
-func (s *Server) HandleWithCancel(sess *Session, req *protocol.Request, now time.Time, deadline time.Time, aborted func() bool) (*protocol.Response, time.Duration) {
+// handle is Handle with an abort probe: when aborted reports true just
+// before the handler would run, the request is dropped with StatusCancelled
+// — the TCP loop uses it to stop doing work for a disconnected client.
+func (s *Server) handle(sess *Session, req *protocol.Request, now time.Time, aborted func() bool) (*protocol.Response, time.Duration) {
 	c := s.newOpContext(sess, req, now)
-	c.Deadline = deadline
-	c.Aborted = aborted
+	c.aborted = aborted
 	resp := s.dispatch(c)
 	d := c.Cost.Total()
 	releaseOpContext(c)
@@ -40,7 +36,7 @@ func (s *Server) HandleWithCancel(sess *Session, req *protocol.Request, now time
 
 // registerHandlers fills the per-op dispatch table. Every protocol.Op has
 // exactly one registered handler; requests whose op falls outside the table
-// fail with the ErrBadRequest default in invoke.
+// fail with ErrBadRequest in dispatch.
 func (s *Server) registerHandlers() {
 	s.handlers = make([]Handler, len(protocol.Ops()))
 	register := func(op protocol.Op, h Handler) { s.handlers[op] = h }

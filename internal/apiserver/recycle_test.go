@@ -61,7 +61,7 @@ func TestAnswersCostNoAllocation(t *testing.T) {
 		allocs float64
 	}{
 		{"a handler's answer", sess, protocol.Request{Op: protocol.OpPing}, protocol.StatusOK, 0},
-		{"a refusal before the pipeline", nil, protocol.Request{Op: protocol.OpPing}, protocol.StatusAuthFailed, 0},
+		{"a refusal before the handler", nil, protocol.Request{Op: protocol.OpPing}, protocol.StatusAuthFailed, 0},
 		{"an op outside the table", sess, protocol.Request{Op: protocol.Op(200)}, protocol.StatusBadRequest, 0},
 		{"a download whose content is gone", sess,
 			protocol.Request{Op: protocol.OpGetContent, Volume: root, Node: node.ID}, protocol.StatusUnavailable, storeErr},
@@ -82,22 +82,21 @@ func TestAnswersCostNoAllocation(t *testing.T) {
 }
 
 // TestStatusMapReleasesWhatItReplaces pins the one place a response changes
-// hands inside the pipeline: a stage that returns a response together with an
+// hands inside dispatch: a handler that returns a response together with an
 // error has its response replaced by the failure answer, and the replaced
 // one goes back to the recycler — wiped — rather than to the collector.
 func TestStatusMapReleasesWhatItReplaces(t *testing.T) {
 	f := newFixture(t)
+	sess := f.session(t, 82)
 	var built *protocol.Response
-	h := f.srv.statusInterceptor(func(*OpContext) (*protocol.Response, error) {
+	f.srv.handlers[protocol.OpMove] = func(*OpContext) (*protocol.Response, error) {
 		built = okResponse()
 		built.Generation = 9
 		return built, protocol.ErrConflict
-	})
-	c := f.srv.newOpContext(nil, &protocol.Request{ID: 5, Op: protocol.OpMove}, t0)
-	defer releaseOpContext(c)
-	resp, err := h(c)
-	if err != nil || resp.ID != 5 || resp.Status != protocol.StatusConflict || resp.Generation != 0 {
-		t.Fatalf("answer = %+v, %v", resp, err)
+	}
+	resp, _ := f.srv.Handle(sess, &protocol.Request{ID: 5, Op: protocol.OpMove}, t0)
+	if resp.ID != 5 || resp.Status != protocol.StatusConflict || resp.Generation != 0 {
+		t.Fatalf("answer = %+v", resp)
 	}
 	if resp != built && !reflect.DeepEqual(*built, protocol.Response{}) {
 		t.Errorf("the replaced response was not released: %+v", *built)

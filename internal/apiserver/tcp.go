@@ -45,9 +45,9 @@ func (s *Server) RunNotifier(done <-chan struct{}) {
 
 // connWriter serializes frame writes: responses and pushes share the
 // connection. It also tracks connection death: the first failed write flips
-// the dead flag, which the dispatch pipeline probes (OpContext.Aborted) so
-// in-flight requests for a disconnected client are dropped mid-pipeline
-// instead of doing back-end work nobody will read.
+// the dead flag, which dispatch probes before the handler runs, so in-flight
+// requests for a disconnected client are dropped instead of doing back-end
+// work nobody will read.
 type connWriter struct {
 	mu     sync.Mutex
 	frames *wire.FrameWriter // guarded by mu
@@ -66,7 +66,7 @@ func (w *connWriter) writeMessage(msgType byte, m wire.Message) error {
 
 // Push implements Pusher by writing a push frame. Write errors terminate the
 // connection lazily: the read loop notices, and the dead flag aborts any
-// request still in the pipeline.
+// request not yet at its handler.
 func (w *connWriter) Push(p *protocol.Push) {
 	_ = w.writeMessage(protocol.FramePush, p)
 }
@@ -129,7 +129,7 @@ func (s *Server) handleConn(conn net.Conn) {
 			resp = okResponse()
 			resp.ID = req.ID
 		default:
-			resp, _ = s.HandleWithCancel(sess, req, now, time.Time{}, w.aborted)
+			resp, _ = s.handle(sess, req, now, w.aborted)
 		}
 		err = w.writeMessage(protocol.FrameResponse, resp)
 		// The frame is encoded and written (or lost with the connection):

@@ -79,8 +79,8 @@ var (
 	ErrUnavailable = errors.New("protocol: service unavailable")
 	ErrConflict    = errors.New("protocol: conflict")
 	ErrQuota       = errors.New("protocol: quota exceeded")
-	// ErrCancelled marks a request dropped before its handler ran: the
-	// client disconnected mid-pipeline or the request's deadline passed.
+	// ErrCancelled marks a request dropped before its handler ran because
+	// the client disconnected while it waited.
 	ErrCancelled = errors.New("protocol: request cancelled")
 	// ErrOverloaded marks a request shed by admission control before its
 	// handler ran (the §5.4 provider-side load-shedding response). Clients

@@ -180,7 +180,7 @@ func init() {
 				return fmt.Errorf("workload published no replication records — the mailbox pump is dead")
 			}
 			if res.Counter("api.region.refused") == 0 {
-				return fmt.Errorf("API edge refused no writes during the outage — the region interceptor is dead")
+				return fmt.Errorf("API edge refused no writes during the outage — the down-region refusal is dead")
 			}
 			return nil
 		},

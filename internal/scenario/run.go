@@ -166,7 +166,7 @@ func statsOf(r *Result) Stats {
 	return st
 }
 
-// RunMatrix executes a parsed matrix in config order and returns the
+// RunMatrix executes a matrix in order and returns the
 // per-scenario stats keyed by catalog name, plus the list of invariant
 // violations ("name: description"). Infrastructure failures abort the matrix.
 func RunMatrix(m Matrix, logf func(string, ...any)) (map[string]Stats, []string, error) {
@@ -175,15 +175,15 @@ func RunMatrix(m Matrix, logf func(string, ...any)) (map[string]Stats, []string,
 	}
 	out := make(map[string]Stats, len(m.Scenarios))
 	var violations []string
-	for _, e := range m.Scenarios {
-		spec, err := Lookup(e.Name)
+	for _, name := range m.Scenarios {
+		spec, err := Lookup(name)
 		if err != nil {
 			return nil, nil, err
 		}
 		if _, dup := out[spec.Name]; dup {
 			return nil, nil, fmt.Errorf("scenario: %q appears twice in the matrix", spec.Name)
 		}
-		p := m.params(e, spec)
+		p := m.params(spec)
 		logf("scenario %s: users=%d days=%d seed=%d workers=%d",
 			spec.Name, p.Users, p.Days, p.Seed, p.Workers)
 		o, err := RunSpec(spec, p, logf)

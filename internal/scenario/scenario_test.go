@@ -152,111 +152,20 @@ func TestLookupUnknownName(t *testing.T) {
 	}
 }
 
-// roundTripMatrix, bareNamesMatrix and rejectedMatrices are the parser's
-// pinned inputs; FuzzParseMatrix starts from them too.
-var (
-	roundTripMatrix = Matrix{
-		Users: 200, Days: 3, Seed: 13, Workers: 2,
-		Scenarios: []Entry{
-			{Name: "sso-storm"},
-			{Name: "flash-crowd", Users: 300, Seed: 11},
-		},
-	}
-	bareNamesMatrix  = `{"scenarios": ["sso-storm", {"name": "slow-disk", "users": 80}]}`
-	rejectedMatrices = map[string]string{
-		"unknown scenario": `{"scenarios": ["no-such-scenario"]}`,
-		"empty matrix":     `{"scenarios": []}`,
-		"top-level typo":   `{"senarios": ["sso-storm"]}`,
-		"malformed":        `{"scenarios": [`,
-	}
-)
-
-func TestParseMatrixRoundTrip(t *testing.T) {
-	m := roundTripMatrix
-	data, err := json.Marshal(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := ParseMatrix(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, m) {
-		t.Errorf("round-trip mismatch:\n  in:  %+v\n  out: %+v", m, got)
-	}
-}
-
-func TestParseMatrixBareNames(t *testing.T) {
-	got, err := ParseMatrix([]byte(bareNamesMatrix))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []Entry{{Name: "sso-storm"}, {Name: "slow-disk", Users: 80}}
-	if !reflect.DeepEqual(got.Scenarios, want) {
-		t.Errorf("scenarios = %+v, want %+v", got.Scenarios, want)
-	}
-}
-
-func TestParseMatrixRejects(t *testing.T) {
-	for name, cfg := range rejectedMatrices {
-		if _, err := ParseMatrix([]byte(cfg)); err == nil {
-			t.Errorf("%s: config %s parsed without error", name, cfg)
-		}
-	}
-}
-
-// FuzzParseMatrix feeds arbitrary bytes to the chaos config parser: it must
-// never panic, and a matrix it accepts must re-marshal to JSON that parses
-// back to an equal Matrix.
-func FuzzParseMatrix(f *testing.F) {
-	chaos, err := os.ReadFile(filepath.Join("..", "..", "chaos.json"))
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(chaos)
-	pinned, err := json.Marshal(roundTripMatrix)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(pinned)
-	f.Add([]byte(bareNamesMatrix))
-	for _, cfg := range rejectedMatrices {
-		f.Add([]byte(cfg))
-	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := ParseMatrix(data)
-		if err != nil {
-			return
-		}
-		out, err := json.Marshal(m)
-		if err != nil {
-			t.Fatalf("re-marshaling an accepted matrix: %v", err)
-		}
-		again, err := ParseMatrix(out)
-		if err != nil {
-			t.Fatalf("re-marshaled matrix %s refused: %v", out, err)
-		}
-		if !reflect.DeepEqual(again, m) {
-			t.Fatalf("round trip changed the matrix:\n  in:  %+v\n  out: %+v", m, again)
-		}
-	})
-}
-
-// TestParamResolution pins the precedence chain: entry override → matrix
-// default → spec default → package default, then the smoke clamps.
+// TestParamResolution pins the precedence chain: matrix (the flags) → spec
+// default → package default, then the smoke clamps.
 func TestParamResolution(t *testing.T) {
 	spec, err := Lookup("flash-crowd") // Defaults{Users: 400, Days: 3, Seed: 11}
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := Matrix{Days: 9}
-	p := m.params(Entry{Name: "flash-crowd", Users: 50}, spec)
+	m := Matrix{Users: 50, Days: 9}
 	want := Params{Users: 50, Days: 9, Seed: 11, Workers: 1}
-	if p != want {
+	if p := m.params(spec); p != want {
 		t.Errorf("resolved params = %+v, want %+v", p, want)
 	}
 	m.MaxUsers, m.MaxDays = 30, 2
-	if p = m.params(Entry{Name: "flash-crowd", Users: 50}, spec); p.Users != 30 || p.Days != 2 {
+	if p := m.params(spec); p.Users != 30 || p.Days != 2 {
 		t.Errorf("smoke clamps not applied: %+v", p)
 	}
 }

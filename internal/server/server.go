@@ -40,18 +40,9 @@ type Config struct {
 	ProcsPerMachine int
 	// Shards is the metadata shard count (default 10).
 	Shards int
-	// GatewayShards is the number of independently locked balancer shards in
-	// the gateway proxy. Values > 1 enable power-of-two-choices placement
-	// between shard heaps, which scales placement throughput with cores. 0
-	// derives the count from fleet size — one shard per 8 backend machines,
-	// minimum 1 (the paper's 6-machine default still yields the exact global
-	// least-loaded rule); an explicit value is authoritative.
-	GatewayShards int
 	// DeltaLogLimit bounds per-volume delta logs (0 → metadata default;
 	// negative disables the logs entirely, see metadata.Config).
 	DeltaLogLimit int
-	// RPCProcs is the DAL worker count (default 48).
-	RPCProcs int
 	// AuthFailureRate injects SSO failures (paper: auth.PaperFailureRate).
 	AuthFailureRate float64
 	// FaultPlan injects deterministic per-op failures on every API server
@@ -226,31 +217,24 @@ func OpenCluster(cfg Config) (*Cluster, error) {
 	broker := notify.NewBroker()
 	broker.Instrument(reg)
 	rpcTier := rpc.NewServer(store, rpc.Config{
-		Procs:     cfg.RPCProcs,
 		Seed:      seed,
 		RealSleep: cfg.RealSleep,
 		Metrics:   reg,
 	})
 
-	if cfg.GatewayShards <= 0 {
-		// Derive from fleet size: one balancer shard per 8 backend machines.
-		// Small fleets (the 6-machine default included) keep the exact global
-		// least-loaded rule; larger fleets shard the balancer so placement
-		// scales instead of serializing on one heap lock.
-		cfg.GatewayShards = (len(cfg.Machines) + 7) / 8
-		if cfg.GatewayShards < 1 {
-			cfg.GatewayShards = 1
-		}
-	}
-
 	c := &Cluster{
-		Store:         store,
-		Blob:          blobStore,
-		Auth:          authSvc,
-		Broker:        broker,
-		RPC:           rpcTier,
-		Metrics:       reg,
-		gatewayShards: cfg.GatewayShards,
+		Store:   store,
+		Blob:    blobStore,
+		Auth:    authSvc,
+		Broker:  broker,
+		RPC:     rpcTier,
+		Metrics: reg,
+		// One balancer shard per 8 backend machines: small fleets (the
+		// 6-machine default included) keep the exact global least-loaded
+		// rule; larger ones shard the gateway's balancer so placement scales
+		// instead of serializing on one heap lock, with power-of-two-choices
+		// between shard heaps.
+		gatewayShards: (len(cfg.Machines) + 7) / 8,
 	}
 	deps := apiserver.Deps{
 		RPC:      rpcTier,

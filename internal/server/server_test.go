@@ -292,13 +292,13 @@ func TestDirectReconnectClosesPreviousSession(t *testing.T) {
 
 // TestTCPShardedGateway drives real connections through a gateway running
 // more than one balancer shard: the power-of-two-choices proxy must place,
-// serve and drain sessions exactly like the single-shard rule does.
+// serve and drain sessions exactly like the single-shard rule does. Nine
+// machines are one past the 8 a balancer shard covers.
 func TestTCPShardedGateway(t *testing.T) {
 	c := NewCluster(Config{
-		Machines:        []string{"alpha", "beta", "gamma", "delta"},
+		Machines:        []string{"alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta", "theta", "iota"},
 		ProcsPerMachine: 2,
 		Shards:          4,
-		GatewayShards:   2,
 		InlineData:      true,
 		Seed:            7,
 	})

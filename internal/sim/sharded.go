@@ -35,82 +35,12 @@ type ShardedEngine struct {
 	now    time.Time
 	shards []*Engine
 
-	// adapt, when non-nil, resizes epoch between barriers; nil pins the
-	// constructor's epoch for the whole run (the default, and the mode the
-	// determinism goldens are recorded under).
-	adapt *EpochAdaptation
-
 	// mailboxes are the barrier consumers in registration order; outbox slot
 	// 0 holds ControlSender posts, slot i+1 shard i's posts, and seqs are the
 	// matching per-sender sequence counters. See mailbox.go for the contract.
 	mailboxes []func(now time.Time, batch []Message)
 	outbox    [][]post
 	seqs      []uint64
-}
-
-// EpochAdaptation sizes epochs to the observed event density. Each closed
-// epoch reports how many events it ran: fewer than LowEvents means the
-// barrier (and its mailbox drain) dominates useful work, so the next epoch
-// doubles; more than HighEvents means shards sit too long between barriers
-// — cross-shard skew and load imbalance both scale with epoch length — so
-// the next epoch halves. Min and Max clamp the excursion.
-//
-// Adaptation is itself deterministic: the per-epoch event count is a pure
-// function of (seed, shard count, initial epoch), so two runs with the same
-// configuration adapt identically. It is still a different trajectory than
-// a pinned epoch — barrier hooks fire on a different cadence — which is why
-// it is opt-in and the default stays pinned.
-type EpochAdaptation struct {
-	Min        time.Duration // floor; <= 0 means the engine's current epoch
-	Max        time.Duration // ceiling; <= 0 means 64× Min
-	LowEvents  uint64        // grow when an epoch ran fewer events; 0 disables growth
-	HighEvents uint64        // shrink when an epoch ran more events; 0 disables shrinking
-}
-
-// AdaptEpoch enables adaptive epoch sizing for subsequent Run calls. Call it
-// before Run; a zero-value config gets defaulted per the field docs. Passing
-// the result of a previous Epoch() as Min restores pinned behavior's floor.
-func (s *ShardedEngine) AdaptEpoch(cfg EpochAdaptation) {
-	if cfg.Min <= 0 {
-		cfg.Min = s.epoch
-	}
-	if cfg.Max <= 0 {
-		cfg.Max = 64 * cfg.Min
-	}
-	if cfg.Max < cfg.Min {
-		cfg.Max = cfg.Min
-	}
-	if s.epoch < cfg.Min {
-		s.epoch = cfg.Min
-	}
-	if s.epoch > cfg.Max {
-		s.epoch = cfg.Max
-	}
-	s.adapt = &cfg
-}
-
-// resize applies one adaptation step after a barrier that ran `ran` events.
-func (s *ShardedEngine) resize(ran uint64) {
-	a := s.adapt
-	if a == nil {
-		return
-	}
-	switch {
-	case a.LowEvents > 0 && ran < a.LowEvents:
-		if s.epoch < a.Max {
-			s.epoch *= 2
-			if s.epoch > a.Max {
-				s.epoch = a.Max
-			}
-		}
-	case a.HighEvents > 0 && ran > a.HighEvents:
-		if s.epoch > a.Min {
-			s.epoch /= 2
-			if s.epoch < a.Min {
-				s.epoch = a.Min
-			}
-		}
-	}
 }
 
 // DefaultEpoch bounds shard clock skew; it matches the notification pump
@@ -204,9 +134,8 @@ func (s *ShardedEngine) Run() uint64 {
 			return total
 		}
 		horizon := s.horizonFor(next)
-		var ranEpoch uint64
 		if len(s.shards) == 1 {
-			ranEpoch = s.shards[0].RunUntil(horizon)
+			total += s.shards[0].RunUntil(horizon)
 		} else {
 			var ran atomic.Uint64
 			var wg sync.WaitGroup
@@ -218,11 +147,9 @@ func (s *ShardedEngine) Run() uint64 {
 				}(e)
 			}
 			wg.Wait()
-			ranEpoch = ran.Load()
+			total += ran.Load()
 		}
-		total += ranEpoch
 		s.now = horizon
 		s.drainMailboxes(horizon)
-		s.resize(ranEpoch)
 	}
 }

@@ -204,9 +204,8 @@ func TestClockClosureRaceFree(t *testing.T) {
 }
 
 func TestEpochPinnedByDefault(t *testing.T) {
-	// Without an AdaptEpoch call the constructor's epoch is the epoch for
-	// the whole run — the contract the determinism goldens are recorded
-	// under.
+	// The constructor's epoch is the epoch for the whole run — the contract
+	// the determinism goldens are recorded under.
 	se := NewSharded(t0, 2, time.Hour)
 	var observed []time.Duration
 	se.AtEpochEnd(func(time.Time) { observed = append(observed, se.epoch) })
@@ -222,110 +221,7 @@ func TestEpochPinnedByDefault(t *testing.T) {
 	}
 	for i, e := range observed {
 		if e != time.Hour {
-			t.Fatalf("epoch %d resized to %v without AdaptEpoch", i, e)
-		}
-	}
-}
-
-func TestAdaptiveEpochGrowsWhenSparse(t *testing.T) {
-	// One event per hour against a LowEvents=4 water mark: every barrier
-	// closes under-full, so the epoch doubles monotonically until Max.
-	se := NewSharded(t0, 1, 10*time.Minute)
-	se.AdaptEpoch(EpochAdaptation{Min: 10 * time.Minute, Max: 4 * time.Hour, LowEvents: 4})
-	var sizes []time.Duration
-	se.AtEpochEnd(func(time.Time) { sizes = append(sizes, se.epoch) })
-	eng := se.Shard(0)
-	var chain func()
-	left := 60
-	chain = func() {
-		left--
-		if left > 0 {
-			eng.After(time.Hour, chain)
-		}
-	}
-	eng.After(time.Minute, chain)
-	se.Run()
-	if len(sizes) < 2 {
-		t.Fatalf("only %d epochs closed", len(sizes))
-	}
-	for i := 1; i < len(sizes); i++ {
-		if sizes[i] < sizes[i-1] {
-			t.Fatalf("epoch shrank under sparse load: %v then %v", sizes[i-1], sizes[i])
-		}
-	}
-	if sizes[len(sizes)-1] != 4*time.Hour {
-		t.Errorf("epoch plateaued at %v, want Max=4h", sizes[len(sizes)-1])
-	}
-}
-
-func TestAdaptiveEpochShrinksWhenDense(t *testing.T) {
-	// A dense event chain (one per minute) against HighEvents=5: every
-	// barrier closes over-full, so the epoch halves monotonically to Min.
-	se := NewSharded(t0, 1, 4*time.Hour)
-	se.AdaptEpoch(EpochAdaptation{Min: 15 * time.Minute, Max: 4 * time.Hour, HighEvents: 5})
-	var sizes []time.Duration
-	se.AtEpochEnd(func(time.Time) { sizes = append(sizes, se.epoch) })
-	eng := se.Shard(0)
-	var chain func()
-	left := 2000
-	chain = func() {
-		left--
-		if left > 0 {
-			eng.After(time.Minute, chain)
-		}
-	}
-	eng.After(time.Minute, chain)
-	se.Run()
-	if len(sizes) < 2 {
-		t.Fatalf("only %d epochs closed", len(sizes))
-	}
-	for i := 1; i < len(sizes); i++ {
-		if sizes[i] > sizes[i-1] {
-			t.Fatalf("epoch grew under dense load: %v then %v", sizes[i-1], sizes[i])
-		}
-	}
-	if sizes[len(sizes)-1] != 15*time.Minute {
-		t.Errorf("epoch plateaued at %v, want Min=15m", sizes[len(sizes)-1])
-	}
-}
-
-func TestAdaptiveEpochClampsAndStaysDeterministic(t *testing.T) {
-	// Alternating sparse and dense stretches push the size both ways; it
-	// must never leave [Min, Max], and two identical runs must adapt
-	// through the identical size trajectory.
-	run := func() []time.Duration {
-		se := NewSharded(t0, 2, time.Hour)
-		se.AdaptEpoch(EpochAdaptation{Min: 30 * time.Minute, Max: 2 * time.Hour, LowEvents: 3, HighEvents: 20})
-		var sizes []time.Duration
-		se.AtEpochEnd(func(time.Time) { sizes = append(sizes, se.epoch) })
-		for i := 0; i < se.NumShards(); i++ {
-			eng := se.Shard(i)
-			// Dense burst in hours 0-3, sparse tail through hour 40.
-			for m := 0; m < 180; m += 2 {
-				eng.At(t0.Add(time.Duration(m)*time.Minute), func() {})
-			}
-			for h := 4; h < 40; h += 3 {
-				eng.At(t0.Add(time.Duration(h)*time.Hour), func() {})
-			}
-		}
-		se.Run()
-		return sizes
-	}
-	a, b := run(), run()
-	if len(a) == 0 {
-		t.Fatal("no epochs closed")
-	}
-	for i, e := range a {
-		if e < 30*time.Minute || e > 2*time.Hour {
-			t.Fatalf("epoch %d = %v escaped [30m, 2h]", i, e)
-		}
-	}
-	if len(a) != len(b) {
-		t.Fatalf("adaptation nondeterministic: %d vs %d epochs", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("adaptation nondeterministic at epoch %d: %v vs %v", i, a[i], b[i])
+			t.Fatalf("epoch %d resized to %v", i, e)
 		}
 	}
 }

@@ -209,8 +209,6 @@ type Config struct {
 	Days  int
 	// Shards sizes the per-shard aggregation (default 10).
 	Shards int
-	// ReservoirCap bounds per-RPC service-time samples (default 20000).
-	ReservoirCap int
 	// KeepRPCRecords additionally retains every RPC span as a Record. Only
 	// sensible for small traces and tests.
 	KeepRPCRecords bool
@@ -240,13 +238,13 @@ type Collector struct {
 	extTab  []string
 }
 
+// reservoirCap bounds the per-RPC service-time samples a collector keeps.
+const reservoirCap = 20000
+
 // NewCollector creates a collector for the given window.
 func NewCollector(cfg Config) *Collector {
 	if cfg.Shards <= 0 {
 		cfg.Shards = 10
-	}
-	if cfg.ReservoirCap <= 0 {
-		cfg.ReservoirCap = 20000
 	}
 	if cfg.Days <= 0 {
 		cfg.Days = 30
@@ -258,7 +256,7 @@ func NewCollector(cfg Config) *Collector {
 	cfg.Seed = seed
 	c := &Collector{
 		cfg:     cfg,
-		rpcAgg:  newRPCAggregate(cfg.Start, cfg.Days, cfg.Shards, cfg.ReservoirCap, seed),
+		rpcAgg:  newRPCAggregate(cfg.Start, cfg.Days, cfg.Shards, reservoirCap, seed),
 		servers: make(map[string]uint8),
 		exts:    make(map[string]uint8),
 		extTab:  []string{""}, // index 0 = no extension

@@ -62,8 +62,8 @@ func ParsePolicy(s string) (Policy, error) {
 	}
 }
 
-// SyncCost is the deterministic per-mutation service time the durability
-// interceptor charges to protocol.Cost: the full flush under per-op sync,
+// SyncCost is the deterministic per-mutation service time the API server
+// charges to protocol.Cost: the full flush under per-op sync,
 // the flush amortized over the batch under group commit, and nothing under
 // async. A pure function of the policy — never of host disk speed — so a
 // fixed (Seed, Workers, FaultPlan) run stays bit-for-bit reproducible with

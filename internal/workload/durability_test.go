@@ -16,7 +16,7 @@ import (
 
 // The durable metadata tier must be invisible to the simulation schedule:
 // journaling happens under the same shard locks as the in-memory mutation,
-// and the fsync cost the durability interceptor charges lands in latency
+// and the fsync cost the API server charges lands in latency
 // histograms, never in event ordering. These tests pin that contract against
 // the established goldens and against in-memory runs of the hard fault case.
 
@@ -54,7 +54,7 @@ func TestDurableWorkersOneMatchesGolden(t *testing.T) {
 		}
 		snap := cluster.Metrics.Snapshot()
 		if n := snap.Counters[metrics.WALPrefix+"journaled"]; n == 0 {
-			t.Error("durability interceptor never fired; the contract was not exercised")
+			t.Error("no mutation was charged a journal sync; the contract was not exercised")
 		}
 		if n := snap.Counters[metrics.WALPrefix+"errors"]; n != 0 {
 			t.Errorf("journal errors during golden run: %d", n)

@@ -34,15 +34,6 @@ type Config struct {
 	// stream bit-for-bit; any fixed (Seed, Workers) reproduces the same
 	// Totals and per-user op streams regardless of goroutine interleaving.
 	Workers int
-	// Epoch bounds cross-shard virtual-clock skew under Workers > 1
-	// (0 → sim.DefaultEpoch). Ignored semantically at Workers=1.
-	Epoch time.Duration
-	// EpochAdapt, when non-nil, lets the engine resize the epoch between
-	// barriers based on observed event density (see sim.EpochAdaptation).
-	// Deterministic for a fixed config but a different trajectory than a
-	// pinned epoch, so it is nil — pinned — by default and for all golden
-	// runs.
-	EpochAdapt *sim.EpochAdaptation
 	// Profile overrides the calibrated defaults.
 	Profile *Profile
 	// Attacks injects DDoS events; nil means DefaultAttacks. Use an empty
@@ -384,12 +375,9 @@ func New(cfg Config, c *server.Cluster) *Generator {
 		cfg:  cfg,
 		prof: cfg.Profile,
 		c:    c,
-		se:   sim.NewSharded(cfg.Start, cfg.Workers, cfg.Epoch),
+		se:   sim.NewSharded(cfg.Start, cfg.Workers, sim.DefaultEpoch),
 		end:  cfg.Start.Add(time.Duration(cfg.Days) * 24 * time.Hour),
 		rng:  rand.New(rand.NewSource(cfg.Seed)),
-	}
-	if cfg.EpochAdapt != nil {
-		g.se.AdaptEpoch(*cfg.EpochAdapt)
 	}
 	zipfN := g.prof.ZipfN
 	if zipfN == 0 {
