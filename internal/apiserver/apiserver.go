@@ -160,9 +160,9 @@ type Session struct {
 	pusher Pusher
 
 	mu sync.Mutex
-	// downloads are the stored objects being served by GetPart (TCP mode),
-	// read-only; nil until the session stages its first one.
-	downloads map[protocol.NodeID][]byte
+	// downloads are the parts of the stored objects being served by GetPart
+	// (TCP mode), read-only; nil until the session stages its first one.
+	downloads map[protocol.NodeID][][]byte
 }
 
 // nextSessionID allocates globally unique session ids across all API servers
@@ -240,7 +240,7 @@ type pendingUpload struct {
 	session   protocol.SessionID
 	multipart bool
 	mpID      string
-	received  uint64 // bytes of the parts the multipart upload has taken
+	received  uint64 // bytes of the parts the upload has taken
 	wire      uint64 // client-declared post-compression bytes (§3.3)
 	ext       string
 	plainSize uint64

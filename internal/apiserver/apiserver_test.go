@@ -175,28 +175,52 @@ func TestUploadSmallFileSkipsMultipart(t *testing.T) {
 	}
 }
 
-// TestPutPartBoundedByDeclaredSize is the metered-mode half of the bound (the
-// inline half runs over both transports in internal/server): size-only parts
-// are held to the size PutContent declared, exactly like parts with bytes.
+// TestPutPartBoundedByDeclaredSize is the metered-mode half of the part rules
+// (the inline half runs over both transports in internal/server): size-only
+// parts must add up to the size PutContent declared, every one but the final
+// one exactly blob.PartSize, exactly like parts with bytes. A refused part
+// ends the upload and aborts its multipart.
 func TestPutPartBoundedByDeclaredSize(t *testing.T) {
 	f := newFixture(t)
 	sess := f.session(t, 6)
 	root := f.rootOf(t, sess)
-	mk, _ := f.srv.Handle(sess, &protocol.Request{Op: protocol.OpMakeFile, Volume: root, Name: "big.iso"}, t0)
-	put, _ := f.srv.Handle(sess, &protocol.Request{
-		Op: protocol.OpPutContent, Volume: root, Node: mk.Node.ID, Name: "big.iso",
-		Hash: protocol.HashBytes([]byte("hostile")), Size: 12 << 20,
-	}, t0)
-	for i, want := range []protocol.Status{protocol.StatusOK, protocol.StatusOK, protocol.StatusBadRequest, protocol.StatusNotFound} {
-		resp, _ := f.srv.Handle(sess, &protocol.Request{
-			Op: protocol.OpPutPart, Upload: put.Upload, Part: uint32(i), Size: 5 << 20,
-		}, t0)
-		if resp.Status != want {
-			t.Errorf("part %d: %v, want %v", i, resp.Status, want)
-		}
+	type part struct {
+		size  uint64
+		final bool
+		want  protocol.Status
 	}
-	if bs := f.blob.Stats(); bs.BytesHeld != 0 || bs.MultipartAborted != 1 {
-		t.Errorf("blob stats after the refused stream = %+v", bs)
+	const ok, bad, gone = protocol.StatusOK, protocol.StatusBadRequest, protocol.StatusNotFound
+	for _, tc := range []struct {
+		name    string
+		size    uint64
+		parts   []part
+		aborted uint64
+	}{
+		{"past the declared size", 12 << 20, []part{{5 << 20, false, ok}, {5 << 20, false, ok}, {5 << 20, false, bad}, {5 << 20, false, gone}}, 1},
+		{"short final one-part", 1000, []part{{10, true, bad}, {1000, true, gone}}, 0},
+		{"short final multipart", 12 << 20, []part{{5 << 20, true, bad}, {7 << 20, true, gone}}, 1},
+		{"short non-final part", 12 << 20, []part{{4 << 10, false, bad}, {5 << 20, false, gone}}, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			before := f.blob.Stats()
+			mk, _ := f.srv.Handle(sess, &protocol.Request{Op: protocol.OpMakeFile, Volume: root, Name: tc.name}, t0)
+			put, _ := f.srv.Handle(sess, &protocol.Request{
+				Op: protocol.OpPutContent, Volume: root, Node: mk.Node.ID, Name: tc.name,
+				Hash: protocol.HashBytes([]byte(tc.name)), Size: tc.size,
+			}, t0)
+			for i, p := range tc.parts {
+				resp, _ := f.srv.Handle(sess, &protocol.Request{
+					Op: protocol.OpPutPart, Upload: put.Upload, Part: uint32(i), Size: p.size, Final: p.final,
+				}, t0)
+				if resp.Status != p.want {
+					t.Errorf("part %d: %v, want %v", i, resp.Status, p.want)
+				}
+			}
+			bs := f.blob.Stats()
+			if bs.BytesHeld != before.BytesHeld || bs.Objects != before.Objects || bs.MultipartAborted-before.MultipartAborted != tc.aborted {
+				t.Errorf("blob stats after the refused stream = %+v, before %+v", bs, before)
+			}
+		})
 	}
 }
 

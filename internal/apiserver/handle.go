@@ -14,8 +14,11 @@ import (
 // times plus data-store transfer estimates for data operations). The caller
 // supplies now — wall clock on the TCP path, virtual clock in the simulator.
 //
-// The request is borrowed while the call lasts (the server keeps none of
-// it). The response is handed over: the server keeps no reference to it, and
+// The request is borrowed while the call lasts, and the server keeps none of
+// it but a PutPart's Data: the object store adopts those bytes as the stored
+// part, so the caller hands them over and must not modify them afterwards
+// (the TCP loop's frames and DirectTransport's copy are nobody else's). The
+// response is handed over: the server keeps no reference to it, and
 // the caller may give it back once with protocol.ReleaseResponse when it has
 // copied out or encoded what it needs — or never, and the collector has it.
 func (s *Server) Handle(sess *Session, req *protocol.Request, now time.Time) (*protocol.Response, time.Duration) {
@@ -259,12 +262,16 @@ func (s *Server) opPutContent(c *OpContext) (*protocol.Response, error) {
 // written (dal.make_content), the uploadjob is garbage-collected
 // (dal.delete_uploadjob) and watchers are notified.
 //
-// The size declared in PutContent bounds what the server accepts: a part that
-// takes the running total past it, or a non-final part of a content that fits
-// one part, is refused with StatusBadRequest and ends the upload. The part's
-// bytes are never copied here: a content of one part goes to the store
-// straight from the decoded request (PutObject makes the only copy), and a
-// multipart part is handed over to the store as it is.
+// The parts must add up to exactly the size declared in PutContent: every
+// part but the final one is exactly blob.PartSize (so a content that fits
+// one part sends only its final part), no part takes the running total past
+// the declared size, and the final part brings it to that size. Any other
+// part is refused with StatusBadRequest and ends the upload. Stored objects
+// are therefore cut at PartSize, and downloads serve them part by part.
+//
+// The part's bytes are never copied here: they arrive in the frame the
+// connection read, and the store adopts them as they are — a content of one
+// part through PutHash, a multipart part through UploadPart.
 func (s *Server) opPutPart(c *OpContext) (*protocol.Response, error) {
 	// Part streaming never reports as a separate API event — the per-part
 	// load still shows up as RPC spans.
@@ -283,7 +290,12 @@ func (s *Server) opPutPart(c *OpContext) (*protocol.Response, error) {
 	if partBytes == 0 {
 		partBytes = req.Size // metered mode: size only
 	}
-	if partBytes > up.plainSize-up.received || (!up.multipart && !req.Final) {
+	left := up.plainSize - up.received
+	fits := partBytes == left
+	if !req.Final {
+		fits = up.multipart && partBytes == blob.PartSize && partBytes <= left
+	}
+	if !fits {
 		s.dropUpload(req.Upload, up)
 		return nil, protocol.ErrBadRequest
 	}
@@ -299,8 +311,8 @@ func (s *Server) opPutPart(c *OpContext) (*protocol.Response, error) {
 		if err != nil {
 			return nil, protocol.ErrBadRequest
 		}
-		up.received += partBytes
 	}
+	up.received += partBytes
 
 	if _, err := s.deps.RPC.AddPartToUploadJob(c.User, req.Upload, partBytes, c.Now, &c.Cost); err != nil {
 		return nil, err
@@ -370,9 +382,10 @@ func (s *Server) dropUpload(id protocol.UploadID, up *pendingUpload) {
 }
 
 // opGetContent serves a download: get_node for the metadata, then the
-// data-store read. Small contents return inline; larger ones are staged and
-// fetched with GetPart. The store's bytes are shared and read-only, so the
-// response and the staged parts are slices of the one stored object.
+// data-store read. A content of one part returns inline; a larger one stages
+// its parts list and the client fetches each with GetPart. The store's parts
+// are shared and read-only, so the response and the staged list are the
+// stored parts themselves.
 func (s *Server) opGetContent(c *OpContext) (*protocol.Response, error) {
 	req := c.Req
 	node, err := s.deps.RPC.GetNode(c.User, req.Volume, req.Node, c.Now, &c.Cost)
@@ -390,20 +403,20 @@ func (s *Server) opGetContent(c *OpContext) (*protocol.Response, error) {
 	var inline []byte
 	var parts uint32
 	if s.cfg.InlineData {
-		data, err := s.deps.Blob.GetHash(node.Hash)
+		stored, err := s.deps.Blob.PartsHash(node.Hash)
 		if err != nil {
 			return nil, protocol.ErrUnavailable
 		}
-		if len(data) <= blob.PartSize {
-			inline = data
-		} else {
-			parts = uint32((len(data) + blob.PartSize - 1) / blob.PartSize)
+		if len(stored) == 1 {
+			inline = stored[0]
+		} else if len(stored) > 1 {
+			parts = uint32(len(stored))
 			sess := c.Session
 			sess.mu.Lock()
 			if sess.downloads == nil {
-				sess.downloads = make(map[protocol.NodeID][]byte)
+				sess.downloads = make(map[protocol.NodeID][][]byte)
 			}
-			sess.downloads[node.ID] = data
+			sess.downloads[node.ID] = stored
 			sess.mu.Unlock()
 		}
 	} else {
@@ -421,35 +434,31 @@ func (s *Server) opGetContent(c *OpContext) (*protocol.Response, error) {
 	return resp, nil
 }
 
-// opGetPart serves one staged part of a large download (TCP mode).
+// opGetPart serves one staged part of a large download (TCP mode): the
+// stored part with that index, as it was uploaded.
 func (s *Server) opGetPart(c *OpContext) (*protocol.Response, error) {
 	// Like PutPart, part fetches never report as API events.
 	c.suppressEvent = true
 	req, sess := c.Req, c.Session
 
 	sess.mu.Lock()
-	data, ok := sess.downloads[req.Node]
+	parts, ok := sess.downloads[req.Node]
 	sess.mu.Unlock()
 	if !ok {
 		// Metered mode has nothing staged: acknowledge the part so clients
 		// can pace themselves identically in both modes.
 		return okResponse(), nil
 	}
-	lo := int(req.Part) * blob.PartSize
-	if lo >= len(data) {
+	if req.Part >= uint32(len(parts)) {
 		return nil, protocol.ErrBadRequest
 	}
-	hi := lo + blob.PartSize
-	if hi > len(data) {
-		hi = len(data)
-	}
-	if hi == len(data) { // final part: release the staged content
+	if req.Part == uint32(len(parts)-1) { // final part: release the staged content
 		sess.mu.Lock()
 		delete(sess.downloads, req.Node)
 		sess.mu.Unlock()
 	}
 	resp := okResponse()
-	resp.Data = data[lo:hi]
+	resp.Data = parts[req.Part]
 	return resp, nil
 }
 

@@ -13,15 +13,21 @@
 // exercising identical code paths; reads then return deterministic
 // pseudo-content of the right size.
 //
-// Buffer ownership. Stored bytes are immutable: an object's slice is written
-// once, before it becomes visible, and an overwrite or delete replaces the
-// map entry without touching the old bytes. PutObject copies its argument —
-// the store's copy is the only one — so the caller may reuse the buffer.
-// UploadPart keeps the slice it is given until the upload completes or
-// aborts: the caller hands it over and must not modify it afterwards;
-// CompleteMultipartUpload joins the parts once into an object of exactly
-// their size. GetObject returns the stored bytes themselves, shared by every
-// reader and read-only: a caller that wants to modify them copies first.
+// Buffer ownership. An object with data is its parts, as S3 keeps a multipart
+// object: every part is PartSize long except the last. Stored bytes are
+// immutable: an object's parts are written once, before it becomes visible,
+// and an overwrite or delete replaces the map entry without touching the old
+// bytes. PutHash adopts the slice it is given and cuts it into parts without
+// copying; UploadPart keeps each part it is given, and
+// CompleteMultipartUpload commits that list of parts as the object. Either
+// way the caller hands the bytes over and must not modify them afterwards.
+// (The store keeps multipart parts as uploaded; the API server holds every
+// part but the last to PartSize.) PutObject copies its argument — the
+// store's copy is the only one — so its caller may reuse the buffer.
+// PartsHash returns the stored parts themselves, shared by every reader and
+// read-only: a caller that wants to modify them copies first. GetObject
+// returns a one-part object's stored bytes the same way, and joins a
+// multi-part object into a fresh buffer.
 package blob
 
 import (
@@ -91,11 +97,11 @@ type Store struct {
 	// decoded keeps 20 bytes per object instead of a 56-byte heap string, and
 	// at million-user populations the key bytes would otherwise rival the
 	// objects themselves. Sizes live in their own map so the common metered
-	// mode pays 8 bytes per object, not a 32-byte object struct; hashData
+	// mode pays 8 bytes per object, not a 32-byte object struct; hashParts
 	// only fills in KeepData mode. Non-canonical keys (tests, ad-hoc callers)
 	// fall back to the string map; a key lives in exactly one of the layouts.
 	hashSizes map[[20]byte]uint64
-	hashData  map[[20]byte][]byte
+	hashParts map[[20]byte][][]byte
 	objects   map[string]object
 	uploads   map[string]*multipartUpload
 	nextID    uint64
@@ -103,8 +109,8 @@ type Store struct {
 }
 
 type object struct {
-	size uint64
-	data []byte // nil unless KeepData
+	size  uint64
+	parts [][]byte // nil unless KeepData
 }
 
 // objectKey is a key in one of the two layouts: a content hash (canonical
@@ -160,7 +166,7 @@ func (s *Store) loadObject(k objectKey) (object, bool) {
 		if !ok {
 			return object{}, false
 		}
-		return object{size: size, data: s.hashData[k.hash]}, true
+		return object{size: size, parts: s.hashParts[k.hash]}, true
 	}
 	obj, ok := s.objects[k.str]
 	return obj, ok
@@ -169,10 +175,10 @@ func (s *Store) loadObject(k objectKey) (object, bool) {
 func (s *Store) storeObject(k objectKey, obj object) {
 	if k.hashed {
 		s.hashSizes[k.hash] = obj.size
-		if obj.data != nil {
-			s.hashData[k.hash] = obj.data
+		if obj.parts != nil {
+			s.hashParts[k.hash] = obj.parts
 		} else {
-			delete(s.hashData, k.hash) // overwrite may flip a kept object to size-only
+			delete(s.hashParts, k.hash) // overwrite may flip a kept object to size-only
 		}
 		return
 	}
@@ -182,7 +188,7 @@ func (s *Store) storeObject(k objectKey, obj object) {
 func (s *Store) removeObject(k objectKey) {
 	if k.hashed {
 		delete(s.hashSizes, k.hash)
-		delete(s.hashData, k.hash)
+		delete(s.hashParts, k.hash)
 		return
 	}
 	delete(s.objects, k.str)
@@ -194,6 +200,20 @@ type multipartUpload struct {
 	parts   int
 	chunks  [][]byte // the parts as handed over; empty unless KeepData
 	started time.Time
+}
+
+// partsOf cuts data into the parts an object is stored as, PartSize each but
+// the last, without copying.
+func partsOf(data []byte) [][]byte {
+	if len(data) == 0 {
+		return nil
+	}
+	parts := make([][]byte, 0, (len(data)+PartSize-1)/PartSize)
+	for len(data) > PartSize {
+		parts = append(parts, data[:PartSize:PartSize])
+		data = data[PartSize:]
+	}
+	return append(parts, data)
 }
 
 // New creates an empty store.
@@ -210,27 +230,31 @@ func New(cfg Config) *Store {
 			objectsHeld: cfg.Metrics.Gauge("blob.objects.held"),
 		},
 		hashSizes: make(map[[20]byte]uint64),
-		hashData:  make(map[[20]byte][]byte),
+		hashParts: make(map[[20]byte][][]byte),
 		objects:   make(map[string]object),
 		uploads:   make(map[string]*multipartUpload),
 	}
 }
 
-// PutObject stores a copy of data under key in one shot (used for contents at
-// or below one part).
-func (s *Store) PutObject(key string, data []byte) error { return s.put(keyOf(key), data) }
+// PutObject stores a copy of data under key in one shot.
+func (s *Store) PutObject(key string, data []byte) error {
+	return s.put(keyOf(key), bytes.Clone(data))
+}
 
-// PutHash is PutObject for the content with hash h.
+// PutHash stores data as the content with hash h in one shot (used for
+// contents at or below one part). The store adopts data: the caller hands it
+// over.
 func (s *Store) PutHash(h [20]byte, data []byte) error { return s.put(hashKey(h), data) }
 
+// put stores data, which it adopts.
 func (s *Store) put(k objectKey, data []byte) error {
 	took := metrics.StartStopwatch()
-	var kept []byte
+	var parts [][]byte
 	if s.cfg.KeepData {
-		kept = append(kept, data...)
+		parts = partsOf(data)
 	}
 	s.mu.Lock()
-	s.putLocked(k, uint64(len(data)), kept)
+	s.putLocked(k, uint64(len(data)), parts)
 	s.mu.Unlock()
 	s.recordPut(uint64(len(data)), took)
 	return nil
@@ -258,10 +282,10 @@ func (s *Store) recordPut(size uint64, took metrics.Stopwatch) {
 	took.Observe(s.m.putSeconds)
 }
 
-// putLocked stores an object whose data (nil for size-only) the store already
-// owns.
-func (s *Store) putLocked(k objectKey, size uint64, data []byte) {
-	s.commitLocked(k, object{size: size, data: data})
+// putLocked stores an object whose parts (nil for size-only) the store
+// already owns.
+func (s *Store) putLocked(k objectKey, size uint64, parts [][]byte) {
+	s.commitLocked(k, object{size: size, parts: parts})
 	s.counters.Puts++
 	s.counters.BytesIn += size
 }
@@ -281,15 +305,27 @@ func (s *Store) commitLocked(k objectKey, obj object) {
 	s.m.objectsHeld.Set(int64(s.counters.Objects))
 }
 
-// GetObject returns the object's bytes: the stored slice itself, shared with
-// every other reader and read-only. In metered mode it synthesizes
-// deterministic pseudo-content of the recorded size.
-func (s *Store) GetObject(key string) ([]byte, error) { return s.get(keyOf(key)) }
+// GetObject returns the object's bytes: a one-part object's stored slice
+// itself, shared with every other reader and read-only, or the parts of a
+// larger one joined into a fresh buffer.
+func (s *Store) GetObject(key string) ([]byte, error) {
+	parts, err := s.get(keyOf(key))
+	switch len(parts) {
+	case 0:
+		return nil, err
+	case 1:
+		return parts[0], nil
+	}
+	return bytes.Join(parts, nil), nil
+}
 
-// GetHash is GetObject for the content with hash h.
-func (s *Store) GetHash(h [20]byte) ([]byte, error) { return s.get(hashKey(h)) }
+// PartsHash returns the parts of the content with hash h, in order: the
+// stored slices themselves, shared with every other reader and read-only. In
+// metered mode they are deterministic pseudo-content of the recorded size,
+// cut at PartSize.
+func (s *Store) PartsHash(h [20]byte) ([][]byte, error) { return s.get(hashKey(h)) }
 
-func (s *Store) get(k objectKey) ([]byte, error) {
+func (s *Store) get(k objectKey) ([][]byte, error) {
 	took := metrics.StartStopwatch()
 	s.mu.Lock()
 	obj, ok := s.loadObject(k)
@@ -299,11 +335,11 @@ func (s *Store) get(k objectKey) ([]byte, error) {
 	}
 	s.counters.Gets++
 	s.counters.BytesOut += obj.size
-	out := obj.data
-	if out == nil {
-		out = synthesize(k.String(), obj.size)
-	}
 	s.mu.Unlock()
+	out := obj.parts
+	if out == nil {
+		out = partsOf(synthesize(k.String(), obj.size))
+	}
 	s.m.getBytes.Add(obj.size)
 	took.Observe(s.m.getSeconds)
 	return out, nil
@@ -359,7 +395,8 @@ func (s *Store) createMultipart(k objectKey, now time.Time) string {
 
 // UploadPart appends one part. Parts must arrive in order (1-based,
 // contiguous), which is how the U1 API server streams them. The store keeps
-// data itself, not a copy, until the upload completes or aborts.
+// data itself, not a copy: once the upload completes it is one of the
+// object's parts.
 func (s *Store) UploadPart(id string, partNum int, data []byte) error {
 	return s.uploadPart(id, partNum, uint64(len(data)), data)
 }
@@ -390,25 +427,18 @@ func (s *Store) uploadPart(id string, partNum int, size uint64, data []byte) err
 	return nil
 }
 
-// CompleteMultipartUpload commits the accumulated parts as the object: they
-// are joined once, outside the store lock, into a buffer of exactly their
-// total size.
+// CompleteMultipartUpload commits the accumulated parts as the object, as
+// they were handed over: nothing is copied.
 func (s *Store) CompleteMultipartUpload(id string) error {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	up, ok := s.uploads[id]
-	delete(s.uploads, id)
-	s.mu.Unlock()
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrNoSuchUpload, id)
 	}
-	obj := object{size: up.size}
-	if len(up.chunks) > 0 {
-		obj.data = bytes.Join(up.chunks, nil)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	delete(s.uploads, id)
 	// BytesIn was already counted per part; commit without recounting.
-	s.commitLocked(up.key, obj)
+	s.commitLocked(up.key, object{size: up.size, parts: up.chunks})
 	s.counters.MultipartCompleted++
 	s.m.objectBytes.Observe(float64(up.size))
 	return nil

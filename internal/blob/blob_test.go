@@ -3,6 +3,7 @@ package blob
 import (
 	"bytes"
 	"crypto/sha1"
+	"encoding/hex"
 	"errors"
 	"testing"
 	"time"
@@ -20,11 +21,11 @@ func TestPutGetDelete(t *testing.T) {
 	if err := s.PutHash(k1, data); err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.GetHash(k1)
+	got, err := s.PartsHash(k1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, data) {
+	if len(got) != 1 || !bytes.Equal(got[0], data) {
 		t.Errorf("got %q", got)
 	}
 	size, err := s.HeadHash(k1)
@@ -32,7 +33,7 @@ func TestPutGetDelete(t *testing.T) {
 		t.Errorf("head = %d, %v", size, err)
 	}
 	s.DeleteHash(k1)
-	if _, err := s.GetHash(k1); !errors.Is(err, ErrNoSuchKey) {
+	if _, err := s.PartsHash(k1); !errors.Is(err, ErrNoSuchKey) {
 		t.Errorf("get after delete = %v", err)
 	}
 	// Deleting a missing key is a no-op (S3 semantics).
@@ -90,7 +91,8 @@ func TestMultipartHappyPath(t *testing.T) {
 	if err := s.CompleteMultipartUpload(id); err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.GetHash(hashOf("big"))
+	big := hashOf("big")
+	got, err := s.GetObject(hex.EncodeToString(big[:]))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,9 +197,9 @@ func TestTransferModel(t *testing.T) {
 }
 
 // The ownership rule of the package comment: PutObject copies its argument
-// (a caller may refill one buffer between puts), GetObject hands out the one
-// stored slice to every reader, and an overwrite leaves the bytes an earlier
-// reader holds untouched.
+// (a caller may refill one buffer between puts), PutHash adopts its argument
+// as the stored part, GetObject hands out the one stored slice to every
+// reader, and an overwrite leaves the bytes an earlier reader holds untouched.
 func TestPutCopiesGetShares(t *testing.T) {
 	s := New(Config{KeepData: true})
 	buf := bytes.Repeat([]byte{1}, 4096)
@@ -228,32 +230,66 @@ func TestPutCopiesGetShares(t *testing.T) {
 	if !bytes.Equal(one, bytes.Repeat([]byte{1}, 4096)) {
 		t.Error("an overwrite modified bytes a reader already held")
 	}
-	if fresh, _ := s.GetObject("one"); !bytes.Equal(fresh, buf) {
-		t.Error("overwrite not visible to a new reader")
+	if fresh, _ := s.GetObject("one"); !bytes.Equal(fresh, buf) || &fresh[0] == &buf[0] {
+		t.Error("overwrite not visible to a new reader, or stored without a copy")
+	}
+
+	adopted := bytes.Repeat([]byte{4}, 4096)
+	h := hashOf("adopted")
+	if err := s.PutHash(h, adopted); err != nil {
+		t.Fatal(err)
+	}
+	if parts, err := s.PartsHash(h); err != nil || len(parts) != 1 || &parts[0][0] != &adopted[0] {
+		t.Errorf("PutHash should store the slice it was given as the object's one part (err %v)", err)
 	}
 }
 
-// A multipart object is joined once into a buffer of exactly its size: no
-// append slack is held for the life of the object.
-func TestMultipartJoinsExactSize(t *testing.T) {
+// A multipart object is the parts it was uploaded as: Complete commits the
+// slices UploadPart was given without copying them, and GetObject still joins
+// them into the object's exact bytes.
+func TestMultipartKeepsItsParts(t *testing.T) {
 	s := New(Config{KeepData: true})
-	id := s.CreateMultipartHash(hashOf("big"), now)
+	big := hashOf("big")
+	var parts [][]byte
 	var want []byte
 	for i, n := range []int{PartSize, PartSize, 1234} {
 		part := bytes.Repeat([]byte{byte(i + 1)}, n)
+		parts = append(parts, part)
 		want = append(want, part...)
-		if err := s.UploadPart(id, i+1, part); err != nil {
-			t.Fatal(err)
+	}
+	// Every upload is open before the measurement, so Complete runs alone
+	// inside it; AllocsPerRun calls its function once more to warm up.
+	const runs = 10
+	ids := make([]string, runs+1)
+	for i := range ids {
+		ids[i] = s.CreateMultipartHash(big, now)
+		for n, part := range parts {
+			if err := s.UploadPart(ids[i], n+1, part); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-	if err := s.CompleteMultipartUpload(id); err != nil {
-		t.Fatal(err)
+	allocs := testing.AllocsPerRun(runs, func() {
+		if err := s.CompleteMultipartUpload(ids[0]); err != nil {
+			t.Fatal(err)
+		}
+		ids = ids[1:]
+	})
+	if allocs != 0 {
+		t.Errorf("Complete of a %d-byte object allocates %.0f times, want 0", len(want), allocs)
 	}
-	got, err := s.GetHash(hashOf("big"))
-	if err != nil || !bytes.Equal(got, want) {
-		t.Fatalf("multipart content mismatch (err %v)", err)
+
+	got, err := s.PartsHash(big)
+	if err != nil || len(got) != len(parts) {
+		t.Fatalf("object has %d parts (err %v), want %d", len(got), err, len(parts))
 	}
-	if cap(got) != len(got) {
-		t.Errorf("object of %d bytes holds %d", len(got), cap(got))
+	for i := range parts {
+		if len(got[i]) != len(parts[i]) || &got[i][0] != &parts[i][0] {
+			t.Errorf("part %d of the object is not the slice UploadPart was given", i)
+		}
+	}
+	joined, err := s.GetObject(hex.EncodeToString(big[:]))
+	if err != nil || !bytes.Equal(joined, want) {
+		t.Fatalf("GetObject of the multipart object: %d bytes (err %v), want its %d", len(joined), err, len(want))
 	}
 }

@@ -21,7 +21,9 @@ import (
 // It stands in for the wire, and the wire is where a payload changes owner:
 // Do copies req.Data on the way in and resp.Data on the way out, the one
 // place the in-process path does, so that a caller shares no memory with the
-// server or the object store on this transport any more than over TCP.
+// server or the object store on this transport any more than over TCP. The
+// copy of a PutPart's Data is what the object store keeps, as it keeps a
+// frame read off a socket.
 // Metered traffic carries no Data and pays nothing. The request itself is
 // only borrowed (the Transport.Do contract): the server reads it while
 // Handle runs and keeps none of it. The response is the server's own, passed

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"crypto/sha1"
 	"fmt"
 	"sync"
 	"testing"
@@ -172,31 +173,41 @@ func status(t *testing.T, tr client.Transport, req *protocol.Request) (*protocol
 	return resp, resp.Status
 }
 
-// A peer that declares a size in PutContent cannot stream past it: the part
-// that would cross the declared size is refused, the upload is gone, its
-// multipart is aborted and the store holds not a byte more than before.
+// rawSession authenticates a bare transport as user and returns it with the
+// user's root volume, for tests that speak the protocol request by request.
+func rawSession(t *testing.T, tc *TCPCluster, dial func(*testing.T) client.Transport, user protocol.UserID) (client.Transport, protocol.VolumeID) {
+	t.Helper()
+	token, err := tc.Auth.Issue(user)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := dial(t)
+	t.Cleanup(func() { tr.Close() })
+	if _, st := status(t, tr, &protocol.Request{Op: protocol.OpAuthenticate, Token: token}); st != protocol.StatusOK {
+		t.Fatal(st)
+	}
+	vols, _ := status(t, tr, &protocol.Request{Op: protocol.OpListVolumes})
+	for _, v := range vols.Volumes {
+		if v.Type == protocol.VolumeRoot {
+			return tr, v.ID
+		}
+	}
+	t.Fatal("no root volume")
+	return nil, 0
+}
+
+// A peer that declares a size in PutContent must send exactly that: the part
+// that would cross the declared size, a final part that falls short of it and
+// a non-final part of any size but blob.PartSize are refused, the upload is
+// gone, its multipart is aborted and the store holds not a byte more than
+// before.
 func TestOversizePartStreamRefused(t *testing.T) {
 	tc, c := newTCPCluster(t)
 	user := protocol.UserID(80)
 	for name, dial := range bothTransports(tc) {
 		user++
 		t.Run(name, func(t *testing.T) {
-			token, err := tc.Auth.Issue(user)
-			if err != nil {
-				t.Fatal(err)
-			}
-			tr := dial(t)
-			defer tr.Close()
-			if _, st := status(t, tr, &protocol.Request{Op: protocol.OpAuthenticate, Token: token}); st != protocol.StatusOK {
-				t.Fatal(st)
-			}
-			vols, _ := status(t, tr, &protocol.Request{Op: protocol.OpListVolumes})
-			var root protocol.VolumeID
-			for _, v := range vols.Volumes {
-				if v.Type == protocol.VolumeRoot {
-					root = v.ID
-				}
-			}
+			tr, root := rawSession(t, tc, dial, user)
 			before := c.Blob.Stats()
 
 			begin := func(file string, size uint64) (protocol.UploadID, protocol.Hash) {
@@ -229,19 +240,29 @@ func TestOversizePartStreamRefused(t *testing.T) {
 			if _, st := status(t, tr, &protocol.Request{Op: protocol.OpPutPart, Upload: up, Part: 3, Data: part}); st != protocol.StatusNotFound {
 				t.Errorf("part after the upload was dropped: %v, want %v", st, protocol.StatusNotFound)
 			}
+			refused := []protocol.Hash{big}
 
-			// A content that fits one part is one final part of at most the
-			// declared size.
-			up, small := begin("hostile.txt", 100)
-			if _, st := status(t, tr, &protocol.Request{Op: protocol.OpPutPart, Upload: up, Data: part[:200], Final: true}); st != protocol.StatusBadRequest {
-				t.Errorf("final part past the declared size: %v, want %v", st, protocol.StatusBadRequest)
-			}
-			up, _ = begin("trickle.txt", 100)
-			if _, st := status(t, tr, &protocol.Request{Op: protocol.OpPutPart, Upload: up, Data: part[:50]}); st != protocol.StatusBadRequest {
-				t.Errorf("non-final part of a one-part content: %v, want %v", st, protocol.StatusBadRequest)
-			}
-			if _, st := status(t, tr, &protocol.Request{Op: protocol.OpPutPart, Upload: up, Part: 1, Data: part[:50], Final: true}); st != protocol.StatusNotFound {
-				t.Errorf("part after the upload was dropped: %v, want %v", st, protocol.StatusNotFound)
+			// Every other broken stream is refused at its first part.
+			for _, bad := range []struct {
+				file  string
+				size  uint64
+				data  []byte
+				final bool
+			}{
+				{"hostile.txt", 100, part[:200], true},         // a final part past the declared size
+				{"trickle.txt", 100, part[:50], false},         // a non-final part of a one-part content
+				{"short.txt", 1000, part[:10], true},           // a final part short of the declared size
+				{"short.iso", 12 << 20, part, true},            // a multipart upload ended early
+				{"trickle.iso", 12 << 20, part[:4<<10], false}, // a non-final part short of blob.PartSize
+			} {
+				up, h := begin(bad.file, bad.size)
+				if _, st := status(t, tr, &protocol.Request{Op: protocol.OpPutPart, Upload: up, Data: bad.data, Final: bad.final}); st != protocol.StatusBadRequest {
+					t.Errorf("%s: %v, want %v", bad.file, st, protocol.StatusBadRequest)
+				}
+				if _, st := status(t, tr, &protocol.Request{Op: protocol.OpPutPart, Upload: up, Part: 1, Data: part[:50], Final: true}); st != protocol.StatusNotFound {
+					t.Errorf("%s: part after the upload was dropped: %v, want %v", bad.file, st, protocol.StatusNotFound)
+				}
+				refused = append(refused, h)
 			}
 
 			after := c.Blob.Stats()
@@ -249,12 +270,68 @@ func TestOversizePartStreamRefused(t *testing.T) {
 				t.Errorf("store holds %d bytes in %d objects, held %d in %d before",
 					after.BytesHeld, after.Objects, before.BytesHeld, before.Objects)
 			}
-			if got := after.MultipartAborted - before.MultipartAborted; got != 1 {
-				t.Errorf("%d multipart uploads aborted, want 1", got)
+			if got := after.MultipartAborted - before.MultipartAborted; got != 3 { // the three .iso uploads
+				t.Errorf("%d multipart uploads aborted, want 3", got)
 			}
-			for _, h := range []protocol.Hash{big, small} {
+			for _, h := range refused {
 				if _, err := c.Blob.HeadHash(h); err == nil {
 					t.Errorf("refused content %v reached the store", h)
+				}
+			}
+		})
+	}
+}
+
+// Downloads are served part by part out of the stored object, with the part
+// boundaries uploads have: 5 MB, 5 MB and the rest. That holds for a content
+// uploaded in parts and for one put whole with PutObject, the path the
+// benchmark preseeds through.
+func TestDownloadPartBoundaries(t *testing.T) {
+	tc, c := newTCPCluster(t)
+	user := protocol.UserID(100)
+	const size = 12 << 20
+	for name, dial := range bothTransports(tc) {
+		user++
+		t.Run(name, func(t *testing.T) {
+			cl := connectOver(t, tc, dial, user)
+			root, _ := cl.RootVolume()
+			uploaded := pattern("uploaded-"+name, size)
+			up, reused, err := cl.Upload(root, 0, "uploaded.bin", uploaded)
+			if err != nil || reused {
+				t.Fatalf("upload: reused=%v err=%v", reused, err)
+			}
+			preseeded := pattern("preseeded-"+name, size)
+			h := protocol.HashBytes(preseeded)
+			if err := c.Blob.PutObject(h.Hex(), preseeded); err != nil {
+				t.Fatal(err)
+			}
+			pre, err := c.Store.MakeFile(user, root, 0, "preseeded.bin")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, _, _, err := c.Store.MakeContent(user, root, pre.ID, h, size); err != nil {
+				t.Fatal(err)
+			}
+
+			tr, _ := rawSession(t, tc, dial, user)
+			for _, f := range []struct {
+				node    protocol.NodeID
+				content []byte
+			}{{up.ID, uploaded}, {pre.ID, preseeded}} {
+				resp, st := status(t, tr, &protocol.Request{Op: protocol.OpGetContent, Volume: root, Node: f.node})
+				if st != protocol.StatusOK || resp.Parts != 3 || len(resp.Data) != 0 {
+					t.Fatalf("GetContent of node %d: %v, %d parts, %d bytes inline; want 3 parts", f.node, st, resp.Parts, len(resp.Data))
+				}
+				sum := sha1.New()
+				for i, want := range []int{blob.PartSize, blob.PartSize, size - 2*blob.PartSize} {
+					part, st := status(t, tr, &protocol.Request{Op: protocol.OpGetPart, Volume: root, Node: f.node, Part: uint32(i)})
+					if st != protocol.StatusOK || len(part.Data) != want {
+						t.Fatalf("part %d of node %d: %v, %d bytes, want %d", i, f.node, st, len(part.Data), want)
+					}
+					sum.Write(part.Data)
+				}
+				if got, want := sum.Sum(nil), protocol.HashBytes(f.content); !bytes.Equal(got, want[:]) {
+					t.Errorf("node %d downloads to SHA-1 %x, want %v", f.node, got, want)
 				}
 			}
 		})

@@ -14,7 +14,10 @@
 // Buffer ownership. ReadFrame allocates a fresh buffer per frame and hands it
 // to the caller; wire keeps no reference, and whatever the caller decodes out
 // of it (Reader.Bytes, protocol.Unmarshal*) aliases that buffer and lives as
-// long as it does. On the way out nothing is retained either: WriteFrame and
+// long as it does. That read is the one copy an uploaded byte takes in user
+// space: a frame the API server reads is where the part's payload lives from
+// then on, since the object store adopts it as the stored part and serves
+// downloads from it. On the way out nothing is retained either: WriteFrame and
 // FrameWriter.WriteMessage have put every byte on the writer by the time they
 // return, so the caller may reuse its payload. A byte slice recorded with
 // Writer.Payload is written from where it lies, never copied and never
