@@ -1,7 +1,7 @@
-// Package u1 holds the repository-level benchmark harness: one benchmark per
-// paper table/figure (the per-experiment index of DESIGN.md), each regenerating
-// its result from a shared synthetic trace and reporting the headline number
-// as a custom metric, plus micro-benchmarks of the hot substrate paths.
+// Package u1 holds the repository-level Go benchmarks: BenchmarkFigures, one
+// sub-benchmark per entry of analysis.Figures regenerating it from a shared
+// synthetic trace and reporting its measured targets as custom metrics, plus
+// micro-benchmarks of the hot substrate paths.
 //
 // Scale knobs: U1_BENCH_USERS and U1_BENCH_DAYS environment variables
 // override the default 800-user, 10-day trace.
@@ -11,8 +11,10 @@ import (
 	"bytes"
 	"crypto/sha1"
 	"fmt"
+	"math"
 	"os"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -75,276 +77,44 @@ func benchTrace(b *testing.B) (*analysis.Trace, *analysis.Trace) {
 	return benchRaw, benchClean
 }
 
-// --- One benchmark per experiment (DESIGN.md index) ---
+// BenchmarkFigures times every entry of analysis.Figures on the shared
+// trace, one sub-benchmark each, and reports each of its targets' measured
+// value as a metric.
+func BenchmarkFigures(b *testing.B) {
+	raw, clean := benchTrace(b)
+	for i := range analysis.Figures {
+		f := &analysis.Figures[i]
+		b.Run(strings.ReplaceAll(strings.Join(f.IDs, "+"), " ", ""), func(b *testing.B) {
+			var r analysis.Result
+			for n := 0; n < b.N; n++ {
+				r = f.Run(raw, clean)
+			}
+			for j, t := range f.Targets {
+				if !math.IsNaN(r.Measured[j]) {
+					b.ReportMetric(r.Measured[j], metricKey(t.Name))
+				}
+			}
+		})
+	}
+}
 
-func BenchmarkTable1Findings(b *testing.B) {
-	_, clean := benchTrace(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f := analysis.AnalyzeFindings(clean)
-		if len(f.Rows) == 0 {
-			b.Fatal("no findings")
+// metricKey turns a target name into a metric unit: lower case, with every
+// run of other characters one underscore.
+func metricKey(name string) string {
+	var k strings.Builder
+	sep := false
+	for _, c := range strings.ToLower(name) {
+		if c >= 'a' && c <= 'z' || c >= '0' && c <= '9' {
+			if sep && k.Len() > 0 {
+				k.WriteByte('_')
+			}
+			k.WriteRune(c)
+			sep = false
+		} else {
+			sep = true
 		}
 	}
-}
-
-func BenchmarkTable3Summary(b *testing.B) {
-	_, clean := benchTrace(b)
-	b.ResetTimer()
-	var s analysis.Summary
-	for i := 0; i < b.N; i++ {
-		s = analysis.AnalyzeSummary(clean)
-	}
-	b.ReportMetric(float64(s.Transfers), "transfers")
-	b.ReportMetric(100*s.UpdateByteFraction(), "update_byte_%")
-}
-
-func BenchmarkFig2aTraffic(b *testing.B) {
-	raw, _ := benchTrace(b)
-	b.ResetTimer()
-	var tf analysis.Traffic
-	for i := 0; i < b.N; i++ {
-		tf = analysis.AnalyzeTraffic(raw)
-	}
-	b.ReportMetric(tf.DayNightRatio, "day_night_x")
-}
-
-func BenchmarkFig2bSizeCategories(b *testing.B) {
-	raw, _ := benchTrace(b)
-	b.ResetTimer()
-	var tf analysis.Traffic
-	for i := 0; i < b.N; i++ {
-		tf = analysis.AnalyzeTraffic(raw)
-	}
-	b.ReportMetric(100*tf.UpBuckets.WeightFractions()[4], "gt25MB_upbytes_%")
-	b.ReportMetric(100*tf.UpBuckets.CountFractions()[0], "lt05MB_upops_%")
-}
-
-func BenchmarkFig2cRWRatio(b *testing.B) {
-	raw, _ := benchTrace(b)
-	b.ResetTimer()
-	var rw analysis.RWRatio
-	for i := 0; i < b.N; i++ {
-		rw = analysis.AnalyzeRWRatio(raw)
-	}
-	b.ReportMetric(rw.Box.Median, "rw_median")
-}
-
-func BenchmarkFig3aAfterWrite(b *testing.B) {
-	_, clean := benchTrace(b)
-	b.ResetTimer()
-	var d analysis.Dependencies
-	for i := 0; i < b.N; i++ {
-		d = analysis.AnalyzeDependencies(clean)
-	}
-	b.ReportMetric(100*d.WAWFrac, "waw_%")
-	b.ReportMetric(100*d.WAWUnderHour, "waw_lt1h_%")
-}
-
-func BenchmarkFig3bAfterRead(b *testing.B) {
-	_, clean := benchTrace(b)
-	b.ResetTimer()
-	var d analysis.Dependencies
-	for i := 0; i < b.N; i++ {
-		d = analysis.AnalyzeDependencies(clean)
-	}
-	b.ReportMetric(100*d.RARFrac, "rar_%")
-}
-
-func BenchmarkFig3cLifetime(b *testing.B) {
-	_, clean := benchTrace(b)
-	b.ResetTimer()
-	var l analysis.Lifetime
-	for i := 0; i < b.N; i++ {
-		l = analysis.AnalyzeLifetime(clean)
-	}
-	b.ReportMetric(100*l.FileDeadFrac, "files_dead_%")
-}
-
-func BenchmarkFig4aDedup(b *testing.B) {
-	_, clean := benchTrace(b)
-	b.ResetTimer()
-	var d analysis.Dedup
-	for i := 0; i < b.N; i++ {
-		d = analysis.AnalyzeDedup(clean)
-	}
-	b.ReportMetric(d.Ratio, "dedup_ratio")
-}
-
-func BenchmarkFig4bSizes(b *testing.B) {
-	_, clean := benchTrace(b)
-	b.ResetTimer()
-	var s analysis.Sizes
-	for i := 0; i < b.N; i++ {
-		s = analysis.AnalyzeSizes(clean)
-	}
-	b.ReportMetric(100*s.Sub1MBShare, "lt1MB_%")
-}
-
-func BenchmarkFig4cTypes(b *testing.B) {
-	_, clean := benchTrace(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ty := analysis.AnalyzeTypes(clean)
-		if len(ty.Categories) != 7 {
-			b.Fatal("bad categories")
-		}
-	}
-}
-
-func BenchmarkFig5DDoS(b *testing.B) {
-	raw, _ := benchTrace(b)
-	b.ResetTimer()
-	var d analysis.DDoS
-	for i := 0; i < b.N; i++ {
-		d = analysis.AnalyzeDDoS(raw)
-	}
-	b.ReportMetric(float64(len(d.Attacks)), "attacks")
-}
-
-func BenchmarkFig6OnlineActive(b *testing.B) {
-	_, clean := benchTrace(b)
-	b.ResetTimer()
-	var oa analysis.OnlineActive
-	for i := 0; i < b.N; i++ {
-		oa = analysis.AnalyzeOnlineActive(clean)
-	}
-	b.ReportMetric(100*oa.MaxActiveShare, "max_active_%")
-}
-
-func BenchmarkFig7aOpFrequency(b *testing.B) {
-	_, clean := benchTrace(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		of := analysis.AnalyzeOpFrequency(clean)
-		if len(of.Ops) == 0 {
-			b.Fatal("no ops")
-		}
-	}
-}
-
-func BenchmarkFig7bUserTraffic(b *testing.B) {
-	_, clean := benchTrace(b)
-	b.ResetTimer()
-	var ut analysis.UserTraffic
-	for i := 0; i < b.N; i++ {
-		ut = analysis.AnalyzeUserTraffic(clean)
-	}
-	b.ReportMetric(100*ut.UploadedShare, "uploaded_share_%")
-}
-
-func BenchmarkFig7cGini(b *testing.B) {
-	_, clean := benchTrace(b)
-	b.ResetTimer()
-	var ut analysis.UserTraffic
-	for i := 0; i < b.N; i++ {
-		ut = analysis.AnalyzeUserTraffic(clean)
-	}
-	b.ReportMetric(ut.GiniUp, "gini_up")
-	b.ReportMetric(100*ut.Top1Share, "top1_%")
-}
-
-func BenchmarkFig8Transitions(b *testing.B) {
-	_, clean := benchTrace(b)
-	b.ResetTimer()
-	var tr analysis.Transitions
-	for i := 0; i < b.N; i++ {
-		tr = analysis.AnalyzeTransitions(clean)
-	}
-	b.ReportMetric(tr.TransferSelfLoop, "transfer_selfloop")
-}
-
-func BenchmarkFig9Burstiness(b *testing.B) {
-	_, clean := benchTrace(b)
-	b.ResetTimer()
-	var bu analysis.Burstiness
-	for i := 0; i < b.N; i++ {
-		bu = analysis.AnalyzeBurstiness(clean)
-	}
-	b.ReportMetric(bu.UploadFit.Alpha, "upload_alpha")
-}
-
-func BenchmarkFig10Volumes(b *testing.B) {
-	_, clean := benchTrace(b)
-	b.ResetTimer()
-	var v analysis.Volumes
-	for i := 0; i < b.N; i++ {
-		v = analysis.AnalyzeVolumes(clean)
-	}
-	b.ReportMetric(v.Pearson, "pearson")
-}
-
-func BenchmarkFig11UDFShares(b *testing.B) {
-	_, clean := benchTrace(b)
-	b.ResetTimer()
-	var v analysis.Volumes
-	for i := 0; i < b.N; i++ {
-		v = analysis.AnalyzeVolumes(clean)
-	}
-	b.ReportMetric(100*v.UDFShare, "udf_share_%")
-}
-
-func BenchmarkFig12RPCTimes(b *testing.B) {
-	raw, _ := benchTrace(b)
-	b.ResetTimer()
-	var rp analysis.RPCPerf
-	for i := 0; i < b.N; i++ {
-		rp = analysis.AnalyzeRPCPerf(raw)
-	}
-	b.ReportMetric(100*rp.MaxTail, "max_tail_%")
-}
-
-func BenchmarkFig13RPCScatter(b *testing.B) {
-	raw, _ := benchTrace(b)
-	b.ResetTimer()
-	var rp analysis.RPCPerf
-	for i := 0; i < b.N; i++ {
-		rp = analysis.AnalyzeRPCPerf(raw)
-	}
-	b.ReportMetric(rp.CascadeToReadRatio, "cascade_read_x")
-}
-
-func BenchmarkFig14LoadBalance(b *testing.B) {
-	raw, _ := benchTrace(b)
-	b.ResetTimer()
-	var lb analysis.LoadBalance
-	for i := 0; i < b.N; i++ {
-		lb = analysis.AnalyzeLoadBalance(raw)
-	}
-	b.ReportMetric(lb.ShardMinuteCV, "shard_minute_cv")
-	b.ReportMetric(100*lb.ShardLongTermCV, "shard_longterm_cv_%")
-}
-
-func BenchmarkFig15AuthActivity(b *testing.B) {
-	_, clean := benchTrace(b)
-	b.ResetTimer()
-	var se analysis.Sessions
-	for i := 0; i < b.N; i++ {
-		se = analysis.AnalyzeSessions(clean)
-	}
-	b.ReportMetric(100*se.AuthFailShare, "auth_fail_%")
-}
-
-func BenchmarkFig16Sessions(b *testing.B) {
-	_, clean := benchTrace(b)
-	b.ResetTimer()
-	var se analysis.Sessions
-	for i := 0; i < b.N; i++ {
-		se = analysis.AnalyzeSessions(clean)
-	}
-	b.ReportMetric(100*se.Sub1s, "sub1s_%")
-	b.ReportMetric(100*se.ActiveShare, "active_%")
-}
-
-// BenchmarkWhatIf regenerates the §9 improvement estimates.
-func BenchmarkWhatIf(b *testing.B) {
-	_, clean := benchTrace(b)
-	b.ResetTimer()
-	var w analysis.WhatIf
-	for i := 0; i < b.N; i++ {
-		w = analysis.AnalyzeWhatIf(clean)
-	}
-	b.ReportMetric(100*w.CacheHitRate, "cache_hit_%")
+	return k.String()
 }
 
 // benchGeneration measures the end-to-end simulator throughput — events

@@ -67,8 +67,8 @@ type populationFlags struct {
 
 func addPopulationFlags(fs *flag.FlagSet) *populationFlags {
 	p := &populationFlags{}
-	fs.IntVar(&p.users, "users", 2000, "population size (paper: 1.29M)")
-	fs.IntVar(&p.days, "days", 30, "trace window in days (paper: 30)")
+	fs.IntVar(&p.users, "users", 2000, "population size")
+	fs.IntVar(&p.days, "days", 30, "trace window in days")
 	fs.IntVar(&p.workers, "workers", 0, "parallel generator shards (0 = GOMAXPROCS, 1 = serial stream)")
 	fs.BoolVar(&p.noAttacks, "no-attacks", false, "disable the three DDoS events")
 	fs.BoolVar(&p.compact, "compact", false, "low-memory generator (workload.Config.LowMem; a different stream than the goldens)")

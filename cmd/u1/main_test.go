@@ -43,6 +43,8 @@ func TestRefusedCombinations(t *testing.T) {
 		{"sim", "-fsync", "async", "-users", "5", "-days", "1"},
 		{"sim", "-repl-delay", "1", "-users", "5", "-days", "1"},
 		{"sim", "-fault-rate", "2", "-users", "5", "-days", "1"},
+		{"analyze", "-fig", "99", "-users", "5", "-days", "1"},
+		{"analyze", "-table", "7", "-users", "5", "-days", "1"},
 	} {
 		if err := run(args, io.Discard); err == nil {
 			t.Errorf("u1 %s: ran, want it refused", strings.Join(args, " "))
@@ -111,6 +113,45 @@ func TestSimReportRepeats(t *testing.T) {
 	if tables[0] != tables[1] {
 		t.Errorf("paper tables differ:\n%s\n---\n%s", tables[0], tables[1])
 	}
+}
+
+// TestAnalyzeTraceTree writes a serial run's trace tree with its RPC
+// records and analyzes it back: after the `read N records` line the output
+// must equal the in-memory analysis of the same run, which itself must
+// repeat byte for byte within one process.
+func TestAnalyzeTraceTree(t *testing.T) {
+	dir := t.TempDir()
+	if err := run([]string{"sim", "-workers", "1", "-users", "60", "-days", "2", "-rpc", "-out", dir}, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if err := run([]string{"analyze", "-trace", dir, "-days", "2", "-all"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	read, fromTree, _ := strings.Cut(out.String(), "\n")
+	if !strings.HasPrefix(read, "read ") || !strings.Contains(fromTree, "Table 1") {
+		t.Fatalf("analyze -trace printed:\n%s", out.String())
+	}
+	for i := 0; i < 2; i++ {
+		var inMemory bytes.Buffer
+		if err := run([]string{"analyze", "-workers", "1", "-users", "60", "-days", "2", "-all"}, &inMemory); err != nil {
+			t.Fatal(err)
+		}
+		if got := inMemory.String(); got != fromTree {
+			t.Errorf("in-memory run %d differs from the trace tree at line %d", i, firstDiff(got, fromTree))
+		}
+	}
+}
+
+// firstDiff is the 1-based number of the first line where a and b differ.
+func firstDiff(a, b string) int {
+	al, bl := strings.Split(a, "\n"), strings.Split(b, "\n")
+	for i := range al {
+		if i >= len(bl) || al[i] != bl[i] {
+			return i + 1
+		}
+	}
+	return len(al) + 1
 }
 
 // TestServeDurableRestart serves a durable cluster over real sockets, uploads

@@ -1,8 +1,8 @@
 // Package analysis reimplements every measurement of the paper's evaluation
 // (§5 storage workload, §6 user behavior, §7 back-end performance) over a
 // collected trace. Each figure/table has one Analyze function returning a
-// result struct that renders as terminal text and exports gnuplot-ready data
-// series; `u1 sim -report` prints each result against the paper's numbers.
+// result struct that renders as terminal text; the Figures table pairs each
+// with the paper's numbers.
 package analysis
 
 import (
@@ -18,7 +18,7 @@ import (
 // storage/session records plus the streaming RPC aggregate.
 type Trace struct {
 	Records    []trace.Record
-	RPC        *trace.RPCAggregate
+	RPC        *trace.RPCAggregate // nil for a trace tree written without -rpc
 	Servers    []string
 	Extensions []string
 	Start      time.Time
@@ -40,7 +40,8 @@ func FromCollector(col *trace.Collector, start time.Time, days int) *Trace {
 }
 
 // FromDataset builds the view from logfiles read back from disk. The RPC
-// aggregate is rebuilt from retained RPC records when present.
+// aggregate is rebuilt from retained RPC records; without any (a trace
+// written without -rpc) it is nil.
 func FromDataset(ds *trace.Dataset, start time.Time, days, shards int) *Trace {
 	t := &Trace{
 		Records:    ds.Records,
@@ -48,6 +49,9 @@ func FromDataset(ds *trace.Dataset, start time.Time, days, shards int) *Trace {
 		Extensions: ds.Extensions,
 		Start:      start,
 		Days:       days,
+	}
+	if len(ds.RPCRecords) == 0 {
+		return t
 	}
 	col := trace.NewCollector(trace.Config{Start: start, Days: days, Shards: shards})
 	obs := col.RPCObserver()

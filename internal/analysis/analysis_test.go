@@ -1,12 +1,14 @@
 package analysis
 
 import (
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"u1/internal/auth"
+	"u1/internal/protocol"
 	"u1/internal/server"
 	"u1/internal/trace"
 	"u1/internal/workload"
@@ -67,9 +69,6 @@ func TestSummary(t *testing.T) {
 	}
 	if f := s.UpdateOpFraction(); f < 0.03 || f > 0.30 {
 		t.Errorf("update op fraction = %v, want near 0.10", f)
-	}
-	if s.DedupRatio <= 0.02 || s.DedupRatio > 0.5 {
-		t.Errorf("dedup ratio = %v, want near 0.171", s.DedupRatio)
 	}
 	if !strings.Contains(s.Render(), "Table 3") {
 		t.Error("render should include the table header")
@@ -176,8 +175,8 @@ func TestDedup(t *testing.T) {
 	if d.UniqueContents == 0 {
 		t.Fatal("no contents")
 	}
-	if d.Ratio <= 0 || d.Ratio >= 1 {
-		t.Errorf("dedup ratio = %v", d.Ratio)
+	if d.Ratio <= 0.02 || d.Ratio > 0.5 {
+		t.Errorf("dedup ratio = %v, want near 0.171", d.Ratio)
 	}
 	if d.SingletonShare < 0.5 {
 		t.Errorf("singleton share = %v, want large (paper 80%%)", d.SingletonShare)
@@ -329,6 +328,37 @@ func TestTransitions(t *testing.T) {
 	}
 }
 
+// TestTransitionsTieOrder gives sixteen edges the same probability: every
+// call must keep the same ten, the first in (From, To) order.
+func TestTransitionsTieOrder(t *testing.T) {
+	ops := protocol.Ops()[:4]
+	var recs []trace.Record
+	var user uint64
+	for _, from := range ops {
+		for _, to := range ops {
+			user++
+			recs = append(recs,
+				trace.Record{Kind: trace.KindStorage, Op: uint8(from), User: user},
+				trace.Record{Kind: trace.KindStorage, Op: uint8(to), User: user})
+		}
+	}
+	tr := &Trace{Records: recs}
+	first := AnalyzeTransitions(tr).Top
+	if len(first) != 10 {
+		t.Fatalf("top has %d edges, want 10", len(first))
+	}
+	for i, e := range first {
+		if want := (TransitionEdge{From: ops[i/4], To: ops[i%4], P: 1.0 / 16}); e != want {
+			t.Fatalf("top[%d] = %+v, want %+v", i, e, want)
+		}
+	}
+	for range 20 {
+		if got := AnalyzeTransitions(tr).Top; !slices.Equal(got, first) {
+			t.Fatalf("top changed between calls:\n%v\n%v", first, got)
+		}
+	}
+}
+
 func TestBurstiness(t *testing.T) {
 	tr := testTrace(t)
 	bu := AnalyzeBurstiness(tr)
@@ -424,39 +454,4 @@ func TestSessions(t *testing.T) {
 	if !strings.Contains(se.Render(), "Fig 15") {
 		t.Error("render")
 	}
-}
-
-func TestFindings(t *testing.T) {
-	tr := testTrace(t)
-	f := AnalyzeFindings(tr)
-	if len(f.Rows) < 8 {
-		t.Fatalf("findings rows = %d", len(f.Rows))
-	}
-	out := f.Render()
-	if !strings.Contains(out, "Table 1") || !strings.Contains(out, "dedup") {
-		t.Error("render")
-	}
-}
-
-func TestFromDatasetRoundTrip(t *testing.T) {
-	tr := testTrace(t)
-	// Serialize a slice of the trace and re-analyze from disk.
-	col := trace.NewCollector(trace.Config{Start: tr.Start, Days: tr.Days})
-	obs := col.APIObserver()
-	_ = obs
-	dir := t.TempDir()
-	// Write via a fresh collector is impractical here; instead verify the
-	// dataset path through the already-tested trace round trip and check
-	// FromDataset wiring with an empty RPC set.
-	ds := &trace.Dataset{Records: tr.Records, Servers: tr.Servers, Extensions: tr.Extensions}
-	view := FromDataset(ds, tr.Start, tr.Days, 10)
-	if len(view.Records) != len(tr.Records) {
-		t.Error("records lost")
-	}
-	s1 := AnalyzeSummary(tr)
-	s2 := AnalyzeSummary(view)
-	if s1.UploadOps != s2.UploadOps || s1.UploadBytes != s2.UploadBytes {
-		t.Errorf("summary differs across views: %+v vs %+v", s1, s2)
-	}
-	_ = dir
 }

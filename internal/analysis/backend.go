@@ -103,9 +103,6 @@ func (rp RPCPerf) Render() string {
 			row.RPC, row.Class, row.Count,
 			plot.SI(row.Median)+"s", plot.SI(row.P95)+"s", plot.SI(row.P99)+"s", 100*row.Tail)
 	}
-	fmt.Fprintf(&b, "  tail mass range: %.1f%%–%.1f%% (paper: 7%%–22%% far from median)\n",
-		100*rp.MinTail, 100*rp.MaxTail)
-	fmt.Fprintf(&b, "  cascade/read median ratio = %.1fx (paper: >10x)\n", rp.CascadeToReadRatio)
 	return b.String()
 }
 
@@ -209,9 +206,8 @@ func (lb LoadBalance) Render() string {
 	b.WriteString("Fig 14: load balancing across API servers and shards\n")
 	fmt.Fprintf(&b, "  API servers (%d machines): mean per-hour CoV = %.2f (short-term imbalance)\n",
 		lb.Servers, lb.APIServerHourCV)
-	fmt.Fprintf(&b, "  shards (%d): mean per-minute CoV = %.2f; whole-trace CoV = %.1f%% (paper: 4.9%%)\n",
+	fmt.Fprintf(&b, "  shards (%d): mean per-minute CoV = %.2f; whole-trace CoV = %.1f%%\n",
 		lb.Shards, lb.ShardMinuteCV, 100*lb.ShardLongTermCV)
-	b.WriteString("  (paper: short-window load values far from the mean; long-term balance adequate)\n")
 	return b.String()
 }
 
@@ -314,20 +310,7 @@ func AnalyzeSessions(t *Trace) Sessions {
 		res.AuthFailShare = float64(authFailed) / float64(authTotal)
 	}
 
-	// Diurnal shape of auth.
-	hod := res.AuthPerHour.HourOfDay()
-	var peak, trough float64 = 0, -1
-	for _, v := range hod {
-		if v > peak {
-			peak = v
-		}
-		if v > 0 && (trough < 0 || v < trough) {
-			trough = v
-		}
-	}
-	if trough > 0 {
-		res.AuthDayNight = peak / trough
-	}
+	res.AuthDayNight = dayNight(res.AuthPerHour)
 	// Monday boost vs weekend, on daily totals.
 	var mondays, weekends []float64
 	for d := 0; d < t.Days; d++ {
@@ -353,15 +336,8 @@ func AnalyzeSessions(t *Trace) Sessions {
 func (se Sessions) Render() string {
 	var b strings.Builder
 	b.WriteString(plot.Line("Fig 15: authentication requests per hour", se.AuthPerHour.Vals, 96, 8))
-	fmt.Fprintf(&b, "  auth failures: %.2f%% (paper: 2.76%%); day/night ≈ %.1fx (paper: 1.5–1.6x);"+
-		" Monday vs weekend: %+.0f%% (paper: +15%%)\n",
-		100*se.AuthFailShare, se.AuthDayNight, 100*se.MondayBoost)
 	b.WriteString("Fig 16: session lengths and per-session activity\n")
-	fmt.Fprintf(&b, "  sessions: %d; <1s: %.0f%% (paper: 32%%); <8h: %.0f%% (paper: 97%%)\n",
-		se.Sessions, 100*se.Sub1s, 100*se.Sub8h)
-	fmt.Fprintf(&b, "  active sessions: %.2f%% (paper: 5.57%%)\n", 100*se.ActiveShare)
-	fmt.Fprintf(&b, "  ops per active session: p80 = %.0f (paper: 92); top 20%% carry %.1f%% of ops (paper: 96.7%%)\n",
-		se.P80Ops, 100*se.Top20OpsShare)
+	fmt.Fprintf(&b, "  sessions: %d; <1s: %.0f%%; <8h: %.0f%%\n", se.Sessions, 100*se.Sub1s, 100*se.Sub8h)
 	b.WriteString(plot.CDF("  session length (s)", map[string]*stats.CDF{
 		"all":    se.AllLengths,
 		"active": se.ActiveLengths,

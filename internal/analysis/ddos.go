@@ -19,7 +19,6 @@ type DDoS struct {
 	SessionReqs *stats.TimeSeries // session management requests per hour
 	AuthReqs    *stats.TimeSeries // authentication requests per hour
 	StorageReqs *stats.TimeSeries // storage (API data) requests per hour
-	RPCReqs     *stats.TimeSeries // DAL RPC calls per hour
 	Attacks     []AttackWindow
 }
 
@@ -41,7 +40,6 @@ func AnalyzeDDoS(t *Trace) DDoS {
 		SessionReqs: stats.NewTimeSeries(t.Start, time.Hour, hours),
 		AuthReqs:    stats.NewTimeSeries(t.Start, time.Hour, hours),
 		StorageReqs: stats.NewTimeSeries(t.Start, time.Hour, hours),
-		RPCReqs:     stats.NewTimeSeries(t.Start, time.Hour, hours),
 	}
 	for i := range t.Records {
 		r := &t.Records[i]
@@ -54,15 +52,6 @@ func AnalyzeDDoS(t *Trace) DDoS {
 			res.SessionReqs.Add(at, 1)
 		case r.Kind == trace.KindStorage:
 			res.StorageReqs.Add(at, 1)
-		}
-	}
-	if t.RPC != nil {
-		for s := range t.RPC.ShardMinute {
-			for m, n := range t.RPC.ShardMinute[s] {
-				if n > 0 {
-					res.RPCReqs.Vals[m/60] += float64(n)
-				}
-			}
 		}
 	}
 	// The attacks' defining signature is the session/auth storm (§5.4: a
@@ -136,7 +125,6 @@ func (d DDoS) Render() string {
 		fmt.Fprintf(&b, "    day %2d %02d:00  auth %.1fx, API activity %.1fx above median\n",
 			a.Day, a.Hour, a.Multiplier, a.APIMultiplier)
 	}
-	b.WriteString("  (paper: 3 attacks — Jan 15 4.6x, Jan 16 245x, Feb 6 6.7x API activity;\n")
-	b.WriteString("   auth 5–15x; manual countermeasures, decay within an hour)\n")
+	b.WriteString("  (paper: manual countermeasures, decay within an hour)\n")
 	return b.String()
 }

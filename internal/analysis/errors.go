@@ -1,6 +1,9 @@
 package analysis
 
 import (
+	"fmt"
+	"strings"
+
 	"u1/internal/faults"
 	"u1/internal/protocol"
 	"u1/internal/trace"
@@ -65,4 +68,17 @@ func AnalyzeErrors(t *Trace) ErrorRates {
 		res.Classes = append(res.Classes, *byClass[cl])
 	}
 	return res
+}
+
+// Render produces one paper-vs-measured line per class. The literature gives
+// no rate to compare with, only that failures cluster by class, so these
+// lines are not targets.
+func (e ErrorRates) Render() string {
+	var b strings.Builder
+	b.WriteString("§5.4: error rates by operation class\n")
+	for _, c := range e.Classes {
+		b.WriteString(line("§5.4", c.Class+"-class error rate", "clusters by op class",
+			fmt.Sprintf("%.2f%% (%d/%d)", 100*c.Rate(), c.Errors, c.Ops)))
+	}
+	return b.String()
 }

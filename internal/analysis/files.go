@@ -132,15 +132,10 @@ func AnalyzeDependencies(t *Trace) Dependencies {
 func (d Dependencies) Render() string {
 	var b strings.Builder
 	b.WriteString("Fig 3a: X-after-Write dependencies\n")
-	fmt.Fprintf(&b, "  WAW %.0f%%  RAW %.0f%%  DAW %.0f%%  (paper: 44/30/26)\n",
-		100*d.WAWFrac, 100*d.RAWFrac, 100*d.DAWFrac)
-	fmt.Fprintf(&b, "  WAW < 1h: %.0f%% (paper: 80%%)\n", 100*d.WAWUnderHour)
 	b.WriteString(plot.CDF("  inter-op times (s)", map[string]*stats.CDF{
 		"WAW": d.WAW, "RAW": d.RAW, "DAW": d.DAW,
 	}, 80))
 	b.WriteString("Fig 3b: X-after-Read dependencies\n")
-	fmt.Fprintf(&b, "  RAR %.0f%%  DAR %.0f%%  WAR %.0f%%  (paper: 66/24/10)\n",
-		100*d.RARFrac, 100*d.DARFrac, 100*d.WARFrac)
 	b.WriteString(plot.CDF("  inter-op times (s)", map[string]*stats.CDF{
 		"RAR": d.RAR, "DAR": d.DAR, "WAR": d.WAR,
 	}, 80))
@@ -149,8 +144,7 @@ func (d Dependencies) Render() string {
 			d.DownloadsPerFile.Quantile(0.5), d.DownloadsPerFile.Quantile(0.9),
 			d.DownloadsPerFile.Quantile(0.99), d.DownloadsPerFile.Max())
 	}
-	fmt.Fprintf(&b, "  dying files (idle >1d before delete): %d (%.1f%% of files; paper: 9.1%%)\n",
-		d.DyingFiles, 100*d.DyingFileShare)
+	fmt.Fprintf(&b, "  dying files (idle >1d before delete): %d (%.1f%% of files)\n", d.DyingFiles, 100*d.DyingFileShare)
 	return b.String()
 }
 
@@ -226,9 +220,9 @@ func AnalyzeLifetime(t *Trace) Lifetime {
 func (l Lifetime) Render() string {
 	var b strings.Builder
 	b.WriteString("Fig 3c: node lifetime\n")
-	fmt.Fprintf(&b, "  files: %d created, %.1f%% deleted in window (paper: 28.9%%), %.1f%% within 8h (paper: 17.1%%)\n",
+	fmt.Fprintf(&b, "  files: %d created, %.1f%% deleted in window, %.1f%% within 8h\n",
 		l.FilesCreated, 100*l.FileDeadFrac, 100*l.FileDead8hFrac)
-	fmt.Fprintf(&b, "  dirs:  %d created, %.1f%% deleted in window (paper: 31.5%%), %.1f%% within 8h (paper: 12.9%%)\n",
+	fmt.Fprintf(&b, "  dirs:  %d created, %.1f%% deleted in window, %.1f%% within 8h\n",
 		l.DirsCreated, 100*l.DirDeadFrac, 100*l.DirDead8hFrac)
 	b.WriteString(plot.CDF("  lifetimes of deleted nodes (s)", map[string]*stats.CDF{
 		"files": l.Files, "dirs": l.Dirs,
@@ -295,9 +289,7 @@ func AnalyzeDedup(t *Trace) Dedup {
 func (d Dedup) Render() string {
 	var b strings.Builder
 	b.WriteString("Fig 4a: file-based deduplication\n")
-	fmt.Fprintf(&b, "  dedup ratio dr = %.3f (paper: 0.171)\n", d.Ratio)
-	fmt.Fprintf(&b, "  unique contents = %d; singletons = %.0f%% (paper: ≈80%%)\n",
-		d.UniqueContents, 100*d.SingletonShare)
+	fmt.Fprintf(&b, "  unique contents = %d; singletons = %.0f%%\n", d.UniqueContents, 100*d.SingletonShare)
 	if d.RefsPerHash.N() > 0 {
 		fmt.Fprintf(&b, "  refs/hash: p50=%.0f p90=%.0f p99=%.0f max=%.0f (long tail)\n",
 			d.RefsPerHash.Quantile(0.5), d.RefsPerHash.Quantile(0.9),
@@ -349,7 +341,7 @@ func AnalyzeSizes(t *Trace) Sizes {
 func (s Sizes) Render() string {
 	var b strings.Builder
 	b.WriteString("Fig 4b: file size distributions\n")
-	fmt.Fprintf(&b, "  all files: n=%d, P(<1MB) = %.1f%% (paper: 90%%)\n", s.All.N(), 100*s.Sub1MBShare)
+	fmt.Fprintf(&b, "  all files: n=%d, P(<1MB) = %.1f%%\n", s.All.N(), 100*s.Sub1MBShare)
 	curves := map[string]*stats.CDF{"all": s.All}
 	for ext, c := range s.ByExt {
 		curves[ext] = c
@@ -435,6 +427,5 @@ func (ty Types) Render() string {
 	for i, cat := range ty.Categories {
 		fmt.Fprintf(&b, "  %-13s %6.1f%% %8.1f%%\n", cat, 100*ty.FileShare[i], 100*ty.ByteShare[i])
 	}
-	b.WriteString("  (paper: Code most numerous; Audio/Video most storage; Docs 10.1%/6.9%)\n")
 	return b.String()
 }

@@ -27,8 +27,6 @@ type Summary struct {
 	// 10.05% of uploads, 18.47% of upload traffic).
 	UpdateOps   uint64
 	UpdateBytes uint64
-	// DedupRatio is §5.3's dr over the trace (paper: 0.171).
-	DedupRatio float64
 }
 
 // AnalyzeSummary computes Table 3 from the trace.
@@ -36,10 +34,6 @@ func AnalyzeSummary(t *Trace) Summary {
 	s := Summary{Days: t.Days, Records: len(t.Records)}
 	users := make(map[uint64]struct{})
 	files := make(map[uint64]struct{})
-	// Dedup accounting: per unique content, its size and the set of nodes
-	// referencing it (re-uploads of the same file must not inflate dr).
-	contentSize := make(map[uint64]uint64)
-	contentNodes := make(map[uint64]map[uint64]struct{})
 
 	for i := range t.Records {
 		r := &t.Records[i]
@@ -60,15 +54,6 @@ func AnalyzeSummary(t *Trace) Summary {
 				s.UpdateOps++
 				s.UpdateBytes += r.Size
 			}
-			if r.HashLo != 0 {
-				contentSize[r.HashLo] = r.Size
-				nodes, ok := contentNodes[r.HashLo]
-				if !ok {
-					nodes = make(map[uint64]struct{})
-					contentNodes[r.HashLo] = nodes
-				}
-				nodes[r.Node] = struct{}{}
-			}
 		case isDownload(r):
 			s.DownloadOps++
 			s.Transfers++
@@ -78,15 +63,6 @@ func AnalyzeSummary(t *Trace) Summary {
 	}
 	s.UniqueUsers = len(users)
 	s.UniqueFiles = len(files)
-
-	var unique, logical uint64
-	for h, size := range contentSize {
-		unique += size
-		logical += size * uint64(len(contentNodes[h]))
-	}
-	if logical > 0 {
-		s.DedupRatio = 1 - float64(unique)/float64(logical)
-	}
 	return s
 }
 
@@ -118,8 +94,5 @@ func (s Summary) Render() string {
 	fmt.Fprintf(&b, "  Transfer operations     %s\n", plot.SI(float64(s.Transfers)))
 	fmt.Fprintf(&b, "  Total upload traffic    %sB\n", plot.SI(float64(s.UploadBytes)))
 	fmt.Fprintf(&b, "  Total download traffic  %sB\n", plot.SI(float64(s.DownloadBytes)))
-	fmt.Fprintf(&b, "  Updates: %.2f%% of uploads, %.2f%% of upload bytes (paper: 10.05%%, 18.47%%)\n",
-		100*s.UpdateOpFraction(), 100*s.UpdateByteFraction())
-	fmt.Fprintf(&b, "  Dedup ratio             %.3f (paper: 0.171)\n", s.DedupRatio)
 	return b.String()
 }

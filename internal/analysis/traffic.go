@@ -46,9 +46,15 @@ func AnalyzeTraffic(t *Trace) Traffic {
 			res.DownBuckets.Add(float64(r.Size)/mb, float64(r.Size))
 		}
 	}
-	hod := upOps.HourOfDay()
+	res.DayNightRatio = dayNight(upOps)
+	return res
+}
+
+// dayNight is the ratio of a series' busiest to its quietest non-empty hour
+// of the averaged day (0 when every hour is empty).
+func dayNight(ts *stats.TimeSeries) float64 {
 	var peak, trough float64 = 0, -1
-	for _, v := range hod {
+	for _, v := range ts.HourOfDay() {
 		if v > peak {
 			peak = v
 		}
@@ -56,10 +62,10 @@ func AnalyzeTraffic(t *Trace) Traffic {
 			trough = v
 		}
 	}
-	if trough > 0 {
-		res.DayNightRatio = peak / trough
+	if trough <= 0 {
+		return 0
 	}
-	return res
+	return peak / trough
 }
 
 // Render produces the Fig. 2a chart and Fig. 2b table.
@@ -69,7 +75,7 @@ func (tr Traffic) Render() string {
 		"upload":   tr.Up.Vals,
 		"download": tr.Down.Vals,
 	}, 96, 12))
-	fmt.Fprintf(&b, "  upload day/night amplitude ≈ %.1fx (paper: ~10x)\n\n", tr.DayNightRatio)
+	b.WriteString("\n")
 
 	b.WriteString("Fig 2b: traffic vs file size category\n")
 	b.WriteString("  category        up-ops   up-data  down-ops down-data\n")
@@ -79,8 +85,6 @@ func (tr Traffic) Render() string {
 		fmt.Fprintf(&b, "  %-14s %7.1f%% %8.1f%% %8.1f%% %8.1f%%\n",
 			tr.UpBuckets.Label(i, "MB"), 100*upOps[i], 100*upData[i], 100*dnOps[i], 100*dnData[i])
 	}
-	fmt.Fprintf(&b, "  (paper: >25MB files carry 79.3%%/88.2%% of up/down traffic;\n")
-	fmt.Fprintf(&b, "   <0.5MB files are 84.3%%/89.0%% of up/down operations)\n")
 	return b.String()
 }
 
@@ -165,27 +169,7 @@ func (rw RWRatio) Render() string {
 	var b strings.Builder
 	b.WriteString("Fig 2c: R/W ratio (1-hour bins)\n")
 	fmt.Fprintf(&b, "  %s\n", rw.Box)
-	fmt.Fprintf(&b, "  (paper: median 1.14, mean 1.17, up to 8x within-day swing)\n")
-	fmt.Fprintf(&b, "  ACF: %d/%d lags outside ±%.4f ⇒ %s (paper: correlated)\n",
-		rw.Exceedances, len(rw.ACF), rw.Conf, correlatedLabel(rw.Exceedances, len(rw.ACF)))
-	fmt.Fprintf(&b, "  R/W 6am→3pm least-squares slope = %.4f/h (paper: linear decay)\n", rw.MorningTrend)
+	fmt.Fprintf(&b, "  ACF: %d/%d lags outside ±%.4f\n", rw.Exceedances, len(rw.ACF), rw.Conf)
 	b.WriteString(plot.Line("  hourly R/W ratio", rw.Hourly.Vals, 96, 8))
 	return b.String()
-}
-
-func correlatedLabel(exceed, total int) string {
-	if total == 0 {
-		return "insufficient data"
-	}
-	if float64(exceed) > 0.3*float64(total) {
-		return "long-term correlation"
-	}
-	return "weak correlation"
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

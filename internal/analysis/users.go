@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -99,14 +98,10 @@ func AnalyzeOnlineActive(t *Trace) OnlineActive {
 
 // Render produces the Fig. 6 block.
 func (oa OnlineActive) Render() string {
-	var b strings.Builder
-	b.WriteString(plot.MultiLine("Fig 6: online vs active users per hour", map[string][]float64{
+	return plot.MultiLine("Fig 6: online vs active users per hour", map[string][]float64{
 		"online": oa.Online.Vals,
 		"active": oa.Active.Vals,
-	}, 96, 10))
-	fmt.Fprintf(&b, "  active share of online: %.1f%%–%.1f%% (paper: 3.49%%–16.25%%)\n",
-		100*oa.MinActiveShare, 100*oa.MaxActiveShare)
-	return b.String()
+	}, 96, 10)
 }
 
 // OpFrequency reproduces Fig. 7a: request counts per operation type.
@@ -158,7 +153,6 @@ type UserTraffic struct {
 	// top 1% of active users → 65.6% of traffic).
 	GiniUp, GiniDown float64
 	LorenzUp         []stats.LorenzPoint
-	LorenzDown       []stats.LorenzPoint
 	Top1Share        float64
 	// Class mix per §6.1 (occasional/upload-only/download-only/heavy;
 	// paper: 85.82/7.22/2.34/4.62).
@@ -222,7 +216,6 @@ func AnalyzeUserTraffic(t *Trace) UserTraffic {
 		res.UploadedShare = float64(withUp) / float64(n)
 	}
 	res.LorenzUp = stats.Lorenz(ups)
-	res.LorenzDown = stats.Lorenz(downs)
 	res.Top1Share = stats.TopShare(totals, 0.01)
 	res.ClassShares = make(map[string]float64, 4)
 	for name, c := range classes {
@@ -248,38 +241,15 @@ func classifyUser(up, down float64) string {
 	}
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // Render produces the Fig. 7b/7c block.
 func (ut UserTraffic) Render() string {
 	var b strings.Builder
 	b.WriteString("Fig 7b: per-user transferred data\n")
-	fmt.Fprintf(&b, "  users: %d; downloaded anything: %.1f%% (paper: 14%%); uploaded: %.1f%% (paper: 25%%)\n",
+	fmt.Fprintf(&b, "  users: %d; downloaded anything: %.1f%%; uploaded: %.1f%%\n",
 		ut.Users, 100*ut.DownloadedShare, 100*ut.UploadedShare)
 	b.WriteString(plot.CDF("  bytes per user", map[string]*stats.CDF{
 		"upload": ut.Up, "download": ut.Down,
 	}, 80))
 	b.WriteString("Fig 7c: traffic inequality across active users\n")
-	fmt.Fprintf(&b, "  Gini upload = %.4f (paper: 0.8943); Gini download = %.4f (paper: 0.8966)\n",
-		ut.GiniUp, ut.GiniDown)
-	fmt.Fprintf(&b, "  top 1%% of transferring users carry %.1f%% of traffic (paper: 65.6%%)\n",
-		100*ut.Top1Share)
-	b.WriteString("§6.1 user classes: ")
-	names := make([]string, 0, len(ut.ClassShares))
-	for name := range ut.ClassShares {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	var cells []string
-	for _, name := range names {
-		cells = append(cells, fmt.Sprintf("%s %.2f%%", name, 100*ut.ClassShares[name]))
-	}
-	b.WriteString(strings.Join(cells, ", "))
-	b.WriteString("\n  (paper: occasional 85.82%, upload-only 7.22%, download-only 2.34%, heavy 4.62%)\n")
 	return b.String()
 }

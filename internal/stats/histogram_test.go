@@ -41,27 +41,3 @@ func TestTimeSeriesHourOfDay(t *testing.T) {
 		t.Errorf("hod[3] = %v, want 0", hod[3])
 	}
 }
-
-func TestRatioSeries(t *testing.T) {
-	a := NewTimeSeries(t0, time.Hour, 3)
-	b := NewTimeSeries(t0, time.Hour, 3)
-	a.Vals = []float64{10, 20, 5}
-	b.Vals = []float64{5, 0, 10}
-	r := Ratio(a, b)
-	if r.Vals[0] != 2 || r.Vals[1] != 0 || r.Vals[2] != 0.5 {
-		t.Errorf("ratio = %v", r.Vals)
-	}
-	nz := r.NonZero()
-	if len(nz) != 2 {
-		t.Errorf("NonZero = %v", nz)
-	}
-}
-
-func TestRatioPanicsOnMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	Ratio(NewTimeSeries(t0, time.Hour, 3), NewTimeSeries(t0, time.Minute, 3))
-}

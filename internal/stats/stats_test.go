@@ -138,7 +138,7 @@ func TestCDFBasics(t *testing.T) {
 
 func TestCDFEmpty(t *testing.T) {
 	c := NewCDF(nil)
-	if c.At(1) != 0 || c.Max() != 0 || c.Points(5) != nil {
+	if c.At(1) != 0 || c.Max() != 0 || c.Quantile(0.5) != 0 {
 		t.Error("empty CDF should degrade gracefully")
 	}
 }
@@ -165,76 +165,6 @@ func TestCDFMonotone(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestCDFPointsSampling(t *testing.T) {
-	xs := make([]float64, 1000)
-	for i := range xs {
-		xs[i] = float64(i)
-	}
-	pts := NewCDF(xs).Points(11)
-	if len(pts) != 11 {
-		t.Fatalf("got %d points", len(pts))
-	}
-	if pts[0].Y != 0 || pts[10].Y != 1 {
-		t.Error("endpoints should be 0 and 1")
-	}
-	lg := NewCDF(xs).LogPoints(10)
-	if len(lg) != 10 {
-		t.Fatalf("got %d log points", len(lg))
-	}
-	for i := 1; i < len(lg); i++ {
-		if lg[i].X <= lg[i-1].X {
-			t.Error("log points should be ascending in x")
-		}
-	}
-}
-
-func TestDatRendering(t *testing.T) {
-	s := Dat("demo", []Point{{1, 0.5}, {2, 1}})
-	want := "# demo\n1\t0.5\n2\t1\n"
-	if s != want {
-		t.Errorf("Dat = %q, want %q", s, want)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, x := range []float64{-1, 0, 1.9, 2, 9.9999, 10, 15} {
-		h.Add(x)
-	}
-	if h.Under != 1 || h.Over != 2 {
-		t.Errorf("under/over = %d/%d", h.Under, h.Over)
-	}
-	if h.Counts[0] != 2 { // 0 and 1.9
-		t.Errorf("bin0 = %d", h.Counts[0])
-	}
-	if h.Counts[1] != 1 { // 2
-		t.Errorf("bin1 = %d", h.Counts[1])
-	}
-	if h.Counts[4] != 1 { // 9.9999
-		t.Errorf("bin4 = %d", h.Counts[4])
-	}
-	if h.Total() != 7 {
-		t.Errorf("total = %d", h.Total())
-	}
-	almost(t, h.BinCenter(0), 1, 1e-12, "BinCenter")
-}
-
-func TestHistogramPanics(t *testing.T) {
-	for _, tc := range []func(){
-		func() { NewHistogram(0, 10, 0) },
-		func() { NewHistogram(5, 5, 3) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("expected panic")
-				}
-			}()
-			tc()
-		}()
 	}
 }
 
@@ -434,25 +364,5 @@ func TestFitPowerLawDegenerate(t *testing.T) {
 	}
 	if f := FitPowerLawAuto([]float64{1, 2}, 10); f.Alpha != 0 {
 		t.Error("tiny sample should yield zero auto fit")
-	}
-}
-
-func TestModelCCDF(t *testing.T) {
-	f := PowerLawFit{Alpha: 2, Theta: 10}
-	almost(t, f.ModelCCDF(10), 1, 1e-12, "CCDF at theta")
-	almost(t, f.ModelCCDF(20), 0.5, 1e-12, "CCDF at 2θ with α=2")
-	almost(t, f.ModelCCDF(1), 1, 0, "below theta clamps to 1")
-}
-
-func TestCCDFPoints(t *testing.T) {
-	xs := []float64{1, 10, 100, 1000}
-	pts := CCDFPoints(xs, 8)
-	if len(pts) != 8 {
-		t.Fatalf("got %d", len(pts))
-	}
-	for i := 1; i < len(pts); i++ {
-		if pts[i].Y > pts[i-1].Y+1e-12 {
-			t.Error("CCDF must be non-increasing")
-		}
 	}
 }
