@@ -160,29 +160,29 @@ func runSim(args []string, stdout io.Writer) error {
 // fail, replication once every published record is applied, and durability
 // once Close has snapshotted the store and closed its journals.
 func (s *simulation) counters(w io.Writer, c *clusterFlags) error {
-	cnt := s.cluster.Metrics.Snapshot().Counters
+	snap := s.cluster.Metrics.Snapshot()
 	if c.faulted() {
 		fmt.Fprintf(w, "faults: injected %d, shed %d, retried %d (succeeded %d)\n",
-			cnt[metrics.FaultsPrefix+"injected"], cnt[metrics.FaultsPrefix+"shed"],
-			cnt[metrics.FaultsPrefix+"retried"], cnt[metrics.FaultsPrefix+"retry_succeeded"])
+			snap.Counter(metrics.FaultsInjected), snap.Counter(metrics.FaultsShed),
+			snap.Counter(metrics.FaultsRetried), snap.Counter(metrics.FaultsRetrySucceeded))
 	}
 	if c.regions > 1 {
 		s.cluster.Store.DrainReplication()
-		cnt = s.cluster.Metrics.Snapshot().Counters
+		snap = s.cluster.Metrics.Snapshot()
 		fmt.Fprintf(w, "replication (%d regions, delay %d): %d published, %d applied, %d LWW-skipped, reads local/remote/stale %d/%d/%d\n",
 			c.regions, c.replDelay,
-			cnt[metrics.ReplicationPrefix+"published"], cnt[metrics.ReplicationPrefix+"applied"],
-			cnt[metrics.ReplicationPrefix+"lww_skipped"], cnt[metrics.ReplicationPrefix+"reads.local"],
-			cnt[metrics.ReplicationPrefix+"reads.remote"], cnt[metrics.ReplicationPrefix+"reads.stale"])
+			snap.Counter(metrics.ReplPublished), snap.Counter(metrics.ReplApplied),
+			snap.Counter(metrics.ReplLWWSkipped), snap.Counter(metrics.ReplReadsLocal),
+			snap.Counter(metrics.ReplReadsRemote), snap.Counter(metrics.ReplReadsStale))
 	}
 	if err := s.cluster.Close(); err != nil {
 		return fmt.Errorf("closing cluster: %w", err)
 	}
 	if c.durability != "" {
-		cnt = s.cluster.Metrics.Snapshot().Counters
+		snap = s.cluster.Metrics.Snapshot()
 		fmt.Fprintf(w, "durability (%s): %d journaled ops, %d WAL appends, %d snapshots\n",
-			c.fsync, cnt[metrics.WALPrefix+"journaled"], cnt[metrics.WALPrefix+"appends"],
-			cnt[metrics.WALPrefix+"snapshots"])
+			c.fsync, snap.Counter(metrics.WALJournaled), snap.Counter(metrics.WALAppends),
+			snap.Counter(metrics.WALSnapshots))
 	}
 	return nil
 }

@@ -65,10 +65,10 @@ func main() {
 		Users: *users, Days: *days, Seed: *seed,
 		Attacks: []workload.Attack{},
 	}, cluster).Run()
-	c := cluster.Metrics.Snapshot().Counters
+	snap := cluster.Metrics.Snapshot()
 	fmt.Printf("drove %d sessions (%d uploads, %d deletes) through the durable tier: %d journaled ops, %d WAL appends\n",
 		totals.Sessions, totals.Uploads, totals.Deletes,
-		c[metrics.WALPrefix+"journaled"], c[metrics.WALPrefix+"appends"])
+		snap.Counter(metrics.WALJournaled), snap.Counter(metrics.WALAppends))
 
 	store := cluster.Store
 	shards := store.NumShards()
@@ -85,9 +85,8 @@ func main() {
 			log.Fatalf("shard %d: accepted writes lost — fingerprint %s after recovery, want %s", i, got, before[i])
 		}
 	}
-	rc := cluster.Metrics.Snapshot().Counters
 	fmt.Printf("crashed and recovered all %d shards: %d records replayed, fingerprints identical — zero accepted-write loss\n",
-		shards, rc[metrics.WALPrefix+"replayed"])
+		shards, cluster.Metrics.Snapshot().Counter(metrics.WALReplayed))
 
 	// The recovered tier must still serve: push one more upload through the
 	// full client → gateway → pipeline path.

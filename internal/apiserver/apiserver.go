@@ -266,16 +266,16 @@ func New(cfg Config, deps Deps) *Server {
 		byUser:   make(map[protocol.UserID]map[protocol.SessionID]*Session),
 		uploads:  make(map[protocol.UploadID]*pendingUpload),
 
-		activeSessions: deps.Metrics.Gauge("api.sessions.active"),
-		machineOps:     deps.Metrics.Counter("api.server." + cfg.Name + ".ops"),
+		activeSessions: deps.Metrics.Gauge(metrics.APISessionsActive),
+		machineOps:     deps.Metrics.Counter(metrics.APIServerOps(cfg.Name)),
 
-		faultInjected:     deps.Metrics.Counter(metrics.FaultsPrefix + "injected"),
-		faultShed:         deps.Metrics.Counter(metrics.FaultsPrefix + "shed"),
-		faultSSOShed:      deps.Metrics.Counter(metrics.FaultsPrefix + "sso_shed"),
-		faultRetried:      deps.Metrics.Counter(metrics.FaultsPrefix + "retried"),
-		faultRetrySuccess: deps.Metrics.Counter(metrics.FaultsPrefix + "retry_succeeded"),
+		faultInjected:     deps.Metrics.Counter(metrics.FaultsInjected),
+		faultShed:         deps.Metrics.Counter(metrics.FaultsShed),
+		faultSSOShed:      deps.Metrics.Counter(metrics.FaultsSSOShed),
+		faultRetried:      deps.Metrics.Counter(metrics.FaultsRetried),
+		faultRetrySuccess: deps.Metrics.Counter(metrics.FaultsRetrySucceeded),
 
-		walJournaled: deps.Metrics.Counter(metrics.WALPrefix + "journaled"),
+		walJournaled: deps.Metrics.Counter(metrics.WALJournaled),
 	}
 	if cfg.Durability {
 		s.syncCost = cfg.FsyncPolicy.SyncCost()
@@ -288,17 +288,17 @@ func New(cfg Config, deps Deps) *Server {
 	}
 	if deps.Regions != nil && deps.Regions.Regions() > 1 {
 		s.regions = deps.Regions
-		s.regionRefused = deps.Metrics.Counter("api.region.refused")
+		s.regionRefused = deps.Metrics.Counter(metrics.APIRegionRefused)
 	}
 	ops := protocol.Ops()
 	s.opSeconds = make([]*metrics.Histogram, len(ops))
 	s.opCount = make([]*metrics.Counter, len(ops))
 	s.opErrors = make([]*metrics.Counter, len(ops))
 	for _, op := range ops {
-		name := metrics.APIOpPrefix + op.String()
-		s.opSeconds[op] = deps.Metrics.Histogram(name + ".seconds")
-		s.opCount[op] = deps.Metrics.Counter(name + ".count")
-		s.opErrors[op] = deps.Metrics.Counter(name + ".errors")
+		series := metrics.APIOp(op.String())
+		s.opSeconds[op] = deps.Metrics.Histogram(series.Seconds)
+		s.opCount[op] = deps.Metrics.Counter(series.Count)
+		s.opErrors[op] = deps.Metrics.Counter(series.Errors)
 	}
 	if deps.Broker != nil {
 		s.queue = deps.Broker.Register(cfg.Name, 0)

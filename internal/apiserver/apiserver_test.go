@@ -15,10 +15,10 @@ import (
 
 var t0 = time.Date(2014, 1, 11, 0, 0, 0, 0, time.UTC)
 
-// pusherFunc adapts a function to the Pusher interface.
-type pusherFunc func(*protocol.Push)
+// pushLog is a Pusher that keeps every push it is sent.
+type pushLog []*protocol.Push
 
-func (f pusherFunc) Push(p *protocol.Push) { f(p) }
+func (l *pushLog) Push(p *protocol.Push) { *l = append(*l, p) }
 
 type fixture struct {
 	srv    *Server
@@ -301,11 +301,10 @@ func TestGetDeltaRescanFallback(t *testing.T) {
 
 func TestNotificationFanOut(t *testing.T) {
 	f := newFixture(t)
-	var got []*protocol.Push
+	var got pushLog
 	token, _ := f.auth.Issue(7)
 	sess1, _, _ := f.srv.OpenSession(token, nil, t0)
-	sess2, _, _ := f.srv.OpenSession(token, pusherFunc(func(p *protocol.Push) { got = append(got, p) }), t0)
-	_ = sess2
+	f.srv.OpenSession(token, &got, t0)
 	root := f.rootOf(t, sess1)
 	f.srv.Handle(sess1, &protocol.Request{Op: protocol.OpMakeDir, Volume: root, Name: "d"}, t0)
 	if len(got) != 1 || got[0].Event != protocol.PushVolumeChanged {

@@ -157,13 +157,15 @@ func releaseOpContext(c *OpContext) {
 	opCtxPool.Put(c)
 }
 
-// journalsMutation reports whether the request's op class reaches the
+// journalsMutation reports whether the request's op class can reach the
 // metadata journal: every metadata mutation, content commits (PutContent,
 // and PutPart only when it carries the final part — earlier parts touch just
 // the transient uploadjob, which is not journaled), and nothing on the read
 // or session paths. Authenticate is excluded even though a first login
 // provisions the account: account creation is the SSO tier's slow path, not
-// a client-visible write the durability invariant covers.
+// a client-visible write the durability invariant covers. A PutContent
+// journals only when it links reused content; one that opens an upload job
+// leaves the commit to its final PutPart.
 func journalsMutation(req *protocol.Request) bool {
 	switch req.Op {
 	case protocol.OpMakeFile, protocol.OpMakeDir, protocol.OpUnlink,
@@ -242,7 +244,7 @@ func (s *Server) dispatch(c *OpContext) *protocol.Response {
 				s.notifyVolume(origin, p.volume, p.gen)
 			}
 		}
-		if s.cfg.Durability && journalsMutation(req) {
+		if s.cfg.Durability && journalsMutation(req) && (req.Op != protocol.OpPutContent || resp.Reused) {
 			c.Cost.Add(s.syncCost)
 			s.walJournaled.Inc()
 		}

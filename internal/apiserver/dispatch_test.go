@@ -210,14 +210,14 @@ func TestSuppressedEventsStillRecordMetrics(t *testing.T) {
 	f.srv.AddObserver(func(e Event) { events = append(events, e) })
 	sess := f.session(t, 36)
 
-	before := reg.Counter("api.op.GetPart.count").Value()
+	before := reg.Counter(metrics.APIOp("GetPart").Count).Value()
 	f.srv.Handle(sess, &protocol.Request{Op: protocol.OpGetPart, Node: 1, Part: 0}, t0)
 	for _, e := range events {
 		if e.Op == protocol.OpGetPart {
 			t.Error("GetPart must not emit an API event")
 		}
 	}
-	if got := reg.Counter("api.op.GetPart.count").Value(); got != before+1 {
+	if got := reg.Counter(metrics.APIOp("GetPart").Count).Value(); got != before+1 {
 		t.Errorf("api.op.GetPart.count = %d, want %d: suppressed events must still record metrics", got, before+1)
 	}
 }
@@ -290,7 +290,7 @@ func TestCancelledRequestStillObservable(t *testing.T) {
 		t.Errorf("event status = %v, want cancelled", last.Status)
 	}
 	snap := reg.Snapshot()
-	if snap.Counters["api.op.ListVolumes.errors"] == 0 {
+	if snap.Counter(metrics.APIOp("ListVolumes").Errors) == 0 {
 		t.Error("cancelled request not counted as a ListVolumes error")
 	}
 }

@@ -64,13 +64,13 @@ func TestInjectFailsConfiguredOpOnly(t *testing.T) {
 		t.Errorf("event = op %v status %v, want injected ping failure", last.Op, last.Status)
 	}
 	snap := reg.Snapshot()
-	if got := snap.Counters["api.op.Ping.errors"]; got != 1 {
+	if got := snap.Counter(metrics.APIOp("Ping").Errors); got != 1 {
 		t.Errorf("api.op.Ping.errors = %d, want 1", got)
 	}
-	if got := snap.Counters[metrics.FaultsPrefix+"injected"]; got != 1 {
+	if got := snap.Counter(metrics.FaultsInjected); got != 1 {
 		t.Errorf("faults.injected = %d, want 1", got)
 	}
-	if hist := snap.Histograms["api.op.Ping.seconds"]; hist.Count != 0 {
+	if hist := snap.Histogram(metrics.APIOp("Ping").Seconds); hist.Count != 0 {
 		t.Errorf("injected failure entered the latency histogram (count %d)", hist.Count)
 	}
 
@@ -115,7 +115,7 @@ func TestNilAndZeroPlanInjectNothing(t *testing.T) {
 				t.Fatalf("%s plan: ping %d failed with %v", name, i, resp.Status)
 			}
 		}
-		if got := reg.Snapshot().Counters[metrics.FaultsPrefix+"injected"]; got != 0 {
+		if got := reg.Snapshot().Counter(metrics.FaultsInjected); got != 0 {
 			t.Errorf("%s plan injected %d failures", name, got)
 		}
 	}
@@ -157,16 +157,16 @@ func TestAdmitShedsByClass(t *testing.T) {
 	}
 
 	snap := reg.Snapshot()
-	if got := snap.Counters[metrics.FaultsPrefix+"shed"]; got != 3 {
+	if got := snap.Counter(metrics.FaultsShed); got != 3 {
 		t.Errorf("faults.shed = %d, want 3", got)
 	}
-	if got := snap.Counters["api.op.Download.errors"]; got != 2 {
+	if got := snap.Counter(metrics.APIOp("Download").Errors); got != 2 {
 		t.Errorf("api.op.Download.errors = %d, want 2 (the NotFound and the shed one)", got)
 	}
 	// The one admitted download failed NotFound inside the handler (node 1
 	// does not exist) and so carries a real duration; the shed one must not
 	// have added a second histogram sample.
-	if hist := snap.Histograms["api.op.Download.seconds"]; hist.Count != 1 {
+	if hist := snap.Histogram(metrics.APIOp("Download").Seconds); hist.Count != 1 {
 		t.Errorf("Download latency samples = %d, want 1 (shed op excluded)", hist.Count)
 	}
 
@@ -219,10 +219,10 @@ func TestRetryCountersObserveAttempts(t *testing.T) {
 	f.srv.Handle(sess, &protocol.Request{Op: protocol.OpPing}, t0)
 
 	snap := reg.Snapshot()
-	if got := snap.Counters[metrics.FaultsPrefix+"retried"]; got != 2 {
+	if got := snap.Counter(metrics.FaultsRetried); got != 2 {
 		t.Errorf("faults.retried = %d, want 2", got)
 	}
-	if got := snap.Counters[metrics.FaultsPrefix+"retry_succeeded"]; got != 1 {
+	if got := snap.Counter(metrics.FaultsRetrySucceeded); got != 1 {
 		t.Errorf("faults.retry_succeeded = %d, want 1", got)
 	}
 }
@@ -236,10 +236,10 @@ func TestCancelledExcludedFromLatencyHistogram(t *testing.T) {
 	sess := f.session(t, 8)
 	f.srv.handle(sess, &protocol.Request{Op: protocol.OpListVolumes}, t0, func() bool { return true })
 	snap := reg.Snapshot()
-	if got := snap.Counters["api.op.ListVolumes.errors"]; got != 1 {
+	if got := snap.Counter(metrics.APIOp("ListVolumes").Errors); got != 1 {
 		t.Errorf("api.op.ListVolumes.errors = %d, want 1", got)
 	}
-	if hist := snap.Histograms["api.op.ListVolumes.seconds"]; hist.Count != 0 {
+	if hist := snap.Histogram(metrics.APIOp("ListVolumes").Seconds); hist.Count != 0 {
 		t.Errorf("cancelled op entered the latency histogram (count %d)", hist.Count)
 	}
 }

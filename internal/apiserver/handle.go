@@ -212,9 +212,12 @@ func (s *Server) opPutContent(c *OpContext) (*protocol.Response, error) {
 		return nil, err
 	}
 	if exists {
-		node, _, wasUpdate, err := s.deps.RPC.MakeContent(c.User, req.Volume, req.Node, req.Hash, req.Size, c.Now, &c.Cost)
+		node, freed, wasUpdate, err := s.deps.RPC.MakeContent(c.User, req.Volume, req.Node, req.Hash, req.Size, c.Now, &c.Cost)
 		if err != nil {
 			return nil, err
+		}
+		if freed != nil { // the update released the old content's last reference
+			s.deps.Blob.DeleteHash(*freed)
 		}
 		c.Event.IsUpdate = wasUpdate
 		c.Event.Wire = 0 // dedup hit: no bytes cross the wire
@@ -336,9 +339,12 @@ func (s *Server) opPutPart(c *OpContext) (*protocol.Response, error) {
 			s.deps.Blob.PutHashSized(up.job.Hash, up.plainSize)
 		}
 	}
-	node, _, wasUpdate, err := s.deps.RPC.MakeContent(c.User, up.job.Volume, up.job.Node, up.job.Hash, up.plainSize, c.Now, &c.Cost)
+	node, freed, wasUpdate, err := s.deps.RPC.MakeContent(c.User, up.job.Volume, up.job.Node, up.job.Hash, up.plainSize, c.Now, &c.Cost)
 	if err != nil {
 		return nil, err
+	}
+	if freed != nil {
+		s.deps.Blob.DeleteHash(*freed)
 	}
 	s.deps.RPC.DeleteUploadJob(c.User, req.Upload, c.Now, &c.Cost) //nolint:errcheck
 	s.uploadsMu.Lock()

@@ -35,7 +35,7 @@ type stageEnv struct {
 	*fixture
 	reg    *metrics.Registry
 	events []Event
-	pushes map[string]int
+	pushes map[string]*pushLog
 }
 
 func newStageEnv(cfg Config, deps Deps) *stageEnv {
@@ -47,7 +47,7 @@ func newStageEnv(cfg Config, deps Deps) *stageEnv {
 			broker: notify.NewBroker(),
 		},
 		reg:    metrics.NewRegistry(),
-		pushes: make(map[string]int),
+		pushes: make(map[string]*pushLog),
 	}
 	cfg.Name, cfg.Procs = "m", 2
 	deps.RPC = rpc.NewServer(e.store, rpc.Config{Seed: 1, Metrics: e.reg, Latency: stageLatency(time.Millisecond)})
@@ -65,7 +65,8 @@ func (e *stageEnv) open(t *testing.T, user protocol.UserID, label string) *Sessi
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess, resp, _ := e.srv.OpenSession(token, pusherFunc(func(*protocol.Push) { e.pushes[label]++ }), t0)
+	e.pushes[label] = new(pushLog)
+	sess, resp, _ := e.srv.OpenSession(token, e.pushes[label], t0)
 	if resp.Status != protocol.StatusOK || sess == nil {
 		t.Fatalf("open %s session: %v", label, resp.Status)
 	}
@@ -81,18 +82,18 @@ type stageCounts struct {
 
 func (e *stageEnv) counts(op protocol.Op) stageCounts {
 	snap := e.reg.Snapshot()
-	name := metrics.APIOpPrefix + op.String()
+	series := metrics.APIOp(op.String())
 	return stageCounts{
-		count:         snap.Counters[name+".count"],
-		errors:        snap.Counters[name+".errors"],
-		hist:          snap.Histograms[name+".seconds"].Count,
-		injected:      snap.Counters[metrics.FaultsPrefix+"injected"],
-		shed:          snap.Counters[metrics.FaultsPrefix+"shed"],
-		ssoShed:       snap.Counters[metrics.FaultsPrefix+"sso_shed"],
-		retried:       snap.Counters[metrics.FaultsPrefix+"retried"],
-		retriedOK:     snap.Counters[metrics.FaultsPrefix+"retry_succeeded"],
-		regionRefused: snap.Counters["api.region.refused"],
-		journaled:     snap.Counters[metrics.WALPrefix+"journaled"],
+		count:         snap.Counter(series.Count),
+		errors:        snap.Counter(series.Errors),
+		hist:          snap.Histogram(series.Seconds).Count,
+		injected:      snap.Counter(metrics.FaultsInjected),
+		shed:          snap.Counter(metrics.FaultsShed),
+		ssoShed:       snap.Counter(metrics.FaultsSSOShed),
+		retried:       snap.Counter(metrics.FaultsRetried),
+		retriedOK:     snap.Counter(metrics.FaultsRetrySucceeded),
+		regionRefused: snap.Counter(metrics.APIRegionRefused),
+		journaled:     snap.Counter(metrics.WALJournaled),
 	}
 }
 
@@ -126,6 +127,13 @@ func TestDispatchStages(t *testing.T) {
 	const ms = time.Millisecond
 	durable := Config{Durability: true, FsyncPolicy: wal.FsyncPerOp}
 	inRoot := func(t *testing.T, e *stageEnv, sess *Session, req *protocol.Request) { req.Volume = e.rootOf(t, sess) }
+	// inNewFile points the request at a new file in the root volume.
+	inNewFile := func(t *testing.T, e *stageEnv, sess *Session, req *protocol.Request) {
+		inRoot(t, e, sess, req)
+		mk, _ := e.srv.Handle(sess, &protocol.Request{Op: protocol.OpMakeFile, Volume: req.Volume, Name: req.Name}, t0)
+		req.Node = mk.Node.ID
+	}
+	content := protocol.HashBytes([]byte("content"))
 	rows := []struct {
 		name      string
 		cfg       Config
@@ -174,6 +182,23 @@ func TestDispatchStages(t *testing.T) {
 			},
 			want: stageWant{status: protocol.StatusOK, event: true, cost: ms + 5*ms,
 				counts: stageCounts{count: 1, hist: 1, journaled: 1}, pushes: map[string]int{"peer": 1}}},
+		// get_reusable_content misses and make_uploadjob opens the job:
+		// nothing is linked, so nothing is journaled until the final part.
+		{name: "durable upload opens a job", req: protocol.Request{ID: 77, Op: protocol.OpPutContent, Name: "f", Hash: content, Size: 100},
+			cfg: durable, prep: inNewFile,
+			want: stageWant{status: protocol.StatusOK, cost: 2 * ms, counts: stageCounts{count: 1, hist: 1}}},
+		// get_reusable_content hits and make_content links the file: one
+		// journaled mutation and its fsync.
+		{name: "durable dedup links content", req: protocol.Request{ID: 77, Op: protocol.OpPutContent, Name: "f", Hash: content, Size: 100},
+			cfg: durable,
+			prep: func(t *testing.T, e *stageEnv, sess *Session, req *protocol.Request) {
+				first := protocol.Request{Op: protocol.OpPutContent, Name: "first", Hash: content, Size: 100}
+				inNewFile(t, e, sess, &first)
+				put, _ := e.srv.Handle(sess, &first, t0)
+				e.srv.Handle(sess, &protocol.Request{Op: protocol.OpPutPart, Upload: put.Upload, Size: 100, Final: true}, t0)
+				inNewFile(t, e, sess, req)
+			},
+			want: stageWant{status: protocol.StatusOK, event: true, cost: 2*ms + 5*ms, counts: stageCounts{count: 1, hist: 1, journaled: 1}}},
 		{name: "durable read", req: protocol.Request{ID: 77, Op: protocol.OpListVolumes}, cfg: durable,
 			want: stageWant{status: protocol.StatusOK, event: true, cost: ms, counts: stageCounts{count: 1, hist: 1}}},
 		{name: "retried success", req: protocol.Request{ID: 77, Op: protocol.OpPing, Attempt: 1},
@@ -230,11 +255,17 @@ func TestDispatchStages(t *testing.T) {
 			if got := e.counts(req.Op).minus(before); got != w.counts {
 				t.Errorf("counters moved %+v, want %+v", got, w.counts)
 			}
+			got := map[string]int{}
+			for label, l := range e.pushes {
+				if len(*l) > 0 {
+					got[label] = len(*l)
+				}
+			}
 			if w.pushes == nil {
 				w.pushes = map[string]int{}
 			}
-			if !reflect.DeepEqual(e.pushes, w.pushes) {
-				t.Errorf("pushes = %v, want %v", e.pushes, w.pushes)
+			if !reflect.DeepEqual(got, w.pushes) {
+				t.Errorf("pushes = %v, want %v", got, w.pushes)
 			}
 		})
 	}

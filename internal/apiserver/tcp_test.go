@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"u1/internal/blob"
+	"u1/internal/metrics"
 	"u1/internal/protocol"
 	"u1/internal/wire"
 )
@@ -112,7 +113,7 @@ func FuzzHandleConn(f *testing.F) {
 		e := newConnEnv(t)
 		stream = bytes.ReplaceAll(stream, placeholder, []byte(e.token))
 		want := requestIDs(stream)
-		active := e.reg.Gauge("api.sessions.active").Value()
+		active := e.reg.Gauge(metrics.APISessionsActive).Value()
 
 		client, server := net.Pipe()
 		done := make(chan struct{})
@@ -171,7 +172,7 @@ func FuzzHandleConn(f *testing.F) {
 		if n := e.srv.SessionCount(); n != 0 {
 			t.Errorf("%d sessions left open", n)
 		}
-		if n := e.reg.Gauge("api.sessions.active").Value(); n != active {
+		if n := e.reg.Gauge(metrics.APISessionsActive).Value(); n != active {
 			t.Errorf("api.sessions.active = %d, want %d", n, active)
 		}
 	})

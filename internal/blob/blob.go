@@ -221,13 +221,13 @@ func New(cfg Config) *Store {
 	return &Store{
 		cfg: cfg,
 		m: blobMetrics{
-			putBytes:    cfg.Metrics.Counter("blob.put.bytes"),
-			getBytes:    cfg.Metrics.Counter("blob.get.bytes"),
-			deletes:     cfg.Metrics.Counter("blob.deletes"),
-			objectBytes: cfg.Metrics.Histogram("blob.object.bytes"),
-			putSeconds:  cfg.Metrics.Histogram("blob.put.seconds"),
-			getSeconds:  cfg.Metrics.Histogram("blob.get.seconds"),
-			objectsHeld: cfg.Metrics.Gauge("blob.objects.held"),
+			putBytes:    cfg.Metrics.Counter(metrics.BlobPutBytes),
+			getBytes:    cfg.Metrics.Counter(metrics.BlobGetBytes),
+			deletes:     cfg.Metrics.Counter(metrics.BlobDeletes),
+			objectBytes: cfg.Metrics.Histogram(metrics.BlobObjectBytes),
+			putSeconds:  cfg.Metrics.Histogram(metrics.BlobPutSeconds),
+			getSeconds:  cfg.Metrics.Histogram(metrics.BlobGetSeconds),
+			objectsHeld: cfg.Metrics.Gauge(metrics.BlobObjectsHeld),
 		},
 		hashSizes: make(map[[20]byte]uint64),
 		hashParts: make(map[[20]byte][][]byte),

@@ -93,7 +93,7 @@ func TestClientNeverReadsARequestItHandedOver(t *testing.T) {
 
 	tr = scribbling(1)
 	cli = New(tr)
-	err := cli.Ping()
+	_, err := cli.do(ping)
 	if err == nil || !strings.Contains(err.Error(), protocol.OpPing.String()) {
 		t.Errorf("error = %v, want it to name %v", err, protocol.OpPing)
 	}
@@ -178,14 +178,14 @@ func TestMetadataCallAllocatesNothing(t *testing.T) {
 		t.Skip("sync.Pool is dropping puts (the race detector is on): pooled slots count as allocations")
 	}
 	canned := New(&cannedTransport{resp: protocol.Response{Status: protocol.StatusOK}})
-	if allocs := testing.AllocsPerRun(200, func() { canned.Ping() }); allocs != 0 { //nolint:errcheck
+	if allocs := testing.AllocsPerRun(200, func() { canned.do(ping) }); allocs != 0 { //nolint:errcheck
 		t.Errorf("client side of a call allocates %.0f times, want 0", allocs)
 	}
 
 	srv, authSvc := newServer(t)
 	cli := connected(t, srv, authSvc, 1)
 	defer cli.Close()
-	if allocs := testing.AllocsPerRun(200, func() { cli.Ping() }); allocs != 0 { //nolint:errcheck
+	if allocs := testing.AllocsPerRun(200, func() { cli.do(ping) }); allocs != 0 { //nolint:errcheck
 		t.Errorf("a Ping over DirectTransport allocates %.0f times, want 0", allocs)
 	}
 
@@ -246,7 +246,7 @@ func serving(t *testing.T) (map[string]func() Transport, *auth.Service) {
 	t.Cleanup(func() { ln.Close() })
 	go srv.Serve(ln) //nolint:errcheck // ends when the listener closes
 	return map[string]func() Transport{
-		"direct": func() Transport { return NewDirectTransport(fixedServer(srv), nil) },
+		"direct": func() Transport { return NewDirectTransport(func() *apiserver.Server { return srv }, nil) },
 		"tcp": func() Transport {
 			tr, err := DialTCP(ln.Addr().String())
 			if err != nil {
@@ -286,7 +286,7 @@ func TestRetainedResponseIsWipedAfterCall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := &keepingTransport{Transport: NewDirectTransport(fixedServer(srv), nil)}
+	tr := &keepingTransport{Transport: NewDirectTransport(func() *apiserver.Server { return srv }, nil)}
 	cli := New(tr)
 	if err := cli.Connect(token); err != nil {
 		t.Fatal(err)
@@ -318,7 +318,7 @@ func TestRetainedResponseIsWipedAfterCall(t *testing.T) {
 		t.Fatal(err)
 	}
 	n = tr.blank(t, n, "Disconnect")
-	if err := cli.Ping(); err == nil {
+	if _, err := cli.do(ping); err == nil {
 		t.Fatal("ping without a session succeeded")
 	}
 	tr.blank(t, n, "a sessionless Ping")
@@ -331,7 +331,7 @@ func TestRetainedResponseIsWipedAfterCall(t *testing.T) {
 	cli = New(tr)
 	defer cli.Close()
 	for i := 0; i < 3; i++ {
-		if err := cli.Ping(); err != nil {
+		if _, err := cli.do(ping); err != nil {
 			t.Fatal(err)
 		}
 		tr.blank(t, i, "a Ping over TCP")

@@ -35,16 +35,8 @@ func newServerWith(cfg apiserver.Config) (*apiserver.Server, *auth.Service) {
 	return srv, authSvc
 }
 
-// fixedServer is a placement function pinning every session to srv.
-func fixedServer(srv *apiserver.Server) func() *apiserver.Server {
-	return func() *apiserver.Server { return srv }
-}
-
-// Ping exercises the keepalive.
-func (c *Client) Ping() error {
-	_, err := c.do(protocol.Request{Op: protocol.OpPing})
-	return err
-}
+// ping is the keepalive request.
+var ping = protocol.Request{Op: protocol.OpPing}
 
 func connected(t *testing.T, srv *apiserver.Server, authSvc *auth.Service, user protocol.UserID) *Client {
 	t.Helper()
@@ -52,7 +44,7 @@ func connected(t *testing.T, srv *apiserver.Server, authSvc *auth.Service, user 
 	if err != nil {
 		t.Fatal(err)
 	}
-	cli := New(NewDirectTransport(fixedServer(srv), nil))
+	cli := New(NewDirectTransport(func() *apiserver.Server { return srv }, nil))
 	if err := cli.Connect(token); err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +69,7 @@ func TestConnectInitFlow(t *testing.T) {
 
 func TestConnectBadToken(t *testing.T) {
 	srv, _ := newServer(t)
-	cli := New(NewDirectTransport(fixedServer(srv), nil))
+	cli := New(NewDirectTransport(func() *apiserver.Server { return srv }, nil))
 	err := cli.Connect("bogus")
 	if !errors.Is(err, protocol.ErrAuthFailed) {
 		t.Errorf("err = %v", err)
@@ -87,7 +79,7 @@ func TestConnectBadToken(t *testing.T) {
 func TestDisconnectReconnectKeepsMirror(t *testing.T) {
 	srv, authSvc := newServer(t)
 	token, _ := authSvc.Issue(5)
-	cli := New(NewDirectTransport(fixedServer(srv), nil))
+	cli := New(NewDirectTransport(func() *apiserver.Server { return srv }, nil))
 	if err := cli.Connect(token); err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +322,7 @@ func TestServiceTimeAccumulates(t *testing.T) {
 	var service time.Duration
 	srv.AddObserver(func(e apiserver.Event) { service += e.Duration })
 	token, _ := authSvc.Issue(60)
-	tr := NewDirectTransport(fixedServer(srv), nil)
+	tr := NewDirectTransport(func() *apiserver.Server { return srv }, nil)
 	cli := New(tr)
 	if err := cli.Connect(token); err != nil {
 		t.Fatal(err)
@@ -412,7 +404,7 @@ func TestRetryTransientThenSucceed(t *testing.T) {
 	}}
 	cli := New(tr)
 	cli.Retry = Retry{Max: 3, Backoff: 2 * time.Second}
-	if err := cli.Ping(); err != nil {
+	if _, err := cli.do(ping); err != nil {
 		t.Fatalf("ping should succeed on third attempt: %v", err)
 	}
 	if len(tr.reqs) != 3 {
@@ -441,7 +433,7 @@ func TestRetryBudgetExhausted(t *testing.T) {
 	}}
 	cli := New(tr)
 	cli.Retry = Retry{Max: 2, Backoff: time.Second}
-	err := cli.Ping()
+	_, err := cli.do(ping)
 	if !errors.Is(err, protocol.ErrUnavailable) {
 		t.Fatalf("err = %v, want unavailable", err)
 	}
@@ -462,7 +454,7 @@ func TestNoRetryForPermanentOrSessionFatal(t *testing.T) {
 		tr := &scriptedTransport{serve: func(int, *protocol.Request) protocol.Status { return status }}
 		cli := New(tr)
 		cli.Retry = Retry{Max: 5}
-		err := cli.Ping()
+		_, err := cli.do(ping)
 		if !errors.Is(err, status.Err()) {
 			t.Fatalf("status %v: err = %v", status, err)
 		}
@@ -479,7 +471,7 @@ func TestZeroRetryPolicyPreservesBehavior(t *testing.T) {
 		return protocol.StatusUnavailable
 	}}
 	cli := New(tr)
-	if err := cli.Ping(); !errors.Is(err, protocol.ErrUnavailable) {
+	if _, err := cli.do(ping); !errors.Is(err, protocol.ErrUnavailable) {
 		t.Fatalf("err = %v", err)
 	}
 	if len(tr.reqs) != 1 {
@@ -548,7 +540,7 @@ func TestDirectTransportAppliesVirtualBackoff(t *testing.T) {
 	var events []apiserver.Event
 	srv.AddObserver(func(e apiserver.Event) { events = append(events, e) })
 	t0 := time.Date(2014, 1, 11, 0, 0, 0, 0, time.UTC)
-	tr := NewDirectTransport(fixedServer(srv), func() time.Time { return t0 })
+	tr := NewDirectTransport(func() *apiserver.Server { return srv }, func() time.Time { return t0 })
 	cli := New(tr)
 	token, _ := authSvc.Issue(80)
 	if err := cli.Connect(token); err != nil {
@@ -570,7 +562,7 @@ func TestTransportClosedBehavior(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Non-auth requests on a session-less transport fail with auth status.
-	if err := cli.Ping(); err == nil {
+	if _, err := cli.do(ping); err == nil {
 		t.Error("ping after close should fail")
 	}
 }

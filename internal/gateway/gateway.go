@@ -162,15 +162,15 @@ func (b *Balancer) shardOf(name string) int {
 // concurrent with the swap may record against the old registry.
 func (b *Balancer) Instrument(reg *metrics.Registry) {
 	b.m.Store(&balancerMetrics{
-		placed:       reg.Counter("gateway.sessions.placed"),
-		activeConns:  reg.Gauge("gateway.sessions.active"),
-		placeSeconds: reg.Histogram("gateway.place.seconds"),
+		placed:       reg.Counter(metrics.GatewaySessionsPlaced),
+		activeConns:  reg.Gauge(metrics.GatewaySessionsActive),
+		placeSeconds: reg.Histogram(metrics.GatewayPlaceSeconds),
 		reg:          reg,
 	})
 	for _, sh := range b.shards {
 		sh.mu.Lock()
 		for _, s := range sh.byName {
-			s.placed = reg.Counter("gateway.backend." + s.name + ".placed")
+			s.placed = reg.Counter(metrics.GatewayBackendPlaced(s.name))
 		}
 		sh.mu.Unlock()
 	}
@@ -188,7 +188,7 @@ func (b *Balancer) AddBackend(name string) {
 	s := &backendSlot{
 		name:   name,
 		pos:    len(sh.heap),
-		placed: b.m.Load().reg.Counter("gateway.backend." + name + ".placed"),
+		placed: b.m.Load().reg.Counter(metrics.GatewayBackendPlaced(name)),
 	}
 	sh.byName[name] = s
 	sh.heap = append(sh.heap, s)

@@ -10,7 +10,7 @@ import (
 //	//u1:allow <rule> <reason>
 //
 // where <rule> is a registered pass's Allow token (wallclock, maporder,
-// lockdiscipline, metricname, unused) and <reason> is free non-empty text
+// lockdiscipline, unused) and <reason> is free non-empty text
 // explaining why the exemption is correct. The annotation exempts findings of
 // that rule on the annotation's own line or, when the annotation stands
 // alone, on the line directly below it. Every exemption must earn its keep:

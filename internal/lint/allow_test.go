@@ -20,7 +20,7 @@ func TestParseAllow(t *testing.T) {
 		{"valid", "u1:allow wallclock lock-hold measurement", "wallclock", "lock-hold measurement", ""},
 		{"valid multi-word reason", "u1:allow maporder feeds an unordered set", "maporder", "feeds an unordered set", ""},
 		{"tab separated", "u1:allow\tlockdiscipline\tmaintenance sweep", "lockdiscipline", "maintenance sweep", ""},
-		{"reason collapses whitespace", "u1:allow metricname  a   b", "metricname", "a b", ""},
+		{"reason collapses whitespace", "u1:allow unused  a   b", "unused", "a b", ""},
 		{"missing reason", "u1:allow wallclock", "", "", "has no reason"},
 		{"missing rule", "u1:allow", "", "", "missing a rule"},
 		{"fused marker", "u1:allowx", "", "", "malformed u1:allow annotation"},
@@ -82,29 +82,5 @@ func TestAllowSetLineBinding(t *testing.T) {
 	}
 	if stale != 2 {
 		t.Errorf("expected 2 stale diagnostics, got %d", stale)
-	}
-}
-
-// TestMatchesGrammar pins the metric-name matcher's segment semantics.
-func TestMatchesGrammar(t *testing.T) {
-	cases := []struct {
-		name string
-		ok   bool
-	}{
-		{"wal.appends", true},
-		{"api.op.unlink.seconds", true},
-		{"meta.shard.3.read_hold.seconds", true},
-		{"meta.shard." + dynSegment + ".reads", true},
-		{"gateway.backend.api-0.placed", true},
-		{"wal.append", false},
-		{"api.op.seconds", false},
-		{"meta.shard..reads", false},
-		{"metadata.bogus", false},
-		{"", false},
-	}
-	for _, tc := range cases {
-		if got := matchesGrammar(tc.name); got != tc.ok {
-			t.Errorf("matchesGrammar(%q) = %v, want %v", tc.name, got, tc.ok)
-		}
 	}
 }

@@ -1,8 +1,8 @@
 // Package lint is the repo's contract-enforcing static analysis framework.
 // The properties the simulation is built on — bit-for-bit determinism for a
 // fixed (Seed, Workers, …), journal-under-lock durability, canonical mailbox
-// drain order, and the stable metric naming scheme benchmark/ and the
-// reports key on — are invariants of the *source*, not of any one test run. This
+// drain order, and an internal API no larger than the program that calls it —
+// are invariants of the *source*, not of any one test run. This
 // package loads and type-checks every package in the module with nothing but
 // the standard library (go/parser, go/types, go/importer) and runs a registry
 // of named passes over the typed syntax trees; cmd/u1lint is the CLI that
@@ -16,13 +16,15 @@
 // a diagnostic, so stale exemptions cannot accumulate.
 //
 // The pass catalog is returned by Passes (determinism, maporder,
-// lockdiscipline, metricname, unused, each in its own file);
-// docs/REFERENCE.md documents each pass's contract. Four passes look at one
-// package at a time. The fifth, unused, resolves references across the whole
-// module — LoadPatterns always loads every package, so linting a subset
-// reports exactly what linting the module reports there. Journal-under-lock
-// needs no pass: the metadata store journals only from commit, which runs
-// under the shard write lock.
+// lockdiscipline, unused, each in its own file); docs/REFERENCE.md documents
+// each pass's contract. Three passes look at one package at a time. The
+// fourth, unused, resolves references across the whole module — LoadPatterns
+// always loads every package, so linting a subset reports exactly what
+// linting the module reports there. Two contracts need no pass:
+// journal-under-lock holds because the metadata store journals only from
+// commit, which runs under the shard write lock, and the metric namespace
+// holds because a metrics.Name can only be built from its declaration in
+// metrics/names.go.
 package lint
 
 import (
@@ -67,7 +69,7 @@ type Pass struct {
 
 // Passes returns the registered pass catalog in registration order.
 func Passes() []*Pass {
-	return []*Pass{determinismPass, maporderPass, lockdisciplinePass, metricnamePass, unusedPass}
+	return []*Pass{determinismPass, maporderPass, lockdisciplinePass, unusedPass}
 }
 
 // passByAllow maps an annotation rule token to its pass, for validating

@@ -116,8 +116,6 @@ func TestGoldenFixtures(t *testing.T) {
 		{"maporder_clean", "testdata/maporder_clean", "u1/internal/mapclean"},
 		{"lockdiscipline_bad", "testdata/lockdiscipline_bad", "u1/internal/lockbad"},
 		{"lockdiscipline_clean", "testdata/lockdiscipline_clean", "u1/internal/lockclean"},
-		{"metricname_bad", "testdata/metricname_bad", "u1/internal/namebad"},
-		{"metricname_clean", "testdata/metricname_clean", "u1/internal/nameclean"},
 		{"allow_bad", "testdata/allow_bad", "u1/internal/allowbad"},
 		{"unused_bad", "testdata/unused_bad", "u1/internal/unusedbad"},
 		{"unused_clean", "testdata/unused_clean", "u1/internal/unusedclean"},
@@ -134,8 +132,8 @@ func TestViolationFixturesFindSomething(t *testing.T) {
 	l := sharedLoader(t)
 	for _, dir := range []string{
 		"testdata/determinism_bad", "testdata/maporder_bad",
-		"testdata/lockdiscipline_bad", "testdata/metricname_bad",
-		"testdata/allow_bad", "testdata/unused_bad",
+		"testdata/lockdiscipline_bad", "testdata/allow_bad",
+		"testdata/unused_bad",
 	} {
 		pkg, err := l.LoadDirAs(dir, "u1/internal/"+filepath.Base(dir))
 		if err != nil {
@@ -201,10 +199,10 @@ func TestPassCatalog(t *testing.T) {
 			t.Errorf("passByAllow(%q) does not round-trip", p.Allow)
 		}
 	}
-	if n := len(Passes()); n != 5 {
-		t.Errorf("catalog has %d passes, want 5", n)
+	if n := len(Passes()); n != 4 {
+		t.Errorf("catalog has %d passes, want 4", n)
 	}
-	for _, want := range []string{"determinism", "maporder", "lockdiscipline", "metricname", "unused"} {
+	for _, want := range []string{"determinism", "maporder", "lockdiscipline", "unused"} {
 		if !names[want] {
 			t.Errorf("pass %q missing from catalog", want)
 		}
@@ -216,8 +214,8 @@ func TestPassCatalog(t *testing.T) {
 
 // TestRealTreeClean is the contract the CI lint job enforces, as a test: the
 // whole module lints clean. Any regression — a new wall-clock read, a map
-// iteration leaking into a journal, a typo'd metric name, a stale annotation —
-// fails here before it reaches CI.
+// iteration leaking into a journal, a stale annotation — fails here before it
+// reaches CI.
 func TestRealTreeClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the entire module")

@@ -253,11 +253,12 @@ func (d *opMix) probeRefusal(what string, want error, setup func() func() error)
 // probe runs the i-th refusal probe, cycling through the five refusal kinds.
 func (d *opMix) probe(i int) {
 	s, u := d.s, d.user()
-	ud, err := s.GetUserData(u)
+	// CreateUser of an existing user reads its root volume back.
+	rootVol, err := s.CreateUser(u)
 	if err != nil {
-		d.t.Fatalf("GetUserData(%v): %v", u, err)
+		d.t.Fatalf("CreateUser(%v): %v", u, err)
 	}
-	root := ud.RootVolume
+	root := rootVol.ID
 	switch i % 5 {
 	case 0:
 		d.probeRefusal("delete by a non-owner", protocol.ErrPermission, func() func() error {
@@ -384,11 +385,11 @@ func TestLiveReplayReplicaAgree(t *testing.T) {
 				t.Fatalf("content registry diverged across reopen: %+v != %+v", got, contents)
 			}
 			top := maxNodeID(r)
-			ud, err := r.GetUserData(1)
+			root, err := r.CreateUser(1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			n, err := r.MakeFile(1, ud.RootVolume, 0, "after-reopen")
+			n, err := r.MakeFile(1, root.ID, 0, "after-reopen")
 			if err != nil {
 				t.Fatalf("MakeFile after reopen: %v", err)
 			}

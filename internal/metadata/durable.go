@@ -150,11 +150,11 @@ func (s *Store) openDurability(cfg Config, reg *metrics.Registry) error {
 		snapshotEvery: cfg.SnapshotEvery,
 		shards:        make([]*durableShard, len(s.shards)),
 		m: durMetrics{
-			appends:    reg.Counter(metrics.WALPrefix + "appends"),
-			snapshots:  reg.Counter(metrics.WALPrefix + "snapshots"),
-			replayed:   reg.Counter(metrics.WALPrefix + "replayed"),
-			tornBytes:  reg.Counter(metrics.WALPrefix + "torn_bytes_dropped"),
-			journalErr: reg.Counter(metrics.WALPrefix + "errors"),
+			appends:    reg.Counter(metrics.WALAppends),
+			snapshots:  reg.Counter(metrics.WALSnapshots),
+			replayed:   reg.Counter(metrics.WALReplayed),
+			tornBytes:  reg.Counter(metrics.WALTornBytesDropped),
+			journalErr: reg.Counter(metrics.WALErrors),
 		},
 	}
 	if d.snapshotEvery <= 0 {

@@ -34,11 +34,11 @@ func populate(t *testing.T, s *Store) protocol.VolumeID {
 		}
 	}
 	rootVol := func(u protocol.UserID) protocol.VolumeID {
-		ud, err := s.GetUserData(u)
+		v, err := s.CreateUser(u) // an existing user: a read of its root volume
 		if err != nil {
-			t.Fatalf("GetUserData(%v): %v", u, err)
+			t.Fatalf("CreateUser(%v): %v", u, err)
 		}
-		return ud.RootVolume
+		return v.ID
 	}
 	vol := rootVol(1)
 	dir, err := s.MakeDir(1, vol, 0, "docs")
@@ -172,12 +172,12 @@ func TestCrashShardRecovers(t *testing.T) {
 func TestSnapshotCadenceAndTruncation(t *testing.T) {
 	dir := t.TempDir()
 	s := openDurable(t, dir, Config{Shards: 1, SnapshotEvery: 4, FsyncPolicy: wal.FsyncGroupCommit})
-	if _, err := s.CreateUser(9); err != nil {
+	root, err := s.CreateUser(9)
+	if err != nil {
 		t.Fatal(err)
 	}
-	ud, _ := s.GetUserData(9)
 	for i := 0; i < 40; i++ {
-		if _, err := s.MakeFile(9, ud.RootVolume, 0, "f"+string(rune('a'+i%26))+string(rune('0'+i/26))); err != nil {
+		if _, err := s.MakeFile(9, root.ID, 0, "f"+string(rune('a'+i%26))+string(rune('0'+i/26))); err != nil {
 			t.Fatalf("MakeFile %d: %v", i, err)
 		}
 	}
@@ -202,12 +202,12 @@ func TestSnapshotCadenceAndTruncation(t *testing.T) {
 func TestRecoverTornJournalTail(t *testing.T) {
 	dir := t.TempDir()
 	s := openDurable(t, dir, Config{Shards: 1, FsyncPolicy: wal.FsyncAsync})
-	if _, err := s.CreateUser(1); err != nil {
+	root, err := s.CreateUser(1)
+	if err != nil {
 		t.Fatal(err)
 	}
-	ud, _ := s.GetUserData(1)
 	for i := 0; i < 10; i++ {
-		if _, err := s.MakeFile(1, ud.RootVolume, 0, "keep"+string(rune('0'+i))); err != nil {
+		if _, err := s.MakeFile(1, root.ID, 0, "keep"+string(rune('0'+i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -219,7 +219,7 @@ func TestRecoverTornJournalTail(t *testing.T) {
 		t.Fatalf("RecoverShard with torn tail: %v", err)
 	}
 	// All but the torn final mutation must be present.
-	nodes, _, err := s.GetFromScratch(1, ud.RootVolume)
+	nodes, _, err := s.GetFromScratch(1, root.ID)
 	if err != nil {
 		t.Fatalf("GetFromScratch: %v", err)
 	}

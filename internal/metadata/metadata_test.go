@@ -32,16 +32,12 @@ func TestCreateUserIdempotent(t *testing.T) {
 	if v1.Type != protocol.VolumeRoot {
 		t.Errorf("root volume type = %v", v1.Type)
 	}
-	ud, err := s.GetUserData(1)
-	if err != nil || ud.RootVolume != v1.ID || ud.Volumes != 1 {
-		t.Errorf("GetUserData = %+v, %v", ud, err)
+	vols, err := s.ListVolumes(1)
+	if err != nil || len(vols) != 1 || vols[0].ID != v1.ID {
+		t.Errorf("ListVolumes = %+v, %v", vols, err)
 	}
-}
-
-func TestGetUserDataUnknown(t *testing.T) {
-	s := newTestStore()
-	if _, err := s.GetUserData(42); !errors.Is(err, protocol.ErrNotFound) {
-		t.Errorf("err = %v", err)
+	if _, err := s.ListVolumes(42); !errors.Is(err, protocol.ErrNotFound) {
+		t.Errorf("unknown user: err = %v", err)
 	}
 }
 
@@ -498,28 +494,20 @@ func TestUploadJobLifecycle(t *testing.T) {
 	if err := s.SetUploadJobMultipartID(1, job.ID, "s3-mp-1"); err != nil {
 		t.Fatal(err)
 	}
+	var got UploadJob
 	for i := 0; i < 3; i++ {
-		if _, err := s.AddPartToUploadJob(1, job.ID, 4<<20, now.Add(time.Duration(i)*time.Minute)); err != nil {
+		if got, err = s.AddPartToUploadJob(1, job.ID, 4<<20, now.Add(time.Duration(i)*time.Minute)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	got, err := s.GetUploadJob(1, job.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
 	if got.Parts != 3 || got.BytesDone != 12<<20 || got.MultipartID != "s3-mp-1" {
 		t.Errorf("job = %+v", got)
-	}
-	// Touch within the horizon: stays alive.
-	expired, err := s.TouchUploadJob(1, job.ID, now.Add(time.Hour))
-	if err != nil || expired {
-		t.Errorf("touch: expired=%v err=%v", expired, err)
 	}
 	// Commit: delete.
 	if err := s.DeleteUploadJob(1, job.ID); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.GetUploadJob(1, job.ID); !errors.Is(err, protocol.ErrNotFound) {
+	if err := s.DeleteUploadJob(1, job.ID); !errors.Is(err, protocol.ErrNotFound) {
 		t.Error("job should be gone after delete")
 	}
 }
@@ -529,30 +517,27 @@ func TestUploadJobGC(t *testing.T) {
 	root := mustUser(t, s, 1)
 	f, _ := s.MakeFile(1, root.ID, 0, "zombie")
 	now := time.Unix(1390000000, 0)
-	job, _ := s.MakeUploadJob(1, root.ID, f.ID, protocol.HashBytes([]byte("z")), 1, now)
-
-	// Touch after the one-week horizon reports expiry and collects the job.
-	expired, err := s.TouchUploadJob(1, job.ID, now.Add(UploadJobMaxAge+time.Hour))
-	if err != nil || !expired {
-		t.Errorf("expired=%v err=%v", expired, err)
-	}
-	if _, err := s.GetUploadJob(1, job.ID); !errors.Is(err, protocol.ErrNotFound) {
-		t.Error("expired job should be collected")
+	stale, _ := s.MakeUploadJob(1, root.ID, f.ID, protocol.HashBytes([]byte("z")), 1, now)
+	live, _ := s.MakeUploadJob(1, root.ID, f.ID, protocol.HashBytes([]byte("z2")), 1, now)
+	// A part refreshes the liveness stamp the sweep reads.
+	if _, err := s.AddPartToUploadJob(1, live.ID, 1, now.Add(UploadJobMaxAge)); err != nil {
+		t.Fatal(err)
 	}
 
-	// The periodic sweep also collects stale jobs.
-	j2, _ := s.MakeUploadJob(1, root.ID, f.ID, protocol.HashBytes([]byte("z2")), 1, now)
+	// The periodic sweep collects jobs untouched for longer than a week.
 	if swept := s.SweepUploadJobs(now.Add(UploadJobMaxAge + time.Minute)); swept != 1 {
 		t.Errorf("swept = %d, want 1", swept)
 	}
-	if _, err := s.GetUploadJob(1, j2.ID); !errors.Is(err, protocol.ErrNotFound) {
+	if err := s.DeleteUploadJob(1, stale.ID); !errors.Is(err, protocol.ErrNotFound) {
 		t.Error("swept job should be gone")
 	}
 	// Wrong user cannot see another user's job.
 	mustUser(t, s, 2)
-	j3, _ := s.MakeUploadJob(1, root.ID, f.ID, protocol.HashBytes([]byte("z3")), 1, now)
-	if _, err := s.GetUploadJob(2, j3.ID); !errors.Is(err, protocol.ErrNotFound) {
+	if err := s.DeleteUploadJob(2, live.ID); !errors.Is(err, protocol.ErrNotFound) {
 		t.Error("cross-user job access should 404")
+	}
+	if err := s.DeleteUploadJob(1, live.ID); err != nil {
+		t.Errorf("refreshed job was swept: %v", err)
 	}
 }
 

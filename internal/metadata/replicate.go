@@ -131,15 +131,15 @@ func newReplication(cfg Config, reg *metrics.Registry) *replication {
 		outbox:   make([][]journalRecord, cfg.Shards),
 		state:    make([]*regionState, cfg.Regions),
 		m: replMetrics{
-			published:    reg.Counter(metrics.ReplicationPrefix + "published"),
-			applied:      reg.Counter(metrics.ReplicationPrefix + "applied"),
-			lwwSkipped:   reg.Counter(metrics.ReplicationPrefix + "lww_skipped"),
-			revokedHits:  reg.Counter(metrics.ReplicationPrefix + "revoked_blocked"),
-			readsLocal:   reg.Counter(metrics.ReplicationPrefix + "reads.local"),
-			readsRemote:  reg.Counter(metrics.ReplicationPrefix + "reads.remote"),
-			readsStale:   reg.Counter(metrics.ReplicationPrefix + "reads.stale"),
-			backlogDepth: reg.Gauge(metrics.ReplicationPrefix + "backlog.depth"),
-			lagEpochs:    reg.Histogram(metrics.ReplicationPrefix + "lag.epochs"),
+			published:    reg.Counter(metrics.ReplPublished),
+			applied:      reg.Counter(metrics.ReplApplied),
+			lwwSkipped:   reg.Counter(metrics.ReplLWWSkipped),
+			revokedHits:  reg.Counter(metrics.ReplRevokedBlocked),
+			readsLocal:   reg.Counter(metrics.ReplReadsLocal),
+			readsRemote:  reg.Counter(metrics.ReplReadsRemote),
+			readsStale:   reg.Counter(metrics.ReplReadsStale),
+			backlogDepth: reg.Gauge(metrics.ReplBacklogDepth),
+			lagEpochs:    reg.Histogram(metrics.ReplLagEpochs),
 		},
 	}
 	for region := range r.state {

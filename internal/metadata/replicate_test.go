@@ -59,8 +59,10 @@ func seedTwoRegions(t *testing.T, s *Store) []protocol.UserID {
 // owner shard.
 func requireConverged(t *testing.T, s *Store) {
 	t.Helper()
-	if n := replicationBacklog(s); n != 0 {
-		t.Fatalf("backlog not drained: %d records pending", n)
+	if s.repl != nil {
+		if n := s.repl.m.backlogDepth.Value(); n != 0 {
+			t.Fatalf("backlog not drained: %d records pending", n)
+		}
 	}
 	for region := 0; region < s.Regions(); region++ {
 		for i := 0; i < s.NumShards(); i++ {
@@ -372,19 +374,4 @@ func TestRegionsClampAndDisable(t *testing.T) {
 	if s := New(Config{Shards: 2, Regions: 2}); s.Regions() != 2 {
 		t.Fatalf("Regions = %d, want 2", s.Regions())
 	}
-}
-
-// replicationBacklog returns the total records awaiting application across
-// all regions.
-func replicationBacklog(s *Store) int {
-	if s.repl == nil {
-		return 0
-	}
-	s.repl.mu.RLock()
-	defer s.repl.mu.RUnlock()
-	var n int
-	for _, st := range s.repl.state {
-		n += len(st.backlog)
-	}
-	return n
 }

@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"slices"
-	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -179,10 +178,10 @@ func Open(cfg Config) (*Store, error) {
 		shards:   make([]*shard, cfg.Shards),
 		contents: newContentRegistry(),
 		m: storeMetrics{
-			deltaServed:    cfg.Metrics.Counter("meta.delta.served"),
-			deltaTruncated: cfg.Metrics.Counter("meta.delta.truncated"),
-			fromScratch:    cfg.Metrics.Counter("meta.get_from_scratch"),
-			logTrimmed:     cfg.Metrics.Counter("meta.deltalog.trimmed"),
+			deltaServed:    cfg.Metrics.Counter(metrics.MetaDeltaServed),
+			deltaTruncated: cfg.Metrics.Counter(metrics.MetaDeltaTruncated),
+			fromScratch:    cfg.Metrics.Counter(metrics.MetaGetFromScratch),
+			logTrimmed:     cfg.Metrics.Counter(metrics.MetaDeltaLogTrimmed),
 		},
 	}
 	for i := range s.shards {
@@ -294,15 +293,15 @@ type shard struct {
 }
 
 func newShard(id, deltaLogLimit int, reg *metrics.Registry) *shard {
-	prefix := metrics.ShardPrefix + strconv.Itoa(id)
+	series := metrics.Shard(id)
 	sh := &shard{
 		id:            id,
 		deltaLogLimit: deltaLogLimit,
 		m: shardMetrics{
-			reads:     reg.Counter(prefix + ".reads"),
-			writes:    reg.Counter(prefix + ".writes"),
-			readHold:  reg.Histogram(prefix + ".read_hold.seconds"),
-			writeHold: reg.Histogram(prefix + ".write_hold.seconds"),
+			reads:     reg.Counter(series.Reads),
+			writes:    reg.Counter(series.Writes),
+			readHold:  reg.Histogram(series.ReadHold),
+			writeHold: reg.Histogram(series.WriteHold),
 		},
 	}
 	sh.reset()

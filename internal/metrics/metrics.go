@@ -9,10 +9,12 @@
 // the gateway its placement decisions, the API servers per-operation latency
 // and error counts, the RPC/DAL tier per-class service times, the metadata
 // store per-shard lock hold times and cascade counters, the data store
-// transfer volume, and the notification broker its fan-out. The benchmark
-// (benchmark/) reads its per-layer counters from Registry snapshots;
-// `u1 sim -report` and the chaos scenario reports fold them into per-op
-// latency tables (OpStatsOf).
+// transfer volume, and the notification broker its fan-out. Every series is
+// declared once, in names.go, as a Name: the Registry takes nothing else, and
+// readers look series up through the same declarations (Snapshot.Counter and
+// friends). The benchmark (benchmark/) reads its per-layer counters from
+// Registry snapshots; `u1 sim -report` and the chaos scenario reports fold
+// them into per-op latency tables (OpStatsOf).
 package metrics
 
 import (
@@ -22,34 +24,6 @@ import (
 	"sync/atomic"
 	"time"
 	"unsafe"
-)
-
-// The registry naming scheme the instrumented tiers follow. benchmark/,
-// `u1 sim` and the scenario reports key off these prefixes, so they are part
-// of the metrics API.
-const (
-	// APIOpPrefix + <OpName> + {".seconds"|".count"|".errors"} — per API
-	// operation latency histogram and outcome counters (apiserver).
-	APIOpPrefix = "api.op."
-	// RPCPrefix + <dal.name> + ".seconds" — per-RPC service-time histograms;
-	// RPCClassPrefix + <class> + ".seconds" aggregates them by paper class.
-	RPCPrefix      = "rpc."
-	RPCClassPrefix = "rpc.class."
-	// ShardPrefix + <i> + {".reads"|".writes"} — per-shard op counters;
-	// + {".read_hold.seconds"|".write_hold.seconds"} — lock hold times.
-	ShardPrefix = "meta.shard."
-	// FaultsPrefix + {"injected"|"shed"|"sso_shed"|"retried"|
-	// "retry_succeeded"} — the apiserver's fault-injection /
-	// admission-control / SSO-bucket / client-retry counters.
-	FaultsPrefix = "faults."
-	// WALPrefix + {"appends"|"snapshots"|"replayed"|"torn_bytes_dropped"|
-	// "errors"|"journaled"} — the durable metadata tier's journal activity.
-	WALPrefix = "wal."
-	// ReplicationPrefix + {"published"|"applied"|"lww_skipped"|
-	// "revoked_blocked"|"reads.local"|"reads.remote"|"reads.stale"} counters,
-	// + "backlog.depth" gauge, + "lag.epochs" histogram — the cross-region
-	// metadata replication tier.
-	ReplicationPrefix = "repl."
 )
 
 // OpStats is one API operation's outcome counts and latency profile.
@@ -75,13 +49,14 @@ func OpStatsOf(snap Snapshot, wallSeconds float64) map[string]OpStats {
 			continue
 		}
 		op := strings.TrimSuffix(strings.TrimPrefix(name, APIOpPrefix), ".seconds")
-		count := snap.Counters[APIOpPrefix+op+".count"]
+		series := APIOp(op)
+		count := snap.Counter(series.Count)
 		if count == 0 {
 			count = hist.Count
 		}
 		st := OpStats{
 			Count:  count,
-			Errors: snap.Counters[APIOpPrefix+op+".errors"],
+			Errors: snap.Counter(series.Errors),
 			MeanMs: hist.Mean * 1e3,
 			P50Ms:  hist.P50 * 1e3,
 			P95Ms:  hist.P95 * 1e3,
@@ -364,65 +339,65 @@ func NewRegistry() *Registry {
 // Counter returns the named counter, creating it on first use. A nil
 // registry hands out an unregistered but fully functional counter, so
 // components can be instrumented unconditionally.
-func (r *Registry) Counter(name string) *Counter {
+func (r *Registry) Counter(name Name) *Counter {
 	if r == nil {
 		return &Counter{}
 	}
 	r.mu.RLock()
-	c, ok := r.counters[name]
+	c, ok := r.counters[name.s]
 	r.mu.RUnlock()
 	if ok {
 		return c
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if c, ok := r.counters[name]; ok {
+	if c, ok := r.counters[name.s]; ok {
 		return c
 	}
 	c = &Counter{}
-	r.counters[name] = c
+	r.counters[name.s] = c
 	return c
 }
 
 // Gauge returns the named gauge, creating it on first use (nil-safe).
-func (r *Registry) Gauge(name string) *Gauge {
+func (r *Registry) Gauge(name Name) *Gauge {
 	if r == nil {
 		return &Gauge{}
 	}
 	r.mu.RLock()
-	g, ok := r.gauges[name]
+	g, ok := r.gauges[name.s]
 	r.mu.RUnlock()
 	if ok {
 		return g
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if g, ok := r.gauges[name]; ok {
+	if g, ok := r.gauges[name.s]; ok {
 		return g
 	}
 	g = &Gauge{}
-	r.gauges[name] = g
+	r.gauges[name.s] = g
 	return g
 }
 
 // Histogram returns the named histogram, creating it on first use (nil-safe).
-func (r *Registry) Histogram(name string) *Histogram {
+func (r *Registry) Histogram(name Name) *Histogram {
 	if r == nil {
 		return NewHistogram()
 	}
 	r.mu.RLock()
-	h, ok := r.histograms[name]
+	h, ok := r.histograms[name.s]
 	r.mu.RUnlock()
 	if ok {
 		return h
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if h, ok := r.histograms[name]; ok {
+	if h, ok := r.histograms[name.s]; ok {
 		return h
 	}
 	h = NewHistogram()
-	r.histograms[name] = h
+	r.histograms[name.s] = h
 	return h
 }
 
@@ -434,6 +409,15 @@ type Snapshot struct {
 	Gauges     map[string]int64             `json:"gauges"`
 	Histograms map[string]HistogramSnapshot `json:"histograms"`
 }
+
+// Counter reads one counter from the snapshot (0 when unregistered).
+func (s Snapshot) Counter(n Name) uint64 { return s.Counters[n.s] }
+
+// Gauge reads one gauge from the snapshot (0 when unregistered).
+func (s Snapshot) Gauge(n Name) int64 { return s.Gauges[n.s] }
+
+// Histogram reads one histogram from the snapshot (empty when unregistered).
+func (s Snapshot) Histogram(n Name) HistogramSnapshot { return s.Histograms[n.s] }
 
 // Snapshot captures the registry state. A nil registry yields an empty
 // snapshot.

@@ -197,16 +197,17 @@ func TestHistogramExtremeValues(t *testing.T) {
 
 func TestRegistrySnapshotJSON(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("api.op.Upload.count").Add(7)
-	r.Counter("api.op.Upload.errors").Inc()
-	r.Gauge("api.sessions.active").Set(3)
-	h := r.Histogram("api.op.Upload.seconds")
+	up := APIOp("Upload")
+	r.Counter(up.Count).Add(7)
+	r.Counter(up.Errors).Inc()
+	r.Gauge(APISessionsActive).Set(3)
+	h := r.Histogram(up.Seconds)
 	for i := 0; i < 100; i++ {
 		h.Observe(0.010)
 	}
 
 	// Get-or-create must return the same instance.
-	if r.Counter("api.op.Upload.count") != r.Counter("api.op.Upload.count") {
+	if r.Counter(up.Count) != r.Counter(up.Count) {
 		t.Fatal("counter identity not stable")
 	}
 
@@ -218,13 +219,13 @@ func TestRegistrySnapshotJSON(t *testing.T) {
 	if err := json.Unmarshal(buf, &snap); err != nil {
 		t.Fatalf("invalid JSON: %v", err)
 	}
-	if snap.Counters["api.op.Upload.count"] != 7 {
-		t.Errorf("counter = %d, want 7", snap.Counters["api.op.Upload.count"])
+	if snap.Counter(up.Count) != 7 {
+		t.Errorf("counter = %d, want 7", snap.Counter(up.Count))
 	}
-	if snap.Gauges["api.sessions.active"] != 3 {
-		t.Errorf("gauge = %d, want 3", snap.Gauges["api.sessions.active"])
+	if snap.Gauge(APISessionsActive) != 3 {
+		t.Errorf("gauge = %d, want 3", snap.Gauge(APISessionsActive))
 	}
-	hs := snap.Histograms["api.op.Upload.seconds"]
+	hs := snap.Histogram(up.Seconds)
 	if hs.Count != 100 {
 		t.Errorf("histogram count = %d, want 100", hs.Count)
 	}
@@ -241,26 +242,26 @@ func TestRegistryConcurrentLookup(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
-				r.Counter("shared").Inc()
-				r.Histogram("hist").Observe(1)
-				r.Gauge("gauge").Set(int64(i))
+				r.Counter(Name{"shared"}).Inc()
+				r.Histogram(Name{"hist"}).Observe(1)
+				r.Gauge(Name{"gauge"}).Set(int64(i))
 			}
 		}()
 	}
 	wg.Wait()
-	if got := r.Counter("shared").Value(); got != 8000 {
+	if got := r.Counter(Name{"shared"}).Value(); got != 8000 {
 		t.Errorf("counter = %d, want 8000", got)
 	}
-	if got := r.Histogram("hist").Snapshot().Count; got != 8000 {
+	if got := r.Histogram(Name{"hist"}).Snapshot().Count; got != 8000 {
 		t.Errorf("histogram count = %d, want 8000", got)
 	}
 }
 
 func TestNilRegistry(t *testing.T) {
 	var r *Registry
-	r.Counter("x").Inc()
-	r.Gauge("y").Set(1)
-	r.Histogram("z").Observe(1)
+	r.Counter(Name{"x"}).Inc()
+	r.Gauge(Name{"y"}).Set(1)
+	r.Histogram(Name{"z"}).Observe(1)
 	snap := r.Snapshot()
 	if len(snap.Counters) != 0 || len(snap.Gauges) != 0 || len(snap.Histograms) != 0 {
 		t.Error("nil registry snapshot should be empty")
@@ -269,13 +270,14 @@ func TestNilRegistry(t *testing.T) {
 
 func TestOpStatsOf(t *testing.T) {
 	r := NewRegistry()
-	up := r.Histogram(APIOpPrefix + "Upload.seconds")
+	up := APIOp("Upload")
+	h := r.Histogram(up.Seconds)
 	for i := 0; i < 1000; i++ {
-		up.Observe(0.012)
+		h.Observe(0.012)
 	}
-	r.Counter(APIOpPrefix + "Upload.count").Add(1000)
-	r.Counter(APIOpPrefix + "Upload.errors").Add(25)
-	r.Histogram(RPCClassPrefix + "read.seconds").Observe(0.003)
+	r.Counter(up.Count).Add(1000)
+	r.Counter(up.Errors).Add(25)
+	r.Histogram(RPCClassSeconds("read")).Observe(0.003)
 
 	ops := OpStatsOf(r.Snapshot(), 2.0)
 	if len(ops) != 1 {

@@ -80,10 +80,10 @@ func (b *Broker) Instrument(reg *metrics.Registry) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.m = brokerMetrics{
-		published: reg.Counter("notify.published"),
-		delivered: reg.Counter("notify.delivered"),
-		dropped:   reg.Counter("notify.dropped"),
-		fanout:    reg.Histogram("notify.fanout"),
+		published: reg.Counter(metrics.NotifyPublished),
+		delivered: reg.Counter(metrics.NotifyDelivered),
+		dropped:   reg.Counter(metrics.NotifyDropped),
+		fanout:    reg.Histogram(metrics.NotifyFanout),
 	}
 }
 

@@ -18,9 +18,9 @@ func instrumented() (*Broker, *metrics.Registry) {
 
 // counts reads the broker's published, delivered and dropped counters.
 func counts(reg *metrics.Registry) (published, delivered, dropped uint64) {
-	return reg.Counter("notify.published").Value(),
-		reg.Counter("notify.delivered").Value(),
-		reg.Counter("notify.dropped").Value()
+	return reg.Counter(metrics.NotifyPublished).Value(),
+		reg.Counter(metrics.NotifyDelivered).Value(),
+		reg.Counter(metrics.NotifyDropped).Value()
 }
 
 func TestFanOutExcludesOrigin(t *testing.T) {

@@ -71,18 +71,12 @@ func (c *recConn) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// message is what Request, Response and Push have in common.
-type message interface {
-	wire.Message
-	Marshal() []byte
-}
-
 func TestGoldenWireFormat(t *testing.T) {
 	req, resp := goldenRequest(), goldenResponse()
 	cases := []struct {
 		name    string
 		msgType byte
-		msg     message
+		msg     wire.Message
 		data    []byte
 		frame   []byte
 		decode  func([]byte) (any, error)
@@ -90,20 +84,20 @@ func TestGoldenWireFormat(t *testing.T) {
 		{"request", FrameRequest, req, req.Data, mustHex(t, goldenRequestFrame),
 			func(b []byte) (any, error) { return UnmarshalRequest(b) }},
 		{"response", FrameResponse, resp, resp.Data, mustHex(t, goldenResponseFrame),
-			func(b []byte) (any, error) { return UnmarshalResponse(b) }},
+			func(b []byte) (any, error) { p := &Response{}; return p, p.Decode(b) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			body := tc.frame[5:]
-			if got := tc.msg.Marshal(); !bytes.Equal(got, body) {
-				t.Errorf("Marshal() = %x\nwant        %x", got, body)
+			if got := encode(tc.msg); !bytes.Equal(got, body) {
+				t.Errorf("encoded %x\nwant    %x", got, body)
 			}
 			var raw bytes.Buffer
-			if err := wire.WriteFrame(&raw, tc.msgType, tc.msg.Marshal()); err != nil {
+			if err := wire.WriteFrame(&raw, tc.msgType, encode(tc.msg)); err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(raw.Bytes(), tc.frame) {
-				t.Errorf("WriteFrame(Marshal()) = %x\nwant                  %x", raw.Bytes(), tc.frame)
+				t.Errorf("WriteFrame(encoded) = %x\nwant                %x", raw.Bytes(), tc.frame)
 			}
 
 			conn := &recConn{}
@@ -140,7 +134,7 @@ func TestGoldenWireFormat(t *testing.T) {
 func TestDatalessFrameIsOneWrite(t *testing.T) {
 	for _, msg := range []struct {
 		msgType byte
-		m       message
+		m       wire.Message
 	}{
 		{FrameRequest, sampleRequestNoData()},
 		{FrameResponse, &Response{ID: 9, Status: StatusNotFound}},
@@ -159,7 +153,7 @@ func TestDatalessFrameIsOneWrite(t *testing.T) {
 			t.Fatalf("type %d: %d writes for 2 frames", msg.msgType, len(conn.writes))
 		}
 		var want bytes.Buffer
-		if err := wire.WriteFrame(&want, msg.msgType, msg.m.Marshal()); err != nil {
+		if err := wire.WriteFrame(&want, msg.msgType, encode(msg.m)); err != nil {
 			t.Fatal(err)
 		}
 		// The writer reuses its buffer, so only the last write is intact.
@@ -255,8 +249,8 @@ func TestUnmarshalAliasesData(t *testing.T) {
 		t.Error("request Data was copied out of the frame buffer")
 	}
 	body = mustHex(t, goldenResponseFrame)[5:]
-	p, err := UnmarshalResponse(body)
-	if err != nil {
+	p := &Response{}
+	if err := p.Decode(body); err != nil {
 		t.Fatal(err)
 	}
 	at = bytes.Index(body, p.Data)
@@ -304,11 +298,12 @@ func FuzzUnmarshalRequest(f *testing.F) {
 
 func FuzzUnmarshalResponse(f *testing.F) {
 	f.Add(mustHex(f, goldenResponseFrame)[5:])
-	f.Add((&Response{ID: 9, Status: StatusNotFound}).Marshal())
+	f.Add(encode(&Response{ID: 9, Status: StatusNotFound}))
 	// A list length far above maxRepeated must be refused outright.
 	f.Add([]byte{1, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0x7f})
 	f.Fuzz(func(t *testing.T, in []byte) {
-		p, err := UnmarshalResponse(in)
+		p := &Response{}
+		err := p.Decode(in)
 		// A slot that held another frame decodes to what a fresh one does,
 		// and refuses what a fresh one refuses.
 		dirty := sampleResponse()
@@ -326,15 +321,15 @@ func FuzzUnmarshalResponse(f *testing.F) {
 		if n := len(p.Volumes) + len(p.Shares) + len(p.Deltas); n > len(in) {
 			t.Fatalf("%d list entries decoded from %d bytes", n, len(in))
 		}
-		out := p.Marshal()
-		p2, err := UnmarshalResponse(out)
-		if err != nil {
+		out := encode(p)
+		p2 := &Response{}
+		if err := p2.Decode(out); err != nil {
 			t.Fatalf("re-decoding %x: %v", out, err)
 		}
 		if !reflect.DeepEqual(p, p2) {
 			t.Fatalf("decode→encode→decode changed the response:\n%+v\n%+v", p, p2)
 		}
-		if again := p2.Marshal(); !bytes.Equal(again, out) {
+		if again := encode(p2); !bytes.Equal(again, out) {
 			t.Fatalf("encoding is not stable: %x then %x", out, again)
 		}
 	})

@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -15,24 +16,15 @@ func TestHashRoundTrip(t *testing.T) {
 	if h.IsZero() {
 		t.Fatal("hash of content should not be zero")
 	}
-	parsed, err := ParseHash(h.Hex())
+	parsed, err := hex.DecodeString(h.Hex())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if parsed != h {
+	if Hash(parsed) != h {
 		t.Error("hex round trip mismatch")
 	}
 	if h.String() != "sha1:"+h.Hex() {
 		t.Error("String format")
-	}
-}
-
-func TestParseHashErrors(t *testing.T) {
-	if _, err := ParseHash("zz"); err == nil {
-		t.Error("non-hex should fail")
-	}
-	if _, err := ParseHash("abcd"); err == nil {
-		t.Error("short hash should fail")
 	}
 }
 
@@ -253,8 +245,8 @@ func sampleResponse() *Response {
 
 func TestResponseRoundTrip(t *testing.T) {
 	p := sampleResponse()
-	got, err := UnmarshalResponse(p.Marshal())
-	if err != nil {
+	got := &Response{}
+	if err := got.Decode(encode(p)); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(p, got) {
@@ -264,8 +256,8 @@ func TestResponseRoundTrip(t *testing.T) {
 
 func TestResponseEmptyRoundTrip(t *testing.T) {
 	p := &Response{ID: 7, Status: StatusNotFound}
-	got, err := UnmarshalResponse(p.Marshal())
-	if err != nil {
+	got := &Response{}
+	if err := got.Decode(encode(p)); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(p, got) {
@@ -280,7 +272,7 @@ func TestPushRoundTrip(t *testing.T) {
 		Generation: 12,
 		Share:      ShareInfo{ID: 2, Volume: 3, SharedBy: 1, SharedTo: 2, Name: "s"},
 	}
-	got, err := UnmarshalPush(n.Marshal())
+	got, err := UnmarshalPush(encode(n))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,8 +289,8 @@ func TestPushRoundTrip(t *testing.T) {
 func TestUnmarshalGarbage(t *testing.T) {
 	garbage := [][]byte{nil, {0xFF}, {1, 2, 3}}
 	for _, g := range garbage {
-		if _, err := UnmarshalResponse(g); err == nil {
-			t.Errorf("UnmarshalResponse(%v) should fail", g)
+		if err := new(Response).Decode(g); err == nil {
+			t.Errorf("Response.Decode(%v) should fail", g)
 		}
 		if _, err := UnmarshalPush(g); err == nil {
 			t.Errorf("UnmarshalPush(%v) should fail", g)

@@ -42,9 +42,9 @@ func TestDecodeIntoUsedSlot(t *testing.T) {
 		"zero":     {},
 	}
 	for name, want := range responses {
-		frame := want.Marshal()
-		fresh, err := UnmarshalResponse(frame)
-		if err != nil {
+		frame := encode(want)
+		fresh := &Response{}
+		if err := fresh.Decode(frame); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		slot := sampleResponse()
@@ -60,11 +60,11 @@ func TestDecodeIntoUsedSlot(t *testing.T) {
 
 	// A frame that fails half-way leaves nothing a later decode can see.
 	slot := sampleResponse()
-	full := sampleResponse().Marshal()
+	full := encode(sampleResponse())
 	if err := slot.Decode(full[:len(full)/2]); err == nil {
 		t.Fatal("half a response decoded")
 	}
-	if err := slot.Decode((&Response{ID: 1}).Marshal()); err != nil {
+	if err := slot.Decode(encode(&Response{ID: 1})); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(slot, &Response{ID: 1}) {
@@ -89,7 +89,7 @@ func TestRecyclerTakesBackOnlyItsOwn(t *testing.T) {
 	}
 
 	// Decoding into a response on loan keeps it on loan.
-	if err := p.Decode(sampleResponse().Marshal()); err != nil {
+	if err := p.Decode(encode(sampleResponse())); err != nil {
 		t.Fatal(err)
 	}
 	volumes, data := p.Volumes, p.Data

@@ -169,7 +169,7 @@ func NewServer(store *metadata.Store, cfg Config) *Server {
 		store:     store,
 		cfg:       cfg,
 		procRNG:   make([]*rand.Rand, cfg.Procs),
-		rpcErrors: cfg.Metrics.Counter("rpc.errors"),
+		rpcErrors: cfg.Metrics.Counter(metrics.RPCErrors),
 	}
 	for i := range s.procRNG {
 		// Scramble (seed, proc) through the mix function so nearby seeds do
@@ -183,12 +183,12 @@ func NewServer(store *metadata.Store, cfg Config) *Server {
 	rpcs := protocol.RPCs()
 	s.rpcSeconds = make([]*metrics.Histogram, len(rpcs))
 	for _, op := range rpcs {
-		s.rpcSeconds[op] = cfg.Metrics.Histogram(metrics.RPCPrefix + op.String() + ".seconds")
+		s.rpcSeconds[op] = cfg.Metrics.Histogram(metrics.RPCSeconds(op.String()))
 	}
 	classes := []protocol.RPCClass{protocol.ClassRead, protocol.ClassWrite, protocol.ClassCascade}
 	s.classSeconds = make([]*metrics.Histogram, len(classes))
 	for _, c := range classes {
-		s.classSeconds[c] = cfg.Metrics.Histogram(metrics.RPCClassPrefix + c.String() + ".seconds")
+		s.classSeconds[c] = cfg.Metrics.Histogram(metrics.RPCClassSeconds(c.String()))
 	}
 	return s
 }

@@ -274,7 +274,7 @@ func TestGetReusableContentErrorReachesSpan(t *testing.T) {
 	if !errors.Is(last.Err, protocol.ErrBadRequest) {
 		t.Errorf("span.Err = %v, want ErrBadRequest", last.Err)
 	}
-	if n := reg.Counter("rpc.errors").Value(); n != 1 {
+	if n := reg.Counter(metrics.RPCErrors).Value(); n != 1 {
 		t.Errorf("rpc.errors = %d, want 1", n)
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"u1/internal/client"
 	"u1/internal/faults"
+	"u1/internal/metrics"
 	"u1/internal/protocol"
 	"u1/internal/wal"
 	"u1/internal/workload"
@@ -112,7 +113,7 @@ func init() {
 			if res.Totals.AttackSessions == 0 {
 				return fmt.Errorf("storm never ran (0 attack sessions)")
 			}
-			shed := res.Counter("faults.sso_shed")
+			shed := res.Snapshot.Counter(metrics.FaultsSSOShed)
 			if shed == 0 {
 				return fmt.Errorf("token bucket shed nothing under a 40x login storm")
 			}
@@ -142,10 +143,10 @@ func init() {
 			if res.Totals.AttackSessions == 0 {
 				return fmt.Errorf("storm never ran (0 attack sessions)")
 			}
-			if res.Counter("faults.shed") == 0 {
+			if res.Snapshot.Counter(metrics.FaultsShed) == 0 {
 				return fmt.Errorf("admission control shed nothing under a 150x flash crowd")
 			}
-			if res.Counter("faults.retried") == 0 {
+			if res.Snapshot.Counter(metrics.FaultsRetried) == 0 {
 				return fmt.Errorf("shed clients never retried — the client backoff path is dead")
 			}
 			dataRate := res.ClassErrorRate(faults.ClassData)
@@ -176,10 +177,10 @@ func init() {
 			if res.DrillErr != nil {
 				return res.DrillErr
 			}
-			if res.Counter("repl.published") == 0 {
+			if res.Snapshot.Counter(metrics.ReplPublished) == 0 {
 				return fmt.Errorf("workload published no replication records — the mailbox pump is dead")
 			}
-			if res.Counter("api.region.refused") == 0 {
+			if res.Snapshot.Counter(metrics.APIRegionRefused) == 0 {
 				return fmt.Errorf("API edge refused no writes during the outage — the down-region refusal is dead")
 			}
 			return nil
@@ -193,12 +194,13 @@ func init() {
 		Build:    func(p Params) Setup { return slowDiskSetup(p, 16) },
 		Baseline: func(p Params) Setup { return slowDiskSetup(p, 0) },
 		Check: func(res, base *Result) error {
-			if res.Counter("wal.journaled") == 0 {
+			journaled, baseJournaled := res.Snapshot.Counter(metrics.WALJournaled), base.Snapshot.Counter(metrics.WALJournaled)
+			if journaled == 0 {
 				return fmt.Errorf("no mutations were journaled on a durable store")
 			}
-			if res.Counter("wal.journaled") != base.Counter("wal.journaled") {
+			if journaled != baseJournaled {
 				return fmt.Errorf("sync-cost inflation changed what got journaled: %d vs baseline %d — a pricing knob must not alter control flow",
-					res.Counter("wal.journaled"), base.Counter("wal.journaled"))
+					journaled, baseJournaled)
 			}
 			// Latency invariants only under the serial driver: parallel-run
 			// percentiles are not reproducible by contract.
@@ -218,16 +220,16 @@ func init() {
 			"phase) then a reconnect-herd resync draining through retries",
 		Build: thunderingHerdSetup,
 		Check: func(res, _ *Result) error {
-			if res.Counter("faults.injected") == 0 {
+			if res.Snapshot.Counter(metrics.FaultsInjected) == 0 {
 				return fmt.Errorf("the outage phase injected nothing")
 			}
 			if res.Totals.FailedAuths == 0 {
 				return fmt.Errorf("no login ever failed during a full outage — the phase missed Authenticate")
 			}
-			if res.Counter("faults.retried") == 0 {
+			if res.Snapshot.Counter(metrics.FaultsRetried) == 0 {
 				return fmt.Errorf("no retried traffic arrived — the herd never formed")
 			}
-			if res.Counter("faults.retry_succeeded") == 0 {
+			if res.Snapshot.Counter(metrics.FaultsRetrySucceeded) == 0 {
 				return fmt.Errorf("no retry ever succeeded — recovery never drained the herd")
 			}
 			if res.Totals.Sessions == 0 {

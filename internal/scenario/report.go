@@ -84,17 +84,16 @@ type Stats struct {
 // replicationOf folds the snapshot's replication series into the report
 // section; nil when none of them fired (single-region runs).
 func replicationOf(snap metrics.Snapshot) *ReplicationStats {
-	c := snap.Counters
 	repl := ReplicationStats{
-		Published:    c[metrics.ReplicationPrefix+"published"],
-		Applied:      c[metrics.ReplicationPrefix+"applied"],
-		LWWSkipped:   c[metrics.ReplicationPrefix+"lww_skipped"],
-		ReadsLocal:   c[metrics.ReplicationPrefix+"reads.local"],
-		ReadsRemote:  c[metrics.ReplicationPrefix+"reads.remote"],
-		ReadsStale:   c[metrics.ReplicationPrefix+"reads.stale"],
-		BacklogDepth: snap.Gauges[metrics.ReplicationPrefix+"backlog.depth"],
+		Published:    snap.Counter(metrics.ReplPublished),
+		Applied:      snap.Counter(metrics.ReplApplied),
+		LWWSkipped:   snap.Counter(metrics.ReplLWWSkipped),
+		ReadsLocal:   snap.Counter(metrics.ReplReadsLocal),
+		ReadsRemote:  snap.Counter(metrics.ReplReadsRemote),
+		ReadsStale:   snap.Counter(metrics.ReplReadsStale),
+		BacklogDepth: snap.Gauge(metrics.ReplBacklogDepth),
 	}
-	if lag, ok := snap.Histograms[metrics.ReplicationPrefix+"lag.epochs"]; ok && lag.Count > 0 {
+	if lag := snap.Histogram(metrics.ReplLagEpochs); lag.Count > 0 {
 		repl.LagMeanEp = lag.Mean
 		repl.LagMaxEp = lag.Max
 	}

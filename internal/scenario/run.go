@@ -137,15 +137,15 @@ func statsOf(r *Result) Stats {
 		Sessions:    r.Totals.Sessions,
 		FailedAuths: r.Totals.FailedAuths,
 
-		Injected:       r.Counter(metrics.FaultsPrefix + "injected"),
-		Shed:           r.Counter(metrics.FaultsPrefix + "shed"),
-		SSOShed:        r.Counter(metrics.FaultsPrefix + "sso_shed"),
-		Retried:        r.Counter(metrics.FaultsPrefix + "retried"),
-		RetrySucceeded: r.Counter(metrics.FaultsPrefix + "retry_succeeded"),
+		Injected:       r.Snapshot.Counter(metrics.FaultsInjected),
+		Shed:           r.Snapshot.Counter(metrics.FaultsShed),
+		SSOShed:        r.Snapshot.Counter(metrics.FaultsSSOShed),
+		Retried:        r.Snapshot.Counter(metrics.FaultsRetried),
+		RetrySucceeded: r.Snapshot.Counter(metrics.FaultsRetrySucceeded),
 		AuthOverloaded: r.Auth.Overloaded,
 
 		ErrorRates:   make(map[string]ClassStats, 3),
-		WALJournaled: r.Counter(metrics.WALPrefix + "journaled"),
+		WALJournaled: r.Snapshot.Counter(metrics.WALJournaled),
 		Replication:  replicationOf(r.Snapshot),
 	}
 	for _, op := range opStats {

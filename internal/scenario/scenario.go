@@ -107,9 +107,6 @@ type Result struct {
 	DrillErr error
 }
 
-// Counter reads one registry counter from the leg's snapshot.
-func (r *Result) Counter(name string) uint64 { return r.Snapshot.Counters[name] }
-
 // ClassErrors folds the per-op outcome counters into one shedding class's
 // totals. Counter-derived (not trace-derived), so it is deterministic at any
 // worker count.
@@ -118,9 +115,9 @@ func (r *Result) ClassErrors(class faults.Class) (ops, errs uint64) {
 		if faults.ClassOf(op) != class {
 			continue
 		}
-		name := metrics.APIOpPrefix + op.String()
-		ops += r.Snapshot.Counters[name+".count"]
-		errs += r.Snapshot.Counters[name+".errors"]
+		series := metrics.APIOp(op.String())
+		ops += r.Snapshot.Counter(series.Count)
+		errs += r.Snapshot.Counter(series.Errors)
 	}
 	return ops, errs
 }
@@ -138,11 +135,7 @@ func (r *Result) ClassErrorRate(class faults.Class) float64 {
 // (serial-run invariants only; parallel-driver latencies are not
 // reproducible).
 func (r *Result) OpP50Ms(op protocol.Op) float64 {
-	h, ok := r.Snapshot.Histograms[metrics.APIOpPrefix+op.String()+".seconds"]
-	if !ok {
-		return 0
-	}
-	return h.P50 * 1e3
+	return r.Snapshot.Histogram(metrics.APIOp(op.String()).Seconds).P50 * 1e3
 }
 
 // Spec is one named catalog entry.

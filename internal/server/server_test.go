@@ -10,6 +10,7 @@ import (
 	"u1/internal/apiserver"
 	"u1/internal/auth"
 	"u1/internal/client"
+	"u1/internal/metrics"
 	"u1/internal/protocol"
 	"u1/internal/wal"
 )
@@ -323,7 +324,7 @@ func TestTCPShardedGateway(t *testing.T) {
 			t.Fatalf("upload through sharded gateway: %v", err)
 		}
 	}
-	if active := c.Metrics.Gauge("gateway.sessions.active").Value(); active != 8 {
+	if active := c.Metrics.Gauge(metrics.GatewaySessionsActive).Value(); active != 8 {
 		t.Errorf("balancer tracks %d active sessions, want 8", active)
 	}
 }
@@ -494,17 +495,35 @@ func TestDirectFileUpdateFlag(t *testing.T) {
 	cl := directClient(t, c, 3, func() time.Time { return now })
 	root, _ := cl.RootVolume()
 
-	h1 := protocol.HashBytes([]byte("v1"))
-	h2 := protocol.HashBytes([]byte("v2"))
-	if _, _, err := cl.UploadSized(root, 0, "notes.doc", h1, 100, 90); err != nil {
-		t.Fatal(err)
+	v := func(s string) protocol.Hash { return protocol.HashBytes([]byte(s)) }
+	put := func(name string, h protocol.Hash) {
+		t.Helper()
+		if _, _, err := cl.UploadSized(root, 0, name, h, 100, 90); err != nil {
+			t.Fatal(err)
+		}
 	}
+	held := func(h protocol.Hash, want bool) {
+		t.Helper()
+		if _, err := c.Blob.HeadHash(h); (err == nil) != want {
+			t.Errorf("blob of %x held = %v, want %v", h[:4], err == nil, want)
+		}
+	}
+	put("notes.doc", v("v1"))
+	put("keep.doc", v("v1")) // a dedup hit: keep.doc holds v1 too
 	// Re-uploading the same name with a different hash is an update (§5.1).
-	if _, _, err := cl.UploadSized(root, 0, "notes.doc", h2, 120, 100); err != nil {
-		t.Fatal(err)
-	}
-	if updates != 1 {
-		t.Errorf("update events = %d, want 1", updates)
+	// An update releases the old content, and the last release deletes its
+	// blob, whichever path linked the new content.
+	put("notes.doc", v("v2")) // uploaded
+	held(v("v1"), true)
+	put("keep.doc", v("v2")) // dedup hit
+	held(v("v1"), false)
+	put("notes.doc", v("v3"))
+	held(v("v2"), true)
+	put("keep.doc", v("v4")) // uploaded
+	held(v("v2"), false)
+	held(v("v3"), true)
+	if updates != 4 {
+		t.Errorf("update events = %d, want 4", updates)
 	}
 }
 

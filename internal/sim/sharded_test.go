@@ -20,7 +20,9 @@ func TestShardedSingleShardMatchesSerialEngine(t *testing.T) {
 	plain := New(t0)
 	var serial []int
 	schedule(plain.At, plain.After, &serial)
-	plainRan := plain.Run()
+	for plain.Step() {
+	}
+	plainRan := plain.Executed()
 
 	se := NewSharded(t0, 1, 0)
 	var sharded []int
@@ -61,8 +63,8 @@ func TestShardedRunsAllShards(t *testing.T) {
 		t.Errorf("ran %d events (counted %d), want 40", total, ran.Load())
 	}
 	for i, e := range se.shards {
-		if e.Pending() != 0 {
-			t.Errorf("shard %d: pending = %d after drain", i, e.Pending())
+		if len(e.events) != 0 {
+			t.Errorf("shard %d: pending = %d after drain", i, len(e.events))
 		}
 	}
 	if se.Executed() != 40 {

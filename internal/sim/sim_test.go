@@ -15,7 +15,9 @@ func TestEventsRunInTimeOrder(t *testing.T) {
 	e.At(t0.Add(3*time.Hour), func() { order = append(order, 3) })
 	e.At(t0.Add(1*time.Hour), func() { order = append(order, 1) })
 	e.At(t0.Add(2*time.Hour), func() { order = append(order, 2) })
-	if n := e.Run(); n != 3 {
+	for e.Step() {
+	}
+	if n := e.Executed(); n != 3 {
 		t.Fatalf("ran %d events", n)
 	}
 	for i, v := range order {
@@ -35,7 +37,8 @@ func TestFIFOWithinSameInstant(t *testing.T) {
 		i := i
 		e.At(t0.Add(time.Minute), func() { order = append(order, i) })
 	}
-	e.Run()
+	for e.Step() {
+	}
 	for i, v := range order {
 		if v != i {
 			t.Fatalf("same-instant events not FIFO: %v", order)
@@ -54,7 +57,8 @@ func TestEventsCanScheduleEvents(t *testing.T) {
 		}
 	}
 	e.After(0, recur)
-	e.Run()
+	for e.Step() {
+	}
 	if hits != 5 {
 		t.Errorf("hits = %d", hits)
 	}
@@ -74,15 +78,16 @@ func TestRunUntilHorizon(t *testing.T) {
 	if n != 3 || len(ran) != 3 {
 		t.Fatalf("ran %d events: %v", n, ran)
 	}
-	if e.Pending() != 2 {
-		t.Errorf("pending = %d", e.Pending())
+	if len(e.events) != 2 {
+		t.Errorf("pending = %d", len(e.events))
 	}
 	// Clock parks exactly at the horizon when it lies beyond the last event.
 	if !e.Now().Equal(t0.Add(3 * time.Hour)) {
 		t.Errorf("clock = %v", e.Now())
 	}
 	// The rest still runs.
-	e.Run()
+	for e.Step() {
+	}
 	if len(ran) != 5 {
 		t.Errorf("total ran = %v", ran)
 	}
@@ -94,7 +99,8 @@ func TestPastEventsClampToNow(t *testing.T) {
 		// Scheduling "yesterday" from inside an event must not rewind time.
 		e.At(t0.Add(-time.Hour), func() {})
 	})
-	e.Run()
+	for e.Step() {
+	}
 	if e.Now().Before(t0.Add(time.Hour)) {
 		t.Errorf("clock went backwards: %v", e.Now())
 	}
@@ -107,7 +113,8 @@ func TestNegativeAfterClamps(t *testing.T) {
 	e := New(t0)
 	var ok bool
 	e.After(-time.Minute, func() { ok = true })
-	e.Run()
+	for e.Step() {
+	}
 	if !ok || !e.Now().Equal(t0) {
 		t.Errorf("ok=%v now=%v", ok, e.Now())
 	}
@@ -118,7 +125,8 @@ func TestClockClosure(t *testing.T) {
 	clock := e.Clock()
 	var seen time.Time
 	e.At(t0.Add(time.Hour), func() { seen = clock() })
-	e.Run()
+	for e.Step() {
+	}
 	if !seen.Equal(t0.Add(time.Hour)) {
 		t.Errorf("clock inside event = %v", seen)
 	}
@@ -162,7 +170,8 @@ func TestHeapOrderMatchesStableSort(t *testing.T) {
 	for id := 0; id < roots; id++ {
 		e.At(rootAt(id), run(id))
 	}
-	e.Run()
+	for e.Step() {
+	}
 
 	type pendingEvent struct {
 		at  time.Time
@@ -228,18 +237,7 @@ func TestSchedulingAllocatesNothingAtSteadySize(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("At+Step allocates %.0f times per event, want 0", allocs)
 	}
-	if e.Pending() != 1024 {
-		t.Errorf("pending = %d, want the steady 1024", e.Pending())
+	if len(e.events) != 1024 {
+		t.Errorf("pending = %d, want the steady 1024", len(e.events))
 	}
 }
-
-// Run drains the queue completely and returns the number of events run.
-func (e *Engine) Run() uint64 {
-	start := e.ran
-	for e.Step() {
-	}
-	return e.ran - start
-}
-
-// Pending returns the number of queued events.
-func (e *Engine) Pending() int { return len(e.events) }

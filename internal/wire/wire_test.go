@@ -100,18 +100,6 @@ func TestVarintOverflow(t *testing.T) {
 	}
 }
 
-func TestWriterReset(t *testing.T) {
-	w := NewWriter(8)
-	w.String("abc")
-	if w.Len() == 0 {
-		t.Fatal("writer should have content")
-	}
-	w.Reset()
-	if w.Len() != 0 {
-		t.Error("reset should clear")
-	}
-}
-
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	payload := []byte("storage_done")
@@ -305,8 +293,8 @@ func TestPayloadEncodesLikeBytes(t *testing.T) {
 		m := fields{before: "head", after: "tail", payload: payload}
 		var joined Writer
 		m.Encode(&joined)
-		if !bytes.Equal(joined.Bytes(), plain.Bytes()) || joined.Len() != plain.Len() {
-			t.Errorf("payload %q: joined %x (len %d), want %x", payload, joined.Bytes(), joined.Len(), plain.Bytes())
+		if !bytes.Equal(joined.Bytes(), plain.Bytes()) {
+			t.Errorf("payload %q: joined %x, want %x", payload, joined.Bytes(), plain.Bytes())
 		}
 
 		var framed, want bytes.Buffer
@@ -348,9 +336,3 @@ func TestFrameWriterKeepsNoLargeBuffer(t *testing.T) {
 		t.Error("frame writer still references the payload it wrote")
 	}
 }
-
-// Len returns the number of encoded bytes.
-func (w *Writer) Len() int { return len(w.buf) + len(w.payload) }
-
-// Reset clears the buffer for reuse.
-func (w *Writer) Reset() { w.buf, w.payload = w.buf[:0], nil }

@@ -53,10 +53,10 @@ func TestDurableWorkersOneMatchesGolden(t *testing.T) {
 			t.Errorf("users=%d seed=%d: %d records, want golden %d", c.users, c.seed, col.Len(), c.records)
 		}
 		snap := cluster.Metrics.Snapshot()
-		if n := snap.Counters[metrics.WALPrefix+"journaled"]; n == 0 {
+		if n := snap.Counter(metrics.WALJournaled); n == 0 {
 			t.Error("no mutation was charged a journal sync; the contract was not exercised")
 		}
-		if n := snap.Counters[metrics.WALPrefix+"errors"]; n != 0 {
+		if n := snap.Counter(metrics.WALErrors); n != 0 {
 			t.Errorf("journal errors during golden run: %d", n)
 		}
 		if err := cluster.Close(); err != nil {
@@ -125,7 +125,7 @@ func TestDurableFaultRunMatchesInMemory(t *testing.T) {
 				}
 			}
 		}
-		if m2.Counters[metrics.WALPrefix+"journaled"] == 0 {
+		if m2.Counter(metrics.WALJournaled) == 0 {
 			t.Errorf("workers=%d: durable run journaled nothing; the contract was not exercised", workers)
 		}
 	}

@@ -66,10 +66,10 @@ func TestFaultPlanDeterministicAcrossRuns(t *testing.T) {
 				}
 			}
 		}
-		if m1.Counters[metrics.FaultsPrefix+"injected"] == 0 {
+		if m1.Counter(metrics.FaultsInjected) == 0 {
 			t.Errorf("workers=%d: plan injected nothing; the contract was not exercised", workers)
 		}
-		if m1.Counters[metrics.FaultsPrefix+"retried"] == 0 {
+		if m1.Counter(metrics.FaultsRetried) == 0 {
 			t.Errorf("workers=%d: no retries arrived; the retry path was not exercised", workers)
 		}
 	}
@@ -130,7 +130,7 @@ func TestFaultPlanShiftsErrorsIntoTrace(t *testing.T) {
 	if failed == 0 {
 		t.Error("no failed records in the trace despite 5% injection")
 	}
-	if snap.Counters[metrics.FaultsPrefix+"injected"] == 0 {
+	if snap.Counter(metrics.FaultsInjected) == 0 {
 		t.Error("injection counter never fired")
 	}
 }

@@ -46,7 +46,7 @@ func requireReplicasConverged(t *testing.T, c *server.Cluster) {
 	t.Helper()
 	st := c.Store
 	st.DrainReplication()
-	if bl := c.Metrics.Gauge(metrics.ReplicationPrefix + "backlog.depth").Value(); bl != 0 {
+	if bl := c.Metrics.Gauge(metrics.ReplBacklogDepth).Value(); bl != 0 {
 		t.Fatalf("backlog %d after drain", bl)
 	}
 	for r := 0; r < st.Regions(); r++ {
