@@ -339,32 +339,6 @@ func BenchmarkHotPathParallelBalancer(b *testing.B) {
 	})
 }
 
-// BenchmarkHotPathParallelShardedBalancer contends the power-of-two-choices
-// balancer: 4 shards, enough that two random choices rarely collide, over a
-// 24-backend fleet (the paper's six machines in four banks), wide enough to
-// populate every shard.
-func BenchmarkHotPathParallelShardedBalancer(b *testing.B) {
-	fleet := make([]string, 0, 4*len(server.DefaultMachines))
-	for i := 0; i < 4; i++ {
-		for _, name := range server.DefaultMachines {
-			fleet = append(fleet, fmt.Sprintf("%s-%d", name, i))
-		}
-	}
-	bal := gateway.NewShardedBalancer(4, fleet...)
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			lease, err := bal.Acquire()
-			if err != nil {
-				b.Error(err)
-				return
-			}
-			bal.Release(lease)
-		}
-	})
-}
-
 // BenchmarkEndToEndUpload measures a full client upload through the
 // in-process stack (auth, make, dedup probe, uploadjob, parts, content).
 func BenchmarkEndToEndUpload(b *testing.B) {

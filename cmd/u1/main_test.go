@@ -40,6 +40,7 @@ func TestRefusedCombinations(t *testing.T) {
 	for _, args := range [][]string{
 		{"sim", "-report", "-out", t.TempDir()},
 		{"serve", "-regions", "2", "-gateway", "127.0.0.1:0"},
+		{"serve", "-machines", "7", "-gateway", "127.0.0.1:0"},
 		{"sim", "-fsync", "async", "-users", "5", "-days", "1"},
 		{"sim", "-repl-delay", "1", "-users", "5", "-days", "1"},
 		{"sim", "-fault-rate", "2", "-users", "5", "-days", "1"},

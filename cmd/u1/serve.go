@@ -37,8 +37,8 @@ func serve(args []string, stdout io.Writer, stop <-chan os.Signal) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *machines < 1 {
-		return fmt.Errorf("-machines %d: need at least one API server", *machines)
+	if *machines < 1 || *machines > len(server.DefaultMachines) {
+		return fmt.Errorf("-machines %d: the fleet has 1 to %d API server machines", *machines, len(server.DefaultMachines))
 	}
 	if cf.regions > 1 {
 		// Cross-region records are applied only when the simulator's epoch
@@ -49,10 +49,7 @@ func serve(args []string, stdout io.Writer, stop <-chan os.Signal) error {
 	if err != nil {
 		return err
 	}
-	cfg.Machines = server.DefaultMachines
-	if *machines < len(cfg.Machines) {
-		cfg.Machines = cfg.Machines[:*machines]
-	}
+	cfg.Machines = server.DefaultMachines[:*machines]
 	cfg.ProcsPerMachine = *procs
 	cfg.InlineData = true
 	cfg.RealSleep = *realSleep

@@ -140,12 +140,7 @@ func TestProxyEndToEnd(t *testing.T) {
 	addrB, stopB := echoServer(t, "B")
 	defer stopB()
 
-	// Two shards over two backends exercises the sharded placement path on
-	// real connections.
-	p := NewShardedProxy(2, map[string]string{"a": addrA, "b": addrB})
-	if got := len(p.Balancer().shards); got != 2 {
-		t.Fatalf("proxy balancer shards = %d, want 2", got)
-	}
+	p := NewProxy(map[string]string{"a": addrA, "b": addrB})
 	reg := metrics.NewRegistry()
 	p.Balancer().Instrument(reg)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -310,13 +305,12 @@ func TestBalancerLeastLoadedInvariantUnderLoad(t *testing.T) {
 
 // TestBalancerMatchesReferenceModel drives random Acquire/Release/
 // AddBackend sequences against a naive map-based model and demands identical
-// placement at every step — the Shards=1 determinism contract: the sharded
-// balancer with one shard is the old least-loaded heap, placement for
+// placement at every step: the heap is the least-loaded rule, placement for
 // placement.
 func TestBalancerMatchesReferenceModel(t *testing.T) {
 	names := []string{"a", "b", "c", "d", "e", "f"}
 	late := []string{"g", "h", "i"} // joined mid-run, with zero load
-	b := NewShardedBalancer(1, names...)
+	b := NewBalancer(names...)
 	ref := make(map[string]int)
 	for _, n := range names {
 		ref[n] = 0
@@ -361,182 +355,50 @@ func TestBalancerMatchesReferenceModel(t *testing.T) {
 	}
 }
 
-// --- Sharded (power-of-two-choices) balancer ---
-
-// shardedNames builds a backend fleet large enough that every shard is
-// populated with high probability.
-func shardedNames(n int) []string {
-	names := make([]string, n)
-	for i := range names {
-		names[i] = fmt.Sprintf("backend-%02d", i)
-	}
-	return names
+// TestShardedBalancerPlacesEverywhere places 2^16 sessions on a 24-backend
+// fleet — the six paper machines (server.DefaultMachines, which this package
+// cannot import) in four banks — and demands every backend hold the mean to
+// within one session: the exact least-loaded rule, with no outliers a broken
+// heap would show. The test and case names date from the sharded balancer,
+// whose one-shard case is the single heap the balancer now is.
+func TestShardedBalancerPlacesEverywhere(t *testing.T) {
+	t.Run("1_shards_24_backends", testPlacesEverywhere)
 }
 
-func TestShardedBalancerPlacesEverywhere(t *testing.T) {
-	// The cluster's 24-backend fleet: the six paper machines
-	// (server.DefaultMachines, which this package cannot import) in four
-	// banks.
+func testPlacesEverywhere(t *testing.T) {
 	var fleet []string
 	for i := 0; i < 4; i++ {
 		for _, m := range []string{"whitecurrant", "blackcurrant", "gooseberry", "cranberry", "elderberry", "boysenberry"} {
 			fleet = append(fleet, fmt.Sprintf("%s-%d", m, i))
 		}
 	}
-	// Power-of-two-choices keeps every backend's load within a small factor
-	// of the mean; a single random choice would show √n-scale outliers, a
-	// broken heap far worse. On the fleet, placement quality as the shard
-	// count grows: one shard is the exact least-loaded rule, each doubling
-	// trades a little balance for less lock contention. Serial placement is
-	// deterministic, so the fleet cases read exactly 1.0001 up to 8 shards
-	// and 1.228 at 16.
-	for _, tc := range []struct {
-		shards, sessions int
-		backends         []string
-		maxOverMean      float64
-	}{
-		{4, 1600, shardedNames(16), 2},
-		{1, 1 << 16, fleet, 1.01},
-		{2, 1 << 16, fleet, 1.01},
-		{4, 1 << 16, fleet, 1.01},
-		{8, 1 << 16, fleet, 1.01},
-		{16, 1 << 16, fleet, 1.25},
-	} {
-		t.Run(fmt.Sprintf("%d_shards_%d_backends", tc.shards, len(tc.backends)), func(t *testing.T) {
-			b := NewShardedBalancer(tc.shards, tc.backends...)
-			if len(b.shards) != tc.shards {
-				t.Fatalf("shards = %d", len(b.shards))
-			}
-			reg := metrics.NewRegistry()
-			b.Instrument(reg)
-			leases := make([]Lease, 0, tc.sessions)
-			act := make(map[string]int)
-			for i := 0; i < tc.sessions; i++ {
-				lease, err := b.Acquire()
-				if err != nil {
-					t.Fatal(err)
-				}
-				leases = append(leases, lease)
-				act[lease.Backend]++
-			}
-			if len(act) != len(tc.backends) {
-				t.Fatalf("active set %v", act)
-			}
-			mean := float64(tc.sessions) / float64(len(tc.backends))
-			for name, n := range act {
-				if float64(n) < mean/2 || float64(n) > tc.maxOverMean*mean {
-					t.Errorf("backend %s holds %d sessions (%.4f of the mean), want within [0.5, %g]",
-						name, n, float64(n)/mean, tc.maxOverMean)
-				}
-			}
-			// Leases release back to the owning shard: everything drains to zero.
-			for _, l := range leases {
-				b.Release(l)
-			}
-			if n := active(reg); n != 0 {
-				t.Errorf("leaked %d sessions after release", n)
-			}
-		})
-	}
-}
-
-func TestShardedBalancerEmptyShards(t *testing.T) {
-	// More shards than backends: some shards are empty and the sampler must
-	// fall through to the populated ones.
-	b := NewShardedBalancer(8, "a", "b")
-	got := make(map[string]int)
-	for i := 0; i < 64; i++ {
+	const sessions = 1 << 16
+	b := NewBalancer(fleet...)
+	reg := metrics.NewRegistry()
+	b.Instrument(reg)
+	leases := make([]Lease, 0, sessions)
+	act := make(map[string]int)
+	for i := 0; i < sessions; i++ {
 		lease, err := b.Acquire()
 		if err != nil {
 			t.Fatal(err)
 		}
-		got[lease.Backend]++
+		leases = append(leases, lease)
+		act[lease.Backend]++
 	}
-	if got["a"]+got["b"] != 64 || got["a"] == 0 || got["b"] == 0 {
-		t.Errorf("placements = %v, want both backends used", got)
+	if len(act) != len(fleet) {
+		t.Fatalf("active set %v", act)
 	}
-	// Every shard empty: Acquire must fail cleanly, not spin or panic.
-	if _, err := NewShardedBalancer(8).Acquire(); !errors.Is(err, ErrNoBackends) {
-		t.Errorf("err = %v, want ErrNoBackends", err)
-	}
-}
-
-func TestShardedBalancerConcurrent(t *testing.T) {
-	b := NewShardedBalancer(4, shardedNames(12)...)
-	reg := metrics.NewRegistry()
-	b.Instrument(reg)
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			held := make([]Lease, 0, 8)
-			for i := 0; i < 500; i++ {
-				lease, err := b.Acquire()
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				held = append(held, lease)
-				if len(held) == 8 {
-					for _, l := range held {
-						b.Release(l)
-					}
-					held = held[:0]
-				}
-			}
-			for _, l := range held {
-				b.Release(l)
-			}
-		}()
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for _, name := range shardedNames(112)[12:] {
-			b.AddBackend(name)
+	mean := float64(sessions) / float64(len(fleet))
+	for name, n := range act {
+		if d := float64(n) - mean; d <= -1 || d >= 1 {
+			t.Errorf("backend %s holds %d sessions, want within one of the mean %.2f", name, n, mean)
 		}
-	}()
-	wg.Wait()
-	if n := active(reg); n != 0 {
-		t.Errorf("leaked %d sessions", n)
 	}
-}
-
-// TestFallThroughLeaseShardMatchesHashShard pins the lease-shard/hash-shard
-// agreement behind Release. Acquire's two-choice sampler can land on two
-// empty shards and fall through to a linear probe over every shard; the probe
-// still takes the backend from the shard its name hashes to, so the recorded
-// lease shard and shardOf(name) must agree — otherwise Release would look for
-// the backend on a shard that does not hold it, and its load would
-// double-count forever. One backend over eight shards makes the fall-through
-// path the common case.
-func TestFallThroughLeaseShardMatchesHashShard(t *testing.T) {
-	const survivor = "backend-00"
-	b := NewShardedBalancer(8, survivor)
-	reg := metrics.NewRegistry()
-	b.Instrument(reg)
-	// With 1 populated shard out of 8, most two-choice samples miss it
-	// (P ≈ (7/8)·(6/7) per draw), so 400 acquires exercise the fall-through
-	// probe hundreds of times.
-	for i := 0; i < 400; i++ {
-		lease, err := b.Acquire()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if lease.Backend != survivor {
-			t.Fatalf("acquire %d placed on %q, want %q", i, lease.Backend, survivor)
-		}
-		if want := b.shardOf(lease.Backend); lease.shard != want {
-			t.Fatalf("acquire %d: lease shard %d != hash shard %d — Release would double-count",
-				i, lease.shard, want)
-		}
-		b.Release(lease)
+	for _, l := range leases {
+		b.Release(l)
 	}
 	if n := active(reg); n != 0 {
-		t.Errorf("survivor load = %d after releasing every lease, want 0", n)
-	}
-	if got := placed(reg, survivor); got != 400 {
-		t.Errorf("survivor placements = %d, want 400", got)
+		t.Errorf("leaked %d sessions after release", n)
 	}
 }

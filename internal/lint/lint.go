@@ -1,8 +1,8 @@
 // Package lint is the repo's contract-enforcing static analysis framework.
 // The properties the simulation is built on — bit-for-bit determinism for a
-// fixed (Seed, Workers, …), journal-under-lock durability, canonical mailbox
-// drain order, and an internal API no larger than the program that calls it —
-// are invariants of the *source*, not of any one test run. This
+// fixed (Seed, Workers, …), journal-under-lock durability, and an internal
+// API no larger than the program that calls it — are invariants of the
+// *source*, not of any one test run. This
 // package loads and type-checks every package in the module with nothing but
 // the standard library (go/parser, go/types, go/importer) and runs a registry
 // of named passes over the typed syntax trees; cmd/u1lint is the CLI that

@@ -8,12 +8,11 @@ import (
 )
 
 // The maporder pass catches Go map iteration order escaping into an ordered
-// sink — the exact bug class the canonical mailbox drain order, the
-// journal-by-resulting-state replication stream, and the sorted-state
-// ShardFingerprint contracts exist to prevent. A `range` over a map is fine
-// when the body is order-independent (counting, deleting, rebuilding another
-// map); it is a finding when the body appends to a slice that outlives the
-// loop, posts simulation messages, writes journal/WAL records, or feeds a
+// sink — the exact bug class the journal-by-resulting-state replication
+// stream and the sorted-state ShardFingerprint contracts exist to prevent. A
+// `range` over a map is fine when the body is order-independent (counting,
+// deleting, rebuilding another map); it is a finding when the body appends
+// to a slice that outlives the loop, writes journal/WAL records, or feeds a
 // hash. The sanctioned fix — collect the keys, sort, then iterate — is
 // recognized and suppressed: an append whose target is later passed to a
 // sort/slices call in the same function is the collect-then-sort idiom, not
@@ -22,7 +21,7 @@ import (
 var maporderPass = &Pass{
 	Name:  "maporder",
 	Allow: "maporder",
-	Doc:   "map iteration order must not escape into slices, posted messages, journals, or hashes",
+	Doc:   "map iteration order must not escape into slices, journals, or hashes",
 	Run:   runMaporder,
 }
 
@@ -186,10 +185,8 @@ func orderedSink(p *Package, sel *ast.SelectorExpr) string {
 	recv := selection.Recv()
 	name := sel.Sel.Name
 	switch name {
-	case "Post":
-		return "posts messages in map iteration order (canonical drain-order contract)"
-	case "commit", "journal", "DeliverReplication":
-		return "emits journal/replication records in map iteration order (journal-under-lock contract)"
+	case "commit", "journal":
+		return "emits journal records in map iteration order (journal-under-lock contract)"
 	case "Write", "Sum":
 		// Duck-check for hash.Hash: iteration order would change the digest.
 		if hasMethods(recv, "Write", "Sum", "Reset", "BlockSize") {

@@ -1,13 +1,8 @@
 // Package mapbad leaks map iteration order into every sink the maporder pass
-// recognizes: escaping appends, posted messages, journal records, hashes, and
-// log appenders.
+// recognizes: escaping appends, journal records, hashes, and log appenders.
 package mapbad
 
 import "crypto/sha1"
-
-type bus struct{}
-
-func (bus) Post(v int) {}
 
 type shard struct{}
 
@@ -26,17 +21,10 @@ func Collect(m map[int]int) []int {
 	return out
 }
 
-// Publish posts simulation messages in iteration order.
-func Publish(b bus, m map[int]int) {
-	for k := range m {
-		b.Post(k) // want: maporder: posts messages in map iteration order
-	}
-}
-
 // Journal emits journal records in iteration order.
 func Journal(s shard, m map[int]int) {
 	for k := range m {
-		s.journal(k) // want: maporder: journal/replication records
+		s.journal(k) // want: maporder: emits journal records
 	}
 }
 

@@ -48,7 +48,7 @@ func TestDeleteVolumeJournalsDropSharesInUserOrder(t *testing.T) {
 
 	// Drain the setup records so only the delete's records remain in the
 	// outboxes.
-	s.CollectReplication()
+	s.ship()
 
 	if _, _, err := s.DeleteVolume(owner, udf.ID); err != nil {
 		t.Fatal(err)

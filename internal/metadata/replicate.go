@@ -16,15 +16,16 @@ import (
 // order, which is apply order, so a drained replica equals its owner — the
 // invariant the region drill's fingerprint comparison enforces.
 //
-// Shipping is epoch-batched: each replication tick (driven by the sharded
-// engine's mailbox barrier in simulation, or TickReplication from a harness)
-// stamps the records published since the last tick and delivers them into
-// every peer region's backlog; a backlog record applies to the peer's replica
-// shards once it has aged ReplicationDelay ticks. Reads resolve through
-// readShardFor: same-region reads always hit the owner shard; cross-region
-// reads go to the owner under read-your-writes (the default) or to the
-// reader region's replica under eventual reads — and always to the replica
-// when the owner region is down.
+// Shipping is epoch-batched. Each replication tick (TickReplication: an
+// AtEpochEnd hook of the sharded engine in simulation, a direct call from a
+// harness or drill) advances the epoch, applies every region's ripe backlog,
+// ships the records published since the last tick into every peer region's
+// backlog stamped with the new epoch, and applies again; a backlog record
+// applies to the peer's replica shards once it has aged ReplicationDelay
+// ticks. Reads resolve through readShardFor: same-region reads always hit the
+// owner shard; cross-region reads go to the owner under read-your-writes (the
+// default) or to the reader region's replica under eventual reads — and
+// always to the replica when the owner region is down.
 //
 // Conflict rule: cross-region writes on shared volumes resolve by
 // (generation, region-id) last-writer-wins — a node-bearing record applies
@@ -58,17 +59,6 @@ type replRecord struct {
 	shard int
 	epoch uint64
 	rec   journalRecord
-}
-
-// ReplicationBatch is one shard's records published in one tick toward one
-// peer region — the payload posted into that region's mailbox. Opaque outside
-// the package: harnesses move batches, only the store reads them.
-type ReplicationBatch struct {
-	// Region is the destination region.
-	Region  int
-	shard   int
-	epoch   uint64
-	records []journalRecord
 }
 
 // regionState is one region's replication-side state.
@@ -111,7 +101,7 @@ type replication struct {
 	m        replMetrics
 
 	// outbox is per owner shard, appended under that shard's write lock by
-	// Store.commit and drained by CollectReplication under the same lock.
+	// Store.commit and drained by ship under the same lock.
 	outbox [][]journalRecord
 
 	// mu guards epoch, state backlogs/pending/revoked/down. Mutations happen
@@ -178,9 +168,6 @@ func (r *replication) regionOf(shard int) int {
 	return shard * r.regions / len(r.outbox)
 }
 
-// ReplicationEnabled reports whether the store replicates across regions.
-func (s *Store) ReplicationEnabled() bool { return s.repl != nil }
-
 // Regions returns the configured region count (1 without replication).
 func (s *Store) Regions() int {
 	if s.repl == nil {
@@ -202,93 +189,52 @@ func (s *Store) RegionOfUser(user protocol.UserID) int {
 	return s.RegionOf(s.ShardFor(user))
 }
 
-// BeginReplicationEpoch opens a new replication tick and returns its index.
-// Called once per epoch barrier, before CollectReplication.
-func (s *Store) BeginReplicationEpoch() uint64 {
+// ship drains every owner shard's publication outbox into each peer region's
+// backlog, stamped with the current tick, in shard order.
+func (s *Store) ship() {
 	r := s.repl
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	r.epoch++
-	e := r.epoch
-	r.mu.Unlock()
-	return e
-}
-
-// CollectReplication drains every owner shard's outbox into per-peer-region
-// batches, stamped with the current tick, in deterministic (region, shard)
-// order. The simulation's pump mailbox posts each batch into its destination
-// region's mailbox; TickReplication delivers them directly.
-func (s *Store) CollectReplication() []ReplicationBatch {
-	r := s.repl
-	if r == nil {
-		return nil
-	}
-	r.mu.RLock()
-	epoch := r.epoch
-	r.mu.RUnlock()
-	var out []ReplicationBatch
-	perShard := make([][]journalRecord, len(s.shards))
 	for i, sh := range s.shards {
 		//u1:allow lockdiscipline outbox drain is the replication tick, not a DAL op
 		sh.mu.Lock()
-		if len(r.outbox[i]) > 0 {
-			perShard[i] = r.outbox[i]
-			r.outbox[i] = nil
-		}
+		recs := r.outbox[i]
+		r.outbox[i] = nil
 		sh.mu.Unlock()
-	}
-	for region := 0; region < r.regions; region++ {
-		for i := range perShard {
-			if perShard[i] == nil || r.regionOf(i) == region {
+		if len(recs) == 0 {
+			continue
+		}
+		r.mu.Lock()
+		for region, st := range r.state {
+			if region == r.regionOf(i) {
 				continue
 			}
-			out = append(out, ReplicationBatch{
-				Region: region, shard: i, epoch: epoch, records: perShard[i],
-			})
+			for _, rec := range recs {
+				st.backlog = append(st.backlog, replRecord{shard: i, epoch: r.epoch, rec: rec})
+			}
+			st.pending[i] += len(recs)
 		}
+		r.mu.Unlock()
 	}
-	return out
 }
 
-// DeliverReplication appends a batch to its destination region's backlog.
-func (s *Store) DeliverReplication(b ReplicationBatch) {
-	r := s.repl
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	st := r.state[b.Region]
-	for i := range b.records {
-		st.backlog = append(st.backlog, replRecord{shard: b.shard, epoch: b.epoch, rec: b.records[i]})
-	}
-	st.pending[b.shard] += len(b.records)
-	r.mu.Unlock()
-}
-
-// ApplyReplication applies region's ripe backlog prefix — records that have
+// applyRipe applies each region's ripe backlog prefix — records that have
 // aged at least the configured delay — to its replica shards, then refreshes
 // the backlog depth gauge.
-func (s *Store) ApplyReplication(region int) {
-	r := s.repl
-	if r == nil {
-		return
-	}
+func (r *replication) applyRipe() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	st := r.state[region]
-	i := 0
-	for ; i < len(st.backlog); i++ {
-		rec := st.backlog[i]
-		if rec.epoch+uint64(r.delay) > r.epoch {
-			break // publication epochs are non-decreasing: the rest is younger
+	for _, st := range r.state {
+		i := 0
+		for ; i < len(st.backlog); i++ {
+			rec := st.backlog[i]
+			if rec.epoch+uint64(r.delay) > r.epoch {
+				break // publication epochs are non-decreasing: the rest is younger
+			}
+			r.applyLocked(st, rec)
+			st.pending[rec.shard]--
 		}
-		r.applyLocked(st, rec)
-		st.pending[rec.shard]--
-	}
-	if i > 0 {
-		st.backlog = append(st.backlog[:0:0], st.backlog[i:]...)
+		if i > 0 {
+			st.backlog = append(st.backlog[:0:0], st.backlog[i:]...)
+		}
 	}
 	r.refreshBacklogGaugeLocked()
 }
@@ -370,21 +316,25 @@ func genWins(st *regionState, sh *shard, vol protocol.VolumeID, gen protocol.Gen
 	return origin > st.lastOrigin[vol]
 }
 
-// TickReplication runs one full replication tick outside the simulation:
-// advance the epoch, ship every published batch, and apply whatever is ripe
-// in every region. The sharded engine's mailbox pump performs the same steps
-// through per-region mailboxes.
+// TickReplication is the replication tick: advance the epoch, apply each
+// region's ripe backlog, ship every outbox into the peer backlogs, then apply
+// again — the second pass only finds work at delay 0, where a record ripens
+// in the tick that ships it. Applying before shipping keeps the previous
+// tick's records out of the backlog the new ones append to, so it does not
+// grow and copy again. The simulator runs it as one AtEpochEnd hook; tests
+// and drills call it directly, and a wall-clock pump would be a ticker
+// calling it.
 func (s *Store) TickReplication() {
-	if s.repl == nil {
+	r := s.repl
+	if r == nil {
 		return
 	}
-	s.BeginReplicationEpoch()
-	for _, b := range s.CollectReplication() {
-		s.DeliverReplication(b)
-	}
-	for region := 0; region < s.repl.regions; region++ {
-		s.ApplyReplication(region)
-	}
+	r.mu.Lock()
+	r.epoch++
+	r.mu.Unlock()
+	r.applyRipe()
+	s.ship()
+	r.applyRipe()
 }
 
 // DrainReplication ticks until every region's backlog is empty — the
@@ -435,9 +385,7 @@ func (s *Store) FailoverRegion(at int) {
 	// published at ack time, so this is what makes "acked before the region
 	// died" imply "present in the failover state". Peer regions receive their
 	// copies too, with normal delay semantics.
-	for _, b := range s.CollectReplication() {
-		s.DeliverReplication(b)
-	}
+	s.ship()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	st := r.state[at]

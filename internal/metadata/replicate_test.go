@@ -365,7 +365,7 @@ func TestCrossRegionShareRevocationFlushesGranteeRegion(t *testing.T) {
 // TestRegionsClampAndDisable pins the config edges: Regions ≤ 1 disables
 // replication entirely, and Regions > Shards is refused rather than clamped.
 func TestRegionsClampAndDisable(t *testing.T) {
-	if s := New(Config{Shards: 4, Regions: 1}); s.ReplicationEnabled() {
+	if s := New(Config{Shards: 4, Regions: 1}); s.repl != nil {
 		t.Fatal("Regions=1 must not enable replication")
 	}
 	if _, err := Open(Config{Shards: 2, Regions: 8}); err == nil || !strings.Contains(err.Error(), "Regions") {

@@ -178,7 +178,7 @@ func init() {
 				return res.DrillErr
 			}
 			if res.Snapshot.Counter(metrics.ReplPublished) == 0 {
-				return fmt.Errorf("workload published no replication records — the mailbox pump is dead")
+				return fmt.Errorf("workload published no replication records — the replication tick is dead")
 			}
 			if res.Snapshot.Counter(metrics.APIRegionRefused) == 0 {
 				return fmt.Errorf("API edge refused no writes during the outage — the down-region refusal is dead")

@@ -117,8 +117,6 @@ type Cluster struct {
 	// (metrics.OpStatsOf folds the per-op latency table) to see per-op
 	// latency, shard balance and traffic mix live.
 	Metrics *metrics.Registry
-
-	gatewayShards int
 }
 
 // NewCluster wires a cluster from cfg. It panics when recovering a durable
@@ -229,12 +227,6 @@ func OpenCluster(cfg Config) (*Cluster, error) {
 		Broker:  broker,
 		RPC:     rpcTier,
 		Metrics: reg,
-		// One balancer shard per 8 backend machines: small fleets (the
-		// 6-machine default included) keep the exact global least-loaded
-		// rule; larger ones shard the gateway's balancer so placement scales
-		// instead of serializing on one heap lock, with power-of-two-choices
-		// between shard heaps.
-		gatewayShards: (len(cfg.Machines) + 7) / 8,
 	}
 	deps := apiserver.Deps{
 		RPC:      rpcTier,
@@ -358,7 +350,7 @@ func (c *Cluster) ListenAndServe(gatewayAddr string) (*TCPCluster, error) {
 	}
 	tc.listeners = append(tc.listeners, gln)
 	tc.GateAddr = gln.Addr()
-	tc.Proxy = gateway.NewShardedProxy(c.gatewayShards, backends)
+	tc.Proxy = gateway.NewProxy(backends)
 	tc.Proxy.Balancer().Instrument(c.Metrics)
 	go tc.Proxy.Serve(gln) //nolint:errcheck
 	return tc, nil

@@ -10,7 +10,6 @@ import (
 	"u1/internal/apiserver"
 	"u1/internal/auth"
 	"u1/internal/client"
-	"u1/internal/metrics"
 	"u1/internal/protocol"
 	"u1/internal/wal"
 )
@@ -288,44 +287,6 @@ func TestDirectReconnectClosesPreviousSession(t *testing.T) {
 	cl.Close()
 	if n := c.Servers[0].SessionCount(); n != 0 {
 		t.Errorf("sessions after close = %d, want 0", n)
-	}
-}
-
-// TestTCPShardedGateway drives real connections through a gateway running
-// more than one balancer shard: the power-of-two-choices proxy must place,
-// serve and drain sessions exactly like the single-shard rule does. Nine
-// machines are one past the 8 a balancer shard covers.
-func TestTCPShardedGateway(t *testing.T) {
-	c := NewCluster(Config{
-		Machines:        []string{"alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta", "theta", "iota"},
-		ProcsPerMachine: 2,
-		Shards:          4,
-		InlineData:      true,
-		Seed:            7,
-	})
-	tc, err := c.ListenAndServe("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(tc.Close)
-	// ListenAndServe hands this count to gateway.NewShardedProxy, and
-	// TestProxyEndToEnd pins that the proxy's balancer gets that many shards.
-	// Two shards always sample both roots, so placement here cannot reveal it.
-	if c.gatewayShards != 2 {
-		t.Fatalf("cluster gateway shards = %d, want 2", c.gatewayShards)
-	}
-	for u := protocol.UserID(300); u < 308; u++ {
-		cl := dialClient(t, tc, u)
-		root, ok := cl.RootVolume()
-		if !ok {
-			t.Fatalf("user %d has no root volume", u)
-		}
-		if _, _, err := cl.Upload(root, 0, "f.txt", []byte("sharded gateway payload")); err != nil {
-			t.Fatalf("upload through sharded gateway: %v", err)
-		}
-	}
-	if active := c.Metrics.Gauge(metrics.GatewaySessionsActive).Value(); active != 8 {
-		t.Errorf("balancer tracks %d active sessions, want 8", active)
 	}
 }
 

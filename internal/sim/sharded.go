@@ -11,11 +11,9 @@ import (
 // ShardedEngine partitions a simulation across W per-shard single-threaded
 // Engines and advances them in bounded virtual-time epochs: every epoch, all
 // shards run concurrently up to a shared horizon, then a barrier closes the
-// epoch and the registered mailboxes drain serially (see mailbox.go) before
+// epoch and the AtEpochEnd hooks run serially, in registration order, before
 // the next epoch opens. Cluster-wide cadence work — the notification pump,
-// the upload-job GC — and cross-shard message consumers (cross-region
-// metadata replication) are all mailbox handlers, drained in one canonical
-// order.
+// the upload-job GC, the cross-region replication tick — is all hooks.
 //
 // Each shard keeps the plain Engine's (time, insertion-seq) determinism
 // internally, so a simulation whose entities are pinned to shards (stable
@@ -23,24 +21,16 @@ import (
 // reproducible for a fixed (seed, shard count) regardless of how the shard
 // goroutines interleave. Shard clocks are mutually skewed by at most one
 // epoch: an event on shard A observes cross-shard state from anywhere inside
-// the same epoch, which is the relaxation that buys parallelism. Mailbox
-// drain order is likewise interleaving-independent: per-sender outboxes
-// merge by (mailbox id, sender, sequence), never by arrival time.
+// the same epoch, which is the relaxation that buys parallelism.
 //
 // With one shard the engine degenerates to the serial case: the single shard
 // runs every epoch on the caller's goroutine in exactly the order stepping a
-// bare Engine would use, and an empty mailbox set makes the barrier free.
+// bare Engine would use, and an empty hook list makes the barrier free.
 type ShardedEngine struct {
 	epoch  time.Duration
 	now    time.Time
 	shards []*Engine
-
-	// mailboxes are the barrier consumers in registration order; outbox slot
-	// 0 holds ControlSender posts, slot i+1 shard i's posts, and seqs are the
-	// matching per-sender sequence counters. See mailbox.go for the contract.
-	mailboxes []func(now time.Time, batch []Message)
-	outbox    [][]post
-	seqs      []uint64
+	hooks  []func(now time.Time)
 }
 
 // DefaultEpoch bounds shard clock skew; it matches the notification pump
@@ -61,8 +51,6 @@ func NewSharded(start time.Time, shards int, epoch time.Duration) *ShardedEngine
 	for i := range s.shards {
 		s.shards[i] = New(start)
 	}
-	s.outbox = make([][]post, shards+1)
-	s.seqs = make([]uint64, shards+1)
 	return s
 }
 
@@ -84,11 +72,10 @@ func (s *ShardedEngine) ShardFor(key uint64) int {
 // AtEpochEnd registers fn to run serially after every epoch barrier with the
 // epoch-end time. Hooks run on the Run goroutine while no shard executes, so
 // they may touch cross-shard state safely; they must not schedule events
-// (use shard 0's engine before Run for scheduled work). A hook is a mailbox
-// consumer that ignores its batch: it fires exactly once per barrier, on the
-// first drain round, in registration order with every other mailbox.
+// (use shard 0's engine before Run for scheduled work). Every hook fires
+// exactly once per barrier, in registration order.
 func (s *ShardedEngine) AtEpochEnd(fn func(now time.Time)) {
-	s.RegisterMailbox(func(now time.Time, _ []Message) { fn(now) })
+	s.hooks = append(s.hooks, fn)
 }
 
 // Executed returns the number of events run so far across all shards.
@@ -125,7 +112,7 @@ func (s *ShardedEngine) horizonFor(next time.Time) time.Time {
 
 // Run drains every shard in epoch lockstep and returns the number of events
 // run. Events scheduled during an epoch for times inside it run in the same
-// epoch; mailboxes (including AtEpochEnd hooks) drain between epochs.
+// epoch; AtEpochEnd hooks run between epochs.
 func (s *ShardedEngine) Run() uint64 {
 	var total uint64
 	for {
@@ -150,6 +137,8 @@ func (s *ShardedEngine) Run() uint64 {
 			total += ran.Load()
 		}
 		s.now = horizon
-		s.drainMailboxes(horizon)
+		for _, fn := range s.hooks {
+			fn(horizon)
+		}
 	}
 }

@@ -11,7 +11,6 @@ import (
 
 	"u1/internal/client"
 	"u1/internal/dist"
-	"u1/internal/metadata"
 	"u1/internal/protocol"
 	"u1/internal/server"
 	"u1/internal/sim"
@@ -603,35 +602,13 @@ func (g *Generator) drawPopular(popRng *rand.Rand, k popKey) popContent {
 // bigContentExts are the types of widely duplicated large contents.
 var bigContentExts = []string{"mp4", "avi", "mkv", "zip", "tar", "mp3"}
 
-// wireReplication drives the store's cross-region replication off the
-// engine's mailbox barrier. One pump mailbox (registered first, so it drains
-// first) opens the replication tick, collects every published batch and posts
-// it into its destination region's mailbox; the per-region mailboxes ingest
-// their batches in a later round of the same barrier and apply whatever has
-// aged past the replication delay. All of it runs in the canonical drain
-// order, so replication state is a pure function of (Seed, Workers, Regions).
-// A no-op for single-region clusters — no mailboxes register and the goldens
-// are untouched.
+// wireReplication runs the store's replication tick as an epoch-end hook, so
+// replication state is a pure function of (Seed, Workers, Regions). A no-op
+// for single-region clusters — no hook registers and the goldens are
+// untouched.
 func (g *Generator) wireReplication() {
-	st := g.c.Store
-	if !st.ReplicationEnabled() {
-		return
-	}
-	boxes := make([]sim.MailboxID, st.Regions())
-	g.se.AtEpochEnd(func(_ time.Time) {
-		st.BeginReplicationEpoch()
-		for _, b := range st.CollectReplication() {
-			g.se.Post(sim.ControlSender, boxes[b.Region], "repl", b)
-		}
-	})
-	for r := range boxes {
-		r := r
-		boxes[r] = g.se.RegisterMailbox(func(_ time.Time, batch []sim.Message) {
-			for _, m := range batch {
-				st.DeliverReplication(m.Payload.(metadata.ReplicationBatch))
-			}
-			st.ApplyReplication(r)
-		})
+	if g.c.Store.Regions() > 1 {
+		g.se.AtEpochEnd(func(time.Time) { g.c.Store.TickReplication() })
 	}
 }
 

@@ -10,12 +10,12 @@ import (
 
 // runRegions drives a small workload against a two-region cluster and
 // returns the generator, collector and cluster for inspection.
-func runRegions(t *testing.T, users, days int, seed int64, workers int, eventual bool) (*Generator, *trace.Collector, *server.Cluster) {
+func runRegions(t *testing.T, users, days int, seed int64, workers int, eventual bool, delay int) (*Generator, *trace.Collector, *server.Cluster) {
 	t.Helper()
 	cluster := server.NewCluster(server.Config{
 		Seed:             seed,
 		Regions:          2,
-		ReplicationDelay: 1,
+		ReplicationDelay: delay,
 		EventualReads:    eventual,
 	})
 	col := trace.NewCollector(trace.Config{Start: PaperStart, Days: days, Shards: cluster.Store.NumShards(), Seed: seed})
@@ -66,7 +66,7 @@ func requireReplicasConverged(t *testing.T, c *server.Cluster) {
 // pure background at epoch barriers, every read still lands on the owner
 // shard, and the Workers=1 pre-shard goldens reproduce bit-for-bit.
 func TestRegionsReadYourWritesMatchesGolden(t *testing.T) {
-	g, col, cluster := runRegions(t, 80, 2, 42, 1, false)
+	g, col, cluster := runRegions(t, 80, 2, 42, 1, false, 1)
 	want := Totals{Users: 80, Sessions: 145, Uploads: 28, Deletes: 9}
 	if got := g.totals; got != want {
 		t.Errorf("totals = %+v, want pre-shard golden %+v", got, want)
@@ -86,8 +86,8 @@ func TestRegionsReadYourWritesMatchesGolden(t *testing.T) {
 // eventual reads (the mode where routing actually depends on backlog state).
 func TestReplicationDeterministic(t *testing.T) {
 	for _, workers := range []int{1, 4} {
-		g1, col1, c1 := runRegions(t, 100, 2, 7, workers, true)
-		g2, col2, c2 := runRegions(t, 100, 2, 7, workers, true)
+		g1, col1, c1 := runRegions(t, 100, 2, 7, workers, true, 1)
+		g2, col2, c2 := runRegions(t, 100, 2, 7, workers, true, 1)
 		if g1.totals != g2.totals {
 			t.Errorf("workers=%d: totals differ:\n%+v\n%+v", workers, g1.totals, g2.totals)
 		}
@@ -105,5 +105,46 @@ func TestReplicationDeterministic(t *testing.T) {
 		}
 		requireReplicasConverged(t, c1)
 		requireReplicasConverged(t, c2)
+	}
+}
+
+// TestReplicationTickPinned pins what the barrier's replication tick leaves
+// behind at the end of Run, before any drain: published, applied and
+// LWW-skipped records, the backlog still waiting, and the lag histogram.
+// Delay 0 applies a record in the tick that ships it, so a tick that drops
+// its apply pass after shipping shows up here as a changed lag sum; delays 1
+// and 2 pin the ageing of records across ticks.
+func TestReplicationTickPinned(t *testing.T) {
+	type pin struct {
+		published, applied, skipped uint64
+		backlog                     int64
+		lagCount                    uint64
+		lagSum                      float64
+	}
+	for _, tc := range []struct {
+		workers, delay int
+		want           pin
+	}{
+		{1, 0, pin{2609, 2609, 0, 0, 2609, 0}},
+		{1, 1, pin{2609, 2609, 0, 0, 2609, 2609}},
+		{1, 2, pin{2609, 2609, 0, 0, 2609, 5218}},
+		{4, 0, pin{2609, 2609, 0, 0, 2609, 0}},
+		{4, 1, pin{2609, 2609, 0, 0, 2609, 2609}},
+		{4, 2, pin{2609, 2609, 0, 0, 2609, 5218}},
+	} {
+		_, _, c := runRegions(t, 100, 2, 7, tc.workers, true, tc.delay)
+		snap := c.Metrics.Snapshot()
+		lag := snap.Histogram(metrics.ReplLagEpochs)
+		got := pin{
+			published: snap.Counter(metrics.ReplPublished),
+			applied:   snap.Counter(metrics.ReplApplied),
+			skipped:   snap.Counter(metrics.ReplLWWSkipped),
+			backlog:   snap.Gauge(metrics.ReplBacklogDepth),
+			lagCount:  lag.Count,
+			lagSum:    lag.Sum,
+		}
+		if got != tc.want {
+			t.Errorf("workers=%d delay=%d: got %#v, want %#v", tc.workers, tc.delay, got, tc.want)
+		}
 	}
 }
