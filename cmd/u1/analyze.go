@@ -47,6 +47,9 @@ func runAnalyze(args []string, stdout io.Writer) error {
 	var raw *analysis.Trace
 	var s *simulation
 	if *traceDir != "" {
+		if pf.days <= 0 {
+			return fmt.Errorf("-days %d: must be positive", pf.days)
+		}
 		ds, err := trace.ReadCSV(*traceDir)
 		if err != nil {
 			return fmt.Errorf("reading trace: %w", err)

@@ -78,11 +78,15 @@ func addPopulationFlags(fs *flag.FlagSet) *populationFlags {
 
 // configs resolves both groups for a generator run. Clients get the bounded
 // virtual-time retry policy when requests can fail: failures are only
-// interesting if clients react to them.
+// interesting if clients react to them. -users and -days must be positive:
+// their zero would silently mean workload.New's default, not what was asked.
 func (p *populationFlags) configs(c *clusterFlags) (server.Config, workload.Config, error) {
 	scfg, err := c.config()
 	if err != nil {
 		return scfg, workload.Config{}, err
+	}
+	if p.users <= 0 || p.days <= 0 {
+		return scfg, workload.Config{}, fmt.Errorf("-users %d -days %d: both must be positive", p.users, p.days)
 	}
 	scfg.AuthFailureRate = p.authFailRate
 	wcfg := workload.Config{Users: p.users, Days: p.days, Seed: c.seed, Workers: p.workers, LowMem: p.compact}
@@ -92,5 +96,5 @@ func (p *populationFlags) configs(c *clusterFlags) (server.Config, workload.Conf
 	if c.faulted() {
 		wcfg.Retry = client.Retry{Max: 2, Backoff: 2 * time.Second}
 	}
-	return scfg, wcfg, nil
+	return scfg, wcfg, wcfg.Validate()
 }

@@ -46,6 +46,10 @@ func TestRefusedCombinations(t *testing.T) {
 		{"sim", "-fault-rate", "2", "-users", "5", "-days", "1"},
 		{"analyze", "-fig", "99", "-users", "5", "-days", "1"},
 		{"analyze", "-table", "7", "-users", "5", "-days", "1"},
+		{"sim", "-users", "-5", "-days", "1"},
+		{"sim", "-users", "0"},
+		{"sim", "-workers", "-1", "-users", "5", "-days", "1"},
+		{"analyze", "-days", "0"},
 	} {
 		if err := run(args, io.Discard); err == nil {
 			t.Errorf("u1 %s: ran, want it refused", strings.Join(args, " "))

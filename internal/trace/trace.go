@@ -4,14 +4,16 @@
 // serialization, and tolerant parsing (≈1% of the original logs failed to
 // parse; this reader skips corrupt lines and counts them).
 //
-// Storage and session records are retained in full (they feed the §5–§6
-// analyses); RPC spans are aggregated on the fly into per-RPC service-time
-// reservoirs and per-shard time bins (the §7 analyses), because a month of
-// spans would not fit in memory at full fidelity — exactly the reduction a
-// production trace pipeline performs.
+// Storage and session records are retained losslessly (they feed the §5–§6
+// analyses) in a delta-varint byte log of about thirty bytes a record, which
+// decodes back to Records on demand; RPC spans are aggregated on the fly into
+// per-RPC service-time reservoirs and per-shard time bins (the §7 analyses),
+// because a month of spans would not fit in memory at full fidelity — exactly
+// the reduction a production trace pipeline performs.
 package trace
 
 import (
+	"encoding/binary"
 	"sync"
 	"time"
 
@@ -42,7 +44,9 @@ const (
 
 // Record is one trace line in compact form. Strings are interned through the
 // collector's tables (server names, extensions); content hashes keep 64 bits,
-// plenty for dedup counting at trace scale.
+// plenty for dedup counting at trace scale. A collector does not hold Records:
+// it encodes each into its record log (recordStore) and decodes them again
+// for Records and the logfile writer.
 type Record struct {
 	Time    int64 // unix nanoseconds
 	Dur     int64 // service time in nanoseconds
@@ -85,37 +89,125 @@ func hashLo(h protocol.Hash) uint64 {
 	return v
 }
 
-// chunkRecords is the capacity of one recordStore chunk: 4096 records of 88
-// bytes are 352 KB, small enough that the unfilled tail of the last chunk is
-// noise and large enough that the chunk index stays a few hundred entries
-// for a month of trace.
-const chunkRecords = 4096
+// chunkBytes is the capacity of one recordStore chunk: 64 KB hold about two
+// thousand encoded records, small enough that the unfilled tail of the last
+// chunk is noise and large enough that the chunk index stays a few hundred
+// entries for a month of trace.
+const chunkBytes = 64 << 10
 
-// recordStore keeps records in arrival order in fixed-size chunks. A chunk
-// is allocated once and never copied, so collecting n records allocates
-// n/chunkRecords chunks and nothing else — a single slice grown by append
-// re-copies itself about five times over on the way to a month of trace.
-// Every chunk but the last is full.
-type recordStore struct {
-	chunks [][]Record
-	n      int
+// hasHash is the presence bit of HashLo in an encoded record's presence byte.
+// Bits 0–4 mark Dur, Volume, Node, Size and Wire, in that order: the wide
+// fields that are often zero and then take no byte at all.
+const hasHash = 1 << 5
+
+// fixedBytes is the fixed part of an encoded record: the presence byte and
+// the nine one-byte fields.
+const fixedBytes = 1 + 9
+
+// maxRecordBytes bounds one encoded record: the fixed part, three zigzag
+// deltas and five uvarints of at most ten bytes each, and the raw hash.
+const maxRecordBytes = fixedBytes + 8*binary.MaxVarintLen64 + 8
+
+// deltaBase is the record before the one being encoded or decoded, as far as
+// the delta-coded fields go: consecutive records in arrival order are close in
+// time and often share a session and user, so their differences take a byte
+// or a few where the values take eight.
+type deltaBase struct {
+	time          int64
+	session, user uint64
 }
 
-func (s *recordStore) add(r Record) {
-	if k := len(s.chunks); k == 0 || len(s.chunks[k-1]) == chunkRecords {
-		s.chunks = append(s.chunks, make([]Record, 0, chunkRecords))
+// encode appends r to b against the base and advances the base to r. The
+// encoding is lossless for every value: the deltas wrap, so time going
+// backwards (arrival order is not time order across generator shards) and IDs
+// at math.MaxUint64 round-trip exactly.
+func (d *deltaBase) encode(b []byte, r *Record) []byte {
+	head := len(b)
+	b = append(b, 0, uint8(r.Kind), r.Op, r.RPC, r.Status, r.Proc, uint8(r.Shard), r.Server, r.Ext, r.Flags)
+	b = binary.AppendVarint(b, r.Time-d.time)
+	b = binary.AppendVarint(b, int64(r.Session-d.session))
+	b = binary.AppendVarint(b, int64(r.User-d.user))
+	d.time, d.session, d.user = r.Time, r.Session, r.User
+	var mask uint8
+	for i, v := range [...]uint64{uint64(r.Dur), r.Volume, r.Node, r.Size, r.Wire} {
+		if v != 0 {
+			mask |= 1 << i
+			b = binary.AppendUvarint(b, v)
+		}
+	}
+	if r.HashLo != 0 {
+		mask |= hasHash
+		b = binary.LittleEndian.AppendUint64(b, r.HashLo)
+	}
+	b[head] = mask
+	return b
+}
+
+// decode reads the record at the head of b into r against the base and
+// advances the base to it, returning the bytes read. Every field of r is
+// overwritten.
+func (d *deltaBase) decode(b []byte, r *Record) int {
+	mask := b[0]
+	r.Kind, r.Op, r.RPC, r.Status, r.Proc = Kind(b[1]), b[2], b[3], b[4], b[5]
+	r.Shard, r.Server, r.Ext, r.Flags = int8(b[6]), b[7], b[8], b[9]
+	n := fixedBytes
+	var delta [3]int64
+	for i := range delta {
+		v, k := binary.Varint(b[n:])
+		delta[i], n = v, n+k
+	}
+	d.time += delta[0]
+	d.session += uint64(delta[1])
+	d.user += uint64(delta[2])
+	r.Time, r.Session, r.User = d.time, d.session, d.user
+	var wide [5]uint64
+	for i := range wide {
+		if mask&(1<<i) != 0 {
+			v, k := binary.Uvarint(b[n:])
+			wide[i], n = v, n+k
+		}
+	}
+	r.Dur, r.Volume, r.Node, r.Size, r.Wire = int64(wide[0]), wide[1], wide[2], wide[3], wide[4]
+	r.HashLo = 0
+	if mask&hasHash != 0 {
+		r.HashLo = binary.LittleEndian.Uint64(b[n:])
+		n += 8
+	}
+	return n
+}
+
+// recordStore keeps records in arrival order as an append-only byte log, each
+// record delta-encoded against the one before it (deltaBase), in fixed-size
+// chunks of pointer-free bytes the garbage collector never scans. A chunk is
+// allocated once and never copied, so collecting n records allocates about
+// one chunk per two thousand records and nothing per record. Records are
+// encoded in place: a chunk is closed when it has less room left than the
+// largest record takes, so no record straddles two chunks and no append ever
+// regrows one.
+type recordStore struct {
+	chunks [][]byte
+	n      int
+	base   deltaBase
+}
+
+func (s *recordStore) add(r *Record) {
+	if k := len(s.chunks); k == 0 || chunkBytes-len(s.chunks[k-1]) < maxRecordBytes {
+		s.chunks = append(s.chunks, make([]byte, 0, chunkBytes))
 	}
 	last := &s.chunks[len(s.chunks)-1]
-	*last = append(*last, r)
+	*last = s.base.encode(*last, r)
 	s.n++
 }
 
-// each calls fn on every record in arrival order, stopping at the first
-// error.
+// each decodes every record in arrival order into one Record and calls fn on
+// it, stopping at the first error. fn must not keep the pointer.
 func (s *recordStore) each(fn func(*Record) error) error {
+	var r Record
+	var d deltaBase
 	for _, chunk := range s.chunks {
-		for i := range chunk {
-			if err := fn(&chunk[i]); err != nil {
+		for off := 0; off < len(chunk); {
+			off += d.decode(chunk[off:], &r)
+			if err := fn(&r); err != nil {
 				return err
 			}
 		}
@@ -128,14 +220,19 @@ func (s *recordStore) slice() []Record {
 	if s.n == 0 {
 		return nil
 	}
-	out := make([]Record, 0, s.n)
+	out := make([]Record, s.n)
+	var d deltaBase
+	i := 0
 	for _, chunk := range s.chunks {
-		out = append(out, chunk...)
+		for off := 0; off < len(chunk); i++ {
+			off += d.decode(chunk[off:], &out[i])
+		}
 	}
 	return out
 }
 
-// reset empties the store, keeping one chunk for the records to come.
+// reset empties the store, keeping one chunk for the records to come; the
+// next record is encoded against zero, as the first one was.
 func (s *recordStore) reset() {
 	if len(s.chunks) > 0 {
 		clear(s.chunks[1:])
@@ -143,6 +240,7 @@ func (s *recordStore) reset() {
 		s.chunks[0] = s.chunks[0][:0]
 	}
 	s.n = 0
+	s.base = deltaBase{}
 }
 
 // RPCAggregate is the streaming reduction of RPC spans.
@@ -318,7 +416,7 @@ func (c *Collector) APIObserver() apiserver.Observer {
 		}
 		c.mu.Lock()
 		defer c.mu.Unlock()
-		c.records.add(Record{
+		c.records.add(&Record{
 			Time:    e.Start.UnixNano(),
 			Dur:     int64(e.Duration),
 			Session: uint64(e.Session),
@@ -351,7 +449,7 @@ func (c *Collector) RPCObserver() rpc.Observer {
 			if sp.Err != nil {
 				status = uint8(protocol.StatusOf(sp.Err))
 			}
-			c.rpcRecs.add(Record{
+			c.rpcRecs.add(&Record{
 				Time:   sp.Start.UnixNano(),
 				Dur:    int64(sp.Service),
 				User:   uint64(sp.User),

@@ -1,6 +1,9 @@
 package trace
 
 import (
+	"encoding/binary"
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -298,9 +301,12 @@ func TestDynamicCollectorAttach(t *testing.T) {
 func TestStreamMatchesWriteCSVByteForByte(t *testing.T) {
 	t.Run("uneven epochs", func(t *testing.T) { streamMatchesWriteCSV(t, 50, 40*time.Minute, 7) })
 	// The record store is chunked: cross three chunk boundaries, with every
-	// flush landing inside a chunk.
+	// flush landing inside a chunk. These records encode to about 37 bytes,
+	// so a chunk holds about 1,770 of them and every flush interval spans
+	// more than one.
 	t.Run("across chunks", func(t *testing.T) {
-		streamMatchesWriteCSV(t, 3*chunkRecords+1000, 10*time.Second, chunkRecords+333)
+		perChunk := chunkBytes / 37
+		streamMatchesWriteCSV(t, 3*perChunk+1000, 10*time.Second, perChunk+333)
 	})
 }
 
@@ -389,26 +395,201 @@ func streamMatchesWriteCSV(t *testing.T, n int, step time.Duration, flushEvery i
 	}
 }
 
-// TestCollectingAllocatesOneChunkAtATime is the allocation guard of the
-// record store: observing a chunk's worth of API events allocates that chunk
-// and nothing per record (the interned server and extension were seen
-// before).
+// TestCollectingAllocatesOneChunkAtATime is the allocation and size guard of
+// the record store, fed a stream shaped like the workload's: one session's
+// ops a few seconds apart, about half of them carrying content. Collecting
+// allocates the store's chunks and nothing per record (the interned servers
+// and extensions were seen before), and the chunks hold at most 32 bytes a
+// record.
 func TestCollectingAllocatesOneChunkAtATime(t *testing.T) {
 	c := NewCollector(Config{Start: t0, Days: 30})
 	obs := c.APIObserver()
-	ev := sampleEvent(protocol.OpPutContent, t0)
-	obs(ev)
-	perChunk := testing.AllocsPerRun(8, func() {
-		for i := 0; i < chunkRecords; i++ {
-			obs(ev)
+	ops := []protocol.Op{protocol.OpGetDelta, protocol.OpPutContent, protocol.OpListVolumes,
+		protocol.OpGetContent, protocol.OpMove, protocol.OpMakeFile}
+	at, fed := t0, 0
+	next := func() apiserver.Event {
+		ev := sampleEvent(ops[fed%len(ops)], at)
+		ev.Node = protocol.NodeID(5000 + fed%700)
+		ev.Duration = time.Duration(2+fed%13) * time.Millisecond
+		if fed%2 == 0 {
+			ev.Hash, ev.Size, ev.Wire, ev.Ext, ev.IsUpdate = protocol.Hash{}, 0, 0, "", false
+		}
+		at = at.Add(time.Duration(1+fed%5) * time.Second)
+		fed++
+		return ev
+	}
+	obs(next())
+	obs(next())
+	const perRun, runs = 16 << 10, 8
+	before := len(c.records.chunks)
+	allocs := testing.AllocsPerRun(runs, func() {
+		for i := 0; i < perRun; i++ {
+			obs(next())
 		}
 	})
-	// One chunk; the doubling of the chunk index amortizes to less than one
-	// more, which AllocsPerRun's integer average drops.
-	if perChunk > 1 {
-		t.Errorf("%d records cost %.0f allocations, want one chunk", chunkRecords, perChunk)
+	// AllocsPerRun makes one warm-up run beside the measured ones.
+	chunks := float64(len(c.records.chunks)-before) / (runs + 1)
+	// The doubling of the chunk index amortizes to less than one more
+	// allocation a run, which AllocsPerRun's integer average drops.
+	if allocs > chunks+1 {
+		t.Errorf("%d records cost %.0f allocations, want about %.1f chunks", perRun, allocs, chunks)
 	}
-	if got, want := c.Len(), 1+9*chunkRecords; got != want {
+	var stored int
+	for _, chunk := range c.records.chunks {
+		stored += cap(chunk)
+	}
+	per := float64(stored) / float64(c.records.n)
+	t.Logf("%.1f bytes a record; %.0f allocations for %.1f chunks a run", per, allocs, chunks)
+	if per > 32 {
+		t.Errorf("the store holds %.1f bytes a record, want at most 32", per)
+	}
+	if got, want := c.Len(), fed; got != want {
 		t.Errorf("Len = %d, want %d", got, want)
 	}
+}
+
+// checkStore asserts that s holds exactly want, in order, through both of
+// its readers, and that no append regrew a chunk.
+func checkStore(t *testing.T, s *recordStore, want []Record) {
+	t.Helper()
+	for i, chunk := range s.chunks {
+		if cap(chunk) != chunkBytes {
+			t.Fatalf("chunk %d has capacity %d, want %d", i, cap(chunk), chunkBytes)
+		}
+	}
+	got := s.slice()
+	if len(got) != len(want) || cap(got) != len(want) || s.n != len(want) {
+		t.Fatalf("slice() len %d cap %d, n %d, want exactly %d", len(got), cap(got), s.n, len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("slice()[%d] = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+	i := 0
+	err := s.each(func(r *Record) error {
+		if i < len(want) && *r != want[i] {
+			return fmt.Errorf("each record %d = %+v, want %+v", i, *r, want[i])
+		}
+		i++
+		return nil
+	})
+	if err == nil && i != len(want) {
+		err = fmt.Errorf("each visited %d records, want %d", i, len(want))
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// adversarialRecords are the values a byte log is most likely to get wrong:
+// zeros, extremes of every wide field, a hash whose high byte is zero, times
+// going backwards, and every kind and shard sentinel.
+func adversarialRecords() []Record {
+	const maxU = math.MaxUint64
+	return []Record{
+		{},
+		{Time: math.MaxInt64, Dur: math.MaxInt64, Session: maxU, User: maxU, Volume: maxU,
+			Node: maxU, HashLo: maxU, Size: maxU, Wire: maxU, Kind: KindRPC, Op: 255, RPC: 255,
+			Status: 255, Proc: 255, Shard: 127, Server: 255, Ext: 255, Flags: 255},
+		{Time: math.MinInt64, Dur: math.MinInt64, Shard: -128},
+		{Time: 0, Dur: -1, Session: 1, User: maxU, HashLo: 0x00ffffffffffffff, Kind: KindSession, Shard: -1},
+		{Time: 1e18, Session: maxU, User: 0, HashLo: 0x0000000000000001, Size: 1 << 63, Kind: KindStorage, Shard: -1},
+		{Time: 5, Session: 0, User: maxU - 1, HashLo: 0x0100000000000000, Wire: 1, Kind: KindStorage, Shard: 127},
+		{Time: -1e18, Dur: 15e6, Session: 1001, User: 42, Volume: 7, Node: 99, Size: 1 << 20,
+			Wire: 900 << 10, Kind: KindStorage, Op: uint8(protocol.OpPutContent), Shard: -1, Flags: FlagUpdate | FlagDir},
+		{Time: 4, Kind: KindRPC, RPC: uint8(protocol.RPCGetDelta), Shard: 3, Status: 1},
+	}
+}
+
+// TestRecordStoreRoundTrip drives the adversarial records through the store
+// across chunk boundaries and a reset: both readers return exactly what went
+// in, in order.
+func TestRecordStoreRoundTrip(t *testing.T) {
+	table := adversarialRecords()
+	var s recordStore
+	// fill adds variations of the table until the store has opened three
+	// more chunks, returning what it added.
+	fill := func() []Record {
+		var added []Record
+		start := len(s.chunks)
+		for i := 0; len(s.chunks) < start+3; i++ {
+			r := table[i%len(table)]
+			if round := i / len(table); round%2 == 1 {
+				r.Time -= int64(round) * int64(time.Hour) // backwards again
+				r.Node ^= uint64(round)
+				r.Session += uint64(round)
+			}
+			s.add(&r)
+			added = append(added, r)
+		}
+		return added
+	}
+	want := fill()
+	checkStore(t, &s, want)
+	want = append(want, fill()...)
+	checkStore(t, &s, want)
+
+	s.reset()
+	checkStore(t, &s, nil)
+	want = fill()
+	checkStore(t, &s, want)
+}
+
+// fuzzRecord reads one record from the head of data: two bytes choosing the
+// wide fields that follow as eight bytes each (a clear bit leaves the field
+// zero), then the nine one-byte fields. Missing bytes read as zero. The top
+// bit asks for a reset of the store before the record is added.
+func fuzzRecord(data []byte) (r Record, reset bool, rest []byte) {
+	next := func(n int) uint64 {
+		var b [8]byte
+		data = data[copy(b[:n], data):]
+		return binary.LittleEndian.Uint64(b[:])
+	}
+	mask := next(2)
+	var w [9]uint64
+	for i := range w {
+		if mask&(1<<i) != 0 {
+			w[i] = next(8)
+		}
+	}
+	r.Time, r.Dur = int64(w[0]), int64(w[1])
+	r.Session, r.User, r.Volume, r.Node, r.HashLo, r.Size, r.Wire = w[2], w[3], w[4], w[5], w[6], w[7], w[8]
+	var b [9]byte
+	data = data[copy(b[:], data):]
+	r.Kind, r.Op, r.RPC, r.Status, r.Proc = Kind(b[0]), b[1], b[2], b[3], b[4]
+	r.Shard, r.Server, r.Ext, r.Flags = int8(b[5]), b[6], b[7], b[8]
+	return r, mask&(1<<15) != 0, data
+}
+
+// FuzzRecordStore builds a record sequence, with resets, from the fuzz bytes:
+// the store returns exactly the records added since the last reset.
+func FuzzRecordStore(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0xff, 0x01, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f})
+	f.Add([]byte{0xff, 0xff, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
+	var seed []byte
+	for _, r := range adversarialRecords() {
+		seed = append(seed, 0xff, 0x01)
+		for _, v := range []uint64{uint64(r.Time), uint64(r.Dur), r.Session, r.User, r.Volume, r.Node, r.HashLo, r.Size, r.Wire} {
+			seed = binary.LittleEndian.AppendUint64(seed, v)
+		}
+		seed = append(seed, uint8(r.Kind), r.Op, r.RPC, r.Status, r.Proc, uint8(r.Shard), r.Server, r.Ext, r.Flags)
+	}
+	f.Add(seed)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var s recordStore
+		var want []Record
+		for len(data) > 0 {
+			r, reset, rest := fuzzRecord(data)
+			if reset {
+				s.reset()
+				want = want[:0]
+			}
+			s.add(&r)
+			want = append(want, r)
+			data = rest
+		}
+		checkStore(t, &s, want)
+	})
 }

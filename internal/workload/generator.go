@@ -61,6 +61,27 @@ type Config struct {
 	LowMem bool
 }
 
+// Validate rejects a config with a negative count or duration, which New
+// would otherwise replace by its default or take as is. Zero keeps meaning
+// "the default". Each error names the offending field.
+func (cfg Config) Validate() error {
+	switch {
+	case cfg.Users < 0:
+		return fmt.Errorf("workload: negative Users %d", cfg.Users)
+	case cfg.Days < 0:
+		return fmt.Errorf("workload: negative Days %d", cfg.Days)
+	case cfg.Workers < 0:
+		return fmt.Errorf("workload: negative Workers %d", cfg.Workers)
+	case cfg.ReconnectBackoff < 0:
+		return fmt.Errorf("workload: negative ReconnectBackoff %v", cfg.ReconnectBackoff)
+	case cfg.Retry.Max < 0:
+		return fmt.Errorf("workload: negative Retry.Max %d", cfg.Retry.Max)
+	case cfg.Retry.Backoff < 0:
+		return fmt.Errorf("workload: negative Retry.Backoff %v", cfg.Retry.Backoff)
+	}
+	return nil
+}
+
 // PaperStart is the first day of the original trace (January 11, 2014).
 var PaperStart = time.Date(2014, 1, 11, 0, 0, 0, 0, time.UTC)
 

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"u1/internal/auth"
+	"u1/internal/client"
 	"u1/internal/dist"
 	"u1/internal/protocol"
 	"u1/internal/server"
@@ -88,6 +89,26 @@ func TestGeneratorDeterministic(t *testing.T) {
 	}
 	if col1.Len() != col2.Len() {
 		t.Errorf("record counts differ: %d vs %d", col1.Len(), col2.Len())
+	}
+}
+
+// TestConfigValidate pins the negative knobs Validate refuses; the zero
+// config, which New fills with defaults, passes.
+func TestConfigValidate(t *testing.T) {
+	for _, cfg := range []Config{
+		{Users: -5},
+		{Days: -1},
+		{Workers: -1},
+		{ReconnectBackoff: -time.Second},
+		{Retry: client.Retry{Max: -1}},
+		{Retry: client.Retry{Backoff: -time.Second}},
+	} {
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("Validate(%+v) = nil, want an error", cfg)
+		}
+	}
+	if err := (Config{}).Validate(); err != nil {
+		t.Errorf("Validate(Config{}) = %v, want nil", err)
 	}
 }
 
