@@ -57,7 +57,7 @@ func benchTrace(b *testing.B) (*analysis.Trace, *analysis.Trace) {
 		users := envInt("U1_BENCH_USERS", 800)
 		days := envInt("U1_BENCH_DAYS", 10)
 		cluster := server.NewCluster(server.Config{
-			Seed: 2, AuthFailureRate: auth.PaperFailureRate, DeltaLogLimit: 96,
+			Seed: 2, AuthFailureRate: auth.PaperFailureRate, Config: metadata.Config{DeltaLogLimit: 96},
 		})
 		col := trace.NewCollector(trace.Config{
 			Start: workload.PaperStart, Days: days,

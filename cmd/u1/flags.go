@@ -8,6 +8,7 @@ import (
 	"u1/internal/auth"
 	"u1/internal/client"
 	"u1/internal/faults"
+	"u1/internal/metadata"
 	"u1/internal/server"
 	"u1/internal/wal"
 	"u1/internal/workload"
@@ -48,10 +49,12 @@ func (c *clusterFlags) config() (server.Config, error) {
 		return server.Config{}, fmt.Errorf("-fault-rate %v outside [0, 1]", c.faultRate)
 	}
 	return server.Config{
+		Config: metadata.Config{
+			Durability: c.durability, FsyncPolicy: policy, SnapshotEvery: c.snapshotEvery,
+			Regions: c.regions, ReplicationDelay: c.replDelay, EventualReads: c.eventual,
+			DeltaLogLimit: c.deltaLog,
+		},
 		Seed: c.seed, FaultPlan: faults.Uniform(c.seed, c.faultRate), AdmitWatermark: c.admitWatermark,
-		Durability: c.durability, FsyncPolicy: policy, SnapshotEvery: c.snapshotEvery,
-		Regions: c.regions, ReplicationDelay: c.replDelay, EventualReads: c.eventual,
-		DeltaLogLimit: c.deltaLog,
 	}, nil
 }
 

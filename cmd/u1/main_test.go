@@ -50,6 +50,9 @@ func TestRefusedCombinations(t *testing.T) {
 		{"sim", "-users", "0"},
 		{"sim", "-workers", "-1", "-users", "5", "-days", "1"},
 		{"analyze", "-days", "0"},
+		{"sim", "-users", "60", "-days", "2", "-workers", "1", "-regions", "2", "-repl-delay", "-5"},
+		{"sim", "-durability", t.TempDir(), "-snapshot-every", "-7", "-users", "5", "-days", "1"},
+		{"serve", "-procs", "-3", "-gateway", "127.0.0.1:0"},
 	} {
 		if err := run(args, io.Discard); err == nil {
 			t.Errorf("u1 %s: ran, want it refused", strings.Join(args, " "))

@@ -40,6 +40,9 @@ func serve(args []string, stdout io.Writer, stop <-chan os.Signal) error {
 	if *machines < 1 || *machines > len(server.DefaultMachines) {
 		return fmt.Errorf("-machines %d: the fleet has 1 to %d API server machines", *machines, len(server.DefaultMachines))
 	}
+	if *procs < 1 {
+		return fmt.Errorf("-procs %d: every machine runs at least one API process", *procs)
+	}
 	if cf.regions > 1 {
 		// Cross-region records are applied only when the simulator's epoch
 		// barrier pumps them; over TCP they would publish and never apply.

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"u1/internal/auth"
+	"u1/internal/metadata"
 	"u1/internal/protocol"
 	"u1/internal/server"
 	"u1/internal/trace"
@@ -29,7 +30,7 @@ func testTrace(t *testing.T) *Trace {
 			Seed: 7, AuthFailureRate: auth.PaperFailureRate,
 			// A small delta log makes clients fall back to rescans at test
 			// scale, exercising the cascade get_from_scratch path.
-			DeltaLogLimit: 48,
+			Config: metadata.Config{DeltaLogLimit: 48},
 		})
 		col := trace.NewCollector(trace.Config{
 			Start: workload.PaperStart, Days: days,

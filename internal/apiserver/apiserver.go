@@ -44,14 +44,12 @@ import (
 
 	"u1/internal/auth"
 	"u1/internal/blob"
-	"u1/internal/cow"
 	"u1/internal/faults"
 	"u1/internal/metadata"
 	"u1/internal/metrics"
 	"u1/internal/notify"
 	"u1/internal/protocol"
 	"u1/internal/rpc"
-	"u1/internal/wal"
 )
 
 // Event is one completed API-level operation, the unit of the paper's
@@ -117,7 +115,9 @@ type Deps struct {
 	SSO *faults.SSOAdmission
 }
 
-// Config parameterizes one API server machine.
+// Config parameterizes one API server machine. The durable tier is not
+// configured here: whether mutations pay a journal sync, and how much, is
+// read from the metadata store behind Deps.RPC (metadata.Store.SyncCost).
 type Config struct {
 	// Name is the machine name used in trace lognames (e.g. "whitecurrant").
 	Name string
@@ -135,18 +135,6 @@ type Config struct {
 	// further data operations are refused with StatusOverloaded (metadata at
 	// 2x, session management at 4x). Zero disables shedding.
 	AdmitWatermark int
-	// Durability marks the metadata store as journaled: dispatch charges
-	// FsyncPolicy's sync cost to every successful mutating operation,
-	// pricing the write-ahead log into the request path.
-	Durability bool
-	// FsyncPolicy is the journal sync policy whose deterministic cost
-	// dispatch charges; ignored unless Durability is set.
-	FsyncPolicy wal.Policy
-	// SyncCostScale multiplies the fsync policy's modeled sync cost — the
-	// slow-disk degradation knob (a failing array syncs slower; the data
-	// stays durable, the request path pays more). 0 means 1 (unscaled).
-	// Ignored unless Durability is set.
-	SyncCostScale float64
 }
 
 // Session is one storage-protocol session: one desktop client connection
@@ -192,7 +180,7 @@ type Server struct {
 
 	// observers is copy-on-write: emit iterates a lock-free snapshot, so the
 	// trace collector can attach mid-traffic.
-	observers cow.List[Observer]
+	observers metrics.ObserverList[Observer]
 
 	// handlers is the per-op dispatch table, built once by registerHandlers
 	// and immutable afterwards.
@@ -226,10 +214,12 @@ type Server struct {
 	faultRetrySuccess *metrics.Counter
 
 	// Durability accounting: successful mutations charged with the journal
-	// sync cost, and the cost itself (resolved once from the fsync policy so
-	// the request path never re-derives it).
+	// sync cost, and the cost itself, both read once from the metadata store
+	// (metadata.Store.SyncCost) so the request path never re-derives them and
+	// a server cannot believe its store durable when it is not.
 	walJournaled *metrics.Counter
 	syncCost     time.Duration
+	journals     bool
 
 	uploadsMu sync.Mutex
 	uploads   map[protocol.UploadID]*pendingUpload
@@ -277,12 +267,7 @@ func New(cfg Config, deps Deps) *Server {
 
 		walJournaled: deps.Metrics.Counter(metrics.WALJournaled),
 	}
-	if cfg.Durability {
-		s.syncCost = cfg.FsyncPolicy.SyncCost()
-		if cfg.SyncCostScale > 0 {
-			s.syncCost = time.Duration(float64(s.syncCost) * cfg.SyncCostScale)
-		}
-	}
+	s.syncCost, s.journals = deps.RPC.Store().SyncCost()
 	if cfg.AdmitWatermark > 0 {
 		s.admission = faults.NewAdmission(cfg.Procs, cfg.AdmitWatermark)
 	}

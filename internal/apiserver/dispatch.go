@@ -244,7 +244,7 @@ func (s *Server) dispatch(c *OpContext) *protocol.Response {
 				s.notifyVolume(origin, p.volume, p.gen)
 			}
 		}
-		if s.cfg.Durability && journalsMutation(req) && (req.Op != protocol.OpPutContent || resp.Reused) {
+		if s.journals && journalsMutation(req) && (req.Op != protocol.OpPutContent || resp.Reused) {
 			c.Cost.Add(s.syncCost)
 			s.walJournaled.Inc()
 		}

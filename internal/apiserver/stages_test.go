@@ -14,7 +14,6 @@ import (
 	"u1/internal/notify"
 	"u1/internal/protocol"
 	"u1/internal/rpc"
-	"u1/internal/wal"
 )
 
 // stageLatency charges every RPC the same service time, so a request's cost
@@ -38,10 +37,10 @@ type stageEnv struct {
 	pushes map[string]*pushLog
 }
 
-func newStageEnv(cfg Config, deps Deps) *stageEnv {
+func newStageEnv(store metadata.Config, cfg Config, deps Deps) *stageEnv {
 	e := &stageEnv{
 		fixture: &fixture{
-			store:  metadata.New(metadata.Config{Shards: 4}),
+			store:  metadata.New(store),
 			blob:   blob.New(blob.Config{KeepData: cfg.InlineData}),
 			auth:   auth.New(auth.Config{Seed: 1}),
 			broker: notify.NewBroker(),
@@ -125,7 +124,6 @@ func TestDispatchStages(t *testing.T) {
 		viaProbe  // Handle with an abort probe reporting a dead client
 	)
 	const ms = time.Millisecond
-	durable := Config{Durability: true, FsyncPolicy: wal.FsyncPerOp}
 	inRoot := func(t *testing.T, e *stageEnv, sess *Session, req *protocol.Request) { req.Volume = e.rootOf(t, sess) }
 	// inNewFile points the request at a new file in the root volume.
 	inNewFile := func(t *testing.T, e *stageEnv, sess *Session, req *protocol.Request) {
@@ -135,8 +133,11 @@ func TestDispatchStages(t *testing.T) {
 	}
 	content := protocol.HashBytes([]byte("content"))
 	rows := []struct {
-		name      string
-		cfg       Config
+		name string
+		cfg  Config
+		// durable opens the row's store journaled (per-op fsync) in a
+		// temporary directory; the server reads its sync charge from it.
+		durable   bool
 		deps      Deps
 		via       int
 		noSession bool
@@ -175,7 +176,7 @@ func TestDispatchStages(t *testing.T) {
 		// One make_file RPC plus the per-op fsync; the change reaches the
 		// user's other session and never echoes to the one that made it.
 		{name: "durable journaled success", req: protocol.Request{ID: 77, Op: protocol.OpMakeFile, Name: "f"},
-			cfg: durable,
+			durable: true,
 			prep: func(t *testing.T, e *stageEnv, sess *Session, req *protocol.Request) {
 				inRoot(t, e, sess, req)
 				e.open(t, 1, "peer")
@@ -185,12 +186,12 @@ func TestDispatchStages(t *testing.T) {
 		// get_reusable_content misses and make_uploadjob opens the job:
 		// nothing is linked, so nothing is journaled until the final part.
 		{name: "durable upload opens a job", req: protocol.Request{ID: 77, Op: protocol.OpPutContent, Name: "f", Hash: content, Size: 100},
-			cfg: durable, prep: inNewFile,
+			durable: true, prep: inNewFile,
 			want: stageWant{status: protocol.StatusOK, cost: 2 * ms, counts: stageCounts{count: 1, hist: 1}}},
 		// get_reusable_content hits and make_content links the file: one
 		// journaled mutation and its fsync.
 		{name: "durable dedup links content", req: protocol.Request{ID: 77, Op: protocol.OpPutContent, Name: "f", Hash: content, Size: 100},
-			cfg: durable,
+			durable: true,
 			prep: func(t *testing.T, e *stageEnv, sess *Session, req *protocol.Request) {
 				first := protocol.Request{Op: protocol.OpPutContent, Name: "first", Hash: content, Size: 100}
 				inNewFile(t, e, sess, &first)
@@ -199,7 +200,7 @@ func TestDispatchStages(t *testing.T) {
 				inNewFile(t, e, sess, req)
 			},
 			want: stageWant{status: protocol.StatusOK, event: true, cost: 2*ms + 5*ms, counts: stageCounts{count: 1, hist: 1, journaled: 1}}},
-		{name: "durable read", req: protocol.Request{ID: 77, Op: protocol.OpListVolumes}, cfg: durable,
+		{name: "durable read", req: protocol.Request{ID: 77, Op: protocol.OpListVolumes}, durable: true,
 			want: stageWant{status: protocol.StatusOK, event: true, cost: ms, counts: stageCounts{count: 1, hist: 1}}},
 		{name: "retried success", req: protocol.Request{ID: 77, Op: protocol.OpPing, Attempt: 1},
 			want: stageWant{status: protocol.StatusOK, event: true, counts: stageCounts{count: 1, hist: 1, retried: 1, retriedOK: 1}}},
@@ -209,7 +210,12 @@ func TestDispatchStages(t *testing.T) {
 
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
-			e := newStageEnv(row.cfg, row.deps)
+			store := metadata.Config{Shards: 4}
+			if row.durable {
+				store.Durability = t.TempDir()
+			}
+			e := newStageEnv(store, row.cfg, row.deps)
+			t.Cleanup(func() { e.store.Close() })
 			var sess *Session
 			if !row.noSession {
 				sess = e.open(t, 1, "origin")

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"u1/internal/blob"
+	"u1/internal/metadata"
 	"u1/internal/metrics"
 	"u1/internal/protocol"
 	"u1/internal/wire"
@@ -29,7 +30,7 @@ type connEnv struct {
 
 func newConnEnv(t testing.TB) *connEnv {
 	t.Helper()
-	e := &connEnv{stageEnv: newStageEnv(Config{InlineData: true}, Deps{})}
+	e := &connEnv{stageEnv: newStageEnv(metadata.Config{Shards: 4}, Config{InlineData: true}, Deps{})}
 	var err error
 	if e.token, err = e.auth.Issue(connUser); err != nil {
 		t.Fatal(err)

@@ -16,8 +16,8 @@ import (
 	"sync"
 	"time"
 
-	"u1/internal/dist"
 	"u1/internal/protocol"
+	"u1/internal/stats"
 )
 
 // PaperFailureRate is the share of SSO requests that failed in the paper's
@@ -149,7 +149,7 @@ func (s *Service) lookup(token string) (protocol.UserID, bool) {
 // got the lock first — is what keeps SSO failures reproducible across runs
 // and under a parallel driver.
 func (s *Service) failureDraw(user protocol.UserID, now time.Time) float64 {
-	z := dist.Splitmix64(uint64(user)*dist.Splitmix64Gamma + uint64(s.seed) + uint64(now.UnixNano()))
+	z := stats.Splitmix64(uint64(user)*stats.Splitmix64Gamma + uint64(s.seed) + uint64(now.UnixNano()))
 	return float64(z>>11) / (1 << 53)
 }
 
@@ -194,8 +194,8 @@ const overloadSalt = 0x5e55_10ad
 // pure function of (Seed, user, now) — the same keying discipline as
 // failureDraw, salted so the two streams never alias.
 func (s *Service) overloadDraw(user protocol.UserID, now time.Time) float64 {
-	z := dist.Splitmix64(dist.Splitmix64(uint64(s.seed)+overloadSalt) +
-		uint64(user)*dist.Splitmix64Gamma + uint64(now.UnixNano()))
+	z := stats.Splitmix64(stats.Splitmix64(uint64(s.seed)+overloadSalt) +
+		uint64(user)*stats.Splitmix64Gamma + uint64(now.UnixNano()))
 	return float64(z>>11) / (1 << 53)
 }
 

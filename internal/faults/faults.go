@@ -34,8 +34,8 @@ package faults
 import (
 	"time"
 
-	"u1/internal/dist"
 	"u1/internal/protocol"
+	"u1/internal/stats"
 )
 
 // Rule is the injection policy for one operation.
@@ -106,8 +106,8 @@ func Uniform(seed int64, rate float64) *Plan {
 // (Seed, user, op, now). Chaining two splitmix rounds keeps the op index —
 // a small integer — from aliasing with nearby seeds or user ids.
 func (p *Plan) draw(user protocol.UserID, op protocol.Op, now time.Time) float64 {
-	z := dist.Splitmix64(dist.Splitmix64(uint64(p.Seed)+uint64(op)*dist.Splitmix64Gamma) +
-		uint64(user)*dist.Splitmix64Gamma + uint64(now.UnixNano()))
+	z := stats.Splitmix64(stats.Splitmix64(uint64(p.Seed)+uint64(op)*stats.Splitmix64Gamma) +
+		uint64(user)*stats.Splitmix64Gamma + uint64(now.UnixNano()))
 	return float64(z>>11) / (1 << 53)
 }
 

@@ -27,7 +27,7 @@ var simDeterministic = map[string]bool{
 	"u1/internal/metadata": true,
 	"u1/internal/faults":   true,
 	"u1/internal/scenario": true,
-	"u1/internal/dist":     true,
+	"u1/internal/stats":    true,
 	"u1/internal/auth":     true,
 }
 

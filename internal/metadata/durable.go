@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"time"
 
 	"u1/internal/metrics"
 	"u1/internal/protocol"
@@ -58,6 +59,7 @@ type durability struct {
 	root          string
 	policy        wal.Policy
 	snapshotEvery int
+	syncCost      time.Duration // modeled per-mutation sync charge (see SyncCost)
 	shards        []*durableShard
 	m             durMetrics
 }
@@ -157,8 +159,12 @@ func (s *Store) openDurability(cfg Config, reg *metrics.Registry) error {
 			journalErr: reg.Counter(metrics.WALErrors),
 		},
 	}
-	if d.snapshotEvery <= 0 {
+	if d.snapshotEvery == 0 {
 		d.snapshotEvery = DefaultSnapshotEvery
+	}
+	d.syncCost = cfg.FsyncPolicy.SyncCost()
+	if cfg.SyncCostScale > 0 {
+		d.syncCost = time.Duration(float64(d.syncCost) * cfg.SyncCostScale)
 	}
 	s.dur = d
 	for i := range s.shards {
@@ -318,6 +324,18 @@ func (s *Store) Close() error {
 		sh.mu.Unlock()
 	}
 	return firstErr
+}
+
+// SyncCost reports whether the store journals its mutations and, if it does,
+// the deterministic sync time each journaled mutation costs the request that
+// made it: the fsync policy's wal.Policy.SyncCost scaled by
+// Config.SyncCostScale. The API servers charge it; async journals report
+// (0, true).
+func (s *Store) SyncCost() (cost time.Duration, journals bool) {
+	if s.dur == nil {
+		return 0, false
+	}
+	return s.dur.syncCost, true
 }
 
 // ShardWALDir returns the journal directory of shard i, for harnesses that

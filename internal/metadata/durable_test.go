@@ -197,8 +197,8 @@ func TestSnapshotCadenceAndTruncation(t *testing.T) {
 }
 
 // TestRecoverTornJournalTail pins the machine-crash case under async fsync: a
-// torn final record is dropped, every earlier record survives, and recovery
-// succeeds rather than erroring.
+// torn final record is dropped, every earlier record survives, recovery
+// succeeds rather than erroring, and the recovered store keeps serving.
 func TestRecoverTornJournalTail(t *testing.T) {
 	dir := t.TempDir()
 	s := openDurable(t, dir, Config{Shards: 1, FsyncPolicy: wal.FsyncAsync})
@@ -227,6 +227,9 @@ func TestRecoverTornJournalTail(t *testing.T) {
 	if len(nodes) != 10 {
 		t.Errorf("recovered %d nodes after torn tail, want 10 (root + 9 intact files)", len(nodes))
 	}
+	if _, err := s.MakeFile(1, root.ID, 0, "after-torn"); err != nil {
+		t.Errorf("MakeFile after torn-tail recovery: %v", err)
+	}
 	s.Close() //nolint:errcheck
 }
 
@@ -234,7 +237,7 @@ func TestRecoverTornJournalTail(t *testing.T) {
 // tier: Close is a no-op, recovery APIs refuse, and ops never journal.
 func TestInMemoryStoreUnchanged(t *testing.T) {
 	s := New(Config{Shards: 2})
-	if s.dur != nil {
+	if _, journals := s.SyncCost(); s.dur != nil || journals {
 		t.Fatal("in-memory store reports durability")
 	}
 	if _, err := s.CreateUser(1); err != nil {

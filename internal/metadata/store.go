@@ -55,6 +55,11 @@ type Config struct {
 	// SnapshotEvery is the per-shard journal record count between snapshots.
 	// 0 means DefaultSnapshotEvery.
 	SnapshotEvery int
+	// SyncCostScale multiplies the fsync policy's modeled sync cost that
+	// SyncCost reports to the API servers — the slow-disk degradation knob (a
+	// failing array syncs slower; the data stays durable, the request path
+	// pays more). 0 means 1 (unscaled).
+	SyncCostScale float64
 	// Regions partitions the shards into contiguous groups with asynchronous
 	// cross-region replication between them (see replicate.go). Values ≤ 1
 	// disable replication; Validate refuses values above Shards.
@@ -74,13 +79,24 @@ type Config struct {
 // deployment).
 const defaultShards = 10
 
-// Validate rejects a config with a knob that only means something beside a
-// knob that is off, or with more regions than shards to hold them: settings
-// Open would otherwise ignore or clamp silently. Each error names the
-// offending field. Open calls it first.
+// Validate rejects a config with a negative count or scale, with a knob that
+// only means something beside a knob that is off, or with more regions than
+// shards to hold them: settings Open would otherwise ignore or clamp
+// silently. Zero keeps meaning "default". Each error names the offending
+// field. Open calls it first.
 func (cfg Config) Validate() error {
+	switch {
+	case cfg.Shards < 0:
+		return fmt.Errorf("metadata: negative Shards %d", cfg.Shards)
+	case cfg.SnapshotEvery < 0:
+		return fmt.Errorf("metadata: negative SnapshotEvery %d", cfg.SnapshotEvery)
+	case cfg.ReplicationDelay < 0:
+		return fmt.Errorf("metadata: negative ReplicationDelay %d", cfg.ReplicationDelay)
+	case cfg.SyncCostScale < 0:
+		return fmt.Errorf("metadata: negative SyncCostScale %v", cfg.SyncCostScale)
+	}
 	shards := cfg.Shards
-	if shards <= 0 {
+	if shards == 0 {
 		shards = defaultShards
 	}
 	if cfg.Durability == "" {
@@ -89,6 +105,8 @@ func (cfg Config) Validate() error {
 			return fmt.Errorf("metadata: FsyncPolicy %v set without Durability", cfg.FsyncPolicy)
 		case cfg.SnapshotEvery != 0:
 			return fmt.Errorf("metadata: SnapshotEvery %d set without Durability", cfg.SnapshotEvery)
+		case cfg.SyncCostScale != 0:
+			return fmt.Errorf("metadata: SyncCostScale %v set without Durability", cfg.SyncCostScale)
 		}
 	}
 	if cfg.Regions <= 1 {

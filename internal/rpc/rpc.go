@@ -16,11 +16,10 @@ import (
 	"sync/atomic"
 	"time"
 
-	"u1/internal/cow"
-	"u1/internal/dist"
 	"u1/internal/metadata"
 	"u1/internal/metrics"
 	"u1/internal/protocol"
+	"u1/internal/stats"
 )
 
 // Span records one RPC against the metadata store.
@@ -46,7 +45,7 @@ type LatencyModel interface {
 // PaperLatency is the calibrated three-class model. Values target the medians
 // and tail mass of Figs. 12–13.
 type PaperLatency struct {
-	read, write, cascade dist.Sampler
+	read, write, cascade stats.Sampler
 }
 
 // NewPaperLatency builds the default calibrated model.
@@ -54,22 +53,22 @@ func NewPaperLatency() *PaperLatency {
 	return &PaperLatency{
 		// Read RPCs: median ≈ 3 ms, lockless parallel access keeps the body
 		// tight; ~8% of calls land in a heavy tail.
-		read: dist.ParetoTailed{
-			Body:  dist.LognormalFromMedian(3e-3, 2.2),
-			Tail:  dist.Pareto{Xm: 30e-3, Alpha: 1.2},
+		read: stats.ParetoTailed{
+			Body:  stats.LognormalFromMedian(3e-3, 2.2),
+			Tail:  stats.Pareto{Xm: 30e-3, Alpha: 1.2},
 			TailP: 0.08,
 		},
 		// Write/update/delete: master-side work, median ≈ 12 ms, ~12% tail.
-		write: dist.ParetoTailed{
-			Body:  dist.LognormalFromMedian(12e-3, 2.5),
-			Tail:  dist.Pareto{Xm: 100e-3, Alpha: 1.2},
+		write: stats.ParetoTailed{
+			Body:  stats.LognormalFromMedian(12e-3, 2.5),
+			Tail:  stats.Pareto{Xm: 100e-3, Alpha: 1.2},
 			TailP: 0.12,
 		},
 		// Cascade: touches many rows (delete_volume, get_from_scratch);
 		// median ≈ 150 ms and the fattest tail (~20%).
-		cascade: dist.ParetoTailed{
-			Body:  dist.LognormalFromMedian(150e-3, 2.8),
-			Tail:  dist.Pareto{Xm: 1.2, Alpha: 1.3},
+		cascade: stats.ParetoTailed{
+			Body:  stats.LognormalFromMedian(150e-3, 2.8),
+			Tail:  stats.Pareto{Xm: 1.2, Alpha: 1.3},
 			TailP: 0.20,
 		},
 	}
@@ -77,7 +76,7 @@ func NewPaperLatency() *PaperLatency {
 
 // Sample implements LatencyModel.
 func (m *PaperLatency) Sample(r *rand.Rand, class protocol.RPCClass) time.Duration {
-	var s dist.Sampler
+	var s stats.Sampler
 	switch class {
 	case protocol.ClassCascade:
 		s = m.cascade
@@ -118,7 +117,7 @@ type atomicSource struct {
 
 // Uint64 implements rand.Source64.
 func (s *atomicSource) Uint64() uint64 {
-	return dist.Splitmix64(s.state.Add(dist.Splitmix64Gamma))
+	return stats.Splitmix64(s.state.Add(stats.Splitmix64Gamma))
 }
 
 // Int63 implements rand.Source.
@@ -141,7 +140,7 @@ type Server struct {
 	// observers is copy-on-write: call() iterates a lock-free snapshot, so
 	// span emission never locks, and dynamic attach is safe mid-traffic (the
 	// trace collector hooks in while the cluster is already serving).
-	observers cow.List[Observer]
+	observers metrics.ObserverList[Observer]
 
 	nextProc uint64
 
@@ -177,7 +176,7 @@ func NewServer(store *metadata.Store, cfg Config) *Server {
 		// reproduce Seed s+1 worker i-1 exactly. Still a pure function of
 		// (Seed, proc), so reproducibility holds.
 		src := &atomicSource{}
-		src.state.Store(dist.Splitmix64(uint64(seed) + uint64(i)*dist.Splitmix64Gamma))
+		src.state.Store(stats.Splitmix64(uint64(seed) + uint64(i)*stats.Splitmix64Gamma))
 		s.procRNG[i] = rand.New(src)
 	}
 	rpcs := protocol.RPCs()

@@ -215,6 +215,27 @@ func init() {
 	})
 
 	register(&Spec{
+		Name: "shard-crash",
+		Description: "every metadata shard crashed and recovered under per-op " +
+			"fsync: journal replay loses nothing, the tier serves a fresh upload",
+		Defaults: Params{Users: 120, Days: 2, Seed: 7},
+		Build: func(p Params) Setup {
+			cl := baseCluster(p)
+			cl.FsyncPolicy = wal.FsyncPerOp
+			return Setup{Cluster: cl, Workload: baseWorkload(p), Durable: true, Drill: shardCrashDrill}
+		},
+		Check: func(res, _ *Result) error {
+			if res.DrillErr != nil {
+				return res.DrillErr
+			}
+			if res.Snapshot.Counter(metrics.WALReplayed) == 0 {
+				return fmt.Errorf("recovery replayed no journal records — the journal path is dead")
+			}
+			return nil
+		},
+	})
+
+	register(&Spec{
 		Name: "thundering-herd",
 		Description: "four-hour brownout (logins included, via a fault-plan " +
 			"phase) then a reconnect-herd resync draining through retries",

@@ -1,8 +1,9 @@
 // Package scenario is the chaos catalog: named, composable operational
 // scenarios — the §5.4 SSO login storm, regional outage and failover,
-// slow-disk degradation, post-outage thundering herds, flash crowds — built
-// from the repo's existing primitives (fault-plan phases, admission
-// watermarks, the SSO token bucket, region drills, attack overlays, client
+// metadata shard crash and journal recovery, slow-disk degradation,
+// post-outage thundering herds, flash crowds — built from the repo's
+// existing primitives (fault-plan phases, admission watermarks, the SSO
+// token bucket, durable-tier and region drills, attack overlays, client
 // retry policies). Each catalog entry's Setup is a pure function of its
 // Params, so a fixed (Seed, Workers, config) reproduces the same scenario
 // report; `u1 chaos` runs a config-driven matrix of entries and writes the

@@ -173,8 +173,8 @@ func TestParamResolution(t *testing.T) {
 // TestCatalogComplete pins the catalog floor the chaos runner ships with and
 // that every entry is runnable: a Build function and an invariant Check.
 func TestCatalogComplete(t *testing.T) {
-	if n := len(Catalog()); n < 5 {
-		t.Fatalf("catalog has %d entries, want >= 5", n)
+	if n := len(Catalog()); n < 6 {
+		t.Fatalf("catalog has %d entries, want >= 6", n)
 	}
 	for _, spec := range Catalog() {
 		if spec.Build == nil {

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"u1/internal/faults"
+	"u1/internal/metadata"
 	"u1/internal/protocol"
 )
 
@@ -23,18 +24,20 @@ const seriesGolden = "testdata/series.golden"
 func clusterSeries(t *testing.T) []byte {
 	t.Helper()
 	c, err := OpenCluster(Config{
-		Machines:         []string{"alpha", "beta"},
-		ProcsPerMachine:  2,
-		Shards:           4,
-		InlineData:       true,
-		Seed:             7,
-		FaultPlan:        &faults.Plan{Seed: 1},
-		AdmitWatermark:   1 << 20,
-		SSOAdmitRate:     100,
-		SSOAdmitBurst:    100,
-		Durability:       t.TempDir(),
-		Regions:          2,
-		ReplicationDelay: 2,
+		Config: metadata.Config{
+			Shards:           4,
+			Durability:       t.TempDir(),
+			Regions:          2,
+			ReplicationDelay: 2,
+		},
+		Machines:        []string{"alpha", "beta"},
+		ProcsPerMachine: 2,
+		InlineData:      true,
+		Seed:            7,
+		FaultPlan:       &faults.Plan{Seed: 1},
+		AdmitWatermark:  1 << 20,
+		SSOAdmitRate:    100,
+		SSOAdmitBurst:   100,
 	})
 	if err != nil {
 		t.Fatal(err)

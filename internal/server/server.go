@@ -20,7 +20,6 @@ import (
 	"u1/internal/metrics"
 	"u1/internal/notify"
 	"u1/internal/rpc"
-	"u1/internal/wal"
 )
 
 // DefaultMachines are the API server machine names. The paper's trace shows
@@ -31,18 +30,19 @@ var DefaultMachines = []string{
 	"cranberry", "elderberry", "boysenberry",
 }
 
-// Config parameterizes a cluster.
+// Config parameterizes a cluster. The embedded metadata.Config is the
+// durable tier's one declaration — shards, delta logs, journal and fsync
+// policy, snapshots, sync-cost scale, regions and replication — and its
+// Metrics is the cluster-wide observability registry: nil creates a fresh
+// one, every tier of the Fig. 1 deployment records into it, and it is
+// exposed as Cluster.Metrics.
 type Config struct {
+	metadata.Config
 	// Machines names the API servers (default: DefaultMachines).
 	Machines []string
 	// ProcsPerMachine is the API process count per machine (default 12,
 	// inside the paper's 8–16 band).
 	ProcsPerMachine int
-	// Shards is the metadata shard count (default 10).
-	Shards int
-	// DeltaLogLimit bounds per-volume delta logs (0 → metadata default;
-	// negative disables the logs entirely, see metadata.Config).
-	DeltaLogLimit int
 	// AuthFailureRate injects SSO failures (paper: auth.PaperFailureRate).
 	AuthFailureRate float64
 	// FaultPlan injects deterministic per-op failures on every API server
@@ -74,35 +74,6 @@ type Config struct {
 	RealSleep bool
 	// Seed drives all stochastic models.
 	Seed int64
-	// Metrics is the cluster-wide observability registry. nil creates a
-	// fresh one; every tier of the Fig. 1 deployment records into it and it
-	// is exposed as Cluster.Metrics.
-	Metrics *metrics.Registry
-	// Durability, when non-empty, roots the metadata store's durable tier in
-	// this directory: per-shard write-ahead journals plus snapshots, with
-	// recovery on open. Empty keeps the store in-memory.
-	Durability string
-	// FsyncPolicy selects when journal appends reach stable storage (and the
-	// deterministic sync cost charged to mutating requests). The zero value
-	// is wal.FsyncPerOp. Validate refuses it without Durability.
-	FsyncPolicy wal.Policy
-	// SnapshotEvery is the per-shard journal record count between snapshots
-	// (0 → metadata.DefaultSnapshotEvery). Validate refuses it without Durability.
-	SnapshotEvery int
-	// SyncCostScale multiplies the fsync policy's modeled sync cost on every
-	// API server — the slow-disk degradation knob (0 means 1, unscaled).
-	// Validate refuses it without Durability.
-	SyncCostScale float64
-	// Regions partitions the metadata shards into contiguous groups with
-	// asynchronous cross-region replication (≤ 1 disables; see
-	// metadata.Config.Regions).
-	Regions int
-	// ReplicationDelay is the cross-region replication delay in epochs
-	// (metadata.Config.ReplicationDelay). Validate refuses it unless Regions > 1.
-	ReplicationDelay int
-	// EventualReads serves cross-region reads from the reader region's
-	// replica instead of the owner shard (metadata.Config.EventualReads).
-	EventualReads bool
 }
 
 // Cluster is a fully wired U1 back-end.
@@ -131,9 +102,12 @@ func NewCluster(cfg Config) *Cluster {
 
 // Validate rejects a config whose knobs lie outside their domain or only
 // mean something beside a knob that is off: combinations a cluster would
-// otherwise ignore silently. Each error names the offending field.
+// otherwise ignore silently. Each error names the offending field. The
+// durable tier's knobs are checked by the embedded metadata.Config.Validate.
 func (cfg Config) Validate() error {
 	switch {
+	case cfg.ProcsPerMachine < 0:
+		return fmt.Errorf("server: negative ProcsPerMachine %d", cfg.ProcsPerMachine)
 	case cfg.AuthFailureRate < 0 || cfg.AuthFailureRate > 1:
 		return fmt.Errorf("server: AuthFailureRate %v outside [0, 1]", cfg.AuthFailureRate)
 	case cfg.AdmitWatermark < 0:
@@ -144,12 +118,8 @@ func (cfg Config) Validate() error {
 		return fmt.Errorf("server: negative SSOAdmitBurst %v", cfg.SSOAdmitBurst)
 	case cfg.AuthCapacity < 0:
 		return fmt.Errorf("server: negative AuthCapacity %v", cfg.AuthCapacity)
-	case cfg.SyncCostScale < 0:
-		return fmt.Errorf("server: negative SyncCostScale %v", cfg.SyncCostScale)
 	case cfg.SSOAdmitBurst != 0 && cfg.SSOAdmitRate == 0:
 		return fmt.Errorf("server: SSOAdmitBurst %v set without SSOAdmitRate", cfg.SSOAdmitBurst)
-	case cfg.SyncCostScale != 0 && cfg.Durability == "":
-		return fmt.Errorf("server: SyncCostScale %v set without Durability", cfg.SyncCostScale)
 	}
 	seen := make(map[string]bool, len(cfg.Machines))
 	for _, name := range cfg.Machines {
@@ -161,22 +131,7 @@ func (cfg Config) Validate() error {
 		}
 		seen[name] = true
 	}
-	return cfg.metadataConfig(nil).Validate()
-}
-
-// metadataConfig is the metadata tier's share of cfg.
-func (cfg Config) metadataConfig(reg *metrics.Registry) metadata.Config {
-	return metadata.Config{
-		Shards:           cfg.Shards,
-		DeltaLogLimit:    cfg.DeltaLogLimit,
-		Metrics:          reg,
-		Durability:       cfg.Durability,
-		FsyncPolicy:      cfg.FsyncPolicy,
-		SnapshotEvery:    cfg.SnapshotEvery,
-		Regions:          cfg.Regions,
-		ReplicationDelay: cfg.ReplicationDelay,
-		EventualReads:    cfg.EventualReads,
-	}
+	return cfg.Config.Validate()
 }
 
 // OpenCluster wires a cluster from cfg, surfacing metadata recovery errors
@@ -197,12 +152,12 @@ func OpenCluster(cfg Config) (*Cluster, error) {
 		seed = 1
 	}
 
-	reg := cfg.Metrics
-	if reg == nil {
-		reg = metrics.NewRegistry()
+	if cfg.Metrics == nil {
+		cfg.Metrics = metrics.NewRegistry()
 	}
+	reg := cfg.Metrics
 
-	store, err := metadata.Open(cfg.metadataConfig(reg))
+	store, err := metadata.Open(cfg.Config)
 	if err != nil {
 		return nil, err
 	}
@@ -245,9 +200,6 @@ func OpenCluster(cfg Config) (*Cluster, error) {
 			InlineData:     cfg.InlineData,
 			Faults:         cfg.FaultPlan,
 			AdmitWatermark: cfg.AdmitWatermark,
-			Durability:     cfg.Durability != "",
-			FsyncPolicy:    cfg.FsyncPolicy,
-			SyncCostScale:  cfg.SyncCostScale,
 		}, deps)
 		c.Servers = append(c.Servers, srv)
 	}

@@ -10,6 +10,7 @@ import (
 	"u1/internal/apiserver"
 	"u1/internal/auth"
 	"u1/internal/client"
+	"u1/internal/metadata"
 	"u1/internal/protocol"
 	"u1/internal/wal"
 )
@@ -18,9 +19,9 @@ import (
 func newTCPCluster(t *testing.T) (*TCPCluster, *Cluster) {
 	t.Helper()
 	c := NewCluster(Config{
+		Config:          metadata.Config{Shards: 4},
 		Machines:        []string{"alpha", "beta", "gamma"},
 		ProcsPerMachine: 4,
-		Shards:          4,
 		InlineData:      true,
 		Seed:            7,
 	})
@@ -269,7 +270,7 @@ func TestTCPReauthRejected(t *testing.T) {
 // dropped-and-redialed desktop client, so the previous session must be
 // closed server-side, not leaked.
 func TestDirectReconnectClosesPreviousSession(t *testing.T) {
-	c := NewCluster(Config{Machines: []string{"solo"}, Shards: 2, Seed: 5})
+	c := NewCluster(Config{Config: metadata.Config{Shards: 2}, Machines: []string{"solo"}, Seed: 5})
 	token, err := c.Auth.Issue(7)
 	if err != nil {
 		t.Fatal(err)
@@ -311,9 +312,9 @@ func TestTCPSessionsSpreadAcrossServers(t *testing.T) {
 func newDirectCluster(t *testing.T) *Cluster {
 	t.Helper()
 	return NewCluster(Config{
+		Config:          metadata.Config{Shards: 4},
 		Machines:        []string{"m1", "m2"},
 		ProcsPerMachine: 2,
-		Shards:          4,
 		Seed:            13,
 	})
 }
@@ -492,7 +493,8 @@ func TestDirectRescanAfterLogTruncation(t *testing.T) {
 	// A tiny delta log forces the second device through the
 	// RescanFromScratch path of Fig. 8.
 	c := NewCluster(Config{
-		Machines: []string{"m"}, Shards: 2, Seed: 3, DeltaLogLimit: 8,
+		Config:   metadata.Config{Shards: 2, DeltaLogLimit: 8},
+		Machines: []string{"m"}, Seed: 3,
 	})
 	now := time.Unix(1390000000, 0)
 	clock := func() time.Time { return now }
@@ -566,14 +568,18 @@ func TestConfigValidate(t *testing.T) {
 		{"SSOAdmitBurst", Config{SSOAdmitRate: 1, SSOAdmitBurst: -1}},
 		{"SSOAdmitBurst", Config{SSOAdmitBurst: 6}},
 		{"AuthCapacity", Config{AuthCapacity: -2}},
-		{"SyncCostScale", Config{Durability: "d", SyncCostScale: -1}},
-		{"FsyncPolicy", Config{FsyncPolicy: wal.FsyncAsync}},
-		{"SnapshotEvery", Config{SnapshotEvery: 64}},
-		{"SyncCostScale", Config{SyncCostScale: 16}},
-		{"ReplicationDelay", Config{ReplicationDelay: 1}},
-		{"ReplicationDelay", Config{Regions: 1, ReplicationDelay: 2}},
-		{"EventualReads", Config{EventualReads: true}},
-		{"Regions", Config{Regions: 20, Shards: 4}},
+		{"ProcsPerMachine", Config{ProcsPerMachine: -3}},
+		{"Shards", Config{Config: metadata.Config{Shards: -1}}},
+		{"SnapshotEvery", Config{Config: metadata.Config{Durability: "d", SnapshotEvery: -7}}},
+		{"ReplicationDelay", Config{Config: metadata.Config{Regions: 2, ReplicationDelay: -5}}},
+		{"SyncCostScale", Config{Config: metadata.Config{Durability: "d", SyncCostScale: -1}}},
+		{"FsyncPolicy", Config{Config: metadata.Config{FsyncPolicy: wal.FsyncAsync}}},
+		{"SnapshotEvery", Config{Config: metadata.Config{SnapshotEvery: 64}}},
+		{"SyncCostScale", Config{Config: metadata.Config{SyncCostScale: 16}}},
+		{"ReplicationDelay", Config{Config: metadata.Config{ReplicationDelay: 1}}},
+		{"ReplicationDelay", Config{Config: metadata.Config{Regions: 1, ReplicationDelay: 2}}},
+		{"EventualReads", Config{Config: metadata.Config{EventualReads: true}}},
+		{"Regions", Config{Config: metadata.Config{Regions: 20, Shards: 4}}},
 		{"Machines", Config{Machines: []string{"alpha", "beta", "alpha"}}},
 	}
 	for _, c := range bad {
@@ -588,11 +594,11 @@ func TestConfigValidate(t *testing.T) {
 
 	good := []Config{
 		{},
-		{Seed: 3, AuthFailureRate: auth.PaperFailureRate, DeltaLogLimit: -1},
+		{Seed: 3, AuthFailureRate: auth.PaperFailureRate, Config: metadata.Config{DeltaLogLimit: -1}},
 		{AuthCapacity: 0.5, SSOAdmitRate: 0.3, SSOAdmitBurst: 6},
-		{Durability: "d", FsyncPolicy: wal.FsyncGroupCommit, SnapshotEvery: 64, SyncCostScale: 16},
-		{Regions: 2, ReplicationDelay: 2, EventualReads: true},
-		{Regions: 4, Shards: 4},
+		{Config: metadata.Config{Durability: "d", FsyncPolicy: wal.FsyncGroupCommit, SnapshotEvery: 64, SyncCostScale: 16}},
+		{Config: metadata.Config{Regions: 2, ReplicationDelay: 2, EventualReads: true}},
+		{Config: metadata.Config{Regions: 4, Shards: 4}},
 		{Machines: []string{"alpha", "beta"}},
 	}
 	for _, cfg := range good {

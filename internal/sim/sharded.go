@@ -5,7 +5,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"u1/internal/dist"
+	"u1/internal/stats"
 )
 
 // ShardedEngine partitions a simulation across W per-shard single-threaded
@@ -66,7 +66,7 @@ func (s *ShardedEngine) Shard(i int) *Engine { return s.shards[i] }
 // mix, so the assignment is uniform and independent of the shard count's
 // divisibility structure.
 func (s *ShardedEngine) ShardFor(key uint64) int {
-	return int(dist.Splitmix64(key+dist.Splitmix64Gamma) % uint64(len(s.shards)))
+	return int(stats.Splitmix64(key+stats.Splitmix64Gamma) % uint64(len(s.shards)))
 }
 
 // AtEpochEnd registers fn to run serially after every epoch barrier with the

@@ -1,9 +1,10 @@
-// Package dist provides the random-variate samplers the workload generator
-// and latency models draw from. Every distribution here mirrors a fitted
-// curve from the paper (lognormal bodies, Pareto tails, Zipf content
-// popularity, diurnal session modulation); the generative models in
-// internal/workload and internal/rpc compose them.
-package dist
+package stats
+
+// The random-variate samplers below are what the workload generator and
+// latency models draw from. Every distribution here mirrors a fitted curve
+// from the paper (lognormal bodies, Pareto tails, Zipf content popularity,
+// diurnal session modulation); the generative models in internal/workload
+// and internal/rpc compose them.
 
 import (
 	"math"

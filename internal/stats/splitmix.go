@@ -1,4 +1,4 @@
-package dist
+package stats
 
 // Splitmix64Gamma is the splitmix64 stream increment (the golden-ratio
 // constant): advancing a state by it and mixing yields the next draw.

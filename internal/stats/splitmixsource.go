@@ -1,4 +1,4 @@
-package dist
+package stats
 
 // SplitmixSource adapts the repo's splitmix64 stream to math/rand.Source64.
 // It carries 8 bytes of state instead of the ~5 KB lagged-Fibonacci state a

@@ -1,7 +1,9 @@
 // Package stats implements the descriptive statistics used by the UbuntuOne
 // measurement study: empirical CDFs, quantiles, histograms, autocorrelation,
 // Lorenz curves and Gini coefficients, Pearson correlation, box-plot summaries
-// and maximum-likelihood power-law fits.
+// and maximum-likelihood power-law fits — and, in the other direction, the
+// random-variate samplers and splitmix64 streams the generative models draw
+// from (dist.go, splitmix*.go).
 //
 // The Go ecosystem has no canonical statistics stack, so everything the
 // analysis layer needs is implemented here from first principles on top of

@@ -8,6 +8,7 @@ import (
 
 	"u1/internal/client"
 	"u1/internal/faults"
+	"u1/internal/metadata"
 	"u1/internal/metrics"
 	"u1/internal/server"
 	"u1/internal/trace"
@@ -35,7 +36,7 @@ func TestDurableWorkersOneMatchesGolden(t *testing.T) {
 	}
 	for _, c := range golden {
 		cluster, err := server.OpenCluster(server.Config{
-			Seed: c.seed, Durability: t.TempDir(), FsyncPolicy: wal.FsyncPerOp,
+			Seed: c.seed, Config: metadata.Config{Durability: t.TempDir(), FsyncPolicy: wal.FsyncPerOp},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -70,7 +71,7 @@ func durableFaultRun(t *testing.T, workers int, plan *faults.Plan, retry client.
 	t.Helper()
 	cluster, err := server.OpenCluster(server.Config{
 		Seed: 3, FaultPlan: plan,
-		Durability: t.TempDir(), FsyncPolicy: wal.FsyncGroupCommit,
+		Config: metadata.Config{Durability: t.TempDir(), FsyncPolicy: wal.FsyncGroupCommit},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -10,10 +10,10 @@ import (
 	"time"
 
 	"u1/internal/client"
-	"u1/internal/dist"
 	"u1/internal/protocol"
 	"u1/internal/server"
 	"u1/internal/sim"
+	"u1/internal/stats"
 )
 
 // Config parameterizes a trace generation run.
@@ -117,8 +117,8 @@ type genShard struct {
 	// zipf and bigZipf draw popular-content ranks. Per-shard streams seeded
 	// from (Seed, shard) keep draws lock-free and reproducible; shard 0
 	// carries the legacy stream so Workers=1 matches the serial generator.
-	zipf    *dist.Zipf
-	bigZipf *dist.Zipf
+	zipf    *stats.Zipf
+	bigZipf *stats.Zipf
 	// users lists the shard's population in global creation order (share
 	// targets are drawn from here, keeping cross-user interactions inside
 	// the shard's deterministic event order).
@@ -364,7 +364,7 @@ func shardSeed(seed, base int64, shard int) int64 {
 	if shard == 0 {
 		return seed + base
 	}
-	return int64(dist.Splitmix64(uint64(seed+base) + uint64(shard)*dist.Splitmix64Gamma))
+	return int64(stats.Splitmix64(uint64(seed+base) + uint64(shard)*stats.Splitmix64Gamma))
 }
 
 // New creates a generator bound to a cluster. The generator owns its sharded
@@ -417,9 +417,9 @@ func New(cfg Config, c *server.Cluster) *Generator {
 		g.shards[i] = &genShard{
 			eng:  g.se.Shard(i),
 			prof: g.prof,
-			zipf: dist.NewZipf(rand.New(rand.NewSource(
+			zipf: stats.NewZipf(rand.New(rand.NewSource(
 				shardSeed(cfg.Seed, 7, i))), g.prof.ZipfS, zipfN),
-			bigZipf: dist.NewZipf(rand.New(rand.NewSource(
+			bigZipf: stats.NewZipf(rand.New(rand.NewSource(
 				shardSeed(cfg.Seed, 13, i))), 1.25, bigN),
 		}
 	}
@@ -431,7 +431,7 @@ func New(cfg Config, c *server.Cluster) *Generator {
 // source under LowMem.
 func (g *Generator) userSource(seed int64) rand.Source {
 	if g.cfg.LowMem {
-		return dist.NewSplitmixSource(seed)
+		return stats.NewSplitmixSource(seed)
 	}
 	return rand.NewSource(seed)
 }
@@ -610,7 +610,7 @@ func (g *Generator) drawPopular(popRng *rand.Rand, k popKey) popContent {
 	var c popContent
 	if k.big {
 		c.ext = g.prof.ExtByName(bigContentExts[popRng.Intn(len(bigContentExts))])
-		c.size = uint64(dist.LognormalFromMedian(25<<20, 3).Sample(popRng))
+		c.size = uint64(stats.LognormalFromMedian(25<<20, 3).Sample(popRng))
 		c.hash = protocol.HashBytes([]byte(fmt.Sprintf("popbig-%d", k.rank)))
 	} else {
 		c.ext = g.prof.PickPopularExtension(popRng)

@@ -7,7 +7,7 @@
 package workload
 
 import (
-	"u1/internal/dist"
+	"u1/internal/stats"
 )
 
 // Category is the 7-way file classification of Fig. 4c.
@@ -50,21 +50,21 @@ type ExtProfile struct {
 	Ext      string
 	Cat      Category
 	Weight   float64 // relative frequency among uploaded files
-	Size     dist.Sampler
+	Size     stats.Sampler
 	Compress float64 // wire bytes = Compress × plain bytes
 }
 
 // sizer builds the common file-size shape: a lognormal body (the per-
 // extension CDFs of Fig. 4b span decades) with an optional Pareto tail for
 // types that produce very large files.
-func sizer(median, spread float64) dist.Sampler {
-	return dist.LognormalFromMedian(median, spread)
+func sizer(median, spread float64) stats.Sampler {
+	return stats.LognormalFromMedian(median, spread)
 }
 
-func tailedSizer(median, spread, tailP, tailStart, tailAlpha float64) dist.Sampler {
-	return dist.ParetoTailed{
-		Body:  dist.LognormalFromMedian(median, spread),
-		Tail:  dist.Pareto{Xm: tailStart, Alpha: tailAlpha},
+func tailedSizer(median, spread, tailP, tailStart, tailAlpha float64) stats.Sampler {
+	return stats.ParetoTailed{
+		Body:  stats.LognormalFromMedian(median, spread),
+		Tail:  stats.Pareto{Xm: tailStart, Alpha: tailAlpha},
 		TailP: tailP,
 	}
 }
@@ -168,7 +168,7 @@ type classParams struct {
 	upP, downP float64
 	// weight samples the user's long-run activity multiplier; its spread
 	// across users produces the Gini ≈ 0.89 traffic concentration.
-	weight dist.Sampler
+	weight stats.Sampler
 	// sessionsPerDay is the base session arrival rate.
 	sessionsPerDay float64
 }
@@ -180,22 +180,22 @@ type classParams struct {
 var classParamsTab = [...]classParams{
 	Occasional: {
 		activeP: 0.0045, upP: 0.40, downP: 0.42,
-		weight:         dist.LognormalFromMedian(0.08, 2.5),
+		weight:         stats.LognormalFromMedian(0.08, 2.5),
 		sessionsPerDay: 1.6,
 	},
 	UploadOnly: {
 		activeP: 0.12, upP: 0.70, downP: 0.02,
-		weight:         dist.ParetoTailed{Body: dist.LognormalFromMedian(1, 3), Tail: dist.Pareto{Xm: 12, Alpha: 1.05}, TailP: 0.06},
+		weight:         stats.ParetoTailed{Body: stats.LognormalFromMedian(1, 3), Tail: stats.Pareto{Xm: 12, Alpha: 1.05}, TailP: 0.06},
 		sessionsPerDay: 2.2,
 	},
 	DownloadOnly: {
 		activeP: 0.12, upP: 0.02, downP: 0.70,
-		weight:         dist.ParetoTailed{Body: dist.LognormalFromMedian(1, 3), Tail: dist.Pareto{Xm: 12, Alpha: 1.05}, TailP: 0.06},
+		weight:         stats.ParetoTailed{Body: stats.LognormalFromMedian(1, 3), Tail: stats.Pareto{Xm: 12, Alpha: 1.05}, TailP: 0.06},
 		sessionsPerDay: 2.2,
 	},
 	Heavy: {
 		activeP: 0.26, upP: 0.37, downP: 0.40,
-		weight:         dist.ParetoTailed{Body: dist.LognormalFromMedian(2, 3.5), Tail: dist.Pareto{Xm: 30, Alpha: 0.85}, TailP: 0.10},
+		weight:         stats.ParetoTailed{Body: stats.LognormalFromMedian(2, 3.5), Tail: stats.Pareto{Xm: 30, Alpha: 0.85}, TailP: 0.10},
 		sessionsPerDay: 3.4,
 	},
 }
@@ -210,19 +210,19 @@ func params(c Class) *classParams {
 // Profile bundles every distribution the generator draws from.
 type Profile struct {
 	Extensions []ExtProfile
-	extPick    *dist.Categorical
-	popPick    *dist.Categorical
+	extPick    *stats.Categorical
+	popPick    *stats.Categorical
 
 	// SessionLength: 32% sub-second (NAT churn), lognormal body, 97% < 8 h.
 	ShortSessionP float64
-	ShortSession  dist.Sampler
-	SessionBody   dist.Sampler
+	ShortSession  stats.Sampler
+	SessionBody   stats.Sampler
 
 	// Burst structure inside active sessions.
-	OpsPerActiveSession dist.Sampler // long-tailed (Fig. 16 inner plot)
-	BatchSize           dist.Sampler // files per directory-granularity burst
-	IntraBurstGap       dist.Sampler // seconds between ops of one burst
-	InterBurstGap       dist.Sampler // the Fig. 9 power-law tail
+	OpsPerActiveSession stats.Sampler // long-tailed (Fig. 16 inner plot)
+	BatchSize           stats.Sampler // files per directory-granularity burst
+	IntraBurstGap       stats.Sampler // seconds between ops of one burst
+	InterBurstGap       stats.Sampler // the Fig. 9 power-law tail
 
 	// Content popularity: dedup hits come from a Zipf universe.
 	PopularContentP float64
@@ -251,8 +251,8 @@ type Profile struct {
 	ShareP float64
 
 	// Diurnal modulation (§5.1, §7.3).
-	Sessions dist.Diurnal
-	Activity dist.Diurnal
+	Sessions stats.Diurnal
+	Activity stats.Diurnal
 }
 
 // DefaultProfile returns the calibrated profile.
@@ -260,18 +260,18 @@ func DefaultProfile() *Profile {
 	p := &Profile{
 		Extensions:    DefaultExtensions(),
 		ShortSessionP: 0.32,
-		ShortSession:  dist.Uniform{Lo: 0.05, Hi: 1.0},
-		SessionBody: dist.ParetoTailed{
-			Body:  dist.LognormalFromMedian(45*60, 3.2), // 45 min median
-			Tail:  dist.Pareto{Xm: 8 * 3600, Alpha: 1.6},
+		ShortSession:  stats.Uniform{Lo: 0.05, Hi: 1.0},
+		SessionBody: stats.ParetoTailed{
+			Body:  stats.LognormalFromMedian(45*60, 3.2), // 45 min median
+			Tail:  stats.Pareto{Xm: 8 * 3600, Alpha: 1.6},
 			TailP: 0.035,
 		},
-		OpsPerActiveSession: dist.BoundedPareto{Xm: 11, Cap: 50000, Alpha: 0.66},
-		BatchSize:           dist.ParetoTailed{Body: dist.LognormalFromMedian(2.5, 2), Tail: dist.Pareto{Xm: 25, Alpha: 1.6}, TailP: 0.08},
-		IntraBurstGap:       dist.LognormalFromMedian(1.2, 3),
-		InterBurstGap: dist.ParetoTailed{
-			Body:  dist.LognormalFromMedian(8, 3),
-			Tail:  dist.Pareto{Xm: 41.37, Alpha: 0.54}, // Fig. 9b upload fit
+		OpsPerActiveSession: stats.BoundedPareto{Xm: 11, Cap: 50000, Alpha: 0.66},
+		BatchSize:           stats.ParetoTailed{Body: stats.LognormalFromMedian(2.5, 2), Tail: stats.Pareto{Xm: 25, Alpha: 1.6}, TailP: 0.08},
+		IntraBurstGap:       stats.LognormalFromMedian(1.2, 3),
+		InterBurstGap: stats.ParetoTailed{
+			Body:  stats.LognormalFromMedian(8, 3),
+			Tail:  stats.Pareto{Xm: 41.37, Alpha: 0.54}, // Fig. 9b upload fit
 			TailP: 0.35,
 		},
 		EditBurstP:      0.33,
@@ -285,10 +285,10 @@ func DefaultProfile() *Profile {
 		SyncBackP: 0.28,
 		UDFP:      0.10,
 		ShareP:    0.0025,
-		Sessions: dist.Diurnal{
+		Sessions: stats.Diurnal{
 			PeakHour: 13, Amplitude: 3.2, MondayBoost: 0.08, WeekendDip: 0.07,
 		},
-		Activity: dist.Diurnal{
+		Activity: stats.Diurnal{
 			PeakHour: 14, Amplitude: 3.5, MondayBoost: 0.06, WeekendDip: 0.07,
 		},
 	}
@@ -296,12 +296,12 @@ func DefaultProfile() *Profile {
 	for i, e := range p.Extensions {
 		weights[i] = e.Weight
 	}
-	p.extPick = dist.NewCategorical(weights...)
+	p.extPick = stats.NewCategorical(weights...)
 	return p
 }
 
 // PickExtension samples an extension profile.
-func (p *Profile) PickExtension(r dist.Rand) *ExtProfile {
+func (p *Profile) PickExtension(r stats.Rand) *ExtProfile {
 	return &p.Extensions[p.extPick.Draw(r)]
 }
 
@@ -318,13 +318,13 @@ var popularExtNames = []struct {
 }
 
 // PickPopularExtension samples the extension of a popular (shared) content.
-func (p *Profile) PickPopularExtension(r dist.Rand) *ExtProfile {
+func (p *Profile) PickPopularExtension(r stats.Rand) *ExtProfile {
 	if p.popPick == nil {
 		weights := make([]float64, len(popularExtNames))
 		for i, pe := range popularExtNames {
 			weights[i] = pe.w
 		}
-		p.popPick = dist.NewCategorical(weights...)
+		p.popPick = stats.NewCategorical(weights...)
 	}
 	return p.ExtByName(popularExtNames[p.popPick.Draw(r)].ext)
 }
@@ -375,7 +375,7 @@ func (p *Profile) extIndexLoose(ext string) uint16 {
 }
 
 // PickClass samples a user class with the §6.1 shares.
-func PickClass(r dist.Rand) Class {
+func PickClass(r stats.Rand) Class {
 	u := r.Float64()
 	shares := ClassShares()
 	acc := 0.0

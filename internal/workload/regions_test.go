@@ -3,6 +3,7 @@ package workload
 import (
 	"testing"
 
+	"u1/internal/metadata"
 	"u1/internal/metrics"
 	"u1/internal/server"
 	"u1/internal/trace"
@@ -13,10 +14,8 @@ import (
 func runRegions(t *testing.T, users, days int, seed int64, workers int, eventual bool, delay int) (*Generator, *trace.Collector, *server.Cluster) {
 	t.Helper()
 	cluster := server.NewCluster(server.Config{
-		Seed:             seed,
-		Regions:          2,
-		ReplicationDelay: delay,
-		EventualReads:    eventual,
+		Seed:   seed,
+		Config: metadata.Config{Regions: 2, ReplicationDelay: delay, EventualReads: eventual},
 	})
 	col := trace.NewCollector(trace.Config{Start: PaperStart, Days: days, Shards: cluster.Store.NumShards(), Seed: seed})
 	cluster.AddAPIObserver(col.APIObserver())

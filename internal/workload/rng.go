@@ -4,7 +4,7 @@ import (
 	"math"
 	"math/rand"
 
-	"u1/internal/dist"
+	"u1/internal/stats"
 )
 
 // urng is one user's random stream. In the default configuration it wraps
@@ -16,7 +16,7 @@ import (
 // from the default one (Config.LowMem documents that trade); determinism for
 // a fixed (Seed, Workers, LowMem) still holds.
 //
-// urng satisfies dist.Rand, so profile samplers draw from either mode
+// urng satisfies stats.Rand, so profile samplers draw from either mode
 // transparently.
 type urng struct {
 	std *rand.Rand // default configuration; nil under LowMem
@@ -24,7 +24,7 @@ type urng struct {
 }
 
 // newURng builds a user stream for seed: math/rand by default, splitmix64
-// under low-memory mode. Seeding mirrors dist.NewSplitmixSource.
+// under low-memory mode. Seeding mirrors stats.NewSplitmixSource.
 func newURng(seed int64, lowMem bool) *urng {
 	if lowMem {
 		return &urng{s: uint64(seed)}
@@ -34,8 +34,8 @@ func newURng(seed int64, lowMem bool) *urng {
 
 // next is the canonical splitmix64 step (LowMem mode only).
 func (r *urng) next() uint64 {
-	r.s += dist.Splitmix64Gamma
-	return dist.Splitmix64(r.s)
+	r.s += stats.Splitmix64Gamma
+	return stats.Splitmix64(r.s)
 }
 
 // Float64 returns a uniform draw in [0, 1).

@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"time"
 
-	"u1/internal/dist"
 	"u1/internal/protocol"
+	"u1/internal/stats"
 )
 
 // action enumerates what a burst does. Users manage data at directory
@@ -104,7 +104,7 @@ func (s *sessionRun) newBurst() {
 	s.burstLeft = k
 }
 
-func (s *sessionRun) pickAction(r dist.Rand) action {
+func (s *sessionRun) pickAction(r stats.Rand) action {
 	u := s.u
 	p := r.Float64()
 	switch {
@@ -134,7 +134,7 @@ func (s *sessionRun) pickAction(r dist.Rand) action {
 }
 
 // pickVolume prefers the root volume but exercises UDFs when present.
-func (s *sessionRun) pickVolume(r dist.Rand) protocol.VolumeID {
+func (s *sessionRun) pickVolume(r stats.Rand) protocol.VolumeID {
 	u := s.u
 	root, ok := u.cli.RootVolume()
 	if !ok {
@@ -146,7 +146,7 @@ func (s *sessionRun) pickVolume(r dist.Rand) protocol.VolumeID {
 	return root
 }
 
-func (s *sessionRun) pickDir(r dist.Rand, vol protocol.VolumeID) protocol.NodeID {
+func (s *sessionRun) pickDir(r stats.Rand, vol protocol.VolumeID) protocol.NodeID {
 	dirs := s.u.dirs[vol]
 	if len(dirs) == 0 || r.Float64() < 0.35 {
 		return 0 // volume root
@@ -245,7 +245,7 @@ func (s *sessionRun) doUpload() {
 	// dependency of Fig. 3a. Upload-only users have no consuming device
 	// (that is what makes them upload-only).
 	if u.class != UploadOnly && r.Float64() < g.prof.SyncBackP {
-		secs := dist.LognormalFromMedian(90, 5).Sample(r)
+		secs := stats.LognormalFromMedian(90, 5).Sample(r)
 		nodeID := node.ID
 		sessionID := u.cli.Session()
 		u.sh.eng.After(time.Duration(secs*float64(time.Second)), func() {
@@ -433,7 +433,7 @@ func (s *sessionRun) doDeleteVolume() {
 }
 
 // pickFile picks a uniform index into the user's live file list.
-func (s *sessionRun) pickFile(r dist.Rand) (int, bool) {
+func (s *sessionRun) pickFile(r stats.Rand) (int, bool) {
 	if len(s.u.files) == 0 {
 		return 0, false
 	}
@@ -528,7 +528,7 @@ func biasSize(size uint64, bias float64) uint64 {
 	return out
 }
 
-func sampleSize(ext *ExtProfile, r dist.Rand) uint64 {
+func sampleSize(ext *ExtProfile, r stats.Rand) uint64 {
 	s := ext.Size.Sample(r)
 	if s < 1 {
 		s = 1
@@ -543,7 +543,7 @@ func sampleSize(ext *ExtProfile, r dist.Rand) uint64 {
 // versionedSize sizes a new version of an existing file: close to its
 // current size (a tag edit re-sends the whole multi-MB file, §5.1), which is
 // what makes updates carry 18.5% of upload bytes at 10% of upload ops.
-func versionedSize(u *user, f fileRef, r dist.Rand) uint64 {
+func versionedSize(u *user, f fileRef, r stats.Rand) uint64 {
 	cur := sizeOf(u, f)
 	if cur == 0 {
 		return sampleSize(f.extProfile(u.sh), r)

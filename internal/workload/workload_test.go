@@ -7,9 +7,9 @@ import (
 
 	"u1/internal/auth"
 	"u1/internal/client"
-	"u1/internal/dist"
 	"u1/internal/protocol"
 	"u1/internal/server"
+	"u1/internal/stats"
 	"u1/internal/trace"
 )
 
@@ -243,7 +243,7 @@ func TestThinningAcceptsFinalAttempt(t *testing.T) {
 	p := DefaultProfile()
 	// Amplitude 1e9 puts the diurnal trough at ~1e-9; PaperStart is
 	// midnight with the peak at noon, so factors stay ≈0 near the start.
-	p.Sessions = dist.Diurnal{PeakHour: 12, Amplitude: 1e9}
+	p.Sessions = stats.Diurnal{PeakHour: 12, Amplitude: 1e9}
 	cluster := server.NewCluster(server.Config{Seed: 5})
 	g := New(Config{Users: 1, Days: 30, Seed: 5, Workers: 1, Profile: p, Attacks: []Attack{}}, cluster)
 	u := &user{
