@@ -3,6 +3,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"os"
 	"time"
 
 	"u1/internal/auth"
@@ -83,6 +84,9 @@ func addPopulationFlags(fs *flag.FlagSet) *populationFlags {
 // virtual-time retry policy when requests can fail: failures are only
 // interesting if clients react to them. -users and -days must be positive:
 // their zero would silently mean workload.New's default, not what was asked.
+// The generator builds a fresh population, so -durability must name an empty
+// or new directory: running on a store an earlier run left is a different
+// experiment (u1 serve is the command that reopens one).
 func (p *populationFlags) configs(c *clusterFlags) (server.Config, workload.Config, error) {
 	scfg, err := c.config()
 	if err != nil {
@@ -90,6 +94,11 @@ func (p *populationFlags) configs(c *clusterFlags) (server.Config, workload.Conf
 	}
 	if p.users <= 0 || p.days <= 0 {
 		return scfg, workload.Config{}, fmt.Errorf("-users %d -days %d: both must be positive", p.users, p.days)
+	}
+	if c.durability != "" {
+		if entries, err := os.ReadDir(c.durability); err == nil && len(entries) > 0 {
+			return scfg, workload.Config{}, fmt.Errorf("-durability %s is not empty: a generator run needs a fresh store", c.durability)
+		}
 	}
 	scfg.AuthFailureRate = p.authFailRate
 	wcfg := workload.Config{Users: p.users, Days: p.days, Seed: c.seed, Workers: p.workers, LowMem: p.compact}

@@ -35,8 +35,13 @@ func TestUnknownCommand(t *testing.T) {
 }
 
 // TestRefusedCombinations pins command lines whose flags contradict each
-// other: each must fail before running anything.
+// other, or contradict a store an earlier run left: each must fail before
+// running anything.
 func TestRefusedCombinations(t *testing.T) {
+	used := t.TempDir()
+	if err := run([]string{"sim", "-users", "20", "-days", "1", "-workers", "1", "-durability", used}, io.Discard); err != nil {
+		t.Fatalf("sim into a fresh store: %v", err)
+	}
 	for _, args := range [][]string{
 		{"sim", "-report", "-out", t.TempDir()},
 		{"serve", "-regions", "2", "-gateway", "127.0.0.1:0"},
@@ -53,6 +58,8 @@ func TestRefusedCombinations(t *testing.T) {
 		{"sim", "-users", "60", "-days", "2", "-workers", "1", "-regions", "2", "-repl-delay", "-5"},
 		{"sim", "-durability", t.TempDir(), "-snapshot-every", "-7", "-users", "5", "-days", "1"},
 		{"serve", "-procs", "-3", "-gateway", "127.0.0.1:0"},
+		{"sim", "-users", "20", "-days", "1", "-workers", "1", "-durability", used},
+		{"analyze", "-users", "20", "-days", "1", "-durability", used},
 	} {
 		if err := run(args, io.Discard); err == nil {
 			t.Errorf("u1 %s: ran, want it refused", strings.Join(args, " "))

@@ -10,8 +10,8 @@ import (
 //	//u1:allow <rule> <reason>
 //
 // where <rule> is a registered pass's Allow token (wallclock, maporder,
-// lockdiscipline, unused) and <reason> is free non-empty text
-// explaining why the exemption is correct. The annotation exempts findings of
+// unused) and <reason> is free non-empty text explaining why the exemption
+// is correct. The annotation exempts findings of
 // that rule on the annotation's own line or, when the annotation stands
 // alone, on the line directly below it. Every exemption must earn its keep:
 // an annotation that suppressed nothing in a run is reported as stale, and a

@@ -19,7 +19,7 @@ func TestParseAllow(t *testing.T) {
 	}{
 		{"valid", "u1:allow wallclock lock-hold measurement", "wallclock", "lock-hold measurement", ""},
 		{"valid multi-word reason", "u1:allow maporder feeds an unordered set", "maporder", "feeds an unordered set", ""},
-		{"tab separated", "u1:allow\tlockdiscipline\tmaintenance sweep", "lockdiscipline", "maintenance sweep", ""},
+		{"tab separated", "u1:allow\tmaporder\tfeeds an unordered set", "maporder", "feeds an unordered set", ""},
 		{"reason collapses whitespace", "u1:allow unused  a   b", "unused", "a b", ""},
 		{"missing reason", "u1:allow wallclock", "", "", "has no reason"},
 		{"missing rule", "u1:allow", "", "", "missing a rule"},

@@ -15,16 +15,18 @@
 // malformed, names an unknown rule, or no longer suppresses anything is itself
 // a diagnostic, so stale exemptions cannot accumulate.
 //
-// The pass catalog is returned by Passes (determinism, maporder,
-// lockdiscipline, unused, each in its own file); docs/REFERENCE.md documents
-// each pass's contract. Three passes look at one package at a time. The
-// fourth, unused, resolves references across the whole module — LoadPatterns
-// always loads every package, so linting a subset reports exactly what
-// linting the module reports there. Two contracts need no pass:
-// journal-under-lock holds because the metadata store journals only from
-// commit, which runs under the shard write lock, and the metric namespace
-// holds because a metrics.Name can only be built from its declaration in
-// metrics/names.go.
+// The pass catalog is returned by Passes (determinism, maporder, unused,
+// each in its own file); docs/REFERENCE.md documents each pass's contract.
+// Two passes look at one package at a time. The third, unused, resolves
+// references across the whole module — LoadPatterns always loads every
+// package, so linting a subset reports exactly what linting the module
+// reports there. Three contracts need no pass: journal-under-lock holds
+// because the metadata store journals only from commit, which runs under the
+// shard write lock; the metric namespace holds because a metrics.Name can
+// only be built from its declaration in metrics/names.go; and shard lock
+// accounting holds because a metadata shard's mutex lives unexported in
+// metrics.ShardLock, whose every acquisition is counted and timed or named
+// Uncounted.
 package lint
 
 import (
@@ -69,7 +71,7 @@ type Pass struct {
 
 // Passes returns the registered pass catalog in registration order.
 func Passes() []*Pass {
-	return []*Pass{determinismPass, maporderPass, lockdisciplinePass, unusedPass}
+	return []*Pass{determinismPass, maporderPass, unusedPass}
 }
 
 // passByAllow maps an annotation rule token to its pass, for validating

@@ -114,8 +114,6 @@ func TestGoldenFixtures(t *testing.T) {
 		{"determinism_clean", "testdata/determinism_clean", "u1/internal/detclean"},
 		{"maporder_bad", "testdata/maporder_bad", "u1/internal/mapbad"},
 		{"maporder_clean", "testdata/maporder_clean", "u1/internal/mapclean"},
-		{"lockdiscipline_bad", "testdata/lockdiscipline_bad", "u1/internal/lockbad"},
-		{"lockdiscipline_clean", "testdata/lockdiscipline_clean", "u1/internal/lockclean"},
 		{"allow_bad", "testdata/allow_bad", "u1/internal/allowbad"},
 		{"unused_bad", "testdata/unused_bad", "u1/internal/unusedbad"},
 		{"unused_clean", "testdata/unused_clean", "u1/internal/unusedclean"},
@@ -132,8 +130,7 @@ func TestViolationFixturesFindSomething(t *testing.T) {
 	l := sharedLoader(t)
 	for _, dir := range []string{
 		"testdata/determinism_bad", "testdata/maporder_bad",
-		"testdata/lockdiscipline_bad", "testdata/allow_bad",
-		"testdata/unused_bad",
+		"testdata/allow_bad", "testdata/unused_bad",
 	} {
 		pkg, err := l.LoadDirAs(dir, "u1/internal/"+filepath.Base(dir))
 		if err != nil {
@@ -199,10 +196,10 @@ func TestPassCatalog(t *testing.T) {
 			t.Errorf("passByAllow(%q) does not round-trip", p.Allow)
 		}
 	}
-	if n := len(Passes()); n != 4 {
-		t.Errorf("catalog has %d passes, want 4", n)
+	if n := len(Passes()); n != 3 {
+		t.Errorf("catalog has %d passes, want 3", n)
 	}
-	for _, want := range []string{"determinism", "maporder", "lockdiscipline", "unused"} {
+	for _, want := range []string{"determinism", "maporder", "unused"} {
 		if !names[want] {
 			t.Errorf("pass %q missing from catalog", want)
 		}

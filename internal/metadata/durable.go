@@ -24,7 +24,7 @@ import (
 // application run that apply too, so a crashed shard rebuilt from its latest
 // snapshot plus the journal suffix is the shard live traffic built, by
 // construction. The recovery invariant this file exists to uphold (and the
-// crash drill and CI recovery job enforce):
+// shard-crash chaos catalog entry enforces):
 //
 //   - every acknowledged write survives a crash-restart, and
 //   - no unacknowledged write is double-applied: a record torn by the crash
@@ -315,13 +315,13 @@ func (s *Store) Close() error {
 	}
 	var firstErr error
 	for _, sh := range s.shards {
-		//u1:allow lockdiscipline final snapshot at Close is maintenance, not a DAL op; op counters track client load only
-		sh.mu.Lock()
+		// The final snapshot is maintenance, not client load.
+		sh.LockUncounted()
 		s.snapshotShardLocked(sh)
 		if err := s.dur.shards[sh.id].journal.Close(); err != nil && firstErr == nil {
 			firstErr = err
 		}
-		sh.mu.Unlock()
+		sh.UnlockUncounted()
 	}
 	return firstErr
 }
@@ -354,13 +354,12 @@ func (s *Store) ShardWALDir(i int) string {
 // drill restarts it in place.
 func (s *Store) CrashShard(i int) {
 	sh := s.shards[i]
-	//u1:allow lockdiscipline crash drill wipes shard state outside the DAL path
-	sh.mu.Lock()
+	sh.LockUncounted()
 	sh.reset()
 	if s.dur != nil {
 		s.dur.shards[i].journal.Crash()
 	}
-	sh.mu.Unlock()
+	sh.UnlockUncounted()
 }
 
 // RecoverShard reopens shard i from its snapshot plus journal suffix — the
@@ -372,10 +371,9 @@ func (s *Store) RecoverShard(i int) error {
 		return fmt.Errorf("metadata: shard recovery requires a durable store")
 	}
 	sh := s.shards[i]
-	//u1:allow lockdiscipline recovery is maintenance; hold histograms track client load only
-	sh.mu.Lock()
+	sh.LockUncounted()
 	err := s.loadShard(i)
-	sh.mu.Unlock()
+	sh.UnlockUncounted()
 	if err != nil {
 		return err
 	}
@@ -392,10 +390,10 @@ func (s *Store) ShardFingerprint(i int) string { return fingerprint(s.shards[i])
 
 // fingerprint is the hex SHA-1 of sh's snapshot form, owner or replica alike.
 func fingerprint(sh *shard) string {
-	//u1:allow lockdiscipline fingerprinting is a drill probe, not client load
-	sh.mu.RLock()
+	// A drill probe, not client load.
+	sh.RLockUncounted()
 	snap := snapshotState(sh)
-	sh.mu.RUnlock()
+	sh.RUnlockUncounted()
 	data, err := json.Marshal(snap)
 	if err != nil {
 		return "unfingerprintable: " + err.Error()
@@ -648,8 +646,7 @@ func (s *Store) rebuildDerived() {
 	contents := newContentRegistry()
 	s.volumeDir.clear()
 	for _, sh := range s.shards {
-		//u1:allow lockdiscipline derived-state rebuild after recovery, not client load
-		sh.mu.RLock()
+		sh.RLockUncounted()
 		for id, vr := range sh.volumes {
 			s.volumeDir.store(id, vr.info.Owner)
 			if uint64(id) > maxVol {
@@ -669,7 +666,7 @@ func (s *Store) rebuildDerived() {
 				maxShare = uint64(id)
 			}
 		}
-		sh.mu.RUnlock()
+		sh.RUnlockUncounted()
 	}
 	s.contents = contents
 	bumpTo(&s.nextVolume, maxVol)

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"u1/internal/metrics"
 	"u1/internal/protocol"
 )
 
@@ -541,23 +542,96 @@ func TestUploadJobGC(t *testing.T) {
 	}
 }
 
+// TestShardLoadCounters pins the per-shard op counts behind Fig. 14 exactly,
+// on a durable two-region store: every client op counts one read or write
+// per shard it locks (a cross-shard share one write on each shard, a
+// same-shard share one), each counted acquisition lands one observation in
+// that shard's hold histogram, and maintenance — the upload-job sweep, the
+// replication tick, fingerprinting, a crash and recovery, Close — counts
+// nothing.
 func TestShardLoadCounters(t *testing.T) {
-	s := newTestStore()
-	root := mustUser(t, s, 1)
-	s.MakeFile(1, root.ID, 0, "f")
-	s.ListVolumes(1)
-	reads, writes := s.ShardLoads()
-	var r, w uint64
-	for i := range reads {
-		r += reads[i]
-		w += writes[i]
+	reg := metrics.NewRegistry()
+	s := openDurable(t, t.TempDir(), Config{Regions: 2, Metrics: reg})
+	a := protocol.UserID(1)
+	var b, c protocol.UserID
+	for u := a + 1; b == 0 || c == 0; u++ {
+		switch {
+		case s.ShardFor(u) != s.ShardFor(a) && b == 0:
+			b = u
+		case s.ShardFor(u) == s.ShardFor(a) && c == 0:
+			c = u
+		}
 	}
-	if w < 2 { // CreateUser + MakeFile
-		t.Errorf("writes = %d", w)
+	sa, sb := s.ShardFor(a), s.ShardFor(b)
+	rootA := mustUser(t, s, a)
+	mustUser(t, s, b)
+	mustUser(t, s, c)
+	if _, err := s.MakeFile(a, rootA.ID, 0, "f"); err != nil {
+		t.Fatal(err)
 	}
-	if r < 1 { // ListVolumes
-		t.Errorf("reads = %d", r)
+	if _, err := s.ListVolumes(a); err != nil {
+		t.Fatal(err)
 	}
+	if _, _, err := s.GetDelta(a, rootA.ID, 0); err != nil {
+		t.Fatal(err)
+	}
+	share, err := s.CreateShare(a, rootA.ID, b, "to-b", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.AcceptShare(b, share.ID); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.ListVolumes(b); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := s.GetDelta(b, rootA.ID, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.CreateShare(a, rootA.ID, c, "to-c", false); err != nil {
+		t.Fatal(err)
+	}
+
+	wantReads := make([]uint64, s.NumShards())
+	wantWrites := make([]uint64, s.NumShards())
+	// a: CreateUser ×2 (a, c), MakeFile, both CreateShares, AcceptShare's
+	// owner mirror; reads: ListVolumes, GetDelta, and b's ListVolumes and
+	// GetDelta of the shared volume.
+	wantWrites[sa], wantReads[sa] = 6, 4
+	// b: CreateUser, CreateShare's grantee side, AcceptShare; b's
+	// ListVolumes.
+	wantWrites[sb], wantReads[sb] = 3, 1
+	check := func(when string) {
+		t.Helper()
+		reads, writes := s.ShardLoads()
+		snap := reg.Snapshot()
+		for i := range reads {
+			if reads[i] != wantReads[i] || writes[i] != wantWrites[i] {
+				t.Errorf("%s: shard %d reads/writes = %d/%d, want %d/%d",
+					when, i, reads[i], writes[i], wantReads[i], wantWrites[i])
+			}
+			series := metrics.Shard(i)
+			if n := snap.Histogram(series.ReadHold).Count; n != wantReads[i] {
+				t.Errorf("%s: shard %d read holds = %d, want %d", when, i, n, wantReads[i])
+			}
+			if n := snap.Histogram(series.WriteHold).Count; n != wantWrites[i] {
+				t.Errorf("%s: shard %d write holds = %d, want %d", when, i, n, wantWrites[i])
+			}
+		}
+	}
+	check("after client ops")
+
+	s.SweepUploadJobs(time.Now())
+	s.TickReplication()
+	s.ShardFingerprint(sa)
+	s.CrashShard(sb)
+	if err := s.RecoverShard(sb); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	check("after maintenance")
 }
 
 // TestConcurrentUsers hammers the store from many goroutines; run with -race

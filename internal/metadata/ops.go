@@ -17,7 +17,7 @@ import (
 // volume, so client re-installs do not error.
 func (s *Store) CreateUser(user protocol.UserID) (protocol.VolumeInfo, error) {
 	sh := s.shardOf(user)
-	defer sh.wunlock(sh.wlock())
+	defer sh.Unlock(sh.Lock())
 	if u, ok := sh.users[user]; ok {
 		// Idempotent ensure for an existing user is a pure read; it must
 		// keep working while the user's home region is down so logins
@@ -79,10 +79,10 @@ func checkAccessLocked(sh *shard, vr *volumeRow, user protocol.UserID, write boo
 // volumes (dal.list_volumes; performed at session start, Table 2).
 func (s *Store) ListVolumes(user protocol.UserID) ([]protocol.VolumeInfo, error) {
 	sh := s.shardOf(user)
-	lockedAt := sh.rlock()
+	lockedAt := sh.RLock()
 	u, ok := sh.users[user]
 	if !ok {
-		sh.runlock(lockedAt)
+		sh.RUnlock(lockedAt)
 		return nil, protocol.ErrNotFound
 	}
 	out := make([]protocol.VolumeInfo, 0, len(u.volumes)+len(u.sharesIn))
@@ -98,7 +98,7 @@ func (s *Store) ListVolumes(user protocol.UserID) ([]protocol.VolumeInfo, error)
 			sharedVols = append(sharedVols, share.Volume)
 		}
 	}
-	sh.runlock(lockedAt)
+	sh.RUnlock(lockedAt)
 	slices.Sort(sharedVols)
 
 	for _, volID := range sharedVols {
@@ -107,13 +107,13 @@ func (s *Store) ListVolumes(user protocol.UserID) ([]protocol.VolumeInfo, error)
 			continue // volume deleted concurrently
 		}
 		osh := s.readShardFor(user, owner)
-		oLockedAt := osh.rlock()
+		oLockedAt := osh.RLock()
 		if vr, ok := osh.volumes[volID]; ok {
 			info := vr.info
 			info.Type = protocol.VolumeShared
 			out = append(out, info)
 		}
-		osh.runlock(oLockedAt)
+		osh.RUnlock(oLockedAt)
 	}
 	return out, nil
 }
@@ -122,7 +122,7 @@ func (s *Store) ListVolumes(user protocol.UserID) ([]protocol.VolumeInfo, error)
 // offered (dal.list_shares, Table 2).
 func (s *Store) ListShares(user protocol.UserID) ([]protocol.ShareInfo, error) {
 	sh := s.shardOf(user)
-	defer sh.runlock(sh.rlock())
+	defer sh.RUnlock(sh.RLock())
 	u, ok := sh.users[user]
 	if !ok {
 		return nil, protocol.ErrNotFound
@@ -151,7 +151,7 @@ func (s *Store) CreateUDF(user protocol.UserID, path string) (protocol.VolumeInf
 		return protocol.VolumeInfo{}, err
 	}
 	sh := s.shardOf(user)
-	defer sh.wunlock(sh.wlock())
+	defer sh.Unlock(sh.Lock())
 	u, ok := sh.users[user]
 	if !ok {
 		return protocol.VolumeInfo{}, protocol.ErrNotFound
@@ -171,7 +171,7 @@ func (s *Store) GetVolume(user protocol.UserID, vol protocol.VolumeID) (protocol
 		return protocol.VolumeInfo{}, err
 	}
 	sh := s.readShardFor(user, owner)
-	defer sh.runlock(sh.rlock())
+	defer sh.RUnlock(sh.RLock())
 	vr, ok := sh.volumes[vol]
 	if !ok {
 		return protocol.VolumeInfo{}, protocol.ErrNotFound
@@ -198,14 +198,14 @@ func (s *Store) DeleteVolume(user protocol.UserID, vol protocol.VolumeID) (remov
 		return nil, nil, err
 	}
 	sh := s.shardOf(owner)
-	lockedAt := sh.wlock()
+	lockedAt := sh.Lock()
 	vr, ok := sh.volumes[vol]
 	if !ok {
-		sh.wunlock(lockedAt)
+		sh.Unlock(lockedAt)
 		return nil, nil, protocol.ErrNotFound
 	}
 	if vr.info.Type == protocol.VolumeRoot {
-		sh.wunlock(lockedAt)
+		sh.Unlock(lockedAt)
 		return nil, nil, fmt.Errorf("%w: cannot delete the root volume", protocol.ErrBadRequest)
 	}
 	// Read what the record is about to remove: the nodes go back to the
@@ -215,7 +215,7 @@ func (s *Store) DeleteVolume(user protocol.UserID, vol protocol.VolumeID) (remov
 	}
 	grantees := maps.Clone(vr.grants)
 	s.commit(sh, journalRecord{Kind: recDeleteVolume, User: user, VolID: vol})
-	sh.wunlock(lockedAt)
+	sh.Unlock(lockedAt)
 	s.volumeDir.delete(vol)
 
 	// Eagerly tombstone every revoked grant in the peer regions: a grantee
@@ -246,9 +246,9 @@ func (s *Store) DeleteVolume(user protocol.UserID, vol protocol.VolumeID) (remov
 		if gsh == sh {
 			continue // the delete_volume record already dropped it
 		}
-		gLockedAt := gsh.wlock()
+		gLockedAt := gsh.Lock()
 		s.commit(gsh, journalRecord{Kind: recDropShare, Share: protocol.ShareInfo{ID: shareID, SharedTo: grantee}})
-		gsh.wunlock(gLockedAt)
+		gsh.Unlock(gLockedAt)
 	}
 
 	// Release content references outside any shard lock.
@@ -278,7 +278,7 @@ func (s *Store) makeNode(user protocol.UserID, vol protocol.VolumeID, parent pro
 		return protocol.NodeInfo{}, err
 	}
 	sh := s.shardOf(owner)
-	defer sh.wunlock(sh.wlock())
+	defer sh.Unlock(sh.Lock())
 	vr, ok := sh.volumes[vol]
 	if !ok {
 		return protocol.NodeInfo{}, protocol.ErrNotFound
@@ -339,23 +339,23 @@ func (s *Store) MakeContent(user protocol.UserID, vol protocol.VolumeID, node pr
 		return protocol.NodeInfo{}, nil, false, err
 	}
 	sh := s.shardOf(owner)
-	lockedAt := sh.wlock()
+	lockedAt := sh.Lock()
 	vr, ok := sh.volumes[vol]
 	if !ok {
-		sh.wunlock(lockedAt)
+		sh.Unlock(lockedAt)
 		return protocol.NodeInfo{}, nil, false, protocol.ErrNotFound
 	}
 	if err := checkAccessLocked(sh, vr, user, true); err != nil {
-		sh.wunlock(lockedAt)
+		sh.Unlock(lockedAt)
 		return protocol.NodeInfo{}, nil, false, err
 	}
 	nr, ok := sh.nodes[node]
 	if !ok || nr.vol != vol {
-		sh.wunlock(lockedAt)
+		sh.Unlock(lockedAt)
 		return protocol.NodeInfo{}, nil, false, protocol.ErrNotFound
 	}
 	if nr.kind != protocol.KindFile {
-		sh.wunlock(lockedAt)
+		sh.Unlock(lockedAt)
 		return protocol.NodeInfo{}, nil, false, fmt.Errorf("%w: content on a directory", protocol.ErrBadRequest)
 	}
 	oldHash := nr.hash
@@ -363,7 +363,7 @@ func (s *Store) MakeContent(user protocol.UserID, vol protocol.VolumeID, node pr
 	info = nr.info(node)
 	info.Hash, info.Size, info.Generation = h, size, vr.info.Generation+1
 	s.commit(sh, journalRecord{Kind: recMakeContent, Node: info})
-	sh.wunlock(lockedAt)
+	sh.Unlock(lockedAt)
 
 	s.contents.addRef(h, size)
 	if !oldHash.IsZero() && oldHash != h {
@@ -383,7 +383,7 @@ func (s *Store) VolumeWatchers(vol protocol.VolumeID) ([]protocol.UserID, error)
 		return nil, err
 	}
 	sh := s.shardOf(owner)
-	defer sh.runlock(sh.rlock())
+	defer sh.RUnlock(sh.RLock())
 	vr, ok := sh.volumes[vol]
 	if !ok {
 		return nil, protocol.ErrNotFound
@@ -406,7 +406,7 @@ func (s *Store) GetNode(user protocol.UserID, vol protocol.VolumeID, node protoc
 		return protocol.NodeInfo{}, err
 	}
 	sh := s.readShardFor(user, owner)
-	defer sh.runlock(sh.rlock())
+	defer sh.RUnlock(sh.RLock())
 	vr, ok := sh.volumes[vol]
 	if !ok {
 		return protocol.NodeInfo{}, protocol.ErrNotFound
@@ -434,23 +434,23 @@ func (s *Store) Unlink(user protocol.UserID, vol protocol.VolumeID, node protoco
 		return nil, 0, nil, err
 	}
 	sh := s.shardOf(owner)
-	lockedAt := sh.wlock()
+	lockedAt := sh.Lock()
 	vr, ok := sh.volumes[vol]
 	if !ok {
-		sh.wunlock(lockedAt)
+		sh.Unlock(lockedAt)
 		return nil, 0, nil, protocol.ErrNotFound
 	}
 	if err := checkAccessLocked(sh, vr, user, true); err != nil {
-		sh.wunlock(lockedAt)
+		sh.Unlock(lockedAt)
 		return nil, 0, nil, err
 	}
 	nr, ok := sh.nodes[node]
 	if !ok || nr.vol != vol {
-		sh.wunlock(lockedAt)
+		sh.Unlock(lockedAt)
 		return nil, 0, nil, protocol.ErrNotFound
 	}
 	if node == vr.root {
-		sh.wunlock(lockedAt)
+		sh.Unlock(lockedAt)
 		return nil, 0, nil, fmt.Errorf("%w: cannot unlink the volume root", protocol.ErrBadRequest)
 	}
 	// Depth-first collection of the subtree, children in ascending-ID order,
@@ -474,7 +474,7 @@ func (s *Store) Unlink(user protocol.UserID, vol protocol.VolumeID, node protoco
 		removed = append(removed, info)
 	}
 	s.commit(sh, journalRecord{Kind: recUnlink, VolID: vol, Gen: gen, Removed: removed})
-	sh.wunlock(lockedAt)
+	sh.Unlock(lockedAt)
 
 	for _, n := range removed {
 		if n.Kind == protocol.KindFile && !n.Hash.IsZero() {
@@ -499,7 +499,7 @@ func (s *Store) Move(user protocol.UserID, vol protocol.VolumeID, node, newParen
 		return protocol.NodeInfo{}, err
 	}
 	sh := s.shardOf(owner)
-	defer sh.wunlock(sh.wlock())
+	defer sh.Unlock(sh.Lock())
 	vr, ok := sh.volumes[vol]
 	if !ok {
 		return protocol.NodeInfo{}, protocol.ErrNotFound
@@ -552,7 +552,7 @@ func (s *Store) GetDelta(user protocol.UserID, vol protocol.VolumeID, fromGen pr
 		return nil, 0, err
 	}
 	sh := s.readShardFor(user, owner)
-	defer sh.runlock(sh.rlock())
+	defer sh.RUnlock(sh.RLock())
 	vr, ok := sh.volumes[vol]
 	if !ok {
 		return nil, 0, protocol.ErrNotFound
@@ -597,7 +597,7 @@ func (s *Store) GetFromScratch(user protocol.UserID, vol protocol.VolumeID) ([]p
 		return nil, 0, err
 	}
 	sh := s.readShardFor(user, owner)
-	defer sh.runlock(sh.rlock())
+	defer sh.RUnlock(sh.RLock())
 	vr, ok := sh.volumes[vol]
 	if !ok {
 		return nil, 0, protocol.ErrNotFound
@@ -649,10 +649,6 @@ func (s *Store) CreateShare(owner protocol.UserID, vol protocol.VolumeID, to pro
 	}
 	osh, gsh := s.shardOf(owner), s.shardOf(to)
 	defer unlockPair(osh, gsh, lockPair(osh, gsh))
-	osh.writeOp()
-	if osh != gsh {
-		gsh.writeOp()
-	}
 	vr, ok := osh.volumes[vol]
 	if !ok {
 		return protocol.ShareInfo{}, protocol.ErrNotFound
@@ -680,68 +676,57 @@ func (s *Store) AcceptShare(user protocol.UserID, id protocol.ShareID) (protocol
 		return protocol.ShareInfo{}, err
 	}
 	gsh := s.shardOf(user)
-	gLockedAt := gsh.wlock()
+	gLockedAt := gsh.Lock()
 	share, ok := gsh.shares[id]
 	if !ok || share.SharedTo != user {
-		gsh.wunlock(gLockedAt)
+		gsh.Unlock(gLockedAt)
 		return protocol.ShareInfo{}, protocol.ErrNotFound
 	}
 	owner := share.SharedBy
 	// The accepted flag mirrors into the owner's shard; refuse before
 	// mutating either side if the owner's region is down.
 	if err := s.writeGuard(owner); err != nil {
-		gsh.wunlock(gLockedAt)
+		gsh.Unlock(gLockedAt)
 		return protocol.ShareInfo{}, err
 	}
 	out := *share
 	out.Accepted = true
 	s.commit(gsh, journalRecord{Kind: recAcceptShare, Share: out})
-	gsh.wunlock(gLockedAt)
+	gsh.Unlock(gLockedAt)
 
 	// Mirror the accepted flag in the owner's shard copy.
 	osh := s.shardOf(owner)
 	if osh != gsh {
-		oLockedAt := osh.wlock()
+		oLockedAt := osh.Lock()
 		s.commit(osh, journalRecord{Kind: recAcceptShare, Share: out})
-		osh.wunlock(oLockedAt)
+		osh.Unlock(oLockedAt)
 	}
 	return out, nil
 }
 
-// lockPair locks two shards in id order, avoiding deadlock between
-// concurrent cross-shard operations; locking the same shard twice is a
-// single lock. unlockPair releases both and charges the hold time to each
-// shard's master, since both masters were pinned for the whole cross-shard
-// transaction.
-func lockPair(a, b *shard) metrics.Stopwatch {
-	if a == b {
-		//u1:allow lockdiscipline cross-shard accessor locks in id order to avoid deadlock; hold is charged in unlockPair
-		a.mu.Lock()
-		return metrics.StartStopwatch()
-	}
+// lockPair write-locks two shards in id order, avoiding deadlock between
+// concurrent cross-shard operations, and counts one write on each; the same
+// shard twice is locked and counted once. unlockPair releases them in
+// reverse order and charges each master its own hold.
+func lockPair(a, b *shard) (holds [2]metrics.Stopwatch) {
 	if a.id > b.id {
 		a, b = b, a
 	}
-	//u1:allow lockdiscipline cross-shard accessor locks in id order to avoid deadlock; hold is charged in unlockPair
-	a.mu.Lock()
-	//u1:allow lockdiscipline cross-shard accessor locks in id order to avoid deadlock; hold is charged in unlockPair
-	b.mu.Lock()
-	return metrics.StartStopwatch()
+	holds[0] = a.Lock()
+	if a != b {
+		holds[1] = b.Lock()
+	}
+	return holds
 }
 
-func unlockPair(a, b *shard, hold metrics.Stopwatch) {
-	if a == b {
-		a.mu.Unlock()
-		hold.Observe(a.m.writeHold)
-		return
-	}
+func unlockPair(a, b *shard, holds [2]metrics.Stopwatch) {
 	if a.id > b.id {
 		a, b = b, a
 	}
-	b.mu.Unlock()
-	a.mu.Unlock()
-	hold.Observe(a.m.writeHold)
-	hold.Observe(b.m.writeHold)
+	if a != b {
+		b.Unlock(holds[1])
+	}
+	a.Unlock(holds[0])
 }
 
 // LookupContent reports whether content with hash h is already stored and

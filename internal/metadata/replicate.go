@@ -194,11 +194,12 @@ func (s *Store) RegionOfUser(user protocol.UserID) int {
 func (s *Store) ship() {
 	r := s.repl
 	for i, sh := range s.shards {
-		//u1:allow lockdiscipline outbox drain is the replication tick, not a DAL op
-		sh.mu.Lock()
+		// The outbox is filled under the shard's write lock; draining it is
+		// the replication tick, not client load.
+		sh.LockUncounted()
 		recs := r.outbox[i]
 		r.outbox[i] = nil
-		sh.mu.Unlock()
+		sh.UnlockUncounted()
 		if len(recs) == 0 {
 			continue
 		}
@@ -253,9 +254,9 @@ func (r *replication) refreshBacklogGaugeLocked() {
 func (r *replication) applyLocked(st *regionState, rr replRecord) {
 	sh := st.replicas[rr.shard]
 	origin := r.regionOf(rr.shard)
-	//u1:allow lockdiscipline replica shards are not client-facing; the apply path has its own metrics
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
+	// Replication traffic is not client load; the repl.* series count it.
+	sh.LockUncounted()
+	defer sh.UnlockUncounted()
 	rec := rr.rec
 	switch rec.Kind {
 	case recDeleteVolume:
@@ -416,15 +417,14 @@ func (s *Store) RegionRecover(region, from int) {
 			continue
 		}
 		replica := peer.replicas[i]
-		//u1:allow lockdiscipline region drill reads the replica wholesale, not client load
-		replica.mu.RLock()
+		// A region drill moves state wholesale; neither side is client load.
+		replica.RLockUncounted()
 		snap := snapshotState(replica)
-		replica.mu.RUnlock()
-		//u1:allow lockdiscipline region drill restores owner state wholesale, not client load
-		sh.mu.Lock()
+		replica.RUnlockUncounted()
+		sh.LockUncounted()
 		sh.reset()
 		restoreSnapshot(sh, snap)
-		sh.mu.Unlock()
+		sh.UnlockUncounted()
 	}
 	s.rebuildDerived()
 	r.mu.Lock()

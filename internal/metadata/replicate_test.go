@@ -102,9 +102,9 @@ func TestReplicationDelayAgesRecords(t *testing.T) {
 	ownerShard := s.ShardFor(owner)
 	replicaHasVolume := func() bool {
 		replica := s.repl.state[readerRegion].replicas[ownerShard]
-		replica.mu.RLock()
+		replica.RLockUncounted()
 		_, ok := replica.volumes[udf]
-		replica.mu.RUnlock()
+		replica.RUnlockUncounted()
 		return ok
 	}
 
@@ -257,9 +257,9 @@ func TestLastWriterWinsSkipsStaleGenerations(t *testing.T) {
 
 	st := s.repl.state[readerRegion]
 	replica := st.replicas[ownerShard]
-	replica.mu.RLock()
+	replica.RLockUncounted()
 	curGen := replica.volumes[udf].info.Generation
-	replica.mu.RUnlock()
+	replica.RUnlockUncounted()
 	before := s.ReplicaFingerprint(readerRegion, ownerShard)
 
 	// A stale record — generation below the replica's — must not apply.
@@ -319,9 +319,9 @@ func TestCrossRegionShareRevocationFlushesGranteeRegion(t *testing.T) {
 	ownerShard := s.ShardFor(owner)
 	st := s.repl.state[granteeRegion]
 	replica := st.replicas[ownerShard]
-	replica.mu.RLock()
+	replica.RLockUncounted()
 	err = checkAccessLocked(replica, replica.volumes[udf], grantee, false)
-	replica.mu.RUnlock()
+	replica.RUnlockUncounted()
 	if err != nil {
 		t.Fatalf("replicated grant should authorize before revocation: %v", err)
 	}
@@ -333,24 +333,24 @@ func TestCrossRegionShareRevocationFlushesGranteeRegion(t *testing.T) {
 	// The delete is now in the grantee region's backlog for `delay` ticks,
 	// and the replica still holds the volume row and the grant. The access
 	// check must already refuse the revoked share.
-	replica.mu.RLock()
+	replica.RLockUncounted()
 	vr := replica.volumes[udf]
-	replica.mu.RUnlock()
+	replica.RUnlockUncounted()
 	if vr == nil {
 		t.Fatalf("test invalid: delete already applied at the replica, no revocation window to pin")
 	}
-	replica.mu.RLock()
+	replica.RLockUncounted()
 	err = checkAccessLocked(replica, vr, grantee, false)
-	replica.mu.RUnlock()
+	replica.RUnlockUncounted()
 	if !errors.Is(err, protocol.ErrPermission) {
 		t.Fatalf("revoked cross-region share still authorizes through the grantee region's replica: err=%v", err)
 	}
 
 	// Once the delete record ages in, the tombstone is cleaned up with it.
 	s.DrainReplication()
-	replica.mu.RLock()
+	replica.RLockUncounted()
 	_, stillThere := replica.volumes[udf]
-	replica.mu.RUnlock()
+	replica.RUnlockUncounted()
 	if stillThere {
 		t.Fatalf("delete record never applied at the replica")
 	}

@@ -242,8 +242,7 @@ func (s *Store) ShardLoads() (reads, writes []uint64) {
 	reads = make([]uint64, len(s.shards))
 	writes = make([]uint64, len(s.shards))
 	for i, sh := range s.shards {
-		reads[i] = sh.m.reads.Value()
-		writes[i] = sh.m.writes.Value()
+		reads[i], writes[i] = sh.Loads()
 	}
 	return reads, writes
 }
@@ -278,25 +277,14 @@ func bumpTo(addr *uint64, v uint64) {
 	}
 }
 
-// shardMetrics holds one shard's registered handles: counters mirroring the
-// reads/writes atomics, and the master/slave lock hold-time histograms —
-// the live view of the per-shard load the paper derives offline in Fig. 14.
-type shardMetrics struct {
-	reads     *metrics.Counter
-	writes    *metrics.Counter
-	readHold  *metrics.Histogram
-	writeHold *metrics.Histogram
-}
-
-// shard is one master/slave pair of the cluster. The RWMutex models the
-// paper's access pattern: reads run lockless and in parallel on the slave,
-// writes serialize on the master. reads/writes counters feed load accounting.
+// shard is one master/slave pair of the cluster. Its ShardLock models the
+// paper's access pattern — reads in parallel on the slave, writes serialized
+// on the master — and counts and times every client acquisition.
 type shard struct {
 	id            int
 	deltaLogLimit int
-	m             shardMetrics
 
-	mu         sync.RWMutex
+	metrics.ShardLock
 	users      map[protocol.UserID]*userRow
 	volumes    map[protocol.VolumeID]*volumeRow
 	nodes      map[protocol.NodeID]*nodeRow
@@ -311,16 +299,10 @@ type shard struct {
 }
 
 func newShard(id, deltaLogLimit int, reg *metrics.Registry) *shard {
-	series := metrics.Shard(id)
 	sh := &shard{
 		id:            id,
 		deltaLogLimit: deltaLogLimit,
-		m: shardMetrics{
-			reads:     reg.Counter(series.Reads),
-			writes:    reg.Counter(series.Writes),
-			readHold:  reg.Histogram(series.ReadHold),
-			writeHold: reg.Histogram(series.WriteHold),
-		},
+		ShardLock:     metrics.NewShardLock(reg, metrics.Shard(id)),
 	}
 	sh.reset()
 	return sh
@@ -564,43 +546,4 @@ func (v *volumeRow) appendLog(limit int, n protocol.NodeInfo, deleted bool) (tri
 	clear(v.log[kept:])
 	v.log = v.log[:kept]
 	return true
-}
-
-func (s *shard) readOp()  { s.m.reads.Inc() }
-func (s *shard) writeOp() { s.m.writes.Inc() }
-
-// rlock counts a read op, takes the shard's read lock (the slave replica of
-// the pair) and starts a stopwatch on the hold; runlock releases the lock and
-// records the hold. The pair instruments every read without allocating:
-//
-//	defer sh.runlock(sh.rlock())   // defer evaluates rlock() immediately
-//
-// or, with early-release paths:
-//
-//	start := sh.rlock()
-//	...
-//	sh.runlock(start)
-func (sh *shard) rlock() metrics.Stopwatch {
-	sh.readOp()
-	sh.mu.RLock()
-	// Virtual time is frozen while a goroutine holds a lock, so only the host
-	// clock can measure contention.
-	return metrics.StartStopwatch()
-}
-
-func (sh *shard) runlock(hold metrics.Stopwatch) {
-	sh.mu.RUnlock()
-	hold.Observe(sh.m.readHold)
-}
-
-// wlock/wunlock are the master-side counterparts for mutations.
-func (sh *shard) wlock() metrics.Stopwatch {
-	sh.writeOp()
-	sh.mu.Lock()
-	return metrics.StartStopwatch()
-}
-
-func (sh *shard) wunlock(hold metrics.Stopwatch) {
-	sh.mu.Unlock()
-	hold.Observe(sh.m.writeHold)
 }

@@ -39,7 +39,7 @@ const UploadJobMaxAge = 7 * 24 * time.Hour
 // simulator can run on virtual time.
 func (s *Store) MakeUploadJob(user protocol.UserID, vol protocol.VolumeID, node protocol.NodeID, h protocol.Hash, declaredSize uint64, now time.Time) (*UploadJob, error) {
 	sh := s.shardOf(user)
-	defer sh.wunlock(sh.wlock())
+	defer sh.Unlock(sh.Lock())
 	if _, ok := sh.users[user]; !ok {
 		return nil, protocol.ErrNotFound
 	}
@@ -61,7 +61,7 @@ func (s *Store) MakeUploadJob(user protocol.UserID, vol protocol.VolumeID, node 
 // (dal.set_uploadjob_multipart_id).
 func (s *Store) SetUploadJobMultipartID(user protocol.UserID, id protocol.UploadID, multipartID string) error {
 	sh := s.shardOf(user)
-	defer sh.wunlock(sh.wlock())
+	defer sh.Unlock(sh.Lock())
 	job, ok := sh.uploadjobs[id]
 	if !ok || job.User != user {
 		return protocol.ErrNotFound
@@ -75,7 +75,7 @@ func (s *Store) SetUploadJobMultipartID(user protocol.UserID, id protocol.Upload
 // it is called once per streamed part, and its callers only look.
 func (s *Store) AddPartToUploadJob(user protocol.UserID, id protocol.UploadID, partBytes uint64, now time.Time) (UploadJob, error) {
 	sh := s.shardOf(user)
-	defer sh.wunlock(sh.wlock())
+	defer sh.Unlock(sh.Lock())
 	job, ok := sh.uploadjobs[id]
 	if !ok || job.User != user {
 		return UploadJob{}, protocol.ErrNotFound
@@ -90,7 +90,7 @@ func (s *Store) AddPartToUploadJob(user protocol.UserID, id protocol.UploadID, p
 // (dal.delete_uploadjob).
 func (s *Store) DeleteUploadJob(user protocol.UserID, id protocol.UploadID) error {
 	sh := s.shardOf(user)
-	defer sh.wunlock(sh.wlock())
+	defer sh.Unlock(sh.Lock())
 	job, ok := sh.uploadjobs[id]
 	if !ok || job.User != user {
 		return protocol.ErrNotFound
@@ -105,17 +105,16 @@ func (s *Store) DeleteUploadJob(user protocol.UserID, id protocol.UploadID) erro
 func (s *Store) SweepUploadJobs(now time.Time) int {
 	var swept int
 	for _, sh := range s.shards {
-		// Maintenance sweep, not a DAL op: lock directly so the per-shard
-		// write counters keep measuring client load only.
-		//u1:allow lockdiscipline maintenance sweep; write counters keep measuring client load only
-		sh.mu.Lock()
+		// Maintenance sweep, not a DAL op: the per-shard write counters
+		// keep measuring client load only.
+		sh.LockUncounted()
 		for id, job := range sh.uploadjobs {
 			if now.Sub(job.TouchedAt) > UploadJobMaxAge {
 				delete(sh.uploadjobs, id)
 				swept++
 			}
 		}
-		sh.mu.Unlock()
+		sh.UnlockUncounted()
 	}
 	return swept
 }

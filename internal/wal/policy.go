@@ -15,8 +15,9 @@ const (
 	// FsyncPerOp syncs after every append: no acknowledged write can be
 	// lost, at one disk flush per mutation.
 	FsyncPerOp Policy = iota
-	// FsyncGroupCommit syncs once per GroupEvery appends, amortizing the
-	// flush across the batch as databases do under concurrent commits.
+	// FsyncGroupCommit syncs once every eight appends (groupEvery),
+	// amortizing the flush across the batch as databases do under
+	// concurrent commits.
 	FsyncGroupCommit
 	// FsyncAsync never syncs on the request path; the OS flushes in the
 	// background and Close syncs once. A machine crash (not a process crash)
@@ -24,9 +25,9 @@ const (
 	FsyncAsync
 )
 
-// DefaultGroupEvery is the group-commit batch size used when Options does
-// not specify one.
-const DefaultGroupEvery = 8
+// groupEvery is the group-commit batch size: the cadence the log syncs at,
+// and the batch SyncCost amortizes one flush over.
+const groupEvery = 8
 
 // fsyncCost is the modeled service time of one fdatasync on the commodity
 // disks behind the paper's metadata cluster (~5 ms, the rotational-latency
@@ -73,7 +74,7 @@ func (p Policy) SyncCost() time.Duration {
 	case FsyncPerOp:
 		return fsyncCost
 	case FsyncGroupCommit:
-		return fsyncCost / DefaultGroupEvery
+		return fsyncCost / groupEvery
 	default:
 		return 0
 	}

@@ -50,14 +50,11 @@ const DefaultSegmentBytes = 1 << 20
 
 // Options parameterizes a Log.
 type Options struct {
-	// Policy is the fsync policy (default FsyncGroupCommit).
+	// Policy is the fsync policy (the zero value is FsyncPerOp).
 	Policy Policy
 	// SegmentBytes rolls to a new segment file once the active one exceeds
 	// this size (0 → DefaultSegmentBytes).
 	SegmentBytes int64
-	// GroupEvery is the group-commit batch size: under FsyncGroupCommit the
-	// log syncs once per this many appends (0 → DefaultGroupEvery).
-	GroupEvery int
 }
 
 // Log is one append-only journal. Safe for concurrent use; in the metadata
@@ -83,9 +80,6 @@ type Log struct {
 func Open(dir string, opts Options) (*Log, error) {
 	if opts.SegmentBytes <= 0 {
 		opts.SegmentBytes = DefaultSegmentBytes
-	}
-	if opts.GroupEvery <= 0 {
-		opts.GroupEvery = DefaultGroupEvery
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: creating %s: %w", dir, err)
@@ -152,7 +146,7 @@ func (l *Log) Append(payload []byte) (uint64, error) {
 			return 0, err
 		}
 	case FsyncGroupCommit:
-		if l.pending >= l.opts.GroupEvery {
+		if l.pending >= groupEvery {
 			if err := l.syncLocked(); err != nil {
 				return 0, err
 			}

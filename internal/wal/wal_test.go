@@ -218,13 +218,13 @@ func TestTornTailDropsLaterSegments(t *testing.T) {
 
 func TestGroupCommitSyncCadence(t *testing.T) {
 	dir := t.TempDir()
-	l := mustOpen(t, dir, Options{Policy: FsyncGroupCommit, GroupEvery: 4})
-	appendN(t, l, 9, "gc")
+	l := mustOpen(t, dir, Options{Policy: FsyncGroupCommit})
+	appendN(t, l, 2*groupEvery+1, "gc")
 	appends, syncs := l.Stats()
-	if appends != 9 {
-		t.Fatalf("appends = %d, want 9", appends)
+	if appends != 2*groupEvery+1 {
+		t.Fatalf("appends = %d, want %d", appends, 2*groupEvery+1)
 	}
-	if syncs != 2 { // after the 4th and 8th append; the 9th is pending
+	if syncs != 2 { // after the 8th and 16th append; the 17th is pending
 		t.Fatalf("group-commit syncs = %d, want 2", syncs)
 	}
 	if err := l.Close(); err != nil {
