@@ -42,6 +42,7 @@ func TestRefusedCombinations(t *testing.T) {
 	if err := run([]string{"sim", "-users", "20", "-days", "1", "-workers", "1", "-durability", used}, io.Discard); err != nil {
 		t.Fatalf("sim into a fresh store: %v", err)
 	}
+	jsonEra := jsonEraStore(t)
 	for _, args := range [][]string{
 		{"sim", "-report", "-out", t.TempDir()},
 		{"serve", "-regions", "2", "-gateway", "127.0.0.1:0"},
@@ -60,11 +61,35 @@ func TestRefusedCombinations(t *testing.T) {
 		{"serve", "-procs", "-3", "-gateway", "127.0.0.1:0"},
 		{"sim", "-users", "20", "-days", "1", "-workers", "1", "-durability", used},
 		{"analyze", "-users", "20", "-days", "1", "-durability", used},
+		{"serve", "-durability", jsonEra, "-gateway", "127.0.0.1:0"},
 	} {
 		if err := run(args, io.Discard); err == nil {
 			t.Errorf("u1 %s: ran, want it refused", strings.Join(args, " "))
 		}
 	}
+}
+
+// jsonEraStore is a store directory a JSON-era build left: shard 0 holds the
+// snapshot.json the metadata package's json-era golden records for it.
+func jsonEraStore(t *testing.T) string {
+	t.Helper()
+	golden, err := os.ReadFile(filepath.Join("..", "..", "internal", "metadata", "testdata", "json-era.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, rest, ok := strings.Cut(string(golden), "# shard 0 snapshot\n")
+	if !ok {
+		t.Fatal("json-era golden holds no shard 0 snapshot")
+	}
+	snapshot, _, _ := strings.Cut(rest, "\n")
+	dir := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(dir, "shard-0"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "shard-0", "snapshot.json"), []byte(snapshot), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return dir
 }
 
 // TestSimTreeRepeats runs the same serial simulation twice in one process:

@@ -1,0 +1,342 @@
+package metadata
+
+import (
+	"errors"
+	"fmt"
+	"io"
+	"slices"
+
+	"u1/internal/protocol"
+	"u1/internal/wire"
+)
+
+// The durable tier's one binary format, built from the wire protocol's own
+// row codecs (protocol.Marshal*/Unmarshal* over wire.Writer/wire.Reader). A
+// journal record is encoded once, under the shard write lock that applied
+// it; those bytes are the WAL payload and the replication stream alike. A
+// snapshot is the shard's rows streamed through the same codecs in
+// ascending-ID order behind a magic-and-version header, and its body is also
+// what ShardFingerprint digests.
+
+// recKind is a journal record's kind, its first byte. The values are the
+// format: a kind is never renumbered.
+type recKind byte
+
+// Journal record kinds, one per mutating DAL class.
+const (
+	recCreateUser recKind = iota + 1
+	recCreateUDF
+	recMakeNode
+	recMakeContent
+	recMove
+	recUnlink
+	recDeleteVolume
+	recCreateShare
+	recAcceptShare
+	recDropShare
+)
+
+var recKindNames = [...]string{
+	recCreateUser:   "create_user",
+	recCreateUDF:    "create_udf",
+	recMakeNode:     "make_node",
+	recMakeContent:  "make_content",
+	recMove:         "move",
+	recUnlink:       "unlink",
+	recDeleteVolume: "delete_volume",
+	recCreateShare:  "create_share",
+	recAcceptShare:  "accept_share",
+	recDropShare:    "drop_share",
+}
+
+func (k recKind) String() string {
+	if int(k) < len(recKindNames) && recKindNames[k] != "" {
+		return recKindNames[k]
+	}
+	return fmt.Sprintf("kind(%d)", byte(k))
+}
+
+// encodeRecord appends rec to w: its kind byte, then only the fields that
+// kind carries.
+func encodeRecord(w *wire.Writer, rec *journalRecord) {
+	w.Byte(byte(rec.Kind))
+	switch rec.Kind {
+	case recCreateUser, recCreateUDF:
+		w.Uvarint(uint64(rec.User))
+		protocol.MarshalVolumeInfo(w, rec.Volume)
+		w.Uvarint(uint64(rec.Root))
+	case recMakeNode, recMakeContent, recMove:
+		protocol.MarshalNodeInfo(w, rec.Node)
+	case recUnlink:
+		w.Uvarint(uint64(rec.VolID))
+		w.Uvarint(uint64(rec.Gen))
+		w.Uvarint(uint64(len(rec.Removed)))
+		for _, n := range rec.Removed {
+			protocol.MarshalNodeInfo(w, n)
+		}
+	case recDeleteVolume:
+		w.Uvarint(uint64(rec.User))
+		w.Uvarint(uint64(rec.VolID))
+	case recCreateShare, recAcceptShare, recDropShare:
+		protocol.MarshalShareInfo(w, rec.Share)
+	}
+}
+
+// errCount reports a length prefix larger than the bytes that follow it:
+// refused before anything is allocated for it.
+var errCount = errors.New("metadata: count exceeds the bytes left")
+
+// reader is a wire.Reader that also checks length prefixes against the bytes
+// left, for the snapshot decoder. Its first error is sticky, like the
+// Reader's: after it every count is zero, so readShard stays straight-line
+// code with one check at the end.
+type reader struct {
+	*wire.Reader
+	err error
+}
+
+// count reads a length prefix, refusing one that claims more elements than
+// there are bytes left (every element takes at least one).
+func (r *reader) count() int {
+	n := r.Uvarint()
+	if r.Err() == nil && r.err == nil && n > uint64(r.Remaining()) {
+		r.err = errCount
+	}
+	if r.error() != nil {
+		return 0
+	}
+	return int(n)
+}
+
+func (r *reader) error() error {
+	if r.err != nil {
+		return r.err
+	}
+	return r.Err()
+}
+
+// decodeRecord reads one record from r into rec, which the caller owns and
+// may reuse: every field is overwritten, and rec.Removed's array is reused.
+// Truncation, an unknown kind and a hostile count are errors, never panics.
+func decodeRecord(r *wire.Reader, rec *journalRecord) error {
+	removed := rec.Removed[:0]
+	*rec = journalRecord{Kind: recKind(r.Byte()), Removed: removed}
+	switch rec.Kind {
+	case recCreateUser, recCreateUDF:
+		rec.User = protocol.UserID(r.Uvarint())
+		rec.Volume = protocol.UnmarshalVolumeInfo(r)
+		rec.Root = protocol.NodeID(r.Uvarint())
+	case recMakeNode, recMakeContent, recMove:
+		rec.Node = protocol.UnmarshalNodeInfo(r)
+	case recUnlink:
+		rec.VolID = protocol.VolumeID(r.Uvarint())
+		rec.Gen = protocol.Generation(r.Uvarint())
+		n := r.Uvarint()
+		if r.Err() == nil && n > uint64(r.Remaining()) {
+			return errCount
+		}
+		removed = slices.Grow(removed, int(n))
+		for i := uint64(0); i < n; i++ {
+			removed = append(removed, protocol.UnmarshalNodeInfo(r))
+		}
+		rec.Removed = removed
+	case recDeleteVolume:
+		rec.User = protocol.UserID(r.Uvarint())
+		rec.VolID = protocol.VolumeID(r.Uvarint())
+	case recCreateShare, recAcceptShare, recDropShare:
+		rec.Share = protocol.UnmarshalShareInfo(r)
+	default:
+		if r.Err() == nil {
+			return fmt.Errorf("metadata: unknown journal record kind %d", byte(rec.Kind))
+		}
+	}
+	return r.Err()
+}
+
+// decodePayload decodes a whole WAL payload: exactly one record, nothing
+// after it.
+func decodePayload(payload []byte, rec *journalRecord) error {
+	r := wire.NewReader(payload)
+	if err := decodeRecord(r, rec); err != nil {
+		return err
+	}
+	if n := r.Remaining(); n != 0 {
+		return fmt.Errorf("metadata: %d trailing bytes after a %v record", n, rec.Kind)
+	}
+	return nil
+}
+
+// Snapshot file format: snapshotMagic as a length-prefixed string, one
+// version byte, the uvarint LSN the snapshot covers, then the body writeShard
+// streams.
+const (
+	snapshotFile    = "snapshot.bin"
+	snapshotMagic   = "U1SNAP"
+	snapshotVersion = 1
+)
+
+// writeSnapshot streams sh's full state to w as a snapshot covering the
+// journal through lsn. Caller holds at least sh's read lock.
+func writeSnapshot(w io.Writer, sh *shard, lsn uint64) error {
+	var e wire.Writer
+	e.String(snapshotMagic)
+	e.Byte(snapshotVersion)
+	e.Uvarint(lsn)
+	return writeShard(w, &e, sh)
+}
+
+// writeShard streams sh's users, volumes (with their delta logs and grants),
+// nodes and shares, each in ascending-ID order, through e onto w, one row per
+// Write. The body carries no LSN, so an owner and its replica digest equal.
+func writeShard(w io.Writer, e *wire.Writer, sh *shard) error {
+	var err error
+	row := func() {
+		if err == nil {
+			_, err = w.Write(e.Bytes())
+		}
+		e.Reset()
+	}
+
+	users := sortedKeys(sh.users)
+	e.Uvarint(uint64(len(users)))
+	for _, id := range users {
+		u := sh.users[id]
+		e.Uvarint(uint64(id))
+		e.Uvarint(uint64(u.root))
+		writeIDs(e, sortedKeys(u.sharesIn))
+		writeIDs(e, sortedKeys(u.sharesOut))
+		row()
+	}
+
+	vols := sortedKeys(sh.volumes)
+	e.Uvarint(uint64(len(vols)))
+	for _, id := range vols {
+		vr := sh.volumes[id]
+		protocol.MarshalVolumeInfo(e, vr.info)
+		e.Uvarint(uint64(vr.root))
+		e.Uvarint(uint64(vr.droppedThrough))
+		e.Uvarint(uint64(len(vr.log)))
+		for _, le := range vr.log {
+			e.Uvarint(uint64(le.gen))
+			protocol.MarshalNodeInfo(e, le.node)
+			e.Bool(le.deleted)
+		}
+		grantees := sortedKeys(vr.grants)
+		e.Uvarint(uint64(len(grantees)))
+		for _, to := range grantees {
+			e.Uvarint(uint64(to))
+			e.Uvarint(uint64(vr.grants[to]))
+		}
+		row()
+	}
+
+	nodes := sortedKeys(sh.nodes)
+	e.Uvarint(uint64(len(nodes)))
+	for _, id := range nodes {
+		protocol.MarshalNodeInfo(e, sh.nodes[id].info(id))
+		row()
+	}
+
+	shares := sortedKeys(sh.shares)
+	e.Uvarint(uint64(len(shares)))
+	for _, id := range shares {
+		protocol.MarshalShareInfo(e, *sh.shares[id])
+	}
+	row()
+	return err
+}
+
+func writeIDs(e *wire.Writer, ids []protocol.ShareID) {
+	e.Uvarint(uint64(len(ids)))
+	for _, id := range ids {
+		e.Uvarint(uint64(id))
+	}
+}
+
+// sortedKeys returns m's keys in ascending order.
+func sortedKeys[K ~uint64, V any](m map[K]V) []K {
+	keys := make([]K, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
+}
+
+// readSnapshot decodes a snapshot file's bytes straight into sh, which must
+// be empty, and returns the LSN it covers.
+func readSnapshot(sh *shard, data []byte) (lsn uint64, err error) {
+	r := wire.NewReader(data)
+	if string(r.Bytes()) != snapshotMagic {
+		return 0, fmt.Errorf("metadata: not a %s snapshot", snapshotMagic)
+	}
+	if v := r.Byte(); r.Err() == nil && v != snapshotVersion {
+		return 0, fmt.Errorf("metadata: snapshot format version %d, this build reads %d", v, snapshotVersion)
+	}
+	lsn = r.Uvarint()
+	if err := readShard(r, sh); err != nil {
+		return 0, err
+	}
+	if n := r.Remaining(); n != 0 {
+		return 0, fmt.Errorf("metadata: %d trailing bytes after the snapshot", n)
+	}
+	return lsn, nil
+}
+
+// readShard decodes what writeShard wrote into the empty shard sh: rows
+// first, then the children indexes from each node's (Parent, Name).
+func readShard(r *wire.Reader, sh *shard) error {
+	d := &reader{Reader: r}
+	for i := d.count(); i > 0; i-- {
+		u := &userRow{id: protocol.UserID(r.Uvarint()), root: protocol.VolumeID(r.Uvarint())}
+		for j := d.count(); j > 0; j-- {
+			u.addShareIn(protocol.ShareID(r.Uvarint()))
+		}
+		for j := d.count(); j > 0; j-- {
+			u.addShareOut(protocol.ShareID(r.Uvarint()))
+		}
+		sh.users[u.id] = u
+	}
+
+	for i := d.count(); i > 0; i-- {
+		vr := &volumeRow{info: protocol.UnmarshalVolumeInfo(r)}
+		vr.root = protocol.NodeID(r.Uvarint())
+		vr.droppedThrough = protocol.Generation(r.Uvarint())
+		if n := d.count(); n > 0 {
+			vr.log = make([]logEntry, n)
+		}
+		for j := range vr.log {
+			vr.log[j].gen = protocol.Generation(r.Uvarint())
+			vr.log[j].node = protocol.UnmarshalNodeInfo(r)
+			vr.log[j].deleted = r.Bool()
+		}
+		for j := d.count(); j > 0; j-- {
+			vr.addGrant(protocol.UserID(r.Uvarint()), protocol.ShareID(r.Uvarint()))
+		}
+		sh.volumes[vr.info.ID] = vr
+		// Owned-volume lists derive from volume ownership, in ascending
+		// volume order on every recovery.
+		if u, ok := sh.users[vr.info.Owner]; ok {
+			u.addVolume(vr.info.ID)
+		}
+	}
+
+	for i := d.count(); i > 0; i-- {
+		info := protocol.UnmarshalNodeInfo(r)
+		sh.nodes[info.ID] = newNodeRow(info)
+	}
+	for id, nr := range sh.nodes {
+		if nr.parent == 0 {
+			continue // volume roots hang off volumeRow.root
+		}
+		if pr, ok := sh.nodes[nr.parent]; ok && pr.kind == protocol.KindDir {
+			pr.addChild(nr.name, id)
+		}
+	}
+
+	for i := d.count(); i > 0; i-- {
+		share := protocol.UnmarshalShareInfo(r)
+		sh.shares[share.ID] = &share
+	}
+	return d.error()
+}

@@ -1,30 +1,31 @@
 package metadata
 
 import (
+	"bufio"
 	"crypto/sha1"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"time"
 
 	"u1/internal/metrics"
 	"u1/internal/protocol"
 	"u1/internal/wal"
+	"u1/internal/wire"
 )
 
 // The durable metadata tier: per-shard write-ahead journaling plus
 // snapshot-and-replay recovery. The journal record is the mutation: every op
 // decides its outcome under the shard write lock, fills a journalRecord with
 // the *resulting* state — assigned identifiers, generations, removed
-// subtrees — and hands it to commit, which runs the shard's one apply and
-// then journals and publishes the same record. Replay and replica
-// application run that apply too, so a crashed shard rebuilt from its latest
-// snapshot plus the journal suffix is the shard live traffic built, by
-// construction. The recovery invariant this file exists to uphold (and the
-// shard-crash chaos catalog entry enforces):
+// subtrees — and hands it to commit, which runs the shard's one apply, then
+// encodes the record once (codec.go) and journals and publishes those same
+// bytes. Replay and replica application decode them and run that apply too,
+// so a crashed shard rebuilt from its latest snapshot plus the journal suffix
+// is the shard live traffic built, by construction. The recovery invariant
+// this file exists to uphold (and the shard-crash chaos catalog entry
+// enforces):
 //
 //   - every acknowledged write survives a crash-restart, and
 //   - no unacknowledged write is double-applied: a record torn by the crash
@@ -71,75 +72,31 @@ type durableShard struct {
 	dir     string
 	lastLSN uint64
 	records int // journal appends since the last snapshot
+	// scratch encodes the record of a store that journals without
+	// replicating (a replicating store encodes onto the outbox instead).
+	scratch wire.Writer
 }
 
-// journalRecord is one logical mutation, encoded as JSON. Records carry the
-// resulting state — assigned IDs and generations included — so replay
-// restores exactly what the store produced without re-running allocators.
+// journalRecord is one logical mutation. Records carry the resulting state —
+// assigned IDs and generations included — so replay restores exactly what the
+// store produced without re-running allocators. On disk and on the
+// replication stream a record is its binary encoding (codec.go), written once
+// per commit.
 type journalRecord struct {
-	Kind    string              `json:"kind"`
-	User    protocol.UserID     `json:"user,omitempty"`
-	Volume  protocol.VolumeInfo `json:"volume,omitempty"`
-	Root    protocol.NodeID     `json:"root,omitempty"`
-	Node    protocol.NodeInfo   `json:"node,omitempty"`
-	VolID   protocol.VolumeID   `json:"vol_id,omitempty"`
-	Gen     protocol.Generation `json:"gen,omitempty"`
-	Removed []protocol.NodeInfo `json:"removed,omitempty"`
-	Share   protocol.ShareInfo  `json:"share,omitempty"`
+	Kind    recKind
+	User    protocol.UserID
+	Volume  protocol.VolumeInfo
+	Root    protocol.NodeID
+	Node    protocol.NodeInfo
+	VolID   protocol.VolumeID
+	Gen     protocol.Generation
+	Removed []protocol.NodeInfo
+	Share   protocol.ShareInfo
 }
 
-// Journal record kinds, one per mutating DAL class.
-const (
-	recCreateUser   = "create_user"
-	recCreateUDF    = "create_udf"
-	recMakeNode     = "make_node"
-	recMakeContent  = "make_content"
-	recMove         = "move"
-	recUnlink       = "unlink"
-	recDeleteVolume = "delete_volume"
-	recCreateShare  = "create_share"
-	recAcceptShare  = "accept_share"
-	recDropShare    = "drop_share"
-)
-
-// shardSnapshot is the serialized full state of one shard: the save/load
-// round-trip unit. Maps become sorted slices so encoding is deterministic;
-// directory children indexes are rebuilt from each node's (Parent, Name).
-type shardSnapshot struct {
-	LSN     uint64               `json:"lsn"`
-	Users   []userSnap           `json:"users"`
-	Volumes []volumeSnap         `json:"volumes"`
-	Nodes   []protocol.NodeInfo  `json:"nodes"`
-	Shares  []protocol.ShareInfo `json:"shares"`
-}
-
-type userSnap struct {
-	ID        protocol.UserID    `json:"id"`
-	Root      protocol.VolumeID  `json:"root"`
-	SharesIn  []protocol.ShareID `json:"shares_in,omitempty"`
-	SharesOut []protocol.ShareID `json:"shares_out,omitempty"`
-}
-
-type volumeSnap struct {
-	Info           protocol.VolumeInfo `json:"info"`
-	Root           protocol.NodeID     `json:"root"`
-	DroppedThrough protocol.Generation `json:"dropped_through,omitempty"`
-	Log            []logSnap           `json:"log,omitempty"`
-	Grants         []grantSnap         `json:"grants,omitempty"`
-}
-
-type logSnap struct {
-	Gen     protocol.Generation `json:"gen"`
-	Node    protocol.NodeInfo   `json:"node"`
-	Deleted bool                `json:"deleted,omitempty"`
-}
-
-type grantSnap struct {
-	To    protocol.UserID  `json:"to"`
-	Share protocol.ShareID `json:"share"`
-}
-
-const snapshotFile = "snapshot.json"
+// jsonSnapshotFile is the snapshot name of the JSON-era format this build
+// refuses to open (see loadShard).
+const jsonSnapshotFile = "snapshot.json"
 
 // openDurability attaches the durable tier to a freshly constructed store:
 // per shard, load the snapshot, replay the journal suffix, and leave the
@@ -184,15 +141,17 @@ func (s *Store) loadShard(i int) error {
 	sh, dsh := s.shards[i], s.dur.shards[i]
 	walDir := filepath.Join(dsh.dir, "wal")
 
+	if _, err := os.Stat(filepath.Join(dsh.dir, jsonSnapshotFile)); err == nil {
+		return fmt.Errorf("metadata: %s holds a JSON-era %s; this build reads only %s (format version %d), so the store must be rebuilt",
+			dsh.dir, jsonSnapshotFile, snapshotFile, snapshotVersion)
+	}
+
 	var snapLSN uint64
 	snapPath := filepath.Join(dsh.dir, snapshotFile)
 	if data, err := os.ReadFile(snapPath); err == nil {
-		var snap shardSnapshot
-		if err := json.Unmarshal(data, &snap); err != nil {
+		if snapLSN, err = readSnapshot(sh, data); err != nil {
 			return fmt.Errorf("metadata: decoding snapshot %s: %w", snapPath, err)
 		}
-		restoreSnapshot(sh, &snap)
-		snapLSN = snap.LSN
 	} else if !os.IsNotExist(err) {
 		return fmt.Errorf("metadata: reading snapshot %s: %w", snapPath, err)
 	}
@@ -202,12 +161,15 @@ func (s *Store) loadShard(i int) error {
 	if err != nil {
 		return err
 	}
+	var rec journalRecord
 	last, dropped, err := wal.Replay(walDir, func(lsn uint64, payload []byte) error {
+		if len(payload) > 0 && payload[0] == '{' {
+			return fmt.Errorf("metadata: journal record %d in %s is a JSON-era record; this build reads only the binary format, so the store must be rebuilt", lsn, walDir)
+		}
 		if lsn <= snapLSN {
 			return nil // already folded into the snapshot
 		}
-		var rec journalRecord
-		if err := json.Unmarshal(payload, &rec); err != nil {
+		if err := decodePayload(payload, &rec); err != nil {
 			return fmt.Errorf("metadata: decoding journal record %d: %w", lsn, err)
 		}
 		sh.apply(&rec)
@@ -229,39 +191,43 @@ func (s *Store) loadShard(i int) error {
 // any delta-log trim, and journals and publishes the same record. It runs
 // under sh's write lock and is journal's only caller, so every record is
 // journaled under the lock that applied it and journal order, publish order
-// and apply order are one order.
+// and apply order are one order. An in-memory single-region store has no
+// sink for the record and encodes nothing.
 func (s *Store) commit(sh *shard, rec journalRecord) {
 	if trims := sh.apply(&rec); trims > 0 {
 		s.m.logTrimmed.Add(uint64(trims))
 	}
-	s.journal(sh, rec)
+	if s.dur != nil || s.repl != nil {
+		s.journal(sh, &rec)
+	}
 }
 
-// journal appends one committed record to sh's journal and replication
-// outbox; a no-op for in-memory single-region stores. The record is on disk
-// (per the fsync policy) before the operation acknowledges. Journal failures
-// are counted, not fatal: the simulated store prefers availability, and the
-// wal.errors counter makes the breach visible.
-//
-// The record arrives by value and neither sink takes its address: with
-// replication and durability both off, a mutation leaves no record on the
-// heap.
-func (s *Store) journal(sh *shard, rec journalRecord) {
+// journal encodes one committed record once and hands those bytes to both
+// sinks: the tail of sh's replication outbox and sh's journal. The record is
+// on disk (per the fsync policy) before the operation acknowledges. Journal
+// failures are counted, not fatal: the simulated store prefers availability,
+// and the wal.errors counter makes the breach visible.
+func (s *Store) journal(sh *shard, rec *journalRecord) {
+	var payload []byte
 	// The replication tier consumes the same record stream: publication under
 	// the apply lock is what guarantees acknowledged writes are already
 	// published when their region dies.
 	if s.repl != nil {
-		s.repl.outbox[sh.id] = append(s.repl.outbox[sh.id], rec)
+		ob := &s.repl.outbox[sh.id]
+		start := len(ob.w.Bytes())
+		encodeRecord(&ob.w, rec)
+		ob.n++
+		payload = ob.w.Bytes()[start:]
 		s.repl.m.published.Inc()
 	}
 	if s.dur == nil {
 		return
 	}
 	dsh := s.dur.shards[sh.id]
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		s.dur.m.journalErr.Inc()
-		return
+	if payload == nil {
+		dsh.scratch.Reset()
+		encodeRecord(&dsh.scratch, rec)
+		payload = dsh.scratch.Bytes()
 	}
 	lsn, err := dsh.journal.Append(payload)
 	if err != nil {
@@ -276,34 +242,66 @@ func (s *Store) journal(sh *shard, rec journalRecord) {
 	}
 }
 
-// snapshotShardLocked writes sh's state as the new snapshot (atomic
-// tmp+rename) and releases the journal segments it covers. Runs under sh's
-// write lock.
+// snapshotShardLocked writes sh's state as the new snapshot and releases the
+// journal segments it covers. Runs under sh's write lock. The order is what
+// keeps an acknowledged write on disk through a power cut at any step: the
+// tmp file is written and synced, renamed over the old snapshot, the rename
+// made durable by syncing the shard directory, and only then is the covered
+// journal truncated.
 func (s *Store) snapshotShardLocked(sh *shard) {
 	dsh := s.dur.shards[sh.id]
-	snap := snapshotState(sh)
-	snap.LSN = dsh.lastLSN
-	data, err := json.Marshal(snap)
-	if err != nil {
-		s.dur.m.journalErr.Inc()
-		return
-	}
 	tmp := filepath.Join(dsh.dir, snapshotFile+".tmp")
 	final := filepath.Join(dsh.dir, snapshotFile)
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		s.dur.m.journalErr.Inc()
-		return
+	err := writeSnapshotFile(tmp, sh, dsh.lastLSN)
+	if err == nil {
+		err = os.Rename(tmp, final)
 	}
-	if err := os.Rename(tmp, final); err != nil {
-		s.dur.m.journalErr.Inc()
-		return
+	if err == nil {
+		err = syncDir(dsh.dir)
 	}
-	if err := dsh.journal.TruncateThrough(snap.LSN); err != nil {
+	if err == nil {
+		err = dsh.journal.TruncateThrough(dsh.lastLSN)
+	}
+	if err != nil {
 		s.dur.m.journalErr.Inc()
 		return
 	}
 	dsh.records = 0
 	s.dur.m.snapshots.Inc()
+}
+
+// writeSnapshotFile streams sh's snapshot at lsn into a new file at path
+// through a bufio.Writer, then syncs and closes it.
+func writeSnapshotFile(path string, sh *shard, lsn uint64) error {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	bw := bufio.NewWriter(f)
+	err = writeSnapshot(bw, sh, lsn)
+	if err == nil {
+		err = bw.Flush()
+	}
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// syncDir makes the entries of dir (a rename into it) durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // Close flushes the durable tier: every shard is snapshotted and its journal
@@ -388,118 +386,18 @@ func (s *Store) RecoverShard(i int) error {
 // excluded (transient, never journaled).
 func (s *Store) ShardFingerprint(i int) string { return fingerprint(s.shards[i]) }
 
-// fingerprint is the hex SHA-1 of sh's snapshot form, owner or replica alike.
+// fingerprint is the hex SHA-1 of sh's snapshot body (no LSN), owner or
+// replica alike.
 func fingerprint(sh *shard) string {
+	h := sha1.New()
 	// A drill probe, not client load.
 	sh.RLockUncounted()
-	snap := snapshotState(sh)
+	err := writeShard(h, new(wire.Writer), sh)
 	sh.RUnlockUncounted()
-	data, err := json.Marshal(snap)
 	if err != nil {
 		return "unfingerprintable: " + err.Error()
 	}
-	sum := sha1.Sum(data)
-	return hex.EncodeToString(sum[:])
-}
-
-// snapshotState serializes sh's maps into the deterministic snapshot form.
-// Caller holds at least the read lock.
-func snapshotState(sh *shard) *shardSnapshot {
-	snap := &shardSnapshot{}
-	for _, u := range sh.users {
-		us := userSnap{ID: u.id, Root: u.root}
-		for id := range u.sharesIn {
-			us.SharesIn = append(us.SharesIn, id)
-		}
-		for id := range u.sharesOut {
-			us.SharesOut = append(us.SharesOut, id)
-		}
-		sort.Slice(us.SharesIn, func(i, j int) bool { return us.SharesIn[i] < us.SharesIn[j] })
-		sort.Slice(us.SharesOut, func(i, j int) bool { return us.SharesOut[i] < us.SharesOut[j] })
-		snap.Users = append(snap.Users, us)
-	}
-	sort.Slice(snap.Users, func(i, j int) bool { return snap.Users[i].ID < snap.Users[j].ID })
-
-	for _, vr := range sh.volumes {
-		vs := volumeSnap{Info: vr.info, Root: vr.root, DroppedThrough: vr.droppedThrough}
-		for _, e := range vr.log {
-			vs.Log = append(vs.Log, logSnap{Gen: e.gen, Node: e.node, Deleted: e.deleted})
-		}
-		for to, id := range vr.grants {
-			vs.Grants = append(vs.Grants, grantSnap{To: to, Share: id})
-		}
-		sort.Slice(vs.Grants, func(i, j int) bool { return vs.Grants[i].Share < vs.Grants[j].Share })
-		snap.Volumes = append(snap.Volumes, vs)
-	}
-	sort.Slice(snap.Volumes, func(i, j int) bool { return snap.Volumes[i].Info.ID < snap.Volumes[j].Info.ID })
-
-	for id, nr := range sh.nodes {
-		snap.Nodes = append(snap.Nodes, nr.info(id))
-	}
-	sort.Slice(snap.Nodes, func(i, j int) bool { return snap.Nodes[i].ID < snap.Nodes[j].ID })
-
-	for _, share := range sh.shares {
-		snap.Shares = append(snap.Shares, *share)
-	}
-	sort.Slice(snap.Shares, func(i, j int) bool { return snap.Shares[i].ID < snap.Shares[j].ID })
-	return snap
-}
-
-// restoreSnapshot rebuilds sh's maps from a snapshot: rows first, then the
-// children indexes from each node's (Parent, Name).
-func restoreSnapshot(sh *shard, snap *shardSnapshot) {
-	for _, vs := range snap.Volumes {
-		vr := &volumeRow{
-			info:           vs.Info,
-			root:           vs.Root,
-			droppedThrough: vs.DroppedThrough,
-		}
-		for _, e := range vs.Log {
-			vr.log = append(vr.log, logEntry{gen: e.Gen, node: e.Node, deleted: e.Deleted})
-		}
-		for _, g := range vs.Grants {
-			vr.addGrant(g.To, g.Share)
-		}
-		sh.volumes[vs.Info.ID] = vr
-	}
-	for _, info := range snap.Nodes {
-		sh.nodes[info.ID] = newNodeRow(info)
-	}
-	for _, info := range snap.Nodes {
-		if info.Parent == 0 {
-			continue // volume roots hang off volumeRow.root
-		}
-		if pr, ok := sh.nodes[info.Parent]; ok && pr.kind == protocol.KindDir {
-			pr.addChild(info.Name, info.ID)
-		}
-	}
-	for i := range snap.Shares {
-		share := snap.Shares[i]
-		sh.shares[share.ID] = &share
-	}
-	for _, us := range snap.Users {
-		u := &userRow{
-			id:   us.ID,
-			root: us.Root,
-		}
-		for _, id := range us.SharesIn {
-			u.addShareIn(id)
-		}
-		for _, id := range us.SharesOut {
-			u.addShareOut(id)
-		}
-		sh.users[us.ID] = u
-	}
-	// Owned-volume lists derive from volume ownership. Walk the snapshot's
-	// volume list (already in ascending-ID order) rather than the map just
-	// rebuilt from it, so the per-user volume lists come back in the same
-	// order on every recovery.
-	for i := range snap.Volumes {
-		vs := &snap.Volumes[i]
-		if u, ok := sh.users[vs.Info.Owner]; ok {
-			u.addVolume(vs.Info.ID)
-		}
-	}
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // apply is the shard's one mutation path: live ops (through commit), journal

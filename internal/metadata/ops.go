@@ -33,7 +33,7 @@ func (s *Store) CreateUser(user protocol.UserID) (protocol.VolumeInfo, error) {
 // createVolume commits a new volume plus its root directory — a user's root
 // volume (recCreateUser, which also creates the user row) or a UDF — in sh,
 // which must be write-locked.
-func (s *Store) createVolume(sh *shard, kind string, owner protocol.UserID, typ protocol.VolumeType, path string) protocol.VolumeInfo {
+func (s *Store) createVolume(sh *shard, kind recKind, owner protocol.UserID, typ protocol.VolumeType, path string) protocol.VolumeInfo {
 	info := protocol.VolumeInfo{ID: s.allocVolume(), Type: typ, Path: path, Owner: owner}
 	s.commit(sh, journalRecord{Kind: kind, User: owner, Volume: info, Root: s.allocNode()})
 	s.volumeDir.store(info.ID, owner)

@@ -59,9 +59,9 @@ func TestDeleteVolumeJournalsDropSharesInUserOrder(t *testing.T) {
 	// grantees over 3 shards an unsorted map walk fails this with high
 	// probability on every run.
 	total := 0
-	for shardID, recs := range s.repl.outbox {
+	for shardID, ob := range s.repl.outbox {
 		var seen []protocol.UserID
-		for _, rec := range recs {
+		for _, rec := range decodeRecords(t, ob.w.Bytes(), ob.n) {
 			if rec.Kind == recDropShare {
 				seen = append(seen, rec.Share.SharedTo)
 			}

@@ -1,31 +1,36 @@
 package metadata
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 
 	"u1/internal/metrics"
 	"u1/internal/protocol"
+	"u1/internal/wire"
 )
 
 // Asynchronous cross-region metadata replication. Shards partition into
 // contiguous regions. Every mutation commits at the owning region as one
-// journal record (durable.go), and commit appends that record to the owning
-// shard's replication outbox under the write lock that applied it. A replica
-// applies the record through the same shard.apply the owner ran, in outbox
+// journal record (durable.go), and commit encodes that record onto the tail
+// of the owning shard's replication outbox under the write lock that applied
+// it — the same bytes the journal writes (codec.go). A replica decodes each
+// record and applies it through the same shard.apply the owner ran, in outbox
 // order, which is apply order, so a drained replica equals its owner — the
 // invariant the region drill's fingerprint comparison enforces.
 //
 // Shipping is epoch-batched. Each replication tick (TickReplication: an
 // AtEpochEnd hook of the sharded engine in simulation, a direct call from a
 // harness or drill) advances the epoch, applies every region's ripe backlog,
-// ships the records published since the last tick into every peer region's
-// backlog stamped with the new epoch, and applies again; a backlog record
-// applies to the peer's replica shards once it has aged ReplicationDelay
-// ticks. Reads resolve through readShardFor: same-region reads always hit the
-// owner shard; cross-region reads go to the owner under read-your-writes (the
-// default) or to the reader region's replica under eventual reads — and
-// always to the replica when the owner region is down.
+// ships each outbox — the encoded records published since the last tick — as
+// one batch into every peer region's backlog stamped with the new epoch, and
+// applies again. The peers share that batch read-only; nothing is copied per
+// record or per peer. A batch applies to the peer's replica shards, record by
+// record, once it has aged ReplicationDelay ticks; its records share one
+// epoch, so it ripens whole. Reads resolve through readShardFor: same-region
+// reads always hit the owner shard; cross-region reads go to the owner under
+// read-your-writes (the default) or to the reader region's replica under
+// eventual reads — and always to the replica when the owner region is down.
 //
 // Conflict rule: cross-region writes on shared volumes resolve by
 // (generation, region-id) last-writer-wins — a node-bearing record applies
@@ -53,12 +58,25 @@ type replMetrics struct {
 	lagEpochs    *metrics.Histogram
 }
 
-// replRecord is one backlog entry: a journal record, its owning shard, and
-// the tick at which it was published.
-type replRecord struct {
+// outbox is one owner shard's publication buffer: the records committed since
+// the last ship, encoded back to back, and how many there are.
+type outbox struct {
+	w wire.Writer
+	n int
+}
+
+// maxKeptOutbox bounds the buffer an outbox keeps from one tick to the next,
+// so one burst of commits does not stay allocated for the life of the store.
+const maxKeptOutbox = 64 << 10
+
+// replBatch is one backlog entry: one owner shard's outbox as shipped — n
+// encoded records — and the tick that shipped it. Every peer region's backlog
+// holds the same batch; none writes to it.
+type replBatch struct {
 	shard int
 	epoch uint64
-	rec   journalRecord
+	recs  []byte
+	n     int
 }
 
 // regionState is one region's replication-side state.
@@ -68,10 +86,10 @@ type regionState struct {
 	// local). Replica shards register no metrics so replication traffic never
 	// pollutes the owner shards' load counters.
 	replicas []*shard
-	// backlog holds delivered, not-yet-applied records in arrival order;
-	// publication epochs are non-decreasing along it, so ripe records always
+	// backlog holds delivered, not-yet-applied batches in arrival order;
+	// publication epochs are non-decreasing along it, so ripe batches always
 	// form a prefix.
-	backlog []replRecord
+	backlog []replBatch
 	// pending counts backlog records per owning shard — the per-shard
 	// staleness signal readShardFor consults.
 	pending []int
@@ -102,7 +120,10 @@ type replication struct {
 
 	// outbox is per owner shard, appended under that shard's write lock by
 	// Store.commit and drained by ship under the same lock.
-	outbox [][]journalRecord
+	outbox []outbox
+	// rec is the record every backlog batch decodes into, one at a time;
+	// guarded by mu.
+	rec journalRecord
 
 	// mu guards epoch, state backlogs/pending/revoked/down. Mutations happen
 	// at replication ticks (traffic quiescent in simulation) and on the
@@ -118,7 +139,7 @@ func newReplication(cfg Config, reg *metrics.Registry) *replication {
 		regions:  cfg.Regions,
 		delay:    cfg.ReplicationDelay,
 		eventual: cfg.EventualReads,
-		outbox:   make([][]journalRecord, cfg.Shards),
+		outbox:   make([]outbox, cfg.Shards),
 		state:    make([]*regionState, cfg.Regions),
 		m: replMetrics{
 			published:    reg.Counter(metrics.ReplPublished),
@@ -189,35 +210,43 @@ func (s *Store) RegionOfUser(user protocol.UserID) int {
 	return s.RegionOf(s.ShardFor(user))
 }
 
-// ship drains every owner shard's publication outbox into each peer region's
-// backlog, stamped with the current tick, in shard order.
+// ship drains every owner shard's publication outbox, as one batch, into each
+// peer region's backlog, stamped with the current tick, in shard order.
 func (s *Store) ship() {
 	r := s.repl
 	for i, sh := range s.shards {
 		// The outbox is filled under the shard's write lock; draining it is
 		// the replication tick, not client load.
 		sh.LockUncounted()
-		recs := r.outbox[i]
-		r.outbox[i] = nil
+		ob := &r.outbox[i]
+		b := replBatch{shard: i, n: ob.n}
+		if b.n > 0 {
+			// One copy per batch; the outbox keeps its buffer for the next.
+			b.recs = bytes.Clone(ob.w.Bytes())
+			ob.w.Reset()
+			ob.n = 0
+			if cap(ob.w.Bytes()) > maxKeptOutbox {
+				ob.w = wire.Writer{}
+			}
+		}
 		sh.UnlockUncounted()
-		if len(recs) == 0 {
+		if b.n == 0 {
 			continue
 		}
 		r.mu.Lock()
+		b.epoch = r.epoch
 		for region, st := range r.state {
 			if region == r.regionOf(i) {
 				continue
 			}
-			for _, rec := range recs {
-				st.backlog = append(st.backlog, replRecord{shard: i, epoch: r.epoch, rec: rec})
-			}
-			st.pending[i] += len(recs)
+			st.backlog = append(st.backlog, b)
+			st.pending[i] += b.n
 		}
 		r.mu.Unlock()
 	}
 }
 
-// applyRipe applies each region's ripe backlog prefix — records that have
+// applyRipe applies each region's ripe backlog prefix — batches that have
 // aged at least the configured delay — to its replica shards, then refreshes
 // the backlog depth gauge.
 func (r *replication) applyRipe() {
@@ -226,38 +255,57 @@ func (r *replication) applyRipe() {
 	for _, st := range r.state {
 		i := 0
 		for ; i < len(st.backlog); i++ {
-			rec := st.backlog[i]
-			if rec.epoch+uint64(r.delay) > r.epoch {
+			b := &st.backlog[i]
+			if b.epoch+uint64(r.delay) > r.epoch {
 				break // publication epochs are non-decreasing: the rest is younger
 			}
-			r.applyLocked(st, rec)
-			st.pending[rec.shard]--
+			r.applyBatchLocked(st, b)
 		}
-		if i > 0 {
-			st.backlog = append(st.backlog[:0:0], st.backlog[i:]...)
-		}
+		kept := copy(st.backlog, st.backlog[i:])
+		clear(st.backlog[kept:]) // drop the applied batches' buffers
+		st.backlog = st.backlog[:kept]
 	}
 	r.refreshBacklogGaugeLocked()
 }
 
+// refreshBacklogGaugeLocked sets repl.backlog_depth to the records, not the
+// batches, waiting in every region's backlog.
 func (r *replication) refreshBacklogGaugeLocked() {
 	var depth int64
 	for _, st := range r.state {
-		depth += int64(len(st.backlog))
+		for i := range st.backlog {
+			depth += int64(st.backlog[i].n)
+		}
 	}
 	r.m.backlogDepth.Set(depth)
 }
 
-// applyLocked applies one record to its replica shard under r.mu, guarded by
-// the (generation, region-id) LWW rule. Tombstoned revocations clear once the
-// revoking record itself arrives.
-func (r *replication) applyLocked(st *regionState, rr replRecord) {
-	sh := st.replicas[rr.shard]
-	origin := r.regionOf(rr.shard)
+// applyBatchLocked decodes b's records one at a time into r.rec and applies
+// each to its replica shard under r.mu. The bytes are the owner's own
+// encoding, so a record that does not decode is a broken invariant.
+func (r *replication) applyBatchLocked(st *regionState, b *replBatch) {
+	rd := wire.NewReader(b.recs)
+	for i := 0; i < b.n; i++ {
+		if err := decodeRecord(rd, &r.rec); err != nil {
+			panic(fmt.Sprintf("metadata: replication batch of shard %d, record %d: %v", b.shard, i, err))
+		}
+		r.applyLocked(st, b.shard, b.epoch, &r.rec)
+	}
+	if n := rd.Remaining(); n != 0 {
+		panic(fmt.Sprintf("metadata: replication batch of shard %d: %d bytes after its %d records", b.shard, n, b.n))
+	}
+	st.pending[b.shard] -= b.n
+}
+
+// applyLocked applies one record of owner shard `shard`, shipped at epoch,
+// to its replica shard under r.mu, guarded by the (generation, region-id) LWW
+// rule. Tombstoned revocations clear once the revoking record itself arrives.
+func (r *replication) applyLocked(st *regionState, shard int, epoch uint64, rec *journalRecord) {
+	sh := st.replicas[shard]
+	origin := r.regionOf(shard)
 	// Replication traffic is not client load; the repl.* series count it.
 	sh.LockUncounted()
 	defer sh.UnlockUncounted()
-	rec := rr.rec
 	switch rec.Kind {
 	case recDeleteVolume:
 		if vr, ok := sh.volumes[rec.VolID]; ok {
@@ -273,11 +321,11 @@ func (r *replication) applyLocked(st *regionState, rr replRecord) {
 		delete(st.revoked, rec.Share.ID)
 		st.revMu.Unlock()
 	}
-	if !shouldApply(st, sh, &rec, origin) {
+	if !shouldApply(st, sh, rec, origin) {
 		r.m.lwwSkipped.Inc()
 		return
 	}
-	sh.apply(&rec)
+	sh.apply(rec)
 	switch rec.Kind {
 	case recMakeNode, recMakeContent, recMove:
 		st.lastOrigin[rec.Node.Volume] = origin
@@ -285,7 +333,7 @@ func (r *replication) applyLocked(st *regionState, rr replRecord) {
 		st.lastOrigin[rec.VolID] = origin
 	}
 	r.m.applied.Inc()
-	r.m.lagEpochs.Observe(float64(r.epoch - rr.epoch))
+	r.m.lagEpochs.Observe(float64(r.epoch - epoch))
 }
 
 // shouldApply is the (generation, region-id) last-writer-wins guard: a
@@ -390,9 +438,8 @@ func (s *Store) FailoverRegion(at int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	st := r.state[at]
-	for _, rec := range st.backlog {
-		r.applyLocked(st, rec)
-		st.pending[rec.shard]--
+	for i := range st.backlog {
+		r.applyBatchLocked(st, &st.backlog[i])
 	}
 	st.backlog = nil
 	r.refreshBacklogGaugeLocked()
@@ -400,8 +447,9 @@ func (s *Store) FailoverRegion(at int) {
 
 // RegionRecover restores a downed region from a surviving peer: the peer
 // fast-forwards its replicas (FailoverRegion), every owner shard of the dead
-// region is rebuilt from the peer's replica snapshot, derived store state is
-// recomputed, and the region rejoins. Uploadjobs are transient and lost with
+// region is rebuilt from the peer's replica — encoded as a snapshot and
+// decoded into the owner, the snapshot file's own codec — derived store state
+// is recomputed, and the region rejoins. Uploadjobs are transient and lost with
 // the region, exactly as in a shard crash.
 func (s *Store) RegionRecover(region, from int) {
 	r := s.repl
@@ -417,14 +465,20 @@ func (s *Store) RegionRecover(region, from int) {
 			continue
 		}
 		replica := peer.replicas[i]
+		var snap bytes.Buffer
 		// A region drill moves state wholesale; neither side is client load.
 		replica.RLockUncounted()
-		snap := snapshotState(replica)
+		err := writeSnapshot(&snap, replica, 0)
 		replica.RUnlockUncounted()
 		sh.LockUncounted()
 		sh.reset()
-		restoreSnapshot(sh, snap)
+		if err == nil {
+			_, err = readSnapshot(sh, snap.Bytes())
+		}
 		sh.UnlockUncounted()
+		if err != nil {
+			panic(fmt.Sprintf("metadata: restoring shard %d from region %d: %v", i, from, err))
+		}
 	}
 	s.rebuildDerived()
 	r.mu.Lock()

@@ -263,14 +263,19 @@ func TestLastWriterWinsSkipsStaleGenerations(t *testing.T) {
 	before := s.ReplicaFingerprint(readerRegion, ownerShard)
 
 	// A stale record — generation below the replica's — must not apply.
-	stale := replRecord{shard: ownerShard, epoch: s.repl.epoch, rec: journalRecord{
+	stale := journalRecord{
 		Kind: recMakeNode,
 		Node: protocol.NodeInfo{ID: 9999, Volume: udf, Kind: protocol.KindFile, Name: "stale", Generation: curGen - 1},
-	}}
+	}
+	apply := func(rec journalRecord) {
+		b := replBatch{shard: ownerShard, epoch: s.repl.epoch, recs: encodeRecords(rec), n: 1}
+		s.repl.mu.Lock()
+		st.pending[ownerShard]++ // the batch arrives outside ship
+		s.repl.applyBatchLocked(st, &b)
+		s.repl.mu.Unlock()
+	}
 	skippedBefore := s.repl.m.lwwSkipped.Value()
-	s.repl.mu.Lock()
-	s.repl.applyLocked(st, stale)
-	s.repl.mu.Unlock()
+	apply(stale)
 	if got := s.ReplicaFingerprint(readerRegion, ownerShard); got != before {
 		t.Fatalf("stale-generation record mutated the replica")
 	}
@@ -280,11 +285,11 @@ func TestLastWriterWinsSkipsStaleGenerations(t *testing.T) {
 
 	// A tie on generation loses to an equal-or-higher recorded origin.
 	tie := stale
-	tie.rec.Node.Generation = curGen
+	tie.Node.Generation = curGen
 	s.repl.mu.Lock()
 	st.lastOrigin[udf] = s.Regions() - 1 // highest region already won this gen
-	s.repl.applyLocked(st, tie)
 	s.repl.mu.Unlock()
+	apply(tie)
 	if got := s.ReplicaFingerprint(readerRegion, ownerShard); got != before {
 		t.Fatalf("generation-tie record from a losing origin mutated the replica")
 	}

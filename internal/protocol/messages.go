@@ -155,7 +155,14 @@ type Response struct {
 	home *Response
 }
 
-func marshalVolumeInfo(w *wire.Writer, v VolumeInfo) {
+// The field codecs of the protocol's three row types. The response and push
+// envelopes are built from them, and so is the metadata tier's journal record
+// (metadata.Store journals, replicates and snapshots with these very bytes),
+// so a row has one encoding everywhere. A decode error is left sticky on the
+// Reader; the returned value is then partial.
+
+// MarshalVolumeInfo appends v's fields.
+func MarshalVolumeInfo(w *wire.Writer, v VolumeInfo) {
 	w.Uvarint(uint64(v.ID))
 	w.Byte(byte(v.Type))
 	w.String(v.Path)
@@ -163,7 +170,8 @@ func marshalVolumeInfo(w *wire.Writer, v VolumeInfo) {
 	w.Uvarint(uint64(v.Owner))
 }
 
-func unmarshalVolumeInfo(r *wire.Reader) VolumeInfo {
+// UnmarshalVolumeInfo reads what MarshalVolumeInfo wrote.
+func UnmarshalVolumeInfo(r *wire.Reader) VolumeInfo {
 	return VolumeInfo{
 		ID:         VolumeID(r.Uvarint()),
 		Type:       VolumeType(r.Byte()),
@@ -173,7 +181,8 @@ func unmarshalVolumeInfo(r *wire.Reader) VolumeInfo {
 	}
 }
 
-func marshalShareInfo(w *wire.Writer, s ShareInfo) {
+// MarshalShareInfo appends s's fields.
+func MarshalShareInfo(w *wire.Writer, s ShareInfo) {
 	w.Uvarint(uint64(s.ID))
 	w.Uvarint(uint64(s.Volume))
 	w.Uvarint(uint64(s.SharedBy))
@@ -183,7 +192,8 @@ func marshalShareInfo(w *wire.Writer, s ShareInfo) {
 	w.Bool(s.Accepted)
 }
 
-func unmarshalShareInfo(r *wire.Reader) ShareInfo {
+// UnmarshalShareInfo reads what MarshalShareInfo wrote.
+func UnmarshalShareInfo(r *wire.Reader) ShareInfo {
 	return ShareInfo{
 		ID:       ShareID(r.Uvarint()),
 		Volume:   VolumeID(r.Uvarint()),
@@ -195,7 +205,8 @@ func unmarshalShareInfo(r *wire.Reader) ShareInfo {
 	}
 }
 
-func marshalNodeInfo(w *wire.Writer, n NodeInfo) {
+// MarshalNodeInfo appends n's fields.
+func MarshalNodeInfo(w *wire.Writer, n NodeInfo) {
 	w.Uvarint(uint64(n.ID))
 	w.Uvarint(uint64(n.Volume))
 	w.Uvarint(uint64(n.Parent))
@@ -206,7 +217,8 @@ func marshalNodeInfo(w *wire.Writer, n NodeInfo) {
 	w.Uvarint(uint64(n.Generation))
 }
 
-func unmarshalNodeInfo(r *wire.Reader) NodeInfo {
+// UnmarshalNodeInfo reads what MarshalNodeInfo wrote.
+func UnmarshalNodeInfo(r *wire.Reader) NodeInfo {
 	n := NodeInfo{
 		ID:     NodeID(r.Uvarint()),
 		Volume: VolumeID(r.Uvarint()),
@@ -229,16 +241,16 @@ func (p *Response) Encode(w *wire.Writer) {
 	w.Uvarint(uint64(p.User))
 	w.Uvarint(uint64(len(p.Volumes)))
 	for _, v := range p.Volumes {
-		marshalVolumeInfo(w, v)
+		MarshalVolumeInfo(w, v)
 	}
 	w.Uvarint(uint64(len(p.Shares)))
 	for _, s := range p.Shares {
-		marshalShareInfo(w, s)
+		MarshalShareInfo(w, s)
 	}
-	marshalNodeInfo(w, p.Node)
+	MarshalNodeInfo(w, p.Node)
 	w.Uvarint(uint64(len(p.Deltas)))
 	for _, d := range p.Deltas {
-		marshalNodeInfo(w, d.Node)
+		MarshalNodeInfo(w, d.Node)
 		w.Bool(d.Deleted)
 	}
 	w.Uvarint(uint64(p.Generation))
@@ -272,23 +284,23 @@ func (p *Response) Decode(buf []byte) error {
 		return fmt.Errorf("protocol: volume list of %d entries", nv)
 	}
 	for i := uint64(0); i < nv && r.Err() == nil; i++ {
-		p.Volumes = append(p.Volumes, unmarshalVolumeInfo(r))
+		p.Volumes = append(p.Volumes, UnmarshalVolumeInfo(r))
 	}
 	ns := r.Uvarint()
 	if ns > maxRepeated {
 		return fmt.Errorf("protocol: share list of %d entries", ns)
 	}
 	for i := uint64(0); i < ns && r.Err() == nil; i++ {
-		p.Shares = append(p.Shares, unmarshalShareInfo(r))
+		p.Shares = append(p.Shares, UnmarshalShareInfo(r))
 	}
-	p.Node = unmarshalNodeInfo(r)
+	p.Node = UnmarshalNodeInfo(r)
 	nd := r.Uvarint()
 	if nd > maxRepeated {
 		return fmt.Errorf("protocol: delta list of %d entries", nd)
 	}
 	for i := uint64(0); i < nd && r.Err() == nil; i++ {
 		var d DeltaEntry
-		d.Node = unmarshalNodeInfo(r)
+		d.Node = UnmarshalNodeInfo(r)
 		d.Deleted = r.Bool()
 		p.Deltas = append(p.Deltas, d)
 	}
@@ -350,7 +362,7 @@ func (n *Push) Encode(w *wire.Writer) {
 	w.Byte(byte(n.Event))
 	w.Uvarint(uint64(n.Volume))
 	w.Uvarint(uint64(n.Generation))
-	marshalShareInfo(w, n.Share)
+	MarshalShareInfo(w, n.Share)
 }
 
 // UnmarshalPush decodes a push body.
@@ -360,7 +372,7 @@ func UnmarshalPush(buf []byte) (*Push, error) {
 	n.Event = PushEvent(r.Byte())
 	n.Volume = VolumeID(r.Uvarint())
 	n.Generation = Generation(r.Uvarint())
-	n.Share = unmarshalShareInfo(r)
+	n.Share = UnmarshalShareInfo(r)
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("protocol: decoding push: %w", err)
 	}

@@ -16,6 +16,11 @@
 // appended was by construction never acknowledged to a client, so dropping
 // it is exactly the no-double-apply half of the recovery invariant.
 //
+// Append frames each record in a buffer the Log owns and reuses under its
+// mutex (kept only while it is at most 64 KB, like wire.FrameWriter's encode
+// buffer), so appending allocates nothing: the caller's payload is copied
+// into the frame and never retained.
+//
 // Sync policy is configurable (per-op, group-commit, async) and carries a
 // deterministic service-time cost model so the request path can charge
 // fsync overhead to protocol.Cost without the simulated latency depending on
@@ -44,6 +49,10 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // segSuffix names journal segment files.
 const segSuffix = ".wal"
 
+// maxKeptFrame bounds the frame buffer a Log keeps between appends, so one
+// large record does not stay allocated for the life of the journal.
+const maxKeptFrame = 64 << 10
+
 // DefaultSegmentBytes rolls segments at 1 MiB: small enough that snapshot
 // truncation frees space promptly, large enough that rolls stay rare.
 const DefaultSegmentBytes = 1 << 20
@@ -68,7 +77,8 @@ type Log struct {
 	f       *os.File
 	size    int64
 	nextLSN uint64
-	pending int // appends since the last sync (group commit)
+	pending int    // appends since the last sync (group commit)
+	frame   []byte // Append's frame buffer, reused from record to record
 
 	appends uint64
 	syncs   uint64
@@ -127,12 +137,17 @@ func (l *Log) Append(payload []byte) (uint64, error) {
 		return 0, err
 	}
 	lsn := l.nextLSN
-	buf := make([]byte, headerSize+len(payload))
+	var hdr [headerSize]byte // filled in place below
+	buf := append(append(l.frame[:0], hdr[:]...), payload...)
 	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint64(buf[8:16], lsn)
-	copy(buf[16:], payload)
 	crc := crc32.Checksum(buf[8:], castagnoli)
 	binary.LittleEndian.PutUint32(buf[4:8], crc)
+	if cap(buf) <= maxKeptFrame {
+		l.frame = buf
+	} else {
+		l.frame = nil
+	}
 	if _, err := l.f.Write(buf); err != nil {
 		return 0, fmt.Errorf("wal: appending record %d: %w", lsn, err)
 	}

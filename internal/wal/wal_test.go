@@ -235,6 +235,33 @@ func TestGroupCommitSyncCadence(t *testing.T) {
 	}
 }
 
+// TestAppendAllocatesNothing pins the reused frame buffer: under the async
+// policy an append is a copy into the Log's buffer and one write, with no
+// allocation, and a record larger than the kept bound is not retained.
+func TestAppendAllocatesNothing(t *testing.T) {
+	dir := t.TempDir()
+	l := mustOpen(t, dir, Options{Policy: FsyncAsync})
+	defer l.Close() //nolint:errcheck
+	payload := []byte("make_node 0123456789abcdef0123456789abcdef")
+	if _, err := l.Append(payload); err != nil { // sizes the frame buffer
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := l.Append(payload); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Append allocates %.1f times per record, want 0", allocs)
+	}
+	if _, err := l.Append(make([]byte, maxKeptFrame)); err != nil {
+		t.Fatal(err)
+	}
+	if l.frame != nil {
+		t.Errorf("Append kept a %d-byte frame buffer, bound %d", cap(l.frame), maxKeptFrame)
+	}
+}
+
 func TestPolicyParseAndCost(t *testing.T) {
 	for _, p := range []Policy{FsyncPerOp, FsyncGroupCommit, FsyncAsync} {
 		got, err := ParsePolicy(p.String())

@@ -189,6 +189,11 @@ type Writer struct {
 // NewWriter returns a Writer with capacity preallocated for n bytes.
 func NewWriter(n int) *Writer { return &Writer{buf: make([]byte, 0, n)} }
 
+// Reset discards everything written so far and keeps the buffer, so a Writer
+// reused for message after message allocates only when one outgrows it.
+// Slices Bytes returned before are overwritten by later writes.
+func (w *Writer) Reset() { w.buf, w.payload, w.payloadAt = w.buf[:0], nil, 0 }
+
 // Bytes returns the encoded message. Without a Payload the slice aliases
 // internal storage and is invalidated by further writes; with one it is a
 // fresh buffer of exactly the encoded size with the payload copied in place.
