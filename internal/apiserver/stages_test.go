@@ -14,6 +14,7 @@ import (
 	"u1/internal/notify"
 	"u1/internal/protocol"
 	"u1/internal/rpc"
+	"u1/internal/vfs"
 )
 
 // stageLatency charges every RPC the same service time, so a request's cost
@@ -135,8 +136,8 @@ func TestDispatchStages(t *testing.T) {
 	rows := []struct {
 		name string
 		cfg  Config
-		// durable opens the row's store journaled (per-op fsync) in a
-		// temporary directory; the server reads its sync charge from it.
+		// durable opens the row's store journaled (per-op fsync) on an
+		// in-memory disk; the server reads its sync charge from it.
 		durable   bool
 		deps      Deps
 		via       int
@@ -212,7 +213,7 @@ func TestDispatchStages(t *testing.T) {
 		t.Run(row.name, func(t *testing.T) {
 			store := metadata.Config{Shards: 4}
 			if row.durable {
-				store.Durability = t.TempDir()
+				store.Durability, store.FS = "/u1", vfs.NewMemFS()
 			}
 			e := newStageEnv(store, row.cfg, row.deps)
 			t.Cleanup(func() { e.store.Close() })

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"u1/internal/protocol"
+	"u1/internal/vfs"
 	"u1/internal/wal"
 )
 
@@ -329,12 +330,12 @@ func TestLiveReplayReplicaAgree(t *testing.T) {
 	const ops = 2000
 	for _, limit := range []int{0, 4, -1} {
 		t.Run(fmt.Sprintf("deltalog=%d", limit), func(t *testing.T) {
-			dir := t.TempDir()
+			fsys := vfs.NewMemFS()
 			cfg := Config{
 				Shards: 4, Regions: 2, ReplicationDelay: 1, DeltaLogLimit: limit,
 				SnapshotEvery: 64, FsyncPolicy: wal.FsyncAsync,
 			}
-			s := openDurable(t, dir, cfg)
+			s := openDurable(t, fsys, cfg)
 			d := &opMix{t: t, s: s, rng: rand.New(rand.NewSource(1))}
 			for u := protocol.UserID(1); u <= 32; u++ {
 				if u <= 20 {
@@ -376,7 +377,7 @@ func TestLiveReplayReplicaAgree(t *testing.T) {
 			if err := s.Close(); err != nil {
 				t.Fatalf("Close: %v", err)
 			}
-			r := openDurable(t, dir, cfg)
+			r := openDurable(t, fsys, cfg)
 			defer r.Close() //nolint:errcheck
 			if got := fingerprints(r); !slices.Equal(got, live) {
 				t.Fatalf("reopen diverged from live:\n  live     %v\n  reopened %v", live, got)

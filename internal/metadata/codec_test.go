@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"u1/internal/protocol"
+	"u1/internal/vfs"
 	"u1/internal/wal"
 	"u1/internal/wire"
 )
@@ -60,12 +61,13 @@ func requireRoundTrip(t *testing.T, rec journalRecord) {
 // TestRecordRoundTrip covers every record populate journals, a hand-built
 // unlink of a three-node subtree, and the three share records.
 func TestRecordRoundTrip(t *testing.T) {
-	s := openDurable(t, t.TempDir(), Config{Shards: 4, SnapshotEvery: 1 << 20, FsyncPolicy: wal.FsyncAsync})
+	fsys := vfs.NewMemFS()
+	s := openDurable(t, fsys, Config{Shards: 4, SnapshotEvery: 1 << 20, FsyncPolicy: wal.FsyncAsync})
 	defer s.Close() //nolint:errcheck
 	populate(t, s)
 	seen := map[recKind]int{}
 	for i := 0; i < s.NumShards(); i++ {
-		_, _, err := wal.Replay(s.ShardWALDir(i), func(lsn uint64, payload []byte) error {
+		_, _, err := wal.Replay(fsys, s.ShardWALDir(i), func(lsn uint64, payload []byte) error {
 			var rec journalRecord
 			if err := decodePayload(payload, &rec); err != nil {
 				return fmt.Errorf("record %d: %w", lsn, err)
@@ -234,7 +236,8 @@ func TestJSONEraStoreRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snaps, journals := t.TempDir(), t.TempDir()
+	fsys := vfs.NewMemFS()
+	snaps, journals := "/snapshots", "/journals"
 	var (
 		shard   int
 		section string
@@ -248,7 +251,7 @@ func TestJSONEraStoreRefused(t *testing.T) {
 		case "wal":
 			l := logs[shard]
 			if l == nil {
-				if l, err = wal.Open(filepath.Join(journals, fmt.Sprintf("shard-%d", shard), "wal"), wal.Options{}); err != nil {
+				if l, err = wal.Open(filepath.Join(journals, fmt.Sprintf("shard-%d", shard), "wal"), wal.Options{FS: fsys}); err != nil {
 					t.Fatal(err)
 				}
 				logs[shard] = l
@@ -259,10 +262,14 @@ func TestJSONEraStoreRefused(t *testing.T) {
 			}
 		case "snapshot":
 			dir := filepath.Join(snaps, fmt.Sprintf("shard-%d", shard))
-			if err := os.MkdirAll(dir, 0o755); err != nil {
+			if err := fsys.MkdirAll(dir); err != nil {
 				t.Fatal(err)
 			}
-			if err := os.WriteFile(filepath.Join(dir, jsonSnapshotFile), []byte(line), 0o644); err != nil {
+			f, err := fsys.OpenFile(filepath.Join(dir, jsonSnapshotFile), vfs.CreateTrunc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.Write([]byte(line)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -273,7 +280,7 @@ func TestJSONEraStoreRefused(t *testing.T) {
 		}
 	}
 	for name, dir := range map[string]string{"snapshots": snaps, "journals": journals} {
-		s, err := Open(Config{Shards: 4, Durability: dir})
+		s, err := Open(Config{Shards: 4, Durability: dir, FS: fsys})
 		if err == nil {
 			s.Close() //nolint:errcheck
 			t.Errorf("Open of a store with JSON-era %s succeeded", name)
@@ -310,7 +317,7 @@ func TestJournaledMutationAllocatesLikeInMemory(t *testing.T) {
 		return testing.AllocsPerRun(1000, op)
 	}
 	mem := perOp(New(Config{Shards: 4}))
-	durable := openDurable(t, t.TempDir(), Config{Shards: 4, SnapshotEvery: 1 << 20, FsyncPolicy: wal.FsyncAsync})
+	durable := openDurable(t, vfs.NewMemFS(), Config{Shards: 4, SnapshotEvery: 1 << 20, FsyncPolicy: wal.FsyncAsync})
 	defer durable.Close() //nolint:errcheck
 	if got := perOp(durable); got > mem {
 		t.Errorf("journaled MakeContent allocates %.0f objects, in-memory %.0f", got, mem)

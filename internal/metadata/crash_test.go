@@ -1,0 +1,344 @@
+package metadata
+
+import (
+	"fmt"
+	"math/rand"
+	"path/filepath"
+	"slices"
+	"testing"
+
+	"u1/internal/protocol"
+	"u1/internal/vfs"
+	"u1/internal/wal"
+)
+
+// crashFS cuts the power under a durable store at its at-th mutating call: it
+// crashes the MemFS below it instead of making that call, and swallows every
+// mutation after it, as a dead machine would. Reads pass through.
+type crashFS struct {
+	*vfs.MemFS
+	at, calls int
+	crashed   bool
+	// torn, when set, makes a crashing Write persist a seeded prefix of its
+	// bytes.
+	torn *rand.Rand
+	// early, when set, syncs a seeded subset of the files and directories
+	// with pending changes just before the crash: a disk may persist any of
+	// them on its own schedule.
+	early *rand.Rand
+	files []*crashFile
+	dirs  map[string]bool // directories whose entries changed since their sync
+}
+
+func newCrashFS(at int) *crashFS {
+	return &crashFS{MemFS: vfs.NewMemFS(), at: at, dirs: map[string]bool{}}
+}
+
+// tick counts one mutating call and reports whether it runs: the at-th call
+// cuts the power instead, and none runs after it.
+func (c *crashFS) tick() bool {
+	if c.crashed {
+		return false
+	}
+	c.calls++
+	if c.calls < c.at {
+		return true
+	}
+	c.cut()
+	return false
+}
+
+func (c *crashFS) cut() {
+	if c.early != nil {
+		for _, f := range c.files {
+			if f.dirty && c.early.Intn(2) == 0 {
+				f.File.Sync() //nolint:errcheck
+			}
+		}
+		dirs := make([]string, 0, len(c.dirs))
+		for d := range c.dirs {
+			dirs = append(dirs, d)
+		}
+		slices.Sort(dirs)
+		for _, d := range dirs {
+			if c.early.Intn(2) == 0 {
+				c.MemFS.SyncDir(d) //nolint:errcheck
+			}
+		}
+	}
+	c.MemFS.Crash()
+	c.crashed = true
+}
+
+func (c *crashFS) OpenFile(name string, flag int) (vfs.File, error) {
+	f := &crashFile{c: c}
+	if !c.tick() {
+		return f, nil
+	}
+	var err error
+	if f.File, err = c.MemFS.OpenFile(name, flag); err != nil {
+		return nil, err
+	}
+	c.files = append(c.files, f)
+	c.dirs[filepath.Dir(name)] = true
+	return f, nil
+}
+
+func (c *crashFS) Rename(oldpath, newpath string) error {
+	if !c.tick() {
+		return nil
+	}
+	c.dirs[filepath.Dir(oldpath)], c.dirs[filepath.Dir(newpath)] = true, true
+	return c.MemFS.Rename(oldpath, newpath)
+}
+
+func (c *crashFS) Remove(name string) error {
+	if !c.tick() {
+		return nil
+	}
+	c.dirs[filepath.Dir(name)] = true
+	return c.MemFS.Remove(name)
+}
+
+func (c *crashFS) Truncate(name string, size int64) error {
+	if !c.tick() {
+		return nil
+	}
+	return c.MemFS.Truncate(name, size)
+}
+
+func (c *crashFS) MkdirAll(dir string) error {
+	if !c.tick() {
+		return nil
+	}
+	return c.MemFS.MkdirAll(dir)
+}
+
+func (c *crashFS) SyncDir(dir string) error {
+	if !c.tick() {
+		return nil
+	}
+	delete(c.dirs, filepath.Clean(dir))
+	return c.MemFS.SyncDir(dir)
+}
+
+// crashFile is a file opened through a crashFS.
+type crashFile struct {
+	vfs.File
+	c     *crashFS
+	dirty bool // written since its last sync
+}
+
+func (f *crashFile) Write(p []byte) (int, error) {
+	c := f.c
+	if c.crashed {
+		return len(p), nil
+	}
+	if c.calls+1 == c.at && c.torn != nil && len(p) > 0 {
+		c.calls++
+		f.File.Write(p[:c.torn.Intn(len(p))]) //nolint:errcheck
+		f.File.Sync()                         //nolint:errcheck
+		c.cut()
+		return len(p), nil
+	}
+	if !c.tick() {
+		return len(p), nil
+	}
+	f.dirty = true
+	return f.File.Write(p)
+}
+
+func (f *crashFile) Sync() error {
+	if !f.c.tick() {
+		return nil
+	}
+	f.dirty = false
+	return f.File.Sync()
+}
+
+func (f *crashFile) Close() error {
+	if f.c.crashed {
+		return nil
+	}
+	return f.File.Close()
+}
+
+// crashOps is the enumerated op sequence: crashUsers CreateUser calls, then
+// opMix steps, crashOps in all.
+const (
+	crashOps   = 200
+	crashUsers = 12
+)
+
+// crashCfg is the store every crash run opens: few shards, so each sees
+// several snapshots and segment rolls in crashOps ops.
+func crashCfg(policy wal.Policy, fsys vfs.FS) Config {
+	return Config{Shards: 4, SnapshotEvery: 16, FsyncPolicy: policy, Durability: storeRoot, FS: fsys}
+}
+
+// runCrashOps runs the enumerated ops on s, calling done after each, until
+// done reports true.
+func runCrashOps(t *testing.T, s *Store, done func(i int) bool) {
+	d := &opMix{t: t, s: s, rng: rand.New(rand.NewSource(41))}
+	for u := protocol.UserID(crashUsers + 1); u <= crashUsers+4; u++ {
+		d.pool = append(d.pool, u)
+	}
+	for i := 0; i < crashOps; i++ {
+		if i < crashUsers {
+			u := protocol.UserID(i + 1)
+			if _, err := s.CreateUser(u); err != nil {
+				t.Fatal(err)
+			}
+			d.users = append(d.users, u)
+		} else {
+			d.step()
+		}
+		if done(i) {
+			return
+		}
+	}
+}
+
+// TestCrashPointEnumeration cuts the power at every mutating disk call of a
+// seeded op sequence — shares and volume deletes included, with snapshots,
+// segment rolls and journal truncation along the way — reopens the store
+// from what the disk kept, and checks each shard against an in-memory
+// reference run of the same ops:
+//
+//   - per-op fsync: the state after the acknowledged ops, or after them plus
+//     the op in flight;
+//   - group commit: a prefix at most 7 records short of the acknowledged
+//     state (the journal syncs every 8 appends);
+//   - async: some prefix.
+//
+// Variants tear the crashing write (a seeded prefix of its bytes reaches the
+// disk) and sync a seeded subset of pending files and directories first.
+// A shard may also stop inside an op that journals several records to it (a
+// volume delete dropping two grants on one shard). Crash points that leave
+// a cross-shard op on one shard only are counted, not refused.
+func TestCrashPointEnumeration(t *testing.T) {
+	segmentBytes = 512 // a segment roll every few records
+	defer func() { segmentBytes = 0 }()
+
+	ref := [][]string{fingerprints(New(Config{Shards: 4}))}
+	mem := New(Config{Shards: 4})
+	runCrashOps(t, mem, func(int) bool {
+		ref = append(ref, fingerprints(mem))
+		return false
+	})
+
+	for _, policy := range []wal.Policy{wal.FsyncPerOp, wal.FsyncGroupCommit, wal.FsyncAsync} {
+		for _, variant := range []string{"plain", "torn", "early"} {
+			t.Run(fmt.Sprintf("%v/%s", policy, variant), func(t *testing.T) {
+				points, half, mid := 0, 0, 0
+				for at := 1; ; at++ {
+					c := newCrashFS(at)
+					switch variant {
+					case "torn":
+						c.torn = rand.New(rand.NewSource(int64(at)))
+					case "early":
+						c.early = rand.New(rand.NewSource(int64(at)))
+					}
+					// lsns[p][i] is how many records shard i journaled in the
+					// first p ops.
+					lsns := [][]uint64{make([]uint64, 4)}
+					s, err := Open(crashCfg(policy, c))
+					if err != nil && !c.crashed {
+						t.Fatal(err)
+					}
+					acked, inFlight := 0, !c.crashed
+					if !c.crashed {
+						runCrashOps(t, s, func(i int) bool {
+							lsns = append(lsns, journalCounts(s))
+							acked = i
+							return c.crashed
+						})
+					}
+					if !c.crashed {
+						break // at is past the last mutating call
+					}
+					points++
+					r, err := Open(crashCfg(policy, c.MemFS))
+					if err != nil {
+						t.Fatalf("crash at call %d (op %d): reopen: %v", at, acked, err)
+					}
+					got := fingerprints(r)
+					hi := acked
+					if inFlight {
+						hi++
+					}
+					// last[i] is the last op boundary shard i's state matches.
+					last := make([]int, len(got))
+					for i, fp := range got {
+						last[i] = -1
+						for p := hi; p >= 0 && last[i] < 0; p-- {
+							if ref[p][i] != fp {
+								continue
+							}
+							switch short := int(lsns[acked][i]) - int(lsns[p][i]); {
+							case policy == wal.FsyncPerOp && p < acked,
+								policy == wal.FsyncGroupCommit && short > 7:
+								t.Fatalf("crash at call %d (op %d): shard %d lost acknowledged writes: recovered the state after op %d, %d records short",
+									at, acked, i, p, short)
+							}
+							last[i] = p
+						}
+						if last[i] < 0 {
+							if !midOp(lsns, i, policy, acked, hi) {
+								t.Fatalf("crash at call %d (op %d): shard %d recovered a state no op prefix had", at, acked, i)
+							}
+							mid++
+						}
+					}
+					if halfApplied(ref, last, hi) {
+						half++
+					}
+				}
+				t.Logf("%d crash points: %d leave a cross-shard op on one shard only, %d shard states stop inside a multi-record op",
+					points, half, mid)
+			})
+		}
+	}
+}
+
+// journalCounts is how many records each shard of s has journaled.
+func journalCounts(s *Store) []uint64 {
+	out := make([]uint64, len(s.shards))
+	for i, dsh := range s.dur.shards {
+		out[i] = dsh.lastLSN
+	}
+	return out
+}
+
+// midOp reports whether shard i may have stopped between two records of one
+// op: some op the policy may have lost journaled several records to it.
+func midOp(lsns [][]uint64, i int, policy wal.Policy, acked, hi int) bool {
+	from := 0
+	if policy == wal.FsyncPerOp {
+		from = acked
+	}
+	for q := from; q < hi && q+1 < len(lsns); q++ {
+		if lsns[q+1][i]-lsns[q][i] > 1 {
+			return true
+		}
+	}
+	return false
+}
+
+// halfApplied reports whether an op that changed two or more shards is in
+// the recovered state of some of them and not of others. last[i] is the last
+// op boundary shard i matches (-1: none, left out).
+func halfApplied(ref [][]string, last []int, hi int) bool {
+	for q := 0; q < hi; q++ {
+		seen := map[bool]bool{}
+		for i := range last {
+			if last[i] >= 0 && ref[q][i] != ref[q+1][i] {
+				seen[last[i] > q] = true
+			}
+		}
+		if len(seen) == 2 {
+			return true
+		}
+	}
+	return false
+}

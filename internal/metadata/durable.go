@@ -4,13 +4,15 @@ import (
 	"bufio"
 	"crypto/sha1"
 	"encoding/hex"
+	"errors"
 	"fmt"
-	"os"
+	"io/fs"
 	"path/filepath"
 	"time"
 
 	"u1/internal/metrics"
 	"u1/internal/protocol"
+	"u1/internal/vfs"
 	"u1/internal/wal"
 	"u1/internal/wire"
 )
@@ -40,6 +42,9 @@ import (
 // them from the replayed shards rather than journaling them — which keeps
 // cross-shard records out of the per-shard journals entirely (share
 // operations commit one record to each involved shard instead).
+//
+// Every file call goes through Config.FS: the real disk, or a vfs.MemFS that
+// can lose power at any call (TestCrashPointEnumeration).
 
 // DefaultSnapshotEvery is the per-shard journal record count between
 // snapshots when the configuration does not specify one.
@@ -54,10 +59,15 @@ type durMetrics struct {
 	journalErr *metrics.Counter
 }
 
+// segmentBytes is the journal segment size (0: wal's default); the crash
+// tests shrink it so a short run rolls and truncates segments.
+var segmentBytes int64
+
 // durability is the store's durable-tier state; nil when Config.Durability
 // is empty.
 type durability struct {
 	root          string
+	fsys          vfs.FS
 	policy        wal.Policy
 	snapshotEvery int
 	syncCost      time.Duration // modeled per-mutation sync charge (see SyncCost)
@@ -105,6 +115,7 @@ const jsonSnapshotFile = "snapshot.json"
 func (s *Store) openDurability(cfg Config, reg *metrics.Registry) error {
 	d := &durability{
 		root:          cfg.Durability,
+		fsys:          cfg.FS,
 		policy:        cfg.FsyncPolicy,
 		snapshotEvery: cfg.SnapshotEvery,
 		shards:        make([]*durableShard, len(s.shards)),
@@ -119,10 +130,10 @@ func (s *Store) openDurability(cfg Config, reg *metrics.Registry) error {
 	if d.snapshotEvery == 0 {
 		d.snapshotEvery = DefaultSnapshotEvery
 	}
-	d.syncCost = cfg.FsyncPolicy.SyncCost()
-	if cfg.SyncCostScale > 0 {
-		d.syncCost = time.Duration(float64(d.syncCost) * cfg.SyncCostScale)
+	if d.fsys == nil {
+		d.fsys = vfs.OSFS{}
 	}
+	d.syncCost = cfg.FsyncPolicy.SyncCost(d.fsys.FlushCost())
 	s.dur = d
 	for i := range s.shards {
 		d.shards[i] = &durableShard{dir: filepath.Join(d.root, fmt.Sprintf("shard-%d", i))}
@@ -138,31 +149,31 @@ func (s *Store) openDurability(cfg Config, reg *metrics.Registry) error {
 // opens the journal for appending. The shard's in-memory maps must be empty
 // (fresh construction, or cleared by CrashShard).
 func (s *Store) loadShard(i int) error {
-	sh, dsh := s.shards[i], s.dur.shards[i]
+	sh, dsh, fsys := s.shards[i], s.dur.shards[i], s.dur.fsys
 	walDir := filepath.Join(dsh.dir, "wal")
 
-	if _, err := os.Stat(filepath.Join(dsh.dir, jsonSnapshotFile)); err == nil {
+	if _, err := fsys.ReadFile(filepath.Join(dsh.dir, jsonSnapshotFile)); err == nil {
 		return fmt.Errorf("metadata: %s holds a JSON-era %s; this build reads only %s (format version %d), so the store must be rebuilt",
 			dsh.dir, jsonSnapshotFile, snapshotFile, snapshotVersion)
 	}
 
 	var snapLSN uint64
 	snapPath := filepath.Join(dsh.dir, snapshotFile)
-	if data, err := os.ReadFile(snapPath); err == nil {
+	if data, err := fsys.ReadFile(snapPath); err == nil {
 		if snapLSN, err = readSnapshot(sh, data); err != nil {
 			return fmt.Errorf("metadata: decoding snapshot %s: %w", snapPath, err)
 		}
-	} else if !os.IsNotExist(err) {
+	} else if !errors.Is(err, fs.ErrNotExist) {
 		return fmt.Errorf("metadata: reading snapshot %s: %w", snapPath, err)
 	}
 
 	// Open first: it cuts any torn tail, so replay only sees intact frames.
-	journal, err := wal.Open(walDir, wal.Options{Policy: s.dur.policy})
+	journal, err := wal.Open(walDir, wal.Options{Policy: s.dur.policy, SegmentBytes: segmentBytes, FS: fsys})
 	if err != nil {
 		return err
 	}
 	var rec journalRecord
-	last, dropped, err := wal.Replay(walDir, func(lsn uint64, payload []byte) error {
+	last, dropped, err := wal.Replay(fsys, walDir, func(lsn uint64, payload []byte) error {
 		if len(payload) > 0 && payload[0] == '{' {
 			return fmt.Errorf("metadata: journal record %d in %s is a JSON-era record; this build reads only the binary format, so the store must be rebuilt", lsn, walDir)
 		}
@@ -249,15 +260,15 @@ func (s *Store) journal(sh *shard, rec *journalRecord) {
 // made durable by syncing the shard directory, and only then is the covered
 // journal truncated.
 func (s *Store) snapshotShardLocked(sh *shard) {
-	dsh := s.dur.shards[sh.id]
+	dsh, fsys := s.dur.shards[sh.id], s.dur.fsys
 	tmp := filepath.Join(dsh.dir, snapshotFile+".tmp")
 	final := filepath.Join(dsh.dir, snapshotFile)
-	err := writeSnapshotFile(tmp, sh, dsh.lastLSN)
+	err := writeSnapshotFile(fsys, tmp, sh, dsh.lastLSN)
 	if err == nil {
-		err = os.Rename(tmp, final)
+		err = fsys.Rename(tmp, final)
 	}
 	if err == nil {
-		err = syncDir(dsh.dir)
+		err = fsys.SyncDir(dsh.dir)
 	}
 	if err == nil {
 		err = dsh.journal.TruncateThrough(dsh.lastLSN)
@@ -272,8 +283,8 @@ func (s *Store) snapshotShardLocked(sh *shard) {
 
 // writeSnapshotFile streams sh's snapshot at lsn into a new file at path
 // through a bufio.Writer, then syncs and closes it.
-func writeSnapshotFile(path string, sh *shard, lsn uint64) error {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+func writeSnapshotFile(fsys vfs.FS, path string, sh *shard, lsn uint64) error {
+	f, err := fsys.OpenFile(path, vfs.CreateTrunc)
 	if err != nil {
 		return err
 	}
@@ -286,19 +297,6 @@ func writeSnapshotFile(path string, sh *shard, lsn uint64) error {
 		err = f.Sync()
 	}
 	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
-// syncDir makes the entries of dir (a rename into it) durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
 		err = cerr
 	}
 	return err
@@ -326,9 +324,9 @@ func (s *Store) Close() error {
 
 // SyncCost reports whether the store journals its mutations and, if it does,
 // the deterministic sync time each journaled mutation costs the request that
-// made it: the fsync policy's wal.Policy.SyncCost scaled by
-// Config.SyncCostScale. The API servers charge it; async journals report
-// (0, true).
+// made it: the fsync policy's wal.Policy.SyncCost of the disk's modeled
+// flush (Config.FS's FlushCost). The API servers charge it; async journals
+// report (0, true).
 func (s *Store) SyncCost() (cost time.Duration, journals bool) {
 	if s.dur == nil {
 		return 0, false

@@ -1,18 +1,25 @@
 package metadata
 
 import (
-	"os"
 	"path/filepath"
 	"testing"
 
 	"u1/internal/protocol"
+	"u1/internal/vfs"
 	"u1/internal/wal"
 )
 
-// openDurable creates a durable store rooted in a fresh temp dir.
-func openDurable(t *testing.T, dir string, cfg Config) *Store {
+// storeRoot is where the tests root a durable store on a MemFS.
+const storeRoot = "/u1"
+
+// openDurable opens a durable store on fsys, rooted at storeRoot unless cfg
+// names a directory.
+func openDurable(t *testing.T, fsys vfs.FS, cfg Config) *Store {
 	t.Helper()
-	cfg.Durability = dir
+	cfg.FS = fsys
+	if cfg.Durability == "" {
+		cfg.Durability = storeRoot
+	}
 	if cfg.Shards == 0 {
 		cfg.Shards = 4
 	}
@@ -112,8 +119,8 @@ func fingerprints(s *Store) []string {
 // store, reopen the same directory, and every shard — plus all derived state
 // — must come back bit-identical.
 func TestDurableReopenRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	s := openDurable(t, dir, Config{FsyncPolicy: wal.FsyncPerOp})
+	fsys := vfs.NewMemFS()
+	s := openDurable(t, fsys, Config{FsyncPolicy: wal.FsyncPerOp})
 	vol := populate(t, s)
 	before := fingerprints(s)
 	contentsBefore := *s.Contents()
@@ -121,7 +128,8 @@ func TestDurableReopenRoundTrip(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 
-	r := openDurable(t, dir, Config{FsyncPolicy: wal.FsyncPerOp})
+	fsys.Crash() // Close synced everything it wrote
+	r := openDurable(t, fsys, Config{FsyncPolicy: wal.FsyncPerOp})
 	defer r.Close() //nolint:errcheck
 	after := fingerprints(r)
 	for i := range before {
@@ -148,8 +156,7 @@ func TestDurableReopenRoundTrip(t *testing.T) {
 // TestCrashShardRecovers is the in-process half of the crash drill: drop a
 // shard's state mid-life and recover it from snapshot+journal.
 func TestCrashShardRecovers(t *testing.T) {
-	dir := t.TempDir()
-	s := openDurable(t, dir, Config{FsyncPolicy: wal.FsyncPerOp})
+	s := openDurable(t, vfs.NewMemFS(), Config{FsyncPolicy: wal.FsyncPerOp})
 	defer s.Close() //nolint:errcheck
 	populate(t, s)
 	for i := 0; i < s.NumShards(); i++ {
@@ -170,8 +177,8 @@ func TestCrashShardRecovers(t *testing.T) {
 // TestSnapshotCadenceAndTruncation verifies a small SnapshotEvery produces
 // snapshots, releases journal segments, and still recovers exactly.
 func TestSnapshotCadenceAndTruncation(t *testing.T) {
-	dir := t.TempDir()
-	s := openDurable(t, dir, Config{Shards: 1, SnapshotEvery: 4, FsyncPolicy: wal.FsyncGroupCommit})
+	fsys := vfs.NewMemFS()
+	s := openDurable(t, fsys, Config{Shards: 1, SnapshotEvery: 4, FsyncPolicy: wal.FsyncGroupCommit})
 	root, err := s.CreateUser(9)
 	if err != nil {
 		t.Fatal(err)
@@ -181,15 +188,15 @@ func TestSnapshotCadenceAndTruncation(t *testing.T) {
 			t.Fatalf("MakeFile %d: %v", i, err)
 		}
 	}
-	snapPath := filepath.Join(dir, "shard-0", snapshotFile)
-	if _, err := os.Stat(snapPath); err != nil {
+	snapPath := filepath.Join(storeRoot, "shard-0", snapshotFile)
+	if _, err := fsys.ReadFile(snapPath); err != nil {
 		t.Fatalf("no snapshot written at cadence 4: %v", err)
 	}
 	before := s.ShardFingerprint(0)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	r := openDurable(t, dir, Config{Shards: 1, SnapshotEvery: 4})
+	r := openDurable(t, fsys, Config{Shards: 1, SnapshotEvery: 4})
 	defer r.Close() //nolint:errcheck
 	if after := r.ShardFingerprint(0); after != before {
 		t.Errorf("snapshotting store diverged across reopen:\n  before %s\n  after  %s", before, after)
@@ -198,10 +205,10 @@ func TestSnapshotCadenceAndTruncation(t *testing.T) {
 
 // TestRecoverTornJournalTail pins the machine-crash case under async fsync: a
 // torn final record is dropped, every earlier record survives, recovery
-// succeeds rather than erroring, and the recovered store keeps serving.
+// succeeds rather than erroring, and the recovered store keeps serving. It
+// runs on the real disk, the one wal.CorruptTail damages.
 func TestRecoverTornJournalTail(t *testing.T) {
-	dir := t.TempDir()
-	s := openDurable(t, dir, Config{Shards: 1, FsyncPolicy: wal.FsyncAsync})
+	s := openDurable(t, vfs.OSFS{}, Config{Durability: t.TempDir(), Shards: 1, FsyncPolicy: wal.FsyncAsync})
 	root, err := s.CreateUser(1)
 	if err != nil {
 		t.Fatal(err)

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"u1/internal/vfs"
 	"u1/internal/wal"
 )
 
@@ -25,13 +26,13 @@ const formatGolden = "testdata/format.golden"
 // a line.
 func durableFormat(t *testing.T) []byte {
 	t.Helper()
-	dir := t.TempDir()
-	s := openDurable(t, dir, Config{Shards: 4, SnapshotEvery: 1 << 20, FsyncPolicy: wal.FsyncPerOp})
+	fsys := vfs.NewMemFS()
+	s := openDurable(t, fsys, Config{Shards: 4, SnapshotEvery: 1 << 20, FsyncPolicy: wal.FsyncPerOp})
 	populate(t, s)
 	var out bytes.Buffer
 	for i := 0; i < s.NumShards(); i++ {
 		fmt.Fprintf(&out, "# shard %d wal\n", i)
-		_, _, err := wal.Replay(s.ShardWALDir(i), func(lsn uint64, payload []byte) error {
+		_, _, err := wal.Replay(fsys, s.ShardWALDir(i), func(lsn uint64, payload []byte) error {
 			fmt.Fprintf(&out, "%d %v %x\n", lsn, recKind(payload[0]), payload)
 			return nil
 		})
@@ -43,7 +44,7 @@ func durableFormat(t *testing.T) []byte {
 		t.Fatalf("Close: %v", err)
 	}
 	for i := 0; i < s.NumShards(); i++ {
-		data, err := os.ReadFile(filepath.Join(dir, fmt.Sprintf("shard-%d", i), snapshotFile))
+		data, err := fsys.ReadFile(filepath.Join(storeRoot, fmt.Sprintf("shard-%d", i), snapshotFile))
 		if err != nil {
 			t.Fatalf("reading snapshot of shard %d: %v", i, err)
 		}

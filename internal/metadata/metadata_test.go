@@ -10,6 +10,7 @@ import (
 
 	"u1/internal/metrics"
 	"u1/internal/protocol"
+	"u1/internal/vfs"
 )
 
 func newTestStore() *Store { return New(Config{Shards: 10}) }
@@ -551,7 +552,7 @@ func TestUploadJobGC(t *testing.T) {
 // nothing.
 func TestShardLoadCounters(t *testing.T) {
 	reg := metrics.NewRegistry()
-	s := openDurable(t, t.TempDir(), Config{Regions: 2, Metrics: reg})
+	s := openDurable(t, vfs.NewMemFS(), Config{Regions: 2, Metrics: reg})
 	a := protocol.UserID(1)
 	var b, c protocol.UserID
 	for u := a + 1; b == 0 || c == 0; u++ {

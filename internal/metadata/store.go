@@ -26,6 +26,7 @@ import (
 
 	"u1/internal/metrics"
 	"u1/internal/protocol"
+	"u1/internal/vfs"
 	"u1/internal/wal"
 )
 
@@ -49,17 +50,17 @@ type Config struct {
 	// each shard keeps a journal and snapshot under <Durability>/shard-<i>.
 	// Empty keeps the store purely in-memory (the pre-durability behavior).
 	Durability string
+	// FS is the disk Durability names a directory on: every file call of the
+	// durable tier goes through it, and its FlushCost prices a sync. nil is
+	// the real disk (vfs.OSFS); a vfs.MemFS is a disk that can lose power.
+	// Validate refuses it without Durability.
+	FS vfs.FS
 	// FsyncPolicy selects when journal appends reach stable storage; the
 	// zero value is wal.FsyncPerOp, the strongest setting.
 	FsyncPolicy wal.Policy
 	// SnapshotEvery is the per-shard journal record count between snapshots.
 	// 0 means DefaultSnapshotEvery.
 	SnapshotEvery int
-	// SyncCostScale multiplies the fsync policy's modeled sync cost that
-	// SyncCost reports to the API servers — the slow-disk degradation knob (a
-	// failing array syncs slower; the data stays durable, the request path
-	// pays more). 0 means 1 (unscaled).
-	SyncCostScale float64
 	// Regions partitions the shards into contiguous groups with asynchronous
 	// cross-region replication between them (see replicate.go). Values ≤ 1
 	// disable replication; Validate refuses values above Shards.
@@ -79,7 +80,7 @@ type Config struct {
 // deployment).
 const defaultShards = 10
 
-// Validate rejects a config with a negative count or scale, with a knob that
+// Validate rejects a config with a negative count, with a knob that
 // only means something beside a knob that is off, or with more regions than
 // shards to hold them: settings Open would otherwise ignore or clamp
 // silently. Zero keeps meaning "default". Each error names the offending
@@ -92,8 +93,6 @@ func (cfg Config) Validate() error {
 		return fmt.Errorf("metadata: negative SnapshotEvery %d", cfg.SnapshotEvery)
 	case cfg.ReplicationDelay < 0:
 		return fmt.Errorf("metadata: negative ReplicationDelay %d", cfg.ReplicationDelay)
-	case cfg.SyncCostScale < 0:
-		return fmt.Errorf("metadata: negative SyncCostScale %v", cfg.SyncCostScale)
 	}
 	shards := cfg.Shards
 	if shards == 0 {
@@ -105,8 +104,8 @@ func (cfg Config) Validate() error {
 			return fmt.Errorf("metadata: FsyncPolicy %v set without Durability", cfg.FsyncPolicy)
 		case cfg.SnapshotEvery != 0:
 			return fmt.Errorf("metadata: SnapshotEvery %d set without Durability", cfg.SnapshotEvery)
-		case cfg.SyncCostScale != 0:
-			return fmt.Errorf("metadata: SyncCostScale %v set without Durability", cfg.SyncCostScale)
+		case cfg.FS != nil:
+			return fmt.Errorf("metadata: FS set without Durability")
 		}
 	}
 	if cfg.Regions <= 1 {

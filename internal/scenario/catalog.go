@@ -8,6 +8,7 @@ import (
 	"u1/internal/faults"
 	"u1/internal/metrics"
 	"u1/internal/protocol"
+	"u1/internal/vfs"
 	"u1/internal/wal"
 	"u1/internal/workload"
 )
@@ -61,15 +62,20 @@ func flashCrowdSetup(p Params) Setup {
 	return Setup{Cluster: cl, Workload: wl}
 }
 
+// slowDisk is a dying array: every flush takes 16 healthy ones.
+type slowDisk struct{ *vfs.MemFS }
+
+func (slowDisk) FlushCost() time.Duration { return 16 * vfs.ModeledFlush }
+
 // slowDiskSetup composes the degraded-performance window Cetin et al. rank
 // among the common provider-reported failures: the array is dying, fsyncs
-// crawl, and every journaled mutation pays. scale inflates the fsync
-// policy's modeled sync cost; 0 means healthy disks.
-func slowDiskSetup(p Params, scale float64) Setup {
+// crawl, and every journaled mutation pays. disk is a slowDisk or a healthy
+// in-memory one.
+func slowDiskSetup(p Params, disk vfs.FS) Setup {
 	cl := baseCluster(p)
 	cl.FsyncPolicy = wal.FsyncGroupCommit
-	cl.SyncCostScale = scale
-	return Setup{Cluster: cl, Workload: baseWorkload(p), Durable: true}
+	cl.Durability, cl.FS = "/u1", disk
+	return Setup{Cluster: cl, Workload: baseWorkload(p)}
 }
 
 // thunderingHerdSetup composes a four-hour brownout with herd-forming
@@ -191,8 +197,8 @@ func init() {
 		Name: "slow-disk",
 		Description: "degraded-performance window: fsync cost inflated 16x " +
 			"on a durable store; mutations pay, reads don't, nothing is lost",
-		Build:    func(p Params) Setup { return slowDiskSetup(p, 16) },
-		Baseline: func(p Params) Setup { return slowDiskSetup(p, 0) },
+		Build:    func(p Params) Setup { return slowDiskSetup(p, slowDisk{vfs.NewMemFS()}) },
+		Baseline: func(p Params) Setup { return slowDiskSetup(p, vfs.NewMemFS()) },
 		Check: func(res, base *Result) error {
 			journaled, baseJournaled := res.Snapshot.Counter(metrics.WALJournaled), base.Snapshot.Counter(metrics.WALJournaled)
 			if journaled == 0 {
@@ -222,7 +228,9 @@ func init() {
 		Build: func(p Params) Setup {
 			cl := baseCluster(p)
 			cl.FsyncPolicy = wal.FsyncPerOp
-			return Setup{Cluster: cl, Workload: baseWorkload(p), Durable: true, Drill: shardCrashDrill}
+			disk := vfs.NewMemFS()
+			cl.Durability, cl.FS = "/u1", disk
+			return Setup{Cluster: cl, Workload: baseWorkload(p), Drill: func(d *Drill) error { return shardCrashDrill(d, disk) }}
 		},
 		Check: func(res, _ *Result) error {
 			if res.DrillErr != nil {

@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"fmt"
-	"os"
 	"sync"
 	"time"
 
@@ -31,8 +30,8 @@ var runMu sync.Mutex
 
 // RunSpec executes one catalog entry at the given params (zero fields fall
 // back to the spec's then the package defaults). logf narrates progress and
-// may be nil. The returned error is infrastructural (cluster boot, durable
-// dir); invariant violations land in Outcome.Violation instead.
+// may be nil. The returned error is infrastructural (cluster boot or close);
+// invariant violations land in Outcome.Violation instead.
 func RunSpec(spec *Spec, p Params, logf func(string, ...any)) (*Outcome, error) {
 	if logf == nil {
 		logf = func(string, ...any) {}
@@ -61,26 +60,16 @@ func RunSpec(spec *Spec, p Params, logf func(string, ...any)) (*Outcome, error) 
 	return out, nil
 }
 
-// runSetup executes one composed leg: boot the cluster (durable legs get a
-// fresh temp dir), drive the workload, run the drill on the final state, and
-// snapshot everything into a Result.
+// runSetup executes one composed leg: boot the cluster, drive the workload,
+// run the drill on the final state, snapshot everything into a Result, and
+// close the cluster.
 func runSetup(s Setup, p Params, logf func(string, ...any)) (*Result, error) {
-	cfg := s.Cluster
-	if s.Durable {
-		dir, err := os.MkdirTemp("", "u1-chaos-")
-		if err != nil {
-			return nil, fmt.Errorf("creating durable dir: %w", err)
-		}
-		defer os.RemoveAll(dir)
-		cfg.Durability = dir
-	}
-
 	// Rewind the global session-id allocator so process placement — and with
 	// it every per-process decision — is a function of the scenario alone,
 	// not of how many runs this process already did.
 	apiserver.ResetSessionIDs()
 
-	cluster, err := server.OpenCluster(cfg)
+	cluster, err := server.OpenCluster(s.Cluster)
 	if err != nil {
 		return nil, fmt.Errorf("opening cluster: %w", err)
 	}
@@ -98,10 +87,8 @@ func runSetup(s Setup, p Params, logf func(string, ...any)) (*Result, error) {
 	}
 	res.Auth = cluster.Auth.Stats()
 	res.Snapshot = cluster.Metrics.Snapshot()
-	if s.Durable {
-		if err := cluster.Close(); err != nil {
-			return nil, fmt.Errorf("closing durable cluster: %w", err)
-		}
+	if err := cluster.Close(); err != nil {
+		return nil, fmt.Errorf("closing cluster: %w", err)
 	}
 	return res, nil
 }

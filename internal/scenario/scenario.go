@@ -73,10 +73,6 @@ func (p Params) fill(d Params) Params {
 type Setup struct {
 	Cluster  server.Config
 	Workload workload.Config
-	// Durable roots the cluster's metadata store in a fresh temporary
-	// directory for the run (removed afterwards); Cluster.Durability is
-	// filled by the runner.
-	Durable bool
 	// Drill, when non-nil, runs after the workload completes and before the
 	// metrics snapshot, so drill activity lands in the scenario report. A
 	// returned error is the scenario's invariant violation, not an

@@ -10,6 +10,7 @@ import (
 	"u1/internal/faults"
 	"u1/internal/metadata"
 	"u1/internal/protocol"
+	"u1/internal/vfs"
 )
 
 // seriesGolden is the sorted series key set of a cluster that registers
@@ -26,7 +27,8 @@ func clusterSeries(t *testing.T) []byte {
 	c, err := OpenCluster(Config{
 		Config: metadata.Config{
 			Shards:           4,
-			Durability:       t.TempDir(),
+			Durability:       "/u1",
+			FS:               vfs.NewMemFS(),
 			Regions:          2,
 			ReplicationDelay: 2,
 		},

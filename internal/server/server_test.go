@@ -12,6 +12,7 @@ import (
 	"u1/internal/client"
 	"u1/internal/metadata"
 	"u1/internal/protocol"
+	"u1/internal/vfs"
 	"u1/internal/wal"
 )
 
@@ -572,10 +573,9 @@ func TestConfigValidate(t *testing.T) {
 		{"Shards", Config{Config: metadata.Config{Shards: -1}}},
 		{"SnapshotEvery", Config{Config: metadata.Config{Durability: "d", SnapshotEvery: -7}}},
 		{"ReplicationDelay", Config{Config: metadata.Config{Regions: 2, ReplicationDelay: -5}}},
-		{"SyncCostScale", Config{Config: metadata.Config{Durability: "d", SyncCostScale: -1}}},
 		{"FsyncPolicy", Config{Config: metadata.Config{FsyncPolicy: wal.FsyncAsync}}},
 		{"SnapshotEvery", Config{Config: metadata.Config{SnapshotEvery: 64}}},
-		{"SyncCostScale", Config{Config: metadata.Config{SyncCostScale: 16}}},
+		{"FS", Config{Config: metadata.Config{FS: vfs.NewMemFS()}}},
 		{"ReplicationDelay", Config{Config: metadata.Config{ReplicationDelay: 1}}},
 		{"ReplicationDelay", Config{Config: metadata.Config{Regions: 1, ReplicationDelay: 2}}},
 		{"EventualReads", Config{Config: metadata.Config{EventualReads: true}}},
@@ -596,7 +596,7 @@ func TestConfigValidate(t *testing.T) {
 		{},
 		{Seed: 3, AuthFailureRate: auth.PaperFailureRate, Config: metadata.Config{DeltaLogLimit: -1}},
 		{AuthCapacity: 0.5, SSOAdmitRate: 0.3, SSOAdmitBurst: 6},
-		{Config: metadata.Config{Durability: "d", FsyncPolicy: wal.FsyncGroupCommit, SnapshotEvery: 64, SyncCostScale: 16}},
+		{Config: metadata.Config{Durability: "d", FsyncPolicy: wal.FsyncGroupCommit, SnapshotEvery: 64, FS: vfs.NewMemFS()}},
 		{Config: metadata.Config{Regions: 2, ReplicationDelay: 2, EventualReads: true}},
 		{Config: metadata.Config{Regions: 4, Shards: 4}},
 		{Machines: []string{"alpha", "beta"}},

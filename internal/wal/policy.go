@@ -29,11 +29,6 @@ const (
 // and the batch SyncCost amortizes one flush over.
 const groupEvery = 8
 
-// fsyncCost is the modeled service time of one fdatasync on the commodity
-// disks behind the paper's metadata cluster (~5 ms, the rotational-latency
-// floor of a 2014-era 7.2k RPM drive with write caching disabled).
-const fsyncCost = 5 * time.Millisecond
-
 // String implements fmt.Stringer with the flag-value spellings ParsePolicy
 // accepts.
 func (p Policy) String() string {
@@ -64,17 +59,18 @@ func ParsePolicy(s string) (Policy, error) {
 }
 
 // SyncCost is the deterministic per-mutation service time the API server
-// charges to protocol.Cost: the full flush under per-op sync,
-// the flush amortized over the batch under group commit, and nothing under
-// async. A pure function of the policy — never of host disk speed — so a
+// charges to protocol.Cost on a disk whose modeled flush takes flush
+// (vfs.FS.FlushCost): the full flush under per-op sync, the flush amortized
+// over the batch under group commit, and nothing under async. A pure
+// function of the policy and the disk model — never of host disk speed — so a
 // fixed (Seed, Workers, FaultPlan) run stays bit-for-bit reproducible with
 // durability on.
-func (p Policy) SyncCost() time.Duration {
+func (p Policy) SyncCost(flush time.Duration) time.Duration {
 	switch p {
 	case FsyncPerOp:
-		return fsyncCost
+		return flush
 	case FsyncGroupCommit:
-		return fsyncCost / groupEvery
+		return flush / groupEvery
 	default:
 		return 0
 	}

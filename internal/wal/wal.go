@@ -21,6 +21,9 @@
 // buffer), so appending allocates nothing: the caller's payload is copied
 // into the frame and never retained.
 //
+// Every disk call goes through a vfs.FS (Options.FS; Replay's argument), and
+// a new segment's name is synced before its first record.
+//
 // Sync policy is configurable (per-op, group-commit, async) and carries a
 // deterministic service-time cost model so the request path can charge
 // fsync overhead to protocol.Cost without the simulated latency depending on
@@ -38,6 +41,8 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+
+	"u1/internal/vfs"
 )
 
 // headerSize is the fixed frame prefix: length, CRC, LSN.
@@ -64,6 +69,8 @@ type Options struct {
 	// SegmentBytes rolls to a new segment file once the active one exceeds
 	// this size (0 → DefaultSegmentBytes).
 	SegmentBytes int64
+	// FS is the disk the journal lives on (nil → vfs.OSFS).
+	FS vfs.FS
 }
 
 // Log is one append-only journal. Safe for concurrent use; in the metadata
@@ -74,7 +81,7 @@ type Log struct {
 	opts Options
 
 	mu      sync.Mutex
-	f       *os.File
+	f       vfs.File
 	size    int64
 	nextLSN uint64
 	pending int    // appends since the last sync (group commit)
@@ -91,12 +98,15 @@ func Open(dir string, opts Options) (*Log, error) {
 	if opts.SegmentBytes <= 0 {
 		opts.SegmentBytes = DefaultSegmentBytes
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if opts.FS == nil {
+		opts.FS = vfs.OSFS{}
+	}
+	if err := opts.FS.MkdirAll(dir); err != nil {
 		return nil, fmt.Errorf("wal: creating %s: %w", dir, err)
 	}
 	l := &Log{dir: dir, opts: opts, nextLSN: 1}
 
-	segs, err := segments(dir)
+	segs, err := segments(opts.FS, dir)
 	if err != nil {
 		return nil, err
 	}
@@ -106,14 +116,14 @@ func Open(dir string, opts Options) (*Log, error) {
 		// with garbage.
 		last := segs[len(segs)-1]
 		path := filepath.Join(dir, segName(last))
-		intact, lastLSN, err := intactPrefix(path)
+		intact, lastLSN, err := intactPrefix(opts.FS, path)
 		if err != nil {
 			return nil, err
 		}
-		if err := os.Truncate(path, intact); err != nil {
+		if err := opts.FS.Truncate(path, intact); err != nil {
 			return nil, fmt.Errorf("wal: truncating torn tail of %s: %w", path, err)
 		}
-		f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+		f, err := opts.FS.OpenFile(path, vfs.AppendOnly)
 		if err != nil {
 			return nil, fmt.Errorf("wal: opening %s: %w", path, err)
 		}
@@ -173,7 +183,9 @@ func (l *Log) Append(payload []byte) (uint64, error) {
 }
 
 // rollLocked opens the active segment, rolling to a fresh file when the
-// current one passed the size threshold. Called with l.mu held.
+// current one passed the size threshold. Called with l.mu held. A new
+// segment's name is synced before its first record: fsync(2) of the file
+// alone would not keep the name through a power cut.
 func (l *Log) rollLocked() error {
 	if l.f != nil && l.size < l.opts.SegmentBytes {
 		return nil
@@ -187,11 +199,14 @@ func (l *Log) rollLocked() error {
 		}
 	}
 	path := filepath.Join(l.dir, segName(l.nextLSN))
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
+	f, err := l.opts.FS.OpenFile(path, vfs.CreateAppend)
 	if err != nil {
 		return fmt.Errorf("wal: creating segment %s: %w", path, err)
 	}
 	l.f, l.size = f, 0
+	if err := l.opts.FS.SyncDir(l.dir); err != nil {
+		return fmt.Errorf("wal: syncing %s: %w", l.dir, err)
+	}
 	return nil
 }
 
@@ -247,13 +262,13 @@ func (l *Log) Crash() {
 func (l *Log) TruncateThrough(lsn uint64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	segs, err := segments(l.dir)
+	segs, err := segments(l.opts.FS, l.dir)
 	if err != nil {
 		return err
 	}
 	for i := 0; i+1 < len(segs); i++ {
 		if segs[i+1] <= lsn+1 {
-			if err := os.Remove(filepath.Join(l.dir, segName(segs[i]))); err != nil {
+			if err := l.opts.FS.Remove(filepath.Join(l.dir, segName(segs[i]))); err != nil {
 				return fmt.Errorf("wal: truncating segment %d: %w", segs[i], err)
 			}
 		}
@@ -261,18 +276,18 @@ func (l *Log) TruncateThrough(lsn uint64) error {
 	return nil
 }
 
-// Replay streams every intact record in dir to fn in LSN order and returns
-// the last LSN delivered. A truncated or corrupt frame ends the replay
-// there: the torn tail (and anything after it) is dropped, records before it
-// are preserved. dropped reports how many bytes were discarded.
-func Replay(dir string, fn func(lsn uint64, payload []byte) error) (last uint64, dropped int64, err error) {
-	segs, err := segments(dir)
+// Replay streams every intact record in dir on fsys to fn in LSN order and
+// returns the last LSN delivered. A truncated or corrupt frame ends the
+// replay there: the torn tail (and anything after it) is dropped, records
+// before it are preserved. dropped reports how many bytes were discarded.
+func Replay(fsys vfs.FS, dir string, fn func(lsn uint64, payload []byte) error) (last uint64, dropped int64, err error) {
+	segs, err := segments(fsys, dir)
 	if err != nil {
 		return 0, 0, err
 	}
 	for i, base := range segs {
 		path := filepath.Join(dir, segName(base))
-		data, err := os.ReadFile(path)
+		data, err := fsys.ReadFile(path)
 		if err != nil {
 			return last, dropped, fmt.Errorf("wal: reading segment %s: %w", path, err)
 		}
@@ -293,8 +308,8 @@ func Replay(dir string, fn func(lsn uint64, payload []byte) error) (last uint64,
 			// later segments, which would leave an LSN gap — is dropped.
 			dropped += int64(len(data) - off)
 			for _, later := range segs[i+1:] {
-				if fi, err := os.Stat(filepath.Join(dir, segName(later))); err == nil {
-					dropped += fi.Size()
+				if data, err := fsys.ReadFile(filepath.Join(dir, segName(later))); err == nil {
+					dropped += int64(len(data))
 				}
 			}
 			return last, dropped, nil
@@ -324,8 +339,8 @@ func readFrame(buf []byte) (lsn uint64, payload []byte, n int, ok bool) {
 
 // intactPrefix scans a segment and returns the byte length of its intact
 // record prefix plus the last intact LSN.
-func intactPrefix(path string) (int64, uint64, error) {
-	data, err := os.ReadFile(path)
+func intactPrefix(fsys vfs.FS, path string) (int64, uint64, error) {
+	data, err := fsys.ReadFile(path)
 	if err != nil {
 		return 0, 0, fmt.Errorf("wal: reading %s: %w", path, err)
 	}
@@ -342,18 +357,14 @@ func intactPrefix(path string) (int64, uint64, error) {
 }
 
 // segments lists the segment base LSNs in dir in ascending order.
-func segments(dir string) ([]uint64, error) {
-	entries, err := os.ReadDir(dir)
+func segments(fsys vfs.FS, dir string) ([]uint64, error) {
+	names, err := fsys.ReadDir(dir)
 	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil
-		}
 		return nil, fmt.Errorf("wal: listing %s: %w", dir, err)
 	}
 	var out []uint64
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, segSuffix) {
+	for _, name := range names {
+		if !strings.HasSuffix(name, segSuffix) {
 			continue
 		}
 		base, err := strconv.ParseUint(strings.TrimSuffix(name, segSuffix), 16, 64)
@@ -371,10 +382,10 @@ func segName(base uint64) string {
 }
 
 // CorruptTail flips one bit in the last byte of the newest non-empty segment
-// — the bit-rot half of the torn-tail test surface, also used by the crash
-// drill to prove a damaged final record is dropped, not replayed.
+// on the real disk, the one call around vfs: the benchmark's planted bit-rot,
+// to prove a damaged final record is dropped, not replayed.
 func CorruptTail(dir string) error {
-	segs, err := segments(dir)
+	segs, err := segments(vfs.OSFS{}, dir)
 	if err != nil {
 		return err
 	}

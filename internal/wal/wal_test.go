@@ -2,14 +2,19 @@ package wal
 
 import (
 	"fmt"
-	"os"
 	"path/filepath"
 	"testing"
 	"time"
+
+	"u1/internal/vfs"
 )
 
-func mustOpen(t *testing.T, dir string, opts Options) *Log {
+// dir is where the MemFS tests keep their journal.
+const dir = "/j"
+
+func mustOpen(t *testing.T, fsys vfs.FS, dir string, opts Options) *Log {
 	t.Helper()
+	opts.FS = fsys
 	l, err := Open(dir, opts)
 	if err != nil {
 		t.Fatalf("Open: %v", err)
@@ -26,9 +31,27 @@ func appendN(t *testing.T, l *Log, n int, tag string) {
 	}
 }
 
-func replayAll(t *testing.T, dir string) (lsns []uint64, payloads []string, dropped int64) {
+// writeFile replaces path's bytes with data and syncs them.
+func writeFile(t testing.TB, fsys vfs.FS, path string, data []byte) {
 	t.Helper()
-	last, dropped, err := Replay(dir, func(lsn uint64, payload []byte) error {
+	f, err := fsys.OpenFile(path, vfs.CreateTrunc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(data); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func replayAll(t *testing.T, fsys vfs.FS, dir string) (lsns []uint64, payloads []string, dropped int64) {
+	t.Helper()
+	last, dropped, err := Replay(fsys, dir, func(lsn uint64, payload []byte) error {
 		lsns = append(lsns, lsn)
 		payloads = append(payloads, string(payload))
 		return nil
@@ -43,13 +66,13 @@ func replayAll(t *testing.T, dir string) (lsns []uint64, payloads []string, drop
 }
 
 func TestAppendReplayRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	l := mustOpen(t, dir, Options{Policy: FsyncPerOp})
+	fsys := vfs.NewMemFS()
+	l := mustOpen(t, fsys, dir, Options{Policy: FsyncPerOp})
 	appendN(t, l, 25, "rec")
 	if err := l.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	lsns, payloads, dropped := replayAll(t, dir)
+	lsns, payloads, dropped := replayAll(t, fsys, dir)
 	if len(lsns) != 25 || dropped != 0 {
 		t.Fatalf("replayed %d records (dropped %d bytes), want 25/0", len(lsns), dropped)
 	}
@@ -64,30 +87,30 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 }
 
 func TestReopenContinuesLSNSequence(t *testing.T) {
-	dir := t.TempDir()
-	l := mustOpen(t, dir, Options{})
+	fsys := vfs.NewMemFS()
+	l := mustOpen(t, fsys, dir, Options{})
 	appendN(t, l, 7, "a")
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	l = mustOpen(t, dir, Options{})
+	l = mustOpen(t, fsys, dir, Options{})
 	if got := l.nextLSN; got != 8 {
 		t.Fatalf("NextLSN after reopen = %d, want 8", got)
 	}
 	appendN(t, l, 3, "b")
 	l.Close() //nolint:errcheck
-	lsns, _, _ := replayAll(t, dir)
+	lsns, _, _ := replayAll(t, fsys, dir)
 	if len(lsns) != 10 || lsns[9] != 10 {
 		t.Fatalf("replayed %v, want LSNs 1..10", lsns)
 	}
 }
 
 func TestSegmentRollAndTruncate(t *testing.T) {
-	dir := t.TempDir()
+	fsys := vfs.NewMemFS()
 	// Tiny segments so every few records roll a file.
-	l := mustOpen(t, dir, Options{SegmentBytes: 64})
+	l := mustOpen(t, fsys, dir, Options{SegmentBytes: 64})
 	appendN(t, l, 40, "roll")
-	segs, err := segments(dir)
+	segs, err := segments(fsys, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,12 +121,12 @@ func TestSegmentRollAndTruncate(t *testing.T) {
 	if err := l.TruncateThrough(20); err != nil {
 		t.Fatal(err)
 	}
-	kept, _ := segments(dir)
+	kept, _ := segments(fsys, dir)
 	if len(kept) >= len(segs) {
 		t.Fatalf("TruncateThrough removed nothing: %d -> %d segments", len(segs), len(kept))
 	}
 	l.Close() //nolint:errcheck
-	lsns, _, _ := replayAll(t, dir)
+	lsns, _, _ := replayAll(t, fsys, dir)
 	if len(lsns) == 0 || lsns[len(lsns)-1] != 40 {
 		t.Fatalf("replay after truncation lost the tail: %v", lsns)
 	}
@@ -118,23 +141,23 @@ func TestSegmentRollAndTruncate(t *testing.T) {
 // TestTornTailTruncatedRecord is the crash-shaped regression: a final record
 // cut mid-frame is dropped on replay and every record before it survives.
 func TestTornTailTruncatedRecord(t *testing.T) {
-	dir := t.TempDir()
-	l := mustOpen(t, dir, Options{Policy: FsyncPerOp})
+	fsys := vfs.NewMemFS()
+	l := mustOpen(t, fsys, dir, Options{Policy: FsyncPerOp})
 	appendN(t, l, 10, "keep")
 	l.Close() //nolint:errcheck
 
-	segs, _ := segments(dir)
+	segs, _ := segments(fsys, dir)
 	path := filepath.Join(dir, segName(segs[len(segs)-1]))
-	fi, err := os.Stat(path)
+	data, err := fsys.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Cut into the last frame: drop 5 bytes off the file end.
-	if err := os.Truncate(path, fi.Size()-5); err != nil {
+	if err := fsys.Truncate(path, int64(len(data)-5)); err != nil {
 		t.Fatal(err)
 	}
 
-	lsns, _, dropped := replayAll(t, dir)
+	lsns, _, dropped := replayAll(t, fsys, dir)
 	if len(lsns) != 9 {
 		t.Fatalf("replayed %d records after torn tail, want 9", len(lsns))
 	}
@@ -142,13 +165,13 @@ func TestTornTailTruncatedRecord(t *testing.T) {
 		t.Fatal("torn bytes not reported as dropped")
 	}
 	// Reopen appends after the intact prefix; the torn frame never resurfaces.
-	l = mustOpen(t, dir, Options{})
+	l = mustOpen(t, fsys, dir, Options{})
 	if got := l.nextLSN; got != 10 {
 		t.Fatalf("NextLSN after torn-tail reopen = %d, want 10", got)
 	}
 	appendN(t, l, 1, "fresh")
 	l.Close() //nolint:errcheck
-	lsns, payloads, dropped := replayAll(t, dir)
+	lsns, payloads, dropped := replayAll(t, fsys, dir)
 	if len(lsns) != 10 || dropped != 0 {
 		t.Fatalf("post-repair replay: %d records, %d dropped bytes", len(lsns), dropped)
 	}
@@ -159,16 +182,17 @@ func TestTornTailTruncatedRecord(t *testing.T) {
 
 // TestTornTailBitFlip is the bit-rot regression: a flipped bit in the final
 // record fails its CRC and the record is dropped, not delivered corrupted.
+// It runs on the real disk, which is the one CorruptTail damages.
 func TestTornTailBitFlip(t *testing.T) {
 	dir := t.TempDir()
-	l := mustOpen(t, dir, Options{Policy: FsyncPerOp})
+	l := mustOpen(t, vfs.OSFS{}, dir, Options{Policy: FsyncPerOp})
 	appendN(t, l, 6, "bits")
 	l.Close() //nolint:errcheck
 
 	if err := CorruptTail(dir); err != nil {
 		t.Fatal(err)
 	}
-	lsns, payloads, dropped := replayAll(t, dir)
+	lsns, payloads, dropped := replayAll(t, vfs.OSFS{}, dir)
 	if len(lsns) != 5 {
 		t.Fatalf("replayed %d records after bit flip, want 5", len(lsns))
 	}
@@ -186,25 +210,23 @@ func TestTornTailBitFlip(t *testing.T) {
 // segment is corrupt, the segments after it are unreachable (their LSNs
 // would leave a hole) and replay must stop rather than resurrect them.
 func TestTornTailDropsLaterSegments(t *testing.T) {
-	dir := t.TempDir()
-	l := mustOpen(t, dir, Options{SegmentBytes: 64})
+	fsys := vfs.NewMemFS()
+	l := mustOpen(t, fsys, dir, Options{SegmentBytes: 64})
 	appendN(t, l, 30, "seg")
 	l.Close() //nolint:errcheck
-	segs, _ := segments(dir)
+	segs, _ := segments(fsys, dir)
 	if len(segs) < 3 {
 		t.Fatalf("need ≥3 segments, got %d", len(segs))
 	}
 	// Corrupt the second segment's first frame.
 	path := filepath.Join(dir, segName(segs[1]))
-	data, err := os.ReadFile(path)
+	data, err := fsys.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	data[headerSize] ^= 0xFF
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	lsns, _, dropped := replayAll(t, dir)
+	writeFile(t, fsys, path, data)
+	lsns, _, dropped := replayAll(t, fsys, dir)
 	if len(lsns) == 0 {
 		t.Fatal("first segment should replay intact")
 	}
@@ -217,8 +239,7 @@ func TestTornTailDropsLaterSegments(t *testing.T) {
 }
 
 func TestGroupCommitSyncCadence(t *testing.T) {
-	dir := t.TempDir()
-	l := mustOpen(t, dir, Options{Policy: FsyncGroupCommit})
+	l := mustOpen(t, vfs.NewMemFS(), dir, Options{Policy: FsyncGroupCommit})
 	appendN(t, l, 2*groupEvery+1, "gc")
 	appends, syncs := l.Stats()
 	if appends != 2*groupEvery+1 {
@@ -237,10 +258,10 @@ func TestGroupCommitSyncCadence(t *testing.T) {
 
 // TestAppendAllocatesNothing pins the reused frame buffer: under the async
 // policy an append is a copy into the Log's buffer and one write, with no
-// allocation, and a record larger than the kept bound is not retained.
+// allocation, and a record larger than the kept bound is not retained. It
+// runs on the real disk, to pin that the vfs seam costs an append nothing.
 func TestAppendAllocatesNothing(t *testing.T) {
-	dir := t.TempDir()
-	l := mustOpen(t, dir, Options{Policy: FsyncAsync})
+	l := mustOpen(t, vfs.OSFS{}, t.TempDir(), Options{Policy: FsyncAsync})
 	defer l.Close() //nolint:errcheck
 	payload := []byte("make_node 0123456789abcdef0123456789abcdef")
 	if _, err := l.Append(payload); err != nil { // sizes the frame buffer
@@ -272,28 +293,61 @@ func TestPolicyParseAndCost(t *testing.T) {
 	if _, err := ParsePolicy("flush-sometimes"); err == nil {
 		t.Error("ParsePolicy accepted garbage")
 	}
-	if FsyncPerOp.SyncCost() <= FsyncGroupCommit.SyncCost() {
+	flush := vfs.ModeledFlush
+	if FsyncPerOp.SyncCost(flush) <= FsyncGroupCommit.SyncCost(flush) {
 		t.Error("per-op sync must cost more than group commit")
 	}
-	if FsyncAsync.SyncCost() != 0 {
+	if FsyncAsync.SyncCost(flush) != 0 {
 		t.Error("async sync must cost nothing")
 	}
-	if FsyncGroupCommit.SyncCost() <= 0 {
+	if FsyncGroupCommit.SyncCost(flush) <= 0 {
 		t.Error("group commit must carry a non-zero amortized cost")
 	}
-	if FsyncPerOp.SyncCost() != 5*time.Millisecond {
-		t.Errorf("per-op cost drifted: %v", FsyncPerOp.SyncCost())
+	if FsyncPerOp.SyncCost(flush) != 5*time.Millisecond {
+		t.Errorf("per-op cost drifted: %v", FsyncPerOp.SyncCost(flush))
 	}
 }
 
+// TestCrashKeepsWrittenRecords: a process crash (Log.Crash) loses no written
+// record, and a power cut after it (MemFS.Crash) loses exactly the ones
+// never synced.
 func TestCrashKeepsWrittenRecords(t *testing.T) {
-	dir := t.TempDir()
-	l := mustOpen(t, dir, Options{Policy: FsyncAsync})
+	fsys := vfs.NewMemFS()
+	l := mustOpen(t, fsys, dir, Options{Policy: FsyncGroupCommit})
 	appendN(t, l, 12, "c")
 	l.Crash() // no sync, no clean close
-	lsns, _, dropped := replayAll(t, dir)
+	lsns, _, dropped := replayAll(t, fsys, dir)
 	if len(lsns) != 12 || dropped != 0 {
 		t.Fatalf("post-crash replay: %d records, %d dropped", len(lsns), dropped)
+	}
+	fsys.Crash()
+	if lsns, _, _ = replayAll(t, fsys, dir); len(lsns) != groupEvery {
+		t.Fatalf("post-power-cut replay: %d records, want the %d synced", len(lsns), groupEvery)
+	}
+}
+
+// TestSegmentRollSurvivesPowerCut pins the directory sync of segment
+// creation: under per-op fsync, every acknowledged record comes back after a
+// power cut, across several segment rolls — the first segment included.
+func TestSegmentRollSurvivesPowerCut(t *testing.T) {
+	fsys := vfs.NewMemFS()
+	l := mustOpen(t, fsys, dir, Options{Policy: FsyncPerOp, SegmentBytes: 64})
+	appendN(t, l, 20, "ack")
+	if segs, _ := segments(fsys, dir); len(segs) < 4 {
+		t.Fatalf("only %d segments: want at least 3 rolls", len(segs))
+	}
+	l.Crash()
+	fsys.Crash()
+	l = mustOpen(t, fsys, dir, Options{Policy: FsyncPerOp, SegmentBytes: 64})
+	defer l.Close() //nolint:errcheck
+	lsns, payloads, _ := replayAll(t, fsys, dir)
+	if len(lsns) != 20 {
+		t.Fatalf("power cut lost acknowledged records: %d of 20 replayed", len(lsns))
+	}
+	for i, p := range payloads {
+		if want := fmt.Sprintf("ack-%d", i); p != want {
+			t.Fatalf("record %d = %q, want %q", i, p, want)
+		}
 	}
 }
 
@@ -307,8 +361,8 @@ func FuzzReplayTornTail(f *testing.F) {
 	f.Add(uint8(1), int64(0), uint8(1))
 	f.Fuzz(func(t *testing.T, n uint8, cut int64, flip uint8) {
 		records := int(n%16) + 1
-		dir := t.TempDir()
-		l, err := Open(dir, Options{Policy: FsyncPerOp})
+		fsys := vfs.NewMemFS()
+		l, err := Open(dir, Options{Policy: FsyncPerOp, FS: fsys})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -319,9 +373,9 @@ func FuzzReplayTornTail(f *testing.F) {
 		}
 		l.Close() //nolint:errcheck
 
-		segs, _ := segments(dir)
+		segs, _ := segments(fsys, dir)
 		path := filepath.Join(dir, segName(segs[len(segs)-1]))
-		data, err := os.ReadFile(path)
+		data, err := fsys.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -332,12 +386,10 @@ func FuzzReplayTornTail(f *testing.F) {
 		if flip != 0 && len(data) > 0 {
 			data[len(data)-1] ^= flip
 		}
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
+		writeFile(t, fsys, path, data)
 
 		var got int
-		_, _, err = Replay(dir, func(lsn uint64, payload []byte) error {
+		_, _, err = Replay(fsys, dir, func(lsn uint64, payload []byte) error {
 			if want := fmt.Sprintf("p-%d", lsn-1); string(payload) != want {
 				t.Fatalf("record %d replayed corrupted: %q", lsn, payload)
 			}

@@ -12,6 +12,7 @@ import (
 	"u1/internal/metrics"
 	"u1/internal/server"
 	"u1/internal/trace"
+	"u1/internal/vfs"
 	"u1/internal/wal"
 )
 
@@ -36,7 +37,7 @@ func TestDurableWorkersOneMatchesGolden(t *testing.T) {
 	}
 	for _, c := range golden {
 		cluster, err := server.OpenCluster(server.Config{
-			Seed: c.seed, Config: metadata.Config{Durability: t.TempDir(), FsyncPolicy: wal.FsyncPerOp},
+			Seed: c.seed, Config: metadata.Config{Durability: "/u1", FS: vfs.NewMemFS(), FsyncPolicy: wal.FsyncPerOp},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -71,7 +72,7 @@ func durableFaultRun(t *testing.T, workers int, plan *faults.Plan, retry client.
 	t.Helper()
 	cluster, err := server.OpenCluster(server.Config{
 		Seed: 3, FaultPlan: plan,
-		Config: metadata.Config{Durability: t.TempDir(), FsyncPolicy: wal.FsyncGroupCommit},
+		Config: metadata.Config{Durability: "/u1", FS: vfs.NewMemFS(), FsyncPolicy: wal.FsyncGroupCommit},
 	})
 	if err != nil {
 		t.Fatal(err)
