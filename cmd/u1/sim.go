@@ -169,11 +169,11 @@ func (s *simulation) counters(w io.Writer, c *clusterFlags) error {
 	if c.regions > 1 {
 		s.cluster.Store.DrainReplication()
 		snap = s.cluster.Metrics.Snapshot()
-		fmt.Fprintf(w, "replication (%d regions, delay %d): %d published, %d applied, %d LWW-skipped, reads local/remote/stale %d/%d/%d\n",
+		fmt.Fprintf(w, "replication (%d regions, delay %d): %d published, %d applied, reads local/remote/stale %d/%d/%d\n",
 			c.regions, c.replDelay,
 			snap.Counter(metrics.ReplPublished), snap.Counter(metrics.ReplApplied),
-			snap.Counter(metrics.ReplLWWSkipped), snap.Counter(metrics.ReplReadsLocal),
-			snap.Counter(metrics.ReplReadsRemote), snap.Counter(metrics.ReplReadsStale))
+			snap.Counter(metrics.ReplReadsLocal), snap.Counter(metrics.ReplReadsRemote),
+			snap.Counter(metrics.ReplReadsStale))
 	}
 	if err := s.cluster.Close(); err != nil {
 		return fmt.Errorf("closing cluster: %w", err)

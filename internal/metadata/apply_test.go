@@ -325,7 +325,9 @@ func maxNodeID(s *Store) protocol.NodeID {
 // path: one seeded op stream, and the state live traffic built must equal
 // what replica application, crash recovery and a cold reopen rebuild from the
 // records — at every delta-log setting, with snapshots and journal truncation
-// happening mid-run.
+// happening mid-run. The reopened store's replicas must equal its owners, and
+// so must they after a power cut that sets the owners back behind records
+// the replicas had applied, and more traffic.
 func TestLiveReplayReplicaAgree(t *testing.T) {
 	const ops = 2000
 	for _, limit := range []int{0, 4, -1} {
@@ -397,6 +399,24 @@ func TestLiveReplayReplicaAgree(t *testing.T) {
 			if n.ID <= top {
 				t.Fatalf("allocator reissued node id %v (highest recovered %v)", n.ID, top)
 			}
+			r.DrainReplication()
+			requireConverged(t, r)
+
+			for i := 0; i < r.NumShards(); i++ {
+				r.CrashShard(i)
+			}
+			fsys.Crash()
+			for i := 0; i < r.NumShards(); i++ {
+				if err := r.RecoverShard(i); err != nil {
+					t.Fatalf("RecoverShard(%d) after the power cut: %v", i, err)
+				}
+			}
+			d.s = r
+			for i := 0; i < 500; i++ {
+				d.step()
+			}
+			r.DrainReplication()
+			requireConverged(t, r)
 		})
 	}
 }

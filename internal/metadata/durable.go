@@ -83,7 +83,7 @@ type durableShard struct {
 	lastLSN uint64
 	records int // journal appends since the last snapshot
 	// scratch encodes the record of a store that journals without
-	// replicating (a replicating store encodes onto the outbox instead).
+	// replicating (a replicating store encodes onto its replication log).
 	scratch wire.Writer
 }
 
@@ -214,21 +214,16 @@ func (s *Store) commit(sh *shard, rec journalRecord) {
 }
 
 // journal encodes one committed record once and hands those bytes to both
-// sinks: the tail of sh's replication outbox and sh's journal. The record is
-// on disk (per the fsync policy) before the operation acknowledges. Journal
+// sinks: the tail of sh's replication log and sh's journal. Both hold the
+// record before the operation acknowledges: the journal on disk per the
+// fsync policy, the log where the peer regions read it, so a region that
+// dies after acknowledging has lost nothing its peers cannot apply. Journal
 // failures are counted, not fatal: the simulated store prefers availability,
 // and the wal.errors counter makes the breach visible.
 func (s *Store) journal(sh *shard, rec *journalRecord) {
 	var payload []byte
-	// The replication tier consumes the same record stream: publication under
-	// the apply lock is what guarantees acknowledged writes are already
-	// published when their region dies.
 	if s.repl != nil {
-		ob := &s.repl.outbox[sh.id]
-		start := len(ob.w.Bytes())
-		encodeRecord(&ob.w, rec)
-		ob.n++
-		payload = ob.w.Bytes()[start:]
+		payload = s.repl.logs[sh.id].append(rec)
 		s.repl.m.published.Inc()
 	}
 	if s.dur == nil {
@@ -361,7 +356,9 @@ func (s *Store) CrashShard(i int) {
 // RecoverShard reopens shard i from its snapshot plus journal suffix — the
 // restart half of the crash drill — and recomputes the store's derived state
 // (volume directory, content reference counts, ID allocators) from all
-// shards. Requires durability; returns an error otherwise.
+// shards. On a replicated store it then rewinds every peer's replica of
+// shard i to the recovered owner (rewindReplicas). Requires durability;
+// returns an error otherwise.
 func (s *Store) RecoverShard(i int) error {
 	if s.dur == nil {
 		return fmt.Errorf("metadata: shard recovery requires a durable store")
@@ -374,6 +371,7 @@ func (s *Store) RecoverShard(i int) error {
 		return err
 	}
 	s.rebuildDerived()
+	s.rewindReplicas(i)
 	return nil
 }
 

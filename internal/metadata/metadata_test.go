@@ -11,6 +11,7 @@ import (
 	"u1/internal/metrics"
 	"u1/internal/protocol"
 	"u1/internal/vfs"
+	"u1/internal/wal"
 )
 
 func newTestStore() *Store { return New(Config{Shards: 10}) }
@@ -636,13 +637,42 @@ func TestShardLoadCounters(t *testing.T) {
 }
 
 // TestConcurrentUsers hammers the store from many goroutines; run with -race
-// to exercise the locking discipline, including cross-shard shares.
+// to exercise the locking discipline, including cross-shard shares. The
+// second store journals and replicates, with replication ticks running
+// throughout and eventual reads served from replicas they are applying to;
+// once drained, its replicas must equal their owners.
 func TestConcurrentUsers(t *testing.T) {
-	s := newTestStore()
+	replicated := openDurable(t, vfs.NewMemFS(), Config{
+		Shards: 10, Regions: 2, ReplicationDelay: 1, EventualReads: true,
+		SnapshotEvery: 16, FsyncPolicy: wal.FsyncAsync,
+	})
+	defer replicated.Close() //nolint:errcheck
+	for _, s := range []*Store{newTestStore(), replicated} {
+		hammer(t, s)
+		s.DrainReplication()
+		requireConverged(t, s)
+	}
+}
+
+// hammer runs 16 users' random op streams on s at once, with replication
+// ticks running beside them.
+func hammer(t *testing.T, s *Store) {
 	const users = 16
 	for u := protocol.UserID(1); u <= users; u++ {
 		mustUser(t, s, u)
 	}
+	stop, ticked := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(ticked)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				s.TickReplication()
+			}
+		}
+	}()
 	var wg sync.WaitGroup
 	for u := protocol.UserID(1); u <= users; u++ {
 		wg.Add(1)
@@ -681,9 +711,16 @@ func TestConcurrentUsers(t *testing.T) {
 					}
 				}
 			}
+			// Deleting the shared volume tombstones its grants in the
+			// replicas while other users' ops and the ticks run.
+			if _, _, err := s.DeleteVolume(u, udf.ID); err != nil {
+				t.Errorf("user %v: delete: %v", u, err)
+			}
 		}(u)
 	}
 	wg.Wait()
+	close(stop)
+	<-ticked
 	// The dedup accounting must be consistent after the dust settles.
 	cs := s.Contents()
 	if cs.UniqueBytes > cs.LogicalBytes {

@@ -60,9 +60,10 @@ func checkAccessLocked(sh *shard, vr *volumeRow, user protocol.UserID, write boo
 	if !ok {
 		return protocol.ErrPermission
 	}
-	// On replica shards, a grant revoked at the owner may still be in this
-	// region's replication backlog; the tombstone set revokes it immediately.
-	if sh.revoked != nil && sh.revoked(shareID) {
+	// On replica shards, a grant revoked at the owner may not have ripened in
+	// this region yet; the tombstone set revokes it immediately.
+	if _, gone := sh.revoked[shareID]; gone {
+		sh.revokedHits.Inc()
 		return protocol.ErrPermission
 	}
 	share, ok := sh.shares[shareID]
@@ -220,16 +221,9 @@ func (s *Store) DeleteVolume(user protocol.UserID, vol protocol.VolumeID) (remov
 
 	// Eagerly tombstone every revoked grant in the peer regions: a grantee
 	// reading through its region's replica must lose access now, not when the
-	// delete record ages through the replication backlog (and a create_share
-	// still in that backlog must not resurrect the grant in between).
-	if len(grantees) > 0 && s.repl != nil {
-		shareIDs := make([]protocol.ShareID, 0, len(grantees))
-		for _, shareID := range grantees {
-			shareIDs = append(shareIDs, shareID)
-		}
-		sort.Slice(shareIDs, func(i, j int) bool { return shareIDs[i] < shareIDs[j] })
-		s.revokeCrossRegion(s.RegionOf(s.ShardFor(owner)), shareIDs)
-	}
+	// delete record ripens in the replication log (and a create_share not yet
+	// applied there must not resurrect the grant in between).
+	s.revokeCrossRegion(sh.id, grantees)
 
 	// Grantee cleanup walks in ascending user order: every iteration journals
 	// a drop_share record in the grantee's shard, and the replication stream

@@ -46,9 +46,9 @@ func TestDeleteVolumeJournalsDropSharesInUserOrder(t *testing.T) {
 		}
 	}
 
-	// Drain the setup records so only the delete's records remain in the
-	// outboxes.
-	s.ship()
+	// Tick the setup records out of the replication logs, so only the
+	// delete's records remain, in the logs' tails.
+	s.TickReplication()
 
 	if _, _, err := s.DeleteVolume(owner, udf.ID); err != nil {
 		t.Fatal(err)
@@ -59,9 +59,9 @@ func TestDeleteVolumeJournalsDropSharesInUserOrder(t *testing.T) {
 	// grantees over 3 shards an unsorted map walk fails this with high
 	// probability on every run.
 	total := 0
-	for shardID, ob := range s.repl.outbox {
+	for shardID, l := range s.repl.logs {
 		var seen []protocol.UserID
-		for _, rec := range decodeRecords(t, ob.w.Bytes(), ob.n) {
+		for _, rec := range decodeRecords(t, l.tail.Bytes(), l.n) {
 			if rec.Kind == recDropShare {
 				seen = append(seen, rec.Share.SharedTo)
 			}

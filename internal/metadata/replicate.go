@@ -10,46 +10,41 @@ import (
 	"u1/internal/wire"
 )
 
-// Asynchronous cross-region metadata replication. Shards partition into
-// contiguous regions. Every mutation commits at the owning region as one
-// journal record (durable.go), and commit encodes that record onto the tail
-// of the owning shard's replication outbox under the write lock that applied
-// it — the same bytes the journal writes (codec.go). A replica decodes each
-// record and applies it through the same shard.apply the owner ran, in outbox
-// order, which is apply order, so a drained replica equals its owner — the
-// invariant the region drill's fingerprint comparison enforces.
+// Asynchronous cross-region metadata replication, as a log. Shards partition
+// into contiguous regions. Every mutation commits at the owning region as one
+// journal record (durable.go), and commit encodes that record onto the tail of
+// the owning shard's replication log under the write lock that applied it —
+// the same bytes the journal writes (codec.go) — so an acknowledged write is
+// already where the peers read it. The log lives in memory, not in the WAL:
+// in-memory stores replicate too, and the WAL drops segments at snapshots on
+// a cadence that has nothing to do with peer progress.
 //
-// Shipping is epoch-batched. Each replication tick (TickReplication: an
-// AtEpochEnd hook of the sharded engine in simulation, a direct call from a
-// harness or drill) advances the epoch, applies every region's ripe backlog,
-// ships each outbox — the encoded records published since the last tick — as
-// one batch into every peer region's backlog stamped with the new epoch, and
-// applies again. The peers share that batch read-only; nothing is copied per
-// record or per peer. A batch applies to the peer's replica shards, record by
-// record, once it has aged ReplicationDelay ticks; its records share one
-// epoch, so it ripens whole. Reads resolve through readShardFor: same-region
-// reads always hit the owner shard; cross-region reads go to the owner under
-// read-your-writes (the default) or to the reader region's replica under
-// eventual reads — and always to the replica when the owner region is down.
+// Each replication tick (TickReplication: an AtEpochEnd hook of the sharded
+// engine in simulation, a direct call from a harness or drill) advances the
+// epoch, seals every log's tail as one segment stamped with it, and makes one
+// apply pass: each region reads each foreign shard's log through its own
+// cursor and applies the segments that have aged ReplicationDelay ticks,
+// record by record, through the same shard.apply the owner ran. Every record
+// reaches every peer once, in owner order, so a drained replica equals its
+// owner and needs no conflict rule: applyLocked panics on a record that could
+// only come from a diverged replica. Replicas start equal to their owners,
+// and Open and RecoverShard rewind them to the owners they recover.
 //
-// Conflict rule: cross-region writes on shared volumes resolve by
-// (generation, region-id) last-writer-wins — a node-bearing record applies
-// only if it advances the replica volume's generation, and generation ties go
-// to the higher origin region. The same guard makes re-delivery idempotent,
-// which is what lets failover replay a region's entire backlog
-// unconditionally.
+// Reads resolve through readShardFor: same-region reads always hit the owner
+// shard; cross-region reads go to the owner under read-your-writes (the
+// default) or to the reader region's replica under eventual reads — and
+// always to the replica when the owner region is down.
 //
 // Determinism: records join an epoch by the virtual time of the mutation, so
-// for a fixed (Seed, Workers, Regions) the per-tick batch contents, backlog
-// depths, applied counts and stale-read decisions are identical regardless of
-// goroutine interleaving. Replica state between ticks is frozen, so mid-epoch
-// replica reads are deterministic too.
+// for a fixed (Seed, Workers, Regions) the segments, applied counts and
+// stale-read decisions are identical regardless of goroutine interleaving.
+// Replica state between ticks is frozen, so mid-epoch replica reads are
+// deterministic too.
 
 // replMetrics is the repl.* instrumentation of the replication tier.
 type replMetrics struct {
 	published    *metrics.Counter
 	applied      *metrics.Counter
-	lwwSkipped   *metrics.Counter
 	revokedHits  *metrics.Counter
 	readsLocal   *metrics.Counter
 	readsRemote  *metrics.Counter
@@ -58,26 +53,79 @@ type replMetrics struct {
 	lagEpochs    *metrics.Histogram
 }
 
-// outbox is one owner shard's publication buffer: the records committed since
-// the last ship, encoded back to back, and how many there are.
-type outbox struct {
-	w wire.Writer
-	n int
+// replLog is one owner shard's replication log: the records committed since
+// the last seal (the tail, guarded by mu), and the sealed segments some peer
+// region has not read yet, oldest first (guarded by replication.mu). A cursor
+// counts the segments a region has read, so segs[k] is segment first+k.
+type replLog struct {
+	mu   sync.Mutex
+	tail wire.Writer
+	n    int // records in the tail
+
+	segs  []logSegment
+	first int
+	// free holds the buffers of read segments for the next seals, so a
+	// steady tick allocates nothing.
+	free []wire.Writer
 }
 
-// maxKeptOutbox bounds the buffer an outbox keeps from one tick to the next,
-// so one burst of commits does not stay allocated for the life of the store.
-const maxKeptOutbox = 64 << 10
-
-// replBatch is one backlog entry: one owner shard's outbox as shipped — n
-// encoded records — and the tick that shipped it. Every peer region's backlog
-// holds the same batch; none writes to it.
-type replBatch struct {
-	shard int
-	epoch uint64
-	recs  []byte
+// logSegment is the records one tick sealed: n of them, encoded back to back,
+// ripening together ReplicationDelay ticks after epoch.
+type logSegment struct {
+	recs  wire.Writer
 	n     int
+	epoch uint64
 }
+
+// maxKeptLog bounds the segment buffer a log keeps for reuse, so one burst of
+// commits does not stay allocated for the life of the store.
+const maxKeptLog = 64 << 10
+
+// append encodes rec onto the tail and returns those bytes. They stay put
+// while the caller holds the owner shard's write lock: sealing and trimming
+// move buffers without writing to them, and only a commit to this shard
+// writes to one.
+func (l *replLog) append(rec *journalRecord) []byte {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	start := len(l.tail.Bytes())
+	encodeRecord(&l.tail, rec)
+	l.n++
+	return l.tail.Bytes()[start:]
+}
+
+// seal closes a non-empty tail as one segment stamped with epoch. Runs under
+// replication.mu.
+func (l *replLog) seal(epoch uint64) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.n > 0 {
+		l.segs = append(l.segs, logSegment{recs: l.tail, n: l.n, epoch: epoch})
+		l.tail, l.n = wire.Writer{}, 0
+		if k := len(l.free) - 1; k >= 0 {
+			l.tail, l.free = l.free[k], l.free[:k]
+		}
+	}
+}
+
+// trim drops the segments before segment to, keeping their buffers for the
+// next seals unless one outgrew maxKeptLog. Runs under replication.mu.
+func (l *replLog) trim(to int) {
+	k := to - l.first
+	for _, seg := range l.segs[:k] {
+		if cap(seg.recs.Bytes()) <= maxKeptLog {
+			seg.recs.Reset()
+			l.free = append(l.free, seg.recs)
+		}
+	}
+	kept := copy(l.segs, l.segs[k:])
+	clear(l.segs[kept:])
+	l.segs = l.segs[:kept]
+	l.first = to
+}
+
+// end is the number of segments ever sealed: a cursor there has read them all.
+func (l *replLog) end() int { return l.first + len(l.segs) }
 
 // regionState is one region's replication-side state.
 type regionState struct {
@@ -86,49 +134,34 @@ type regionState struct {
 	// local). Replica shards register no metrics so replication traffic never
 	// pollutes the owner shards' load counters.
 	replicas []*shard
-	// backlog holds delivered, not-yet-applied batches in arrival order;
-	// publication epochs are non-decreasing along it, so ripe batches always
-	// form a prefix.
-	backlog []replBatch
-	// pending counts backlog records per owning shard — the per-shard
-	// staleness signal readShardFor consults.
-	pending []int
-	// lastOrigin tracks, per volume, the origin region of the last applied
-	// node-bearing record: the region-id half of the LWW conflict rule.
-	lastOrigin map[protocol.VolumeID]int
-	// revoked is the eagerly flushed share-revocation set: share ids whose
-	// revocation was accepted at the owner but has not yet reached this
-	// region's replicas. Replica-side access checks consult it so a revoked
-	// cross-region grant stops authorizing immediately (the PR 4
-	// DropCachedToken lesson applied to the metadata path index). Guarded by
-	// revMu, not the replication mutex: the consult happens under a replica
-	// shard's lock, which applyLocked acquires while holding r.mu — a shared
-	// lock would invert that order and deadlock under concurrent traffic.
-	revMu   sync.Mutex
-	revoked map[protocol.ShareID]struct{}
+	// cursor counts, per owning shard, the segments of its log this region
+	// has applied. A region is stale on a shard while its cursor is short of
+	// the log's end; that moves only at ticks, failover and recovery.
+	cursor []int
 	// down marks the region failed: writes owned by it are refused, reads
 	// fail over to peer replicas.
 	down bool
 }
 
 // replication is the store's cross-region state; nil with a single region.
+// Lock order: an owner shard, then a log's tail; r.mu, then a log's tail,
+// then a replica shard. Nothing takes r.mu while holding a log's lock.
 type replication struct {
 	regions  int
 	delay    int
 	eventual bool
 	m        replMetrics
 
-	// outbox is per owner shard, appended under that shard's write lock by
-	// Store.commit and drained by ship under the same lock.
-	outbox []outbox
-	// rec is the record every backlog batch decodes into, one at a time;
-	// guarded by mu.
+	// logs is per owner shard.
+	logs []*replLog
+	// rec is the record every segment decodes into, one at a time; guarded
+	// by mu.
 	rec journalRecord
 
-	// mu guards epoch, state backlogs/pending/revoked/down. Mutations happen
-	// at replication ticks (traffic quiescent in simulation) and on the
-	// explicit down/recover transitions; request-path readers take the read
-	// lock.
+	// mu guards epoch, the sealed part of every log, and each region's
+	// cursors and down flag. Mutations happen at replication
+	// ticks (traffic quiescent in simulation) and on the explicit
+	// down/recover transitions; request-path readers take the read lock.
 	mu    sync.RWMutex
 	epoch uint64
 	state []*regionState
@@ -139,12 +172,11 @@ func newReplication(cfg Config, reg *metrics.Registry) *replication {
 		regions:  cfg.Regions,
 		delay:    cfg.ReplicationDelay,
 		eventual: cfg.EventualReads,
-		outbox:   make([]outbox, cfg.Shards),
+		logs:     make([]*replLog, cfg.Shards),
 		state:    make([]*regionState, cfg.Regions),
 		m: replMetrics{
 			published:    reg.Counter(metrics.ReplPublished),
 			applied:      reg.Counter(metrics.ReplApplied),
-			lwwSkipped:   reg.Counter(metrics.ReplLWWSkipped),
 			revokedHits:  reg.Counter(metrics.ReplRevokedBlocked),
 			readsLocal:   reg.Counter(metrics.ReplReadsLocal),
 			readsRemote:  reg.Counter(metrics.ReplReadsRemote),
@@ -153,29 +185,16 @@ func newReplication(cfg Config, reg *metrics.Registry) *replication {
 			lagEpochs:    reg.Histogram(metrics.ReplLagEpochs),
 		},
 	}
+	for i := range r.logs {
+		r.logs[i] = &replLog{}
+	}
 	for region := range r.state {
-		st := &regionState{
-			replicas:   make([]*shard, cfg.Shards),
-			pending:    make([]int, cfg.Shards),
-			lastOrigin: make(map[protocol.VolumeID]int),
-			revoked:    make(map[protocol.ShareID]struct{}),
-		}
+		st := &regionState{replicas: make([]*shard, cfg.Shards), cursor: make([]int, cfg.Shards)}
 		for i := 0; i < cfg.Shards; i++ {
-			if r.regionOf(i) == region {
-				continue
+			if r.regionOf(i) != region {
+				st.replicas[i] = newShard(i, cfg.DeltaLogLimit, nil)
+				st.replicas[i].revokedHits = r.m.revokedHits
 			}
-			sh := newShard(i, cfg.DeltaLogLimit, nil)
-			st := st
-			sh.revoked = func(id protocol.ShareID) bool {
-				st.revMu.Lock()
-				_, gone := st.revoked[id]
-				st.revMu.Unlock()
-				if gone {
-					r.m.revokedHits.Inc()
-				}
-				return gone
-			}
-			st.replicas[i] = sh
 		}
 		r.state[region] = st
 	}
@@ -186,7 +205,7 @@ func newReplication(cfg Config, reg *metrics.Registry) *replication {
 // [r·S/R, (r+1)·S/R), so groups are contiguous and sized within one of each
 // other.
 func (r *replication) regionOf(shard int) int {
-	return shard * r.regions / len(r.outbox)
+	return shard * r.regions / len(r.logs)
 }
 
 // Regions returns the configured region count (1 without replication).
@@ -210,168 +229,107 @@ func (s *Store) RegionOfUser(user protocol.UserID) int {
 	return s.RegionOf(s.ShardFor(user))
 }
 
-// ship drains every owner shard's publication outbox, as one batch, into each
-// peer region's backlog, stamped with the current tick, in shard order.
-func (s *Store) ship() {
-	r := s.repl
-	for i, sh := range s.shards {
-		// The outbox is filled under the shard's write lock; draining it is
-		// the replication tick, not client load.
-		sh.LockUncounted()
-		ob := &r.outbox[i]
-		b := replBatch{shard: i, n: ob.n}
-		if b.n > 0 {
-			// One copy per batch; the outbox keeps its buffer for the next.
-			b.recs = bytes.Clone(ob.w.Bytes())
-			ob.w.Reset()
-			ob.n = 0
-			if cap(ob.w.Bytes()) > maxKeptOutbox {
-				ob.w = wire.Writer{}
-			}
-		}
-		sh.UnlockUncounted()
-		if b.n == 0 {
+// sealLocked seals every log's tail as one segment stamped with the current
+// epoch.
+func (r *replication) sealLocked() {
+	for _, l := range r.logs {
+		l.seal(r.epoch)
+	}
+}
+
+// catchUpLocked applies to st's replicas, per foreign shard in index order,
+// the sealed segments past st's cursor — those aged at least the configured
+// delay, or, with all, every one — decoding their records one at a time into
+// r.rec. The bytes are the owner's own encoding, so a record that does not
+// decode is a broken invariant.
+func (r *replication) catchUpLocked(st *regionState, all bool) {
+	for i, l := range r.logs {
+		if st.replicas[i] == nil {
 			continue
 		}
-		r.mu.Lock()
-		b.epoch = r.epoch
-		for region, st := range r.state {
-			if region == r.regionOf(i) {
-				continue
+		for k := st.cursor[i] - l.first; k < len(l.segs); k++ {
+			seg := &l.segs[k]
+			if !all && seg.epoch+uint64(r.delay) > r.epoch {
+				break // stamps are non-decreasing: the rest is younger
 			}
-			st.backlog = append(st.backlog, b)
-			st.pending[i] += b.n
+			rd := wire.NewReader(seg.recs.Bytes())
+			for j := 0; j < seg.n; j++ {
+				if err := decodeRecord(rd, &r.rec); err != nil {
+					panic(fmt.Sprintf("metadata: replication log of shard %d, record %d: %v", i, j, err))
+				}
+				r.applyLocked(st.replicas[i], seg.epoch, &r.rec)
+			}
+			if n := rd.Remaining(); n != 0 {
+				panic(fmt.Sprintf("metadata: replication log of shard %d: %d bytes after a segment's %d records", i, n, seg.n))
+			}
+			st.cursor[i]++
 		}
-		r.mu.Unlock()
 	}
 }
 
-// applyRipe applies each region's ripe backlog prefix — batches that have
-// aged at least the configured delay — to its replica shards, then refreshes
-// the backlog depth gauge.
-func (r *replication) applyRipe() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, st := range r.state {
-		i := 0
-		for ; i < len(st.backlog); i++ {
-			b := &st.backlog[i]
-			if b.epoch+uint64(r.delay) > r.epoch {
-				break // publication epochs are non-decreasing: the rest is younger
-			}
-			r.applyBatchLocked(st, b)
-		}
-		kept := copy(st.backlog, st.backlog[i:])
-		clear(st.backlog[kept:]) // drop the applied batches' buffers
-		st.backlog = st.backlog[:kept]
-	}
-	r.refreshBacklogGaugeLocked()
-}
-
-// refreshBacklogGaugeLocked sets repl.backlog_depth to the records, not the
-// batches, waiting in every region's backlog.
-func (r *replication) refreshBacklogGaugeLocked() {
+// trimLocked drops from every log the segments every peer region has read,
+// then sets repl.backlog.depth to the sealed records, not segments, some
+// region has still to apply.
+func (r *replication) trimLocked() {
 	var depth int64
-	for _, st := range r.state {
-		for i := range st.backlog {
-			depth += int64(st.backlog[i].n)
+	for i, l := range r.logs {
+		to := l.end()
+		for region, st := range r.state {
+			if region != r.regionOf(i) {
+				to = min(to, st.cursor[i])
+				for _, seg := range l.segs[st.cursor[i]-l.first:] {
+					depth += int64(seg.n)
+				}
+			}
 		}
+		l.trim(to)
 	}
 	r.m.backlogDepth.Set(depth)
 }
 
-// applyBatchLocked decodes b's records one at a time into r.rec and applies
-// each to its replica shard under r.mu. The bytes are the owner's own
-// encoding, so a record that does not decode is a broken invariant.
-func (r *replication) applyBatchLocked(st *regionState, b *replBatch) {
-	rd := wire.NewReader(b.recs)
-	for i := 0; i < b.n; i++ {
-		if err := decodeRecord(rd, &r.rec); err != nil {
-			panic(fmt.Sprintf("metadata: replication batch of shard %d, record %d: %v", b.shard, i, err))
-		}
-		r.applyLocked(st, b.shard, b.epoch, &r.rec)
-	}
-	if n := rd.Remaining(); n != 0 {
-		panic(fmt.Sprintf("metadata: replication batch of shard %d: %d bytes after its %d records", b.shard, n, b.n))
-	}
-	st.pending[b.shard] -= b.n
-}
-
-// applyLocked applies one record of owner shard `shard`, shipped at epoch,
-// to its replica shard under r.mu, guarded by the (generation, region-id) LWW
-// rule. Tombstoned revocations clear once the revoking record itself arrives.
-func (r *replication) applyLocked(st *regionState, shard int, epoch uint64, rec *journalRecord) {
-	sh := st.replicas[shard]
-	origin := r.regionOf(shard)
+// applyLocked applies one record, sealed at epoch, to the replica sh. The
+// record is the replica's next one, so it panics, naming the shard and the
+// record, on a node-bearing record that does not advance its volume's
+// generation and on a volume created twice. Tombstoned revocations clear once
+// the revoking record itself arrives.
+func (r *replication) applyLocked(sh *shard, epoch uint64, rec *journalRecord) {
 	// Replication traffic is not client load; the repl.* series count it.
 	sh.LockUncounted()
 	defer sh.UnlockUncounted()
 	switch rec.Kind {
+	case recCreateUser, recCreateUDF:
+		if _, dup := sh.volumes[rec.Volume.ID]; dup {
+			panic(fmt.Sprintf("metadata: replica of shard %d diverged: %s record %+v creates volume %d, which it holds", sh.id, rec.Kind, *rec, rec.Volume.ID))
+		}
+	case recMakeNode, recMakeContent, recMove:
+		requireAdvance(sh, rec, rec.Node.Volume, rec.Node.Generation)
+	case recUnlink:
+		requireAdvance(sh, rec, rec.VolID, rec.Gen)
 	case recDeleteVolume:
 		if vr, ok := sh.volumes[rec.VolID]; ok {
-			st.revMu.Lock()
 			for _, shareID := range vr.grants {
-				delete(st.revoked, shareID)
+				delete(sh.revoked, shareID)
 			}
-			st.revMu.Unlock()
 		}
-		delete(st.lastOrigin, rec.VolID)
-	case recDropShare:
-		st.revMu.Lock()
-		delete(st.revoked, rec.Share.ID)
-		st.revMu.Unlock()
-	}
-	if !shouldApply(st, sh, rec, origin) {
-		r.m.lwwSkipped.Inc()
-		return
 	}
 	sh.apply(rec)
-	switch rec.Kind {
-	case recMakeNode, recMakeContent, recMove:
-		st.lastOrigin[rec.Node.Volume] = origin
-	case recUnlink:
-		st.lastOrigin[rec.VolID] = origin
-	}
 	r.m.applied.Inc()
 	r.m.lagEpochs.Observe(float64(r.epoch - epoch))
 }
 
-// shouldApply is the (generation, region-id) last-writer-wins guard: a
-// node-bearing record applies only if it advances the replica volume's
-// generation, with ties won by the higher origin region. Volume/share
-// bookkeeping records are guarded for idempotence instead, so re-delivery
-// (failover replays the whole backlog) never corrupts a replica.
-func shouldApply(st *regionState, sh *shard, rec *journalRecord, origin int) bool {
-	switch rec.Kind {
-	case recCreateUser, recCreateUDF:
-		_, dup := sh.volumes[rec.Volume.ID]
-		return !dup
-	case recMakeNode, recMakeContent, recMove:
-		return genWins(st, sh, rec.Node.Volume, rec.Node.Generation, origin)
-	case recUnlink:
-		return genWins(st, sh, rec.VolID, rec.Gen, origin)
+// requireAdvance panics unless rec moves volume vol, where replica sh holds
+// it, past the generation sh has.
+func requireAdvance(sh *shard, rec *journalRecord, vol protocol.VolumeID, gen protocol.Generation) {
+	if vr, ok := sh.volumes[vol]; ok && gen <= vr.info.Generation {
+		panic(fmt.Sprintf("metadata: replica of shard %d diverged: %s record %+v sets volume %d to generation %d, not past its %d",
+			sh.id, rec.Kind, *rec, vol, gen, vr.info.Generation))
 	}
-	return true
 }
 
-func genWins(st *regionState, sh *shard, vol protocol.VolumeID, gen protocol.Generation, origin int) bool {
-	vr, ok := sh.volumes[vol]
-	if !ok {
-		return true
-	}
-	if gen != vr.info.Generation {
-		return gen > vr.info.Generation
-	}
-	return origin > st.lastOrigin[vol]
-}
-
-// TickReplication is the replication tick: advance the epoch, apply each
-// region's ripe backlog, ship every outbox into the peer backlogs, then apply
-// again — the second pass only finds work at delay 0, where a record ripens
-// in the tick that ships it. Applying before shipping keeps the previous
-// tick's records out of the backlog the new ones append to, so it does not
-// grow and copy again. The simulator runs it as one AtEpochEnd hook; tests
-// and drills call it directly, and a wall-clock pump would be a ticker
+// TickReplication is the replication tick: advance the epoch, seal every
+// log's tail as one segment stamped with it, make one apply pass over every
+// region's ripe segments — at delay 0 that includes the ones just sealed —
+// and drop what every peer has read. A wall-clock pump would be a ticker
 // calling it.
 func (s *Store) TickReplication() {
 	r := s.repl
@@ -379,14 +337,16 @@ func (s *Store) TickReplication() {
 		return
 	}
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	r.epoch++
-	r.mu.Unlock()
-	r.applyRipe()
-	s.ship()
-	r.applyRipe()
+	r.sealLocked()
+	for _, st := range r.state {
+		r.catchUpLocked(st, false)
+	}
+	r.trimLocked()
 }
 
-// DrainReplication ticks until every region's backlog is empty — the
+// DrainReplication ticks until no region has a record left to apply — the
 // quiesce-and-converge helper tests and drills use before comparing
 // fingerprints.
 func (s *Store) DrainReplication() {
@@ -395,13 +355,7 @@ func (s *Store) DrainReplication() {
 	}
 	for i := 0; i <= s.repl.delay+1; i++ {
 		s.TickReplication()
-		s.repl.mu.RLock()
-		depth := 0
-		for _, st := range s.repl.state {
-			depth += len(st.backlog)
-		}
-		s.repl.mu.RUnlock()
-		if depth == 0 {
+		if s.repl.m.backlogDepth.Value() == 0 {
 			return
 		}
 	}
@@ -419,38 +373,29 @@ func (s *Store) RegionDown(region int) {
 	s.repl.mu.Unlock()
 }
 
-// FailoverRegion promotes region at's replicas to the head of the published
-// stream by applying its entire backlog immediately, replication delay
-// ignored — the failover step after a peer region dies. Every record the dead
-// region published before dying is already in this backlog (publication
-// happens under the mutation's own lock), so acknowledged owner-region writes
-// survive with zero loss.
+// FailoverRegion promotes region at's replicas to the head of every owner's
+// log — the failover step after a peer region dies. It seals every log's
+// tail at the current epoch and applies every segment past at's cursors,
+// delay ignored. A write is in the log before it acknowledges, so no
+// acknowledged write is lost, and failover touches no owner shard, so
+// nothing the dead region kept matters.
 func (s *Store) FailoverRegion(at int) {
 	r := s.repl
 	if r == nil {
 		return
 	}
-	// Ship anything still sitting in publication outboxes: a record is
-	// published at ack time, so this is what makes "acked before the region
-	// died" imply "present in the failover state". Peer regions receive their
-	// copies too, with normal delay semantics.
-	s.ship()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	st := r.state[at]
-	for i := range st.backlog {
-		r.applyBatchLocked(st, &st.backlog[i])
-	}
-	st.backlog = nil
-	r.refreshBacklogGaugeLocked()
+	r.sealLocked()
+	r.catchUpLocked(r.state[at], true)
+	r.trimLocked()
 }
 
 // RegionRecover restores a downed region from a surviving peer: the peer
 // fast-forwards its replicas (FailoverRegion), every owner shard of the dead
-// region is rebuilt from the peer's replica — encoded as a snapshot and
-// decoded into the owner, the snapshot file's own codec — derived store state
-// is recomputed, and the region rejoins. Uploadjobs are transient and lost with
-// the region, exactly as in a shard crash.
+// region is rebuilt from the peer's replica (copyShard), derived store state
+// is recomputed, and the region rejoins. Uploadjobs are transient and lost
+// with the region, exactly as in a shard crash.
 func (s *Store) RegionRecover(region, from int) {
 	r := s.repl
 	if r == nil {
@@ -461,29 +406,63 @@ func (s *Store) RegionRecover(region, from int) {
 	peer := r.state[from]
 	r.mu.RUnlock()
 	for i, sh := range s.shards {
-		if r.regionOf(i) != region {
-			continue
-		}
-		replica := peer.replicas[i]
-		var snap bytes.Buffer
-		// A region drill moves state wholesale; neither side is client load.
-		replica.RLockUncounted()
-		err := writeSnapshot(&snap, replica, 0)
-		replica.RUnlockUncounted()
-		sh.LockUncounted()
-		sh.reset()
-		if err == nil {
-			_, err = readSnapshot(sh, snap.Bytes())
-		}
-		sh.UnlockUncounted()
-		if err != nil {
-			panic(fmt.Sprintf("metadata: restoring shard %d from region %d: %v", i, from, err))
+		if r.regionOf(i) == region {
+			copyShard(peer.replicas[i], sh)
 		}
 	}
 	s.rebuildDerived()
 	r.mu.Lock()
 	r.state[region].down = false
 	r.mu.Unlock()
+}
+
+// rewindReplicas makes every peer region's replica of shard i a copy of its
+// owner, tombstones cleared, and drops the shard's unread log. Open calls it
+// for every shard of a reopened durable store and RecoverShard for the shard
+// it recovered: a replica may be ahead of an owner that lost unsynced
+// records, but only until that owner recovers (PostgreSQL's pg_rewind).
+func (s *Store) rewindReplicas(i int) {
+	r := s.repl
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	l := r.logs[i]
+	l.mu.Lock()
+	l.tail.Reset()
+	l.n = 0
+	l.mu.Unlock()
+	var replicas []*shard
+	for region, st := range r.state {
+		if region != r.regionOf(i) {
+			st.cursor[i] = l.end()
+			replicas = append(replicas, st.replicas[i])
+		}
+	}
+	r.trimLocked()
+	r.mu.Unlock()
+	copyShard(s.shards[i], replicas...)
+}
+
+// copyShard makes each of dsts a copy of src through the snapshot file's
+// own codec: src is encoded once, as a snapshot body, and decoded into each.
+// A restore moves state wholesale; neither side is client load.
+func copyShard(src *shard, dsts ...*shard) {
+	var snap bytes.Buffer
+	src.RLockUncounted()
+	err := writeSnapshot(&snap, src, 0)
+	src.RUnlockUncounted()
+	for _, dst := range dsts {
+		dst.LockUncounted()
+		dst.reset()
+		if err == nil {
+			_, err = readSnapshot(dst, snap.Bytes())
+		}
+		dst.UnlockUncounted()
+		if err != nil {
+			panic(fmt.Sprintf("metadata: copying shard %d: %v", src.id, err))
+		}
+	}
 }
 
 // ReplicaFingerprint digests region's replica of shard i the way
@@ -535,9 +514,9 @@ func (s *Store) WriteUnavailable(vol protocol.VolumeID) bool {
 // readShardFor routes a read of owner's metadata on behalf of user: reads
 // whose owner lives in the reader's region always hit the owner shard;
 // cross-region reads hit the owner under read-your-writes or the reader
-// region's replica under eventual reads, counting staleness when the replica
-// still has backlog for that shard. A down owner region always fails over to
-// the reader's replica.
+// region's replica under eventual reads, counting staleness when the reader
+// region has sealed records of that shard still to apply. A down owner region
+// always fails over to the reader's replica.
 func (s *Store) readShardFor(user, owner protocol.UserID) *shard {
 	oShard := s.ShardFor(owner)
 	r := s.repl
@@ -551,7 +530,7 @@ func (s *Store) readShardFor(user, owner protocol.UserID) *shard {
 	}
 	r.mu.RLock()
 	down := r.state[oRegion].down
-	stale := r.state[uRegion].pending[oShard] > 0
+	stale := r.state[uRegion].cursor[oShard] < r.logs[oShard].end()
 	r.mu.RUnlock()
 	if !down && !r.eventual {
 		r.m.readsRemote.Inc()
@@ -564,25 +543,28 @@ func (s *Store) readShardFor(user, owner protocol.UserID) *shard {
 	return r.state[uRegion].replicas[oShard]
 }
 
-// revokeCrossRegion eagerly tombstones a revoked share in every peer region,
-// so replica-side access checks refuse the grant before the revoking record
-// ages through the backlog — without it, a cross-region grantee could keep
-// reading through the grantee region's cached grant index for the whole
-// replication delay (and a create_share record still in the backlog could
-// even resurrect the grant after the volume died).
-func (s *Store) revokeCrossRegion(ownerRegion int, shareIDs []protocol.ShareID) {
-	r := s.repl
-	if r == nil || len(shareIDs) == 0 {
+// revokeCrossRegion eagerly tombstones the grants of a volume deleted on
+// owner shard in every peer region's replica of that shard, so replica-side
+// access checks refuse them before the delete record ripens in the log —
+// without it, a cross-region grantee could keep reading through its region's
+// replicated grant index for the whole replication delay (and a create_share
+// record not yet applied could even resurrect the grant in between).
+func (s *Store) revokeCrossRegion(shard int, grants map[protocol.UserID]protocol.ShareID) {
+	if s.repl == nil || len(grants) == 0 {
 		return
 	}
-	for region, st := range r.state {
-		if region == ownerRegion {
-			continue
+	for _, st := range s.repl.state {
+		replica := st.replicas[shard]
+		if replica == nil {
+			continue // the owner's own region
 		}
-		st.revMu.Lock()
-		for _, id := range shareIDs {
-			st.revoked[id] = struct{}{}
+		replica.LockUncounted()
+		if replica.revoked == nil {
+			replica.revoked = make(map[protocol.ShareID]struct{}, len(grants))
 		}
-		st.revMu.Unlock()
+		for _, id := range grants {
+			replica.revoked[id] = struct{}{}
+		}
+		replica.UnlockUncounted()
 	}
 }

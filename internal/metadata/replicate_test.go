@@ -2,10 +2,15 @@ package metadata
 
 import (
 	"errors"
+	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
+	"time"
 
 	"u1/internal/protocol"
+	"u1/internal/vfs"
+	"u1/internal/wal"
 )
 
 // usersInRegions returns one user id owned by each region of s, probing
@@ -168,7 +173,7 @@ func TestRegionDownGuardsWritesAndServesReads(t *testing.T) {
 
 // TestFailoverLosesNoAcknowledgedWrites pins the drill's zero-loss property:
 // every write acknowledged by the owner region before it died — including
-// records still in publication outboxes, never shipped by a tick — is in the
+// records in the replication logs' tails, never sealed by a tick — is in the
 // surviving region's replicas after FailoverRegion.
 func TestFailoverLosesNoAcknowledgedWrites(t *testing.T) {
 	s := newReplicatedStore(t, 3, false)
@@ -177,7 +182,7 @@ func TestFailoverLosesNoAcknowledgedWrites(t *testing.T) {
 	downRegion := s.RegionOfUser(owner)
 	liveRegion := s.RegionOfUser(users[1])
 
-	// Acked but never ticked: these sit in the outboxes.
+	// Acked but never ticked: these sit in the logs' tails.
 	vols, err := s.ListVolumes(owner)
 	if err != nil {
 		t.Fatal(err)
@@ -201,7 +206,8 @@ func TestFailoverLosesNoAcknowledgedWrites(t *testing.T) {
 		}
 	}
 
-	// Failover re-applies are guarded, so a second replay must be a no-op.
+	// The cursors now stand at the logs' ends, so a second failover applies
+	// nothing.
 	s.FailoverRegion(liveRegion)
 	for i, fp := range want {
 		if got := s.ReplicaFingerprint(liveRegion, i); got != fp {
@@ -239,66 +245,152 @@ func TestRegionRecoverRestoresOwnersFromPeer(t *testing.T) {
 	}
 }
 
-// TestLastWriterWinsSkipsStaleGenerations pins the conflict rule directly: a
-// replayed record whose generation does not advance the replica volume is
-// skipped, and a generation tie goes to the higher origin region.
-func TestLastWriterWinsSkipsStaleGenerations(t *testing.T) {
+// TestReplicaDivergencePanics pins the invariant that replaced a conflict
+// rule: each record reaches a replica once, in owner order, so a record that
+// does not advance its volume's generation there means the replica diverged,
+// and applying it panics with the shard and the record named.
+func TestReplicaDivergencePanics(t *testing.T) {
 	s := newReplicatedStore(t, 0, false)
 	users := seedTwoRegions(t, s)
 	s.DrainReplication()
-	owner, reader := users[0], users[1]
+	owner := users[0]
 	vols, err := s.ListVolumes(owner)
 	if err != nil {
 		t.Fatal(err)
 	}
-	udf := vols[len(vols)-1].ID
-	readerRegion := s.RegionOfUser(reader)
+	udf := vols[len(vols)-1]
 	ownerShard := s.ShardFor(owner)
 
-	st := s.repl.state[readerRegion]
-	replica := st.replicas[ownerShard]
-	replica.RLockUncounted()
-	curGen := replica.volumes[udf].info.Generation
-	replica.RUnlockUncounted()
-	before := s.ReplicaFingerprint(readerRegion, ownerShard)
-
-	// A stale record — generation below the replica's — must not apply.
+	// The volume's last record again: its generation is the replica's own.
 	stale := journalRecord{
 		Kind: recMakeNode,
-		Node: protocol.NodeInfo{ID: 9999, Volume: udf, Kind: protocol.KindFile, Name: "stale", Generation: curGen - 1},
+		Node: protocol.NodeInfo{ID: 9999, Volume: udf.ID, Kind: protocol.KindFile, Name: "stale", Generation: udf.Generation},
 	}
-	apply := func(rec journalRecord) {
-		b := replBatch{shard: ownerShard, epoch: s.repl.epoch, recs: encodeRecords(rec), n: 1}
-		s.repl.mu.Lock()
-		st.pending[ownerShard]++ // the batch arrives outside ship
-		s.repl.applyBatchLocked(st, &b)
-		s.repl.mu.Unlock()
-	}
-	skippedBefore := s.repl.m.lwwSkipped.Value()
-	apply(stale)
-	if got := s.ReplicaFingerprint(readerRegion, ownerShard); got != before {
-		t.Fatalf("stale-generation record mutated the replica")
-	}
-	if s.repl.m.lwwSkipped.Value() != skippedBefore+1 {
-		t.Fatalf("stale record not counted as lww_skipped")
-	}
+	s.repl.logs[ownerShard].append(&stale)
+	defer func() {
+		msg := fmt.Sprint(recover())
+		for _, want := range []string{fmt.Sprintf("shard %d", ownerShard), "make_node", "Name:stale"} {
+			if !strings.Contains(msg, want) {
+				t.Fatalf("panic %q does not name %q", msg, want)
+			}
+		}
+	}()
+	s.TickReplication()
+}
 
-	// A tie on generation loses to an equal-or-higher recorded origin.
-	tie := stale
-	tie.Node.Generation = curGen
-	s.repl.mu.Lock()
-	st.lastOrigin[udf] = s.Regions() - 1 // highest region already won this gen
-	s.repl.mu.Unlock()
-	apply(tie)
-	if got := s.ReplicaFingerprint(readerRegion, ownerShard); got != before {
-		t.Fatalf("generation-tie record from a losing origin mutated the replica")
+// failoverOps is the op sequence TestFailoverEnumeration kills regions in:
+// failoverUsers CreateUser calls, then opMix steps with deleteSharedBothWays
+// halfway, and a replication tick after every tenth op.
+const (
+	failoverOps   = 200
+	failoverUsers = 12
+)
+
+// runFailoverOps runs the first n ops of the sequence on s.
+func runFailoverOps(t *testing.T, s *Store, n int) {
+	d := &opMix{t: t, s: s, rng: rand.New(rand.NewSource(42))}
+	for u := protocol.UserID(failoverUsers + 1); u <= failoverUsers+4; u++ {
+		d.pool = append(d.pool, u)
 	}
+	for i := 0; i < n; i++ {
+		switch {
+		case i < failoverUsers:
+			u := protocol.UserID(i + 1)
+			if _, err := s.CreateUser(u); err != nil {
+				t.Fatal(err)
+			}
+			d.users = append(d.users, u)
+		case i == failoverOps/2:
+			d.deleteSharedBothWays()
+		default:
+			d.step()
+		}
+		if i%10 == 9 {
+			s.TickReplication()
+		}
+	}
+}
+
+// TestFailoverEnumeration kills each region in turn at every op boundary of
+// a seeded op sequence — cross-region shares and their acceptance, volume
+// deletes with grantees on the owner's shard and on others — on 2 regions
+// over 4 shards and on 3 over 6, at replication delays 0, 1 and 2. The dead
+// region's owner shards are crashed and their write locks held by the test,
+// so failover can read nothing the dead region owned: FailoverRegion must
+// return, and the survivor's replicas must equal the dead owners at the
+// moment of death. RegionRecover must then rebuild those owners, and every
+// replica must equal its owner once drained.
+func TestFailoverEnumeration(t *testing.T) {
+	for _, layout := range []struct{ regions, shards int }{{2, 4}, {3, 6}} {
+		for delay := 0; delay <= 2; delay++ {
+			t.Run(fmt.Sprintf("regions=%d/delay=%d", layout.regions, delay), func(t *testing.T) {
+				cfg := Config{Shards: layout.shards, Regions: layout.regions, ReplicationDelay: delay}
+				for dead := 0; dead < layout.regions; dead++ {
+					for p := 0; p <= failoverOps; p++ {
+						s := New(cfg)
+						runFailoverOps(t, s, p)
+						killRegion(t, s, dead, (dead+1)%layout.regions, p)
+					}
+				}
+			})
+		}
+	}
+}
+
+// killRegion fails region dead of s over to survivor, then recovers it, after
+// op p of the sequence.
+func killRegion(t *testing.T, s *Store, dead, survivor, p int) {
+	t.Helper()
+	want := make(map[int]string)
+	var owners []*shard
+	for i, sh := range s.shards {
+		if s.RegionOf(i) == dead {
+			want[i] = s.ShardFingerprint(i)
+			owners = append(owners, sh)
+		}
+	}
+	s.RegionDown(dead)
+	for _, sh := range owners {
+		s.CrashShard(sh.id)
+		sh.LockUncounted()
+	}
+	unlock := func() {
+		for _, sh := range owners {
+			sh.UnlockUncounted()
+		}
+	}
+	done := make(chan struct{})
+	go func() {
+		s.FailoverRegion(survivor)
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		unlock()
+		<-done
+		t.Fatalf("after op %d: FailoverRegion(%d) waited 10 s on region %d's locked owner shards", p, survivor, dead)
+	}
+	for i, fp := range want {
+		if got := s.ReplicaFingerprint(survivor, i); got != fp {
+			t.Fatalf("after op %d: region %d's replica of dead shard %d lost acknowledged writes:\n  replica %s\n  owner   %s", p, survivor, i, got, fp)
+		}
+	}
+	unlock()
+	s.RegionRecover(dead, survivor)
+	for i, fp := range want {
+		if got := s.ShardFingerprint(i); got != fp {
+			t.Fatalf("after op %d: shard %d recovered from region %d diverged:\n  got  %s\n  want %s", p, i, survivor, got, fp)
+		}
+	}
+	s.DrainReplication()
+	requireConverged(t, s)
 }
 
 // TestCrossRegionShareRevocationFlushesGranteeRegion is the regression test
 // for the satellite bugfix: when a shared volume dies at the owner, the
-// grantee region's replica still holds the grant until the delete record ages
-// through the replication backlog — and without the eager tombstone flush the
+// grantee region's replica still holds the grant until the delete record
+// ripens in the replication log — and without the eager tombstone flush the
 // replica's access check kept authorizing the revoked share for the whole
 // replication delay (the PR 4 DropCachedToken lesson, replayed against the
 // replicated grant index).
@@ -335,7 +427,7 @@ func TestCrossRegionShareRevocationFlushesGranteeRegion(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The delete is now in the grantee region's backlog for `delay` ticks,
+	// The delete now waits in the owner shard's log for `delay` ticks,
 	// and the replica still holds the volume row and the grant. The access
 	// check must already refuse the revoked share.
 	replica.RLockUncounted()
@@ -355,15 +447,70 @@ func TestCrossRegionShareRevocationFlushesGranteeRegion(t *testing.T) {
 	s.DrainReplication()
 	replica.RLockUncounted()
 	_, stillThere := replica.volumes[udf]
+	_, tomb := replica.revoked[share.ID]
 	replica.RUnlockUncounted()
 	if stillThere {
 		t.Fatalf("delete record never applied at the replica")
 	}
-	st.revMu.Lock()
-	_, tomb := st.revoked[share.ID]
-	st.revMu.Unlock()
 	if tomb {
 		t.Fatalf("revocation tombstone leaked after the delete record applied")
+	}
+}
+
+// TestRewindDropsLostRevocations pins the tombstone half of a rewind: a
+// volume delete that a power cut took from its owner before any peer applied
+// it revoked nothing, so once RecoverShard has rewound the grantee region's
+// replica it must authorize the grant again, as the owner does.
+func TestRewindDropsLostRevocations(t *testing.T) {
+	fsys := vfs.NewMemFS()
+	cfg := Config{Shards: 4, Regions: 2, ReplicationDelay: 2, EventualReads: true, FsyncPolicy: wal.FsyncAsync}
+	s := openDurable(t, fsys, cfg)
+	users := seedTwoRegions(t, s)
+	owner, grantee := users[0], users[1]
+	vols, err := s.ListVolumes(owner)
+	if err != nil {
+		t.Fatal(err)
+	}
+	udf := vols[len(vols)-1].ID
+	share, err := s.CreateShare(owner, udf, grantee, "proj", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.AcceptShare(grantee, share.ID); err != nil {
+		t.Fatal(err)
+	}
+	// Close snapshots every shard, so the delete below is all the disk can
+	// lose.
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s = openDurable(t, fsys, cfg)
+	defer s.Close() //nolint:errcheck
+	if _, _, err := s.DeleteVolume(owner, udf); err != nil {
+		t.Fatal(err)
+	}
+	ownerShard := s.ShardFor(owner)
+	s.CrashShard(ownerShard)
+	fsys.Crash()
+	if err := s.RecoverShard(ownerShard); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.GetVolume(owner, udf); err != nil {
+		t.Fatalf("test invalid: the power cut kept the volume delete: %v", err)
+	}
+
+	replica := s.repl.state[s.RegionOfUser(grantee)].replicas[ownerShard]
+	replica.RLockUncounted()
+	vr := replica.volumes[udf]
+	if vr != nil {
+		err = checkAccessLocked(replica, vr, grantee, false)
+	}
+	replica.RUnlockUncounted()
+	if vr == nil {
+		t.Fatal("the grantee region's replica lacks the volume its owner holds")
+	}
+	if err != nil {
+		t.Fatalf("grant the owner holds again is still refused at the grantee region's replica: %v", err)
 	}
 }
 

@@ -65,9 +65,9 @@ type Config struct {
 	// cross-region replication between them (see replicate.go). Values ≤ 1
 	// disable replication; Validate refuses values above Shards.
 	Regions int
-	// ReplicationDelay is how many replication epochs a published record waits
-	// in a peer region's backlog before applying. 0 applies records on the
-	// tick that ships them. Validate refuses it unless Regions > 1.
+	// ReplicationDelay is how many replication ticks a record waits in its
+	// shard's replication log after the tick that seals it. 0 applies records
+	// on the tick that seals them. Validate refuses it unless Regions > 1.
 	ReplicationDelay int
 	// EventualReads serves cross-region reads from the reader region's
 	// replica (possibly stale) instead of the owner shard. The default is
@@ -178,7 +178,8 @@ func New(cfg Config) *Store {
 }
 
 // Open creates a store with cfg and, when cfg.Durability names a directory,
-// recovers every shard from its snapshot plus journal before returning. The
+// recovers every shard from its snapshot plus journal, and builds every peer
+// region's replica from its recovered owner, before returning. The
 // error is non-nil for a config Validate refuses and for durable stores
 // whose on-disk state cannot be opened.
 func Open(cfg Config) (*Store, error) {
@@ -210,6 +211,9 @@ func Open(cfg Config) (*Store, error) {
 	if cfg.Durability != "" {
 		if err := s.openDurability(cfg, cfg.Metrics); err != nil {
 			return nil, err
+		}
+		for i := range s.shards {
+			s.rewindReplicas(i)
 		}
 	}
 	return s, nil
@@ -290,11 +294,12 @@ type shard struct {
 	shares     map[protocol.ShareID]*protocol.ShareInfo
 	uploadjobs map[protocol.UploadID]*UploadJob
 
-	// revoked, when non-nil, reports share ids revoked at the owner but not
-	// yet replicated here. Set only on replica shards of a region (see
-	// regionState.revoked); owner shards observe revocations under their own
-	// write lock and need no tombstones.
-	revoked func(protocol.ShareID) bool
+	// revoked tombstones, on a replica shard, the grants its owner revoked
+	// that have not ripened here yet (revokeCrossRegion); owner shards observe
+	// revocations under their own write lock and need none. reset clears it:
+	// a restored replica grants what its owner grants.
+	revoked     map[protocol.ShareID]struct{}
+	revokedHits *metrics.Counter
 }
 
 func newShard(id, deltaLogLimit int, reg *metrics.Registry) *shard {
@@ -315,6 +320,7 @@ func (sh *shard) reset() {
 	sh.nodes = make(map[protocol.NodeID]*nodeRow)
 	sh.shares = make(map[protocol.ShareID]*protocol.ShareInfo)
 	sh.uploadjobs = make(map[protocol.UploadID]*UploadJob)
+	sh.revoked = nil
 }
 
 // volumeDirectory is the volume→owner routing table: plain maps behind

@@ -76,7 +76,6 @@ var (
 	// Cross-region metadata replication.
 	ReplPublished      = Name{ReplicationPrefix + "published"}
 	ReplApplied        = Name{ReplicationPrefix + "applied"}
-	ReplLWWSkipped     = Name{ReplicationPrefix + "lww_skipped"}
 	ReplRevokedBlocked = Name{ReplicationPrefix + "revoked_blocked"}
 	ReplReadsLocal     = Name{ReplicationPrefix + "reads.local"}
 	ReplReadsRemote    = Name{ReplicationPrefix + "reads.remote"}

@@ -13,8 +13,8 @@ import (
 // regionalOutageDrill is the regional-outage entry's drill body: kill one
 // region after real cross-region traffic, then hold the three outage
 // invariants — writes refused at the edge while replica reads survive,
-// failover replays the entire backlog (publication outboxes included) so the
-// surviving replicas reproduce the dead owners' fingerprints bit-for-bit,
+// failover from the replication logs alone (the dead owners crashed) makes
+// the surviving replicas reproduce the dead owners' fingerprints bit-for-bit,
 // and recovery rebuilds the dead region from its peer and serves fresh
 // writes through the full client path. CI's chaos job runs it through
 // `u1 chaos` (`-scenarios regional-outage` runs it alone).
@@ -38,8 +38,8 @@ func regionalOutageDrill(d *Drill) error {
 
 	// An acknowledged write through the full client path right before the
 	// outage: with a nonzero replication delay and no further epoch barriers
-	// it stays in the publication outbox, unshipped — exactly the record
-	// failover must not lose.
+	// no peer applies it before the region dies — exactly the record failover
+	// must not lose.
 	vol, _, err := drillUpload(d.Cluster, victim, d.Now, "pre-outage.txt")
 	if err != nil {
 		return fmt.Errorf("pre-outage upload as user %d: %w", victim, err)
@@ -68,8 +68,8 @@ func regionalOutageDrill(d *Drill) error {
 		}
 	}
 
-	// One more acknowledged write AFTER the drain: it exists only in the
-	// owner shard and its outbox when the region dies.
+	// One more acknowledged write AFTER the drain: when the region dies it
+	// exists only in the owner shard and its replication log's unsealed tail.
 	if _, err := st.MakeFile(victim, vol, 0, "acked-last-instant.txt"); err != nil {
 		return fmt.Errorf("last-instant write: %w", err)
 	}
@@ -94,7 +94,13 @@ func regionalOutageDrill(d *Drill) error {
 	}
 	d.Logf("region 1 down: writes refused at the edge, reads served from region 0 replicas")
 
-	// --- Failover: region 0 replays the entire backlog, outboxes included ---
+	// The dead region's memory is gone. (Any earlier, the victim's login would
+	// fail on its missing user row before the API edge's refusal could answer.)
+	for _, i := range region1Shards {
+		st.CrashShard(i)
+	}
+
+	// --- Failover: region 0 applies every record past its cursors ---
 
 	st.FailoverRegion(0)
 	for _, i := range region1Shards {
@@ -102,7 +108,7 @@ func regionalOutageDrill(d *Drill) error {
 			return fmt.Errorf("shard %d: acknowledged writes lost in failover — replica fingerprint %s, want %s", i, got, before[i])
 		}
 	}
-	d.Logf("failover replayed the backlog: %d dead-region shards reproduced bit-for-bit at region 0", len(region1Shards))
+	d.Logf("failover applied the logs: %d crashed dead-region shards reproduced bit-for-bit at region 0", len(region1Shards))
 
 	// --- Recovery: region 1 rebuilds from its peer and serves again ---
 

@@ -20,14 +20,13 @@ type ClassStats struct {
 }
 
 // ReplicationStats is a scenario report's cross-region replication section:
-// published vs applied record counts, conflict-rule skips, read routing
+// published vs applied record counts, read routing
 // (local replica vs remote owner, and how many local reads were provably
 // stale), the backlog depth at snapshot time, and replication lag in epochs.
 // Present only for runs with 2+ regions.
 type ReplicationStats struct {
 	Published    uint64  `json:"published"`
 	Applied      uint64  `json:"applied"`
-	LWWSkipped   uint64  `json:"lww_skipped,omitempty"`
 	ReadsLocal   uint64  `json:"reads_local,omitempty"`
 	ReadsRemote  uint64  `json:"reads_remote,omitempty"`
 	ReadsStale   uint64  `json:"reads_stale,omitempty"`
@@ -87,7 +86,6 @@ func replicationOf(snap metrics.Snapshot) *ReplicationStats {
 	repl := ReplicationStats{
 		Published:    snap.Counter(metrics.ReplPublished),
 		Applied:      snap.Counter(metrics.ReplApplied),
-		LWWSkipped:   snap.Counter(metrics.ReplLWWSkipped),
 		ReadsLocal:   snap.Counter(metrics.ReplReadsLocal),
 		ReadsRemote:  snap.Counter(metrics.ReplReadsRemote),
 		ReadsStale:   snap.Counter(metrics.ReplReadsStale),
