@@ -83,7 +83,7 @@ func cliCommand(w io.Writer, cli *client.Client, root protocol.VolumeID, args []
 		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 		for _, id := range ids {
 			n := m.Nodes[id]
-			fmt.Fprintf(w, "  %6d %-4s %8d %s\n", n.ID, n.Kind, n.Size, n.Name)
+			fmt.Fprintf(w, "  %6d %-4s %8d %s\n", id, n.Kind, n.Size, n.Name)
 		}
 	case "mkdir":
 		if len(args) < 2 {

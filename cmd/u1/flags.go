@@ -110,3 +110,8 @@ func (p *populationFlags) configs(c *clusterFlags) (server.Config, workload.Conf
 	}
 	return scfg, wcfg, wcfg.Validate()
 }
+
+// addDebugFlag declares serve's -debug-addr (see serveDebug).
+func addDebugFlag(fs *flag.FlagSet) *string {
+	return fs.String("debug-addr", "", "serve /metrics, /healthz and /debug/pprof/ over HTTP on this address (empty disables)")
+}

@@ -3,14 +3,18 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"io"
 	"io/fs"
+	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"u1/internal/client"
+	"u1/internal/metrics"
 	"u1/internal/protocol"
 )
 
@@ -202,7 +206,7 @@ func TestServeDurableRestart(t *testing.T) {
 	args := []string{"-gateway", "127.0.0.1:0", "-durability", dir, "-issue", "1"}
 	content := []byte("written before the restart")
 
-	addr, token, stop := startServe(t, args)
+	addr, token, _, stop := startServe(t, args)
 	cli := dial(t, addr, token)
 	root, _ := cli.RootVolume()
 	up, _, err := cli.Upload(root, 0, "kept.txt", content)
@@ -214,7 +218,7 @@ func TestServeDurableRestart(t *testing.T) {
 		t.Fatalf("first serve: %v", err)
 	}
 
-	addr, token, stop = startServe(t, args)
+	addr, token, _, stop = startServe(t, args)
 	cli = dial(t, addr, token)
 	root, _ = cli.RootVolume()
 	if _, err := cli.Sync(root); err != nil {
@@ -234,7 +238,7 @@ func TestServeDurableRestart(t *testing.T) {
 // startServe runs serve in the background until it prints "ready", returning
 // the gateway address, user 1's token, and a stop function that signals
 // serve and returns its error.
-func startServe(t *testing.T, args []string) (addr, token string, stop func() error) {
+func startServe(t *testing.T, args []string) (addr, token, debug string, stop func() error) {
 	t.Helper()
 	pr, pw := io.Pipe()
 	sig := make(chan os.Signal, 1)
@@ -250,6 +254,9 @@ func startServe(t *testing.T, args []string) (addr, token string, stop func() er
 		if rest, ok := strings.CutPrefix(line, "gateway listening on "); ok {
 			addr, _, _ = strings.Cut(rest, " ")
 		}
+		if rest, ok := strings.CutPrefix(line, "debug listening on "); ok {
+			debug = rest
+		}
 		if rest, ok := strings.CutPrefix(line, "user 1 token: "); ok {
 			token = rest
 		}
@@ -261,7 +268,7 @@ func startServe(t *testing.T, args []string) (addr, token string, stop func() er
 		t.Fatalf("serve never became ready: %v", <-done)
 	}
 	go io.Copy(io.Discard, pr) //nolint:errcheck
-	return addr, token, func() error {
+	return addr, token, debug, func() error {
 		sig <- os.Interrupt
 		return <-done
 	}
@@ -281,4 +288,69 @@ func dial(t *testing.T, addr, token string) *client.Client {
 		t.Fatal(err)
 	}
 	return cli
+}
+
+// TestServeDebugAddr pins serve's -debug-addr: /healthz answers, /metrics
+// moves with the traffic in both of its forms, and the profiles are served
+// on the same listener.
+func TestServeDebugAddr(t *testing.T) {
+	addr, token, debug, stop := startServe(t, []string{"-gateway", "127.0.0.1:0", "-issue", "1", "-debug-addr", "127.0.0.1:0"})
+	if debug == "" {
+		t.Fatal("serve printed no debug address")
+	}
+	get := func(path string) string {
+		t.Helper()
+		resp, err := http.Get("http://" + debug + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: %s, %v", path, resp.Status, err)
+		}
+		return string(body)
+	}
+	// PutContent's series go by the paper's name for the operation, Upload.
+	count := metrics.APIOp(protocol.OpPutContent.String()).Count
+	line := metrics.APIOpPrefix + protocol.OpPutContent.String() + ".count "
+	puts := func() (n uint64) {
+		t.Helper()
+		for _, l := range strings.Split(get("/metrics"), "\n") {
+			if rest, ok := strings.CutPrefix(l, line); ok {
+				if _, err := fmt.Sscan(rest, &n); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		return n
+	}
+
+	if got := get("/healthz"); got != "ok\n" {
+		t.Errorf("/healthz = %q", got)
+	}
+	before := puts()
+	cli := dial(t, addr, token)
+	root, _ := cli.RootVolume()
+	if _, _, err := cli.Upload(root, 0, "watched.txt", []byte("counted")); err != nil {
+		t.Fatal(err)
+	}
+	cli.Close()
+	after := puts()
+	if after != before+1 {
+		t.Errorf("%q went %d → %d over one upload", line, before, after)
+	}
+	var snap metrics.Snapshot
+	if err := json.Unmarshal([]byte(get("/metrics?format=json")), &snap); err != nil {
+		t.Fatal(err)
+	}
+	if got := snap.Counter(count); got != after {
+		t.Errorf("JSON snapshot counts %d PutContent, the text form %d", got, after)
+	}
+	if !strings.Contains(get("/debug/pprof/"), "goroutine") {
+		t.Error("/debug/pprof/ lists no goroutine profile")
+	}
+	if err := stop(); err != nil {
+		t.Fatal(err)
+	}
 }

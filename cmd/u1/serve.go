@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"os"
 	"os/signal"
 	"syscall"
@@ -34,6 +35,7 @@ func serve(args []string, stdout io.Writer, stop <-chan os.Signal) error {
 	procs := fs.Int("procs", 12, "API processes per machine")
 	issue := fs.Int("issue", 3, "pre-issue tokens for this many demo users")
 	realSleep := fs.Bool("realistic-latency", false, "RPCs take their sampled service time in wall time")
+	debugAddr := addDebugFlag(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -66,10 +68,20 @@ func serve(args []string, stdout io.Writer, stop <-chan os.Signal) error {
 	}
 
 	fmt.Fprintf(stdout, "gateway listening on %s (%d machines × %d procs)\n", tc.GateAddr, len(cluster.Servers), *procs)
+	stopDebug := func() error { return nil }
+	if *debugAddr != "" {
+		var at net.Addr
+		if at, stopDebug, err = serveDebug(*debugAddr, cluster.Metrics); err != nil {
+			tc.Close()
+			return errors.Join(err, cluster.Close())
+		}
+		fmt.Fprintf(stdout, "debug listening on %s\n", at)
+	}
 	for i := 1; i <= *issue; i++ {
 		token, err := cluster.Auth.Issue(protocol.UserID(i))
 		if err != nil {
 			tc.Close()
+			stopDebug() //nolint:errcheck
 			return errors.Join(fmt.Errorf("issuing token: %w", err), cluster.Close())
 		}
 		fmt.Fprintf(stdout, "user %d token: %s\n", i, token)
@@ -78,6 +90,7 @@ func serve(args []string, stdout io.Writer, stop <-chan os.Signal) error {
 
 	<-stop
 	fmt.Fprintln(stdout, "shutting down")
+	stopDebug() //nolint:errcheck
 	tc.Close()
 	if err := cluster.Close(); err != nil {
 		return fmt.Errorf("closing cluster: %w", err)

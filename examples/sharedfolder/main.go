@@ -54,7 +54,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	data, err := guest.Download(udf.ID, changed[0].ID)
+	data, err := guest.Download(udf.ID, changed[0])
 	if err != nil {
 		log.Fatal(err)
 	}

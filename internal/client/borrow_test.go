@@ -119,8 +119,8 @@ func (echoTransport) Close() error                  { return nil }
 
 // TestLentRequestsAreNotSharedBetweenCalls drives one client from several
 // goroutines: every in-flight call must hold a request slot of its own, and
-// must read its own answer out of the recycled response before anyone else
-// can be handed that response. The race job is what gives this test its
+// must read its own answer out of the recycled response before it gives the
+// response back for anyone else to be handed. The race job is what gives this test its
 // teeth.
 func TestLentRequestsAreNotSharedBetweenCalls(t *testing.T) {
 	cli := New(echoTransport{t})
@@ -136,6 +136,7 @@ func TestLentRequestsAreNotSharedBetweenCalls(t *testing.T) {
 					t.Errorf("call for volume %d answered %+v, %v", vol, resp, err)
 					return
 				}
+				protocol.ReleaseResponse(resp)
 			}
 		}(g)
 	}
@@ -178,14 +179,22 @@ func TestMetadataCallAllocatesNothing(t *testing.T) {
 		t.Skip("sync.Pool is dropping puts (the race detector is on): pooled slots count as allocations")
 	}
 	canned := New(&cannedTransport{resp: protocol.Response{Status: protocol.StatusOK}})
-	if allocs := testing.AllocsPerRun(200, func() { canned.do(ping) }); allocs != 0 { //nolint:errcheck
+	call := func(cli *Client, req protocol.Request) *protocol.Response {
+		resp, err := cli.do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		protocol.ReleaseResponse(resp)
+		return resp
+	}
+	if allocs := testing.AllocsPerRun(200, func() { call(canned, ping) }); allocs != 0 {
 		t.Errorf("client side of a call allocates %.0f times, want 0", allocs)
 	}
 
 	srv, authSvc := newServer(t)
 	cli := connected(t, srv, authSvc, 1)
 	defer cli.Close()
-	if allocs := testing.AllocsPerRun(200, func() { cli.do(ping) }); allocs != 0 { //nolint:errcheck
+	if allocs := testing.AllocsPerRun(200, func() { call(cli, ping) }); allocs != 0 {
 		t.Errorf("a Ping over DirectTransport allocates %.0f times, want 0", allocs)
 	}
 
@@ -200,9 +209,9 @@ func TestMetadataCallAllocatesNothing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := cli.do(protocol.Request{Op: protocol.OpUnlink, Volume: root, Node: mk.Node.ID}); err != nil {
-			t.Fatal(err)
-		}
+		node := mk.Node.ID
+		protocol.ReleaseResponse(mk)
+		call(cli, protocol.Request{Op: protocol.OpUnlink, Volume: root, Node: node})
 		next++
 	})
 	// All four are the metadata store's: the node row it keeps, the watcher
@@ -323,6 +332,15 @@ func TestRetainedResponseIsWipedAfterCall(t *testing.T) {
 	}
 	tr.blank(t, n, "a sessionless Ping")
 
+	// A refused attempt is given back before the resend.
+	tr = &keepingTransport{Transport: scribbling(2)}
+	cli = New(tr)
+	cli.Retry = Retry{Max: 3}
+	if _, err := cli.Move(7, 11, 3, "renamed"); err != nil {
+		t.Fatal(err)
+	}
+	tr.blank(t, 0, "a Move retried twice")
+
 	tcp, err := DialTCP(echoServer(t))
 	if err != nil {
 		t.Fatal(err)
@@ -331,10 +349,10 @@ func TestRetainedResponseIsWipedAfterCall(t *testing.T) {
 	cli = New(tr)
 	defer cli.Close()
 	for i := 0; i < 3; i++ {
-		if _, err := cli.do(ping); err != nil {
+		if _, err := cli.ListVolumes(); err != nil {
 			t.Fatal(err)
 		}
-		tr.blank(t, i, "a Ping over TCP")
+		tr.blank(t, i, "a ListVolumes over TCP")
 	}
 }
 
@@ -436,7 +454,7 @@ func TestResultsSurviveLaterCalls(t *testing.T) {
 			}
 			wantVols := append([]protocol.VolumeInfo(nil), vols...)
 			wantShares := append([]protocol.ShareInfo(nil), shares...)
-			wantChanged := append([]protocol.NodeInfo(nil), changed...)
+			wantChanged := append([]protocol.NodeID(nil), changed...)
 			wantData := bytes.Clone(data)
 
 			for i := 0; i < 40; i++ {
@@ -446,10 +464,10 @@ func TestResultsSurviveLaterCalls(t *testing.T) {
 				if _, err := cli.Sync(root); err != nil {
 					t.Fatal(err)
 				}
-				cli.ListVolumes()                 //nolint:errcheck
-				cli.ListShares()                  //nolint:errcheck
-				cli.Download(root, changed[1].ID) //nolint:errcheck
-				cli.Unlink(root, 1<<40)           //nolint:errcheck
+				cli.ListVolumes()              //nolint:errcheck
+				cli.ListShares()               //nolint:errcheck
+				cli.Download(root, changed[1]) //nolint:errcheck
+				cli.Unlink(root, 1<<40)        //nolint:errcheck
 			}
 			if !reflect.DeepEqual(vols, wantVols) || !reflect.DeepEqual(shares, wantShares) ||
 				!reflect.DeepEqual(changed, wantChanged) || !bytes.Equal(data, wantData) {

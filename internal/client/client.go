@@ -17,10 +17,26 @@ import (
 type Mirror struct {
 	Info  protocol.VolumeInfo
 	Gen   protocol.Generation
-	Nodes map[protocol.NodeID]protocol.NodeInfo
+	Nodes map[protocol.NodeID]Node
 	// dirty marks that a local mutation advanced the server past what the
 	// mirror replayed contiguously; the next Sync reconciles.
 	dirty bool
+}
+
+// Node is a mirror's entry for one node: the fields the client reads. The id
+// is the entry's key and the volume the mirror's; the node's own generation
+// is the server's business.
+type Node struct {
+	Name   string
+	Parent protocol.NodeID
+	Size   uint64
+	Hash   protocol.Hash
+	Kind   protocol.NodeKind
+}
+
+// nodeOf keeps what a mirror needs of a protocol node.
+func nodeOf(n *protocol.NodeInfo) Node {
+	return Node{Name: n.Name, Parent: n.Parent, Size: n.Size, Hash: n.Hash, Kind: n.Kind}
 }
 
 // Stats counts client-side activity.
@@ -86,38 +102,48 @@ func (c *Client) Connect(token string) error {
 	if err != nil {
 		return err
 	}
-	if resp.Status != protocol.StatusOK {
-		return fmt.Errorf("client: authenticate: %w", resp.Status.Err())
+	st, user, session := resp.Status, resp.User, resp.Session
+	protocol.ReleaseResponse(resp)
+	if st != protocol.StatusOK {
+		return fmt.Errorf("client: authenticate: %w", st.Err())
 	}
 	c.mu.Lock()
-	c.user, c.session = resp.User, resp.Session
+	c.user, c.session = user, session
 	c.mu.Unlock()
 
 	resp, answered, err := c.doAnswered(protocol.Request{Op: protocol.OpListVolumes})
-	switch {
-	case err == nil:
+	if err == nil {
 		c.mu.Lock()
 		for _, v := range resp.Volumes {
 			if _, ok := c.mirrors[v.ID]; !ok {
-				c.mirrors[v.ID] = &Mirror{Info: v, Nodes: make(map[protocol.NodeID]protocol.NodeInfo)}
+				c.mirrors[v.ID] = &Mirror{Info: v, Nodes: make(map[protocol.NodeID]Node)}
 			}
 		}
 		c.mu.Unlock()
-	case !answered || classifyStatus(resp.Status) == classSessionFatal:
+	}
+	if connectionLost(resp, answered, err) {
 		// No response at all (transport died) or the session is already
 		// gone: there is nothing to keep, the connection really failed.
 		return err
 	}
 	resp, answered, err = c.doAnswered(protocol.Request{Op: protocol.OpListShares})
-	switch {
-	case err == nil:
+	if err == nil {
 		c.mu.Lock()
 		c.shares = resp.Shares
 		c.mu.Unlock()
-	case !answered || classifyStatus(resp.Status) == classSessionFatal:
+	}
+	if connectionLost(resp, answered, err) {
 		return err
 	}
 	return nil
+}
+
+// connectionLost releases a listing leg's response and reports whether its
+// failure ends the connection: no answer at all, or a session-fatal one.
+func connectionLost(resp *protocol.Response, answered bool, err error) bool {
+	lost := err != nil && (!answered || classifyStatus(resp.Status) == classSessionFatal)
+	protocol.ReleaseResponse(resp)
+	return lost
 }
 
 // User returns the authenticated user id.
@@ -146,7 +172,8 @@ func (c *Client) Pushes() <-chan *protocol.Push { return c.t.Pushes() }
 
 // Close ends the session and the transport.
 func (c *Client) Close() error {
-	c.exchange(protocol.Request{Op: protocol.OpCloseSession}) //nolint:errcheck
+	resp, _ := c.exchange(protocol.Request{Op: protocol.OpCloseSession})
+	protocol.ReleaseResponse(resp)
 	return c.t.Close()
 }
 
@@ -155,7 +182,8 @@ func (c *Client) Close() error {
 // connection and reconnects later. Local mirrors persist, so the next
 // connection synchronizes from the last known generation (§3.4.2).
 func (c *Client) Disconnect() error {
-	_, err := c.exchange(protocol.Request{Op: protocol.OpCloseSession})
+	resp, err := c.exchange(protocol.Request{Op: protocol.OpCloseSession})
+	protocol.ReleaseResponse(resp)
 	return err
 }
 
@@ -167,29 +195,35 @@ var reqPool = sync.Pool{New: func() any { return new(protocol.Request) }}
 // slot is wiped before it goes back to the pool, and nothing here reads it
 // after handing it over, so a request costs the client no allocation.
 //
-// The response goes the other way: Do hands it over, and this is the one
-// place the client gives it back. The envelope is copied out by value and
-// released before exchange returns, so every caller works on its own copy
-// and none can touch a released response; the copy's Volumes, Shares, Deltas
-// and Data stay valid, the release wipes the slot and not what it pointed at.
-func (c *Client) exchange(req protocol.Request) (protocol.Response, error) {
+// The response goes the other way: Do hands it over and exchange passes it
+// on, uncopied, with the same rule. Whoever ends up holding it reads what it
+// keeps in place and releases it once (protocol.ReleaseResponse), after which
+// nothing reads it: a method returns only what outlives the release — a
+// volume or share list, a download's bytes, ids it collected — never a
+// listing's Deltas, which the release hands back to the recycler. On an
+// error there is no response (nil).
+func (c *Client) exchange(req protocol.Request) (*protocol.Response, error) {
 	slot := reqPool.Get().(*protocol.Request)
 	*slot = req
 	resp, err := c.t.Do(slot)
 	*slot = protocol.Request{}
 	reqPool.Put(slot)
 	if err != nil {
-		return protocol.Response{}, err
+		protocol.ReleaseResponse(resp)
+		return nil, err
 	}
-	answer := *resp
-	protocol.ReleaseResponse(resp)
-	return answer, nil
+	return resp, nil
 }
 
-// do is doAnswered for the callers that treat every failure alike.
-func (c *Client) do(req protocol.Request) (protocol.Response, error) {
+// do is doAnswered for the callers that treat every failure alike: on an
+// error it has released the response and returns none.
+func (c *Client) do(req protocol.Request) (*protocol.Response, error) {
 	resp, _, err := c.doAnswered(req)
-	return resp, err
+	if err != nil {
+		protocol.ReleaseResponse(resp)
+		return nil, err
+	}
+	return resp, nil
 }
 
 // doAnswered sends a request, retrying transient failures within the Retry
@@ -201,15 +235,17 @@ func (c *Client) do(req protocol.Request) (protocol.Response, error) {
 // session-level failure needs a reconnect, not a per-op retry.
 //
 // answered tells the two kinds of failure apart: true and resp holds what the
-// server said, or false — the transport gave no answer — and resp is zero.
-func (c *Client) doAnswered(req protocol.Request) (resp protocol.Response, answered bool, err error) {
+// server said, or false — the transport gave no answer — and resp is nil.
+// Whatever resp is, it is the caller's to release (a refused attempt that
+// is retried is released here, before the resend).
+func (c *Client) doAnswered(req protocol.Request) (resp *protocol.Response, answered bool, err error) {
 	var delay time.Duration
 	for attempt := 0; ; attempt++ {
 		req.Attempt = uint8(attempt)
 		req.Delay = delay
 		resp, err = c.exchange(req)
 		if err != nil {
-			return protocol.Response{}, false, err
+			return nil, false, err
 		}
 		switch classifyStatus(resp.Status) {
 		case classSuccess:
@@ -225,6 +261,7 @@ func (c *Client) doAnswered(req protocol.Request) (resp protocol.Response, answe
 				c.mu.Lock()
 				c.stats.Retries++
 				c.mu.Unlock()
+				protocol.ReleaseResponse(resp)
 				continue
 			}
 		}
@@ -241,7 +278,9 @@ func (c *Client) ListVolumes() ([]protocol.VolumeInfo, error) {
 	if err != nil {
 		return nil, err
 	}
-	return resp.Volumes, nil
+	vols := resp.Volumes
+	protocol.ReleaseResponse(resp)
+	return vols, nil
 }
 
 // ListShares lists sharing grants involving the user.
@@ -250,10 +289,12 @@ func (c *Client) ListShares() ([]protocol.ShareInfo, error) {
 	if err != nil {
 		return nil, err
 	}
+	shares := resp.Shares
+	protocol.ReleaseResponse(resp)
 	c.mu.Lock()
-	c.shares = resp.Shares
+	c.shares = shares
 	c.mu.Unlock()
-	return resp.Shares, nil
+	return shares, nil
 }
 
 // RootVolume returns the id of the root volume mirror.
@@ -279,7 +320,7 @@ func (c *Client) Mirror(vol protocol.VolumeID) (*Mirror, bool) {
 // applyLocal advances a mirror with the result of the client's own mutation
 // when it is contiguous; otherwise the mirror is marked dirty and the next
 // Sync reconciles (another device must have written concurrently).
-func (c *Client) applyLocal(vol protocol.VolumeID, node protocol.NodeInfo, gen protocol.Generation, deleted bool) {
+func (c *Client) applyLocal(vol protocol.VolumeID, node *protocol.NodeInfo, gen protocol.Generation, deleted bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	m, ok := c.mirrors[vol]
@@ -294,8 +335,17 @@ func (c *Client) applyLocal(vol protocol.VolumeID, node protocol.NodeInfo, gen p
 	if deleted {
 		delete(m.Nodes, node.ID)
 	} else if node.ID != 0 {
-		m.Nodes[node.ID] = node
+		m.Nodes[node.ID] = nodeOf(node)
 	}
+}
+
+// applyNode applies the node a mutation answered with, releases the
+// response and returns the node.
+func (c *Client) applyNode(vol protocol.VolumeID, resp *protocol.Response) protocol.NodeInfo {
+	node := resp.Node
+	c.applyLocal(vol, &node, resp.Generation, false)
+	protocol.ReleaseResponse(resp)
+	return node
 }
 
 // Mkdir creates a directory.
@@ -304,8 +354,7 @@ func (c *Client) Mkdir(vol protocol.VolumeID, parent protocol.NodeID, name strin
 	if err != nil {
 		return protocol.NodeInfo{}, err
 	}
-	c.applyLocal(vol, resp.Node, resp.Generation, false)
-	return resp.Node, nil
+	return c.applyNode(vol, resp), nil
 }
 
 // flateSize returns the deflated size of content — the client compresses
@@ -341,8 +390,7 @@ func (c *Client) upload(vol protocol.VolumeID, parent protocol.NodeID, name stri
 	if err != nil {
 		return protocol.NodeInfo{}, false, err
 	}
-	c.applyLocal(vol, mk.Node, mk.Generation, false)
-	node := mk.Node
+	node := c.applyNode(vol, mk)
 
 	put, err := c.do(protocol.Request{
 		Op: protocol.OpPutContent, Volume: vol, Node: node.ID, Name: name,
@@ -356,20 +404,21 @@ func (c *Client) upload(vol protocol.VolumeID, parent protocol.NodeID, name stri
 		c.stats.Uploads++
 		c.stats.DedupHits++
 		c.mu.Unlock()
-		c.applyLocal(vol, put.Node, put.Generation, false)
-		return put.Node, true, nil
+		return c.applyNode(vol, put), true, nil
 	}
+	upload := put.Upload
+	protocol.ReleaseResponse(put)
 
 	// Stream parts. With real content the parts carry bytes; metered
 	// uploads declare sizes only.
-	var final protocol.Response
+	var final *protocol.Response
 	nParts := int((size + blob.PartSize - 1) / blob.PartSize)
 	if nParts == 0 {
 		nParts = 1
 	}
 	for i := 0; i < nParts; i++ {
 		req := protocol.Request{
-			Op: protocol.OpPutPart, Upload: put.Upload,
+			Op: protocol.OpPutPart, Upload: upload,
 			Part: uint32(i), Final: i == nParts-1,
 		}
 		if content != nil {
@@ -390,14 +439,14 @@ func (c *Client) upload(vol protocol.VolumeID, parent protocol.NodeID, name stri
 		if err != nil {
 			return node, false, err
 		}
+		protocol.ReleaseResponse(final) // the part before; only the last one's node counts
 		final = resp
 	}
 	c.mu.Lock()
 	c.stats.Uploads++
 	c.stats.BytesUp += size
 	c.mu.Unlock()
-	c.applyLocal(vol, final.Node, final.Generation, false)
-	return final.Node, false, nil
+	return c.applyNode(vol, final), false, nil
 }
 
 // Download fetches a file's content. Large files are fetched in parts. With
@@ -407,10 +456,11 @@ func (c *Client) Download(vol protocol.VolumeID, node protocol.NodeID) ([]byte, 
 	if err != nil {
 		return nil, err
 	}
-	data := resp.Data
-	if resp.Parts > 0 {
+	data, parts, size, hash := resp.Data, resp.Parts, resp.Size, resp.Hash
+	protocol.ReleaseResponse(resp)
+	if parts > 0 {
 		data = nil
-		for i := uint32(0); i < resp.Parts; i++ {
+		for i := uint32(0); i < parts; i++ {
 			part, err := c.do(protocol.Request{Op: protocol.OpGetPart, Volume: vol, Node: node, Part: i})
 			if err != nil {
 				return nil, err
@@ -419,19 +469,20 @@ func (c *Client) Download(vol protocol.VolumeID, node protocol.NodeID) ([]byte, 
 				// One allocation for the whole body. The announced part
 				// count caps it, so Size alone cannot force an allocation; a
 				// metered server sends no bytes and none is made.
-				data = make([]byte, 0, min(resp.Size, uint64(resp.Parts)*blob.PartSize))
+				data = make([]byte, 0, min(size, uint64(parts)*blob.PartSize))
 			}
 			data = append(data, part.Data...)
+			protocol.ReleaseResponse(part)
 		}
 	}
 	if len(data) > 0 {
-		if got := protocol.HashBytes(data); got != resp.Hash {
-			return nil, fmt.Errorf("client: download of node %d corrupted: hash %v != %v", node, got, resp.Hash)
+		if got := protocol.HashBytes(data); got != hash {
+			return nil, fmt.Errorf("client: download of node %d corrupted: hash %v != %v", node, got, hash)
 		}
 	}
 	c.mu.Lock()
 	c.stats.Downloads++
-	c.stats.BytesDown += resp.Size
+	c.stats.BytesDown += size
 	c.mu.Unlock()
 	return data, nil
 }
@@ -442,9 +493,11 @@ func (c *Client) Unlink(vol protocol.VolumeID, node protocol.NodeID) error {
 	if err != nil {
 		return err
 	}
+	gen := resp.Generation
+	protocol.ReleaseResponse(resp)
 	// The cascade may have removed more nodes than the one named; mark the
 	// mirror dirty unless this was a clean single-step advance.
-	c.applyLocal(vol, protocol.NodeInfo{ID: node}, resp.Generation, true)
+	c.applyLocal(vol, &protocol.NodeInfo{ID: node}, gen, true)
 	return nil
 }
 
@@ -454,8 +507,7 @@ func (c *Client) Move(vol protocol.VolumeID, node, newParent protocol.NodeID, ne
 	if err != nil {
 		return protocol.NodeInfo{}, err
 	}
-	c.applyLocal(vol, resp.Node, resp.Generation, false)
-	return resp.Node, nil
+	return c.applyNode(vol, resp), nil
 }
 
 // CreateUDF creates a user-defined folder volume and mirrors it.
@@ -465,17 +517,20 @@ func (c *Client) CreateUDF(path string) (protocol.VolumeInfo, error) {
 		return protocol.VolumeInfo{}, err
 	}
 	v := resp.Volumes[0]
+	protocol.ReleaseResponse(resp)
 	c.mu.Lock()
-	c.mirrors[v.ID] = &Mirror{Info: v, Nodes: make(map[protocol.NodeID]protocol.NodeInfo)}
+	c.mirrors[v.ID] = &Mirror{Info: v, Nodes: make(map[protocol.NodeID]Node)}
 	c.mu.Unlock()
 	return v, nil
 }
 
 // DeleteVolume removes a volume and its mirror.
 func (c *Client) DeleteVolume(vol protocol.VolumeID) error {
-	if _, err := c.do(protocol.Request{Op: protocol.OpDeleteVolume, Volume: vol}); err != nil {
+	resp, err := c.do(protocol.Request{Op: protocol.OpDeleteVolume, Volume: vol})
+	if err != nil {
 		return err
 	}
+	protocol.ReleaseResponse(resp)
 	c.mu.Lock()
 	delete(c.mirrors, vol)
 	c.mu.Unlock()
@@ -488,7 +543,9 @@ func (c *Client) CreateShare(vol protocol.VolumeID, to protocol.UserID, name str
 	if err != nil {
 		return protocol.ShareInfo{}, err
 	}
-	return resp.Shares[0], nil
+	share := resp.Shares[0]
+	protocol.ReleaseResponse(resp)
+	return share, nil
 }
 
 // AcceptShare accepts a received share and mirrors the shared volume.
@@ -498,11 +555,12 @@ func (c *Client) AcceptShare(id protocol.ShareID) (protocol.ShareInfo, error) {
 		return protocol.ShareInfo{}, err
 	}
 	share := resp.Shares[0]
+	protocol.ReleaseResponse(resp)
 	c.mu.Lock()
 	if _, ok := c.mirrors[share.Volume]; !ok {
 		c.mirrors[share.Volume] = &Mirror{
 			Info:  protocol.VolumeInfo{ID: share.Volume, Type: protocol.VolumeShared, Owner: share.SharedBy},
-			Nodes: make(map[protocol.NodeID]protocol.NodeInfo),
+			Nodes: make(map[protocol.NodeID]Node),
 		}
 	}
 	c.mu.Unlock()
@@ -511,9 +569,11 @@ func (c *Client) AcceptShare(id protocol.ShareID) (protocol.ShareInfo, error) {
 
 // Sync reconciles a mirror with the server via GetDelta (falling back to a
 // full rescan when the server says the delta log no longer reaches the
-// mirror's generation). It returns the changed file nodes it saw; with
-// AutoFetch set, their contents were downloaded.
-func (c *Client) Sync(vol protocol.VolumeID) ([]protocol.NodeInfo, error) {
+// mirror's generation). It returns the ids of the changed files it saw — a
+// file with content that is new to the mirror or whose hash moved — in the
+// order the server listed them; with AutoFetch set, their contents were
+// downloaded.
+func (c *Client) Sync(vol protocol.VolumeID) ([]protocol.NodeID, error) {
 	c.mu.Lock()
 	m, ok := c.mirrors[vol]
 	if !ok {
@@ -528,32 +588,34 @@ func (c *Client) Sync(vol protocol.VolumeID) ([]protocol.NodeInfo, error) {
 		return nil, err
 	}
 
-	var changedFiles []protocol.NodeInfo
+	var changed []protocol.NodeID
 	c.mu.Lock()
 	// A rescan lists the whole volume, one entry per node: the mirror is
 	// rebuilt at exactly that size, and what changed is judged against the
 	// mirror it replaces.
 	known, nodes := m.Nodes, m.Nodes
 	if resp.Rescan {
-		nodes = make(map[protocol.NodeID]protocol.NodeInfo, len(resp.Deltas))
+		nodes = make(map[protocol.NodeID]Node, len(resp.Deltas))
 		c.stats.Rescans++
 	}
-	for i, d := range resp.Deltas {
+	for i := range resp.Deltas {
+		d := &resp.Deltas[i]
+		id := d.Node.ID
 		if d.Deleted {
-			delete(nodes, d.Node.ID)
+			delete(nodes, id)
 			continue
 		}
-		prev, existed := known[d.Node.ID]
-		nodes[d.Node.ID] = d.Node
+		prev, existed := known[id]
+		nodes[id] = nodeOf(&d.Node)
 		if d.Node.Kind == protocol.KindFile && !d.Node.Hash.IsZero() &&
 			(!existed || prev.Hash != d.Node.Hash) {
-			if changedFiles == nil && !(resp.Rescan && len(known) > 0) {
+			if changed == nil && !(resp.Rescan && len(known) > 0) {
 				// A delta names what changed and a first listing is all
 				// new, so the rest of the list is a close bound; a rescan
 				// over a filled mirror mostly re-reads what it holds.
-				changedFiles = make([]protocol.NodeInfo, 0, len(resp.Deltas)-i)
+				changed = make([]protocol.NodeID, 0, len(resp.Deltas)-i)
 			}
-			changedFiles = append(changedFiles, d.Node)
+			changed = append(changed, id)
 		}
 	}
 	m.Nodes = nodes
@@ -562,21 +624,22 @@ func (c *Client) Sync(vol protocol.VolumeID) ([]protocol.NodeInfo, error) {
 	c.stats.SyncsRun++
 	autoFetch := c.AutoFetch
 	c.mu.Unlock()
+	protocol.ReleaseResponse(resp)
 
 	if autoFetch {
-		for _, n := range changedFiles {
-			if _, err := c.Download(vol, n.ID); err != nil {
-				return changedFiles, err
+		for _, id := range changed {
+			if _, err := c.Download(vol, id); err != nil {
+				return changed, err
 			}
 		}
 	}
-	return changedFiles, nil
+	return changed, nil
 }
 
 // HandlePush reacts to one server notification the way the daemon does:
 // volume changes trigger a sync, share offers are recorded. It returns the
-// changed files of a triggered sync.
-func (c *Client) HandlePush(p *protocol.Push) ([]protocol.NodeInfo, error) {
+// ids of the changed files of a triggered sync.
+func (c *Client) HandlePush(p *protocol.Push) ([]protocol.NodeID, error) {
 	c.mu.Lock()
 	c.stats.PushesSeen++
 	c.mu.Unlock()

@@ -257,13 +257,14 @@ func TestRescanReportsOnlyWhatChanged(t *testing.T) {
 	if after.Rescans != before.Rescans+1 {
 		t.Fatalf("rescans went %d → %d: the sync was not served from scratch", before.Rescans, after.Rescans)
 	}
-	if len(changed) != 1 || changed[0].Name != "f4" {
+	m, _ := dev2.Mirror(root)
+	if len(changed) != 1 || m.Nodes[changed[0]].Name != "f4" {
 		t.Errorf("rescan reported %d changed files (%v), want only f4", len(changed), changed)
 	}
 	if got := after.Downloads - before.Downloads; got != 1 {
 		t.Errorf("rescan downloaded %d files, want 1", got)
 	}
-	if m, _ := dev2.Mirror(root); len(m.Nodes) != 11 { // a full listing names the root directory too
+	if len(m.Nodes) != 11 { // a full listing names the root directory too
 		t.Errorf("mirror holds %d nodes after the rescan, want 11", len(m.Nodes))
 	}
 }
@@ -387,7 +388,9 @@ type scriptedTransport struct {
 
 func (s *scriptedTransport) Do(req *protocol.Request) (*protocol.Response, error) {
 	s.reqs = append(s.reqs, *req)
-	return &protocol.Response{ID: req.ID, Status: s.serve(len(s.reqs)-1, req)}, nil
+	resp := protocol.AcquireResponse()
+	resp.ID, resp.Status = req.ID, s.serve(len(s.reqs)-1, req)
+	return resp, nil
 }
 func (s *scriptedTransport) Pushes() <-chan *protocol.Push { return nil }
 func (s *scriptedTransport) Close() error                  { return nil }

@@ -34,11 +34,13 @@ type Transport interface {
 	//
 	// The response is handed over: the transport keeps no reference to it,
 	// its Data aliases nothing the server or the transport still uses, and
-	// the caller may release it once (protocol.ReleaseResponse) — the Client
-	// does, right after copying the envelope out, so a transport that kept
-	// the pointer would find it wiped or answering someone else. A transport
-	// takes its responses from protocol.AcquireResponse to have them
-	// recycled; any other response is simply left to the collector.
+	// the caller may release it once (protocol.ReleaseResponse). The Client
+	// reads it in place and releases it before the call that asked for it
+	// returns, so a transport that kept the pointer would find it wiped or
+	// answering someone else, and a listing it decoded back in the
+	// recycler. A transport takes its responses from
+	// protocol.AcquireResponse to have them recycled; any other response is
+	// simply left to the collector.
 	Do(*protocol.Request) (*protocol.Response, error)
 	// Pushes returns the channel of unsolicited server notifications.
 	Pushes() <-chan *protocol.Push

@@ -602,13 +602,40 @@ func (s *Store) GetFromScratch(user protocol.UserID, vol protocol.VolumeID) ([]p
 	// Counted after the access checks: only calls that actually pay the
 	// cascade cost register, mirroring deltaServed/deltaTruncated.
 	s.m.fromScratch.Inc()
-	ids := volumeNodeIDs(sh, vr)
-	slices.Sort(ids)
-	out := make([]protocol.DeltaEntry, len(ids))
-	for i, id := range ids {
+	// One walk lists the volume: breadth-first from the root, the listing
+	// itself serving as the walk's queue, into an array sized by counting
+	// the subtree first. Entries carry only their id until the listing is
+	// sorted, so the sort moves ids; then each is filled in place.
+	out := make(idListing, 1, subtreeSize(sh, vr.root))
+	out[0].Node.ID = vr.root
+	for i := 0; i < len(out); i++ {
+		for _, child := range sh.nodes[out[i].Node.ID].children {
+			out = append(out, protocol.DeltaEntry{Node: protocol.NodeInfo{ID: child}})
+		}
+	}
+	sort.Sort(out)
+	for i := range out {
+		id := out[i].Node.ID
 		out[i].Node = sh.nodes[id].info(id)
 	}
 	return out, vr.info.Generation, nil
+}
+
+// idListing sorts a listing whose entries hold nothing but their ids.
+type idListing []protocol.DeltaEntry
+
+func (l idListing) Len() int           { return len(l) }
+func (l idListing) Less(i, j int) bool { return l[i].Node.ID < l[j].Node.ID }
+func (l idListing) Swap(i, j int)      { l[i].Node.ID, l[j].Node.ID = l[j].Node.ID, l[i].Node.ID }
+
+// subtreeSize counts the nodes of the subtree rooted at id, id included,
+// without allocating.
+func subtreeSize(sh *shard, id protocol.NodeID) int {
+	n := 1
+	for _, child := range sh.nodes[id].children {
+		n += subtreeSize(sh, child)
+	}
+	return n
 }
 
 // CreateShare offers a volume to another user (dal.create_share). The share

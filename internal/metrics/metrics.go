@@ -146,8 +146,9 @@ func NewHistogram() *Histogram {
 	return h
 }
 
-// bucketOf maps a value to its bucket index.
-func bucketOf(v float64) int {
+// bucketOfLog is the bucket layout's definition: the index of v's bucket
+// by logarithm. bucketOf gives the same answer without the log.
+func bucketOfLog(v float64) int {
 	if v <= bucketMin {
 		return 0
 	}
@@ -159,6 +160,62 @@ func bucketOf(v float64) int {
 	}
 	if i >= numBuckets {
 		return numBuckets - 1
+	}
+	return i
+}
+
+// bucketLow[i] is the least float64 that bucketOfLog puts in bucket i or
+// above (bucketLow[0] is 0), found once by bisecting the formula itself, so
+// a lookup against it agrees with the formula value for value.
+var bucketLow = func() (low [numBuckets]float64) {
+	for i := 1; i < numBuckets; i++ {
+		atLeast := func(b uint64) bool { return bucketOfLog(math.Float64frombits(b)) >= i }
+		// Positive floats order like their bit patterns. Gallop out from
+		// the closed form until the boundary is bracketed, then bisect.
+		lo := math.Float64bits(bucketMin * math.Exp(float64(i)*bucketLogRatio))
+		hi := lo
+		for step := uint64(1); !atLeast(hi); step *= 2 {
+			hi += step
+		}
+		for step := uint64(1); atLeast(lo); step *= 2 {
+			lo -= step
+		}
+		for hi-lo > 1 {
+			if mid := lo + (hi-lo)/2; atLeast(mid) {
+				hi = mid
+			} else {
+				lo = mid
+			}
+		}
+		low[i] = math.Float64frombits(hi)
+	}
+	return low
+}()
+
+// octaveOffset is -8·log2(bucketMin): a value 2^e·(1+f) lies about
+// 8e + 8·log2(1+f) + octaveOffset buckets up.
+var octaveOffset = -8 * math.Log2(bucketMin)
+
+// bucketOf maps a value to its bucket index. The float's exponent and a
+// linear stand-in for the log of its mantissa land within a bucket of the
+// answer (8·f undershoots 8·log2(1+f) by less than 0.7), and the table
+// settles it.
+func bucketOf(v float64) int {
+	if v <= bucketMin {
+		return 0
+	}
+	if v >= bucketLow[numBuckets-1] {
+		return numBuckets - 1
+	}
+	bits := math.Float64bits(v)
+	exp := float64(int(bits>>52) - 1023)
+	frac := math.Float64frombits(bits&(1<<52-1)|1023<<52) - 1
+	i := min(max(int(8*exp+8*frac+octaveOffset), 0), numBuckets-2)
+	for v < bucketLow[i] {
+		i--
+	}
+	for v >= bucketLow[i+1] {
+		i++
 	}
 	return i
 }

@@ -323,3 +323,33 @@ func BenchmarkHistogramObserveParallel(b *testing.B) {
 		}
 	})
 }
+
+// TestBucketOfMatchesLog holds the table lookup to the formula that defines
+// the buckets: every boundary and the four floats on either side of it, the
+// extremes, and a million seeded log-uniform values reaching past both ends.
+func TestBucketOfMatchesLog(t *testing.T) {
+	check := func(v float64) {
+		t.Helper()
+		if got, want := bucketOf(v), bucketOfLog(v); got != want {
+			t.Fatalf("bucketOf(%v) = %d, the log formula says %d", v, got, want)
+		}
+	}
+	for i := 1; i < numBuckets; i++ {
+		b := math.Float64bits(bucketLow[i])
+		for d := uint64(0); d <= 4; d++ {
+			check(math.Float64frombits(b + d))
+			check(math.Float64frombits(b - d))
+		}
+		if bucketOfLog(bucketLow[i]) != i || bucketOfLog(math.Nextafter(bucketLow[i], 0)) != i-1 {
+			t.Fatalf("boundary %d at %v is not where the formula steps", i, bucketLow[i])
+		}
+	}
+	for _, v := range []float64{-1, 0, 5e-324, bucketMin, math.Nextafter(bucketMin, 1), 1, 2, 1e9, 1e300, math.MaxFloat64} {
+		check(v)
+	}
+	r := rand.New(rand.NewSource(8))
+	lo, hi := math.Log(1e-12), math.Log(1e12)
+	for i := 0; i < 1_000_000; i++ {
+		check(math.Exp(lo + (hi-lo)*r.Float64()))
+	}
+}

@@ -153,6 +153,9 @@ type Response struct {
 	// recycler (AcquireResponse); a literal's is nil and a copy's points
 	// elsewhere, so ReleaseResponse takes back only what it handed out.
 	home *Response
+	// deltas is the recycler's array a response on loan decodes Deltas
+	// into, nil until the first such decode; ReleaseResponse gives it back.
+	deltas *[]DeltaEntry
 }
 
 // The field codecs of the protocol's three row types. The response and push
@@ -270,10 +273,12 @@ const maxRepeated = 1 << 20
 
 // Decode decodes a response body into p. It wipes p — no Volumes, Deltas or
 // Data of an earlier frame survive — and fills it from buf, Data aliasing
-// buf; a response on loan from the recycler stays releasable. After an error
-// p holds a partial decode and is good only for another Decode or a release.
+// buf. A response on loan from the recycler stays releasable, and its Deltas
+// go into an array of the recycler's, which ReleaseResponse takes back.
+// After an error p holds a partial decode and is good only for another
+// Decode or a release.
 func (p *Response) Decode(buf []byte) error {
-	*p = Response{home: p.home} // all but its place in the recycler
+	*p = Response{home: p.home, deltas: p.deltas} // all but its place in the recycler and its array
 	r := wire.NewReader(buf)
 	p.ID = r.Uvarint()
 	p.Status = Status(r.Byte())
@@ -298,11 +303,20 @@ func (p *Response) Decode(buf []byte) error {
 	if nd > maxRepeated {
 		return fmt.Errorf("protocol: delta list of %d entries", nd)
 	}
+	if nd > 0 && p.home == p {
+		if p.deltas == nil {
+			p.deltas = deltaArrays.Get().(*[]DeltaEntry)
+		}
+		p.Deltas = (*p.deltas)[:0]
+	}
 	for i := uint64(0); i < nd && r.Err() == nil; i++ {
 		var d DeltaEntry
 		d.Node = UnmarshalNodeInfo(r)
 		d.Deleted = r.Bool()
 		p.Deltas = append(p.Deltas, d)
+	}
+	if nd > 0 && p.deltas != nil {
+		*p.deltas = p.Deltas
 	}
 	p.Generation = Generation(r.Uvarint())
 	p.Reused = r.Bool()

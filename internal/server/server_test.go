@@ -210,10 +210,11 @@ func TestTCPSharingFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(changed) != 1 || changed[0].Name != "spec.doc" {
+	m, _ := guest.Mirror(udf.ID)
+	if len(changed) != 1 || m.Nodes[changed[0]].Name != "spec.doc" {
 		t.Errorf("changed = %+v", changed)
 	}
-	data, err := guest.Download(udf.ID, changed[0].ID)
+	data, err := guest.Download(udf.ID, changed[0])
 	if err != nil {
 		t.Fatal(err)
 	}
