@@ -32,11 +32,9 @@
 package apiserver
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"path"
-	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -176,7 +174,9 @@ type Server struct {
 
 	mu       sync.RWMutex
 	sessions map[protocol.SessionID]*Session
-	byUser   map[protocol.UserID]map[protocol.SessionID]*Session
+	// byUser holds each user's sessions in ascending session-ID order, the
+	// order pushes are delivered in.
+	byUser map[protocol.UserID][]*Session
 
 	// observers is copy-on-write: emit iterates a lock-free snapshot, so the
 	// trace collector can attach mid-traffic.
@@ -253,7 +253,7 @@ func New(cfg Config, deps Deps) *Server {
 		deps:     deps,
 		tokens:   auth.NewCache(tokenCacheTTL),
 		sessions: make(map[protocol.SessionID]*Session),
-		byUser:   make(map[protocol.UserID]map[protocol.SessionID]*Session),
+		byUser:   make(map[protocol.UserID][]*Session),
 		uploads:  make(map[protocol.UploadID]*pendingUpload),
 
 		activeSessions: deps.Metrics.Gauge(metrics.APISessionsActive),
@@ -407,14 +407,15 @@ func (s *Server) notifyShare(origin *Session, kind protocol.PushEvent, share pro
 }
 
 // pushLocal delivers a push to this server's sessions of a user, except the
-// excluded session. The push goes on the heap only once a session to deliver
-// it to is found: a user with one connected device, which made the change
-// itself, has none.
+// excluded session, in ascending session order: push arrival order is
+// observable client state. The push goes on the heap only once a session to
+// deliver it to is found: a user with one connected device, which made the
+// change itself, has none.
 func (s *Server) pushLocal(user protocol.UserID, exclude protocol.SessionID, push protocol.Push) {
 	s.mu.RLock()
 	var targets []*Session
-	for id, sess := range s.byUser[user] {
-		if id != exclude {
+	for _, sess := range s.byUser[user] {
+		if sess.ID != exclude {
 			targets = append(targets, sess)
 		}
 	}
@@ -422,9 +423,6 @@ func (s *Server) pushLocal(user protocol.UserID, exclude protocol.SessionID, pus
 	if len(targets) == 0 {
 		return
 	}
-	// Deliver in ascending session order: push arrival order is observable
-	// client state and must not depend on map iteration.
-	slices.SortFunc(targets, func(a, b *Session) int { return cmp.Compare(a.ID, b.ID) })
 	shared := new(protocol.Push)
 	*shared = push
 	for _, sess := range targets {

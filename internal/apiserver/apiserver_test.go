@@ -2,6 +2,7 @@ package apiserver
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -314,6 +315,45 @@ func TestNotificationFanOut(t *testing.T) {
 	// anyway, but the exclusion is what keeps echo out.
 	if got[0].Volume != root {
 		t.Errorf("push volume = %v", got[0].Volume)
+	}
+}
+
+// arrivals is a Pusher that notes, in a list shared by several sessions,
+// which session a push reached.
+type arrivals struct {
+	name  string
+	order *[]string
+}
+
+func (a arrivals) Push(*protocol.Push) { *a.order = append(*a.order, a.name) }
+
+// TestPushOrderSurvivesOutOfOrderCloses opens four listening sessions of one
+// user, closes three of them out of order, and requires every change to
+// reach the sessions still open in ascending session order.
+func TestPushOrderSurvivesOutOfOrderCloses(t *testing.T) {
+	f := newFixture(t)
+	token, _ := f.auth.Issue(7)
+	origin, _, _ := f.srv.OpenSession(token, nil, t0)
+	root := f.rootOf(t, origin)
+	var order []string
+	sessions := map[string]*Session{}
+	for _, name := range []string{"a", "b", "c", "d"} {
+		sess, resp, _ := f.srv.OpenSession(token, arrivals{name, &order}, t0)
+		if resp.Status != protocol.StatusOK {
+			t.Fatalf("open %s: %v", name, resp.Status)
+		}
+		sessions[name] = sess
+	}
+	for i, step := range []struct{ close, want string }{{"c", "abd"}, {"a", "bd"}, {"d", "b"}} {
+		f.srv.CloseSession(sessions[step.close], t0)
+		order = order[:0]
+		resp, _ := f.srv.Handle(origin, &protocol.Request{Op: protocol.OpMakeDir, Volume: root, Name: step.close}, t0)
+		if resp.Status != protocol.StatusOK {
+			t.Fatalf("make dir %s: %v", step.close, resp.Status)
+		}
+		if got := strings.Join(order, ""); got != step.want {
+			t.Errorf("after closing %s (close %d): pushes reached %q, want %q", step.close, i+1, got, step.want)
+		}
 	}
 }
 

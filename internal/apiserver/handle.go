@@ -1,7 +1,9 @@
 package apiserver
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -532,12 +534,11 @@ func (s *Server) opAuthenticate(c *OpContext) (*protocol.Response, error) {
 	}
 	s.mu.Lock()
 	s.sessions[sess.ID] = sess
-	userSessions, ok := s.byUser[user]
-	if !ok {
-		userSessions = make(map[protocol.SessionID]*Session)
-		s.byUser[user] = userSessions
-	}
-	userSessions[sess.ID] = sess
+	// IDs are allocated before s.mu is taken, so a later ID may be
+	// registered first: insert in place, not at the end.
+	userSessions := s.byUser[user]
+	at, _ := slices.BinarySearchFunc(userSessions, sess.ID, bySessionID)
+	s.byUser[user] = slices.Insert(userSessions, at, sess)
 	s.mu.Unlock()
 
 	s.activeSessions.Inc()
@@ -546,6 +547,9 @@ func (s *Server) opAuthenticate(c *OpContext) (*protocol.Response, error) {
 	resp.Session, resp.User = sess.ID, user
 	return resp, nil
 }
+
+// bySessionID orders a user's sessions for Server.byUser.
+func bySessionID(sess *Session, id protocol.SessionID) int { return cmp.Compare(sess.ID, id) }
 
 // opCloseSession terminates the request's session and abandons its in-flight
 // uploads (the uploadjob rows stay behind for the weekly GC, as in
@@ -557,10 +561,12 @@ func (s *Server) opCloseSession(c *OpContext) (*protocol.Response, error) {
 	s.mu.Lock()
 	_, present := s.sessions[sess.ID]
 	delete(s.sessions, sess.ID)
-	if userSessions, ok := s.byUser[sess.User]; ok {
-		delete(userSessions, sess.ID)
-		if len(userSessions) == 0 {
+	userSessions := s.byUser[sess.User]
+	if at, ok := slices.BinarySearchFunc(userSessions, sess.ID, bySessionID); ok {
+		if userSessions = slices.Delete(userSessions, at, at+1); len(userSessions) == 0 {
 			delete(s.byUser, sess.User)
+		} else {
+			s.byUser[sess.User] = userSessions
 		}
 	}
 	s.mu.Unlock()

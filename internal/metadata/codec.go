@@ -1,9 +1,11 @@
 package metadata
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"slices"
 
 	"u1/internal/protocol"
@@ -108,6 +110,37 @@ func (r *reader) count() int {
 	return int(n)
 }
 
+// readLog adopts a volume's delta log: it walks the entries, refusing one
+// that does not decode or whose generation is below the one before (the
+// binary search in volumeRow.delta needs them nondecreasing), and keeps a
+// copy of the bytes they took with each entry's offset.
+func (r *reader) readLog(vr *volumeRow) {
+	n := r.count()
+	if n == 0 {
+		return
+	}
+	logAt := make([]uint32, n)
+	start := len(r.Consumed())
+	var prev protocol.Generation
+	for j := range logAt {
+		at := len(r.Consumed()) - start
+		gen, _ := decodeLogEntry(r.Reader)
+		if r.error() != nil {
+			return
+		}
+		switch {
+		case gen < prev:
+			r.err = errors.New("metadata: delta log generations decrease")
+			return
+		case uint64(at) > math.MaxUint32:
+			r.err = errors.New("metadata: delta log passes 4 GiB")
+			return
+		}
+		logAt[j], prev = uint32(at), gen
+	}
+	vr.log = &deltaLog{buf: bytes.Clone(r.Consumed()[start:]), at: logAt}
+}
+
 func (r *reader) error() error {
 	if r.err != nil {
 		return r.err
@@ -166,6 +199,22 @@ func decodePayload(payload []byte, rec *journalRecord) error {
 	return nil
 }
 
+// encodeLogEntry appends one delta-log entry to w: the uvarint generation,
+// the node, then the deleted byte. A volume's log holds its entries in this
+// form, and a snapshot stores the log as those bytes.
+func encodeLogEntry(w *wire.Writer, gen protocol.Generation, n protocol.NodeInfo, deleted bool) {
+	w.Uvarint(uint64(gen))
+	protocol.MarshalNodeInfo(w, n)
+	w.Bool(deleted)
+}
+
+// decodeLogEntry reads what encodeLogEntry wrote.
+func decodeLogEntry(r *wire.Reader) (protocol.Generation, protocol.DeltaEntry) {
+	gen := protocol.Generation(r.Uvarint())
+	n := protocol.UnmarshalNodeInfo(r)
+	return gen, protocol.DeltaEntry{Node: n, Deleted: r.Bool()}
+}
+
 // Snapshot file format: snapshotMagic as a length-prefixed string, one
 // version byte, the uvarint LSN the snapshot covers, then the body writeShard
 // streams.
@@ -215,12 +264,9 @@ func writeShard(w io.Writer, e *wire.Writer, sh *shard) error {
 		protocol.MarshalVolumeInfo(e, vr.info)
 		e.Uvarint(uint64(vr.root))
 		e.Uvarint(uint64(vr.droppedThrough))
-		e.Uvarint(uint64(len(vr.log)))
-		for _, le := range vr.log {
-			e.Uvarint(uint64(le.gen))
-			protocol.MarshalNodeInfo(e, le.node)
-			e.Bool(le.deleted)
-		}
+		buf, at := vr.log.entries()
+		e.Uvarint(uint64(len(at)))
+		e.Raw(buf)
 		grantees := sortedKeys(vr.grants)
 		e.Uvarint(uint64(len(grantees)))
 		for _, to := range grantees {
@@ -302,14 +348,7 @@ func readShard(r *wire.Reader, sh *shard) error {
 		vr := &volumeRow{info: protocol.UnmarshalVolumeInfo(r)}
 		vr.root = protocol.NodeID(r.Uvarint())
 		vr.droppedThrough = protocol.Generation(r.Uvarint())
-		if n := d.count(); n > 0 {
-			vr.log = make([]logEntry, n)
-		}
-		for j := range vr.log {
-			vr.log[j].gen = protocol.Generation(r.Uvarint())
-			vr.log[j].node = protocol.UnmarshalNodeInfo(r)
-			vr.log[j].deleted = r.Bool()
-		}
+		d.readLog(vr)
 		for j := d.count(); j > 0; j-- {
 			vr.addGrant(protocol.UserID(r.Uvarint()), protocol.ShareID(r.Uvarint()))
 		}

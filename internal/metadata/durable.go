@@ -407,7 +407,7 @@ func fingerprint(sh *shard) string {
 // replay and replica application leave meta.deltalog.trimmed alone.
 func (sh *shard) apply(rec *journalRecord) (trims int) {
 	appendLog := func(vr *volumeRow, n protocol.NodeInfo, deleted bool) {
-		if vr.appendLog(sh.deltaLogLimit, n, deleted) {
+		if vr.appendLog(sh.deltaLogLimit, &sh.logScratch, n, deleted) {
 			trims++
 		}
 	}

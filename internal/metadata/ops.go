@@ -554,30 +554,13 @@ func (s *Store) GetDelta(user protocol.UserID, vol protocol.VolumeID, fromGen pr
 	if err := checkAccessLocked(sh, vr, user, false); err != nil {
 		return nil, 0, err
 	}
-	if fromGen >= vr.info.Generation {
-		s.m.deltaServed.Inc()
-		return nil, vr.info.Generation, nil
-	}
-	// The log can serve the request only if nothing after fromGen was
-	// discarded by the retention policy.
-	if fromGen < vr.droppedThrough {
+	deltas, err := vr.delta(fromGen)
+	if err != nil {
 		s.m.deltaTruncated.Inc()
-		return nil, vr.info.Generation, ErrDeltaTruncated
+	} else {
+		s.m.deltaServed.Inc()
 	}
-	n := 0
-	for i := range vr.log {
-		if vr.log[i].gen > fromGen {
-			n++
-		}
-	}
-	out := make([]protocol.DeltaEntry, 0, n)
-	for i := range vr.log {
-		if e := &vr.log[i]; e.gen > fromGen {
-			out = append(out, protocol.DeltaEntry{Node: e.node, Deleted: e.deleted})
-		}
-	}
-	s.m.deltaServed.Inc()
-	return out, vr.info.Generation, nil
+	return deltas, vr.info.Generation, err
 }
 
 // GetFromScratch lists the full contents of a volume — the expensive cascade

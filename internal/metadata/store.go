@@ -18,9 +18,12 @@
 package metadata
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/fnv"
+	"math"
 	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -28,6 +31,7 @@ import (
 	"u1/internal/protocol"
 	"u1/internal/vfs"
 	"u1/internal/wal"
+	"u1/internal/wire"
 )
 
 // Config parameterizes the store.
@@ -300,6 +304,10 @@ type shard struct {
 	// a restored replica grants what its owner grants.
 	revoked     map[protocol.ShareID]struct{}
 	revokedHits *metrics.Counter
+
+	// logScratch encodes a delta-log entry under the write lock before
+	// appendLog copies it onto its volume's log.
+	logScratch wire.Writer
 }
 
 func newShard(id, deltaLogLimit int, reg *metrics.Registry) *shard {
@@ -471,22 +479,44 @@ func (n *nodeRow) addChild(name string, id protocol.NodeID) {
 	n.children[name] = id
 }
 
-type logEntry struct {
-	gen     protocol.Generation
-	node    protocol.NodeInfo
-	deleted bool
-}
-
 type volumeRow struct {
 	info protocol.VolumeInfo
 	root protocol.NodeID
-	log  []logEntry
+	// log is the volume's delta log, nil until its first entry: a volume
+	// without history, and every volume of a store with the logs disabled,
+	// pays one pointer for it, where two inline slices would push every row
+	// up a size class.
+	log *deltaLog
 	// droppedThrough is the highest generation whose log entries may have
 	// been discarded; GetDelta can only serve fromGen ≥ droppedThrough.
 	droppedThrough protocol.Generation
 	// grants maps grantee user to the share id, for permission checks on
 	// shared volumes; nil until the first grant (see userRow.sharesIn)
 	grants map[protocol.UserID]protocol.ShareID
+}
+
+// deltaLog holds a volume's recent mutations back to back in buf, each the
+// bytes the snapshot stores for it (encodeLogEntry), and each entry's start
+// offset in at. Generations never decrease along the log, because apply
+// only raises a volume's generation, so volumeRow.delta binary-searches at.
+// Both slices are pointer-free: the collector never scans them.
+type deltaLog struct {
+	buf []byte
+	at  []uint32
+}
+
+// entries returns the log's bytes and offsets; a nil log has none.
+func (l *deltaLog) entries() (buf []byte, at []uint32) {
+	if l == nil {
+		return nil, nil
+	}
+	return l.buf, l.at
+}
+
+// gen returns the generation of the i-th entry, its leading uvarint.
+func (l *deltaLog) gen(i int) protocol.Generation {
+	gen, _ := binary.Uvarint(l.buf[l.at[i]:])
+	return protocol.Generation(gen)
 }
 
 func (v *volumeRow) addGrant(to protocol.UserID, id protocol.ShareID) {
@@ -518,18 +548,32 @@ func volumeNodeIDs(sh *shard, v *volumeRow) []protocol.NodeID {
 	return ids
 }
 
-// appendLog records a mutation in v's delta log, trimming the oldest half
-// when the log exceeds limit, and reports whether it trimmed. Only
-// shard.apply calls it, under the shard's write lock.
-func (v *volumeRow) appendLog(limit int, n protocol.NodeInfo, deleted bool) (trimmed bool) {
+// appendLog records a mutation in v's delta log, encoding it on scratch,
+// trimming the oldest half when the log exceeds limit entries, and reports
+// whether it trimmed. Only shard.apply calls it, under the shard's write
+// lock.
+func (v *volumeRow) appendLog(limit int, scratch *wire.Writer, n protocol.NodeInfo, deleted bool) (trimmed bool) {
 	if limit < 0 {
 		// Log disabled: record only the horizon so GetDelta reports
 		// truncation and clients rescan. No entry is retained.
 		v.droppedThrough = v.info.Generation
 		return false
 	}
-	v.log = append(v.log, logEntry{gen: v.info.Generation, node: n, deleted: deleted})
-	if len(v.log) <= limit {
+	if v.log == nil {
+		v.log = new(deltaLog)
+	}
+	l := v.log
+	if uint64(len(l.buf)) > math.MaxUint32 {
+		// The entry's offset would not fit at: the log starts over, its
+		// horizon past everything it held.
+		v.droppedThrough = l.gen(len(l.at) - 1)
+		l.buf, l.at = l.buf[:0], l.at[:0]
+	}
+	scratch.Reset()
+	encodeLogEntry(scratch, v.info.Generation, n, deleted)
+	l.at = append(l.at, uint32(len(l.buf)))
+	l.buf = append(l.buf, scratch.Bytes()...)
+	if len(l.at) <= limit {
 		return false
 	}
 	// Drop the oldest half rather than one entry at a time; amortizes the
@@ -543,12 +587,39 @@ func (v *volumeRow) appendLog(limit int, n protocol.NodeInfo, deleted bool) (tri
 		// the slice index below stays legal and the log stays bounded.
 		drop = 1
 	}
-	v.droppedThrough = v.log[drop-1].gen
-	// Trim in place: the survivors move down and the vacated tail is
-	// cleared (it holds name strings), so a volume's log is allocated once
-	// and refilled, not re-allocated at every trim.
-	kept := copy(v.log, v.log[drop:])
-	clear(v.log[kept:])
-	v.log = v.log[:kept]
+	v.droppedThrough = l.gen(drop - 1)
+	// Trim in place, so a volume's log is allocated once and refilled, not
+	// re-allocated at every trim.
+	cut := l.at[drop]
+	l.buf = l.buf[:copy(l.buf, l.buf[cut:])]
+	l.at = l.at[:copy(l.at, l.at[drop:])]
+	for i := range l.at {
+		l.at[i] -= cut
+	}
 	return true
+}
+
+// delta answers GetDelta from v's log: nothing when fromGen is current,
+// ErrDeltaTruncated when the log no longer reaches back to fromGen, and
+// otherwise every entry after fromGen in log order, decoded into a slice of
+// exactly that length. Caller holds the shard's read lock.
+func (v *volumeRow) delta(fromGen protocol.Generation) ([]protocol.DeltaEntry, error) {
+	if fromGen >= v.info.Generation {
+		return nil, nil
+	}
+	// The log can serve the request only if nothing after fromGen was
+	// discarded by the retention policy.
+	if fromGen < v.droppedThrough {
+		return nil, ErrDeltaTruncated
+	}
+	buf, at := v.log.entries()
+	first := sort.Search(len(at), func(i int) bool { return v.log.gen(i) > fromGen })
+	out := make([]protocol.DeltaEntry, len(at)-first)
+	if len(out) > 0 {
+		r := wire.NewReader(buf[at[first]:])
+		for i := range out {
+			_, out[i] = decodeLogEntry(r)
+		}
+	}
+	return out, nil
 }

@@ -228,6 +228,10 @@ func (w *Writer) Bool(b bool) {
 	}
 }
 
+// Raw appends b as it is, with no length prefix: bytes some other Writer
+// already encoded, such as a run of fields kept in their encoded form.
+func (w *Writer) Raw(b []byte) { w.buf = append(w.buf, b...) }
+
 // Bytes_ appends a length-prefixed byte slice.
 func (w *Writer) Bytes_(b []byte) {
 	w.Uvarint(uint64(len(b)))
@@ -273,6 +277,11 @@ func (r *Reader) Err() error { return r.err }
 
 // Remaining returns the number of unconsumed bytes.
 func (r *Reader) Remaining() int { return len(r.buf) - r.off }
+
+// Consumed returns the bytes read so far. It aliases the input buffer, so
+// the span a run of reads took is Consumed()[before:], where before is the
+// length Consumed had when the run started.
+func (r *Reader) Consumed() []byte { return r.buf[:r.off] }
 
 func (r *Reader) fail(err error) {
 	if r.err == nil {

@@ -55,6 +55,35 @@ func TestWriterReaderRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRawAdoptsConsumedSpan takes the span a run of reads consumed and
+// appends it raw to another Writer: the result encodes exactly as the fields
+// written one by one.
+func TestRawAdoptsConsumedSpan(t *testing.T) {
+	var src Writer
+	src.Uvarint(7)
+	src.String("span")
+	src.Bool(true)
+	src.Uvarint(300)
+
+	r := NewReader(src.Bytes())
+	r.Uvarint()
+	before := len(r.Consumed())
+	_ = r.String()
+	_ = r.Bool()
+	span := r.Consumed()[before:]
+
+	var raw, want Writer
+	raw.Raw(span)
+	want.String("span")
+	want.Bool(true)
+	if !bytes.Equal(raw.Bytes(), want.Bytes()) {
+		t.Fatalf("raw span %x, fields %x", raw.Bytes(), want.Bytes())
+	}
+	if got := r.Uvarint(); got != 300 || r.Err() != nil || len(r.Consumed()) != len(src.Bytes()) {
+		t.Errorf("after the span: %d, err %v, consumed %d of %d", got, r.Err(), len(r.Consumed()), len(src.Bytes()))
+	}
+}
+
 func TestReaderStickyError(t *testing.T) {
 	r := NewReader([]byte{}) // empty
 	_ = r.Uvarint()
