@@ -170,9 +170,11 @@ func BenchmarkWireFrame(b *testing.B) {
 		if err := wire.WriteFrame(&buf, 1, payload); err != nil {
 			b.Fatal(err)
 		}
-		if _, _, err := wire.ReadFrame(&buf); err != nil {
+		_, got, err := wire.ReadFrame(&buf)
+		if err != nil {
 			b.Fatal(err)
 		}
+		wire.ReleaseFrame(got, nil)
 	}
 }
 

@@ -93,7 +93,9 @@ func (s *Server) handleConn(conn net.Conn) {
 	}()
 
 	// Every frame of the connection decodes into this one request: requests
-	// are served in order and no handler keeps c.Req (see OpContext).
+	// are served in order and no handler keeps c.Req (see OpContext). The
+	// frame goes back the moment it is decoded; the request's Data comes out
+	// of it in memory the blob store may adopt.
 	req := new(protocol.Request)
 	for {
 		msgType, payload, err := wire.ReadFrame(conn)
@@ -103,7 +105,9 @@ func (s *Server) handleConn(conn net.Conn) {
 		if msgType != protocol.FrameRequest {
 			return // protocol violation
 		}
-		if err := req.Decode(payload); err != nil {
+		err = req.Decode(payload)
+		req.Data = wire.ReleaseFrame(payload, req.Data)
+		if err != nil {
 			return
 		}
 		now := hostNow()

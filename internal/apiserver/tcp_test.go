@@ -3,6 +3,7 @@ package apiserver
 import (
 	"bytes"
 	"net"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -177,4 +178,100 @@ func FuzzHandleConn(f *testing.F) {
 			t.Errorf("api.sessions.active = %d, want %d", n, active)
 		}
 	})
+}
+
+// TestHandleConnHalfClose runs the connection loop over a loopback TCP
+// connection whose client sends an Authenticate frame, one full request and
+// half of a second, then shuts its write side (what net.Pipe cannot
+// express). The loop answers exactly the full frames and returns within
+// 5 s, the session count falls back, and the truncated frame's buffer is
+// dropped rather than pooled half-filled: with one P every pooled buffer is
+// within the test's reach, and none of that size class holds the cut
+// frame's bytes past what a shorter frame overwrites.
+func TestHandleConnHalfClose(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	e := newConnEnv(t)
+	active := e.reg.Gauge(metrics.APISessionsActive).Value()
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	client, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	server, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		e.srv.handleConn(server)
+		close(done)
+	}()
+
+	const marker = 0xA7
+	var stream bytes.Buffer
+	for _, req := range []protocol.Request{
+		{ID: 1, Op: protocol.OpAuthenticate, Token: e.token},
+		{ID: 2, Op: protocol.OpListVolumes},
+		{ID: 3, Op: protocol.OpPutPart, Upload: 1, Data: bytes.Repeat([]byte{marker}, 3900), Final: true},
+	} {
+		if err := wire.WriteFrame(&stream, protocol.FrameRequest, req.Marshal()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := client.Write(stream.Bytes()[:stream.Len()-900]); err != nil {
+		t.Fatal(err)
+	}
+	if err := client.(*net.TCPConn).CloseWrite(); err != nil {
+		t.Fatal(err)
+	}
+
+	client.SetReadDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck
+	var ids []uint64
+	for {
+		typ, payload, err := wire.ReadFrame(client)
+		if err != nil {
+			break // EOF once the loop closed the connection
+		}
+		var resp protocol.Response
+		if typ != protocol.FrameResponse || resp.Decode(payload) != nil {
+			t.Fatalf("undecodable frame of type %d", typ)
+		}
+		ids = append(ids, resp.ID)
+	}
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("handleConn still running 5 s after the client's half-close")
+	}
+	if len(ids) != 2 || ids[0] != 1 || ids[1] != 2 {
+		t.Errorf("answered request IDs %v, want [1 2]", ids)
+	}
+	if n := e.srv.SessionCount(); n != 0 {
+		t.Errorf("%d sessions left open", n)
+	}
+	if n := e.reg.Gauge(metrics.APISessionsActive).Value(); n != active {
+		t.Errorf("api.sessions.active = %d, want %d", n, active)
+	}
+
+	// The cut frame was over 2,900 bytes into a 4 KB buffer; a 2,049-byte
+	// probe takes a buffer of the same class and overwrites less.
+	var probes bytes.Buffer
+	for i := 0; i < 16; i++ {
+		wire.WriteFrame(&probes, protocol.FrameRequest, make([]byte, 2049)) //nolint:errcheck
+	}
+	for i := 0; i < 16; i++ {
+		_, p, err := wire.ReadFrame(&probes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bytes.Contains(p[len(p):cap(p)], bytes.Repeat([]byte{marker}, 64)) {
+			t.Fatal("the truncated frame's buffer was pooled")
+		}
+	}
 }

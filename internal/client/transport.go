@@ -104,10 +104,14 @@ func (t *TCPTransport) readLoop() {
 			t.fail(err)
 			return
 		}
+		// Each frame goes back the moment it is decoded; a response's Data
+		// comes out of it in memory the caller may keep.
 		switch msgType {
 		case protocol.FrameResponse:
 			resp := protocol.AcquireResponse()
-			if err := resp.Decode(payload); err != nil {
+			err := resp.Decode(payload)
+			resp.Data = wire.ReleaseFrame(payload, resp.Data)
+			if err != nil {
 				protocol.ReleaseResponse(resp)
 				t.fail(err)
 				return
@@ -123,6 +127,7 @@ func (t *TCPTransport) readLoop() {
 			}
 		case protocol.FramePush:
 			push, err := protocol.UnmarshalPush(payload)
+			wire.ReleaseFrame(payload, nil)
 			if err != nil {
 				t.fail(err)
 				return

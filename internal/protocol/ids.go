@@ -4,10 +4,11 @@
 // encodings exchanged between desktop clients and API servers.
 //
 // Buffer ownership. Request.Decode and Response.Decode do not copy Data out
-// of the buffer they decode: the message's Data aliases its input, so the
-// caller gives that buffer (in practice the one wire.ReadFrame just
-// allocated) to the message and must not reuse it. Strings and every other
-// field are copied. Encoding is symmetric: Encode records Data by reference
+// of the buffer they decode: the message's Data aliases its input. Over TCP
+// that input is the frame wire.ReadFrame just read, which the connection
+// loop gives back with wire.ReleaseFrame the moment it is decoded, taking
+// the Data out in memory nobody recycles. Strings and every other field are
+// copied. Encoding is symmetric: Encode records Data by reference
 // and a wire.FrameWriter sends it from where it lies, so Data must stay
 // unmodified until the write returns; Marshal copies it.
 package protocol

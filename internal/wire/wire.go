@@ -11,17 +11,24 @@
 // frame header selects the decoder, exactly like a protobuf oneof envelope
 // but simpler to audit.
 //
-// Buffer ownership. ReadFrame allocates a fresh buffer per frame and hands it
-// to the caller; wire keeps no reference, and whatever the caller decodes out
-// of it (Reader.Bytes, protocol.Unmarshal*) aliases that buffer and lives as
-// long as it does. That read is the one copy an uploaded byte takes in user
-// space: a frame the API server reads is where the part's payload lives from
-// then on, since the object store adopts it as the stored part and serves
-// downloads from it. On the way out nothing is retained either: WriteFrame and
-// FrameWriter.WriteMessage have put every byte on the writer by the time they
-// return, so the caller may reuse its payload. A byte slice recorded with
-// Writer.Payload is written from where it lies, never copied and never
-// modified.
+// Buffer ownership. Frame buffers up to maxPooledFrame (64 KB) are
+// recycled. ReadFrame reads a frame of that size into a buffer from
+// power-of-two size classes (512 B to 64 KB) and hands it to the caller on
+// loan; a larger frame is read into a fresh buffer of its exact size, which
+// the caller owns. Whatever the caller decodes out of a frame (Reader.Bytes,
+// protocol.Unmarshal*) aliases it, so a connection loop decodes the frame,
+// then calls ReleaseFrame once with the message's Data: the frame goes back,
+// and the Data comes out in memory nobody recycles — an exact copy out of a
+// recycled frame, or the Data itself out of a larger one. That keeps the
+// read the one user-space copy of a part above 64 KB: the object store
+// adopts the Data as the stored part and serves downloads from it. A smaller
+// part takes one more copy, of at most 64 KB, so a stored part never pins a
+// recycled buffer's slack. On the way out, FrameWriter.WriteMessage encodes
+// into a buffer from one shared pool and gives it back after the write, so a
+// FrameWriter holds no buffer between frames. WriteFrame and WriteMessage
+// have put every byte on the writer by the time they return, so the caller
+// may reuse its payload. A byte slice recorded with Writer.Payload is
+// written from where it lies, never copied and never modified.
 package wire
 
 import (
@@ -30,6 +37,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"net"
 	"sync"
 )
@@ -98,8 +106,9 @@ func WriteFrame(w io.Writer, msgType byte, payload []byte) error {
 	return err
 }
 
-// rawFrame is the header and write vector of one WriteFrame call, pooled so
-// that a frame costs no allocation of its own.
+// rawFrame is the header and write vector of one WriteFrame call, or the
+// header one ReadFrame reads, pooled so that a frame costs no allocation of
+// its own.
 type rawFrame struct {
 	hdr [frameHeaderSize]byte
 	segments
@@ -113,7 +122,8 @@ type Message interface {
 }
 
 // FrameWriter encodes messages straight into frames on one connection: the
-// header and the fields share one buffer the FrameWriter owns and reuses, and
+// header and the fields share one encode buffer, taken from a pool shared by
+// every connection for the one frame and given back after it is written, and
 // a field recorded with Writer.Payload goes out as its own segment of the
 // same vectored write. Not safe for concurrent use; the connection's write
 // lock guards it.
@@ -126,54 +136,128 @@ type FrameWriter struct {
 // NewFrameWriter returns a FrameWriter on w.
 func NewFrameWriter(w io.Writer) *FrameWriter { return &FrameWriter{w: w} }
 
-// maxKeptEncodeBuffer bounds the encode buffer a FrameWriter keeps between
-// frames, so one large listing does not stay allocated for the life of the
-// connection.
-const maxKeptEncodeBuffer = 64 << 10
+// maxPooledFrame is the one ceiling on what wire recycles. An encode buffer
+// that grew past it and a frame read above it go to the collector, so one
+// huge listing or part does not stay allocated. Read buffers come in
+// power-of-two size classes from 1<<minFrameShift (512 B) up to it.
+const (
+	minFrameShift  = 9
+	maxFrameShift  = 16
+	maxPooledFrame = 1 << maxFrameShift
+	frameClasses   = maxFrameShift - minFrameShift + 1
+)
+
+// frameBuf carries one buffer through a sync.Pool, which keeps a pointer
+// without allocating where a slice would be boxed.
+type frameBuf struct{ b []byte }
+
+var (
+	encodeBufs sync.Pool               // *frameBuf: b empty, of any capacity up to maxPooledFrame
+	frameBufs  [frameClasses]sync.Pool // *frameBuf: b of exactly its class's capacity
+	emptyBufs  sync.Pool               // *frameBuf: b nil, the carriers of frames on loan
+)
+
+// frameClass returns the size class of a frame of n bytes, 0 < n <=
+// maxPooledFrame.
+func frameClass(n int) int {
+	if n <= 1<<minFrameShift {
+		return 0
+	}
+	return bits.Len(uint(n-1)) - minFrameShift
+}
 
 // WriteMessage encodes m and writes it as one frame of the given type.
 func (f *FrameWriter) WriteMessage(msgType byte, m Message) error {
+	h, _ := encodeBufs.Get().(*frameBuf)
+	if h == nil {
+		h = new(frameBuf)
+	}
 	e := &f.enc
-	e.buf = append(e.buf[:0], 0, 0, 0, 0, msgType) // length patched in below
+	e.buf = append(h.b, 0, 0, 0, 0, msgType) // length patched in below
 	m.Encode(e)
 	head, payload, tail := e.split()
-	e.payload = nil // written below from the locals; the writer keeps no reference
-	if cap(e.buf) > maxKeptEncodeBuffer {
-		e.buf = nil
+	e.buf, e.payload = nil, nil // written below from the locals; the writer keeps nothing
+	err := ErrFrameTooLarge
+	if n := len(head) + len(payload) + len(tail) - frameHeaderSize; n <= MaxFrameSize {
+		binary.BigEndian.PutUint32(head, uint32(n))
+		err = f.write(f.w, head, payload, tail)
 	}
-	n := len(head) + len(payload) + len(tail) - frameHeaderSize
-	if n > MaxFrameSize {
-		return ErrFrameTooLarge
+	h.b = nil
+	if cap(head) <= maxPooledFrame {
+		h.b = head[:0]
 	}
-	binary.BigEndian.PutUint32(head, uint32(n))
-	return f.write(f.w, head, payload, tail)
+	encodeBufs.Put(h)
+	return err
 }
 
-// ReadFrame reads one frame from r. It returns the message type and payload;
-// the payload is a fresh buffer the caller owns. Oversized frames are
-// rejected before allocation so a malicious peer cannot force large
-// allocations (DDoS hygiene, §5.4).
+// ReadFrame reads one frame from r. It returns the message type and payload:
+// up to maxPooledFrame, a recycled buffer on loan until ReleaseFrame; above
+// it, a fresh buffer the caller owns. Oversized frames are rejected before
+// allocation so a malicious peer cannot force large allocations (DDoS
+// hygiene, §5.4).
 func ReadFrame(r io.Reader) (msgType byte, payload []byte, err error) {
-	var hdr [frameHeaderSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	hdr := rawFrames.Get().(*rawFrame)
+	_, err = io.ReadFull(r, hdr.hdr[:])
+	n, msgType := binary.BigEndian.Uint32(hdr.hdr[:4]), hdr.hdr[4]
+	rawFrames.Put(hdr)
+	if err != nil {
 		if errors.Is(err, io.ErrUnexpectedEOF) {
 			return 0, nil, ErrTruncated
 		}
 		return 0, nil, err // io.EOF passes through for clean shutdown
 	}
-	n := binary.BigEndian.Uint32(hdr[:4])
 	if n > MaxFrameSize {
 		return 0, nil, ErrFrameTooLarge
 	}
-	msgType = hdr[4]
 	if n == 0 {
 		return msgType, nil, nil
 	}
-	payload = make([]byte, n)
+	payload = takeFrame(int(n))
 	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, nil, ErrTruncated
+		return 0, nil, ErrTruncated // the half-filled buffer is dropped, never pooled
 	}
 	return msgType, payload, nil
+}
+
+// takeFrame returns a buffer of n bytes: recycled from n's size class when
+// one is pooled, else a new one of the class's capacity, or of exactly n
+// bytes above maxPooledFrame.
+func takeFrame(n int) []byte {
+	if n > maxPooledFrame {
+		return make([]byte, n)
+	}
+	c := frameClass(n)
+	if h, _ := frameBufs[c].Get().(*frameBuf); h != nil {
+		b := h.b[:n]
+		h.b = nil
+		emptyBufs.Put(h)
+		return b
+	}
+	return make([]byte, n, 1<<(c+minFrameShift))
+}
+
+// ReleaseFrame gives back a payload ReadFrame returned, once the message in
+// it is decoded, and returns data — the message's Data, a slice of frame, or
+// nil — in memory nobody recycles: out of a recycled frame, an exact copy;
+// out of a frame above maxPooledFrame, data itself, which the caller may
+// keep. Neither frame nor any other slice of it may be used afterwards.
+func ReleaseFrame(frame, data []byte) []byte {
+	c := cap(frame)
+	if c > maxPooledFrame {
+		return data
+	}
+	data = bytes.Clone(data)
+	if c != 1<<(frameClass(c)+minFrameShift) {
+		return data // not a frame buffer: nothing to give back
+	}
+	poison(frame[:c])
+	h, _ := emptyBufs.Get().(*frameBuf)
+	if h == nil {
+		h = new(frameBuf)
+	}
+	h.b = frame[:0]
+	frameBufs[frameClass(c)].Put(h)
+	return data
 }
 
 // Writer serializes fields into a growing buffer. The zero value is ready to

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"math"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -267,9 +268,11 @@ func (c *countingReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// FuzzReadFrame feeds arbitrary bytes to ReadFrame: it must never panic, must
-// refuse an oversized frame having read the header and nothing else, and a
-// frame it accepts must re-encode to exactly the bytes it consumed.
+// FuzzReadFrame feeds arbitrary bytes to ReadFrame, up to four frames back to
+// back from one stream, each payload given back before the next read, as a
+// connection loop does: it must never panic, must refuse an oversized frame
+// having read its header and nothing else, and every frame it accepts must
+// re-encode to exactly the bytes it consumed.
 func FuzzReadFrame(f *testing.F) {
 	var golden bytes.Buffer
 	WriteFrame(&golden, 1, []byte("storage_done")) //nolint:errcheck
@@ -277,23 +280,32 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 2})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 1, 0})
 	f.Add([]byte{0, 0, 0, 9, 1, 'x'})
+	var run bytes.Buffer
+	for _, n := range []int{12, 600, 0, 3000} {
+		WriteFrame(&run, byte(n), bytes.Repeat([]byte{byte(n)}, n)) //nolint:errcheck
+	}
+	f.Add(run.Bytes())
 	f.Fuzz(func(t *testing.T, in []byte) {
 		src := &countingReader{r: bytes.NewReader(in)}
-		msgType, payload, err := ReadFrame(src)
-		if len(in) >= frameHeaderSize && binary.BigEndian.Uint32(in) > MaxFrameSize {
-			if !errors.Is(err, ErrFrameTooLarge) || src.n != frameHeaderSize {
-				t.Fatalf("oversized frame: err %v after %d bytes", err, src.n)
+		for frame := 0; frame < 4; frame++ {
+			at := src.n
+			msgType, payload, err := ReadFrame(src)
+			if rest := in[at:]; len(rest) >= frameHeaderSize && binary.BigEndian.Uint32(rest) > MaxFrameSize {
+				if !errors.Is(err, ErrFrameTooLarge) || src.n-at != frameHeaderSize {
+					t.Fatalf("frame %d oversized: err %v after %d bytes", frame, err, src.n-at)
+				}
 			}
-		}
-		if err != nil {
-			return
-		}
-		var out bytes.Buffer
-		if err := WriteFrame(&out, msgType, payload); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(out.Bytes(), in[:src.n]) {
-			t.Fatalf("re-encoded %x, consumed %x", out.Bytes(), in[:src.n])
+			if err != nil {
+				return
+			}
+			var out bytes.Buffer
+			if err := WriteFrame(&out, msgType, payload); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(out.Bytes(), in[at:src.n]) {
+				t.Fatalf("frame %d re-encoded %x, consumed %x", frame, out.Bytes(), in[at:src.n])
+			}
+			ReleaseFrame(payload, nil)
 		}
 	})
 }
@@ -347,21 +359,138 @@ func TestFrameWriterRefusesOversizedMessage(t *testing.T) {
 	}
 }
 
-// The encode buffer is the connection's, kept between frames — but one huge
-// listing must not stay allocated for the life of the connection, and a
-// written payload must not stay referenced.
+// A FrameWriter keeps no buffer at all between frames: its encode buffer
+// goes back to the shared pool after each write, one that grew past
+// maxPooledFrame is not pooled, and a written payload stays referenced
+// nowhere.
 func TestFrameWriterKeepsNoLargeBuffer(t *testing.T) {
 	fw := NewFrameWriter(io.Discard)
-	if err := fw.WriteMessage(1, fields{before: string(make([]byte, 4*maxKeptEncodeBuffer))}); err != nil {
+	if err := fw.WriteMessage(1, fields{before: string(make([]byte, 4*maxPooledFrame))}); err != nil {
 		t.Fatal(err)
 	}
-	if c := cap(fw.enc.buf); c > maxKeptEncodeBuffer {
-		t.Errorf("kept a %d-byte encode buffer", c)
+	if fw.enc.buf != nil {
+		t.Errorf("kept a %d-byte encode buffer", cap(fw.enc.buf))
+	}
+	for h, _ := encodeBufs.Get().(*frameBuf); h != nil; h, _ = encodeBufs.Get().(*frameBuf) {
+		if cap(h.b) > maxPooledFrame {
+			t.Errorf("pooled a %d-byte encode buffer", cap(h.b))
+		}
 	}
 	if err := fw.WriteMessage(1, fields{payload: []byte("data")}); err != nil {
 		t.Fatal(err)
 	}
-	if fw.enc.payload != nil || fw.vec != nil || fw.arr[0] != nil || fw.arr[1] != nil || fw.arr[2] != nil {
-		t.Error("frame writer still references the payload it wrote")
+	if fw.enc.buf != nil || fw.enc.payload != nil || fw.vec != nil || fw.arr[0] != nil || fw.arr[1] != nil || fw.arr[2] != nil {
+		t.Error("frame writer still references a buffer or the payload it wrote")
+	}
+	if err := fw.WriteMessage(1, fields{payload: make([]byte, MaxFrameSize)}); !errors.Is(err, ErrFrameTooLarge) {
+		t.Fatalf("err = %v", err)
+	}
+	if fw.enc.buf != nil || fw.enc.payload != nil {
+		t.Error("a refused frame left its encode buffer or payload behind")
+	}
+}
+
+// poolsKeep reports whether a sync.Pool hands back what was just put into
+// it. It does, except under the race detector, which drops a quarter of all
+// puts on purpose: there every pooled slot shows up as allocations and a
+// count of them means nothing.
+func poolsKeep() bool {
+	var p sync.Pool
+	for i := 0; i < 64; i++ {
+		x := new(int)
+		p.Put(x)
+		if got, _ := p.Get().(*int); got != x {
+			return false
+		}
+	}
+	return true
+}
+
+// frameOf returns one encoded frame of type 1 whose payload is n bytes of b.
+func frameOf(t testing.TB, n int, b byte) []byte {
+	t.Helper()
+	var out bytes.Buffer
+	if err := WriteFrame(&out, 1, bytes.Repeat([]byte{b}, n)); err != nil {
+		t.Fatal(err)
+	}
+	return out.Bytes()
+}
+
+// After warm-up a frame costs no allocation either way: WriteMessage encodes
+// into a pooled buffer, and a read-and-give-back loop reads into one.
+func TestFramesAllocateNothing(t *testing.T) {
+	if !poolsKeep() {
+		t.Skip("the race detector drops pooled buffers on purpose")
+	}
+	fw := NewFrameWriter(io.Discard)
+	var msg Message = fields{before: string(make([]byte, 4<<10))}
+	if n := testing.AllocsPerRun(100, func() {
+		if err := fw.WriteMessage(1, msg); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("WriteMessage of a 4 KB message: %v allocs", n)
+	}
+	for _, size := range []int{50, 6 << 10} {
+		stream := frameOf(t, size, 7)
+		rd := bytes.NewReader(stream)
+		if n := testing.AllocsPerRun(100, func() {
+			rd.Reset(stream)
+			_, payload, err := ReadFrame(rd)
+			if err != nil || len(payload) != size {
+				t.Fatalf("read %d bytes, err %v", len(payload), err)
+			}
+			ReleaseFrame(payload, nil)
+		}); n != 0 {
+			t.Errorf("reading and giving back a %d-byte frame: %v allocs", size, n)
+		}
+	}
+}
+
+// A recycled buffer that once held a longer frame returns exactly the new
+// frame's bytes, and Data kept out of a frame survives the frame's reuse.
+func TestRecycledFrameHoldsOnlyItsOwnBytes(t *testing.T) {
+	_, long, err := ReadFrame(bytes.NewReader(frameOf(t, 4000, 'L')))
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept := ReleaseFrame(long, long[100:200])
+	_, short, err := ReadFrame(bytes.NewReader(frameOf(t, 2100, 's')))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(short, bytes.Repeat([]byte{'s'}, 2100)) {
+		t.Errorf("a 2100-byte frame read back %d bytes, %q...", len(short), short[:8])
+	}
+	if !bytes.Equal(kept, bytes.Repeat([]byte{'L'}, 100)) {
+		t.Errorf("kept Data changed with its frame's reuse: %q...", kept[:8])
+	}
+	ReleaseFrame(short, nil)
+}
+
+// A frame above maxPooledFrame is read into a buffer of its own, which
+// ReleaseFrame neither copies out of nor pools; and a frame cut short is
+// dropped, never pooled half-filled.
+func TestFramesBeyondThePoolStayOut(t *testing.T) {
+	top := &frameBufs[frameClasses-1]
+	for top.Get() != nil {
+	}
+	_, big, err := ReadFrame(bytes.NewReader(frameOf(t, maxPooledFrame+1, 'B')))
+	if err != nil || cap(big) != maxPooledFrame+1 {
+		t.Fatalf("read a %d-byte buffer, err %v", cap(big), err)
+	}
+	if kept := ReleaseFrame(big, big[1:]); &kept[0] != &big[1] {
+		t.Error("Data out of a frame above the ceiling was copied")
+	}
+	if h, _ := top.Get().(*frameBuf); h != nil {
+		t.Errorf("pooled a %d-byte frame", cap(h.b))
+	}
+
+	cut := frameOf(t, 3000, 'h')
+	if _, _, err := ReadFrame(bytes.NewReader(cut[:2000])); !errors.Is(err, ErrTruncated) {
+		t.Fatalf("err = %v, want truncated", err)
+	}
+	if h, _ := frameBufs[frameClass(3000)].Get().(*frameBuf); h != nil && bytes.Contains(h.b[:cap(h.b)], []byte("hhhh")) {
+		t.Error("a truncated frame's buffer was pooled")
 	}
 }
