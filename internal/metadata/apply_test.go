@@ -22,6 +22,7 @@ type opMix struct {
 	rng   *rand.Rand
 	users []protocol.UserID // created so far
 	pool  []protocol.UserID // created later by the op mix
+	err   error             // what the last step's last op returned
 }
 
 var mixNames = []string{"a", "b", "c", "d", "e", "f"}
@@ -33,7 +34,7 @@ func (d *opMix) name() string { return mixNames[d.rng.Intn(len(mixNames))] }
 // refused fails the test unless err is nil or one of the store's refusals.
 func (d *opMix) refused(op string, err error) {
 	d.t.Helper()
-	if err == nil {
+	if d.err = err; err == nil {
 		return
 	}
 	for _, want := range []error{protocol.ErrNotFound, protocol.ErrExists, protocol.ErrBadRequest, protocol.ErrPermission, protocol.ErrUnavailable} {
@@ -76,6 +77,7 @@ func (d *opMix) node(u protocol.UserID, vol protocol.VolumeID, kind protocol.Nod
 
 func (d *opMix) step() {
 	s, u := d.s, d.user()
+	d.err = nil
 	switch k := d.rng.Intn(100); {
 	case k < 4:
 		if len(d.pool) > 0 {
@@ -310,6 +312,29 @@ func (d *opMix) probe(i int) {
 	}
 }
 
+// requireRefsMatchNodes fails the test unless, for every hash, the content
+// registry counts exactly the live file nodes that hold it across the owner
+// shards.
+func requireRefsMatchNodes(t *testing.T, s *Store, after string) {
+	t.Helper()
+	nodes := map[protocol.Hash]uint64{}
+	for _, sh := range s.shards {
+		for _, nr := range sh.nodes {
+			if nr.kind == protocol.KindFile && !nr.hash.IsZero() {
+				nodes[nr.hash]++
+			}
+		}
+	}
+	if len(s.contents.rows) != len(nodes) {
+		t.Fatalf("after %s: the content registry holds %d hashes, live file nodes %d", after, len(s.contents.rows), len(nodes))
+	}
+	for h, n := range nodes {
+		if refs := s.contents.rows[h].refs(); refs != n {
+			t.Fatalf("after %s: hash %x has %d references, and %d live file nodes hold it", after, h[:4], refs, n)
+		}
+	}
+}
+
 // maxNodeID is the highest node id held by any owner shard.
 func maxNodeID(s *Store) protocol.NodeID {
 	var top protocol.NodeID
@@ -357,6 +382,7 @@ func TestLiveReplayReplicaAgree(t *testing.T) {
 				if i == ops/2 {
 					d.deleteSharedBothWays()
 				}
+				requireRefsMatchNodes(t, s, fmt.Sprintf("op %d", i))
 			}
 
 			s.DrainReplication()
@@ -414,6 +440,7 @@ func TestLiveReplayReplicaAgree(t *testing.T) {
 			d.s = r
 			for i := 0; i < 500; i++ {
 				d.step()
+				requireRefsMatchNodes(t, r, fmt.Sprintf("op %d after the power cut", i))
 			}
 			r.DrainReplication()
 			requireConverged(t, r)

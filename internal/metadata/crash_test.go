@@ -1,10 +1,12 @@
 package metadata
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"path/filepath"
 	"slices"
+	"syscall"
 	"testing"
 
 	"u1/internal/protocol"
@@ -163,6 +165,61 @@ func (f *crashFile) Close() error {
 	return f.File.Close()
 }
 
+// faultFS fails the at-th mutating disk call under a durable store instead of
+// making it — a write with ENOSPC, any other call with EIO — and makes every
+// other call: a disk that refused one call and healed at once.
+type faultFS struct {
+	*vfs.MemFS
+	at, calls int
+}
+
+// do makes call unless it is the at-th mutating call, which fails with errno.
+func (f *faultFS) do(errno syscall.Errno, call func() error) error {
+	if f.calls++; f.calls == f.at {
+		return errno
+	}
+	return call()
+}
+
+func (f *faultFS) fired() bool { return f.at > 0 && f.calls >= f.at }
+
+func (f *faultFS) OpenFile(name string, flag int) (vfs.File, error) {
+	var file vfs.File
+	err := f.do(syscall.EIO, func() (err error) { file, err = f.MemFS.OpenFile(name, flag); return err })
+	if err != nil {
+		return nil, err
+	}
+	return &faultFile{File: file, fs: f}, nil
+}
+
+func (f *faultFS) Rename(oldpath, newpath string) error {
+	return f.do(syscall.EIO, func() error { return f.MemFS.Rename(oldpath, newpath) })
+}
+func (f *faultFS) Remove(name string) error {
+	return f.do(syscall.EIO, func() error { return f.MemFS.Remove(name) })
+}
+func (f *faultFS) Truncate(name string, size int64) error {
+	return f.do(syscall.EIO, func() error { return f.MemFS.Truncate(name, size) })
+}
+func (f *faultFS) MkdirAll(dir string) error {
+	return f.do(syscall.EIO, func() error { return f.MemFS.MkdirAll(dir) })
+}
+func (f *faultFS) SyncDir(dir string) error {
+	return f.do(syscall.EIO, func() error { return f.MemFS.SyncDir(dir) })
+}
+
+// faultFile is a file opened through a faultFS.
+type faultFile struct {
+	vfs.File
+	fs *faultFS
+}
+
+func (w *faultFile) Write(p []byte) (n int, err error) {
+	err = w.fs.do(syscall.ENOSPC, func() (err error) { n, err = w.File.Write(p); return err })
+	return n, err
+}
+func (w *faultFile) Sync() error { return w.fs.do(syscall.EIO, w.File.Sync) }
+
 // crashOps is the enumerated op sequence: crashUsers CreateUser calls, then
 // opMix steps, crashOps in all.
 const (
@@ -176,9 +233,9 @@ func crashCfg(policy wal.Policy, fsys vfs.FS) Config {
 	return Config{Shards: 4, SnapshotEvery: 16, FsyncPolicy: policy, Durability: storeRoot, FS: fsys}
 }
 
-// runCrashOps runs the enumerated ops on s, calling done after each, until
-// done reports true.
-func runCrashOps(t *testing.T, s *Store, done func(i int) bool) {
+// runCrashOps runs the enumerated ops on s, calling done after each with the
+// op mix, until done reports true.
+func runCrashOps(t *testing.T, s *Store, done func(i int, d *opMix) bool) {
 	d := &opMix{t: t, s: s, rng: rand.New(rand.NewSource(41))}
 	for u := protocol.UserID(crashUsers + 1); u <= crashUsers+4; u++ {
 		d.pool = append(d.pool, u)
@@ -186,14 +243,15 @@ func runCrashOps(t *testing.T, s *Store, done func(i int) bool) {
 	for i := 0; i < crashOps; i++ {
 		if i < crashUsers {
 			u := protocol.UserID(i + 1)
-			if _, err := s.CreateUser(u); err != nil {
-				t.Fatal(err)
+			// Only a fenced shard refuses a new user (TestDiskFaultEnumeration).
+			if _, d.err = s.CreateUser(u); d.err != nil && !errors.Is(d.err, protocol.ErrUnavailable) {
+				t.Fatal(d.err)
 			}
 			d.users = append(d.users, u)
 		} else {
 			d.step()
 		}
-		if done(i) {
+		if done(i, d) {
 			return
 		}
 	}
@@ -220,13 +278,7 @@ func TestCrashPointEnumeration(t *testing.T) {
 	segmentBytes = 512 // a segment roll every few records
 	defer func() { segmentBytes = 0 }()
 
-	ref := [][]string{fingerprints(New(Config{Shards: 4}))}
-	mem := New(Config{Shards: 4})
-	runCrashOps(t, mem, func(int) bool {
-		ref = append(ref, fingerprints(mem))
-		return false
-	})
-
+	ref := crashReference(t)
 	for _, policy := range []wal.Policy{wal.FsyncPerOp, wal.FsyncGroupCommit, wal.FsyncAsync} {
 		for _, variant := range []string{"plain", "torn", "early"} {
 			t.Run(fmt.Sprintf("%v/%s", policy, variant), func(t *testing.T) {
@@ -248,7 +300,7 @@ func TestCrashPointEnumeration(t *testing.T) {
 					}
 					acked, inFlight := 0, !c.crashed
 					if !c.crashed {
-						runCrashOps(t, s, func(i int) bool {
+						runCrashOps(t, s, func(i int, _ *opMix) bool {
 							lsns = append(lsns, journalCounts(s))
 							acked = i
 							return c.crashed
@@ -299,6 +351,141 @@ func TestCrashPointEnumeration(t *testing.T) {
 			})
 		}
 	}
+}
+
+// crashReference is the enumerated ops' reference run on an in-memory store:
+// ref[p] fingerprints its shards after the first p ops.
+func crashReference(t *testing.T) [][]string {
+	ref := [][]string{fingerprints(New(Config{Shards: 4}))}
+	mem := New(Config{Shards: 4})
+	runCrashOps(t, mem, func(int, *opMix) bool {
+		ref = append(ref, fingerprints(mem))
+		return false
+	})
+	return ref
+}
+
+// TestDiskFaultEnumeration fails each mutating disk call of the crash
+// enumeration's op sequence in turn — a write with ENOSPC, any other call
+// with EIO — on a disk that heals at once, under every fsync policy, and
+// checks the fence that failure puts up:
+//
+//   - the op whose commit met the failure is refused, never acknowledged;
+//   - the failed shard, and only it, is fenced: it refuses every mutation
+//     with protocol.ErrUnavailable, keeps serving reads, and nothing moves;
+//   - after RecoverShard every shard equals the in-memory reference after
+//     the acknowledged ops, or after them plus the refused one, and the
+//     recovered shard takes writes again.
+//
+// A failure inside Open refuses the open, and the healed disk then opens
+// empty.
+func TestDiskFaultEnumeration(t *testing.T) {
+	segmentBytes = 512 // a segment roll every few records
+	defer func() { segmentBytes = 0 }()
+
+	ref := crashReference(t)
+	for _, policy := range []wal.Policy{wal.FsyncPerOp, wal.FsyncGroupCommit, wal.FsyncAsync} {
+		t.Run(policy.String(), func(t *testing.T) {
+			opens, commits := 0, 0
+			for at := 1; ; at++ {
+				f := &faultFS{MemFS: vfs.NewMemFS(), at: at}
+				s, err := Open(crashCfg(policy, f))
+				if err != nil {
+					if !f.fired() {
+						t.Fatal(err)
+					}
+					opens++
+					if got := fingerprints(openDurable(t, f, crashCfg(policy, f))); !slices.Equal(got, ref[0]) {
+						t.Fatalf("call %d failed in Open: the healed disk opened as %v", at, got)
+					}
+					continue
+				}
+				failedAt, fenced := -1, -1
+				runCrashOps(t, s, func(i int, d *opMix) bool {
+					if !f.fired() {
+						return false
+					}
+					failedAt = i
+					if !errors.Is(d.err, protocol.ErrUnavailable) {
+						t.Fatalf("call %d failed in op %d, which returned %v: acknowledged over a refused disk call", at, i, d.err)
+					}
+					fenced = requireFenced(t, s, d, fmt.Sprintf("call %d failed in op %d", at, i))
+					return true
+				})
+				if failedAt < 0 {
+					break // at is past the last mutating call
+				}
+				commits++
+				if err := s.RecoverShard(fenced); err != nil {
+					t.Fatalf("call %d: RecoverShard(%d): %v", at, fenced, err)
+				}
+				for i, fp := range fingerprints(s) {
+					if fp != ref[failedAt][i] && fp != ref[failedAt+1][i] {
+						t.Fatalf("call %d failed in op %d: shard %d recovered a state neither before nor after it", at, failedAt, i)
+					}
+				}
+				if _, err := s.CreateUser(freshUser(s, fenced)); err != nil {
+					t.Fatalf("call %d: shard %d refuses writes after recovery: %v", at, fenced, err)
+				}
+			}
+			t.Logf("%d disk calls failed in turn: %d in Open, %d in a commit", opens+commits, opens, commits)
+		})
+	}
+}
+
+// requireFenced fails the test unless exactly one shard of s is fenced, and
+// it refuses a fresh user and, for each of d's users it holds, a new file and
+// a new UDF, with protocol.ErrUnavailable, without any shard moving. It
+// returns the fenced shard.
+func requireFenced(t *testing.T, s *Store, d *opMix, what string) int {
+	t.Helper()
+	fenced := -1
+	for i, dsh := range s.dur.shards {
+		if dsh.fenced != nil {
+			if fenced >= 0 {
+				t.Fatalf("%s: shards %d and %d are both fenced", what, fenced, i)
+			}
+			fenced = i
+		}
+	}
+	if fenced < 0 {
+		t.Fatalf("%s: no shard is fenced", what)
+	}
+	before := fingerprints(s)
+	refused := func(op string, err error) {
+		if !errors.Is(err, protocol.ErrUnavailable) {
+			t.Fatalf("%s: %s on fenced shard %d returned %v, want ErrUnavailable", what, op, fenced, err)
+		}
+	}
+	_, err := s.CreateUser(freshUser(s, fenced))
+	refused("CreateUser", err)
+	for _, u := range d.users {
+		if s.ShardFor(u) != fenced {
+			continue
+		}
+		root, err := s.CreateUser(u) // a read, unless u's creation was refused
+		if err != nil {
+			refused("CreateUser", err)
+			continue
+		}
+		_, err = s.MakeFile(u, root.ID, 0, "fenced")
+		refused("MakeFile", err)
+		_, err = s.CreateUDF(u, "~/fenced")
+		refused("CreateUDF", err)
+	}
+	if after := fingerprints(s); !slices.Equal(before, after) {
+		t.Fatalf("%s: refused writes on fenced shard %d moved the store:\n  before %v\n  after  %v", what, fenced, before, after)
+	}
+	return fenced
+}
+
+// freshUser is a user id s has never seen that lives on shard i.
+func freshUser(s *Store, i int) protocol.UserID {
+	u := protocol.UserID(1000)
+	for s.ShardFor(u) != i || s.shards[i].users[u] != nil {
+		u++
+	}
+	return u
 }
 
 // journalCounts is how many records each shard of s has journaled.

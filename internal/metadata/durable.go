@@ -21,15 +21,17 @@ import (
 // snapshot-and-replay recovery. The journal record is the mutation: every op
 // decides its outcome under the shard write lock, fills a journalRecord with
 // the *resulting* state — assigned identifiers, generations, removed
-// subtrees — and hands it to commit, which runs the shard's one apply, then
-// encodes the record once (codec.go) and journals and publishes those same
-// bytes. Replay and replica application decode them and run that apply too,
-// so a crashed shard rebuilt from its latest snapshot plus the journal suffix
-// is the shard live traffic built, by construction. The recovery invariant
-// this file exists to uphold (and the shard-crash chaos catalog entry
-// enforces):
+// subtrees — and hands it to commit, which encodes the record once
+// (codec.go), journals and publishes those same bytes, and only then runs the
+// shard's one apply. Replay and replica application decode them and run that
+// apply too, so a crashed shard rebuilt from its latest snapshot plus the
+// journal suffix is the shard live traffic built, by construction. The
+// recovery invariant this file exists to uphold (and the shard-crash chaos
+// catalog entry enforces):
 //
-//   - every acknowledged write survives a crash-restart, and
+//   - every acknowledged write survives a crash-restart,
+//   - no refused write is acknowledged: a disk call failing on a commit's
+//     behalf refuses that op and fences its shard until recovery (fence), and
 //   - no unacknowledged write is double-applied: a record torn by the crash
 //     fails its CRC and is dropped on replay (see package wal), and a record
 //     is only ever replayed once (the snapshot's LSN fences the suffix).
@@ -52,11 +54,11 @@ const DefaultSnapshotEvery = 4096
 
 // durMetrics holds the wal.* instrumentation of the durable tier.
 type durMetrics struct {
-	appends    *metrics.Counter
-	snapshots  *metrics.Counter
-	replayed   *metrics.Counter
-	tornBytes  *metrics.Counter
-	journalErr *metrics.Counter
+	appends   *metrics.Counter
+	snapshots *metrics.Counter
+	replayed  *metrics.Counter
+	tornBytes *metrics.Counter
+	fences    *metrics.Counter // wal.errors
 }
 
 // segmentBytes is the journal segment size (0: wal's default); the crash
@@ -81,7 +83,8 @@ type durableShard struct {
 	journal *wal.Log
 	dir     string
 	lastLSN uint64
-	records int // journal appends since the last snapshot
+	records int   // journal appends since the last snapshot
+	fenced  error // a commit's failed disk call; cleared by loadShard
 	// scratch encodes the record of a store that journals without
 	// replicating (a replicating store encodes onto its replication log).
 	scratch wire.Writer
@@ -120,11 +123,11 @@ func (s *Store) openDurability(cfg Config, reg *metrics.Registry) error {
 		snapshotEvery: cfg.SnapshotEvery,
 		shards:        make([]*durableShard, len(s.shards)),
 		m: durMetrics{
-			appends:    reg.Counter(metrics.WALAppends),
-			snapshots:  reg.Counter(metrics.WALSnapshots),
-			replayed:   reg.Counter(metrics.WALReplayed),
-			tornBytes:  reg.Counter(metrics.WALTornBytesDropped),
-			journalErr: reg.Counter(metrics.WALErrors),
+			appends:   reg.Counter(metrics.WALAppends),
+			snapshots: reg.Counter(metrics.WALSnapshots),
+			replayed:  reg.Counter(metrics.WALReplayed),
+			tornBytes: reg.Counter(metrics.WALTornBytesDropped),
+			fences:    reg.Counter(metrics.WALErrors),
 		},
 	}
 	if d.snapshotEvery == 0 {
@@ -167,11 +170,7 @@ func (s *Store) loadShard(i int) error {
 		return fmt.Errorf("metadata: reading snapshot %s: %w", snapPath, err)
 	}
 
-	// Open first: it cuts any torn tail, so replay only sees intact frames.
-	journal, err := wal.Open(walDir, wal.Options{Policy: s.dur.policy, SegmentBytes: segmentBytes, FS: fsys})
-	if err != nil {
-		return err
-	}
+	// Replay first: it counts the torn tail Open then cuts.
 	var rec journalRecord
 	last, dropped, err := wal.Replay(fsys, walDir, func(lsn uint64, payload []byte) error {
 		if len(payload) > 0 && payload[0] == '{' {
@@ -188,77 +187,93 @@ func (s *Store) loadShard(i int) error {
 		return nil
 	})
 	if err != nil {
-		journal.Close() //nolint:errcheck
+		return err
+	}
+	journal, err := wal.Open(walDir, wal.Options{Policy: s.dur.policy, SegmentBytes: segmentBytes, FS: fsys})
+	if err != nil {
 		return err
 	}
 	s.dur.m.tornBytes.Add(uint64(dropped))
-	dsh.journal = journal
-	dsh.lastLSN = last
-	dsh.records = 0
+	dsh.journal, dsh.lastLSN, dsh.records, dsh.fenced = journal, last, 0, nil
 	return nil
 }
 
-// commit is the last step of every mutating op: it applies rec to sh, counts
-// any delta-log trim, and journals and publishes the same record. It runs
-// under sh's write lock and is journal's only caller, so every record is
-// journaled under the lock that applied it and journal order, publish order
-// and apply order are one order. An in-memory single-region store has no
-// sink for the record and encodes nothing.
-func (s *Store) commit(sh *shard, rec journalRecord) {
+// commit is the last step of every mutating op, under sh's write lock: it
+// encodes rec once for sh's journal (on disk per the fsync policy) and the
+// tail of sh's replication log (where the peer regions read it), then applies
+// rec to sh, counting any delta-log trim, and takes a snapshot when one is
+// due. So journal, publish and apply order are one order, and a snapshot
+// never claims an LSN whose record it lacks. An error refuses the op and
+// fences sh; a record the journal refused reaches neither sink nor sh. An
+// in-memory single-region store encodes nothing.
+func (s *Store) commit(sh *shard, rec journalRecord) error {
+	var dsh *durableShard
+	var journal *wal.Log
+	if s.dur != nil {
+		if dsh = s.dur.shards[sh.id]; dsh.fenced != nil {
+			return dsh.fenced
+		}
+		journal = dsh.journal
+	}
+	var lsn uint64
+	var err error
+	if s.repl != nil {
+		lsn, err = s.repl.logs[sh.id].append(&rec, journal)
+	} else if dsh != nil {
+		dsh.scratch.Reset()
+		encodeRecord(&dsh.scratch, &rec)
+		lsn, err = journal.Append(dsh.scratch.Bytes())
+	}
+	if err != nil {
+		return s.fence(sh.id, err)
+	}
+	if s.repl != nil {
+		s.repl.m.published.Inc()
+	}
 	if trims := sh.apply(&rec); trims > 0 {
 		s.m.logTrimmed.Add(uint64(trims))
 	}
-	if s.dur != nil || s.repl != nil {
-		s.journal(sh, &rec)
-	}
-}
-
-// journal encodes one committed record once and hands those bytes to both
-// sinks: the tail of sh's replication log and sh's journal. Both hold the
-// record before the operation acknowledges: the journal on disk per the
-// fsync policy, the log where the peer regions read it, so a region that
-// dies after acknowledging has lost nothing its peers cannot apply. Journal
-// failures are counted, not fatal: the simulated store prefers availability,
-// and the wal.errors counter makes the breach visible.
-func (s *Store) journal(sh *shard, rec *journalRecord) {
-	var payload []byte
-	if s.repl != nil {
-		payload = s.repl.logs[sh.id].append(rec)
-		s.repl.m.published.Inc()
-	}
-	if s.dur == nil {
-		return
-	}
-	dsh := s.dur.shards[sh.id]
-	if payload == nil {
-		dsh.scratch.Reset()
-		encodeRecord(&dsh.scratch, rec)
-		payload = dsh.scratch.Bytes()
-	}
-	lsn, err := dsh.journal.Append(payload)
-	if err != nil {
-		s.dur.m.journalErr.Inc()
-		return
+	if dsh == nil {
+		return nil
 	}
 	s.dur.m.appends.Inc()
-	dsh.lastLSN = lsn
-	dsh.records++
-	if dsh.records >= s.dur.snapshotEvery {
-		s.snapshotShardLocked(sh)
+	if dsh.lastLSN, dsh.records = lsn, dsh.records+1; dsh.records >= s.dur.snapshotEvery {
+		return s.snapshotShardLocked(sh)
 	}
+	return nil
+}
+
+// fence makes shard i refuse every mutation, reads still served, with an
+// error wrapping protocol.ErrUnavailable and the failed disk call's err until
+// RecoverShard or a restart reloads it from disk — PostgreSQL's rule since
+// 2018: after a failed fsync, recover from the WAL rather than retry. It
+// counts the fence in wal.errors.
+func (s *Store) fence(i int, err error) error {
+	dsh := s.dur.shards[i]
+	dsh.fenced = fmt.Errorf("%w: metadata shard %d is fenced until recovery: %w", protocol.ErrUnavailable, i, err)
+	s.dur.m.fences.Inc()
+	return dsh.fenced
 }
 
 // snapshotShardLocked writes sh's state as the new snapshot and releases the
-// journal segments it covers. Runs under sh's write lock. The order is what
-// keeps an acknowledged write on disk through a power cut at any step: the
-// tmp file is written and synced, renamed over the old snapshot, the rename
-// made durable by syncing the shard directory, and only then is the covered
-// journal truncated.
-func (s *Store) snapshotShardLocked(sh *shard) {
+// journal segments it covers; a failed step fences sh, and a fenced shard
+// takes no snapshot. Runs under sh's write lock. The order keeps an
+// acknowledged write on disk through a power cut at any step: the journal is
+// synced (one behind its snapshot would reissue the LSNs the snapshot
+// claims), the tmp file written and synced, renamed over the old snapshot,
+// the rename made durable by syncing the shard directory, and only then is
+// the covered journal truncated.
+func (s *Store) snapshotShardLocked(sh *shard) error {
 	dsh, fsys := s.dur.shards[sh.id], s.dur.fsys
+	if dsh.fenced != nil {
+		return dsh.fenced
+	}
 	tmp := filepath.Join(dsh.dir, snapshotFile+".tmp")
 	final := filepath.Join(dsh.dir, snapshotFile)
-	err := writeSnapshotFile(fsys, tmp, sh, dsh.lastLSN)
+	err := dsh.journal.Sync()
+	if err == nil {
+		err = writeSnapshotFile(fsys, tmp, sh, dsh.lastLSN)
+	}
 	if err == nil {
 		err = fsys.Rename(tmp, final)
 	}
@@ -269,11 +284,11 @@ func (s *Store) snapshotShardLocked(sh *shard) {
 		err = dsh.journal.TruncateThrough(dsh.lastLSN)
 	}
 	if err != nil {
-		s.dur.m.journalErr.Inc()
-		return
+		return s.fence(sh.id, err)
 	}
 	dsh.records = 0
 	s.dur.m.snapshots.Inc()
+	return nil
 }
 
 // writeSnapshotFile streams sh's snapshot at lsn into a new file at path
@@ -291,30 +306,25 @@ func writeSnapshotFile(fsys vfs.FS, path string, sh *shard, lsn uint64) error {
 	if err == nil {
 		err = f.Sync()
 	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
+	return errors.Join(err, f.Close())
 }
 
 // Close flushes the durable tier: every shard is snapshotted and its journal
-// synced and closed. In-memory stores return nil immediately. The store must
-// not be used after Close.
+// synced and closed. It returns every fence; a fenced shard's journal, not a
+// snapshot, is what recovery reads. In-memory stores return nil immediately.
+// The store must not be used after Close.
 func (s *Store) Close() error {
 	if s.dur == nil {
 		return nil
 	}
-	var firstErr error
+	var errs []error
 	for _, sh := range s.shards {
 		// The final snapshot is maintenance, not client load.
 		sh.LockUncounted()
-		s.snapshotShardLocked(sh)
-		if err := s.dur.shards[sh.id].journal.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
+		errs = append(errs, s.snapshotShardLocked(sh), s.dur.shards[sh.id].journal.Close())
 		sh.UnlockUncounted()
 	}
-	return firstErr
+	return errors.Join(errs...)
 }
 
 // SyncCost reports whether the store journals its mutations and, if it does,
@@ -353,18 +363,21 @@ func (s *Store) CrashShard(i int) {
 	sh.UnlockUncounted()
 }
 
-// RecoverShard reopens shard i from its snapshot plus journal suffix — the
-// restart half of the crash drill — and recomputes the store's derived state
-// (volume directory, content reference counts, ID allocators) from all
-// shards. On a replicated store it then rewinds every peer's replica of
-// shard i to the recovered owner (rewindReplicas). Requires durability;
-// returns an error otherwise.
+// RecoverShard is the whole restart of shard i: it drops the shard's state
+// and journal handle as CrashShard does (a no-op after one), reopens it from
+// its snapshot plus journal suffix, which lifts a fence, and recomputes the
+// store's derived state (volume directory, content reference counts, ID
+// allocators) from all shards. On a replicated store it then rewinds every
+// peer's replica of shard i to the recovered owner (rewindReplicas). Requires
+// durability; returns an error otherwise.
 func (s *Store) RecoverShard(i int) error {
 	if s.dur == nil {
 		return fmt.Errorf("metadata: shard recovery requires a durable store")
 	}
 	sh := s.shards[i]
 	sh.LockUncounted()
+	sh.reset()
+	s.dur.shards[i].journal.Crash()
 	err := s.loadShard(i)
 	sh.UnlockUncounted()
 	if err != nil {

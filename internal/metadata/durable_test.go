@@ -1,7 +1,11 @@
 package metadata
 
 import (
+	"errors"
+	"fmt"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
 	"u1/internal/protocol"
@@ -174,6 +178,78 @@ func TestCrashShardRecovers(t *testing.T) {
 	}
 }
 
+// TestRecoverShardAloneRestartsFencedShard: RecoverShard is the whole
+// restart. A shard fenced by a failed disk call, never crashed, refuses
+// writes and keeps serving reads; RecoverShard alone drops it and reloads it
+// from disk rather than replaying the journal onto live state. The async
+// journal's unsynced records go with the dirty pages a failed disk may drop
+// (a power cut on the MemFS), so live state is ahead of the disk here: after
+// recovery the shard must equal a fresh Open of that disk, and take writes.
+// A fenced store's Close returns the fence.
+func TestRecoverShardAloneRestartsFencedShard(t *testing.T) {
+	f := &faultFS{MemFS: vfs.NewMemFS()}
+	cfg := Config{SnapshotEvery: 4, FsyncPolicy: wal.FsyncAsync}
+	s := openDurable(t, f, cfg)
+	vol := populate(t, s)
+	i := s.ShardFor(1)
+	// Journal past the last snapshot: the records the power cut below loses.
+	for n := 0; s.dur.shards[i].records == 0; n++ {
+		if _, err := s.MakeFile(1, vol, 0, fmt.Sprintf("unsynced-%d", n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f.at = f.calls + 1 // the next mutating disk call fails
+	for _, name := range []string{"refused.txt", "while-fenced.txt"} {
+		if _, err := s.MakeFile(1, vol, 0, name); !errors.Is(err, protocol.ErrUnavailable) {
+			t.Fatalf("MakeFile(%q) on a fenced shard: %v, want ErrUnavailable", name, err)
+		}
+	}
+	if _, err := s.GetVolume(1, vol); err != nil {
+		t.Fatalf("GetVolume on a fenced shard: %v", err)
+	}
+	f.Crash()
+	if err := s.RecoverShard(i); err != nil {
+		t.Fatalf("RecoverShard(%d) of a fenced shard: %v", i, err)
+	}
+	if got, want := s.ShardFingerprint(i), openDurable(t, f.MemFS, cfg).ShardFingerprint(i); got != want {
+		t.Fatalf("RecoverShard(%d) alone diverged from a fresh Open of its disk:\n  recovered %s\n  fresh     %s", i, got, want)
+	}
+	if _, err := s.CreateUDF(1, "~/after-recovery"); err != nil {
+		t.Fatalf("CreateUDF after recovery: %v", err)
+	}
+
+	f = &faultFS{MemFS: vfs.NewMemFS()}
+	s = openDurable(t, f, cfg)
+	f.at = f.calls + 1
+	if _, err := s.CreateUser(1); !errors.Is(err, protocol.ErrUnavailable) {
+		t.Fatalf("CreateUser over a failed write: %v, want ErrUnavailable", err)
+	}
+	if err := s.Close(); !errors.Is(err, protocol.ErrUnavailable) {
+		t.Fatalf("Close of a fenced store: %v, want its fence", err)
+	}
+}
+
+// TestRefusedRecordNeverReplicates: a record its journal refuses is cut back
+// off the owner's replication log, so no peer applies a record its owner did
+// not keep, and after a drain every replica of the fenced shard still equals
+// its owner.
+func TestRefusedRecordNeverReplicates(t *testing.T) {
+	f := &faultFS{MemFS: vfs.NewMemFS()}
+	s := openDurable(t, f, Config{Regions: 2, FsyncPolicy: wal.FsyncPerOp})
+	vol := populate(t, s)
+	f.at = f.calls + 1 // the next mutating disk call fails
+	if _, err := s.MakeFile(1, vol, 0, "refused.txt"); !errors.Is(err, protocol.ErrUnavailable) {
+		t.Fatalf("MakeFile over a failed write: %v, want ErrUnavailable", err)
+	}
+	s.DrainReplication()
+	i := s.ShardFor(1)
+	for region := 0; region < s.Regions(); region++ {
+		if got, want := s.ReplicaFingerprint(region, i), s.ShardFingerprint(i); got != want {
+			t.Fatalf("region %d's replica of fenced shard %d diverged from its owner:\n  replica %s\n  owner   %s", region, i, got, want)
+		}
+	}
+}
+
 // TestSnapshotCadenceAndTruncation verifies a small SnapshotEvery produces
 // snapshots, releases journal segments, and still recovers exactly.
 func TestSnapshotCadenceAndTruncation(t *testing.T) {
@@ -225,6 +301,9 @@ func TestRecoverTornJournalTail(t *testing.T) {
 	if err := s.RecoverShard(0); err != nil {
 		t.Fatalf("RecoverShard with torn tail: %v", err)
 	}
+	if s.dur.m.tornBytes.Value() == 0 {
+		t.Error("the torn tail was not counted in wal.torn_bytes_dropped")
+	}
 	// All but the torn final mutation must be present.
 	nodes, _, err := s.GetFromScratch(1, root.ID)
 	if err != nil {
@@ -238,6 +317,84 @@ func TestRecoverTornJournalTail(t *testing.T) {
 		t.Errorf("MakeFile after torn-tail recovery: %v", err)
 	}
 	s.Close() //nolint:errcheck
+}
+
+// TestJournalNeverBehindSnapshot: a snapshot syncs the journal first, so a
+// power cut that takes an async journal's unsynced tail never leaves the
+// journal behind the snapshot. If it did, the recovered journal would reissue
+// LSNs the snapshot claims, and the next recovery would skip the records
+// written under them: here a plain process crash would lose them.
+func TestJournalNeverBehindSnapshot(t *testing.T) {
+	fsys := vfs.NewMemFS()
+	s := openDurable(t, fsys, Config{Shards: 1, SnapshotEvery: 4, FsyncPolicy: wal.FsyncAsync})
+	root, err := s.CreateUser(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		if _, err := s.MakeFile(1, root.ID, 0, fmt.Sprintf("before-%d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.CrashShard(0)
+	fsys.Crash()
+	if err := s.RecoverShard(0); err != nil {
+		t.Fatalf("RecoverShard after the power cut: %v", err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := s.MakeFile(1, root.ID, 0, fmt.Sprintf("after-%d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := s.ShardFingerprint(0)
+	s.CrashShard(0)
+	if err := s.RecoverShard(0); err != nil {
+		t.Fatalf("RecoverShard after the process crash: %v", err)
+	}
+	if after := s.ShardFingerprint(0); after != before {
+		t.Fatalf("a process crash lost acknowledged writes:\n  before %s\n  after  %s", before, after)
+	}
+}
+
+// TestDamagedJournalRefused: a bit flip in a journal segment before the last
+// is not a torn tail — those records were synced and acknowledged — so
+// RecoverShard and a fresh Open both refuse the store with an error naming
+// that segment's file, and nothing is truncated away.
+func TestDamagedJournalRefused(t *testing.T) {
+	segmentBytes = 256 // several segments from populate alone
+	defer func() { segmentBytes = 0 }()
+	fsys := vfs.NewMemFS()
+	cfg := Config{Shards: 1, FsyncPolicy: wal.FsyncPerOp}
+	s := openDurable(t, fsys, cfg)
+	populate(t, s)
+	s.CrashShard(0)
+	names, err := fsys.ReadDir(s.ShardWALDir(0))
+	if err != nil || len(names) < 3 {
+		t.Fatalf("journal segments %v (%v): want at least 3", names, err)
+	}
+	path := filepath.Join(s.ShardWALDir(0), names[1])
+	data, err := fsys.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2] ^= 0x40
+	f, err := fsys.OpenFile(path, vfs.CreateTrunc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(data); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.RecoverShard(0); err == nil || !strings.Contains(err.Error(), path) {
+		t.Fatalf("RecoverShard over a damaged segment: %v, want an error naming %s", err, path)
+	}
+	cfg.FS, cfg.Durability = fsys, storeRoot
+	if _, err := Open(cfg); err == nil || !strings.Contains(err.Error(), path) {
+		t.Fatalf("Open over a damaged segment: %v, want an error naming %s", err, path)
+	}
+	if after, _ := fsys.ReadDir(s.ShardWALDir(0)); !slices.Equal(after, names) {
+		t.Fatalf("refusing the store changed its journal: %v, was %v", after, names)
+	}
 }
 
 // TestInMemoryStoreUnchanged pins that the zero-config store has no durable

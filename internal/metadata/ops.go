@@ -27,17 +27,19 @@ func (s *Store) CreateUser(user protocol.UserID) (protocol.VolumeInfo, error) {
 	if err := s.writeGuard(user); err != nil {
 		return protocol.VolumeInfo{}, err
 	}
-	return s.createVolume(sh, recCreateUser, user, protocol.VolumeRoot, "~/Ubuntu One"), nil
+	return s.createVolume(sh, recCreateUser, user, protocol.VolumeRoot, "~/Ubuntu One")
 }
 
 // createVolume commits a new volume plus its root directory — a user's root
 // volume (recCreateUser, which also creates the user row) or a UDF — in sh,
 // which must be write-locked.
-func (s *Store) createVolume(sh *shard, kind recKind, owner protocol.UserID, typ protocol.VolumeType, path string) protocol.VolumeInfo {
+func (s *Store) createVolume(sh *shard, kind recKind, owner protocol.UserID, typ protocol.VolumeType, path string) (protocol.VolumeInfo, error) {
 	info := protocol.VolumeInfo{ID: s.allocVolume(), Type: typ, Path: path, Owner: owner}
-	s.commit(sh, journalRecord{Kind: kind, User: owner, Volume: info, Root: s.allocNode()})
+	if err := s.commit(sh, journalRecord{Kind: kind, User: owner, Volume: info, Root: s.allocNode()}); err != nil {
+		return protocol.VolumeInfo{}, err
+	}
 	s.volumeDir.store(info.ID, owner)
-	return info
+	return info, nil
 }
 
 // ownerOf resolves the owner of a volume through the volume directory.
@@ -162,7 +164,7 @@ func (s *Store) CreateUDF(user protocol.UserID, path string) (protocol.VolumeInf
 			return protocol.VolumeInfo{}, fmt.Errorf("%w: UDF %q", protocol.ErrExists, path)
 		}
 	}
-	return s.createVolume(sh, recCreateUDF, user, protocol.VolumeUDF, path), nil
+	return s.createVolume(sh, recCreateUDF, user, protocol.VolumeUDF, path)
 }
 
 // GetVolume returns a volume's metadata (dal.get_volume_id).
@@ -215,8 +217,11 @@ func (s *Store) DeleteVolume(user protocol.UserID, vol protocol.VolumeID) (remov
 		removed = append(removed, sh.nodes[nodeID].info(nodeID))
 	}
 	grantees := maps.Clone(vr.grants)
-	s.commit(sh, journalRecord{Kind: recDeleteVolume, User: user, VolID: vol})
+	err = s.commit(sh, journalRecord{Kind: recDeleteVolume, User: user, VolID: vol})
 	sh.Unlock(lockedAt)
+	if err != nil {
+		return nil, nil, err
+	}
 	s.volumeDir.delete(vol)
 
 	// Eagerly tombstone every revoked grant in the peer regions: a grantee
@@ -241,8 +246,11 @@ func (s *Store) DeleteVolume(user protocol.UserID, vol protocol.VolumeID) (remov
 			continue // the delete_volume record already dropped it
 		}
 		gLockedAt := gsh.Lock()
-		s.commit(gsh, journalRecord{Kind: recDropShare, Share: protocol.ShareInfo{ID: shareID, SharedTo: grantee}})
+		err := s.commit(gsh, journalRecord{Kind: recDropShare, Share: protocol.ShareInfo{ID: shareID, SharedTo: grantee}})
 		gsh.Unlock(gLockedAt)
+		if err != nil {
+			return nil, nil, err // a fenced grantee shard: recovery rebuilds the references
+		}
 	}
 
 	// Release content references outside any shard lock.
@@ -301,7 +309,9 @@ func (s *Store) makeNode(user protocol.UserID, vol protocol.VolumeID, parent pro
 		ID: s.allocNode(), Volume: vol, Parent: parent, Kind: kind, Name: name,
 		Generation: vr.info.Generation + 1,
 	}
-	s.commit(sh, journalRecord{Kind: recMakeNode, Node: info})
+	if err := s.commit(sh, journalRecord{Kind: recMakeNode, Node: info}); err != nil {
+		return protocol.NodeInfo{}, err
+	}
 	return info, nil
 }
 
@@ -356,8 +366,11 @@ func (s *Store) MakeContent(user protocol.UserID, vol protocol.VolumeID, node pr
 	wasUpdate = !oldHash.IsZero() && (oldHash != h || nr.size != size)
 	info = nr.info(node)
 	info.Hash, info.Size, info.Generation = h, size, vr.info.Generation+1
-	s.commit(sh, journalRecord{Kind: recMakeContent, Node: info})
+	err = s.commit(sh, journalRecord{Kind: recMakeContent, Node: info})
 	sh.Unlock(lockedAt)
+	if err != nil {
+		return protocol.NodeInfo{}, nil, false, err
+	}
 
 	s.contents.addRef(h, size)
 	if !oldHash.IsZero() && oldHash != h {
@@ -467,8 +480,11 @@ func (s *Store) Unlink(user protocol.UserID, vol protocol.VolumeID, node protoco
 		info.Generation = gen
 		removed = append(removed, info)
 	}
-	s.commit(sh, journalRecord{Kind: recUnlink, VolID: vol, Gen: gen, Removed: removed})
+	err = s.commit(sh, journalRecord{Kind: recUnlink, VolID: vol, Gen: gen, Removed: removed})
 	sh.Unlock(lockedAt)
+	if err != nil {
+		return nil, 0, nil, err
+	}
 
 	for _, n := range removed {
 		if n.Kind == protocol.KindFile && !n.Hash.IsZero() {
@@ -533,7 +549,9 @@ func (s *Store) Move(user protocol.UserID, vol protocol.VolumeID, node, newParen
 	}
 	info := nr.info(node)
 	info.Parent, info.Name, info.Generation = newParent, newName, vr.info.Generation+1
-	s.commit(sh, journalRecord{Kind: recMove, Node: info})
+	if err := s.commit(sh, journalRecord{Kind: recMove, Node: info}); err != nil {
+		return protocol.NodeInfo{}, err
+	}
 	return info, nil
 }
 
@@ -666,9 +684,12 @@ func (s *Store) CreateShare(owner protocol.UserID, vol protocol.VolumeID, to pro
 	// One record per shard: the owner's shard takes the grant, the grantee's
 	// the incoming share; when both users live on one shard, its one record
 	// does both.
-	s.commit(osh, journalRecord{Kind: recCreateShare, Share: share})
-	if osh != gsh {
-		s.commit(gsh, journalRecord{Kind: recCreateShare, Share: share})
+	err = s.commit(osh, journalRecord{Kind: recCreateShare, Share: share})
+	if osh != gsh && err == nil {
+		err = s.commit(gsh, journalRecord{Kind: recCreateShare, Share: share})
+	}
+	if err != nil {
+		return protocol.ShareInfo{}, err
 	}
 	return share, nil
 }
@@ -695,15 +716,17 @@ func (s *Store) AcceptShare(user protocol.UserID, id protocol.ShareID) (protocol
 	}
 	out := *share
 	out.Accepted = true
-	s.commit(gsh, journalRecord{Kind: recAcceptShare, Share: out})
+	err := s.commit(gsh, journalRecord{Kind: recAcceptShare, Share: out})
 	gsh.Unlock(gLockedAt)
 
 	// Mirror the accepted flag in the owner's shard copy.
-	osh := s.shardOf(owner)
-	if osh != gsh {
+	if osh := s.shardOf(owner); osh != gsh && err == nil {
 		oLockedAt := osh.Lock()
-		s.commit(osh, journalRecord{Kind: recAcceptShare, Share: out})
+		err = s.commit(osh, journalRecord{Kind: recAcceptShare, Share: out})
 		osh.Unlock(oLockedAt)
+	}
+	if err != nil {
+		return protocol.ShareInfo{}, err
 	}
 	return out, nil
 }

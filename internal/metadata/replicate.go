@@ -7,6 +7,7 @@ import (
 
 	"u1/internal/metrics"
 	"u1/internal/protocol"
+	"u1/internal/wal"
 	"u1/internal/wire"
 )
 
@@ -81,17 +82,22 @@ type logSegment struct {
 // commits does not stay allocated for the life of the store.
 const maxKeptLog = 64 << 10
 
-// append encodes rec onto the tail and returns those bytes. They stay put
-// while the caller holds the owner shard's write lock: sealing and trimming
-// move buffers without writing to them, and only a commit to this shard
-// writes to one.
-func (l *replLog) append(rec *journalRecord) []byte {
+// append encodes rec onto the tail and appends those bytes to journal, if
+// any, first: a record the journal refuses is cut back off the tail, so no
+// peer reads a record its owner did not keep.
+func (l *replLog) append(rec *journalRecord, journal *wal.Log) (lsn uint64, err error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	start := len(l.tail.Bytes())
 	encodeRecord(&l.tail, rec)
+	if journal != nil {
+		if lsn, err = journal.Append(l.tail.Bytes()[start:]); err != nil {
+			l.tail.Truncate(start)
+			return 0, err
+		}
+	}
 	l.n++
-	return l.tail.Bytes()[start:]
+	return lsn, nil
 }
 
 // seal closes a non-empty tail as one segment stamped with epoch. Runs under
@@ -144,8 +150,9 @@ type regionState struct {
 }
 
 // replication is the store's cross-region state; nil with a single region.
-// Lock order: an owner shard, then a log's tail; r.mu, then a log's tail,
-// then a replica shard. Nothing takes r.mu while holding a log's lock.
+// Lock order: an owner shard, then a log's tail, then the shard's journal;
+// r.mu, then a log's tail, then a replica shard. Nothing takes r.mu while
+// holding a log's lock.
 type replication struct {
 	regions  int
 	delay    int

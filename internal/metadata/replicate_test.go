@@ -266,7 +266,9 @@ func TestReplicaDivergencePanics(t *testing.T) {
 		Kind: recMakeNode,
 		Node: protocol.NodeInfo{ID: 9999, Volume: udf.ID, Kind: protocol.KindFile, Name: "stale", Generation: udf.Generation},
 	}
-	s.repl.logs[ownerShard].append(&stale)
+	if _, err := s.repl.logs[ownerShard].append(&stale, nil); err != nil {
+		t.Fatal(err)
+	}
 	defer func() {
 		msg := fmt.Sprint(recover())
 		for _, want := range []string{fmt.Sprintf("shard %d", ownerShard), "make_node", "Name:stale"} {

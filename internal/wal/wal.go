@@ -10,11 +10,11 @@
 //	[4-byte length][4-byte CRC32C][8-byte LSN][payload]
 //
 // where the CRC covers the LSN and payload. Replay walks the segments in LSN
-// order and stops at the first frame that is truncated or fails its CRC: a
-// torn tail — the half-written record of the crash itself — is dropped
-// without losing any record before it. A record that was never fully
-// appended was by construction never acknowledged to a client, so dropping
-// it is exactly the no-double-apply half of the recovery invariant.
+// order. A truncated or corrupt frame in the last segment is its torn tail —
+// the half-written record of the crash itself, never acknowledged — and is
+// dropped without losing any record before it. A roll syncs a segment before
+// the next one starts, so the same damage in an earlier segment is an error
+// naming it: its records were acknowledged, and none after them is read.
 //
 // Append frames each record in a buffer the Log owns and reuses under its
 // mutex (kept only while it is at most 64 KB, like wire.FrameWriter's encode
@@ -32,9 +32,11 @@ package wal
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -116,24 +118,20 @@ func Open(dir string, opts Options) (*Log, error) {
 		// with garbage.
 		last := segs[len(segs)-1]
 		path := filepath.Join(dir, segName(last))
-		intact, lastLSN, err := intactPrefix(opts.FS, path)
+		data, err := opts.FS.ReadFile(path)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("wal: reading %s: %w", path, err)
 		}
-		if err := opts.FS.Truncate(path, intact); err != nil {
+		intact, lastLSN, _ := scan(data, nil)
+		if err := opts.FS.Truncate(path, int64(intact)); err != nil {
 			return nil, fmt.Errorf("wal: truncating torn tail of %s: %w", path, err)
 		}
 		f, err := opts.FS.OpenFile(path, vfs.AppendOnly)
 		if err != nil {
 			return nil, fmt.Errorf("wal: opening %s: %w", path, err)
 		}
-		l.f, l.size = f, intact
-		if lastLSN >= l.nextLSN {
-			l.nextLSN = lastLSN + 1
-		} else if lastLSN == 0 && intact == 0 {
-			// Empty tail segment: the next LSN is the segment's base.
-			l.nextLSN = last
-		}
+		// An empty tail segment continues at its base.
+		l.f, l.size, l.nextLSN = f, int64(intact), max(lastLSN+1, last)
 	}
 	return l, nil
 }
@@ -210,6 +208,13 @@ func (l *Log) rollLocked() error {
 	return nil
 }
 
+// Sync makes every record appended so far durable, whatever the policy.
+func (l *Log) Sync() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.syncLocked()
+}
+
 func (l *Log) syncLocked() error {
 	if l.f == nil || l.pending == 0 {
 		return nil
@@ -276,10 +281,10 @@ func (l *Log) TruncateThrough(lsn uint64) error {
 	return nil
 }
 
-// Replay streams every intact record in dir on fsys to fn in LSN order and
-// returns the last LSN delivered. A truncated or corrupt frame ends the
-// replay there: the torn tail (and anything after it) is dropped, records
-// before it are preserved. dropped reports how many bytes were discarded.
+// Replay streams every record in dir on fsys to fn in LSN order and returns
+// the last LSN delivered and the bytes of the last segment's torn tail. An
+// earlier segment that is damaged or ends short of the next one's first LSN
+// is an error naming it, returned before any of its records is delivered.
 func Replay(fsys vfs.FS, dir string, fn func(lsn uint64, payload []byte) error) (last uint64, dropped int64, err error) {
 	segs, err := segments(fsys, dir)
 	if err != nil {
@@ -289,31 +294,19 @@ func Replay(fsys vfs.FS, dir string, fn func(lsn uint64, payload []byte) error) 
 		path := filepath.Join(dir, segName(base))
 		data, err := fsys.ReadFile(path)
 		if err != nil {
-			return last, dropped, fmt.Errorf("wal: reading segment %s: %w", path, err)
+			return last, 0, fmt.Errorf("wal: reading segment %s: %w", path, err)
 		}
-		off := 0
-		for off < len(data) {
-			lsn, payload, n, ok := readFrame(data[off:])
-			if !ok {
-				break
+		if i+1 < len(segs) {
+			if intact, segLast, _ := scan(data, nil); intact < len(data) || segLast+1 != segs[i+1] {
+				return last, 0, fmt.Errorf("wal: segment %s is damaged: intact to byte %d of %d and LSN %d of %d; only the last segment may end torn",
+					path, intact, len(data), segLast, segs[i+1]-1)
 			}
-			if err := fn(lsn, payload); err != nil {
-				return last, dropped, err
-			}
-			last = lsn
-			off += n
 		}
-		if off < len(data) {
-			// Torn or corrupt frame: everything from here on — including any
-			// later segments, which would leave an LSN gap — is dropped.
-			dropped += int64(len(data) - off)
-			for _, later := range segs[i+1:] {
-				if data, err := fsys.ReadFile(filepath.Join(dir, segName(later))); err == nil {
-					dropped += int64(len(data))
-				}
-			}
-			return last, dropped, nil
+		intact, segLast, err := scan(data, fn)
+		if err != nil {
+			return last, 0, err
 		}
+		last, dropped = max(last, segLast), int64(len(data)-intact)
 	}
 	return last, dropped, nil
 }
@@ -337,29 +330,30 @@ func readFrame(buf []byte) (lsn uint64, payload []byte, n int, ok bool) {
 	return lsn, buf[16:total], total, true
 }
 
-// intactPrefix scans a segment and returns the byte length of its intact
-// record prefix plus the last intact LSN.
-func intactPrefix(fsys vfs.FS, path string) (int64, uint64, error) {
-	data, err := fsys.ReadFile(path)
-	if err != nil {
-		return 0, 0, fmt.Errorf("wal: reading %s: %w", path, err)
-	}
-	off, last := 0, uint64(0)
-	for off < len(data) {
-		lsn, _, n, ok := readFrame(data[off:])
+// scan walks a segment's frames up to the first short or corrupt one, handing
+// each record to fn unless fn is nil, and returns the byte length of that
+// intact prefix and its last LSN.
+func scan(data []byte, fn func(lsn uint64, payload []byte) error) (intact int, last uint64, err error) {
+	for intact < len(data) {
+		lsn, payload, n, ok := readFrame(data[intact:])
 		if !ok {
 			break
 		}
-		last = lsn
-		off += n
+		if fn != nil {
+			if err := fn(lsn, payload); err != nil {
+				return intact, last, err
+			}
+		}
+		intact, last = intact+n, lsn
 	}
-	return int64(off), last, nil
+	return intact, last, nil
 }
 
-// segments lists the segment base LSNs in dir in ascending order.
+// segments lists the segment base LSNs in dir in ascending order; a missing
+// dir has none.
 func segments(fsys vfs.FS, dir string) ([]uint64, error) {
 	names, err := fsys.ReadDir(dir)
-	if err != nil {
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
 		return nil, fmt.Errorf("wal: listing %s: %w", dir, err)
 	}
 	var out []uint64

@@ -3,6 +3,7 @@ package wal
 import (
 	"fmt"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -206,10 +207,11 @@ func TestTornTailBitFlip(t *testing.T) {
 	}
 }
 
-// TestTornTailDropsLaterSegments pins the gap rule: when a mid-journal
-// segment is corrupt, the segments after it are unreachable (their LSNs
-// would leave a hole) and replay must stop rather than resurrect them.
-func TestTornTailDropsLaterSegments(t *testing.T) {
+// TestDamagedSegmentRefusesReplay pins the damage rule: a corrupt frame in a
+// segment before the last is not a torn tail — its records were synced and
+// acknowledged — so replay refuses with an error naming that segment's file
+// and delivers no record from it or any later segment.
+func TestDamagedSegmentRefusesReplay(t *testing.T) {
 	fsys := vfs.NewMemFS()
 	l := mustOpen(t, fsys, dir, Options{SegmentBytes: 64})
 	appendN(t, l, 30, "seg")
@@ -226,15 +228,16 @@ func TestTornTailDropsLaterSegments(t *testing.T) {
 	}
 	data[headerSize] ^= 0xFF
 	writeFile(t, fsys, path, data)
-	lsns, _, dropped := replayAll(t, fsys, dir)
-	if len(lsns) == 0 {
-		t.Fatal("first segment should replay intact")
+	var lsns []uint64
+	_, _, err = Replay(fsys, dir, func(lsn uint64, _ []byte) error {
+		lsns = append(lsns, lsn)
+		return nil
+	})
+	if err == nil || !strings.Contains(err.Error(), path) {
+		t.Fatalf("Replay over a damaged middle segment: err = %v, want one naming %s", err, path)
 	}
-	if last := lsns[len(lsns)-1]; last >= segs[1] {
-		t.Fatalf("replay crossed the corrupt segment: last LSN %d", last)
-	}
-	if dropped == 0 {
-		t.Fatal("later segments not counted as dropped")
+	if len(lsns) == 0 || lsns[len(lsns)-1] >= segs[1] {
+		t.Fatalf("Replay delivered LSNs %v: want the first segment's, none from %d on", lsns, segs[1])
 	}
 }
 
@@ -351,18 +354,22 @@ func TestSegmentRollSurvivesPowerCut(t *testing.T) {
 	}
 }
 
-// FuzzReplayTornTail drives the frame scanner with arbitrary mutations of a
-// valid journal tail: whatever the damage, replay must never error, never
-// deliver a corrupted payload for the intact prefix, and never deliver more
-// records than were written.
+// FuzzReplayTornTail damages one segment of a journal of 64-byte segments —
+// truncated by cut bytes and/or its last byte XORed with flip. Damage in the
+// last segment is a torn tail: replay keeps every record of the earlier
+// segments, never errors, never delivers a corrupted payload and never more
+// records than were written. Damage in an earlier segment is an error naming
+// it, and no record from it or a later segment is delivered.
 func FuzzReplayTornTail(f *testing.F) {
-	f.Add(uint8(3), int64(-1), uint8(0))
-	f.Add(uint8(10), int64(5), uint8(0xFF))
-	f.Add(uint8(1), int64(0), uint8(1))
-	f.Fuzz(func(t *testing.T, n uint8, cut int64, flip uint8) {
+	f.Add(uint8(3), int64(-1), uint8(0), uint8(0))
+	f.Add(uint8(10), int64(5), uint8(0xFF), uint8(0))
+	f.Add(uint8(1), int64(0), uint8(1), uint8(0))
+	f.Add(uint8(12), int64(20), uint8(0), uint8(1))
+	f.Add(uint8(15), int64(0), uint8(0x40), uint8(2))
+	f.Fuzz(func(t *testing.T, n uint8, cut int64, flip uint8, seg uint8) {
 		records := int(n%16) + 1
 		fsys := vfs.NewMemFS()
-		l, err := Open(dir, Options{Policy: FsyncPerOp, FS: fsys})
+		l, err := Open(dir, Options{Policy: FsyncPerOp, SegmentBytes: 64, FS: fsys})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -374,17 +381,19 @@ func FuzzReplayTornTail(f *testing.F) {
 		l.Close() //nolint:errcheck
 
 		segs, _ := segments(fsys, dir)
-		path := filepath.Join(dir, segName(segs[len(segs)-1]))
+		k := int(seg) % len(segs)
+		path := filepath.Join(dir, segName(segs[k]))
 		data, err := fsys.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Mutate the tail: truncate by cut bytes and/or XOR the last byte.
+		damaged := false
 		if cut > 0 && cut < int64(len(data)) {
-			data = data[:int64(len(data))-cut]
+			data, damaged = data[:int64(len(data))-cut], true
 		}
 		if flip != 0 && len(data) > 0 {
 			data[len(data)-1] ^= flip
+			damaged = true
 		}
 		writeFile(t, fsys, path, data)
 
@@ -393,14 +402,23 @@ func FuzzReplayTornTail(f *testing.F) {
 			if want := fmt.Sprintf("p-%d", lsn-1); string(payload) != want {
 				t.Fatalf("record %d replayed corrupted: %q", lsn, payload)
 			}
+			if damaged && k < len(segs)-1 && lsn >= segs[k] {
+				t.Fatalf("record %d delivered from or past damaged segment %s", lsn, path)
+			}
 			got++
 			return nil
 		})
-		if err != nil {
+		switch {
+		case damaged && k < len(segs)-1:
+			if err == nil || !strings.Contains(err.Error(), path) {
+				t.Fatalf("damage in segment %d of %d: err = %v, want one naming %s", k+1, len(segs), err, path)
+			}
+		case err != nil:
 			t.Fatalf("Replay errored on damaged tail: %v", err)
-		}
-		if got > records {
+		case got > records:
 			t.Fatalf("replayed %d records, only %d written", got, records)
+		case got < int(segs[len(segs)-1])-1:
+			t.Fatalf("replayed %d records, fewer than the %d before the last segment", got, segs[len(segs)-1]-1)
 		}
 	})
 }

@@ -278,6 +278,9 @@ func NewWriter(n int) *Writer { return &Writer{buf: make([]byte, 0, n)} }
 // Slices Bytes returned before are overwritten by later writes.
 func (w *Writer) Reset() { w.buf, w.payload, w.payloadAt = w.buf[:0], nil, 0 }
 
+// Truncate keeps the first n bytes of a Writer holding no Payload.
+func (w *Writer) Truncate(n int) { w.buf = w.buf[:n] }
+
 // Bytes returns the encoded message. Without a Payload the slice aliases
 // internal storage and is invalidated by further writes; with one it is a
 // fresh buffer of exactly the encoded size with the payload copied in place.
