@@ -201,9 +201,12 @@ func BenchmarkMetadataGetDelta(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := store.GetDelta(1, root.ID, 200); err != nil {
+		resp := protocol.AcquireResponse()
+		var err error
+		if resp.Deltas, _, err = store.GetDelta(1, root.ID, 200); err != nil {
 			b.Fatal(err)
 		}
+		protocol.ReleaseResponse(resp) // the listing's buffer goes back, as once it is sent
 	}
 }
 

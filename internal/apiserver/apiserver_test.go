@@ -295,8 +295,8 @@ func TestGetDeltaRescanFallback(t *testing.T) {
 	if resp.Status != protocol.StatusOK || !resp.Rescan {
 		t.Fatalf("resp = status %v rescan %v", resp.Status, resp.Rescan)
 	}
-	if len(resp.Deltas) != 41 { // 40 dirs + volume root
-		t.Errorf("rescan deltas = %d", len(resp.Deltas))
+	if resp.Deltas.Len() != 41 { // 40 dirs + volume root
+		t.Errorf("rescan deltas = %d", resp.Deltas.Len())
 	}
 }
 

@@ -360,12 +360,14 @@ func TestRetainedResponseIsWipedAfterCall(t *testing.T) {
 // a transport may answer with a response of its own making, again and again,
 // and the client's release never touches it.
 func TestCannedResponseIsLeftAlone(t *testing.T) {
+	var listing protocol.DeltaWriter
+	listing.Add(protocol.NodeInfo{ID: 5, Volume: 4, Name: "d"}, false)
 	canned := protocol.Response{
 		Status:  protocol.StatusOK,
 		Session: 3, User: 9,
 		Volumes: []protocol.VolumeInfo{{ID: 4, Type: protocol.VolumeRoot, Path: "~/Ubuntu One"}},
 		Shares:  []protocol.ShareInfo{{ID: 1, Volume: 4, Name: "s"}},
-		Deltas:  []protocol.DeltaEntry{{Node: protocol.NodeInfo{ID: 5, Volume: 4, Name: "d"}}},
+		Deltas:  listing.List(),
 	}
 	tr := &cannedTransport{resp: canned}
 	cli := New(tr)

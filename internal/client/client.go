@@ -200,8 +200,9 @@ var reqPool = sync.Pool{New: func() any { return new(protocol.Request) }}
 // keeps in place and releases it once (protocol.ReleaseResponse), after which
 // nothing reads it: a method returns only what outlives the release — a
 // volume or share list, a download's bytes, ids it collected — never a
-// listing's Deltas, which the release hands back to the recycler. On an
-// error there is no response (nil).
+// listing's Deltas, whose bytes (the server's pooled copy, or the frame the
+// transport read) the release gives back to wire's frame pool. On an error
+// there is no response (nil).
 func (c *Client) exchange(req protocol.Request) (*protocol.Response, error) {
 	slot := reqPool.Get().(*protocol.Request)
 	*slot = req
@@ -592,28 +593,40 @@ func (c *Client) Sync(vol protocol.VolumeID) ([]protocol.NodeID, error) {
 	c.mu.Lock()
 	// A rescan lists the whole volume, one entry per node: the mirror is
 	// rebuilt at exactly that size, and what changed is judged against the
-	// mirror it replaces.
+	// mirror it replaces. Each entry is read in place, out of the listing's
+	// bytes, into the mirror's node; a name the mirror already holds is kept
+	// rather than allocated again.
 	known, nodes := m.Nodes, m.Nodes
 	if resp.Rescan {
-		nodes = make(map[protocol.NodeID]Node, len(resp.Deltas))
+		nodes = make(map[protocol.NodeID]Node, resp.Deltas.Len())
 		c.stats.Rescans++
 	}
-	for i := range resp.Deltas {
-		d := &resp.Deltas[i]
+	var d protocol.DeltaEntry
+	list := resp.Deltas.Cursor()
+	for i := 0; ; i++ {
+		name, ok := list.Next(&d)
+		if !ok {
+			break
+		}
 		id := d.Node.ID
 		if d.Deleted {
 			delete(nodes, id)
 			continue
 		}
 		prev, existed := known[id]
-		nodes[id] = nodeOf(&d.Node)
+		n := nodeOf(&d.Node)
+		n.Name = prev.Name // an unchanged name is not allocated again
+		if n.Name != string(name) {
+			n.Name = string(name)
+		}
+		nodes[id] = n
 		if d.Node.Kind == protocol.KindFile && !d.Node.Hash.IsZero() &&
 			(!existed || prev.Hash != d.Node.Hash) {
 			if changed == nil && !(resp.Rescan && len(known) > 0) {
 				// A delta names what changed and a first listing is all
 				// new, so the rest of the list is a close bound; a rescan
 				// over a filled mirror mostly re-reads what it holds.
-				changed = make([]protocol.NodeID, 0, len(resp.Deltas)-i)
+				changed = make([]protocol.NodeID, 0, resp.Deltas.Len()-i)
 			}
 			changed = append(changed, id)
 		}

@@ -7,7 +7,6 @@ import (
 	"runtime"
 	"slices"
 	"testing"
-	"unsafe"
 
 	"u1/internal/apiserver"
 	"u1/internal/auth"
@@ -32,10 +31,31 @@ func storeServer(cfg metadata.Config) (*apiserver.Server, *auth.Service, *metada
 	return srv, authSvc, store
 }
 
+// entriesOf reads a listing out entry by entry, names included.
+func entriesOf(t testing.TB, l protocol.DeltaList) []protocol.DeltaEntry {
+	t.Helper()
+	var out []protocol.DeltaEntry
+	var e protocol.DeltaEntry
+	c := l.Cursor()
+	for {
+		name, ok := c.Next(&e)
+		if !ok {
+			break
+		}
+		e.Node.Name = string(name)
+		out = append(out, e)
+	}
+	if len(out) != l.Len() {
+		t.Fatalf("listing of %d entries read %d", l.Len(), len(out))
+	}
+	return out
+}
+
 // listingTransport copies out every GetDelta answer before handing it on, so
 // a test can judge Sync against the listing it was given.
 type listingTransport struct {
 	Transport
+	t      testing.TB
 	deltas []protocol.DeltaEntry
 	rescan bool
 }
@@ -44,7 +64,7 @@ func (l *listingTransport) Do(req *protocol.Request) (*protocol.Response, error)
 	op := req.Op
 	resp, err := l.Transport.Do(req)
 	if err == nil && op == protocol.OpGetDelta {
-		l.deltas, l.rescan = slices.Clone(resp.Deltas), resp.Rescan
+		l.deltas, l.rescan = entriesOf(l.t, resp.Deltas), resp.Rescan
 	}
 	return resp, err
 }
@@ -97,7 +117,7 @@ func TestMirrorEqualsListing(t *testing.T) {
 	var tr *listingTransport
 	var reader *Client
 	fresh := func() {
-		tr = &listingTransport{Transport: direct()}
+		tr = &listingTransport{Transport: direct(), t: t}
 		reader = New(tr)
 		if err := reader.Connect(token); err != nil {
 			t.Fatal(err)
@@ -111,7 +131,7 @@ func TestMirrorEqualsListing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return l
+		return entriesOf(t, l)
 	}
 	volumeRoot := listing()[0].Node.ID
 	pick := func(kind protocol.NodeKind) (protocol.NodeID, bool) {
@@ -185,10 +205,11 @@ func TestMirrorEqualsListing(t *testing.T) {
 		if want := changedByInfo(before, tr.deltas, tr.rescan); !slices.Equal(changed, want) {
 			t.Fatalf("round %d: Sync reported changed %v, the NodeInfo rule selects %v", round, changed, want)
 		}
-		l, gen, err := store.GetFromScratch(user, root)
+		list, gen, err := store.GetFromScratch(user, root)
 		if err != nil {
 			t.Fatal(err)
 		}
+		l := entriesOf(t, list)
 		want := make(map[protocol.NodeID]Node, len(l))
 		for i := range l {
 			want[l[i].Node.ID] = nodeOf(&l[i].Node)
@@ -222,11 +243,13 @@ func allocated(rounds int, f func()) uint64 {
 	return (after.TotalAlloc - before.TotalAlloc) / uint64(rounds)
 }
 
-// TestRescanAllocates pins what a rescan costs: one copy of the volume on
-// each side. A fresh client syncing a 200-node volume whose delta log is off
-// allocates the server's listing and its own mirror map, plus a margin for
-// the list of changed ids (8 bytes a file) and size-class rounding; a mirror
-// of whole NodeInfo values, or a second copy of the listing, is far past it.
+// TestRescanAllocates pins what a rescan costs: the client's mirror and not
+// a copy of the listing on either side. A fresh client syncing a 200-node
+// volume whose delta log is off allocates its mirror map, plus 8 bytes a
+// node three times over (the server's sorted ids, the client's names, the
+// list of changed ids) and a margin for size-class rounding. The listing
+// itself travels in a pooled buffer, so decoding it into 96-byte entries on
+// either side, or a mirror of whole NodeInfo values, is far past the bound.
 func TestRescanAllocates(t *testing.T) {
 	if !poolsKeep() {
 		t.Skip("sync.Pool is dropping puts (the race detector is on): pooled slots count as allocations")
@@ -248,9 +271,8 @@ func TestRescanAllocates(t *testing.T) {
 			sink[protocol.NodeID(i+1)] = Node{}
 		}
 	})
-	listing := uint64(nodes * unsafe.Sizeof(protocol.DeltaEntry{}))
-	const margin = 4 << 10
-	limit := mirror + listing + margin
+	const perNode, margin = 3 * 8, 2 << 10
+	limit := mirror + perNode*nodes + margin
 
 	const rounds = 20
 	clients := make([]*Client, rounds)
@@ -266,8 +288,8 @@ func TestRescanAllocates(t *testing.T) {
 		i++
 	})
 	if got > limit {
-		t.Errorf("a rescan of %d nodes allocates %d B, want at most %d (mirror map %d + listing %d + margin %d)",
-			nodes, got, limit, mirror, listing, margin)
+		t.Errorf("a rescan of %d nodes allocates %d B, want at most %d (mirror map %d + %d B a node + margin %d)",
+			nodes, got, limit, mirror, perNode, margin)
 	}
-	t.Logf("rescan of %d nodes: %d B (mirror map %d, listing %d)", nodes, got, mirror, listing)
+	t.Logf("rescan of %d nodes: %d B (mirror map %d)", nodes, got, mirror)
 }

@@ -37,8 +37,8 @@ type Transport interface {
 	// the caller may release it once (protocol.ReleaseResponse). The Client
 	// reads it in place and releases it before the call that asked for it
 	// returns, so a transport that kept the pointer would find it wiped or
-	// answering someone else, and a listing it decoded back in the
-	// recycler. A transport takes its responses from
+	// answering someone else, and the bytes of its listing back in wire's
+	// frame pool. A transport takes its responses from
 	// protocol.AcquireResponse to have them recycled; any other response is
 	// simply left to the collector.
 	Do(*protocol.Request) (*protocol.Response, error)
@@ -104,13 +104,15 @@ func (t *TCPTransport) readLoop() {
 			t.fail(err)
 			return
 		}
-		// Each frame goes back the moment it is decoded; a response's Data
-		// comes out of it in memory the caller may keep.
+		// Each frame goes back the moment it is decoded, but a listing's:
+		// a response whose Deltas are read in place keeps its frame until
+		// it is released. A response's Data comes out of the frame in
+		// memory the caller may keep.
 		switch msgType {
 		case protocol.FrameResponse:
 			resp := protocol.AcquireResponse()
 			err := resp.Decode(payload)
-			resp.Data = wire.ReleaseFrame(payload, resp.Data)
+			resp.KeepFrame(payload)
 			if err != nil {
 				protocol.ReleaseResponse(resp)
 				t.fail(err)

@@ -59,7 +59,7 @@ const anyKind protocol.NodeKind = 255
 
 // node picks a node of vol as seen by u, of kind unless kind is anyKind.
 func (d *opMix) node(u protocol.UserID, vol protocol.VolumeID, kind protocol.NodeKind) (protocol.NodeInfo, bool) {
-	entries, _, err := d.s.GetFromScratch(u, vol)
+	entries, _, err := fromScratch(d.s, u, vol)
 	if err != nil {
 		return protocol.NodeInfo{}, false
 	}

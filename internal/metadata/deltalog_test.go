@@ -9,6 +9,7 @@ import (
 	"os"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"u1/internal/protocol"
@@ -60,6 +61,44 @@ func (m *deltaModel) delta(fromGen protocol.Generation) ([]protocol.DeltaEntry, 
 	return out, nil
 }
 
+// listed reads a listing out entry by entry, names included, and gives its
+// buffer back, as a response's release does. A listing that does not read to
+// its end is an error.
+func listed(l protocol.DeltaList) ([]protocol.DeltaEntry, error) {
+	var out []protocol.DeltaEntry
+	var e protocol.DeltaEntry
+	c := l.Cursor()
+	for {
+		name, ok := c.Next(&e)
+		if !ok {
+			break
+		}
+		e.Node.Name = string(name)
+		out = append(out, e)
+	}
+	resp := protocol.AcquireResponse()
+	resp.Deltas = l
+	protocol.ReleaseResponse(resp)
+	if len(out) != l.Len() {
+		return out, fmt.Errorf("listing of %d entries read %d", l.Len(), len(out))
+	}
+	return out, nil
+}
+
+// getDelta is Store.GetDelta with its listing read out (listed).
+func getDelta(s *Store, user protocol.UserID, vol protocol.VolumeID, from protocol.Generation) ([]protocol.DeltaEntry, protocol.Generation, error) {
+	l, gen, err := s.GetDelta(user, vol, from)
+	out, lerr := listed(l)
+	return out, gen, errors.Join(err, lerr)
+}
+
+// fromScratch is Store.GetFromScratch with its listing read out (listed).
+func fromScratch(s *Store, user protocol.UserID, vol protocol.VolumeID) ([]protocol.DeltaEntry, protocol.Generation, error) {
+	l, gen, err := s.GetFromScratch(user, vol)
+	out, lerr := listed(l)
+	return out, gen, errors.Join(err, lerr)
+}
+
 // TestDeltaLogMatchesModel drives a seeded mix of makes, content updates,
 // moves and subtree unlinks through one volume at several log limits, and
 // after every op asks GetDelta at every generation up to the current one:
@@ -83,7 +122,7 @@ func TestDeltaLogMatchesModel(t *testing.T) {
 				}
 				deltaOp(t, s, vol, rng, m, op)
 				for from := protocol.Generation(0); from <= m.gen; from++ {
-					got, gen, err := s.GetDelta(1, vol, from)
+					got, gen, err := getDelta(s, 1, vol, from)
 					want, wantErr := m.delta(from)
 					if !errors.Is(err, wantErr) {
 						t.Fatalf("op %d: GetDelta(%d) err %v, model %v", op, from, err, wantErr)
@@ -102,7 +141,7 @@ func TestDeltaLogMatchesModel(t *testing.T) {
 // A refused op (a move into its own subtree) logs nothing.
 func deltaOp(t *testing.T, s *Store, vol protocol.VolumeID, rng *rand.Rand, m *deltaModel, op int) {
 	t.Helper()
-	listing, _, err := s.GetFromScratch(1, vol)
+	listing, _, err := fromScratch(s, 1, vol)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,9 +301,10 @@ func FuzzReadSnapshot(f *testing.F) {
 			gens, entries := scanLog(t, vr)
 			scan := &deltaModel{gen: vr.info.Generation, droppedThrough: vr.droppedThrough, gens: gens, log: entries}
 			for _, from := range gens {
-				got, err := vr.delta(from)
+				l, err := vr.delta(from)
+				got, lerr := listed(l)
 				want, wantErr := scan.delta(from)
-				if !errors.Is(err, wantErr) || !slices.Equal(got, want) {
+				if !errors.Is(err, wantErr) || lerr != nil || !slices.Equal(got, want) {
 					t.Fatalf("volume %d: delta(%d) = %d entries, %v; the scan says %d, %v", id, from, len(got), err, len(want), wantErr)
 				}
 			}
@@ -296,36 +336,75 @@ func scanLog(t *testing.T, vr *volumeRow) ([]protocol.Generation, []protocol.Del
 	return gens, entries
 }
 
-// sinkDeltas keeps BenchmarkGetDelta's answers alive.
-var sinkDeltas []protocol.DeltaEntry
-
 // BenchmarkGetDelta serves GetDelta from a full 512-entry log to a client
 // one generation behind (the common incremental sync) and to one fifty
-// behind.
+// behind, releasing each answer as the API server does once it is sent.
 func BenchmarkGetDelta(b *testing.B) {
+	s, vol, gen := fullLog(b)
+	for _, behind := range []protocol.Generation{1, 50} {
+		b.Run(fmt.Sprint("behind=", behind), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				resp := protocol.AcquireResponse()
+				deltas, _, err := s.GetDelta(1, vol, gen-behind)
+				if err != nil || deltas.Len() != int(behind) {
+					b.Fatalf("GetDelta: %d entries, %v", deltas.Len(), err)
+				}
+				resp.Deltas = deltas
+				protocol.ReleaseResponse(resp)
+			}
+		})
+	}
+}
+
+// fullLog builds a store whose one volume has a full 512-entry delta log
+// and returns the volume and its generation.
+func fullLog(tb testing.TB) (*Store, protocol.VolumeID, protocol.Generation) {
 	s := New(Config{Shards: 1, DeltaLogLimit: 512})
 	vol, err := s.CreateUser(1)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	var gen protocol.Generation
 	for i := 0; i < 512; i++ {
 		n, err := s.MakeFile(1, vol.ID, 0, fmt.Sprintf("file-%03d.txt", i))
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		gen = n.Generation
 	}
-	for _, behind := range []protocol.Generation{1, 50} {
-		b.Run(fmt.Sprint("behind=", behind), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				deltas, _, err := s.GetDelta(1, vol.ID, gen-behind)
-				if err != nil || len(deltas) != int(behind) {
-					b.Fatalf("GetDelta: %d entries, %v", len(deltas), err)
-				}
-				sinkDeltas = deltas
-			}
-		})
+	return s, vol.ID, gen
+}
+
+// TestReleasedGetDeltaAllocatesNothing pins the read's cost: a GetDelta
+// answer copied out of the log into a pooled buffer and released with its
+// response allocates nothing, however far behind the caller is.
+func TestReleasedGetDeltaAllocatesNothing(t *testing.T) {
+	if !poolsKeep() {
+		t.Skip("sync.Pool is dropping puts (the race detector is on)")
 	}
+	s, vol, gen := fullLog(t)
+	for _, behind := range []protocol.Generation{1, 50} {
+		if allocs := testing.AllocsPerRun(200, func() {
+			resp := protocol.AcquireResponse()
+			resp.Deltas, _, _ = s.GetDelta(1, vol, gen-behind)
+			protocol.ReleaseResponse(resp)
+		}); allocs != 0 {
+			t.Errorf("a released answer %d behind allocates %.0f times, want 0", behind, allocs)
+		}
+	}
+}
+
+// poolsKeep reports whether a sync.Pool hands back what was just put into
+// it; under the race detector it drops a quarter of all puts on purpose.
+func poolsKeep() bool {
+	var p sync.Pool
+	for i := 0; i < 64; i++ {
+		x := new(int)
+		p.Put(x)
+		if got, _ := p.Get().(*int); got != x {
+			return false
+		}
+	}
+	return true
 }

@@ -305,7 +305,7 @@ func TestRecoverTornJournalTail(t *testing.T) {
 		t.Error("the torn tail was not counted in wal.torn_bytes_dropped")
 	}
 	// All but the torn final mutation must be present.
-	nodes, _, err := s.GetFromScratch(1, root.ID)
+	nodes, _, err := fromScratch(s, 1, root.ID)
 	if err != nil {
 		t.Fatalf("GetFromScratch: %v", err)
 	}

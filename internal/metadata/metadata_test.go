@@ -261,7 +261,7 @@ func TestGetDeltaBasics(t *testing.T) {
 	root := mustUser(t, s, 1)
 	d, _ := s.MakeDir(1, root.ID, 0, "d")
 	f, _ := s.MakeFile(1, root.ID, d.ID, "f")
-	deltas, gen, err := s.GetDelta(1, root.ID, 0)
+	deltas, gen, err := getDelta(s, 1, root.ID, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,13 +269,13 @@ func TestGetDeltaBasics(t *testing.T) {
 		t.Fatalf("deltas=%d gen=%d", len(deltas), gen)
 	}
 	// Delta from the current generation is empty.
-	deltas, _, err = s.GetDelta(1, root.ID, gen)
+	deltas, _, err = getDelta(s, 1, root.ID, gen)
 	if err != nil || len(deltas) != 0 {
 		t.Errorf("up-to-date delta = %v, %v", deltas, err)
 	}
 	// Deletion shows up as a tombstone.
 	s.Unlink(1, root.ID, f.ID)
-	deltas, _, err = s.GetDelta(1, root.ID, gen)
+	deltas, _, err = getDelta(s, 1, root.ID, gen)
 	if err != nil || len(deltas) != 1 || !deltas[0].Deleted {
 		t.Errorf("tombstone delta = %+v, %v", deltas, err)
 	}
@@ -289,7 +289,7 @@ func TestGetDeltaTruncationForcesRescan(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	_, _, err := s.GetDelta(1, root.ID, 0)
+	_, _, err := getDelta(s, 1, root.ID, 0)
 	if !errors.Is(err, ErrDeltaTruncated) {
 		t.Fatalf("expected truncated delta, got %v", err)
 	}
@@ -298,7 +298,7 @@ func TestGetDeltaTruncationForcesRescan(t *testing.T) {
 		t.Errorf("status = %v", protocol.StatusOf(err))
 	}
 	// The rescan path returns everything.
-	nodes, gen, err := s.GetFromScratch(1, root.ID)
+	nodes, gen, err := fromScratch(s, 1, root.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +309,7 @@ func TestGetDeltaTruncationForcesRescan(t *testing.T) {
 		t.Errorf("generation = %d", gen)
 	}
 	// A recent generation is still servable from the log.
-	deltas, _, err := s.GetDelta(1, root.ID, gen-1)
+	deltas, _, err := getDelta(s, 1, root.ID, gen-1)
 	if err != nil || len(deltas) != 1 {
 		t.Errorf("recent delta: %v, %v", deltas, err)
 	}
@@ -424,7 +424,7 @@ func TestSharingReadOnly(t *testing.T) {
 	udf, _ := s.CreateUDF(1, "~/RO")
 	share, _ := s.CreateShare(1, udf.ID, 2, "ro", true)
 	s.AcceptShare(2, share.ID)
-	if _, _, err := s.GetFromScratch(2, udf.ID); err != nil {
+	if _, _, err := fromScratch(s, 2, udf.ID); err != nil {
 		t.Errorf("read-only read: %v", err)
 	}
 	if _, err := s.MakeFile(2, udf.ID, 0, "nope"); !errors.Is(err, protocol.ErrPermission) {
@@ -574,7 +574,7 @@ func TestShardLoadCounters(t *testing.T) {
 	if _, err := s.ListVolumes(a); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := s.GetDelta(a, rootA.ID, 0); err != nil {
+	if _, _, err := getDelta(s, a, rootA.ID, 0); err != nil {
 		t.Fatal(err)
 	}
 	share, err := s.CreateShare(a, rootA.ID, b, "to-b", false)
@@ -587,7 +587,7 @@ func TestShardLoadCounters(t *testing.T) {
 	if _, err := s.ListVolumes(b); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := s.GetDelta(b, rootA.ID, 0); err != nil {
+	if _, _, err := getDelta(s, b, rootA.ID, 0); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.CreateShare(a, rootA.ID, c, "to-c", false); err != nil {
@@ -786,7 +786,7 @@ func TestDeltaReplayMatchesScratch(t *testing.T) {
 
 	// Client state: node set at generation 0.
 	local := map[protocol.NodeID]protocol.NodeInfo{}
-	nodes, gen0, err := s.GetFromScratch(1, root.ID)
+	nodes, gen0, err := fromScratch(s, 1, root.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -813,7 +813,7 @@ func TestDeltaReplayMatchesScratch(t *testing.T) {
 	}
 
 	// Replay the delta on the client state.
-	deltas, _, err := s.GetDelta(1, root.ID, gen0)
+	deltas, _, err := getDelta(s, 1, root.ID, gen0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -826,7 +826,7 @@ func TestDeltaReplayMatchesScratch(t *testing.T) {
 	}
 
 	// Compare against the authoritative listing.
-	want, _, err2 := s.GetFromScratch(1, root.ID)
+	want, _, err2 := fromScratch(s, 1, root.ID)
 	if err2 != nil {
 		t.Fatal(err2)
 	}
@@ -858,14 +858,14 @@ func TestDeltaLogTinyLimits(t *testing.T) {
 				t.Fatalf("limit %d: MakeFile %d: %v", limit, i, err)
 			}
 		}
-		if _, _, err := s.GetDelta(1, root.ID, 0); !errors.Is(err, ErrDeltaTruncated) {
+		if _, _, err := getDelta(s, 1, root.ID, 0); !errors.Is(err, ErrDeltaTruncated) {
 			t.Errorf("limit %d: delta from 0 should be truncated, got %v", limit, err)
 		}
 		vol, err := s.GetVolume(1, root.ID)
 		if err != nil {
 			t.Fatalf("limit %d: GetVolume: %v", limit, err)
 		}
-		if deltas, gen, err := s.GetDelta(1, root.ID, vol.Generation); err != nil || gen != vol.Generation || len(deltas) != 0 {
+		if deltas, gen, err := getDelta(s, 1, root.ID, vol.Generation); err != nil || gen != vol.Generation || len(deltas) != 0 {
 			t.Errorf("limit %d: up-to-date delta = %v entries, gen %d, err %v", limit, len(deltas), gen, err)
 		}
 	}

@@ -558,19 +558,19 @@ func (s *Store) Move(user protocol.UserID, vol protocol.VolumeID, node, newParen
 // GetDelta returns the changes of a volume after fromGen in generation order
 // (dal.get_delta). If the delta log no longer reaches back to fromGen it
 // fails with ErrDeltaTruncated and the caller performs GetFromScratch.
-func (s *Store) GetDelta(user protocol.UserID, vol protocol.VolumeID, fromGen protocol.Generation) ([]protocol.DeltaEntry, protocol.Generation, error) {
+func (s *Store) GetDelta(user protocol.UserID, vol protocol.VolumeID, fromGen protocol.Generation) (protocol.DeltaList, protocol.Generation, error) {
 	owner, err := s.ownerOf(vol)
 	if err != nil {
-		return nil, 0, err
+		return protocol.DeltaList{}, 0, err
 	}
 	sh := s.readShardFor(user, owner)
 	defer sh.RUnlock(sh.RLock())
 	vr, ok := sh.volumes[vol]
 	if !ok {
-		return nil, 0, protocol.ErrNotFound
+		return protocol.DeltaList{}, 0, protocol.ErrNotFound
 	}
 	if err := checkAccessLocked(sh, vr, user, false); err != nil {
-		return nil, 0, err
+		return protocol.DeltaList{}, 0, err
 	}
 	deltas, err := vr.delta(fromGen)
 	if err != nil {
@@ -586,48 +586,47 @@ func (s *Store) GetDelta(user protocol.UserID, vol protocol.VolumeID, fromGen pr
 // The listing comes as delta entries in ascending node id, none deleted: it is
 // the rescan answer to a GetDelta the log could not serve, built once in the
 // form that answer travels in.
-func (s *Store) GetFromScratch(user protocol.UserID, vol protocol.VolumeID) ([]protocol.DeltaEntry, protocol.Generation, error) {
+func (s *Store) GetFromScratch(user protocol.UserID, vol protocol.VolumeID) (protocol.DeltaList, protocol.Generation, error) {
 	owner, err := s.ownerOf(vol)
 	if err != nil {
-		return nil, 0, err
+		return protocol.DeltaList{}, 0, err
 	}
 	sh := s.readShardFor(user, owner)
 	defer sh.RUnlock(sh.RLock())
 	vr, ok := sh.volumes[vol]
 	if !ok {
-		return nil, 0, protocol.ErrNotFound
+		return protocol.DeltaList{}, 0, protocol.ErrNotFound
 	}
 	if err := checkAccessLocked(sh, vr, user, false); err != nil {
-		return nil, 0, err
+		return protocol.DeltaList{}, 0, err
 	}
 	// Counted after the access checks: only calls that actually pay the
 	// cascade cost register, mirroring deltaServed/deltaTruncated.
 	s.m.fromScratch.Inc()
-	// One walk lists the volume: breadth-first from the root, the listing
-	// itself serving as the walk's queue, into an array sized by counting
-	// the subtree first. Entries carry only their id until the listing is
-	// sorted, so the sort moves ids; then each is filled in place.
-	out := make(idListing, 1, subtreeSize(sh, vr.root))
-	out[0].Node.ID = vr.root
-	for i := 0; i < len(out); i++ {
-		for _, child := range sh.nodes[out[i].Node.ID].children {
-			out = append(out, protocol.DeltaEntry{Node: protocol.NodeInfo{ID: child}})
+	// One walk collects the volume's ids: breadth-first from the root, the
+	// list itself serving as the walk's queue, into an array sized by
+	// counting the subtree first. Sorted, they are marshalled in order
+	// straight into the listing's pooled buffer.
+	ids := make([]protocol.NodeID, 1, subtreeSize(sh, vr.root))
+	ids[0] = vr.root
+	for i := 0; i < len(ids); i++ {
+		for _, child := range sh.nodes[ids[i]].children {
+			ids = append(ids, child)
 		}
 	}
-	sort.Sort(out)
-	for i := range out {
-		id := out[i].Node.ID
-		out[i].Node = sh.nodes[id].info(id)
+	slices.Sort(ids)
+	var out protocol.DeltaWriter
+	out.Start(len(ids) * scratchEntryBytes)
+	for _, id := range ids {
+		out.Add(sh.nodes[id].info(id), false)
 	}
-	return out, vr.info.Generation, nil
+	return out.List(), vr.info.Generation, nil
 }
 
-// idListing sorts a listing whose entries hold nothing but their ids.
-type idListing []protocol.DeltaEntry
-
-func (l idListing) Len() int           { return len(l) }
-func (l idListing) Less(i, j int) bool { return l[i].Node.ID < l[j].Node.ID }
-func (l idListing) Swap(i, j int)      { l[i].Node.ID, l[j].Node.ID = l[j].Node.ID, l[i].Node.ID }
+// scratchEntryBytes is the room GetFromScratch reserves per entry: about
+// what a file's entry takes (its 20-byte hash, a short name, small ids),
+// so a listing seldom outgrows the buffer it starts in.
+const scratchEntryBytes = 64
 
 // subtreeSize counts the nodes of the subtree rooted at id, id included,
 // without allocating.

@@ -601,25 +601,33 @@ func (v *volumeRow) appendLog(limit int, scratch *wire.Writer, n protocol.NodeIn
 
 // delta answers GetDelta from v's log: nothing when fromGen is current,
 // ErrDeltaTruncated when the log no longer reaches back to fromGen, and
-// otherwise every entry after fromGen in log order, decoded into a slice of
-// exactly that length. Caller holds the shard's read lock.
-func (v *volumeRow) delta(fromGen protocol.Generation) ([]protocol.DeltaEntry, error) {
+// otherwise every entry after fromGen in log order, copied in its wire form
+// (the log's entry without its leading generation) into one pooled buffer
+// the list owns. Caller holds the shard's read lock, so the copy is taken
+// before any later trim moves the log.
+func (v *volumeRow) delta(fromGen protocol.Generation) (protocol.DeltaList, error) {
 	if fromGen >= v.info.Generation {
-		return nil, nil
+		return protocol.DeltaList{}, nil
 	}
 	// The log can serve the request only if nothing after fromGen was
 	// discarded by the retention policy.
 	if fromGen < v.droppedThrough {
-		return nil, ErrDeltaTruncated
+		return protocol.DeltaList{}, ErrDeltaTruncated
 	}
 	buf, at := v.log.entries()
 	first := sort.Search(len(at), func(i int) bool { return v.log.gen(i) > fromGen })
-	out := make([]protocol.DeltaEntry, len(at)-first)
-	if len(out) > 0 {
-		r := wire.NewReader(buf[at[first]:])
-		for i := range out {
-			_, out[i] = decodeLogEntry(r)
-		}
+	if first == len(at) {
+		return protocol.DeltaList{}, nil
 	}
-	return out, nil
+	var out protocol.DeltaWriter
+	out.Start(len(buf) - int(at[first]))
+	for i := first; i < len(at); i++ {
+		end := len(buf)
+		if i+1 < len(at) {
+			end = int(at[i+1])
+		}
+		_, genLen := binary.Uvarint(buf[at[i]:])
+		out.AddEncoded(buf[int(at[i])+genLen : end])
+	}
+	return out.List(), nil
 }

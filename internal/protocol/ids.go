@@ -4,11 +4,13 @@
 // encodings exchanged between desktop clients and API servers.
 //
 // Buffer ownership. Request.Decode and Response.Decode do not copy Data out
-// of the buffer they decode: the message's Data aliases its input. Over TCP
-// that input is the frame wire.ReadFrame just read, which the connection
-// loop gives back with wire.ReleaseFrame the moment it is decoded, taking
-// the Data out in memory nobody recycles. Strings and every other field are
-// copied. Encoding is symmetric: Encode records Data by reference
+// of the buffer they decode: the message's Data aliases its input, and so
+// does a response's Deltas, a listing read in place. Over TCP that input is
+// the frame wire.ReadFrame just read, which the connection loop gives back
+// with wire.ReleaseFrame the moment it is decoded, taking the Data out in
+// memory nobody recycles — unless the response's Deltas need it, when
+// Response.KeepFrame has the response keep it until ReleaseResponse.
+// Strings and every other field are copied. Encoding is symmetric: Encode records Data by reference
 // and a wire.FrameWriter sends it from where it lies, so Data must stay
 // unmodified until the write returns; Marshal copies it.
 package protocol

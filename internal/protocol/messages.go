@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"bytes"
 	"fmt"
 	"time"
 
@@ -139,7 +140,7 @@ type Response struct {
 	Volumes    []VolumeInfo // ListVolumes
 	Shares     []ShareInfo  // ListShares / CreateShare
 	Node       NodeInfo     // Make*/Move/GetContent metadata
-	Deltas     []DeltaEntry // GetDelta
+	Deltas     DeltaList    // GetDelta
 	Generation Generation   // post-mutation volume generation
 	Reused     bool         // PutContent: content deduplicated, no transfer needed
 	Rescan     bool         // GetDelta: log truncated; Deltas carry a full listing
@@ -153,9 +154,6 @@ type Response struct {
 	// recycler (AcquireResponse); a literal's is nil and a copy's points
 	// elsewhere, so ReleaseResponse takes back only what it handed out.
 	home *Response
-	// deltas is the recycler's array a response on loan decodes Deltas
-	// into, nil until the first such decode; ReleaseResponse gives it back.
-	deltas *[]DeltaEntry
 }
 
 // The field codecs of the protocol's three row types. The response and push
@@ -222,17 +220,25 @@ func MarshalNodeInfo(w *wire.Writer, n NodeInfo) {
 
 // UnmarshalNodeInfo reads what MarshalNodeInfo wrote.
 func UnmarshalNodeInfo(r *wire.Reader) NodeInfo {
-	n := NodeInfo{
-		ID:     NodeID(r.Uvarint()),
-		Volume: VolumeID(r.Uvarint()),
-		Parent: NodeID(r.Uvarint()),
-		Kind:   NodeKind(r.Byte()),
-		Name:   r.String(),
-	}
+	var n NodeInfo
+	n.Name = string(readNodeInfo(r, &n))
+	return n
+}
+
+// readNodeInfo reads what MarshalNodeInfo wrote into n, all but the name,
+// which it leaves empty and returns as bytes aliasing r's buffer; reading a
+// node this way allocates nothing.
+func readNodeInfo(r *wire.Reader, n *NodeInfo) (name []byte) {
+	n.ID = NodeID(r.Uvarint())
+	n.Volume = VolumeID(r.Uvarint())
+	n.Parent = NodeID(r.Uvarint())
+	n.Kind = NodeKind(r.Byte())
+	n.Name = ""
+	name = r.Bytes()
 	copy(n.Hash[:], r.Bytes())
 	n.Size = r.Uvarint()
 	n.Generation = Generation(r.Uvarint())
-	return n
+	return name
 }
 
 // Encode implements wire.Message: the one place the response's field order
@@ -251,11 +257,8 @@ func (p *Response) Encode(w *wire.Writer) {
 		MarshalShareInfo(w, s)
 	}
 	MarshalNodeInfo(w, p.Node)
-	w.Uvarint(uint64(len(p.Deltas)))
-	for _, d := range p.Deltas {
-		MarshalNodeInfo(w, d.Node)
-		w.Bool(d.Deleted)
-	}
+	w.Uvarint(uint64(p.Deltas.n))
+	w.Raw(p.Deltas.b)
 	w.Uvarint(uint64(p.Generation))
 	w.Bool(p.Reused)
 	w.Bool(p.Rescan)
@@ -272,13 +275,13 @@ func (p *Response) Encode(w *wire.Writer) {
 const maxRepeated = 1 << 20
 
 // Decode decodes a response body into p. It wipes p — no Volumes, Deltas or
-// Data of an earlier frame survive — and fills it from buf, Data aliasing
-// buf. A response on loan from the recycler stays releasable, and its Deltas
-// go into an array of the recycler's, which ReleaseResponse takes back.
-// After an error p holds a partial decode and is good only for another
-// Decode or a release.
+// Data of an earlier frame survive — and fills it from buf, Data and Deltas
+// aliasing buf: the delta section is checked entry by entry, without
+// allocating, and left where it lies. A response on loan from the recycler
+// stays releasable. After an error p holds a partial decode and is good only
+// for another Decode or a release.
 func (p *Response) Decode(buf []byte) error {
-	*p = Response{home: p.home, deltas: p.deltas} // all but its place in the recycler and its array
+	*p = Response{home: p.home} // all but its place in the recycler
 	r := wire.NewReader(buf)
 	p.ID = r.Uvarint()
 	p.Status = Status(r.Byte())
@@ -303,20 +306,14 @@ func (p *Response) Decode(buf []byte) error {
 	if nd > maxRepeated {
 		return fmt.Errorf("protocol: delta list of %d entries", nd)
 	}
-	if nd > 0 && p.home == p {
-		if p.deltas == nil {
-			p.deltas = deltaArrays.Get().(*[]DeltaEntry)
-		}
-		p.Deltas = (*p.deltas)[:0]
-	}
+	from := len(r.Consumed())
+	var n NodeInfo
 	for i := uint64(0); i < nd && r.Err() == nil; i++ {
-		var d DeltaEntry
-		d.Node = UnmarshalNodeInfo(r)
-		d.Deleted = r.Bool()
-		p.Deltas = append(p.Deltas, d)
+		readNodeInfo(r, &n)
+		r.Bool()
 	}
-	if nd > 0 && p.deltas != nil {
-		*p.deltas = p.Deltas
+	if nd > 0 && r.Err() == nil {
+		p.Deltas = DeltaList{n: int(nd), b: r.Consumed()[from:]}
 	}
 	p.Generation = Generation(r.Uvarint())
 	p.Reused = r.Bool()
@@ -332,6 +329,19 @@ func (p *Response) Decode(buf []byte) error {
 		return fmt.Errorf("protocol: decoding response: %w", err)
 	}
 	return nil
+}
+
+// KeepFrame hands p the frame it was decoded from, a payload wire.ReadFrame
+// returned. A response whose Deltas are a view of that frame keeps it, and
+// ReleaseResponse gives it back; any other gives it back at once. Either
+// way p's Data comes out of the frame first, into memory nobody recycles.
+func (p *Response) KeepFrame(frame []byte) {
+	if p.Deltas.n == 0 {
+		p.Data = wire.ReleaseFrame(frame, p.Data)
+		return
+	}
+	p.Data = bytes.Clone(p.Data)
+	p.Deltas.buf = frame
 }
 
 // PushEvent enumerates unsolicited server notifications (§3.4.2).

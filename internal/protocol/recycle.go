@@ -1,6 +1,10 @@
 package protocol
 
-import "sync"
+import (
+	"sync"
+
+	"u1/internal/wire"
+)
 
 // The response recycler. A server answers every request with one Response
 // that is dead the moment its consumer has read it or written it to the
@@ -16,14 +20,6 @@ import "sync"
 // (a test's canned literal, a copy of an acquired one) does nothing.
 var responses = sync.Pool{New: func() any { return new(Response) }}
 
-// deltaArrays holds the delta arrays released responses decoded into, for
-// the next Decode to append into: a client reading listings over a socket
-// pays for one array, not one per listing. An array above maxKeptDeltas
-// entries is left to the collector, so the pool never pins a huge one.
-var deltaArrays = sync.Pool{New: func() any { return new([]DeltaEntry) }}
-
-const maxKeptDeltas = 4096
-
 // AcquireResponse returns a zero response that ReleaseResponse takes back.
 func AcquireResponse() *Response {
 	p := responses.Get().(*Response)
@@ -35,30 +31,18 @@ func AcquireResponse() *Response {
 // it available to the next acquirer; any other response, and nil, is left
 // alone. A copy of the envelope made before the release keeps its Volumes,
 // Shares and Data: the release does not reach what they point at. It does
-// reach Deltas when Decode filled them: that array goes back to the
-// recycler, its entries zeroed (under the race detector, overwritten with a
-// sentinel: ID ^NodeID(0), Name "released"), so a caller keeps what it needs
-// of a listing before it releases the response the listing came in.
+// reach the bytes of Deltas: the buffer they lie in — the server's pooled
+// copy of its log, or the frame a client read — goes back to wire's frame
+// pool (under the race detector, filled with a sentinel byte first), so a
+// caller keeps what it needs of a listing before it releases the response
+// the listing came in.
 func ReleaseResponse(p *Response) {
 	if p == nil || p.home != p {
 		return
 	}
-	if p.deltas != nil {
-		releaseDeltas(p.deltas)
+	if p.Deltas.buf != nil {
+		wire.ReleaseFrame(p.Deltas.buf, nil)
 	}
 	*p = Response{}
 	responses.Put(p)
-}
-
-// releaseDeltas scrubs a decoded delta array and keeps it if it is small
-// enough.
-func releaseDeltas(b *[]DeltaEntry) {
-	keep := cap(*b) <= maxKeptDeltas
-	if keep || poisonReleased {
-		scrub(*b)
-	}
-	if keep {
-		*b = (*b)[:0]
-		deltaArrays.Put(b)
-	}
 }

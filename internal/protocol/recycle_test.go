@@ -2,8 +2,11 @@ package protocol
 
 import (
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
+
+	"u1/internal/wire"
 )
 
 // TestDecodeIntoUsedSlot decodes a sequence of frames into one slot, the way
@@ -53,7 +56,7 @@ func TestDecodeIntoUsedSlot(t *testing.T) {
 			if err := slot.Decode(frame); err != nil {
 				t.Fatalf("%s round %d: %v", name, round, err)
 			}
-			if !reflect.DeepEqual(slot, fresh) {
+			if !sameResponse(t, slot, fresh) {
 				t.Errorf("%s round %d: used slot\n%+v\nfresh decode\n%+v", name, round, slot, fresh)
 			}
 		}
@@ -85,7 +88,7 @@ func TestRecyclerTakesBackOnlyItsOwn(t *testing.T) {
 	p.home = p
 	copied := *p
 	ReleaseResponse(&copied)
-	if copied.ID != 42 || len(copied.Deltas) != 2 {
+	if copied.ID != 42 || copied.Deltas.Len() != 2 {
 		t.Errorf("releasing a copy wiped it: %+v", copied)
 	}
 
@@ -93,8 +96,8 @@ func TestRecyclerTakesBackOnlyItsOwn(t *testing.T) {
 	if err := p.Decode(encode(sampleResponse())); err != nil {
 		t.Fatal(err)
 	}
-	volumes, shares, data, deltas := p.Volumes, p.Shares, p.Data, p.Deltas
-	if len(deltas) != 2 || deltas[1].Node.Name != "gone" {
+	volumes, shares, data := p.Volumes, p.Shares, p.Data
+	if deltas := entriesOf(t, p.Deltas); len(deltas) != 2 || deltas[1].Node.Name != "gone" {
 		t.Fatalf("decoded deltas %+v", deltas)
 	}
 	ReleaseResponse(p)
@@ -104,12 +107,6 @@ func TestRecyclerTakesBackOnlyItsOwn(t *testing.T) {
 	if len(volumes) != 2 || volumes[1].Path != "~/Music" || len(shares) != 1 || shares[0].Name != "proj" ||
 		string(data) != "part-data" {
 		t.Errorf("release reached through the envelope: %+v %+v %q", volumes, shares, data)
-	}
-	// The decoded listing is the recycler's again: scrubbed, no name left.
-	for i, d := range deltas {
-		if d != released {
-			t.Errorf("released delta %d still reads %+v, want %+v", i, d, released)
-		}
 	}
 	ReleaseResponse(p) // a second release finds nothing of the recycler's
 	ReleaseResponse(nil)
@@ -129,78 +126,125 @@ func TestRecyclerTakesBackOnlyItsOwn(t *testing.T) {
 	}
 }
 
-// released is what a scrubbed delta entry reads.
-var released = func() DeltaEntry {
-	if poisonReleased {
-		return DeltaEntry{Node: NodeInfo{ID: ^NodeID(0), Name: "released"}}
-	}
-	return DeltaEntry{}
-}()
-
-// TestReleasedListingIsPoisoned is the race build's tripwire: a copy of a
-// response that outlives its release finds the sentinel in every delta,
-// which a mirror built from it would then hold.
-func TestReleasedListingIsPoisoned(t *testing.T) {
-	if !poisonReleased {
-		t.Skip("released listings are poisoned only under -race")
-	}
+// pooledListing acquires a response carrying a listing of n entries built,
+// as the server builds one, in a buffer of wire's frame pool.
+func pooledListing(n int) *Response {
 	p := AcquireResponse()
-	if err := p.Decode(encode(sampleResponse())); err != nil {
-		t.Fatal(err)
+	var w DeltaWriter
+	w.Start(64 * n)
+	for i := 0; i < n; i++ {
+		w.Add(NodeInfo{ID: NodeID(i + 1), Volume: 4, Name: "n"}, false)
 	}
-	copied := *p
-	ReleaseResponse(p)
-	for i, d := range copied.Deltas {
-		if d.Node.ID != ^NodeID(0) || d.Node.Name != "released" {
-			t.Errorf("delta %d of a released response reads %+v, want the sentinel", i, d)
-		}
-	}
+	p.Deltas = w.List()
+	return p
 }
 
-// TestDeltaArrayIsRecycled pins the one array the recycler keeps: a listing
-// decoded into a response on loan goes into the array the last release gave
-// back, unless that array was too large to keep; a literal decodes into an
-// array of its own, as before.
-func TestDeltaArrayIsRecycled(t *testing.T) {
+// TestDeltaListBufferIsRecycled pins where a listing's bytes live. A list
+// the server builds starts in a buffer of wire's frame pool, which the
+// release of its response gives back, so the next list starts in the same
+// buffer. A response decoded from a frame keeps the frame while its Deltas
+// are a view of it and gives it back at the release; one without a listing
+// gives its frame back at once. Building, reading and releasing a listing
+// allocates nothing.
+func TestDeltaListBufferIsRecycled(t *testing.T) {
 	if !poolsKeep() {
 		t.Skip("sync.Pool is dropping puts (the race detector is on)")
 	}
-	listing := func(n int) []byte {
-		r := &Response{Status: StatusOK, Rescan: true, Deltas: make([]DeltaEntry, n)}
-		for i := range r.Deltas {
-			r.Deltas[i].Node = NodeInfo{ID: NodeID(i + 1), Name: "n"}
-		}
-		return encode(r)
+	a := pooledListing(5)
+	buf := a.Deltas.buf
+	if pooled(buf) {
+		t.Fatal("a listing's buffer is in the pool while the listing is live")
 	}
-	decode := func(frame []byte) *DeltaEntry {
-		p := AcquireResponse()
-		if err := p.Decode(frame); err != nil {
-			t.Fatal(err)
-		}
-		first := &p.Deltas[0]
-		ReleaseResponse(p)
-		return first
-	}
-	small := listing(200)
-	a := decode(small)
-	if b := decode(small); b != a {
-		t.Error("a second listing went into a new array")
-	}
-	huge := listing(maxKeptDeltas + 1)
-	c := decode(huge)
-	if d := decode(huge); d == c {
-		t.Errorf("an array above %d entries was kept", maxKeptDeltas)
-	}
-	if allocs := testing.AllocsPerRun(100, func() { decode(small) }); allocs > 200 {
-		t.Errorf("decoding a kept-size listing allocates %.0f times, want only its names (200)", allocs)
+	ReleaseResponse(a)
+	if !pooled(buf) {
+		t.Error("releasing a listing's response did not give its buffer back")
 	}
 
-	var lit Response
-	if err := lit.Decode(small); err != nil {
+	frameOf := func(p *Response) []byte {
+		body := encode(p)
+		return append(wire.AcquireFrame(len(body)), body...)
+	}
+	listing := pooledListing(3)
+	frame := frameOf(listing)
+	ReleaseResponse(listing)
+	p := AcquireResponse()
+	if err := p.Decode(frame); err != nil {
 		t.Fatal(err)
 	}
-	if lit.deltas != nil {
-		t.Error("a literal decoded into the recycler's array")
+	p.KeepFrame(frame)
+	if pooled(frame) {
+		t.Fatal("the frame of a listing went back before its response")
+	}
+	if got := entriesOf(t, p.Deltas); len(got) != 3 || got[2].Node.ID != 3 {
+		t.Fatalf("kept listing reads %+v", got)
+	}
+	ReleaseResponse(p)
+	if !pooled(frame) {
+		t.Error("releasing the response did not give its frame back")
+	}
+
+	plain := frameOf(&Response{ID: 3, Status: StatusOK, Data: []byte("part")})
+	p = AcquireResponse()
+	if err := p.Decode(plain); err != nil {
+		t.Fatal(err)
+	}
+	p.KeepFrame(plain)
+	if !pooled(plain) {
+		t.Error("a frame without a listing was kept")
+	}
+	if string(p.Data) != "part" {
+		t.Errorf("Data reads %q after its frame went back", p.Data)
+	}
+	ReleaseResponse(p)
+
+	var e DeltaEntry
+	if allocs := testing.AllocsPerRun(100, func() {
+		p := pooledListing(50)
+		for c := p.Deltas.Cursor(); ; {
+			if _, ok := c.Next(&e); !ok {
+				break
+			}
+		}
+		ReleaseResponse(p)
+	}); allocs != 0 {
+		t.Errorf("a released listing of 50 entries allocates %.0f times, want 0", allocs)
+	}
+}
+
+// pooled reports whether buf is among the frame pool's buffers of its size
+// class, by taking a handful out and putting them back.
+func pooled(buf []byte) bool {
+	var taken [][]byte
+	found := false
+	for i := 0; i < 16; i++ {
+		b := wire.AcquireFrame(cap(buf))
+		taken = append(taken, b)
+		found = found || &b[:1][0] == &buf[:1][0]
+	}
+	for _, b := range taken {
+		wire.ReleaseFrame(b, nil)
+	}
+	return found
+}
+
+// TestUnreleasedListingCostsOnlyAPoolMiss: a delta response nobody gives
+// back is left to the collector. Its listing stays intact however many
+// listings come and go after it (the pool never lends its buffer out), and
+// it costs what a pool miss costs: the response and the buffer.
+func TestUnreleasedListingCostsOnlyAPoolMiss(t *testing.T) {
+	kept := pooledListing(20)
+	want := entriesOf(t, kept.Deltas)
+	for i := 0; i < 100; i++ {
+		ReleaseResponse(pooledListing(20))
+	}
+	if got := entriesOf(t, kept.Deltas); !slices.Equal(got, want) {
+		t.Errorf("an unreleased listing changed under later ones:\n%+v\nwant\n%+v", got, want)
+	}
+	if !poolsKeep() {
+		return
+	}
+	if allocs := testing.AllocsPerRun(100, func() { pooledListing(20) }); allocs > 2 {
+		t.Errorf("an unreleased delta response allocates %.0f times, want at most 2 (the response and its buffer)", allocs)
 	}
 }
 

@@ -304,7 +304,7 @@ func (s *Server) DeleteVolume(user protocol.UserID, vol protocol.VolumeID, now t
 }
 
 // GetDelta executes dal.get_delta.
-func (s *Server) GetDelta(user protocol.UserID, vol protocol.VolumeID, from protocol.Generation, now time.Time, cost *protocol.Cost) ([]protocol.DeltaEntry, protocol.Generation, error) {
+func (s *Server) GetDelta(user protocol.UserID, vol protocol.VolumeID, from protocol.Generation, now time.Time, cost *protocol.Cost) (protocol.DeltaList, protocol.Generation, error) {
 	deltas, gen, err := s.store.GetDelta(user, vol, from)
 	s.call(protocol.RPCGetDelta, user, now, cost, err)
 	return deltas, gen, err
@@ -371,7 +371,7 @@ func (s *Server) DeleteUploadJob(user protocol.UserID, id protocol.UploadID, now
 // --- Other read-only RPCs (Fig. 12c) ---
 
 // GetFromScratch executes dal.get_from_scratch, the cascade full-volume read.
-func (s *Server) GetFromScratch(user protocol.UserID, vol protocol.VolumeID, now time.Time, cost *protocol.Cost) ([]protocol.DeltaEntry, protocol.Generation, error) {
+func (s *Server) GetFromScratch(user protocol.UserID, vol protocol.VolumeID, now time.Time, cost *protocol.Cost) (protocol.DeltaList, protocol.Generation, error) {
 	nodes, gen, err := s.store.GetFromScratch(user, vol)
 	s.call(protocol.RPCGetFromScratch, user, now, cost, err)
 	return nodes, gen, err

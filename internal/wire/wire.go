@@ -18,8 +18,13 @@
 // the caller owns. Whatever the caller decodes out of a frame (Reader.Bytes,
 // protocol.Unmarshal*) aliases it, so a connection loop decodes the frame,
 // then calls ReleaseFrame once with the message's Data: the frame goes back,
-// and the Data comes out in memory nobody recycles — an exact copy out of a
-// recycled frame, or the Data itself out of a larger one. That keeps the
+// and the Data comes out in memory nobody recycles. A GetDelta answer is the
+// exception: its listing is read in place, so the client's read loop hands
+// the frame to the response (protocol.Response.KeepFrame), and the frame
+// goes back at protocol.ReleaseResponse, not in the loop. The server builds
+// such a listing in a buffer of the same pool (AcquireFrame), which goes
+// back the same way. Data leaves a recycled frame as an exact copy and a
+// larger frame as itself, which keeps the
 // read the one user-space copy of a part above 64 KB: the object store
 // adopts the Data as the stored part and serves downloads from it. A smaller
 // part takes one more copy, of at most 64 KB, so a stored part never pins a
@@ -236,8 +241,13 @@ func takeFrame(n int) []byte {
 	return make([]byte, n, 1<<(c+minFrameShift))
 }
 
+// AcquireFrame returns an empty buffer with room for n bytes, from the pool
+// ReadFrame reads into when n fits a pooled size class: a buffer to encode
+// into that ReleaseFrame takes back like a frame.
+func AcquireFrame(n int) []byte { return takeFrame(n)[:0] }
+
 // ReleaseFrame gives back a payload ReadFrame returned, once the message in
-// it is decoded, and returns data — the message's Data, a slice of frame, or
+// it is decoded, or a buffer AcquireFrame returned, and returns data — the message's Data, a slice of frame, or
 // nil — in memory nobody recycles: out of a recycled frame, an exact copy;
 // out of a frame above maxPooledFrame, data itself, which the caller may
 // keep. Neither frame nor any other slice of it may be used afterwards.
@@ -277,6 +287,11 @@ func NewWriter(n int) *Writer { return &Writer{buf: make([]byte, 0, n)} }
 // reused for message after message allocates only when one outgrows it.
 // Slices Bytes returned before are overwritten by later writes.
 func (w *Writer) Reset() { w.buf, w.payload, w.payloadAt = w.buf[:0], nil, 0 }
+
+// ResetTo discards everything written so far and continues in buf[:0], so
+// what follows lands in memory the caller chose (an AcquireFrame buffer, say)
+// for as long as it has room.
+func (w *Writer) ResetTo(buf []byte) { w.buf, w.payload, w.payloadAt = buf[:0], nil, 0 }
 
 // Truncate keeps the first n bytes of a Writer holding no Payload.
 func (w *Writer) Truncate(n int) { w.buf = w.buf[:n] }
