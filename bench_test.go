@@ -227,11 +227,14 @@ func BenchmarkBlobMultipart(b *testing.B) {
 	}
 }
 
-// benchWALAppend times journal appends of a journal-record-sized payload
-// under one fsync policy — the raw cost floor of the durable metadata tier.
-func benchWALAppend(b *testing.B, policy wal.Policy) {
+// benchWALAppend times what one commit costs the journal, from parallel
+// committers: an append of a journal-record-sized payload and, when acked,
+// the wait for a flush covering it (per-op and group fsync), where one flush
+// serves every waiter it covered — the raw cost floor of the durable
+// metadata tier. It reports the flushes per append.
+func benchWALAppend(b *testing.B, acked bool) {
 	b.Helper()
-	log, err := wal.Open(b.TempDir(), wal.Options{Policy: policy})
+	log, err := wal.Open(b.TempDir(), wal.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -239,16 +242,24 @@ func benchWALAppend(b *testing.B, policy wal.Policy) {
 	payload := bytes.Repeat([]byte{0x5A}, 256)
 	b.SetBytes(int64(len(payload)))
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := log.Append(payload); err != nil {
-			b.Fatal(err)
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			lsn, err := log.Append(payload)
+			if err == nil && acked {
+				err = log.SyncThrough(lsn)
+			}
+			if err != nil {
+				b.Error(err)
+				return
+			}
 		}
-	}
+	})
+	appends, syncs := log.Stats()
+	b.ReportMetric(float64(syncs)/float64(appends), "syncs/append")
 }
 
-func BenchmarkWALAppendPerOp(b *testing.B) { benchWALAppend(b, wal.FsyncPerOp) }
-func BenchmarkWALAppendGroup(b *testing.B) { benchWALAppend(b, wal.FsyncGroupCommit) }
-func BenchmarkWALAppendAsync(b *testing.B) { benchWALAppend(b, wal.FsyncAsync) }
+func BenchmarkWALAppendAcked(b *testing.B) { benchWALAppend(b, true) }
+func BenchmarkWALAppendAsync(b *testing.B) { benchWALAppend(b, false) }
 
 // BenchmarkDurableMakeFile is BenchmarkMetadataMakeFile with the WAL on: the
 // journaled-write overhead the durability knobs buy into.

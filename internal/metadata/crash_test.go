@@ -263,10 +263,8 @@ func runCrashOps(t *testing.T, s *Store, done func(i int, d *opMix) bool) {
 // from what the disk kept, and checks each shard against an in-memory
 // reference run of the same ops:
 //
-//   - per-op fsync: the state after the acknowledged ops, or after them plus
-//     the op in flight;
-//   - group commit: a prefix at most 7 records short of the acknowledged
-//     state (the journal syncs every 8 appends);
+//   - per-op and group fsync, one sync path: the state after the
+//     acknowledged ops, or after them plus the op in flight;
 //   - async: some prefix.
 //
 // Variants tear the crashing write (a seeded prefix of its bytes reaches the
@@ -327,11 +325,9 @@ func TestCrashPointEnumeration(t *testing.T) {
 							if ref[p][i] != fp {
 								continue
 							}
-							switch short := int(lsns[acked][i]) - int(lsns[p][i]); {
-							case policy == wal.FsyncPerOp && p < acked,
-								policy == wal.FsyncGroupCommit && short > 7:
+							if policy != wal.FsyncAsync && p < acked {
 								t.Fatalf("crash at call %d (op %d): shard %d lost acknowledged writes: recovered the state after op %d, %d records short",
-									at, acked, i, p, short)
+									at, acked, i, p, lsns[acked][i]-lsns[p][i])
 							}
 							last[i] = p
 						}
@@ -501,7 +497,7 @@ func journalCounts(s *Store) []uint64 {
 // op: some op the policy may have lost journaled several records to it.
 func midOp(lsns [][]uint64, i int, policy wal.Policy, acked, hi int) bool {
 	from := 0
-	if policy == wal.FsyncPerOp {
+	if policy != wal.FsyncAsync {
 		from = acked
 	}
 	for q := from; q < hi && q+1 < len(lsns); q++ {

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io/fs"
 	"path/filepath"
+	"sync/atomic"
 	"time"
 
 	"u1/internal/metrics"
@@ -35,6 +36,19 @@ import (
 //   - no unacknowledged write is double-applied: a record torn by the crash
 //     fails its CRC and is dropped on replay (see package wal), and a record
 //     is only ever replayed once (the snapshot's LSN fences the suffix).
+//
+// Acknowledged means durable, one way: under per-op and group fsync (one
+// path, priced differently by wal.Policy.SyncCost) an op returns only after
+// a flush covers its record, so the RPC's answer, its pushes and
+// wal.journaled come after it; it waits (awaitFlush) only after releasing
+// every shard lock, so no flush holds a shard. Under async nothing waits.
+// Two rules follow from taking the flush out of the lock:
+//
+//   - a reader may observe a committed record before its flush completes,
+//     as under async;
+//   - a refused op may survive recovery: a failed flush fences the shard and
+//     refuses every op it covered, but their records may have reached the
+//     disk, as a failed snapshot's op may.
 //
 // Uploadjobs are deliberately not journaled: they are transient multipart
 // bookkeeping, garbage-collected weekly in production, and an upload whose
@@ -75,6 +89,7 @@ type durability struct {
 	syncCost      time.Duration // modeled per-mutation sync charge (see SyncCost)
 	shards        []*durableShard
 	m             durMetrics
+	closed        atomic.Bool
 }
 
 // durableShard is one shard's journal handle plus snapshot cadence state.
@@ -83,8 +98,10 @@ type durableShard struct {
 	journal *wal.Log
 	dir     string
 	lastLSN uint64
-	records int   // journal appends since the last snapshot
-	fenced  error // a commit's failed disk call; cleared by loadShard
+	records int // journal appends since the last snapshot
+	// fenced is why the shard refuses mutations: a commit's failed disk
+	// call (cleared by loadShard), or errClosed once the store is closed.
+	fenced error
 	// scratch encodes the record of a store that journals without
 	// replicating (a replicating store encodes onto its replication log).
 	scratch wire.Writer
@@ -189,7 +206,7 @@ func (s *Store) loadShard(i int) error {
 	if err != nil {
 		return err
 	}
-	journal, err := wal.Open(walDir, wal.Options{Policy: s.dur.policy, SegmentBytes: segmentBytes, FS: fsys})
+	journal, err := wal.Open(walDir, wal.Options{SegmentBytes: segmentBytes, FS: fsys})
 	if err != nil {
 		return err
 	}
@@ -199,19 +216,20 @@ func (s *Store) loadShard(i int) error {
 }
 
 // commit is the last step of every mutating op, under sh's write lock: it
-// encodes rec once for sh's journal (on disk per the fsync policy) and the
-// tail of sh's replication log (where the peer regions read it), then applies
-// rec to sh, counting any delta-log trim, and takes a snapshot when one is
-// due. So journal, publish and apply order are one order, and a snapshot
-// never claims an LSN whose record it lacks. An error refuses the op and
-// fences sh; a record the journal refused reaches neither sink nor sh. An
-// in-memory single-region store encodes nothing.
-func (s *Store) commit(sh *shard, rec journalRecord) error {
+// encodes rec once for sh's journal and the tail of sh's replication log
+// (where the peer regions read it), then applies rec to sh, counting any
+// delta-log trim, and takes a snapshot when one is due. So journal, publish
+// and apply order are one order, and a snapshot never claims an LSN whose
+// record it lacks. It returns the flush the op must wait for once it holds
+// no shard lock (awaitFlush); none under async fsync. An error refuses the
+// op and fences sh; a record the journal refused reaches neither sink nor
+// sh. An in-memory single-region store encodes nothing.
+func (s *Store) commit(sh *shard, rec journalRecord) (flushWait, error) {
 	var dsh *durableShard
 	var journal *wal.Log
 	if s.dur != nil {
 		if dsh = s.dur.shards[sh.id]; dsh.fenced != nil {
-			return dsh.fenced
+			return flushWait{}, dsh.fenced
 		}
 		journal = dsh.journal
 	}
@@ -225,7 +243,7 @@ func (s *Store) commit(sh *shard, rec journalRecord) error {
 		lsn, err = journal.Append(dsh.scratch.Bytes())
 	}
 	if err != nil {
-		return s.fence(sh.id, err)
+		return flushWait{}, s.fence(sh.id, err)
 	}
 	if s.repl != nil {
 		s.repl.m.published.Inc()
@@ -234,13 +252,55 @@ func (s *Store) commit(sh *shard, rec journalRecord) error {
 		s.m.logTrimmed.Add(uint64(trims))
 	}
 	if dsh == nil {
-		return nil
+		return flushWait{}, nil
 	}
 	s.dur.m.appends.Inc()
 	if dsh.lastLSN, dsh.records = lsn, dsh.records+1; dsh.records >= s.dur.snapshotEvery {
-		return s.snapshotShardLocked(sh)
+		if err := s.snapshotShardLocked(sh); err != nil {
+			return flushWait{}, err
+		}
 	}
-	return nil
+	if s.dur.policy == wal.FsyncAsync {
+		return flushWait{}, nil
+	}
+	return flushWait{journal, lsn}, nil
+}
+
+// flushWait is what an op's acknowledgement waits for after its commit: a
+// flush of journal through lsn. The zero value waits for nothing.
+type flushWait struct {
+	journal *wal.Log
+	lsn     uint64
+}
+
+// awaitFlush returns once a flush covers w's record, at once for the zero
+// w. The caller holds no shard lock, so the flush holds none either. A failed
+// flush fences sh once, under its write lock, however many ops it covered,
+// and each of them returns the fence.
+func (s *Store) awaitFlush(sh *shard, w flushWait) error {
+	if w.journal == nil {
+		return nil
+	}
+	err := w.journal.SyncThrough(w.lsn)
+	if err == nil {
+		return nil
+	}
+	sh.LockUncounted()
+	defer sh.UnlockUncounted()
+	if fenced := s.dur.shards[sh.id].fenced; fenced != nil {
+		return fenced
+	}
+	return s.fence(sh.id, err)
+}
+
+// unlockAwait releases sh's write lock, taken at lockedAt, and then, if the
+// op succeeded so far (*err nil), waits for the flush *w and stores its error
+// in *err. Ops that hold one shard's lock to their end defer it.
+func (s *Store) unlockAwait(sh *shard, lockedAt metrics.Stopwatch, w *flushWait, err *error) {
+	sh.Unlock(lockedAt)
+	if *err == nil {
+		*err = s.awaitFlush(sh, *w)
+	}
 }
 
 // fence makes shard i refuse every mutation, reads still served, with an
@@ -270,7 +330,7 @@ func (s *Store) snapshotShardLocked(sh *shard) error {
 	}
 	tmp := filepath.Join(dsh.dir, snapshotFile+".tmp")
 	final := filepath.Join(dsh.dir, snapshotFile)
-	err := dsh.journal.Sync()
+	err := dsh.journal.SyncThrough(dsh.lastLSN)
 	if err == nil {
 		err = writeSnapshotFile(fsys, tmp, sh, dsh.lastLSN)
 	}
@@ -309,19 +369,26 @@ func writeSnapshotFile(fsys vfs.FS, path string, sh *shard, lsn uint64) error {
 	return errors.Join(err, f.Close())
 }
 
+// errClosed refuses every mutation of a closed store.
+var errClosed = fmt.Errorf("%w: metadata store is closed", protocol.ErrUnavailable)
+
 // Close flushes the durable tier: every shard is snapshotted and its journal
-// synced and closed. It returns every fence; a fenced shard's journal, not a
-// snapshot, is what recovery reads. In-memory stores return nil immediately.
-// The store must not be used after Close.
+// synced and closed, which covers every commit still waiting for its flush.
+// It returns every fence; a fenced shard's journal, not a snapshot, is what
+// recovery reads. Every mutation after it fails with an error wrapping
+// protocol.ErrUnavailable, and a second Close returns nil without touching
+// the disk. In-memory stores return nil immediately.
 func (s *Store) Close() error {
-	if s.dur == nil {
+	if s.dur == nil || s.dur.closed.Swap(true) {
 		return nil
 	}
 	var errs []error
 	for _, sh := range s.shards {
+		dsh := s.dur.shards[sh.id]
 		// The final snapshot is maintenance, not client load.
 		sh.LockUncounted()
-		errs = append(errs, s.snapshotShardLocked(sh), s.dur.shards[sh.id].journal.Close())
+		errs = append(errs, s.snapshotShardLocked(sh), dsh.journal.Close())
+		dsh.fenced = errClosed
 		sh.UnlockUncounted()
 	}
 	return errors.Join(errs...)
@@ -369,10 +436,13 @@ func (s *Store) CrashShard(i int) {
 // store's derived state (volume directory, content reference counts, ID
 // allocators) from all shards. On a replicated store it then rewinds every
 // peer's replica of shard i to the recovered owner (rewindReplicas). Requires
-// durability; returns an error otherwise.
+// a durable store that is not closed; returns an error otherwise.
 func (s *Store) RecoverShard(i int) error {
 	if s.dur == nil {
 		return fmt.Errorf("metadata: shard recovery requires a durable store")
+	}
+	if s.dur.closed.Load() {
+		return errClosed
 	}
 	sh := s.shards[i]
 	sh.LockUncounted()

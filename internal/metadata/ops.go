@@ -15,9 +15,10 @@ import (
 // reported to clients as their volume 0 equivalent) and its root directory.
 // Creating an existing user is idempotent and returns the existing root
 // volume, so client re-installs do not error.
-func (s *Store) CreateUser(user protocol.UserID) (protocol.VolumeInfo, error) {
+func (s *Store) CreateUser(user protocol.UserID) (info protocol.VolumeInfo, err error) {
 	sh := s.shardOf(user)
-	defer sh.Unlock(sh.Lock())
+	var w flushWait
+	defer s.unlockAwait(sh, sh.Lock(), &w, &err)
 	if u, ok := sh.users[user]; ok {
 		// Idempotent ensure for an existing user is a pure read; it must
 		// keep working while the user's home region is down so logins
@@ -27,19 +28,21 @@ func (s *Store) CreateUser(user protocol.UserID) (protocol.VolumeInfo, error) {
 	if err := s.writeGuard(user); err != nil {
 		return protocol.VolumeInfo{}, err
 	}
-	return s.createVolume(sh, recCreateUser, user, protocol.VolumeRoot, "~/Ubuntu One")
+	info, w, err = s.createVolume(sh, recCreateUser, user, protocol.VolumeRoot, "~/Ubuntu One")
+	return info, err
 }
 
 // createVolume commits a new volume plus its root directory — a user's root
 // volume (recCreateUser, which also creates the user row) or a UDF — in sh,
-// which must be write-locked.
-func (s *Store) createVolume(sh *shard, kind recKind, owner protocol.UserID, typ protocol.VolumeType, path string) (protocol.VolumeInfo, error) {
+// which must be write-locked, and returns the flush its caller waits for.
+func (s *Store) createVolume(sh *shard, kind recKind, owner protocol.UserID, typ protocol.VolumeType, path string) (protocol.VolumeInfo, flushWait, error) {
 	info := protocol.VolumeInfo{ID: s.allocVolume(), Type: typ, Path: path, Owner: owner}
-	if err := s.commit(sh, journalRecord{Kind: kind, User: owner, Volume: info, Root: s.allocNode()}); err != nil {
-		return protocol.VolumeInfo{}, err
+	w, err := s.commit(sh, journalRecord{Kind: kind, User: owner, Volume: info, Root: s.allocNode()})
+	if err != nil {
+		return protocol.VolumeInfo{}, flushWait{}, err
 	}
 	s.volumeDir.store(info.ID, owner)
-	return info, nil
+	return info, w, nil
 }
 
 // ownerOf resolves the owner of a volume through the volume directory.
@@ -146,7 +149,7 @@ func (s *Store) ListShares(user protocol.UserID) ([]protocol.ShareInfo, error) {
 }
 
 // CreateUDF creates a user-defined volume (dal.create_udf).
-func (s *Store) CreateUDF(user protocol.UserID, path string) (protocol.VolumeInfo, error) {
+func (s *Store) CreateUDF(user protocol.UserID, path string) (info protocol.VolumeInfo, err error) {
 	if path == "" {
 		return protocol.VolumeInfo{}, fmt.Errorf("%w: empty UDF path", protocol.ErrBadRequest)
 	}
@@ -154,7 +157,8 @@ func (s *Store) CreateUDF(user protocol.UserID, path string) (protocol.VolumeInf
 		return protocol.VolumeInfo{}, err
 	}
 	sh := s.shardOf(user)
-	defer sh.Unlock(sh.Lock())
+	var w flushWait
+	defer s.unlockAwait(sh, sh.Lock(), &w, &err)
 	u, ok := sh.users[user]
 	if !ok {
 		return protocol.VolumeInfo{}, protocol.ErrNotFound
@@ -164,7 +168,8 @@ func (s *Store) CreateUDF(user protocol.UserID, path string) (protocol.VolumeInf
 			return protocol.VolumeInfo{}, fmt.Errorf("%w: UDF %q", protocol.ErrExists, path)
 		}
 	}
-	return s.createVolume(sh, recCreateUDF, user, protocol.VolumeUDF, path)
+	info, w, err = s.createVolume(sh, recCreateUDF, user, protocol.VolumeUDF, path)
+	return info, err
 }
 
 // GetVolume returns a volume's metadata (dal.get_volume_id).
@@ -217,8 +222,8 @@ func (s *Store) DeleteVolume(user protocol.UserID, vol protocol.VolumeID) (remov
 		removed = append(removed, sh.nodes[nodeID].info(nodeID))
 	}
 	grantees := maps.Clone(vr.grants)
-	err = s.commit(sh, journalRecord{Kind: recDeleteVolume, User: user, VolID: vol})
-	sh.Unlock(lockedAt)
+	w, err := s.commit(sh, journalRecord{Kind: recDeleteVolume, User: user, VolID: vol})
+	s.unlockAwait(sh, lockedAt, &w, &err)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -246,8 +251,8 @@ func (s *Store) DeleteVolume(user protocol.UserID, vol protocol.VolumeID) (remov
 			continue // the delete_volume record already dropped it
 		}
 		gLockedAt := gsh.Lock()
-		err := s.commit(gsh, journalRecord{Kind: recDropShare, Share: protocol.ShareInfo{ID: shareID, SharedTo: grantee}})
-		gsh.Unlock(gLockedAt)
+		w, err := s.commit(gsh, journalRecord{Kind: recDropShare, Share: protocol.ShareInfo{ID: shareID, SharedTo: grantee}})
+		s.unlockAwait(gsh, gLockedAt, &w, &err)
 		if err != nil {
 			return nil, nil, err // a fenced grantee shard: recovery rebuilds the references
 		}
@@ -268,7 +273,7 @@ func (s *Store) DeleteVolume(user protocol.UserID, vol protocol.VolumeID) (remov
 // Creating a node that already exists under the same parent and kind is
 // idempotent and returns the existing node: clients re-send Make before
 // uploads (Table 2: "normally precedes a file upload").
-func (s *Store) makeNode(user protocol.UserID, vol protocol.VolumeID, parent protocol.NodeID, name string, kind protocol.NodeKind) (protocol.NodeInfo, error) {
+func (s *Store) makeNode(user protocol.UserID, vol protocol.VolumeID, parent protocol.NodeID, name string, kind protocol.NodeKind) (_ protocol.NodeInfo, err error) {
 	if name == "" {
 		return protocol.NodeInfo{}, fmt.Errorf("%w: empty node name", protocol.ErrBadRequest)
 	}
@@ -280,7 +285,8 @@ func (s *Store) makeNode(user protocol.UserID, vol protocol.VolumeID, parent pro
 		return protocol.NodeInfo{}, err
 	}
 	sh := s.shardOf(owner)
-	defer sh.Unlock(sh.Lock())
+	var w flushWait
+	defer s.unlockAwait(sh, sh.Lock(), &w, &err)
 	vr, ok := sh.volumes[vol]
 	if !ok {
 		return protocol.NodeInfo{}, protocol.ErrNotFound
@@ -309,7 +315,7 @@ func (s *Store) makeNode(user protocol.UserID, vol protocol.VolumeID, parent pro
 		ID: s.allocNode(), Volume: vol, Parent: parent, Kind: kind, Name: name,
 		Generation: vr.info.Generation + 1,
 	}
-	if err := s.commit(sh, journalRecord{Kind: recMakeNode, Node: info}); err != nil {
+	if w, err = s.commit(sh, journalRecord{Kind: recMakeNode, Node: info}); err != nil {
 		return protocol.NodeInfo{}, err
 	}
 	return info, nil
@@ -366,8 +372,8 @@ func (s *Store) MakeContent(user protocol.UserID, vol protocol.VolumeID, node pr
 	wasUpdate = !oldHash.IsZero() && (oldHash != h || nr.size != size)
 	info = nr.info(node)
 	info.Hash, info.Size, info.Generation = h, size, vr.info.Generation+1
-	err = s.commit(sh, journalRecord{Kind: recMakeContent, Node: info})
-	sh.Unlock(lockedAt)
+	w, err := s.commit(sh, journalRecord{Kind: recMakeContent, Node: info})
+	s.unlockAwait(sh, lockedAt, &w, &err)
 	if err != nil {
 		return protocol.NodeInfo{}, nil, false, err
 	}
@@ -480,8 +486,8 @@ func (s *Store) Unlink(user protocol.UserID, vol protocol.VolumeID, node protoco
 		info.Generation = gen
 		removed = append(removed, info)
 	}
-	err = s.commit(sh, journalRecord{Kind: recUnlink, VolID: vol, Gen: gen, Removed: removed})
-	sh.Unlock(lockedAt)
+	w, err := s.commit(sh, journalRecord{Kind: recUnlink, VolID: vol, Gen: gen, Removed: removed})
+	s.unlockAwait(sh, lockedAt, &w, &err)
 	if err != nil {
 		return nil, 0, nil, err
 	}
@@ -497,7 +503,7 @@ func (s *Store) Unlink(user protocol.UserID, vol protocol.VolumeID, node protoco
 }
 
 // Move re-parents or renames a node within its volume (dal.move).
-func (s *Store) Move(user protocol.UserID, vol protocol.VolumeID, node, newParent protocol.NodeID, newName string) (protocol.NodeInfo, error) {
+func (s *Store) Move(user protocol.UserID, vol protocol.VolumeID, node, newParent protocol.NodeID, newName string) (_ protocol.NodeInfo, err error) {
 	if newName == "" {
 		return protocol.NodeInfo{}, fmt.Errorf("%w: empty target name", protocol.ErrBadRequest)
 	}
@@ -509,7 +515,8 @@ func (s *Store) Move(user protocol.UserID, vol protocol.VolumeID, node, newParen
 		return protocol.NodeInfo{}, err
 	}
 	sh := s.shardOf(owner)
-	defer sh.Unlock(sh.Lock())
+	var w flushWait
+	defer s.unlockAwait(sh, sh.Lock(), &w, &err)
 	vr, ok := sh.volumes[vol]
 	if !ok {
 		return protocol.NodeInfo{}, protocol.ErrNotFound
@@ -549,7 +556,7 @@ func (s *Store) Move(user protocol.UserID, vol protocol.VolumeID, node, newParen
 	}
 	info := nr.info(node)
 	info.Parent, info.Name, info.Generation = newParent, newName, vr.info.Generation+1
-	if err := s.commit(sh, journalRecord{Kind: recMove, Node: info}); err != nil {
+	if w, err = s.commit(sh, journalRecord{Kind: recMove, Node: info}); err != nil {
 		return protocol.NodeInfo{}, err
 	}
 	return info, nil
@@ -641,7 +648,7 @@ func subtreeSize(sh *shard, id protocol.NodeID) int {
 // CreateShare offers a volume to another user (dal.create_share). The share
 // row is written to both the owner's and the grantee's shards — the only
 // operation class that must involve more than one shard (§3.4).
-func (s *Store) CreateShare(owner protocol.UserID, vol protocol.VolumeID, to protocol.UserID, name string, readOnly bool) (protocol.ShareInfo, error) {
+func (s *Store) CreateShare(owner protocol.UserID, vol protocol.VolumeID, to protocol.UserID, name string, readOnly bool) (_ protocol.ShareInfo, err error) {
 	if owner == to {
 		return protocol.ShareInfo{}, fmt.Errorf("%w: sharing with oneself", protocol.ErrBadRequest)
 	}
@@ -669,7 +676,16 @@ func (s *Store) CreateShare(owner protocol.UserID, vol protocol.VolumeID, to pro
 		ReadOnly: readOnly,
 	}
 	osh, gsh := s.shardOf(owner), s.shardOf(to)
-	defer unlockPair(osh, gsh, lockPair(osh, gsh))
+	var wo, wg flushWait
+	defer func(holds [2]metrics.Stopwatch) {
+		unlockPair(osh, gsh, holds)
+		if err == nil {
+			err = s.awaitFlush(osh, wo)
+		}
+		if err == nil {
+			err = s.awaitFlush(gsh, wg)
+		}
+	}(lockPair(osh, gsh))
 	vr, ok := osh.volumes[vol]
 	if !ok {
 		return protocol.ShareInfo{}, protocol.ErrNotFound
@@ -683,9 +699,9 @@ func (s *Store) CreateShare(owner protocol.UserID, vol protocol.VolumeID, to pro
 	// One record per shard: the owner's shard takes the grant, the grantee's
 	// the incoming share; when both users live on one shard, its one record
 	// does both.
-	err = s.commit(osh, journalRecord{Kind: recCreateShare, Share: share})
+	wo, err = s.commit(osh, journalRecord{Kind: recCreateShare, Share: share})
 	if osh != gsh && err == nil {
-		err = s.commit(gsh, journalRecord{Kind: recCreateShare, Share: share})
+		wg, err = s.commit(gsh, journalRecord{Kind: recCreateShare, Share: share})
 	}
 	if err != nil {
 		return protocol.ShareInfo{}, err
@@ -715,14 +731,14 @@ func (s *Store) AcceptShare(user protocol.UserID, id protocol.ShareID) (protocol
 	}
 	out := *share
 	out.Accepted = true
-	err := s.commit(gsh, journalRecord{Kind: recAcceptShare, Share: out})
-	gsh.Unlock(gLockedAt)
+	w, err := s.commit(gsh, journalRecord{Kind: recAcceptShare, Share: out})
+	s.unlockAwait(gsh, gLockedAt, &w, &err)
 
 	// Mirror the accepted flag in the owner's shard copy.
 	if osh := s.shardOf(owner); osh != gsh && err == nil {
 		oLockedAt := osh.Lock()
-		err = s.commit(osh, journalRecord{Kind: recAcceptShare, Share: out})
-		osh.Unlock(oLockedAt)
+		w, err = s.commit(osh, journalRecord{Kind: recAcceptShare, Share: out})
+		s.unlockAwait(osh, oLockedAt, &w, &err)
 	}
 	if err != nil {
 		return protocol.ShareInfo{}, err

@@ -24,13 +24,17 @@
 // Every disk call goes through a vfs.FS (Options.FS; Replay's argument), and
 // a new segment's name is synced before its first record.
 //
-// Sync policy is configurable (per-op, group-commit, async) and carries a
-// deterministic service-time cost model so the request path can charge
-// fsync overhead to protocol.Cost without the simulated latency depending on
-// host disk speed.
+// Append only writes; a roll syncs the full segment it closes, and Close the
+// last one. SyncThrough is the one wait for a flush: one flush, made outside
+// the Log's mutex, serves every waiter it covers (group commit). After a
+// failed flush the Log refuses every append and every wait no earlier flush
+// covered, since the disk may have dropped what it held (PostgreSQL's rule
+// since 2018). Whether a commit waits is its owner's fsync policy
+// (policy.go), which the Log never reads.
 package wal
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -64,9 +68,16 @@ const maxKeptFrame = 64 << 10
 // truncation frees space promptly, large enough that rolls stay rare.
 const DefaultSegmentBytes = 1 << 20
 
+// ErrClosed is what Append, and a SyncThrough no flush covered, return once
+// the Log is closed or crashed.
+var ErrClosed = errors.New("wal: log closed")
+
 // Options parameterizes a Log.
 type Options struct {
-	// Policy is the fsync policy (the zero value is FsyncPerOp).
+	// Policy is not read: the Log flushes the same way under every policy,
+	// and whether a commit waits for a flush is its owner's choice.
+	//
+	// Deprecated: set nothing; the field stays for callers that still do.
 	Policy Policy
 	// SegmentBytes rolls to a new segment file once the active one exceeds
 	// this size (0 → DefaultSegmentBytes).
@@ -77,17 +88,22 @@ type Options struct {
 
 // Log is one append-only journal. Safe for concurrent use; in the metadata
 // tier appends additionally serialize under the owning shard's write lock,
-// so journal order always matches apply order.
+// so journal order always matches apply order, while waits run outside it.
 type Log struct {
 	dir  string
 	opts Options
 
 	mu      sync.Mutex
+	flushed sync.Cond // broadcast when a flush ends; L is &mu
 	f       vfs.File
 	size    int64
 	nextLSN uint64
-	pending int    // appends since the last sync (group commit)
-	frame   []byte // Append's frame buffer, reused from record to record
+	// durable is the last LSN a flush covered: every record through it is
+	// on stable storage.
+	durable  uint64
+	flushing bool   // a SyncThrough is syncing f outside mu
+	err      error  // a failed flush, or ErrClosed: what Append and an uncovered wait return
+	frame    []byte // Append's frame buffer, reused from record to record
 
 	appends uint64
 	syncs   uint64
@@ -107,6 +123,7 @@ func Open(dir string, opts Options) (*Log, error) {
 		return nil, fmt.Errorf("wal: creating %s: %w", dir, err)
 	}
 	l := &Log{dir: dir, opts: opts, nextLSN: 1}
+	l.flushed.L = &l.mu
 
 	segs, err := segments(opts.FS, dir)
 	if err != nil {
@@ -137,7 +154,8 @@ func Open(dir string, opts Options) (*Log, error) {
 }
 
 // Append frames payload as the next record and writes it to the active
-// segment, syncing according to the policy. It returns the record's LSN.
+// segment, and returns its LSN. It does not sync: the record is durable once
+// a flush covers it (SyncThrough).
 func (l *Log) Append(payload []byte) (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -162,33 +180,24 @@ func (l *Log) Append(payload []byte) (uint64, error) {
 	l.size += int64(len(buf))
 	l.nextLSN = lsn + 1
 	l.appends++
-	l.pending++
-	switch l.opts.Policy {
-	case FsyncPerOp:
-		if err := l.syncLocked(); err != nil {
-			return 0, err
-		}
-	case FsyncGroupCommit:
-		if l.pending >= groupEvery {
-			if err := l.syncLocked(); err != nil {
-				return 0, err
-			}
-		}
-	case FsyncAsync:
-		// The OS flushes on its own schedule; Close still syncs.
-	}
 	return lsn, nil
 }
 
 // rollLocked opens the active segment, rolling to a fresh file when the
-// current one passed the size threshold. Called with l.mu held. A new
-// segment's name is synced before its first record: fsync(2) of the file
-// alone would not keep the name through a power cut.
+// current one passed the size threshold, or returns l.err. Called with l.mu
+// held. The full segment is synced and closed once no flush is syncing it; a
+// new segment's name is synced before its first record: fsync(2) of the
+// file alone would not keep the name through a power cut.
 func (l *Log) rollLocked() error {
-	if l.f != nil && l.size < l.opts.SegmentBytes {
-		return nil
+	if l.f != nil && l.size >= l.opts.SegmentBytes {
+		l.idleLocked()
 	}
-	if l.f != nil {
+	switch {
+	case l.err != nil:
+		return l.err
+	case l.f != nil && l.size < l.opts.SegmentBytes:
+		return nil
+	case l.f != nil:
 		if err := l.syncLocked(); err != nil {
 			return err
 		}
@@ -208,23 +217,60 @@ func (l *Log) rollLocked() error {
 	return nil
 }
 
-// Sync makes every record appended so far durable, whatever the policy.
-func (l *Log) Sync() error {
+// SyncThrough returns once a flush covered record lsn: at once if one
+// already did. A waiter finding a flush in flight waits for it; the first
+// waiter it did not cover flushes every record appended so far, outside the
+// Log's mutex. A failed flush, Close or Crash fails every waiter no earlier
+// flush covered (Close's own sync covers every record before it).
+func (l *Log) SyncThrough(lsn uint64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.syncLocked()
-}
-
-func (l *Log) syncLocked() error {
-	if l.f == nil || l.pending == 0 {
+	for l.flushing && l.durable < lsn {
+		l.flushed.Wait()
+	}
+	if l.durable >= lsn {
 		return nil
 	}
-	if err := l.f.Sync(); err != nil {
-		return fmt.Errorf("wal: fsync: %w", err)
+	if l.err != nil {
+		return l.err
 	}
-	l.pending = 0
+	f, through := l.f, l.nextLSN-1
+	l.flushing = true
+	l.mu.Unlock()
+	err := f.Sync()
+	l.mu.Lock()
+	l.flushing = false
+	l.flushed.Broadcast()
+	return l.synced(through, err)
+}
+
+// syncLocked syncs the active segment in place unless a flush already
+// covered every record in it. Called with l.mu held and no flush in flight.
+func (l *Log) syncLocked() error {
+	if l.durable >= l.nextLSN-1 {
+		return nil
+	}
+	return l.synced(l.nextLSN-1, l.f.Sync())
+}
+
+// synced records the outcome of a sync of the records through through.
+// Called with l.mu held.
+func (l *Log) synced(through uint64, err error) error {
+	if err != nil {
+		l.err = fmt.Errorf("wal: fsync: %w", err)
+		return l.err
+	}
+	l.durable = max(l.durable, through)
 	l.syncs++
 	return nil
+}
+
+// idleLocked waits until no flush is syncing the active segment. Called with
+// l.mu held.
+func (l *Log) idleLocked() {
+	for l.flushing {
+		l.flushed.Wait()
+	}
 }
 
 // Stats returns cumulative appends and syncs, for the wal.* counters.
@@ -234,31 +280,42 @@ func (l *Log) Stats() (appends, syncs uint64) {
 	return l.appends, l.syncs
 }
 
-// Close syncs and closes the active segment. The log must not be used after.
+// Close syncs and closes the active segment; every later Append, and every
+// wait its sync did not cover, fails with ErrClosed (or with the failed
+// flush's error, which Close returns too). A second Close, or one after
+// Crash, returns nil.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	l.idleLocked()
 	if l.f == nil {
+		l.err = cmp.Or(l.err, ErrClosed)
 		return nil
 	}
-	err := l.syncLocked()
+	err := l.err
+	if err == nil {
+		err = l.syncLocked()
+	}
 	if cerr := l.f.Close(); err == nil {
 		err = cerr
 	}
-	l.f = nil
+	l.f, l.err = nil, cmp.Or(l.err, ErrClosed)
 	return err
 }
 
 // Crash drops the file handle without syncing — the SIGKILL stand-in the
-// crash drill uses. Bytes already written survive in the page cache exactly
-// as they would across a real process death; only the handle is lost.
+// crash drill uses — once no flush is syncing it, and closes the Log. Bytes
+// already written survive in the page cache exactly as they would across a
+// real process death; only the handle is lost.
 func (l *Log) Crash() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	l.idleLocked()
 	if l.f != nil {
 		l.f.Close() //nolint:errcheck
 		l.f = nil
 	}
+	l.err = cmp.Or(l.err, ErrClosed)
 }
 
 // TruncateThrough removes every segment whose records are all covered by a

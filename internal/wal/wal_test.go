@@ -1,9 +1,12 @@
 package wal
 
 import (
+	"errors"
 	"fmt"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
@@ -68,7 +71,7 @@ func replayAll(t *testing.T, fsys vfs.FS, dir string) (lsns []uint64, payloads [
 
 func TestAppendReplayRoundTrip(t *testing.T) {
 	fsys := vfs.NewMemFS()
-	l := mustOpen(t, fsys, dir, Options{Policy: FsyncPerOp})
+	l := mustOpen(t, fsys, dir, Options{})
 	appendN(t, l, 25, "rec")
 	if err := l.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
@@ -143,7 +146,7 @@ func TestSegmentRollAndTruncate(t *testing.T) {
 // cut mid-frame is dropped on replay and every record before it survives.
 func TestTornTailTruncatedRecord(t *testing.T) {
 	fsys := vfs.NewMemFS()
-	l := mustOpen(t, fsys, dir, Options{Policy: FsyncPerOp})
+	l := mustOpen(t, fsys, dir, Options{})
 	appendN(t, l, 10, "keep")
 	l.Close() //nolint:errcheck
 
@@ -186,7 +189,7 @@ func TestTornTailTruncatedRecord(t *testing.T) {
 // It runs on the real disk, which is the one CorruptTail damages.
 func TestTornTailBitFlip(t *testing.T) {
 	dir := t.TempDir()
-	l := mustOpen(t, vfs.OSFS{}, dir, Options{Policy: FsyncPerOp})
+	l := mustOpen(t, vfs.OSFS{}, dir, Options{})
 	appendN(t, l, 6, "bits")
 	l.Close() //nolint:errcheck
 
@@ -241,21 +244,129 @@ func TestDamagedSegmentRefusesReplay(t *testing.T) {
 	}
 }
 
-func TestGroupCommitSyncCadence(t *testing.T) {
-	l := mustOpen(t, vfs.NewMemFS(), dir, Options{Policy: FsyncGroupCommit})
-	appendN(t, l, 2*groupEvery+1, "gc")
-	appends, syncs := l.Stats()
-	if appends != 2*groupEvery+1 {
-		t.Fatalf("appends = %d, want %d", appends, 2*groupEvery+1)
+// TestSyncThroughFlushesOnce pins the one sync path: Append never syncs, a
+// wait flushes every record appended so far, a wait a flush already covered
+// flushes nothing, and Close syncs only what no flush covered.
+func TestSyncThroughFlushesOnce(t *testing.T) {
+	l := mustOpen(t, vfs.NewMemFS(), dir, Options{})
+	appendN(t, l, 17, "gc")
+	if _, syncs := l.Stats(); syncs != 0 {
+		t.Fatalf("%d syncs after 17 appends, want 0", syncs)
 	}
-	if syncs != 2 { // after the 8th and 16th append; the 17th is pending
-		t.Fatalf("group-commit syncs = %d, want 2", syncs)
+	for _, lsn := range []uint64{5, 17, 1} {
+		if err := l.SyncThrough(lsn); err != nil {
+			t.Fatal(err)
+		}
 	}
+	if appends, syncs := l.Stats(); appends != 17 || syncs != 1 {
+		t.Fatalf("appends, syncs = %d, %d after waits through 5, 17 and 1; want 17, 1", appends, syncs)
+	}
+	appendN(t, l, 1, "late")
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, syncs = l.Stats(); syncs != 3 {
-		t.Fatalf("Close did not flush the pending batch: syncs = %d", syncs)
+	if err := l.Close(); err != nil {
+		t.Fatalf("second Close: %v", err)
+	}
+	if _, syncs := l.Stats(); syncs != 2 {
+		t.Fatalf("Close did not flush the uncovered record: syncs = %d", syncs)
+	}
+}
+
+// TestClosedLogRefuses: after Close, Append fails with ErrClosed and a wait
+// Close's sync covered succeeds; after Crash, a wait no flush covered fails
+// with ErrClosed, and nothing starts a new segment past the end.
+func TestClosedLogRefuses(t *testing.T) {
+	fsys := vfs.NewMemFS()
+	l := mustOpen(t, fsys, dir, Options{})
+	appendN(t, l, 3, "a")
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Append([]byte("late")); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Append after Close: %v, want ErrClosed", err)
+	}
+	if err := l.SyncThrough(3); err != nil {
+		t.Fatalf("a wait Close covered: %v", err)
+	}
+
+	l = mustOpen(t, fsys, dir, Options{})
+	appendN(t, l, 1, "b")
+	if err := l.SyncThrough(4); err != nil {
+		t.Fatal(err)
+	}
+	appendN(t, l, 1, "c")
+	l.Crash()
+	if err := l.SyncThrough(4); err != nil {
+		t.Fatalf("a wait a flush covered before Crash: %v", err)
+	}
+	if err := l.SyncThrough(5); !errors.Is(err, ErrClosed) {
+		t.Fatalf("an uncovered wait after Crash: %v, want ErrClosed", err)
+	}
+	if _, err := l.Append([]byte("late")); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Append after Crash: %v, want ErrClosed", err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatalf("Close after Crash: %v", err)
+	}
+	if lsns, _, _ := replayAll(t, fsys, dir); len(lsns) != 5 {
+		t.Fatalf("replayed LSNs %v, want 1..5", lsns)
+	}
+}
+
+// failSyncFS is a MemFS whose file syncs fail with EIO once fail is set.
+type failSyncFS struct {
+	*vfs.MemFS
+	fail atomic.Bool
+}
+
+func (f *failSyncFS) OpenFile(name string, flag int) (vfs.File, error) {
+	file, err := f.MemFS.OpenFile(name, flag)
+	if err != nil {
+		return nil, err
+	}
+	return failSyncFile{file, f}, nil
+}
+
+type failSyncFile struct {
+	vfs.File
+	fs *failSyncFS
+}
+
+func (f failSyncFile) Sync() error {
+	if f.fs.fail.Load() {
+		return syscall.EIO
+	}
+	return f.File.Sync()
+}
+
+// TestFailedFlushRefusesEveryWait: after a failed flush, every wait no
+// earlier flush covered fails with its error — even once the disk heals —
+// and so does every Append; a wait an earlier flush covered still succeeds.
+func TestFailedFlushRefusesEveryWait(t *testing.T) {
+	fsys := &failSyncFS{MemFS: vfs.NewMemFS()}
+	l := mustOpen(t, fsys, dir, Options{})
+	appendN(t, l, 2, "ok")
+	if err := l.SyncThrough(2); err != nil {
+		t.Fatal(err)
+	}
+	appendN(t, l, 2, "lost")
+	fsys.fail.Store(true)
+	if err := l.SyncThrough(3); !errors.Is(err, syscall.EIO) {
+		t.Fatalf("a failing flush: %v, want EIO", err)
+	}
+	fsys.fail.Store(false)
+	if err := l.SyncThrough(4); !errors.Is(err, syscall.EIO) {
+		t.Fatalf("a wait the failed flush covered: %v, want EIO", err)
+	}
+	if _, err := l.Append([]byte("after")); !errors.Is(err, syscall.EIO) {
+		t.Fatalf("Append after a failed flush: %v, want EIO", err)
+	}
+	if err := l.SyncThrough(2); err != nil {
+		t.Fatalf("a wait an earlier flush covered: %v", err)
+	}
+	if err := l.Close(); !errors.Is(err, syscall.EIO) {
+		t.Fatalf("Close after a failed flush: %v, want EIO", err)
 	}
 }
 
@@ -264,7 +375,7 @@ func TestGroupCommitSyncCadence(t *testing.T) {
 // allocation, and a record larger than the kept bound is not retained. It
 // runs on the real disk, to pin that the vfs seam costs an append nothing.
 func TestAppendAllocatesNothing(t *testing.T) {
-	l := mustOpen(t, vfs.OSFS{}, t.TempDir(), Options{Policy: FsyncAsync})
+	l := mustOpen(t, vfs.OSFS{}, t.TempDir(), Options{})
 	defer l.Close() //nolint:errcheck
 	payload := []byte("make_node 0123456789abcdef0123456789abcdef")
 	if _, err := l.Append(payload); err != nil { // sizes the frame buffer
@@ -312,36 +423,48 @@ func TestPolicyParseAndCost(t *testing.T) {
 }
 
 // TestCrashKeepsWrittenRecords: a process crash (Log.Crash) loses no written
-// record, and a power cut after it (MemFS.Crash) loses exactly the ones
-// never synced.
+// record, and a power cut after it (MemFS.Crash) loses exactly the ones no
+// flush covered.
 func TestCrashKeepsWrittenRecords(t *testing.T) {
 	fsys := vfs.NewMemFS()
-	l := mustOpen(t, fsys, dir, Options{Policy: FsyncGroupCommit})
-	appendN(t, l, 12, "c")
+	l := mustOpen(t, fsys, dir, Options{})
+	appendN(t, l, 8, "c")
+	if err := l.SyncThrough(8); err != nil {
+		t.Fatal(err)
+	}
+	appendN(t, l, 4, "d")
 	l.Crash() // no sync, no clean close
 	lsns, _, dropped := replayAll(t, fsys, dir)
 	if len(lsns) != 12 || dropped != 0 {
 		t.Fatalf("post-crash replay: %d records, %d dropped", len(lsns), dropped)
 	}
 	fsys.Crash()
-	if lsns, _, _ = replayAll(t, fsys, dir); len(lsns) != groupEvery {
-		t.Fatalf("post-power-cut replay: %d records, want the %d synced", len(lsns), groupEvery)
+	if lsns, _, _ = replayAll(t, fsys, dir); len(lsns) != 8 {
+		t.Fatalf("post-power-cut replay: %d records, want the 8 a flush covered", len(lsns))
 	}
 }
 
 // TestSegmentRollSurvivesPowerCut pins the directory sync of segment
-// creation: under per-op fsync, every acknowledged record comes back after a
-// power cut, across several segment rolls — the first segment included.
+// creation: every record acknowledged by its wait comes back after a power
+// cut, across several segment rolls — the first segment included.
 func TestSegmentRollSurvivesPowerCut(t *testing.T) {
 	fsys := vfs.NewMemFS()
-	l := mustOpen(t, fsys, dir, Options{Policy: FsyncPerOp, SegmentBytes: 64})
-	appendN(t, l, 20, "ack")
+	l := mustOpen(t, fsys, dir, Options{SegmentBytes: 64})
+	for i := 0; i < 20; i++ {
+		lsn, err := l.Append([]byte(fmt.Sprintf("ack-%d", i)))
+		if err == nil {
+			err = l.SyncThrough(lsn)
+		}
+		if err != nil {
+			t.Fatalf("record %d: %v", i, err)
+		}
+	}
 	if segs, _ := segments(fsys, dir); len(segs) < 4 {
 		t.Fatalf("only %d segments: want at least 3 rolls", len(segs))
 	}
 	l.Crash()
 	fsys.Crash()
-	l = mustOpen(t, fsys, dir, Options{Policy: FsyncPerOp, SegmentBytes: 64})
+	l = mustOpen(t, fsys, dir, Options{SegmentBytes: 64})
 	defer l.Close() //nolint:errcheck
 	lsns, payloads, _ := replayAll(t, fsys, dir)
 	if len(lsns) != 20 {
@@ -369,7 +492,7 @@ func FuzzReplayTornTail(f *testing.F) {
 	f.Fuzz(func(t *testing.T, n uint8, cut int64, flip uint8, seg uint8) {
 		records := int(n%16) + 1
 		fsys := vfs.NewMemFS()
-		l, err := Open(dir, Options{Policy: FsyncPerOp, SegmentBytes: 64, FS: fsys})
+		l, err := Open(dir, Options{SegmentBytes: 64, FS: fsys})
 		if err != nil {
 			t.Fatal(err)
 		}
