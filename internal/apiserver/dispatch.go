@@ -62,7 +62,8 @@ type OpContext struct {
 	hasProc bool
 	// suppressEvent opts the request out of the uniform event emission: part
 	// streaming never reports as an API event, and an upload that opens a
-	// job reports only when its final part lands.
+	// job reports only when its final part lands, which clears the flag
+	// after filling Event as the upload's.
 	suppressEvent bool
 	// skipMetrics opts the request out of per-op metric recording (only the
 	// double-close of a session, which must not skew the op counters).

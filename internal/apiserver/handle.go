@@ -355,25 +355,13 @@ func (s *Server) opPutPart(c *OpContext) (*protocol.Response, error) {
 
 	c.NotifyVolume(up.job.Volume, node.Generation)
 
-	// Emit the completed-upload event carrying the whole transfer, in place
-	// of the suppressed per-part record.
-	s.emit(Event{
-		Server:   s.cfg.Name,
-		Proc:     c.Session.Proc,
-		Session:  c.Session.ID,
-		User:     c.User,
-		Op:       protocol.OpPutContent,
-		Volume:   up.job.Volume,
-		Node:     up.job.Node,
-		Hash:     up.job.Hash,
-		Size:     up.plainSize,
-		Wire:     up.wire,
-		Ext:      up.ext,
-		Start:    c.Now,
-		Duration: c.Cost.Total(),
-		Status:   protocol.StatusOK,
-		IsUpdate: wasUpdate,
-	})
+	// The completed-upload event carries the whole transfer, in place of the
+	// suppressed per-part record; dispatch emits it with the part's cost,
+	// the journal's sync included.
+	ev := &c.Event
+	ev.Op, ev.Volume, ev.Node, ev.Hash = protocol.OpPutContent, up.job.Volume, up.job.Node, up.job.Hash
+	ev.Size, ev.Wire, ev.Ext, ev.IsUpdate = up.plainSize, up.wire, up.ext, wasUpdate
+	c.suppressEvent = false
 	return okNode(node), nil
 }
 

@@ -277,3 +277,37 @@ func TestDispatchStages(t *testing.T) {
 		})
 	}
 }
+
+// TestFinalPartEventCarriesSyncCost requires the upload event a final part
+// emits, on a store that journals with per-op fsync, to last exactly what
+// the part's api.op.PutPart.seconds observation recorded: the journal's sync
+// charge included.
+func TestFinalPartEventCarriesSyncCost(t *testing.T) {
+	e := newStageEnv(metadata.Config{Shards: 4, Durability: "/u1", FS: vfs.NewMemFS()}, Config{}, Deps{})
+	t.Cleanup(func() { e.store.Close() })
+	sess := e.open(t, 1, "origin")
+	root := e.rootOf(t, sess)
+	mk, _ := e.srv.Handle(sess, &protocol.Request{Op: protocol.OpMakeFile, Volume: root, Name: "f.txt"}, t0)
+	h := protocol.HashBytes([]byte("f"))
+	put, _ := e.srv.Handle(sess, &protocol.Request{Op: protocol.OpPutContent, Volume: root, Node: mk.Node.ID, Name: "f.txt", Hash: h, Size: 100}, t0)
+	e.events = e.events[:0]
+	resp, cost := e.srv.Handle(sess, &protocol.Request{Op: protocol.OpPutPart, Upload: put.Upload, Size: 100, Final: true}, t0)
+	if resp.Status != protocol.StatusOK {
+		t.Fatalf("final part: %v", resp.Status)
+	}
+	recorded := e.reg.Snapshot().Histogram(metrics.APIOp(protocol.OpPutPart.String()).Seconds)
+	if recorded.Count != 1 || recorded.Sum != cost.Seconds() {
+		t.Fatalf("PutPart recorded %d observations summing %gs, want one of %v", recorded.Count, recorded.Sum, cost)
+	}
+	if len(e.events) != 1 {
+		t.Fatalf("emitted %d events, want 1", len(e.events))
+	}
+	want := Event{
+		Server: "m", Proc: sess.Proc, Session: sess.ID, User: 1, Op: protocol.OpPutContent,
+		Volume: root, Node: mk.Node.ID, Hash: h, Size: 100, Wire: 100, Ext: extOf("f.txt"),
+		Start: t0, Duration: cost, Status: protocol.StatusOK,
+	}
+	if got := e.events[0]; got != want {
+		t.Errorf("final part's event\n  got  %+v\n  want %+v", got, want)
+	}
+}

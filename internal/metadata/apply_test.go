@@ -1,8 +1,10 @@
 package metadata
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"slices"
 	"testing"
@@ -23,6 +25,8 @@ type opMix struct {
 	users []protocol.UserID // created so far
 	pool  []protocol.UserID // created later by the op mix
 	err   error             // what the last step's last op returned
+	// model, when set, follows every op the store acknowledges.
+	model *shareModel
 }
 
 var mixNames = []string{"a", "b", "c", "d", "e", "f"}
@@ -84,11 +88,13 @@ func (d *opMix) step() {
 			u, d.pool = d.pool[0], d.pool[1:]
 			d.users = append(d.users, u)
 		}
-		_, err := s.CreateUser(u)
+		info, err := s.CreateUser(u)
 		d.refused("CreateUser", err)
+		d.model.createUser(info, err)
 	case k < 8:
-		_, err := s.CreateUDF(u, "~/udf-"+d.name())
+		info, err := s.CreateUDF(u, "~/udf-"+d.name())
 		d.refused("CreateUDF", err)
+		d.model.createVolume(info, err)
 	case k < 40:
 		vol, ok := d.volume(u)
 		if !ok {
@@ -98,13 +104,15 @@ func (d *opMix) step() {
 		if !ok {
 			return
 		}
+		var info protocol.NodeInfo
 		var err error
 		if d.rng.Intn(3) == 0 {
-			_, err = s.MakeDir(u, vol.ID, parent.ID, d.name())
+			info, err = s.MakeDir(u, vol.ID, parent.ID, d.name())
 		} else {
-			_, err = s.MakeFile(u, vol.ID, parent.ID, d.name())
+			info, err = s.MakeFile(u, vol.ID, parent.ID, d.name())
 		}
 		d.refused("make", err)
+		d.model.node(info, err)
 	case k < 55:
 		vol, ok := d.volume(u)
 		if !ok {
@@ -123,8 +131,9 @@ func (d *opMix) step() {
 		if n.Hash == h {
 			return
 		}
-		_, _, _, err := s.MakeContent(u, vol.ID, n.ID, h, uint64(len(name)*1000))
+		info, _, _, err := s.MakeContent(u, vol.ID, n.ID, h, uint64(len(name)*1000))
 		d.refused("MakeContent", err)
+		d.model.node(info, err)
 	case k < 67:
 		vol, ok := d.volume(u)
 		if !ok {
@@ -135,8 +144,9 @@ func (d *opMix) step() {
 		if !ok1 || !ok2 {
 			return
 		}
-		_, err := s.Move(u, vol.ID, n.ID, to.ID, d.name())
+		info, err := s.Move(u, vol.ID, n.ID, to.ID, d.name())
 		d.refused("Move", err)
+		d.model.node(info, err)
 	case k < 77:
 		vol, ok := d.volume(u)
 		if !ok {
@@ -150,22 +160,25 @@ func (d *opMix) step() {
 		if !ok {
 			return
 		}
-		_, _, _, err := s.Unlink(u, vol.ID, n.ID)
+		_, gen, _, err := s.Unlink(u, vol.ID, n.ID)
 		d.refused("Unlink", err)
+		d.model.generation(vol.ID, gen, err)
 	case k < 83:
 		vol, ok := d.volume(u)
 		if !ok || vol.Owner != u {
 			return
 		}
-		_, err := s.CreateShare(u, vol.ID, d.user(), "s-"+d.name(), d.rng.Intn(3) == 0)
+		share, err := s.CreateShare(u, vol.ID, d.user(), "s-"+d.name(), d.rng.Intn(3) == 0)
 		d.refused("CreateShare", err)
+		d.model.share(share, err)
 	case k < 91:
 		shares, err := s.ListShares(u)
 		d.refused("ListShares", err)
 		for _, sh := range shares {
 			if sh.SharedTo == u && !sh.Accepted {
-				_, err := s.AcceptShare(u, sh.ID)
+				share, err := s.AcceptShare(u, sh.ID)
 				d.refused("AcceptShare", err)
+				d.model.share(share, err)
 				return
 			}
 		}
@@ -176,14 +189,15 @@ func (d *opMix) step() {
 		}
 		_, _, err := s.DeleteVolume(u, vol.ID)
 		d.refused("DeleteVolume", err)
+		d.model.deleteVolume(vol.ID, err)
 	default:
 		s.TickReplication()
 	}
 }
 
 // deleteSharedBothWays deletes a UDF shared to a grantee on the owner's shard
-// and to one on another shard, so one delete_volume drops a same-shard grant
-// in place and a cross-shard grant through its own drop_share record.
+// and to one on another shard: its one delete_volume record drops both
+// grants, and both grantees lose the share.
 func (d *opMix) deleteSharedBothWays() {
 	d.t.Helper()
 	s := d.s
@@ -211,23 +225,29 @@ func (d *opMix) deleteSharedBothWays() {
 	if err != nil {
 		d.t.Fatalf("CreateUDF: %v", err)
 	}
-	if _, err := s.MakeFile(owner, vol.ID, 0, "f"); err != nil {
+	d.model.createVolume(vol, err)
+	n, err := s.MakeFile(owner, vol.ID, 0, "f")
+	if err != nil {
 		d.t.Fatalf("MakeFile: %v", err)
 	}
+	d.model.node(n, err)
 	var ids []protocol.ShareID
 	for _, to := range []protocol.UserID{same, other} {
 		share, err := s.CreateShare(owner, vol.ID, to, "both", false)
 		if err != nil {
 			d.t.Fatalf("CreateShare to %v: %v", to, err)
 		}
-		if _, err := s.AcceptShare(to, share.ID); err != nil {
+		d.model.share(share, err)
+		if share, err = s.AcceptShare(to, share.ID); err != nil {
 			d.t.Fatalf("AcceptShare by %v: %v", to, err)
 		}
+		d.model.share(share, err)
 		ids = append(ids, share.ID)
 	}
 	if _, _, err := s.DeleteVolume(owner, vol.ID); err != nil {
 		d.t.Fatalf("DeleteVolume: %v", err)
 	}
+	d.model.deleteVolume(vol.ID, nil)
 	for i, to := range []protocol.UserID{same, other} {
 		shares, _ := s.ListShares(to)
 		if slices.ContainsFunc(shares, func(sh protocol.ShareInfo) bool { return sh.ID == ids[i] }) {
@@ -277,11 +297,12 @@ func (d *opMix) probe(i int) {
 		})
 	case 2:
 		d.probeRefusal("name taken", protocol.ErrExists, func() func() error {
-			if _, err := s.MakeFile(u, root, 0, "taken"); err != nil {
+			taken, err := s.MakeFile(u, root, 0, "taken")
+			if d.model.node(taken, err); err != nil {
 				return nil // a directory by that name already holds it
 			}
 			n, err := s.MakeFile(u, root, 0, "mover")
-			if err != nil {
+			if d.model.node(n, err); err != nil {
 				return nil
 			}
 			return func() error { _, err := s.Move(u, root, n.ID, 0, "taken"); return err }
@@ -289,11 +310,11 @@ func (d *opMix) probe(i int) {
 	case 3:
 		d.probeRefusal("move into own subtree", protocol.ErrBadRequest, func() func() error {
 			outer, err := s.MakeDir(u, root, 0, "outer")
-			if err != nil {
+			if d.model.node(outer, err); err != nil {
 				return nil
 			}
 			inner, err := s.MakeDir(u, root, outer.ID, "inner")
-			if err != nil {
+			if d.model.node(inner, err); err != nil {
 				return nil
 			}
 			return func() error { _, err := s.Move(u, root, outer.ID, inner.ID, "loop"); return err }
@@ -335,6 +356,139 @@ func requireRefsMatchNodes(t *testing.T, s *Store, after string) {
 	}
 }
 
+// shareModel is the naive model of what ListShares and ListVolumes answer:
+// one map of share rows by ID and one of every live volume, users known by
+// the root volumes they were given. Each method takes an op's answer and its
+// error, changes nothing for a refused op, and does nothing on a nil model.
+type shareModel struct {
+	users   map[protocol.UserID]bool
+	volumes map[protocol.VolumeID]protocol.VolumeInfo
+	shares  map[protocol.ShareID]protocol.ShareInfo
+}
+
+func newShareModel() *shareModel {
+	return &shareModel{
+		users:   map[protocol.UserID]bool{},
+		volumes: map[protocol.VolumeID]protocol.VolumeInfo{},
+		shares:  map[protocol.ShareID]protocol.ShareInfo{},
+	}
+}
+
+func (m *shareModel) clone() *shareModel {
+	return &shareModel{users: maps.Clone(m.users), volumes: maps.Clone(m.volumes), shares: maps.Clone(m.shares)}
+}
+
+// createUser takes CreateUser's root volume, new only for a new user.
+func (m *shareModel) createUser(root protocol.VolumeInfo, err error) {
+	if m != nil && err == nil && !m.users[root.Owner] {
+		m.users[root.Owner] = true
+		m.volumes[root.ID] = root
+	}
+}
+
+func (m *shareModel) createVolume(info protocol.VolumeInfo, err error) {
+	if m != nil && err == nil {
+		m.volumes[info.ID] = info
+	}
+}
+
+// node takes a make's, a content's or a move's answer: its volume is at
+// least at the node's generation (an idempotent make answers an older node).
+func (m *shareModel) node(n protocol.NodeInfo, err error) { m.generation(n.Volume, n.Generation, err) }
+
+func (m *shareModel) generation(vol protocol.VolumeID, gen protocol.Generation, err error) {
+	if m == nil || err != nil {
+		return
+	}
+	if v, ok := m.volumes[vol]; ok && gen > v.Generation {
+		v.Generation = gen
+		m.volumes[vol] = v
+	}
+}
+
+func (m *shareModel) share(share protocol.ShareInfo, err error) {
+	if m != nil && err == nil {
+		m.shares[share.ID] = share
+	}
+}
+
+// deleteVolume drops the volume and every share of it.
+func (m *shareModel) deleteVolume(vol protocol.VolumeID, err error) {
+	if m == nil || err != nil {
+		return
+	}
+	delete(m.volumes, vol)
+	maps.DeleteFunc(m.shares, func(_ protocol.ShareID, sh protocol.ShareInfo) bool { return sh.Volume == vol })
+}
+
+// listVolumes is ListVolumes by the model: u's own volumes, then the
+// volumes of the shares u accepted as shared volumes, each part by ID.
+func (m *shareModel) listVolumes(u protocol.UserID) (own []protocol.VolumeInfo) {
+	var shared []protocol.VolumeInfo
+	for _, v := range m.volumes {
+		if v.Owner == u {
+			own = append(own, v)
+		}
+	}
+	for _, sh := range m.shares {
+		if sh.SharedTo == u && sh.Accepted {
+			v := m.volumes[sh.Volume]
+			v.Type = protocol.VolumeShared
+			shared = append(shared, v)
+		}
+	}
+	byID := func(a, b protocol.VolumeInfo) int { return cmp.Compare(a.ID, b.ID) }
+	slices.SortFunc(own, byID)
+	slices.SortFunc(shared, byID)
+	return append(own, shared...)
+}
+
+// listShares is ListShares by the model: every share u offered or received,
+// by ID.
+func (m *shareModel) listShares(u protocol.UserID) (out []protocol.ShareInfo) {
+	for _, sh := range m.shares {
+		if sh.SharedBy == u || sh.SharedTo == u {
+			out = append(out, sh)
+		}
+	}
+	slices.SortFunc(out, func(a, b protocol.ShareInfo) int { return cmp.Compare(a.ID, b.ID) })
+	return out
+}
+
+// mismatch returns how s's ListShares or ListVolumes answer for one of
+// users differs from the model's, or "".
+func (m *shareModel) mismatch(s *Store, users []protocol.UserID) string {
+	for _, u := range users {
+		vols, verr := s.ListVolumes(u)
+		shares, serr := s.ListShares(u)
+		if !m.users[u] {
+			if !errors.Is(verr, protocol.ErrNotFound) || !errors.Is(serr, protocol.ErrNotFound) {
+				return fmt.Sprintf("user %v, never created: ListVolumes %v, ListShares %v, want ErrNotFound", u, verr, serr)
+			}
+			continue
+		}
+		if verr != nil || serr != nil {
+			return fmt.Sprintf("user %v: ListVolumes %v, ListShares %v", u, verr, serr)
+		}
+		if want := m.listVolumes(u); !slices.Equal(vols, want) {
+			return fmt.Sprintf("user %v: ListVolumes\n  got  %+v\n  want %+v", u, vols, want)
+		}
+		if want := m.listShares(u); !slices.Equal(shares, want) {
+			return fmt.Sprintf("user %v: ListShares\n  got  %+v\n  want %+v", u, shares, want)
+		}
+	}
+	return ""
+}
+
+// require fails the test unless s answers every one of users as the model
+// does.
+func (m *shareModel) require(t *testing.T, s *Store, users []protocol.UserID, after string) {
+	t.Helper()
+	if diff := m.mismatch(s, users); diff != "" {
+		t.Fatalf("after %s: the store and the share model disagree: %s", after, diff)
+	}
+}
+
 // maxNodeID is the highest node id held by any owner shard.
 func maxNodeID(s *Store) protocol.NodeID {
 	var top protocol.NodeID
@@ -352,7 +506,10 @@ func maxNodeID(s *Store) protocol.NodeID {
 // records — at every delta-log setting, with snapshots and journal truncation
 // happening mid-run. The reopened store's replicas must equal its owners, and
 // so must they after a power cut that sets the owners back behind records
-// the replicas had applied, and more traffic.
+// the replicas had applied, and more traffic. After every op, every user's
+// ListShares and ListVolumes must equal the share model's: on the live
+// two-region read-your-writes store, on the reopened one and on the one the
+// power cut left.
 func TestLiveReplayReplicaAgree(t *testing.T) {
 	const ops = 2000
 	for _, limit := range []int{0, 4, -1} {
@@ -363,12 +520,16 @@ func TestLiveReplayReplicaAgree(t *testing.T) {
 				SnapshotEvery: 64, FsyncPolicy: wal.FsyncAsync,
 			}
 			s := openDurable(t, fsys, cfg)
-			d := &opMix{t: t, s: s, rng: rand.New(rand.NewSource(1))}
+			d := &opMix{t: t, s: s, rng: rand.New(rand.NewSource(1)), model: newShareModel()}
+			var everyone []protocol.UserID
 			for u := protocol.UserID(1); u <= 32; u++ {
+				everyone = append(everyone, u)
 				if u <= 20 {
-					if _, err := s.CreateUser(u); err != nil {
+					info, err := s.CreateUser(u)
+					if err != nil {
 						t.Fatal(err)
 					}
+					d.model.createUser(info, err)
 					d.users = append(d.users, u)
 				} else {
 					d.pool = append(d.pool, u)
@@ -383,6 +544,7 @@ func TestLiveReplayReplicaAgree(t *testing.T) {
 					d.deleteSharedBothWays()
 				}
 				requireRefsMatchNodes(t, s, fmt.Sprintf("op %d", i))
+				d.model.require(t, s, everyone, fmt.Sprintf("op %d", i))
 			}
 
 			s.DrainReplication()
@@ -413,15 +575,19 @@ func TestLiveReplayReplicaAgree(t *testing.T) {
 			if got := *r.Contents(); got != contents {
 				t.Fatalf("content registry diverged across reopen: %+v != %+v", got, contents)
 			}
+			d.model.require(t, r, everyone, "the reopen")
 			top := maxNodeID(r)
 			root, err := r.CreateUser(1)
 			if err != nil {
 				t.Fatal(err)
 			}
+			// The power cut below may take this async write, or keep it.
+			beforeWrite := d.model.clone()
 			n, err := r.MakeFile(1, root.ID, 0, "after-reopen")
 			if err != nil {
 				t.Fatalf("MakeFile after reopen: %v", err)
 			}
+			d.model.node(n, err)
 			if n.ID <= top {
 				t.Fatalf("allocator reissued node id %v (highest recovered %v)", n.ID, top)
 			}
@@ -437,10 +603,15 @@ func TestLiveReplayReplicaAgree(t *testing.T) {
 					t.Fatalf("RecoverShard(%d) after the power cut: %v", i, err)
 				}
 			}
+			if beforeWrite.mismatch(r, everyone) == "" {
+				d.model = beforeWrite
+			}
+			d.model.require(t, r, everyone, "the power cut")
 			d.s = r
 			for i := 0; i < 500; i++ {
 				d.step()
 				requireRefsMatchNodes(t, r, fmt.Sprintf("op %d after the power cut", i))
+				d.model.require(t, r, everyone, fmt.Sprintf("op %d after the power cut", i))
 			}
 			r.DrainReplication()
 			requireConverged(t, r)

@@ -2,8 +2,10 @@ package metadata
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"math"
 	"slices"
@@ -24,7 +26,10 @@ import (
 // format: a kind is never renumbered.
 type recKind byte
 
-// Journal record kinds, one per mutating DAL class.
+// Journal record kinds, one per mutating DAL class. Kinds 8–10 were format
+// version 1's share records, which a share journaled on both of its shards
+// (drop_share, 10, cleared a grantee's copy); they are retired, and a journal
+// holding one is refused (errV1Record).
 const (
 	recCreateUser recKind = iota + 1
 	recCreateUDF
@@ -33,10 +38,15 @@ const (
 	recMove
 	recUnlink
 	recDeleteVolume
+	firstV1Share // through lastV1Share: retired
+	_
+	lastV1Share
 	recCreateShare
 	recAcceptShare
-	recDropShare
 )
+
+// errV1Record refuses a share record of format version 1.
+var errV1Record = fmt.Errorf("metadata: a format version 1 share record, journaled on both shards of its share; this build reads only format version %d, so the store must be rebuilt", snapshotVersion)
 
 var recKindNames = [...]string{
 	recCreateUser:   "create_user",
@@ -48,7 +58,6 @@ var recKindNames = [...]string{
 	recDeleteVolume: "delete_volume",
 	recCreateShare:  "create_share",
 	recAcceptShare:  "accept_share",
-	recDropShare:    "drop_share",
 }
 
 func (k recKind) String() string {
@@ -79,7 +88,7 @@ func encodeRecord(w *wire.Writer, rec *journalRecord) {
 	case recDeleteVolume:
 		w.Uvarint(uint64(rec.User))
 		w.Uvarint(uint64(rec.VolID))
-	case recCreateShare, recAcceptShare, recDropShare:
+	case recCreateShare, recAcceptShare:
 		protocol.MarshalShareInfo(w, rec.Share)
 	}
 }
@@ -176,8 +185,10 @@ func decodeRecord(r *wire.Reader, rec *journalRecord) error {
 	case recDeleteVolume:
 		rec.User = protocol.UserID(r.Uvarint())
 		rec.VolID = protocol.VolumeID(r.Uvarint())
-	case recCreateShare, recAcceptShare, recDropShare:
+	case recCreateShare, recAcceptShare:
 		rec.Share = protocol.UnmarshalShareInfo(r)
+	case firstV1Share, firstV1Share + 1, lastV1Share:
+		return errV1Record
 	default:
 		if r.Err() == nil {
 			return fmt.Errorf("metadata: unknown journal record kind %d", byte(rec.Kind))
@@ -216,13 +227,16 @@ func decodeLogEntry(r *wire.Reader) (protocol.Generation, protocol.DeltaEntry) {
 }
 
 // Snapshot file format: snapshotMagic as a length-prefixed string, one
-// version byte, the uvarint LSN the snapshot covers, then the body writeShard
-// streams.
+// version byte, the uvarint LSN the snapshot covers, the body writeShard
+// streams, then the little-endian CRC-32C (the journal's checksum) of
+// everything before it.
 const (
 	snapshotFile    = "snapshot.bin"
 	snapshotMagic   = "U1SNAP"
-	snapshotVersion = 1
+	snapshotVersion = 2
 )
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // writeSnapshot streams sh's full state to w as a snapshot covering the
 // journal through lsn. Caller holds at least sh's read lock.
@@ -231,7 +245,12 @@ func writeSnapshot(w io.Writer, sh *shard, lsn uint64) error {
 	e.String(snapshotMagic)
 	e.Byte(snapshotVersion)
 	e.Uvarint(lsn)
-	return writeShard(w, &e, sh)
+	crc := crc32.New(castagnoli)
+	if err := writeShard(io.MultiWriter(w, crc), &e, sh); err != nil {
+		return err
+	}
+	_, err := w.Write(binary.LittleEndian.AppendUint32(nil, crc.Sum32()))
+	return err
 }
 
 // writeShard streams sh's users, volumes (with their delta logs and grants),
@@ -249,11 +268,8 @@ func writeShard(w io.Writer, e *wire.Writer, sh *shard) error {
 	users := sortedKeys(sh.users)
 	e.Uvarint(uint64(len(users)))
 	for _, id := range users {
-		u := sh.users[id]
 		e.Uvarint(uint64(id))
-		e.Uvarint(uint64(u.root))
-		writeIDs(e, sortedKeys(u.sharesIn))
-		writeIDs(e, sortedKeys(u.sharesOut))
+		e.Uvarint(uint64(sh.users[id].root))
 		row()
 	}
 
@@ -292,13 +308,6 @@ func writeShard(w io.Writer, e *wire.Writer, sh *shard) error {
 	return err
 }
 
-func writeIDs(e *wire.Writer, ids []protocol.ShareID) {
-	e.Uvarint(uint64(len(ids)))
-	for _, id := range ids {
-		e.Uvarint(uint64(id))
-	}
-}
-
 // sortedKeys returns m's keys in ascending order.
 func sortedKeys[K ~uint64, V any](m map[K]V) []K {
 	keys := make([]K, 0, len(m))
@@ -310,14 +319,19 @@ func sortedKeys[K ~uint64, V any](m map[K]V) []K {
 }
 
 // readSnapshot decodes a snapshot file's bytes straight into sh, which must
-// be empty, and returns the LSN it covers.
+// be empty, and returns the LSN it covers. A snapshot of another version, or
+// one whose checksum fails, is refused before any row is read.
 func readSnapshot(sh *shard, data []byte) (lsn uint64, err error) {
-	r := wire.NewReader(data)
+	body := data[:max(len(data)-4, 0)]
+	r := wire.NewReader(body)
 	if string(r.Bytes()) != snapshotMagic {
 		return 0, fmt.Errorf("metadata: not a %s snapshot", snapshotMagic)
 	}
 	if v := r.Byte(); r.Err() == nil && v != snapshotVersion {
-		return 0, fmt.Errorf("metadata: snapshot format version %d, this build reads %d", v, snapshotVersion)
+		return 0, fmt.Errorf("metadata: snapshot format version %d; this build reads only version %d, so the store must be rebuilt", v, snapshotVersion)
+	}
+	if r.Err() != nil || crc32.Checksum(body, castagnoli) != binary.LittleEndian.Uint32(data[len(body):]) {
+		return 0, errors.New("metadata: snapshot checksum mismatch")
 	}
 	lsn = r.Uvarint()
 	if err := readShard(r, sh); err != nil {
@@ -335,12 +349,6 @@ func readShard(r *wire.Reader, sh *shard) error {
 	d := &reader{Reader: r}
 	for i := d.count(); i > 0; i-- {
 		u := &userRow{id: protocol.UserID(r.Uvarint()), root: protocol.VolumeID(r.Uvarint())}
-		for j := d.count(); j > 0; j-- {
-			u.addShareIn(protocol.ShareID(r.Uvarint()))
-		}
-		for j := d.count(); j > 0; j-- {
-			u.addShareOut(protocol.ShareID(r.Uvarint()))
-		}
 		sh.users[u.id] = u
 	}
 

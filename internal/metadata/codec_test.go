@@ -2,6 +2,7 @@ package metadata
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"os"
@@ -59,7 +60,7 @@ func requireRoundTrip(t *testing.T, rec journalRecord) {
 }
 
 // TestRecordRoundTrip covers every record populate journals, a hand-built
-// unlink of a three-node subtree, and the three share records.
+// unlink of a three-node subtree, and the two share records.
 func TestRecordRoundTrip(t *testing.T) {
 	fsys := vfs.NewMemFS()
 	s := openDurable(t, fsys, Config{Shards: 4, SnapshotEvery: 1 << 20, FsyncPolicy: wal.FsyncAsync})
@@ -100,7 +101,6 @@ func TestRecordRoundTrip(t *testing.T) {
 	requireRoundTrip(t, journalRecord{Kind: recCreateShare, Share: share})
 	share.Accepted = true
 	requireRoundTrip(t, journalRecord{Kind: recAcceptShare, Share: share})
-	requireRoundTrip(t, journalRecord{Kind: recDropShare, Share: protocol.ShareInfo{ID: 4, SharedTo: 2}})
 }
 
 // TestDecodeRecordReusesAndRefuses pins the decoder's ownership and hostile-
@@ -144,9 +144,16 @@ func TestDecodeRecordReusesAndRefuses(t *testing.T) {
 		t.Errorf("hostile count allocated %.0f times before the refusal", allocs)
 	}
 
-	for _, bad := range [][]byte{nil, {0}, {byte(recDropShare) + 1}, {'{'}, encodeRecords(unlink)[:5], append(encodeRecords(unlink), 0)} {
+	for _, bad := range [][]byte{nil, {0}, {byte(recAcceptShare) + 1}, {'{'}, encodeRecords(unlink)[:5], append(encodeRecords(unlink), 0)} {
 		if err := decodePayload(bad, &rec); err == nil {
 			t.Errorf("decodePayload(%x) succeeded", bad)
+		}
+	}
+	share := encodeRecords(journalRecord{Kind: recCreateShare, Share: protocol.ShareInfo{ID: 4, Volume: 7, SharedBy: 1, SharedTo: 2}})
+	for k := firstV1Share; k <= lastV1Share; k++ {
+		share[0] = byte(k)
+		if err := decodePayload(share, &rec); !errors.Is(err, errV1Record) {
+			t.Errorf("a share record of retired kind %d: err = %v, want errV1Record", k, err)
 		}
 	}
 }
@@ -193,13 +200,76 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// FuzzDecodeRecord feeds arbitrary bytes to the record decoder: it must never
-// panic, must refuse a hostile Removed count before allocating for it, and
-// every successful decode must land on a decode→encode fixed point.
+// TestSnapshotChecksumRefusesEveryFlip flips each byte of a small snapshot
+// in turn and requires readSnapshot to refuse every one, and Open to refuse
+// a store whose snapshot fails its checksum with an error naming the file.
+func TestSnapshotChecksumRefusesEveryFlip(t *testing.T) {
+	s := New(Config{Shards: 1})
+	root := mustUser(t, s, 1)
+	mustUser(t, s, 2)
+	f, err := s.MakeFile(1, root.ID, 0, "f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := s.MakeContent(1, root.ID, f.ID, protocol.HashBytes([]byte("f")), 3); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.CreateShare(1, root.ID, 2, "for-2", true); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := writeSnapshot(&buf, s.shards[0], 9); err != nil {
+		t.Fatal(err)
+	}
+	snap := buf.Bytes()
+	if _, err := readSnapshot(newShard(0, DefaultDeltaLogLimit, nil), snap); err != nil {
+		t.Fatalf("the intact snapshot: %v", err)
+	}
+	for i := range snap {
+		snap[i] ^= 0xff
+		if _, err := readSnapshot(newShard(0, DefaultDeltaLogLimit, nil), snap); err == nil {
+			t.Errorf("a snapshot with byte %d of %d flipped read without error", i, len(snap))
+		}
+		snap[i] ^= 0xff
+	}
+
+	fsys := vfs.NewMemFS()
+	d := openDurable(t, fsys, Config{Shards: 4})
+	populate(t, d)
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(storeRoot, "shard-0", snapshotFile)
+	data, err := fsys.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2] ^= 1
+	file, err := fsys.OpenFile(path, vfs.CreateTrunc)
+	if err == nil {
+		_, err = file.Write(data)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r, err := Open(Config{Shards: 4, Durability: storeRoot, FS: fsys}); err == nil {
+		r.Close() //nolint:errcheck
+		t.Error("Open read a snapshot whose checksum fails")
+	} else if !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), "checksum") {
+		t.Errorf("Open of a snapshot whose checksum fails: %v, want an error naming %s and its checksum", err, path)
+	}
+}
+
+// FuzzDecodeRecord feeds arbitrary bytes to the record decoder, seeded with
+// the records of this format's golden and of format version 1's: it must
+// never panic, must refuse a hostile Removed count before allocating for it,
+// and every successful decode must land on a decode→encode fixed point.
 func FuzzDecodeRecord(f *testing.F) {
-	payloads, _ := goldenRecords(f)
-	for _, p := range payloads {
-		f.Add(p)
+	for _, golden := range []string{formatGolden, formatV1Golden} {
+		payloads, _ := goldenRecords(f, golden)
+		for _, p := range payloads {
+			f.Add(p)
+		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var rec journalRecord
@@ -224,15 +294,23 @@ func FuzzDecodeRecord(f *testing.F) {
 	})
 }
 
-// jsonEraGolden is the durable format a JSON-era build wrote for populate:
-// the previous format.golden, kept verbatim.
-const jsonEraGolden = "testdata/json-era.golden"
+// jsonEraGolden is the durable format a JSON-era build wrote for populate,
+// and formatV1Golden the one a format version 1 build wrote: each the
+// format.golden of its day, kept verbatim.
+const (
+	jsonEraGolden  = "testdata/json-era.golden"
+	formatV1Golden = "testdata/format-v1.golden"
+)
 
-// TestJSONEraStoreRefused builds a store directory from JSON-era bytes — once
-// with the snapshots, once with the journals — and requires Open to refuse
-// it by name instead of reading it as garbage.
-func TestJSONEraStoreRefused(t *testing.T) {
-	data, err := os.ReadFile(jsonEraGolden)
+// requireOldStoreRefused builds two store directories from an old golden's
+// sections — one with only its journals, one with only its snapshots — and
+// requires Open to refuse each with an error containing format, the old
+// format's name, instead of reading it as garbage. payload turns a WAL line
+// into its record, and snapshot a snapshot line into the bytes it adds to
+// the shard's snapFile.
+func requireOldStoreRefused(t *testing.T, golden, format, snapFile string, payload, snapshot func(line string) []byte) {
+	t.Helper()
+	data, err := os.ReadFile(golden)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,6 +320,7 @@ func TestJSONEraStoreRefused(t *testing.T) {
 		shard   int
 		section string
 		logs    = map[int]*wal.Log{}
+		files   = map[int][]byte{}
 	)
 	for _, line := range strings.Split(strings.TrimSuffix(string(data), "\n"), "\n") {
 		if _, err := fmt.Sscanf(line, "# shard %d %s", &shard, &section); err == nil {
@@ -256,22 +335,11 @@ func TestJSONEraStoreRefused(t *testing.T) {
 				}
 				logs[shard] = l
 			}
-			_, payload, _ := strings.Cut(line, " ")
-			if _, err := l.Append([]byte(payload)); err != nil {
+			if _, err := l.Append(payload(line)); err != nil {
 				t.Fatal(err)
 			}
 		case "snapshot":
-			dir := filepath.Join(snaps, fmt.Sprintf("shard-%d", shard))
-			if err := fsys.MkdirAll(dir); err != nil {
-				t.Fatal(err)
-			}
-			f, err := fsys.OpenFile(filepath.Join(dir, jsonSnapshotFile), vfs.CreateTrunc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := f.Write([]byte(line)); err != nil {
-				t.Fatal(err)
-			}
+			files[shard] = append(files[shard], snapshot(line)...)
 		}
 	}
 	for _, l := range logs {
@@ -279,17 +347,54 @@ func TestJSONEraStoreRefused(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	for shard, b := range files {
+		dir := filepath.Join(snaps, fmt.Sprintf("shard-%d", shard))
+		if err := fsys.MkdirAll(dir); err != nil {
+			t.Fatal(err)
+		}
+		f, err := fsys.OpenFile(filepath.Join(dir, snapFile), vfs.CreateTrunc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Write(b); err != nil {
+			t.Fatal(err)
+		}
+	}
 	for name, dir := range map[string]string{"snapshots": snaps, "journals": journals} {
 		s, err := Open(Config{Shards: 4, Durability: dir, FS: fsys})
 		if err == nil {
 			s.Close() //nolint:errcheck
-			t.Errorf("Open of a store with JSON-era %s succeeded", name)
+			t.Errorf("Open of a store with %s %s succeeded", format, name)
 			continue
 		}
-		if !strings.Contains(err.Error(), "JSON-era") {
-			t.Errorf("Open of JSON-era %s: %v, want an error naming the old format", name, err)
+		if !strings.Contains(err.Error(), format) {
+			t.Errorf("Open of %s %s: %v, want an error naming the old format", format, name, err)
 		}
 	}
+}
+
+// TestJSONEraStoreRefused requires Open to refuse a JSON-era store's
+// snapshots and its journals by name.
+func TestJSONEraStoreRefused(t *testing.T) {
+	requireOldStoreRefused(t, jsonEraGolden, "JSON-era", jsonSnapshotFile,
+		func(line string) []byte { _, payload, _ := strings.Cut(line, " "); return []byte(payload) },
+		func(line string) []byte { return []byte(line) })
+}
+
+// TestFormatV1StoreRefused requires Open to refuse a format version 1
+// store's snapshots and its journals, whose share records each went to both
+// shards of their share, by name.
+func TestFormatV1StoreRefused(t *testing.T) {
+	unhex := func(s string) []byte {
+		b, err := hex.DecodeString(s)
+		if err != nil {
+			t.Fatalf("%s line %q: %v", formatV1Golden, s, err)
+		}
+		return b
+	}
+	requireOldStoreRefused(t, formatV1Golden, "version 1", snapshotFile,
+		func(line string) []byte { f := strings.Fields(line); return unhex(f[len(f)-1]) },
+		unhex)
 }
 
 // TestJournaledMutationAllocatesLikeInMemory is the allocation pin of the

@@ -260,7 +260,7 @@ func runCrashOps(t *testing.T, s *Store, done func(i int, d *opMix) bool) {
 // TestCrashPointEnumeration cuts the power at every mutating disk call of a
 // seeded op sequence — shares and volume deletes included, with snapshots,
 // segment rolls and journal truncation along the way — reopens the store
-// from what the disk kept, and checks each shard against an in-memory
+// from what the disk kept, and requires each shard to equal an in-memory
 // reference run of the same ops:
 //
 //   - per-op and group fsync, one sync path: the state after the
@@ -269,9 +269,9 @@ func runCrashOps(t *testing.T, s *Store, done func(i int, d *opMix) bool) {
 //
 // Variants tear the crashing write (a seeded prefix of its bytes reaches the
 // disk) and sync a seeded subset of pending files and directories first.
-// A shard may also stop inside an op that journals several records to it (a
-// volume delete dropping two grants on one shard). Crash points that leave
-// a cross-shard op on one shard only are counted, not refused.
+// Every op commits at most one record, to one shard (crashReference checks
+// it), so no shard can stop inside an op, and no crash can leave an op — a
+// share included — on some shards and not on others.
 func TestCrashPointEnumeration(t *testing.T) {
 	segmentBytes = 512 // a segment roll every few records
 	defer func() { segmentBytes = 0 }()
@@ -280,7 +280,7 @@ func TestCrashPointEnumeration(t *testing.T) {
 	for _, policy := range []wal.Policy{wal.FsyncPerOp, wal.FsyncGroupCommit, wal.FsyncAsync} {
 		for _, variant := range []string{"plain", "torn", "early"} {
 			t.Run(fmt.Sprintf("%v/%s", policy, variant), func(t *testing.T) {
-				points, half, mid := 0, 0, 0
+				points := 0
 				for at := 1; ; at++ {
 					c := newCrashFS(at)
 					switch variant {
@@ -289,9 +289,6 @@ func TestCrashPointEnumeration(t *testing.T) {
 					case "early":
 						c.early = rand.New(rand.NewSource(int64(at)))
 					}
-					// lsns[p][i] is how many records shard i journaled in the
-					// first p ops.
-					lsns := [][]uint64{make([]uint64, 4)}
 					s, err := Open(crashCfg(policy, c))
 					if err != nil && !c.crashed {
 						t.Fatal(err)
@@ -299,7 +296,6 @@ func TestCrashPointEnumeration(t *testing.T) {
 					acked, inFlight := 0, !c.crashed
 					if !c.crashed {
 						runCrashOps(t, s, func(i int, _ *opMix) bool {
-							lsns = append(lsns, journalCounts(s))
 							acked = i
 							return c.crashed
 						})
@@ -312,50 +308,56 @@ func TestCrashPointEnumeration(t *testing.T) {
 					if err != nil {
 						t.Fatalf("crash at call %d (op %d): reopen: %v", at, acked, err)
 					}
-					got := fingerprints(r)
 					hi := acked
 					if inFlight {
 						hi++
 					}
-					// last[i] is the last op boundary shard i's state matches.
-					last := make([]int, len(got))
-					for i, fp := range got {
-						last[i] = -1
-						for p := hi; p >= 0 && last[i] < 0; p-- {
-							if ref[p][i] != fp {
-								continue
-							}
-							if policy != wal.FsyncAsync && p < acked {
-								t.Fatalf("crash at call %d (op %d): shard %d lost acknowledged writes: recovered the state after op %d, %d records short",
-									at, acked, i, p, lsns[acked][i]-lsns[p][i])
-							}
-							last[i] = p
+					for i, fp := range fingerprints(r) {
+						// p is the last op boundary shard i's state matches.
+						p := hi
+						for p >= 0 && ref[p][i] != fp {
+							p--
 						}
-						if last[i] < 0 {
-							if !midOp(lsns, i, policy, acked, hi) {
-								t.Fatalf("crash at call %d (op %d): shard %d recovered a state no op prefix had", at, acked, i)
-							}
-							mid++
+						switch {
+						case p < 0:
+							t.Fatalf("crash at call %d (op %d): shard %d recovered a state no op prefix had", at, acked, i)
+						case policy != wal.FsyncAsync && p < acked:
+							t.Fatalf("crash at call %d (op %d): shard %d lost acknowledged writes: recovered the state after op %d",
+								at, acked, i, p)
 						}
-					}
-					if halfApplied(ref, last, hi) {
-						half++
 					}
 				}
-				t.Logf("%d crash points: %d leave a cross-shard op on one shard only, %d shard states stop inside a multi-record op",
-					points, half, mid)
+				t.Logf("%d crash points", points)
 			})
 		}
 	}
 }
 
-// crashReference is the enumerated ops' reference run on an in-memory store:
-// ref[p] fingerprints its shards after the first p ops.
+// crashReference is the enumerated ops' reference run on a store that never
+// loses power: ref[p] fingerprints its shards after the first p ops. It fails
+// the test unless every op journals at most one record and changes at most
+// one shard.
 func crashReference(t *testing.T) [][]string {
-	ref := [][]string{fingerprints(New(Config{Shards: 4}))}
-	mem := New(Config{Shards: 4})
-	runCrashOps(t, mem, func(int, *opMix) bool {
-		ref = append(ref, fingerprints(mem))
+	s := openDurable(t, vfs.NewMemFS(), crashCfg(wal.FsyncAsync, nil))
+	defer s.Close() //nolint:errcheck
+	ref := [][]string{fingerprints(s)}
+	records := uint64(0)
+	runCrashOps(t, s, func(i int, _ *opMix) bool {
+		fps := fingerprints(s)
+		changed := 0
+		for j := range fps {
+			if fps[j] != ref[i][j] {
+				changed++
+			}
+		}
+		total := uint64(0)
+		for _, dsh := range s.dur.shards {
+			total += dsh.lastLSN
+		}
+		if changed > 1 || total > records+1 {
+			t.Fatalf("op %d changed %d shards and journaled %d records", i, changed, total-records)
+		}
+		ref, records = append(ref, fps), total
 		return false
 	})
 	return ref
@@ -482,46 +484,4 @@ func freshUser(s *Store, i int) protocol.UserID {
 		u++
 	}
 	return u
-}
-
-// journalCounts is how many records each shard of s has journaled.
-func journalCounts(s *Store) []uint64 {
-	out := make([]uint64, len(s.shards))
-	for i, dsh := range s.dur.shards {
-		out[i] = dsh.lastLSN
-	}
-	return out
-}
-
-// midOp reports whether shard i may have stopped between two records of one
-// op: some op the policy may have lost journaled several records to it.
-func midOp(lsns [][]uint64, i int, policy wal.Policy, acked, hi int) bool {
-	from := 0
-	if policy != wal.FsyncAsync {
-		from = acked
-	}
-	for q := from; q < hi && q+1 < len(lsns); q++ {
-		if lsns[q+1][i]-lsns[q][i] > 1 {
-			return true
-		}
-	}
-	return false
-}
-
-// halfApplied reports whether an op that changed two or more shards is in
-// the recovered state of some of them and not of others. last[i] is the last
-// op boundary shard i matches (-1: none, left out).
-func halfApplied(ref [][]string, last []int, hi int) bool {
-	for q := 0; q < hi; q++ {
-		seen := map[bool]bool{}
-		for i := range last {
-			if last[i] >= 0 && ref[q][i] != ref[q+1][i] {
-				seen[last[i] > q] = true
-			}
-		}
-		if len(seen) == 2 {
-			return true
-		}
-	}
-	return false
 }

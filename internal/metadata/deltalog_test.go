@@ -2,9 +2,11 @@ package metadata
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"slices"
@@ -259,22 +261,29 @@ func TestReadSnapshotRefusesBadLog(t *testing.T) {
 	}
 }
 
-// FuzzReadSnapshot feeds arbitrary bytes to the snapshot reader. It must
-// never panic. Every delta log it accepts must decode entry by entry, in
-// nondecreasing generations, at the offsets it indexed. An accepted snapshot
+// sealSnapshot appends body's checksum, as writeSnapshot does.
+func sealSnapshot(body []byte) []byte {
+	return binary.LittleEndian.AppendUint32(slices.Clip(body), crc32.Checksum(body, castagnoli))
+}
+
+// FuzzReadSnapshot feeds arbitrary bytes, sealed with a valid checksum so
+// they reach the decoder, to the snapshot reader. It must never panic.
+// Every delta log it accepts must decode entry by entry, in nondecreasing
+// generations, at the offsets it indexed. An accepted snapshot
 // must re-encode to bytes that read back and re-encode byte for byte, with
 // every log's bytes unchanged from the input. And each volume must answer
 // GetDelta at every logged generation as a linear scan of its log does.
 func FuzzReadSnapshot(f *testing.F) {
+	// Each seed is a snapshot's body: its checksum is the seal.
 	for _, snap := range goldenSnapshots(f) {
-		f.Add(snap)
+		f.Add(snap[:len(snap)-4])
 	}
 	for _, snap := range badLogSnapshots() {
-		f.Add(snap)
+		f.Add(snap[:len(snap)-4])
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sh := newShard(0, DefaultDeltaLogLimit, nil)
-		lsn, err := readSnapshot(sh, data)
+		lsn, err := readSnapshot(sh, sealSnapshot(data))
 		if err != nil {
 			return
 		}

@@ -53,11 +53,12 @@ import (
 // Uploadjobs are deliberately not journaled: they are transient multipart
 // bookkeeping, garbage-collected weekly in production, and an upload whose
 // final part has not committed was never acknowledged as a write. Content
-// reference counts, the volume directory, and the ID allocators are derived
-// state: the op maintains them next to its commit, and recovery recomputes
-// them from the replayed shards rather than journaling them — which keeps
-// cross-shard records out of the per-shard journals entirely (share
-// operations commit one record to each involved shard instead).
+// reference counts, the volume directory, the grantees' incoming-share index
+// and the ID allocators are derived state: the op maintains them next to its
+// commit, and recovery recomputes them from the replayed shards rather than
+// journaling them. So every op commits one record to one shard — a share's
+// is its owner's — and no crash can leave an op on some shards and not on
+// others.
 //
 // Every file call goes through Config.FS: the real disk, or a vfs.MemFS that
 // can lose power at any call (TestCrashPointEnumeration).
@@ -568,60 +569,40 @@ func (sh *shard) apply(rec *journalRecord) (trims int) {
 			delete(sh.nodes, nodeID)
 		}
 		delete(sh.volumes, rec.VolID)
-		u := sh.users[rec.User]
-		if u != nil {
+		if u, ok := sh.users[rec.User]; ok {
 			u.removeVolume(rec.VolID)
 		}
-		for grantee, shareID := range vr.grants {
+		for _, shareID := range vr.grants {
 			delete(sh.shares, shareID)
-			if u != nil {
-				delete(u.sharesOut, shareID)
-			}
-			// A grantee on this shard loses the share here; a grantee on
-			// another shard gets its own drop_share record.
-			if gu, ok := sh.users[grantee]; ok {
-				delete(gu.sharesIn, shareID)
-			}
 		}
 
 	case recCreateShare:
+		vr, ok := sh.volumes[rec.Share.Volume]
+		if !ok {
+			return
+		}
 		share := rec.Share
 		sh.shares[share.ID] = &share
-		// Owner side: the volume row lives here.
-		if vr, ok := sh.volumes[share.Volume]; ok {
-			vr.addGrant(share.SharedTo, share.ID)
-			if ou, ok := sh.users[share.SharedBy]; ok {
-				ou.addShareOut(share.ID)
-			}
-		}
-		// Grantee side: the grantee's user row lives here.
-		if gu, ok := sh.users[share.SharedTo]; ok {
-			gu.addShareIn(share.ID)
-		}
+		vr.addGrant(share.SharedTo, share.ID)
 
 	case recAcceptShare:
 		if share, ok := sh.shares[rec.Share.ID]; ok {
 			share.Accepted = true
-		}
-
-	case recDropShare:
-		delete(sh.shares, rec.Share.ID)
-		if gu, ok := sh.users[rec.Share.SharedTo]; ok {
-			delete(gu.sharesIn, rec.Share.ID)
 		}
 	}
 	return trims
 }
 
 // rebuildDerived recomputes every piece of store-level state that is a pure
-// function of the shard contents: the volume directory, the content
-// registry's reference counts, and the ID allocators. Allocators only move
-// forward — max(current, observed+...) — so identifiers are never reissued
-// after a partial recovery.
+// function of the shard contents: the volume directory, the incoming-share
+// index, the content registry's reference counts, and the ID allocators.
+// Allocators only move forward — max(current, observed+...) — so identifiers
+// are never reissued after a partial recovery.
 func (s *Store) rebuildDerived() {
 	var maxVol, maxNode, maxShare uint64
 	contents := newContentRegistry()
 	s.volumeDir.clear()
+	s.incoming.clear()
 	for _, sh := range s.shards {
 		sh.RLockUncounted()
 		for id, vr := range sh.volumes {
@@ -638,10 +619,9 @@ func (s *Store) rebuildDerived() {
 				contents.addRef(nr.hash, nr.size)
 			}
 		}
-		for id := range sh.shares {
-			if uint64(id) > maxShare {
-				maxShare = uint64(id)
-			}
+		for _, id := range sortedKeys(sh.shares) {
+			s.indexShare(*sh.shares[id])
+			maxShare = max(maxShare, uint64(id))
 		}
 		sh.RUnlockUncounted()
 	}

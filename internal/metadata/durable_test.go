@@ -96,7 +96,8 @@ func populate(t *testing.T, s *Store) protocol.VolumeID {
 	if _, err := s.AcceptShare(2, share.ID); err != nil {
 		t.Fatalf("AcceptShare: %v", err)
 	}
-	// A shared-then-deleted UDF exercises delete_volume + drop_share replay.
+	// A shared-then-deleted UDF exercises the replay of a delete_volume that
+	// drops a grant.
 	udf3, err := s.CreateUDF(3, "~/Temp")
 	if err != nil {
 		t.Fatalf("CreateUDF: %v", err)

@@ -16,8 +16,9 @@ import (
 
 // formatGolden holds the journal records and snapshots populate leaves on a
 // 4-shard durable store. Journals and snapshots written by an earlier build
-// must stay readable, so any change to these bytes is a format change: it
-// bumps snapshotVersion or adds a record kind, and it is deliberate.
+// must stay readable, or be refused by name (TestFormatV1StoreRefused), so
+// any change to these bytes is a format change: it bumps snapshotVersion or
+// adds a record kind, and it is deliberate.
 const formatGolden = "testdata/format.golden"
 
 // durableFormat runs populate on a fresh durable store that never snapshots
@@ -58,11 +59,11 @@ func durableFormat(t *testing.T) []byte {
 	return out.Bytes()
 }
 
-// goldenRecords returns the WAL payloads of formatGolden with the kind name
-// each line gives them.
-func goldenRecords(t testing.TB) (payloads [][]byte, kinds []string) {
+// goldenRecords returns the WAL payloads of golden with the kind name each
+// line gives them.
+func goldenRecords(t testing.TB, golden string) (payloads [][]byte, kinds []string) {
 	t.Helper()
-	data, err := os.ReadFile(formatGolden)
+	data, err := os.ReadFile(golden)
 	if err != nil {
 		t.Fatalf("reading golden: %v", err)
 	}
@@ -103,7 +104,7 @@ func TestDurableFormatGolden(t *testing.T) {
 	if got := durableFormat(t); !bytes.Equal(got, want) {
 		t.Fatalf("durable format drifted from %s:\n--- got ---\n%s\n--- want ---\n%s", formatGolden, got, want)
 	}
-	payloads, kinds := goldenRecords(t)
+	payloads, kinds := goldenRecords(t, formatGolden)
 	if len(payloads) == 0 {
 		t.Fatal("golden holds no WAL records")
 	}

@@ -546,8 +546,9 @@ func TestUploadJobGC(t *testing.T) {
 
 // TestShardLoadCounters pins the per-shard op counts behind Fig. 14 exactly,
 // on a durable two-region store: every client op counts one read or write
-// per shard it locks (a cross-shard share one write on each shard, a
-// same-shard share one), each counted acquisition lands one observation in
+// per shard it locks (a share one read of the grantee's shard and one write
+// of the owner's, wherever the two live; its acceptance one write of the
+// owner's), each counted acquisition lands one observation in
 // that shard's hold histogram, and maintenance — the upload-job sweep, the
 // replication tick, fingerprinting, a crash and recovery, Close — counts
 // nothing.
@@ -596,13 +597,13 @@ func TestShardLoadCounters(t *testing.T) {
 
 	wantReads := make([]uint64, s.NumShards())
 	wantWrites := make([]uint64, s.NumShards())
-	// a: CreateUser ×2 (a, c), MakeFile, both CreateShares, AcceptShare's
-	// owner mirror; reads: ListVolumes, GetDelta, and b's ListVolumes and
-	// GetDelta of the shared volume.
-	wantWrites[sa], wantReads[sa] = 6, 4
-	// b: CreateUser, CreateShare's grantee side, AcceptShare; b's
+	// a: CreateUser ×2 (a, c), MakeFile, both CreateShares, AcceptShare;
+	// reads: ListVolumes, GetDelta, b's ListVolumes and GetDelta of the
+	// shared volume, and the share to c's read of its grantee.
+	wantWrites[sa], wantReads[sa] = 6, 5
+	// b: CreateUser; reads: the share to b's read of its grantee, and b's
 	// ListVolumes.
-	wantWrites[sb], wantReads[sb] = 3, 1
+	wantWrites[sb], wantReads[sb] = 1, 2
 	check := func(when string) {
 		t.Helper()
 		reads, writes := s.ShardLoads()
@@ -704,6 +705,13 @@ func hammer(t *testing.T, s *Store) {
 				case 3:
 					s.GetDelta(u, udf.ID, 0)
 					s.ListVolumes(u)
+					shares, _ := s.ListShares(u)
+					for _, sh := range shares {
+						if sh.SharedTo == u && !sh.Accepted {
+							s.AcceptShare(u, sh.ID)
+							break
+						}
+					}
 				case 4:
 					to := protocol.UserID(r.Intn(users) + 1)
 					if to != u {
@@ -721,10 +729,17 @@ func hammer(t *testing.T, s *Store) {
 	wg.Wait()
 	close(stop)
 	<-ticked
-	// The dedup accounting must be consistent after the dust settles.
+	// The dedup accounting must be consistent after the dust settles, and
+	// every share went with its volume.
 	cs := s.Contents()
 	if cs.UniqueBytes > cs.LogicalBytes {
 		t.Errorf("unique bytes %d exceed logical bytes %d", cs.UniqueBytes, cs.LogicalBytes)
+	}
+	for u := protocol.UserID(1); u <= users; u++ {
+		refs, _ := s.incoming.load(u)
+		if shares, err := s.ListShares(u); err != nil || len(shares) != 0 || len(refs) != 0 {
+			t.Errorf("user %v lists %d shares (%v) and indexes %d after every shared volume was deleted", u, len(shares), err, len(refs))
+		}
 	}
 }
 

@@ -5,9 +5,7 @@ import (
 	"fmt"
 	"maps"
 	"slices"
-	"sort"
 
-	"u1/internal/metrics"
 	"u1/internal/protocol"
 )
 
@@ -84,6 +82,7 @@ func checkAccessLocked(sh *shard, vr *volumeRow, user protocol.UserID, write boo
 // ListVolumes lists all volumes of a user: root, UDFs and accepted shared
 // volumes (dal.list_volumes; performed at session start, Table 2).
 func (s *Store) ListVolumes(user protocol.UserID) ([]protocol.VolumeInfo, error) {
+	refs, _ := s.incoming.load(user)
 	sh := s.shardOf(user)
 	lockedAt := sh.RLock()
 	u, ok := sh.users[user]
@@ -91,58 +90,57 @@ func (s *Store) ListVolumes(user protocol.UserID) ([]protocol.VolumeInfo, error)
 		sh.RUnlock(lockedAt)
 		return nil, protocol.ErrNotFound
 	}
-	out := make([]protocol.VolumeInfo, 0, len(u.volumes)+len(u.sharesIn))
+	out := make([]protocol.VolumeInfo, 0, len(u.volumes)+len(refs))
 	for _, volID := range u.volumes {
 		out = append(out, sh.volumes[volID].info)
 	}
-	slices.SortFunc(out, func(a, b protocol.VolumeInfo) int { return cmp.Compare(a.ID, b.ID) })
-	// Collect accepted incoming shares; their volumes may live in other
-	// shards, so resolve them after releasing this shard's lock.
-	var sharedVols []protocol.VolumeID
-	for shareID := range u.sharesIn {
-		if share, ok := sh.shares[shareID]; ok && share.Accepted {
-			sharedVols = append(sharedVols, share.Volume)
-		}
-	}
 	sh.RUnlock(lockedAt)
-	slices.Sort(sharedVols)
-
-	for _, volID := range sharedVols {
-		owner, err := s.ownerOf(volID)
-		if err != nil {
-			continue // volume deleted concurrently
-		}
-		osh := s.readShardFor(user, owner)
+	byID := func(a, b protocol.VolumeInfo) int { return cmp.Compare(a.ID, b.ID) }
+	slices.SortFunc(out, byID)
+	// An accepted incoming share, and its volume, live on the owner's shard.
+	owned := len(out)
+	for _, ref := range refs {
+		osh := s.readShardFor(user, ref.owner)
 		oLockedAt := osh.RLock()
-		if vr, ok := osh.volumes[volID]; ok {
-			info := vr.info
-			info.Type = protocol.VolumeShared
-			out = append(out, info)
+		if share, ok := osh.shares[ref.id]; ok && share.Accepted {
+			if vr, ok := osh.volumes[share.Volume]; ok {
+				info := vr.info
+				info.Type = protocol.VolumeShared
+				out = append(out, info)
+			}
 		}
 		osh.RUnlock(oLockedAt)
 	}
+	slices.SortFunc(out[owned:], byID)
 	return out, nil
 }
 
 // ListShares lists sharing grants involving the user, both received and
-// offered (dal.list_shares, Table 2).
+// offered (dal.list_shares, Table 2): the grants of the user's volumes, and
+// each incoming share read from its owner's shard.
 func (s *Store) ListShares(user protocol.UserID) ([]protocol.ShareInfo, error) {
+	refs, _ := s.incoming.load(user)
 	sh := s.shardOf(user)
-	defer sh.RUnlock(sh.RLock())
+	lockedAt := sh.RLock()
 	u, ok := sh.users[user]
 	if !ok {
+		sh.RUnlock(lockedAt)
 		return nil, protocol.ErrNotFound
 	}
-	out := make([]protocol.ShareInfo, 0, len(u.sharesIn)+len(u.sharesOut))
-	for id := range u.sharesIn {
-		if share, ok := sh.shares[id]; ok {
-			out = append(out, *share)
+	out := make([]protocol.ShareInfo, 0, len(refs))
+	for _, volID := range u.volumes {
+		for _, id := range sh.volumes[volID].grants {
+			out = append(out, *sh.shares[id])
 		}
 	}
-	for id := range u.sharesOut {
-		if share, ok := sh.shares[id]; ok {
+	sh.RUnlock(lockedAt)
+	for _, ref := range refs {
+		osh := s.readShardFor(user, ref.owner)
+		oLockedAt := osh.RLock()
+		if share, ok := osh.shares[ref.id]; ok {
 			out = append(out, *share)
 		}
+		osh.RUnlock(oLockedAt)
 	}
 	slices.SortFunc(out, func(a, b protocol.ShareInfo) int { return cmp.Compare(a.ID, b.ID) })
 	return out, nil
@@ -217,12 +215,17 @@ func (s *Store) DeleteVolume(user protocol.UserID, vol protocol.VolumeID) (remov
 		return nil, nil, fmt.Errorf("%w: cannot delete the root volume", protocol.ErrBadRequest)
 	}
 	// Read what the record is about to remove: the nodes go back to the
-	// caller, and grantees on other shards get their own drop_share below.
+	// caller, and the grants leave their grantees' incoming indexes.
 	for _, nodeID := range volumeNodeIDs(sh, vr) {
 		removed = append(removed, sh.nodes[nodeID].info(nodeID))
 	}
-	grantees := maps.Clone(vr.grants)
+	grants := maps.Clone(vr.grants)
 	w, err := s.commit(sh, journalRecord{Kind: recDeleteVolume, User: user, VolID: vol})
+	if err == nil {
+		for grantee, id := range grants {
+			s.unindexShare(grantee, id)
+		}
+	}
 	s.unlockAwait(sh, lockedAt, &w, &err)
 	if err != nil {
 		return nil, nil, err
@@ -233,30 +236,7 @@ func (s *Store) DeleteVolume(user protocol.UserID, vol protocol.VolumeID) (remov
 	// reading through its region's replica must lose access now, not when the
 	// delete record ripens in the replication log (and a create_share not yet
 	// applied there must not resurrect the grant in between).
-	s.revokeCrossRegion(sh.id, grantees)
-
-	// Grantee cleanup walks in ascending user order: every iteration journals
-	// a drop_share record in the grantee's shard, and the replication stream
-	// publishes journal records in apply order, so the iteration order here is
-	// cross-region-observable state.
-	granteeIDs := make([]protocol.UserID, 0, len(grantees))
-	for grantee := range grantees {
-		granteeIDs = append(granteeIDs, grantee)
-	}
-	sort.Slice(granteeIDs, func(i, j int) bool { return granteeIDs[i] < granteeIDs[j] })
-	for _, grantee := range granteeIDs {
-		shareID := grantees[grantee]
-		gsh := s.shardOf(grantee)
-		if gsh == sh {
-			continue // the delete_volume record already dropped it
-		}
-		gLockedAt := gsh.Lock()
-		w, err := s.commit(gsh, journalRecord{Kind: recDropShare, Share: protocol.ShareInfo{ID: shareID, SharedTo: grantee}})
-		s.unlockAwait(gsh, gLockedAt, &w, &err)
-		if err != nil {
-			return nil, nil, err // a fenced grantee shard: recovery rebuilds the references
-		}
-	}
+	s.revokeCrossRegion(sh.id, grants)
 
 	// Release content references outside any shard lock.
 	for _, n := range removed {
@@ -645,9 +625,9 @@ func subtreeSize(sh *shard, id protocol.NodeID) int {
 	return n
 }
 
-// CreateShare offers a volume to another user (dal.create_share). The share
-// row is written to both the owner's and the grantee's shards — the only
-// operation class that must involve more than one shard (§3.4).
+// CreateShare offers a volume to another user (dal.create_share): one
+// record on the owner's shard, the only one that holds the share's row. The
+// grantee must exist, a read of its shard, and its region must serve too.
 func (s *Store) CreateShare(owner protocol.UserID, vol protocol.VolumeID, to protocol.UserID, name string, readOnly bool) (_ protocol.ShareInfo, err error) {
 	if owner == to {
 		return protocol.ShareInfo{}, fmt.Errorf("%w: sharing with oneself", protocol.ErrBadRequest)
@@ -659,8 +639,6 @@ func (s *Store) CreateShare(owner protocol.UserID, vol protocol.VolumeID, to pro
 	if volOwner != owner {
 		return protocol.ShareInfo{}, protocol.ErrPermission
 	}
-	// The share row is written to both shards, so both owning regions must be
-	// serving.
 	if err := s.writeGuard(owner); err != nil {
 		return protocol.ShareInfo{}, err
 	}
@@ -675,100 +653,61 @@ func (s *Store) CreateShare(owner protocol.UserID, vol protocol.VolumeID, to pro
 		Name:     name,
 		ReadOnly: readOnly,
 	}
-	osh, gsh := s.shardOf(owner), s.shardOf(to)
-	var wo, wg flushWait
-	defer func(holds [2]metrics.Stopwatch) {
-		unlockPair(osh, gsh, holds)
-		if err == nil {
-			err = s.awaitFlush(osh, wo)
-		}
-		if err == nil {
-			err = s.awaitFlush(gsh, wg)
-		}
-	}(lockPair(osh, gsh))
+	gsh := s.shardOf(to)
+	gLockedAt := gsh.RLock()
+	_, ok := gsh.users[to]
+	gsh.RUnlock(gLockedAt)
+	if !ok {
+		return protocol.ShareInfo{}, fmt.Errorf("%w: grantee", protocol.ErrNotFound)
+	}
+	osh := s.shardOf(owner)
+	var w flushWait
+	defer s.unlockAwait(osh, osh.Lock(), &w, &err)
 	vr, ok := osh.volumes[vol]
 	if !ok {
 		return protocol.ShareInfo{}, protocol.ErrNotFound
 	}
-	if _, ok := gsh.users[to]; !ok {
-		return protocol.ShareInfo{}, fmt.Errorf("%w: grantee", protocol.ErrNotFound)
-	}
 	if _, dup := vr.grants[to]; dup {
 		return protocol.ShareInfo{}, fmt.Errorf("%w: already shared to %v", protocol.ErrExists, to)
 	}
-	// One record per shard: the owner's shard takes the grant, the grantee's
-	// the incoming share; when both users live on one shard, its one record
-	// does both.
-	wo, err = s.commit(osh, journalRecord{Kind: recCreateShare, Share: share})
-	if osh != gsh && err == nil {
-		wg, err = s.commit(gsh, journalRecord{Kind: recCreateShare, Share: share})
-	}
-	if err != nil {
+	if w, err = s.commit(osh, journalRecord{Kind: recCreateShare, Share: share}); err != nil {
 		return protocol.ShareInfo{}, err
 	}
+	s.indexShare(share)
 	return share, nil
 }
 
 // AcceptShare marks a received share as accepted (dal.accept_share); only
-// then does the shared volume appear in the grantee's ListVolumes.
-func (s *Store) AcceptShare(user protocol.UserID, id protocol.ShareID) (protocol.ShareInfo, error) {
+// then does the shared volume appear in the grantee's ListVolumes. The
+// grantee finds the share in its incoming index; the record goes to the
+// owner's shard, which holds the row.
+func (s *Store) AcceptShare(user protocol.UserID, id protocol.ShareID) (_ protocol.ShareInfo, err error) {
 	if err := s.writeGuard(user); err != nil {
 		return protocol.ShareInfo{}, err
 	}
-	gsh := s.shardOf(user)
-	gLockedAt := gsh.Lock()
-	share, ok := gsh.shares[id]
-	if !ok || share.SharedTo != user {
-		gsh.Unlock(gLockedAt)
+	refs, _ := s.incoming.load(user)
+	i := slices.IndexFunc(refs, func(r shareRef) bool { return r.id == id })
+	if i < 0 {
 		return protocol.ShareInfo{}, protocol.ErrNotFound
 	}
-	owner := share.SharedBy
-	// The accepted flag mirrors into the owner's shard; refuse before
-	// mutating either side if the owner's region is down.
+	owner := refs[i].owner
+	// Refuse before mutating the row if the owner's region is down.
 	if err := s.writeGuard(owner); err != nil {
-		gsh.Unlock(gLockedAt)
 		return protocol.ShareInfo{}, err
+	}
+	osh := s.shardOf(owner)
+	var w flushWait
+	defer s.unlockAwait(osh, osh.Lock(), &w, &err)
+	share, ok := osh.shares[id]
+	if !ok {
+		return protocol.ShareInfo{}, protocol.ErrNotFound // deleted with its volume
 	}
 	out := *share
 	out.Accepted = true
-	w, err := s.commit(gsh, journalRecord{Kind: recAcceptShare, Share: out})
-	s.unlockAwait(gsh, gLockedAt, &w, &err)
-
-	// Mirror the accepted flag in the owner's shard copy.
-	if osh := s.shardOf(owner); osh != gsh && err == nil {
-		oLockedAt := osh.Lock()
-		w, err = s.commit(osh, journalRecord{Kind: recAcceptShare, Share: out})
-		s.unlockAwait(osh, oLockedAt, &w, &err)
-	}
-	if err != nil {
+	if w, err = s.commit(osh, journalRecord{Kind: recAcceptShare, Share: out}); err != nil {
 		return protocol.ShareInfo{}, err
 	}
 	return out, nil
-}
-
-// lockPair write-locks two shards in id order, avoiding deadlock between
-// concurrent cross-shard operations, and counts one write on each; the same
-// shard twice is locked and counted once. unlockPair releases them in
-// reverse order and charges each master its own hold.
-func lockPair(a, b *shard) (holds [2]metrics.Stopwatch) {
-	if a.id > b.id {
-		a, b = b, a
-	}
-	holds[0] = a.Lock()
-	if a != b {
-		holds[1] = b.Lock()
-	}
-	return holds
-}
-
-func unlockPair(a, b *shard, holds [2]metrics.Stopwatch) {
-	if a.id > b.id {
-		a, b = b, a
-	}
-	if a != b {
-		b.Unlock(holds[1])
-	}
-	a.Unlock(holds[0])
 }
 
 // LookupContent reports whether content with hash h is already stored and

@@ -5,8 +5,10 @@
 // The store routes every operation by user identifier to a shard, so the
 // metadata of a user's files and folders always lives in the same shard and
 // most operations touch exactly one shard without distributed locking
-// ("lockless" in the paper's wording). Only share-related operations may span
-// two shards. Read operations take the shard's read lock (the slave replica
+// ("lockless" in the paper's wording). A share is one row on its owner's
+// shard; the grantee finds it through a store-level index of incoming shares,
+// so creating one reads the grantee's shard but writes only the owner's. Read
+// operations take the shard's read lock (the slave replica
 // serves them in the real deployment; both replicas hold identical data here
 // and the replica split is modeled for load accounting), while mutations take
 // the write lock (the master).
@@ -162,7 +164,13 @@ type Store struct {
 	// volumeDir maps every live volume to its owner, the directory the
 	// request router consults to find the shard that holds a volume that is
 	// not the caller's (shared volumes may live in a different shard).
-	volumeDir volumeDirectory
+	volumeDir stripedMap[protocol.VolumeID, protocol.UserID]
+	// incoming maps every grantee to the shares it holds, each row kept on
+	// its owner's shard only: derived state, like volumeDir, that the share
+	// ops keep next to their commits and rebuildDerived recomputes from the
+	// owner rows. Each value is replaced, never changed in place, so a reader
+	// may range over what it loaded.
+	incoming stripedMap[protocol.UserID, []shareRef]
 
 	nextVolume uint64
 	nextNode   uint64
@@ -331,57 +339,93 @@ func (sh *shard) reset() {
 	sh.revoked = nil
 }
 
-// volumeDirectory is the volume→owner routing table: plain maps behind
-// striped read-write locks. sync.Map pays ~100 bytes of trie nodes plus two
-// boxed interfaces per entry where a plain map entry is 16 bytes — tens of
-// megabytes at millions of volumes — and the striped locks keep the read
-// path (every routed request) uncontended. Maps materialize on first store,
-// so zero-valued directories work without a constructor.
-type volumeDirectory struct {
-	shards [16]volumeDirShard
+// stripedMap is a map behind striped read-write locks, for the store-level
+// derived state every routed request reads. sync.Map pays ~100 bytes of trie
+// nodes plus two boxed interfaces per entry where a plain map entry is 16
+// bytes — tens of megabytes at millions of volumes — and the striped locks
+// keep the read path uncontended. Maps materialize on first store, so a zero
+// value works without a constructor.
+type stripedMap[K ~uint64, V any] struct {
+	stripes [16]stripe[K, V]
 }
 
-type volumeDirShard struct {
+type stripe[K ~uint64, V any] struct {
 	mu sync.RWMutex
-	m  map[protocol.VolumeID]protocol.UserID
+	m  map[K]V
 }
 
-func (d *volumeDirectory) shard(vol protocol.VolumeID) *volumeDirShard {
-	return &d.shards[uint64(vol)%uint64(len(d.shards))]
+func (d *stripedMap[K, V]) stripe(k K) *stripe[K, V] {
+	return &d.stripes[uint64(k)%uint64(len(d.stripes))]
 }
 
-func (d *volumeDirectory) load(vol protocol.VolumeID) (protocol.UserID, bool) {
-	sh := d.shard(vol)
-	sh.mu.RLock()
-	owner, ok := sh.m[vol]
-	sh.mu.RUnlock()
-	return owner, ok
+func (d *stripedMap[K, V]) load(k K) (V, bool) {
+	st := d.stripe(k)
+	st.mu.RLock()
+	v, ok := st.m[k]
+	st.mu.RUnlock()
+	return v, ok
 }
 
-func (d *volumeDirectory) store(vol protocol.VolumeID, owner protocol.UserID) {
-	sh := d.shard(vol)
-	sh.mu.Lock()
-	if sh.m == nil {
-		sh.m = make(map[protocol.VolumeID]protocol.UserID)
+func (d *stripedMap[K, V]) store(k K, v V) {
+	st := d.stripe(k)
+	st.mu.Lock()
+	if st.m == nil {
+		st.m = make(map[K]V)
 	}
-	sh.m[vol] = owner
-	sh.mu.Unlock()
+	st.m[k] = v
+	st.mu.Unlock()
 }
 
-func (d *volumeDirectory) delete(vol protocol.VolumeID) {
-	sh := d.shard(vol)
-	sh.mu.Lock()
-	delete(sh.m, vol)
-	sh.mu.Unlock()
+func (d *stripedMap[K, V]) delete(k K) {
+	d.update(k, func(v V) (V, bool) { return v, false })
 }
 
-func (d *volumeDirectory) clear() {
-	for i := range d.shards {
-		sh := &d.shards[i]
-		sh.mu.Lock()
-		sh.m = nil
-		sh.mu.Unlock()
+// update sets k to f of its value (the zero V when absent) under k's stripe
+// lock, or deletes k when f reports false.
+func (d *stripedMap[K, V]) update(k K, f func(V) (V, bool)) {
+	st := d.stripe(k)
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	v, keep := f(st.m[k])
+	if !keep {
+		delete(st.m, k)
+		return
 	}
+	if st.m == nil {
+		st.m = make(map[K]V)
+	}
+	st.m[k] = v
+}
+
+func (d *stripedMap[K, V]) clear() {
+	for i := range d.stripes {
+		st := &d.stripes[i]
+		st.mu.Lock()
+		st.m = nil
+		st.mu.Unlock()
+	}
+}
+
+// shareRef is one share a grantee holds: its ID and the owner whose shard
+// keeps its row.
+type shareRef struct {
+	id    protocol.ShareID
+	owner protocol.UserID
+}
+
+// indexShare adds share to its grantee's incoming index.
+func (s *Store) indexShare(share protocol.ShareInfo) {
+	s.incoming.update(share.SharedTo, func(refs []shareRef) ([]shareRef, bool) {
+		return append(slices.Clip(refs), shareRef{share.ID, share.SharedBy}), true
+	})
+}
+
+// unindexShare drops share id from grantee's incoming index.
+func (s *Store) unindexShare(grantee protocol.UserID, id protocol.ShareID) {
+	s.incoming.update(grantee, func(refs []shareRef) ([]shareRef, bool) {
+		refs = slices.DeleteFunc(slices.Clone(refs), func(r shareRef) bool { return r.id == id })
+		return refs, len(refs) > 0
+	})
 }
 
 type userRow struct {
@@ -390,14 +434,9 @@ type userRow struct {
 	// volumes owned by this user, including the root volume. A slice, not a
 	// set: users own a handful of volumes, and a one-entry map per user is
 	// ~200 bytes of buckets at million-user populations. Order is insertion
-	// order; consumers sort where output order matters.
+	// order; consumers sort where output order matters. The user's outgoing
+	// shares are their grants.
 	volumes []protocol.VolumeID
-	// incoming shares (this user is the grantee); nil until the first grant —
-	// most users never share, and an empty map per user is real memory at
-	// million-user populations. Reads, deletes and ranges treat nil as empty.
-	sharesIn map[protocol.ShareID]struct{}
-	// outgoing shares (this user is the owner); nil until the first grant
-	sharesOut map[protocol.ShareID]struct{}
 }
 
 func (u *userRow) addVolume(id protocol.VolumeID) { u.volumes = append(u.volumes, id) }
@@ -409,20 +448,6 @@ func (u *userRow) removeVolume(id protocol.VolumeID) {
 			return
 		}
 	}
-}
-
-func (u *userRow) addShareIn(id protocol.ShareID) {
-	if u.sharesIn == nil {
-		u.sharesIn = make(map[protocol.ShareID]struct{}, 1)
-	}
-	u.sharesIn[id] = struct{}{}
-}
-
-func (u *userRow) addShareOut(id protocol.ShareID) {
-	if u.sharesOut == nil {
-		u.sharesOut = make(map[protocol.ShareID]struct{}, 1)
-	}
-	u.sharesOut[id] = struct{}{}
 }
 
 // nodeRow is the packed in-store representation of a node. The sh.nodes
@@ -491,7 +516,9 @@ type volumeRow struct {
 	// been discarded; GetDelta can only serve fromGen ≥ droppedThrough.
 	droppedThrough protocol.Generation
 	// grants maps grantee user to the share id, for permission checks on
-	// shared volumes; nil until the first grant (see userRow.sharesIn)
+	// shared volumes; nil until the first grant — most volumes are never
+	// shared, and an empty map per volume is real memory at million-user
+	// populations.
 	grants map[protocol.UserID]protocol.ShareID
 }
 
