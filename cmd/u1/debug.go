@@ -19,10 +19,12 @@ import (
 //   - /metrics: the registry snapshot, as flat `name value` lines, or as
 //     JSON with ?format=json;
 //   - /debug/pprof/: the runtime profiles;
-//   - /healthz: "ok" while the process serves.
+//   - /healthz: "ok" while health returns nil; otherwise 503 Service
+//     Unavailable with health's error, one line per cause (a fenced
+//     metadata shard refuses every write until it recovers).
 //
 // It returns the bound address and the function that stops it.
-func serveDebug(addr string, reg *metrics.Registry) (net.Addr, func() error, error) {
+func serveDebug(addr string, reg *metrics.Registry, health func() error) (net.Addr, func() error, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, nil, fmt.Errorf("-debug-addr: %w", err)
@@ -38,7 +40,13 @@ func serveDebug(addr string, reg *metrics.Registry) (net.Addr, func() error, err
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		writeFlat(w, snap)
 	})
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) { io.WriteString(w, "ok\n") }) //nolint:errcheck
+	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
+		if err := health(); err != nil {
+			http.Error(w, "unhealthy\n"+err.Error(), http.StatusServiceUnavailable)
+			return
+		}
+		io.WriteString(w, "ok\n") //nolint:errcheck
+	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)

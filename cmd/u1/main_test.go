@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -13,6 +14,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"u1/internal/client"
@@ -354,6 +356,43 @@ func TestServeDebugAddr(t *testing.T) {
 	}
 	if err := stop(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestHealthzReportsFailure: while the health func fails, /healthz answers
+// 503 with its text, one line per cause, and "ok" again once it passes.
+func TestHealthzReportsFailure(t *testing.T) {
+	var mu sync.Mutex
+	var fault error
+	setFault := func(err error) { mu.Lock(); fault = err; mu.Unlock() }
+	at, stop, err := serveDebug("127.0.0.1:0", metrics.NewRegistry(), func() error { mu.Lock(); defer mu.Unlock(); return fault })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stop() //nolint:errcheck
+	healthz := func() (int, string) {
+		t.Helper()
+		resp, err := http.Get("http://" + at.String() + "/healthz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, string(body)
+	}
+	two := errors.Join(errors.New("metadata shard 1 is fenced until recovery: no space left on device"),
+		errors.New("metadata shard 3 is fenced until recovery: input/output error"))
+	setFault(two)
+	code, body := healthz()
+	if want := "unhealthy\n" + two.Error() + "\n"; code != http.StatusServiceUnavailable || body != want {
+		t.Errorf("/healthz with two fenced shards = %d %q, want 503 %q", code, body, want)
+	}
+	setFault(nil)
+	if code, body := healthz(); code != http.StatusOK || body != "ok\n" {
+		t.Errorf("/healthz once healthy = %d %q, want 200 \"ok\\n\"", code, body)
 	}
 }
 

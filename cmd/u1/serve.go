@@ -71,7 +71,7 @@ func serve(args []string, stdout io.Writer, stop <-chan os.Signal) error {
 	stopDebug := func() error { return nil }
 	if *debugAddr != "" {
 		var at net.Addr
-		if at, stopDebug, err = serveDebug(*debugAddr, cluster.Metrics); err != nil {
+		if at, stopDebug, err = serveDebug(*debugAddr, cluster.Metrics, cluster.Store.Fences); err != nil {
 			tc.Close()
 			return errors.Join(err, cluster.Close())
 		}

@@ -21,8 +21,8 @@
 // references across the whole module — LoadPatterns always loads every
 // package, so linting a subset reports exactly what linting the module
 // reports there. Three contracts need no pass: journal-under-lock holds
-// because the metadata store journals only from commit, which runs under the
-// shard write lock; the metric namespace holds because a metrics.Name can
+// because the metadata store journals only from commit, whose one caller
+// (write, the core of mutate) holds the shard write lock; the metric namespace holds because a metrics.Name can
 // only be built from its declaration in metrics/names.go; and shard lock
 // accounting holds because a metadata shard's mutex lives unexported in
 // metrics.ShardLock, whose every acquisition is counted and timed or named

@@ -185,7 +185,7 @@ func orderedSink(p *Package, sel *ast.SelectorExpr) string {
 	recv := selection.Recv()
 	name := sel.Sel.Name
 	switch name {
-	case "commit", "journal":
+	case "commit", "mutate":
 		return "emits journal records in map iteration order (journal-under-lock contract)"
 	case "Write", "Sum":
 		// Duck-check for hash.Hash: iteration order would change the digest.

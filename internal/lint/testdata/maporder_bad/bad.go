@@ -4,9 +4,9 @@ package mapbad
 
 import "crypto/sha1"
 
-type shard struct{}
+type store struct{}
 
-func (shard) journal(v int) {}
+func (store) mutate(v int) {}
 
 type deltaLog struct{}
 
@@ -21,10 +21,10 @@ func Collect(m map[int]int) []int {
 	return out
 }
 
-// Journal emits journal records in iteration order.
-func Journal(s shard, m map[int]int) {
+// Mutate emits journal records in iteration order.
+func Mutate(s store, m map[int]int) {
 	for k := range m {
-		s.journal(k) // want: maporder: emits journal records
+		s.mutate(k) // want: maporder: emits journal records
 	}
 }
 

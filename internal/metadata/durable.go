@@ -19,14 +19,17 @@ import (
 )
 
 // The durable metadata tier: per-shard write-ahead journaling plus
-// snapshot-and-replay recovery. The journal record is the mutation: every op
-// decides its outcome under the shard write lock, fills a journalRecord with
-// the *resulting* state — assigned identifiers, generations, removed
-// subtrees — and hands it to commit, which encodes the record once
-// (codec.go), journals and publishes those same bytes, and only then runs the
-// shard's one apply. Replay and replica application decode them and run that
-// apply too, so a crashed shard rebuilt from its latest snapshot plus the
-// journal suffix is the shard live traffic built, by construction. The
+// snapshot-and-replay recovery. The journal record is the mutation, and every
+// op reaches it one way: mutate (ops.go) resolves, guards, locks and checks
+// access for a volume op, and its core, write, serves the user-keyed ones
+// too. Under the shard write lock the op's build decides the outcome and
+// returns one journalRecord with the *resulting* state — assigned
+// identifiers, generations, removed subtrees — and write hands it to commit,
+// which encodes the record once (codec.go), journals and publishes those same
+// bytes, and only then runs the shard's one apply. Replay and replica
+// application decode them and run that apply too, so a crashed shard rebuilt
+// from its latest snapshot plus the journal suffix is the shard live traffic
+// built, by construction. The
 // recovery invariant this file exists to uphold (and the shard-crash chaos
 // catalog entry enforces):
 //
@@ -40,8 +43,8 @@ import (
 // Acknowledged means durable, one way: under per-op and group fsync (one
 // path, priced differently by wal.Policy.SyncCost) an op returns only after
 // a flush covers its record, so the RPC's answer, its pushes and
-// wal.journaled come after it; it waits (awaitFlush) only after releasing
-// every shard lock, so no flush holds a shard. Under async nothing waits.
+// wal.journaled come after it; write waits (awaitFlush) only after releasing
+// the shard lock, so no flush holds a shard. Under async nothing waits.
 // Two rules follow from taking the flush out of the lock:
 //
 //   - a reader may observe a committed record before its flush completes,
@@ -216,15 +219,38 @@ func (s *Store) loadShard(i int) error {
 	return nil
 }
 
-// commit is the last step of every mutating op, under sh's write lock: it
-// encodes rec once for sh's journal and the tail of sh's replication log
-// (where the peer regions read it), then applies rec to sh, counting any
-// delta-log trim, and takes a snapshot when one is due. So journal, publish
-// and apply order are one order, and a snapshot never claims an LSN whose
-// record it lacks. It returns the flush the op must wait for once it holds
-// no shard lock (awaitFlush); none under async fsync. An error refuses the
-// op and fences sh; a record the journal refused reaches neither sink nor
-// sh. An in-memory single-region store encodes nothing.
+// write is the shard-level core of every write, mutate's and the user-keyed
+// ones' (CreateUser, CreateUDF, AcceptShare): under sh's write lock it runs
+// build, which validates the op and returns its one record, and commits that
+// record — none for the zero record, an op that answers without changing
+// anything — running committed, if the commit succeeded, before the lock is
+// released. It then waits for the record's flush (awaitFlush) holding no
+// lock. It is commit's one caller.
+func (s *Store) write(sh *shard, build func(sh *shard) (journalRecord, error), committed func()) error {
+	lockedAt := sh.Lock()
+	rec, err := build(sh)
+	var w flushWait
+	if err == nil && rec.Kind != 0 {
+		if w, err = s.commit(sh, rec); err == nil && committed != nil {
+			committed()
+		}
+	}
+	sh.Unlock(lockedAt)
+	if err != nil {
+		return err
+	}
+	return s.awaitFlush(sh, w)
+}
+
+// commit is the last step of every write, under sh's write lock: it encodes
+// rec once for sh's journal and the tail of sh's replication log (where the
+// peer regions read it), then applies rec to sh, counting any delta-log trim,
+// and takes a snapshot when one is due. So journal, publish and apply order
+// are one order, and a snapshot never claims an LSN whose record it lacks. It
+// returns the flush write waits for once it holds no shard lock; none under
+// async fsync. An error refuses the op and fences sh; a record the journal
+// refused reaches neither sink nor sh. An in-memory single-region store
+// encodes nothing.
 func (s *Store) commit(sh *shard, rec journalRecord) (flushWait, error) {
 	var dsh *durableShard
 	var journal *wal.Log
@@ -267,7 +293,7 @@ func (s *Store) commit(sh *shard, rec journalRecord) (flushWait, error) {
 	return flushWait{journal, lsn}, nil
 }
 
-// flushWait is what an op's acknowledgement waits for after its commit: a
+// flushWait is what a write's acknowledgement waits for after its commit: a
 // flush of journal through lsn. The zero value waits for nothing.
 type flushWait struct {
 	journal *wal.Log
@@ -292,16 +318,6 @@ func (s *Store) awaitFlush(sh *shard, w flushWait) error {
 		return fenced
 	}
 	return s.fence(sh.id, err)
-}
-
-// unlockAwait releases sh's write lock, taken at lockedAt, and then, if the
-// op succeeded so far (*err nil), waits for the flush *w and stores its error
-// in *err. Ops that hold one shard's lock to their end defer it.
-func (s *Store) unlockAwait(sh *shard, lockedAt metrics.Stopwatch, w *flushWait, err *error) {
-	sh.Unlock(lockedAt)
-	if *err == nil {
-		*err = s.awaitFlush(sh, *w)
-	}
 }
 
 // fence makes shard i refuse every mutation, reads still served, with an
@@ -391,6 +407,25 @@ func (s *Store) Close() error {
 		errs = append(errs, s.snapshotShardLocked(sh), dsh.journal.Close())
 		dsh.fenced = errClosed
 		sh.UnlockUncounted()
+	}
+	return errors.Join(errs...)
+}
+
+// Fences returns why shards refuse writes: each fence (naming its shard and
+// the failed disk call) joined in shard order, errClosed once closed, nil
+// while every shard takes writes. The probe is not client load.
+func (s *Store) Fences() error {
+	if s.dur == nil {
+		return nil
+	}
+	if s.dur.closed.Load() {
+		return errClosed
+	}
+	var errs []error
+	for _, sh := range s.shards {
+		sh.RLockUncounted()
+		errs = append(errs, s.dur.shards[sh.id].fenced)
+		sh.RUnlockUncounted()
 	}
 	return errors.Join(errs...)
 }

@@ -230,6 +230,46 @@ func TestRecoverShardAloneRestartsFencedShard(t *testing.T) {
 	}
 }
 
+// TestFencesNameTheFencedShard: Fences, the operator's health probe, is nil
+// while every shard takes writes, names the fenced shard and its failed disk
+// call while one refuses them, clears with RecoverShard, and reports the
+// close once the store is closed.
+func TestFencesNameTheFencedShard(t *testing.T) {
+	f := &faultFS{MemFS: vfs.NewMemFS()}
+	s := openDurable(t, f, Config{FsyncPolicy: wal.FsyncPerOp})
+	vol := populate(t, s)
+	if err := s.Fences(); err != nil {
+		t.Fatalf("Fences of a healthy store: %v", err)
+	}
+	i := s.ShardFor(1)
+	f.at = f.calls + 1 // the next mutating disk call fails
+	if _, err := s.MakeFile(1, vol, 0, "refused.txt"); !errors.Is(err, protocol.ErrUnavailable) {
+		t.Fatalf("MakeFile over a failed write: %v, want ErrUnavailable", err)
+	}
+	err := s.Fences()
+	if !errors.Is(err, protocol.ErrUnavailable) {
+		t.Fatalf("Fences with shard %d fenced: %v, want ErrUnavailable", i, err)
+	}
+	want := fmt.Sprintf("metadata shard %d is fenced", i)
+	if lines := strings.Split(err.Error(), "\n"); len(lines) != 1 || !strings.Contains(lines[0], want) ||
+		!strings.Contains(lines[0], "no space left on device") {
+		t.Fatalf("Fences = %q, want one line naming %q and the ENOSPC", err, want)
+	}
+	if err := s.RecoverShard(i); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Fences(); err != nil {
+		t.Fatalf("Fences after RecoverShard(%d): %v", i, err)
+	}
+	s.Close()
+	if err := s.Fences(); !errors.Is(err, errClosed) {
+		t.Fatalf("Fences of a closed store: %v, want %v", err, errClosed)
+	}
+	if err := New(Config{}).Fences(); err != nil {
+		t.Fatalf("Fences of an in-memory store: %v", err)
+	}
+}
+
 // TestRefusedRecordNeverReplicates: a record its journal refuses is cut back
 // off the owner's replication log, so no peer applies a record its owner did
 // not keep, and after a drain every replica of the fenced shard still equals

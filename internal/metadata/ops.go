@@ -9,38 +9,76 @@ import (
 	"u1/internal/protocol"
 )
 
-// CreateUser provisions an account: the user row, the root volume (id
-// reported to clients as their volume 0 equivalent) and its root directory.
-// Creating an existing user is idempotent and returns the existing root
-// volume, so client re-installs do not error.
-func (s *Store) CreateUser(user protocol.UserID) (info protocol.VolumeInfo, err error) {
-	sh := s.shardOf(user)
-	var w flushWait
-	defer s.unlockAwait(sh, sh.Lock(), &w, &err)
-	if u, ok := sh.users[user]; ok {
-		// Idempotent ensure for an existing user is a pure read; it must
-		// keep working while the user's home region is down so logins
-		// (Authenticate ensures the user) survive the outage.
-		return sh.volumes[u.root].info, nil
+// mutate is the one write path into a volume, in the order every volume op
+// refuses: it resolves vol's owner, refuses anyone but the owner when
+// op.ownerOnly, refuses the op while the owner's region is down, runs
+// op.prepare, then, through write, locks the owner's shard, looks the volume
+// up, checks user's write access and runs op.build, which validates the op
+// and returns its one record.
+func (s *Store) mutate(user protocol.UserID, vol protocol.VolumeID, op volumeWrite) error {
+	owner, err := s.ownerOf(vol)
+	if err != nil {
+		return err
 	}
-	if err := s.writeGuard(user); err != nil {
-		return protocol.VolumeInfo{}, err
+	if op.ownerOnly && owner != user {
+		return protocol.ErrPermission
 	}
-	info, w, err = s.createVolume(sh, recCreateUser, user, protocol.VolumeRoot, "~/Ubuntu One")
-	return info, err
+	sh, err := s.writeShard(owner)
+	if err != nil {
+		return err
+	}
+	if op.prepare != nil {
+		if err := op.prepare(); err != nil {
+			return err
+		}
+	}
+	return s.write(sh, func(sh *shard) (journalRecord, error) {
+		vr, ok := sh.volumes[vol]
+		if !ok {
+			return journalRecord{}, protocol.ErrNotFound
+		}
+		if err := checkAccessLocked(sh, vr, user, true); err != nil {
+			return journalRecord{}, err
+		}
+		return op.build(sh, vr)
+	}, op.committed)
 }
 
-// createVolume commits a new volume plus its root directory — a user's root
-// volume (recCreateUser, which also creates the user row) or a UDF — in sh,
-// which must be write-locked, and returns the flush its caller waits for.
-func (s *Store) createVolume(sh *shard, kind recKind, owner protocol.UserID, typ protocol.VolumeType, path string) (protocol.VolumeInfo, flushWait, error) {
-	info := protocol.VolumeInfo{ID: s.allocVolume(), Type: typ, Path: path, Owner: owner}
-	w, err := s.commit(sh, journalRecord{Kind: kind, User: owner, Volume: info, Root: s.allocNode()})
+// volumeWrite is one volume op as mutate runs it: build alone is required.
+type volumeWrite struct {
+	ownerOnly bool         // only the volume's owner may run it
+	prepare   func() error // after the region guard, before the lock
+	build     func(sh *shard, vr *volumeRow) (journalRecord, error)
+	committed func() // after a successful commit, under the lock
+}
+
+// view is the one read path into a volume: it resolves vol's owner, picks
+// the shard user reads it from (readShardFor), read-locks it, looks the
+// volume up, checks user's read access, and runs read under the lock.
+func (s *Store) view(user protocol.UserID, vol protocol.VolumeID, read func(sh *shard, vr *volumeRow) error) error {
+	owner, err := s.ownerOf(vol)
 	if err != nil {
-		return protocol.VolumeInfo{}, flushWait{}, err
+		return err
 	}
-	s.volumeDir.store(info.ID, owner)
-	return info, w, nil
+	sh := s.readShardFor(user, owner)
+	defer sh.RUnlock(sh.RLock())
+	vr, ok := sh.volumes[vol]
+	if !ok {
+		return protocol.ErrNotFound
+	}
+	if err := checkAccessLocked(sh, vr, user, false); err != nil {
+		return err
+	}
+	return read(sh, vr)
+}
+
+// writeShard returns the shard holding owner's rows, or the refusal of every
+// write to them while owner's region is down.
+func (s *Store) writeShard(owner protocol.UserID) (*shard, error) {
+	if err := s.writeGuard(owner); err != nil {
+		return nil, err
+	}
+	return s.shardOf(owner), nil
 }
 
 // ownerOf resolves the owner of a volume through the volume directory.
@@ -77,6 +115,40 @@ func checkAccessLocked(sh *shard, vr *volumeRow, user protocol.UserID, write boo
 		return protocol.ErrPermission
 	}
 	return nil
+}
+
+// CreateUser provisions an account: the user row, the root volume (id
+// reported to clients as their volume 0 equivalent) and its root directory.
+// Creating an existing user is idempotent and returns the existing root
+// volume, so client re-installs do not error.
+func (s *Store) CreateUser(user protocol.UserID) (protocol.VolumeInfo, error) {
+	var rec journalRecord
+	err := s.write(s.shardOf(user), func(sh *shard) (journalRecord, error) {
+		if u, ok := sh.users[user]; ok {
+			// Idempotent ensure for an existing user is a pure read; it must
+			// keep working while the user's home region is down so logins
+			// (Authenticate ensures the user) survive the outage.
+			rec.Volume = sh.volumes[u.root].info
+			return journalRecord{}, nil
+		}
+		if err := s.writeGuard(user); err != nil {
+			return journalRecord{}, err
+		}
+		rec = s.newVolume(recCreateUser, user, protocol.VolumeRoot, "~/Ubuntu One")
+		return rec, nil
+	}, func() { s.volumeDir.store(rec.Volume.ID, user) })
+	if err != nil {
+		return protocol.VolumeInfo{}, err
+	}
+	return rec.Volume, nil
+}
+
+// newVolume allocates a volume and then its root directory and returns the
+// record that creates them: a user's root volume (recCreateUser, which also
+// creates the user row) or a UDF.
+func (s *Store) newVolume(kind recKind, owner protocol.UserID, typ protocol.VolumeType, path string) journalRecord {
+	info := protocol.VolumeInfo{ID: s.allocVolume(), Type: typ, Path: path, Owner: owner}
+	return journalRecord{Kind: kind, User: owner, Volume: info, Root: s.allocNode()}
 }
 
 // ListVolumes lists all volumes of a user: root, UDFs and accepted shared
@@ -147,86 +219,70 @@ func (s *Store) ListShares(user protocol.UserID) ([]protocol.ShareInfo, error) {
 }
 
 // CreateUDF creates a user-defined volume (dal.create_udf).
-func (s *Store) CreateUDF(user protocol.UserID, path string) (info protocol.VolumeInfo, err error) {
+func (s *Store) CreateUDF(user protocol.UserID, path string) (protocol.VolumeInfo, error) {
 	if path == "" {
 		return protocol.VolumeInfo{}, fmt.Errorf("%w: empty UDF path", protocol.ErrBadRequest)
 	}
-	if err := s.writeGuard(user); err != nil {
-		return protocol.VolumeInfo{}, err
-	}
-	sh := s.shardOf(user)
-	var w flushWait
-	defer s.unlockAwait(sh, sh.Lock(), &w, &err)
-	u, ok := sh.users[user]
-	if !ok {
-		return protocol.VolumeInfo{}, protocol.ErrNotFound
-	}
-	for _, volID := range u.volumes {
-		if sh.volumes[volID].info.Path == path {
-			return protocol.VolumeInfo{}, fmt.Errorf("%w: UDF %q", protocol.ErrExists, path)
-		}
-	}
-	info, w, err = s.createVolume(sh, recCreateUDF, user, protocol.VolumeUDF, path)
-	return info, err
-}
-
-// GetVolume returns a volume's metadata (dal.get_volume_id).
-func (s *Store) GetVolume(user protocol.UserID, vol protocol.VolumeID) (protocol.VolumeInfo, error) {
-	owner, err := s.ownerOf(vol)
+	sh, err := s.writeShard(user)
 	if err != nil {
 		return protocol.VolumeInfo{}, err
 	}
-	sh := s.readShardFor(user, owner)
-	defer sh.RUnlock(sh.RLock())
-	vr, ok := sh.volumes[vol]
-	if !ok {
-		return protocol.VolumeInfo{}, protocol.ErrNotFound
-	}
-	if err := checkAccessLocked(sh, vr, user, false); err != nil {
+	var rec journalRecord
+	err = s.write(sh, func(sh *shard) (journalRecord, error) {
+		u, ok := sh.users[user]
+		if !ok {
+			return journalRecord{}, protocol.ErrNotFound
+		}
+		for _, volID := range u.volumes {
+			if sh.volumes[volID].info.Path == path {
+				return journalRecord{}, fmt.Errorf("%w: UDF %q", protocol.ErrExists, path)
+			}
+		}
+		rec = s.newVolume(recCreateUDF, user, protocol.VolumeUDF, path)
+		return rec, nil
+	}, func() { s.volumeDir.store(rec.Volume.ID, user) })
+	if err != nil {
 		return protocol.VolumeInfo{}, err
 	}
-	return vr.info, nil
+	return rec.Volume, nil
+}
+
+// GetVolume returns a volume's metadata (dal.get_volume_id).
+func (s *Store) GetVolume(user protocol.UserID, vol protocol.VolumeID) (info protocol.VolumeInfo, err error) {
+	err = s.view(user, vol, func(_ *shard, vr *volumeRow) error {
+		info = vr.info
+		return nil
+	})
+	return info, err
 }
 
 // DeleteVolume removes a volume and every node it contains — the cascade RPC
 // the paper singles out as the slowest class (dal.delete_volume, Fig. 13).
 // It returns the nodes removed so the caller can release blobs and notify
 // clients, and the hashes whose last reference went away.
-func (s *Store) DeleteVolume(user protocol.UserID, vol protocol.VolumeID) (removed []protocol.NodeInfo, freed []protocol.Hash, err error) {
-	owner, err := s.ownerOf(vol)
-	if err != nil {
-		return nil, nil, err
-	}
-	if owner != user {
-		return nil, nil, protocol.ErrPermission // only owners delete volumes
-	}
-	if err := s.writeGuard(owner); err != nil {
-		return nil, nil, err
-	}
-	sh := s.shardOf(owner)
-	lockedAt := sh.Lock()
-	vr, ok := sh.volumes[vol]
-	if !ok {
-		sh.Unlock(lockedAt)
-		return nil, nil, protocol.ErrNotFound
-	}
-	if vr.info.Type == protocol.VolumeRoot {
-		sh.Unlock(lockedAt)
-		return nil, nil, fmt.Errorf("%w: cannot delete the root volume", protocol.ErrBadRequest)
-	}
-	// Read what the record is about to remove: the nodes go back to the
-	// caller, and the grants leave their grantees' incoming indexes.
-	for _, nodeID := range volumeNodeIDs(sh, vr) {
-		removed = append(removed, sh.nodes[nodeID].info(nodeID))
-	}
-	grants := maps.Clone(vr.grants)
-	w, err := s.commit(sh, journalRecord{Kind: recDeleteVolume, User: user, VolID: vol})
-	if err == nil {
-		for grantee, id := range grants {
-			s.unindexShare(grantee, id)
-		}
-	}
-	s.unlockAwait(sh, lockedAt, &w, &err)
+func (s *Store) DeleteVolume(user protocol.UserID, vol protocol.VolumeID) (removed []protocol.NodeInfo, _ []protocol.Hash, err error) {
+	var grants map[protocol.UserID]protocol.ShareID
+	err = s.mutate(user, vol, volumeWrite{
+		ownerOnly: true,
+		build: func(sh *shard, vr *volumeRow) (journalRecord, error) {
+			if vr.info.Type == protocol.VolumeRoot {
+				return journalRecord{}, fmt.Errorf("%w: cannot delete the root volume", protocol.ErrBadRequest)
+			}
+			// Read what the record is about to remove: the nodes go back to
+			// the caller, and the grants leave their grantees' incoming
+			// indexes.
+			for _, nodeID := range volumeNodeIDs(sh, vr) {
+				removed = append(removed, sh.nodes[nodeID].info(nodeID))
+			}
+			grants = maps.Clone(vr.grants)
+			return journalRecord{Kind: recDeleteVolume, User: user, VolID: vol}, nil
+		},
+		committed: func() {
+			for grantee, id := range grants {
+				s.unindexShare(grantee, id)
+			}
+		},
+	})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -236,66 +292,58 @@ func (s *Store) DeleteVolume(user protocol.UserID, vol protocol.VolumeID) (remov
 	// reading through its region's replica must lose access now, not when the
 	// delete record ripens in the replication log (and a create_share not yet
 	// applied there must not resurrect the grant in between).
-	s.revokeCrossRegion(sh.id, grants)
+	s.revokeCrossRegion(s.ShardFor(user), grants)
 
 	// Release content references outside any shard lock.
+	return removed, s.releaseContents(removed), nil
+}
+
+// releaseContents drops the content reference of every file in removed and
+// returns the hashes whose last reference went with it.
+func (s *Store) releaseContents(removed []protocol.NodeInfo) (freed []protocol.Hash) {
 	for _, n := range removed {
-		if n.Kind == protocol.KindFile && !n.Hash.IsZero() {
-			if s.contents.release(n.Hash) {
-				freed = append(freed, n.Hash)
-			}
+		if n.Kind == protocol.KindFile && !n.Hash.IsZero() && s.contents.release(n.Hash) {
+			freed = append(freed, n.Hash)
 		}
 	}
-	return removed, freed, nil
+	return freed
 }
 
 // makeNode implements MakeFile and MakeDir (dal.make_file / dal.make_dir).
 // Creating a node that already exists under the same parent and kind is
-// idempotent and returns the existing node: clients re-send Make before
-// uploads (Table 2: "normally precedes a file upload").
-func (s *Store) makeNode(user protocol.UserID, vol protocol.VolumeID, parent protocol.NodeID, name string, kind protocol.NodeKind) (_ protocol.NodeInfo, err error) {
+// idempotent and returns the existing node, committing nothing: clients
+// re-send Make before uploads (Table 2: "normally precedes a file upload").
+func (s *Store) makeNode(user protocol.UserID, vol protocol.VolumeID, parent protocol.NodeID, name string, kind protocol.NodeKind) (protocol.NodeInfo, error) {
 	if name == "" {
 		return protocol.NodeInfo{}, fmt.Errorf("%w: empty node name", protocol.ErrBadRequest)
 	}
-	owner, err := s.ownerOf(vol)
-	if err != nil {
-		return protocol.NodeInfo{}, err
-	}
-	if err := s.writeGuard(owner); err != nil {
-		return protocol.NodeInfo{}, err
-	}
-	sh := s.shardOf(owner)
-	var w flushWait
-	defer s.unlockAwait(sh, sh.Lock(), &w, &err)
-	vr, ok := sh.volumes[vol]
-	if !ok {
-		return protocol.NodeInfo{}, protocol.ErrNotFound
-	}
-	if err := checkAccessLocked(sh, vr, user, true); err != nil {
-		return protocol.NodeInfo{}, err
-	}
-	if parent == 0 {
-		parent = vr.root
-	}
-	pr, ok := sh.nodes[parent]
-	if !ok || pr.vol != vol {
-		return protocol.NodeInfo{}, fmt.Errorf("%w: parent node", protocol.ErrNotFound)
-	}
-	if pr.kind != protocol.KindDir {
-		return protocol.NodeInfo{}, fmt.Errorf("%w: parent is a file", protocol.ErrBadRequest)
-	}
-	if existingID, ok := pr.children[name]; ok {
-		existing := sh.nodes[existingID]
-		if existing.kind == kind {
-			return existing.info(existingID), nil
+	var info protocol.NodeInfo
+	err := s.mutate(user, vol, volumeWrite{build: func(sh *shard, vr *volumeRow) (journalRecord, error) {
+		if parent == 0 {
+			parent = vr.root
 		}
-		return protocol.NodeInfo{}, fmt.Errorf("%w: %q exists with different kind", protocol.ErrExists, name)
-	}
-	info := protocol.NodeInfo{
-		ID: s.allocNode(), Volume: vol, Parent: parent, Kind: kind, Name: name,
-		Generation: vr.info.Generation + 1,
-	}
-	if w, err = s.commit(sh, journalRecord{Kind: recMakeNode, Node: info}); err != nil {
+		pr, ok := sh.nodes[parent]
+		if !ok || pr.vol != vol {
+			return journalRecord{}, fmt.Errorf("%w: parent node", protocol.ErrNotFound)
+		}
+		if pr.kind != protocol.KindDir {
+			return journalRecord{}, fmt.Errorf("%w: parent is a file", protocol.ErrBadRequest)
+		}
+		if existingID, ok := pr.children[name]; ok {
+			existing := sh.nodes[existingID]
+			if existing.kind == kind {
+				info = existing.info(existingID)
+				return journalRecord{}, nil
+			}
+			return journalRecord{}, fmt.Errorf("%w: %q exists with different kind", protocol.ErrExists, name)
+		}
+		info = protocol.NodeInfo{
+			ID: s.allocNode(), Volume: vol, Parent: parent, Kind: kind, Name: name,
+			Generation: vr.info.Generation + 1,
+		}
+		return journalRecord{Kind: recMakeNode, Node: info}, nil
+	}})
+	if err != nil {
 		return protocol.NodeInfo{}, err
 	}
 	return info, nil
@@ -321,39 +369,21 @@ func (s *Store) MakeContent(user protocol.UserID, vol protocol.VolumeID, node pr
 	if h.IsZero() {
 		return protocol.NodeInfo{}, nil, false, fmt.Errorf("%w: zero content hash", protocol.ErrBadRequest)
 	}
-	owner, err := s.ownerOf(vol)
-	if err != nil {
-		return protocol.NodeInfo{}, nil, false, err
-	}
-	if err := s.writeGuard(owner); err != nil {
-		return protocol.NodeInfo{}, nil, false, err
-	}
-	sh := s.shardOf(owner)
-	lockedAt := sh.Lock()
-	vr, ok := sh.volumes[vol]
-	if !ok {
-		sh.Unlock(lockedAt)
-		return protocol.NodeInfo{}, nil, false, protocol.ErrNotFound
-	}
-	if err := checkAccessLocked(sh, vr, user, true); err != nil {
-		sh.Unlock(lockedAt)
-		return protocol.NodeInfo{}, nil, false, err
-	}
-	nr, ok := sh.nodes[node]
-	if !ok || nr.vol != vol {
-		sh.Unlock(lockedAt)
-		return protocol.NodeInfo{}, nil, false, protocol.ErrNotFound
-	}
-	if nr.kind != protocol.KindFile {
-		sh.Unlock(lockedAt)
-		return protocol.NodeInfo{}, nil, false, fmt.Errorf("%w: content on a directory", protocol.ErrBadRequest)
-	}
-	oldHash := nr.hash
-	wasUpdate = !oldHash.IsZero() && (oldHash != h || nr.size != size)
-	info = nr.info(node)
-	info.Hash, info.Size, info.Generation = h, size, vr.info.Generation+1
-	w, err := s.commit(sh, journalRecord{Kind: recMakeContent, Node: info})
-	s.unlockAwait(sh, lockedAt, &w, &err)
+	var oldHash protocol.Hash
+	err = s.mutate(user, vol, volumeWrite{build: func(sh *shard, vr *volumeRow) (journalRecord, error) {
+		nr, ok := sh.nodes[node]
+		if !ok || nr.vol != vol {
+			return journalRecord{}, protocol.ErrNotFound
+		}
+		if nr.kind != protocol.KindFile {
+			return journalRecord{}, fmt.Errorf("%w: content on a directory", protocol.ErrBadRequest)
+		}
+		oldHash = nr.hash
+		wasUpdate = !oldHash.IsZero() && (oldHash != h || nr.size != size)
+		info = nr.info(node)
+		info.Hash, info.Size, info.Generation = h, size, vr.info.Generation+1
+		return journalRecord{Kind: recMakeContent, Node: info}, nil
+	}})
 	if err != nil {
 		return protocol.NodeInfo{}, nil, false, err
 	}
@@ -393,150 +423,100 @@ func (s *Store) VolumeWatchers(vol protocol.VolumeID) ([]protocol.UserID, error)
 }
 
 // GetNode returns a node's metadata (dal.get_node).
-func (s *Store) GetNode(user protocol.UserID, vol protocol.VolumeID, node protocol.NodeID) (protocol.NodeInfo, error) {
-	owner, err := s.ownerOf(vol)
-	if err != nil {
-		return protocol.NodeInfo{}, err
-	}
-	sh := s.readShardFor(user, owner)
-	defer sh.RUnlock(sh.RLock())
-	vr, ok := sh.volumes[vol]
-	if !ok {
-		return protocol.NodeInfo{}, protocol.ErrNotFound
-	}
-	if err := checkAccessLocked(sh, vr, user, false); err != nil {
-		return protocol.NodeInfo{}, err
-	}
-	nr, ok := sh.nodes[node]
-	if !ok || nr.vol != vol {
-		return protocol.NodeInfo{}, protocol.ErrNotFound
-	}
-	return nr.info(node), nil
+func (s *Store) GetNode(user protocol.UserID, vol protocol.VolumeID, node protocol.NodeID) (info protocol.NodeInfo, err error) {
+	err = s.view(user, vol, func(sh *shard, _ *volumeRow) error {
+		nr, ok := sh.nodes[node]
+		if !ok || nr.vol != vol {
+			return protocol.ErrNotFound
+		}
+		info = nr.info(node)
+		return nil
+	})
+	return info, err
 }
 
 // Unlink deletes a node; deleting a directory cascades to its whole subtree
 // (dal.unlink_node; §5.2 observes that directory deletion explains matching
 // file/dir lifetime distributions). It returns every removed node, the new
 // volume generation, and the hashes whose last reference was released.
-func (s *Store) Unlink(user protocol.UserID, vol protocol.VolumeID, node protocol.NodeID) (removed []protocol.NodeInfo, gen protocol.Generation, freed []protocol.Hash, err error) {
-	owner, err := s.ownerOf(vol)
-	if err != nil {
-		return nil, 0, nil, err
-	}
-	if err := s.writeGuard(owner); err != nil {
-		return nil, 0, nil, err
-	}
-	sh := s.shardOf(owner)
-	lockedAt := sh.Lock()
-	vr, ok := sh.volumes[vol]
-	if !ok {
-		sh.Unlock(lockedAt)
-		return nil, 0, nil, protocol.ErrNotFound
-	}
-	if err := checkAccessLocked(sh, vr, user, true); err != nil {
-		sh.Unlock(lockedAt)
-		return nil, 0, nil, err
-	}
-	nr, ok := sh.nodes[node]
-	if !ok || nr.vol != vol {
-		sh.Unlock(lockedAt)
-		return nil, 0, nil, protocol.ErrNotFound
-	}
-	if node == vr.root {
-		sh.Unlock(lockedAt)
-		return nil, 0, nil, fmt.Errorf("%w: cannot unlink the volume root", protocol.ErrBadRequest)
-	}
-	// Depth-first collection of the subtree, children in ascending-ID order,
-	// each stamped with the new generation: the removed list is the unlink
-	// record and lands in the delta log in this order, so the traversal order
-	// is replay- and replication-observable.
-	gen = vr.info.Generation + 1
-	stack := []protocol.NodeID{node}
-	for len(stack) > 0 {
-		id := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		cur := sh.nodes[id]
-		// The children go straight onto the stack, sorted in place there.
-		base := len(stack)
-		for _, child := range cur.children {
-			stack = append(stack, child)
+func (s *Store) Unlink(user protocol.UserID, vol protocol.VolumeID, node protocol.NodeID) (removed []protocol.NodeInfo, gen protocol.Generation, _ []protocol.Hash, err error) {
+	err = s.mutate(user, vol, volumeWrite{build: func(sh *shard, vr *volumeRow) (journalRecord, error) {
+		if nr, ok := sh.nodes[node]; !ok || nr.vol != vol {
+			return journalRecord{}, protocol.ErrNotFound
 		}
-		slices.Sort(stack[base:])
-		info := cur.info(id)
-		info.Generation = gen
-		removed = append(removed, info)
-	}
-	w, err := s.commit(sh, journalRecord{Kind: recUnlink, VolID: vol, Gen: gen, Removed: removed})
-	s.unlockAwait(sh, lockedAt, &w, &err)
-	if err != nil {
-		return nil, 0, nil, err
-	}
-
-	for _, n := range removed {
-		if n.Kind == protocol.KindFile && !n.Hash.IsZero() {
-			if s.contents.release(n.Hash) {
-				freed = append(freed, n.Hash)
+		if node == vr.root {
+			return journalRecord{}, fmt.Errorf("%w: cannot unlink the volume root", protocol.ErrBadRequest)
+		}
+		// Depth-first collection of the subtree, children in ascending-ID
+		// order, each stamped with the new generation: the removed list is
+		// the unlink record and lands in the delta log in this order, so the
+		// traversal order is replay- and replication-observable.
+		gen = vr.info.Generation + 1
+		stack := []protocol.NodeID{node}
+		for len(stack) > 0 {
+			id := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			cur := sh.nodes[id]
+			// The children go straight onto the stack, sorted in place there.
+			base := len(stack)
+			for _, child := range cur.children {
+				stack = append(stack, child)
 			}
+			slices.Sort(stack[base:])
+			info := cur.info(id)
+			info.Generation = gen
+			removed = append(removed, info)
 		}
+		return journalRecord{Kind: recUnlink, VolID: vol, Gen: gen, Removed: removed}, nil
+	}})
+	if err != nil {
+		return nil, 0, nil, err
 	}
-	return removed, gen, freed, nil
+	return removed, gen, s.releaseContents(removed), nil
 }
 
 // Move re-parents or renames a node within its volume (dal.move).
-func (s *Store) Move(user protocol.UserID, vol protocol.VolumeID, node, newParent protocol.NodeID, newName string) (_ protocol.NodeInfo, err error) {
+func (s *Store) Move(user protocol.UserID, vol protocol.VolumeID, node, newParent protocol.NodeID, newName string) (protocol.NodeInfo, error) {
 	if newName == "" {
 		return protocol.NodeInfo{}, fmt.Errorf("%w: empty target name", protocol.ErrBadRequest)
 	}
-	owner, err := s.ownerOf(vol)
-	if err != nil {
-		return protocol.NodeInfo{}, err
-	}
-	if err := s.writeGuard(owner); err != nil {
-		return protocol.NodeInfo{}, err
-	}
-	sh := s.shardOf(owner)
-	var w flushWait
-	defer s.unlockAwait(sh, sh.Lock(), &w, &err)
-	vr, ok := sh.volumes[vol]
-	if !ok {
-		return protocol.NodeInfo{}, protocol.ErrNotFound
-	}
-	if err := checkAccessLocked(sh, vr, user, true); err != nil {
-		return protocol.NodeInfo{}, err
-	}
-	nr, ok := sh.nodes[node]
-	if !ok || nr.vol != vol {
-		return protocol.NodeInfo{}, protocol.ErrNotFound
-	}
-	if node == vr.root {
-		return protocol.NodeInfo{}, fmt.Errorf("%w: cannot move the volume root", protocol.ErrBadRequest)
-	}
-	if newParent == 0 {
-		newParent = vr.root
-	}
-	pr, ok := sh.nodes[newParent]
-	if !ok || pr.vol != vol || pr.kind != protocol.KindDir {
-		return protocol.NodeInfo{}, fmt.Errorf("%w: target directory", protocol.ErrNotFound)
-	}
-	if _, taken := pr.children[newName]; taken {
-		return protocol.NodeInfo{}, fmt.Errorf("%w: target name %q", protocol.ErrExists, newName)
-	}
-	// A directory must not be moved under its own subtree.
-	if nr.kind == protocol.KindDir {
-		for cur := newParent; cur != 0; {
-			if cur == node {
-				return protocol.NodeInfo{}, fmt.Errorf("%w: move into own subtree", protocol.ErrBadRequest)
-			}
-			parentRow, ok := sh.nodes[cur]
-			if !ok {
-				break
-			}
-			cur = parentRow.parent
+	var info protocol.NodeInfo
+	err := s.mutate(user, vol, volumeWrite{build: func(sh *shard, vr *volumeRow) (journalRecord, error) {
+		nr, ok := sh.nodes[node]
+		if !ok || nr.vol != vol {
+			return journalRecord{}, protocol.ErrNotFound
 		}
-	}
-	info := nr.info(node)
-	info.Parent, info.Name, info.Generation = newParent, newName, vr.info.Generation+1
-	if w, err = s.commit(sh, journalRecord{Kind: recMove, Node: info}); err != nil {
+		if node == vr.root {
+			return journalRecord{}, fmt.Errorf("%w: cannot move the volume root", protocol.ErrBadRequest)
+		}
+		if newParent == 0 {
+			newParent = vr.root
+		}
+		pr, ok := sh.nodes[newParent]
+		if !ok || pr.vol != vol || pr.kind != protocol.KindDir {
+			return journalRecord{}, fmt.Errorf("%w: target directory", protocol.ErrNotFound)
+		}
+		if _, taken := pr.children[newName]; taken {
+			return journalRecord{}, fmt.Errorf("%w: target name %q", protocol.ErrExists, newName)
+		}
+		// A directory must not be moved under its own subtree.
+		if nr.kind == protocol.KindDir {
+			for cur := newParent; cur != 0; {
+				if cur == node {
+					return journalRecord{}, fmt.Errorf("%w: move into own subtree", protocol.ErrBadRequest)
+				}
+				parentRow, ok := sh.nodes[cur]
+				if !ok {
+					break
+				}
+				cur = parentRow.parent
+			}
+		}
+		info = nr.info(node)
+		info.Parent, info.Name, info.Generation = newParent, newName, vr.info.Generation+1
+		return journalRecord{Kind: recMove, Node: info}, nil
+	}})
+	if err != nil {
 		return protocol.NodeInfo{}, err
 	}
 	return info, nil
@@ -545,27 +525,18 @@ func (s *Store) Move(user protocol.UserID, vol protocol.VolumeID, node, newParen
 // GetDelta returns the changes of a volume after fromGen in generation order
 // (dal.get_delta). If the delta log no longer reaches back to fromGen it
 // fails with ErrDeltaTruncated and the caller performs GetFromScratch.
-func (s *Store) GetDelta(user protocol.UserID, vol protocol.VolumeID, fromGen protocol.Generation) (protocol.DeltaList, protocol.Generation, error) {
-	owner, err := s.ownerOf(vol)
-	if err != nil {
-		return protocol.DeltaList{}, 0, err
-	}
-	sh := s.readShardFor(user, owner)
-	defer sh.RUnlock(sh.RLock())
-	vr, ok := sh.volumes[vol]
-	if !ok {
-		return protocol.DeltaList{}, 0, protocol.ErrNotFound
-	}
-	if err := checkAccessLocked(sh, vr, user, false); err != nil {
-		return protocol.DeltaList{}, 0, err
-	}
-	deltas, err := vr.delta(fromGen)
-	if err != nil {
-		s.m.deltaTruncated.Inc()
-	} else {
-		s.m.deltaServed.Inc()
-	}
-	return deltas, vr.info.Generation, err
+func (s *Store) GetDelta(user protocol.UserID, vol protocol.VolumeID, fromGen protocol.Generation) (deltas protocol.DeltaList, gen protocol.Generation, err error) {
+	err = s.view(user, vol, func(_ *shard, vr *volumeRow) error {
+		var err error
+		if deltas, err = vr.delta(fromGen); err != nil {
+			s.m.deltaTruncated.Inc()
+		} else {
+			s.m.deltaServed.Inc()
+		}
+		gen = vr.info.Generation
+		return err
+	})
+	return deltas, gen, err
 }
 
 // GetFromScratch lists the full contents of a volume — the expensive cascade
@@ -573,41 +544,32 @@ func (s *Store) GetDelta(user protocol.UserID, vol protocol.VolumeID, fromGen pr
 // The listing comes as delta entries in ascending node id, none deleted: it is
 // the rescan answer to a GetDelta the log could not serve, built once in the
 // form that answer travels in.
-func (s *Store) GetFromScratch(user protocol.UserID, vol protocol.VolumeID) (protocol.DeltaList, protocol.Generation, error) {
-	owner, err := s.ownerOf(vol)
-	if err != nil {
-		return protocol.DeltaList{}, 0, err
-	}
-	sh := s.readShardFor(user, owner)
-	defer sh.RUnlock(sh.RLock())
-	vr, ok := sh.volumes[vol]
-	if !ok {
-		return protocol.DeltaList{}, 0, protocol.ErrNotFound
-	}
-	if err := checkAccessLocked(sh, vr, user, false); err != nil {
-		return protocol.DeltaList{}, 0, err
-	}
-	// Counted after the access checks: only calls that actually pay the
-	// cascade cost register, mirroring deltaServed/deltaTruncated.
-	s.m.fromScratch.Inc()
-	// One walk collects the volume's ids: breadth-first from the root, the
-	// list itself serving as the walk's queue, into an array sized by
-	// counting the subtree first. Sorted, they are marshalled in order
-	// straight into the listing's pooled buffer.
-	ids := make([]protocol.NodeID, 1, subtreeSize(sh, vr.root))
-	ids[0] = vr.root
-	for i := 0; i < len(ids); i++ {
-		for _, child := range sh.nodes[ids[i]].children {
-			ids = append(ids, child)
+func (s *Store) GetFromScratch(user protocol.UserID, vol protocol.VolumeID) (list protocol.DeltaList, gen protocol.Generation, err error) {
+	err = s.view(user, vol, func(sh *shard, vr *volumeRow) error {
+		// Counted after the access checks: only calls that actually pay the
+		// cascade cost register, mirroring deltaServed/deltaTruncated.
+		s.m.fromScratch.Inc()
+		// One walk collects the volume's ids: breadth-first from the root,
+		// the list itself serving as the walk's queue, into an array sized by
+		// counting the subtree first. Sorted, they are marshalled in order
+		// straight into the listing's pooled buffer.
+		ids := make([]protocol.NodeID, 1, subtreeSize(sh, vr.root))
+		ids[0] = vr.root
+		for i := 0; i < len(ids); i++ {
+			for _, child := range sh.nodes[ids[i]].children {
+				ids = append(ids, child)
+			}
 		}
-	}
-	slices.Sort(ids)
-	var out protocol.DeltaWriter
-	out.Start(len(ids) * scratchEntryBytes)
-	for _, id := range ids {
-		out.Add(sh.nodes[id].info(id), false)
-	}
-	return out.List(), vr.info.Generation, nil
+		slices.Sort(ids)
+		var out protocol.DeltaWriter
+		out.Start(len(ids) * scratchEntryBytes)
+		for _, id := range ids {
+			out.Add(sh.nodes[id].info(id), false)
+		}
+		list, gen = out.List(), vr.info.Generation
+		return nil
+	})
+	return list, gen, err
 }
 
 // scratchEntryBytes is the room GetFromScratch reserves per entry: about
@@ -628,52 +590,39 @@ func subtreeSize(sh *shard, id protocol.NodeID) int {
 // CreateShare offers a volume to another user (dal.create_share): one
 // record on the owner's shard, the only one that holds the share's row. The
 // grantee must exist, a read of its shard, and its region must serve too.
-func (s *Store) CreateShare(owner protocol.UserID, vol protocol.VolumeID, to protocol.UserID, name string, readOnly bool) (_ protocol.ShareInfo, err error) {
+func (s *Store) CreateShare(owner protocol.UserID, vol protocol.VolumeID, to protocol.UserID, name string, readOnly bool) (protocol.ShareInfo, error) {
 	if owner == to {
 		return protocol.ShareInfo{}, fmt.Errorf("%w: sharing with oneself", protocol.ErrBadRequest)
 	}
-	volOwner, err := s.ownerOf(vol)
+	var share protocol.ShareInfo
+	err := s.mutate(owner, vol, volumeWrite{
+		ownerOnly: true,
+		prepare: func() error {
+			if err := s.writeGuard(to); err != nil {
+				return err
+			}
+			share = protocol.ShareInfo{ID: s.allocShare(), Volume: vol, SharedBy: owner, SharedTo: to,
+				Name: name, ReadOnly: readOnly}
+			gsh := s.shardOf(to)
+			gLockedAt := gsh.RLock()
+			_, ok := gsh.users[to]
+			gsh.RUnlock(gLockedAt)
+			if !ok {
+				return fmt.Errorf("%w: grantee", protocol.ErrNotFound)
+			}
+			return nil
+		},
+		build: func(_ *shard, vr *volumeRow) (journalRecord, error) {
+			if _, dup := vr.grants[to]; dup {
+				return journalRecord{}, fmt.Errorf("%w: already shared to %v", protocol.ErrExists, to)
+			}
+			return journalRecord{Kind: recCreateShare, Share: share}, nil
+		},
+		committed: func() { s.indexShare(share) },
+	})
 	if err != nil {
 		return protocol.ShareInfo{}, err
 	}
-	if volOwner != owner {
-		return protocol.ShareInfo{}, protocol.ErrPermission
-	}
-	if err := s.writeGuard(owner); err != nil {
-		return protocol.ShareInfo{}, err
-	}
-	if err := s.writeGuard(to); err != nil {
-		return protocol.ShareInfo{}, err
-	}
-	share := protocol.ShareInfo{
-		ID:       s.allocShare(),
-		Volume:   vol,
-		SharedBy: owner,
-		SharedTo: to,
-		Name:     name,
-		ReadOnly: readOnly,
-	}
-	gsh := s.shardOf(to)
-	gLockedAt := gsh.RLock()
-	_, ok := gsh.users[to]
-	gsh.RUnlock(gLockedAt)
-	if !ok {
-		return protocol.ShareInfo{}, fmt.Errorf("%w: grantee", protocol.ErrNotFound)
-	}
-	osh := s.shardOf(owner)
-	var w flushWait
-	defer s.unlockAwait(osh, osh.Lock(), &w, &err)
-	vr, ok := osh.volumes[vol]
-	if !ok {
-		return protocol.ShareInfo{}, protocol.ErrNotFound
-	}
-	if _, dup := vr.grants[to]; dup {
-		return protocol.ShareInfo{}, fmt.Errorf("%w: already shared to %v", protocol.ErrExists, to)
-	}
-	if w, err = s.commit(osh, journalRecord{Kind: recCreateShare, Share: share}); err != nil {
-		return protocol.ShareInfo{}, err
-	}
-	s.indexShare(share)
 	return share, nil
 }
 
@@ -681,7 +630,7 @@ func (s *Store) CreateShare(owner protocol.UserID, vol protocol.VolumeID, to pro
 // then does the shared volume appear in the grantee's ListVolumes. The
 // grantee finds the share in its incoming index; the record goes to the
 // owner's shard, which holds the row.
-func (s *Store) AcceptShare(user protocol.UserID, id protocol.ShareID) (_ protocol.ShareInfo, err error) {
+func (s *Store) AcceptShare(user protocol.UserID, id protocol.ShareID) (protocol.ShareInfo, error) {
 	if err := s.writeGuard(user); err != nil {
 		return protocol.ShareInfo{}, err
 	}
@@ -690,21 +639,22 @@ func (s *Store) AcceptShare(user protocol.UserID, id protocol.ShareID) (_ protoc
 	if i < 0 {
 		return protocol.ShareInfo{}, protocol.ErrNotFound
 	}
-	owner := refs[i].owner
 	// Refuse before mutating the row if the owner's region is down.
-	if err := s.writeGuard(owner); err != nil {
+	osh, err := s.writeShard(refs[i].owner)
+	if err != nil {
 		return protocol.ShareInfo{}, err
 	}
-	osh := s.shardOf(owner)
-	var w flushWait
-	defer s.unlockAwait(osh, osh.Lock(), &w, &err)
-	share, ok := osh.shares[id]
-	if !ok {
-		return protocol.ShareInfo{}, protocol.ErrNotFound // deleted with its volume
-	}
-	out := *share
-	out.Accepted = true
-	if w, err = s.commit(osh, journalRecord{Kind: recAcceptShare, Share: out}); err != nil {
+	var out protocol.ShareInfo
+	err = s.write(osh, func(sh *shard) (journalRecord, error) {
+		share, ok := sh.shares[id]
+		if !ok {
+			return journalRecord{}, protocol.ErrNotFound // deleted with its volume
+		}
+		out = *share
+		out.Accepted = true
+		return journalRecord{Kind: recAcceptShare, Share: out}, nil
+	}, nil)
+	if err != nil {
 		return protocol.ShareInfo{}, err
 	}
 	return out, nil

@@ -3,6 +3,8 @@ package server
 import (
 	"bytes"
 	"fmt"
+	"net"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -14,6 +16,7 @@ import (
 	"u1/internal/protocol"
 	"u1/internal/vfs"
 	"u1/internal/wal"
+	"u1/internal/wire"
 )
 
 // newTCPCluster boots a 3-machine cluster on loopback sockets.
@@ -290,6 +293,84 @@ func TestDirectReconnectClosesPreviousSession(t *testing.T) {
 	cl.Close()
 	if n := c.Servers[0].SessionCount(); n != 0 {
 		t.Errorf("sessions after close = %d, want 0", n)
+	}
+}
+
+// TestTCPTrickledFrames: a client that writes its Authenticate and
+// ListVolumes frames one byte at a time, pausing between bytes, gets the
+// answers a client writing each frame at once gets, and its session is gone
+// once it hangs up.
+func TestTCPTrickledFrames(t *testing.T) {
+	tc, c := newTCPCluster(t)
+	token, err := tc.Auth.Issue(77)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var frames bytes.Buffer
+	fw := wire.NewFrameWriter(&frames)
+	for i, req := range []protocol.Request{
+		{ID: 1, Op: protocol.OpAuthenticate, Token: token},
+		{ID: 2, Op: protocol.OpListVolumes},
+	} {
+		if err := fw.WriteMessage(protocol.FrameRequest, &req); err != nil {
+			t.Fatalf("encoding request %d: %v", i, err)
+		}
+	}
+	// exchange sends frames through the gateway in writes of chunk bytes
+	// and returns the two answers, the session ID zeroed: it is the one
+	// field two sessions must not share.
+	exchange := func(chunk int, pause time.Duration) []protocol.Response {
+		t.Helper()
+		conn, err := net.Dial("tcp", tc.GateAddr.String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		for b := frames.Bytes(); len(b) > 0; b = b[min(chunk, len(b)):] {
+			if _, err := conn.Write(b[:min(chunk, len(b))]); err != nil {
+				t.Fatal(err)
+			}
+			time.Sleep(pause)
+		}
+		conn.SetReadDeadline(time.Now().Add(10 * time.Second)) //nolint:errcheck
+		var out []protocol.Response
+		for len(out) < 2 {
+			typ, payload, err := wire.ReadFrame(conn)
+			if err != nil {
+				t.Fatalf("reading answer %d: %v", len(out)+1, err)
+			}
+			if typ != protocol.FrameResponse {
+				continue // a push
+			}
+			var resp protocol.Response
+			if err := resp.Decode(payload); err != nil {
+				t.Fatal(err)
+			}
+			resp.Session = 0
+			out = append(out, resp)
+		}
+		return out
+	}
+	want := exchange(frames.Len(), 0)
+	if want[0].Status != protocol.StatusOK || want[1].Status != protocol.StatusOK || len(want[1].Volumes) == 0 {
+		t.Fatalf("a whole-frame client got %+v", want)
+	}
+	if got := exchange(1, time.Millisecond); !reflect.DeepEqual(got, want) {
+		t.Errorf("trickled answers differ from whole-frame ones:\n  got  %+v\n  want %+v", got, want)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		var sessions int
+		for _, s := range c.Servers {
+			sessions += s.SessionCount()
+		}
+		if sessions == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d sessions still open after both clients hung up", sessions)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 
