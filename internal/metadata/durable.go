@@ -231,7 +231,7 @@ func (s *Store) write(sh *shard, build func(sh *shard) (journalRecord, error), c
 	rec, err := build(sh)
 	var w flushWait
 	if err == nil && rec.Kind != 0 {
-		if w, err = s.commit(sh, rec); err == nil && committed != nil {
+		if w, err = s.commit(sh, &rec); err == nil && committed != nil {
 			committed()
 		}
 	}
@@ -251,7 +251,7 @@ func (s *Store) write(sh *shard, build func(sh *shard) (journalRecord, error), c
 // async fsync. An error refuses the op and fences sh; a record the journal
 // refused reaches neither sink nor sh. An in-memory single-region store
 // encodes nothing.
-func (s *Store) commit(sh *shard, rec journalRecord) (flushWait, error) {
+func (s *Store) commit(sh *shard, rec *journalRecord) (flushWait, error) {
 	var dsh *durableShard
 	var journal *wal.Log
 	if s.dur != nil {
@@ -263,10 +263,10 @@ func (s *Store) commit(sh *shard, rec journalRecord) (flushWait, error) {
 	var lsn uint64
 	var err error
 	if s.repl != nil {
-		lsn, err = s.repl.logs[sh.id].append(&rec, journal)
+		lsn, err = s.repl.logs[sh.id].append(rec, journal)
 	} else if dsh != nil {
 		dsh.scratch.Reset()
-		encodeRecord(&dsh.scratch, &rec)
+		encodeRecord(&dsh.scratch, rec)
 		lsn, err = journal.Append(dsh.scratch.Bytes())
 	}
 	if err != nil {
@@ -275,7 +275,7 @@ func (s *Store) commit(sh *shard, rec journalRecord) (flushWait, error) {
 	if s.repl != nil {
 		s.repl.m.published.Inc()
 	}
-	if trims := sh.apply(&rec); trims > 0 {
+	if trims := sh.apply(rec); trims > 0 {
 		s.m.logTrimmed.Add(uint64(trims))
 	}
 	if dsh == nil {
