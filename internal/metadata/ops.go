@@ -122,25 +122,26 @@ func checkAccessLocked(sh *shard, vr *volumeRow, user protocol.UserID, write boo
 // Creating an existing user is idempotent and returns the existing root
 // volume, so client re-installs do not error.
 func (s *Store) CreateUser(user protocol.UserID) (protocol.VolumeInfo, error) {
-	var rec journalRecord
+	var info protocol.VolumeInfo
 	err := s.write(s.shardOf(user), func(sh *shard) (journalRecord, error) {
 		if u, ok := sh.users[user]; ok {
 			// Idempotent ensure for an existing user is a pure read; it must
 			// keep working while the user's home region is down so logins
 			// (Authenticate ensures the user) survive the outage.
-			rec.Volume = sh.volumes[u.root].info
+			info = sh.volumes[u.root].info
 			return journalRecord{}, nil
 		}
 		if err := s.writeGuard(user); err != nil {
 			return journalRecord{}, err
 		}
-		rec = s.newVolume(recCreateUser, user, protocol.VolumeRoot, "~/Ubuntu One")
+		rec := s.newVolume(recCreateUser, user, protocol.VolumeRoot, "~/Ubuntu One")
+		info = rec.Volume
 		return rec, nil
-	}, func() { s.volumeDir.store(rec.Volume.ID, user) })
+	}, func() { s.volumeDir.store(info.ID, user) })
 	if err != nil {
 		return protocol.VolumeInfo{}, err
 	}
-	return rec.Volume, nil
+	return info, nil
 }
 
 // newVolume allocates a volume and then its root directory and returns the
