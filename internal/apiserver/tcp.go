@@ -12,11 +12,8 @@ import (
 	"u1/internal/wire"
 )
 
-// Serve accepts client connections on ln until the listener closes. Each
-// connection carries one storage-protocol session: the first frame must be an
-// Authenticate request; afterwards requests are served in order and pushes
-// are interleaved onto the same connection, exactly the §3.3 model of one
-// persistent TCP connection per desktop client.
+// Serve accepts client connections on ln until the listener closes and serves
+// each with ServeConn on a goroutine of its own.
 func (s *Server) Serve(ln net.Listener) error {
 	for {
 		conn, err := ln.Accept()
@@ -26,7 +23,7 @@ func (s *Server) Serve(ln net.Listener) error {
 			}
 			return fmt.Errorf("apiserver: accept: %w", err)
 		}
-		go s.handleConn(conn)
+		go s.ServeConn(conn)
 	}
 }
 
@@ -81,7 +78,13 @@ func hostNow() time.Time {
 	return time.Now()
 }
 
-func (s *Server) handleConn(conn net.Conn) {
+// ServeConn serves one client connection until it ends and then closes it.
+// The connection carries one storage-protocol session: the first frame must
+// be an Authenticate request; afterwards requests are served in order and
+// pushes are interleaved onto the same connection, exactly the §3.3 model of
+// one persistent TCP connection per desktop client. The gateway calls it on
+// the connection's one goroutine.
+func (s *Server) ServeConn(conn net.Conn) {
 	defer conn.Close()
 	w := &connWriter{frames: wire.NewFrameWriter(conn)}
 

@@ -48,7 +48,7 @@ func newConnEnv(t testing.TB) *connEnv {
 	return e
 }
 
-// requestIDs returns, in order, the IDs of the request frames handleConn
+// requestIDs returns, in order, the IDs of the request frames ServeConn
 // serves from stream: every frame up to the first that is not a decodable
 // request, and none past a CloseSession.
 func requestIDs(stream []byte) []uint64 {
@@ -120,7 +120,7 @@ func FuzzHandleConn(f *testing.F) {
 		client, server := net.Pipe()
 		done := make(chan struct{})
 		go func() {
-			e.srv.handleConn(server)
+			e.srv.ServeConn(server)
 			close(done)
 		}()
 		answered := make(chan struct{})
@@ -160,7 +160,7 @@ func FuzzHandleConn(f *testing.F) {
 		select {
 		case <-done:
 		case <-time.After(5 * time.Second):
-			t.Fatal("handleConn still running 5 s after the client closed")
+			t.Fatal("ServeConn still running 5 s after the client closed")
 		}
 
 		if len(ids) > len(want) {
@@ -209,7 +209,7 @@ func TestHandleConnHalfClose(t *testing.T) {
 	}
 	done := make(chan struct{})
 	go func() {
-		e.srv.handleConn(server)
+		e.srv.ServeConn(server)
 		close(done)
 	}()
 
@@ -247,7 +247,7 @@ func TestHandleConnHalfClose(t *testing.T) {
 	select {
 	case <-done:
 	case <-time.After(5 * time.Second):
-		t.Fatal("handleConn still running 5 s after the client's half-close")
+		t.Fatal("ServeConn still running 5 s after the client's half-close")
 	}
 	if len(ids) != 2 || ids[0] != 1 || ids[1] != 2 {
 		t.Errorf("answered request IDs %v, want [1 2]", ids)

@@ -3,6 +3,9 @@
 // pieces: a Balancer implementing the placement rule documented in §4 — "a
 // session starts in the least loaded machine and lives in the same node until
 // it finishes" — and a TCP Proxy that applies the rule to real connections.
+// The Proxy places a connection and relays none of it: the API servers run in
+// the gateway's process, so the chosen server's handler serves the accepted
+// connection itself, on that connection's goroutine.
 //
 // The balancer is one mutex over one min-heap of backends ordered by (load,
 // name): the root is the exact least-loaded machine, ties broken by name so
@@ -13,7 +16,6 @@ package gateway
 import (
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sort"
 	"sync"
@@ -184,17 +186,18 @@ func (b *Balancer) siftDown(i int) {
 	}
 }
 
-// Proxy is a TCP pass-through applying the Balancer's placement to real
-// connections: each accepted client connection is pinned to one backend
-// address for its lifetime.
+// Proxy applies the Balancer's placement to real connections: it places each
+// accepted connection on one in-process backend, whose handler serves it for
+// its whole life on the connection's one goroutine.
 type Proxy struct {
 	balancer *Balancer
-	backends map[string]string // name → dial address
+	backends map[string]func(net.Conn) // name → connection handler
 }
 
 // NewProxy creates a proxy placing connections on the named backends (name →
-// dial address).
-func NewProxy(backends map[string]string) *Proxy {
+// connection handler). A handler serves its connection until the session
+// ends and closes it before returning.
+func NewProxy(backends map[string]func(net.Conn)) *Proxy {
 	names := make([]string, 0, len(backends))
 	for name := range backends {
 		names = append(names, name)
@@ -207,7 +210,7 @@ func NewProxy(backends map[string]string) *Proxy {
 func (p *Proxy) Balancer() *Balancer { return p.balancer }
 
 // Serve accepts connections on ln until it is closed. Each connection is
-// placed by the balancer and copied bidirectionally.
+// placed by the balancer and served by its backend's handler.
 func (p *Proxy) Serve(ln net.Listener) error {
 	for {
 		conn, err := ln.Accept()
@@ -221,35 +224,14 @@ func (p *Proxy) Serve(ln net.Listener) error {
 	}
 }
 
-func (p *Proxy) handle(client net.Conn) {
-	defer client.Close()
+// handle holds conn's lease for as long as its backend serves it: the
+// session lives on the node it started on until it finishes (§4).
+func (p *Proxy) handle(conn net.Conn) {
 	lease, err := p.balancer.Acquire()
 	if err != nil {
+		conn.Close()
 		return
 	}
 	defer p.balancer.Release(lease)
-	backend, err := net.Dial("tcp", p.backends[lease.Backend])
-	if err != nil {
-		return
-	}
-	defer backend.Close()
-
-	done := make(chan struct{}, 2)
-	go func() {
-		io.Copy(backend, client)
-		// Half-close towards the backend so it observes EOF.
-		if tc, ok := backend.(*net.TCPConn); ok {
-			tc.CloseWrite()
-		}
-		done <- struct{}{}
-	}()
-	go func() {
-		io.Copy(client, backend)
-		if tc, ok := client.(*net.TCPConn); ok {
-			tc.CloseWrite()
-		}
-		done <- struct{}{}
-	}()
-	<-done
-	<-done
+	p.backends[lease.Backend](conn)
 }

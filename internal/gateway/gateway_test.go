@@ -8,7 +8,6 @@ import (
 	"net"
 	"sync"
 	"testing"
-	"time"
 
 	"u1/internal/metrics"
 )
@@ -111,83 +110,49 @@ func TestBalancerConcurrent(t *testing.T) {
 	}
 }
 
-// echoServer accepts connections and echoes bytes back, prefixed by its name.
-func echoServer(t *testing.T, name string) (addr string, stop func()) {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func(c net.Conn) {
-				defer c.Close()
-				buf, _ := io.ReadAll(c)
-				fmt.Fprintf(c, "%s:%s", name, buf)
-			}(conn)
-		}
-	}()
-	return ln.Addr().String(), func() { ln.Close() }
-}
-
+// TestProxyEndToEnd places four overlapping connections on two handlers,
+// each of which writes its backend's name and serves until its client hangs
+// up. Placements alternate by the least-loaded rule, and each lease is
+// released the moment its handler returns.
 func TestProxyEndToEnd(t *testing.T) {
-	addrA, stopA := echoServer(t, "A")
-	defer stopA()
-	addrB, stopB := echoServer(t, "B")
-	defer stopB()
-
-	p := NewProxy(map[string]string{"a": addrA, "b": addrB})
+	serve := func(name string) func(net.Conn) {
+		return func(c net.Conn) {
+			defer c.Close()
+			io.WriteString(c, name) //nolint:errcheck // the client checks it
+			io.Copy(io.Discard, c)  //nolint:errcheck // until the client hangs up
+		}
+	}
+	p := NewProxy(map[string]func(net.Conn){"a": serve("a"), "b": serve("b")})
 	reg := metrics.NewRegistry()
 	p.Balancer().Instrument(reg)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go p.Serve(ln)
-	defer ln.Close()
 
-	seen := make(map[string]bool)
-	for i := 0; i < 4; i++ {
-		conn, err := net.Dial("tcp", ln.Addr().String())
-		if err != nil {
+	var clients []net.Conn
+	var served []chan struct{}
+	for i, want := range []string{"a", "b", "a", "b"} {
+		client, conn := net.Pipe()
+		done := make(chan struct{})
+		go func() {
+			p.handle(conn)
+			close(done)
+		}()
+		name := make([]byte, 1)
+		if _, err := io.ReadFull(client, name); err != nil {
 			t.Fatal(err)
 		}
-		fmt.Fprintf(conn, "ping%d", i)
-		conn.(*net.TCPConn).CloseWrite()
-		reply, err := io.ReadAll(conn)
-		conn.Close()
-		if err != nil {
-			t.Fatal(err)
+		if string(name) != want {
+			t.Errorf("connection %d placed on %q, want %q", i, name, want)
 		}
-		if len(reply) < 2 {
-			t.Fatalf("short reply %q", reply)
-		}
-		seen[string(reply[0])] = true
-		want := fmt.Sprintf("ping%d", i)
-		if string(reply[2:]) != want {
-			t.Errorf("reply = %q, want suffix %q", reply, want)
-		}
+		clients, served = append(clients, client), append(served, done)
 	}
-	if len(seen) == 0 {
-		t.Error("no backend reached")
+	for i, client := range clients {
+		if n := active(reg); n != int64(len(clients)-i) {
+			t.Errorf("%d active sessions with %d connections open", n, len(clients)-i)
+		}
+		client.Close()
+		<-served[i]
 	}
-	// The proxy releases each lease asynchronously after the copy loops
-	// drain; poll briefly instead of racing the handler goroutines.
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		n := active(reg)
-		if n == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Errorf("balancer still tracks %d active sessions after all connections closed", n)
-			break
-		}
-		time.Sleep(time.Millisecond)
+	if n := active(reg); n != 0 {
+		t.Errorf("%d active sessions after every handler returned", n)
 	}
 }
 

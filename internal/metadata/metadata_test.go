@@ -461,6 +461,44 @@ func TestShareValidation(t *testing.T) {
 	}
 }
 
+// TestAcceptShareTwiceCommitsNothing: accepting a share already accepted
+// answers the accepted share and commits nothing: the owner's shard keeps its
+// LSN, and no journal append or replication entry follows.
+func TestAcceptShareTwiceCommitsNothing(t *testing.T) {
+	reg := metrics.NewRegistry()
+	s := openDurable(t, vfs.NewMemFS(), Config{Regions: 2, Metrics: reg})
+	mustUser(t, s, 1)
+	mustUser(t, s, 2)
+	udf, err := s.CreateUDF(1, "~/S")
+	if err != nil {
+		t.Fatal(err)
+	}
+	share, err := s.CreateShare(1, udf.ID, 2, "s", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := s.AcceptShare(2, share.ID)
+	if err != nil || !first.Accepted {
+		t.Fatalf("first accept = %+v, %v", first, err)
+	}
+	owner := s.dur.shards[s.ShardFor(1)]
+	lsn := owner.lastLSN
+	before := reg.Snapshot()
+	again, err := s.AcceptShare(2, share.ID)
+	if err != nil || again != first {
+		t.Errorf("second accept = %+v, %v; want %+v", again, err, first)
+	}
+	after := reg.Snapshot()
+	if owner.lastLSN != lsn {
+		t.Errorf("owner shard LSN %d → %d on a second accept", lsn, owner.lastLSN)
+	}
+	for _, name := range []metrics.Name{metrics.WALAppends, metrics.ReplPublished} {
+		if b, a := before.Counter(name), after.Counter(name); a != b {
+			t.Errorf("%v %d → %d on a second accept", name, b, a)
+		}
+	}
+}
+
 func TestDeleteVolumeTearsDownShares(t *testing.T) {
 	s := newTestStore()
 	mustUser(t, s, 1)
@@ -598,12 +636,13 @@ func TestShardLoadCounters(t *testing.T) {
 	wantReads := make([]uint64, s.NumShards())
 	wantWrites := make([]uint64, s.NumShards())
 	// a: CreateUser ×2 (a, c), MakeFile, both CreateShares, AcceptShare;
-	// reads: ListVolumes, GetDelta, b's ListVolumes and GetDelta of the
-	// shared volume, and the share to c's read of its grantee.
-	wantWrites[sa], wantReads[sa] = 6, 5
-	// b: CreateUser; reads: the share to b's read of its grantee, and b's
-	// ListVolumes.
-	wantWrites[sb], wantReads[sb] = 1, 2
+	// reads: the two CreateUsers' probes for an existing user, ListVolumes,
+	// GetDelta, b's ListVolumes and GetDelta of the shared volume, and the
+	// share to c's read of its grantee.
+	wantWrites[sa], wantReads[sa] = 6, 7
+	// b: CreateUser; reads: its probe, the share to b's read of its grantee,
+	// and b's ListVolumes.
+	wantWrites[sb], wantReads[sb] = 1, 3
 	check := func(when string) {
 		t.Helper()
 		reads, writes := s.ShardLoads()

@@ -122,12 +122,21 @@ func checkAccessLocked(sh *shard, vr *volumeRow, user protocol.UserID, write boo
 // Creating an existing user is idempotent and returns the existing root
 // volume, so client re-installs do not error.
 func (s *Store) CreateUser(user protocol.UserID) (protocol.VolumeInfo, error) {
+	// Every login ensures its user, so an existing user is answered under the
+	// read lock: a login waits for no writer, counts as no write, and keeps
+	// working while the user's home region is down, fenced or closed.
+	sh := s.shardOf(user)
+	lockedAt := sh.RLock()
+	if u, ok := sh.users[user]; ok {
+		info := sh.volumes[u.root].info
+		sh.RUnlock(lockedAt)
+		return info, nil
+	}
+	sh.RUnlock(lockedAt)
 	var info protocol.VolumeInfo
-	err := s.write(s.shardOf(user), func(sh *shard) (journalRecord, error) {
+	err := s.write(sh, func(sh *shard) (journalRecord, error) {
 		if u, ok := sh.users[user]; ok {
-			// Idempotent ensure for an existing user is a pure read; it must
-			// keep working while the user's home region is down so logins
-			// (Authenticate ensures the user) survive the outage.
+			// Created since the probe: answered as above, still a pure read.
 			info = sh.volumes[u.root].info
 			return journalRecord{}, nil
 		}
@@ -652,6 +661,9 @@ func (s *Store) AcceptShare(user protocol.UserID, id protocol.ShareID) (protocol
 			return journalRecord{}, protocol.ErrNotFound // deleted with its volume
 		}
 		out = *share
+		if share.Accepted {
+			return journalRecord{}, nil // accepted before: nothing to commit
+		}
 		out.Accepted = true
 		return journalRecord{Kind: recAcceptShare, Share: out}, nil
 	}, nil)

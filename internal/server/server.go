@@ -269,53 +269,45 @@ func (c *Cluster) SweepUploadJobs(now time.Time) (jobs, blobs int) {
 	return jobs, blobs
 }
 
-// TCPCluster is a cluster listening on real sockets behind a gateway proxy.
+// TCPCluster is a cluster serving real sockets behind its gateway: one
+// listener, whose connections the gateway places on the API servers by the
+// §4 rule and hands to them in-process.
 type TCPCluster struct {
 	*Cluster
-	Proxy     *gateway.Proxy
-	GateAddr  net.Addr
-	listeners []net.Listener
-	done      chan struct{}
+	Proxy    *gateway.Proxy
+	GateAddr net.Addr
+	ln       net.Listener
+	done     chan struct{}
 }
 
-// ListenAndServe starts every API server on a loopback listener plus the
-// gateway proxy in front of them, returning once all sockets are bound.
-// Addr "127.0.0.1:0" picks free ports (tests); a fixed addr serves for real.
+// ListenAndServe binds the gateway's listener, the deployment's one socket,
+// and starts the gateway and one push notifier per API server, returning
+// once the listener is bound. Addr "127.0.0.1:0" picks a free port (tests);
+// a fixed addr serves for real.
 func (c *Cluster) ListenAndServe(gatewayAddr string) (*TCPCluster, error) {
-	tc := &TCPCluster{Cluster: c, done: make(chan struct{})}
-	backends := make(map[string]string, len(c.Servers))
-	for _, s := range c.Servers {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			tc.Close()
-			return nil, fmt.Errorf("server: listening for %s: %w", s.Name(), err)
-		}
-		tc.listeners = append(tc.listeners, ln)
-		backends[s.Name()] = ln.Addr().String()
-		go s.Serve(ln) //nolint:errcheck
-		go s.RunNotifier(tc.done)
-	}
-	gln, err := net.Listen("tcp", gatewayAddr)
+	ln, err := net.Listen("tcp", gatewayAddr)
 	if err != nil {
-		tc.Close()
 		return nil, fmt.Errorf("server: listening for gateway: %w", err)
 	}
-	tc.listeners = append(tc.listeners, gln)
-	tc.GateAddr = gln.Addr()
+	tc := &TCPCluster{Cluster: c, GateAddr: ln.Addr(), ln: ln, done: make(chan struct{})}
+	backends := make(map[string]func(net.Conn), len(c.Servers))
+	for _, s := range c.Servers {
+		backends[s.Name()] = s.ServeConn
+		go s.RunNotifier(tc.done)
+	}
 	tc.Proxy = gateway.NewProxy(backends)
 	tc.Proxy.Balancer().Instrument(c.Metrics)
-	go tc.Proxy.Serve(gln) //nolint:errcheck
+	go tc.Proxy.Serve(ln) //nolint:errcheck
 	return tc, nil
 }
 
-// Close shuts all listeners down.
+// Close stops the notifiers and closes the gateway's listener. Connections
+// already placed stay with their servers until their clients hang up.
 func (tc *TCPCluster) Close() {
 	select {
 	case <-tc.done:
 	default:
 		close(tc.done)
 	}
-	for _, ln := range tc.listeners {
-		ln.Close()
-	}
+	tc.ln.Close()
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -387,6 +388,44 @@ func TestTCPSessionsSpreadAcrossServers(t *testing.T) {
 	}
 	if with < 2 {
 		t.Errorf("sessions landed on %d servers; gateway should spread them", with)
+	}
+}
+
+// TestTCPGoroutinesPerConnection opens 64 authenticated, idle raw
+// connections through the gateway and counts the goroutines they cost the
+// process: one each, on which the gateway places the connection and its API
+// server serves it, plus a small constant. A gateway that relays bytes to a
+// server over a second socket costs about four.
+func TestTCPGoroutinesPerConnection(t *testing.T) {
+	const conns, slack = 64, 8
+	tc, _ := newTCPCluster(t)
+	token, err := tc.Auth.Issue(90)
+	if err != nil {
+		t.Fatal(err)
+	}
+	login := (&protocol.Request{ID: 1, Op: protocol.OpAuthenticate, Token: token}).Marshal()
+	before := runtime.NumGoroutine()
+	for i := 0; i < conns; i++ {
+		conn, err := net.Dial("tcp", tc.GateAddr.String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { conn.Close() })
+		if err := wire.WriteFrame(conn, protocol.FrameRequest, login); err != nil {
+			t.Fatal(err)
+		}
+		conn.SetReadDeadline(time.Now().Add(10 * time.Second)) //nolint:errcheck
+		typ, payload, err := wire.ReadFrame(conn)
+		if err != nil {
+			t.Fatalf("connection %d: reading the login answer: %v", i, err)
+		}
+		var resp protocol.Response
+		if err := resp.Decode(payload); err != nil || typ != protocol.FrameResponse || resp.Status != protocol.StatusOK {
+			t.Fatalf("connection %d: login answered %d %+v (%v)", i, typ, resp, err)
+		}
+	}
+	if delta := runtime.NumGoroutine() - before; delta > conns+slack {
+		t.Errorf("%d idle connections cost %d goroutines, want at most %d", conns, delta, conns+slack)
 	}
 }
 
