@@ -122,15 +122,9 @@ func (d *opMix) step() {
 		if !ok {
 			return
 		}
-		// A small hash set, for dedup hits; each hash has one size. A file is
-		// never re-put with the hash it holds: live MakeContent takes a second
-		// reference for that, which recovery (one per file node) does not
-		// rebuild, so Contents() would differ for a reason outside apply.
+		// A small hash set, for dedup hits and re-puts; each hash has one size.
 		name := d.name()
 		h := protocol.HashBytes([]byte(name))
-		if n.Hash == h {
-			return
-		}
 		info, _, _, err := s.MakeContent(u, vol.ID, n.ID, h, uint64(len(name)*1000))
 		d.refused("MakeContent", err)
 		d.model.node(info, err)

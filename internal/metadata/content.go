@@ -12,7 +12,8 @@ import "u1/internal/protocol"
 // the data store.
 // Rows are stored by value: a pointer per unique content is a separate heap
 // object and, at million-user populations, measurable overhead for a
-// one-word payload.
+// one-word payload. The map materializes on the first addRef, so a zero
+// value works without a constructor.
 type contentRegistry struct {
 	mu   sync.RWMutex
 	rows map[protocol.Hash]contentRow
@@ -50,10 +51,6 @@ func newContentRow(size, refs uint64) contentRow {
 func (r contentRow) size() uint64 { return uint64(r) & contentSizeMask }
 func (r contentRow) refs() uint64 { return uint64(r) >> contentSizeBits }
 
-func newContentRegistry() *contentRegistry {
-	return &contentRegistry{rows: make(map[protocol.Hash]contentRow)}
-}
-
 // lookup reports whether the hash is already stored, and its size.
 func (c *contentRegistry) lookup(h protocol.Hash) (size uint64, ok bool) {
 	c.mu.RLock()
@@ -66,9 +63,8 @@ func (c *contentRegistry) lookup(h protocol.Hash) (size uint64, ok bool) {
 }
 
 // addRef links one more file to the content, creating the row when the
-// content is new. It returns true when the content was already present (a
-// dedup hit).
-func (c *contentRegistry) addRef(h protocol.Hash, size uint64) (existed bool) {
+// content is new.
+func (c *contentRegistry) addRef(h protocol.Hash, size uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	row, ok := c.rows[h]
@@ -77,12 +73,14 @@ func (c *contentRegistry) addRef(h protocol.Hash, size uint64) (existed bool) {
 			c.rows[h] = newContentRow(row.size(), row.refs()+1)
 		}
 		c.logicalBytes += row.size()
-		return true
+		return
+	}
+	if c.rows == nil {
+		c.rows = make(map[protocol.Hash]contentRow)
 	}
 	c.rows[h] = newContentRow(size, 1)
 	c.logicalBytes += size
 	c.uniqueBytes += size
-	return false
 }
 
 // release drops one reference. When the last reference goes away the row is

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"path/filepath"
 	"slices"
+	"sync"
 	"syscall"
 	"testing"
 
@@ -170,12 +171,17 @@ func (f *crashFile) Close() error {
 // other call: a disk that refused one call and healed at once.
 type faultFS struct {
 	*vfs.MemFS
+	mu        sync.Mutex // shards commit concurrently; set at while none does
 	at, calls int
 }
 
 // do makes call unless it is the at-th mutating call, which fails with errno.
 func (f *faultFS) do(errno syscall.Errno, call func() error) error {
-	if f.calls++; f.calls == f.at {
+	f.mu.Lock()
+	f.calls++
+	fail := f.calls == f.at
+	f.mu.Unlock()
+	if fail {
 		return errno
 	}
 	return call()

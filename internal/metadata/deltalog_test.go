@@ -119,8 +119,8 @@ func TestDeltaLogMatchesModel(t *testing.T) {
 				if op == ops/2 {
 					sh := s.shards[s.ShardFor(1)]
 					tmp := newShard(sh.id, sh.deltaLogLimit, nil)
-					copyShard(sh, tmp)
-					copyShard(tmp, sh)
+					copyShard(sh, nil, tmp)
+					copyShard(tmp, nil, sh)
 				}
 				deltaOp(t, s, vol, rng, m, op)
 				for from := protocol.Generation(0); from <= m.gen; from++ {

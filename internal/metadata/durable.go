@@ -57,11 +57,11 @@ import (
 // bookkeeping, garbage-collected weekly in production, and an upload whose
 // final part has not committed was never acknowledged as a write. Content
 // reference counts, the volume directory, the grantees' incoming-share index
-// and the ID allocators are derived state: the op maintains them next to its
-// commit, and recovery recomputes them from the replayed shards rather than
-// journaling them. So every op commits one record to one shard — a share's
-// is its owner's — and no crash can leave an op on some shards and not on
-// others.
+// and the ID allocators are derived state (derived.go), never journaled: the
+// owner path of apply keeps it record by record, and opening, crashing or
+// recovering a shard swaps that shard's part alone. So every op commits one
+// record to one shard — a share's is its owner's — and no crash can leave an
+// op on some shards and not on others.
 //
 // Every file call goes through Config.FS: the real disk, or a vfs.MemFS that
 // can lose power at any call (TestCrashPointEnumeration).
@@ -133,8 +133,8 @@ type journalRecord struct {
 const jsonSnapshotFile = "snapshot.json"
 
 // openDurability attaches the durable tier to a freshly constructed store:
-// per shard, load the snapshot, replay the journal suffix, and leave the
-// journal open for appends; then rebuild the derived state. Called by Open
+// per shard, load the snapshot, replay the journal suffix, leave the journal
+// open for appends, and put the shard's rows in derived state. Called by Open
 // before the store serves traffic.
 func (s *Store) openDurability(cfg Config, reg *metrics.Registry) error {
 	d := &durability{
@@ -159,19 +159,18 @@ func (s *Store) openDurability(cfg Config, reg *metrics.Registry) error {
 	}
 	d.syncCost = cfg.FsyncPolicy.SyncCost(d.fsys.FlushCost())
 	s.dur = d
-	for i := range s.shards {
+	for i, sh := range s.shards {
 		d.shards[i] = &durableShard{dir: filepath.Join(d.root, fmt.Sprintf("shard-%d", i))}
-		if err := s.loadShard(i); err != nil {
+		if err := s.derived.replace(sh, func() error { return s.loadShard(i) }); err != nil {
 			return err
 		}
 	}
-	s.rebuildDerived()
 	return nil
 }
 
 // loadShard recovers one shard from its snapshot plus journal suffix and
 // opens the journal for appending. The shard's in-memory maps must be empty
-// (fresh construction, or cleared by CrashShard).
+// (derived.replace empties them). Replay changes rows only.
 func (s *Store) loadShard(i int) error {
 	sh, dsh, fsys := s.shards[i], s.dur.shards[i], s.dur.fsys
 	walDir := filepath.Join(dsh.dir, "wal")
@@ -203,7 +202,7 @@ func (s *Store) loadShard(i int) error {
 		if err := decodePayload(payload, &rec); err != nil {
 			return fmt.Errorf("metadata: decoding journal record %d: %w", lsn, err)
 		}
-		sh.apply(&rec)
+		sh.apply(&rec, nil)
 		s.dur.m.replayed.Inc()
 		return nil
 	})
@@ -223,23 +222,20 @@ func (s *Store) loadShard(i int) error {
 // ones' (CreateUser, CreateUDF, AcceptShare): under sh's write lock it runs
 // build, which validates the op and returns its one record, and commits that
 // record — none for the zero record, an op that answers without changing
-// anything — running committed, if the commit succeeded, before the lock is
-// released. It then waits for the record's flush (awaitFlush) holding no
-// lock. It is commit's one caller.
-func (s *Store) write(sh *shard, build func(sh *shard) (journalRecord, error), committed func()) error {
+// anything. It then waits for the record's flush (awaitFlush) holding no
+// lock, and returns the hashes the commit freed. It is commit's one caller.
+func (s *Store) write(sh *shard, build func(sh *shard) (journalRecord, error)) (freed []protocol.Hash, err error) {
 	lockedAt := sh.Lock()
 	rec, err := build(sh)
 	var w flushWait
 	if err == nil && rec.Kind != 0 {
-		if w, err = s.commit(sh, &rec); err == nil && committed != nil {
-			committed()
-		}
+		w, freed, err = s.commit(sh, &rec)
 	}
 	sh.Unlock(lockedAt)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	return s.awaitFlush(sh, w)
+	return freed, s.awaitFlush(sh, w)
 }
 
 // commit is the last step of every write, under sh's write lock: it encodes
@@ -247,16 +243,16 @@ func (s *Store) write(sh *shard, build func(sh *shard) (journalRecord, error), c
 // peer regions read it), then applies rec to sh, counting any delta-log trim,
 // and takes a snapshot when one is due. So journal, publish and apply order
 // are one order, and a snapshot never claims an LSN whose record it lacks. It
-// returns the flush write waits for once it holds no shard lock; none under
-// async fsync. An error refuses the op and fences sh; a record the journal
-// refused reaches neither sink nor sh. An in-memory single-region store
-// encodes nothing.
-func (s *Store) commit(sh *shard, rec *journalRecord) (flushWait, error) {
+// returns the flush write waits for once it holds no shard lock (none under
+// async fsync) and the hashes apply freed. An error refuses the op and fences
+// sh; a record the journal refused reaches neither sink nor sh. An in-memory
+// single-region store encodes nothing.
+func (s *Store) commit(sh *shard, rec *journalRecord) (flushWait, []protocol.Hash, error) {
 	var dsh *durableShard
 	var journal *wal.Log
 	if s.dur != nil {
 		if dsh = s.dur.shards[sh.id]; dsh.fenced != nil {
-			return flushWait{}, dsh.fenced
+			return flushWait{}, nil, dsh.fenced
 		}
 		journal = dsh.journal
 	}
@@ -270,27 +266,28 @@ func (s *Store) commit(sh *shard, rec *journalRecord) (flushWait, error) {
 		lsn, err = journal.Append(dsh.scratch.Bytes())
 	}
 	if err != nil {
-		return flushWait{}, s.fence(sh.id, err)
+		return flushWait{}, nil, s.fence(sh.id, err)
 	}
 	if s.repl != nil {
 		s.repl.m.published.Inc()
 	}
-	if trims := sh.apply(rec); trims > 0 {
+	trims, freed := sh.apply(rec, &s.derived)
+	if trims > 0 {
 		s.m.logTrimmed.Add(uint64(trims))
 	}
 	if dsh == nil {
-		return flushWait{}, nil
+		return flushWait{}, freed, nil
 	}
 	s.dur.m.appends.Inc()
 	if dsh.lastLSN, dsh.records = lsn, dsh.records+1; dsh.records >= s.dur.snapshotEvery {
 		if err := s.snapshotShardLocked(sh); err != nil {
-			return flushWait{}, err
+			return flushWait{}, freed, err
 		}
 	}
 	if s.dur.policy == wal.FsyncAsync {
-		return flushWait{}, nil
+		return flushWait{}, freed, nil
 	}
-	return flushWait{journal, lsn}, nil
+	return flushWait{journal, lsn}, freed, nil
 }
 
 // flushWait is what a write's acknowledgement waits for after its commit: a
@@ -452,27 +449,26 @@ func (s *Store) ShardWALDir(i int) string {
 }
 
 // CrashShard simulates the SIGKILL of the process serving shard i: the
-// shard's entire in-memory state is dropped and the journal handle abandoned
-// without a sync. Traffic to the store must be quiesced around
-// CrashShard/RecoverShard — a real deployment fails the shard over; the
-// drill restarts it in place.
+// shard's entire in-memory state, and its part of derived state, is dropped
+// and the journal handle abandoned without a sync. Traffic to shard i must be
+// quiesced around CrashShard and the recovery that follows — a real
+// deployment fails the shard over; the drill restarts it in place.
 func (s *Store) CrashShard(i int) {
-	sh := s.shards[i]
-	sh.LockUncounted()
-	sh.reset()
-	if s.dur != nil {
-		s.dur.shards[i].journal.Crash()
-	}
-	sh.UnlockUncounted()
+	s.derived.replace(s.shards[i], func() error {
+		if s.dur != nil {
+			s.dur.shards[i].journal.Crash()
+		}
+		return nil
+	})
 }
 
-// RecoverShard is the whole restart of shard i: it drops the shard's state
-// and journal handle as CrashShard does (a no-op after one), reopens it from
-// its snapshot plus journal suffix, which lifts a fence, and recomputes the
-// store's derived state (volume directory, content reference counts, ID
-// allocators) from all shards. On a replicated store it then rewinds every
-// peer's replica of shard i to the recovered owner (rewindReplicas). Requires
-// a durable store that is not closed; returns an error otherwise.
+// RecoverShard is the whole restart of shard i, while the other shards serve:
+// it drops the shard's state and journal handle as CrashShard does (a no-op
+// after one) and reopens it from its snapshot plus journal suffix, which
+// lifts a fence, swapping its part of derived state (derived.replace). On a
+// replicated store it then rewinds every peer's replica of shard i to the
+// recovered owner (rewindReplicas). Requires a durable store that is not
+// closed; returns an error otherwise.
 func (s *Store) RecoverShard(i int) error {
 	if s.dur == nil {
 		return fmt.Errorf("metadata: shard recovery requires a durable store")
@@ -480,16 +476,13 @@ func (s *Store) RecoverShard(i int) error {
 	if s.dur.closed.Load() {
 		return errClosed
 	}
-	sh := s.shards[i]
-	sh.LockUncounted()
-	sh.reset()
-	s.dur.shards[i].journal.Crash()
-	err := s.loadShard(i)
-	sh.UnlockUncounted()
+	err := s.derived.replace(s.shards[i], func() error {
+		s.dur.shards[i].journal.Crash()
+		return s.loadShard(i)
+	})
 	if err != nil {
 		return err
 	}
-	s.rebuildDerived()
 	s.rewindReplicas(i)
 	return nil
 }
@@ -520,11 +513,12 @@ func fingerprint(sh *shard) string {
 // delta logs only here. The record already carries the resulting state, so
 // apply decides nothing — the op that built it validated it under the same
 // write lock, and replay and replication meet records in the order they were
-// applied. Store-level derived state (volume directory, content refcounts,
-// allocators) stays with the op, or with rebuildDerived after recovery. It
-// returns how many times the delta log trimmed; only commit counts them, so
-// replay and replica application leave meta.deltalog.trimmed alone.
-func (sh *shard) apply(rec *journalRecord) (trims int) {
+// applied. Commit passes the store's derived state as d, which apply keeps
+// from rec and the rows it replaces, and gets back the hashes freed; replay
+// and replica application pass nil. It returns how many times the delta log
+// trimmed; only commit counts them, so replay and replica application leave
+// meta.deltalog.trimmed alone.
+func (sh *shard) apply(rec *journalRecord, d *derived) (trims int, freed []protocol.Hash) {
 	appendLog := func(vr *volumeRow, n protocol.NodeInfo, deleted bool) {
 		if vr.appendLog(sh.deltaLogLimit, &sh.logScratch, n, deleted) {
 			trims++
@@ -532,6 +526,9 @@ func (sh *shard) apply(rec *journalRecord) (trims int) {
 	}
 	switch rec.Kind {
 	case recCreateUser, recCreateUDF:
+		if d != nil {
+			d.volumeDir.store(rec.Volume.ID, rec.User)
+		}
 		sh.nodes[rec.Root] = &nodeRow{vol: rec.Volume.ID, kind: protocol.KindDir, name: "/"}
 		sh.volumes[rec.Volume.ID] = &volumeRow{info: rec.Volume, root: rec.Root}
 		if rec.Kind == recCreateUser {
@@ -573,6 +570,10 @@ func (sh *shard) apply(rec *journalRecord) (trims int) {
 				pr.addChild(rec.Node.Name, rec.Node.ID)
 			}
 		}
+		if d != nil && nr.hash != rec.Node.Hash { // a content put, not a re-put
+			d.contents.addRef(rec.Node.Hash, rec.Node.Size)
+			freed = d.unref(freed, nr.hash)
+		}
 		nr.setInfo(rec.Node)
 		vr.info.Generation = rec.Node.Generation
 		appendLog(vr, rec.Node, false)
@@ -591,6 +592,7 @@ func (sh *shard) apply(rec *journalRecord) (trims int) {
 		}
 		vr.info.Generation = rec.Gen
 		for _, n := range rec.Removed {
+			freed = d.unref(freed, n.Hash)
 			delete(sh.nodes, n.ID)
 			appendLog(vr, n, true)
 		}
@@ -601,13 +603,18 @@ func (sh *shard) apply(rec *journalRecord) (trims int) {
 			return
 		}
 		for _, nodeID := range volumeNodeIDs(sh, vr) {
+			freed = d.unref(freed, sh.nodes[nodeID].hash)
 			delete(sh.nodes, nodeID)
+		}
+		if d != nil {
+			d.volumeDir.delete(rec.VolID)
 		}
 		delete(sh.volumes, rec.VolID)
 		if u, ok := sh.users[rec.User]; ok {
 			u.removeVolume(rec.VolID)
 		}
 		for _, shareID := range vr.grants {
+			d.share(*sh.shares[shareID], false)
 			delete(sh.shares, shareID)
 		}
 
@@ -617,6 +624,7 @@ func (sh *shard) apply(rec *journalRecord) (trims int) {
 			return
 		}
 		share := rec.Share
+		d.share(share, true)
 		sh.shares[share.ID] = &share
 		vr.addGrant(share.SharedTo, share.ID)
 
@@ -625,43 +633,5 @@ func (sh *shard) apply(rec *journalRecord) (trims int) {
 			share.Accepted = true
 		}
 	}
-	return trims
-}
-
-// rebuildDerived recomputes every piece of store-level state that is a pure
-// function of the shard contents: the volume directory, the incoming-share
-// index, the content registry's reference counts, and the ID allocators.
-// Allocators only move forward — max(current, observed+...) — so identifiers
-// are never reissued after a partial recovery.
-func (s *Store) rebuildDerived() {
-	var maxVol, maxNode, maxShare uint64
-	contents := newContentRegistry()
-	s.volumeDir.clear()
-	s.incoming.clear()
-	for _, sh := range s.shards {
-		sh.RLockUncounted()
-		for id, vr := range sh.volumes {
-			s.volumeDir.store(id, vr.info.Owner)
-			if uint64(id) > maxVol {
-				maxVol = uint64(id)
-			}
-		}
-		for id, nr := range sh.nodes {
-			if uint64(id) > maxNode {
-				maxNode = uint64(id)
-			}
-			if nr.kind == protocol.KindFile && !nr.hash.IsZero() {
-				contents.addRef(nr.hash, nr.size)
-			}
-		}
-		for _, id := range sortedKeys(sh.shares) {
-			s.indexShare(*sh.shares[id])
-			maxShare = max(maxShare, uint64(id))
-		}
-		sh.RUnlockUncounted()
-	}
-	s.contents = contents
-	bumpTo(&s.nextVolume, maxVol)
-	bumpTo(&s.nextNode, maxNode)
-	bumpTo(&s.nextShare, maxShare)
+	return trims, freed
 }

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"u1/internal/protocol"
@@ -394,6 +395,133 @@ func TestJournalNeverBehindSnapshot(t *testing.T) {
 	}
 	if after := s.ShardFingerprint(0); after != before {
 		t.Fatalf("a process crash lost acknowledged writes:\n  before %s\n  after  %s", before, after)
+	}
+}
+
+// TestRecoverShardUnderTraffic recovers shard 0 while six committers make,
+// fill and unlink files on the other shards, with the hashes shard 0's files
+// hold: 20 times after a CrashShard, then 5 times after a fence that faultFS
+// set, with no crash. No committer may be refused, shard 0 must come back as
+// it was, and at the end every hash must count the live file nodes that hold
+// it and Contents() must equal a cold reopen's. CI runs it under -race,
+// several times: a recovery must not race the other shards' commits.
+func TestRecoverShardUnderTraffic(t *testing.T) {
+	f := &faultFS{MemFS: vfs.NewMemFS()}
+	cfg := Config{Shards: 4, SnapshotEvery: 16, FsyncPolicy: wal.FsyncAsync}
+	s := openDurable(t, f, cfg)
+	hashes := make([]protocol.Hash, 4)
+	for i := range hashes {
+		hashes[i] = protocol.HashBytes([]byte{byte(i)})
+	}
+	// One owner on shard 0 and two committers on each other shard.
+	var owner protocol.UserID
+	roots := map[protocol.UserID]protocol.VolumeID{}
+	perShard := make([]int, s.NumShards())
+	for u := protocol.UserID(1); owner == 0 || len(roots) < 6; u++ {
+		switch i := s.ShardFor(u); {
+		case i == 0 && owner == 0:
+			owner = u
+		case i != 0 && perShard[i] < 2:
+			perShard[i]++
+			roots[u] = mustUser(t, s, u).ID
+		}
+	}
+	root := mustUser(t, s, owner).ID
+	for i, h := range hashes {
+		n, err := s.MakeFile(owner, root, 0, fmt.Sprint(i))
+		if err == nil {
+			_, _, _, err = s.MakeContent(owner, root, n.ID, h, 100)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	shard0 := s.ShardFingerprint(0)
+
+	// commit is a committer's n-th step on a bounded set of names: a make
+	// (a re-make after the first 64 steps), a put that re-puts the file's
+	// own hash every other pass over the names, and every 16th an unlink.
+	commit := func(u protocol.UserID, n int) error {
+		file, err := s.MakeFile(u, roots[u], 0, fmt.Sprint(n%64))
+		if err != nil {
+			return err
+		}
+		h := hashes[(n%64+n/128)%len(hashes)]
+		if _, _, _, err := s.MakeContent(u, roots[u], file.ID, h, 100); err != nil {
+			return err
+		}
+		if n%16 == 15 {
+			_, _, _, err = s.Unlink(u, roots[u], file.ID)
+		}
+		return err
+	}
+	// underTraffic runs recover once every committer has committed, and
+	// stops them after it.
+	underTraffic := func(recover func()) {
+		var started, done sync.WaitGroup
+		stop := make(chan struct{})
+		for u := range roots {
+			started.Add(1)
+			done.Add(1)
+			go func() {
+				defer done.Done()
+				for n := 0; ; n++ {
+					err := commit(u, n)
+					if n == 0 {
+						started.Done()
+					}
+					if err != nil {
+						t.Errorf("user %v on shard %d, step %d, during recovery: %v", u, s.ShardFor(u), n, err)
+						return
+					}
+					select {
+					case <-stop:
+						return
+					default:
+					}
+				}
+			}()
+		}
+		started.Wait()
+		recover()
+		close(stop)
+		done.Wait()
+	}
+
+	underTraffic(func() {
+		for range 20 {
+			s.CrashShard(0)
+			if err := s.RecoverShard(0); err != nil {
+				t.Errorf("RecoverShard(0) after a crash: %v", err)
+			}
+		}
+	})
+	for range 5 {
+		f.at = f.calls + 1 // the next mutating disk call fails
+		if _, err := s.MakeFile(owner, root, 0, "refused"); !errors.Is(err, protocol.ErrUnavailable) {
+			t.Fatalf("MakeFile on shard 0 over a failed write: %v, want ErrUnavailable", err)
+		}
+		underTraffic(func() {
+			if err := s.RecoverShard(0); err != nil {
+				t.Errorf("RecoverShard(0) of a fenced shard: %v", err)
+			}
+		})
+	}
+	if t.Failed() {
+		t.FailNow()
+	}
+	if got := s.ShardFingerprint(0); got != shard0 {
+		t.Fatalf("shard 0 diverged across its recoveries:\n  before %s\n  after  %s", shard0, got)
+	}
+	requireRefsMatchNodes(t, s, "the recoveries")
+	contents := *s.Contents()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r := openDurable(t, f, cfg)
+	defer r.Close() //nolint:errcheck
+	if got := *r.Contents(); got != contents {
+		t.Fatalf("content registry after the recoveries %+v, a cold reopen's %+v", contents, got)
 	}
 }
 

@@ -163,13 +163,25 @@ func TestMakeContentAndDedup(t *testing.T) {
 		t.Error("replacing content must be flagged as an update")
 	}
 
-	// Deleting user 2's file releases the last ref of h.
+	// Re-putting a file's own content takes no second reference.
+	if _, freed, wasUpdate, err := s.MakeContent(2, root2.ID, f2.ID, h, 1000); err != nil || freed != nil || wasUpdate {
+		t.Fatalf("re-put: %v freed=%v update=%v", err, freed, wasUpdate)
+	}
+
+	// Deleting user 2's file releases the last ref of h, and user 1's the
+	// last of h2.
 	removed, _, freed2, err := s.Unlink(2, root2.ID, f2.ID)
 	if err != nil || len(removed) != 1 {
 		t.Fatalf("unlink: %v removed=%d", err, len(removed))
 	}
 	if len(freed2) != 1 || freed2[0] != h {
 		t.Errorf("freed = %v, want [%v]", freed2, h)
+	}
+	if _, _, freed1, err := s.Unlink(1, root.ID, f.ID); err != nil || len(freed1) != 1 || freed1[0] != h2 {
+		t.Errorf("unlink of the last file: %v freed = %v, want [%v]", err, freed1, h2)
+	}
+	if cs := s.Contents(); cs.UniqueContents != 0 {
+		t.Errorf("content stats after the last unlink = %+v, want none", cs)
 	}
 	// Zero hash rejected.
 	if _, _, _, err := s.MakeContent(1, root.ID, f.ID, protocol.Hash{}, 1); !errors.Is(err, protocol.ErrBadRequest) {

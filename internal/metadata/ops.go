@@ -14,22 +14,22 @@ import (
 // op.ownerOnly, refuses the op while the owner's region is down, runs
 // op.prepare, then, through write, locks the owner's shard, looks the volume
 // up, checks user's write access and runs op.build, which validates the op
-// and returns its one record.
-func (s *Store) mutate(user protocol.UserID, vol protocol.VolumeID, op volumeWrite) error {
+// and returns its one record. It returns the hashes the commit freed.
+func (s *Store) mutate(user protocol.UserID, vol protocol.VolumeID, op volumeWrite) ([]protocol.Hash, error) {
 	owner, err := s.ownerOf(vol)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if op.ownerOnly && owner != user {
-		return protocol.ErrPermission
+		return nil, protocol.ErrPermission
 	}
 	sh, err := s.writeShard(owner)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if op.prepare != nil {
 		if err := op.prepare(); err != nil {
-			return err
+			return nil, err
 		}
 	}
 	return s.write(sh, func(sh *shard) (journalRecord, error) {
@@ -41,7 +41,7 @@ func (s *Store) mutate(user protocol.UserID, vol protocol.VolumeID, op volumeWri
 			return journalRecord{}, err
 		}
 		return op.build(sh, vr)
-	}, op.committed)
+	})
 }
 
 // volumeWrite is one volume op as mutate runs it: build alone is required.
@@ -49,7 +49,6 @@ type volumeWrite struct {
 	ownerOnly bool         // only the volume's owner may run it
 	prepare   func() error // after the region guard, before the lock
 	build     func(sh *shard, vr *volumeRow) (journalRecord, error)
-	committed func() // after a successful commit, under the lock
 }
 
 // view is the one read path into a volume: it resolves vol's owner, picks
@@ -134,7 +133,7 @@ func (s *Store) CreateUser(user protocol.UserID) (protocol.VolumeInfo, error) {
 	}
 	sh.RUnlock(lockedAt)
 	var info protocol.VolumeInfo
-	err := s.write(sh, func(sh *shard) (journalRecord, error) {
+	_, err := s.write(sh, func(sh *shard) (journalRecord, error) {
 		if u, ok := sh.users[user]; ok {
 			// Created since the probe: answered as above, still a pure read.
 			info = sh.volumes[u.root].info
@@ -146,7 +145,7 @@ func (s *Store) CreateUser(user protocol.UserID) (protocol.VolumeInfo, error) {
 		rec := s.newVolume(recCreateUser, user, protocol.VolumeRoot, "~/Ubuntu One")
 		info = rec.Volume
 		return rec, nil
-	}, func() { s.volumeDir.store(info.ID, user) })
+	})
 	if err != nil {
 		return protocol.VolumeInfo{}, err
 	}
@@ -238,7 +237,7 @@ func (s *Store) CreateUDF(user protocol.UserID, path string) (protocol.VolumeInf
 		return protocol.VolumeInfo{}, err
 	}
 	var rec journalRecord
-	err = s.write(sh, func(sh *shard) (journalRecord, error) {
+	_, err = s.write(sh, func(sh *shard) (journalRecord, error) {
 		u, ok := sh.users[user]
 		if !ok {
 			return journalRecord{}, protocol.ErrNotFound
@@ -250,7 +249,7 @@ func (s *Store) CreateUDF(user protocol.UserID, path string) (protocol.VolumeInf
 		}
 		rec = s.newVolume(recCreateUDF, user, protocol.VolumeUDF, path)
 		return rec, nil
-	}, func() { s.volumeDir.store(rec.Volume.ID, user) })
+	})
 	if err != nil {
 		return protocol.VolumeInfo{}, err
 	}
@@ -270,53 +269,33 @@ func (s *Store) GetVolume(user protocol.UserID, vol protocol.VolumeID) (info pro
 // the paper singles out as the slowest class (dal.delete_volume, Fig. 13).
 // It returns the nodes removed so the caller can release blobs and notify
 // clients, and the hashes whose last reference went away.
-func (s *Store) DeleteVolume(user protocol.UserID, vol protocol.VolumeID) (removed []protocol.NodeInfo, _ []protocol.Hash, err error) {
+func (s *Store) DeleteVolume(user protocol.UserID, vol protocol.VolumeID) (removed []protocol.NodeInfo, freed []protocol.Hash, err error) {
 	var grants map[protocol.UserID]protocol.ShareID
-	err = s.mutate(user, vol, volumeWrite{
+	freed, err = s.mutate(user, vol, volumeWrite{
 		ownerOnly: true,
 		build: func(sh *shard, vr *volumeRow) (journalRecord, error) {
 			if vr.info.Type == protocol.VolumeRoot {
 				return journalRecord{}, fmt.Errorf("%w: cannot delete the root volume", protocol.ErrBadRequest)
 			}
 			// Read what the record is about to remove: the nodes go back to
-			// the caller, and the grants leave their grantees' incoming
-			// indexes.
+			// the caller, and the grants are revoked in the peer regions.
 			for _, nodeID := range volumeNodeIDs(sh, vr) {
 				removed = append(removed, sh.nodes[nodeID].info(nodeID))
 			}
 			grants = maps.Clone(vr.grants)
 			return journalRecord{Kind: recDeleteVolume, User: user, VolID: vol}, nil
 		},
-		committed: func() {
-			for grantee, id := range grants {
-				s.unindexShare(grantee, id)
-			}
-		},
 	})
 	if err != nil {
 		return nil, nil, err
 	}
-	s.volumeDir.delete(vol)
 
 	// Eagerly tombstone every revoked grant in the peer regions: a grantee
 	// reading through its region's replica must lose access now, not when the
 	// delete record ripens in the replication log (and a create_share not yet
 	// applied there must not resurrect the grant in between).
 	s.revokeCrossRegion(s.ShardFor(user), grants)
-
-	// Release content references outside any shard lock.
-	return removed, s.releaseContents(removed), nil
-}
-
-// releaseContents drops the content reference of every file in removed and
-// returns the hashes whose last reference went with it.
-func (s *Store) releaseContents(removed []protocol.NodeInfo) (freed []protocol.Hash) {
-	for _, n := range removed {
-		if n.Kind == protocol.KindFile && !n.Hash.IsZero() && s.contents.release(n.Hash) {
-			freed = append(freed, n.Hash)
-		}
-	}
-	return freed
+	return removed, freed, nil
 }
 
 // makeNode implements MakeFile and MakeDir (dal.make_file / dal.make_dir).
@@ -328,7 +307,7 @@ func (s *Store) makeNode(user protocol.UserID, vol protocol.VolumeID, parent pro
 		return protocol.NodeInfo{}, fmt.Errorf("%w: empty node name", protocol.ErrBadRequest)
 	}
 	var info protocol.NodeInfo
-	err := s.mutate(user, vol, volumeWrite{build: func(sh *shard, vr *volumeRow) (journalRecord, error) {
+	_, err := s.mutate(user, vol, volumeWrite{build: func(sh *shard, vr *volumeRow) (journalRecord, error) {
 		if parent == 0 {
 			parent = vr.root
 		}
@@ -370,17 +349,17 @@ func (s *Store) MakeDir(user protocol.UserID, vol protocol.VolumeID, parent prot
 }
 
 // MakeContent attaches uploaded content to a file node (dal.make_content,
-// "the equivalent of an inode"). It maintains dedup reference counts: the old
-// content of an updated file is released, the new one referenced. It returns
-// the node's new state, the hash freed if the old content lost its last
-// reference, and whether this write was an update of existing content — the
-// event class behind 18.5% of U1's upload traffic (§5.1).
+// "the equivalent of an inode"). Its commit keeps dedup reference counts: the
+// old content of an updated file is released, the new one referenced, and a
+// re-put of the file's own content changes neither. It returns the node's new
+// state, the hash freed if the old content lost its last reference, and
+// whether this write was an update of existing content — the event class
+// behind 18.5% of U1's upload traffic (§5.1).
 func (s *Store) MakeContent(user protocol.UserID, vol protocol.VolumeID, node protocol.NodeID, h protocol.Hash, size uint64) (info protocol.NodeInfo, freed *protocol.Hash, wasUpdate bool, err error) {
 	if h.IsZero() {
 		return protocol.NodeInfo{}, nil, false, fmt.Errorf("%w: zero content hash", protocol.ErrBadRequest)
 	}
-	var oldHash protocol.Hash
-	err = s.mutate(user, vol, volumeWrite{build: func(sh *shard, vr *volumeRow) (journalRecord, error) {
+	hashes, err := s.mutate(user, vol, volumeWrite{build: func(sh *shard, vr *volumeRow) (journalRecord, error) {
 		nr, ok := sh.nodes[node]
 		if !ok || nr.vol != vol {
 			return journalRecord{}, protocol.ErrNotFound
@@ -388,8 +367,7 @@ func (s *Store) MakeContent(user protocol.UserID, vol protocol.VolumeID, node pr
 		if nr.kind != protocol.KindFile {
 			return journalRecord{}, fmt.Errorf("%w: content on a directory", protocol.ErrBadRequest)
 		}
-		oldHash = nr.hash
-		wasUpdate = !oldHash.IsZero() && (oldHash != h || nr.size != size)
+		wasUpdate = !nr.hash.IsZero() && (nr.hash != h || nr.size != size)
 		info = nr.info(node)
 		info.Hash, info.Size, info.Generation = h, size, vr.info.Generation+1
 		return journalRecord{Kind: recMakeContent, Node: info}, nil
@@ -397,12 +375,8 @@ func (s *Store) MakeContent(user protocol.UserID, vol protocol.VolumeID, node pr
 	if err != nil {
 		return protocol.NodeInfo{}, nil, false, err
 	}
-
-	s.contents.addRef(h, size)
-	if !oldHash.IsZero() && oldHash != h {
-		if s.contents.release(oldHash) {
-			freed = &oldHash
-		}
+	if len(hashes) > 0 {
+		freed = &hashes[0]
 	}
 	return info, freed, wasUpdate, nil
 }
@@ -449,8 +423,8 @@ func (s *Store) GetNode(user protocol.UserID, vol protocol.VolumeID, node protoc
 // (dal.unlink_node; §5.2 observes that directory deletion explains matching
 // file/dir lifetime distributions). It returns every removed node, the new
 // volume generation, and the hashes whose last reference was released.
-func (s *Store) Unlink(user protocol.UserID, vol protocol.VolumeID, node protocol.NodeID) (removed []protocol.NodeInfo, gen protocol.Generation, _ []protocol.Hash, err error) {
-	err = s.mutate(user, vol, volumeWrite{build: func(sh *shard, vr *volumeRow) (journalRecord, error) {
+func (s *Store) Unlink(user protocol.UserID, vol protocol.VolumeID, node protocol.NodeID) (removed []protocol.NodeInfo, gen protocol.Generation, freed []protocol.Hash, err error) {
+	freed, err = s.mutate(user, vol, volumeWrite{build: func(sh *shard, vr *volumeRow) (journalRecord, error) {
 		if nr, ok := sh.nodes[node]; !ok || nr.vol != vol {
 			return journalRecord{}, protocol.ErrNotFound
 		}
@@ -482,7 +456,7 @@ func (s *Store) Unlink(user protocol.UserID, vol protocol.VolumeID, node protoco
 	if err != nil {
 		return nil, 0, nil, err
 	}
-	return removed, gen, s.releaseContents(removed), nil
+	return removed, gen, freed, nil
 }
 
 // Move re-parents or renames a node within its volume (dal.move).
@@ -491,7 +465,7 @@ func (s *Store) Move(user protocol.UserID, vol protocol.VolumeID, node, newParen
 		return protocol.NodeInfo{}, fmt.Errorf("%w: empty target name", protocol.ErrBadRequest)
 	}
 	var info protocol.NodeInfo
-	err := s.mutate(user, vol, volumeWrite{build: func(sh *shard, vr *volumeRow) (journalRecord, error) {
+	_, err := s.mutate(user, vol, volumeWrite{build: func(sh *shard, vr *volumeRow) (journalRecord, error) {
 		nr, ok := sh.nodes[node]
 		if !ok || nr.vol != vol {
 			return journalRecord{}, protocol.ErrNotFound
@@ -605,7 +579,7 @@ func (s *Store) CreateShare(owner protocol.UserID, vol protocol.VolumeID, to pro
 		return protocol.ShareInfo{}, fmt.Errorf("%w: sharing with oneself", protocol.ErrBadRequest)
 	}
 	var share protocol.ShareInfo
-	err := s.mutate(owner, vol, volumeWrite{
+	_, err := s.mutate(owner, vol, volumeWrite{
 		ownerOnly: true,
 		prepare: func() error {
 			if err := s.writeGuard(to); err != nil {
@@ -628,7 +602,6 @@ func (s *Store) CreateShare(owner protocol.UserID, vol protocol.VolumeID, to pro
 			}
 			return journalRecord{Kind: recCreateShare, Share: share}, nil
 		},
-		committed: func() { s.indexShare(share) },
 	})
 	if err != nil {
 		return protocol.ShareInfo{}, err
@@ -655,7 +628,7 @@ func (s *Store) AcceptShare(user protocol.UserID, id protocol.ShareID) (protocol
 		return protocol.ShareInfo{}, err
 	}
 	var out protocol.ShareInfo
-	err = s.write(osh, func(sh *shard) (journalRecord, error) {
+	_, err = s.write(osh, func(sh *shard) (journalRecord, error) {
 		share, ok := sh.shares[id]
 		if !ok {
 			return journalRecord{}, protocol.ErrNotFound // deleted with its volume
@@ -666,7 +639,7 @@ func (s *Store) AcceptShare(user protocol.UserID, id protocol.ShareID) (protocol
 		}
 		out.Accepted = true
 		return journalRecord{Kind: recAcceptShare, Share: out}, nil
-	}, nil)
+	})
 	if err != nil {
 		return protocol.ShareInfo{}, err
 	}

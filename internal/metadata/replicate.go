@@ -319,7 +319,7 @@ func (r *replication) applyLocked(sh *shard, epoch uint64, rec *journalRecord) {
 			}
 		}
 	}
-	sh.apply(rec)
+	sh.apply(rec, nil)
 	r.m.applied.Inc()
 	r.m.lagEpochs.Observe(float64(r.epoch - epoch))
 }
@@ -400,9 +400,10 @@ func (s *Store) FailoverRegion(at int) {
 
 // RegionRecover restores a downed region from a surviving peer: the peer
 // fast-forwards its replicas (FailoverRegion), every owner shard of the dead
-// region is rebuilt from the peer's replica (copyShard), derived store state
-// is recomputed, and the region rejoins. Uploadjobs are transient and lost
-// with the region, exactly as in a shard crash.
+// region is rebuilt from the peer's replica (copyShard), swapping its part of
+// derived state while the other shards serve, and the region rejoins.
+// Uploadjobs are transient and lost with the region, exactly as in a shard
+// crash.
 func (s *Store) RegionRecover(region, from int) {
 	r := s.repl
 	if r == nil {
@@ -414,10 +415,9 @@ func (s *Store) RegionRecover(region, from int) {
 	r.mu.RUnlock()
 	for i, sh := range s.shards {
 		if r.regionOf(i) == region {
-			copyShard(peer.replicas[i], sh)
+			copyShard(peer.replicas[i], &s.derived, sh)
 		}
 	}
-	s.rebuildDerived()
 	r.mu.Lock()
 	r.state[region].down = false
 	r.mu.Unlock()
@@ -448,24 +448,22 @@ func (s *Store) rewindReplicas(i int) {
 	}
 	r.trimLocked()
 	r.mu.Unlock()
-	copyShard(s.shards[i], replicas...)
+	copyShard(s.shards[i], nil, replicas...)
 }
 
 // copyShard makes each of dsts a copy of src through the snapshot file's
-// own codec: src is encoded once, as a snapshot body, and decoded into each.
+// own codec: src is encoded once, as a snapshot body, and decoded into each
+// by d.replace — nil d for replicas, the store's derived state for owners.
 // A restore moves state wholesale; neither side is client load.
-func copyShard(src *shard, dsts ...*shard) {
+func copyShard(src *shard, d *derived, dsts ...*shard) {
 	var snap bytes.Buffer
 	src.RLockUncounted()
 	err := writeSnapshot(&snap, src, 0)
 	src.RUnlockUncounted()
 	for _, dst := range dsts {
-		dst.LockUncounted()
-		dst.reset()
 		if err == nil {
-			_, err = readSnapshot(dst, snap.Bytes())
+			err = d.replace(dst, func() error { _, err := readSnapshot(dst, snap.Bytes()); return err })
 		}
-		dst.UnlockUncounted()
 		if err != nil {
 			panic(fmt.Sprintf("metadata: copying shard %d: %v", src.id, err))
 		}

@@ -149,9 +149,8 @@ type storeMetrics struct {
 
 // Store is the sharded metadata store.
 type Store struct {
-	shards   []*shard
-	contents *contentRegistry
-	m        storeMetrics
+	shards []*shard
+	m      storeMetrics
 
 	// dur is the durable tier (per-shard journal + snapshot); nil for
 	// in-memory stores.
@@ -161,20 +160,8 @@ type Store struct {
 	// a single region.
 	repl *replication
 
-	// volumeDir maps every live volume to its owner, the directory the
-	// request router consults to find the shard that holds a volume that is
-	// not the caller's (shared volumes may live in a different shard).
-	volumeDir stripedMap[protocol.VolumeID, protocol.UserID]
-	// incoming maps every grantee to the shares it holds, each row kept on
-	// its owner's shard only: derived state, like volumeDir, that the share
-	// ops keep next to their commits and rebuildDerived recomputes from the
-	// owner rows. Each value is replaced, never changed in place, so a reader
-	// may range over what it loaded.
-	incoming stripedMap[protocol.UserID, []shareRef]
+	derived // volume directory, incoming shares, content refs, ID allocators
 
-	nextVolume uint64
-	nextNode   uint64
-	nextShare  uint64
 	nextUpload uint64
 }
 
@@ -205,8 +192,7 @@ func Open(cfg Config) (*Store, error) {
 		cfg.DeltaLogLimit = DefaultDeltaLogLimit
 	}
 	s := &Store{
-		shards:   make([]*shard, cfg.Shards),
-		contents: newContentRegistry(),
+		shards: make([]*shard, cfg.Shards),
 		m: storeMetrics{
 			deltaServed:    cfg.Metrics.Counter(metrics.MetaDeltaServed),
 			deltaTruncated: cfg.Metrics.Counter(metrics.MetaDeltaTruncated),
@@ -279,17 +265,6 @@ func (s *Store) allocShare() protocol.ShareID {
 
 func (s *Store) allocUpload() protocol.UploadID {
 	return protocol.UploadID(atomic.AddUint64(&s.nextUpload, 1))
-}
-
-// bumpTo raises the allocator at addr to at least v, so identifiers observed
-// in recovered state are never reissued.
-func bumpTo(addr *uint64, v uint64) {
-	for {
-		cur := atomic.LoadUint64(addr)
-		if cur >= v || atomic.CompareAndSwapUint64(addr, cur, v) {
-			return
-		}
-	}
 }
 
 // shard is one master/slave pair of the cluster. Its ShardLock models the
@@ -367,13 +342,7 @@ func (d *stripedMap[K, V]) load(k K) (V, bool) {
 }
 
 func (d *stripedMap[K, V]) store(k K, v V) {
-	st := d.stripe(k)
-	st.mu.Lock()
-	if st.m == nil {
-		st.m = make(map[K]V)
-	}
-	st.m[k] = v
-	st.mu.Unlock()
+	d.update(k, func(V) (V, bool) { return v, true })
 }
 
 func (d *stripedMap[K, V]) delete(k K) {
@@ -397,35 +366,11 @@ func (d *stripedMap[K, V]) update(k K, f func(V) (V, bool)) {
 	st.m[k] = v
 }
 
-func (d *stripedMap[K, V]) clear() {
-	for i := range d.stripes {
-		st := &d.stripes[i]
-		st.mu.Lock()
-		st.m = nil
-		st.mu.Unlock()
-	}
-}
-
 // shareRef is one share a grantee holds: its ID and the owner whose shard
 // keeps its row.
 type shareRef struct {
 	id    protocol.ShareID
 	owner protocol.UserID
-}
-
-// indexShare adds share to its grantee's incoming index.
-func (s *Store) indexShare(share protocol.ShareInfo) {
-	s.incoming.update(share.SharedTo, func(refs []shareRef) ([]shareRef, bool) {
-		return append(slices.Clip(refs), shareRef{share.ID, share.SharedBy}), true
-	})
-}
-
-// unindexShare drops share id from grantee's incoming index.
-func (s *Store) unindexShare(grantee protocol.UserID, id protocol.ShareID) {
-	s.incoming.update(grantee, func(refs []shareRef) ([]shareRef, bool) {
-		refs = slices.DeleteFunc(slices.Clone(refs), func(r shareRef) bool { return r.id == id })
-		return refs, len(refs) > 0
-	})
 }
 
 type userRow struct {

@@ -76,6 +76,7 @@ func regionalOutageDrill(d *Drill) error {
 	for _, i := range region1Shards {
 		before[i] = st.ShardFingerprint(i)
 	}
+	contents := *st.Contents()
 
 	// --- Outage: region 1 dies ---
 
@@ -118,10 +119,13 @@ func regionalOutageDrill(d *Drill) error {
 			return fmt.Errorf("shard %d: recovery diverged — fingerprint %s, want %s", i, got, before[i])
 		}
 	}
+	if got := *st.Contents(); got != contents {
+		return fmt.Errorf("content registry diverged across the outage: %+v after recovery, want %+v", got, contents)
+	}
 	if _, _, err := drillUpload(d.Cluster, victim, d.Now.Add(2*time.Minute), "post-recovery.txt"); err != nil {
 		return fmt.Errorf("post-recovery upload as user %d: %w", victim, err)
 	}
-	d.Logf("recovered region reproduced owner fingerprints and accepted a fresh upload")
+	d.Logf("recovered region reproduced owner fingerprints and the content registry, and accepted a fresh upload")
 	return nil
 }
 

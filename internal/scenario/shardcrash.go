@@ -12,10 +12,12 @@ import (
 // handle abandoned without a final sync), crashes the disk (every byte and
 // name never synced is gone), recovers each shard from its snapshot plus
 // journal, and requires the fingerprints it had before: under per-op fsync
-// every acknowledged mutation must replay bit-for-bit. The recovered tier
-// must then accept a fresh upload through the full client path.
+// every acknowledged mutation must replay bit-for-bit, and the content
+// registry, which fingerprints leave out, must come back as it was. The
+// recovered tier must then accept a fresh upload through the full client path.
 func shardCrashDrill(d *Drill, disk *vfs.MemFS) error {
 	st := d.Cluster.Store
+	contents := *st.Contents()
 	before := make([]string, st.NumShards())
 	for i := range before {
 		before[i] = st.ShardFingerprint(i)
@@ -30,7 +32,10 @@ func shardCrashDrill(d *Drill, disk *vfs.MemFS) error {
 			return fmt.Errorf("shard %d: acknowledged writes lost — fingerprint %s after recovery, want %s", i, got, want)
 		}
 	}
-	d.Logf("cut the power under all %d shards and recovered them: fingerprints identical", len(before))
+	if got := *st.Contents(); got != contents {
+		return fmt.Errorf("content registry diverged across the power cut: %+v after recovery, want %+v", got, contents)
+	}
+	d.Logf("cut the power under all %d shards and recovered them: fingerprints and content registry identical", len(before))
 	if _, _, err := drillUpload(d.Cluster, 1, d.Now.Add(time.Minute), "post-crash.txt"); err != nil {
 		return fmt.Errorf("post-recovery upload: %w", err)
 	}
