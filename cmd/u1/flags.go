@@ -73,9 +73,9 @@ func addPopulationFlags(fs *flag.FlagSet) *populationFlags {
 	p := &populationFlags{}
 	fs.IntVar(&p.users, "users", 2000, "population size")
 	fs.IntVar(&p.days, "days", 30, "trace window in days")
-	fs.IntVar(&p.workers, "workers", 0, "parallel generator shards (0 = GOMAXPROCS, 1 = serial stream)")
+	fs.IntVar(&p.workers, "workers", 0, "parallel generator shards (0 = GOMAXPROCS, 1 = the goldens' stream)")
 	fs.BoolVar(&p.noAttacks, "no-attacks", false, "disable the three DDoS events")
-	fs.BoolVar(&p.compact, "compact", false, "low-memory generator (workload.Config.LowMem; a different stream than the goldens)")
+	fs.BoolVar(&p.compact, "compact", false, "release each user's client on disconnect (workload.Config.LowMem; the reconnect rescans, so the stream differs from the goldens)")
 	fs.Float64Var(&p.authFailRate, "auth-fail-rate", auth.PaperFailureRate, "injected SSO failure share (paper §7.3; 0 disables)")
 	return p
 }

@@ -300,7 +300,9 @@ type flushWait struct {
 // awaitFlush returns once a flush covers w's record, at once for the zero
 // w. The caller holds no shard lock, so the flush holds none either. A failed
 // flush fences sh once, under its write lock, however many ops it covered,
-// and each of them returns the fence.
+// and each of them returns the fence. A flush that failed on a journal
+// RecoverShard has since replaced refuses its op without fencing: the
+// recovered shard never saw the error.
 func (s *Store) awaitFlush(sh *shard, w flushWait) error {
 	if w.journal == nil {
 		return nil
@@ -311,8 +313,12 @@ func (s *Store) awaitFlush(sh *shard, w flushWait) error {
 	}
 	sh.LockUncounted()
 	defer sh.UnlockUncounted()
-	if fenced := s.dur.shards[sh.id].fenced; fenced != nil {
-		return fenced
+	dsh := s.dur.shards[sh.id]
+	if dsh.journal != w.journal {
+		return fmt.Errorf("%w: metadata shard %d recovered while the write was flushing: %w", protocol.ErrUnavailable, sh.id, err)
+	}
+	if dsh.fenced != nil {
+		return dsh.fenced
 	}
 	return s.fence(sh.id, err)
 }

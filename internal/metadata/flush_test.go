@@ -5,8 +5,11 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"testing"
 
 	"u1/internal/protocol"
@@ -230,4 +233,116 @@ func TestRollRacesFlush(t *testing.T) {
 	defer r.Close() //nolint:errcheck
 	requireAcked(t, r, got)
 	t.Logf("%d appends, %d syncs", appends, syncs)
+}
+
+// syncGateFS is a MemFS whose file syncs park at a shut gate, sending on
+// parked first, until release opens it; the parked syncs then return the
+// error it opened with.
+type syncGateFS struct {
+	*vfs.MemFS
+	mu     sync.Mutex
+	gate   chan struct{} // nil: open
+	err    error
+	parked chan struct{}
+}
+
+func (g *syncGateFS) shut() {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	g.gate = make(chan struct{})
+}
+
+func (g *syncGateFS) release(err error) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.gate != nil {
+		g.err = err
+		close(g.gate)
+		g.gate = nil
+	}
+}
+
+func (g *syncGateFS) OpenFile(name string, flag int) (vfs.File, error) {
+	f, err := g.MemFS.OpenFile(name, flag)
+	if err != nil {
+		return nil, err
+	}
+	return syncGateFile{f, g}, nil
+}
+
+type syncGateFile struct {
+	vfs.File
+	fs *syncGateFS
+}
+
+func (f syncGateFile) Sync() error {
+	f.fs.mu.Lock()
+	gate := f.fs.gate
+	f.fs.mu.Unlock()
+	if gate != nil {
+		f.fs.parked <- struct{}{}
+		<-gate
+		f.fs.mu.Lock()
+		err := f.fs.err
+		f.fs.mu.Unlock()
+		if err != nil {
+			return err
+		}
+	}
+	return f.File.Sync()
+}
+
+// TestFailedFlushAfterRecoveryDoesNotFence parks a per-op MakeFile's flush,
+// starts RecoverShard (which waits in the journal's Crash for that flush,
+// holding the shard's write lock), then fails the flush with EIO. The op is
+// refused, but the error belongs to the journal the recovery replaced: the
+// recovered shard is not fenced and takes the next write.
+func TestFailedFlushAfterRecoveryDoesNotFence(t *testing.T) {
+	fsys := &syncGateFS{MemFS: vfs.NewMemFS(), parked: make(chan struct{}, 4)}
+	s, err := Open(Config{Shards: 1, FsyncPolicy: wal.FsyncPerOp, Durability: storeRoot, FS: fsys})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close() //nolint:errcheck
+	root, err := s.CreateUser(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fsys.shut()
+	t.Cleanup(func() { fsys.release(nil) }) // a failed check must not leave a sync parked
+	made := make(chan error, 1)
+	go func() {
+		_, err := s.MakeFile(1, root.ID, 0, "parked")
+		made <- err
+	}()
+	<-fsys.parked
+	recovered := make(chan error, 1)
+	go func() { recovered <- s.RecoverShard(0) }()
+	for !goroutineIn("wal.(*Log).Crash") {
+		select {
+		case err := <-recovered:
+			t.Fatalf("RecoverShard returned %v without waiting for the parked flush", err)
+		default:
+			runtime.Gosched()
+		}
+	}
+	fsys.release(syscall.EIO)
+	if err := <-made; !errors.Is(err, protocol.ErrUnavailable) || !errors.Is(err, syscall.EIO) {
+		t.Fatalf("MakeFile whose flush failed: %v, want ErrUnavailable wrapping EIO", err)
+	}
+	if err := <-recovered; err != nil {
+		t.Fatalf("RecoverShard: %v", err)
+	}
+	if err := s.Fences(); err != nil {
+		t.Fatalf("the recovered shard is fenced by the old journal's flush: %v", err)
+	}
+	if _, err := s.MakeFile(1, root.ID, 0, "after"); err != nil {
+		t.Fatalf("MakeFile after the recovery: %v", err)
+	}
+}
+
+// goroutineIn reports whether some goroutine's stack holds fn.
+func goroutineIn(fn string) bool {
+	buf := make([]byte, 1<<20)
+	return strings.Contains(string(buf[:runtime.Stack(buf, true)]), fn)
 }

@@ -238,8 +238,9 @@ func (c *Cluster) AddRPCObserver(o rpc.Observer) {
 }
 
 // PumpNotifications drains every server's broker queue once, delivering
-// queued cross-server pushes. The simulator calls this between events; the
-// TCP deployment uses RunNotifier goroutines instead.
+// queued cross-server pushes. The simulator calls it from an epoch-end hook
+// every 10 minutes of virtual time, while no shard runs events; the TCP
+// deployment uses RunNotifier goroutines instead.
 func (c *Cluster) PumpNotifications() int {
 	var n int
 	for _, s := range c.Servers {

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -426,6 +427,94 @@ func TestTCPGoroutinesPerConnection(t *testing.T) {
 	}
 	if delta := runtime.NumGoroutine() - before; delta > conns+slack {
 		t.Errorf("%d idle connections cost %d goroutines, want at most %d", conns, delta, conns+slack)
+	}
+}
+
+// TestTCPCloseWithLiveSessions closes the cluster, twice, while placed
+// sessions are busy: their connections keep being served, a new dial is
+// refused, and once the clients hang up the goroutine count is back to what
+// it was before the cluster listened. Run it under -race.
+func TestTCPCloseWithLiveSessions(t *testing.T) {
+	const users, ops = 4, 25
+	c := NewCluster(Config{
+		Config:          metadata.Config{Shards: 4},
+		Machines:        []string{"alpha", "beta"},
+		ProcsPerMachine: 2,
+		Seed:            7,
+	})
+	before := runtime.NumGoroutine()
+	tc, err := c.ListenAndServe("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(tc.Close)
+	clients := make([]*client.Client, users)
+	for i := range clients {
+		token, err := tc.Auth.Issue(protocol.UserID(i + 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := client.DialTCP(tc.GateAddr.String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		clients[i] = client.New(tr)
+		if err := clients[i].Connect(token); err != nil {
+			t.Fatalf("connect user %d: %v", i+1, err)
+		}
+	}
+	// Each client keeps making directories through both Closes and makes
+	// ops more once they returned.
+	started, closed := make(chan struct{}, users), make(chan struct{})
+	errs := make(chan error, users)
+	var wg sync.WaitGroup
+	for i, cl := range clients {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			root, _ := cl.RootVolume()
+			for n, after := 0, 0; after <= ops; n++ {
+				select {
+				case <-closed:
+					after++
+				default:
+				}
+				_, err := cl.Mkdir(root, 0, fmt.Sprintf("d%d", n))
+				if n == 0 {
+					started <- struct{}{}
+				}
+				if err != nil {
+					errs <- fmt.Errorf("user %d, op %d: %w", i+1, n, err)
+					return
+				}
+			}
+		}()
+	}
+	for range clients {
+		<-started
+	}
+	tc.Close()
+	tc.Close()
+	close(closed)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Errorf("a placed session was cut off by Close: %v", err)
+	}
+	if conn, err := net.Dial("tcp", tc.GateAddr.String()); err == nil {
+		conn.Close()
+		t.Error("a dial after Close was accepted")
+	}
+	for _, cl := range clients {
+		cl.Close() //nolint:errcheck
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after every client hung up, %d before the cluster listened",
+				runtime.NumGoroutine(), before)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 

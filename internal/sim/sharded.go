@@ -25,7 +25,7 @@ import (
 //
 // With one shard the engine degenerates to the serial case: the single shard
 // runs every epoch on the caller's goroutine in exactly the order stepping a
-// bare Engine would use, and an empty hook list makes the barrier free.
+// bare Engine would use, and the barrier only runs the hooks.
 type ShardedEngine struct {
 	epoch  time.Duration
 	now    time.Time
@@ -33,8 +33,10 @@ type ShardedEngine struct {
 	hooks  []func(now time.Time)
 }
 
-// DefaultEpoch bounds shard clock skew; it matches the notification pump
-// cadence so boundary hooks keep their production rhythm.
+// DefaultEpoch bounds shard clock skew. It equals the notification pump's
+// 10-minute cadence, so a barrier normally runs the pump once. Epochs with
+// no events are skipped in one step, so a cadence hook must catch up, at the
+// next barrier, the marks that fell inside them.
 const DefaultEpoch = 10 * time.Minute
 
 // NewSharded creates a sharded engine with the given shard count (min 1)

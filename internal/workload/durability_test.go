@@ -22,20 +22,11 @@ import (
 // histograms, never in event ordering. These tests pin that contract against
 // the established goldens and against in-memory runs of the hard fault case.
 
-// TestDurableWorkersOneMatchesGolden reproduces the pre-shard golden totals
-// and record counts with the WAL on at the most expensive policy: durability
-// must not perturb the serial stream by a single op.
+// TestDurableWorkersOneMatchesGolden reproduces the golden totals and record
+// counts with the WAL on at the most expensive policy: durability must not
+// perturb the Workers=1 stream by a single op.
 func TestDurableWorkersOneMatchesGolden(t *testing.T) {
-	golden := []struct {
-		users, days int
-		seed        int64
-		want        Totals
-		records     int
-	}{
-		{80, 2, 42, Totals{Users: 80, Sessions: 145, Uploads: 28, Deletes: 9}, 1045},
-		{150, 3, 11, Totals{Users: 150, Sessions: 448, Uploads: 252, Downloads: 90, Deletes: 40}, 3712},
-	}
-	for _, c := range golden {
+	for _, c := range goldens {
 		cluster, err := server.OpenCluster(server.Config{
 			Seed: c.seed, Config: metadata.Config{Durability: "/u1", FS: vfs.NewMemFS(), FsyncPolicy: wal.FsyncPerOp},
 		})
@@ -48,12 +39,7 @@ func TestDurableWorkersOneMatchesGolden(t *testing.T) {
 		g := New(Config{Users: c.users, Days: c.days, Start: PaperStart, Seed: c.seed,
 			Workers: 1, Attacks: []Attack{}}, cluster)
 		g.Run()
-		if got := g.totals; got != c.want {
-			t.Errorf("users=%d seed=%d: durable totals = %+v, want golden %+v", c.users, c.seed, got, c.want)
-		}
-		if col.Len() != c.records {
-			t.Errorf("users=%d seed=%d: %d records, want golden %d", c.users, c.seed, col.Len(), c.records)
-		}
+		c.check(t, g.totals, col.Len())
 		snap := cluster.Metrics.Snapshot()
 		if n := snap.Counter(metrics.WALJournaled); n == 0 {
 			t.Error("no mutation was charged a journal sync; the contract was not exercised")

@@ -77,19 +77,10 @@ func TestFaultPlanDeterministicAcrossRuns(t *testing.T) {
 
 // TestZeroValueFaultPlanPreservesGolden pins behavior preservation: a
 // zero-value plan threaded through the whole stack (and a zero retry
-// policy) reproduces the failure-free pre-fault golden totals and record
-// counts bit-for-bit at Workers=1 — injection off means nothing changed.
+// policy) reproduces the failure-free golden totals and record counts
+// bit-for-bit at Workers=1 — injection off means nothing changed.
 func TestZeroValueFaultPlanPreservesGolden(t *testing.T) {
-	golden := []struct {
-		users, days int
-		seed        int64
-		want        Totals
-		records     int
-	}{
-		{80, 2, 42, Totals{Users: 80, Sessions: 145, Uploads: 28, Deletes: 9}, 1045},
-		{150, 3, 11, Totals{Users: 150, Sessions: 448, Uploads: 252, Downloads: 90, Deletes: 40}, 3712},
-	}
-	for _, c := range golden {
+	for _, c := range goldens {
 		cluster := server.NewCluster(server.Config{Seed: c.seed, FaultPlan: &faults.Plan{}})
 		col := trace.NewCollector(trace.Config{Start: PaperStart, Days: c.days, Shards: cluster.Store.NumShards(), Seed: c.seed})
 		cluster.AddAPIObserver(col.APIObserver())
@@ -97,12 +88,7 @@ func TestZeroValueFaultPlanPreservesGolden(t *testing.T) {
 		g := New(Config{Users: c.users, Days: c.days, Start: PaperStart, Seed: c.seed,
 			Workers: 1, Attacks: []Attack{}}, cluster)
 		g.Run()
-		if got := g.totals; got != c.want {
-			t.Errorf("users=%d seed=%d: totals = %+v, want golden %+v", c.users, c.seed, got, c.want)
-		}
-		if col.Len() != c.records {
-			t.Errorf("users=%d seed=%d: %d records, want golden %d", c.users, c.seed, col.Len(), c.records)
-		}
+		c.check(t, g.totals, col.Len())
 		snap := cluster.Metrics.Snapshot()
 		for _, key := range []string{"injected", "shed", "retried"} {
 			if n := snap.Counters[metrics.FaultsPrefix+key]; n != 0 {

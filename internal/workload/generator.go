@@ -29,9 +29,9 @@ type Config struct {
 	Seed int64
 	// Workers is the number of parallel generator shards, each a
 	// single-threaded event loop owning a stable subset of the population
-	// (0 → GOMAXPROCS). Workers=1 reproduces the serial generator's event
-	// stream bit-for-bit; any fixed (Seed, Workers) reproduces the same
-	// Totals and per-user op streams regardless of goroutine interleaving.
+	// (0 → GOMAXPROCS). Any fixed (Seed, Workers) reproduces the same
+	// Totals and per-user op streams regardless of goroutine interleaving;
+	// at Workers=1 the trace itself is byte-identical across runs.
 	Workers int
 	// Profile overrides the calibrated defaults.
 	Profile *Profile
@@ -50,14 +50,14 @@ type Config struct {
 	// reschedule-on-next-arrival behavior bit-for-bit.
 	ReconnectBackoff time.Duration
 	// LowMem shrinks per-user resident state for very large populations
-	// (the million-user scale campaign): users draw from 8-byte splitmix64
-	// sources instead of ~5 KB math/rand lagged-Fibonacci sources, and a
-	// user's client — with its per-volume mirrors, the dominant per-user
-	// heap after the RNG — is released on disconnect and rebuilt on the
-	// next connection (the reconnect re-syncs from scratch, like a fresh
-	// device). Both change the generated streams relative to the default
-	// configuration, so LowMem runs are not comparable with the committed
-	// goldens; determinism for a fixed (Seed, Workers, LowMem) still holds.
+	// (the million-user scale campaign): a user's client, with its
+	// per-volume mirrors, the dominant per-user heap, is released on
+	// disconnect and rebuilt on the next connection (the reconnect re-syncs
+	// from scratch, like a fresh device). Every user draws from one
+	// splitmix64 stream either way. The rescans change the op stream
+	// relative to the default configuration, so LowMem runs are not
+	// comparable with the committed goldens; determinism for a fixed
+	// (Seed, Workers, LowMem) still holds.
 	LowMem bool
 }
 
@@ -115,8 +115,7 @@ type genShard struct {
 	eng  *sim.Engine
 	prof *Profile
 	// zipf and bigZipf draw popular-content ranks. Per-shard streams seeded
-	// from (Seed, shard) keep draws lock-free and reproducible; shard 0
-	// carries the legacy stream so Workers=1 matches the serial generator.
+	// from (Seed, shard) keep draws lock-free and reproducible.
 	zipf    *stats.Zipf
 	bigZipf *stats.Zipf
 	// users lists the shard's population in global creation order (share
@@ -137,7 +136,7 @@ type genShard struct {
 	// popRng is the scratch source popularContent re-seeds for every first
 	// draw of a rank (Seed(s) leaves a source as a fresh one of seed s, and
 	// the derivation is synchronous, so nothing interleaves on it): one
-	// source per shard instead of 5 KB of math/rand state per rank.
+	// splitmix64 source per shard, never one per rank.
 	popRng *rand.Rand
 }
 
@@ -186,9 +185,9 @@ type Generator struct {
 	users  []*user
 	totals Totals
 
-	// nextPump and nextGC track the cluster-wide cadence work run at epoch
-	// boundaries when Workers > 1 (at Workers=1 the cadences are ordinary
-	// shard-0 events, preserving the serial stream).
+	// nextPump and nextGC are the next marks of the cluster-wide cadence
+	// work runCadences does at epoch boundaries; a zero mark is a finished
+	// chain.
 	nextPump time.Time
 	nextGC   time.Time
 
@@ -356,10 +355,10 @@ func parseUint32Prefix(s string) (uint32, int) {
 }
 
 // shardSeed derives a per-shard seed for a generator random source. Shard 0
-// keeps the legacy seed+base stream so Workers=1 reproduces the pre-shard
-// serial generator bit-for-bit; higher shards scramble (seed+base, shard)
-// through splitmix64 so nearby seeds do not alias across shards (the rpc
-// tier's per-proc idiom).
+// takes seed+base itself, so a one-shard run and shard 0 of a wider one
+// draw the same stream; higher shards scramble (seed+base, shard) through
+// splitmix64 so nearby seeds do not alias across shards (the rpc tier's
+// per-proc idiom).
 func shardSeed(seed, base int64, shard int) int64 {
 	if shard == 0 {
 		return seed + base
@@ -426,16 +425,6 @@ func New(cfg Config, c *server.Cluster) *Generator {
 	return g
 }
 
-// userSource builds one user's random source: the legacy ~5 KB math/rand
-// source whose streams the committed goldens pin, or the 8-byte splitmix64
-// source under LowMem.
-func (g *Generator) userSource(seed int64) rand.Source {
-	if g.cfg.LowMem {
-		return stats.NewSplitmixSource(seed)
-	}
-	return rand.NewSource(seed)
-}
-
 // Engine returns the generator's sharded event engine (event counts,
 // epoch-boundary hooks).
 func (g *Generator) Engine() *sim.ShardedEngine { return g.se }
@@ -454,7 +443,7 @@ func (g *Generator) Run() Totals {
 		u := &user{
 			id:    protocol.UserID(i + 1),
 			class: PickClass(g.rng),
-			rng:   newURng(g.cfg.Seed+int64(i)*7919, g.cfg.LowMem),
+			rng:   newURng(g.cfg.Seed + int64(i)*7919),
 		}
 		u.sh = g.shards[g.se.ShardFor(uint64(u.id))]
 		u.sh.users = append(u.sh.users, u)
@@ -488,22 +477,16 @@ func (g *Generator) Run() Totals {
 
 	g.wireReplication()
 
-	// Broker deliveries and uploadjob GC happen on their production cadence:
-	// as ordinary shard-0 events at Workers=1 (bit-for-bit the serial
-	// stream), as serialized epoch-boundary work under parallel shards —
-	// cluster-wide sweeps must not run concurrently with shard events.
-	if g.se.NumShards() == 1 {
-		g.schedulePump()
-		g.scheduleGC()
-	} else {
-		g.nextPump = g.cfg.Start.Add(10 * time.Minute)
-		g.nextGC = g.cfg.Start.Add(24 * time.Hour)
-		// A sentinel event parks the final epoch at the window end: epochs
-		// only advance while events remain, and without it a population that
-		// goes quiet early would strand the trailing cadences below.
-		g.se.Shard(0).At(g.end, func() {})
-		g.se.AtEpochEnd(g.runCadences)
-	}
+	// Broker deliveries and uploadjob GC happen on their production cadence
+	// as serialized epoch-boundary work: cluster-wide sweeps must not run
+	// concurrently with shard events.
+	g.nextPump = g.cfg.Start.Add(10 * time.Minute)
+	g.nextGC = g.cfg.Start.Add(24 * time.Hour)
+	// A sentinel event parks the final epoch at the window end: epochs only
+	// advance while events remain, and without it a population that goes
+	// quiet early would strand the trailing cadences.
+	g.se.Shard(0).At(g.end, func() {})
+	g.se.AtEpochEnd(g.runCadences)
 
 	g.se.Run()
 	for _, sh := range g.shards {
@@ -585,7 +568,7 @@ func (g *Generator) popularContent(sh *genShard, k popKey) popContent {
 	if !ok {
 		if sh.popular == nil {
 			sh.popular = make(map[popKey]popContent)
-			sh.popRng = rand.New(g.userSource(0))
+			sh.popRng = rand.New(stats.NewSplitmixSource(0))
 		}
 		sh.popRng.Seed(popSeed(k))
 		c = g.drawPopular(sh.popRng, k)
@@ -633,36 +616,15 @@ func (g *Generator) wireReplication() {
 	}
 }
 
-// shard0 returns the shard carrying cluster-scoped work (attacks, cadences).
+// shard0 returns the shard carrying cluster-scoped work (attacks).
 func (g *Generator) shard0() *genShard { return g.shards[0] }
 
-func (g *Generator) schedulePump() {
-	eng := g.shard0().eng
-	eng.After(10*time.Minute, func() {
-		g.c.PumpNotifications()
-		if eng.Now().Before(g.end) {
-			g.schedulePump()
-		}
-	})
-}
-
-func (g *Generator) scheduleGC() {
-	eng := g.shard0().eng
-	eng.After(24*time.Hour, func() {
-		g.c.SweepUploadJobs(eng.Now())
-		if eng.Now().Before(g.end) {
-			g.scheduleGC()
-		}
-	})
-}
-
-// runCadences is the epoch-boundary hook under parallel shards: it runs the
-// notification pump and the uploadjob GC whenever their cadence fell due
-// inside the closed epoch, serialized with every shard quiescent. It mirrors
-// the serial chains exactly: each fires at every mark up to and including
-// the first mark at or past the window end (the serial events fire at their
-// scheduled time and only the reschedule is guarded by `now < end`), then
-// the chain stops. A zero mark is a finished chain.
+// runCadences is the epoch-boundary hook at every worker count: it runs the
+// notification pump (every 10 minutes) and the uploadjob GC (daily) for
+// each mark that fell due inside the closed epoch, serialized with every
+// shard quiescent. Each chain fires at every mark up to and including the
+// first mark at or past the window end, then stops. A zero mark is a
+// finished chain.
 func (g *Generator) runCadences(now time.Time) {
 	for !g.nextPump.IsZero() && !g.nextPump.After(now) {
 		g.c.PumpNotifications()

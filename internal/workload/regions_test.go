@@ -63,16 +63,11 @@ func requireReplicasConverged(t *testing.T, c *server.Cluster) {
 // TestRegionsReadYourWritesMatchesGolden pins that turning on two regions
 // with read-your-writes routing is invisible to the workload: replication is
 // pure background at epoch barriers, every read still lands on the owner
-// shard, and the Workers=1 pre-shard goldens reproduce bit-for-bit.
+// shard, and the first Workers=1 golden reproduces bit-for-bit.
 func TestRegionsReadYourWritesMatchesGolden(t *testing.T) {
-	g, col, cluster := runRegions(t, 80, 2, 42, 1, false, 1)
-	want := Totals{Users: 80, Sessions: 145, Uploads: 28, Deletes: 9}
-	if got := g.totals; got != want {
-		t.Errorf("totals = %+v, want pre-shard golden %+v", got, want)
-	}
-	if col.Len() != 1045 {
-		t.Errorf("%d records, want pre-shard golden 1045", col.Len())
-	}
+	c := goldens[0]
+	g, col, cluster := runRegions(t, c.users, c.days, c.seed, 1, false, 1)
+	c.check(t, g.totals, col.Len())
 	if pub := replCounters(cluster)["repl.published"]; pub == 0 {
 		t.Error("no replication records published — the region wiring is dead")
 	}
@@ -124,12 +119,12 @@ func TestReplicationTickPinned(t *testing.T) {
 		workers, delay int
 		want           pin
 	}{
-		{1, 0, pin{2609, 2609, 0, 2609, 0}},
-		{1, 1, pin{2609, 2609, 0, 2609, 2609}},
-		{1, 2, pin{2609, 2609, 0, 2609, 5218}},
-		{4, 0, pin{2609, 2609, 0, 2609, 0}},
-		{4, 1, pin{2609, 2609, 0, 2609, 2609}},
-		{4, 2, pin{2609, 2609, 0, 2609, 5218}},
+		{1, 0, pin{2843, 2843, 0, 2843, 0}},
+		{1, 1, pin{2843, 2843, 0, 2843, 2843}},
+		{1, 2, pin{2843, 2843, 0, 2843, 5686}},
+		{4, 0, pin{2843, 2843, 0, 2843, 0}},
+		{4, 1, pin{2843, 2843, 0, 2843, 2843}},
+		{4, 2, pin{2843, 2843, 0, 2843, 5686}},
 	} {
 		_, _, c := runRegions(t, 100, 2, 7, tc.workers, true, tc.delay)
 		snap := c.Metrics.Snapshot()

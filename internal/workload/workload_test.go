@@ -1,12 +1,14 @@
 package workload
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 	"time"
 
 	"u1/internal/auth"
 	"u1/internal/client"
+	"u1/internal/metadata"
 	"u1/internal/protocol"
 	"u1/internal/server"
 	"u1/internal/stats"
@@ -112,31 +114,45 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
-// TestWorkersOneMatchesPreShardGolden pins the Workers=1 determinism
-// contract: the sharded generator with one shard reproduces the pre-shard
-// serial generator bit-for-bit. The golden values were captured from the
-// serial implementation (PR 3 tree) at these exact configurations; a drift
-// here means the legacy stream changed, not just a refactor.
-func TestWorkersOneMatchesPreShardGolden(t *testing.T) {
-	golden := []struct {
-		users, days int
-		seed        int64
-		want        Totals
-		records     int
-	}{
-		{80, 2, 42, Totals{Users: 80, Sessions: 145, Uploads: 28, Deletes: 9}, 1045},
-		{150, 3, 11, Totals{Users: 150, Sessions: 448, Uploads: 252, Downloads: 90, Deletes: 40}, 3712},
+// goldenRun is one Workers=1, attack-free run and the totals and record
+// count it must reproduce.
+type goldenRun struct {
+	users, days int
+	seed        int64
+	want        Totals
+	records     int
+}
+
+// goldens are the runs the golden tests pin: TestWorkersOneMatchesGolden in
+// memory, and the durable, zero-value fault plan and two-region
+// read-your-writes variants, which must reproduce them exactly. A drift here
+// means the generator's stream changed, not just a refactor; re-pin on
+// purpose only.
+var goldens = []goldenRun{
+	{80, 2, 42, Totals{Users: 80, Sessions: 157, Uploads: 382, Downloads: 227, Deletes: 30}, 2107},
+	{150, 3, 11, Totals{Users: 150, Sessions: 455, Uploads: 115, Downloads: 130, Deletes: 19}, 3365},
+}
+
+// check fails the test unless a run of c reproduced its totals and record
+// count.
+func (c goldenRun) check(t *testing.T, got Totals, records int) {
+	t.Helper()
+	if got != c.want {
+		t.Errorf("users=%d days=%d seed=%d: totals = %+v, want golden %+v",
+			c.users, c.days, c.seed, got, c.want)
 	}
-	for _, c := range golden {
+	if records != c.records {
+		t.Errorf("users=%d days=%d seed=%d: %d records, want golden %d",
+			c.users, c.days, c.seed, records, c.records)
+	}
+}
+
+// TestWorkersOneMatchesGolden pins the Workers=1 stream: one generator
+// shard reproduces the golden totals and record counts.
+func TestWorkersOneMatchesGolden(t *testing.T) {
+	for _, c := range goldens {
 		g, col, _ := runSmallWorkers(t, c.users, c.days, []Attack{}, c.seed, 1)
-		if got := g.totals; got != c.want {
-			t.Errorf("users=%d days=%d seed=%d: totals = %+v, want pre-shard golden %+v",
-				c.users, c.days, c.seed, got, c.want)
-		}
-		if col.Len() != c.records {
-			t.Errorf("users=%d days=%d seed=%d: %d records, want pre-shard golden %d",
-				c.users, c.days, c.seed, col.Len(), c.records)
-		}
+		c.check(t, g.totals, col.Len())
 	}
 }
 
@@ -195,21 +211,53 @@ func TestParallelDeterministicWithFailuresAndAttacks(t *testing.T) {
 }
 
 // TestTrailingCadencesRunThroughWindowEnd pins the epoch-hook cadence
-// arithmetic against the serial chains: the serial GC event for a 1-day
-// window fires exactly once, at t == end (the event fires; only its
-// reschedule is guarded by now < end). The boundary hook must do the same —
+// arithmetic, the one cadence path at every worker count: the GC for a
+// 1-day window fires exactly once, at t == end, and both chains then stop —
 // an exclusive end guard used to skip that final sweep entirely.
 func TestTrailingCadencesRunThroughWindowEnd(t *testing.T) {
-	cluster := server.NewCluster(server.Config{Seed: 1})
-	g := New(Config{Users: 1, Days: 1, Seed: 1, Workers: 2, Attacks: []Attack{}}, cluster)
-	g.nextPump = g.cfg.Start.Add(10 * time.Minute)
-	g.nextGC = g.cfg.Start.Add(24 * time.Hour)
-	g.runCadences(g.end) // the sentinel event parks the last epoch at/after end
-	if !g.nextGC.IsZero() {
-		t.Errorf("GC chain did not run its final sweep at the window end: next = %v", g.nextGC)
+	for _, workers := range []int{1, 2} {
+		cluster := server.NewCluster(server.Config{Seed: 1})
+		g := New(Config{Users: 1, Days: 1, Seed: 1, Workers: workers, Attacks: []Attack{}}, cluster)
+		g.nextPump = g.cfg.Start.Add(10 * time.Minute)
+		g.nextGC = g.cfg.Start.Add(24 * time.Hour)
+		g.runCadences(g.end) // the sentinel event parks the last epoch at/after end
+		if !g.nextGC.IsZero() {
+			t.Errorf("workers=%d: GC chain did not run its final sweep at the window end: next = %v", workers, g.nextGC)
+		}
+		if !g.nextPump.IsZero() {
+			t.Errorf("workers=%d: pump chain did not run through the window end: next = %v", workers, g.nextPump)
+		}
 	}
-	if !g.nextPump.IsZero() {
-		t.Errorf("pump chain did not run through the window end: next = %v", g.nextPump)
+}
+
+// TestRunSweepsUploadJobsAtWindowEnd drives the cadence hook through Run:
+// a 1-day window's one uploadjob GC mark is the window end itself, so a job
+// older than UploadJobMaxAge there is collected only if that final sweep
+// runs, and a job touched at the start survives it.
+func TestRunSweepsUploadJobsAtWindowEnd(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		cluster := server.NewCluster(server.Config{Seed: 1})
+		const owner = protocol.UserID(1 << 20) // outside the generated population
+		root, err := cluster.Store.CreateUser(owner)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stale, err := cluster.Store.MakeUploadJob(owner, root.ID, 0, protocol.HashBytes([]byte("stale")), 1,
+			PaperStart.Add(-metadata.UploadJobMaxAge+time.Hour))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := cluster.Store.MakeUploadJob(owner, root.ID, 0, protocol.HashBytes([]byte("fresh")), 1, PaperStart)
+		if err != nil {
+			t.Fatal(err)
+		}
+		New(Config{Users: 20, Days: 1, Start: PaperStart, Seed: 1, Workers: workers, Attacks: []Attack{}}, cluster).Run()
+		if err := cluster.Store.DeleteUploadJob(owner, stale.ID); !errors.Is(err, protocol.ErrNotFound) {
+			t.Errorf("workers=%d: the stale upload job outlived the window-end sweep (delete: %v)", workers, err)
+		}
+		if err := cluster.Store.DeleteUploadJob(owner, fresh.ID); err != nil {
+			t.Errorf("workers=%d: the fresh upload job was swept: %v", workers, err)
+		}
 	}
 }
 
@@ -248,7 +296,7 @@ func TestThinningAcceptsFinalAttempt(t *testing.T) {
 	g := New(Config{Users: 1, Days: 30, Seed: 5, Workers: 1, Profile: p, Attacks: []Attack{}}, cluster)
 	u := &user{
 		id:  1,
-		rng: newURng(9, false),
+		rng: newURng(9),
 		sh:  g.shards[0],
 		par: params(Heavy),
 		// Mean gaps of ~17ms keep all 1000 thinning draws pinned to the
@@ -361,7 +409,7 @@ func TestSessionLengthShape(t *testing.T) {
 	// 32% < 1 s and ≈97% < 8 h (§7.3).
 	p := DefaultProfile()
 	g := &Generator{prof: p}
-	u := &user{rng: newURng(9, false)}
+	u := &user{rng: newURng(9)}
 	var sub1s, sub8h, n int
 	for i := 0; i < 30000; i++ {
 		l := g.sessionLength(u)
@@ -482,39 +530,36 @@ func TestRecentWindowCappedForWhales(t *testing.T) {
 // derivePopular is the reference the shard tables are checked against: the
 // content drawn from a source made fresh for its rank, never a re-seeded one.
 func (g *Generator) derivePopular(k popKey) popContent {
-	return g.drawPopular(rand.New(g.userSource(popSeed(k))), k)
+	return g.drawPopular(rand.New(stats.NewSplitmixSource(popSeed(k))), k)
 }
 
 // TestPopularContentMemoMatchesDerivation checks the per-shard table of
 // popular content against a fresh derivation for ranks 1…10,000 of both
-// universes, in both generator modes, on the filling draw and on a hit — and
-// that a hit allocates nothing.
+// universes, on the filling draw and on a hit — and that a hit allocates
+// nothing.
 func TestPopularContentMemoMatchesDerivation(t *testing.T) {
-	for _, lowMem := range []bool{false, true} {
-		g := New(Config{Users: 100, Days: 1, Seed: 5, Workers: 1, LowMem: lowMem},
-			server.NewCluster(server.Config{Seed: 5}))
-		sh := g.shards[0]
-		for rank := uint64(1); rank <= 10000; rank++ {
-			for _, big := range []bool{false, true} {
-				k := popKey{rank: rank, big: big}
-				want := g.derivePopular(k)
-				if want.ext == nil || want.size == 0 || want.hash.IsZero() {
-					t.Fatalf("lowMem=%v %+v derives an empty content %+v", lowMem, k, want)
-				}
-				if got := g.popularContent(sh, k); got != want {
-					t.Fatalf("lowMem=%v %+v: first draw %+v, fresh derivation %+v", lowMem, k, got, want)
-				}
-				if got := g.popularContent(sh, k); got != want {
-					t.Fatalf("lowMem=%v %+v: memo hit %+v, fresh derivation %+v", lowMem, k, got, want)
-				}
+	g := New(Config{Users: 100, Days: 1, Seed: 5, Workers: 1}, server.NewCluster(server.Config{Seed: 5}))
+	sh := g.shards[0]
+	for rank := uint64(1); rank <= 10000; rank++ {
+		for _, big := range []bool{false, true} {
+			k := popKey{rank: rank, big: big}
+			want := g.derivePopular(k)
+			if want.ext == nil || want.size == 0 || want.hash.IsZero() {
+				t.Fatalf("%+v derives an empty content %+v", k, want)
+			}
+			if got := g.popularContent(sh, k); got != want {
+				t.Fatalf("%+v: first draw %+v, fresh derivation %+v", k, got, want)
+			}
+			if got := g.popularContent(sh, k); got != want {
+				t.Fatalf("%+v: memo hit %+v, fresh derivation %+v", k, got, want)
 			}
 		}
-		if len(sh.popular) != 20000 {
-			t.Errorf("lowMem=%v: table holds %d contents, want 20000", lowMem, len(sh.popular))
-		}
-		k := popKey{rank: 17}
-		if allocs := testing.AllocsPerRun(1000, func() { g.popularContent(sh, k) }); allocs != 0 {
-			t.Errorf("lowMem=%v: a memo hit allocates %.0f times, want 0", lowMem, allocs)
-		}
+	}
+	if len(sh.popular) != 20000 {
+		t.Errorf("table holds %d contents, want 20000", len(sh.popular))
+	}
+	k := popKey{rank: 17}
+	if allocs := testing.AllocsPerRun(1000, func() { g.popularContent(sh, k) }); allocs != 0 {
+		t.Errorf("a memo hit allocates %.0f times, want 0", allocs)
 	}
 }
