@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -119,7 +120,7 @@ func metricKey(name string) string {
 
 // benchGeneration measures the end-to-end simulator throughput — events
 // (API ops, RPCs, session machinery) per wall second — at the given
-// generator shard count (0 = GOMAXPROCS).
+// generator shard count.
 func benchGeneration(b *testing.B, workers int) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
@@ -138,7 +139,7 @@ func benchGeneration(b *testing.B, workers int) {
 // -cpu: `go test -bench TraceGeneration -cpu 1,4` is the serial-vs-parallel
 // comparison). On ≥4 cores the per-core rate must beat
 // BenchmarkTraceGenerationSerial.
-func BenchmarkTraceGeneration(b *testing.B) { benchGeneration(b, 0) }
+func BenchmarkTraceGeneration(b *testing.B) { benchGeneration(b, runtime.GOMAXPROCS(0)) }
 
 // BenchmarkTraceGenerationSerial pins Workers=1: the bit-for-bit serial
 // stream.

@@ -33,7 +33,7 @@ func addClusterFlags(fs *flag.FlagSet) *clusterFlags {
 	fs.StringVar(&c.fsync, "fsync", "per-op", "journal fsync policy: per-op, group, or async (needs -durability)")
 	fs.IntVar(&c.snapshotEvery, "snapshot-every", 0, "journal records between per-shard snapshots (0 = metadata default; needs -durability)")
 	fs.IntVar(&c.regions, "regions", 0, "metadata regions with asynchronous cross-region replication (<= 1 disables)")
-	fs.IntVar(&c.replDelay, "repl-delay", 0, "cross-region replication delay in epochs (needs -regions > 1)")
+	fs.IntVar(&c.replDelay, "repl-delay", 0, "cross-region replication delay in replication ticks: sim ticks at every 10-minute epoch barrier, serve once a second (needs -regions > 1)")
 	fs.BoolVar(&c.eventual, "eventual", false, "serve cross-region reads from the local replica instead of the owner shard (needs -regions > 1)")
 	fs.IntVar(&c.deltaLog, "deltalog", 0, "per-volume delta-log cap (0 = metadata default, negative disables the logs)")
 	return c
@@ -73,7 +73,7 @@ func addPopulationFlags(fs *flag.FlagSet) *populationFlags {
 	p := &populationFlags{}
 	fs.IntVar(&p.users, "users", 2000, "population size")
 	fs.IntVar(&p.days, "days", 30, "trace window in days")
-	fs.IntVar(&p.workers, "workers", 0, "parallel generator shards (0 = GOMAXPROCS, 1 = the goldens' stream)")
+	fs.IntVar(&p.workers, "workers", 1, "parallel generator shards (1 = the goldens' stream; more changes the stream, and the figures vary run to run)")
 	fs.BoolVar(&p.noAttacks, "no-attacks", false, "disable the three DDoS events")
 	fs.BoolVar(&p.compact, "compact", false, "release each user's client on disconnect (workload.Config.LowMem; the reconnect rescans, so the stream differs from the goldens)")
 	fs.Float64Var(&p.authFailRate, "auth-fail-rate", auth.PaperFailureRate, "injected SSO failure share (paper §7.3; 0 disables)")

@@ -53,7 +53,6 @@ func TestRefusedCombinations(t *testing.T) {
 	jsonEra := jsonEraStore(t)
 	for _, args := range [][]string{
 		{"sim", "-report", "-out", t.TempDir()},
-		{"serve", "-regions", "2", "-gateway", "127.0.0.1:0"},
 		{"serve", "-machines", "7", "-gateway", "127.0.0.1:0"},
 		{"sim", "-fsync", "async", "-users", "5", "-days", "1"},
 		{"sim", "-repl-delay", "1", "-users", "5", "-days", "1"},
@@ -147,7 +146,7 @@ func TestSimReportRepeats(t *testing.T) {
 	var tables [2]string
 	for i := range tables {
 		var out bytes.Buffer
-		if err := run([]string{"sim", "-report", "-workers", "1", "-users", "40", "-days", "2"}, &out); err != nil {
+		if err := run([]string{"sim", "-report", "-users", "40", "-days", "2"}, &out); err != nil {
 			t.Fatal(err)
 		}
 		s := out.String()

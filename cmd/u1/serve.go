@@ -24,7 +24,8 @@ func runServe(args []string, stdout io.Writer) error {
 // serve runs the full Fig. 1 deployment in one process — API server machines
 // behind a least-loaded gateway, the sharded metadata store, the data store,
 // the auth service and the notification broker — on the cluster the flags
-// describe, pre-issuing tokens for `u1 cli`. When stop delivers it closes the
+// describe, ticking it once a second (replication, upload-job sweep) and
+// pre-issuing tokens for `u1 cli`. When stop delivers it closes the
 // sockets, then the cluster, so a durable store snapshots and closes its
 // journals; the returned error reports a failed close.
 func serve(args []string, stdout io.Writer, stop <-chan os.Signal) error {
@@ -44,11 +45,6 @@ func serve(args []string, stdout io.Writer, stop <-chan os.Signal) error {
 	}
 	if *procs < 1 {
 		return fmt.Errorf("-procs %d: every machine runs at least one API process", *procs)
-	}
-	if cf.regions > 1 {
-		// Cross-region records are applied only when the simulator's epoch
-		// barrier pumps them; over TCP they would publish and never apply.
-		return errors.New("-regions > 1 needs the simulator's epoch barrier to replicate; serve runs one region")
 	}
 	cfg, err := cf.config()
 	if err != nil {

@@ -78,12 +78,16 @@ func hostNow() time.Time {
 	return time.Now()
 }
 
+// authReadTimeout bounds each read before a connection authenticates.
+const authReadTimeout = 10 * time.Second
+
 // ServeConn serves one client connection until it ends and then closes it.
 // The connection carries one storage-protocol session: the first frame must
 // be an Authenticate request; afterwards requests are served in order and
 // pushes are interleaved onto the same connection, exactly the §3.3 model of
-// one persistent TCP connection per desktop client. The gateway calls it on
-// the connection's one goroutine.
+// one persistent TCP connection per desktop client. Until it authenticates, a
+// peer can pin one pooled frame (wire.ReadSmallFrame) for authReadTimeout at
+// most. The gateway calls it on the connection's one goroutine.
 func (s *Server) ServeConn(conn net.Conn) {
 	defer conn.Close()
 	w := &connWriter{frames: wire.NewFrameWriter(conn)}
@@ -101,7 +105,12 @@ func (s *Server) ServeConn(conn net.Conn) {
 	// of it in memory the blob store may adopt.
 	req := new(protocol.Request)
 	for {
-		msgType, payload, err := wire.ReadFrame(conn)
+		read := wire.ReadFrame
+		if sess == nil {
+			conn.SetReadDeadline(hostNow().Add(authReadTimeout)) //nolint:errcheck // a failed set shows as a failed read
+			read = wire.ReadSmallFrame
+		}
+		msgType, payload, err := read(conn)
 		if err != nil {
 			return // io.EOF on clean shutdown; anything else drops the conn
 		}
@@ -126,7 +135,9 @@ func (s *Server) ServeConn(conn net.Conn) {
 				resp = fail(req.ID, protocol.ErrBadRequest)
 				break
 			}
-			sess, resp, _ = s.OpenSession(req.Token, w, now)
+			if sess, resp, _ = s.OpenSession(req.Token, w, now); sess != nil {
+				conn.SetReadDeadline(time.Time{}) //nolint:errcheck // a failed set shows as a failed read
+			}
 			resp.ID = req.ID
 		case req.Op == protocol.OpCloseSession:
 			if sess != nil {

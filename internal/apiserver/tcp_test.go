@@ -2,6 +2,9 @@ package apiserver
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"io"
 	"net"
 	"runtime"
 	"strings"
@@ -110,6 +113,7 @@ func FuzzHandleConn(f *testing.F) {
 	f.Add(frames(session[:len(session)-1]...))                                  // the client just hangs up
 	f.Add(append(frames(session[:3]...), 0, 0, 0, 9, protocol.FrameRequest, 1)) // a truncated frame
 	f.Add(frames(protocol.Request{Op: protocol.OpListVolumes}, login))          // no session yet
+	f.Add(largeHeader())                                                        // a 6 MB frame announced before logging in
 
 	f.Fuzz(func(t *testing.T, stream []byte) {
 		e := newConnEnv(t)
@@ -178,6 +182,54 @@ func FuzzHandleConn(f *testing.F) {
 			t.Errorf("api.sessions.active = %d, want %d", n, active)
 		}
 	})
+}
+
+// largeHeader is a request frame header announcing wire.MaxFrameSize bytes,
+// with none of them.
+func largeHeader() []byte {
+	return append(binary.BigEndian.AppendUint32(nil, wire.MaxFrameSize), protocol.FrameRequest)
+}
+
+// TestUnauthenticatedFrameCap opens raw loopback connections that each send
+// one frame header announcing wire.MaxFrameSize and nothing more, before
+// authenticating. Each must be closed without its payload being read, long
+// before the read deadline, and the heap in use may grow by at most one
+// pooled frame (64 KB) per connection.
+func TestUnauthenticatedFrameCap(t *testing.T) {
+	const conns, pooledFrame = 8, 64 << 10
+	e := newConnEnv(t)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go e.srv.Serve(ln) //nolint:errcheck
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	clients := make([]net.Conn, conns)
+	for i := range clients {
+		if clients[i], err = net.Dial("tcp", ln.Addr().String()); err != nil {
+			t.Fatal(err)
+		}
+		defer clients[i].Close()
+		if _, err := clients[i].Write(largeHeader()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deadline := time.Now().Add(authReadTimeout / 2)
+	for i, c := range clients {
+		c.SetReadDeadline(deadline) //nolint:errcheck
+		if n, err := c.Read(make([]byte, 1)); !errors.Is(err, io.EOF) {
+			t.Errorf("connection %d: read %d bytes, %v; want it closed by the server", i, n, err)
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if grew := int64(after.HeapInuse) - int64(before.HeapInuse); grew > conns*pooledFrame {
+		t.Errorf("%d header-only connections grew the heap in use by %d bytes, want at most %d", conns, grew, conns*pooledFrame)
+	}
 }
 
 // TestHandleConnHalfClose runs the connection loop over a loopback TCP

@@ -20,12 +20,12 @@ import (
 // in-memory stores replicate too, and the WAL drops segments at snapshots on
 // a cadence that has nothing to do with peer progress.
 //
-// Each replication tick (TickReplication: an AtEpochEnd hook of the sharded
-// engine in simulation, a direct call from a harness or drill) advances the
-// epoch, seals every log's tail as one segment stamped with it, and makes one
-// apply pass: each region reads each foreign shard's log through its own
-// cursor and applies the segments that have aged ReplicationDelay ticks,
-// record by record, through the same shard.apply the owner ran. Every record
+// Each replication tick (TickReplication, run by server.Cluster.Tick, or by a
+// test or drill directly) advances the epoch, seals every log's tail as one
+// segment stamped with it, and makes one apply pass: each region reads each
+// foreign shard's log through its own cursor and applies the segments that
+// have aged ReplicationDelay ticks, record by record, through the same
+// shard.apply the owner ran. Every record
 // reaches every peer once, in owner order, so a drained replica equals its
 // owner and needs no conflict rule: applyLocked panics on a record that could
 // only come from a diverged replica. Replicas start equal to their owners,
@@ -36,11 +36,11 @@ import (
 // default) or to the reader region's replica under eventual reads — and
 // always to the replica when the owner region is down.
 //
-// Determinism: records join an epoch by the virtual time of the mutation, so
-// for a fixed (Seed, Workers, Regions) the segments, applied counts and
-// stale-read decisions are identical regardless of goroutine interleaving.
-// Replica state between ticks is frozen, so mid-epoch replica reads are
-// deterministic too.
+// Determinism (in simulation): records join an epoch by the virtual time of
+// the mutation, so for a fixed (Seed, Workers, Regions) the segments, applied
+// counts and stale-read decisions are identical regardless of goroutine
+// interleaving. Replica state between ticks is frozen, so mid-epoch replica
+// reads are deterministic too.
 
 // replMetrics is the repl.* instrumentation of the replication tier.
 type replMetrics struct {
@@ -150,9 +150,10 @@ type regionState struct {
 }
 
 // replication is the store's cross-region state; nil with a single region.
-// Lock order: an owner shard, then a log's tail, then the shard's journal;
-// r.mu, then a log's tail, then a replica shard. Nothing takes r.mu while
-// holding a log's lock.
+// Lock order: an owner shard, then a region guard's r.mu read lock, then a
+// log's tail, then the shard's journal; r.mu, then a log's tail or a replica
+// shard. Nothing takes r.mu holding a log's tail or a replica shard, and a
+// tick takes no owner shard, so ticks run beside commits and reads.
 type replication struct {
 	regions  int
 	delay    int
@@ -166,9 +167,9 @@ type replication struct {
 	rec journalRecord
 
 	// mu guards epoch, the sealed part of every log, and each region's
-	// cursors and down flag. Mutations happen at replication
-	// ticks (traffic quiescent in simulation) and on the explicit
-	// down/recover transitions; request-path readers take the read lock.
+	// cursors and down flag. Mutations happen at replication ticks and on
+	// the explicit down/recover transitions; request-path readers take the
+	// read lock.
 	mu    sync.RWMutex
 	epoch uint64
 	state []*regionState
@@ -336,8 +337,8 @@ func requireAdvance(sh *shard, rec *journalRecord, vol protocol.VolumeID, gen pr
 // TickReplication is the replication tick: advance the epoch, seal every
 // log's tail as one segment stamped with it, make one apply pass over every
 // region's ripe segments — at delay 0 that includes the ones just sealed —
-// and drop what every peer has read. A wall-clock pump would be a ticker
-// calling it.
+// and drop what every peer has read. It takes no owner shard, so a TCP
+// cluster's ticker runs it beside commits and eventual reads.
 func (s *Store) TickReplication() {
 	r := s.repl
 	if r == nil {

@@ -100,8 +100,8 @@ func (s *Store) DeleteUploadJob(user protocol.UserID, id protocol.UploadID) erro
 }
 
 // SweepUploadJobs removes every job untouched for longer than UploadJobMaxAge
-// across all shards and returns how many were collected. The API servers run
-// this periodically (appendix A's garbage-collection process).
+// across all shards and returns how many were collected: appendix A's
+// garbage-collection process, which server.Cluster.Tick runs.
 func (s *Store) SweepUploadJobs(now time.Time) int {
 	var swept int
 	for _, sh := range s.shards {

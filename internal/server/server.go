@@ -238,9 +238,8 @@ func (c *Cluster) AddRPCObserver(o rpc.Observer) {
 }
 
 // PumpNotifications drains every server's broker queue once, delivering
-// queued cross-server pushes. The simulator calls it from an epoch-end hook
-// every 10 minutes of virtual time, while no shard runs events; the TCP
-// deployment uses RunNotifier goroutines instead.
+// queued cross-server pushes: the simulator runs it after Tick at every epoch
+// barrier, where a TCP cluster runs one RunNotifier goroutine per server.
 func (c *Cluster) PumpNotifications() int {
 	var n int
 	for _, s := range c.Servers {
@@ -259,16 +258,21 @@ func (c *Cluster) DropCachedToken(token string) {
 	}
 }
 
-// SweepUploadJobs runs the weekly uploadjob/multipart garbage collection.
-func (c *Cluster) SweepUploadJobs(now time.Time) (jobs, blobs int) {
-	jobs = c.Store.SweepUploadJobs(now)
+// Tick runs the cluster's periodic work at now: the replication tick, then
+// appendix A's sweep of upload jobs and their abandoned multipart uploads.
+// It keeps no marks: the sweep frees by age (metadata.UploadJobMaxAge), so
+// a tick more often than daily frees the same jobs, at most a day sooner.
+// The simulator ticks at every epoch barrier, a TCPCluster every second.
+func (c *Cluster) Tick(now time.Time) {
+	c.Store.TickReplication()
+	c.Store.SweepUploadJobs(now)
 	for _, id := range c.Blob.AbandonedUploads(now.Add(-metadata.UploadJobMaxAge)) {
-		if err := c.Blob.AbortMultipartUpload(id); err == nil {
-			blobs++
-		}
+		c.Blob.AbortMultipartUpload(id) //nolint:errcheck // its client may have aborted it since
 	}
-	return jobs, blobs
 }
+
+// tickPeriod is how often a TCPCluster ticks.
+const tickPeriod = time.Second
 
 // TCPCluster is a cluster serving real sockets behind its gateway: one
 // listener, whose connections the gateway places on the API servers by the
@@ -279,18 +283,33 @@ type TCPCluster struct {
 	GateAddr net.Addr
 	ln       net.Listener
 	done     chan struct{}
+	ticked   chan struct{} // closed once the ticker has stopped
 }
 
 // ListenAndServe binds the gateway's listener, the deployment's one socket,
-// and starts the gateway and one push notifier per API server, returning
-// once the listener is bound. Addr "127.0.0.1:0" picks a free port (tests);
+// and starts the gateway, the ticker and one push notifier per API server,
+// returning once the listener is bound. Addr "127.0.0.1:0" picks a free port (tests);
 // a fixed addr serves for real.
 func (c *Cluster) ListenAndServe(gatewayAddr string) (*TCPCluster, error) {
 	ln, err := net.Listen("tcp", gatewayAddr)
 	if err != nil {
 		return nil, fmt.Errorf("server: listening for gateway: %w", err)
 	}
-	tc := &TCPCluster{Cluster: c, GateAddr: ln.Addr(), ln: ln, done: make(chan struct{})}
+	tc := &TCPCluster{Cluster: c, GateAddr: ln.Addr(), ln: ln, done: make(chan struct{}), ticked: make(chan struct{})}
+	go func() {
+		defer close(tc.ticked)
+		//u1:allow wallclock a daemon's periodic work runs on the host clock
+		t := time.NewTicker(tickPeriod)
+		defer t.Stop()
+		for {
+			select {
+			case now := <-t.C:
+				tc.Tick(now)
+			case <-tc.done:
+				return
+			}
+		}
+	}()
 	backends := make(map[string]func(net.Conn), len(c.Servers))
 	for _, s := range c.Servers {
 		backends[s.Name()] = s.ServeConn
@@ -302,13 +321,14 @@ func (c *Cluster) ListenAndServe(gatewayAddr string) (*TCPCluster, error) {
 	return tc, nil
 }
 
-// Close stops the notifiers and closes the gateway's listener. Connections
-// already placed stay with their servers until their clients hang up.
+// Close stops the notifiers and the ticker, once its tick is done, and closes
+// the gateway's listener. Placed connections stay until their clients hang up.
 func (tc *TCPCluster) Close() {
 	select {
 	case <-tc.done:
 	default:
 		close(tc.done)
 	}
+	<-tc.ticked
 	tc.ln.Close()
 }

@@ -2,10 +2,12 @@ package server
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"net"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -13,6 +15,7 @@ import (
 
 	"u1/internal/apiserver"
 	"u1/internal/auth"
+	"u1/internal/blob"
 	"u1/internal/client"
 	"u1/internal/metadata"
 	"u1/internal/protocol"
@@ -518,6 +521,106 @@ func TestTCPCloseWithLiveSessions(t *testing.T) {
 	}
 }
 
+// TestTCPTickReplicatesRegions serves two regions with eventual reads over
+// real sockets: a write an owner makes in one region becomes readable through
+// a cross-region grantee's replica within ReplicationDelay+2 ticks of the
+// cluster's own ticker, while users on the other shards keep committing in
+// both regions. Run it under -race: the tick runs beside live commits and
+// replica reads.
+func TestTCPTickReplicatesRegions(t *testing.T) {
+	const delay = 1
+	c := NewCluster(Config{
+		Config:          metadata.Config{Shards: 4, Regions: 2, ReplicationDelay: delay, EventualReads: true},
+		Machines:        []string{"alpha", "beta"},
+		ProcsPerMachine: 2,
+		InlineData:      true,
+		Seed:            7,
+	})
+	tc, err := c.ListenAndServe("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(tc.Close)
+
+	// One user on each shard: owner and grantee in different regions, and a
+	// committer on each of the other two shards.
+	users := make([]protocol.UserID, c.Store.NumShards())
+	for id := protocol.UserID(1); slices.Contains(users, 0); id++ {
+		if i := c.Store.ShardFor(id); users[i] == 0 {
+			users[i] = id
+		}
+	}
+	owner, grantee := users[0], users[len(users)-1]
+	if c.Store.RegionOfUser(owner) == c.Store.RegionOfUser(grantee) {
+		t.Fatal("owner and grantee share a region")
+	}
+	oc, gc := dialClient(t, tc, owner), dialClient(t, tc, grantee)
+
+	// synced polls the grantee's mirror of vol until want returns true,
+	// returning how long that took.
+	synced := func(vol protocol.VolumeID, within time.Duration, want func([]protocol.NodeID) bool) time.Duration {
+		t.Helper()
+		start := time.Now()
+		for {
+			changed, err := gc.Sync(vol)
+			if err == nil && want(changed) {
+				return time.Since(start)
+			}
+			if time.Since(start) > within {
+				t.Fatalf("the grantee's replica did not serve the write within %v (last sync: %v)", within, err)
+			}
+			time.Sleep(20 * time.Millisecond)
+		}
+	}
+
+	udf, err := oc.CreateUDF("~/Shared")
+	if err != nil {
+		t.Fatal(err)
+	}
+	share, err := oc.CreateShare(udf.ID, grantee, "shared", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := gc.AcceptShare(share.ID); err != nil {
+		t.Fatal(err)
+	}
+	bound := (delay + 2) * tickPeriod
+	synced(udf.ID, bound, func([]protocol.NodeID) bool { return true })
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for _, u := range users[1 : len(users)-1] {
+		cl := dialClient(t, tc, u)
+		root, _ := cl.RootVolume()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for n := 0; ; n++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if _, err := cl.Mkdir(root, 0, fmt.Sprintf("d%d", n)); err != nil {
+					t.Errorf("user %d: %v", u, err)
+					return
+				}
+			}
+		}()
+	}
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+
+	node, _, err := oc.Upload(udf.ID, 0, "doc.txt", []byte("v1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	took := synced(udf.ID, bound, func(changed []protocol.NodeID) bool { return slices.Contains(changed, node.ID) })
+	t.Logf("the write was readable through the replica after %v", took)
+}
+
 // --- In-process (simulation-mode) cluster tests ---
 
 func newDirectCluster(t *testing.T) *Cluster {
@@ -735,6 +838,10 @@ func TestDirectRescanAfterLogTruncation(t *testing.T) {
 	}
 }
 
+// TestSweepUploadJobs drives Tick on an injected clock: a Tick exactly one
+// UploadJobMaxAge after an abandoned upload's last part keeps its job and
+// its multipart parts, so the client resumes it; a Tick past the horizon
+// after that frees both, and the upload can no longer be resumed.
 func TestSweepUploadJobs(t *testing.T) {
 	c := newDirectCluster(t)
 	now := time.Unix(1390000000, 0)
@@ -746,7 +853,7 @@ func TestSweepUploadJobs(t *testing.T) {
 	}
 	root, _ := cl.RootVolume()
 
-	// Start a large upload but never stream the parts: laptop lid closed.
+	// Start a large upload, stream one part, then stop: laptop lid closed.
 	mk, _ := tr.Do(&protocol.Request{Op: protocol.OpMakeFile, Volume: root, Name: "partial.bin"})
 	put, _ := tr.Do(&protocol.Request{
 		Op: protocol.OpPutContent, Volume: root, Node: mk.Node.ID, Name: "partial.bin",
@@ -755,12 +862,38 @@ func TestSweepUploadJobs(t *testing.T) {
 	if put.Status != protocol.StatusOK || put.Reused || put.Upload == 0 {
 		t.Fatalf("begin: status=%v up=%v reused=%v", put.Status, put.Upload, put.Reused)
 	}
-	jobs, blobs := c.SweepUploadJobs(now.Add(10 * 24 * time.Hour))
-	if jobs != 1 {
-		t.Errorf("swept %d jobs, want 1", jobs)
+	up := put.Upload
+	part := func(i uint32) protocol.Status {
+		resp, _ := tr.Do(&protocol.Request{Op: protocol.OpPutPart, Upload: up, Part: i, Size: blob.PartSize})
+		return resp.Status
 	}
-	if blobs != 1 {
-		t.Errorf("aborted %d multipart uploads, want 1", blobs)
+	if st := part(0); st != protocol.StatusOK {
+		t.Fatalf("part 0: %v", st)
+	}
+	parts := func() int { return len(c.Blob.AbandonedUploads(now.Add(time.Hour))) }
+
+	now = now.Add(metadata.UploadJobMaxAge)
+	c.Tick(now)
+	if n := parts(); n != 1 {
+		t.Errorf("a tick at the horizon left %d multipart uploads, want 1", n)
+	}
+	if st := part(1); st != protocol.StatusOK {
+		t.Errorf("resuming after a tick at the horizon: %v, want the job kept", st)
+	}
+
+	now = now.Add(metadata.UploadJobMaxAge + time.Minute)
+	c.Tick(now)
+	if n := parts(); n != 0 {
+		t.Errorf("a tick past the horizon left %d multipart uploads, want 0", n)
+	}
+	if n := c.Blob.Stats().MultipartAborted; n != 1 {
+		t.Errorf("aborted %d multipart uploads, want 1", n)
+	}
+	if err := c.Store.DeleteUploadJob(40, up); !errors.Is(err, protocol.ErrNotFound) {
+		t.Errorf("the upload job outlived a tick past the horizon (delete: %v)", err)
+	}
+	if st := part(2); st == protocol.StatusOK {
+		t.Error("resumed an upload a tick past the horizon freed")
 	}
 }
 

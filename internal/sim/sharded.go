@@ -12,8 +12,8 @@ import (
 // Engines and advances them in bounded virtual-time epochs: every epoch, all
 // shards run concurrently up to a shared horizon, then a barrier closes the
 // epoch and the AtEpochEnd hooks run serially, in registration order, before
-// the next epoch opens. Cluster-wide cadence work — the notification pump,
-// the upload-job GC, the cross-region replication tick — is all hooks.
+// the next epoch opens. The generator's one hook runs the cluster's periodic
+// work and its notification pump.
 //
 // Each shard keeps the plain Engine's (time, insertion-seq) determinism
 // internally, so a simulation whose entities are pinned to shards (stable
@@ -33,10 +33,10 @@ type ShardedEngine struct {
 	hooks  []func(now time.Time)
 }
 
-// DefaultEpoch bounds shard clock skew. It equals the notification pump's
-// 10-minute cadence, so a barrier normally runs the pump once. Epochs with
-// no events are skipped in one step, so a cadence hook must catch up, at the
-// next barrier, the marks that fell inside them.
+// DefaultEpoch bounds shard clock skew. It is the notification pump's
+// 10-minute cadence: every barrier lands on a multiple of it from the start,
+// so pumping once per barrier keeps that cadence. Skipped, event-free epochs
+// queue no push, so there is nothing to catch up.
 const DefaultEpoch = 10 * time.Minute
 
 // NewSharded creates a sharded engine with the given shard count (min 1)

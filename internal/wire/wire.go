@@ -197,10 +197,20 @@ func (f *FrameWriter) WriteMessage(msgType byte, m Message) error {
 
 // ReadFrame reads one frame from r. It returns the message type and payload:
 // up to maxPooledFrame, a recycled buffer on loan until ReleaseFrame; above
-// it, a fresh buffer the caller owns. Oversized frames are rejected before
-// allocation so a malicious peer cannot force large allocations (DDoS
-// hygiene, §5.4).
+// it, a fresh buffer the caller owns. A frame above MaxFrameSize is refused
+// from its header (DDoS hygiene, §5.4), but a smaller one is allocated whole
+// as soon as its header is read: a peer not yet trusted reads ReadSmallFrame.
 func ReadFrame(r io.Reader) (msgType byte, payload []byte, err error) {
+	return readFrame(r, MaxFrameSize)
+}
+
+// ReadSmallFrame is ReadFrame refusing any frame above one pooled buffer.
+func ReadSmallFrame(r io.Reader) (msgType byte, payload []byte, err error) {
+	return readFrame(r, maxPooledFrame)
+}
+
+// readFrame reads one frame of at most limit bytes.
+func readFrame(r io.Reader, limit uint32) (msgType byte, payload []byte, err error) {
 	hdr := rawFrames.Get().(*rawFrame)
 	_, err = io.ReadFull(r, hdr.hdr[:])
 	n, msgType := binary.BigEndian.Uint32(hdr.hdr[:4]), hdr.hdr[4]
@@ -211,7 +221,7 @@ func ReadFrame(r io.Reader) (msgType byte, payload []byte, err error) {
 		}
 		return 0, nil, err // io.EOF passes through for clean shutdown
 	}
-	if n > MaxFrameSize {
+	if n > limit {
 		return 0, nil, ErrFrameTooLarge
 	}
 	if n == 0 {

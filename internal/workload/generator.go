@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"sort"
 	"time"
 
@@ -29,9 +28,10 @@ type Config struct {
 	Seed int64
 	// Workers is the number of parallel generator shards, each a
 	// single-threaded event loop owning a stable subset of the population
-	// (0 → GOMAXPROCS). Any fixed (Seed, Workers) reproduces the same
-	// Totals and per-user op streams regardless of goroutine interleaving;
-	// at Workers=1 the trace itself is byte-identical across runs.
+	// (0 → 1, so the figures do not depend on the host). Any fixed
+	// (Seed, Workers) reproduces the same Totals and per-user op streams
+	// regardless of goroutine interleaving; at Workers=1 the trace itself
+	// is byte-identical across runs.
 	Workers int
 	// Profile overrides the calibrated defaults.
 	Profile *Profile
@@ -184,12 +184,6 @@ type Generator struct {
 	shards []*genShard
 	users  []*user
 	totals Totals
-
-	// nextPump and nextGC are the next marks of the cluster-wide cadence
-	// work runCadences does at epoch boundaries; a zero mark is a finished
-	// chain.
-	nextPump time.Time
-	nextGC   time.Time
 
 	// idleAttackRngs are the random sources of attack sessions that have
 	// ended, kept for the sessions to come (see attackSession). Attack events
@@ -381,9 +375,6 @@ func New(cfg Config, c *server.Cluster) *Generator {
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = runtime.GOMAXPROCS(0)
-	}
 	if cfg.Profile == nil {
 		cfg.Profile = DefaultProfile()
 	}
@@ -475,18 +466,22 @@ func (g *Generator) Run() Totals {
 		g.scheduleAttack(a)
 	}
 
-	g.wireReplication()
-
-	// Broker deliveries and uploadjob GC happen on their production cadence
-	// as serialized epoch-boundary work: cluster-wide sweeps must not run
-	// concurrently with shard events.
-	g.nextPump = g.cfg.Start.Add(10 * time.Minute)
-	g.nextGC = g.cfg.Start.Add(24 * time.Hour)
 	// A sentinel event parks the final epoch at the window end: epochs only
 	// advance while events remain, and without it a population that goes
-	// quiet early would strand the trailing cadences.
+	// quiet early would end the run before the window's last barrier.
 	g.se.Shard(0).At(g.end, func() {})
-	g.se.AtEpochEnd(g.runCadences)
+	// At every barrier, with every shard quiescent: the cluster's periodic
+	// work, then one pump standing in for the broker's consumers (the
+	// 10-minute cadence, sim.DefaultEpoch), up to and including the first
+	// barrier at or past the window end.
+	pumping := true
+	g.se.AtEpochEnd(func(now time.Time) {
+		g.c.Tick(now)
+		if pumping {
+			g.c.PumpNotifications()
+			pumping = now.Before(g.end)
+		}
+	})
 
 	g.se.Run()
 	for _, sh := range g.shards {
@@ -606,43 +601,8 @@ func (g *Generator) drawPopular(popRng *rand.Rand, k popKey) popContent {
 // bigContentExts are the types of widely duplicated large contents.
 var bigContentExts = []string{"mp4", "avi", "mkv", "zip", "tar", "mp3"}
 
-// wireReplication runs the store's replication tick as an epoch-end hook, so
-// replication state is a pure function of (Seed, Workers, Regions). A no-op
-// for single-region clusters — no hook registers and the goldens are
-// untouched.
-func (g *Generator) wireReplication() {
-	if g.c.Store.Regions() > 1 {
-		g.se.AtEpochEnd(func(time.Time) { g.c.Store.TickReplication() })
-	}
-}
-
 // shard0 returns the shard carrying cluster-scoped work (attacks).
 func (g *Generator) shard0() *genShard { return g.shards[0] }
-
-// runCadences is the epoch-boundary hook at every worker count: it runs the
-// notification pump (every 10 minutes) and the uploadjob GC (daily) for
-// each mark that fell due inside the closed epoch, serialized with every
-// shard quiescent. Each chain fires at every mark up to and including the
-// first mark at or past the window end, then stops. A zero mark is a
-// finished chain.
-func (g *Generator) runCadences(now time.Time) {
-	for !g.nextPump.IsZero() && !g.nextPump.After(now) {
-		g.c.PumpNotifications()
-		if !g.nextPump.Before(g.end) {
-			g.nextPump = time.Time{}
-			break
-		}
-		g.nextPump = g.nextPump.Add(10 * time.Minute)
-	}
-	for !g.nextGC.IsZero() && !g.nextGC.After(now) {
-		g.c.SweepUploadJobs(g.nextGC)
-		if !g.nextGC.Before(g.end) {
-			g.nextGC = time.Time{}
-			break
-		}
-		g.nextGC = g.nextGC.Add(24 * time.Hour)
-	}
-}
 
 // hourOf returns the fractional hour-of-day and weekday of t.
 func hourOf(t time.Time) (float64, int) {

@@ -9,6 +9,7 @@ import (
 	"u1/internal/auth"
 	"u1/internal/client"
 	"u1/internal/metadata"
+	"u1/internal/notify"
 	"u1/internal/protocol"
 	"u1/internal/server"
 	"u1/internal/stats"
@@ -210,26 +211,6 @@ func TestParallelDeterministicWithFailuresAndAttacks(t *testing.T) {
 	}
 }
 
-// TestTrailingCadencesRunThroughWindowEnd pins the epoch-hook cadence
-// arithmetic, the one cadence path at every worker count: the GC for a
-// 1-day window fires exactly once, at t == end, and both chains then stop —
-// an exclusive end guard used to skip that final sweep entirely.
-func TestTrailingCadencesRunThroughWindowEnd(t *testing.T) {
-	for _, workers := range []int{1, 2} {
-		cluster := server.NewCluster(server.Config{Seed: 1})
-		g := New(Config{Users: 1, Days: 1, Seed: 1, Workers: workers, Attacks: []Attack{}}, cluster)
-		g.nextPump = g.cfg.Start.Add(10 * time.Minute)
-		g.nextGC = g.cfg.Start.Add(24 * time.Hour)
-		g.runCadences(g.end) // the sentinel event parks the last epoch at/after end
-		if !g.nextGC.IsZero() {
-			t.Errorf("workers=%d: GC chain did not run its final sweep at the window end: next = %v", workers, g.nextGC)
-		}
-		if !g.nextPump.IsZero() {
-			t.Errorf("workers=%d: pump chain did not run through the window end: next = %v", workers, g.nextPump)
-		}
-	}
-}
-
 // TestRunSweepsUploadJobsAtWindowEnd drives the cadence hook through Run:
 // a 1-day window's one uploadjob GC mark is the window end itself, so a job
 // older than UploadJobMaxAge there is collected only if that final sweep
@@ -257,6 +238,33 @@ func TestRunSweepsUploadJobsAtWindowEnd(t *testing.T) {
 		}
 		if err := cluster.Store.DeleteUploadJob(owner, fresh.ID); err != nil {
 			t.Errorf("workers=%d: the fresh upload job was swept: %v", workers, err)
+		}
+	}
+}
+
+// TestRunStopsPumpingAfterWindowEnd drives the barrier hook through Run on a
+// run whose events outlive the window: a test hook, registered first so it
+// runs before the generator's at each barrier, queues one broker event on
+// every API server at each barrier at or past the window end. The first of
+// those barriers pumps its events; the later ones leave theirs queued.
+func TestRunStopsPumpingAfterWindowEnd(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		cluster := server.NewCluster(server.Config{Seed: 1})
+		g := New(Config{Users: 20, Days: 1, Start: PaperStart, Seed: 1, Workers: workers, Attacks: []Attack{}}, cluster)
+		g.Engine().Shard(0).At(g.end.Add(time.Hour), func() {})
+		var late int
+		g.Engine().AtEpochEnd(func(now time.Time) {
+			if !now.Before(g.end) {
+				late++
+				cluster.Broker.Publish(notify.Event{Kind: protocol.PushVolumeChanged, User: 1 << 20})
+			}
+		})
+		g.Run()
+		if late < 2 {
+			t.Fatalf("workers=%d: %d barriers at or past the window end, want at least 2", workers, late)
+		}
+		if got, want := cluster.PumpNotifications(), (late-1)*len(cluster.Servers); got != want {
+			t.Errorf("workers=%d: %d events left queued after %d late barriers, want %d", workers, got, late, want)
 		}
 	}
 }
