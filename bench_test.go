@@ -218,7 +218,7 @@ func BenchmarkBlobMultipart(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		id := s.CreateMultipartHash(sha1.Sum(fmt.Appendf(nil, "k%d", i)), now)
 		for p := 1; p <= 4; p++ {
-			if err := s.UploadPartSized(id, p, 5<<20); err != nil {
+			if err := s.UploadPartSized(id, p, 5<<20, now); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -328,7 +328,7 @@ func BenchmarkHotPathParallelRPCCall(b *testing.B) {
 func BenchmarkHotPathParallelNotifyPublish(b *testing.B) {
 	broker := notify.NewBroker()
 	for _, name := range server.DefaultMachines {
-		broker.Register(name, 1)
+		broker.Subscribe(name, func(notify.Event) {})
 	}
 	e := notify.Event{Kind: protocol.PushVolumeChanged, User: 1, Origin: server.DefaultMachines[0]}
 	b.ReportAllocs()

@@ -75,6 +75,7 @@ type Event struct {
 type Observer func(Event)
 
 // Pusher delivers unsolicited server→client notifications for one session.
+// Push runs in the publishing server's goroutine, so it must not block.
 type Pusher interface {
 	Push(*protocol.Push)
 }
@@ -170,7 +171,6 @@ type Server struct {
 	deps Deps
 
 	tokens *auth.Cache
-	queue  <-chan notify.Event
 
 	mu       sync.RWMutex
 	sessions map[protocol.SessionID]*Session
@@ -202,6 +202,7 @@ type Server struct {
 	opErrors       []*metrics.Counter
 	activeSessions *metrics.Gauge
 	machineOps     *metrics.Counter
+	pushDropped    *metrics.Counter // pushes a slow TCP connection discarded
 
 	// Fault accounting for the bench report's faults section: injected and
 	// shed requests (server decisions), SSO-bucket sheds, retried requests
@@ -240,7 +241,7 @@ type pendingUpload struct {
 // a validated token.
 const tokenCacheTTL = 8 * time.Hour
 
-// New creates an API server and registers it on the broker.
+// New creates an API server and subscribes it to the broker.
 func New(cfg Config, deps Deps) *Server {
 	if cfg.Name == "" {
 		cfg.Name = "api"
@@ -258,6 +259,7 @@ func New(cfg Config, deps Deps) *Server {
 
 		activeSessions: deps.Metrics.Gauge(metrics.APISessionsActive),
 		machineOps:     deps.Metrics.Counter(metrics.APIServerOps(cfg.Name)),
+		pushDropped:    deps.Metrics.Counter(metrics.NotifyDropped),
 
 		faultInjected:     deps.Metrics.Counter(metrics.FaultsInjected),
 		faultShed:         deps.Metrics.Counter(metrics.FaultsShed),
@@ -286,7 +288,7 @@ func New(cfg Config, deps Deps) *Server {
 		s.opErrors[op] = deps.Metrics.Counter(series.Errors)
 	}
 	if deps.Broker != nil {
-		s.queue = deps.Broker.Register(cfg.Name, 0)
+		deps.Broker.Subscribe(cfg.Name, s.deliver)
 	}
 	s.registerHandlers()
 	return s
@@ -366,40 +368,35 @@ func (s *Server) CloseSession(sess *Session, now time.Time) {
 	releaseOpContext(c)
 }
 
-// notifyVolume pushes a volume-change notification to every watcher session,
-// local ones directly and remote ones through the broker (§3.4.2). The
-// originating session is excluded: it made the change.
+// notifyVolume pushes a volume-change notification to every watcher session
+// (§3.4.2).
 func (s *Server) notifyVolume(origin *Session, vol protocol.VolumeID, gen protocol.Generation) {
 	watchers, err := s.deps.RPC.Store().VolumeWatchers(vol)
 	if err != nil {
 		return
 	}
-	push := protocol.Push{Event: protocol.PushVolumeChanged, Volume: vol, Generation: gen}
 	for _, user := range watchers {
-		s.pushLocal(user, origin.ID, push)
-		if s.deps.Broker != nil {
-			s.deps.Broker.Publish(notify.Event{
-				Kind:           protocol.PushVolumeChanged,
-				User:           user,
-				Volume:         vol,
-				Generation:     gen,
-				Origin:         s.cfg.Name,
-				ExcludeSession: origin.ID,
-			})
-		}
+		s.fanOut(origin, user, protocol.Push{Event: protocol.PushVolumeChanged, Volume: vol, Generation: gen})
 	}
 }
 
 // notifyShare pushes a share event to the grantee's sessions everywhere.
 func (s *Server) notifyShare(origin *Session, kind protocol.PushEvent, share protocol.ShareInfo) {
-	push := protocol.Push{Event: kind, Share: share, Volume: share.Volume}
-	s.pushLocal(share.SharedTo, origin.ID, push)
+	s.fanOut(origin, share.SharedTo, protocol.Push{Event: kind, Share: share, Volume: share.Volume})
+}
+
+// fanOut pushes to a user's sessions, local ones directly and remote ones
+// through the broker. The originating session is excluded: it made the
+// change.
+func (s *Server) fanOut(origin *Session, user protocol.UserID, push protocol.Push) {
+	s.pushLocal(user, origin.ID, push)
 	if s.deps.Broker != nil {
 		s.deps.Broker.Publish(notify.Event{
-			Kind:           kind,
-			User:           share.SharedTo,
-			Volume:         share.Volume,
-			Share:          share,
+			Kind:           push.Event,
+			User:           user,
+			Volume:         push.Volume,
+			Generation:     push.Generation,
+			Share:          push.Share,
 			Origin:         s.cfg.Name,
 			ExcludeSession: origin.ID,
 		})
@@ -432,23 +429,8 @@ func (s *Server) pushLocal(user protocol.UserID, exclude protocol.SessionID, pus
 	}
 }
 
-// DeliverQueued drains the broker queue, delivering events to local
-// sessions. The TCP server runs this continuously in a goroutine; the
-// simulator pumps it between events. It returns the number delivered.
-func (s *Server) DeliverQueued() int {
-	var n int
-	for {
-		select {
-		case e := <-s.queue:
-			s.deliver(e)
-			n++
-		default:
-			return n
-		}
-	}
-}
-
-// deliver pushes one broker event to the local sessions it addresses.
+// deliver pushes one broker event to the local sessions it addresses. It
+// runs in the publisher's dispatch, past its handler, so under no lock.
 func (s *Server) deliver(e notify.Event) {
 	s.pushLocal(e.User, e.ExcludeSession, protocol.Push{
 		Event:      e.Kind,

@@ -271,6 +271,49 @@ func TestCloseSessionAbandonsUploads(t *testing.T) {
 	}
 }
 
+// TestPartAfterSweepDropsUpload: once the sweep has freed an upload, its
+// next part is answered StatusNotFound and the server forgets the upload,
+// whether the data store lost the multipart upload or the metadata store
+// lost the job.
+func TestPartAfterSweepDropsUpload(t *testing.T) {
+	for _, multipart := range []bool{true, false} {
+		f := newFixture(t)
+		sess := f.session(t, 5)
+		root := f.rootOf(t, sess)
+		mk, _ := f.srv.Handle(sess, &protocol.Request{Op: protocol.OpMakeFile, Volume: root, Name: "f"}, t0)
+		size := uint64(10)
+		if multipart {
+			size = 2 * blob.PartSize
+		}
+		put, _ := f.srv.Handle(sess, &protocol.Request{
+			Op: protocol.OpPutContent, Volume: root, Node: mk.Node.ID, Name: "f",
+			Hash: protocol.HashBytes([]byte("q")), Size: size,
+		}, t0)
+		if put.Status != protocol.StatusOK || put.Upload == 0 {
+			t.Fatalf("multipart=%v: begin: %v", multipart, put.Status)
+		}
+		later := t0.Add(metadata.UploadJobMaxAge + time.Hour)
+		if multipart {
+			for _, id := range f.blob.AbandonedUploads(later) {
+				f.blob.AbortMultipartUpload(id) //nolint:errcheck
+			}
+		} else if n := f.store.SweepUploadJobs(later); n != 1 {
+			t.Fatalf("swept %d upload jobs, want 1", n)
+		}
+		req := &protocol.Request{Op: protocol.OpPutPart, Upload: put.Upload, Size: 10, Final: true}
+		if multipart {
+			req.Size, req.Final = blob.PartSize, false
+		}
+		part, _ := f.srv.Handle(sess, req, later)
+		if part.Status != protocol.StatusNotFound {
+			t.Errorf("multipart=%v: a part after the sweep answered %v, want %v", multipart, part.Status, protocol.StatusNotFound)
+		}
+		if n := len(f.srv.uploads); n != 0 {
+			t.Errorf("multipart=%v: the server still holds %d uploads", multipart, n)
+		}
+	}
+}
+
 func TestGetDeltaRescanFallback(t *testing.T) {
 	store := metadata.New(metadata.Config{Shards: 2, DeltaLogLimit: 8})
 	f := &fixture{

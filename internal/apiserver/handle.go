@@ -2,6 +2,7 @@ package apiserver
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
 	"slices"
 	"sync/atomic"
@@ -309,9 +310,13 @@ func (s *Server) opPutPart(c *OpContext) (*protocol.Response, error) {
 		partNum := int(req.Part) + 1
 		var err error
 		if inline {
-			err = s.deps.Blob.UploadPart(up.mpID, partNum, req.Data)
+			err = s.deps.Blob.UploadPart(up.mpID, partNum, req.Data, c.Now)
 		} else {
-			err = s.deps.Blob.UploadPartSized(up.mpID, partNum, partBytes)
+			err = s.deps.Blob.UploadPartSized(up.mpID, partNum, partBytes, c.Now)
+		}
+		if errors.Is(err, blob.ErrNoSuchUpload) { // the sweep freed it
+			s.dropUpload(req.Upload, up)
+			return nil, protocol.ErrNotFound
 		}
 		if err != nil {
 			return nil, protocol.ErrBadRequest
@@ -320,6 +325,9 @@ func (s *Server) opPutPart(c *OpContext) (*protocol.Response, error) {
 	up.received += partBytes
 
 	if _, err := s.deps.RPC.AddPartToUploadJob(c.User, req.Upload, partBytes, c.Now, &c.Cost); err != nil {
+		if errors.Is(err, protocol.ErrNotFound) { // the sweep freed the job
+			s.dropUpload(req.Upload, up)
+		}
 		return nil, err
 	}
 	// The S3 leg of the transfer dominates the part's service time.

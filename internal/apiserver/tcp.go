@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"u1/internal/metrics"
 	"u1/internal/protocol"
 	"u1/internal/wire"
 )
@@ -27,45 +28,88 @@ func (s *Server) Serve(ln net.Listener) error {
 	}
 }
 
-// RunNotifier forwards broker events to local sessions until done closes.
-// The TCP deployment runs one per server.
-func (s *Server) RunNotifier(done <-chan struct{}) {
-	for {
-		select {
-		case e := <-s.queue:
-			s.deliver(e)
-		case <-done:
-			return
-		}
-	}
-}
+// The slow-consumer rule: a connection whose mailbox holds pushMailboxCap
+// unsent pushes, or whose frame write takes longer than writeTimeout, is
+// closed; its client reconnects and catches up by generation (§3.4.2).
+const (
+	pushMailboxCap = 256
+	writeTimeout   = 10 * time.Second
+)
 
 // connWriter serializes frame writes: responses and pushes share the
-// connection. It also tracks connection death: the first failed write flips
-// the dead flag, which dispatch probes before the handler runs, so in-flight
-// requests for a disconnected client are dropped instead of doing back-end
-// work nobody will read.
+// connection. A push waits in the connection's mailbox for a goroutine that
+// runs only while the mailbox is not empty, so Push never blocks the
+// publisher. The first failed write, or a full mailbox, flips the dead flag
+// and closes the connection: the read loop then ends the session, and
+// dispatch, which probes the flag before the handler runs, drops in-flight
+// requests for a client that is gone.
 type connWriter struct {
+	conn    net.Conn
+	dropped *metrics.Counter // notify.dropped: pushes discarded unsent
+
 	mu     sync.Mutex
 	frames *wire.FrameWriter // guarded by mu
-	dead   atomic.Bool
+
+	boxMu    sync.Mutex
+	mailbox  []*protocol.Push // guarded by boxMu
+	draining bool             // guarded by boxMu
+
+	dead atomic.Bool
 }
 
 func (w *connWriter) writeMessage(msgType byte, m wire.Message) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	w.conn.SetWriteDeadline(hostNow().Add(writeTimeout)) //nolint:errcheck // a failed set shows as a failed write
 	err := w.frames.WriteMessage(msgType, m)
 	if err != nil {
-		w.dead.Store(true)
+		w.kill()
 	}
 	return err
 }
 
-// Push implements Pusher by writing a push frame. Write errors terminate the
-// connection lazily: the read loop notices, and the dead flag aborts any
-// request not yet at its handler.
+// kill marks the connection dead and closes it, once.
+func (w *connWriter) kill() {
+	if w.dead.CompareAndSwap(false, true) {
+		w.conn.Close()
+	}
+}
+
+// Push implements Pusher. A push to a dead connection, or one that finds
+// the mailbox full, is discarded with every push the mailbox holds.
 func (w *connWriter) Push(p *protocol.Push) {
-	_ = w.writeMessage(protocol.FramePush, p)
+	w.boxMu.Lock()
+	defer w.boxMu.Unlock()
+	if w.dead.Load() || len(w.mailbox) == pushMailboxCap {
+		w.dropped.Add(uint64(len(w.mailbox)) + 1)
+		w.mailbox = nil
+		w.kill()
+		return
+	}
+	w.mailbox = append(w.mailbox, p)
+	if !w.draining {
+		w.draining = true
+		go w.drain()
+	}
+}
+
+// drain writes the mailbox's pushes, oldest first, until it is empty.
+func (w *connWriter) drain() {
+	for {
+		w.boxMu.Lock()
+		batch := w.mailbox
+		w.mailbox = nil
+		w.draining = len(batch) > 0
+		w.boxMu.Unlock()
+		if len(batch) == 0 {
+			return
+		}
+		for _, p := range batch {
+			if w.writeMessage(protocol.FramePush, p) != nil {
+				w.dropped.Inc()
+			}
+		}
+	}
 }
 
 // aborted reports whether the connection is known dead.
@@ -89,8 +133,8 @@ const authReadTimeout = 10 * time.Second
 // peer can pin one pooled frame (wire.ReadSmallFrame) for authReadTimeout at
 // most. The gateway calls it on the connection's one goroutine.
 func (s *Server) ServeConn(conn net.Conn) {
-	defer conn.Close()
-	w := &connWriter{frames: wire.NewFrameWriter(conn)}
+	w := &connWriter{conn: conn, dropped: s.pushDropped, frames: wire.NewFrameWriter(conn)}
+	defer w.kill()
 
 	var sess *Session
 	defer func() {

@@ -8,6 +8,7 @@ import (
 	"net"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -325,5 +326,75 @@ func TestHandleConnHalfClose(t *testing.T) {
 		if bytes.Contains(p[len(p):cap(p)], bytes.Repeat([]byte{marker}, 64)) {
 			t.Fatal("the truncated frame's buffer was pooled")
 		}
+	}
+}
+
+// TestConnWriterMailbox drives one connection's push mailbox from
+// concurrent publishers. A peer that reads gets every push exactly once,
+// each publisher's in the order it pushed them, and nothing is dropped. A
+// peer that reads nothing has its connection closed once the mailbox
+// overflows, and every push counts on notify.dropped; no Push blocks
+// meanwhile. Run it under -race.
+func TestConnWriterMailbox(t *testing.T) {
+	const publishers = 8
+	for _, reads := range []bool{true, false} {
+		server, peer := net.Pipe()
+		dropped := new(metrics.Counter)
+		w := &connWriter{conn: server, dropped: dropped, frames: wire.NewFrameWriter(server)}
+		each := pushMailboxCap / publishers // never more than the mailbox holds
+		if !reads {
+			each = pushMailboxCap // enough to overflow it
+		}
+		total := publishers * each
+
+		received := make(chan int, 1)
+		go func() {
+			next := make([]protocol.Generation, publishers)
+			var n int
+			for reads && n < total {
+				typ, payload, err := wire.ReadFrame(peer)
+				if err != nil || typ != protocol.FramePush {
+					break
+				}
+				p, err := protocol.UnmarshalPush(payload)
+				if err != nil || p.Generation != next[p.Volume] {
+					t.Errorf("push %+v (%v) out of order, want generation %d", p, err, next[p.Volume])
+					break
+				}
+				next[p.Volume]++
+				n++
+			}
+			received <- n
+		}()
+		var wg sync.WaitGroup
+		for v := 0; v < publishers; v++ {
+			wg.Add(1)
+			go func(v int) {
+				defer wg.Done()
+				for g := 0; g < each; g++ {
+					w.Push(&protocol.Push{Event: protocol.PushVolumeChanged, Volume: protocol.VolumeID(v), Generation: protocol.Generation(g)})
+				}
+			}(v)
+		}
+		wg.Wait()
+		n := <-received
+		if reads {
+			if n != total || dropped.Value() != 0 || w.aborted() {
+				t.Errorf("reading peer: %d of %d pushes arrived, %d dropped, closed %v", n, total, dropped.Value(), w.aborted())
+			}
+		} else {
+			if !w.aborted() {
+				t.Error("a peer that reads nothing kept its connection past a full mailbox")
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for dropped.Value() != uint64(total) && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+			if dropped.Value() != uint64(total) {
+				t.Errorf("silent peer: %d of %d pushes counted as dropped", dropped.Value(), total)
+			}
+		}
+		w.kill()
+		peer.Close()
 	}
 }

@@ -198,8 +198,8 @@ type multipartUpload struct {
 	key     objectKey
 	size    uint64
 	parts   int
-	chunks  [][]byte // the parts as handed over; empty unless KeepData
-	started time.Time
+	chunks  [][]byte  // the parts as handed over; empty unless KeepData
+	touched time.Time // its start or its latest part, whichever is later
 }
 
 // partsOf cuts data into the parts an object is stored as, PartSize each but
@@ -388,25 +388,25 @@ func (s *Store) createMultipart(k objectKey, now time.Time) string {
 	defer s.mu.Unlock()
 	s.nextID++
 	id := fmt.Sprintf("mp-%d", s.nextID)
-	s.uploads[id] = &multipartUpload{key: k, started: now}
+	s.uploads[id] = &multipartUpload{key: k, touched: now}
 	s.counters.MultipartCreated++
 	return id
 }
 
-// UploadPart appends one part. Parts must arrive in order (1-based,
-// contiguous), which is how the U1 API server streams them. The store keeps
-// data itself, not a copy: once the upload completes it is one of the
-// object's parts.
-func (s *Store) UploadPart(id string, partNum int, data []byte) error {
-	return s.uploadPart(id, partNum, uint64(len(data)), data)
+// UploadPart appends one part, arriving at now. Parts must arrive in order
+// (1-based, contiguous), which is how the U1 API server streams them. The
+// store keeps data itself, not a copy: once the upload completes it is one
+// of the object's parts.
+func (s *Store) UploadPart(id string, partNum int, data []byte, now time.Time) error {
+	return s.uploadPart(id, partNum, uint64(len(data)), data, now)
 }
 
 // UploadPartSized appends a size-only part (metered mode).
-func (s *Store) UploadPartSized(id string, partNum int, size uint64) error {
-	return s.uploadPart(id, partNum, size, nil)
+func (s *Store) UploadPartSized(id string, partNum int, size uint64, now time.Time) error {
+	return s.uploadPart(id, partNum, size, nil, now)
 }
 
-func (s *Store) uploadPart(id string, partNum int, size uint64, data []byte) error {
+func (s *Store) uploadPart(id string, partNum int, size uint64, data []byte, now time.Time) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	up, ok := s.uploads[id]
@@ -418,6 +418,7 @@ func (s *Store) uploadPart(id string, partNum int, size uint64, data []byte) err
 	}
 	up.parts++
 	up.size += size
+	up.touched = now
 	if s.cfg.KeepData && len(data) > 0 {
 		up.chunks = append(up.chunks, data)
 	}
@@ -457,14 +458,14 @@ func (s *Store) AbortMultipartUpload(id string) error {
 	return nil
 }
 
-// AbandonedUploads returns the ids of multipart uploads started before
-// cutoff, for garbage collection sweeps.
+// AbandonedUploads returns the ids of multipart uploads neither started nor
+// given a part since cutoff, for garbage collection sweeps.
 func (s *Store) AbandonedUploads(cutoff time.Time) []string {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	var ids []string
 	for id, up := range s.uploads {
-		if up.started.Before(cutoff) {
+		if up.touched.Before(cutoff) {
 			ids = append(ids, id)
 		}
 	}

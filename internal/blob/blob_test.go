@@ -82,10 +82,10 @@ func TestMultipartHappyPath(t *testing.T) {
 	id := s.CreateMultipartHash(hashOf("big"), now)
 	p1 := bytes.Repeat([]byte{1}, 10)
 	p2 := bytes.Repeat([]byte{2}, 5)
-	if err := s.UploadPart(id, 1, p1); err != nil {
+	if err := s.UploadPart(id, 1, p1, now); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.UploadPart(id, 2, p2); err != nil {
+	if err := s.UploadPart(id, 2, p2, now); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.CompleteMultipartUpload(id); err != nil {
@@ -115,16 +115,16 @@ func TestMultipartHappyPath(t *testing.T) {
 func TestMultipartPartOrdering(t *testing.T) {
 	s := New(Config{})
 	id := s.CreateMultipartHash(hashOf("k"), now)
-	if err := s.UploadPartSized(id, 2, 10); !errors.Is(err, ErrPartGap) {
+	if err := s.UploadPartSized(id, 2, 10, now); !errors.Is(err, ErrPartGap) {
 		t.Errorf("gap err = %v", err)
 	}
-	if err := s.UploadPartSized(id, 1, 10); err != nil {
+	if err := s.UploadPartSized(id, 1, 10, now); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.UploadPartSized(id, 1, 10); !errors.Is(err, ErrPartGap) {
+	if err := s.UploadPartSized(id, 1, 10, now); !errors.Is(err, ErrPartGap) {
 		t.Errorf("repeat err = %v", err)
 	}
-	if err := s.UploadPartSized("ghost", 1, 10); !errors.Is(err, ErrNoSuchUpload) {
+	if err := s.UploadPartSized("ghost", 1, 10, now); !errors.Is(err, ErrNoSuchUpload) {
 		t.Errorf("ghost err = %v", err)
 	}
 }
@@ -157,7 +157,7 @@ func TestCompleteOverwritesExisting(t *testing.T) {
 	s := New(Config{})
 	s.PutHashSized(hashOf("k"), 100)
 	id := s.CreateMultipartHash(hashOf("k"), now)
-	s.UploadPartSized(id, 1, 200)
+	s.UploadPartSized(id, 1, 200, now)
 	if err := s.CompleteMultipartUpload(id); err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +264,7 @@ func TestMultipartKeepsItsParts(t *testing.T) {
 	for i := range ids {
 		ids[i] = s.CreateMultipartHash(big, now)
 		for n, part := range parts {
-			if err := s.UploadPart(ids[i], n+1, part); err != nil {
+			if err := s.UploadPart(ids[i], n+1, part, now); err != nil {
 				t.Fatal(err)
 			}
 		}

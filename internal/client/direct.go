@@ -55,8 +55,8 @@ func (t *DirectTransport) queue() chan *protocol.Push {
 	return t.pushes
 }
 
-// Push implements apiserver.Pusher: the session's server-side end delivers
-// into the transport's queue, dropping when the reader is not draining.
+// Push implements apiserver.Pusher: a publisher on any API server delivers
+// into the transport's queue, which drops when the reader is not draining.
 func (t *DirectTransport) Push(p *protocol.Push) {
 	select {
 	case t.queue() <- p:

@@ -2,13 +2,14 @@
 // RabbitMQ stand-in. When an API server commits a change that other,
 // simultaneously connected clients must learn about (updates to shares, new
 // generations on a volume another device mirrors), it publishes an event.
-// Every registered API server receives every event on its own queue and
-// forwards it to the affected sessions it hosts. Delivery to live subscribers
-// is at-most-once; a full queue drops events (clients recover via the
-// generation comparison done on every connection, §3.4.2).
+// Every subscribed API server receives every event in the publisher's call
+// and forwards it to the affected sessions it hosts. The broker drops
+// nothing; a client too slow to take its pushes is disconnected and catches
+// up by the generation comparison done on every connection (§3.4.2).
 package notify
 
 import (
+	"slices"
 	"sort"
 	"sync"
 
@@ -29,7 +30,7 @@ type Event struct {
 	Share protocol.ShareInfo
 	// Origin names the publishing API server. Servers still receive their
 	// own events (RabbitMQ fan-out semantics); the origin uses the local
-	// fast path for its own sessions and skips its queue copy.
+	// fast path for its own sessions and skips its own delivery.
 	Origin string
 	// ExcludeSession is the session that caused the event: it already knows.
 	ExcludeSession protocol.SessionID
@@ -40,31 +41,29 @@ type Event struct {
 type brokerMetrics struct {
 	published *metrics.Counter
 	delivered *metrics.Counter
-	dropped   *metrics.Counter
 	fanout    *metrics.Histogram
 }
 
-// subscriber is one registered queue.
+// subscriber is one API server's delivery function.
 type subscriber struct {
-	name string
-	ch   chan Event
+	name    string
+	deliver func(Event)
 }
 
 // Broker is the fan-out exchange. One instance serves the whole back-end
 // (the U1 deployment ran a single RabbitMQ server), and every API server
-// registers its queue once, when it is built; no queue is ever removed or
-// closed. Publish snapshots the subscriber list under the read lock and
-// performs every queue send outside it, so the broker-wide critical section
-// is one slice-header copy no matter how wide the fan-out, and sends are
-// plain non-blocking channel operations with no per-queue locking.
+// subscribes once, when it is built; no subscriber is ever removed.
+// Publish snapshots the subscriber list under the read lock and calls every
+// delivery function outside it, so the broker-wide critical section is one
+// slice-header copy no matter how wide the fan-out.
 type Broker struct {
 	mu sync.RWMutex
 	m  brokerMetrics
 	// list is the immutable fan-out snapshot, ordered by subscriber name so
 	// every fan-out visits servers in the same order — delivery interleaving
-	// is part of the deterministic-replay surface. Register replaces it, so a
-	// Publish iterating an older snapshot never sees it change.
-	list []*subscriber
+	// is part of the deterministic-replay surface. Subscribe replaces it, so
+	// a Publish iterating an older snapshot never sees it change.
+	list []subscriber
 }
 
 // NewBroker creates an empty broker.
@@ -82,59 +81,45 @@ func (b *Broker) Instrument(reg *metrics.Registry) {
 	b.m = brokerMetrics{
 		published: reg.Counter(metrics.NotifyPublished),
 		delivered: reg.Counter(metrics.NotifyDelivered),
-		dropped:   reg.Counter(metrics.NotifyDropped),
 		fanout:    reg.Histogram(metrics.NotifyFanout),
 	}
 }
 
-// Register creates the queue of an API server and returns its receive
-// channel. buffer bounds the queue depth; overflow drops events. A server
-// registers once: registering a name already taken panics, because two
-// servers sharing a name would hide each other's events behind Publish's
-// origin skip (server.Config.Validate refuses duplicate machine names).
-func (b *Broker) Register(server string, buffer int) <-chan Event {
-	if buffer <= 0 {
-		buffer = 1024
-	}
-	q := &subscriber{name: server, ch: make(chan Event, buffer)}
+// Subscribe adds an API server's delivery function, which must not block. A
+// name already taken panics: two servers sharing a name would hide each
+// other's events behind Publish's origin skip.
+func (b *Broker) Subscribe(server string, deliver func(Event)) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	i := sort.Search(len(b.list), func(i int) bool { return b.list[i].name >= server })
 	if i < len(b.list) && b.list[i].name == server {
-		panic("notify: queue " + server + " registered twice")
+		panic("notify: server " + server + " subscribed twice")
 	}
-	list := make([]*subscriber, 0, len(b.list)+1)
-	list = append(list, b.list[:i]...)
-	list = append(list, q)
-	b.list = append(list, b.list[i:]...)
-	return q.ch
+	b.list = slices.Insert(slices.Clip(b.list), i, subscriber{name: server, deliver: deliver})
 }
 
-// Publish fans the event out to every registered queue except the origin's
-// (the origin served its local sessions synchronously before publishing, the
-// same-process shortcut the paper's footnote 4 describes). Queue sends never
-// block: a full queue drops the event. The read lock is held only to
-// snapshot the subscriber list, so a wide fan-out never extends the broker's
-// critical section.
+// Register subscribes a server that discards every event.
+//
+// Deprecated: use Subscribe; the broker keeps no queue to size.
+func (b *Broker) Register(server string, _ int) { b.Subscribe(server, func(Event) {}) }
+
+// Publish calls the delivery function of every subscriber but the origin,
+// which served its own sessions before publishing (the same-process
+// shortcut of the paper's footnote 4).
 func (b *Broker) Publish(e Event) {
 	b.mu.RLock()
 	m, list := b.m, b.list
 	b.mu.RUnlock()
 
-	var delivered, dropped uint64
-	for _, q := range list {
-		if q.name == e.Origin {
+	var delivered uint64
+	for _, sub := range list {
+		if sub.name == e.Origin {
 			continue
 		}
-		select {
-		case q.ch <- e:
-			delivered++
-		default:
-			dropped++
-		}
+		sub.deliver(e)
+		delivered++
 	}
 	m.published.Inc()
 	m.delivered.Add(delivered)
-	m.dropped.Add(dropped)
 	m.fanout.Observe(float64(delivered))
 }

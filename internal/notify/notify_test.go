@@ -3,6 +3,7 @@ package notify
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"u1/internal/metrics"
@@ -16,97 +17,85 @@ func instrumented() (*Broker, *metrics.Registry) {
 	return b, reg
 }
 
-// counts reads the broker's published, delivered and dropped counters.
-func counts(reg *metrics.Registry) (published, delivered, dropped uint64) {
+// counts reads the broker's published and delivered counters.
+func counts(reg *metrics.Registry) (published, delivered uint64) {
 	return reg.Counter(metrics.NotifyPublished).Value(),
-		reg.Counter(metrics.NotifyDelivered).Value(),
-		reg.Counter(metrics.NotifyDropped).Value()
+		reg.Counter(metrics.NotifyDelivered).Value()
+}
+
+// counting subscribes a delivery function that counts its calls.
+func counting(b *Broker, name string) *atomic.Uint64 {
+	n := new(atomic.Uint64)
+	b.Subscribe(name, func(Event) { n.Add(1) })
+	return n
 }
 
 func TestFanOutExcludesOrigin(t *testing.T) {
 	b, reg := instrumented()
-	qa := b.Register("api-a", 8)
-	qb := b.Register("api-b", 8)
-	qc := b.Register("api-c", 8)
+	got := map[string][]Event{}
+	for _, name := range []string{"api-c", "api-a", "api-b"} {
+		b.Subscribe(name, func(e Event) { got[name] = append(got[name], e) })
+	}
 
 	b.Publish(Event{Kind: protocol.PushVolumeChanged, User: 1, Volume: 2, Generation: 3, Origin: "api-a"})
 
-	select {
-	case e := <-qb:
-		if e.Volume != 2 || e.Generation != 3 {
-			t.Errorf("event = %+v", e)
+	for _, name := range []string{"api-b", "api-c"} {
+		if evs := got[name]; len(evs) != 1 || evs[0].Volume != 2 || evs[0].Generation != 3 {
+			t.Errorf("%s received %+v, want the one event", name, evs)
 		}
-	default:
-		t.Error("api-b should have received the event")
 	}
-	select {
-	case <-qc:
-	default:
-		t.Error("api-c should have received the event")
+	if evs := got["api-a"]; len(evs) != 0 {
+		t.Errorf("the origin received its own event: %+v", evs)
 	}
-	select {
-	case <-qa:
-		t.Error("origin must not receive its own event")
-	default:
-	}
-	if p, d, x := counts(reg); p != 1 || d != 2 || x != 0 {
-		t.Errorf("published/delivered/dropped = %d/%d/%d, want 1/2/0", p, d, x)
+	if p, d := counts(reg); p != 1 || d != 2 {
+		t.Errorf("published/delivered = %d/%d, want 1/2", p, d)
 	}
 }
 
-func TestOverflowDrops(t *testing.T) {
-	b, reg := instrumented()
-	b.Register("slow", 1)
-	b.Publish(Event{Origin: "x"})
-	b.Publish(Event{Origin: "x"}) // queue full → dropped
-	if _, d, x := counts(reg); d != 1 || x != 1 {
-		t.Errorf("delivered/dropped = %d/%d, want 1/1", d, x)
+// TestFanOutOrder pins that Publish calls subscribers in name order,
+// whatever order they subscribed in.
+func TestFanOutOrder(t *testing.T) {
+	b := NewBroker()
+	var order []string
+	for _, name := range []string{"c", "a", "d", "b"} {
+		b.Subscribe(name, func(Event) { order = append(order, name) })
+	}
+	b.Publish(Event{Origin: "d"})
+	if fmt.Sprint(order) != "[a b c]" {
+		t.Errorf("delivery order %v, want [a b c]", order)
 	}
 }
 
-// TestRegisterDuplicateNamePanics pins the one-registration lifecycle: a
-// second queue under a taken name would hide the two servers from each other
-// behind Publish's origin skip, so it is refused outright.
+// TestRegisterDuplicateNamePanics pins the one-subscription lifecycle: a
+// second subscriber under a taken name would hide the two servers from each
+// other behind Publish's origin skip, so it is refused outright.
 func TestRegisterDuplicateNamePanics(t *testing.T) {
 	b := NewBroker()
-	q := b.Register("a", 4)
+	first := counting(b, "a")
 	func() {
 		defer func() {
 			if recover() == nil {
-				t.Error("registering a taken name did not panic")
+				t.Error("subscribing a taken name did not panic")
 			}
 		}()
 		b.Register("a", 4)
 	}()
 	b.Publish(Event{Origin: "other"})
-	select {
-	case <-q:
-	default:
-		t.Error("the first queue should still receive")
+	if n := first.Load(); n != 1 {
+		t.Errorf("the first subscriber received %d events, want 1", n)
 	}
 }
 
 // TestConcurrentPublishRegister races publishers, which snapshot the
-// subscriber list and send outside the broker lock, against servers joining
-// under the write lock. Under -race it pins that a snapshot is never mutated
-// under a reader; the counters must stay exact, and once every server has
-// joined a publish reaches all of them.
+// subscriber list and deliver outside the broker lock, against servers
+// joining under the write lock. Under -race it pins that a snapshot is
+// never mutated under a reader; the delivered counter must equal the calls
+// the subscribers saw, and once every server has joined a publish reaches
+// all of them.
 func TestConcurrentPublishRegister(t *testing.T) {
 	b, reg := instrumented()
 	const publishers, perPublisher, joiners = 8, 500, 200
-	sink := b.Register("sink", 64)
-	done := make(chan struct{})
-	stop := make(chan struct{})
-	go func() {
-		defer close(done)
-		for {
-			select {
-			case <-sink:
-			case <-stop:
-				return
-			}
-		}
-	}()
+	sink := counting(b, "sink")
 	var wg sync.WaitGroup
 	for p := 0; p < publishers; p++ {
 		wg.Add(1)
@@ -117,45 +106,47 @@ func TestConcurrentPublishRegister(t *testing.T) {
 			}
 		}(p)
 	}
-	queues := make([]<-chan Event, joiners)
+	joined := make([]*atomic.Uint64, joiners)
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		for i := range queues {
-			queues[i] = b.Register(fmt.Sprintf("api-%03d", i), 1)
+		for i := range joined {
+			joined[i] = counting(b, fmt.Sprintf("api-%03d", i))
 		}
 	}()
 	wg.Wait()
-	close(stop)
-	<-done
 
-	published, delivered, dropped := counts(reg)
-	if published != publishers*perPublisher {
-		t.Errorf("published = %d, want %d", published, publishers*perPublisher)
+	published, delivered := counts(reg)
+	if published != publishers*perPublisher || sink.Load() != published {
+		t.Errorf("published = %d, sink saw %d, want %d each", published, sink.Load(), publishers*perPublisher)
 	}
-	// Every publish reached the sink and whichever joiners had registered.
-	if lo, hi := published, published*(joiners+1); delivered+dropped < lo || delivered+dropped > hi {
-		t.Errorf("delivered %d + dropped %d outside [%d, %d]", delivered, dropped, lo, hi)
+	seen := sink.Load()
+	for _, n := range joined {
+		seen += n.Load()
 	}
-	for _, q := range queues {
-		for len(q) > 0 {
-			<-q
-		}
+	if delivered != seen {
+		t.Errorf("delivered = %d, subscribers saw %d", delivered, seen)
+	}
+	before := make([]uint64, joiners)
+	for i, n := range joined {
+		before[i] = n.Load()
 	}
 	b.Publish(Event{Origin: "elsewhere"})
-	for i, q := range queues {
-		if len(q) != 1 {
-			t.Fatalf("queue %d missed a publish made after every server joined", i)
+	for i, n := range joined {
+		if n.Load() != before[i]+1 {
+			t.Fatalf("subscriber %d missed a publish made after every server joined", i)
 		}
 	}
 }
 
+// TestConcurrentPublishersScale: concurrent publishers all make progress
+// without serializing on an exclusive lock, and every publish reaches each
+// non-origin subscriber exactly once.
 func TestConcurrentPublishersScale(t *testing.T) {
-	// Concurrent publishers must all make progress without serializing on an
-	// exclusive lock; correctness check is exact counter accounting.
 	b, reg := instrumented()
-	for i := 0; i < 6; i++ {
-		b.Register(fmt.Sprintf("api-%d", i), 1) // tiny queues: mostly drops
+	subs := make([]*atomic.Uint64, 6)
+	for i := range subs {
+		subs[i] = counting(b, fmt.Sprintf("api-%d", i))
 	}
 	const publishers, per = 16, 250
 	var wg sync.WaitGroup
@@ -169,11 +160,20 @@ func TestConcurrentPublishersScale(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	published, delivered, dropped := counts(reg)
+	published, delivered := counts(reg)
 	if published != publishers*per {
 		t.Errorf("published = %d, want %d", published, publishers*per)
 	}
-	if got, want := delivered+dropped, uint64(publishers*per*5); got != want {
-		t.Errorf("delivered+dropped = %d, want %d (5 non-origin queues per publish)", got, want)
+	if want := published * uint64(len(subs)-1); delivered != want {
+		t.Errorf("delivered = %d, want %d (5 non-origin subscribers per publish)", delivered, want)
+	}
+	for i, n := range subs {
+		want := published
+		if i == 0 {
+			want = 0
+		}
+		if n.Load() != want {
+			t.Errorf("api-%d received %d events, want %d", i, n.Load(), want)
+		}
 	}
 }

@@ -237,17 +237,6 @@ func (c *Cluster) AddRPCObserver(o rpc.Observer) {
 	c.RPC.AddObserver(o)
 }
 
-// PumpNotifications drains every server's broker queue once, delivering
-// queued cross-server pushes: the simulator runs it after Tick at every epoch
-// barrier, where a TCP cluster runs one RunNotifier goroutine per server.
-func (c *Cluster) PumpNotifications() int {
-	var n int
-	for _, s := range c.Servers {
-		n += s.DeliverQueued()
-	}
-	return n
-}
-
 // DropCachedToken evicts a token from every API server's validation cache —
 // the fleet-wide flush operators run alongside credential revocation, so a
 // revoked token stops authenticating immediately instead of after the cache
@@ -287,9 +276,9 @@ type TCPCluster struct {
 }
 
 // ListenAndServe binds the gateway's listener, the deployment's one socket,
-// and starts the gateway, the ticker and one push notifier per API server,
-// returning once the listener is bound. Addr "127.0.0.1:0" picks a free port (tests);
-// a fixed addr serves for real.
+// and starts the gateway and the ticker, returning once the listener is
+// bound. Addr "127.0.0.1:0" picks a free port (tests); a fixed addr serves
+// for real.
 func (c *Cluster) ListenAndServe(gatewayAddr string) (*TCPCluster, error) {
 	ln, err := net.Listen("tcp", gatewayAddr)
 	if err != nil {
@@ -313,7 +302,6 @@ func (c *Cluster) ListenAndServe(gatewayAddr string) (*TCPCluster, error) {
 	backends := make(map[string]func(net.Conn), len(c.Servers))
 	for _, s := range c.Servers {
 		backends[s.Name()] = s.ServeConn
-		go s.RunNotifier(tc.done)
 	}
 	tc.Proxy = gateway.NewProxy(backends)
 	tc.Proxy.Balancer().Instrument(c.Metrics)
@@ -321,8 +309,8 @@ func (c *Cluster) ListenAndServe(gatewayAddr string) (*TCPCluster, error) {
 	return tc, nil
 }
 
-// Close stops the notifiers and the ticker, once its tick is done, and closes
-// the gateway's listener. Placed connections stay until their clients hang up.
+// Close stops the ticker, once its tick is done, and closes the gateway's
+// listener. Placed connections stay until their clients hang up.
 func (tc *TCPCluster) Close() {
 	select {
 	case <-tc.done:

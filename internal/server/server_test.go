@@ -676,7 +676,10 @@ func TestDirectMeteredUpload(t *testing.T) {
 	}
 }
 
-func TestDirectNotificationsViaPump(t *testing.T) {
+// TestDirectNotificationsAcrossServers: a change one device makes reaches
+// the user's device on another API server through the broker, during the
+// request that made it.
+func TestDirectNotificationsAcrossServers(t *testing.T) {
 	c := newDirectCluster(t)
 	now := time.Unix(1390000000, 0)
 	clock := func() time.Time { return now }
@@ -700,10 +703,6 @@ func TestDirectNotificationsViaPump(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The cross-server push sits in m2's broker queue until pumped.
-	if n := c.PumpNotifications(); n == 0 {
-		t.Fatal("expected queued notifications")
-	}
 	select {
 	case p := <-dev2.Pushes():
 		if p.Event != protocol.PushVolumeChanged {
@@ -713,7 +712,7 @@ func TestDirectNotificationsViaPump(t *testing.T) {
 			t.Fatal(err)
 		}
 	default:
-		t.Fatal("dev2 received no push after pump")
+		t.Fatal("dev2 received no push")
 	}
 	m, _ := dev2.Mirror(root)
 	if len(m.Nodes) != 1 {
@@ -892,8 +891,54 @@ func TestSweepUploadJobs(t *testing.T) {
 	if err := c.Store.DeleteUploadJob(40, up); !errors.Is(err, protocol.ErrNotFound) {
 		t.Errorf("the upload job outlived a tick past the horizon (delete: %v)", err)
 	}
-	if st := part(2); st == protocol.StatusOK {
-		t.Error("resumed an upload a tick past the horizon freed")
+	if st := part(2); st != protocol.StatusNotFound {
+		t.Errorf("resuming an upload a tick past the horizon freed: %v, want %v", st, protocol.StatusNotFound)
+	}
+}
+
+// TestSweepKeepsStreamingUpload: an upload that still streams parts a week
+// after it began is not abandoned. With parts at +0 and +6 days, a Tick at
+// +12 days keeps its job and its multipart parts, and the upload completes.
+func TestSweepKeepsStreamingUpload(t *testing.T) {
+	c := newDirectCluster(t)
+	now := time.Unix(1390000000, 0)
+	token, _ := c.Auth.Issue(41)
+	tr := client.NewDirectTransport(c.LeastLoaded, func() time.Time { return now })
+	cl := client.New(tr)
+	if err := cl.Connect(token); err != nil {
+		t.Fatal(err)
+	}
+	root, _ := cl.RootVolume()
+	mk, _ := tr.Do(&protocol.Request{Op: protocol.OpMakeFile, Volume: root, Name: "slow.bin"})
+	put, _ := tr.Do(&protocol.Request{
+		Op: protocol.OpPutContent, Volume: root, Node: mk.Node.ID, Name: "slow.bin",
+		Hash: protocol.HashBytes([]byte("slow")), Size: 2*blob.PartSize + 10,
+	})
+	if put.Status != protocol.StatusOK || put.Upload == 0 {
+		t.Fatalf("begin: status=%v up=%v", put.Status, put.Upload)
+	}
+	part := func(i uint32, size uint64, final bool) protocol.Status {
+		resp, _ := tr.Do(&protocol.Request{Op: protocol.OpPutPart, Upload: put.Upload, Part: i, Size: size, Final: final})
+		return resp.Status
+	}
+	const day = 24 * time.Hour
+	if st := part(0, blob.PartSize, false); st != protocol.StatusOK {
+		t.Fatalf("part 0: %v", st)
+	}
+	now = now.Add(6 * day)
+	if st := part(1, blob.PartSize, false); st != protocol.StatusOK {
+		t.Fatalf("part 1 at +6 days: %v", st)
+	}
+	now = now.Add(6 * day)
+	c.Tick(now)
+	if n := c.Blob.Stats().MultipartAborted; n != 0 {
+		t.Errorf("a tick at +12 days aborted %d multipart uploads, want 0", n)
+	}
+	if st := part(2, 10, true); st != protocol.StatusOK {
+		t.Fatalf("final part at +12 days: %v", st)
+	}
+	if bs := c.Blob.Stats(); bs.MultipartCompleted != 1 {
+		t.Errorf("blob stats = %+v, want the upload completed", bs)
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 // shards run concurrently up to a shared horizon, then a barrier closes the
 // epoch and the AtEpochEnd hooks run serially, in registration order, before
 // the next epoch opens. The generator's one hook runs the cluster's periodic
-// work and its notification pump.
+// work.
 //
 // Each shard keeps the plain Engine's (time, insertion-seq) determinism
 // internally, so a simulation whose entities are pinned to shards (stable
@@ -33,10 +33,8 @@ type ShardedEngine struct {
 	hooks  []func(now time.Time)
 }
 
-// DefaultEpoch bounds shard clock skew. It is the notification pump's
-// 10-minute cadence: every barrier lands on a multiple of it from the start,
-// so pumping once per barrier keeps that cadence. Skipped, event-free epochs
-// queue no push, so there is nothing to catch up.
+// DefaultEpoch bounds shard clock skew, and so how often the barrier hooks
+// run: every barrier lands on a multiple of it from the start.
 const DefaultEpoch = 10 * time.Minute
 
 // NewSharded creates a sharded engine with the given shard count (min 1)

@@ -470,18 +470,8 @@ func (g *Generator) Run() Totals {
 	// advance while events remain, and without it a population that goes
 	// quiet early would end the run before the window's last barrier.
 	g.se.Shard(0).At(g.end, func() {})
-	// At every barrier, with every shard quiescent: the cluster's periodic
-	// work, then one pump standing in for the broker's consumers (the
-	// 10-minute cadence, sim.DefaultEpoch), up to and including the first
-	// barrier at or past the window end.
-	pumping := true
-	g.se.AtEpochEnd(func(now time.Time) {
-		g.c.Tick(now)
-		if pumping {
-			g.c.PumpNotifications()
-			pumping = now.Before(g.end)
-		}
-	})
+	// At every barrier, with every shard quiescent: the periodic work.
+	g.se.AtEpochEnd(g.c.Tick)
 
 	g.se.Run()
 	for _, sh := range g.shards {

@@ -9,7 +9,6 @@ import (
 	"u1/internal/auth"
 	"u1/internal/client"
 	"u1/internal/metadata"
-	"u1/internal/notify"
 	"u1/internal/protocol"
 	"u1/internal/server"
 	"u1/internal/stats"
@@ -238,33 +237,6 @@ func TestRunSweepsUploadJobsAtWindowEnd(t *testing.T) {
 		}
 		if err := cluster.Store.DeleteUploadJob(owner, fresh.ID); err != nil {
 			t.Errorf("workers=%d: the fresh upload job was swept: %v", workers, err)
-		}
-	}
-}
-
-// TestRunStopsPumpingAfterWindowEnd drives the barrier hook through Run on a
-// run whose events outlive the window: a test hook, registered first so it
-// runs before the generator's at each barrier, queues one broker event on
-// every API server at each barrier at or past the window end. The first of
-// those barriers pumps its events; the later ones leave theirs queued.
-func TestRunStopsPumpingAfterWindowEnd(t *testing.T) {
-	for _, workers := range []int{1, 2} {
-		cluster := server.NewCluster(server.Config{Seed: 1})
-		g := New(Config{Users: 20, Days: 1, Start: PaperStart, Seed: 1, Workers: workers, Attacks: []Attack{}}, cluster)
-		g.Engine().Shard(0).At(g.end.Add(time.Hour), func() {})
-		var late int
-		g.Engine().AtEpochEnd(func(now time.Time) {
-			if !now.Before(g.end) {
-				late++
-				cluster.Broker.Publish(notify.Event{Kind: protocol.PushVolumeChanged, User: 1 << 20})
-			}
-		})
-		g.Run()
-		if late < 2 {
-			t.Fatalf("workers=%d: %d barriers at or past the window end, want at least 2", workers, late)
-		}
-		if got, want := cluster.PumpNotifications(), (late-1)*len(cluster.Servers); got != want {
-			t.Errorf("workers=%d: %d events left queued after %d late barriers, want %d", workers, got, late, want)
 		}
 	}
 }
