@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"u1/internal/apiserver"
 	"u1/internal/client"
 	"u1/internal/faults"
 	"u1/internal/metadata"
@@ -27,6 +28,7 @@ import (
 // perturb the Workers=1 stream by a single op.
 func TestDurableWorkersOneMatchesGolden(t *testing.T) {
 	for _, c := range goldens {
+		apiserver.ResetSessionIDs()
 		cluster, err := server.OpenCluster(server.Config{
 			Seed: c.seed, Config: metadata.Config{Durability: "/u1", FS: vfs.NewMemFS(), FsyncPolicy: wal.FsyncPerOp},
 		})
@@ -39,7 +41,7 @@ func TestDurableWorkersOneMatchesGolden(t *testing.T) {
 		g := New(Config{Users: c.users, Days: c.days, Start: PaperStart, Seed: c.seed,
 			Workers: 1, Attacks: []Attack{}}, cluster)
 		g.Run()
-		c.check(t, g.totals, col.Len())
+		c.check(t, g.totals, col, cluster)
 		snap := cluster.Metrics.Snapshot()
 		if n := snap.Counter(metrics.WALJournaled); n == 0 {
 			t.Error("no mutation was charged a journal sync; the contract was not exercised")

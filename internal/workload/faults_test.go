@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"u1/internal/apiserver"
 	"u1/internal/client"
 	"u1/internal/faults"
 	"u1/internal/metrics"
@@ -81,6 +82,7 @@ func TestFaultPlanDeterministicAcrossRuns(t *testing.T) {
 // bit-for-bit at Workers=1 — injection off means nothing changed.
 func TestZeroValueFaultPlanPreservesGolden(t *testing.T) {
 	for _, c := range goldens {
+		apiserver.ResetSessionIDs()
 		cluster := server.NewCluster(server.Config{Seed: c.seed, FaultPlan: &faults.Plan{}})
 		col := trace.NewCollector(trace.Config{Start: PaperStart, Days: c.days, Shards: cluster.Store.NumShards(), Seed: c.seed})
 		cluster.AddAPIObserver(col.APIObserver())
@@ -88,7 +90,7 @@ func TestZeroValueFaultPlanPreservesGolden(t *testing.T) {
 		g := New(Config{Users: c.users, Days: c.days, Start: PaperStart, Seed: c.seed,
 			Workers: 1, Attacks: []Attack{}}, cluster)
 		g.Run()
-		c.check(t, g.totals, col.Len())
+		c.check(t, g.totals, col, cluster)
 		snap := cluster.Metrics.Snapshot()
 		for _, key := range []string{"injected", "shed", "retried"} {
 			if n := snap.Counters[metrics.FaultsPrefix+key]; n != 0 {

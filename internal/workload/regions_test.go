@@ -3,6 +3,7 @@ package workload
 import (
 	"testing"
 
+	"u1/internal/apiserver"
 	"u1/internal/metadata"
 	"u1/internal/metrics"
 	"u1/internal/server"
@@ -66,8 +67,9 @@ func requireReplicasConverged(t *testing.T, c *server.Cluster) {
 // shard, and the first Workers=1 golden reproduces bit-for-bit.
 func TestRegionsReadYourWritesMatchesGolden(t *testing.T) {
 	c := goldens[0]
+	apiserver.ResetSessionIDs()
 	g, col, cluster := runRegions(t, c.users, c.days, c.seed, 1, false, 1)
-	c.check(t, g.totals, col.Len())
+	c.check(t, g.totals, col, cluster)
 	if pub := replCounters(cluster)["repl.published"]; pub == 0 {
 		t.Error("no replication records published — the region wiring is dead")
 	}

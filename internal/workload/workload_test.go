@@ -1,14 +1,23 @@
 package workload
 
 import (
+	"crypto/sha1"
+	"encoding/hex"
 	"errors"
+	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"sort"
+	"strings"
 	"testing"
 	"time"
 
+	"u1/internal/apiserver"
 	"u1/internal/auth"
 	"u1/internal/client"
 	"u1/internal/metadata"
+	"u1/internal/metrics"
 	"u1/internal/protocol"
 	"u1/internal/server"
 	"u1/internal/stats"
@@ -114,13 +123,19 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
-// goldenRun is one Workers=1, attack-free run and the totals and record
-// count it must reproduce.
+// goldenRun is one Workers=1, attack-free run and what it must reproduce:
+// its totals, its record count, and the digests of its trace tree
+// (traceDigest) and its api.* and rpc.* series (seriesDigest).
 type goldenRun struct {
 	users, days int
 	seed        int64
 	want        Totals
 	records     int
+	// trace is the in-memory run's trace digest, durableTrace the one of
+	// a run that journals with per-op fsync: that run charges the journal's
+	// sync to every mutation's duration, so its trace bytes differ by design.
+	trace, durableTrace string
+	series              string
 }
 
 // goldens are the runs the golden tests pin: TestWorkersOneMatchesGolden in
@@ -129,30 +144,92 @@ type goldenRun struct {
 // means the generator's stream changed, not just a refactor; re-pin on
 // purpose only.
 var goldens = []goldenRun{
-	{80, 2, 42, Totals{Users: 80, Sessions: 157, Uploads: 382, Downloads: 227, Deletes: 30}, 2107},
-	{150, 3, 11, Totals{Users: 150, Sessions: 455, Uploads: 115, Downloads: 130, Deletes: 19}, 3365},
+	{80, 2, 42, Totals{Users: 80, Sessions: 157, Uploads: 382, Downloads: 227, Deletes: 30}, 2107, "e0c06a739b5f4699", "d29082b1a95285cf", "74563ad4c733484e"},
+	{150, 3, 11, Totals{Users: 150, Sessions: 455, Uploads: 115, Downloads: 130, Deletes: 19}, 3365, "42a45361e80675d8", "605fa6db6859458b", "ccf723202c356a07"},
 }
 
-// check fails the test unless a run of c reproduced its totals and record
-// count.
-func (c goldenRun) check(t *testing.T, got Totals, records int) {
+// check fails the test unless a run of c reproduced its totals, its record
+// count and its digests.
+func (c goldenRun) check(t *testing.T, got Totals, col *trace.Collector, cluster *server.Cluster) {
 	t.Helper()
 	if got != c.want {
 		t.Errorf("users=%d days=%d seed=%d: totals = %+v, want golden %+v",
 			c.users, c.days, c.seed, got, c.want)
 	}
-	if records != c.records {
+	if records := col.Len(); records != c.records {
 		t.Errorf("users=%d days=%d seed=%d: %d records, want golden %d",
 			c.users, c.days, c.seed, records, c.records)
 	}
+	want := c.trace
+	if _, durable := cluster.Store.SyncCost(); durable {
+		want = c.durableTrace
+	}
+	if d := traceDigest(t, col); d != want {
+		t.Errorf("users=%d days=%d seed=%d: trace digest %s, want golden %s", c.users, c.days, c.seed, d, want)
+	}
+	if d := seriesDigest(cluster.Metrics.Snapshot()); d != c.series {
+		t.Errorf("users=%d days=%d seed=%d: series digest %s, want golden %s", c.users, c.days, c.seed, d, c.series)
+	}
+}
+
+// traceDigest hashes the run's CSV trace tree: every logfile's name and
+// bytes, in name order.
+func traceDigest(t *testing.T, col *trace.Collector) string {
+	t.Helper()
+	dir := t.TempDir()
+	if err := col.WriteCSV(dir); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha1.New()
+	for _, e := range entries {
+		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(h, "%s %d\n", e.Name(), len(b))
+		h.Write(b)
+	}
+	return hex.EncodeToString(h.Sum(nil))[:16]
+}
+
+// seriesDigest hashes every non-zero api.* and rpc.* counter and the
+// observation count of every such histogram, in name order. Counts, not
+// sums: a histogram's stripes are picked by stack address, so its float sum
+// can differ in the last bits between binaries.
+func seriesDigest(snap metrics.Snapshot) string {
+	var lines []string
+	pinned := func(name string) bool {
+		return strings.HasPrefix(name, "api.") || strings.HasPrefix(name, metrics.RPCPrefix)
+	}
+	for name, v := range snap.Counters {
+		if v != 0 && pinned(name) {
+			lines = append(lines, fmt.Sprintf("%s=%d", name, v))
+		}
+	}
+	for name, hs := range snap.Histograms {
+		if hs.Count != 0 && pinned(name) {
+			lines = append(lines, fmt.Sprintf("%s#%d", name, hs.Count))
+		}
+	}
+	sort.Strings(lines)
+	h := sha1.New()
+	for _, l := range lines {
+		fmt.Fprintln(h, l)
+	}
+	return hex.EncodeToString(h.Sum(nil))[:16]
 }
 
 // TestWorkersOneMatchesGolden pins the Workers=1 stream: one generator
 // shard reproduces the golden totals and record counts.
 func TestWorkersOneMatchesGolden(t *testing.T) {
 	for _, c := range goldens {
-		g, col, _ := runSmallWorkers(t, c.users, c.days, []Attack{}, c.seed, 1)
-		c.check(t, g.totals, col.Len())
+		apiserver.ResetSessionIDs()
+		g, col, cluster := runSmallWorkers(t, c.users, c.days, []Attack{}, c.seed, 1)
+		c.check(t, g.totals, col, cluster)
 	}
 }
 
