@@ -15,8 +15,9 @@
 // (Config.Faults), the down-region refusal, the session guard, SSO and
 // per-process load shedding (Deps.SSO, Config.AdmitWatermark) and the abort
 // probe before the handler; notification delivery and the journal sync
-// charge after a successful one; then the uniform error→Status mapping,
-// trace-event emission and per-op latency/error metrics for every answer.
+// charge after a successful one; then the uniform error→Status mapping and
+// one emission of every answer's Event: to the observers, then to the
+// per-op latency/error series.
 // dispatch.go writes the order down once, as code, with the reason for each
 // position on dispatch itself.
 //
@@ -50,8 +51,9 @@ import (
 	"u1/internal/rpc"
 )
 
-// Event is one completed API-level operation, the unit of the paper's
-// storage/session trace records. The trace collector subscribes to these.
+// Event is one answered API request, Op its own op; part streaming is one
+// too. The trace collector folds events to the paper's storage/session
+// records, at upload granularity.
 type Event struct {
 	Server   string // API server (machine) name, e.g. "whitecurrant"
 	Proc     int    // server process number on the machine
@@ -67,11 +69,14 @@ type Event struct {
 	Start    time.Time
 	Duration time.Duration
 	Status   protocol.Status
-	IsUpdate bool // upload replaced existing content (§5.1 file updates)
-	IsDir    bool // the operation targeted a directory (Unlink cascades)
+	IsUpdate bool              // upload replaced existing content (§5.1 file updates)
+	IsDir    bool              // the operation targeted a directory (Unlink cascades)
+	Upload   protocol.UploadID // the upload a PutPart feeds or a PutContent opened
+	Final    bool              // a PutPart with its upload's last part: on success, the upload's fields
+	refused  bool              // stopped by dispatch's gates: no back-end work, no latency sample
 }
 
-// Observer receives API events.
+// Observer receives every answered request's Event, before the series count it.
 type Observer func(Event)
 
 // Pusher delivers unsolicited server→client notifications for one session.
@@ -197,9 +202,7 @@ type Server struct {
 
 	// Per-op instrumentation handles, indexed by protocol.Op. Resolved once
 	// at construction so the request path records through plain pointers.
-	opSeconds      []*metrics.Histogram
-	opCount        []*metrics.Counter
-	opErrors       []*metrics.Counter
+	ops            []opSeries
 	activeSessions *metrics.Gauge
 	machineOps     *metrics.Counter
 	pushDropped    *metrics.Counter // pushes a slow TCP connection discarded
@@ -224,6 +227,12 @@ type Server struct {
 
 	uploadsMu sync.Mutex
 	uploads   map[protocol.UploadID]*pendingUpload
+}
+
+// opSeries are one op's api.op.<Op>.* series.
+type opSeries struct {
+	seconds       *metrics.Histogram
+	count, errors *metrics.Counter
 }
 
 type pendingUpload struct {
@@ -277,40 +286,15 @@ func New(cfg Config, deps Deps) *Server {
 		s.regions = deps.Regions
 		s.regionRefused = deps.Metrics.Counter(metrics.APIRegionRefused)
 	}
-	ops := protocol.Ops()
-	s.opSeconds = make([]*metrics.Histogram, len(ops))
-	s.opCount = make([]*metrics.Counter, len(ops))
-	s.opErrors = make([]*metrics.Counter, len(ops))
-	for _, op := range ops {
+	for _, op := range protocol.Ops() {
 		series := metrics.APIOp(op.String())
-		s.opSeconds[op] = deps.Metrics.Histogram(series.Seconds)
-		s.opCount[op] = deps.Metrics.Counter(series.Count)
-		s.opErrors[op] = deps.Metrics.Counter(series.Errors)
+		s.ops = append(s.ops, opSeries{deps.Metrics.Histogram(series.Seconds), deps.Metrics.Counter(series.Count), deps.Metrics.Counter(series.Errors)})
 	}
 	if deps.Broker != nil {
 		deps.Broker.Subscribe(cfg.Name, s.deliver)
 	}
 	s.registerHandlers()
 	return s
-}
-
-// record charges one completed operation to the fleet metrics: outcome
-// counters always, and its simulated service time into the per-op histogram
-// unless the request was preempted. Preempted requests (cancelled, shed,
-// injected) did no back-end work, so admitting their zero durations would
-// deflate the latency percentiles — load shedding must not fake a p99 win.
-func (s *Server) record(op protocol.Op, dur time.Duration, status protocol.Status, preempted bool) {
-	if int(op) >= len(s.opSeconds) {
-		return
-	}
-	s.opCount[op].Inc()
-	s.machineOps.Inc()
-	if !preempted {
-		s.opSeconds[op].Observe(dur.Seconds())
-	}
-	if status != protocol.StatusOK {
-		s.opErrors[op].Inc()
-	}
 }
 
 // Name returns the server's machine name.
@@ -335,9 +319,24 @@ func (s *Server) SessionCount() int {
 	return len(s.sessions)
 }
 
+// emit hands one answered request to the observers, then to the per-op
+// series: counters always, latency unless refused, so load shedding cannot
+// fake a p99 win with zero durations.
 func (s *Server) emit(e Event) {
 	for _, o := range s.observers.Load() {
 		o(e)
+	}
+	if int(e.Op) >= len(s.ops) {
+		return
+	}
+	series := &s.ops[e.Op]
+	series.count.Inc()
+	s.machineOps.Inc()
+	if !e.refused {
+		series.seconds.Observe(e.Duration.Seconds())
+	}
+	if e.Status != protocol.StatusOK {
+		series.errors.Inc()
 	}
 }
 

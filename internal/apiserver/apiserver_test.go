@@ -314,6 +314,36 @@ func TestPartAfterSweepDropsUpload(t *testing.T) {
 	}
 }
 
+// TestRefusedPartDropsUpload: a part the data store refuses, here one whose
+// number skips ahead, answers bad request and ends its upload, multipart
+// included, as every refused part does.
+func TestRefusedPartDropsUpload(t *testing.T) {
+	f := newFixture(t)
+	sess := f.session(t, 5)
+	root := f.rootOf(t, sess)
+	mk, _ := f.srv.Handle(sess, &protocol.Request{Op: protocol.OpMakeFile, Volume: root, Name: "f"}, t0)
+	put, _ := f.srv.Handle(sess, &protocol.Request{
+		Op: protocol.OpPutContent, Volume: root, Node: mk.Node.ID, Name: "f",
+		Hash: protocol.HashBytes([]byte("gap")), Size: 2 * blob.PartSize,
+	}, t0)
+	if put.Status != protocol.StatusOK || put.Upload == 0 {
+		t.Fatalf("begin: %v", put.Status)
+	}
+	part := func(n uint32) protocol.Status {
+		resp, _ := f.srv.Handle(sess, &protocol.Request{Op: protocol.OpPutPart, Upload: put.Upload, Part: n, Size: blob.PartSize}, t0)
+		return resp.Status
+	}
+	if st := part(1); st != protocol.StatusBadRequest {
+		t.Errorf("part 1 first answered %v, want %v", st, protocol.StatusBadRequest)
+	}
+	if st := part(0); st != protocol.StatusNotFound {
+		t.Errorf("part 0 after the refused part answered %v, want %v", st, protocol.StatusNotFound)
+	}
+	if ids := f.blob.AbandonedUploads(t0.Add(time.Hour)); len(ids) != 0 {
+		t.Errorf("the data store still holds multipart uploads %v", ids)
+	}
+}
+
 func TestGetDeltaRescanFallback(t *testing.T) {
 	store := metadata.New(metadata.Config{Shards: 2, DeltaLogLimit: 8})
 	f := &fixture{

@@ -26,10 +26,8 @@ import (
 // struct.
 //
 // Handlers communicate with dispatch's shared bookkeeping exclusively
-// through the context: they mutate Event to enrich the trace record, charge
-// Cost, queue notifications with NotifyVolume/NotifyShare, and set the
-// suppress/skip flags where an operation opts out of the uniform
-// bookkeeping.
+// through the context: they mutate Event to enrich the request's record,
+// charge Cost and queue notifications with NotifyVolume/NotifyShare.
 type OpContext struct {
 	Session *Session
 	User    protocol.UserID
@@ -60,14 +58,9 @@ type OpContext struct {
 	// Set at context creation when a session exists, and by the Authenticate
 	// handler once it has placed the new session on a process.
 	hasProc bool
-	// suppressEvent opts the request out of the uniform event emission: part
-	// streaming never reports as an API event, and an upload that opens a
-	// job reports only when its final part lands, which clears the flag
-	// after filling Event as the upload's.
-	suppressEvent bool
-	// skipMetrics opts the request out of per-op metric recording (only the
-	// double-close of a session, which must not skew the op counters).
-	skipMetrics bool
+	// notRequest marks what no client issues as a request, a sessionless
+	// one or a second close: answered, but never emitted.
+	notRequest bool
 
 	// pending holds notifications queued by the handler; dispatch delivers
 	// them only after the handler succeeds.
@@ -139,6 +132,8 @@ func (s *Server) initOpContext(c *OpContext, sess *Session, req *protocol.Reques
 		Op:     req.Op,
 		Volume: req.Volume,
 		Node:   req.Node,
+		Upload: req.Upload,
+		Final:  req.Final,
 		Start:  now,
 	}
 	if sess != nil {
@@ -210,12 +205,12 @@ func journalsMutation(req *protocol.Request) bool {
 //     counts as a retry success.
 //  5. For every answer: an error becomes a bare failure response via
 //     protocol.StatusOf, releasing a response returned beside it; the answer
-//     gets the correlation ID; the trace event is emitted unless the
-//     operation suppressed it (part streaming, job-opening uploads); the
-//     per-op metrics record the outcome unless the operation skipped them (a
-//     double session close). Refused requests keep their outcome counters
-//     but stay out of the latency histogram: zero-duration samples would let
-//     load shedding fake a latency win.
+//     gets the correlation ID; and the request's Event, its duration, status
+//     and refusal filled in, is emitted once (emit): to the observers, part
+//     streaming and job-opening uploads included, then to the per-op
+//     series. Only what is not a request (OpContext.notRequest) stays out.
+//     What the trace keeps of part streaming is the trace's own rule
+//     (trace.Collector.APIObserver).
 //
 // The returned response is never nil.
 func (s *Server) dispatch(c *OpContext) *protocol.Response {
@@ -260,13 +255,9 @@ func (s *Server) dispatch(c *OpContext) *protocol.Response {
 	} else {
 		resp.ID = req.ID
 	}
-	if !c.suppressEvent {
-		c.Event.Duration = c.Cost.Total()
-		c.Event.Status = resp.Status
+	if !c.notRequest {
+		c.Event.Duration, c.Event.Status, c.Event.refused = c.Cost.Total(), resp.Status, refused
 		s.emit(c.Event)
-	}
-	if !c.skipMetrics {
-		s.record(req.Op, c.Cost.Total(), resp.Status, refused)
 	}
 	return resp
 }
@@ -283,7 +274,7 @@ func (s *Server) refusal(c *OpContext) error {
 		return fmt.Errorf("%w: metadata region down", protocol.ErrUnavailable)
 	}
 	if c.Session == nil && !c.openSession {
-		c.suppressEvent, c.skipMetrics = true, true
+		c.notRequest = true
 		return errSessionRequired
 	}
 	if req.Op == protocol.OpAuthenticate && s.deps.SSO != nil && !s.deps.SSO.Admit(c.Now) {

@@ -186,42 +186,6 @@ func TestDynamicAPIObserverAttach(t *testing.T) {
 	}
 }
 
-// TestSuppressedEventsStillRecordMetrics pins the flag split: PutPart/GetPart
-// suppress their trace events but still count in the per-op metrics — event
-// emission and metrics honor different opt-outs, so merging the two flags
-// would silently drop part ops from the bench report.
-func TestSuppressedEventsStillRecordMetrics(t *testing.T) {
-	reg := metrics.NewRegistry()
-	f := &fixture{
-		store:  metadata.New(metadata.Config{Shards: 4}),
-		blob:   blob.New(blob.Config{}),
-		auth:   auth.New(auth.Config{Seed: 1}),
-		broker: notify.NewBroker(),
-	}
-	f.srv = New(Config{Name: "m", Procs: 2}, Deps{
-		RPC:      rpc.NewServer(f.store, rpc.Config{Seed: 1, Metrics: reg}),
-		Auth:     f.auth,
-		Blob:     f.blob,
-		Broker:   f.broker,
-		Transfer: blob.DefaultTransferModel(),
-		Metrics:  reg,
-	})
-	var events []Event
-	f.srv.AddObserver(func(e Event) { events = append(events, e) })
-	sess := f.session(t, 36)
-
-	before := reg.Counter(metrics.APIOp("GetPart").Count).Value()
-	f.srv.Handle(sess, &protocol.Request{Op: protocol.OpGetPart, Node: 1, Part: 0}, t0)
-	for _, e := range events {
-		if e.Op == protocol.OpGetPart {
-			t.Error("GetPart must not emit an API event")
-		}
-	}
-	if got := reg.Counter(metrics.APIOp("GetPart").Count).Value(); got != before+1 {
-		t.Errorf("api.op.GetPart.count = %d, want %d: suppressed events must still record metrics", got, before+1)
-	}
-}
-
 // handleWithProbe dispatches req with an abort probe, the way the TCP loop
 // does.
 func handleWithProbe(s *Server, sess *Session, req *protocol.Request, aborted func() bool) (*protocol.Response, time.Duration) {

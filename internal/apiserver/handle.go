@@ -254,10 +254,7 @@ func (s *Server) opPutContent(c *OpContext) (*protocol.Response, error) {
 	s.uploadsMu.Lock()
 	s.uploads[job.ID] = up
 	s.uploadsMu.Unlock()
-	// The trace records transfers at upload granularity: this request only
-	// opened the job, so the completed-upload event is emitted by the final
-	// PutPart instead.
-	c.suppressEvent = true
+	c.Event.Upload = job.ID
 	resp := okResponse()
 	resp.Upload = job.ID
 	return resp, nil
@@ -279,9 +276,6 @@ func (s *Server) opPutContent(c *OpContext) (*protocol.Response, error) {
 // connection read, and the store adopts them as they are — a content of one
 // part through PutHash, a multipart part through UploadPart.
 func (s *Server) opPutPart(c *OpContext) (*protocol.Response, error) {
-	// Part streaming never reports as a separate API event — the per-part
-	// load still shows up as RPC spans.
-	c.suppressEvent = true
 	req := c.Req
 
 	s.uploadsMu.Lock()
@@ -314,11 +308,11 @@ func (s *Server) opPutPart(c *OpContext) (*protocol.Response, error) {
 		} else {
 			err = s.deps.Blob.UploadPartSized(up.mpID, partNum, partBytes, c.Now)
 		}
-		if errors.Is(err, blob.ErrNoSuchUpload) { // the sweep freed it
-			s.dropUpload(req.Upload, up)
-			return nil, protocol.ErrNotFound
-		}
 		if err != nil {
+			s.dropUpload(req.Upload, up)
+			if errors.Is(err, blob.ErrNoSuchUpload) { // the sweep freed it
+				return nil, protocol.ErrNotFound
+			}
 			return nil, protocol.ErrBadRequest
 		}
 	}
@@ -363,13 +357,11 @@ func (s *Server) opPutPart(c *OpContext) (*protocol.Response, error) {
 
 	c.NotifyVolume(up.job.Volume, node.Generation)
 
-	// The completed-upload event carries the whole transfer, in place of the
-	// suppressed per-part record; dispatch emits it with the part's cost,
-	// the journal's sync included.
+	// The final part's event carries the whole upload, with the part's cost
+	// (the journal's sync included).
 	ev := &c.Event
-	ev.Op, ev.Volume, ev.Node, ev.Hash = protocol.OpPutContent, up.job.Volume, up.job.Node, up.job.Hash
+	ev.Volume, ev.Node, ev.Hash = up.job.Volume, up.job.Node, up.job.Hash
 	ev.Size, ev.Wire, ev.Ext, ev.IsUpdate = up.plainSize, up.wire, up.ext, wasUpdate
-	c.suppressEvent = false
 	return okNode(node), nil
 }
 
@@ -441,8 +433,6 @@ func (s *Server) opGetContent(c *OpContext) (*protocol.Response, error) {
 // opGetPart serves one staged part of a large download (TCP mode): the
 // stored part with that index, as it was uploaded.
 func (s *Server) opGetPart(c *OpContext) (*protocol.Response, error) {
-	// Like PutPart, part fetches never report as API events.
-	c.suppressEvent = true
 	req, sess := c.Req, c.Session
 
 	sess.mu.Lock()
@@ -549,8 +539,8 @@ func bySessionID(sess *Session, id protocol.SessionID) int { return cmp.Compare(
 
 // opCloseSession terminates the request's session and abandons its in-flight
 // uploads (the uploadjob rows stay behind for the weekly GC, as in
-// production). A double close is served idempotently but skips the metrics,
-// so repeated closes cannot skew the gauge or the op counters.
+// production). A double close is served idempotently but is no request, so
+// repeated closes cannot skew the gauge, the op counters or the trace.
 func (s *Server) opCloseSession(c *OpContext) (*protocol.Response, error) {
 	sess := c.Session
 
@@ -575,10 +565,9 @@ func (s *Server) opCloseSession(c *OpContext) (*protocol.Response, error) {
 	}
 	s.uploadsMu.Unlock()
 
+	c.notRequest = !present
 	if present {
 		s.activeSessions.Dec()
-	} else {
-		c.skipMetrics = true
 	}
 	return okResponse(), nil
 }

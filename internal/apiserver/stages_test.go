@@ -186,9 +186,10 @@ func TestDispatchStages(t *testing.T) {
 				counts: stageCounts{count: 1, hist: 1, journaled: 1}, pushes: map[string]int{"peer": 1}}},
 		// get_reusable_content misses and make_uploadjob opens the job:
 		// nothing is linked, so nothing is journaled until the final part.
+		// The request is an event like any other; the trace drops it.
 		{name: "durable upload opens a job", req: protocol.Request{ID: 77, Op: protocol.OpPutContent, Name: "f", Hash: content, Size: 100},
 			durable: true, prep: inNewFile,
-			want: stageWant{status: protocol.StatusOK, cost: 2 * ms, counts: stageCounts{count: 1, hist: 1}}},
+			want: stageWant{status: protocol.StatusOK, event: true, cost: 2 * ms, counts: stageCounts{count: 1, hist: 1}}},
 		// get_reusable_content hits and make_content links the file: one
 		// journaled mutation and its fsync.
 		{name: "durable dedup links content", req: protocol.Request{ID: 77, Op: protocol.OpPutContent, Name: "f", Hash: content, Size: 100},
@@ -278,10 +279,10 @@ func TestDispatchStages(t *testing.T) {
 	}
 }
 
-// TestFinalPartEventCarriesSyncCost requires the upload event a final part
-// emits, on a store that journals with per-op fsync, to last exactly what
-// the part's api.op.PutPart.seconds observation recorded: the journal's sync
-// charge included.
+// TestFinalPartEventCarriesSyncCost requires the event a final part emits,
+// on a store that journals with per-op fsync, to carry the whole upload and
+// to last exactly what the part's api.op.PutPart.seconds observation
+// recorded: the journal's sync charge included.
 func TestFinalPartEventCarriesSyncCost(t *testing.T) {
 	e := newStageEnv(metadata.Config{Shards: 4, Durability: "/u1", FS: vfs.NewMemFS()}, Config{}, Deps{})
 	t.Cleanup(func() { e.store.Close() })
@@ -303,11 +304,126 @@ func TestFinalPartEventCarriesSyncCost(t *testing.T) {
 		t.Fatalf("emitted %d events, want 1", len(e.events))
 	}
 	want := Event{
-		Server: "m", Proc: sess.Proc, Session: sess.ID, User: 1, Op: protocol.OpPutContent,
+		Server: "m", Proc: sess.Proc, Session: sess.ID, User: 1, Op: protocol.OpPutPart,
 		Volume: root, Node: mk.Node.ID, Hash: h, Size: 100, Wire: 100, Ext: extOf("f.txt"),
-		Start: t0, Duration: cost, Status: protocol.StatusOK,
+		Start: t0, Duration: cost, Status: protocol.StatusOK, Upload: put.Upload, Final: true,
 	}
 	if got := e.events[0]; got != want {
 		t.Errorf("final part's event\n  got  %+v\n  want %+v", got, want)
+	}
+}
+
+// TestEveryAnsweredRequestEmittedOnce scripts one session through every kind
+// of answer: a job upload and its parts, a dedup hit, a download and a part
+// fetch, a request its handler refuses, an injected fault and a shed
+// request. Each must reach the observers exactly once, as its own op, and
+// the per-op series must count exactly the events seen. What is not a
+// request, one without a session or a second close, reaches neither.
+func TestEveryAnsweredRequestEmittedOnce(t *testing.T) {
+	plan := &faults.Plan{Seed: 1, Rules: map[protocol.Op]faults.Rule{protocol.OpMove: {Fraction: 1}}}
+	e := newStageEnv(metadata.Config{Shards: 4}, Config{Faults: plan, AdmitWatermark: 2}, Deps{})
+	before := e.reg.Snapshot()
+	sess := e.open(t, 1, "origin")
+	// Steps lie past each other's admission window; a burst shares one
+	// instant, so its third data request is shed.
+	step := 0
+	next := func() time.Time { step++; return t0.Add(time.Duration(step) * 2 * faults.AdmissionWindow) }
+	ask := func(req protocol.Request, at time.Time, want protocol.Status) *protocol.Response {
+		t.Helper()
+		n := len(e.events)
+		resp, _ := e.srv.Handle(sess, &req, at)
+		if resp.Status != want {
+			t.Errorf("%v answered %v, want %v", req.Op, resp.Status, want)
+		}
+		if len(e.events) != n+1 || e.events[n].Op != req.Op {
+			t.Errorf("%v reached the observers as %v", req.Op, e.events[n:])
+		}
+		return resp
+	}
+	ok := protocol.StatusOK
+
+	root := ask(protocol.Request{Op: protocol.OpListVolumes}, next(), ok).Volumes[0].ID
+	a := ask(protocol.Request{Op: protocol.OpMakeFile, Volume: root, Name: "a.iso"}, next(), ok).Node.ID
+	b := ask(protocol.Request{Op: protocol.OpMakeFile, Volume: root, Name: "b.iso"}, next(), ok).Node.ID
+	h := protocol.HashBytes([]byte("iso"))
+	put := ask(protocol.Request{Op: protocol.OpPutContent, Volume: root, Node: a, Name: "a.iso", Hash: h, Size: 2*blob.PartSize + 10}, next(), ok)
+	ask(protocol.Request{Op: protocol.OpPutPart, Upload: put.Upload, Part: 0, Size: blob.PartSize}, next(), ok)
+	ask(protocol.Request{Op: protocol.OpPutPart, Upload: put.Upload, Part: 1, Size: blob.PartSize}, next(), ok)
+	ask(protocol.Request{Op: protocol.OpPutPart, Upload: put.Upload, Part: 2, Size: 10, Final: true}, next(), ok)
+	if dedup := ask(protocol.Request{Op: protocol.OpPutContent, Volume: root, Node: b, Name: "b.iso", Hash: h, Size: 2*blob.PartSize + 10}, next(), ok); !dedup.Reused {
+		t.Error("the second put of the same content was no dedup hit")
+	}
+	ask(protocol.Request{Op: protocol.OpGetContent, Volume: root, Node: a}, next(), ok)
+	ask(protocol.Request{Op: protocol.OpGetPart, Volume: root, Node: a, Part: 0}, next(), ok)
+	ask(protocol.Request{Op: protocol.OpPutPart, Upload: put.Upload, Size: 10, Final: true}, next(), protocol.StatusNotFound)
+	ask(protocol.Request{Op: protocol.OpMove, Volume: root, Node: a, Name: "c.iso"}, next(), protocol.StatusUnavailable)
+	burst := next()
+	ask(protocol.Request{Op: protocol.OpGetPart, Volume: root, Node: a, Part: 1}, burst, ok)
+	ask(protocol.Request{Op: protocol.OpGetPart, Volume: root, Node: a, Part: 2}, burst, ok)
+	ask(protocol.Request{Op: protocol.OpGetContent, Volume: root, Node: a}, burst, protocol.StatusOverloaded)
+
+	n := len(e.events)
+	e.srv.Handle(nil, &protocol.Request{Op: protocol.OpPing}, next())
+	e.srv.CloseSession(sess, next())
+	e.srv.CloseSession(sess, next())
+	if got := len(e.events) - n; got != 1 {
+		t.Errorf("a sessionless request and two closes emitted %d events, want the first close's", got)
+	}
+
+	type tally struct{ count, errors, hist uint64 }
+	want := make(map[protocol.Op]tally)
+	refused := 0
+	for _, ev := range e.events {
+		w := want[ev.Op]
+		w.count++
+		if ev.Status != protocol.StatusOK {
+			w.errors++
+		}
+		if ev.refused {
+			refused++
+		} else {
+			w.hist++
+		}
+		want[ev.Op] = w
+	}
+	if refused != 2 {
+		t.Errorf("%d events marked refused, want the injected and the shed one", refused)
+	}
+	after := e.reg.Snapshot()
+	for _, op := range protocol.Ops() {
+		series := metrics.APIOp(op.String())
+		got := tally{
+			after.Counter(series.Count) - before.Counter(series.Count),
+			after.Counter(series.Errors) - before.Counter(series.Errors),
+			after.Histogram(series.Seconds).Count - before.Histogram(series.Seconds).Count,
+		}
+		if got != want[op] {
+			t.Errorf("%v series moved %+v, events say %+v", op, got, want[op])
+		}
+	}
+	machine := metrics.APIServerOps("m")
+	if got := after.Counter(machine) - before.Counter(machine); got != uint64(len(e.events)) {
+		t.Errorf("api.server.m.ops moved %d for %d events", got, len(e.events))
+	}
+}
+
+// TestAdmissionNeverShedsClose: a burst past every watermark sheds the
+// session's requests but never its close. Both transports forget a session
+// before closing it, so a shed close would leave it live for good.
+func TestAdmissionNeverShedsClose(t *testing.T) {
+	e := newStageEnv(metadata.Config{Shards: 4}, Config{AdmitWatermark: 1}, Deps{})
+	sess := e.open(t, 1, "origin")
+	for i := 0; i < 20; i++ {
+		e.srv.Handle(sess, &protocol.Request{Op: protocol.OpPing}, t0)
+	}
+	if shed := e.reg.Snapshot().Counter(metrics.FaultsShed); shed == 0 {
+		t.Fatal("the burst shed nothing; the watermark was never reached")
+	}
+	e.srv.CloseSession(sess, t0)
+	if n := e.srv.SessionCount(); n != 0 {
+		t.Errorf("%d sessions live after the close", n)
+	}
+	if n := e.reg.Snapshot().Gauge(metrics.APISessionsActive); n != 0 {
+		t.Errorf("api.sessions.active = %d after the close, want 0", n)
 	}
 }

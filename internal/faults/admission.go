@@ -90,7 +90,9 @@ func NewAdmission(procs, watermark int) *Admission {
 }
 
 // Admit decides whether proc may take one more op at time now, and if so
-// charges it to the window. Nil-safe: a nil controller admits everything.
+// charges it to the window. A CloseSession is charged but never shed: the
+// transports forget a session before closing it, so a shed close would
+// leave it live for good. Nil-safe: a nil controller admits everything.
 func (a *Admission) Admit(proc int, op protocol.Op, now time.Time) bool {
 	if a == nil || a.watermark <= 0 {
 		return true
@@ -112,7 +114,7 @@ func (a *Admission) Admit(proc int, op protocol.Op, now time.Time) bool {
 		}
 	}
 	p.entries = live
-	if len(p.entries) >= ClassOf(op).threshold(a.watermark) {
+	if len(p.entries) >= ClassOf(op).threshold(a.watermark) && op != protocol.OpCloseSession {
 		return false
 	}
 	p.entries = append(p.entries, now)

@@ -203,7 +203,8 @@ func (s *Server) Store() *metadata.Store { return s.store }
 func (s *Server) AddObserver(o Observer) { s.observers.Add(o) }
 
 // call wraps one store access with worker selection, latency sampling, span
-// emission and optional real sleeping. The sampled service time is charged to
+// emission (to the observers, then to the per-RPC and per-class series) and
+// optional real sleeping. The sampled service time is charged to
 // the request's cost accumulator (nil discards it) instead of being returned:
 // public methods no longer hand durations back for callers to thread by hand.
 func (s *Server) call(op protocol.RPC, user protocol.UserID, now time.Time, cost *protocol.Cost, err error) {
@@ -224,6 +225,9 @@ func (s *Server) call(op protocol.RPC, user protocol.UserID, now time.Time, cost
 		Service: service,
 		Err:     err,
 	}
+	for _, o := range s.observers.Load() {
+		o(span)
+	}
 	if int(op) < len(s.rpcSeconds) {
 		s.rpcSeconds[op].Observe(service.Seconds())
 	}
@@ -232,9 +236,6 @@ func (s *Server) call(op protocol.RPC, user protocol.UserID, now time.Time, cost
 	}
 	if err != nil {
 		s.rpcErrors.Inc()
-	}
-	for _, o := range s.observers.Load() {
-		o(span)
 	}
 	if s.cfg.RealSleep {
 		//u1:allow wallclock RealSleep mode plays simulated service time on the host clock for the TCP harness

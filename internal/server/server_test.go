@@ -732,14 +732,16 @@ func TestDirectEventObserver(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Expect: Authenticate, ListVolumes, ListShares, MakeFile, Upload.
+	// Expect every request once, as itself: Authenticate, ListVolumes,
+	// ListShares, MakeFile, the Upload that opens the job and its one part,
+	// which carries the whole upload.
 	var ops []protocol.Op
 	for _, e := range events {
 		ops = append(ops, e.Op)
 	}
 	want := []protocol.Op{
 		protocol.OpAuthenticate, protocol.OpListVolumes, protocol.OpListShares,
-		protocol.OpMakeFile, protocol.OpPutContent,
+		protocol.OpMakeFile, protocol.OpPutContent, protocol.OpPutPart,
 	}
 	if len(ops) != len(want) {
 		t.Fatalf("ops = %v", ops)
@@ -750,7 +752,7 @@ func TestDirectEventObserver(t *testing.T) {
 		}
 	}
 	up := events[len(events)-1]
-	if up.Size != 2048 || up.Wire != 700 || up.Ext != "java" || up.IsUpdate {
+	if !up.Final || up.Size != 2048 || up.Wire != 700 || up.Ext != "java" || up.IsUpdate {
 		t.Errorf("upload event = %+v", up)
 	}
 	if up.Duration <= 0 {
@@ -762,7 +764,7 @@ func TestDirectFileUpdateFlag(t *testing.T) {
 	c := newDirectCluster(t)
 	var updates int
 	c.AddAPIObserver(func(e apiserver.Event) {
-		if e.Op == protocol.OpPutContent && e.IsUpdate {
+		if e.IsUpdate { // a dedup hit's PutContent or an upload's final part
 			updates++
 		}
 	})

@@ -400,9 +400,25 @@ func (c *Collector) Extensions() []string {
 	return append([]string(nil), c.extTab...)
 }
 
-// APIObserver returns the observer to register on API servers.
+// APIObserver returns the observer to register on API servers. It records
+// one transfer per upload (§4.1): it drops, before locking, part fetches,
+// every part but a completed upload's last, and a PutContent that opened a
+// job, and records that last part, carrying the upload, as its PutContent.
 func (c *Collector) APIObserver() apiserver.Observer {
 	return func(e apiserver.Event) {
+		switch e.Op {
+		case protocol.OpGetPart:
+			return
+		case protocol.OpPutPart:
+			if !e.Final || e.Status != protocol.StatusOK {
+				return
+			}
+			e.Op = protocol.OpPutContent
+		case protocol.OpPutContent:
+			if e.Upload != 0 {
+				return
+			}
+		}
 		kind := KindStorage
 		if e.Op == protocol.OpAuthenticate || e.Op == protocol.OpCloseSession {
 			kind = KindSession

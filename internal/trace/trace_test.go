@@ -14,6 +14,7 @@ import (
 	"u1/internal/auth"
 	"u1/internal/blob"
 	"u1/internal/metadata"
+	"u1/internal/metrics"
 	"u1/internal/notify"
 	"u1/internal/protocol"
 	"u1/internal/rpc"
@@ -70,6 +71,83 @@ func TestCollectorAPIEvents(t *testing.T) {
 	}
 	if r.HashLo == 0 {
 		t.Error("hash prefix lost")
+	}
+}
+
+// TestPartOpsCountInSeriesNotTrace pins where the upload-granularity rule
+// lives: every part request counts in the per-op series, and the trace
+// keeps one PutContent record per completed upload and no part record.
+func TestPartOpsCountInSeriesNotTrace(t *testing.T) {
+	reg := metrics.NewRegistry()
+	authSvc := auth.New(auth.Config{Seed: 3})
+	srv := apiserver.New(apiserver.Config{Name: "m", Procs: 2}, apiserver.Deps{
+		RPC:      rpc.NewServer(metadata.New(metadata.Config{Shards: 4}), rpc.Config{Seed: 3, Metrics: reg}),
+		Auth:     authSvc,
+		Blob:     blob.New(blob.Config{}),
+		Broker:   notify.NewBroker(),
+		Transfer: blob.DefaultTransferModel(),
+		Metrics:  reg,
+	})
+	col := NewCollector(Config{Start: t0, Days: 1})
+	srv.AddObserver(col.APIObserver())
+	token, err := authSvc.Issue(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, _, _ := srv.OpenSession(token, nil, t0)
+	do := func(req protocol.Request) *protocol.Response {
+		t.Helper()
+		resp, _ := srv.Handle(sess, &req, t0)
+		if resp.Status != protocol.StatusOK {
+			t.Fatalf("%v: %v", req.Op, resp.Status)
+		}
+		return resp
+	}
+	root := do(protocol.Request{Op: protocol.OpListVolumes}).Volumes[0].ID
+	node := do(protocol.Request{Op: protocol.OpMakeFile, Volume: root, Name: "a.iso"}).Node.ID
+	const size = 2*blob.PartSize + 10
+	put := do(protocol.Request{Op: protocol.OpPutContent, Volume: root, Node: node, Name: "a.iso", Hash: protocol.HashBytes([]byte("a")), Size: size})
+	do(protocol.Request{Op: protocol.OpPutPart, Upload: put.Upload, Part: 0, Size: blob.PartSize})
+	do(protocol.Request{Op: protocol.OpPutPart, Upload: put.Upload, Part: 1, Size: blob.PartSize})
+	do(protocol.Request{Op: protocol.OpPutPart, Upload: put.Upload, Part: 2, Size: 10, Final: true})
+	do(protocol.Request{Op: protocol.OpGetContent, Volume: root, Node: node})
+	do(protocol.Request{Op: protocol.OpGetPart, Volume: root, Node: node, Part: 0})
+
+	snap := reg.Snapshot()
+	for _, c := range []struct {
+		op   protocol.Op
+		want uint64
+	}{{protocol.OpPutPart, 3}, {protocol.OpGetPart, 1}, {protocol.OpPutContent, 1}} {
+		if got := snap.Counter(metrics.APIOp(c.op.String()).Count); got != c.want {
+			t.Errorf("api.op.%v.count = %d, want %d", c.op, got, c.want)
+		}
+	}
+	var uploads []Record
+	for _, r := range col.Records() {
+		switch protocol.Op(r.Op) {
+		case protocol.OpPutPart, protocol.OpGetPart:
+			t.Errorf("the trace holds a %v record", protocol.Op(r.Op))
+		case protocol.OpPutContent:
+			uploads = append(uploads, r)
+		}
+	}
+	if len(uploads) != 1 || uploads[0].Size != size || uploads[0].Node != uint64(node) {
+		t.Errorf("upload records = %+v, want one of the %d-byte upload", uploads, size)
+	}
+
+	// A final part that failed is no completed upload, and a PutContent is
+	// recorded unless it opened a job.
+	before := col.Len()
+	failed := sampleEvent(protocol.OpPutPart, t0)
+	failed.Final, failed.Status = true, protocol.StatusUnavailable
+	opened := sampleEvent(protocol.OpPutContent, t0)
+	opened.Upload = 9
+	obs := col.APIObserver()
+	obs(failed)
+	obs(opened)
+	obs(sampleEvent(protocol.OpPutContent, t0))
+	if got := col.Len() - before; got != 1 {
+		t.Errorf("recorded %d of a failed final part, a job-opening and a reusing PutContent, want the last", got)
 	}
 }
 
