@@ -130,8 +130,9 @@ const authReadTimeout = 10 * time.Second
 // be an Authenticate request; afterwards requests are served in order and
 // pushes are interleaved onto the same connection, exactly the §3.3 model of
 // one persistent TCP connection per desktop client. Until it authenticates, a
-// peer can pin one pooled frame (wire.ReadSmallFrame) for authReadTimeout at
-// most. The gateway calls it on the connection's one goroutine.
+// peer can pin its read buffer and one pooled frame (ReadSmallFrame) for
+// authReadTimeout at most. The gateway calls it on the connection's one
+// goroutine.
 func (s *Server) ServeConn(conn net.Conn) {
 	w := &connWriter{conn: conn, dropped: s.pushDropped, frames: wire.NewFrameWriter(conn)}
 	defer w.kill()
@@ -148,13 +149,14 @@ func (s *Server) ServeConn(conn net.Conn) {
 	// frame goes back the moment it is decoded; the request's Data comes out
 	// of it in memory the blob store may adopt.
 	req := new(protocol.Request)
+	frames := wire.NewFrameReader(conn)
 	for {
-		read := wire.ReadFrame
+		read := frames.ReadFrame
 		if sess == nil {
 			conn.SetReadDeadline(hostNow().Add(authReadTimeout)) //nolint:errcheck // a failed set shows as a failed read
-			read = wire.ReadSmallFrame
+			read = frames.ReadSmallFrame
 		}
-		msgType, payload, err := read(conn)
+		msgType, payload, err := read()
 		if err != nil {
 			return // io.EOF on clean shutdown; anything else drops the conn
 		}

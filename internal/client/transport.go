@@ -98,8 +98,9 @@ func DialTCP(addr string) (*TCPTransport, error) {
 }
 
 func (t *TCPTransport) readLoop() {
+	frames := wire.NewFrameReader(t.conn)
 	for {
-		msgType, payload, err := wire.ReadFrame(t.conn)
+		msgType, payload, err := frames.ReadFrame()
 		if err != nil {
 			t.fail(err)
 			return

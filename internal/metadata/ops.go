@@ -9,6 +9,25 @@ import (
 	"u1/internal/protocol"
 )
 
+// The refusals whose message names no argument, built once.
+var (
+	errEmptyUDFPath     = fmt.Errorf("%w: empty UDF path", protocol.ErrBadRequest)
+	errDeleteRootVolume = fmt.Errorf("%w: cannot delete the root volume", protocol.ErrBadRequest)
+	errEmptyNodeName    = fmt.Errorf("%w: empty node name", protocol.ErrBadRequest)
+	errParentNode       = fmt.Errorf("%w: parent node", protocol.ErrNotFound)
+	errParentIsFile     = fmt.Errorf("%w: parent is a file", protocol.ErrBadRequest)
+	errZeroHash         = fmt.Errorf("%w: zero content hash", protocol.ErrBadRequest)
+	errContentOnDir     = fmt.Errorf("%w: content on a directory", protocol.ErrBadRequest)
+	errUnlinkRoot       = fmt.Errorf("%w: cannot unlink the volume root", protocol.ErrBadRequest)
+	errEmptyTargetName  = fmt.Errorf("%w: empty target name", protocol.ErrBadRequest)
+	errMoveRoot         = fmt.Errorf("%w: cannot move the volume root", protocol.ErrBadRequest)
+	errTargetDir        = fmt.Errorf("%w: target directory", protocol.ErrNotFound)
+	errMoveIntoSubtree  = fmt.Errorf("%w: move into own subtree", protocol.ErrBadRequest)
+	errShareWithSelf    = fmt.Errorf("%w: sharing with oneself", protocol.ErrBadRequest)
+	errGrantee          = fmt.Errorf("%w: grantee", protocol.ErrNotFound)
+	errProbeWithoutHash = fmt.Errorf("%w: dedup probe without a content hash", protocol.ErrBadRequest)
+)
+
 // mutate is the one write path into a volume, in the order every volume op
 // refuses: it resolves vol's owner, refuses anyone but the owner when
 // op.ownerOnly, refuses the op while the owner's region is down, runs
@@ -230,7 +249,7 @@ func (s *Store) ListShares(user protocol.UserID) ([]protocol.ShareInfo, error) {
 // CreateUDF creates a user-defined volume (dal.create_udf).
 func (s *Store) CreateUDF(user protocol.UserID, path string) (protocol.VolumeInfo, error) {
 	if path == "" {
-		return protocol.VolumeInfo{}, fmt.Errorf("%w: empty UDF path", protocol.ErrBadRequest)
+		return protocol.VolumeInfo{}, errEmptyUDFPath
 	}
 	sh, err := s.writeShard(user)
 	if err != nil {
@@ -275,7 +294,7 @@ func (s *Store) DeleteVolume(user protocol.UserID, vol protocol.VolumeID) (remov
 		ownerOnly: true,
 		build: func(sh *shard, vr *volumeRow) (journalRecord, error) {
 			if vr.info.Type == protocol.VolumeRoot {
-				return journalRecord{}, fmt.Errorf("%w: cannot delete the root volume", protocol.ErrBadRequest)
+				return journalRecord{}, errDeleteRootVolume
 			}
 			// Read what the record is about to remove: the nodes go back to
 			// the caller, and the grants are revoked in the peer regions.
@@ -304,7 +323,7 @@ func (s *Store) DeleteVolume(user protocol.UserID, vol protocol.VolumeID) (remov
 // re-send Make before uploads (Table 2: "normally precedes a file upload").
 func (s *Store) makeNode(user protocol.UserID, vol protocol.VolumeID, parent protocol.NodeID, name string, kind protocol.NodeKind) (protocol.NodeInfo, error) {
 	if name == "" {
-		return protocol.NodeInfo{}, fmt.Errorf("%w: empty node name", protocol.ErrBadRequest)
+		return protocol.NodeInfo{}, errEmptyNodeName
 	}
 	var info protocol.NodeInfo
 	_, err := s.mutate(user, vol, volumeWrite{build: func(sh *shard, vr *volumeRow) (journalRecord, error) {
@@ -313,10 +332,10 @@ func (s *Store) makeNode(user protocol.UserID, vol protocol.VolumeID, parent pro
 		}
 		pr, ok := sh.nodes[parent]
 		if !ok || pr.vol != vol {
-			return journalRecord{}, fmt.Errorf("%w: parent node", protocol.ErrNotFound)
+			return journalRecord{}, errParentNode
 		}
 		if pr.kind != protocol.KindDir {
-			return journalRecord{}, fmt.Errorf("%w: parent is a file", protocol.ErrBadRequest)
+			return journalRecord{}, errParentIsFile
 		}
 		if existingID, ok := pr.children[name]; ok {
 			existing := sh.nodes[existingID]
@@ -357,7 +376,7 @@ func (s *Store) MakeDir(user protocol.UserID, vol protocol.VolumeID, parent prot
 // behind 18.5% of U1's upload traffic (§5.1).
 func (s *Store) MakeContent(user protocol.UserID, vol protocol.VolumeID, node protocol.NodeID, h protocol.Hash, size uint64) (info protocol.NodeInfo, freed *protocol.Hash, wasUpdate bool, err error) {
 	if h.IsZero() {
-		return protocol.NodeInfo{}, nil, false, fmt.Errorf("%w: zero content hash", protocol.ErrBadRequest)
+		return protocol.NodeInfo{}, nil, false, errZeroHash
 	}
 	hashes, err := s.mutate(user, vol, volumeWrite{build: func(sh *shard, vr *volumeRow) (journalRecord, error) {
 		nr, ok := sh.nodes[node]
@@ -365,7 +384,7 @@ func (s *Store) MakeContent(user protocol.UserID, vol protocol.VolumeID, node pr
 			return journalRecord{}, protocol.ErrNotFound
 		}
 		if nr.kind != protocol.KindFile {
-			return journalRecord{}, fmt.Errorf("%w: content on a directory", protocol.ErrBadRequest)
+			return journalRecord{}, errContentOnDir
 		}
 		wasUpdate = !nr.hash.IsZero() && (nr.hash != h || nr.size != size)
 		info = nr.info(node)
@@ -429,7 +448,7 @@ func (s *Store) Unlink(user protocol.UserID, vol protocol.VolumeID, node protoco
 			return journalRecord{}, protocol.ErrNotFound
 		}
 		if node == vr.root {
-			return journalRecord{}, fmt.Errorf("%w: cannot unlink the volume root", protocol.ErrBadRequest)
+			return journalRecord{}, errUnlinkRoot
 		}
 		// Depth-first collection of the subtree, children in ascending-ID
 		// order, each stamped with the new generation: the removed list is
@@ -462,7 +481,7 @@ func (s *Store) Unlink(user protocol.UserID, vol protocol.VolumeID, node protoco
 // Move re-parents or renames a node within its volume (dal.move).
 func (s *Store) Move(user protocol.UserID, vol protocol.VolumeID, node, newParent protocol.NodeID, newName string) (protocol.NodeInfo, error) {
 	if newName == "" {
-		return protocol.NodeInfo{}, fmt.Errorf("%w: empty target name", protocol.ErrBadRequest)
+		return protocol.NodeInfo{}, errEmptyTargetName
 	}
 	var info protocol.NodeInfo
 	_, err := s.mutate(user, vol, volumeWrite{build: func(sh *shard, vr *volumeRow) (journalRecord, error) {
@@ -471,14 +490,14 @@ func (s *Store) Move(user protocol.UserID, vol protocol.VolumeID, node, newParen
 			return journalRecord{}, protocol.ErrNotFound
 		}
 		if node == vr.root {
-			return journalRecord{}, fmt.Errorf("%w: cannot move the volume root", protocol.ErrBadRequest)
+			return journalRecord{}, errMoveRoot
 		}
 		if newParent == 0 {
 			newParent = vr.root
 		}
 		pr, ok := sh.nodes[newParent]
 		if !ok || pr.vol != vol || pr.kind != protocol.KindDir {
-			return journalRecord{}, fmt.Errorf("%w: target directory", protocol.ErrNotFound)
+			return journalRecord{}, errTargetDir
 		}
 		if _, taken := pr.children[newName]; taken {
 			return journalRecord{}, fmt.Errorf("%w: target name %q", protocol.ErrExists, newName)
@@ -487,7 +506,7 @@ func (s *Store) Move(user protocol.UserID, vol protocol.VolumeID, node, newParen
 		if nr.kind == protocol.KindDir {
 			for cur := newParent; cur != 0; {
 				if cur == node {
-					return journalRecord{}, fmt.Errorf("%w: move into own subtree", protocol.ErrBadRequest)
+					return journalRecord{}, errMoveIntoSubtree
 				}
 				parentRow, ok := sh.nodes[cur]
 				if !ok {
@@ -576,7 +595,7 @@ func subtreeSize(sh *shard, id protocol.NodeID) int {
 // grantee must exist, a read of its shard, and its region must serve too.
 func (s *Store) CreateShare(owner protocol.UserID, vol protocol.VolumeID, to protocol.UserID, name string, readOnly bool) (protocol.ShareInfo, error) {
 	if owner == to {
-		return protocol.ShareInfo{}, fmt.Errorf("%w: sharing with oneself", protocol.ErrBadRequest)
+		return protocol.ShareInfo{}, errShareWithSelf
 	}
 	var share protocol.ShareInfo
 	_, err := s.mutate(owner, vol, volumeWrite{
@@ -592,7 +611,7 @@ func (s *Store) CreateShare(owner protocol.UserID, vol protocol.VolumeID, to pro
 			_, ok := gsh.users[to]
 			gsh.RUnlock(gLockedAt)
 			if !ok {
-				return fmt.Errorf("%w: grantee", protocol.ErrNotFound)
+				return errGrantee
 			}
 			return nil
 		},
@@ -653,7 +672,7 @@ func (s *Store) AcceptShare(user protocol.UserID, id protocol.ShareID) (protocol
 // one catalog row.
 func (s *Store) LookupContent(h protocol.Hash) (size uint64, ok bool, err error) {
 	if h.IsZero() {
-		return 0, false, fmt.Errorf("%w: dedup probe without a content hash", protocol.ErrBadRequest)
+		return 0, false, errProbeWithoutHash
 	}
 	size, ok = s.contents.lookup(h)
 	return size, ok, nil

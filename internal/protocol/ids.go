@@ -6,7 +6,7 @@
 // Buffer ownership. Request.Decode and Response.Decode do not copy Data out
 // of the buffer they decode: the message's Data aliases its input, and so
 // does a response's Deltas, a listing read in place. Over TCP that input is
-// the frame wire.ReadFrame just read, which the connection loop gives back
+// the frame a wire.FrameReader just read, which the connection loop gives back
 // with wire.ReleaseFrame the moment it is decoded, taking the Data out in
 // memory nobody recycles — unless the response's Deltas need it, when
 // Response.KeepFrame has the response keep it until ReleaseResponse.

@@ -331,7 +331,7 @@ func (p *Response) Decode(buf []byte) error {
 	return nil
 }
 
-// KeepFrame hands p the frame it was decoded from, a payload wire.ReadFrame
+// KeepFrame hands p the frame it was decoded from, a payload wire.FrameReader
 // returned. A response whose Deltas are a view of that frame keeps it, and
 // ReleaseResponse gives it back; any other gives it back at once. Either
 // way p's Data comes out of the frame first, into memory nobody recycles.

@@ -3,7 +3,7 @@
 // TCP and Google Protocol Buffers (§3.1); this package provides the same
 // ingredients from the standard library only: varint-based field encoding
 // (Writer/Reader) and length-prefixed frames with a one-byte message type
-// (WriteFrame/ReadFrame).
+// (WriteFrame/ReadFrame, and FrameReader on a connection).
 //
 // Encoding rules: unsigned integers are uvarints, signed integers zig-zag
 // varints, byte slices and strings are length-prefixed, booleans one byte.
@@ -11,29 +11,32 @@
 // frame header selects the decoder, exactly like a protobuf oneof envelope
 // but simpler to audit.
 //
-// Buffer ownership. Frame buffers up to maxPooledFrame (64 KB) are
-// recycled. ReadFrame reads a frame of that size into a buffer from
-// power-of-two size classes (512 B to 64 KB) and hands it to the caller on
-// loan; a larger frame is read into a fresh buffer of its exact size, which
-// the caller owns. Whatever the caller decodes out of a frame (Reader.Bytes,
+// Buffer ownership. Frame buffers up to maxPooledFrame (64 KB) are recycled.
+// A frame of that size is read into a buffer from power-of-two size classes
+// (512 B to 64 KB) and handed to the caller on loan; a larger frame is read
+// into a fresh buffer of its exact size, which the caller owns. A
+// connection's FrameReader reads through a 4 KB buffer from a pool of its
+// own, held from a read until its bytes are consumed: at most those 4 KB of a
+// frame are copied out of it into the frame, the rest is read in place.
+// Whatever the caller decodes out of a frame (Reader.Bytes,
 // protocol.Unmarshal*) aliases it, so a connection loop decodes the frame,
 // then calls ReleaseFrame once with the message's Data: the frame goes back,
 // and the Data comes out in memory nobody recycles. A GetDelta answer is the
 // exception: its listing is read in place, so the client's read loop hands
-// the frame to the response (protocol.Response.KeepFrame), and the frame
-// goes back at protocol.ReleaseResponse, not in the loop. The server builds
-// such a listing in a buffer of the same pool (AcquireFrame), which goes
-// back the same way. Data leaves a recycled frame as an exact copy and a
-// larger frame as itself, which keeps the
-// read the one user-space copy of a part above 64 KB: the object store
-// adopts the Data as the stored part and serves downloads from it. A smaller
-// part takes one more copy, of at most 64 KB, so a stored part never pins a
-// recycled buffer's slack. On the way out, FrameWriter.WriteMessage encodes
-// into a buffer from one shared pool and gives it back after the write, so a
-// FrameWriter holds no buffer between frames. WriteFrame and WriteMessage
-// have put every byte on the writer by the time they return, so the caller
-// may reuse its payload. A byte slice recorded with Writer.Payload is
-// written from where it lies, never copied and never modified.
+// the frame to the response (protocol.Response.KeepFrame), and the frame goes
+// back at protocol.ReleaseResponse, not in the loop. The server builds such a
+// listing in a buffer of the same pool (AcquireFrame), which goes back the
+// same way. Data leaves a recycled frame as an exact copy and a larger frame
+// as itself, which keeps the read the one user-space copy of a part above
+// 64 KB past its first 4 KB: the object store adopts the Data as the stored
+// part and serves downloads from it. A smaller part takes one more copy, of
+// at most 64 KB, so a stored part never pins a recycled buffer's slack. On
+// the way out, FrameWriter.WriteMessage encodes into a buffer from one shared
+// pool and gives it back after the write, so a FrameWriter holds no buffer
+// between frames. WriteFrame and WriteMessage have put every byte on the
+// writer by the time they return, so the caller may reuse its payload. A byte
+// slice recorded with Writer.Payload is written from where it lies, never
+// copied and never modified.
 package wire
 
 import (
@@ -111,9 +114,8 @@ func WriteFrame(w io.Writer, msgType byte, payload []byte) error {
 	return err
 }
 
-// rawFrame is the header and write vector of one WriteFrame call, or the
-// header one ReadFrame reads, pooled so that a frame costs no allocation of
-// its own.
+// rawFrame is the header and write vector of one WriteFrame call, pooled so
+// that a frame costs no allocation of its own.
 type rawFrame struct {
 	hdr [frameHeaderSize]byte
 	segments
@@ -198,40 +200,79 @@ func (f *FrameWriter) WriteMessage(msgType byte, m Message) error {
 // ReadFrame reads one frame from r. It returns the message type and payload:
 // up to maxPooledFrame, a recycled buffer on loan until ReleaseFrame; above
 // it, a fresh buffer the caller owns. A frame above MaxFrameSize is refused
-// from its header (DDoS hygiene, §5.4), but a smaller one is allocated whole
-// as soon as its header is read: a peer not yet trusted reads ReadSmallFrame.
+// from its header (DDoS hygiene, §5.4). ReadFrame reads exactly the frame's
+// bytes, header then payload; a connection read only as frames reads
+// through a FrameReader, which needs one read for both.
 func ReadFrame(r io.Reader) (msgType byte, payload []byte, err error) {
-	return readFrame(r, MaxFrameSize)
+	f := FrameReader{r: r, window: frameHeaderSize}
+	return f.read(MaxFrameSize)
 }
 
-// ReadSmallFrame is ReadFrame refusing any frame above one pooled buffer.
-func ReadSmallFrame(r io.Reader) (msgType byte, payload []byte, err error) {
-	return readFrame(r, maxPooledFrame)
+// readBufSize is a FrameReader's read buffer: room for a small frame whole.
+const readBufSize = 4 << 10
+
+var readBufs = sync.Pool{New: func() any { return new([readBufSize]byte) }}
+
+// FrameReader reads the frames of one connection through a read buffer,
+// taken from readBufs when it must read and given back once every byte in
+// it is consumed, so a frame that arrived whole costs one read.
+type FrameReader struct {
+	r        io.Reader
+	window   int                // bytes one read may fill: readBufSize, or a header for ReadFrame
+	buf      *[readBufSize]byte // from a read until its bytes are consumed, else nil
+	off, end int                // buf[off:end] is read and not yet consumed
 }
 
-// readFrame reads one frame of at most limit bytes.
-func readFrame(r io.Reader, limit uint32) (msgType byte, payload []byte, err error) {
-	hdr := rawFrames.Get().(*rawFrame)
-	_, err = io.ReadFull(r, hdr.hdr[:])
-	n, msgType := binary.BigEndian.Uint32(hdr.hdr[:4]), hdr.hdr[4]
-	rawFrames.Put(hdr)
-	if err != nil {
-		if errors.Is(err, io.ErrUnexpectedEOF) {
-			return 0, nil, ErrTruncated
+// NewFrameReader returns a FrameReader on r.
+func NewFrameReader(r io.Reader) *FrameReader { return &FrameReader{r: r, window: readBufSize} }
+
+// ReadFrame reads the next frame, as the package's ReadFrame does.
+func (f *FrameReader) ReadFrame() (byte, []byte, error) { return f.read(MaxFrameSize) }
+
+// ReadSmallFrame is ReadFrame refusing any frame above one pooled buffer
+// from its header: what a peer not yet trusted may make the reader allocate.
+func (f *FrameReader) ReadSmallFrame() (byte, []byte, error) { return f.read(maxPooledFrame) }
+
+// read reads one frame of at most limit bytes. After an error the reader
+// holds no buffer and is not read again.
+func (f *FrameReader) read(limit uint32) (msgType byte, payload []byte, err error) {
+	for f.end-f.off < frameHeaderSize {
+		if f.buf == nil {
+			f.buf = readBufs.Get().(*[readBufSize]byte)
 		}
-		return 0, nil, err // io.EOF passes through for clean shutdown
+		f.end, f.off = copy(f.buf[:], f.buf[f.off:f.end]), 0 // the part of a header that waits
+		n, err := f.r.Read(f.buf[f.end:f.window])
+		if f.end += n; n == 0 && err != nil { // an error that came with bytes comes again
+			if err == io.EOF && f.end > 0 || errors.Is(err, io.ErrUnexpectedEOF) {
+				err = ErrTruncated
+			}
+			f.release()
+			return 0, nil, err // io.EOF passes through for clean shutdown
+		}
 	}
+	n, msgType := binary.BigEndian.Uint32(f.buf[f.off:]), f.buf[f.off+4]
 	if n > limit {
+		f.release()
 		return 0, nil, ErrFrameTooLarge
 	}
-	if n == 0 {
-		return msgType, nil, nil
+	if n > 0 {
+		payload = takeFrame(int(n))
 	}
-	payload = takeFrame(int(n))
-	if _, err := io.ReadFull(r, payload); err != nil {
+	copied := copy(payload, f.buf[f.off+frameHeaderSize:f.end])
+	if f.off += frameHeaderSize + copied; f.off == f.end {
+		f.release()
+	}
+	if _, err := io.ReadFull(f.r, payload[copied:]); err != nil {
 		return 0, nil, ErrTruncated // the half-filled buffer is dropped, never pooled
 	}
 	return msgType, payload, nil
+}
+
+// release gives the read buffer back to readBufs, poisoned.
+func (f *FrameReader) release() {
+	poison(f.buf[:])
+	readBufs.Put(f.buf)
+	f.buf, f.off, f.end = nil, 0, 0
 }
 
 // takeFrame returns a buffer of n bytes: recycled from n's size class when

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -268,35 +269,78 @@ func (c *countingReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
+// splitReader hands out at most the next of its sizes per Read, cycling
+// through them, and counts its Read calls.
+type splitReader struct {
+	r     io.Reader
+	sizes []byte
+	reads int
+}
+
+func (s *splitReader) Read(p []byte) (int, error) {
+	if len(s.sizes) > 0 {
+		p = p[:min(len(p), int(s.sizes[s.reads%len(s.sizes)])+1)]
+	}
+	s.reads++
+	return s.r.Read(p)
+}
+
 // FuzzReadFrame feeds arbitrary bytes to ReadFrame, up to four frames back to
 // back from one stream, each payload given back before the next read, as a
 // connection loop does: it must never panic, must refuse an oversized frame
 // having read its header and nothing else, and every frame it accepts must
-// re-encode to exactly the bytes it consumed.
+// re-encode to exactly the bytes it consumed. A FrameReader over the same
+// stream, read in pieces of the fuzzed sizes, must return the same frames
+// and the same errors, refuse an oversized frame without allocating its
+// payload, and give its read buffer back after an error.
 func FuzzReadFrame(f *testing.F) {
 	var golden bytes.Buffer
 	WriteFrame(&golden, 1, []byte("storage_done")) //nolint:errcheck
-	f.Add(golden.Bytes())
-	f.Add([]byte{0, 0, 0, 0, 2})
-	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 1, 0})
-	f.Add([]byte{0, 0, 0, 9, 1, 'x'})
+	f.Add(golden.Bytes(), []byte{})
+	f.Add([]byte{0, 0, 0, 0, 2}, []byte{0})
+	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 1, 0}, []byte{2})
+	f.Add([]byte{0, 0, 0, 9, 1, 'x'}, []byte{3, 0})
 	var run bytes.Buffer
 	for _, n := range []int{12, 600, 0, 3000} {
 		WriteFrame(&run, byte(n), bytes.Repeat([]byte{byte(n)}, n)) //nolint:errcheck
 	}
-	f.Add(run.Bytes())
-	f.Fuzz(func(t *testing.T, in []byte) {
+	f.Add(run.Bytes(), []byte{})
+	f.Add(run.Bytes(), []byte{6, 255, 0, 100})
+	f.Fuzz(func(t *testing.T, in, sizes []byte) {
 		src := &countingReader{r: bytes.NewReader(in)}
+		fr := NewFrameReader(&splitReader{r: bytes.NewReader(in), sizes: sizes})
 		for frame := 0; frame < 4; frame++ {
 			at := src.n
 			msgType, payload, err := ReadFrame(src)
+			oversized := false
 			if rest := in[at:]; len(rest) >= frameHeaderSize && binary.BigEndian.Uint32(rest) > MaxFrameSize {
+				oversized = true
 				if !errors.Is(err, ErrFrameTooLarge) || src.n-at != frameHeaderSize {
 					t.Fatalf("frame %d oversized: err %v after %d bytes", frame, err, src.n-at)
 				}
 			}
+			var before, after runtime.MemStats
+			if oversized {
+				runtime.ReadMemStats(&before)
+			}
+			gotType, got, gotErr := fr.ReadFrame()
+			if oversized {
+				runtime.ReadMemStats(&after)
+				if grew := after.TotalAlloc - before.TotalAlloc; grew >= MaxFrameSize {
+					t.Fatalf("frame %d oversized: the FrameReader allocated %d bytes", frame, grew)
+				}
+			}
+			if (gotErr == nil) != (err == nil) || err != nil && !errors.Is(gotErr, err) {
+				t.Fatalf("frame %d: FrameReader error %v, ReadFrame error %v", frame, gotErr, err)
+			}
 			if err != nil {
+				if fr.buf != nil {
+					t.Fatalf("frame %d: the FrameReader holds a buffer after %v", frame, err)
+				}
 				return
+			}
+			if gotType != msgType || !bytes.Equal(got, payload) {
+				t.Fatalf("frame %d: FrameReader read type %d %x, ReadFrame type %d %x", frame, gotType, got, msgType, payload)
 			}
 			var out bytes.Buffer
 			if err := WriteFrame(&out, msgType, payload); err != nil {
@@ -306,8 +350,57 @@ func FuzzReadFrame(f *testing.F) {
 				t.Fatalf("frame %d re-encoded %x, consumed %x", frame, out.Bytes(), in[at:src.n])
 			}
 			ReleaseFrame(payload, nil)
+			ReleaseFrame(got, nil)
 		}
 	})
+}
+
+// A FrameReader makes one Read for frames that arrive together, copies what
+// it buffered of a larger frame and reads the rest in place, gives its read
+// buffer back (poisoned under the race detector) once it is drained, and
+// after warm-up allocates nothing. ReadFrame makes two Reads per frame.
+func TestFrameReaderOneReadPerFrame(t *testing.T) {
+	small, large := frameOf(t, 200, 's'), frameOf(t, 3*readBufSize, 'L')
+	src := &splitReader{r: bytes.NewReader(append(small, large...))}
+	fr := NewFrameReader(src)
+	_, payload, err := fr.ReadFrame()
+	if err != nil || !bytes.Equal(payload, small[frameHeaderSize:]) || src.reads != 1 {
+		t.Fatalf("the first frame: %d bytes, err %v, after %d reads; want 1", len(payload), err, src.reads)
+	}
+	ReleaseFrame(payload, nil)
+	held := fr.buf
+	if _, payload, err = fr.ReadFrame(); err != nil || !bytes.Equal(payload, large[frameHeaderSize:]) || src.reads != 2 {
+		t.Fatalf("the %d-byte frame: %d bytes, err %v, after %d reads in all; want 2", len(large), len(payload), err, src.reads)
+	}
+	ReleaseFrame(payload, nil)
+	if fr.buf != nil {
+		t.Error("a drained reader holds its read buffer")
+	}
+	if !poolsKeep() && bytes.Count(held[:], held[:1]) != readBufSize {
+		t.Error("a released read buffer was not poisoned")
+	}
+
+	src.reads = 0
+	src.r = bytes.NewReader(small)
+	if _, _, err := ReadFrame(src); err != nil || src.reads != 2 {
+		t.Errorf("ReadFrame: err %v after %d reads; want 2", err, src.reads)
+	}
+
+	if !poolsKeep() {
+		return // the race detector drops pooled buffers on purpose
+	}
+	rd := bytes.NewReader(small)
+	fr = NewFrameReader(rd)
+	if n := testing.AllocsPerRun(100, func() {
+		rd.Reset(small)
+		_, payload, err := fr.ReadFrame()
+		if err != nil || len(payload) != 200 {
+			t.Fatalf("read %d bytes, err %v", len(payload), err)
+		}
+		ReleaseFrame(payload, nil)
+	}); n != 0 {
+		t.Errorf("reading and giving back a 200-byte frame: %v allocs", n)
+	}
 }
 
 // fields is a Message of two plain fields around an optional Payload.
