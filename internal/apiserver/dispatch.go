@@ -14,16 +14,16 @@ import (
 // transfer estimate charged to the request, and the in-flight trace Event.
 //
 // Lifecycle: the server takes a context from an internal pool for each
-// request (Handle, OpenSession, CloseSession), initializes every field, runs
-// dispatch on it, reads the accumulated cost, and returns it to the pool. A
-// context therefore never outlives its request — handlers must not retain it
-// (copy Event or individual fields instead). The same holds for Req: the
-// request is borrowed from the caller, and the TCP connection loop decodes
-// the next frame into the very same struct, so nothing may keep c.Req or a
-// pointer into it past the call. Handlers copy the fields they store (the
-// pending upload, the trace Event); a part's Data is the one thing handed
-// on, to the object store, and it aliases the frame's own buffer, never the
-// struct.
+// request (Handle, OpenSession, CloseSession), sets the request's fields,
+// runs dispatch on it, reads the accumulated cost, and returns it zeroed to
+// the pool. A context therefore never outlives its request — handlers must
+// not retain it (copy Event or individual fields instead). The same holds
+// for Req: the request is borrowed from the caller, and the TCP connection
+// loop decodes the next frame into the very same struct, so nothing may keep
+// c.Req or a pointer into it past the call. Handlers copy the fields they
+// store (the pending upload, the trace Event); a part's Data is the one thing
+// handed on, to the object store, and it aliases the frame's own buffer,
+// never the struct.
 //
 // Handlers communicate with dispatch's shared bookkeeping exclusively
 // through the context: they mutate Event to enrich the request's record,
@@ -123,30 +123,25 @@ func (s *Server) ownOpContext(sess *Session, req protocol.Request, now time.Time
 	return c
 }
 
-// initOpContext resets every field of c for one request, keeping only the
-// pending slice's backing array and the own request.
+// initOpContext fills c for one request. A context comes from the pool zero
+// but for its pending slice's backing array (releaseOpContext zeroes it,
+// TestReleasedOpContextIsZero) and, from ownOpContext, the own request, so
+// only the request's fields are set, in place.
 func (s *Server) initOpContext(c *OpContext, sess *Session, req *protocol.Request, now time.Time) {
-	*c = OpContext{Session: sess, Now: now, Req: req, pending: c.pending[:0], own: c.own}
-	c.Event = Event{
-		Server: s.cfg.Name,
-		Op:     req.Op,
-		Volume: req.Volume,
-		Node:   req.Node,
-		Upload: req.Upload,
-		Final:  req.Final,
-		Start:  now,
-	}
+	c.Session, c.Now, c.Req = sess, now, req
+	e := &c.Event
+	e.Server, e.Op, e.Volume, e.Node = s.cfg.Name, req.Op, req.Volume, req.Node
+	e.Upload, e.Final, e.Start = req.Upload, req.Final, now
 	if sess != nil {
 		c.User = sess.User
 		c.hasProc = true
-		c.Event.Proc = sess.Proc
-		c.Event.Session = sess.ID
-		c.Event.User = sess.User
+		e.Proc, e.Session, e.User = sess.Proc, sess.ID, sess.User
 	}
 }
 
-// releaseOpContext returns a context to the pool. Callers must have read
-// everything they need (cost total, new session) first.
+// releaseOpContext zeroes a context, keeping its pending slice's backing
+// array, and returns it to the pool. Callers must have read everything they
+// need (cost total, new session) first.
 func releaseOpContext(c *OpContext) {
 	pending := c.pending[:0]
 	*c = OpContext{pending: pending}

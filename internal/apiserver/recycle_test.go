@@ -2,6 +2,7 @@ package apiserver
 
 import (
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -100,5 +101,65 @@ func TestStatusMapReleasesWhatItReplaces(t *testing.T) {
 	}
 	if resp != built && !reflect.DeepEqual(*built, protocol.Response{}) {
 		t.Errorf("the replaced response was not released: %+v", *built)
+	}
+}
+
+// TestReleasedOpContextIsZero pins the invariant initOpContext relies on:
+// every context that goes back to the pool equals OpContext{pending:
+// c.pending[:0]}, whichever way its request went. Two GC cycles empty the
+// pool (the first moves its contents to the victim cache, the second drops
+// them), and from then on every context the server uses is one the pool's
+// New made, which the test keeps and inspects after each request.
+func TestReleasedOpContextIsZero(t *testing.T) {
+	var made []*OpContext
+	newCtx := opCtxPool.New
+	opCtxPool.New = func() any {
+		c := new(OpContext)
+		made = append(made, c)
+		return c
+	}
+	t.Cleanup(func() { opCtxPool.New = newCtx })
+	runtime.GC()
+	runtime.GC()
+
+	f := newFixture(t)
+	shedding, _ := newFaultFixture(t, nil, 1)
+	var sess *Session
+	handle := func(srv *Server, sess *Session, req protocol.Request, aborted func() bool, want protocol.Status) {
+		t.Helper()
+		resp, _ := srv.handle(sess, &req, t0, aborted)
+		if resp.Status != want {
+			t.Fatalf("%v: status = %v, want %v", req.Op, resp.Status, want)
+		}
+		protocol.ReleaseResponse(resp)
+	}
+	cases := []struct {
+		name string
+		do   func()
+	}{
+		{"OpenSession", func() { sess = f.session(t, 91) }},
+		{"a commit that queues a push", func() {
+			handle(f.srv, sess, protocol.Request{Op: protocol.OpMakeDir, Volume: f.rootOf(t, sess), Name: "d"}, nil, protocol.StatusOK)
+		}},
+		{"a request refused by admission", func() {
+			shed := shedding.session(t, 92)
+			handle(shedding.srv, shed, protocol.Request{Op: protocol.OpGetContent, Node: 1}, nil, protocol.StatusNotFound)
+			handle(shedding.srv, shed, protocol.Request{Op: protocol.OpGetContent, Node: 1}, nil, protocol.StatusOverloaded)
+		}},
+		{"a TCP-aborted request", func() {
+			handle(f.srv, sess, protocol.Request{Op: protocol.OpListVolumes}, func() bool { return true }, protocol.StatusCancelled)
+		}},
+		{"CloseSession", func() { f.srv.CloseSession(sess, t0) }},
+	}
+	for _, tc := range cases {
+		tc.do()
+		if len(made) == 0 {
+			t.Fatalf("after %s: no context came from the pool's New", tc.name)
+		}
+		for i, c := range made {
+			if want := (OpContext{pending: c.pending[:0]}); !reflect.DeepEqual(*c, want) {
+				t.Errorf("after %s: released context %d = %+v, want zero but its pending slice", tc.name, i, *c)
+			}
+		}
 	}
 }

@@ -272,21 +272,25 @@ func (h *Histogram) updateExtremes(v float64) {
 // Observe the elapsed seconds. It hands out no time.Time and no duration, so
 // a wall-clock reading can only ever land in a metric, never in simulation
 // state: "wall-clock is observability only" holds by type. Lock holds, blob
-// transfers and gateway placement are timed with it.
-type Stopwatch struct{ start time.Time }
+// transfers and gateway placement are timed with it. The zero Stopwatch
+// observes nothing: it is what an unsampled ShardLock acquisition returns.
+type Stopwatch struct{ start time.Duration } // since epoch; 0: not started
 
-// StartStopwatch starts timing.
+// epoch is every Stopwatch's origin, 1 ns before the package loaded.
+var epoch = time.Now().Add(-time.Nanosecond) //u1:allow wallclock a Stopwatch reading can only reach a Histogram, never simulation state
+
+// StartStopwatch starts timing with one monotonic clock read, not time.Now's two.
 func StartStopwatch() Stopwatch {
 	//u1:allow wallclock a Stopwatch reading can only reach a Histogram, never simulation state
-	return Stopwatch{start: time.Now()}
+	return Stopwatch{start: time.Since(epoch)}
 }
 
-// Observe records the seconds elapsed since the stopwatch started in h.
-// time.Since reads only the monotonic clock, half the cost of a second
-// time.Now on the shard-lock path.
+// Observe records in h the seconds since the stopwatch started, if it did.
 func (w Stopwatch) Observe(h *Histogram) {
-	//u1:allow wallclock a Stopwatch reading can only reach a Histogram, never simulation state
-	h.Observe(time.Since(w.start).Seconds())
+	if w.start != 0 {
+		//u1:allow wallclock a Stopwatch reading can only reach a Histogram, never simulation state
+		h.Observe((time.Since(epoch) - w.start).Seconds())
+	}
 }
 
 // HistogramSnapshot is a frozen view of a histogram with derived statistics.

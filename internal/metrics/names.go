@@ -106,7 +106,8 @@ func RPCSeconds(rpc string) Name { return Name{RPCPrefix + rpc + ".seconds"} }
 func RPCClassSeconds(class string) Name { return Name{RPCClassPrefix + class + ".seconds"} }
 
 // ShardSeries are one metadata shard's op counters and lock hold-time
-// histograms.
+// histograms. A hold histogram samples 1 acquisition in 16 (ShardLock): its
+// count is ⌈acquisitions/16⌉, its sum × 16 estimates the total hold.
 type ShardSeries struct{ Reads, Writes, ReadHold, WriteHold Name }
 
 // Shard names the series of metadata shard i.

@@ -7,9 +7,12 @@ import "sync"
 // slave and serializes writes on the master, and the ShardSeries counters
 // and hold histograms are the live view of that load (Fig. 14). The mutex is
 // unexported and no method hands it out, so every acquisition is either
-// counted and timed (RLock/RUnlock, Lock/Unlock) or says in its name that
-// it is not (the Uncounted methods, for maintenance that is not client
-// load). The counted pairs allocate nothing:
+// counted (RLock/RUnlock, Lock/Unlock) or says in its name that it is not
+// (the Uncounted methods, for maintenance that is not client load). The
+// counters are exact; the hold histograms time only the acquisitions whose
+// counter add returns n ≡ 1 (mod holdSample): ⌈acquisitions/holdSample⌉ holds
+// under any interleaving, whose sum × holdSample estimates the total hold.
+// The counted pairs allocate nothing:
 //
 //	defer sh.RUnlock(sh.RLock()) // defer evaluates RLock() immediately
 //
@@ -35,29 +38,39 @@ func NewShardLock(reg *Registry, series ShardSeries) ShardLock {
 	}
 }
 
-// RLock counts a read, takes the read lock and starts timing the hold.
-func (l *ShardLock) RLock() Stopwatch {
-	l.reads.Inc()
-	l.mu.RLock()
-	// Virtual time is frozen while a goroutine holds a lock, so only the host
-	// clock can measure contention.
-	return StartStopwatch()
+// holdSample is the period of the hold histograms' sample, not a knob.
+const holdSample = 16
+
+// sampled times the hold of the acquisition that counted n if it is sampled:
+// virtual time is frozen under a lock, so only the host clock sees contention.
+func sampled(n uint64) (hold Stopwatch) {
+	if n%holdSample == 1 {
+		hold = StartStopwatch()
+	}
+	return hold
 }
 
-// RUnlock releases a read lock taken by RLock and records its hold.
+// RLock counts a read, takes the read lock and returns its hold's stopwatch.
+func (l *ShardLock) RLock() Stopwatch {
+	n := l.reads.v.Add(1)
+	l.mu.RLock()
+	return sampled(n)
+}
+
+// RUnlock releases a read lock taken by RLock and records a sampled hold.
 func (l *ShardLock) RUnlock(hold Stopwatch) {
 	l.mu.RUnlock()
 	hold.Observe(l.readHold)
 }
 
-// Lock counts a write, takes the write lock and starts timing the hold.
+// Lock counts a write, takes the write lock and returns its hold's stopwatch.
 func (l *ShardLock) Lock() Stopwatch {
-	l.writes.Inc()
+	n := l.writes.v.Add(1)
 	l.mu.Lock()
-	return StartStopwatch()
+	return sampled(n)
 }
 
-// Unlock releases a write lock taken by Lock and records its hold.
+// Unlock releases a write lock taken by Lock and records a sampled hold.
 func (l *ShardLock) Unlock(hold Stopwatch) {
 	l.mu.Unlock()
 	hold.Observe(l.writeHold)

@@ -84,12 +84,12 @@ func (f gateFile) Sync() error {
 }
 
 // TestOneFlushServesManyCommits holds the journal's flush while k clients of
-// one user commit to one shard over TCP: every commit lands while the first
-// flush is parked, and none is answered, pushed to the user's other session
-// or counted in wal.journaled before it is released. Released, at most two
-// flushes serve all k, and the shard's write-hold time excludes the parked
-// flush. A failing flush refuses all k with ErrUnavailable and fences the
-// shard once.
+// one user commit to one shard over TCP: a read of the shard answers while
+// the first commit's flush is parked, so no shard lock is held across it;
+// every commit lands while that flush is parked, and none is answered, pushed
+// to the user's other session or counted in wal.journaled before it is
+// released. Released, at most two flushes serve all k. A failing flush
+// refuses all k with ErrUnavailable and fences the shard once.
 func TestOneFlushServesManyCommits(t *testing.T) {
 	const k = 8
 	for _, fail := range []error{nil, syscall.EIO} {
@@ -120,7 +120,6 @@ func TestOneFlushServesManyCommits(t *testing.T) {
 
 			fsys.shut()
 			t.Cleanup(func() { fsys.release(nil) }) // a failed check must not leave the server parked
-			shutAt := time.Now()
 			done := make(chan error, k)
 			mkdir := func(i int) { _, err := committers[i].Mkdir(root, 0, fmt.Sprintf("d%d", i)); done <- err }
 			go mkdir(0)
@@ -128,6 +127,15 @@ func TestOneFlushServesManyCommits(t *testing.T) {
 			case <-fsys.parked:
 			case <-time.After(5 * time.Second):
 				t.Fatal("the first commit never reached a flush")
+			}
+			// The first commit waits on its parked flush holding no shard
+			// lock, so a read of the shard answers at once.
+			probed := make(chan struct{})
+			go func() { c.Store.ShardFingerprint(0); close(probed) }()
+			select {
+			case <-probed:
+			case <-time.After(time.Second):
+				t.Fatal("a read of the shard waited on the parked flush")
 			}
 			for i := 1; i < k; i++ {
 				go mkdir(i)
@@ -152,7 +160,6 @@ func TestOneFlushServesManyCommits(t *testing.T) {
 			if n := mid.Counter(metrics.WALJournaled) - before.Counter(metrics.WALJournaled); n != 0 {
 				t.Fatalf("wal.journaled moved by %d before the flush", n)
 			}
-			parked := time.Since(shutAt)
 			fsys.release(fail)
 
 			for range k {
@@ -170,10 +177,6 @@ func TestOneFlushServesManyCommits(t *testing.T) {
 			}
 			after := c.Metrics.Snapshot()
 			delta := func(n metrics.Name) uint64 { return after.Counter(n) - before.Counter(n) }
-			hold := after.Histogram(metrics.Shard(0).WriteHold).Sum - before.Histogram(metrics.Shard(0).WriteHold).Sum
-			if hold >= parked.Seconds()/2 {
-				t.Errorf("the shard's write lock was held %.3fs of the %.3fs the flush was parked", hold, parked.Seconds())
-			}
 			if fail == nil {
 				if n := fsys.syncs.Load() - syncs; n > 2 {
 					t.Errorf("%d commits took %d flushes, want at most 2", k, n)

@@ -255,8 +255,6 @@ type RPCAggregate struct {
 	// ShardMinute[s][m] counts RPCs routed to shard s in trace minute m —
 	// the Fig. 14 (bottom) input.
 	ShardMinute [][]uint32
-	// ProcTotal counts RPCs per DAL worker process.
-	ProcTotal map[int]uint64
 }
 
 func newRPCAggregate(start time.Time, days, shards, reservoirCap int, seed int64) *RPCAggregate {
@@ -270,7 +268,6 @@ func newRPCAggregate(start time.Time, days, shards, reservoirCap int, seed int64
 		Errs:        make([]uint64, n),
 		Samples:     make([]*stats.Reservoir, n),
 		ShardMinute: make([][]uint32, shards),
-		ProcTotal:   make(map[int]uint64),
 	}
 	for i := range agg.Samples {
 		agg.Samples[i] = stats.NewReservoir(reservoirCap, seed+int64(i))
@@ -291,7 +288,6 @@ func (a *RPCAggregate) observe(sp rpc.Span) {
 		a.Errs[i]++
 	}
 	a.Samples[i].Add(sp.Service.Seconds())
-	a.ProcTotal[sp.Proc]++
 	if sp.Shard >= 0 && sp.Shard < a.Shards {
 		m := int(sp.Start.Sub(a.Start) / time.Minute)
 		if m >= 0 && m < a.Minutes {
