@@ -235,8 +235,13 @@ type opSeries struct {
 	count, errors *metrics.Counter
 }
 
+// pendingUpload is an upload in flight on this server: what its final part
+// commits, the uploadjob's volume, node and hash, kept inline beside the
+// streaming state.
 type pendingUpload struct {
-	job       *metadata.UploadJob
+	volume    protocol.VolumeID
+	node      protocol.NodeID
+	hash      protocol.Hash
 	session   protocol.SessionID
 	multipart bool
 	mpID      string

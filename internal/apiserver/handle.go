@@ -235,7 +235,9 @@ func (s *Server) opPutContent(c *OpContext) (*protocol.Response, error) {
 		return nil, err
 	}
 	up := &pendingUpload{
-		job:       job,
+		volume:    job.Volume,
+		node:      job.Node,
+		hash:      job.Hash,
 		session:   c.Session.ID,
 		ext:       extOf(req.Name),
 		plainSize: req.Size,
@@ -338,12 +340,12 @@ func (s *Server) opPutPart(c *OpContext) (*protocol.Response, error) {
 		}
 	} else {
 		if inline {
-			s.deps.Blob.PutHash(up.job.Hash, req.Data)
+			s.deps.Blob.PutHash(up.hash, req.Data)
 		} else {
-			s.deps.Blob.PutHashSized(up.job.Hash, up.plainSize)
+			s.deps.Blob.PutHashSized(up.hash, up.plainSize)
 		}
 	}
-	node, freed, wasUpdate, err := s.deps.RPC.MakeContent(c.User, up.job.Volume, up.job.Node, up.job.Hash, up.plainSize, c.Now, &c.Cost)
+	node, freed, wasUpdate, err := s.deps.RPC.MakeContent(c.User, up.volume, up.node, up.hash, up.plainSize, c.Now, &c.Cost)
 	if err != nil {
 		return nil, err
 	}
@@ -355,12 +357,12 @@ func (s *Server) opPutPart(c *OpContext) (*protocol.Response, error) {
 	delete(s.uploads, req.Upload)
 	s.uploadsMu.Unlock()
 
-	c.NotifyVolume(up.job.Volume, node.Generation)
+	c.NotifyVolume(up.volume, node.Generation)
 
 	// The final part's event carries the whole upload, with the part's cost
 	// (the journal's sync included).
 	ev := &c.Event
-	ev.Volume, ev.Node, ev.Hash = up.job.Volume, up.job.Node, up.job.Hash
+	ev.Volume, ev.Node, ev.Hash = up.volume, up.node, up.hash
 	ev.Size, ev.Wire, ev.Ext, ev.IsUpdate = up.plainSize, up.wire, up.ext, wasUpdate
 	return okNode(node), nil
 }

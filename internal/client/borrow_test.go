@@ -214,9 +214,10 @@ func TestMetadataCallAllocatesNothing(t *testing.T) {
 		call(cli, protocol.Request{Op: protocol.OpUnlink, Volume: root, Node: node})
 		next++
 	})
-	// All four are the metadata store's: the node row it keeps, the watcher
-	// list each of the two notifications reads, Unlink's list of what it
-	// removed. Client, transport and server add none.
+	// All four are the metadata store's: the watcher list each of the two
+	// notifications reads, Unlink's list of what it removed and the copy of
+	// the names on that list (the node's row lives in the shard's slab).
+	// Client, transport and server add none.
 	if pair > 4 {
 		t.Errorf("a MakeFile+Unlink pair over DirectTransport allocates %.0f times, want 4 (the store's own)", pair)
 	}

@@ -334,11 +334,11 @@ func requireRefsMatchNodes(t *testing.T, s *Store, after string) {
 	t.Helper()
 	nodes := map[protocol.Hash]uint64{}
 	for _, sh := range s.shards {
-		for _, nr := range sh.nodes {
+		sh.nodes.each(func(nr *row) {
 			if nr.kind == protocol.KindFile && !nr.hash.IsZero() {
 				nodes[nr.hash]++
 			}
-		}
+		})
 	}
 	if len(s.contents.rows) != len(nodes) {
 		t.Fatalf("after %s: the content registry holds %d hashes, live file nodes %d", after, len(s.contents.rows), len(nodes))
@@ -487,7 +487,7 @@ func (m *shareModel) require(t *testing.T, s *Store, users []protocol.UserID, af
 func maxNodeID(s *Store) protocol.NodeID {
 	var top protocol.NodeID
 	for _, sh := range s.shards {
-		for id := range sh.nodes {
+		for id := range sh.nodes.index {
 			top = max(top, id)
 		}
 	}

@@ -292,10 +292,11 @@ func writeShard(w io.Writer, e *wire.Writer, sh *shard) error {
 		row()
 	}
 
-	nodes := sortedKeys(sh.nodes)
+	nodes := sortedKeys(sh.nodes.index)
 	e.Uvarint(uint64(len(nodes)))
 	for _, id := range nodes {
-		protocol.MarshalNodeInfo(e, sh.nodes[id].info(id))
+		nr, _ := sh.nodes.get(id)
+		protocol.MarshalNodeInfo(e, sh.nodes.view(nr))
 		row()
 	}
 
@@ -369,17 +370,9 @@ func readShard(r *wire.Reader, sh *shard) error {
 	}
 
 	for i := d.count(); i > 0; i-- {
-		info := protocol.UnmarshalNodeInfo(r)
-		sh.nodes[info.ID] = newNodeRow(info)
+		sh.nodes.add(protocol.UnmarshalNodeInfo(r))
 	}
-	for id, nr := range sh.nodes {
-		if nr.parent == 0 {
-			continue // volume roots hang off volumeRow.root
-		}
-		if pr, ok := sh.nodes[nr.parent]; ok && pr.kind == protocol.KindDir {
-			pr.addChild(nr.name, id)
-		}
-	}
+	sh.nodes.link()
 
 	for i := d.count(); i > 0; i-- {
 		share := protocol.UnmarshalShareInfo(r)

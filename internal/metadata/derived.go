@@ -68,12 +68,12 @@ func (d *derived) replace(sh *shard, load func() error) error {
 		d.volumeDir.store(id, vr.info.Owner)
 		bumpTo(&d.nextVolume, uint64(id))
 	}
-	for id, nr := range sh.nodes {
+	sh.nodes.each(func(nr *row) {
 		if !nr.hash.IsZero() {
 			d.contents.addRef(nr.hash, nr.size)
 		}
-		bumpTo(&d.nextNode, uint64(id))
-	}
+		bumpTo(&d.nextNode, uint64(nr.id))
+	})
 	for _, id := range sortedKeys(sh.shares) {
 		d.share(*sh.shares[id], true)
 		bumpTo(&d.nextShare, uint64(id))
@@ -83,9 +83,7 @@ func (d *derived) replace(sh *shard, load func() error) error {
 			d.volumeDir.delete(id)
 		}
 	}
-	for _, nr := range old.nodes {
-		d.unref(nil, nr.hash)
-	}
+	old.nodes.each(func(nr *row) { d.unref(nil, nr.hash) })
 	for id, share := range old.shares {
 		if _, kept := sh.shares[id]; !kept {
 			d.share(*share, false)

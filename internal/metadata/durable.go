@@ -535,7 +535,7 @@ func (sh *shard) apply(rec *journalRecord, d *derived) (trims int, freed []proto
 		if d != nil {
 			d.volumeDir.store(rec.Volume.ID, rec.User)
 		}
-		sh.nodes[rec.Root] = &nodeRow{vol: rec.Volume.ID, kind: protocol.KindDir, name: "/"}
+		sh.nodes.insert(protocol.NodeInfo{ID: rec.Root, Volume: rec.Volume.ID, Kind: protocol.KindDir, Name: "/"})
 		sh.volumes[rec.Volume.ID] = &volumeRow{info: rec.Volume, root: rec.Root}
 		if rec.Kind == recCreateUser {
 			sh.users[rec.User] = &userRow{
@@ -552,10 +552,7 @@ func (sh *shard) apply(rec *journalRecord, d *derived) (trims int, freed []proto
 		if !ok {
 			return
 		}
-		sh.nodes[rec.Node.ID] = newNodeRow(rec.Node)
-		if pr, ok := sh.nodes[rec.Node.Parent]; ok && pr.kind == protocol.KindDir {
-			pr.addChild(rec.Node.Name, rec.Node.ID)
-		}
+		sh.nodes.insert(rec.Node)
 		vr.info.Generation = rec.Node.Generation
 		appendLog(vr, rec.Node, false)
 
@@ -564,23 +561,15 @@ func (sh *shard) apply(rec *journalRecord, d *derived) (trims int, freed []proto
 		if !ok {
 			return
 		}
-		nr, ok := sh.nodes[rec.Node.ID]
+		nr, ok := sh.nodes.get(rec.Node.ID)
 		if !ok {
 			return
-		}
-		if rec.Kind == recMove {
-			if old, ok := sh.nodes[nr.parent]; ok && old.children != nil {
-				delete(old.children, nr.name)
-			}
-			if pr, ok := sh.nodes[rec.Node.Parent]; ok && pr.kind == protocol.KindDir {
-				pr.addChild(rec.Node.Name, rec.Node.ID)
-			}
 		}
 		if d != nil && nr.hash != rec.Node.Hash { // a content put, not a re-put
 			d.contents.addRef(rec.Node.Hash, rec.Node.Size)
 			freed = d.unref(freed, nr.hash)
 		}
-		nr.setInfo(rec.Node)
+		sh.nodes.update(rec.Node)
 		vr.info.Generation = rec.Node.Generation
 		appendLog(vr, rec.Node, false)
 
@@ -589,17 +578,12 @@ func (sh *shard) apply(rec *journalRecord, d *derived) (trims int, freed []proto
 		if !ok {
 			return
 		}
-		// Removed[0] is the unlinked node itself; the rest is its subtree.
-		if len(rec.Removed) > 0 {
-			target := rec.Removed[0]
-			if pr, ok := sh.nodes[target.Parent]; ok && pr.children != nil {
-				delete(pr.children, target.Name)
-			}
-		}
+		// Removed[0] is the unlinked node itself, which leaves its parent's
+		// run; the rest is its subtree.
 		vr.info.Generation = rec.Gen
 		for _, n := range rec.Removed {
 			freed = d.unref(freed, n.Hash)
-			delete(sh.nodes, n.ID)
+			sh.nodes.remove(n.ID)
 			appendLog(vr, n, true)
 		}
 
@@ -609,8 +593,9 @@ func (sh *shard) apply(rec *journalRecord, d *derived) (trims int, freed []proto
 			return
 		}
 		for _, nodeID := range volumeNodeIDs(sh, vr) {
-			freed = d.unref(freed, sh.nodes[nodeID].hash)
-			delete(sh.nodes, nodeID)
+			nr, _ := sh.nodes.get(nodeID)
+			freed = d.unref(freed, nr.hash)
+			sh.nodes.remove(nodeID)
 		}
 		if d != nil {
 			d.volumeDir.delete(rec.VolID)

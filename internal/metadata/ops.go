@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"maps"
 	"slices"
+	"strings"
 
 	"u1/internal/protocol"
 )
@@ -299,8 +300,10 @@ func (s *Store) DeleteVolume(user protocol.UserID, vol protocol.VolumeID) (remov
 			// Read what the record is about to remove: the nodes go back to
 			// the caller, and the grants are revoked in the peer regions.
 			for _, nodeID := range volumeNodeIDs(sh, vr) {
-				removed = append(removed, sh.nodes[nodeID].info(nodeID))
+				nr, _ := sh.nodes.get(nodeID)
+				removed = append(removed, sh.nodes.view(nr))
 			}
+			ownNames(removed)
 			grants = maps.Clone(vr.grants)
 			return journalRecord{Kind: recDeleteVolume, User: user, VolID: vol}, nil
 		},
@@ -330,17 +333,18 @@ func (s *Store) makeNode(user protocol.UserID, vol protocol.VolumeID, parent pro
 		if parent == 0 {
 			parent = vr.root
 		}
-		pr, ok := sh.nodes[parent]
+		pr, ok := sh.nodes.get(parent)
 		if !ok || pr.vol != vol {
 			return journalRecord{}, errParentNode
 		}
 		if pr.kind != protocol.KindDir {
 			return journalRecord{}, errParentIsFile
 		}
-		if existingID, ok := pr.children[name]; ok {
-			existing := sh.nodes[existingID]
+		if existing, ok := sh.nodes.child(parent, name); ok {
 			if existing.kind == kind {
-				info = existing.info(existingID)
+				// The request's own name, equal to the stored one.
+				info = sh.nodes.view(existing)
+				info.Name = name
 				return journalRecord{}, nil
 			}
 			return journalRecord{}, fmt.Errorf("%w: %q exists with different kind", protocol.ErrExists, name)
@@ -379,7 +383,7 @@ func (s *Store) MakeContent(user protocol.UserID, vol protocol.VolumeID, node pr
 		return protocol.NodeInfo{}, nil, false, errZeroHash
 	}
 	hashes, err := s.mutate(user, vol, volumeWrite{build: func(sh *shard, vr *volumeRow) (journalRecord, error) {
-		nr, ok := sh.nodes[node]
+		nr, ok := sh.nodes.get(node)
 		if !ok || nr.vol != vol {
 			return journalRecord{}, protocol.ErrNotFound
 		}
@@ -387,7 +391,7 @@ func (s *Store) MakeContent(user protocol.UserID, vol protocol.VolumeID, node pr
 			return journalRecord{}, errContentOnDir
 		}
 		wasUpdate = !nr.hash.IsZero() && (nr.hash != h || nr.size != size)
-		info = nr.info(node)
+		info = sh.nodes.info(nr)
 		info.Hash, info.Size, info.Generation = h, size, vr.info.Generation+1
 		return journalRecord{Kind: recMakeContent, Node: info}, nil
 	}})
@@ -428,11 +432,11 @@ func (s *Store) VolumeWatchers(vol protocol.VolumeID) ([]protocol.UserID, error)
 // GetNode returns a node's metadata (dal.get_node).
 func (s *Store) GetNode(user protocol.UserID, vol protocol.VolumeID, node protocol.NodeID) (info protocol.NodeInfo, err error) {
 	err = s.view(user, vol, func(sh *shard, _ *volumeRow) error {
-		nr, ok := sh.nodes[node]
+		nr, ok := sh.nodes.get(node)
 		if !ok || nr.vol != vol {
 			return protocol.ErrNotFound
 		}
-		info = nr.info(node)
+		info = sh.nodes.info(nr)
 		return nil
 	})
 	return info, err
@@ -444,7 +448,7 @@ func (s *Store) GetNode(user protocol.UserID, vol protocol.VolumeID, node protoc
 // volume generation, and the hashes whose last reference was released.
 func (s *Store) Unlink(user protocol.UserID, vol protocol.VolumeID, node protocol.NodeID) (removed []protocol.NodeInfo, gen protocol.Generation, freed []protocol.Hash, err error) {
 	freed, err = s.mutate(user, vol, volumeWrite{build: func(sh *shard, vr *volumeRow) (journalRecord, error) {
-		if nr, ok := sh.nodes[node]; !ok || nr.vol != vol {
+		if nr, ok := sh.nodes.get(node); !ok || nr.vol != vol {
 			return journalRecord{}, protocol.ErrNotFound
 		}
 		if node == vr.root {
@@ -459,17 +463,16 @@ func (s *Store) Unlink(user protocol.UserID, vol protocol.VolumeID, node protoco
 		for len(stack) > 0 {
 			id := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			cur := sh.nodes[id]
+			cur, _ := sh.nodes.get(id)
 			// The children go straight onto the stack, sorted in place there.
 			base := len(stack)
-			for _, child := range cur.children {
-				stack = append(stack, child)
-			}
+			stack = sh.nodes.appendChildren(stack, id)
 			slices.Sort(stack[base:])
-			info := cur.info(id)
+			info := sh.nodes.view(cur)
 			info.Generation = gen
 			removed = append(removed, info)
 		}
+		ownNames(removed)
 		return journalRecord{Kind: recUnlink, VolID: vol, Gen: gen, Removed: removed}, nil
 	}})
 	if err != nil {
@@ -485,7 +488,7 @@ func (s *Store) Move(user protocol.UserID, vol protocol.VolumeID, node, newParen
 	}
 	var info protocol.NodeInfo
 	_, err := s.mutate(user, vol, volumeWrite{build: func(sh *shard, vr *volumeRow) (journalRecord, error) {
-		nr, ok := sh.nodes[node]
+		nr, ok := sh.nodes.get(node)
 		if !ok || nr.vol != vol {
 			return journalRecord{}, protocol.ErrNotFound
 		}
@@ -495,11 +498,11 @@ func (s *Store) Move(user protocol.UserID, vol protocol.VolumeID, node, newParen
 		if newParent == 0 {
 			newParent = vr.root
 		}
-		pr, ok := sh.nodes[newParent]
+		pr, ok := sh.nodes.get(newParent)
 		if !ok || pr.vol != vol || pr.kind != protocol.KindDir {
 			return journalRecord{}, errTargetDir
 		}
-		if _, taken := pr.children[newName]; taken {
+		if _, taken := sh.nodes.child(newParent, newName); taken {
 			return journalRecord{}, fmt.Errorf("%w: target name %q", protocol.ErrExists, newName)
 		}
 		// A directory must not be moved under its own subtree.
@@ -508,14 +511,15 @@ func (s *Store) Move(user protocol.UserID, vol protocol.VolumeID, node, newParen
 				if cur == node {
 					return journalRecord{}, errMoveIntoSubtree
 				}
-				parentRow, ok := sh.nodes[cur]
+				parentRow, ok := sh.nodes.get(cur)
 				if !ok {
 					break
 				}
 				cur = parentRow.parent
 			}
 		}
-		info = nr.info(node)
+		// The request's own name replaces the stored one.
+		info = sh.nodes.view(nr)
 		info.Parent, info.Name, info.Generation = newParent, newName, vr.info.Generation+1
 		return journalRecord{Kind: recMove, Node: info}, nil
 	}})
@@ -556,18 +560,17 @@ func (s *Store) GetFromScratch(user protocol.UserID, vol protocol.VolumeID) (lis
 		// the list itself serving as the walk's queue, into an array sized by
 		// counting the subtree first. Sorted, they are marshalled in order
 		// straight into the listing's pooled buffer.
-		ids := make([]protocol.NodeID, 1, subtreeSize(sh, vr.root))
+		ids := make([]protocol.NodeID, 1, sh.nodes.subtreeLen(vr.root))
 		ids[0] = vr.root
 		for i := 0; i < len(ids); i++ {
-			for _, child := range sh.nodes[ids[i]].children {
-				ids = append(ids, child)
-			}
+			ids = sh.nodes.appendChildren(ids, ids[i])
 		}
 		slices.Sort(ids)
 		var out protocol.DeltaWriter
 		out.Start(len(ids) * scratchEntryBytes)
 		for _, id := range ids {
-			out.Add(sh.nodes[id].info(id), false)
+			nr, _ := sh.nodes.get(id)
+			out.Add(sh.nodes.view(nr), false)
 		}
 		list, gen = out.List(), vr.info.Generation
 		return nil
@@ -580,14 +583,22 @@ func (s *Store) GetFromScratch(user protocol.UserID, vol protocol.VolumeID) (lis
 // so a listing seldom outgrows the buffer it starts in.
 const scratchEntryBytes = 64
 
-// subtreeSize counts the nodes of the subtree rooted at id, id included,
-// without allocating.
-func subtreeSize(sh *shard, id protocol.NodeID) int {
-	n := 1
-	for _, child := range sh.nodes[id].children {
-		n += subtreeSize(sh, child)
+// ownNames gives the infos, viewed under the shard lock, names that may
+// outlive it: copies, all in one allocation.
+func ownNames(infos []protocol.NodeInfo) {
+	size := 0
+	for _, info := range infos {
+		size += len(info.Name)
 	}
-	return n
+	var b strings.Builder
+	b.Grow(size)
+	for _, info := range infos {
+		b.WriteString(info.Name)
+	}
+	all := b.String()
+	for i := range infos {
+		infos[i].Name, all = all[:len(infos[i].Name)], all[len(infos[i].Name):]
+	}
 }
 
 // CreateShare offers a volume to another user (dal.create_share): one

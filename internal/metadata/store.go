@@ -277,7 +277,7 @@ type shard struct {
 	metrics.ShardLock
 	users      map[protocol.UserID]*userRow
 	volumes    map[protocol.VolumeID]*volumeRow
-	nodes      map[protocol.NodeID]*nodeRow
+	nodes      *nodeTable
 	shares     map[protocol.ShareID]*protocol.ShareInfo
 	uploadjobs map[protocol.UploadID]*UploadJob
 
@@ -308,7 +308,7 @@ func newShard(id, deltaLogLimit int, reg *metrics.Registry) *shard {
 func (sh *shard) reset() {
 	sh.users = make(map[protocol.UserID]*userRow)
 	sh.volumes = make(map[protocol.VolumeID]*volumeRow)
-	sh.nodes = make(map[protocol.NodeID]*nodeRow)
+	sh.nodes = newNodeTable()
 	sh.shares = make(map[protocol.ShareID]*protocol.ShareInfo)
 	sh.uploadjobs = make(map[protocol.UploadID]*UploadJob)
 	sh.revoked = nil
@@ -395,60 +395,6 @@ func (u *userRow) removeVolume(id protocol.VolumeID) {
 	}
 }
 
-// nodeRow is the packed in-store representation of a node. The sh.nodes
-// key is the node's ID, so the row does not duplicate it, and the fields
-// are laid out to fit the 80-byte size class — 16 bytes less than a row
-// embedding a whole protocol.NodeInfo, which at ~10 nodes per user is real
-// memory at a million users. info materializes the protocol view.
-type nodeRow struct {
-	// children indexes directory entries by name; nil for files and for
-	// directories that have never held an entry. Most directories in a
-	// large population are empty (every volume root starts that way), and
-	// an empty map header per root is real memory at a million users —
-	// the index materializes on first insert via addChild.
-	children map[string]protocol.NodeID
-	name     string
-	vol      protocol.VolumeID
-	parent   protocol.NodeID
-	size     uint64
-	gen      protocol.Generation
-	hash     protocol.Hash
-	kind     protocol.NodeKind
-}
-
-// newNodeRow packs a protocol view into a row; the ID stays with the map key.
-func newNodeRow(info protocol.NodeInfo) *nodeRow {
-	return &nodeRow{
-		name: info.Name, vol: info.Volume, parent: info.Parent,
-		size: info.Size, gen: info.Generation, hash: info.Hash, kind: info.Kind,
-	}
-}
-
-// info materializes the protocol view of the row stored under id.
-func (n *nodeRow) info(id protocol.NodeID) protocol.NodeInfo {
-	return protocol.NodeInfo{
-		ID: id, Volume: n.vol, Parent: n.parent, Kind: n.kind,
-		Name: n.name, Hash: n.hash, Size: n.size, Generation: n.gen,
-	}
-}
-
-// setInfo overwrites every packed field from the protocol view, keeping the
-// children index.
-func (n *nodeRow) setInfo(info protocol.NodeInfo) {
-	n.name, n.vol, n.parent = info.Name, info.Volume, info.Parent
-	n.size, n.gen, n.hash, n.kind = info.Size, info.Generation, info.Hash, info.Kind
-}
-
-// addChild records a directory entry, materializing the children index on
-// first use. Readers treat a nil index and a missing key identically, so
-// laziness never shows up in behavior.
-func (n *nodeRow) addChild(name string, id protocol.NodeID) {
-	if n.children == nil {
-		n.children = make(map[string]protocol.NodeID, 1)
-	}
-	n.children[name] = id
-}
-
 type volumeRow struct {
 	info protocol.VolumeInfo
 	root protocol.NodeID
@@ -508,14 +454,10 @@ func (v *volumeRow) addGrant(to protocol.UserID, id protocol.ShareID) {
 func volumeNodeIDs(sh *shard, v *volumeRow) []protocol.NodeID {
 	ids := append(make([]protocol.NodeID, 0, 8), v.root)
 	for i := 0; i < len(ids); i++ {
-		if nr, ok := sh.nodes[ids[i]]; ok {
-			// The children go straight onto the list, sorted in place there.
-			base := len(ids)
-			for _, child := range nr.children {
-				ids = append(ids, child)
-			}
-			slices.Sort(ids[base:])
-		}
+		// The children go straight onto the list, sorted in place there.
+		base := len(ids)
+		ids = sh.nodes.appendChildren(ids, ids[i])
+		slices.Sort(ids[base:])
 	}
 	return ids
 }

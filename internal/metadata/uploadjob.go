@@ -35,13 +35,14 @@ type UploadJob struct {
 const UploadJobMaxAge = 7 * 24 * time.Hour
 
 // MakeUploadJob creates the server-side state for a multipart upload
-// (dal.make_uploadjob). now is passed explicitly so the discrete-event
-// simulator can run on virtual time.
-func (s *Store) MakeUploadJob(user protocol.UserID, vol protocol.VolumeID, node protocol.NodeID, h protocol.Hash, declaredSize uint64, now time.Time) (*UploadJob, error) {
+// (dal.make_uploadjob) and returns it by value: the shard keeps its own row.
+// now is passed explicitly so the discrete-event simulator can run on
+// virtual time.
+func (s *Store) MakeUploadJob(user protocol.UserID, vol protocol.VolumeID, node protocol.NodeID, h protocol.Hash, declaredSize uint64, now time.Time) (UploadJob, error) {
 	sh := s.shardOf(user)
 	defer sh.Unlock(sh.Lock())
 	if _, ok := sh.users[user]; !ok {
-		return nil, protocol.ErrNotFound
+		return UploadJob{}, protocol.ErrNotFound
 	}
 	job := &UploadJob{
 		ID:           s.allocUpload(),
@@ -54,7 +55,7 @@ func (s *Store) MakeUploadJob(user protocol.UserID, vol protocol.VolumeID, node 
 		TouchedAt:    now,
 	}
 	sh.uploadjobs[job.ID] = job
-	return cloneJob(job), nil
+	return *job, nil
 }
 
 // SetUploadJobMultipartID records the data-store multipart identifier
@@ -117,9 +118,4 @@ func (s *Store) SweepUploadJobs(now time.Time) int {
 		sh.UnlockUncounted()
 	}
 	return swept
-}
-
-func cloneJob(j *UploadJob) *UploadJob {
-	c := *j
-	return &c
 }

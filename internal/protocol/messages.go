@@ -235,6 +235,7 @@ func readNodeInfo(r *wire.Reader, n *NodeInfo) (name []byte) {
 	n.Kind = NodeKind(r.Byte())
 	n.Name = ""
 	name = r.Bytes()
+	n.Hash = Hash{} // a short hash field must not keep the slot's last hash
 	copy(n.Hash[:], r.Bytes())
 	n.Size = r.Uvarint()
 	n.Generation = Generation(r.Uvarint())

@@ -342,7 +342,7 @@ func (s *Server) MakeContent(user protocol.UserID, vol protocol.VolumeID, node p
 }
 
 // MakeUploadJob executes dal.make_uploadjob.
-func (s *Server) MakeUploadJob(user protocol.UserID, vol protocol.VolumeID, node protocol.NodeID, h protocol.Hash, size uint64, now time.Time, cost *protocol.Cost) (*metadata.UploadJob, error) {
+func (s *Server) MakeUploadJob(user protocol.UserID, vol protocol.VolumeID, node protocol.NodeID, h protocol.Hash, size uint64, now time.Time, cost *protocol.Cost) (metadata.UploadJob, error) {
 	job, err := s.store.MakeUploadJob(user, vol, node, h, size, now)
 	s.call(protocol.RPCMakeUploadJob, user, now, cost, err)
 	return job, err
