@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -72,18 +71,10 @@ func runCLI(args []string, stdout io.Writer) error {
 func cliCommand(w io.Writer, cli *client.Client, root protocol.VolumeID, args []string) error {
 	switch args[0] {
 	case "ls":
-		m, ok := cli.Mirror(root)
-		if !ok {
-			return fmt.Errorf("no mirror")
-		}
-		ids := make([]protocol.NodeID, 0, len(m.Nodes))
-		for id := range m.Nodes {
-			ids = append(ids, id)
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		for _, id := range ids {
-			n := m.Nodes[id]
+		if !cli.EachNode(root, func(id protocol.NodeID, n client.Node) {
 			fmt.Fprintf(w, "  %6d %-4s %8d %s\n", id, n.Kind, n.Size, n.Name)
+		}) {
+			return fmt.Errorf("no mirror")
 		}
 	case "mkdir":
 		if len(args) < 2 {

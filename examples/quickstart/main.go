@@ -9,6 +9,7 @@ import (
 	"log"
 
 	"u1/internal/client"
+	"u1/internal/protocol"
 	"u1/internal/server"
 )
 
@@ -73,8 +74,9 @@ func main() {
 	if _, err := cli.Sync(root); err != nil {
 		log.Fatal(err)
 	}
-	m, _ := cli.Mirror(root)
-	fmt.Printf("mirror at generation %d with %d nodes\n", m.Gen, len(m.Nodes))
+	nodes := 0
+	cli.EachNode(root, func(protocol.NodeID, client.Node) { nodes++ })
+	fmt.Printf("mirror holds %d nodes\n", nodes)
 	fmt.Printf("client stats: %+v\n", cli.Stats())
 	fmt.Printf("blob store: %+v\n", cluster.Blob.Stats())
 }

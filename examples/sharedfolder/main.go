@@ -81,9 +81,10 @@ func main() {
 	}
 	waitPush(guest, protocol.PushVolumeChanged)
 	guest.Sync(udf.ID) //nolint:errcheck
-	m, _ := guest.Mirror(udf.ID)
+	nodes := 0
+	guest.EachNode(udf.ID, func(protocol.NodeID, client.Node) { nodes++ })
 	fmt.Printf("after owner's unlink, guest mirror holds %d nodes; blob store: %+v\n",
-		len(m.Nodes), cluster.Blob.Stats())
+		nodes, cluster.Blob.Stats())
 }
 
 func connect(cluster *server.Cluster, tc *server.TCPCluster, id protocol.UserID, name string) *client.Client {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"compress/flate"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -11,16 +12,30 @@ import (
 	"u1/internal/protocol"
 )
 
-// Mirror is the client-side replica of one volume: the node set at a known
+// mirror is the client-side replica of one volume: the node set at a known
 // generation, the synchronization metadata U1 kept under
-// ~/.cache/ubuntuone (§3.3).
+// ~/.cache/ubuntuone (§3.3). Its nodes are one slice of rows sorted by
+// NodeID, found by bisection; the zero value is an empty mirror.
+type mirror struct {
+	info protocol.VolumeInfo
+	gen  protocol.Generation
+	rows []mirrorRow
+	// dirty marks that a local mutation advanced the server past what the
+	// mirror replayed contiguously; the next Sync reconciles.
+	dirty bool
+}
+
+// mirrorRow is one node of a mirror.
+type mirrorRow struct {
+	id protocol.NodeID
+	Node
+}
+
+// Mirror is a copy of the client-side replica of one volume.
 type Mirror struct {
 	Info  protocol.VolumeInfo
 	Gen   protocol.Generation
 	Nodes map[protocol.NodeID]Node
-	// dirty marks that a local mutation advanced the server past what the
-	// mirror replayed contiguously; the next Sync reconciles.
-	dirty bool
 }
 
 // Node is a mirror's entry for one node: the fields the client reads. The id
@@ -32,11 +47,67 @@ type Node struct {
 	Size   uint64
 	Hash   protocol.Hash
 	Kind   protocol.NodeKind
+	// gone marks a row a Sync deleted, taken out in one pass when the Sync
+	// ends; no Node read out of a mirror carries it.
+	gone bool
 }
 
 // nodeOf keeps what a mirror needs of a protocol node.
 func nodeOf(n *protocol.NodeInfo) Node {
 	return Node{Name: n.Name, Parent: n.Parent, Size: n.Size, Hash: n.Hash, Kind: n.Kind}
+}
+
+// findRow bisects rows, sorted by id, for id: where it is or goes, and
+// whether it is there. An id past the last row, as a new node's is, costs
+// one comparison.
+func findRow(rows []mirrorRow, id protocol.NodeID) (int, bool) {
+	lo, hi := 0, len(rows)
+	if hi > 0 && rows[hi-1].id < id {
+		lo = hi
+	}
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); rows[m].id < id {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, lo < len(rows) && rows[lo].id == id
+}
+
+// lookupRow returns node id of rows, unless it is not there or gone.
+func lookupRow(rows []mirrorRow, id protocol.NodeID) (Node, bool) {
+	if i, ok := findRow(rows, id); ok && !rows[i].gone {
+		return rows[i].Node, true
+	}
+	return Node{}, false
+}
+
+// seekRow is lookupRow over rows holding no gone row with a cursor, at: an
+// ascending run of ids finds each a step or two past the last, and an id
+// behind the cursor bisects.
+func seekRow(rows []mirrorRow, id protocol.NodeID, at int) (Node, bool, int) {
+	if at > 0 && rows[at-1].id >= id {
+		n, ok := lookupRow(rows[:at], id)
+		return n, ok, at
+	}
+	for at < len(rows) && rows[at].id < id {
+		at++
+	}
+	if at < len(rows) && rows[at].id == id {
+		return rows[at].Node, true, at + 1
+	}
+	return Node{}, false, at
+}
+
+// putRow stores n as node id at i, where findRow placed id: over the row
+// there when found, else inserted.
+func putRow(rows []mirrorRow, i int, found bool, id protocol.NodeID, n Node) []mirrorRow {
+	if found {
+		rows[i].Node = n
+		return rows
+	}
+	return slices.Insert(rows, i, mirrorRow{id, n})
 }
 
 // Stats counts client-side activity.
@@ -74,14 +145,14 @@ type Client struct {
 	mu      sync.Mutex
 	user    protocol.UserID
 	session protocol.SessionID
-	mirrors map[protocol.VolumeID]*Mirror
+	mirrors map[protocol.VolumeID]*mirror
 	shares  []protocol.ShareInfo
 	stats   Stats
 }
 
 // New creates a client over the given transport.
 func New(t Transport) *Client {
-	return &Client{t: t, mirrors: make(map[protocol.VolumeID]*Mirror)}
+	return &Client{t: t, mirrors: make(map[protocol.VolumeID]*mirror)}
 }
 
 // Connect authenticates and runs the standard initialization flow observed in
@@ -116,7 +187,7 @@ func (c *Client) Connect(token string) error {
 		c.mu.Lock()
 		for _, v := range resp.Volumes {
 			if _, ok := c.mirrors[v.ID]; !ok {
-				c.mirrors[v.ID] = &Mirror{Info: v, Nodes: make(map[protocol.NodeID]Node)}
+				c.mirrors[v.ID] = &mirror{info: v}
 			}
 		}
 		c.mu.Unlock()
@@ -303,19 +374,55 @@ func (c *Client) RootVolume() (protocol.VolumeID, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for id, m := range c.mirrors {
-		if m.Info.Type == protocol.VolumeRoot {
+		if m.info.Type == protocol.VolumeRoot {
 			return id, true
 		}
 	}
 	return 0, false
 }
 
-// Mirror returns the local replica of a volume.
+// Mirror returns a copy of the local replica of a volume, its nodes as a
+// map built on each call.
+//
+// Deprecated: use Node and EachNode, which read the replica in place.
 func (c *Client) Mirror(vol protocol.VolumeID) (*Mirror, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	m, ok := c.mirrors[vol]
-	return m, ok
+	if !ok {
+		return nil, false
+	}
+	nodes := make(map[protocol.NodeID]Node, len(m.rows))
+	for _, r := range m.rows {
+		nodes[r.id] = r.Node
+	}
+	return &Mirror{Info: m.info, Gen: m.gen, Nodes: nodes}, true
+}
+
+// Node returns node id of the local replica of volume vol.
+func (c *Client) Node(vol protocol.VolumeID, id protocol.NodeID) (Node, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if m, ok := c.mirrors[vol]; ok {
+		return lookupRow(m.rows, id)
+	}
+	return Node{}, false
+}
+
+// EachNode calls f on every node of the local replica of volume vol, in
+// ascending ID order, and reports whether the volume is mirrored. f runs
+// under the client's lock, so it must not call back into the client.
+func (c *Client) EachNode(vol protocol.VolumeID, f func(id protocol.NodeID, n Node)) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	m, ok := c.mirrors[vol]
+	if !ok {
+		return false
+	}
+	for _, r := range m.rows {
+		f(r.id, r.Node)
+	}
+	return true
 }
 
 // applyLocal advances a mirror with the result of the client's own mutation
@@ -328,15 +435,18 @@ func (c *Client) applyLocal(vol protocol.VolumeID, node *protocol.NodeInfo, gen 
 	if !ok {
 		return
 	}
-	if gen != m.Gen+1 {
+	if gen != m.gen+1 {
 		m.dirty = true
 		return
 	}
-	m.Gen = gen
+	m.gen = gen
 	if deleted {
-		delete(m.Nodes, node.ID)
+		if i, ok := findRow(m.rows, node.ID); ok {
+			m.rows = slices.Delete(m.rows, i, i+1)
+		}
 	} else if node.ID != 0 {
-		m.Nodes[node.ID] = nodeOf(node)
+		i, found := findRow(m.rows, node.ID)
+		m.rows = putRow(m.rows, i, found, node.ID, nodeOf(node))
 	}
 }
 
@@ -520,7 +630,7 @@ func (c *Client) CreateUDF(path string) (protocol.VolumeInfo, error) {
 	v := resp.Volumes[0]
 	protocol.ReleaseResponse(resp)
 	c.mu.Lock()
-	c.mirrors[v.ID] = &Mirror{Info: v, Nodes: make(map[protocol.NodeID]Node)}
+	c.mirrors[v.ID] = &mirror{info: v}
 	c.mu.Unlock()
 	return v, nil
 }
@@ -559,9 +669,8 @@ func (c *Client) AcceptShare(id protocol.ShareID) (protocol.ShareInfo, error) {
 	protocol.ReleaseResponse(resp)
 	c.mu.Lock()
 	if _, ok := c.mirrors[share.Volume]; !ok {
-		c.mirrors[share.Volume] = &Mirror{
-			Info:  protocol.VolumeInfo{ID: share.Volume, Type: protocol.VolumeShared, Owner: share.SharedBy},
-			Nodes: make(map[protocol.NodeID]Node),
+		c.mirrors[share.Volume] = &mirror{
+			info: protocol.VolumeInfo{ID: share.Volume, Type: protocol.VolumeShared, Owner: share.SharedBy},
 		}
 	}
 	c.mu.Unlock()
@@ -581,7 +690,7 @@ func (c *Client) Sync(vol protocol.VolumeID) ([]protocol.NodeID, error) {
 		c.mu.Unlock()
 		return nil, fmt.Errorf("%w: volume %d not mirrored", protocol.ErrNotFound, vol)
 	}
-	fromGen := m.Gen
+	fromGen := m.gen
 	c.mu.Unlock()
 
 	resp, err := c.do(protocol.Request{Op: protocol.OpGetDelta, Volume: vol, FromGen: fromGen})
@@ -591,17 +700,19 @@ func (c *Client) Sync(vol protocol.VolumeID) ([]protocol.NodeID, error) {
 
 	var changed []protocol.NodeID
 	c.mu.Lock()
-	// A rescan lists the whole volume, one entry per node: the mirror is
-	// rebuilt at exactly that size, and what changed is judged against the
-	// mirror it replaces. Each entry is read in place, out of the listing's
-	// bytes, into the mirror's node; a name the mirror already holds is kept
-	// rather than allocated again.
-	known, nodes := m.Nodes, m.Nodes
+	// A rescan lists the whole volume, one entry per node in ascending
+	// NodeID order: the mirror is rebuilt by appends into a slice of exactly
+	// that length, and what changed is judged against the mirror it
+	// replaces. A delta updates the mirror in place; what it deletes goes in
+	// one pass at the end. Each entry is read in place, out of the listing's
+	// bytes; a name the mirror already holds is not allocated again.
+	known, rows := m.rows, m.rows
 	if resp.Rescan {
-		nodes = make(map[protocol.NodeID]Node, resp.Deltas.Len())
+		rows = make([]mirrorRow, 0, resp.Deltas.Len())
 		c.stats.Rescans++
 	}
 	var d protocol.DeltaEntry
+	deleted, at := false, 0 // at: the cursor into known
 	list := resp.Deltas.Cursor()
 	for i := 0; ; i++ {
 		name, ok := list.Next(&d)
@@ -610,16 +721,25 @@ func (c *Client) Sync(vol protocol.VolumeID) ([]protocol.NodeID, error) {
 		}
 		id := d.Node.ID
 		if d.Deleted {
-			delete(nodes, id)
+			if j, ok := findRow(rows, id); ok {
+				rows[j].gone, deleted = true, true
+			}
 			continue
 		}
-		prev, existed := known[id]
+		j, found := findRow(rows, id)
+		var prev Node
+		var existed bool
+		if resp.Rescan {
+			prev, existed, at = seekRow(known, id, at)
+		} else if found && !rows[j].gone {
+			prev, existed = rows[j].Node, true
+		}
 		n := nodeOf(&d.Node)
 		n.Name = prev.Name // an unchanged name is not allocated again
 		if n.Name != string(name) {
 			n.Name = string(name)
 		}
-		nodes[id] = n
+		rows = putRow(rows, j, found, id, n)
 		if d.Node.Kind == protocol.KindFile && !d.Node.Hash.IsZero() &&
 			(!existed || prev.Hash != d.Node.Hash) {
 			if changed == nil && !(resp.Rescan && len(known) > 0) {
@@ -631,8 +751,11 @@ func (c *Client) Sync(vol protocol.VolumeID) ([]protocol.NodeID, error) {
 			changed = append(changed, id)
 		}
 	}
-	m.Nodes = nodes
-	m.Gen = resp.Generation
+	if deleted {
+		rows = slices.DeleteFunc(rows, func(r mirrorRow) bool { return r.gone })
+	}
+	m.rows = rows
+	m.gen = resp.Generation
 	m.dirty = false
 	c.stats.SyncsRun++
 	autoFetch := c.AutoFetch
@@ -660,7 +783,7 @@ func (c *Client) HandlePush(p *protocol.Push) ([]protocol.NodeID, error) {
 	case protocol.PushVolumeChanged:
 		c.mu.Lock()
 		m, ok := c.mirrors[p.Volume]
-		behind := ok && (p.Generation > m.Gen || m.dirty)
+		behind := ok && (p.Generation > m.gen || m.dirty)
 		c.mu.Unlock()
 		if behind {
 			return c.Sync(p.Volume)

@@ -15,6 +15,7 @@ import (
 	"u1/internal/notify"
 	"u1/internal/protocol"
 	"u1/internal/rpc"
+	"u1/internal/wire"
 )
 
 // storeServer builds an API server over a store the test can read directly.
@@ -205,6 +206,7 @@ func TestMirrorEqualsListing(t *testing.T) {
 		if want := changedByInfo(before, tr.deltas, tr.rescan); !slices.Equal(changed, want) {
 			t.Fatalf("round %d: Sync reported changed %v, the NodeInfo rule selects %v", round, changed, want)
 		}
+		m, _ = reader.Mirror(root) // a copy: the one taken before the Sync is stale
 		list, gen, err := store.GetFromScratch(user, root)
 		if err != nil {
 			t.Fatal(err)
@@ -229,8 +231,8 @@ func TestMirrorEqualsListing(t *testing.T) {
 	}
 }
 
-// sink keeps a measured map on the heap.
-var sink map[protocol.NodeID]Node
+// sink keeps a measured slice on the heap.
+var sink []mirrorRow
 
 // allocated returns the bytes f allocates per call, averaged over rounds.
 func allocated(rounds int, f func()) uint64 {
@@ -245,11 +247,12 @@ func allocated(rounds int, f func()) uint64 {
 
 // TestRescanAllocates pins what a rescan costs: the client's mirror and not
 // a copy of the listing on either side. A fresh client syncing a 200-node
-// volume whose delta log is off allocates its mirror map, plus 8 bytes a
-// node three times over (the server's sorted ids, the client's names, the
-// list of changed ids) and a margin for size-class rounding. The listing
-// itself travels in a pooled buffer, so decoding it into 96-byte entries on
-// either side, or a mirror of whole NodeInfo values, is far past the bound.
+// volume whose delta log is off allocates one row slice of exactly the
+// listing's length, plus 16 bytes a node (its name, a few bytes in a shared
+// 16-byte block, and its entry in the list of changed ids) and a margin for
+// the exchange itself. The server sorts the volume in a pooled row list and
+// the listing travels in a pooled buffer, so decoding it into 96-byte
+// entries on either side, or a mirror kept as a map, is past the bound.
 func TestRescanAllocates(t *testing.T) {
 	if !poolsKeep() {
 		t.Skip("sync.Pool is dropping puts (the race detector is on): pooled slots count as allocations")
@@ -265,14 +268,9 @@ func TestRescanAllocates(t *testing.T) {
 		}
 	}
 
-	mirror := allocated(20, func() {
-		sink = make(map[protocol.NodeID]Node, nodes)
-		for i := 0; i < nodes; i++ {
-			sink[protocol.NodeID(i+1)] = Node{}
-		}
-	})
-	const perNode, margin = 3 * 8, 2 << 10
-	limit := mirror + perNode*nodes + margin
+	rows := allocated(20, func() { sink = make([]mirrorRow, nodes) })
+	const perNode, margin = 16, 2 << 10
+	limit := rows + perNode*nodes + margin
 
 	const rounds = 20
 	clients := make([]*Client, rounds)
@@ -288,8 +286,225 @@ func TestRescanAllocates(t *testing.T) {
 		i++
 	})
 	if got > limit {
-		t.Errorf("a rescan of %d nodes allocates %d B, want at most %d (mirror map %d + %d B a node + margin %d)",
-			nodes, got, limit, mirror, perNode, margin)
+		t.Errorf("a rescan of %d nodes allocates %d B, want at most %d (row slice %d + %d B a node + margin %d)",
+			nodes, got, limit, rows, perNode, margin)
 	}
-	t.Logf("rescan of %d nodes: %d B (mirror map %d)", nodes, got, mirror)
+	t.Logf("rescan of %d nodes: %d B (row slice %d, bound %d)", nodes, got, rows, limit)
+}
+
+// listingServer answers GetDelta with a rescan that lists entries, in their
+// order, at generation gen, and every other request with an OK answer;
+// ListVolumes names vol as the root volume.
+type listingServer struct {
+	vol     protocol.VolumeID
+	gen     protocol.Generation
+	entries [][]byte // each entry in its wire form
+}
+
+// serve sets the listing to nodes, in their order, at generation gen.
+func (l *listingServer) serve(nodes []protocol.NodeInfo, gen protocol.Generation) {
+	l.entries, l.gen = nil, gen
+	for _, n := range nodes {
+		var w wire.Writer
+		protocol.MarshalNodeInfo(&w, n)
+		w.Bool(false)
+		l.entries = append(l.entries, w.Bytes())
+	}
+}
+
+func (l *listingServer) Do(req *protocol.Request) (*protocol.Response, error) {
+	resp := protocol.AcquireResponse()
+	resp.ID, resp.Status = req.ID, protocol.StatusOK
+	switch req.Op {
+	case protocol.OpListVolumes:
+		resp.Volumes = []protocol.VolumeInfo{{ID: l.vol, Type: protocol.VolumeRoot}}
+	case protocol.OpGetDelta:
+		var w protocol.DeltaWriter
+		w.Start(64 * len(l.entries))
+		for _, e := range l.entries {
+			w.AddEncoded(e)
+		}
+		resp.Deltas, resp.Rescan, resp.Generation = w.List(), true, l.gen
+	}
+	return resp, nil
+}
+func (l *listingServer) Pushes() <-chan *protocol.Push { return nil }
+func (l *listingServer) Close() error                  { return nil }
+
+// volumeListing returns a listing of nodes ids first..last in ascending
+// order: every third a directory; a file's hash depends on salt when its id
+// is even.
+func volumeListing(first, last protocol.NodeID, salt string) []protocol.NodeInfo {
+	var out []protocol.NodeInfo
+	for id := first; id <= last; id++ {
+		n := protocol.NodeInfo{ID: id, Parent: first, Kind: protocol.KindFile, Name: fmt.Sprint("n", id), Size: uint64(id)}
+		switch {
+		case id%3 == 0:
+			n.Kind = protocol.KindDir
+		case id%2 == 0:
+			n.Hash = protocol.HashBytes([]byte(fmt.Sprint(salt, id)))
+		default:
+			n.Hash = protocol.HashBytes([]byte(fmt.Sprint(id)))
+		}
+		out = append(out, n)
+	}
+	return out
+}
+
+// listingClient returns a client connected to srv.
+func listingClient(t testing.TB, srv *listingServer) *Client {
+	t.Helper()
+	cli := New(srv)
+	if err := cli.Connect("token"); err != nil {
+		t.Fatal(err)
+	}
+	return cli
+}
+
+// mirrorOf reads a volume's mirror through EachNode, failing unless the ids
+// come in strictly ascending order.
+func mirrorOf(t *testing.T, cli *Client, vol protocol.VolumeID) map[protocol.NodeID]Node {
+	t.Helper()
+	out := make(map[protocol.NodeID]Node)
+	last := protocol.NodeID(0)
+	cli.EachNode(vol, func(id protocol.NodeID, n Node) {
+		if id <= last {
+			t.Fatalf("EachNode visited %d after %d", id, last)
+		}
+		last, out[id] = id, n
+	})
+	return out
+}
+
+// TestSyncAnyListingOrder serves one listing sorted, shuffled and reversed,
+// into an empty mirror and into one filled by an earlier listing that
+// overlaps it (some nodes gone, some hashes moved): every order builds the
+// same mirror, kept in ascending ID order, and reports the same changed
+// files, in the order it listed them.
+func TestSyncAnyListingOrder(t *testing.T) {
+	const vol = protocol.VolumeID(7)
+	listing := volumeListing(10, 70, "b")
+	earlier := volumeListing(1, 40, "a")
+	want := make(map[protocol.NodeID]Node, len(listing))
+	for i := range listing {
+		want[listing[i].ID] = nodeOf(&listing[i])
+	}
+	shuffled := slices.Clone(listing)
+	rand.New(rand.NewSource(44)).Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	reversed := slices.Clone(listing)
+	slices.Reverse(reversed)
+
+	for _, filled := range []bool{false, true} {
+		var wantChanged []protocol.NodeID
+		for _, order := range []struct {
+			name    string
+			entries []protocol.NodeInfo
+		}{{"sorted", listing}, {"shuffled", shuffled}, {"reversed", reversed}} {
+			srv := &listingServer{vol: vol}
+			srv.serve(earlier, 9)
+			cli := listingClient(t, srv)
+			if filled {
+				if _, err := cli.Sync(vol); err != nil {
+					t.Fatal(err)
+				}
+			}
+			srv.serve(order.entries, 12)
+			changed, err := cli.Sync(vol)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := mirrorOf(t, cli, vol); !maps.Equal(got, want) {
+				t.Errorf("filled %v, %s: mirror holds\n%v\nwant\n%v", filled, order.name, got, want)
+			}
+			var rule []protocol.NodeID
+			for _, n := range order.entries {
+				prev, existed := Node{}, false
+				if filled && n.ID <= 40 {
+					prev, existed = nodeOf(&earlier[n.ID-1]), true
+				}
+				if n.Kind == protocol.KindFile && (!existed || prev.Hash != n.Hash) {
+					rule = append(rule, n.ID)
+				}
+			}
+			if !slices.Equal(changed, rule) {
+				t.Errorf("filled %v, %s: changed %v, want %v", filled, order.name, changed, rule)
+			}
+			slices.Sort(changed)
+			if wantChanged == nil {
+				wantChanged = changed
+			} else if !slices.Equal(changed, wantChanged) {
+				t.Errorf("filled %v, %s: changed %v, sorted order gave %v", filled, order.name, changed, wantChanged)
+			}
+		}
+		if files := len(listing) - len(listing)/3; filled && len(wantChanged) == files || len(wantChanged) == 0 {
+			t.Errorf("filled %v: %d of %d files changed, want some but not all", filled, len(wantChanged), files)
+		}
+	}
+}
+
+// TestMirrorCopyIsIndependent pins Mirror as a copy: a later Sync does not
+// change it, and editing it does not change the client's replica.
+func TestMirrorCopyIsIndependent(t *testing.T) {
+	const vol = protocol.VolumeID(7)
+	srv := &listingServer{vol: vol}
+	srv.serve(volumeListing(1, 20, "a"), 3)
+	cli := listingClient(t, srv)
+	if _, err := cli.Sync(vol); err != nil {
+		t.Fatal(err)
+	}
+	copied, _ := cli.Mirror(vol)
+	want := maps.Clone(copied.Nodes)
+
+	srv.serve(volumeListing(5, 30, "b"), 8)
+	if _, err := cli.Sync(vol); err != nil {
+		t.Fatal(err)
+	}
+	if copied.Gen != 3 || !maps.Equal(copied.Nodes, want) {
+		t.Errorf("a later Sync changed the copy: gen %d, nodes %v", copied.Gen, copied.Nodes)
+	}
+
+	live := mirrorOf(t, cli, vol)
+	copied.Nodes[5] = Node{Name: "edited"}
+	delete(copied.Nodes, 6)
+	copied.Nodes[99] = Node{Name: "added"}
+	if got := mirrorOf(t, cli, vol); !maps.Equal(got, live) {
+		t.Errorf("editing the copy changed the client: %v, want %v", got, live)
+	}
+	if n, ok := cli.Node(vol, 5); !ok || n.Name != "n5" {
+		t.Errorf("Node(5) = %+v, %v after the copy was edited", n, ok)
+	}
+}
+
+// BenchmarkSyncRescan syncs a 200-node volume by rescan from a server that
+// holds the listing ready: into an empty mirror (a fresh client, as the
+// simulator's LowMem mode makes), and over a filled one that already holds
+// every node.
+func BenchmarkSyncRescan(b *testing.B) {
+	const vol = protocol.VolumeID(7)
+	srv := &listingServer{vol: vol}
+	srv.serve(volumeListing(1, 200, "a"), 5)
+	b.Run("empty", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			cli := listingClient(b, srv)
+			b.StartTimer()
+			if _, err := cli.Sync(vol); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("filled", func(b *testing.B) {
+		cli := listingClient(b, srv)
+		if _, err := cli.Sync(vol); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := cli.Sync(vol); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

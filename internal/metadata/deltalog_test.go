@@ -417,3 +417,39 @@ func poolsKeep() bool {
 	}
 	return true
 }
+
+// BenchmarkGetFromScratch lists a 200-node volume (the root, 9 files in it
+// and 19 directories of 9 files each) from scratch, releasing each answer as
+// the API server does once it is sent.
+func BenchmarkGetFromScratch(b *testing.B) {
+	s := New(Config{Shards: 1, DeltaLogLimit: -1})
+	vol, err := s.CreateUser(1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for d := 0; d <= 19; d++ {
+		dir := protocol.NodeID(0)
+		if d > 0 {
+			n, err := s.MakeDir(1, vol.ID, 0, fmt.Sprintf("dir-%02d", d))
+			if err != nil {
+				b.Fatal(err)
+			}
+			dir = n.ID
+		}
+		for f := 0; f < 9; f++ {
+			if _, err := s.MakeFile(1, vol.ID, dir, fmt.Sprintf("file-%03d.txt", 10*d+f)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		resp := protocol.AcquireResponse()
+		deltas, _, err := s.GetFromScratch(1, vol.ID)
+		if err != nil || deltas.Len() != 200 {
+			b.Fatalf("GetFromScratch: %d entries, %v", deltas.Len(), err)
+		}
+		resp.Deltas = deltas
+		protocol.ReleaseResponse(resp)
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"u1/internal/metrics"
 	"u1/internal/protocol"
@@ -562,6 +563,15 @@ func TestUploadJobLifecycle(t *testing.T) {
 	}
 	if err := s.DeleteUploadJob(1, job.ID); !errors.Is(err, protocol.ErrNotFound) {
 		t.Error("job should be gone after delete")
+	}
+}
+
+// TestUploadJobRowFitsMapSlot keeps a shard's upload-job row within the
+// 128 bytes Go stores in a map slot; a larger value costs a heap object per
+// upload.
+func TestUploadJobRowFitsMapSlot(t *testing.T) {
+	if size := unsafe.Sizeof(uploadJobRow{}); size > 128 {
+		t.Errorf("uploadJobRow is %d bytes, want at most 128", size)
 	}
 }
 

@@ -111,14 +111,27 @@ func (t *nodeTable) appendChildren(dst []protocol.NodeID, dir protocol.NodeID) [
 	return dst
 }
 
-// subtreeLen counts the nodes of the subtree rooted at id, id included,
-// without allocating.
-func (t *nodeTable) subtreeLen(id protocol.NodeID) int {
-	n := 1
-	for _, r := range t.kids[id] {
-		n += t.subtreeLen(t.at(r).id)
+// listRow is one node of a listing being gathered: its ID, the listing's
+// order, and its row.
+type listRow struct {
+	id protocol.NodeID
+	r  uint32
+}
+
+// appendSubtree appends the nodes of the subtree rooted at row r, r
+// included, breadth-first, the list itself serving as the walk's queue. A
+// row's kind, read from its page, says whether it has a run to walk, so no
+// node is looked up by its ID.
+func (t *nodeTable) appendSubtree(dst []listRow, r uint32) []listRow {
+	dst = append(dst, listRow{t.at(r).id, r})
+	for i := len(dst) - 1; i < len(dst); i++ {
+		if n := t.at(dst[i].r); n.kind == protocol.KindDir {
+			for _, k := range t.kids[n.id] {
+				dst = append(dst, listRow{t.at(k).id, k})
+			}
+		}
 	}
-	return n
+	return dst
 }
 
 // each calls f on every node, in row order.

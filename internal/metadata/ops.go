@@ -6,6 +6,7 @@ import (
 	"maps"
 	"slices"
 	"strings"
+	"sync"
 
 	"u1/internal/protocol"
 )
@@ -556,27 +557,27 @@ func (s *Store) GetFromScratch(user protocol.UserID, vol protocol.VolumeID) (lis
 		// Counted after the access checks: only calls that actually pay the
 		// cascade cost register, mirroring deltaServed/deltaTruncated.
 		s.m.fromScratch.Inc()
-		// One walk collects the volume's ids: breadth-first from the root,
-		// the list itself serving as the walk's queue, into an array sized by
-		// counting the subtree first. Sorted, they are marshalled in order
-		// straight into the listing's pooled buffer.
-		ids := make([]protocol.NodeID, 1, sh.nodes.subtreeLen(vr.root))
-		ids[0] = vr.root
-		for i := 0; i < len(ids); i++ {
-			ids = sh.nodes.appendChildren(ids, ids[i])
-		}
-		slices.Sort(ids)
+		// One walk collects the volume's rows into a pooled list; sorted by
+		// node ID, each row is marshalled in order straight into the
+		// listing's pooled buffer.
+		scratch := listings.Get().(*[]listRow)
+		rows := sh.nodes.appendSubtree((*scratch)[:0], sh.nodes.index[vr.root])
+		slices.SortFunc(rows, func(a, b listRow) int { return cmp.Compare(a.id, b.id) })
 		var out protocol.DeltaWriter
-		out.Start(len(ids) * scratchEntryBytes)
-		for _, id := range ids {
-			nr, _ := sh.nodes.get(id)
-			out.Add(sh.nodes.view(nr), false)
+		out.Start(len(rows) * scratchEntryBytes)
+		for _, l := range rows {
+			out.Add(sh.nodes.view(sh.nodes.at(l.r)), false)
 		}
+		*scratch = rows
+		listings.Put(scratch)
 		list, gen = out.List(), vr.info.Generation
 		return nil
 	})
 	return list, gen, err
 }
+
+// listings recycles the row lists GetFromScratch sorts.
+var listings = sync.Pool{New: func() any { return new([]listRow) }}
 
 // scratchEntryBytes is the room GetFromScratch reserves per entry: about
 // what a file's entry takes (its 20-byte hash, a short name, small ids),

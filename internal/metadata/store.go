@@ -279,7 +279,7 @@ type shard struct {
 	volumes    map[protocol.VolumeID]*volumeRow
 	nodes      *nodeTable
 	shares     map[protocol.ShareID]*protocol.ShareInfo
-	uploadjobs map[protocol.UploadID]*UploadJob
+	uploadjobs map[protocol.UploadID]uploadJobRow
 
 	// revoked tombstones, on a replica shard, the grants its owner revoked
 	// that have not ripened here yet (revokeCrossRegion); owner shards observe
@@ -310,7 +310,7 @@ func (sh *shard) reset() {
 	sh.volumes = make(map[protocol.VolumeID]*volumeRow)
 	sh.nodes = newNodeTable()
 	sh.shares = make(map[protocol.ShareID]*protocol.ShareInfo)
-	sh.uploadjobs = make(map[protocol.UploadID]*UploadJob)
+	sh.uploadjobs = make(map[protocol.UploadID]uploadJobRow)
 	sh.revoked = nil
 }
 

@@ -30,6 +30,31 @@ type UploadJob struct {
 	TouchedAt time.Time
 }
 
+// uploadJobRow is a shard's row of an upload job: the UploadJob but its ID,
+// which keys the row, with its times as Unix nanoseconds. At 96 bytes it sits
+// in its map slot; Go keeps a value over 128 bytes, as the 144-byte UploadJob
+// is, behind a pointer of its own.
+type uploadJobRow struct {
+	user             protocol.UserID
+	vol              protocol.VolumeID
+	node             protocol.NodeID
+	hash             protocol.Hash
+	parts            uint32
+	declaredSize     uint64
+	bytesDone        uint64
+	multipartID      string
+	created, touched int64
+}
+
+// job returns the row as the UploadJob id.
+func (j *uploadJobRow) job(id protocol.UploadID) UploadJob {
+	return UploadJob{
+		ID: id, User: j.user, Volume: j.vol, Node: j.node, Hash: j.hash,
+		DeclaredSize: j.declaredSize, MultipartID: j.multipartID, Parts: j.parts, BytesDone: j.bytesDone,
+		CreatedAt: time.Unix(0, j.created), TouchedAt: time.Unix(0, j.touched),
+	}
+}
+
 // UploadJobMaxAge is the garbage-collection horizon: jobs untouched for a
 // week are presumed canceled (appendix A).
 const UploadJobMaxAge = 7 * 24 * time.Hour
@@ -44,18 +69,10 @@ func (s *Store) MakeUploadJob(user protocol.UserID, vol protocol.VolumeID, node 
 	if _, ok := sh.users[user]; !ok {
 		return UploadJob{}, protocol.ErrNotFound
 	}
-	job := &UploadJob{
-		ID:           s.allocUpload(),
-		User:         user,
-		Volume:       vol,
-		Node:         node,
-		Hash:         h,
-		DeclaredSize: declaredSize,
-		CreatedAt:    now,
-		TouchedAt:    now,
-	}
-	sh.uploadjobs[job.ID] = job
-	return *job, nil
+	id, job := s.allocUpload(), uploadJobRow{user: user, vol: vol, node: node, hash: h,
+		declaredSize: declaredSize, created: now.UnixNano(), touched: now.UnixNano()}
+	sh.uploadjobs[id] = job
+	return job.job(id), nil
 }
 
 // SetUploadJobMultipartID records the data-store multipart identifier
@@ -64,10 +81,11 @@ func (s *Store) SetUploadJobMultipartID(user protocol.UserID, id protocol.Upload
 	sh := s.shardOf(user)
 	defer sh.Unlock(sh.Lock())
 	job, ok := sh.uploadjobs[id]
-	if !ok || job.User != user {
+	if !ok || job.user != user {
 		return protocol.ErrNotFound
 	}
-	job.MultipartID = multipartID
+	job.multipartID = multipartID
+	sh.uploadjobs[id] = job
 	return nil
 }
 
@@ -78,13 +96,14 @@ func (s *Store) AddPartToUploadJob(user protocol.UserID, id protocol.UploadID, p
 	sh := s.shardOf(user)
 	defer sh.Unlock(sh.Lock())
 	job, ok := sh.uploadjobs[id]
-	if !ok || job.User != user {
+	if !ok || job.user != user {
 		return UploadJob{}, protocol.ErrNotFound
 	}
-	job.Parts++
-	job.BytesDone += partBytes
-	job.TouchedAt = now
-	return *job, nil
+	job.parts++
+	job.bytesDone += partBytes
+	job.touched = now.UnixNano()
+	sh.uploadjobs[id] = job
+	return job.job(id), nil
 }
 
 // DeleteUploadJob garbage-collects the job state on commit or cancellation
@@ -93,7 +112,7 @@ func (s *Store) DeleteUploadJob(user protocol.UserID, id protocol.UploadID) erro
 	sh := s.shardOf(user)
 	defer sh.Unlock(sh.Lock())
 	job, ok := sh.uploadjobs[id]
-	if !ok || job.User != user {
+	if !ok || job.user != user {
 		return protocol.ErrNotFound
 	}
 	delete(sh.uploadjobs, id)
@@ -110,7 +129,7 @@ func (s *Store) SweepUploadJobs(now time.Time) int {
 		// keep measuring client load only.
 		sh.LockUncounted()
 		for id, job := range sh.uploadjobs {
-			if now.Sub(job.TouchedAt) > UploadJobMaxAge {
+			if time.Duration(now.UnixNano()-job.touched) > UploadJobMaxAge {
 				delete(sh.uploadjobs, id)
 				swept++
 			}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"time"
 
 	"u1/internal/client"
@@ -780,28 +779,25 @@ func (g *Generator) adoptMirrorFiles(u *user) {
 	if !ok {
 		return
 	}
-	m, ok := u.cli.Mirror(root)
-	if !ok {
-		return
-	}
-	ids := make([]protocol.NodeID, 0, len(m.Nodes))
-	for id, info := range m.Nodes {
-		if info.Kind == protocol.KindFile && !info.Hash.IsZero() {
-			ids = append(ids, id)
+	content := func(info client.Node) bool { return info.Kind == protocol.KindFile && !info.Hash.IsZero() }
+	n := 0
+	u.cli.EachNode(root, func(_ protocol.NodeID, info client.Node) {
+		if content(info) {
+			n++
 		}
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	if cap(u.files)-len(u.files) < len(ids) {
+	})
+	if cap(u.files)-len(u.files) < n {
 		// Exact-capacity growth: append's doubling would strand ~a third of
 		// the backing array across a million users' working sets.
-		grown := make([]fileRef, len(u.files), len(u.files)+len(ids))
+		grown := make([]fileRef, len(u.files), len(u.files)+n)
 		copy(grown, u.files)
 		u.files = grown
 	}
-	for _, id := range ids {
-		info := m.Nodes[id]
-		u.files = append(u.files, u.sh.fileRefFor(root, id, info.Parent, info.Name))
-	}
+	u.cli.EachNode(root, func(id protocol.NodeID, info client.Node) {
+		if content(info) {
+			u.files = append(u.files, u.sh.fileRefFor(root, id, info.Parent, info.Name))
+		}
+	})
 }
 
 func (g *Generator) syncMirrors(u *user) {

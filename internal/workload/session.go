@@ -301,10 +301,8 @@ func (s *sessionRun) doDownload() {
 		// A read keeps the file warm in the user's working set, so later
 		// deletes and edits follow reads (the DAR/WAR chains of Fig. 3b).
 		if r.Float64() < 0.55 {
-			if m, ok := u.cli.Mirror(vol); ok {
-				if info, ok := m.Nodes[node]; ok {
-					u.remember(u.sh.fileRefFor(vol, node, info.Parent, info.Name))
-				}
+			if info, ok := u.cli.Node(vol, node); ok {
+				u.remember(u.sh.fileRefFor(vol, node, info.Parent, info.Name))
 			}
 		}
 	} else if stale >= 0 {
@@ -502,10 +500,8 @@ func (u *user) forgetVolumeNodes(vol protocol.VolumeID) {
 
 // parentOf resolves a recent file's parent from the mirror (0 = root).
 func parentOf(u *user, f fileRef) protocol.NodeID {
-	if m, ok := u.cli.Mirror(f.vol); ok {
-		if info, ok := m.Nodes[f.node]; ok {
-			return info.Parent
-		}
+	if info, ok := u.cli.Node(f.vol, f.node); ok {
+		return info.Parent
 	}
 	return 0
 }
@@ -559,20 +555,16 @@ func versionedSize(u *user, f fileRef, r stats.Rand) uint64 {
 // currentContent returns a file's current hash and size from the mirror, so
 // an unchanged re-upload offers the content the server already has.
 func currentContent(u *user, f fileRef) (protocol.Hash, uint64) {
-	if m, ok := u.cli.Mirror(f.vol); ok {
-		if info, ok := m.Nodes[f.node]; ok {
-			return info.Hash, info.Size
-		}
+	if info, ok := u.cli.Node(f.vol, f.node); ok {
+		return info.Hash, info.Size
 	}
 	return protocol.HashBytes([]byte(fmt.Sprintf("u%d-ghost", u.id))), 1
 }
 
 // sizeOf reads a file's current size from the mirror.
 func sizeOf(u *user, f fileRef) uint64 {
-	if m, ok := u.cli.Mirror(f.vol); ok {
-		if info, ok := m.Nodes[f.node]; ok {
-			return info.Size
-		}
+	if info, ok := u.cli.Node(f.vol, f.node); ok {
+		return info.Size
 	}
 	return 0
 }
